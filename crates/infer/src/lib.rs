@@ -22,6 +22,12 @@
 //!   single consumer has read it; after the first (cold) execution every
 //!   acquire is a pool hit. Weights are pre-transposed at compile time so
 //!   the GEMM kernel never packs an operand internally.
+//! * **One fan-out per launch.** A launch with enough work is cut into
+//!   blocks of whole boundaries and the whole step program runs per block,
+//!   each lane of the compute pool ([`mf_tensor::par`]) on its own buffers:
+//!   one fork-join per launch, with bias, split-add and activation as
+//!   parallel as the GEMMs. Plan rows are independent, so every partition
+//!   and pool width produces the same bits.
 //! * **Cached invariants.** The normalized/Fourier-encoded query
 //!   coordinates and the coordinate half `W_x · X` of the input-split
 //!   layer are computed once at compile time and reused by every
@@ -39,8 +45,9 @@
 //! weights.
 
 use mf_nn::{Activation, EmbeddingKind, SdNet};
+use mf_tensor::par::{self, prelude::*};
 use mf_tensor::{gemm, gemm_into, unfold1d_circular_into, BufferPool, Layout, PoolStats, Tensor};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 mod cache;
@@ -93,41 +100,90 @@ struct RegShape {
     cols: usize,
 }
 
-/// Reusable execution scratch: a buffer pool plus warm-allocation
-/// accounting. One workspace serves one thread; executions on the same
-/// workspace after the first reuse all of its buffers.
+/// Blocks a fanned-out launch is cut into per lane. Measured on the
+/// reference host (2 cores, 3×48 trunk, B = 64, best of 15 interleaved
+/// samples): 1 / 2 / 4 / 8 blocks per lane run a cross launch in 544 / 550 /
+/// 537 / 566 µs and a dense one in 1 870 / 1 874 / 1 955 / 1 986 µs, against
+/// 1 028 and 3 869 µs on one lane. Two cost nothing against one and bound
+/// what a lane that joins late or is descheduled can hold up to a quarter
+/// of the launch; finer blocks pay the per-block weight-panel packing and
+/// zone timers (10 % on one lane at 4–9 boundaries per block) for nothing.
+const BLOCKS_PER_LANE: usize = 2;
+
+/// GEMM multiply-adds below which a block is not worth handing to another
+/// lane. Measured on the reference host, a cross launch split in two
+/// against the same launch whole, at 269 k / 336 k / 403 k / 538 k
+/// multiply-adds in total: ×1.39 / ×1.54 / ×1.61 / ×1.94 when the worker is
+/// still polling (back-to-back launches), ×0.79 / ×1.30 / ×1.17 / ×1.35
+/// when it has parked (300 µs of caller-only work in between) — waking it
+/// costs the caller 30–40 µs on this VM. Two blocks of this size are the
+/// smallest split that wins either way.
+const MIN_BLOCK_MACS: usize = 3 << 16;
+
+/// One lane's execution scratch: the buffers and register table of the
+/// blocks that lane runs.
 #[derive(Debug)]
-pub struct Workspace {
+struct Lane {
     pool: BufferPool,
+    /// Register table of the block being run; all `None` between blocks.
+    slots: Vec<Option<Tensor>>,
     warmed: bool,
     warm_allocs: u64,
 }
 
-impl Default for Workspace {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Reusable execution scratch: one buffer pool per lane of the compute
+/// pool, plus warm-allocation accounting. One workspace serves one
+/// launch at a time; executions after a lane's first block reuse all of
+/// that lane's buffers.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    /// Indexed by [`par::lane`]. A lane is only ever locked by the one
+    /// thread running that lane's blocks, so the locks never contend.
+    lanes: Vec<Mutex<Lane>>,
+    /// Warm misses already added to the `infer.warm_allocs` counter.
+    reported: u64,
 }
 
 impl Workspace {
     /// Fresh, empty workspace.
     pub fn new() -> Self {
-        Self {
-            pool: BufferPool::new(),
-            warmed: false,
-            warm_allocs: 0,
+        Self::default()
+    }
+
+    fn ensure_lanes(&mut self, lanes: usize) {
+        while self.lanes.len() < lanes {
+            self.lanes.push(Mutex::new(Lane {
+                pool: BufferPool::new(),
+                slots: Vec::new(),
+                warmed: false,
+                warm_allocs: 0,
+            }));
         }
     }
 
-    /// Pool misses observed on *warm* executions (anything after the first
-    /// call). Zero means the plan is running allocation-free.
-    pub fn warm_allocs(&self) -> u64 {
-        self.warm_allocs
+    fn lanes(&self) -> impl Iterator<Item = std::sync::MutexGuard<'_, Lane>> {
+        self.lanes
+            .iter()
+            .map(|l| l.lock().expect("a plan block panicked on this lane"))
     }
 
-    /// Underlying buffer-pool statistics.
+    /// Pool misses observed on *warm* blocks (anything after a lane's
+    /// first). Zero means the plan is running allocation-free.
+    pub fn warm_allocs(&self) -> u64 {
+        self.lanes().map(|l| l.warm_allocs).sum()
+    }
+
+    /// Buffer-pool statistics, summed over the lanes.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool.stats()
+        self.lanes().fold(PoolStats::default(), |acc, l| {
+            let s = l.pool.stats();
+            PoolStats {
+                hits: acc.hits + s.hits,
+                misses: acc.misses + s.misses,
+                miss_bytes: acc.miss_bytes + s.miss_bytes,
+                released: acc.released + s.released,
+            }
+        })
     }
 }
 
@@ -141,6 +197,8 @@ pub struct InferencePlan {
     activation: Activation,
     boundary_len: usize,
     q: usize,
+    /// GEMM multiply-adds one boundary costs.
+    macs_per_boundary: usize,
     params_version: u64,
 }
 
@@ -313,6 +371,13 @@ impl InferencePlan {
         }
         steps.push(Step::Store { src: cur });
 
+        let macs_per_boundary = steps
+            .iter()
+            .map(|step| match *step {
+                Step::Gemm { weight, dst, .. } => regs[dst].rows_per_b * consts[weight].numel(),
+                _ => 0,
+            })
+            .sum();
         Self {
             steps,
             regs,
@@ -320,6 +385,7 @@ impl InferencePlan {
             activation: cfg.activation,
             boundary_len: l,
             q,
+            macs_per_boundary,
             params_version: net.params.version(),
         }
     }
@@ -362,6 +428,15 @@ impl InferencePlan {
     /// `[B·q, 1]` predictions into `out`. Allocation-free once `ws` is
     /// warm.
     ///
+    /// A launch with enough work is cut into blocks of whole boundaries —
+    /// two per lane the calling thread may use — and the
+    /// *entire* step program runs per block: one fan-out on the compute
+    /// pool per launch, every step parallel and not only the GEMMs, each
+    /// lane on its own buffers. On a thread whose kernels stay inline (a
+    /// rank of a cluster) the launch is one block. Rows of a plan are
+    /// independent, so the output is bitwise the same for every block
+    /// partition and every pool width.
+    ///
     /// # Panics
     /// On boundary/output shape mismatch.
     pub fn execute_into(&self, ws: &mut Workspace, boundaries: &Tensor, out: &mut Tensor) {
@@ -378,115 +453,35 @@ impl InferencePlan {
             (b * self.q, 1),
             "InferencePlan: output must be [B·q, 1]"
         );
-        // Whole-launch attribution; per-kernel zones below nest inside.
+        if out.numel() == 0 {
+            return;
+        }
+        // Whole-launch attribution; the per-kernel zones nest inside on
+        // the lane that runs the block.
         mf_profile::zone!("plan_launch");
         let t0 = Instant::now();
-        let miss0 = ws.pool.stats().misses;
-        let mut slots: Vec<Option<Tensor>> = vec![None; self.regs.len()];
-        for step in &self.steps {
-            match *step {
-                Step::Load { dst } => {
-                    let mut t = self.acquire_dirty(ws, dst, b);
-                    t.as_mut_slice().copy_from_slice(boundaries.as_slice());
-                    slots[dst] = Some(t);
-                }
-                Step::Unfold {
-                    src,
-                    dst,
-                    channels,
-                    kernel,
-                } => {
-                    mf_profile::zone!("unfold");
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = self.acquire_dirty(ws, dst, b);
-                    unfold1d_circular_into(&s, channels, kernel, &mut d);
-                    ws.pool.release(s);
-                    slots[dst] = Some(d);
-                }
-                Step::Gemm { src, weight, dst } => {
-                    mf_profile::zone!("gemm");
-                    let s = slots[src].take().expect("register consumed twice");
-                    // The GEMM kernel accumulates, so its destination is
-                    // the one register that must come back zero-filled.
-                    let mut d = self.acquire(ws, dst, b);
-                    gemm_into(
-                        &s,
-                        Layout::Normal,
-                        &self.consts[weight],
-                        Layout::Normal,
-                        &mut d,
-                    );
-                    ws.pool.release(s);
-                    slots[dst] = Some(d);
-                }
-                Step::AddBias { src, bias, dst } => {
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = self.acquire_dirty(ws, dst, b);
-                    s.broadcast_row_add_into(&self.consts[bias], &mut d);
-                    ws.pool.release(s);
-                    slots[dst] = Some(d);
-                }
-                Step::Reshape { src, dst } => {
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = self.acquire_dirty(ws, dst, b);
-                    s.copy_into(&mut d);
-                    ws.pool.release(s);
-                    slots[dst] = Some(d);
-                }
-                Step::Activation { src, dst } => {
-                    mf_profile::zone!("activation");
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = self.acquire_dirty(ws, dst, b);
-                    // Backend-dispatched: the same kernels the graph's
-                    // eval_live uses, so plan-vs-graph stays bitwise on
-                    // any backend.
-                    self.activation.map_into(&s, &mut d);
-                    ws.pool.release(s);
-                    slots[dst] = Some(d);
-                }
-                Step::SplitAdd { src, cached, dst } => {
-                    mf_profile::zone!("split_add");
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = self.acquire_dirty(ws, dst, b);
-                    let hx = &self.consts[cached];
-                    let (q, d0) = hx.shape();
-                    let ds = d.as_mut_slice();
-                    let xs = hx.as_slice();
-                    for bi in 0..b {
-                        let g = s.row(bi);
-                        for r in 0..q {
-                            let o = &mut ds[(bi * q + r) * d0..(bi * q + r + 1) * d0];
-                            for (c, (x, gg)) in xs[r * d0..(r + 1) * d0].iter().zip(g).enumerate() {
-                                o[c] = x + gg;
-                            }
-                        }
-                    }
-                    ws.pool.release(s);
-                    slots[dst] = Some(d);
-                }
-                Step::Store { src } => {
-                    let s = slots[src].take().expect("register consumed twice");
-                    out.as_mut_slice().copy_from_slice(s.as_slice());
-                    ws.pool.release(s);
-                }
-            }
-        }
-        debug_assert!(slots.iter().all(Option::is_none), "leaked plan register");
+        // Blocks only count when there is a second lane to give them to.
+        let lanes = par::lanes();
+        let blocks = if lanes > 1 {
+            (lanes * BLOCKS_PER_LANE)
+                .min(b * self.macs_per_boundary / MIN_BLOCK_MACS)
+                .clamp(1, b)
+        } else {
+            1
+        };
+        self.execute_blocks(ws, boundaries, out.as_mut_slice(), b.div_ceil(blocks));
 
         // Registry lookups lock a process-wide mutex; resolve the handles
         // once instead of on every launch.
         static WARM_ALLOCS: OnceLock<mf_telemetry::Counter> = OnceLock::new();
         static PTS_PER_S: OnceLock<mf_telemetry::Gauge> = OnceLock::new();
-        let misses = ws.pool.stats().misses - miss0;
-        if ws.warmed {
-            ws.warm_allocs += misses;
-            if misses > 0 {
-                WARM_ALLOCS
-                    .get_or_init(|| mf_telemetry::counter("infer.warm_allocs"))
-                    .add(misses);
-            }
-        } else {
-            ws.warmed = true;
+        // Lanes count their own misses; the counter is this thread's.
+        let warm = ws.warm_allocs();
+        if warm > ws.reported {
+            WARM_ALLOCS
+                .get_or_init(|| mf_telemetry::counter("infer.warm_allocs"))
+                .add(warm - ws.reported);
+            ws.reported = warm;
         }
         let dt = t0.elapsed().as_secs_f64();
         if dt > 0.0 {
@@ -504,18 +499,152 @@ impl InferencePlan {
         out
     }
 
-    /// Zero-filled register buffer (GEMM destinations: the kernel
-    /// accumulates).
-    fn acquire(&self, ws: &mut Workspace, reg: usize, b: usize) -> Tensor {
-        let RegShape { rows_per_b, cols } = self.regs[reg];
-        ws.pool.acquire(rows_per_b * b, cols)
+    /// Run the launch in blocks of `block` boundaries (the last may be
+    /// shorter); several blocks are one fan-out.
+    fn execute_blocks(
+        &self,
+        ws: &mut Workspace,
+        boundaries: &Tensor,
+        out: &mut [f64],
+        block: usize,
+    ) {
+        if boundaries.rows() <= block {
+            ws.ensure_lanes(1);
+            let lane = ws.lanes[0]
+                .get_mut()
+                .expect("a plan block panicked on this lane");
+            return self.run_block(lane, block, boundaries.as_slice(), out);
+        }
+        // Lanes that can take part: the caller's (0) and the workers its
+        // budget lets join (`par::lane() < par::lanes()` inside the call).
+        ws.ensure_lanes(par::lanes());
+        let lanes = &ws.lanes;
+        let l = self.boundary_len;
+        out.par_chunks_mut(block * self.q)
+            .enumerate()
+            .for_each(|(bi, out_block)| {
+                let nb = out_block.len() / self.q;
+                let rows = &boundaries.as_slice()[bi * block * l..][..nb * l];
+                let mut lane = lanes[par::lane()]
+                    .lock()
+                    .expect("a plan block panicked on this lane");
+                self.run_block(&mut lane, block, rows, out_block);
+            });
+        par::publish_thread_spawns();
     }
 
-    /// Register buffer with unspecified contents, for steps that
-    /// overwrite every element — skips the zero-fill memset.
-    fn acquire_dirty(&self, ws: &mut Workspace, reg: usize, b: usize) -> Tensor {
-        let RegShape { rows_per_b, cols } = self.regs[reg];
-        ws.pool.acquire_dirty(rows_per_b * b, cols)
+    /// The step program over one block: `boundaries` is `[nb, L]` packed,
+    /// `out` its `[nb·q]` predictions, `nb ≤ block`. Buffers come from the
+    /// size class of a full block, so a lane that has run one block of
+    /// this plan runs every later one — full or short — without a miss.
+    fn run_block(&self, lane: &mut Lane, block: usize, boundaries: &[f64], out: &mut [f64]) {
+        let nb = boundaries.len() / self.boundary_len;
+        let miss0 = lane.pool.stats().misses;
+        let Lane { pool, slots, .. } = lane;
+        slots.resize_with(self.regs.len(), || None);
+        // Register buffer with unspecified contents, for steps that
+        // overwrite every element.
+        let acquire = |pool: &mut BufferPool, reg: usize| {
+            let RegShape { rows_per_b, cols } = self.regs[reg];
+            pool.acquire_dirty_with_capacity(rows_per_b * nb, cols, rows_per_b * block * cols)
+        };
+        for step in &self.steps {
+            match *step {
+                Step::Load { dst } => {
+                    let mut t = acquire(pool, dst);
+                    t.as_mut_slice().copy_from_slice(boundaries);
+                    slots[dst] = Some(t);
+                }
+                Step::Unfold {
+                    src,
+                    dst,
+                    channels,
+                    kernel,
+                } => {
+                    mf_profile::zone!("unfold");
+                    let s = slots[src].take().expect("register consumed twice");
+                    let mut d = acquire(pool, dst);
+                    unfold1d_circular_into(&s, channels, kernel, &mut d);
+                    pool.release(s);
+                    slots[dst] = Some(d);
+                }
+                Step::Gemm { src, weight, dst } => {
+                    mf_profile::zone!("gemm");
+                    let s = slots[src].take().expect("register consumed twice");
+                    // The GEMM kernel accumulates, so its destination is
+                    // the one register that must start zero-filled.
+                    let mut d = acquire(pool, dst);
+                    d.as_mut_slice().fill(0.0);
+                    gemm_into(
+                        &s,
+                        Layout::Normal,
+                        &self.consts[weight],
+                        Layout::Normal,
+                        &mut d,
+                    );
+                    pool.release(s);
+                    slots[dst] = Some(d);
+                }
+                Step::AddBias { src, bias, dst } => {
+                    let s = slots[src].take().expect("register consumed twice");
+                    let mut d = acquire(pool, dst);
+                    s.broadcast_row_add_into(&self.consts[bias], &mut d);
+                    pool.release(s);
+                    slots[dst] = Some(d);
+                }
+                Step::Reshape { src, dst } => {
+                    let s = slots[src].take().expect("register consumed twice");
+                    let mut d = acquire(pool, dst);
+                    s.copy_into(&mut d);
+                    pool.release(s);
+                    slots[dst] = Some(d);
+                }
+                Step::Activation { src, dst } => {
+                    mf_profile::zone!("activation");
+                    let s = slots[src].take().expect("register consumed twice");
+                    let mut d = acquire(pool, dst);
+                    // Backend-dispatched: the same kernels the graph's
+                    // eval_live uses, so plan-vs-graph stays bitwise on
+                    // any backend.
+                    self.activation.map_into(&s, &mut d);
+                    pool.release(s);
+                    slots[dst] = Some(d);
+                }
+                Step::SplitAdd { src, cached, dst } => {
+                    mf_profile::zone!("split_add");
+                    let s = slots[src].take().expect("register consumed twice");
+                    let mut d = acquire(pool, dst);
+                    let hx = &self.consts[cached];
+                    let (q, d0) = hx.shape();
+                    let ds = d.as_mut_slice();
+                    let xs = hx.as_slice();
+                    for bi in 0..nb {
+                        let g = s.row(bi);
+                        for r in 0..q {
+                            let o = &mut ds[(bi * q + r) * d0..(bi * q + r + 1) * d0];
+                            for (c, (x, gg)) in xs[r * d0..(r + 1) * d0].iter().zip(g).enumerate() {
+                                o[c] = x + gg;
+                            }
+                        }
+                    }
+                    pool.release(s);
+                    slots[dst] = Some(d);
+                }
+                Step::Store { src } => {
+                    let s = slots[src].take().expect("register consumed twice");
+                    out.copy_from_slice(s.as_slice());
+                    pool.release(s);
+                }
+            }
+        }
+        debug_assert!(slots.iter().all(Option::is_none), "leaked plan register");
+
+        let misses = lane.pool.stats().misses - miss0;
+        if lane.warmed {
+            lane.warm_allocs += misses;
+        } else {
+            lane.warmed = true;
+        }
     }
 }
 
@@ -603,6 +732,66 @@ mod tests {
         }
         assert_eq!(ws.warm_allocs(), 0, "warm executions must not allocate");
         assert!(ws.pool_stats().hits > 0);
+    }
+
+    /// A fat launch on a private pool of `width` lanes, repeated so that
+    /// every lane gets blocks: output and the workspace's warm misses.
+    fn fat_launch_at_width(width: usize) -> (Tensor, u64) {
+        let mut cfg = SdNetConfig::small(16);
+        cfg.conv_channels = vec![2];
+        cfg.hidden = vec![48, 48];
+        let (net, bounds, pts) = random_case(cfg, 21, 64, 13);
+        let plan = InferencePlan::compile(&net, &pts);
+        assert!(
+            64 * plan.macs_per_boundary >= 8 * MIN_BLOCK_MACS,
+            "wide enough to fan out"
+        );
+        par::with_pool_width(width, || {
+            let mut ws = Workspace::new();
+            let mut out = Tensor::zeros(64 * 13, 1);
+            for _ in 0..20 {
+                plan.execute_into(&mut ws, &bounds, &mut out);
+            }
+            (out, ws.warm_allocs())
+        })
+    }
+
+    #[test]
+    fn fat_launch_is_bitwise_equal_and_warm_at_every_pool_width() {
+        let (want, warm) = fat_launch_at_width(1);
+        assert_eq!(warm, 0);
+        for width in [2, 4] {
+            let (got, warm) = fat_launch_at_width(width);
+            assert_bitwise(&want, &got);
+            assert_eq!(warm, 0, "width {width}: a warm lane allocated");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        /// Rows of a plan are independent: every partition of a launch
+        /// into blocks of whole boundaries gives the same bits, fanned
+        /// out or not, and matches the graph path.
+        #[test]
+        fn every_block_partition_gives_the_same_bits(
+            b in 1usize..24,
+            block in 1usize..24,
+            width in 1usize..4,
+            seed in 0u64..1000,
+        ) {
+            let mut cfg = SdNetConfig::small(16);
+            cfg.conv_channels = vec![2];
+            cfg.hidden = vec![12, 12];
+            let (net, bounds, pts) = random_case(cfg, seed, b, 7);
+            let plan = InferencePlan::compile(&net, &pts);
+            let want = net.predict(&bounds, &tiled(&pts, b), 7);
+            let mut got = Tensor::zeros(b * 7, 1);
+            par::with_pool_width(width, || {
+                let mut ws = Workspace::new();
+                plan.execute_blocks(&mut ws, &bounds, got.as_mut_slice(), block);
+            });
+            assert_bitwise(&want, &got);
+        }
     }
 
     #[test]

@@ -658,6 +658,8 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
 
     let per_rank = Cluster::try_run(ranks, cfg.plan.clone(), |comm| {
         let rank = comm.rank();
+        // A rank is a device: one of `ranks` threads computing at once.
+        let _lane = mf_tensor::par::compute_lanes(ranks);
         // Align per-rank clocks before iterating so the merged trace rows
         // share a time base (barrier-only: no link messages, so the
         // fault RNG streams and pinned message counts are untouched).

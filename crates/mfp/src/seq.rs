@@ -455,7 +455,7 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
             );
         } else {
             // Same-color subdomains never overlap, so their solves are
-            // independent: fan the per-subdomain launches out with rayon
+            // independent: fan the per-subdomain launches out on the pool
             // and write the crosses back (to disjoint lattice cells)
             // afterwards.
             let gridr: &Tensor = grid;

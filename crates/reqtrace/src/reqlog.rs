@@ -20,7 +20,7 @@ use std::sync::{LazyLock, Mutex};
 /// How many completed requests the recent ring keeps.
 pub const RECENT_CAP: usize = 256;
 
-/// Span records kept per request (4 contiguous phases + nested
+/// Span records kept per request (5 contiguous phases + nested
 /// plan-compile + wire serialize leaves headroom).
 pub const MAX_SPANS: usize = 12;
 
@@ -55,6 +55,8 @@ pub struct RequestTrace {
     pub batch_wait_us: u64,
     /// Time inside the MFP solve.
     pub solve_us: u64,
+    /// Time behind the replies of co-batched requests sent first.
+    pub reply_wait_us: u64,
     /// Time building and sending the reply.
     pub serialize_us: u64,
     /// Portion of the solve spent compiling inference plans (shared by
@@ -91,6 +93,7 @@ impl RequestTrace {
         queue_us: 0,
         batch_wait_us: 0,
         solve_us: 0,
+        reply_wait_us: 0,
         serialize_us: 0,
         plan_compile_us: 0,
         iterations: 0,
@@ -116,6 +119,7 @@ impl RequestTrace {
             Phase::Queue => self.queue_us += rec.dur_us,
             Phase::BatchWait => self.batch_wait_us += rec.dur_us,
             Phase::Solve => self.solve_us += rec.dur_us,
+            Phase::ReplyWait => self.reply_wait_us += rec.dur_us,
             Phase::Serialize => self.serialize_us += rec.dur_us,
             Phase::PlanCompile => self.plan_compile_us += rec.dur_us,
             Phase::Iteration => {}
@@ -232,7 +236,7 @@ pub fn drain_batch(metas: &[RequestMeta]) {
         return;
     }
     let worker = mf_telemetry::thread_rank().unwrap_or(0) as u32;
-    let mut recs: Vec<SpanRec> = Vec::with_capacity(metas.len() * 4);
+    let mut recs: Vec<SpanRec> = Vec::with_capacity(metas.len() * 5);
     ring::drain_thread(
         |r| metas.iter().any(|m| m.ctx.req == r.req),
         |r| recs.push(r),
@@ -358,7 +362,7 @@ fn trace_json(t: &RequestTrace) -> String {
     format!(
         "{{\"req\":{},\"parent\":{},\"sx\":{},\"sy\":{},\"batch\":{},\"worker\":{},\
          \"enqueued_us\":{},\"total_us\":{},\"queue_us\":{},\"batch_wait_us\":{},\
-         \"solve_us\":{},\"serialize_us\":{},\"plan_compile_us\":{},\
+         \"solve_us\":{},\"reply_wait_us\":{},\"serialize_us\":{},\"plan_compile_us\":{},\
          \"iterations\":{},\"evict_round\":{evict},\"converged\":{},\
          \"final_residual\":{},\"stale_halos\":{},\"spans\":{spans}}}",
         t.req,
@@ -372,6 +376,7 @@ fn trace_json(t: &RequestTrace) -> String {
         t.queue_us,
         t.batch_wait_us,
         t.solve_us,
+        t.reply_wait_us,
         t.serialize_us,
         t.plan_compile_us,
         t.iterations,
@@ -503,7 +508,8 @@ mod tests {
             ring::record(id, Phase::Queue, 1000, 100);
             ring::record(id, Phase::BatchWait, 1100, 50);
             ring::record(id, Phase::Solve, 1150, 200);
-            ring::record(id, Phase::Serialize, 1350, 50);
+            ring::record(id, Phase::ReplyWait, 1350, 30);
+            ring::record(id, Phase::Serialize, 1380, 20);
             crate::audit::begin_batch(1);
             crate::audit::note_iteration(0, 1);
             crate::audit::note_slot(0, 4, 1e-5, true);
@@ -515,14 +521,19 @@ mod tests {
             assert_eq!(got.queue_us, 100);
             assert_eq!(got.batch_wait_us, 50);
             assert_eq!(got.solve_us, 200);
-            assert_eq!(got.serialize_us, 50);
+            assert_eq!(got.reply_wait_us, 30);
+            assert_eq!(got.serialize_us, 20);
             assert_eq!(got.total_us, 400);
-            assert_eq!(got.nspans, 4);
+            assert_eq!(got.nspans, 5);
             assert_eq!(got.iterations, 5);
             assert_eq!(got.evict_round, 4);
             assert!(got.converged);
-            let sum = got.queue_us + got.batch_wait_us + got.solve_us + got.serialize_us;
-            assert!(sum as f64 >= 0.95 * got.total_us as f64);
+            let sum = got.queue_us
+                + got.batch_wait_us
+                + got.solve_us
+                + got.reply_wait_us
+                + got.serialize_us;
+            assert_eq!(sum, got.total_us, "the five phases tile the request");
         })
         .join()
         .unwrap();

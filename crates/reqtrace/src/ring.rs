@@ -16,9 +16,9 @@
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Phases a request's wall time decomposes into. The first four are
-/// contiguous on the worker (queue → batch-wait → solve → serialize);
-/// plan-compile is a child of solve.
+/// Phases a request's wall time decomposes into. The first five tile it
+/// exactly on the worker (queue → batch-wait → solve → reply-wait →
+/// serialize); plan-compile and iteration are children of solve.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {
@@ -29,13 +29,17 @@ pub enum Phase {
     BatchWait = 1,
     /// Inside `Mfp::run_many` (or `Mfp::run` on the no-batch path).
     Solve = 2,
+    /// Solve finished until the worker turned to this request's reply:
+    /// the replies of co-batched requests sent ahead of it (zero for the
+    /// first reply of a batch).
+    ReplyWait = 3,
     /// Building and sending the reply (response struct + channel send on
     /// the worker; JSON rendering + socket write on the TCP path).
-    Serialize = 3,
+    Serialize = 4,
     /// Compiling an `InferencePlan` on a cache miss — a child of Solve.
-    PlanCompile = 4,
+    PlanCompile = 5,
     /// One Schwarz iteration of the batch — a child of Solve.
-    Iteration = 5,
+    Iteration = 6,
 }
 
 impl Phase {
@@ -45,6 +49,7 @@ impl Phase {
             Phase::Queue => "queue",
             Phase::BatchWait => "batch_wait",
             Phase::Solve => "solve",
+            Phase::ReplyWait => "reply_wait",
             Phase::Serialize => "serialize",
             Phase::PlanCompile => "plan_compile",
             Phase::Iteration => "iteration",
@@ -76,7 +81,7 @@ impl SpanRec {
     };
 }
 
-/// Ring capacity per worker thread: a batch records ~4 spans per request
+/// Ring capacity per worker thread: a batch records 5 spans per request
 /// plus iteration marks, so 4096 covers the largest schedulable batch
 /// many times over.
 pub const RING_CAP: usize = 4096;

@@ -435,6 +435,8 @@ fn sweep_cost(spec: SubdomainSpec, req: &SolveRequest) -> usize {
 
 fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
     mf_telemetry::set_thread_rank(WORKER_RANK_BASE + index);
+    // The workers solve side by side and share the cores between them.
+    let _lane = mf_tensor::par::compute_lanes(inner.cfg.workers);
     // Touch the trace ring and audit scope now, so their one-time
     // buffers exist before the serve layer declares the warm phase.
     mf_reqtrace::prewarm_thread();
@@ -489,8 +491,9 @@ fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
         }
         let mut latencies = Vec::with_capacity(jobs.len());
         let mut metas = Vec::with_capacity(jobs.len());
-        // Serialize spans tile [solve end, last reply sent] contiguously,
-        // so each request's four phases sum to its full wall time.
+        // Replies go out one after another: a request waits behind its
+        // siblings' replies [solve end, cursor) and is then serialized
+        // [cursor, sent), so its five phases tile its wall time exactly.
         let mut ser_cursor = outcome.solve_end_us;
         for ((job, resp), residual) in jobs.iter().zip(outcome.responses).zip(outcome.residuals) {
             let latency_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
@@ -499,6 +502,12 @@ fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
             let converged = resp.converged;
             let _ = job.reply.send(Ok(SolveResponse { latency_ms, ..resp }));
             let sent_us = mf_telemetry::now_us();
+            mf_reqtrace::record(
+                job.ctx.req,
+                Phase::ReplyWait,
+                outcome.solve_end_us,
+                ser_cursor.saturating_sub(outcome.solve_end_us),
+            );
             mf_reqtrace::record(
                 job.ctx.req,
                 Phase::Serialize,

@@ -2,7 +2,8 @@
 //!
 //! This GEMM is the single compute kernel behind every SDNet forward and
 //! backward pass. This layer owns the *shape* work — operand transpose
-//! packing, rayon parallelism over row bands of the output — and hands
+//! packing, fan-out over row bands of the output on the compute pool
+//! ([`crate::par`]) — and hands
 //! each band to the live [`crate::backend::Backend`], which owns the
 //! arithmetic (the scalar reference `ikj` loops or the simd register-tiled
 //! microkernel; see `crate::backend`). Pack and compute phases are
@@ -12,8 +13,8 @@
 //! (O(n²)) rather than striding through it in the O(n³) inner loop.
 
 use crate::backend::backend;
+use crate::par::{self, prelude::*};
 use crate::Tensor;
-use rayon::prelude::*;
 
 /// Whether an operand participates as itself or transposed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,8 +25,14 @@ pub enum Layout {
     Transposed,
 }
 
-/// Problem size (in multiply-adds) above which rayon row-parallelism kicks in.
-const PAR_THRESHOLD: usize = 1 << 18;
+/// Problem size (in multiply-adds) from which the row bands are shared out
+/// over the compute pool. Measured on the 2-core reference host with
+/// 48-wide operands, two lanes against one: 150 k ×0.83, 295 k ×1.20,
+/// 369 k ×1.33, 442 k ×1.26 on a quiet host with the worker still polling;
+/// 295 k ×0.9, 369 k ×1.05, 442 k ×1.24 on a busy one. A hand-off costs
+/// ~3 µs to a polling worker and 30–40 µs to a parked one; this is the
+/// size from which both measurements win.
+const PAR_THRESHOLD: usize = 3 << 17;
 
 /// Rows of the output per parallel band. Bands are handed whole to the
 /// backend so its microkernel can tile rows; 64 rows keeps ≥30 tasks for
@@ -88,7 +95,8 @@ pub fn gemm_into(a: &Tensor, la: Layout, b: &Tensor, lb: Layout, out: &mut Tenso
     let be = backend();
     let work = m * n * k;
     let out_buf = out.as_mut_slice();
-    if work >= PAR_THRESHOLD && m > 1 {
+    // A single band has nothing to share out.
+    if work >= PAR_THRESHOLD && m > BAND {
         out_buf
             .par_chunks_mut(n * BAND)
             .enumerate()
@@ -97,6 +105,7 @@ pub fn gemm_into(a: &Tensor, la: Layout, b: &Tensor, lb: Layout, out: &mut Tenso
                 let a_band = &a_buf[bi * BAND * k..bi * BAND * k + rows * k];
                 be.gemm_band(a_band, b_buf, band, k, n);
             });
+        par::publish_thread_spawns();
     } else {
         be.gemm_band(a_buf, b_buf, out_buf, k, n);
     }

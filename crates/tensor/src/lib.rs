@@ -8,7 +8,8 @@
 //! physics-informed neural PDE solvers need:
 //!
 //! * a 2-D row-major [`Tensor`] (vectors are `1×n` or `n×1`),
-//! * a blocked GEMM with optional transposes and rayon row-parallelism,
+//! * a blocked GEMM with optional transposes, row-parallel on the
+//!   process-wide compute pool ([`par`]: one pool, one thread budget),
 //! * runtime-dispatched kernel [`mod@backend`]s (`MF_BACKEND=scalar|simd`):
 //!   a scalar reference and a vectorized implementation with a packed
 //!   GEMM microkernel and vector `tanh`/`gelu`,
@@ -24,6 +25,7 @@ pub mod backend;
 mod gemm;
 mod inplace;
 mod ops;
+pub mod par;
 mod pool;
 #[cfg(test)]
 mod proptests;

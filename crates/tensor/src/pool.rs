@@ -91,7 +91,20 @@ impl BufferPool {
     /// destinations that overwrite every element; accumulating kernels
     /// (`gemm_into`) need the zero-filled [`BufferPool::acquire`].
     pub fn acquire_dirty(&mut self, rows: usize, cols: usize) -> Tensor {
-        let n = (rows * cols).max(1);
+        self.acquire_dirty_with_capacity(rows, cols, 0)
+    }
+
+    /// [`BufferPool::acquire_dirty`] from the size class that holds
+    /// `capacity` elements (when that is more than `rows·cols`). A caller
+    /// whose row count varies below a known bound asks for the bound's
+    /// class every time, so that one warm buffer serves every row count.
+    pub fn acquire_dirty_with_capacity(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        capacity: usize,
+    ) -> Tensor {
+        let n = (rows * cols).max(capacity).max(1);
         let k = class_for_request(n);
         let mut buf = match self.classes.get_mut(k).and_then(Vec::pop) {
             Some(buf) => {
@@ -183,6 +196,18 @@ mod tests {
         let t2 = p.acquire(2, 7);
         assert_eq!(p.stats().hits, 1);
         assert_eq!(t2.shape(), (2, 7));
+    }
+
+    #[test]
+    fn capacity_class_serves_every_smaller_row_count() {
+        // One buffer of the 8-row class serves 8 rows, then 1, then 5.
+        let mut p = BufferPool::new();
+        for rows in [8, 1, 5] {
+            let t = p.acquire_dirty_with_capacity(rows, 6, 8 * 6);
+            assert_eq!(t.shape(), (rows, 6));
+            p.release(t);
+        }
+        assert_eq!((p.stats().misses, p.stats().hits), (1, 2));
     }
 
     #[test]

@@ -318,6 +318,9 @@ pub fn train_step_distributed(
     span!("train.step");
     let m = train_metrics();
     let _step_timer = m.step_us.time();
+    // Every rank runs this step at once: one lane each (a no-op under
+    // `train_ddp`, which declares its ranks itself).
+    let _lane = mf_tensor::par::compute_lanes(comm.size());
     let (data_grads, pde_grads, stats) = local_gradients(net, batch, pde_weight);
     let grads = {
         span!("train.sync");

@@ -361,6 +361,8 @@ pub fn train_ddp_resumable(
     let schedule = cfg.schedule.scaled_for_devices(world);
     let results = Cluster::try_run(world, plan, |comm| {
         let rank = comm.rank();
+        // A rank is a device: one of `world` threads computing at once.
+        let _lane = mf_tensor::par::compute_lanes(world);
         // Align per-rank clocks at the run's first barrier so the merged
         // trace rows share a time base (barrier-only: no link messages).
         comm.align_clocks();
