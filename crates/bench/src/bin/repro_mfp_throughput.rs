@@ -10,7 +10,7 @@
 //! This binary measures both on the same warm workload and gates:
 //!
 //! * `infer.pts_per_s` — compiled-plan solve throughput,
-//! * `infer.speedup_vs_graph` — must stay ≥ 3× (machine-independent),
+//! * `infer.speedup_vs_graph` — must stay ≥ 5× (machine-independent),
 //! * `infer.warm_allocs` — pool misses after warmup; must be 0.
 //!
 //! ```text

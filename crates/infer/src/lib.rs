@@ -10,8 +10,8 @@
 //! fixed for the lifetime of a solve.
 //!
 //! [`InferencePlan::compile`] lowers the conv-embed → input-split → MLP
-//! pipeline into a flat list of `gemm_into`/fused-activation steps over
-//! pooled, reusable workspaces:
+//! pipeline into a flat list of fused layer steps over pooled, reusable
+//! workspaces:
 //!
 //! * **No graph nodes.** The plan is a straight-line register program; the
 //!   interpreter is a `for` loop over lowered steps with no tape, no
@@ -20,8 +20,14 @@
 //!   buffer checked out of the workspace's
 //!   [`BufferPool`] and returned as soon as its
 //!   single consumer has read it; after the first (cold) execution every
-//!   acquire is a pool hit. Weights are pre-transposed at compile time so
-//!   the GEMM kernel never packs an operand internally.
+//!   acquire is a pool hit.
+//! * **One kernel call per layer.** `matmul → + bias → activation` is one
+//!   [`Backend::layer`](mf_tensor::Backend::layer) call that *overwrites*
+//!   its destination (no zero-fill) and finishes each 64-row band — bias,
+//!   activation — while it is in L1. Weights are transposed and packed into
+//!   the microkernel's panel order ([`PackedB`]) at compile time, so a
+//!   launch packs nothing. The input-split combine, its bias and its
+//!   activation are one step as well.
 //! * **One fan-out per launch.** A launch with enough work is cut into
 //!   blocks of whole boundaries and the whole step program runs per block,
 //!   each lane of the compute pool ([`mf_tensor::par`]) on its own buffers:
@@ -33,10 +39,12 @@
 //!   layer are computed once at compile time and reused by every
 //!   execution — each call only pays the boundary-dependent half.
 //!
-//! Results are **bitwise identical** to the graph path: the plan replays
-//! the exact kernel sequence `Graph::eval` would run (the only reordering
-//! is the commutative operand swap in the split-layer add, which IEEE-754
-//! addition preserves bit-for-bit).
+//! Results are **bitwise identical** to the graph path: every element
+//! goes through the arithmetic `Graph::eval` would apply to it, in the
+//! same order — a fused layer is defined as its unfused composition (the
+//! reference body of `Backend::layer`), and the only reordering is the
+//! commutative operand swap in the split-layer add, which IEEE-754
+//! addition preserves bit-for-bit.
 //!
 //! Plans are snapshots of the network weights. [`Params`](mf_nn::Params)
 //! carries a mutation counter; [`InferencePlan::is_stale`] compares it so
@@ -44,9 +52,11 @@
 //! evaluation) recompile after an optimizer step instead of serving stale
 //! weights.
 
-use mf_nn::{Activation, EmbeddingKind, SdNet};
+use mf_nn::{EmbeddingKind, SdNet};
 use mf_tensor::par::{self, prelude::*};
-use mf_tensor::{gemm, gemm_into, unfold1d_circular_into, BufferPool, Layout, PoolStats, Tensor};
+use mf_tensor::{
+    backend, gemm, unfold1d_circular_into, Act, BufferPool, Layout, PackedB, PoolStats, Tensor,
+};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -55,8 +65,8 @@ mod cache;
 pub use cache::{PlanCache, PointsKey, WorkspacePool};
 
 /// One lowered instruction of a compiled plan. Registers are indices into
-/// the per-execution slot table; constants index the plan's tensor pool
-/// (pre-transposed weights, biases, cached invariants).
+/// the per-execution slot table; `weight` indexes the plan's packed weight
+/// matrices, `bias` and `cached` its constant tensors.
 #[derive(Clone, Copy, Debug)]
 enum Step {
     /// Copy the caller's `[B, L]` boundary batch into a register.
@@ -68,24 +78,27 @@ enum Step {
         channels: usize,
         kernel: usize,
     },
-    /// `dst = src · consts[weight]` (weight pre-transposed at compile).
-    Gemm {
+    /// One dense layer, `dst = act(src · weights[weight] + consts[bias])`,
+    /// as one [`Backend::layer`](mf_tensor::Backend::layer) call. `dst`
+    /// holds the `[rows, n]` result under whatever shape the next step
+    /// reads it in (the conv embedding's `[B·len, oc] → [B, len·oc]` is the
+    /// same memory).
+    Layer {
         src: usize,
         weight: usize,
+        bias: Option<usize>,
+        act: Act,
         dst: usize,
     },
-    /// `dst = src + broadcast(consts[bias])`.
-    AddBias { src: usize, bias: usize, dst: usize },
-    /// Pure data copy into a register of a different shape.
-    Reshape { src: usize, dst: usize },
-    /// Pointwise nonlinearity (the network's configured activation).
-    Activation { src: usize, dst: usize },
-    /// Fused input-split combine: `dst[b·q + r] = consts[cached][r] + src[b]`
-    /// — the cached `W_x · X` rows plus the per-boundary projection,
-    /// replacing the graph's `repeat_rows` + `add` pair.
-    SplitAdd {
+    /// The input-split layer's combine, bias and activation:
+    /// `dst[b·q + r] = act((consts[cached][r] + src[b]) + consts[bias])` —
+    /// the cached `W_x · X` rows plus the per-boundary projection,
+    /// replacing the graph's `repeat_rows` + `add` + bias + activation.
+    Split {
         src: usize,
         cached: usize,
+        bias: usize,
+        act: Act,
         dst: usize,
     },
     /// Copy the final register into the caller's output buffer.
@@ -101,24 +114,28 @@ struct RegShape {
 }
 
 /// Blocks a fanned-out launch is cut into per lane. Measured on the
-/// reference host (2 cores, 3×48 trunk, B = 64, best of 15 interleaved
-/// samples): 1 / 2 / 4 / 8 blocks per lane run a cross launch in 544 / 550 /
-/// 537 / 566 µs and a dense one in 1 870 / 1 874 / 1 955 / 1 986 µs, against
-/// 1 028 and 3 869 µs on one lane. Two cost nothing against one and bound
-/// what a lane that joins late or is descheduled can hold up to a quarter
-/// of the launch; finer blocks pay the per-block weight-panel packing and
-/// zone timers (10 % on one lane at 4–9 boundaries per block) for nothing.
+/// reference host (2 cores, 3×48 trunk, B = 64, p25 of 300 launches, in
+/// periods when both cores were the process's own): 1 / 2 / 4 / 8 / 16
+/// blocks per lane run a cross launch in 313 / 321 / 311–329 / 322–338 /
+/// 316–357 µs and a dense one in 1 142 / 1 111–1 140 / 1 138–1 162 /
+/// 1 160–1 169 / 1 197–1 200 µs. Since weights are packed at compile time a
+/// block costs only its zone timers and buffer checkouts, so finer blocks
+/// lose 1–2 % per doubling and not the 10 % they did; but they win nothing
+/// either. Two cost nothing against one and bound what a lane that joins
+/// late or is descheduled can hold up to a quarter of the launch.
 const BLOCKS_PER_LANE: usize = 2;
 
 /// GEMM multiply-adds below which a block is not worth handing to another
 /// lane. Measured on the reference host, a cross launch split in two
-/// against the same launch whole, at 269 k / 336 k / 403 k / 538 k
-/// multiply-adds in total: ×1.39 / ×1.54 / ×1.61 / ×1.94 when the worker is
-/// still polling (back-to-back launches), ×0.79 / ×1.30 / ×1.17 / ×1.35
-/// when it has parked (300 µs of caller-only work in between) — waking it
-/// costs the caller 30–40 µs on this VM. Two blocks of this size are the
-/// smallest split that wins either way.
-const MIN_BLOCK_MACS: usize = 3 << 16;
+/// against the same launch whole, at 202 k / 269 k / 404 k / 538 k / 808 k /
+/// 1 077 k multiply-adds in total: ×1.32 / ×1.59 / ×1.74 / ×1.85 / ×1.60 /
+/// ×1.89 when the worker is still polling (back-to-back launches), ×0.72 /
+/// ×0.76 / ×0.87 / ×1.07 / ×1.16 / ×1.30 when it has parked (300 µs of
+/// caller-only work in between) — waking it costs the caller about 35 µs on
+/// this VM, which is 500 k multiply-adds of the fused kernels. Two blocks of
+/// this size are where the parked case breaks even (between ×0.87 at 404 k
+/// and ×1.07 at 538 k): the smallest split that does not lose either way.
+const MIN_BLOCK_MACS: usize = 250_000;
 
 /// One lane's execution scratch: the buffers and register table of the
 /// blocks that lane runs.
@@ -194,7 +211,8 @@ pub struct InferencePlan {
     steps: Vec<Step>,
     regs: Vec<RegShape>,
     consts: Vec<Tensor>,
-    activation: Activation,
+    /// Weight matrices, transposed to `k×n` and packed once.
+    weights: Vec<PackedB>,
     boundary_len: usize,
     q: usize,
     /// GEMM multiply-adds one boundary costs.
@@ -234,16 +252,23 @@ impl InferencePlan {
         let l = cfg.boundary_len;
 
         let mut consts: Vec<Tensor> = Vec::new();
+        let mut weights: Vec<PackedB> = Vec::new();
         let mut regs: Vec<RegShape> = Vec::new();
         let mut steps: Vec<Step> = Vec::new();
-        let push_const = |consts: &mut Vec<Tensor>, t: Tensor| {
-            consts.push(t);
+        let push_const = |consts: &mut Vec<Tensor>, t: &Tensor| {
+            consts.push(t.clone());
             consts.len() - 1
+        };
+        // Parameters store `[out, in]`; the kernels multiply by `[in, out]`.
+        let push_weight = |weights: &mut Vec<PackedB>, w: &Tensor| {
+            weights.push(PackedB::new(&w.transpose()));
+            weights.len() - 1
         };
         let push_reg = |regs: &mut Vec<RegShape>, rows_per_b: usize, cols: usize| {
             regs.push(RegShape { rows_per_b, cols });
             regs.len() - 1
         };
+        let act = cfg.activation.kernel();
 
         // Cached invariant #1: normalized + Fourier-encoded coordinates.
         let base = points
@@ -266,7 +291,7 @@ impl InferencePlan {
             net.params.get(wx_id),
             Layout::Transposed,
         );
-        let hx_c = push_const(&mut consts, hx);
+        let hx_c = push_const(&mut consts, &hx);
 
         // Boundary load + conv embedding.
         let mut cur = push_reg(&mut regs, 1, l);
@@ -282,99 +307,65 @@ impl InferencePlan {
                 channels: ic,
                 kernel: k,
             });
-            let wt = push_const(&mut consts, net.params.get(conv.weight()).transpose());
-            let y = push_reg(&mut regs, len, oc);
-            steps.push(Step::Gemm {
+            // The `[B·len, oc]` product is read as `[B, len·oc]` from here
+            // on. Nonlinearity between conv layers only (the final
+            // embedding stays linear so the split == concat algebra holds).
+            let y = push_reg(&mut regs, 1, len * oc);
+            steps.push(Step::Layer {
                 src: u,
-                weight: wt,
+                weight: push_weight(&mut weights, net.params.get(conv.weight())),
+                bias: conv
+                    .bias()
+                    .map(|b| push_const(&mut consts, net.params.get(b))),
+                act: if i + 1 < n_convs { act } else { Act::Identity },
                 dst: y,
             });
             cur = y;
-            if let Some(b) = conv.bias() {
-                let bc = push_const(&mut consts, net.params.get(b).clone());
-                let yb = push_reg(&mut regs, len, oc);
-                steps.push(Step::AddBias {
-                    src: cur,
-                    bias: bc,
-                    dst: yb,
-                });
-                cur = yb;
-            }
-            let r = push_reg(&mut regs, 1, len * oc);
-            steps.push(Step::Reshape { src: cur, dst: r });
-            cur = r;
-            // Nonlinearity between conv layers only (the final embedding
-            // stays linear so the split == concat algebra holds).
-            if i + 1 < n_convs && cfg.activation != Activation::Identity {
-                let a = push_reg(&mut regs, 1, len * oc);
-                steps.push(Step::Activation { src: cur, dst: a });
-                cur = a;
-            }
         }
 
         // Input-split layer: per-boundary projection + cached W_x·X.
         let d0 = cfg.hidden[0];
-        let wg_t = push_const(&mut consts, net.params.get(wg_id).transpose());
         let hg = push_reg(&mut regs, 1, d0);
-        steps.push(Step::Gemm {
+        steps.push(Step::Layer {
             src: cur,
-            weight: wg_t,
+            weight: push_weight(&mut weights, net.params.get(wg_id)),
+            bias: None,
+            act: Act::Identity,
             dst: hg,
         });
         let h = push_reg(&mut regs, q, d0);
-        steps.push(Step::SplitAdd {
+        steps.push(Step::Split {
             src: hg,
             cached: hx_c,
+            bias: push_const(&mut consts, net.params.get(b0_id)),
+            act,
             dst: h,
         });
-        let b0_c = push_const(&mut consts, net.params.get(b0_id).clone());
-        let hb = push_reg(&mut regs, q, d0);
-        steps.push(Step::AddBias {
-            src: h,
-            bias: b0_c,
-            dst: hb,
-        });
-        cur = hb;
-        if cfg.activation != Activation::Identity {
-            let a = push_reg(&mut regs, q, d0);
-            steps.push(Step::Activation { src: cur, dst: a });
-            cur = a;
-        }
+        cur = h;
 
-        // Dense trunk + scalar head.
-        for lin in net.trunk().iter().chain(std::iter::once(net.head())) {
-            let dn = lin.out_dim();
-            let wt = push_const(&mut consts, net.params.get(lin.weight()).transpose());
-            let y = push_reg(&mut regs, q, dn);
-            steps.push(Step::Gemm {
+        // Dense trunk (activated) + scalar head (not).
+        let head = std::iter::once((net.head(), Act::Identity));
+        for (lin, act) in net.trunk().iter().map(|lin| (lin, act)).chain(head) {
+            let y = push_reg(&mut regs, q, lin.out_dim());
+            steps.push(Step::Layer {
                 src: cur,
-                weight: wt,
+                weight: push_weight(&mut weights, net.params.get(lin.weight())),
+                bias: lin
+                    .bias()
+                    .map(|b| push_const(&mut consts, net.params.get(b))),
+                act,
                 dst: y,
             });
             cur = y;
-            if let Some(b) = lin.bias() {
-                let bc = push_const(&mut consts, net.params.get(b).clone());
-                let yb = push_reg(&mut regs, q, dn);
-                steps.push(Step::AddBias {
-                    src: cur,
-                    bias: bc,
-                    dst: yb,
-                });
-                cur = yb;
-            }
-            // Trunk layers are activated, the head is not.
-            if dn != 1 && cfg.activation != Activation::Identity {
-                let a = push_reg(&mut regs, q, dn);
-                steps.push(Step::Activation { src: cur, dst: a });
-                cur = a;
-            }
         }
         steps.push(Step::Store { src: cur });
 
         let macs_per_boundary = steps
             .iter()
             .map(|step| match *step {
-                Step::Gemm { weight, dst, .. } => regs[dst].rows_per_b * consts[weight].numel(),
+                Step::Layer { src, weight, .. } => {
+                    regs[src].rows_per_b * weights[weight].k() * weights[weight].n()
+                }
                 _ => 0,
             })
             .sum();
@@ -382,7 +373,7 @@ impl InferencePlan {
             steps,
             regs,
             consts,
-            activation: cfg.activation,
+            weights,
             boundary_len: l,
             q,
             macs_per_boundary,
@@ -460,15 +451,7 @@ impl InferencePlan {
         // the lane that runs the block.
         mf_profile::zone!("plan_launch");
         let t0 = Instant::now();
-        // Blocks only count when there is a second lane to give them to.
-        let lanes = par::lanes();
-        let blocks = if lanes > 1 {
-            (lanes * BLOCKS_PER_LANE)
-                .min(b * self.macs_per_boundary / MIN_BLOCK_MACS)
-                .clamp(1, b)
-        } else {
-            1
-        };
+        let blocks = self.launch_blocks(b);
         self.execute_blocks(ws, boundaries, out.as_mut_slice(), b.div_ceil(blocks));
 
         // Registry lookups lock a process-wide mutex; resolve the handles
@@ -488,6 +471,22 @@ impl InferencePlan {
             PTS_PER_S
                 .get_or_init(|| mf_telemetry::gauge("infer.pts_per_s"))
                 .set((b * self.q) as f64 / dt);
+        }
+    }
+
+    /// Blocks [`InferencePlan::execute_into`] cuts a launch of `b ≥ 1`
+    /// boundaries into when called from this thread: 1 unless the thread
+    /// may fan out and the launch has the work for it (for introspection
+    /// and tests, like [`InferencePlan::num_steps`]).
+    pub fn launch_blocks(&self, b: usize) -> usize {
+        // Blocks only count when there is a second lane to give them to.
+        let lanes = par::lanes();
+        if lanes > 1 {
+            (lanes * BLOCKS_PER_LANE)
+                .min(b * self.macs_per_boundary / MIN_BLOCK_MACS)
+                .clamp(1, b)
+        } else {
+            1
         }
     }
 
@@ -529,6 +528,12 @@ impl InferencePlan {
                     .lock()
                     .expect("a plan block panicked on this lane");
                 self.run_block(&mut lane, block, rows, out_block);
+                // A worker lane has no loop of its own to publish its
+                // kernel zones from: it does so before the block counts as
+                // done, so they are visible when the launch returns.
+                if par::lane() > 0 {
+                    mf_telemetry::publish_lane(par::lane());
+                }
             });
         par::publish_thread_spawns();
     }
@@ -568,64 +573,59 @@ impl InferencePlan {
                     pool.release(s);
                     slots[dst] = Some(d);
                 }
-                Step::Gemm { src, weight, dst } => {
-                    mf_profile::zone!("gemm");
+                Step::Layer {
+                    src,
+                    weight,
+                    bias,
+                    act,
+                    dst,
+                } => {
+                    mf_profile::zone!("layer");
                     let s = slots[src].take().expect("register consumed twice");
-                    // The GEMM kernel accumulates, so its destination is
-                    // the one register that must start zero-filled.
                     let mut d = acquire(pool, dst);
-                    d.as_mut_slice().fill(0.0);
-                    gemm_into(
-                        &s,
-                        Layout::Normal,
-                        &self.consts[weight],
-                        Layout::Normal,
-                        &mut d,
+                    // Backend-dispatched, and on either backend equal to
+                    // the kernel sequence the graph's eval_live runs, so
+                    // plan-vs-graph stays bitwise.
+                    backend().layer(
+                        s.as_slice(),
+                        &self.weights[weight],
+                        bias.map(|b| self.consts[b].as_slice()),
+                        act,
+                        d.as_mut_slice(),
                     );
                     pool.release(s);
                     slots[dst] = Some(d);
                 }
-                Step::AddBias { src, bias, dst } => {
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = acquire(pool, dst);
-                    s.broadcast_row_add_into(&self.consts[bias], &mut d);
-                    pool.release(s);
-                    slots[dst] = Some(d);
-                }
-                Step::Reshape { src, dst } => {
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = acquire(pool, dst);
-                    s.copy_into(&mut d);
-                    pool.release(s);
-                    slots[dst] = Some(d);
-                }
-                Step::Activation { src, dst } => {
-                    mf_profile::zone!("activation");
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = acquire(pool, dst);
-                    // Backend-dispatched: the same kernels the graph's
-                    // eval_live uses, so plan-vs-graph stays bitwise on
-                    // any backend.
-                    self.activation.map_into(&s, &mut d);
-                    pool.release(s);
-                    slots[dst] = Some(d);
-                }
-                Step::SplitAdd { src, cached, dst } => {
+                Step::Split {
+                    src,
+                    cached,
+                    bias,
+                    act,
+                    dst,
+                } => {
                     mf_profile::zone!("split_add");
                     let s = slots[src].take().expect("register consumed twice");
                     let mut d = acquire(pool, dst);
                     let hx = &self.consts[cached];
-                    let (q, d0) = hx.shape();
-                    let ds = d.as_mut_slice();
-                    let xs = hx.as_slice();
-                    for bi in 0..nb {
-                        let g = s.row(bi);
-                        for r in 0..q {
-                            let o = &mut ds[(bi * q + r) * d0..(bi * q + r + 1) * d0];
-                            for (c, (x, gg)) in xs[r * d0..(r + 1) * d0].iter().zip(g).enumerate() {
-                                o[c] = x + gg;
+                    let bias = self.consts[bias].as_slice();
+                    let d0 = hx.cols();
+                    let be = backend();
+                    // One boundary's q rows at a time: summed, biased and
+                    // activated while they are in L1.
+                    for (g, o) in s
+                        .as_slice()
+                        .chunks_exact(d0)
+                        .zip(d.as_mut_slice().chunks_exact_mut(hx.numel()))
+                    {
+                        for (orow, xrow) in
+                            o.chunks_exact_mut(d0).zip(hx.as_slice().chunks_exact(d0))
+                        {
+                            for (((ov, &x), &gg), &b) in orow.iter_mut().zip(xrow).zip(g).zip(bias)
+                            {
+                                *ov = (x + gg) + b;
                             }
                         }
+                        be.activate(act, o);
                     }
                     pool.release(s);
                     slots[dst] = Some(d);
@@ -651,7 +651,7 @@ impl InferencePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_nn::SdNetConfig;
+    use mf_nn::{Activation, SdNetConfig};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -714,6 +714,58 @@ mod tests {
             let want = net.predict(&bounds, &tiled(&pts, 3), 7);
             assert_bitwise(&want, &got);
         }
+    }
+
+    /// The benchmark network lowers to one step per layer: nothing is left
+    /// of the unfused `Gemm → AddBias → [Reshape] → Activation` chains.
+    #[test]
+    fn every_layer_lowers_to_one_fused_step() {
+        let mut cfg = SdNetConfig::small(32);
+        cfg.conv_channels = vec![4];
+        cfg.hidden = vec![48, 48, 48];
+        let (net, _, pts) = random_case(cfg, 9, 1, 13);
+        let plan = InferencePlan::compile(&net, &pts);
+        let kinds: Vec<&str> = plan
+            .steps
+            .iter()
+            .map(|s| match s {
+                Step::Load { .. } => "load",
+                Step::Unfold { .. } => "unfold",
+                Step::Layer { .. } => "layer",
+                Step::Split { .. } => "split",
+                Step::Store { .. } => "store",
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["load", "unfold", "layer", "layer", "split", "layer", "layer", "layer", "store"]
+        );
+        // conv [32,5]×[5,4], projection [1,128]×[128,48], two trunk layers
+        // and the head over the 13 cross points.
+        assert_eq!(
+            plan.macs_per_boundary,
+            32 * 5 * 4 + 128 * 48 + 2 * 13 * 48 * 48 + 13 * 48
+        );
+        // Only the trunk (and the split combine) carries the nonlinearity.
+        let acts: Vec<Act> = plan
+            .steps
+            .iter()
+            .filter_map(|s| match *s {
+                Step::Layer { act, .. } | Step::Split { act, .. } => Some(act),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            acts,
+            [
+                Act::Identity,
+                Act::Identity,
+                Act::Gelu,
+                Act::Gelu,
+                Act::Gelu,
+                Act::Identity
+            ]
+        );
     }
 
     #[test]

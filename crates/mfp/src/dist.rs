@@ -10,7 +10,7 @@
 //! fills the owned atomic subdomains and an allgather assembles the global
 //! solution.
 
-use crate::domain::{DomainSpec, Subdomain};
+use crate::domain::{diff_sumsq_at, sumsq_at, DomainSpec, Subdomain, SweepTables};
 use crate::seq::{sweep_batch_shifted, MaeTarget};
 use crate::solver::SubdomainSolver;
 use mf_dist::thread_cpu_time;
@@ -332,33 +332,6 @@ impl<'a> Partition<'a> {
         }
     }
 
-    /// Sum of squared lattice values over the owned region.
-    fn owned_lattice_sumsq(&self, grid: &Tensor, region: &Region) -> f64 {
-        let mut acc = 0.0;
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    let v = grid.get(j, i);
-                    acc += v * v;
-                }
-            }
-        }
-        acc
-    }
-
-    fn owned_lattice_diff_sumsq(&self, a: &Tensor, b: &Tensor, region: &Region) -> f64 {
-        let mut acc = 0.0;
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    let d = a.get(j, i) - b.get(j, i);
-                    acc += d * d;
-                }
-            }
-        }
-        acc
-    }
-
     fn owned_lattice_absdiff_count(&self, a: &Tensor, b: &Tensor, region: &Region) -> (f64, usize) {
         let mut acc = 0.0;
         let mut n = 0;
@@ -650,10 +623,10 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
     let part = Partition::new(domain, ranks, cfg.order);
     let part = &part;
 
-    let cross = domain.center_cross_offsets();
-    let cross_pts = domain.offsets_to_points(&cross);
-    let interior = domain.interior_offsets();
-    let interior_pts = domain.offsets_to_points(&interior);
+    let tables = SweepTables::new(domain);
+    let tables = &tables;
+    let cross = tables.point_set(&domain.center_cross_offsets());
+    let interior = tables.point_set(&domain.interior_offsets());
     let s = domain.shift();
 
     let per_rank = Cluster::try_run(ranks, cfg.plan.clone(), |comm| {
@@ -680,6 +653,11 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
             .iter()
             .map(|&(dir, nbr)| part.band(nbr, dir.opposite()))
             .collect();
+
+        // The lattice points this rank's convergence sums run over, and
+        // the gather buffer its sweeps reuse.
+        let owned_lattice = domain.lattice_indices(owned.0.clone(), owned.1.clone());
+        let mut boundaries = Tensor::zeros(0, 0);
 
         // Local copy of the global grid; only owned ∪ halo is maintained.
         let mut u = Tensor::zeros(domain.ny(), domain.nx());
@@ -808,7 +786,14 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
                     mf_profile::zone!("sweep_interior");
                     for group in &interior_groups {
                         sweep_batch_shifted(
-                            solver, domain, &mut u, group, &cross, &cross_pts, sigma, forcing,
+                            solver,
+                            tables,
+                            &mut u,
+                            group,
+                            &cross,
+                            sigma,
+                            forcing,
+                            &mut boundaries,
                         );
                     }
                 }
@@ -833,7 +818,14 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
                     mf_profile::zone!("sweep_boundary");
                     for group in &boundary_groups {
                         sweep_batch_shifted(
-                            solver, domain, &mut u, group, &cross, &cross_pts, sigma, forcing,
+                            solver,
+                            tables,
+                            &mut u,
+                            group,
+                            &cross,
+                            sigma,
+                            forcing,
+                            &mut boundaries,
                         );
                     }
                 }
@@ -846,7 +838,14 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
                     mf_profile::zone!("sweep");
                     for group in &groups {
                         sweep_batch_shifted(
-                            solver, domain, &mut u, group, &cross, &cross_pts, sigma, forcing,
+                            solver,
+                            tables,
+                            &mut u,
+                            group,
+                            &cross,
+                            sigma,
+                            forcing,
+                            &mut boundaries,
                         );
                     }
                 }
@@ -918,8 +917,8 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
                 pending_conv = Some((
                     iterations,
                     [
-                        part.owned_lattice_diff_sumsq(&u, &prev, &owned),
-                        part.owned_lattice_sumsq(&prev, &owned),
+                        diff_sumsq_at(&u, &prev, &owned_lattice),
+                        sumsq_at(&prev, &owned_lattice),
                     ],
                 ));
             }
@@ -1034,29 +1033,16 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
                 owned.0.contains(&sd.oy) && owned.1.contains(&sd.ox)
             })
             .collect();
-        if !atoms.is_empty() {
-            let boundaries = Tensor::vstack(
-                &atoms
-                    .iter()
-                    .map(|&sd| domain.read_window_boundary(&u, sd))
-                    .collect::<Vec<_>>(),
-            );
-            let fw = forcing.map(|f| {
-                Tensor::vstack(
-                    &atoms
-                        .iter()
-                        .map(|&sd| domain.read_window_field(f, sd))
-                        .collect::<Vec<_>>(),
-                )
-            });
-            let preds = solver.solve_batch_shifted(sigma, &boundaries, fw.as_ref(), &interior_pts);
-            let q = interior.len();
-            for (bi, &sd) in atoms.iter().enumerate() {
-                for (k, &(j, i)) in interior.iter().enumerate() {
-                    u.set(sd.oy + j, sd.ox + i, preds.get(bi * q + k, 0));
-                }
-            }
-        }
+        sweep_batch_shifted(
+            solver,
+            tables,
+            &mut u,
+            &atoms,
+            &interior,
+            sigma,
+            forcing,
+            &mut boundaries,
+        );
         compute_seconds += thread_cpu_time() - t0;
 
         // Allgather the owned dense blocks and assemble the global grid.

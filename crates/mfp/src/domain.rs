@@ -189,33 +189,20 @@ impl DomainSpec {
         Tensor::from_vec(offsets.len(), 2, data)
     }
 
-    /// Sum of squares of the lattice values of a grid (used by the
-    /// relative-change convergence test of Algorithm 2).
-    pub fn lattice_sumsq(&self, grid: &Tensor) -> f64 {
-        let mut acc = 0.0;
-        for j in 0..self.ny() {
-            for i in 0..self.nx() {
-                if self.on_lattice(j, i) {
-                    let v = grid.get(j, i);
-                    acc += v * v;
-                }
-            }
-        }
-        acc
-    }
-
-    /// Sum of squared differences of lattice values between two grids.
-    pub fn lattice_diff_sumsq(&self, a: &Tensor, b: &Tensor) -> f64 {
-        let mut acc = 0.0;
-        for j in 0..self.ny() {
-            for i in 0..self.nx() {
-                if self.on_lattice(j, i) {
-                    let d = a.get(j, i) - b.get(j, i);
-                    acc += d * d;
-                }
-            }
-        }
-        acc
+    /// Flat grid indices (`j·nx + i`) of the lattice points inside
+    /// `rows × cols`, row-major — the order the convergence sums of
+    /// Algorithm 2 add them in. Built once per run (or per rank, over its
+    /// owned region), so the sums pay no `on_lattice` division per point.
+    pub fn lattice_indices(
+        &self,
+        rows: std::ops::Range<usize>,
+        cols: std::ops::Range<usize>,
+    ) -> Vec<usize> {
+        let nx = self.nx();
+        rows.flat_map(|j| cols.clone().map(move |i| (j, i)))
+            .filter(|&(j, i)| self.on_lattice(j, i))
+            .map(|(j, i)| j * nx + i)
+            .collect()
     }
 
     /// Initialize the lattice from a **coarse global solve** — the
@@ -286,6 +273,104 @@ impl DomainSpec {
             }
         }
         acc / n.max(1) as f64
+    }
+}
+
+/// Sum of squares of the grid values at flat indices `at`, in that order
+/// (the denominator of Algorithm 2's relative-change test).
+pub(crate) fn sumsq_at(grid: &Tensor, at: &[usize]) -> f64 {
+    let g = grid.as_slice();
+    at.iter().fold(0.0, |acc, &p| acc + g[p] * g[p])
+}
+
+/// Sum of squared differences of two grids at flat indices `at`, in that
+/// order (the numerator of the relative-change test).
+pub(crate) fn diff_sumsq_at(a: &Tensor, b: &Tensor, at: &[usize]) -> f64 {
+    let (a, b) = (a.as_slice(), b.as_slice());
+    at.iter().fold(0.0, |acc, &p| {
+        let d = a[p] - b[p];
+        acc + d * d
+    })
+}
+
+/// A set of query points of the subdomain window: where they sit in the
+/// grid (flat offsets from the window's origin) and their local physical
+/// coordinates (the [`SubdomainSolver`](crate::SubdomainSolver) format).
+pub(crate) struct PointSet {
+    at: Vec<usize>,
+    /// `q×2` local `(x, y)` coordinates.
+    pub(crate) pts: Tensor,
+}
+
+/// The window-offset table of one domain's sweep bookkeeping, built once
+/// per `Mfp` run (or per rank): a sweep gathers window boundaries straight
+/// into one reused `[B, L]` tensor and scatters predictions back through
+/// flat offsets — no allocation per subdomain. (Its companion for the
+/// convergence sums is [`DomainSpec::lattice_indices`].)
+pub(crate) struct SweepTables {
+    pub(crate) domain: DomainSpec,
+    nx: usize,
+    /// Flat offsets of the boundary walk of a window at the grid's origin.
+    walk: Vec<usize>,
+}
+
+impl SweepTables {
+    pub(crate) fn new(d: &DomainSpec) -> Self {
+        let nx = d.nx();
+        Self {
+            domain: *d,
+            nx,
+            walk: boundary_coords(d.sub.m, d.sub.m)
+                .iter()
+                .map(|&(j, i)| j * nx + i)
+                .collect(),
+        }
+    }
+
+    /// The point set at local `(row, col)` offsets of the window.
+    pub(crate) fn point_set(&self, offsets: &[(usize, usize)]) -> PointSet {
+        PointSet {
+            at: offsets.iter().map(|&(j, i)| j * self.nx + i).collect(),
+            pts: self.domain.offsets_to_points(offsets),
+        }
+    }
+
+    fn origin(&self, sd: Subdomain) -> usize {
+        sd.oy * self.nx + sd.ox
+    }
+
+    /// Stack the boundary walks of the `b` `windows` into the rows of
+    /// `out`, reshaped to `[b, L]` (same values and order as
+    /// [`DomainSpec::read_window_boundary`] row by row).
+    pub(crate) fn gather<'g>(
+        &self,
+        b: usize,
+        windows: impl Iterator<Item = (&'g Tensor, Subdomain)>,
+        out: &mut Tensor,
+    ) {
+        let l = self.walk.len();
+        out.resize(b, l);
+        for ((grid, sd), row) in windows.zip(out.as_mut_slice().chunks_exact_mut(l)) {
+            let window = &grid.as_slice()[self.origin(sd)..];
+            for (o, &w) in row.iter_mut().zip(&self.walk) {
+                *o = window[w];
+            }
+        }
+    }
+
+    /// Write one window's predictions (`q` values, in the order of
+    /// `points`) into the grid.
+    pub(crate) fn scatter(
+        &self,
+        grid: &mut Tensor,
+        sd: Subdomain,
+        points: &PointSet,
+        preds: &[f64],
+    ) {
+        let window = &mut grid.as_mut_slice()[self.origin(sd)..];
+        for (&p, &v) in points.at.iter().zip(preds) {
+            window[p] = v;
+        }
     }
 }
 
@@ -432,8 +517,38 @@ mod tests {
                 }
             }
         }
-        assert!((d.lattice_sumsq(&a) - sumsq).abs() < 1e-12);
-        assert!((d.lattice_diff_sumsq(&a, &b) - sumsq).abs() < 1e-12);
+        let lattice = d.lattice_indices(0..5, 0..5);
+        assert_eq!(lattice.len(), n);
+        assert!((sumsq_at(&a, &lattice) - sumsq).abs() < 1e-12);
+        assert!((diff_sumsq_at(&a, &b, &lattice) - sumsq).abs() < 1e-12);
         assert!((d.lattice_mae(&a, &b) - mae / n as f64).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tables_gather_and_scatter_like_the_per_window_accessors() {
+        let d = spec();
+        let t = SweepTables::new(&d);
+        let grid = Tensor::from_fn(d.ny(), d.nx(), |j, i| (j * 100 + i) as f64);
+        let subs = d.subdomains();
+        // A stale, differently shaped buffer: gather must reshape it.
+        let mut rows = Tensor::ones(1, 3);
+        t.gather(subs.len(), subs.iter().map(|&sd| (&grid, sd)), &mut rows);
+        assert_eq!(rows.shape(), (subs.len(), 4 * (d.sub.m - 1)));
+        for (r, &sd) in subs.iter().enumerate() {
+            assert_eq!(rows.row(r), d.read_window_boundary(&grid, sd).as_slice());
+        }
+
+        let cross = d.center_cross_offsets();
+        let points = t.point_set(&cross);
+        assert_eq!(points.pts, d.offsets_to_points(&cross));
+        let sd = subs[subs.len() / 2];
+        let preds: Vec<f64> = (0..cross.len()).map(|k| -1.0 - k as f64).collect();
+        let mut got = grid.clone();
+        t.scatter(&mut got, sd, &points, &preds);
+        let mut want = grid.clone();
+        for (&(j, i), &v) in cross.iter().zip(&preds) {
+            want.set(sd.oy + j, sd.ox + i, v);
+        }
+        assert_eq!(got, want);
     }
 }

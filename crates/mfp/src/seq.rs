@@ -1,7 +1,7 @@
 //! Single-process Mosaic Flow predictor: the baseline (unbatched) and the
 //! device-parallel batched variant (§4.1).
 
-use crate::domain::{DomainSpec, Subdomain};
+use crate::domain::{diff_sumsq_at, sumsq_at, DomainSpec, PointSet, Subdomain, SweepTables};
 use crate::solver::SubdomainSolver;
 use mf_numerics::boundary::apply_boundary;
 use mf_telemetry::{histogram, span, Buckets};
@@ -68,10 +68,11 @@ pub struct MfpResult {
 }
 
 /// Sweep one batch of same-group subdomains with immediate updates:
-/// stack the window boundaries (and forcing windows) into a single
-/// batched inference and write the center crosses back.
+/// gather the window boundaries (and forcing windows) into a single
+/// batched inference and write the predictions at `points` back.
+/// `boundaries` is the caller's reused `[B, L]` gather buffer.
 ///
-/// Shared by the sequential sweep and the distributed
+/// Shared by the sequential sweep, the dense fill and the distributed
 /// interior/boundary passes. The distributed overlapped schedule calls
 /// this on arbitrary *subsets* of a group, which is exact because
 /// same-group subdomains never read one another's cross writes (their
@@ -80,37 +81,30 @@ pub struct MfpResult {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sweep_batch_shifted<S: SubdomainSolver>(
     solver: &S,
-    domain: &DomainSpec,
+    tables: &SweepTables,
     grid: &mut Tensor,
     subs: &[Subdomain],
-    cross: &[(usize, usize)],
-    cross_pts: &Tensor,
+    points: &PointSet,
     sigma: f64,
     forcing: Option<&Tensor>,
+    boundaries: &mut Tensor,
 ) {
     if subs.is_empty() {
         return;
     }
-    let boundaries = Tensor::vstack(
-        &subs
-            .iter()
-            .map(|&sd| domain.read_window_boundary(grid, sd))
-            .collect::<Vec<_>>(),
-    );
+    tables.gather(subs.len(), subs.iter().map(|&sd| (&*grid, sd)), boundaries);
     let fw = forcing.map(|f| {
         Tensor::vstack(
             &subs
                 .iter()
-                .map(|&sd| domain.read_window_field(f, sd))
+                .map(|&sd| tables.domain.read_window_field(f, sd))
                 .collect::<Vec<_>>(),
         )
     });
-    let preds = solver.solve_batch_shifted(sigma, &boundaries, fw.as_ref(), cross_pts);
-    let q = cross.len();
-    for (bi, &sd) in subs.iter().enumerate() {
-        for (k, &(j, i)) in cross.iter().enumerate() {
-            grid.set(sd.oy + j, sd.ox + i, preds.get(bi * q + k, 0));
-        }
+    let preds = solver.solve_batch_shifted(sigma, boundaries, fw.as_ref(), &points.pts);
+    let q = points.pts.rows();
+    for (&sd, p) in subs.iter().zip(preds.as_slice().chunks_exact(q)) {
+        tables.scatter(grid, sd, points, p);
     }
 }
 
@@ -175,8 +169,11 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
         }
 
         let groups = self.sweep_groups();
-        let cross = d.center_cross_offsets();
-        let cross_pts = d.offsets_to_points(&cross);
+        let tables = SweepTables::new(d);
+        let lattice = d.lattice_indices(0..d.ny(), 0..d.nx());
+        let cross = tables.point_set(&d.center_cross_offsets());
+        let mut boundaries = Tensor::zeros(0, 0);
+        let mut prev = grid.clone();
 
         let mut deltas = Vec::new();
         let mut mae_history = Vec::new();
@@ -187,18 +184,19 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
 
         for it in 0..cfg.max_iters {
             span!("mfp.iteration", it = it as f64);
-            let prev = grid.clone();
+            prev.as_mut_slice().copy_from_slice(grid.as_slice());
             {
                 mf_profile::zone!("sweep");
                 for group in &groups {
                     self.sweep_group(
+                        &tables,
                         &mut grid,
                         group,
                         &cross,
-                        &cross_pts,
                         cfg.batched,
                         sigma,
                         forcing,
+                        &mut boundaries,
                     );
                 }
             }
@@ -208,8 +206,8 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
             mf_telemetry::publish_thread();
 
             let delta = {
-                let num = d.lattice_diff_sumsq(&grid, &prev);
-                let den = d.lattice_sumsq(&prev).max(f64::MIN_POSITIVE);
+                let num = diff_sumsq_at(&grid, &prev, &lattice);
+                let den = sumsq_at(&prev, &lattice).max(f64::MIN_POSITIVE);
                 (num / den).sqrt()
             };
             h_residual.record(delta);
@@ -291,9 +289,10 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
             .collect();
 
         let groups = self.sweep_groups();
-        let cross = d.center_cross_offsets();
-        let cross_pts = d.offsets_to_points(&cross);
-        let q = cross.len();
+        let tables = SweepTables::new(d);
+        let lattice = d.lattice_indices(0..d.ny(), 0..d.nx());
+        let cross = tables.point_set(&d.center_cross_offsets());
+        let mut boundaries = Tensor::zeros(0, 0);
         let h_residual = histogram("mfp.residual", Buckets::exponential(1e-9, 10.0, 12));
 
         let mut active: Vec<usize> = (0..states.len()).collect();
@@ -312,23 +311,20 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                     }
                     // One launch covers every active request's group:
                     // request-major, subdomain-minor row order.
-                    let boundaries = Tensor::vstack(
-                        &active
+                    let rows = || {
+                        active
                             .iter()
                             .flat_map(|&r| group.iter().map(move |&sd| (r, sd)))
-                            .map(|(r, sd)| d.read_window_boundary(&states[r].grid, sd))
-                            .collect::<Vec<_>>(),
+                    };
+                    tables.gather(
+                        active.len() * group.len(),
+                        rows().map(|(r, sd)| (&states[r].grid, sd)),
+                        &mut boundaries,
                     );
-                    let preds = self.solver.solve_batch(&boundaries, &cross_pts);
-                    for (ai, &r) in active.iter().enumerate() {
-                        for (bi, &sd) in group.iter().enumerate() {
-                            let base = (ai * group.len() + bi) * q;
-                            for (k, &(j, i)) in cross.iter().enumerate() {
-                                states[r]
-                                    .grid
-                                    .set(sd.oy + j, sd.ox + i, preds.get(base + k, 0));
-                            }
-                        }
+                    let preds = self.solver.solve_batch(&boundaries, &cross.pts);
+                    let q = cross.pts.rows();
+                    for ((r, sd), p) in rows().zip(preds.as_slice().chunks_exact(q)) {
+                        tables.scatter(&mut states[r].grid, sd, &cross, p);
                     }
                 }
             }
@@ -339,8 +335,8 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                 let s = &mut states[r];
                 s.iterations = it + 1;
                 let delta = {
-                    let num = d.lattice_diff_sumsq(&s.grid, &prev[ai]);
-                    let den = d.lattice_sumsq(&prev[ai]).max(f64::MIN_POSITIVE);
+                    let num = diff_sumsq_at(&s.grid, &prev[ai], &lattice);
+                    let den = sumsq_at(&prev[ai], &lattice).max(f64::MIN_POSITIVE);
                     (num / den).sqrt()
                 };
                 h_residual.record(delta);
@@ -371,24 +367,23 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
         // grid is frozen after its own convergence, so deferring the
         // fill to the end changes nothing.
         if !states.is_empty() {
-            let interior = d.interior_offsets();
-            let pts = d.offsets_to_points(&interior);
+            let interior = tables.point_set(&d.interior_offsets());
             let atoms = d.atomic_subdomains();
-            let boundaries = Tensor::vstack(
-                &states
+            tables.gather(
+                states.len() * atoms.len(),
+                states
                     .iter()
-                    .flat_map(|s| atoms.iter().map(move |&sd| (s, sd)))
-                    .map(|(s, sd)| d.read_window_boundary(&s.grid, sd))
-                    .collect::<Vec<_>>(),
+                    .flat_map(|s| atoms.iter().map(move |&sd| (&s.grid, sd))),
+                &mut boundaries,
             );
-            let preds = self.solver.solve_batch(&boundaries, &pts);
-            let qi = interior.len();
-            for (ri, s) in states.iter_mut().enumerate() {
-                for (bi, &sd) in atoms.iter().enumerate() {
-                    let base = ((ri * atoms.len()) + bi) * qi;
-                    for (k, &(j, i)) in interior.iter().enumerate() {
-                        s.grid.set(sd.oy + j, sd.ox + i, preds.get(base + k, 0));
-                    }
+            let preds = self.solver.solve_batch(&boundaries, &interior.pts);
+            let per_request = atoms.len() * interior.pts.rows();
+            for (s, p) in states
+                .iter_mut()
+                .zip(preds.as_slice().chunks_exact(per_request))
+            {
+                for (&sd, p) in atoms.iter().zip(p.chunks_exact(interior.pts.rows())) {
+                    tables.scatter(&mut s.grid, sd, &interior, p);
                 }
             }
         }
@@ -422,36 +417,28 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     #[allow(clippy::too_many_arguments)]
     fn sweep_group(
         &self,
+        tables: &SweepTables,
         grid: &mut Tensor,
         group: &[Subdomain],
-        cross: &[(usize, usize)],
-        cross_pts: &Tensor,
+        cross: &PointSet,
         batched: bool,
         sigma: f64,
         forcing: Option<&Tensor>,
+        boundaries: &mut Tensor,
     ) {
         if group.is_empty() {
             return;
         }
-        let window_forcings = |sds: &[Subdomain]| {
-            forcing.map(|f| {
-                Tensor::vstack(
-                    &sds.iter()
-                        .map(|&sd| self.domain.read_window_field(f, sd))
-                        .collect::<Vec<_>>(),
-                )
-            })
-        };
         if batched {
             sweep_batch_shifted(
                 self.solver,
-                &self.domain,
+                tables,
                 grid,
                 group,
                 cross,
-                cross_pts,
                 sigma,
                 forcing,
+                boundaries,
             );
         } else {
             // Same-color subdomains never overlap, so their solves are
@@ -464,15 +451,13 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                 .into_par_iter()
                 .map(|sd| {
                     let boundary = self.domain.read_window_boundary(gridr, sd);
-                    let fw = window_forcings(&[sd]);
+                    let fw = forcing.map(|f| self.domain.read_window_field(f, sd));
                     self.solver
-                        .solve_batch_shifted(sigma, &boundary, fw.as_ref(), cross_pts)
+                        .solve_batch_shifted(sigma, &boundary, fw.as_ref(), &cross.pts)
                 })
                 .collect();
             for (&sd, p) in group.iter().zip(&preds) {
-                for (k, &(j, i)) in cross.iter().enumerate() {
-                    grid.set(sd.oy + j, sd.ox + i, p.get(k, 0));
-                }
+                tables.scatter(grid, sd, cross, p.as_slice());
             }
         }
     }
@@ -486,32 +471,17 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     /// Dense pass for the shifted operator.
     pub fn dense_fill_shifted(&self, grid: &mut Tensor, sigma: f64, forcing: Option<&Tensor>) {
         let d = &self.domain;
-        let interior = d.interior_offsets();
-        let pts = d.offsets_to_points(&interior);
-        let atoms = d.atomic_subdomains();
-        let boundaries = Tensor::vstack(
-            &atoms
-                .iter()
-                .map(|&sd| d.read_window_boundary(grid, sd))
-                .collect::<Vec<_>>(),
+        let tables = SweepTables::new(d);
+        sweep_batch_shifted(
+            self.solver,
+            &tables,
+            grid,
+            &d.atomic_subdomains(),
+            &tables.point_set(&d.interior_offsets()),
+            sigma,
+            forcing,
+            &mut Tensor::zeros(0, 0),
         );
-        let fw = forcing.map(|f| {
-            Tensor::vstack(
-                &atoms
-                    .iter()
-                    .map(|&sd| d.read_window_field(f, sd))
-                    .collect::<Vec<_>>(),
-            )
-        });
-        let preds = self
-            .solver
-            .solve_batch_shifted(sigma, &boundaries, fw.as_ref(), &pts);
-        let q = interior.len();
-        for (bi, &sd) in atoms.iter().enumerate() {
-            for (k, &(j, i)) in interior.iter().enumerate() {
-                grid.set(sd.oy + j, sd.ox + i, preds.get(bi * q + k, 0));
-            }
-        }
     }
 }
 

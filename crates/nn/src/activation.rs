@@ -27,15 +27,16 @@ impl Activation {
         }
     }
 
-    /// Apply the activation graph-free, through the active kernel
-    /// backend — the same kernels `apply` reaches via the graph, so a
-    /// graph-free caller (e.g. a compiled inference plan) stays bitwise
-    /// identical to graph evaluation on any backend.
-    pub fn map_into(&self, x: &mf_tensor::Tensor, out: &mut mf_tensor::Tensor) {
+    /// The activation as the kernel backends name it — what a graph-free
+    /// caller (a compiled inference plan) hands to
+    /// [`mf_tensor::Backend::layer`], which ends in the same `tanh` /
+    /// `gelu` kernels `apply` reaches via the graph, so the two stay
+    /// bitwise identical on any backend.
+    pub fn kernel(&self) -> mf_tensor::Act {
         match self {
-            Activation::Gelu => x.gelu_into(out),
-            Activation::Tanh => x.tanh_into(out),
-            Activation::Identity => x.copy_into(out),
+            Activation::Gelu => mf_tensor::Act::Gelu,
+            Activation::Tanh => mf_tensor::Act::Tanh,
+            Activation::Identity => mf_tensor::Act::Identity,
         }
     }
 }

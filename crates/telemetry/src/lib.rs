@@ -68,7 +68,8 @@ pub use metrics::{
     MetricValue, MetricsSnapshot,
 };
 pub use publish::{
-    merged_series, merged_snapshot, per_rank_snapshots, publish_thread, published_series,
+    merged_series, merged_snapshot, per_rank_snapshots, publish_lane, publish_thread,
+    published_series,
 };
 pub use report::render_report;
 pub use series::{
@@ -86,6 +87,12 @@ use std::time::Instant;
 
 static TRACING: AtomicBool = AtomicBool::new(false);
 static METRICS_REPORT: AtomicBool = AtomicBool::new(false);
+
+/// The tracing switch is process-wide: unit tests that flip it or assert
+/// its default hold this lock, so a sibling test never sees the other's
+/// setting.
+#[cfg(test)]
+pub(crate) static TRACING_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Turn span tracing on or off globally. Off by default.
 pub fn set_tracing(on: bool) {

@@ -9,7 +9,11 @@
 //!
 //! Publication is keyed by the thread's rank tag (untagged threads — the
 //! CLI main thread — use a reserved key), so a P-rank solve occupies at
-//! most P+1 slots regardless of how many runs the process has hosted.
+//! most P+1 slots regardless of how many runs the process has hosted. A
+//! worker lane of the compute pool has no loop of its own to publish from
+//! and no rank: it publishes under a key of its lane ([`publish_lane`])
+//! from inside the parallel call it serves, and readers fold the lane
+//! slots into the untagged entry.
 //! A warm publish reuses the slot's buffers: it is two short lock
 //! acquisitions and a few memcpys, no allocation once layouts stabilise.
 
@@ -23,6 +27,10 @@ use std::sync::{Arc, LazyLock, Mutex};
 /// Published key for threads without a rank tag (the process main
 /// thread, in practice).
 const MAIN_KEY: usize = usize::MAX;
+
+/// Keys `MAIN_KEY - lane` belong to the compute pool's worker lanes
+/// (`lane ≥ 1`); no rank id comes near them.
+const LANE_KEYS: usize = 1 << 16;
 
 #[derive(Default)]
 struct PublishedSink {
@@ -87,13 +95,30 @@ fn copy_series(dst: &mut Vec<SeriesData>, src: &[SeriesData]) {
 /// for a thread that has recorded nothing yet. Call this at a loop
 /// cadence (per step / per iteration); a warm call does not allocate.
 pub fn publish_thread() {
+    publish_under(None);
+}
+
+/// [`publish_thread`] for worker lane `lane ≥ 1` of the compute pool,
+/// called by the task it runs before the task ends — so whatever the lane
+/// recorded (kernel zones of its share of a plan launch) is visible once
+/// the parallel call has returned. The slot is the lane's own: the thread
+/// that fanned out publishes under its own key at its own cadence.
+pub fn publish_lane(lane: usize) {
+    assert!(
+        (1..LANE_KEYS).contains(&lane),
+        "publish_lane: lane {lane} is not a worker lane"
+    );
+    publish_under(Some(MAIN_KEY - lane));
+}
+
+fn publish_under(key: Option<usize>) {
     SINK.with(|s| {
         let s = s.borrow();
         if s.counters.is_empty() && s.gauges.is_empty() && s.hists.is_empty() && s.series.is_empty()
         {
             return;
         }
-        let key = s.rank.unwrap_or(MAIN_KEY);
+        let key = key.unwrap_or(s.rank.unwrap_or(MAIN_KEY));
         PUB_SLOT.with(|cache| {
             let mut cache = cache.borrow_mut();
             let stale = !matches!(&*cache, Some((k, _)) if *k == key);
@@ -123,16 +148,20 @@ fn slots() -> Vec<(usize, Arc<Mutex<PublishedSink>>)> {
 }
 
 /// Every published rank's metrics, ordered by rank (`None` labels the
-/// untagged main thread).
+/// untagged main thread, with the pool's worker lanes folded in).
 pub fn per_rank_snapshots() -> Vec<(Option<usize>, MetricsSnapshot)> {
-    slots()
-        .into_iter()
-        .map(|(k, slot)| {
-            let p = slot.lock().unwrap();
-            let snap = snapshot_from(&p.counters, &p.gauges, &p.hists);
-            (if k == MAIN_KEY { None } else { Some(k) }, snap)
-        })
-        .collect()
+    let mut out: Vec<(Option<usize>, MetricsSnapshot)> = Vec::new();
+    for (k, slot) in slots() {
+        let p = slot.lock().unwrap();
+        let snap = snapshot_from(&p.counters, &p.gauges, &p.hists);
+        let rank = (k <= MAIN_KEY - LANE_KEYS).then_some(k);
+        match out.last_mut() {
+            // Keys are sorted, so the untagged slots are adjacent.
+            Some((None, untagged)) if rank.is_none() => untagged.merge(&snap),
+            _ => out.push((rank, snap)),
+        }
+    }
+    out
 }
 
 /// One snapshot folding every published rank together (counters and
@@ -199,6 +228,32 @@ mod tests {
         assert!(per_rank.iter().any(|(r, _)| *r == Some(91)));
         let ring = published_series("test.publish.series").expect("series registered");
         assert_eq!(ring.windows.iter().map(|w| w.count).sum::<u64>(), 1);
+    }
+
+    #[test]
+    fn lane_slots_are_their_own_and_read_as_untagged() {
+        let c = counter("test.publish.lane");
+        // Two untagged threads: one publishes as itself, one as a lane.
+        // Neither overwrites the other, and readers see one untagged entry.
+        std::thread::spawn(move || {
+            c.add(5);
+            publish_lane(3);
+        })
+        .join()
+        .unwrap();
+        std::thread::spawn(move || {
+            c.add(2);
+            publish_thread();
+        })
+        .join()
+        .unwrap();
+        let untagged: Vec<u64> = per_rank_snapshots()
+            .into_iter()
+            .filter(|(r, _)| r.is_none())
+            .map(|(_, s)| s.counter("test.publish.lane"))
+            .collect();
+        assert_eq!(untagged, vec![7]);
+        assert_eq!(merged_snapshot().counter("test.publish.lane"), 7);
     }
 
     #[test]

@@ -148,6 +148,9 @@ mod tests {
 
     #[test]
     fn flush_attaches_rank_and_drain_clears() {
+        let _tracing = crate::TRACING_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         crate::set_tracing(true);
         std::thread::spawn(|| {
             set_thread_rank(3);

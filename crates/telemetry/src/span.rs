@@ -109,6 +109,9 @@ mod tests {
 
     #[test]
     fn spans_nest_and_record_depth() {
+        let _tracing = crate::TRACING_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         set_tracing(true);
         let spans = std::thread::spawn(|| {
             crate::set_thread_rank(0);
@@ -145,6 +148,9 @@ mod tests {
 
     #[test]
     fn disabled_tracing_records_nothing_and_skips_args() {
+        let _tracing = crate::TRACING_TEST_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         assert!(!crate::tracing_enabled());
         let mut evaluated = false;
         {

@@ -9,11 +9,12 @@
 //!   identical to the pre-backend code. Golden fixtures are recorded
 //!   against this backend (see `tests/regression.rs`).
 //! * **simd** — hand-vectorized chunked kernels with a packed,
-//!   cache-blocked GEMM microkernel (the private `simd` module). GEMM and the
-//!   polynomial elementwise kernels preserve the scalar accumulation
-//!   order and are bitwise identical on the shapes we run; only `tanh`
-//!   and `gelu` use a different approximation and carry explicit ulp
-//!   budgets (`tests/backend.rs` documents and enforces them).
+//!   cache-blocked GEMM microkernel (the private `simd` module). GEMM, the
+//!   fused [`Backend::layer`] and the polynomial elementwise kernels
+//!   preserve the scalar accumulation order and are bitwise identical on
+//!   the shapes we run; only `tanh` and `gelu` use a different
+//!   approximation and carry explicit ulp budgets (`tests/backend.rs`
+//!   documents and enforces them).
 //!
 //! The live backend is chosen once from `MF_BACKEND`
 //! (`scalar`/`simd`/`auto`, default `auto` = simd) and can be overridden
@@ -40,8 +41,74 @@ pub fn gelu_scalar(x: f64) -> f64 {
     0.5 * x * (1.0 + (GELU_SQRT_2_OVER_PI * (x + GELU_C * x * x * x)).tanh())
 }
 
-/// Cache block size along the `k` dimension of the scalar GEMM.
+/// Cache block size along the `k` dimension of the GEMM kernels.
 pub(crate) const KC: usize = 256;
+
+/// Rows of the output per band: the unit [`crate::gemm_into`] shares out
+/// over the compute pool, and the unit [`Backend::layer`] finishes (bias,
+/// activation) while it is still in L1. Bands are handed whole to the
+/// backend so its microkernel can tile rows; 64 rows keeps ≥30 tasks for
+/// the training-shape GEMMs while amortizing per-band panel packing.
+pub(crate) const BAND: usize = 64;
+
+/// The pointwise nonlinearity a fused kernel ([`Backend::layer`],
+/// [`Backend::activate`]) ends with.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Act {
+    /// No-op.
+    Identity,
+    /// Hyperbolic tangent ([`Backend::tanh`]).
+    Tanh,
+    /// GELU, tanh approximation ([`Backend::gelu`]).
+    Gelu,
+}
+
+/// A `k×n` right-hand GEMM operand prepared once for many products — a
+/// weight matrix of a compiled plan. Holds the matrix row-major (what the
+/// reference kernels read) and cut into the column panels the simd
+/// microkernel streams, so [`Backend::layer`] packs nothing per call and
+/// either backend can run a plan whichever one was live when it was
+/// compiled.
+#[derive(Clone, Debug)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    rows: Vec<f64>,
+    panels: Vec<f64>,
+}
+
+impl PackedB {
+    /// Pack the `k×n` matrix `b`.
+    pub fn new(b: &crate::Tensor) -> Self {
+        let (k, n) = b.shape();
+        Self {
+            k,
+            n,
+            rows: b.as_slice().to_vec(),
+            panels: crate::simd::pack_panels(b.as_slice(), k, n),
+        }
+    }
+
+    /// Inner dimension (rows of the matrix).
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Output width (columns of the matrix).
+    pub fn n(&self) -> usize {
+        self.n
+    }
+
+    /// The matrix, row-major.
+    pub fn rows(&self) -> &[f64] {
+        &self.rows
+    }
+
+    /// The matrix in the simd backend's panel order.
+    pub(crate) fn panels(&self) -> &[f64] {
+        &self.panels
+    }
+}
 
 /// Identifies a kernel implementation set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,6 +171,34 @@ pub trait Backend: Send + Sync {
                     }
                 }
             }
+        }
+    }
+
+    /// One dense layer: `out = act(a · w + bias)`, **overwriting** `out`
+    /// (`m×n`, `m = a.len() / k`). Every element is the ascending-`p` sum
+    /// started from `+0.0`, then the bias, then the activation — bit for
+    /// bit what [`Backend::gemm_band`] into a zero-filled `out`, a row
+    /// broadcast add and [`Backend::tanh`] / [`Backend::gelu`] produce on
+    /// the same backend. This default body *is* that composition.
+    fn layer(&self, a: &[f64], w: &PackedB, bias: Option<&[f64]>, act: Act, out: &mut [f64]) {
+        if w.n() == 0 {
+            return;
+        }
+        out.fill(0.0);
+        self.gemm_band(a, w.rows(), out, w.k(), w.n());
+        if let Some(bias) = bias {
+            add_row(out, bias);
+        }
+        self.activate(act, out);
+    }
+
+    /// `buf[i] = act(buf[i])` in place, with the arithmetic of
+    /// [`Backend::tanh`] / [`Backend::gelu`].
+    fn activate(&self, act: Act, buf: &mut [f64]) {
+        match act {
+            Act::Identity => {}
+            Act::Tanh => buf.iter_mut().for_each(|v| *v = v.tanh()),
+            Act::Gelu => buf.iter_mut().for_each(|v| *v = gelu_scalar(*v)),
         }
     }
 
@@ -270,6 +365,17 @@ pub trait Backend: Send + Sync {
     }
 }
 
+/// `rows[r][c] += row[c]` for every `row.len()`-wide row of `rows` (the
+/// bias add of [`Backend::layer`]; `a + b` per element like the graph's
+/// broadcast add).
+pub(crate) fn add_row(rows: &mut [f64], row: &[f64]) {
+    for r in rows.chunks_exact_mut(row.len()) {
+        for (o, &b) in r.iter_mut().zip(row) {
+            *o += b;
+        }
+    }
+}
+
 /// The reference backend: adopts every [`Backend`] default body
 /// unchanged, preserving the exact pre-backend kernel semantics.
 pub struct ScalarBackend;
@@ -407,55 +513,55 @@ mod tests {
         assert_eq!(simd().kind(), BackendKind::Simd);
     }
 
+    // The global backend may only be read under `with_backend`'s lock: a
+    // sibling test's override is otherwise observed as "before". The outer
+    // scope of each test below takes the lock; the scopes inside re-enter.
+
     #[test]
     fn with_backend_restores_previous_choice() {
-        let before = backend_kind();
-        let seen = with_backend(BackendKind::Scalar, backend_kind);
-        assert_eq!(seen, BackendKind::Scalar);
-        assert_eq!(backend_kind(), before);
+        with_backend(BackendKind::Simd, || {
+            let before = backend_kind();
+            let seen = with_backend(BackendKind::Scalar, backend_kind);
+            assert_eq!(seen, BackendKind::Scalar);
+            assert_eq!(backend_kind(), before);
+        });
     }
 
     #[test]
     fn with_backend_restores_on_panic() {
-        let before = backend_kind();
-        let flipped = match before {
-            BackendKind::Scalar => BackendKind::Simd,
-            BackendKind::Simd => BackendKind::Scalar,
-        };
-        let r = std::panic::catch_unwind(|| with_backend(flipped, || panic!("boom")));
-        assert!(r.is_err());
-        assert_eq!(backend_kind(), before);
+        with_backend(BackendKind::Simd, || {
+            let r =
+                std::panic::catch_unwind(|| with_backend(BackendKind::Scalar, || panic!("boom")));
+            assert!(r.is_err());
+            assert_eq!(backend_kind(), BackendKind::Simd);
+        });
     }
 
     #[test]
     fn with_backend_is_reentrant_on_the_same_thread() {
-        let outer = backend_kind();
-        with_backend(BackendKind::Simd, || {
-            assert_eq!(backend_kind(), BackendKind::Simd);
-            let inner = with_backend(BackendKind::Scalar, backend_kind);
-            assert_eq!(inner, BackendKind::Scalar);
-            // The nested scope restored the outer override...
-            assert_eq!(backend_kind(), BackendKind::Simd);
+        with_backend(BackendKind::Scalar, || {
+            with_backend(BackendKind::Simd, || {
+                assert_eq!(backend_kind(), BackendKind::Simd);
+                let inner = with_backend(BackendKind::Scalar, backend_kind);
+                assert_eq!(inner, BackendKind::Scalar);
+                // The nested scope restored the outer override...
+                assert_eq!(backend_kind(), BackendKind::Simd);
+            });
+            // ...and the outer scope restored the choice before it.
+            assert_eq!(backend_kind(), BackendKind::Scalar);
         });
-        // ...and the outer scope restored the original choice.
-        assert_eq!(backend_kind(), outer);
     }
 
     #[test]
     fn set_backend_publishes_the_dispatch_gauge() {
-        let restore = backend_kind();
         with_backend(BackendKind::Scalar, || {
             assert_eq!(mf_telemetry::snapshot().gauge("backend.dispatch"), 1.0);
             with_backend(BackendKind::Simd, || {
                 assert_eq!(mf_telemetry::snapshot().gauge("backend.dispatch"), 2.0);
             });
+            // The restore path republishes the gauge too.
+            assert_eq!(mf_telemetry::snapshot().gauge("backend.dispatch"), 1.0);
         });
-        // The restore path republishes the gauge too.
-        set_backend(restore);
-        assert_eq!(
-            mf_telemetry::snapshot().gauge("backend.dispatch"),
-            restore.code() as f64
-        );
     }
 
     #[test]

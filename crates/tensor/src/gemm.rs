@@ -12,7 +12,7 @@
 //! Transposed operands are handled by packing the transposed matrix once
 //! (O(n²)) rather than striding through it in the O(n³) inner loop.
 
-use crate::backend::backend;
+use crate::backend::{backend, BAND};
 use crate::par::{self, prelude::*};
 use crate::Tensor;
 
@@ -27,17 +27,17 @@ pub enum Layout {
 
 /// Problem size (in multiply-adds) from which the row bands are shared out
 /// over the compute pool. Measured on the 2-core reference host with
-/// 48-wide operands, two lanes against one: 150 k ×0.83, 295 k ×1.20,
-/// 369 k ×1.33, 442 k ×1.26 on a quiet host with the worker still polling;
-/// 295 k ×0.9, 369 k ×1.05, 442 k ×1.24 on a busy one. A hand-off costs
-/// ~3 µs to a polling worker and 30–40 µs to a parked one; this is the
-/// size from which both measurements win.
+/// 48-wide operands, two lanes against one (p25 of 500 calls, both cores
+/// the process's own): 221 k ×1.12, 295 k ×1.61, 369 k ×1.30, 442 k ×1.15,
+/// 590 k ×1.55, 885 k ×1.65 with the worker still polling; ×0.60, ×0.82,
+/// ×0.66, ×0.69, ×0.79, ×0.93 with the worker parked (300 µs of
+/// caller-only work before each call), which wins only from 1.2 M (×1.07):
+/// waking a parked worker costs ~30 µs, now the time of 450 k
+/// multiply-adds. The callers with products this large are training
+/// steps, whose GEMMs come in bursts — the wake-up is paid once per burst,
+/// the polling gain on every product after it — so this is the size from
+/// which a polling worker wins clearly.
 const PAR_THRESHOLD: usize = 3 << 17;
-
-/// Rows of the output per parallel band. Bands are handed whole to the
-/// backend so its microkernel can tile rows; 64 rows keeps ≥30 tasks for
-/// the training-shape GEMMs while amortizing per-band panel packing.
-const BAND: usize = 64;
 
 /// `C = op_a(A) · op_b(B)`.
 ///

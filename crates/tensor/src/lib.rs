@@ -12,7 +12,8 @@
 //!   process-wide compute pool ([`par`]: one pool, one thread budget),
 //! * runtime-dispatched kernel [`mod@backend`]s (`MF_BACKEND=scalar|simd`):
 //!   a scalar reference and a vectorized implementation with a packed
-//!   GEMM microkernel and vector `tanh`/`gelu`,
+//!   GEMM microkernel, a fused dense-layer kernel over pre-packed weights
+//!   ([`Backend::layer`], [`PackedB`]) and vector `tanh`/`gelu`,
 //! * the axis/broadcast operations required by the *input-split* layer of
 //!   SDNet (grouped row repetition and grouped row summation),
 //! * reductions and norms used by losses and convergence tests.
@@ -33,8 +34,8 @@ mod simd;
 mod tensor;
 
 pub use backend::{
-    backend, backend_kind, gelu_scalar, set_backend, ulp_distance, with_backend, Backend,
-    BackendKind, GELU_C, GELU_SQRT_2_OVER_PI,
+    backend, backend_kind, gelu_scalar, set_backend, ulp_distance, with_backend, Act, Backend,
+    BackendKind, PackedB, GELU_C, GELU_SQRT_2_OVER_PI,
 };
 pub use gemm::{gemm, gemm_into, Layout};
 pub use inplace::{fold1d_circular_into, unfold1d_circular_into};

@@ -3,28 +3,46 @@
 //! Portable hand-vectorization: every kernel processes fixed-width lane
 //! blocks (`[f64; 4]`, two AVX2 registers' worth) written so LLVM lowers
 //! them to packed vector instructions on any target — no intrinsics, no
-//! nightly `std::simd`. Three families:
+//! `unsafe`, no nightly `std::simd`. Three families:
 //!
-//! * **GEMM** ([`Backend::gemm_band`]) — a packed, cache-blocked
-//!   microkernel: `MR×NR = 4×8` register tiles over `KC`-deep panels of
-//!   `B` packed contiguously into a per-thread scratch buffer.
-//!   Accumulators are initialized *from C* at tile entry and every
-//!   element still sees its `k`-products in ascending order with plain
-//!   mul-then-add (Rust never contracts to FMA), so results are bitwise
-//!   identical to the scalar reference for the zero-free inputs the
-//!   differential harness checks (the scalar kernel's `a == 0` skip can
-//!   flip the sign of a zero in degenerate ±0 cases; see DESIGN.md).
+//! * **GEMM** ([`Backend::gemm_band`], [`Backend::layer`]) — a packed,
+//!   cache-blocked microkernel: `MR×NR = 4×8` register tiles over
+//!   `KC`-deep, `NR`-wide panels of `B` stored contiguously.
+//!   `gemm_band` accumulates into `C` and packs each panel into a
+//!   per-thread scratch buffer as it goes; `layer` reads panels a
+//!   [`PackedB`] packed once, starts its accumulators at `+0.0` (it
+//!   overwrites `C`: no zero-fill, no re-load) and finishes each 64-row
+//!   band — bias, activation — while the band is in L1. The inner loop
+//!   carries no bounds checks: the tile's four row slices are cut once per
+//!   tile and zipped with `chunks_exact` over the panel. Output columns
+//!   that do not fill a tile (`n % NR`, in particular every `n < NR`
+//!   product such as a scalar head) go to a row-parallel kernel instead:
+//!   `RB = 8` rows' serial chains side by side. Every element still sees
+//!   its `k`-products in ascending order with plain mul-then-add (Rust
+//!   never contracts to FMA), so results are bitwise identical to the
+//!   scalar reference for the zero-free inputs the differential harness
+//!   checks (the scalar kernel's `a == 0` skip can flip the sign of a zero
+//!   in degenerate ±0 cases; see DESIGN.md).
 //! * **Elementwise / VJP kernels** — the same per-element arithmetic as
 //!   the scalar reference in 4-lane chunks: bitwise identical.
-//! * **`tanh` / `gelu`** — a vector `tanh` (odd polynomial below 0.1,
-//!   `expm1`-style `t/(t+2)` form above it, driven by a lane-wise `exp`
-//!   with magic-number rounding) replacing libm, evaluated on 16-wide
-//!   blocks so independent Horner chains hide the multiply/add latency.
-//!   These are the only two kernels allowed to differ from scalar,
-//!   within the ulp budgets enforced by `tests/backend.rs` (tanh ≤ 16
-//!   ulp, gelu ≤ 32 ulp or 1e-14 absolute).
+//! * **`tanh` / `gelu`** — evaluated on 16-wide blocks, so independent
+//!   Horner chains hide the multiply/add latency, around a lane-wise `exp`
+//!   with magic-number rounding. `tanh` is an odd polynomial below 0.1 and
+//!   the `expm1`-style `t/(t+2)` form above it. `gelu` does not go through
+//!   `tanh`: since `½(1 + tanh u) = 1/(1 + e^(−2u))`, it is
+//!   `x / (1 + exp(−2u))` with `u = √(2/π)(x + c·x³)` — one `exp`, one
+//!   divide, and one select for `u < −20`, where the reference's
+//!   `1 + tanh u` has cancelled to exactly 0 and the result is `−0.0`. So
+//!   its divergence from scalar is no longer "the vector tanh": it is the
+//!   reference's own cancellation error in `1 + tanh u` for negative `u`
+//!   (absolute, below 2e-15) plus a couple of ulp of `exp`. These are the
+//!   only two kernels allowed to differ from scalar, within the budgets
+//!   enforced by `tests/backend.rs` (tanh ≤ 16 ulp, gelu ≤ 32 ulp or
+//!   1e-14 absolute).
 
-use crate::backend::{Backend, BackendKind, GELU_C, GELU_SQRT_2_OVER_PI};
+use crate::backend::{
+    add_row, Act, Backend, BackendKind, PackedB, BAND, GELU_C, GELU_SQRT_2_OVER_PI, KC,
+};
 use std::cell::RefCell;
 
 /// Lane width of the chunked loops (one 256-bit vector of `f64`).
@@ -33,8 +51,9 @@ const LANES: usize = 4;
 const MR: usize = 4;
 /// Microkernel register tile: columns of C per tile (two lane blocks).
 const NR: usize = 8;
-/// Cache block depth along `k`; B-panels of `KC×NR` stay L1-resident.
-const KC: usize = 256;
+/// Rows the narrow-output kernel runs side by side (one serial chain per
+/// output element, `RB` of them in flight per column).
+const RB: usize = 8;
 /// Block width of the transcendental kernels (`exp`/`tanh`/`gelu`):
 /// several vectors' worth of independent per-element Horner chains, so
 /// the serially-dependent polynomial latency is hidden by interleaving.
@@ -57,40 +76,202 @@ thread_local! {
     static PANEL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One `MR×NR` register tile: `c_tile += a_rows · panel` over `kb` steps.
+/// The panel grid of a `k×n` right-hand operand: `(p0, kb, j0, nb)` for
+/// each `KC`-deep block of rows, then each `NR`-wide block of columns
+/// (`kb < KC`, `nb < NR` only in the last block of each).
+fn panel_blocks(k: usize, n: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    (0..k).step_by(KC).flat_map(move |p0| {
+        (0..n)
+            .step_by(NR)
+            .map(move |j0| (p0, KC.min(k - p0), j0, NR.min(n - j0)))
+    })
+}
+
+/// Append panel `(p0, kb, j0, nb)` of `b` (`k×n` row-major) to `out`: the
+/// `kb×nb` sub-matrix contiguous, row stride `nb`.
+fn pack_panel(
+    b: &[f64],
+    n: usize,
+    (p0, kb, j0, nb): (usize, usize, usize, usize),
+    out: &mut Vec<f64>,
+) {
+    for row in b[p0 * n..(p0 + kb) * n].chunks_exact(n) {
+        out.extend_from_slice(&row[j0..j0 + nb]);
+    }
+}
+
+/// `b` (`k×n` row-major) in panel order: every panel of [`panel_blocks`],
+/// one after the other. The panel of block `(p0, j0)` starts at
+/// `p0·n + kb·j0`.
+pub(crate) fn pack_panels(b: &[f64], k: usize, n: usize) -> Vec<f64> {
+    let mut panels = Vec::with_capacity(k * n);
+    for block in panel_blocks(k, n) {
+        pack_panel(b, n, block, &mut panels);
+    }
+    panels
+}
+
+/// One `MR×NR` register tile over a `kb×NR` panel: `c_tile = a_rows ·
+/// panel`, on top of the old `c_tile` when `load` and of `+0.0` otherwise.
 ///
-/// `a` spans the tile's `MR` rows (stride `k`, k-offset `p0`); `c` spans
-/// the same rows (stride `n`, column offset `j0`); `panel` is the packed
-/// `kb×NR` B-panel. Accumulators load from C first and apply products in
-/// ascending `p` with separate mul and add, keeping the per-element
-/// rounding sequence identical to the scalar kernel.
+/// `a` holds the tile's `MR` rows (stride `k`, k-offset `p0`), `c` the
+/// same rows of the output (stride `n`, column offset `j0`). Products are
+/// applied in ascending `p` with separate mul and add, keeping the
+/// per-element rounding sequence identical to the scalar kernel. The four
+/// row slices and the panel are zipped, so the loop has no index to check.
 #[allow(clippy::too_many_arguments)]
-#[inline]
+#[inline(always)]
 fn micro_mrx8(
     a: &[f64],
     k: usize,
     p0: usize,
-    kb: usize,
     panel: &[f64],
     c: &mut [f64],
     n: usize,
     j0: usize,
+    load: bool,
 ) {
-    let mut acc = [[0.0f64; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        accr.copy_from_slice(&c[r * n + j0..r * n + j0 + NR]);
+    let kb = panel.len() / NR;
+    let (a0, a) = a.split_at(k);
+    let (a1, a) = a.split_at(k);
+    let (a2, a3) = a.split_at(k);
+    let (c0, c) = c.split_at_mut(n);
+    let (c1, c) = c.split_at_mut(n);
+    let (c2, c3) = c.split_at_mut(n);
+    fn tile(row: &mut [f64], j0: usize) -> &mut [f64; NR] {
+        (&mut row[j0..j0 + NR]).try_into().expect("NR-wide slice")
     }
-    for pp in 0..kb {
-        let bv = &panel[pp * NR..pp * NR + NR];
+    let (c0, c1, c2, c3) = (tile(c0, j0), tile(c1, j0), tile(c2, j0), tile(c3, j0));
+    let zero = [0.0f64; NR];
+    let (mut s0, mut s1, mut s2, mut s3) = if load {
+        (*c0, *c1, *c2, *c3)
+    } else {
+        (zero, zero, zero, zero)
+    };
+    // One accumulator array per row: kept apart they stay in registers as
+    // two vectors each; as one `[[f64; NR]; MR]` the SLP vectorizer
+    // regroups them across rows and shuffles in the loop.
+    for ((((bv, &x0), &x1), &x2), &x3) in panel
+        .chunks_exact(NR)
+        .zip(&a0[p0..p0 + kb])
+        .zip(&a1[p0..p0 + kb])
+        .zip(&a2[p0..p0 + kb])
+        .zip(&a3[p0..p0 + kb])
+    {
+        for (s, &b) in s0.iter_mut().zip(bv) {
+            *s += x0 * b;
+        }
+        for (s, &b) in s1.iter_mut().zip(bv) {
+            *s += x1 * b;
+        }
+        for (s, &b) in s2.iter_mut().zip(bv) {
+            *s += x2 * b;
+        }
+        for (s, &b) in s3.iter_mut().zip(bv) {
+            *s += x3 * b;
+        }
+    }
+    (*c0, *c1, *c2, *c3) = (s0, s1, s2, s3);
+}
+
+/// `R` rows of an `NB`-wide output block over a `kb×NB` panel: every
+/// element is one serial ascending-`p` chain, `R·NB` of them side by side
+/// so the adder's latency is hidden. With `R = RB` this is the whole
+/// kernel of a narrow output (`n < NR`: a scalar head, a 4-channel
+/// convolution), where a register tile would be mostly padding; with
+/// `R = 1` it finishes the rows no full tile covers.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn chains<const R: usize, const NB: usize>(
+    a: &[f64],
+    k: usize,
+    p0: usize,
+    panel: &[f64],
+    c: &mut [f64],
+    n: usize,
+    j0: usize,
+    load: bool,
+) {
+    let kb = panel.len() / NB;
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &a[r * k + p0..r * k + p0 + kb]);
+    let mut acc = [[0.0f64; NB]; R];
+    if load {
         for (r, accr) in acc.iter_mut().enumerate() {
-            let av = a[r * k + p0 + pp];
-            for (al, &bl) in accr.iter_mut().zip(bv) {
-                *al += av * bl;
+            accr.copy_from_slice(&c[r * n + j0..r * n + j0 + NB]);
+        }
+    }
+    for (pp, bv) in panel.chunks_exact(NB).enumerate() {
+        for (accr, row) in acc.iter_mut().zip(&rows) {
+            let x = row[pp];
+            for (s, &b) in accr.iter_mut().zip(bv) {
+                *s += x * b;
             }
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        c[r * n + j0..r * n + j0 + NR].copy_from_slice(accr);
+        c[r * n + j0..r * n + j0 + NB].copy_from_slice(accr);
+    }
+}
+
+/// Every row of an `NB`-wide output block (`NB < NR`): `RB` rows at a
+/// time, then one by one.
+#[allow(clippy::too_many_arguments)]
+fn narrow_rows<const NB: usize>(
+    a: &[f64],
+    k: usize,
+    p0: usize,
+    panel: &[f64],
+    c: &mut [f64],
+    n: usize,
+    j0: usize,
+    load: bool,
+) {
+    let mut ar = a.chunks_exact(RB * k);
+    let mut cr = c.chunks_exact_mut(RB * n);
+    for (ab, cb) in (&mut ar).zip(&mut cr) {
+        chains::<RB, NB>(ab, k, p0, panel, cb, n, j0, load);
+    }
+    let tail = ar.remainder().chunks_exact(k);
+    for (a1, c1) in tail.zip(cr.into_remainder().chunks_exact_mut(n)) {
+        chains::<1, NB>(a1, k, p0, panel, c1, n, j0, load);
+    }
+}
+
+/// Columns `j0..j0 + nb` of `c` (`m×n`) from `a[:, p0..p0 + kb]` (`m×k`)
+/// times one `kb×nb` panel — added to `c` when `load`, replacing it
+/// otherwise.
+#[allow(clippy::too_many_arguments)]
+fn panel_product(
+    a: &[f64],
+    k: usize,
+    p0: usize,
+    panel: &[f64],
+    c: &mut [f64],
+    n: usize,
+    j0: usize,
+    nb: usize,
+    load: bool,
+) {
+    match nb {
+        NR => {
+            let mut ar = a.chunks_exact(MR * k);
+            let mut cr = c.chunks_exact_mut(MR * n);
+            for (at, ct) in (&mut ar).zip(&mut cr) {
+                micro_mrx8(at, k, p0, panel, ct, n, j0, load);
+            }
+            let tail = ar.remainder().chunks_exact(k);
+            for (a1, c1) in tail.zip(cr.into_remainder().chunks_exact_mut(n)) {
+                chains::<1, NR>(a1, k, p0, panel, c1, n, j0, load);
+            }
+        }
+        1 => narrow_rows::<1>(a, k, p0, panel, c, n, j0, load),
+        2 => narrow_rows::<2>(a, k, p0, panel, c, n, j0, load),
+        3 => narrow_rows::<3>(a, k, p0, panel, c, n, j0, load),
+        4 => narrow_rows::<4>(a, k, p0, panel, c, n, j0, load),
+        5 => narrow_rows::<5>(a, k, p0, panel, c, n, j0, load),
+        6 => narrow_rows::<6>(a, k, p0, panel, c, n, j0, load),
+        7 => narrow_rows::<7>(a, k, p0, panel, c, n, j0, load),
+        _ => unreachable!("a panel is 1..=NR columns wide"),
     }
 }
 
@@ -103,53 +284,49 @@ impl Backend for SimdBackend {
         if n == 0 || k == 0 || c.is_empty() {
             return;
         }
-        let m = c.len() / n;
         PANEL.with(|cell| {
             let mut panel = cell.borrow_mut();
-            for p0 in (0..k).step_by(KC) {
-                let kb = (KC).min(k - p0);
-                let mut j0 = 0;
-                while j0 < n {
-                    let nb = NR.min(n - j0);
-                    // Pack the kb×nb panel of B contiguously (row stride nb).
-                    panel.resize(kb * nb, 0.0);
-                    for pp in 0..kb {
-                        let brow = (p0 + pp) * n + j0;
-                        panel[pp * nb..(pp + 1) * nb].copy_from_slice(&b[brow..brow + nb]);
-                    }
-                    let mut i0 = 0;
-                    if nb == NR {
-                        while i0 + MR <= m {
-                            micro_mrx8(
-                                &a[i0 * k..(i0 + MR) * k],
-                                k,
-                                p0,
-                                kb,
-                                &panel,
-                                &mut c[i0 * n..(i0 + MR) * n],
-                                n,
-                                j0,
-                            );
-                            i0 += MR;
-                        }
-                    }
-                    // Row/column tails: per-element serial accumulation in
-                    // the same ascending-p order.
-                    for i in i0..m {
-                        let arow = &a[i * k + p0..i * k + p0 + kb];
-                        let crow = &mut c[i * n + j0..i * n + j0 + nb];
-                        for (jj, cv) in crow.iter_mut().enumerate() {
-                            let mut acc = *cv;
-                            for (pp, &av) in arow.iter().enumerate() {
-                                acc += av * panel[pp * nb + jj];
-                            }
-                            *cv = acc;
-                        }
-                    }
-                    j0 += nb;
-                }
+            for block @ (p0, _, j0, nb) in panel_blocks(k, n) {
+                panel.clear();
+                pack_panel(b, n, block, &mut panel);
+                panel_product(a, k, p0, &panel, c, n, j0, nb, true);
             }
         });
+    }
+
+    fn layer(&self, a: &[f64], w: &PackedB, bias: Option<&[f64]>, act: Act, out: &mut [f64]) {
+        let (k, n) = (w.k(), w.n());
+        if n == 0 {
+            return;
+        }
+        let finish = |band: &mut [f64]| {
+            if let Some(bias) = bias {
+                add_row(band, bias);
+            }
+            self.activate(act, band);
+        };
+        if k == 0 {
+            out.fill(0.0);
+            return finish(out);
+        }
+        // Band by band: the band's rows of `a`, every panel of `w` and the
+        // band of `out` fit in L1 together, and bias and activation run
+        // over the band before the next one evicts it.
+        for (a_band, c_band) in a.chunks(BAND * k).zip(out.chunks_mut(BAND * n)) {
+            for (p0, kb, j0, nb) in panel_blocks(k, n) {
+                let panel = &w.panels()[p0 * n + kb * j0..][..kb * nb];
+                panel_product(a_band, k, p0, panel, c_band, n, j0, nb, p0 > 0);
+            }
+            finish(c_band);
+        }
+    }
+
+    fn activate(&self, act: Act, buf: &mut [f64]) {
+        match act {
+            Act::Identity => {}
+            Act::Tanh => blocks_apply_in_place(buf, tanh_lanes::<BLOCK>),
+            Act::Gelu => blocks_apply_in_place(buf, gelu_lanes::<BLOCK>),
+        }
     }
 
     fn add(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
@@ -373,6 +550,24 @@ fn blocks_apply(a: &[f64], out: &mut [f64], f: impl Fn([f64; BLOCK]) -> [f64; BL
     }
 }
 
+/// [`blocks_apply`] over one buffer, in place.
+#[inline]
+fn blocks_apply_in_place(buf: &mut [f64], f: impl Fn([f64; BLOCK]) -> [f64; BLOCK]) {
+    let mut bs = buf.chunks_exact_mut(BLOCK);
+    for bc in &mut bs {
+        let mut block = [0.0; BLOCK];
+        block.copy_from_slice(bc);
+        bc.copy_from_slice(&f(block));
+    }
+    let rem = bs.into_remainder();
+    if !rem.is_empty() {
+        let mut block = [0.0; BLOCK];
+        block[..rem.len()].copy_from_slice(rem);
+        let r = f(block);
+        rem.copy_from_slice(&r[..rem.len()]);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Vector math: exp / tanh / gelu on lane blocks.
 // ---------------------------------------------------------------------------
@@ -491,20 +686,30 @@ fn tanh_lanes<const W: usize>(xs: [f64; W]) -> [f64; W] {
     out
 }
 
-/// Lane-wise GELU: the reference formula
-/// `0.5·x·(1 + tanh(√(2/π)(x + c·x³)))` with the inner expression
-/// mirroring [`crate::backend::gelu_scalar`]'s association exactly, so
-/// the only divergence from scalar is the vector `tanh`.
+/// Below this value of `u = √(2/π)(x + c·x³)`, `tanh u` is exactly `−1`
+/// in f64 (that happens from about `−19.06` on), so the reference formula
+/// `0.5·x·(1 + tanh u)` has cancelled to `−0.0`.
+const GELU_NEG_SAT: f64 = -20.0;
+
+/// Lane-wise GELU in sigmoid form: `½(1 + tanh u) = 1/(1 + e^(−2u))`, so
+/// `gelu(x) = x / (1 + exp(−2u))` with `u` associated exactly as in
+/// [`crate::backend::gelu_scalar`] — one `exp` and one divide per element,
+/// no range selects. The one select returns the reference's `−0.0` for
+/// `u < −20`; without it `exp`'s input clamp would let a huge negative `x`
+/// through as `x / e^600`. For `u` in `[−20, −19.06]` the quotient is below
+/// 1e-15 in magnitude, inside the absolute budget. NaN propagates through
+/// `exp` and the divide (every comparison with it is false).
 #[inline]
 fn gelu_lanes<const W: usize>(xs: [f64; W]) -> [f64; W] {
-    let mut inner = [0.0; W];
-    for (i, &x) in inner.iter_mut().zip(&xs) {
-        *i = GELU_SQRT_2_OVER_PI * (x + GELU_C * x * x * x);
+    let mut m2u = [0.0; W];
+    for (m, &x) in m2u.iter_mut().zip(&xs) {
+        *m = -2.0 * (GELU_SQRT_2_OVER_PI * (x + GELU_C * x * x * x));
     }
-    let t = tanh_lanes(inner);
+    let e = exp_lanes(m2u);
     let mut out = [0.0; W];
-    for ((o, &x), &tv) in out.iter_mut().zip(&xs).zip(&t) {
-        *o = 0.5 * x * (1.0 + tv);
+    for (((o, &x), &ev), &m) in out.iter_mut().zip(&xs).zip(&e).zip(&m2u) {
+        let y = x / (1.0 + ev);
+        *o = if m > -2.0 * GELU_NEG_SAT { -0.0 } else { y };
     }
     out
 }
@@ -558,50 +763,117 @@ mod tests {
 
     #[test]
     fn gelu_close_to_scalar_reference() {
-        for i in -1000..=1000 {
-            let x = i as f64 * 0.01;
+        let mut worst_abs: f64 = 0.0;
+        for i in -40_000..=40_000 {
+            let x = i as f64 * 1e-3;
             let got = gelu_lanes([x, 0.0, 0.0, 0.0])[0];
             let want = crate::backend::gelu_scalar(x);
             let ok = ulp_distance(got, want) <= 32 || (got - want).abs() <= 1e-14;
             assert!(ok, "gelu at x={x}: got {got:e}, want {want:e}");
+            worst_abs = worst_abs.max((got - want).abs());
         }
+        // The whole divergence is the reference's `1 + tanh` cancellation:
+        // an order of magnitude inside the absolute budget.
+        assert!(worst_abs <= 4e-15, "gelu drifted {worst_abs:e} absolute");
     }
 
     #[test]
+    fn gelu_saturates_negative_inputs_to_negative_zero() {
+        // u = GELU_NEG_SAT is reached near x = -7.33; below it the select
+        // takes over from the quotient, also where `exp` would clamp.
+        for x in [-7.4, -10.0, -1e10, -1e154, -1e308, f64::NEG_INFINITY] {
+            let got = gelu_lanes([x, 0.0, 0.0, 0.0])[0];
+            assert_eq!(got.to_bits(), (-0.0f64).to_bits(), "gelu({x:e}) = {got:e}");
+        }
+        let r = gelu_lanes([0.0, -0.0, f64::NAN, 1e308]);
+        assert_eq!(r[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(r[1].to_bits(), (-0.0f64).to_bits());
+        assert!(r[2].is_nan());
+        assert_eq!(r[3], 1e308);
+    }
+
+    fn zero_free(len: usize, step: f64, offset: f64) -> Vec<f64> {
+        (0..len)
+            .map(|i| ((i as f64) * step).sin() + offset)
+            .collect()
+    }
+
+    fn assert_bits(want: &[f64], got: &[f64], what: &str) {
+        for (i, (w, g)) in want.iter().zip(got).enumerate() {
+            assert_eq!(w.to_bits(), g.to_bits(), "{what} elem {i}: {w:e} vs {g:e}");
+        }
+    }
+
+    /// Shapes straddling every MR / NR / RB / KC boundary, zero-free
+    /// inputs; the last three are degenerate.
+    const TAIL_SHAPES: &[(usize, usize, usize)] = &[
+        (1, 1, 1),
+        (3, 5, 7),
+        (4, 8, 8),
+        (5, 9, 9),
+        (7, 255, 17),
+        (8, 256, 8),
+        (9, 257, 9),
+        (16, 64, 16),
+        (8, 48, 1),
+        (9, 257, 1),
+        (17, 5, 4),
+        (23, 300, 7),
+        (2, 3, 0),
+        (0, 3, 4),
+        (3, 0, 4),
+    ];
+
+    #[test]
     fn simd_gemm_band_matches_scalar_on_tile_tails() {
-        // Shapes straddling every MR/NR/KC boundary, zero-free inputs.
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 5, 7),
-            (4, 8, 8),
-            (5, 9, 9),
-            (7, 255, 17),
-            (8, 256, 8),
-            (9, 257, 9),
-            (16, 64, 16),
-            (2, 3, 0),
-            (0, 3, 4),
-            (3, 0, 4),
-        ] {
-            let a: Vec<f64> = (0..m * k)
-                .map(|i| ((i as f64) * 0.37).sin() + 1.5)
-                .collect();
-            let b: Vec<f64> = (0..k * n)
-                .map(|i| ((i as f64) * 0.23).cos() - 1.5)
-                .collect();
+        for &(m, k, n) in TAIL_SHAPES {
+            let a = zero_free(m * k, 0.37, 1.5);
+            let b = zero_free(k * n, 0.23, -1.5);
             let seed: Vec<f64> = (0..m * n).map(|i| (i as f64) * 0.01 + 0.5).collect();
             let mut c_ref = seed.clone();
             let mut c_simd = seed;
             scalar().gemm_band(&a, &b, &mut c_ref, k, n);
             SIMD.gemm_band(&a, &b, &mut c_simd, k, n);
-            for (i, (r, s)) in c_ref.iter().zip(&c_simd).enumerate() {
-                assert_eq!(
-                    r.to_bits(),
-                    s.to_bits(),
-                    "gemm {m}x{k}x{n} elem {i}: scalar {r:e} vs simd {s:e}"
-                );
-            }
+            assert_bits(&c_ref, &c_simd, &format!("gemm {m}x{k}x{n}"));
         }
+    }
+
+    #[test]
+    fn simd_layer_overwrites_with_the_scalar_pre_activation() {
+        for &(m, k, n) in TAIL_SHAPES {
+            let a = zero_free(m * k, 0.37, 1.5);
+            let w = crate::Tensor::from_vec(k, n, zero_free(k * n, 0.23, -1.5));
+            let bias = zero_free(n, 0.11, 2.0);
+            let packed = PackedB::new(&w);
+            // Identity, so the comparison is bitwise across backends; the
+            // destinations start as garbage that must not survive.
+            let mut want = vec![7.0; m * n];
+            let mut got = vec![f64::NAN; m * n];
+            scalar().layer(&a, &packed, Some(&bias), Act::Identity, &mut want);
+            SIMD.layer(&a, &packed, Some(&bias), Act::Identity, &mut got);
+            assert_bits(&want, &got, &format!("layer {m}x{k}x{n}"));
+        }
+    }
+
+    #[test]
+    fn panels_are_kc_deep_nr_wide_blocks_in_row_order() {
+        // 300×9: two k-blocks (256 + 44), two column blocks (8 + 1).
+        let (k, n) = (300, 9);
+        let b: Vec<f64> = (0..k * n).map(|i| i as f64).collect();
+        let panels = pack_panels(&b, k, n);
+        assert_eq!(panels.len(), k * n);
+        let at = |p0: usize, kb: usize, j0: usize| p0 * n + kb * j0;
+        // First wide panel: rows 0.., columns 0..8.
+        assert_eq!(&panels[..NR], &b[..NR]);
+        assert_eq!(&panels[NR..2 * NR], &b[n..n + NR]);
+        // The 1-wide panel of the first k-block: column 8 of rows 0..256.
+        let narrow = at(0, KC, NR);
+        assert_eq!(panels[narrow], b[8]);
+        assert_eq!(panels[narrow + 1], b[n + 8]);
+        // Second k-block starts at row 256.
+        let second = at(KC, k - KC, 0);
+        assert_eq!(&panels[second..second + NR], &b[KC * n..KC * n + NR]);
+        assert_eq!(panels[at(KC, k - KC, NR)], b[KC * n + 8]);
     }
 
     #[test]

@@ -239,6 +239,16 @@ impl Tensor {
         self.cols = cols;
     }
 
+    /// Change the shape to `rows×cols`, keeping the allocation when it is
+    /// large enough. Contents are unspecified afterwards (elements beyond
+    /// the old length are zero): for buffers a caller refills completely
+    /// at a size that varies from call to call.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+
     /// Transposed copy.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);

@@ -1,94 +1,259 @@
-//! Per-kernel scalar-vs-simd timing at the hot-path shapes of
-//! `repro_mfp_throughput` (compiled-plan inference) and `repro_fig5`
-//! (split training). Both backends are measured in one process,
-//! interleaved round-robin with best-of-batches, so scheduler noise on a
-//! shared core cancels out of the ratio:
+//! Where one plan launch of the benchmark network goes, kernel by kernel.
+//!
+//! The network is the one `mf-benchmark` solves with (one 4-channel conv,
+//! 3×48 GELU trunk, 9×9 subdomains) and the launch its largest sweep group:
+//! B = 64 boundaries × 13 cross points. Every kernel of that launch is timed
+//! alone at its launch shape — on one lane and with its rows shared over
+//! two — next to a no-FMA multiply+add chain measured in the same run (the
+//! ceiling of kernels that never contract `a*b + c`), and the sum is set
+//! against the launch itself:
 //!
 //! ```text
-//! cargo run --release --example kernel_profile
+//! cargo run --release --example kernel_profile            # ~20 s
+//! cargo run --release --example kernel_profile -- --quick # ~3 s, CI smoke
 //! ```
-use mf_tensor::{gemm_into, unfold1d_circular_into, with_backend, BackendKind, Layout, Tensor};
+//!
+//! Output is a markdown table (CI appends it to the job summary).
+use mf_infer::{InferencePlan, Workspace};
+use mf_nn::{SdNet, SdNetConfig};
+use mf_tensor::par::{self, prelude::*};
+use mf_tensor::{backend, gemm_into, unfold1d_circular_into, Act, Layout, PackedB, Tensor};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+use std::hint::black_box;
 use std::time::Instant;
 
-/// Best-of-interleaved-batches for one backend pair; prints ns and ratio.
-fn bench(name: &str, mut f: impl FnMut()) {
-    let batch = 2_000;
-    let mut best = [f64::INFINITY; 2];
-    let kinds = [BackendKind::Scalar, BackendKind::Simd];
-    for &kind in &kinds {
-        with_backend(kind, || {
-            for _ in 0..200 {
-                f();
-            }
-        });
-    }
-    for _ in 0..8 {
-        for (b, &kind) in best.iter_mut().zip(&kinds) {
-            with_backend(kind, || {
-                let t0 = Instant::now();
-                for _ in 0..batch {
-                    f();
-                }
-                *b = b.min(t0.elapsed().as_secs_f64() / batch as f64);
-            });
+/// Boundaries in the launch, cross points per boundary, boundary walk
+/// length, conv kernel and channels, trunk width.
+const B: usize = 64;
+const Q: usize = 13;
+const L: usize = 32;
+const KW: usize = 5;
+const OC: usize = 4;
+const WIDTH: usize = 48;
+
+/// Best µs per call of `f` over `samples` samples of about 300 µs each.
+fn best_us(samples: usize, mut f: impl FnMut()) -> f64 {
+    let sample = |reps: usize, f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        for _ in 0..reps {
+            f();
         }
+        t.elapsed().as_secs_f64() * 1e6 / reps as f64
+    };
+    let mut reps = 1;
+    while sample(reps, &mut f) * (reps as f64) < 300.0 && reps < 1 << 16 {
+        reps *= 2;
     }
-    println!(
-        "{name:28} scalar {:10.1} ns   simd {:10.1} ns   {:5.2}x",
-        best[0] * 1e9,
-        best[1] * 1e9,
-        best[0] / best[1]
-    );
+    (0..samples)
+        .map(|_| sample(reps, &mut f))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// GFLOP/s of `C` independent `LANES`-wide chains of `x = x*a + b` on the
+/// calling thread: separate multiply and add, as the kernels issue them.
+/// Timed in place — behind a closure the chains would live in memory.
+fn chain_gflops<const C: usize, const LANES: usize>(samples: usize) -> f64 {
+    const ROUNDS: usize = 1 << 14;
+    let a = black_box([0.999_999f64; LANES]);
+    let b = black_box([1e-7f64; LANES]);
+    (0..samples)
+        .map(|_| {
+            let mut acc = [[1.0f64; LANES]; C];
+            let t = Instant::now();
+            for _ in 0..ROUNDS {
+                for chain in acc.iter_mut() {
+                    for l in 0..LANES {
+                        chain[l] = chain[l] * a[l] + b[l];
+                    }
+                }
+            }
+            black_box(&mut acc);
+            2.0 * (C * LANES * ROUNDS) as f64 / t.elapsed().as_secs_f64() / 1e9
+        })
+        .fold(0.0, f64::max)
+}
+
+fn filled(rows: usize, cols: usize) -> Tensor {
+    Tensor::from_fn(rows, cols, |r, c| {
+        ((r * 31 + c * 17) % 97) as f64 * 0.02 - 0.9
+    })
+}
+
+/// `f(rows of a, rows of out)` over the `m` rows of one kernel call, on one
+/// lane or cut into one block of rows per lane.
+fn over_rows(lanes: usize, a: &Tensor, out: &mut Tensor, f: impl Fn(&[f64], &mut [f64]) + Sync) {
+    let (m, k, n) = (a.rows(), a.cols(), out.cols());
+    if lanes == 1 {
+        return f(a.as_slice(), out.as_mut_slice());
+    }
+    let rows = m.div_ceil(lanes);
+    out.as_mut_slice()
+        .par_chunks_mut(rows * n)
+        .enumerate()
+        .for_each(|(i, o)| f(&a.as_slice()[i * rows * k..][..o.len() / n * k], o));
+}
+
+struct Row {
+    name: String,
+    /// µs on one lane and on two.
+    us: [f64; 2],
+    flops: f64,
+    elems: f64,
+    /// Calls per launch (0: not a step of the launch).
+    per_launch: usize,
 }
 
 fn main() {
-    // Plan shapes for B=16, L=32, k=5, ch 1->2, q=13, d0=16, fourier=16.
-    let load = Tensor::from_fn(16, 32, |r, c| ((r * 7 + c) as f64 * 0.1).sin());
-    let mut unfolded = Tensor::zeros(512, 5);
-    bench("unfold [16,32]->[512,5]", || {
-        unfold1d_circular_into(&load, 1, 5, &mut unfolded)
-    });
-    let w1 = Tensor::from_fn(5, 2, |r, c| ((r + c) as f64).cos());
-    let mut conv_out = Tensor::zeros(512, 2);
-    bench("gemm 512x5x2", || {
-        conv_out.as_mut_slice().fill(0.0);
-        gemm_into(
-            &unfolded,
-            Layout::Normal,
-            &w1,
-            Layout::Normal,
-            &mut conv_out,
+    let quick = std::env::args().any(|a| a == "--quick");
+    let samples = if quick { 3 } else { 15 };
+    let mut rows: Vec<Row> = Vec::new();
+    let mut time =
+        |name: &str, flops: f64, elems: f64, per_launch: usize, run: &mut dyn FnMut(usize)| {
+            let us =
+                [1, 2].map(|lanes| par::with_pool_width(lanes, || best_us(samples, || run(lanes))));
+            rows.push(Row {
+                name: name.to_string(),
+                us,
+                flops,
+                elems,
+                per_launch,
+            });
+        };
+
+    // The fused layers of the launch, at their launch shapes.
+    let layers: [(&str, usize, usize, usize, Act, usize); 4] = [
+        ("conv", B * L, KW, OC, Act::Identity, 1),
+        ("split projection", B, L * OC, WIDTH, Act::Identity, 1),
+        ("trunk + gelu", B * Q, WIDTH, WIDTH, Act::Gelu, 2),
+        ("head", B * Q, WIDTH, 1, Act::Identity, 1),
+    ];
+    for (what, m, k, n, act, per_launch) in layers {
+        let a = filled(m, k);
+        let w = PackedB::new(&filled(k, n));
+        let bias = filled(1, n);
+        let mut out = Tensor::zeros(m, n);
+        let macs = (m * k * n) as f64;
+        // The activation's share is reported by the gelu row; a layer's
+        // GFLOP/s counts its multiply-adds only.
+        time(
+            &format!("layer [{m},{k}]×[{k},{n}] {what}"),
+            2.0 * macs,
+            0.0,
+            per_launch,
+            &mut |lanes| {
+                over_rows(lanes, black_box(&a), &mut out, |a, o| {
+                    backend().layer(a, &w, Some(bias.as_slice()), act, o)
+                })
+            },
         );
+    }
+    // What the launch does besides layers.
+    {
+        let load = filled(B, L);
+        let mut unfolded = Tensor::zeros(B * L, KW);
+        time("unfold [64,32]→[2048,5]", 0.0, 0.0, 1, &mut |_| {
+            unfold1d_circular_into(black_box(&load), 1, KW, &mut unfolded)
+        });
+        let x = filled(B * Q, WIDTH);
+        let mut y = x.clone();
+        time(
+            "gelu [832,48] in place (split combine)",
+            0.0,
+            (B * Q * WIDTH) as f64,
+            1,
+            &mut |lanes| {
+                over_rows(lanes, &x, &mut y, |x, y| {
+                    y.copy_from_slice(x);
+                    backend().activate(Act::Gelu, y)
+                })
+            },
+        );
+    }
+    // The unfused kernels the graph path (training) runs, for comparison.
+    {
+        let (a, w) = (filled(B * Q, WIDTH), filled(WIDTH, WIDTH));
+        let mut out = Tensor::zeros(B * Q, WIDTH);
+        let flops = 2.0 * (B * Q * WIDTH * WIDTH) as f64;
+        time(
+            "gemm_into [832,48]×[48,48] (accumulating)",
+            flops,
+            0.0,
+            0,
+            &mut |_| gemm_into(black_box(&a), Layout::Normal, &w, Layout::Normal, &mut out),
+        );
+        let mut y = Tensor::zeros(B * Q, WIDTH);
+        let elems = (B * Q * WIDTH) as f64;
+        time("gelu_into [832,48]", 0.0, elems, 0, &mut |_| {
+            black_box(&a).gelu_into(&mut y)
+        });
+        time("tanh_into [832,48]", 0.0, elems, 0, &mut |_| {
+            black_box(&a).tanh_into(&mut y)
+        });
+    }
+
+    // The launch itself.
+    let mut cfg = SdNetConfig::small(L);
+    cfg.conv_channels = vec![OC];
+    cfg.hidden = vec![WIDTH; 3];
+    let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(0));
+    let pts = Tensor::from_fn(Q, 2, |r, c| 0.03 * (r + c + 1) as f64);
+    let plan = InferencePlan::compile(&net, &pts);
+    let bounds = filled(B, L);
+    let launch = [1, 2].map(|lanes| {
+        par::with_pool_width(lanes, || {
+            let mut ws = Workspace::new();
+            let mut out = Tensor::zeros(B * Q, 1);
+            best_us(samples, || {
+                plan.execute_into(&mut ws, black_box(&bounds), &mut out)
+            })
+        })
     });
-    let emb = Tensor::from_fn(16, 64, |r, c| ((r + c) as f64 * 0.01).sin());
-    let wg = Tensor::from_fn(64, 16, |r, c| ((r * 3 + c) as f64 * 0.02).cos());
-    let mut hg = Tensor::zeros(16, 16);
-    bench("gemm 16x64x16", || {
-        hg.as_mut_slice().fill(0.0);
-        gemm_into(&emb, Layout::Normal, &wg, Layout::Normal, &mut hg);
-    });
-    let h = Tensor::from_fn(208, 16, |r, c| ((r + c) as f64 * 0.01).sin());
-    let mut act = Tensor::zeros(208, 16);
-    bench("gelu [208,16]", || h.gelu_into(&mut act));
-    bench("tanh [208,16]", || h.tanh_into(&mut act));
-    let wh = Tensor::from_fn(16, 1, |r, _| (r as f64 * 0.1).sin());
-    let mut head = Tensor::zeros(208, 1);
-    bench("gemm 208x16x1", || {
-        head.as_mut_slice().fill(0.0);
-        gemm_into(&act, Layout::Normal, &wh, Layout::Normal, &mut head);
-    });
-    // fig5 training-ish shapes: hidden 48, batch 8*125*2=2000 pts
-    let x = Tensor::from_fn(2000, 48, |r, c| ((r + c) as f64 * 0.001).sin());
-    let w = Tensor::from_fn(48, 48, |r, c| ((r * 5 + c) as f64 * 0.01).cos());
-    let mut y = Tensor::zeros(2000, 48);
-    bench("gemm 2000x48x48", || {
-        y.as_mut_slice().fill(0.0);
-        gemm_into(&x, Layout::Normal, &w, Layout::Normal, &mut y);
-    });
-    let mut ya = Tensor::zeros(2000, 48);
-    bench("gelu [2000,48]", || y.gelu_into(&mut ya));
-    bench("gemm 2000x48x48 bT", || {
-        y.as_mut_slice().fill(0.0);
-        gemm_into(&x, Layout::Normal, &w, Layout::Transposed, &mut y);
-    });
+
+    let chain = [
+        chain_gflops::<12, 4>(samples),
+        chain_gflops::<8, 8>(samples),
+        chain_gflops::<10, 8>(samples),
+    ]
+    .into_iter()
+    .fold(0.0, f64::max);
+
+    println!("### Kernel profile: one B = {B} launch of the benchmark network");
+    println!();
+    println!(
+        "backend `{}`, no-FMA mul+add chain {chain:.1} GFLOP/s per lane, best of {samples} samples{}",
+        mf_tensor::backend_kind().name(),
+        if quick { " (`--quick`)" } else { "" }
+    );
+    println!();
+    println!("| kernel | 1 lane µs | 2 lanes µs | rate (1 lane) | of chain | per launch | launch µs | share |");
+    println!("|---|---:|---:|---:|---:|---:|---:|---:|");
+    let budget: f64 = rows.iter().map(|r| r.per_launch as f64 * r.us[0]).sum();
+    for r in &rows {
+        let (rate, of_chain) = if r.flops > 0.0 {
+            let g = r.flops / r.us[0] / 1e3;
+            (format!("{g:.1} GFLOP/s"), format!("{:.2}", g / chain))
+        } else if r.elems > 0.0 {
+            (format!("{:.0} Melem/s", r.elems / r.us[0]), String::new())
+        } else {
+            (String::new(), String::new())
+        };
+        let (in_launch, share) = if r.per_launch > 0 {
+            let us = r.per_launch as f64 * r.us[0];
+            (format!("{us:.1}"), format!("{:.0} %", 100.0 * us / budget))
+        } else {
+            (String::new(), String::new())
+        };
+        println!(
+            "| {} | {:.1} | {:.1} | {rate} | {of_chain} | {} | {in_launch} | {share} |",
+            r.name, r.us[0], r.us[1], r.per_launch
+        );
+    }
+    println!("| **sum of the launch's kernels** | {budget:.1} | | | | | {budget:.1} | 100 % |");
+    println!(
+        "| **`InferencePlan::execute_into`, B = {B}** | {:.1} | {:.1} | | | | | {:.0} % |",
+        launch[0],
+        launch[1],
+        100.0 * launch[0] / budget
+    );
 }

@@ -6,15 +6,18 @@
 //!
 //! * **bitwise** where the vectorized kernel preserves the scalar
 //!   accumulation order — GEMM (ascending-`p` multiply-add per output
-//!   element), all elementwise kernels and fused VJPs, unfold/fold,
-//!   axpy/add-assign. Rust never contracts `a*b + c` into an FMA on its
+//!   element, wide tiles and the narrow-output chains alike), the fused
+//!   dense layer (bitwise its own unfused composition on each backend,
+//!   and so across backends wherever the activation is), all elementwise
+//!   kernels and fused VJPs, unfold/fold, axpy/add-assign. Rust never contracts `a*b + c` into an FMA on its
 //!   own, so identical operation order means identical bits on any
 //!   target the workspace builds for (see `.cargo/config.toml`).
 //! * **ulp-budgeted** for `tanh` and `gelu`, whose vectorized versions
 //!   use a branch-free polynomial/rational approximation instead of
-//!   libm: `tanh` must stay within 16 ulp, `gelu` within 32 ulp or
-//!   `1e-14` absolute (near zero the tanh argument reduction makes
-//!   relative error meaningless).
+//!   libm: `tanh` must stay within 16 ulp, `gelu` (evaluated as
+//!   `x / (1 + e^(−2u))`, without a `tanh`) within 32 ulp or `1e-14`
+//!   absolute (where the reference's `1 + tanh u` cancels, its own
+//!   rounding makes relative error meaningless).
 //!
 //! On top of the per-kernel tests, the end-to-end paths — an SDNet
 //! forward pass, the compiled inference plan, a full physics-informed
@@ -25,7 +28,7 @@
 use mosaic_flow::prelude::*;
 use mosaic_flow::tensor::{
     backend, fold1d_circular_into, gemm_into, ulp_distance, unfold1d_circular_into, with_backend,
-    BackendKind, Layout,
+    Act, BackendKind, Layout, PackedB,
 };
 use mosaic_flow::train::local_gradients;
 use rand::{Rng, SeedableRng};
@@ -46,15 +49,20 @@ fn rand_tensor(rng: &mut ChaCha8Rng, rows: usize, cols: usize) -> Tensor {
     })
 }
 
-fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
-    assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
-    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+fn assert_slices_bitwise(a: &[f64], b: &[f64], what: &str) {
+    assert_eq!(a.len(), b.len(), "{what}: length mismatch");
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
         assert_eq!(
             x.to_bits(),
             y.to_bits(),
             "{what}: bit mismatch at flat index {i}: {x:e} vs {y:e}"
         );
     }
+}
+
+fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
+    assert_eq!(a.shape(), b.shape(), "{what}: shape mismatch");
+    assert_slices_bitwise(a.as_slice(), b.as_slice(), what);
 }
 
 /// Run `f` under both backends and return (scalar_result, simd_result).
@@ -150,6 +158,107 @@ fn gemm_with_zero_entries_matches_by_value() {
         });
         for (x, y) in s.as_slice().iter().zip(v.as_slice()) {
             assert_eq!(x, y, "gemm-with-zeros {m}x{k}x{n}: {x:e} vs {y:e}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The fused dense layer and the kernels under it
+// ---------------------------------------------------------------------
+
+/// Shapes straddling every boundary of the simd GEMM: rows around the
+/// 4-row tile, the 8-row narrow-output block and the 64-row band; depths
+/// around the 256-deep cache block; widths below, at and above the 8-wide
+/// tile — the benchmark network's own shapes (`[832,48]×[48,48]`,
+/// `[832,48]×[48,1]`, `k = 5`, `n = 4`) among them.
+const LAYER_M: &[usize] = &[1, 3, 8, 63, 64, 65, 832];
+const LAYER_K: &[usize] = &[1, 5, 48, 128, 257];
+const LAYER_N: &[usize] = &[1, 4, 7, 8, 9, 48];
+
+/// `Backend::layer` overwrites its destination with exactly what the
+/// unfused kernels of the same backend leave there: `gemm_band` into
+/// zeros, a row-broadcast bias add, then `tanh` / `gelu`. Checked on both
+/// backends, from a destination full of garbage; the pre-activation is
+/// also compared across backends (zero-free inputs), which is the simd
+/// `gemm_band` ≡ scalar contract on the same grid.
+#[test]
+fn fused_layer_is_bitwise_the_unfused_composition_on_both_backends() {
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    for &k in LAYER_K {
+        for &n in LAYER_N {
+            let w = rand_tensor(&mut rng, k, n);
+            let packed = PackedB::new(&w);
+            let bias = rand_tensor(&mut rng, 1, n);
+            for &m in LAYER_M {
+                let a = rand_tensor(&mut rng, m, k);
+                let mut sums = Vec::new();
+                for be in [backend::scalar(), backend::simd()] {
+                    let name = be.kind().name();
+                    let mut sum = vec![0.0; m * n];
+                    be.gemm_band(a.as_slice(), w.as_slice(), &mut sum, k, n);
+                    for with_bias in [false, true] {
+                        let mut pre = sum.clone();
+                        if with_bias {
+                            for row in pre.chunks_exact_mut(n) {
+                                for (o, &b) in row.iter_mut().zip(bias.as_slice()) {
+                                    *o += b;
+                                }
+                            }
+                        }
+                        for act in [Act::Identity, Act::Tanh, Act::Gelu] {
+                            let mut want = vec![0.0; m * n];
+                            match act {
+                                Act::Identity => want.copy_from_slice(&pre),
+                                Act::Tanh => be.tanh(&pre, &mut want),
+                                Act::Gelu => be.gelu(&pre, &mut want),
+                            }
+                            let mut got = vec![f64::NAN; m * n];
+                            be.layer(
+                                a.as_slice(),
+                                &packed,
+                                with_bias.then_some(bias.as_slice()),
+                                act,
+                                &mut got,
+                            );
+                            assert_slices_bitwise(
+                                &want,
+                                &got,
+                                &format!("{name} layer {m}x{k}x{n} bias={with_bias} {act:?}"),
+                            );
+                        }
+                    }
+                    sums.push(sum);
+                }
+                assert_slices_bitwise(
+                    &sums[0],
+                    &sums[1],
+                    &format!("gemm_band {m}x{k}x{n} scalar vs simd"),
+                );
+            }
+        }
+    }
+}
+
+/// In-place activation is the out-of-place kernel, on both backends and
+/// at lengths around the 16-wide block.
+#[test]
+fn activate_in_place_matches_the_out_of_place_kernels_bitwise() {
+    let mut rng = ChaCha8Rng::seed_from_u64(8);
+    for &len in LENGTHS {
+        let x: Vec<f64> = (0..len).map(|_| rng.gen_range(-6.0..6.0)).collect();
+        for be in [backend::scalar(), backend::simd()] {
+            for act in [Act::Identity, Act::Tanh, Act::Gelu] {
+                let mut want = x.clone();
+                match act {
+                    Act::Identity => {}
+                    Act::Tanh => be.tanh(&x, &mut want),
+                    Act::Gelu => be.gelu(&x, &mut want),
+                }
+                let mut got = x.clone();
+                be.activate(act, &mut got);
+                let what = format!("{} activate {act:?} len={len}", be.kind().name());
+                assert_slices_bitwise(&want, &got, &what);
+            }
         }
     }
 }
@@ -314,21 +423,58 @@ fn tanh_within_16_ulp_of_scalar_reference() {
 
 #[test]
 fn gelu_within_32_ulp_or_1e14_abs_of_scalar_reference() {
-    let xs = transcendental_inputs();
+    // Step 1e-3 over [-40, 40] — through the whole transition, the
+    // negative tail where the reference's `1 + tanh` cancels, and both
+    // saturations — plus the specials.
+    let mut xs: Vec<f64> = (-40_000..=40_000).map(|i| i as f64 * 1e-3).collect();
     // GELU overflows x·tanh(inner) for non-finite specials identically on
     // both paths; keep the sweep finite and check specials separately.
-    let xs: Vec<f64> = xs.into_iter().filter(|x| x.is_finite()).collect();
-    let input = Tensor::from_vec(1, xs.len(), xs.clone());
-    let mut reference = Tensor::zeros(1, xs.len());
-    let mut got = Tensor::zeros(1, xs.len());
-    backend::scalar().gelu(input.as_slice(), reference.as_mut_slice());
-    backend::simd().gelu(input.as_slice(), got.as_mut_slice());
-    for ((&x, &r), &g) in xs.iter().zip(reference.as_slice()).zip(got.as_slice()) {
+    xs.extend(
+        transcendental_inputs()
+            .into_iter()
+            .filter(|x| x.is_finite()),
+    );
+    let mut reference = vec![0.0; xs.len()];
+    let mut got = vec![0.0; xs.len()];
+    backend::scalar().gelu(&xs, &mut reference);
+    backend::simd().gelu(&xs, &mut got);
+    for ((&x, &r), &g) in xs.iter().zip(&reference).zip(&got) {
         let d = ulp_distance(r, g);
         assert!(
             d <= 32 || (r - g).abs() <= 1e-14,
             "gelu({x:e}): {r:e} vs {g:e} is {d} ulp (budget 32 / 1e-14 abs)"
         );
+    }
+}
+
+#[test]
+fn gelu_specials_zero_saturation_and_nan() {
+    let gelu = |x: f64| {
+        let mut out = [0.0];
+        backend::simd().gelu(&[x], &mut out);
+        out[0]
+    };
+    assert_eq!(gelu(0.0).to_bits(), 0.0f64.to_bits(), "gelu(+0) is +0");
+    assert_eq!(gelu(-0.0).to_bits(), (-0.0f64).to_bits(), "gelu(-0) is -0");
+    assert!(gelu(f64::NAN).is_nan(), "NaN propagates");
+    assert_eq!(gelu(f64::INFINITY), f64::INFINITY);
+    // Positive saturation is the identity, to the last bit.
+    for x in [9.0, 40.0, 1e100, 1e308] {
+        assert_eq!(gelu(x).to_bits(), x.to_bits(), "gelu({x:e})");
+    }
+    // Towards −∞ (from x ≈ −7.3, where `tanh` reaches −1) the reference
+    // is −0.0: `1 + tanh` has cancelled. The sigmoid form may keep a
+    // vanishing negative value instead.
+    for x in [-7.3, -7.5, -8.0, -40.0, -1e100, -1e308, f64::NEG_INFINITY] {
+        let g = gelu(x);
+        assert!(
+            g.to_bits() == (-0.0f64).to_bits() || (g < 0.0 && g.abs() <= 1e-14),
+            "gelu({x:e}) = {g:e}"
+        );
+    }
+    // Subnormals neither trap nor leave the budget.
+    for x in [f64::from_bits(1), -f64::from_bits(1), f64::MIN_POSITIVE] {
+        assert!((gelu(x) - 0.5 * x).abs() <= 1e-14);
     }
 }
 

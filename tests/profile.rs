@@ -88,7 +88,7 @@ fn metrics_endpoint_serves_kernel_histograms_mid_solve() {
         let (status, body) = http_get(addr, "/metrics").expect("scrape");
         assert!(status.contains("200"), "scrape status: {status}");
         assert_well_formed(&body);
-        if body.contains("prof_gemm_us") && body.contains("dist_overlap_ratio") {
+        if body.contains("prof_layer_us") && body.contains("dist_overlap_ratio") {
             live_body = body;
             break;
         }
@@ -98,14 +98,14 @@ fn metrics_endpoint_serves_kernel_histograms_mid_solve() {
     assert!(result.is_ok(), "solve failed: {result:?}");
     assert!(
         !live_body.is_empty(),
-        "never saw prof_gemm_us + dist_overlap_ratio in a mid-solve scrape"
+        "never saw prof_layer_us + dist_overlap_ratio in a mid-solve scrape"
     );
 
     // Final scrape: everything the contract names, in one document.
     let (status, body) = http_get(addr, "/metrics").expect("final scrape");
     assert!(status.contains("200"));
     assert_well_formed(&body);
-    for kernel in ["gemm", "unfold", "activation", "plan_launch", "sweep"] {
+    for kernel in ["layer", "unfold", "split_add", "plan_launch", "sweep"] {
         assert!(
             body.contains(&format!("# TYPE prof_{kernel}_us histogram")),
             "missing per-kernel histogram prof_{kernel}_us"
