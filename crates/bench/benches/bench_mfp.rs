@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mf_bench::{bench_net_config, bench_spec, gp_boundary};
-use mf_mfp::{DomainSpec, Mfp, MfpConfig, NeuralSolver, OracleSolver};
+use mf_mfp::{DomainSpec, Mfp, MfpConfig, NeuralSolver, OracleSolver, UnbatchedSolver};
 use mf_nn::SdNet;
 use mf_numerics::boundary::grid_with_boundary;
 use mf_numerics::{solve_multigrid, MultigridOpts, Poisson};
@@ -19,24 +19,26 @@ fn bench_mfp_iteration(c: &mut Criterion) {
     for &(sx, sy) in &[(2usize, 2usize), (4, 4)] {
         let domain = DomainSpec::new(spec, sx, sy);
         let bc = gp_boundary(&domain, 0);
-        let mfp = Mfp::new(&solver, domain);
-        for batched in [false, true] {
-            let label = if batched { "batched" } else { "unbatched" };
-            let cfg = MfpConfig {
-                max_iters: 1,
-                tol: 0.0,
-                batched,
-                target: None,
-                coarse_init: false,
-            };
-            group.bench_with_input(
-                BenchmarkId::new(label, format!("{sx}x{sy}")),
-                &cfg,
-                |bch, cfg| {
-                    bch.iter(|| mfp.run(&bc, cfg));
-                },
-            );
-        }
+        let cfg = MfpConfig {
+            max_iters: 1,
+            tol: 0.0,
+            ..Default::default()
+        };
+        let unbatched = UnbatchedSolver(&solver);
+        group.bench_with_input(
+            BenchmarkId::new("unbatched", format!("{sx}x{sy}")),
+            &cfg,
+            |bch, cfg| {
+                bch.iter(|| Mfp::new(&unbatched, domain).run(&bc, cfg));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("batched", format!("{sx}x{sy}")),
+            &cfg,
+            |bch, cfg| {
+                bch.iter(|| Mfp::new(&solver, domain).run(&bc, cfg));
+            },
+        );
     }
     group.finish();
 }
@@ -51,9 +53,7 @@ fn bench_oracle_vs_neural(c: &mut Criterion) {
     let cfg = MfpConfig {
         max_iters: 5,
         tol: 0.0,
-        batched: true,
-        target: None,
-        coarse_init: false,
+        ..Default::default()
     };
 
     let mut group = c.benchmark_group("subdomain_solver");

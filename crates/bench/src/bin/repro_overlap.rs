@@ -1,25 +1,25 @@
-//! **Overlapped halo exchange**: measured A/B of the overlapped vs
-//! alternating MFP schedule, plus alpha–beta-modeled overlap ratios at
-//! simulated 256–1024 ranks.
+//! **Overlapped halo exchange**: pooled-pack-buffer allocation count on
+//! real threads, plus alpha–beta-modeled overlap ratios at simulated
+//! 64–1024 ranks.
 //!
 //! Two parts:
 //!
-//! 1. **Real threads (P=4)** — the same solve runs under the overlapped
-//!    and the alternating (`--no-overlap`) schedule with receiver-side
-//!    delay injection standing in for real wire latency. Fault draws
-//!    are seeded per link at *send* time, so both arms see identical
-//!    delays and must produce bitwise-identical grids; only the wall
-//!    clock may differ. Gates `overlap.speedup_vs_alternating` and the
-//!    pooled pack buffers' `overlap.warm_allocs = 0`.
+//! 1. **Real threads (P=4)** — the shipping schedule runs with
+//!    receiver-side delay injection standing in for real wire latency, so
+//!    the interior pass has something to hide. Gates the pooled pack
+//!    buffers' `overlap.warm_allocs = 0`. (That the schedule is bitwise the
+//!    alternating one, and the 1.4× it measured over it under these
+//!    delays, are recorded in CHANGES.md PR 10; the equality now lives as
+//!    the unit test `overlapped_and_alternating_schedules_are_bitwise_identical`
+//!    in `crates/mfp`.)
 //!
 //! 2. **Modeled sweeps (P = 64…1024)** — a fixed 32×32-atom domain is
 //!    solved at 64/256/512/1024 simulated ranks under the mpi4py-like
-//!    alpha–beta model the paper actually measured. The tuned arm
-//!    (overlap + hierarchical tree allreduce) is compared against the
-//!    baseline arm (alternating + flat collectives): the fleet-wide
-//!    modeled `dist.overlap_ratio` must rise, and iteration counts must
-//!    stay inside the paper's Fig-9/Table-4 envelope (mild growth with
-//!    rank count — 3200→3500 over 1→32 GPUs, i.e. well under 1.5×).
+//!    alpha–beta model the paper actually measured. The fleet-wide
+//!    modeled `dist.overlap_ratio` is gated at 256 and 1024 ranks, and
+//!    iteration counts must stay inside the paper's Fig-9/Table-4
+//!    envelope (mild growth with rank count — 3200→3500 over 1→32 GPUs,
+//!    i.e. well under 1.5×).
 //!
 //! ```text
 //! cargo run -p mf-bench --release --bin repro_overlap [--json PATH] [--summary PATH]
@@ -30,7 +30,6 @@ use mf_data::SubdomainSpec;
 use mf_dist::{CartesianGrid, FaultPlan, PerfModel, RankOrder};
 use mf_mfp::{run_distributed, DistMfpConfig, DistMfpResult, DomainSpec, OracleSolver};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// `--summary PATH`: where to write the CI step-summary markdown.
 fn summary_out() -> Option<String> {
@@ -65,24 +64,13 @@ fn fleet_ratio(res: &DistMfpResult) -> f64 {
     }
 }
 
-/// Modeled wall clock of the slowest rank under (alternating,
-/// overlapped) schedules: all wire time exposed vs only the
-/// non-hideable excess.
-fn modeled_walls(res: &DistMfpResult) -> (f64, f64) {
-    let mut alt = 0.0_f64;
-    let mut ovl = 0.0_f64;
-    for r in &res.reports {
-        let c = r.overlap.compute_s;
-        let m = r.overlap.modeled_comm_s;
-        alt = alt.max(c + m);
-        ovl = ovl.max(c + m * (1.0 - r.overlap.overlap_ratio));
-    }
-    (alt, ovl)
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    xs[xs.len() / 2]
+/// Modeled wall clock of the slowest rank: compute plus the
+/// non-hideable excess of the wire time.
+fn modeled_wall(res: &DistMfpResult) -> f64 {
+    res.reports.iter().fold(0.0_f64, |wall, r| {
+        let o = &r.overlap;
+        wall.max(o.compute_s + o.modeled_comm_s * (1.0 - o.overlap_ratio))
+    })
 }
 
 fn main() {
@@ -90,141 +78,81 @@ fn main() {
     let spec = SubdomainSpec { m: 5, spatial: 0.5 };
     let mut md = String::from("### repro_overlap\n");
 
-    // ---- Part 1: real-thread A/B under delay injection ------------------
+    // ---- Part 1: real threads under delay injection ----------------------
     //
     // Geometry is chosen so a 4-rank split leaves ~60% of each rank's
     // subdomains strictly inside the halo fringe: the interior pass has
-    // real work to hide the injected delays behind. Delays (max 3 ms,
-    // drawn per message) are sized against the interior compute so the
-    // measured speedup is insensitive to host speed in either
-    // direction: a faster host hides less per iteration but also
-    // computes less, a slower host hides everything.
+    // real work to hide the injected delays (max 3 ms, drawn per message)
+    // behind.
     let part_a_ranks = 4;
     let part_a_iters = 40;
     let rounds = 5;
     let domain_a = DomainSpec::new(spec, 20, 20);
     let bc_a = gp_boundary(&domain_a, 9);
     let oracle = OracleSolver::new(spec, 1e-9);
-    let plan = FaultPlan {
-        seed: 1234,
-        delay_rate: 1.0,
-        delay_max_us: 3_000,
-        ..FaultPlan::none()
-    };
-    let cfg_a = |overlap: bool| DistMfpConfig {
+    let cfg_a = DistMfpConfig {
         max_iters: part_a_iters,
-        tol: 0.0, // fixed iterations: the A/B must run the same schedule
-        plan: plan.clone(),
-        overlap,
+        tol: 0.0,
+        plan: FaultPlan {
+            seed: 1234,
+            delay_rate: 1.0,
+            delay_max_us: 3_000,
+            ..FaultPlan::none()
+        },
         ..Default::default()
     };
 
     println!(
-        "Part 1: overlapped vs alternating, P={part_a_ranks}, {}x{} grid, \
-         {} iterations, delays <= {} us on every message",
+        "Part 1: P={part_a_ranks}, {}x{} grid, {} iterations x {rounds} runs, \
+         delays <= {} us on every message",
         domain_a.ny(),
         domain_a.nx(),
         part_a_iters,
-        plan.delay_max_us
+        cfg_a.plan.delay_max_us
     );
     let allocs_before = warm_allocs_counter();
-    let mut walls_ovl = Vec::new();
-    let mut walls_alt = Vec::new();
-    let mut rows_a = Vec::new();
-    for round in 0..rounds {
-        // Alternate the arm order so slow drift on a shared host hits
-        // both arms evenly; the gate compares per-arm medians, which
-        // shrugs off a single descheduled run.
-        let flip = round % 2 == 1;
-        let t0 = Instant::now();
-        let first = run_distributed(&oracle, &domain_a, &bc_a, part_a_ranks, &cfg_a(!flip));
-        let wall_first = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let second = run_distributed(&oracle, &domain_a, &bc_a, part_a_ranks, &cfg_a(flip));
-        let wall_second = t1.elapsed().as_secs_f64();
-        let (ovl, alt) = if flip {
-            (second, first)
-        } else {
-            (first, second)
-        };
-        let (wall_ovl, wall_alt) = if flip {
-            (wall_second, wall_first)
-        } else {
-            (wall_first, wall_second)
-        };
-
-        // Same fault draws, same schedule semantics: the arms must agree
-        // exactly, or the speedup below is comparing different solves.
-        assert_eq!(ovl.iterations, alt.iterations);
-        assert_eq!(
-            ovl.grid.as_slice(),
-            alt.grid.as_slice(),
-            "overlapped and alternating grids diverged"
-        );
+    for _ in 0..rounds {
+        let run = run_distributed(&oracle, &domain_a, &bc_a, part_a_ranks, &cfg_a);
         assert!(
-            ovl.reports
+            run.reports
                 .iter()
                 .map(|r| r.interior_subdomains)
                 .sum::<usize>()
                 > 0,
             "no interior work found to overlap"
         );
-        walls_ovl.push(wall_ovl);
-        walls_alt.push(wall_alt);
-        rows_a.push(vec![
-            round.to_string(),
-            fmt_secs(wall_alt),
-            fmt_secs(wall_ovl),
-            format!("{:.2}x", wall_alt / wall_ovl),
-        ]);
     }
-    let speedup = median(&mut walls_alt) / median(&mut walls_ovl);
 
     // Every pack after the first reuses its pooled buffer, so the only
     // tolerated counter growth is the cold first-touch per neighbor
-    // link per run (2 arms x rounds runs).
+    // link per run.
     let grid4 = CartesianGrid::square_for(part_a_ranks, RankOrder::RowMajor);
     let cold_per_run: u64 = (0..part_a_ranks)
         .map(|r| grid4.neighbors(r).len() as u64)
         .sum();
     let warm_allocs =
-        (warm_allocs_counter() - allocs_before).saturating_sub(2 * rounds as u64 * cold_per_run);
-
-    print_table(
-        "Part 1: measured wall clock (median gated)",
-        &["round", "alternating", "overlapped", "speedup"],
-        &rows_a,
-    );
-    println!(
-        "median speedup {speedup:.2}x, warm pack allocations {warm_allocs} \
-         (cold first-touch: {} per run)",
-        cold_per_run
-    );
+        (warm_allocs_counter() - allocs_before).saturating_sub(rounds as u64 * cold_per_run);
+    println!("warm pack allocations {warm_allocs} (cold first-touch: {cold_per_run} per run)");
     let _ = writeln!(
         md,
-        "\n**Measured (P={part_a_ranks}, real threads, {rounds} rounds):** \
-         overlapped is **{speedup:.2}x** faster than `--no-overlap` under \
-         injected delays; grids bitwise identical; warm pack allocations: \
-         {warm_allocs}.\n"
+        "\n**Measured (P={part_a_ranks}, real threads, {rounds} runs under \
+         injected delays):** warm pack allocations: {warm_allocs}.\n"
     );
 
-    // ---- Part 2: modeled overlap at simulated 256-1024 ranks ------------
+    // ---- Part 2: modeled overlap at simulated 64-1024 ranks --------------
     //
     // One fixed domain, so every world size solves the same problem.
     // The model is the mpi4py-serialized transport the paper measured:
     // latency-dominated small messages, which is exactly the regime
-    // where the hierarchical tree allreduce and the overlapped schedule
-    // pay off.
+    // where the hierarchical tree allreduce (selected from 64 ranks up)
+    // and the overlapped schedule pay off.
     let domain_b = DomainSpec::new(spec, 32, 32);
     let bc_b = gp_boundary(&domain_b, 9);
-    let model = PerfModel::mpi4py_serialized();
-    let cfg_b = |overlap: bool, flat: bool| DistMfpConfig {
+    let cfg_b = DistMfpConfig {
         max_iters: 200,
         tol: 2e-6,
         coarse_init: true,
-        overlap,
-        flat_collectives: flat,
-        perf_model: model,
+        perf_model: PerfModel::mpi4py_serialized(),
         ..Default::default()
     };
 
@@ -236,34 +164,13 @@ fn main() {
     );
     let worlds = [64usize, 256, 512, 1024];
     let mut rows_b = Vec::new();
-    let mut md_rows = String::new();
     let mut iters64 = 0usize;
-    let mut gains = std::collections::BTreeMap::new();
+    let mut modeled = std::collections::BTreeMap::new();
     for &p in &worlds {
-        // Tuned arm: overlapped schedule + world-size-selected collectives.
-        let ship = run_distributed(&oracle, &domain_b, &bc_b, p, &cfg_b(true, false));
-        // Baseline arm: alternating schedule + flat collectives.
-        let base = run_distributed(&oracle, &domain_b, &bc_b, p, &cfg_b(false, true));
-        assert!(ship.converged && base.converged, "P={p} did not converge");
+        let ship = run_distributed(&oracle, &domain_b, &bc_b, p, &cfg_b);
+        assert!(ship.converged, "P={p} did not converge");
         if p == 64 {
             iters64 = ship.iterations;
-        }
-
-        // Pipelining the convergence allreduce one deep must not change
-        // the iteration count (bounded staleness is exactly one extra
-        // in-flight check, not an extra sweep). Compare against the
-        // alternating run with the *same* collectives — bitwise.
-        if p == 256 || p == 1024 {
-            let alt = run_distributed(&oracle, &domain_b, &bc_b, p, &cfg_b(false, false));
-            assert_eq!(
-                ship.iterations, alt.iterations,
-                "P={p}: overlapped iteration count drifted"
-            );
-            assert_eq!(
-                ship.grid.as_slice(),
-                alt.grid.as_slice(),
-                "P={p}: overlapped grid diverged"
-            );
         }
 
         // Fig-9 envelope: iteration growth vs the 64-rank run stays
@@ -277,93 +184,59 @@ fn main() {
             iters64
         );
 
-        let r_base = fleet_ratio(&base);
-        let r_ship = fleet_ratio(&ship);
-        let gain = r_ship / r_base;
-        let (wall_alt, _) = modeled_walls(&base);
-        let (_, wall_ovl) = modeled_walls(&ship);
-        gains.insert(p, (r_base, r_ship, gain, iter_ratio));
+        let ratio = fleet_ratio(&ship);
+        modeled.insert(p, (ratio, iter_ratio));
         rows_b.push(vec![
             p.to_string(),
             ship.iterations.to_string(),
-            format!("{:.2}", iter_ratio),
-            format!("{r_base:.3}"),
-            format!("{r_ship:.3}"),
-            format!("{gain:.2}x"),
-            fmt_secs(wall_alt),
-            fmt_secs(wall_ovl),
+            format!("{iter_ratio:.2}"),
+            format!("{ratio:.3}"),
+            fmt_secs(modeled_wall(&ship)),
         ]);
-        let _ = writeln!(
-            md_rows,
-            "| {p} | {} | {iter_ratio:.2} | {r_base:.3} | {r_ship:.3} | {gain:.2}x |",
-            ship.iterations
-        );
     }
-    print_table(
-        "Part 2: modeled overlap_ratio, baseline (alt+flat) vs tuned (overlap+tree)",
-        &[
-            "ranks",
-            "iters",
-            "vs 64",
-            "ratio base",
-            "ratio tuned",
-            "gain",
-            "wall alt",
-            "wall ovl",
-        ],
-        &rows_b,
+    let header = [
+        "ranks",
+        "iters",
+        "iters vs 64",
+        "overlap_ratio",
+        "modeled wall",
+    ];
+    print_table("Part 2: modeled overlap_ratio", &header, &rows_b);
+    md.push_str("**Modeled (mpi4py alpha-beta, fixed 129x129 domain):**\n\n");
+    let _ = writeln!(
+        md,
+        "| {} |\n|{}",
+        header.join(" | "),
+        "---:|".repeat(header.len())
     );
-    md.push_str(
-        "**Modeled (mpi4py alpha-beta, fixed 129x129 domain):**\n\n\
-         | ranks | iters | iters vs 64 | overlap_ratio base | overlap_ratio tuned | gain |\n\
-         |---:|---:|---:|---:|---:|---:|\n",
-    );
-    md.push_str(&md_rows);
+    for row in &rows_b {
+        let _ = writeln!(md, "| {} |", row.join(" | "));
+    }
 
-    let (_, _, gain256, _) = gains[&256];
-    let (_, _, gain1024, iter1024) = gains[&1024];
+    let (ratio256, _) = modeled[&256];
+    let (ratio1024, iter1024) = modeled[&1024];
+    let metric = |value: f64, tol: f64, higher_better: bool| gate::Metric {
+        value,
+        tol,
+        higher_better,
+    };
     emit_metrics(&[
         (
-            "overlap.speedup_vs_alternating".into(),
-            gate::Metric {
-                // Baseline 1.40 with 18% budget keeps the gate's floor at
-                // the paper-motivated 1.15x.
-                value: speedup,
-                tol: 0.18,
-                higher_better: true,
-            },
-        ),
-        (
             "overlap.warm_allocs".into(),
-            gate::Metric {
-                value: warm_allocs as f64,
-                tol: 0.0,
-                higher_better: false,
-            },
+            metric(warm_allocs as f64, 0.0, false),
         ),
         (
-            "overlap.modeled_ratio_gain_256".into(),
-            gate::Metric {
-                value: gain256,
-                tol: 0.3,
-                higher_better: true,
-            },
+            "overlap.modeled_ratio_256".into(),
+            metric(ratio256, 0.3, true),
         ),
         (
-            "overlap.modeled_ratio_gain_1024".into(),
-            gate::Metric {
-                value: gain1024,
-                tol: 0.25,
-                higher_better: true,
-            },
+            "overlap.modeled_ratio_1024".into(),
+            metric(ratio1024, 0.25, true),
         ),
         (
+            // The 1.5x hard ceiling is the assert above.
             "overlap.iter_envelope_1024".into(),
-            gate::Metric {
-                value: iter1024,
-                tol: 0.45, // the 1.5x hard ceiling is the assert above
-                higher_better: false,
-            },
+            metric(iter1024, 0.45, false),
         ),
     ]);
 

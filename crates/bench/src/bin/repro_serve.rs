@@ -8,13 +8,14 @@
 //! scheduler drains every queued request sharing a batch key into one
 //! `Mfp::run_many`, stacking their boundaries into shared fat
 //! compiled-plan launches. This binary drives the in-process service
-//! closed-loop with both batching on and off and gates:
+//! closed-loop with the default batch budget and with a zero budget
+//! (`max_points: 0`, one request per batch) and gates:
 //!
 //! * `serve.req_per_s` — sustained completed requests per second
 //!   (batched path),
 //! * `serve.p99_ms` — client-observed 99th-percentile latency (batched),
-//! * `serve.speedup_vs_no_batch` — batched ÷ unbatched req/s; the
-//!   machine-independent win, must stay ≥ 2×,
+//! * `serve.speedup_vs_no_batch` — batched ÷ one-request-per-batch
+//!   req/s; the machine-independent win, must stay ≥ 2×,
 //! * `serve.batch_occupancy` — mean requests per drained batch,
 //! * `serve.warm_allocs` — workspace-pool misses after warmup; must be 0,
 //! * `reqtrace.warm_allocs` — heap allocations on the request-tracing
@@ -46,7 +47,7 @@ use mf_bench::*;
 use mf_data::SubdomainSpec;
 use mf_mfp::PlanSolver;
 use mf_nn::{SdNet, SdNetConfig};
-use mf_serve::{ServeConfig, ServeError, SolveRequest, SolveService};
+use mf_serve::{BatchConfig, ServeConfig, ServeError, SolveRequest, SolveService};
 use mf_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -117,11 +118,11 @@ impl LoadResult {
 /// Closed-loop load: `clients` threads each submit-and-wait in a tight
 /// loop for `secs` after a joint warmup barrier. Latencies are measured
 /// client-side (submit to reply, wall clock).
-fn run_closed_loop(no_batch: bool, clients: usize, workers: usize, secs: f64) -> LoadResult {
+fn run_closed_loop(batch: BatchConfig, clients: usize, workers: usize, secs: f64) -> LoadResult {
     let spec = SubdomainSpec { m: 9, spatial: 0.5 };
     let cfg = ServeConfig {
         workers,
-        no_batch,
+        batch,
         ..ServeConfig::default()
     };
     let service = Arc::new(SolveService::new(
@@ -464,8 +465,14 @@ fn main() {
         error_rate: 1.5,
         conv_fail_rate: 1.5,
     });
-    let unbatched = run_closed_loop(true, clients, workers, secs);
-    let batched = run_closed_loop(false, clients, workers, secs);
+    // The baseline arm: a zero budget caps every batch at one request.
+    let one_request_batches = BatchConfig {
+        max_points: 0,
+        max_wait_us: 0,
+        ..BatchConfig::default()
+    };
+    let unbatched = run_closed_loop(one_request_batches, clients, workers, secs);
+    let batched = run_closed_loop(BatchConfig::default(), clients, workers, secs);
     let speedup = batched.req_per_s() / unbatched.req_per_s();
 
     // A/B the request-tracing overhead on the batched path: alternating
@@ -486,7 +493,7 @@ fn main() {
         ],
         &[
             vec![
-                "no-batch".into(),
+                "1 req/batch".into(),
                 format!("{:.0}", unbatched.req_per_s()),
                 format!("{:.2}", unbatched.p50),
                 format!("{:.2}", unbatched.p95),
@@ -510,7 +517,7 @@ fn main() {
         batched.warm_allocs
     );
     println!(
-        "  busy retries: {} (batched) / {} (no-batch); reqtrace overhead {:.3}x, \
+        "  busy retries: {} (batched) / {} (1 req/batch); reqtrace overhead {:.3}x, \
          warm trace allocs: {}",
         batched.retries, unbatched.retries, overhead, batched.reqtrace_warm_allocs
     );

@@ -172,9 +172,6 @@ pub struct Communicator {
     /// retry round can recover them early via the reliable replay path
     /// (dedup then discards the late original).
     immature: Vec<Message>,
-    /// Pin `allreduce_sum` to the legacy flat ring/rd selection (the
-    /// hierarchical-collective ablation arm).
-    flat_collectives: bool,
     counters: CommCounters,
     fcounters: FaultCounters,
     /// Registry values at thread start / last `reset_stats`; `stats()`
@@ -251,7 +248,6 @@ impl Cluster {
                     .collect(),
                 tombstones: HashSet::new(),
                 immature: Vec::new(),
-                flat_collectives: false,
                 counters: CommCounters::new(),
                 fcounters: FaultCounters::new(),
                 baseline: CommStats::default(),
@@ -842,9 +838,12 @@ impl Communicator {
     }
 
     /// Complete the receive behind `h` under a deadline with *no*
-    /// retransmission. On timeout the `(src, tag)` slot is tombstoned (as
-    /// in [`exchange_deadline`](Self::exchange_deadline)): a late arrival
-    /// is discarded, never delivered to a future iteration.
+    /// retransmission — the degraded mode of the distributed MFP (§6.3).
+    /// On timeout the `(src, tag)` slot is tombstoned: a late arrival is
+    /// discarded, never delivered to a future iteration, and the caller
+    /// reuses stale halo values instead. The tag must be unique per
+    /// exchange round for tombstoning to be sound — the MFP uses its
+    /// iteration index.
     pub fn wait_deadline(
         &mut self,
         h: &RecvHandle,
@@ -965,56 +964,6 @@ impl Communicator {
             .collect()
     }
 
-    /// Halo exchange with a per-call deadline — the degraded mode of the
-    /// distributed MFP (§6.3). Sends to every peer, then gives the whole
-    /// receive phase `timeout` to complete. A peer whose buffer misses
-    /// the deadline yields `Err(CommError::Timeout)` and its `(src, tag)`
-    /// slot is tombstoned (a late arrival is discarded, not delivered to
-    /// a future iteration); the caller reuses stale halo values instead.
-    /// The `tag` must be unique per exchange round for tombstoning to be
-    /// sound — the MFP uses its iteration index.
-    pub fn exchange_deadline(
-        &mut self,
-        outgoing: &[(usize, Vec<f64>)],
-        tag: u64,
-        timeout: Duration,
-    ) -> Vec<(usize, Result<Vec<f64>, CommError>)> {
-        let bytes: usize = outgoing.iter().map(|(_, p)| p.len() * 8).sum();
-        span!(
-            "comm.exchange",
-            peers = outgoing.len() as f64,
-            bytes = bytes as f64
-        );
-        mf_observe::record(
-            RecKind::Collective,
-            "comm.exchange_deadline",
-            outgoing.len() as u64,
-            bytes as f64,
-        );
-        self.counters.exchange_bytes.record(bytes as f64);
-        {
-            mf_profile::zone!("halo_send");
-            for (dst, payload) in outgoing {
-                self.send(*dst, tag, payload);
-            }
-        }
-        mf_profile::zone!("halo_recv");
-        let t0 = Instant::now();
-        let deadline = t0 + timeout;
-        let results: Vec<(usize, Result<Vec<f64>, CommError>)> = outgoing
-            .iter()
-            .map(|(peer, _)| {
-                let r = self.recv_inner(*peer, tag, WaitMode::Deadline(deadline));
-                if matches!(r, Err(CommError::Timeout { .. })) {
-                    self.tombstone(*peer, tag);
-                }
-                (*peer, r)
-            })
-            .collect();
-        self.counters.comm_seconds.add(t0.elapsed().as_secs_f64());
-        results
-    }
-
     /// In-place allreduce (sum), selecting the algorithm by world size
     /// and message size.
     ///
@@ -1046,7 +995,7 @@ impl Communicator {
             if buf.is_empty() {
                 self.barrier();
             } else if buf.len() <= ALLREDUCE_RD_MAX_ELEMS {
-                if self.size >= TREE_MIN_RANKS && !self.flat_collectives {
+                if self.size >= TREE_MIN_RANKS {
                     self.allreduce_tree(buf);
                 } else {
                     self.allreduce_rd(buf);
@@ -1059,14 +1008,6 @@ impl Communicator {
         self.counters
             .allreduce_us
             .record(t0.elapsed().as_secs_f64() * 1e6);
-    }
-
-    /// Keep the legacy flat (ring / recursive-doubling) selection in
-    /// [`allreduce_sum`](Self::allreduce_sum) even at tree-eligible world
-    /// sizes — the "no hierarchical collectives" ablation arm of the
-    /// overlap bench.
-    pub fn set_flat_collectives(&mut self, on: bool) {
-        self.flat_collectives = on;
     }
 
     /// Hierarchical tree allreduce for small messages at large world
@@ -1966,23 +1907,6 @@ mod tests {
         // 56 member gathers + 56 leader fan-outs + 7 leader-reduce +
         // 7 leader-broadcast = 126 — well under rd's 64·log₂64 = 384.
         assert_eq!(total_msgs, 126);
-    }
-
-    #[test]
-    fn flat_collectives_knob_restores_recursive_doubling() {
-        let p = 64;
-        let want = ordered_sum(p, 2);
-        let outs = Cluster::run(p, |c| {
-            c.set_flat_collectives(true);
-            let mut buf: Vec<f64> = (0..2).map(|i| contribution(c.rank(), i)).collect();
-            c.allreduce_sum(&mut buf);
-            (buf, c.stats())
-        });
-        for (r, (buf, s)) in outs.iter().enumerate() {
-            assert_bitwise(buf, &want, &format!("flat p=64 rank={r}"));
-            // p=64 is a power of two: exactly log₂P = 6 pairwise rounds.
-            assert_eq!((s.msgs_sent, s.msgs_recv), (6, 6), "rank {r}");
-        }
     }
 
     #[test]

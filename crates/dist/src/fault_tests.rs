@@ -194,7 +194,7 @@ fn duplicates_are_discarded() {
 }
 
 #[test]
-fn exchange_deadline_times_out_then_tombstones_the_slot() {
+fn wait_deadline_times_out_then_tombstones_the_slot() {
     let outs = Cluster::try_run(2, FaultPlan::none(), |c| {
         if c.rank() == 0 {
             // Miss the peer's round-1 deadline by an order of magnitude.
@@ -206,8 +206,8 @@ fn exchange_deadline_times_out_then_tombstones_the_slot() {
             let got2 = c.recv(1, 8);
             (got1, got2)
         } else {
-            let mut round1 = c.exchange_deadline(&[(0, vec![9.0])], 7, Duration::from_millis(15));
-            let (_, r1) = round1.pop().unwrap();
+            let round1 = c.exchange_start(&[(0, vec![9.0])], 7);
+            let r1 = c.wait_deadline(&round1[0], Duration::from_millis(15));
             assert!(
                 matches!(r1, Err(CommError::Timeout { src: 0, tag: 7, .. })),
                 "expected timeout, got {r1:?}"
@@ -233,7 +233,7 @@ fn recv_timeout_is_soft_late_message_still_matches() {
             c.send(1, 3, &[4.0]);
             Vec::new()
         } else {
-            // First attempt times out; unlike exchange_deadline, the slot
+            // First attempt times out; unlike wait_deadline, the slot
             // is not tombstoned, so a retry sees the late arrival.
             let first = c.recv_timeout(0, 3, Duration::from_millis(5));
             assert!(first.is_err(), "{first:?}");

@@ -1,17 +1,26 @@
-//! Distributed Mosaic Flow predictor — Algorithm 2 of the paper.
+//! Distributed Mosaic Flow predictor — Algorithm 2 of the paper — as the
+//! per-rank driver over the shared
+//! [`SweepEngine`](crate::engine::SweepEngine).
 //!
 //! The global domain is partitioned over a 2-D processor grid (row-scan or
 //! Morton rank placement). Each rank owns a half-open block of grid points
 //! and the overlapping subdomains whose centers fall inside it. One
-//! iteration is: sweep the four local groups with immediate local updates
-//! (batched inference), then exchange the owned lattice values in a band
-//! of half-a-subdomain width with up to eight neighbors — **once** per
-//! iteration (the relaxed synchronization of §4.2). A final dense pass
-//! fills the owned atomic subdomains and an allgather assembles the global
-//! solution.
+//! iteration sweeps the rank's interior subdomains while the previous
+//! iteration's halo exchange is still in flight, completes the exchange,
+//! sweeps the boundary subdomains, and posts the next exchange of owned
+//! lattice values in a band of half-a-subdomain width with up to eight
+//! neighbors — **once** per iteration (the relaxed synchronization of
+//! §4.2); the convergence allreduce is pipelined one iteration deep. A
+//! final dense pass fills the owned atomic subdomains and an allgather
+//! assembles the global solution.
+//!
+//! The alternating schedule this one reorders (sweep everything →
+//! blocking exchange → immediate allreduce) lives on as the test oracle
+//! `alternating_schedule` below, which the shipping schedule must match
+//! bit for bit.
 
-use crate::domain::{diff_sumsq_at, sumsq_at, DomainSpec, Subdomain, SweepTables};
-use crate::seq::{sweep_batch_shifted, MaeTarget};
+use crate::domain::{DomainSpec, Subdomain};
+use crate::engine::{MaeTarget, Region, StopRule, SweepEngine};
 use crate::solver::SubdomainSolver;
 use mf_dist::thread_cpu_time;
 use mf_dist::{
@@ -31,11 +40,12 @@ pub struct DistMfpConfig {
     pub max_iters: usize,
     /// Relative-change threshold (0 disables the check and its allreduce).
     pub tol: f64,
-    /// Evaluate the convergence check every this many iterations.
+    /// Evaluate the convergence check every this many iterations (at
+    /// least 1).
     pub check_every: usize,
     /// Exchange halos every this many iterations (1 = Algorithm 2;
     /// larger values are the communication-avoiding variant discussed in
-    /// §5.3 "Open problems").
+    /// §5.3 "Open problems"; at least 1).
     pub comm_every: usize,
     /// Rank placement on the processor grid.
     pub order: RankOrder,
@@ -55,17 +65,6 @@ pub struct DistMfpConfig {
     pub degraded_halos: bool,
     /// Per-exchange deadline in degraded mode.
     pub halo_timeout: Duration,
-    /// Overlapped schedule (default): post the halo exchange
-    /// non-blocking, sweep the interior subdomains while it is in
-    /// flight, then complete it and sweep the boundary subdomains; the
-    /// convergence allreduce is pipelined one iteration deep. Produces
-    /// bitwise-identical iterates and iteration counts to the
-    /// alternating schedule (`false`, the `--no-overlap` path).
-    pub overlap: bool,
-    /// Force flat (recursive-doubling/ring) collectives even at world
-    /// sizes where the hierarchical tree allreduce would be selected —
-    /// the baseline arm of the overlap benchmarks.
-    pub flat_collectives: bool,
     /// Alpha–beta model used by the per-rank overlap accounting
     /// (`dist.overlap_ratio` and friends).
     pub perf_model: PerfModel,
@@ -84,8 +83,6 @@ impl Default for DistMfpConfig {
             plan: FaultPlan::none(),
             degraded_halos: false,
             halo_timeout: Duration::from_millis(50),
-            overlap: true,
-            flat_collectives: false,
             perf_model: PerfModel::a30_cluster(),
         }
     }
@@ -109,9 +106,8 @@ pub struct RankReport {
     pub halo: CommStats,
     /// Overlapping subdomains owned by this rank.
     pub owned_subdomains: usize,
-    /// Subdomains swept in the interior pass — while the halo exchange
-    /// is in flight — under the overlapped schedule (0 when overlap is
-    /// disabled).
+    /// Subdomains swept in the interior pass, while the halo exchange is
+    /// in flight.
     pub interior_subdomains: usize,
     /// Halo slots served from stale data because a neighbor missed the
     /// degraded-mode deadline (always 0 outside degraded mode).
@@ -145,85 +141,7 @@ struct Partition<'a> {
     grid: CartesianGrid,
 }
 
-type Region = (std::ops::Range<usize>, std::ops::Range<usize>);
-
-/// Watch-mode side channel: gather every rank's per-atomic-subdomain
-/// residual (mean |u − prev| over the window) and render the lattice
-/// heatmap report on rank 0. Only called when watch mode is enabled, so
-/// its allgather never runs under the pinned-message-count fixtures.
-#[allow(clippy::too_many_arguments)]
-fn watch_residual_report(
-    comm: &mut Communicator,
-    domain: &DomainSpec,
-    owned: &Region,
-    u: &Tensor,
-    prev: &Tensor,
-    deltas: &[f64],
-    iteration: usize,
-    stalled: bool,
-    stale_in_window: u64,
-) {
-    // Encode owned atoms as (lattice index, residual) pairs: the gather
-    // is ragged, each rank contributes only what it owns.
-    let mut local = Vec::new();
-    for (idx, sd) in domain.atomic_subdomains().into_iter().enumerate() {
-        if owned.0.contains(&sd.oy) && owned.1.contains(&sd.ox) {
-            let a = domain.read_window_field(u, sd);
-            let b = domain.read_window_field(prev, sd);
-            let n = a.numel().max(1) as f64;
-            let resid = a
-                .as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .map(|(x, y)| (x - y).abs())
-                .sum::<f64>()
-                / n;
-            local.push(idx as f64);
-            local.push(resid);
-        }
-    }
-    let gathered = comm.allgather(&local);
-    if comm.rank() == 0 {
-        let mut grid = vec![0.0; domain.sx * domain.sy];
-        for pair in gathered.iter().flat_map(|v| v.chunks_exact(2)) {
-            grid[pair[0] as usize] = pair[1];
-        }
-        eprint!(
-            "{}",
-            mf_observe::mfp_watch_report(
-                iteration,
-                deltas,
-                &grid,
-                domain.sy,
-                domain.sx,
-                stalled,
-                stale_in_window,
-            )
-        );
-        // Live throughput from the published time-series ring: every rank
-        // publishes its `dist.iterations` windows after each MFP iteration,
-        // so the merged ring shows cluster-wide iteration rate.
-        if let Some(s) = mf_telemetry::published_series("dist.iterations") {
-            eprint!(
-                "{}",
-                mf_observe::series_rate_line(
-                    "dist.iterations",
-                    s.rate_per_sec(10),
-                    &s.recent_counts(30)
-                )
-            );
-        }
-    }
-}
-
-impl<'a> Partition<'a> {
-    fn new(domain: &'a DomainSpec, ranks: usize, order: RankOrder) -> Self {
-        Self {
-            domain,
-            grid: CartesianGrid::square_for(ranks, order),
-        }
-    }
-
+impl Partition<'_> {
     /// Owned grid points of a rank: half-open `(rows, cols)`.
     ///
     /// Atomic subdomains are split near-evenly over the processor grid
@@ -274,76 +192,39 @@ impl<'a> Partition<'a> {
         (rows, cols)
     }
 
-    /// Lattice values of a region, row-major, written into a reused
-    /// buffer. The buffer is cleared but never shrunk, so after the
-    /// first exchange sized a direction's buffer, warm iterations pack
-    /// with zero heap allocations (gated as `overlap.warm_allocs`).
-    fn pack_into(&self, grid: &Tensor, region: &Region, out: &mut Vec<f64>) {
-        out.clear();
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    out.push(grid.get(j, i));
-                }
-            }
-        }
-    }
-
-    /// Inverse of [`Partition::pack`].
-    fn unpack(&self, grid: &mut Tensor, region: &Region, data: &[f64]) {
-        let mut k = 0;
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    grid.set(j, i, data[k]);
-                    k += 1;
-                }
-            }
-        }
-        assert_eq!(k, data.len(), "halo unpack: size mismatch");
-    }
-
-    /// All grid values of a region, row-major (final gather), into a
-    /// reused buffer.
-    fn pack_dense_into(&self, grid: &Tensor, region: &Region, out: &mut Vec<f64>) {
-        out.clear();
-        out.reserve_exact(region.0.len() * region.1.len());
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                out.push(grid.get(j, i));
-            }
-        }
-    }
-
     /// All grid values of a region, row-major (final gather).
     fn pack_dense(&self, grid: &Tensor, region: &Region) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.pack_dense_into(grid, region, &mut out);
+        let mut out = Vec::with_capacity(region.0.len() * region.1.len());
+        for j in region.0.clone() {
+            out.extend_from_slice(&grid.row(j)[region.1.clone()]);
+        }
         out
     }
 
     fn unpack_dense(&self, grid: &mut Tensor, region: &Region, data: &[f64]) {
-        let mut k = 0;
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                grid.set(j, i, data[k]);
-                k += 1;
-            }
+        let width = region.1.len().max(1);
+        for (j, row) in region.0.clone().zip(data.chunks_exact(width)) {
+            grid.row_mut(j)[region.1.clone()].copy_from_slice(row);
         }
     }
+}
 
-    fn owned_lattice_absdiff_count(&self, a: &Tensor, b: &Tensor, region: &Region) -> (f64, usize) {
-        let mut acc = 0.0;
-        let mut n = 0;
-        for j in region.0.clone() {
-            for i in region.1.clone() {
-                if self.domain.on_lattice(j, i) {
-                    acc += (a.get(j, i) - b.get(j, i)).abs();
-                    n += 1;
-                }
-            }
-        }
-        (acc, n)
+/// Lattice values at flat grid indices `cells`, written into a reused
+/// buffer. The buffer is cleared but never shrunk, so after the first
+/// exchange sized a direction's buffer, warm iterations pack with zero
+/// heap allocations (gated as `overlap.warm_allocs`).
+fn pack_cells(grid: &Tensor, cells: &[usize], out: &mut Vec<f64>) {
+    let g = grid.as_slice();
+    out.clear();
+    out.extend(cells.iter().map(|&p| g[p]));
+}
+
+/// Inverse of [`pack_cells`].
+fn unpack_cells(grid: &mut Tensor, cells: &[usize], data: &[f64]) {
+    assert_eq!(cells.len(), data.len(), "halo unpack: size mismatch");
+    let g = grid.as_mut_slice();
+    for (&p, &v) in cells.iter().zip(data) {
+        g[p] = v;
     }
 }
 
@@ -439,111 +320,460 @@ fn split_sweep_groups(
     (interior, boundary)
 }
 
-/// Reduce and act on stop-check sums stashed by a previous iteration:
-/// the one-deep pipelined convergence check of the overlapped schedule
-/// (the alternating path calls this immediately after stashing, i.e.
-/// at depth zero). Returns `true` when a stop criterion fired. The
-/// convergence delta is evaluated before the MAE target, matching the
-/// alternating order; when the delta converges, a stashed MAE check is
-/// dropped un-reduced, exactly as the alternating path skips it.
-#[allow(clippy::too_many_arguments)]
-fn complete_pending_checks(
-    comm: &mut Communicator,
-    cfg: &DistMfpConfig,
-    part: &Partition<'_>,
-    owned: &Region,
-    u: &Tensor,
-    watch_prev: Option<&Tensor>,
-    pending_conv: &mut Option<(usize, [f64; 2])>,
-    pending_mae: &mut Option<(usize, [f64; 2])>,
-    deltas: &mut Vec<f64>,
-    mae_history: &mut Vec<(usize, f64)>,
-    h_residual: &Histogram,
-    stall: &mut StallDetector,
-    stalls_counter: &Counter,
-    stall_stale_counter: &Counter,
+/// Which of a rank's subdomains one sweep pass covers.
+enum Pass {
+    /// Every owned subdomain (nothing in flight to hide).
+    All,
+    /// The subdomains no halo unpack can touch.
+    Interior,
+    /// The rest: swept once the halo has landed.
+    Boundary,
+}
+
+/// One-deep pipelined stop-check sums: `(iteration count, local sums)`.
+type PendingCheck = Option<(usize, [f64; 2])>;
+
+/// Everything one rank carries through Algorithm 2: its engine, its local
+/// copy of the grid, the halo plumbing, the pipelined stop checks and the
+/// per-rank measurements.
+struct Rank<'a, S: SubdomainSolver> {
+    comm: &'a mut Communicator,
+    cfg: &'a DistMfpConfig,
+    part: &'a Partition<'a>,
+    stop: &'a StopRule<'a>,
+    engine: SweepEngine<'a, S>,
+    owned: Region,
+    owned_subdomains: usize,
+    /// Geometric interior/boundary split of `engine.groups`.
+    interior_groups: [Vec<Subdomain>; 4],
+    boundary_groups: [Vec<Subdomain>; 4],
+
+    /// Local copy of the global grid (only owned ∪ halo is maintained)
+    /// and its snapshot from the top of the current iteration.
+    u: Tensor,
+    prev: Tensor,
+
+    /// Per-direction halo geometry, fixed for the whole run: the lattice
+    /// cells (flat grid indices) of the bands we send and of the
+    /// neighbor-owned bands the unpack writes.
+    send_cells: Vec<Vec<usize>>,
+    halo_cells: Vec<Vec<usize>>,
+    /// Pooled per-direction pack buffers: sized by the first exchange,
+    /// then reused — warm iterations pack at 0 heap allocations
+    /// (`overlap.warm_allocs` counts the misses).
+    outgoing: Vec<(usize, Vec<f64>)>,
+    /// Receive handles of the exchange posted by the previous iteration,
+    /// completed mid-iteration between the passes.
+    inflight: Vec<RecvHandle>,
+
+    /// Local sums stashed at the end of iteration k, reduced at the top
+    /// of k+1 (or after the loop).
+    pending_conv: PendingCheck,
+    pending_mae: PendingCheck,
+    iterations: usize,
+    converged: bool,
+    deltas: Vec<f64>,
+    mae_history: Vec<(usize, f64)>,
+
+    compute_seconds: f64,
+    pack_seconds: f64,
+    /// Comm/compute overlap accounting (§4.3): measured busy/wait
+    /// intervals folded through the alpha-beta model into the
+    /// dist.overlap_ratio / dist.comm_wait_us / dist.compute_us metrics,
+    /// once per iteration. Reads counters only — never sends.
+    overlap: OverlapTracker,
+    busy_mark: f64,
+    /// Convergence watchdog: trips after 5 residual checks without a
+    /// ≥ 1% improvement; in degraded mode the stale-halo delta over the
+    /// same window attributes the stall to a late neighbor.
+    stall: StallDetector,
     stale_halos: usize,
-    stale_at_window: &mut usize,
-) -> bool {
-    if let Some((at_iter, mut nums)) = pending_conv.take() {
-        comm.allreduce_sum(&mut nums);
-        let delta = (nums[0] / nums[1].max(f64::MIN_POSITIVE)).sqrt();
-        h_residual.record(delta);
-        deltas.push(delta);
-        let stalled = stall.observe(delta);
+    stale_at_window: usize,
+    stale_counter: Counter,
+    stalls_counter: Counter,
+    stall_stale_counter: Counter,
+    pool_miss: Counter,
+    h_halo: Histogram,
+}
+
+impl<'a, S: SubdomainSolver> Rank<'a, S> {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        comm: &'a mut Communicator,
+        solver: &'a S,
+        part: &'a Partition<'a>,
+        stop: &'a StopRule<'a>,
+        cfg: &'a DistMfpConfig,
+        bc: &Tensor,
+        sigma: f64,
+        forcing: Option<&'a Tensor>,
+    ) -> Self {
+        let domain = part.domain;
+        let rank = comm.rank();
+        let owned = part.owned(rank);
+        let neighbors = part.grid.neighbors(rank);
+        let cells = |(rows, cols): Region| domain.lattice_indices(rows, cols);
+        let send_cells = neighbors
+            .iter()
+            .map(|&(dir, _)| cells(part.band(rank, dir)))
+            .collect();
+        let halo_regions: Vec<Region> = neighbors
+            .iter()
+            .map(|&(dir, nbr)| part.band(nbr, dir.opposite()))
+            .collect();
+
+        let u = domain.initial_grid(bc, cfg.coarse_init);
+        let engine = SweepEngine::new(solver, domain, &owned, sigma, forcing);
+        let (interior_groups, boundary_groups) =
+            split_sweep_groups(domain, &engine.groups, &halo_regions);
+        Self {
+            owned_subdomains: engine.groups.iter().map(|g| g.len()).sum(),
+            interior_groups,
+            boundary_groups,
+            engine,
+            owned,
+            prev: u.clone(),
+            u,
+            send_cells,
+            halo_cells: halo_regions.into_iter().map(cells).collect(),
+            outgoing: neighbors
+                .iter()
+                .map(|&(_, nbr)| (nbr, Vec::new()))
+                .collect(),
+            inflight: Vec::new(),
+            pending_conv: None,
+            pending_mae: None,
+            iterations: 0,
+            converged: false,
+            deltas: Vec::new(),
+            mae_history: Vec::new(),
+            compute_seconds: 0.0,
+            pack_seconds: 0.0,
+            overlap: OverlapTracker::new(cfg.perf_model, comm),
+            busy_mark: 0.0,
+            stall: StallDetector::new(5),
+            stale_halos: 0,
+            stale_at_window: 0,
+            stale_counter: counter("mfp.stale_halos"),
+            stalls_counter: counter("mfp.stalls"),
+            stall_stale_counter: counter("mfp.stall_stale_halos"),
+            pool_miss: counter("overlap.warm_allocs"),
+            h_halo: histogram("mfp.halo_bytes", Buckets::bytes()),
+            comm,
+            cfg,
+            part,
+            stop,
+        }
+    }
+
+    /// The shipping schedule: interior sweep → complete halo → boundary
+    /// sweep → post halo → stash sums, with a full-group sweep whenever
+    /// nothing is in flight (the first iteration, or a
+    /// communication-avoiding gap). A dependency-preserving reorder of
+    /// the alternating schedule, so the iterates are bitwise identical
+    /// (see DESIGN.md "Overlapped halo exchange").
+    fn iterate(&mut self) {
+        for it in 0..self.cfg.max_iters {
+            // Complete the pipelined stop checks stashed by the previous
+            // iteration before sweeping this one: the allreduce for
+            // iteration k rides alongside iteration k+1, so a convergence
+            // break lands here — with the iteration count the alternating
+            // schedule would have reached by breaking at the end of k.
+            if self.complete_pending_checks() {
+                break;
+            }
+            mf_observe::set_step_context(0, it as u64);
+            span!(
+                "mfp.iteration",
+                it = it as f64,
+                owned = self.owned_subdomains as f64
+            );
+            mf_observe::record(
+                RecKind::Iteration,
+                "mfp.iteration",
+                self.owned_subdomains as u64,
+                self.deltas.last().copied().unwrap_or(f64::NAN),
+            );
+            self.begin_iteration(it);
+
+            if self.inflight.is_empty() {
+                mf_profile::zone!("sweep");
+                self.sweep(Pass::All);
+            } else {
+                {
+                    mf_profile::zone!("sweep_interior");
+                    self.sweep(Pass::Interior);
+                }
+                self.complete_halo_exchange();
+                mf_profile::zone!("sweep_boundary");
+                self.sweep(Pass::Boundary);
+            }
+
+            // Relaxed synchronization: one halo exchange per iteration
+            // (or every `comm_every` iterations), only *posted* here — the
+            // next iteration's interior pass runs while it is in flight.
+            if self.iterations.is_multiple_of(self.cfg.comm_every) {
+                self.pack_halos();
+                self.inflight = self.comm.exchange_start(&self.outgoing, it as u64);
+            }
+            self.stash_checks();
+
+            // Close this iteration's busy/wait interval and make the
+            // rank's metrics visible to live scrapes.
+            self.close_interval();
+        }
+
+        // Flush the pipeline: stop checks stashed by the final iteration
+        // and the exchange it left in flight — the final dense pass reads
+        // halo cells, so the iterates must be fully caught up before it
+        // runs.
+        if !self.converged {
+            self.complete_pending_checks();
+        }
+        if !self.inflight.is_empty() {
+            self.complete_halo_exchange();
+        }
+        // A convergence break skips the in-loop accounting; flush the
+        // final iteration's interval so its comm wait is not dropped.
+        if self.compute_seconds + self.pack_seconds > self.busy_mark {
+            self.close_interval();
+        }
+    }
+
+    /// Snapshot the grid for this iteration's residual and count the
+    /// iteration.
+    fn begin_iteration(&mut self, it: usize) {
+        self.prev.as_mut_slice().copy_from_slice(self.u.as_slice());
+        self.iterations = it + 1;
+    }
+
+    /// Local sweeps with immediate updates, in group order.
+    fn sweep(&mut self, pass: Pass) {
+        let t0 = thread_cpu_time();
+        let groups = match pass {
+            Pass::All => &self.engine.groups,
+            Pass::Interior => &self.interior_groups,
+            Pass::Boundary => &self.boundary_groups,
+        };
+        for group in groups {
+            self.engine
+                .sweep_grid(group, &self.engine.cross, &mut self.u);
+        }
+        self.compute_seconds += thread_cpu_time() - t0;
+    }
+
+    /// Pack the owned bands every neighbor needs into the pooled buffers.
+    fn pack_halos(&mut self) {
+        let t0 = thread_cpu_time();
+        {
+            mf_profile::zone!("halo_pack");
+            for ((_, buf), cells) in self.outgoing.iter_mut().zip(&self.send_cells) {
+                let cap = buf.capacity();
+                pack_cells(&self.u, cells, buf);
+                if buf.capacity() != cap {
+                    self.pool_miss.incr();
+                }
+            }
+        }
+        self.pack_seconds += thread_cpu_time() - t0;
+        self.h_halo.record(
+            self.outgoing
+                .iter()
+                .map(|(_, p)| p.len() * 8)
+                .sum::<usize>() as f64,
+        );
+    }
+
+    /// Complete the in-flight halo exchange: block on each receive handle
+    /// and unpack into `u` (handle order matches `halo_cells`; both
+    /// follow the neighbor list). In degraded mode the wait is bounded by
+    /// the deadline and a slot whose neighbor missed it keeps its previous
+    /// (stale) values — the per-iteration tag keeps late round-N data out
+    /// of round N+1.
+    fn complete_halo_exchange(&mut self) {
+        let t0 = thread_cpu_time();
+        mf_profile::zone!("halo_wait");
+        for (h, cells) in self.inflight.drain(..).zip(&self.halo_cells) {
+            if self.cfg.degraded_halos {
+                match self.comm.wait_deadline(&h, self.cfg.halo_timeout) {
+                    Ok(data) => unpack_cells(&mut self.u, cells, &data),
+                    Err(CommError::Timeout { .. }) => {
+                        self.stale_halos += 1;
+                        self.stale_counter.incr();
+                    }
+                    Err(e @ CommError::RankFailed { .. }) => panic!("halo exchange: {e}"),
+                }
+            } else {
+                let data = self.comm.wait(&h);
+                unpack_cells(&mut self.u, cells, &data);
+            }
+        }
+        self.pack_seconds += thread_cpu_time() - t0;
+    }
+
+    /// Stash the local stop-check sums this iteration is due (Algorithm
+    /// 2, line 5). The sums read only owned lattice cells, which no halo
+    /// unpack ever writes, so stashing before the in-flight exchange
+    /// completes loses nothing.
+    fn stash_checks(&mut self) {
+        let n = self.iterations;
+        if self.cfg.tol > 0.0 && n.is_multiple_of(self.cfg.check_every) {
+            self.pending_conv = Some((n, self.engine.residual_sums(&self.u, &self.prev)));
+        }
+        if let Some(reference) = self.stop.error_check_due(n) {
+            self.pending_mae = Some((n, self.engine.error_sums(&self.u, reference)));
+        }
+    }
+
+    /// Reduce and act on the stashed stop-check sums; sets and returns
+    /// `converged`. The convergence delta is evaluated before the MAE
+    /// target, and a stashed MAE check is dropped un-reduced when the
+    /// delta converges.
+    fn complete_pending_checks(&mut self) -> bool {
+        if let Some((at_iter, mut sums)) = self.pending_conv.take() {
+            self.comm.allreduce_sum(&mut sums);
+            self.converged = self.stop.residual_converged(sums, &mut self.deltas);
+            self.watch_convergence(at_iter);
+        }
+        if !self.converged {
+            if let Some((at_iter, mut sums)) = self.pending_mae.take() {
+                self.comm.allreduce_sum(&mut sums);
+                self.converged = self
+                    .stop
+                    .error_converged(at_iter, sums, &mut self.mae_history);
+            }
+        }
+        self.converged
+    }
+
+    /// Feed the newest delta to the stall watchdog and, in watch mode,
+    /// render the residual report for the iteration it was taken at.
+    fn watch_convergence(&mut self, at_iter: usize) {
+        let delta = *self.deltas.last().expect("a delta was just recorded");
+        let stalled = self.stall.observe(delta);
+        let stale_in_window = (self.stale_halos - self.stale_at_window) as u64;
         if stalled {
-            stalls_counter.incr();
-            let stale_in_window = (stale_halos - *stale_at_window) as u64;
-            stall_stale_counter.add(stale_in_window);
+            self.stalls_counter.incr();
+            self.stall_stale_counter.add(stale_in_window);
             mf_observe::record(RecKind::Health, "mfp.stall", stale_in_window, delta);
+            self.stale_at_window = self.stale_halos;
         }
         if mf_observe::watch_enabled() {
-            if let Some(prev) = watch_prev {
-                // Watch is opt-in, so the extra allgather never runs
-                // under the pinned-message-count regression fixtures.
-                let stale_in_window = (stale_halos - *stale_at_window) as u64;
-                watch_residual_report(
-                    comm,
-                    part.domain,
-                    owned,
-                    u,
-                    prev,
-                    deltas,
-                    at_iter,
+            self.watch_residual_report(at_iter, stalled, stale_in_window);
+        }
+    }
+
+    /// Watch-mode side channel: gather every rank's per-atomic-subdomain
+    /// residual (mean |u − prev| over the window) and render the lattice
+    /// heatmap report on rank 0. Watch is opt-in, so its allgather never
+    /// runs under the pinned-message-count fixtures.
+    fn watch_residual_report(&mut self, iteration: usize, stalled: bool, stale_in_window: u64) {
+        let domain = self.part.domain;
+        // Encode owned atoms as (lattice index, residual) pairs: the gather
+        // is ragged, each rank contributes only what it owns.
+        let mut local = Vec::new();
+        let step = domain.sub.m - 1;
+        for &sd in &self.engine.atoms {
+            let a = domain.read_window_field(&self.u, sd);
+            let b = domain.read_window_field(&self.prev, sd);
+            let n = a.numel().max(1) as f64;
+            let resid = a
+                .as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .map(|(x, y)| (x - y).abs())
+                .sum::<f64>()
+                / n;
+            local.push((sd.oy / step * domain.sx + sd.ox / step) as f64);
+            local.push(resid);
+        }
+        let gathered = self.comm.allgather(&local);
+        if self.comm.rank() == 0 {
+            let mut grid = vec![0.0; domain.sx * domain.sy];
+            for pair in gathered.iter().flat_map(|v| v.chunks_exact(2)) {
+                grid[pair[0] as usize] = pair[1];
+            }
+            eprint!(
+                "{}",
+                mf_observe::mfp_watch_report(
+                    iteration,
+                    &self.deltas,
+                    &grid,
+                    domain.sy,
+                    domain.sx,
                     stalled,
                     stale_in_window,
+                )
+            );
+            // Live throughput from the published time-series ring: every rank
+            // publishes its `dist.iterations` windows after each MFP iteration,
+            // so the merged ring shows cluster-wide iteration rate.
+            if let Some(s) = mf_telemetry::published_series("dist.iterations") {
+                eprint!(
+                    "{}",
+                    mf_observe::series_rate_line(
+                        "dist.iterations",
+                        s.rate_per_sec(10),
+                        &s.recent_counts(30)
+                    )
                 );
             }
         }
-        if stalled {
-            *stale_at_window = stale_halos;
-        }
-        if delta < cfg.tol {
-            return true;
-        }
     }
-    if let Some((at_iter, mut buf)) = pending_mae.take() {
-        comm.allreduce_sum(&mut buf);
-        let mae = buf[0] / buf[1].max(1.0);
-        mae_history.push((at_iter, mae));
-        if let Some(t) = &cfg.target {
-            if mae <= t.mae {
-                return true;
-            }
-        }
-    }
-    false
-}
 
-/// Complete an in-flight halo exchange: block on each receive handle
-/// (deadline-bounded in degraded mode) and unpack into `u`. Handle
-/// order matches `halo_regions` (both follow the neighbor list).
-#[allow(clippy::too_many_arguments)]
-fn complete_halo_exchange(
-    comm: &mut Communicator,
-    part: &Partition<'_>,
-    u: &mut Tensor,
-    inflight: &mut Vec<RecvHandle>,
-    halo_regions: &[Region],
-    degraded: bool,
-    timeout: Duration,
-    stale_halos: &mut usize,
-    stale_counter: &Counter,
-) {
-    mf_profile::zone!("halo_wait");
-    for (h, region) in inflight.drain(..).zip(halo_regions) {
-        if degraded {
-            match comm.wait_deadline(&h, timeout) {
-                Ok(data) => part.unpack(u, region, &data),
-                Err(CommError::Timeout { .. }) => {
-                    *stale_halos += 1;
-                    stale_counter.incr();
-                }
-                Err(e @ CommError::RankFailed { .. }) => panic!("halo exchange: {e}"),
-            }
-        } else {
-            let data = comm.wait(&h);
-            part.unpack(u, region, &data);
+    fn close_interval(&mut self) {
+        let busy = self.compute_seconds + self.pack_seconds;
+        self.overlap
+            .observe_iteration(self.comm, busy - self.busy_mark);
+        self.busy_mark = busy;
+        mf_telemetry::publish_thread();
+    }
+
+    /// Final phase: dense prediction of the owned atomic subdomains, then
+    /// an allgather of the owned dense blocks assembles the global grid.
+    fn finish(mut self, bc: &Tensor) -> DistMfpResult {
+        let halo_stats = self.comm.stats();
+        let domain = self.part.domain;
+
+        let t0 = thread_cpu_time();
+        self.engine
+            .sweep_grid(&self.engine.atoms, &self.engine.interior, &mut self.u);
+        self.compute_seconds += thread_cpu_time() - t0;
+
+        let t1 = thread_cpu_time();
+        let local = self.part.pack_dense(&self.u, &self.owned);
+        self.pack_seconds += thread_cpu_time() - t1;
+        let gathered = self.comm.allgather(&local);
+        let t2 = thread_cpu_time();
+        let mut global = Tensor::zeros(domain.ny(), domain.nx());
+        apply_boundary(&mut global, bc);
+        for (r, data) in gathered.iter().enumerate() {
+            let region = self.part.owned(r);
+            self.part.unpack_dense(&mut global, &region, data);
+        }
+        self.pack_seconds += thread_cpu_time() - t2;
+
+        let report = RankReport {
+            rank: self.comm.rank(),
+            compute_seconds: self.compute_seconds,
+            pack_seconds: self.pack_seconds,
+            comm: self.comm.stats(),
+            halo: halo_stats,
+            owned_subdomains: self.owned_subdomains,
+            interior_subdomains: self.interior_groups.iter().map(|g| g.len()).sum(),
+            stale_halos: self.stale_halos,
+            overlap: self.overlap.final_sample(),
+        };
+        if mf_telemetry::metrics_report_enabled() {
+            mf_dist::print_merged_report(self.comm);
+        }
+        DistMfpResult {
+            grid: global,
+            iterations: self.iterations,
+            converged: self.converged,
+            deltas: self.deltas,
+            mae_history: self.mae_history,
+            reports: vec![report],
         }
     }
 }
@@ -603,6 +833,26 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
     ranks: usize,
     cfg: &DistMfpConfig,
 ) -> Result<DistMfpResult, ClusterError> {
+    run_ranks(solver, domain, bc, sigma, forcing, ranks, cfg, |rank| {
+        rank.iterate()
+    })
+}
+
+/// Validate the inputs, run `schedule` on every rank of a fresh cluster
+/// and assemble rank 0's solution with every rank's report. The schedule
+/// is a parameter so the test oracle can drive the same per-rank state
+/// through the alternating loop.
+#[allow(clippy::too_many_arguments)]
+fn run_ranks<S: SubdomainSolver>(
+    solver: &S,
+    domain: &DomainSpec,
+    bc: &Tensor,
+    sigma: f64,
+    forcing: Option<&Tensor>,
+    ranks: usize,
+    cfg: &DistMfpConfig,
+    schedule: impl Fn(&mut Rank<'_, S>) + Sync,
+) -> Result<DistMfpResult, ClusterError> {
     if let Some(f) = forcing {
         assert_eq!(
             f.shape(),
@@ -620,473 +870,35 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
         domain.boundary_len(),
         "run_distributed: bad boundary length"
     );
-    let part = Partition::new(domain, ranks, cfg.order);
-    let part = &part;
+    let stop = StopRule::new(
+        cfg.tol,
+        cfg.target.as_ref(),
+        &[
+            ("DistMfpConfig::check_every", cfg.check_every),
+            ("DistMfpConfig::comm_every", cfg.comm_every),
+        ],
+    );
+    let part = Partition {
+        domain,
+        grid: CartesianGrid::square_for(ranks, cfg.order),
+    };
 
-    let tables = SweepTables::new(domain);
-    let tables = &tables;
-    let cross = tables.point_set(&domain.center_cross_offsets());
-    let interior = tables.point_set(&domain.interior_offsets());
-    let s = domain.shift();
-
-    let per_rank = Cluster::try_run(ranks, cfg.plan.clone(), |comm| {
-        let rank = comm.rank();
+    let mut per_rank = Cluster::try_run(ranks, cfg.plan.clone(), |comm| {
         // A rank is a device: one of `ranks` threads computing at once.
         let _lane = mf_tensor::par::compute_lanes(ranks);
         // Align per-rank clocks before iterating so the merged trace rows
         // share a time base (barrier-only: no link messages, so the
         // fault RNG streams and pinned message counts are untouched).
         comm.align_clocks();
-        comm.set_flat_collectives(cfg.flat_collectives);
-        let owned = part.owned(rank);
-        let neighbors = part.grid.neighbors(rank);
-        let stale_counter = counter("mfp.stale_halos");
-        let mut stale_halos = 0usize;
-
-        // Per-direction halo geometry, fixed for the whole run: the
-        // bands we send and the neighbor-owned bands the unpack writes.
-        let send_bands: Vec<Region> = neighbors
-            .iter()
-            .map(|&(dir, _)| part.band(rank, dir))
-            .collect();
-        let halo_regions: Vec<Region> = neighbors
-            .iter()
-            .map(|&(dir, nbr)| part.band(nbr, dir.opposite()))
-            .collect();
-
-        // The lattice points this rank's convergence sums run over, and
-        // the gather buffer its sweeps reuse.
-        let owned_lattice = domain.lattice_indices(owned.0.clone(), owned.1.clone());
-        let mut boundaries = Tensor::zeros(0, 0);
-
-        // Local copy of the global grid; only owned ∪ halo is maintained.
-        let mut u = Tensor::zeros(domain.ny(), domain.nx());
-        apply_boundary(&mut u, bc);
-        if cfg.coarse_init {
-            domain.coarse_initialize(&mut u);
-        }
-
-        // Owned overlapping subdomains, split into the four sweep groups.
-        let mut groups: [Vec<Subdomain>; 4] = Default::default();
-        for sd in domain.subdomains() {
-            let (ccol, crow) = (sd.ox + s, sd.oy + s);
-            if owned.0.contains(&crow) && owned.1.contains(&ccol) {
-                groups[domain.group_of(sd)].push(sd);
-            }
-        }
-        let owned_subdomains: usize = groups.iter().map(|g| g.len()).sum();
-
-        // Interior/boundary split for the overlapped schedule (purely
-        // geometric — computed once).
-        let (interior_groups, boundary_groups): ([Vec<Subdomain>; 4], [Vec<Subdomain>; 4]) =
-            if cfg.overlap {
-                split_sweep_groups(domain, &groups, &halo_regions)
-            } else {
-                Default::default()
-            };
-        let interior_subdomains: usize = interior_groups.iter().map(|g| g.len()).sum();
-
-        // Pooled per-direction pack buffers: sized by the first
-        // exchange, then reused — warm iterations pack at 0 heap
-        // allocations (`overlap.warm_allocs` counts the misses).
-        let mut outgoing: Vec<(usize, Vec<f64>)> = neighbors
-            .iter()
-            .map(|&(_, nbr)| (nbr, Vec::new()))
-            .collect();
-        let pool_miss = counter("overlap.warm_allocs");
-
-        // One-deep pipelined stop checks: local sums stashed at the end
-        // of iteration k, reduced at the top of k+1 (or after the loop).
-        let mut pending_conv: Option<(usize, [f64; 2])> = None;
-        let mut pending_mae: Option<(usize, [f64; 2])> = None;
-        let mut watch_prev: Option<Tensor> = None;
-        // Receive handles of the exchange posted by the previous
-        // iteration, completed mid-iteration between the passes.
-        let mut inflight: Vec<RecvHandle> = Vec::new();
-
-        let mut compute_seconds = 0.0;
-        let mut pack_seconds = 0.0;
-        let mut deltas = Vec::new();
-        let mut mae_history = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0;
-
-        let h_residual = histogram("mfp.residual", Buckets::exponential(1e-9, 10.0, 12));
-        let h_halo = histogram("mfp.halo_bytes", Buckets::bytes());
-
-        // Convergence watchdog: trips after 5 residual checks without a
-        // ≥ 1% improvement; in degraded mode the stale-halo delta over
-        // the same window attributes the stall to a late neighbor.
-        let mut stall = StallDetector::new(5);
-        let stalls_counter = counter("mfp.stalls");
-        let stall_stale_counter = counter("mfp.stall_stale_halos");
-        let mut stale_at_window = 0usize;
-
-        // Comm/compute overlap accounting (§4.3): measured busy/wait
-        // intervals folded through the alpha-beta model into the
-        // dist.overlap_ratio / dist.comm_wait_us / dist.compute_us
-        // metrics, once per iteration. Reads counters only — never sends.
-        let mut overlap = OverlapTracker::new(cfg.perf_model, comm);
-        let mut busy_mark = 0.0;
-
-        for it in 0..cfg.max_iters {
-            // Complete the pipelined stop checks stashed by the
-            // previous iteration before sweeping this one: the
-            // allreduce for iteration k rides alongside iteration k+1,
-            // so a convergence break lands here — with the iteration
-            // count unchanged versus the alternating schedule, which
-            // would have broken at the end of iteration k.
-            if cfg.overlap
-                && (pending_conv.is_some() || pending_mae.is_some())
-                && complete_pending_checks(
-                    comm,
-                    cfg,
-                    part,
-                    &owned,
-                    &u,
-                    watch_prev.as_ref(),
-                    &mut pending_conv,
-                    &mut pending_mae,
-                    &mut deltas,
-                    &mut mae_history,
-                    &h_residual,
-                    &mut stall,
-                    &stalls_counter,
-                    &stall_stale_counter,
-                    stale_halos,
-                    &mut stale_at_window,
-                )
-            {
-                converged = true;
-                break;
-            }
-            mf_observe::set_step_context(0, it as u64);
-            span!(
-                "mfp.iteration",
-                it = it as f64,
-                owned = owned_subdomains as f64
-            );
-            mf_observe::record(
-                RecKind::Iteration,
-                "mfp.iteration",
-                owned_subdomains as u64,
-                deltas.last().copied().unwrap_or(f64::NAN),
-            );
-            let prev = u.clone();
-
-            // Local sweeps with immediate updates (within-rank semantics
-            // of the baseline are preserved).
-            let t0 = thread_cpu_time();
-            if !inflight.is_empty() {
-                // Overlapped: sweep the interior (whose stencils never
-                // touch a halo band) while last iteration's exchange is
-                // still in flight, then complete it and sweep the
-                // boundary.
-                {
-                    mf_profile::zone!("sweep_interior");
-                    for group in &interior_groups {
-                        sweep_batch_shifted(
-                            solver,
-                            tables,
-                            &mut u,
-                            group,
-                            &cross,
-                            sigma,
-                            forcing,
-                            &mut boundaries,
-                        );
-                    }
-                }
-                compute_seconds += thread_cpu_time() - t0;
-
-                let t1 = thread_cpu_time();
-                complete_halo_exchange(
-                    comm,
-                    part,
-                    &mut u,
-                    &mut inflight,
-                    &halo_regions,
-                    cfg.degraded_halos,
-                    cfg.halo_timeout,
-                    &mut stale_halos,
-                    &stale_counter,
-                );
-                pack_seconds += thread_cpu_time() - t1;
-
-                let t2 = thread_cpu_time();
-                {
-                    mf_profile::zone!("sweep_boundary");
-                    for group in &boundary_groups {
-                        sweep_batch_shifted(
-                            solver,
-                            tables,
-                            &mut u,
-                            group,
-                            &cross,
-                            sigma,
-                            forcing,
-                            &mut boundaries,
-                        );
-                    }
-                }
-                compute_seconds += thread_cpu_time() - t2;
-            } else {
-                // Alternating mode, the first iteration, or a
-                // communication-avoiding gap: nothing in flight, sweep
-                // everything in group order.
-                {
-                    mf_profile::zone!("sweep");
-                    for group in &groups {
-                        sweep_batch_shifted(
-                            solver,
-                            tables,
-                            &mut u,
-                            group,
-                            &cross,
-                            sigma,
-                            forcing,
-                            &mut boundaries,
-                        );
-                    }
-                }
-                compute_seconds += thread_cpu_time() - t0;
-            }
-            iterations = it + 1;
-
-            // Relaxed synchronization: one halo exchange per iteration
-            // (or every `comm_every` iterations). Overlapped mode only
-            // *posts* it here — the next iteration's interior pass runs
-            // while it is in flight.
-            if iterations % cfg.comm_every == 0 {
-                let t1 = thread_cpu_time();
-                {
-                    mf_profile::zone!("halo_pack");
-                    for ((_, buf), band) in outgoing.iter_mut().zip(&send_bands) {
-                        let cap = buf.capacity();
-                        part.pack_into(&u, band, buf);
-                        if buf.capacity() != cap {
-                            pool_miss.incr();
-                        }
-                    }
-                }
-                pack_seconds += thread_cpu_time() - t1;
-                h_halo.record(outgoing.iter().map(|(_, p)| p.len() * 8).sum::<usize>() as f64);
-                if cfg.overlap {
-                    inflight = comm.exchange_start(&outgoing, it as u64);
-                } else if cfg.degraded_halos {
-                    // Deadline-bounded exchange: a slot whose neighbor
-                    // missed the deadline keeps its previous (stale)
-                    // values — the iteration proceeds instead of
-                    // blocking. The per-iteration tag keeps late round-N
-                    // data out of round N+1.
-                    let incoming = comm.exchange_deadline(&outgoing, it as u64, cfg.halo_timeout);
-                    let t2 = thread_cpu_time();
-                    for (region, (peer, result)) in halo_regions.iter().zip(incoming) {
-                        debug_assert!(neighbors.iter().any(|&(_, nbr)| nbr == peer));
-                        match result {
-                            Ok(data) => part.unpack(&mut u, region, &data),
-                            Err(CommError::Timeout { .. }) => {
-                                stale_halos += 1;
-                                stale_counter.incr();
-                            }
-                            Err(e @ CommError::RankFailed { .. }) => {
-                                panic!("halo exchange: {e}");
-                            }
-                        }
-                    }
-                    pack_seconds += thread_cpu_time() - t2;
-                } else {
-                    let incoming = comm.exchange(&outgoing, it as u64);
-                    let t2 = thread_cpu_time();
-                    for (region, (peer, data)) in halo_regions.iter().zip(incoming) {
-                        debug_assert!(neighbors.iter().any(|&(_, nbr)| nbr == peer));
-                        // The neighbor sent its own band facing us.
-                        part.unpack(&mut u, region, &data);
-                    }
-                    pack_seconds += thread_cpu_time() - t2;
-                }
-            }
-
-            // Global convergence check (Algorithm 2, line 5): stash the
-            // local sums; the alternating path reduces them on the
-            // spot, the overlapped path at the top of the next
-            // iteration. The sums read only owned lattice cells, which
-            // no halo unpack ever writes, so stashing before the
-            // in-flight exchange completes loses nothing.
-            if cfg.tol > 0.0 && iterations % cfg.check_every == 0 {
-                pending_conv = Some((
-                    iterations,
-                    [
-                        diff_sumsq_at(&u, &prev, &owned_lattice),
-                        sumsq_at(&prev, &owned_lattice),
-                    ],
-                ));
-            }
-            if let Some(t) = &cfg.target {
-                if iterations % t.every == 0 {
-                    let (local_abs, local_n) =
-                        part.owned_lattice_absdiff_count(&u, &t.reference, &owned);
-                    pending_mae = Some((iterations, [local_abs, local_n as f64]));
-                }
-            }
-            if cfg.overlap {
-                // Keep `prev` alive for the completion-time watch
-                // report only when someone will look at it.
-                watch_prev =
-                    (mf_observe::watch_enabled() && pending_conv.is_some()).then(|| prev.clone());
-            } else if (pending_conv.is_some() || pending_mae.is_some())
-                && complete_pending_checks(
-                    comm,
-                    cfg,
-                    part,
-                    &owned,
-                    &u,
-                    Some(&prev),
-                    &mut pending_conv,
-                    &mut pending_mae,
-                    &mut deltas,
-                    &mut mae_history,
-                    &h_residual,
-                    &mut stall,
-                    &stalls_counter,
-                    &stall_stale_counter,
-                    stale_halos,
-                    &mut stale_at_window,
-                )
-            {
-                converged = true;
-                break;
-            }
-
-            // Close this iteration's busy/wait interval and make the
-            // rank's metrics visible to live scrapes.
-            let busy = compute_seconds + pack_seconds;
-            overlap.observe_iteration(comm, busy - busy_mark);
-            busy_mark = busy;
-            mf_telemetry::publish_thread();
-        }
-
-        // Flush the pipeline: stop checks stashed by the final
-        // iteration (the alternating schedule would have reduced them
-        // inside that iteration) and the exchange it left in flight —
-        // the final dense pass below reads halo cells, so the iterates
-        // must be fully caught up before it runs.
-        if cfg.overlap {
-            if !converged
-                && (pending_conv.is_some() || pending_mae.is_some())
-                && complete_pending_checks(
-                    comm,
-                    cfg,
-                    part,
-                    &owned,
-                    &u,
-                    watch_prev.as_ref(),
-                    &mut pending_conv,
-                    &mut pending_mae,
-                    &mut deltas,
-                    &mut mae_history,
-                    &h_residual,
-                    &mut stall,
-                    &stalls_counter,
-                    &stall_stale_counter,
-                    stale_halos,
-                    &mut stale_at_window,
-                )
-            {
-                converged = true;
-            }
-            if !inflight.is_empty() {
-                let t = thread_cpu_time();
-                complete_halo_exchange(
-                    comm,
-                    part,
-                    &mut u,
-                    &mut inflight,
-                    &halo_regions,
-                    cfg.degraded_halos,
-                    cfg.halo_timeout,
-                    &mut stale_halos,
-                    &stale_counter,
-                );
-                pack_seconds += thread_cpu_time() - t;
-            }
-        }
-
-        // A convergence break skips the in-loop accounting; flush the
-        // final iteration's interval so its comm wait is not dropped.
-        let busy = compute_seconds + pack_seconds;
-        if busy > busy_mark {
-            overlap.observe_iteration(comm, busy - busy_mark);
-            mf_telemetry::publish_thread();
-        }
-
-        let halo_stats = comm.stats();
-
-        // Final phase: dense prediction of owned atomic subdomains.
-        let t0 = thread_cpu_time();
-        let atoms: Vec<Subdomain> = domain
-            .atomic_subdomains()
-            .into_iter()
-            .filter(|sd| {
-                // An atomic subdomain belongs to the rank owning its
-                // lower-left corner (blocks align with rank boundaries).
-                owned.0.contains(&sd.oy) && owned.1.contains(&sd.ox)
-            })
-            .collect();
-        sweep_batch_shifted(
-            solver,
-            tables,
-            &mut u,
-            &atoms,
-            &interior,
-            sigma,
-            forcing,
-            &mut boundaries,
-        );
-        compute_seconds += thread_cpu_time() - t0;
-
-        // Allgather the owned dense blocks and assemble the global grid.
-        let t1 = thread_cpu_time();
-        let local = part.pack_dense(&u, &owned);
-        pack_seconds += thread_cpu_time() - t1;
-        let gathered = comm.allgather(&local);
-        let t2 = thread_cpu_time();
-        let mut global = Tensor::zeros(domain.ny(), domain.nx());
-        apply_boundary(&mut global, bc);
-        for (r, data) in gathered.iter().enumerate() {
-            let region = part.owned(r);
-            part.unpack_dense(&mut global, &region, data);
-        }
-        pack_seconds += thread_cpu_time() - t2;
-
-        let report = RankReport {
-            rank,
-            compute_seconds,
-            pack_seconds,
-            comm: comm.stats(),
-            halo: halo_stats,
-            owned_subdomains,
-            interior_subdomains,
-            stale_halos,
-            overlap: overlap.final_sample(),
-        };
-        if mf_telemetry::metrics_report_enabled() {
-            mf_dist::print_merged_report(comm);
-        }
-        (global, iterations, converged, deltas, mae_history, report)
+        let mut rank = Rank::new(comm, solver, &part, &stop, cfg, bc, sigma, forcing);
+        schedule(&mut rank);
+        rank.finish(bc)
     })?;
 
-    let reports: Vec<RankReport> = per_rank.iter().map(|r| r.5).collect();
-    let (grid, iterations, converged, deltas, mae_history, _) =
-        per_rank.into_iter().next().unwrap();
-    Ok(DistMfpResult {
-        grid,
-        iterations,
-        converged,
-        deltas,
-        mae_history,
-        reports,
-    })
+    let reports = per_rank.iter().map(|r| r.reports[0]).collect();
+    let mut result = per_rank.swap_remove(0);
+    result.reports = reports;
+    Ok(result)
 }
 
 #[cfg(test)]
@@ -1125,9 +937,7 @@ mod tests {
             &MfpConfig {
                 max_iters: 20,
                 tol: 0.0,
-                batched: true,
-                target: None,
-                coarse_init: false,
+                ..Default::default()
             },
         );
         let dist = run_distributed(
@@ -1190,9 +1000,7 @@ mod tests {
             &MfpConfig {
                 max_iters: 400,
                 tol: 1e-9,
-                batched: true,
-                target: None,
-                coarse_init: false,
+                ..Default::default()
             },
         );
         assert!(seq.converged);
@@ -1377,9 +1185,7 @@ mod tests {
             &MfpConfig {
                 max_iters: 400,
                 tol: 1e-9,
-                batched: true,
-                target: None,
-                coarse_init: false,
+                ..Default::default()
             },
         );
         assert!(seq.converged);
@@ -1412,9 +1218,7 @@ mod tests {
             &MfpConfig {
                 max_iters: 600,
                 tol: 1e-8,
-                batched: true,
-                target: None,
-                coarse_init: false,
+                ..Default::default()
             },
         );
         assert!(seq.converged);
@@ -1557,39 +1361,62 @@ mod tests {
         }
     }
 
-    #[test]
-    fn overlapped_and_alternating_schedules_are_bitwise_identical() {
-        let d = DomainSpec::new(spec(), 4, 4);
-        let oracle = OracleSolver::new(spec(), 1e-9);
-        let bc = harmonic_bc(&d);
-        let run = |overlap: bool| {
-            run_distributed(
-                &oracle,
-                &d,
-                &bc,
-                4,
-                &DistMfpConfig {
-                    max_iters: 60,
-                    tol: 1e-6,
-                    overlap,
-                    ..Default::default()
-                },
-            )
-        };
-        let ovl = run(true);
-        let alt = run(false);
-        // The overlapped schedule is a dependency-preserving reorder of
-        // the alternating one: identical iterates, identical
-        // convergence trajectory, identical iteration count — not just
-        // "close".
-        assert_eq!(ovl.iterations, alt.iterations);
-        assert_eq!(ovl.converged, alt.converged);
-        assert_eq!(ovl.deltas, alt.deltas, "delta trajectories diverged");
+    /// The schedule Algorithm 2 is written in, kept as the oracle of the
+    /// shipping one: sweep all groups → blocking exchange → immediate
+    /// allreduce, on the same per-rank state and primitives.
+    fn alternating_schedule<S: SubdomainSolver>(rank: &mut Rank<'_, S>) {
+        for it in 0..rank.cfg.max_iters {
+            rank.begin_iteration(it);
+            rank.sweep(Pass::All);
+            if rank.iterations.is_multiple_of(rank.cfg.comm_every) {
+                rank.pack_halos();
+                let incoming = rank.comm.exchange(&rank.outgoing, it as u64);
+                for (cells, (_, data)) in rank.halo_cells.iter().zip(incoming) {
+                    unpack_cells(&mut rank.u, cells, &data);
+                }
+            }
+            rank.stash_checks();
+            if rank.complete_pending_checks() {
+                break;
+            }
+        }
+    }
+
+    /// Run the shipping driver and the alternating oracle on the same
+    /// problem and require identical iterates, convergence trajectory and
+    /// iteration count — not just "close". Returns the shipping result.
+    fn assert_matches_alternating_oracle<S: SubdomainSolver>(
+        solver: &S,
+        d: &DomainSpec,
+        bc: &Tensor,
+        ranks: usize,
+        cfg: &DistMfpConfig,
+    ) -> DistMfpResult {
+        let ship = run_distributed(solver, d, bc, ranks, cfg);
+        let alt = run_ranks(solver, d, bc, 0.0, None, ranks, cfg, alternating_schedule).unwrap();
+        assert_eq!(ship.iterations, alt.iterations);
+        assert_eq!(ship.converged, alt.converged);
+        assert_eq!(ship.deltas, alt.deltas, "delta trajectories diverged");
+        assert_eq!(ship.mae_history, alt.mae_history, "MAE histories diverged");
         assert_eq!(
-            ovl.grid.as_slice(),
+            ship.grid.as_slice(),
             alt.grid.as_slice(),
             "assembled grids diverged"
         );
+        ship
+    }
+
+    #[test]
+    fn overlapped_and_alternating_schedules_are_bitwise_identical() {
+        let oracle = OracleSolver::new(spec(), 1e-9);
+        let base = DistMfpConfig {
+            max_iters: 60,
+            tol: 1e-6,
+            ..Default::default()
+        };
+        let d = DomainSpec::new(spec(), 4, 4);
+        let bc = harmonic_bc(&d);
+        let ovl = assert_matches_alternating_oracle(&oracle, &d, &bc, 4, &base);
         // The split actually found interior work to hide behind the
         // exchange, and it partitions the owned subdomains exactly.
         for rep in &ovl.reports {
@@ -1603,12 +1430,121 @@ mod tests {
                 > 0,
             "no interior subdomains found on a 4x4-atom domain"
         );
-        for rep in &alt.reports {
-            assert_eq!(
-                rep.interior_subdomains, 0,
-                "alternating mode must not split"
-            );
+
+        // Communication-avoiding gaps: two of three iterations have
+        // nothing in flight and take the full-group sweep.
+        let sparse = DistMfpConfig {
+            comm_every: 3,
+            ..base.clone()
+        };
+        assert_matches_alternating_oracle(&oracle, &d, &bc, 4, &sparse);
+
+        // A MaeTarget rides the same one-deep pipeline as the delta.
+        let targeted = DistMfpConfig {
+            tol: 1e-9,
+            target: Some(MaeTarget {
+                reference: ovl.grid.clone(),
+                mae: 1e-3,
+                every: 2,
+            }),
+            ..base.clone()
+        };
+        let hit = assert_matches_alternating_oracle(&oracle, &d, &bc, 4, &targeted);
+        assert!(hit.converged && !hit.mae_history.is_empty());
+
+        // The benchmark's shape: 8x8 atoms (65x65 grid) on 2 ranks.
+        let d = DomainSpec::new(spec(), 8, 8);
+        let short = DistMfpConfig {
+            max_iters: 12,
+            ..base
+        };
+        assert_matches_alternating_oracle(&oracle, &d, &harmonic_bc(&d), 2, &short);
+    }
+
+    mod schedule_proptests {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::SeedableRng;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(6))]
+
+            /// Across random domains, rank counts, and receiver-side delay
+            /// injection the shipping schedule stays bitwise on the
+            /// alternating oracle. `MF_FAULT_SEED` shifts the delay
+            /// streams, like tests/fault.rs.
+            #[test]
+            fn overlapped_schedule_matches_alternating(
+                sx in 2usize..5,
+                sy in 2usize..5,
+                ranks_pick in 0usize..3,
+                seed in 0u64..1_000,
+                inject_delays in proptest::bool::ANY,
+            ) {
+                let ranks = [1, 2, 4][ranks_pick];
+                let spec = SubdomainSpec { m: 5, spatial: 0.5 };
+                let domain = DomainSpec::new(spec, sx, sy);
+                let mut sampler = mf_gp::BoundarySampler::new(
+                    domain.boundary_len(), (0.4, 0.8), (0.5, 1.0), true);
+                let bc = sampler.sample(&mut rand_chacha::ChaCha8Rng::seed_from_u64(seed));
+                let oracle = OracleSolver::new(spec, 1e-9);
+                let env_seed = std::env::var("MF_FAULT_SEED")
+                    .ok()
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or(42u64);
+                let plan = if inject_delays && ranks > 1 {
+                    FaultPlan {
+                        seed: env_seed ^ seed,
+                        delay_rate: 0.5,
+                        delay_max_us: 1_500,
+                        ..FaultPlan::none()
+                    }
+                } else {
+                    FaultPlan::none()
+                };
+                let cfg = DistMfpConfig {
+                    max_iters: 120,
+                    tol: 1e-6,
+                    plan,
+                    ..Default::default()
+                };
+                assert_matches_alternating_oracle(&oracle, &domain, &bc, ranks, &cfg);
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "DistMfpConfig::check_every must be at least 1")]
+    fn zero_check_cadence_is_rejected_at_entry() {
+        let d = DomainSpec::new(spec(), 2, 2);
+        let cfg = DistMfpConfig {
+            check_every: 0,
+            ..Default::default()
+        };
+        run_distributed(
+            &OracleSolver::new(spec(), 1e-9),
+            &d,
+            &harmonic_bc(&d),
+            2,
+            &cfg,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "DistMfpConfig::comm_every must be at least 1")]
+    fn zero_comm_cadence_is_rejected_at_entry() {
+        let d = DomainSpec::new(spec(), 2, 2);
+        let cfg = DistMfpConfig {
+            comm_every: 0,
+            ..Default::default()
+        };
+        run_distributed(
+            &OracleSolver::new(spec(), 1e-9),
+            &d,
+            &harmonic_bc(&d),
+            2,
+            &cfg,
+        );
     }
 
     #[test]
@@ -1652,15 +1588,19 @@ mod tests {
         // end-to-end `overlap.warm_allocs = 0` gate lives in the
         // repro_overlap bench, where the process is quiet).
         let d = DomainSpec::new(spec(), 3, 3);
-        let p = Partition::new(&d, 4, RankOrder::RowMajor);
+        let p = Partition {
+            domain: &d,
+            grid: CartesianGrid::square_for(4, RankOrder::RowMajor),
+        };
         let g = Tensor::zeros(d.ny(), d.nx());
         for (dir, _) in p.grid.neighbors(0) {
-            let band = p.band(0, dir);
+            let (rows, cols) = p.band(0, dir);
+            let band = d.lattice_indices(rows, cols);
             let mut buf = Vec::new();
-            p.pack_into(&g, &band, &mut buf);
+            pack_cells(&g, &band, &mut buf);
             let (cap, len) = (buf.capacity(), buf.len());
             for _ in 0..5 {
-                p.pack_into(&g, &band, &mut buf);
+                pack_cells(&g, &band, &mut buf);
                 assert_eq!(buf.capacity(), cap, "warm pack grew the buffer");
                 assert_eq!(buf.len(), len);
             }

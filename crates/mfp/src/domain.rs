@@ -1,7 +1,7 @@
 //! Global-domain geometry: the overlapping-subdomain lattice.
 
 use mf_data::SubdomainSpec;
-use mf_numerics::boundary::boundary_coords;
+use mf_numerics::boundary::{apply_boundary, boundary_coords};
 use mf_tensor::Tensor;
 
 /// A large solve domain tiled by `sx × sy` atomic subdomains.
@@ -205,6 +205,18 @@ impl DomainSpec {
             .collect()
     }
 
+    /// The iterate every MFP driver starts from: `bc` on the boundary
+    /// ring, zero inside, and with `coarse_init` the lattice from
+    /// [`Self::coarse_initialize`].
+    pub(crate) fn initial_grid(&self, bc: &Tensor, coarse_init: bool) -> Tensor {
+        let mut grid = Tensor::zeros(self.ny(), self.nx());
+        apply_boundary(&mut grid, bc);
+        if coarse_init {
+            self.coarse_initialize(&mut grid);
+        }
+        grid
+    }
+
     /// Initialize the lattice from a **coarse global solve** — the
     /// coarse-grid correction the paper cites as the cure for one-level
     /// Schwarz methods on many subdomains (§5.3, refs [10, 8]).
@@ -257,22 +269,6 @@ impl DomainSpec {
                 }
             }
         }
-    }
-
-    /// Mean absolute error between two grids over lattice points only —
-    /// the cheap convergence metric used while iterating.
-    pub fn lattice_mae(&self, a: &Tensor, b: &Tensor) -> f64 {
-        let mut acc = 0.0;
-        let mut n = 0usize;
-        for j in 0..self.ny() {
-            for i in 0..self.nx() {
-                if self.on_lattice(j, i) {
-                    acc += (a.get(j, i) - b.get(j, i)).abs();
-                    n += 1;
-                }
-            }
-        }
-        acc / n.max(1) as f64
     }
 }
 
@@ -507,12 +503,10 @@ mod tests {
         // row or col.
         let mut sumsq = 0.0;
         let mut n = 0;
-        let mut mae = 0.0;
         for j in 0..5 {
             for i in 0..5 {
                 if j % 2 == 0 || i % 2 == 0 {
                     sumsq += ((j + i) as f64).powi(2);
-                    mae += (j + i) as f64;
                     n += 1;
                 }
             }
@@ -521,7 +515,6 @@ mod tests {
         assert_eq!(lattice.len(), n);
         assert!((sumsq_at(&a, &lattice) - sumsq).abs() < 1e-12);
         assert!((diff_sumsq_at(&a, &b, &lattice) - sumsq).abs() < 1e-12);
-        assert!((d.lattice_mae(&a, &b) - mae / n as f64).abs() < 1e-12);
     }
 
     #[test]

@@ -12,16 +12,23 @@
 //! small fraction of the grid points. A final dense pass fills the atomic
 //! (non-overlapping) subdomains.
 //!
-//! Three execution modes reproduce the paper's §4/§5:
+//! Algorithm 2 is one loop, and the crate runs it as one private sweep
+//! engine with two thin drivers:
 //!
-//! * [`Mfp`] *unbatched* — one subdomain inference at a time (the original
-//!   Mosaic Flow baseline),
-//! * [`Mfp`] *batched* — the non-overlapping subdomains of each sweep
-//!   group are solved in one batched inference (§4.1),
-//! * [`run_distributed`] — Algorithm 2: the domain is split over a 2-D
-//!   processor grid; each rank sweeps its own subdomains with immediate
-//!   local updates and exchanges halo lattice values with ≤8 neighbors
-//!   **once per iteration** (relaxed synchronization).
+//! * the engine (`engine.rs`) — the four non-overlapping sweep groups of
+//!   an owned region, each solved in one batched inference (§4.1), the
+//!   residual sums over the owned lattice, and the stop rule (tolerance,
+//!   optional [`MaeTarget`]);
+//! * [`Mfp`] — the local driver: any number of requests on the whole
+//!   grid, no halo ([`Mfp::run`] is [`Mfp::run_many`] of one request);
+//! * [`run_distributed`] — the per-rank driver: the domain is split over
+//!   a 2-D processor grid; each rank sweeps its own subdomains with
+//!   immediate local updates and exchanges halo lattice values with ≤8
+//!   neighbors **once per iteration** (relaxed synchronization),
+//!   overlapped with its interior sweep.
+//!
+//! The original one-inference-per-subdomain baseline of Fig. 8 is the
+//! [`UnbatchedSolver`] adapter around any solver.
 //!
 //! The [`SubdomainSolver`] trait abstracts the subdomain solver: a trained
 //! [`NeuralSolver`] (SDNet) or the numerical [`OracleSolver`] (multigrid),
@@ -30,6 +37,7 @@
 
 mod dist;
 mod domain;
+mod engine;
 #[cfg(test)]
 mod lattice_proptests;
 mod plan;
@@ -41,6 +49,7 @@ pub use dist::{
     DistMfpConfig, DistMfpResult, RankReport,
 };
 pub use domain::{DomainSpec, Subdomain};
+pub use engine::MaeTarget;
 pub use plan::PlanSolver;
-pub use seq::{MaeTarget, Mfp, MfpConfig, MfpResult};
-pub use solver::{NeuralSolver, OracleSolver, SubdomainSolver};
+pub use seq::{Mfp, MfpConfig, MfpResult};
+pub use solver::{NeuralSolver, OracleSolver, SubdomainSolver, UnbatchedSolver};

@@ -1,24 +1,17 @@
-//! Single-process Mosaic Flow predictor: the baseline (unbatched) and the
-//! device-parallel batched variant (§4.1).
+//! The local MFP driver: any number of boundary-value problems on one
+//! domain, solved in one process with no halo.
+//!
+//! [`Mfp::run`], [`Mfp::run_shifted`] and [`Mfp::run_many`] are all "N
+//! requests on the whole grid" over the shared
+//! [`SweepEngine`](crate::engine::SweepEngine): every Schwarz sweep stacks
+//! each active request's group boundaries into one batched solver launch
+//! (§4.1), and requests drop out independently as the stop rule fires.
 
-use crate::domain::{diff_sumsq_at, sumsq_at, DomainSpec, PointSet, Subdomain, SweepTables};
+use crate::domain::{DomainSpec, Subdomain};
+use crate::engine::{sweep_groups_in, whole_grid, MaeTarget, StopRule, SweepEngine};
 use crate::solver::SubdomainSolver;
-use mf_numerics::boundary::apply_boundary;
-use mf_telemetry::{histogram, span, Buckets};
+use mf_telemetry::span;
 use mf_tensor::Tensor;
-use rayon::prelude::*;
-
-/// Early-stop criterion based on a reference solution (used by the
-/// strong-scaling experiments, which iterate until MAE ≤ 0.05).
-#[derive(Clone, Debug)]
-pub struct MaeTarget {
-    /// Reference solution on the full global grid.
-    pub reference: Tensor,
-    /// Stop once the lattice MAE against the reference drops below this.
-    pub mae: f64,
-    /// Check every this many iterations.
-    pub every: usize,
-}
 
 /// Iteration controls for [`Mfp::run`].
 #[derive(Clone, Debug)]
@@ -28,9 +21,6 @@ pub struct MfpConfig {
     /// Relative-change convergence threshold `δ` (Algorithm 2, line 5);
     /// set to 0 to disable.
     pub tol: f64,
-    /// Batch each sweep group into one inference (§4.1) instead of solving
-    /// one subdomain at a time.
-    pub batched: bool,
     /// Optional reference-based stop.
     pub target: Option<MaeTarget>,
     /// Initialize the lattice from a coarse global solve before
@@ -45,7 +35,6 @@ impl Default for MfpConfig {
         Self {
             max_iters: 1000,
             tol: 1e-4,
-            batched: true,
             target: None,
             coarse_init: false,
         }
@@ -65,47 +54,6 @@ pub struct MfpResult {
     pub deltas: Vec<f64>,
     /// `(iteration, lattice MAE)` history when a target was given.
     pub mae_history: Vec<(usize, f64)>,
-}
-
-/// Sweep one batch of same-group subdomains with immediate updates:
-/// gather the window boundaries (and forcing windows) into a single
-/// batched inference and write the predictions at `points` back.
-/// `boundaries` is the caller's reused `[B, L]` gather buffer.
-///
-/// Shared by the sequential sweep, the dense fill and the distributed
-/// interior/boundary passes. The distributed overlapped schedule calls
-/// this on arbitrary *subsets* of a group, which is exact because
-/// same-group subdomains never read one another's cross writes (their
-/// windows share at most the one-cell seam line, which crosses never
-/// touch), so splitting a group's batch cannot change any value.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sweep_batch_shifted<S: SubdomainSolver>(
-    solver: &S,
-    tables: &SweepTables,
-    grid: &mut Tensor,
-    subs: &[Subdomain],
-    points: &PointSet,
-    sigma: f64,
-    forcing: Option<&Tensor>,
-    boundaries: &mut Tensor,
-) {
-    if subs.is_empty() {
-        return;
-    }
-    tables.gather(subs.len(), subs.iter().map(|&sd| (&*grid, sd)), boundaries);
-    let fw = forcing.map(|f| {
-        Tensor::vstack(
-            &subs
-                .iter()
-                .map(|&sd| tables.domain.read_window_field(f, sd))
-                .collect::<Vec<_>>(),
-        )
-    });
-    let preds = solver.solve_batch_shifted(sigma, boundaries, fw.as_ref(), &points.pts);
-    let q = points.pts.rows();
-    for (&sd, p) in subs.iter().zip(preds.as_slice().chunks_exact(q)) {
-        tables.scatter(grid, sd, points, p);
-    }
 }
 
 /// The Mosaic Flow predictor bound to a solver and a domain.
@@ -149,93 +97,8 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
         forcing: Option<&Tensor>,
         cfg: &MfpConfig,
     ) -> MfpResult {
-        let d = &self.domain;
-        if let Some(f) = forcing {
-            assert_eq!(
-                f.shape(),
-                (d.ny(), d.nx()),
-                "run_shifted: forcing shape mismatch"
-            );
-        }
-        assert_eq!(
-            bc.numel(),
-            d.boundary_len(),
-            "Mfp::run: global boundary has wrong length"
-        );
-        let mut grid = Tensor::zeros(d.ny(), d.nx());
-        apply_boundary(&mut grid, bc);
-        if cfg.coarse_init {
-            d.coarse_initialize(&mut grid);
-        }
-
-        let groups = self.sweep_groups();
-        let tables = SweepTables::new(d);
-        let lattice = d.lattice_indices(0..d.ny(), 0..d.nx());
-        let cross = tables.point_set(&d.center_cross_offsets());
-        let mut boundaries = Tensor::zeros(0, 0);
-        let mut prev = grid.clone();
-
-        let mut deltas = Vec::new();
-        let mut mae_history = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0;
-
-        let h_residual = histogram("mfp.residual", Buckets::exponential(1e-9, 10.0, 12));
-
-        for it in 0..cfg.max_iters {
-            span!("mfp.iteration", it = it as f64);
-            prev.as_mut_slice().copy_from_slice(grid.as_slice());
-            {
-                mf_profile::zone!("sweep");
-                for group in &groups {
-                    self.sweep_group(
-                        &tables,
-                        &mut grid,
-                        group,
-                        &cross,
-                        cfg.batched,
-                        sigma,
-                        forcing,
-                        &mut boundaries,
-                    );
-                }
-            }
-            iterations = it + 1;
-            // Make this thread's metrics visible to live scrapes once
-            // per iteration (a warm publish does not allocate).
-            mf_telemetry::publish_thread();
-
-            let delta = {
-                let num = diff_sumsq_at(&grid, &prev, &lattice);
-                let den = sumsq_at(&prev, &lattice).max(f64::MIN_POSITIVE);
-                (num / den).sqrt()
-            };
-            h_residual.record(delta);
-            deltas.push(delta);
-            if cfg.tol > 0.0 && delta < cfg.tol {
-                converged = true;
-                break;
-            }
-            if let Some(t) = &cfg.target {
-                if iterations % t.every == 0 {
-                    let mae = d.lattice_mae(&grid, &t.reference);
-                    mae_history.push((iterations, mae));
-                    if mae <= t.mae {
-                        converged = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        self.dense_fill_shifted(&mut grid, sigma, forcing);
-        MfpResult {
-            grid,
-            iterations,
-            converged,
-            deltas,
-            mae_history,
-        }
+        let mut results = self.run_local(std::slice::from_ref(bc), sigma, forcing, cfg);
+        results.pop().expect("one request in, one result out")
     }
 
     /// Solve many BVPs on the *same* domain in one batched pass: each
@@ -247,219 +110,113 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     /// `plan_and_graph_paths_agree_bitwise` proves for the compiled
     /// plan), each request's grid, iteration count, and deltas are
     /// **bitwise identical** to calling [`Mfp::run`] on that request
-    /// alone. Requests converge independently: a request that meets
-    /// `cfg.tol` drops out of subsequent sweeps while the rest continue.
+    /// alone — which is this function with one request. Requests converge
+    /// independently: a request that meets `cfg.tol` drops out of
+    /// subsequent sweeps while the rest continue.
     ///
     /// This is the serving hot path: cross-request batching amortizes
     /// the per-launch fixed cost (plan-cache probe, workspace checkout,
     /// interpreter dispatch) that dominates small single-request
     /// launches.
     pub fn run_many(&self, bcs: &[Tensor], cfg: &MfpConfig) -> Vec<MfpResult> {
+        self.run_local(bcs, 0.0, None, cfg)
+    }
+
+    /// The local driver: `bcs.len()` requests sharing `σ`/`forcing`, no
+    /// halo.
+    fn run_local(
+        &self,
+        bcs: &[Tensor],
+        sigma: f64,
+        forcing: Option<&Tensor>,
+        cfg: &MfpConfig,
+    ) -> Vec<MfpResult> {
         let d = &self.domain;
-        for bc in bcs {
+        if let Some(f) = forcing {
             assert_eq!(
-                bc.numel(),
-                d.boundary_len(),
-                "Mfp::run_many: global boundary has wrong length"
+                f.shape(),
+                (d.ny(), d.nx()),
+                "run_shifted: forcing shape mismatch"
             );
         }
-        struct State {
-            grid: Tensor,
-            deltas: Vec<f64>,
-            mae_history: Vec<(usize, f64)>,
-            iterations: usize,
-            converged: bool,
-        }
-        let mut states: Vec<State> = bcs
+        let stop = StopRule::new(cfg.tol, cfg.target.as_ref(), &[]);
+        let mut grids: Vec<Tensor> = bcs
             .iter()
             .map(|bc| {
-                let mut grid = Tensor::zeros(d.ny(), d.nx());
-                apply_boundary(&mut grid, bc);
-                if cfg.coarse_init {
-                    d.coarse_initialize(&mut grid);
-                }
-                State {
-                    grid,
-                    deltas: Vec::new(),
-                    mae_history: Vec::new(),
-                    iterations: 0,
-                    converged: false,
-                }
+                assert_eq!(
+                    bc.numel(),
+                    d.boundary_len(),
+                    "Mfp::run: global boundary has wrong length"
+                );
+                d.initial_grid(bc, cfg.coarse_init)
+            })
+            .collect();
+        // Per-request snapshots, allocated once and overwritten in place.
+        let mut prevs = grids.clone();
+        let mut results: Vec<MfpResult> = bcs
+            .iter()
+            .map(|_| MfpResult {
+                grid: Tensor::zeros(0, 0),
+                iterations: 0,
+                converged: false,
+                deltas: Vec::new(),
+                mae_history: Vec::new(),
             })
             .collect();
 
-        let groups = self.sweep_groups();
-        let tables = SweepTables::new(d);
-        let lattice = d.lattice_indices(0..d.ny(), 0..d.nx());
-        let cross = tables.point_set(&d.center_cross_offsets());
-        let mut boundaries = Tensor::zeros(0, 0);
-        let h_residual = histogram("mfp.residual", Buckets::exponential(1e-9, 10.0, 12));
-
-        let mut active: Vec<usize> = (0..states.len()).collect();
+        let engine = SweepEngine::new(self.solver, d, &whole_grid(d), sigma, forcing);
+        let mut active: Vec<usize> = (0..grids.len()).collect();
         for it in 0..cfg.max_iters {
             if active.is_empty() {
                 break;
             }
             span!("mfp.iteration", it = it as f64);
             mf_reqtrace::note_iteration(it as u32, active.len() as u32);
-            let prev: Vec<Tensor> = active.iter().map(|&r| states[r].grid.clone()).collect();
+            for &r in &active {
+                prevs[r].as_mut_slice().copy_from_slice(grids[r].as_slice());
+            }
             {
                 mf_profile::zone!("sweep");
-                for group in &groups {
-                    if group.is_empty() {
-                        continue;
-                    }
-                    // One launch covers every active request's group:
-                    // request-major, subdomain-minor row order.
-                    let rows = || {
-                        active
-                            .iter()
-                            .flat_map(|&r| group.iter().map(move |&sd| (r, sd)))
-                    };
-                    tables.gather(
-                        active.len() * group.len(),
-                        rows().map(|(r, sd)| (&states[r].grid, sd)),
-                        &mut boundaries,
-                    );
-                    let preds = self.solver.solve_batch(&boundaries, &cross.pts);
-                    let q = cross.pts.rows();
-                    for ((r, sd), p) in rows().zip(preds.as_slice().chunks_exact(q)) {
-                        tables.scatter(&mut states[r].grid, sd, &cross, p);
-                    }
+                for group in &engine.groups {
+                    engine.sweep(group, &engine.cross, &mut grids, &active);
                 }
             }
+            // Make this thread's metrics visible to live scrapes once
+            // per iteration (a warm publish does not allocate).
             mf_telemetry::publish_thread();
 
-            let mut still = Vec::with_capacity(active.len());
-            for (ai, &r) in active.iter().enumerate() {
-                let s = &mut states[r];
-                s.iterations = it + 1;
-                let delta = {
-                    let num = diff_sumsq_at(&s.grid, &prev[ai], &lattice);
-                    let den = sumsq_at(&prev[ai], &lattice).max(f64::MIN_POSITIVE);
-                    (num / den).sqrt()
-                };
-                h_residual.record(delta);
-                s.deltas.push(delta);
-                if cfg.tol > 0.0 && delta < cfg.tol {
-                    s.converged = true;
-                    mf_reqtrace::note_slot(r, it as u32, delta, true);
-                    continue;
-                }
-                if let Some(t) = &cfg.target {
-                    if s.iterations.is_multiple_of(t.every) {
-                        let mae = d.lattice_mae(&s.grid, &t.reference);
-                        s.mae_history.push((s.iterations, mae));
-                        if mae <= t.mae {
-                            s.converged = true;
-                            mf_reqtrace::note_slot(r, it as u32, delta, true);
-                            continue;
-                        }
-                    }
-                }
-                mf_reqtrace::note_slot(r, it as u32, delta, false);
-                still.push(r);
-            }
-            active = still;
+            active.retain(|&r| {
+                let res = &mut results[r];
+                res.iterations = it + 1;
+                let sums = engine.residual_sums(&grids[r], &prevs[r]);
+                res.converged = stop.residual_converged(sums, &mut res.deltas)
+                    || stop
+                        .error_check_due(res.iterations)
+                        .is_some_and(|reference| {
+                            let sums = engine.error_sums(&grids[r], reference);
+                            stop.error_converged(res.iterations, sums, &mut res.mae_history)
+                        });
+                let delta = *res.deltas.last().expect("just pushed");
+                mf_reqtrace::note_slot(r, it as u32, delta, res.converged);
+                !res.converged
+            });
         }
 
         // One dense launch packs every request's atomic subdomains: each
         // grid is frozen after its own convergence, so deferring the
         // fill to the end changes nothing.
-        if !states.is_empty() {
-            let interior = tables.point_set(&d.interior_offsets());
-            let atoms = d.atomic_subdomains();
-            tables.gather(
-                states.len() * atoms.len(),
-                states
-                    .iter()
-                    .flat_map(|s| atoms.iter().map(move |&sd| (&s.grid, sd))),
-                &mut boundaries,
-            );
-            let preds = self.solver.solve_batch(&boundaries, &interior.pts);
-            let per_request = atoms.len() * interior.pts.rows();
-            for (s, p) in states
-                .iter_mut()
-                .zip(preds.as_slice().chunks_exact(per_request))
-            {
-                for (&sd, p) in atoms.iter().zip(p.chunks_exact(interior.pts.rows())) {
-                    tables.scatter(&mut s.grid, sd, &interior, p);
-                }
-            }
+        let all: Vec<usize> = (0..grids.len()).collect();
+        engine.sweep(&engine.atoms, &engine.interior, &mut grids, &all);
+        for (res, grid) in results.iter_mut().zip(grids) {
+            res.grid = grid;
         }
-
-        states
-            .into_iter()
-            .map(|s| MfpResult {
-                grid: s.grid,
-                iterations: s.iterations,
-                converged: s.converged,
-                deltas: s.deltas,
-                mae_history: s.mae_history,
-            })
-            .collect()
+        results
     }
 
     /// The four non-overlapping sweep groups, in a fixed alternating
     /// order.
     pub fn sweep_groups(&self) -> [Vec<Subdomain>; 4] {
-        let mut groups: [Vec<Subdomain>; 4] = Default::default();
-        for sd in self.domain.subdomains() {
-            groups[self.domain.group_of(sd)].push(sd);
-        }
-        groups
-    }
-
-    /// Run one group's inferences and write the center crosses back.
-    /// `batched = false` issues one inference per subdomain (the original
-    /// baseline); within a group the results are identical because group
-    /// members never overlap.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_group(
-        &self,
-        tables: &SweepTables,
-        grid: &mut Tensor,
-        group: &[Subdomain],
-        cross: &PointSet,
-        batched: bool,
-        sigma: f64,
-        forcing: Option<&Tensor>,
-        boundaries: &mut Tensor,
-    ) {
-        if group.is_empty() {
-            return;
-        }
-        if batched {
-            sweep_batch_shifted(
-                self.solver,
-                tables,
-                grid,
-                group,
-                cross,
-                sigma,
-                forcing,
-                boundaries,
-            );
-        } else {
-            // Same-color subdomains never overlap, so their solves are
-            // independent: fan the per-subdomain launches out on the pool
-            // and write the crosses back (to disjoint lattice cells)
-            // afterwards.
-            let gridr: &Tensor = grid;
-            let preds: Vec<Tensor> = group
-                .to_vec()
-                .into_par_iter()
-                .map(|sd| {
-                    let boundary = self.domain.read_window_boundary(gridr, sd);
-                    let fw = forcing.map(|f| self.domain.read_window_field(f, sd));
-                    self.solver
-                        .solve_batch_shifted(sigma, &boundary, fw.as_ref(), &cross.pts)
-                })
-                .collect();
-            for (&sd, p) in group.iter().zip(&preds) {
-                tables.scatter(grid, sd, cross, p.as_slice());
-            }
-        }
+        sweep_groups_in(&self.domain, &whole_grid(&self.domain))
     }
 
     /// Final dense pass: predict every interior point of every atomic
@@ -471,17 +228,8 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     /// Dense pass for the shifted operator.
     pub fn dense_fill_shifted(&self, grid: &mut Tensor, sigma: f64, forcing: Option<&Tensor>) {
         let d = &self.domain;
-        let tables = SweepTables::new(d);
-        sweep_batch_shifted(
-            self.solver,
-            &tables,
-            grid,
-            &d.atomic_subdomains(),
-            &tables.point_set(&d.interior_offsets()),
-            sigma,
-            forcing,
-            &mut Tensor::zeros(0, 0),
-        );
+        let engine = SweepEngine::new(self.solver, d, &whole_grid(d), sigma, forcing);
+        engine.sweep_grid(&engine.atoms, &engine.interior, grid);
     }
 }
 
@@ -490,7 +238,7 @@ mod tests {
     use super::*;
     use crate::solver::OracleSolver;
     use mf_data::SubdomainSpec;
-    use mf_numerics::boundary::{boundary_coords, grid_with_boundary};
+    use mf_numerics::boundary::{apply_boundary, boundary_coords, grid_with_boundary};
     use mf_numerics::{solve_dirichlet, Poisson};
 
     fn spec() -> SubdomainSpec {
@@ -555,9 +303,7 @@ mod tests {
             &MfpConfig {
                 max_iters: 200,
                 tol: 1e-8,
-                batched: true,
-                target: None,
-                coarse_init: false,
+                ..Default::default()
             },
         );
         assert!(
@@ -570,29 +316,30 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_unbatched_produce_identical_results() {
+    fn unbatched_adapter_is_bitwise_the_batched_run_at_one_launch_per_subdomain() {
         let d = DomainSpec::new(spec(), 2, 1);
         let oracle = OracleSolver::new(spec(), 1e-10);
-        let mfp = Mfp::new(&oracle, d);
         let (bc, _) = harmonic_bc(&d);
-        let cfg_b = MfpConfig {
+        let cfg = MfpConfig {
             max_iters: 5,
             tol: 0.0,
-            batched: true,
-            target: None,
-            coarse_init: false,
+            ..Default::default()
         };
-        let cfg_u = MfpConfig {
-            batched: false,
-            ..cfg_b.clone()
+        let launches = |run: &dyn Fn() -> MfpResult| {
+            let before = oracle.launch_count();
+            (run(), oracle.launch_count() - before)
         };
-        let rb = mfp.run(&bc, &cfg_b);
-        let ru = mfp.run(&bc, &cfg_u);
+        let (rb, batched) = launches(&|| Mfp::new(&oracle, d).run(&bc, &cfg));
+        let unbatched = crate::UnbatchedSolver(&oracle);
+        let (ru, per_row) = launches(&|| Mfp::new(&unbatched, d).run(&bc, &cfg));
         assert_eq!(rb.iterations, ru.iterations);
-        assert!(
-            rb.grid.max_abs_diff(&ru.grid) < 1e-12,
-            "batched vs unbatched diverge: {}",
-            rb.grid.max_abs_diff(&ru.grid)
+        assert_grids_bitwise(&rb.grid, &ru.grid, "batched vs one launch per row");
+        // 2x1 atoms: three overlapping subdomains in two non-empty sweep
+        // groups, and two atoms in the dense fill.
+        assert_eq!(batched, 2 * cfg.max_iters + 1);
+        assert_eq!(
+            per_row,
+            d.subdomains().len() * cfg.max_iters + d.atomic_subdomains().len()
         );
     }
 
@@ -626,23 +373,17 @@ mod tests {
         let d = DomainSpec::new(spec(), 2, 1);
         let net = equality_net(42);
         let (bc, _) = harmonic_bc(&d);
-        let cfg_b = MfpConfig {
+        let cfg = MfpConfig {
             max_iters: 3,
             tol: 0.0,
-            batched: true,
-            target: None,
-            coarse_init: false,
-        };
-        let cfg_u = MfpConfig {
-            batched: false,
-            ..cfg_b.clone()
+            ..Default::default()
         };
 
         let plan = crate::PlanSolver::new(net.clone(), spec());
         let graph = crate::NeuralSolver::new(net, spec());
-        let rp = Mfp::new(&plan, d).run(&bc, &cfg_b);
-        let rb = Mfp::new(&graph, d).run(&bc, &cfg_b);
-        let ru = Mfp::new(&graph, d).run(&bc, &cfg_u);
+        let rp = Mfp::new(&plan, d).run(&bc, &cfg);
+        let rb = Mfp::new(&graph, d).run(&bc, &cfg);
+        let ru = Mfp::new(&crate::UnbatchedSolver(&graph), d).run(&bc, &cfg);
         assert_grids_bitwise(&rb.grid, &rp.grid, "plan vs batched graph");
         assert_grids_bitwise(&rb.grid, &ru.grid, "batched vs unbatched graph");
         // Sweeps reuse the cross-point plan after the first compile; the
@@ -707,6 +448,100 @@ mod tests {
         assert_eq!(many[1].iterations, hard_alone.iterations);
         assert_grids_bitwise(&many[0].grid, &flat_alone.grid, "flat");
         assert_grids_bitwise(&many[1].grid, &hard_alone.grid, "hard");
+    }
+
+    /// `many` must equal solving each of `bcs` alone, field for field and
+    /// bit for bit.
+    fn assert_results_match_solo_runs(
+        many: &[MfpResult],
+        solo: impl Fn(&Tensor) -> MfpResult,
+        bcs: &[Tensor],
+    ) {
+        assert_eq!(many.len(), bcs.len());
+        for (bc, m) in bcs.iter().zip(many) {
+            let alone = solo(bc);
+            assert_eq!(alone.iterations, m.iterations);
+            assert_eq!(alone.converged, m.converged);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&alone.deltas), bits(&m.deltas), "delta history");
+            assert_eq!(alone.mae_history.len(), m.mae_history.len());
+            for (a, b) in alone.mae_history.iter().zip(&m.mae_history) {
+                assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()), "MAE history");
+            }
+            assert_grids_bitwise(&alone.grid, &m.grid, "many vs alone");
+        }
+    }
+
+    #[test]
+    fn run_many_shares_the_stop_rule_of_run_under_coarse_init_and_mae_target() {
+        // All three entry points go through one stop rule: k requests
+        // must stop where k solo runs stop, also when the lattice starts
+        // from the coarse solve and when a MaeTarget (checked every 2nd
+        // iteration, so both due and not-due iterations occur) decides.
+        let d = DomainSpec::new(spec(), 2, 2);
+        let oracle = OracleSolver::new(spec(), 1e-10);
+        let mfp = Mfp::new(&oracle, d);
+        let (hard, _) = harmonic_bc(&d);
+        let bcs = [
+            hard.clone(),
+            hard.scale(-0.5),
+            Tensor::zeros(1, d.boundary_len()),
+        ];
+        let cfg = MfpConfig {
+            max_iters: 60,
+            tol: 1e-7,
+            coarse_init: true,
+            target: Some(MaeTarget {
+                reference: reference(&d, &hard),
+                mae: 1e-3,
+                every: 2,
+            }),
+        };
+        let many = mfp.run_many(&bcs, &cfg);
+        assert_results_match_solo_runs(&many, |bc| mfp.run(bc, &cfg), &bcs);
+        // The target fired for the request it describes and only there.
+        assert!(many[0].converged && many[0].mae_history.last().unwrap().1 <= 1e-3);
+        assert!(many[0].iterations < many[1].iterations);
+    }
+
+    #[test]
+    fn shifted_solves_through_the_multi_request_driver_match_run_shifted() {
+        let d = DomainSpec::new(spec(), 2, 1);
+        let oracle = OracleSolver::new(spec(), 1e-10);
+        let mfp = Mfp::new(&oracle, d);
+        let sigma = 25.0;
+        let forcing = Tensor::from_fn(d.ny(), d.nx(), |j, i| {
+            ((j as f64) * 0.4).cos() + ((i as f64) * 0.3).sin()
+        });
+        let (hard, _) = harmonic_bc(&d);
+        let bcs = [Tensor::zeros(1, d.boundary_len()), hard];
+        let cfg = MfpConfig {
+            max_iters: 40,
+            tol: 1e-8,
+            ..Default::default()
+        };
+        let many = mfp.run_local(&bcs, sigma, Some(&forcing), &cfg);
+        assert_results_match_solo_runs(
+            &many,
+            |bc| mfp.run_shifted(bc, sigma, Some(&forcing), &cfg),
+            &bcs,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "MaeTarget::every must be at least 1")]
+    fn zero_mae_target_cadence_is_rejected_at_entry() {
+        let d = DomainSpec::new(spec(), 1, 1);
+        let oracle = OracleSolver::new(spec(), 1e-10);
+        let cfg = MfpConfig {
+            target: Some(MaeTarget {
+                reference: Tensor::zeros(d.ny(), d.nx()),
+                mae: 0.05,
+                every: 0,
+            }),
+            ..Default::default()
+        };
+        Mfp::new(&oracle, d).run(&Tensor::zeros(1, d.boundary_len()), &cfg);
     }
 
     #[test]
@@ -1002,13 +837,12 @@ mod tests {
             &MfpConfig {
                 max_iters: 500,
                 tol: 0.0,
-                batched: true,
                 target: Some(MaeTarget {
                     reference: refsol,
                     mae: 0.05,
                     every: 1,
                 }),
-                coarse_init: false,
+                ..Default::default()
             },
         );
         assert!(res.converged);

@@ -65,6 +65,49 @@ pub trait SubdomainSolver: Sync {
     }
 }
 
+/// The original Mosaic Flow baseline of Fig. 8: forwards every call to the
+/// wrapped solver **one boundary row per launch**, so an MFP run through
+/// this adapter costs one inference per subdomain instead of one per sweep
+/// group. Rows are independent, so the results are bitwise those of the
+/// wrapped solver; only `launch_count` (and the time) differ.
+pub struct UnbatchedSolver<'a, S: SubdomainSolver>(pub &'a S);
+
+impl<S: SubdomainSolver> SubdomainSolver for UnbatchedSolver<'_, S> {
+    fn spec(&self) -> SubdomainSpec {
+        self.0.spec()
+    }
+
+    fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
+        self.solve_batch_shifted(0.0, boundaries, None, points)
+    }
+
+    fn inference_count(&self) -> usize {
+        self.0.inference_count()
+    }
+
+    fn launch_count(&self) -> usize {
+        self.0.launch_count()
+    }
+
+    fn solve_batch_shifted(
+        &self,
+        sigma: f64,
+        boundaries: &Tensor,
+        forcings: Option<&Tensor>,
+        points: &Tensor,
+    ) -> Tensor {
+        let row = |t: &Tensor, r: usize| Tensor::from_vec(1, t.cols(), t.row(r).to_vec());
+        let per_row: Vec<Tensor> = (0..boundaries.rows())
+            .map(|r| {
+                let forcing = forcings.map(|f| row(f, r));
+                self.0
+                    .solve_batch_shifted(sigma, &row(boundaries, r), forcing.as_ref(), points)
+            })
+            .collect();
+        Tensor::vstack(&per_row)
+    }
+}
+
 /// SDNet-backed solver (the paper's configuration).
 pub struct NeuralSolver {
     net: SdNet,

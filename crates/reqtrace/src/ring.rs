@@ -27,7 +27,7 @@ pub enum Phase {
     /// Claimed until the solve launched: batch assembly plus any
     /// hold-open window spent waiting for co-batched peers.
     BatchWait = 1,
-    /// Inside `Mfp::run_many` (or `Mfp::run` on the no-batch path).
+    /// Inside `Mfp::run_many`.
     Solve = 2,
     /// Solve finished until the worker turned to this request's reply:
     /// the replies of co-batched requests sent ahead of it (zero for the

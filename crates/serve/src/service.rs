@@ -6,9 +6,10 @@
 //! its bound). Worker threads drain same-shape request *batches* from
 //! the [`Scheduler`] and drive each batch through one
 //! `Mfp::run_many`, which packs every request's query points into
-//! shared compiled-plan launches; `--no-batch` caps batches at one
-//! request and runs the plain per-request `Mfp::run` — the A/B baseline
-//! the bench gate compares against.
+//! shared compiled-plan launches. A zero batch budget
+//! (`BatchConfig { max_points: 0, max_wait_us: 0, .. }`) caps every batch
+//! at one request — the per-request baseline the bench gate compares
+//! against.
 
 use crate::scheduler::{BatchConfig, Scheduler, SchedulerStats, SubmitError};
 use mf_data::SubdomainSpec;
@@ -37,9 +38,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Batch-budget knobs for the cross-request scheduler.
     pub batch: BatchConfig,
-    /// Disable cross-request batching: batches are capped at one request
-    /// and solved with the per-request MFP (the A/B baseline).
-    pub no_batch: bool,
     /// Reject domains larger than this many subdomains per axis.
     pub max_domain: usize,
 }
@@ -50,7 +48,6 @@ impl Default for ServeConfig {
             workers: 8,
             queue_depth: 256,
             batch: BatchConfig::default(),
-            no_batch: false,
             max_domain: 8,
         }
     }
@@ -224,12 +221,6 @@ impl SolveService {
         let spec = solver.spec();
         let mut batch = cfg.batch;
         batch.queue_jobs = cfg.queue_depth;
-        if cfg.no_batch {
-            // A budget below any request's cost caps every batch at the
-            // single front job (the drain always takes at least one).
-            batch.max_points = 0;
-            batch.max_wait_us = 0;
-        }
         let inner = Arc::new(ServiceInner {
             solver: Arc::new(solver),
             spec,
@@ -359,7 +350,6 @@ impl SolveService {
         let domain = DomainSpec::new(self.inner.spec, sx, sy);
         let cfg = MfpConfig {
             max_iters: 2,
-            batched: true,
             ..MfpConfig::default()
         };
         for b in 1..=max_batch.max(1) {
@@ -582,22 +572,15 @@ fn handle_batch(inner: &ServiceInner, jobs: &[Job]) -> BatchOutcome {
     let cfg = MfpConfig {
         max_iters: first.max_iters.clamp(1, 10_000),
         tol: first.tol,
-        batched: true,
-        target: None,
-        coarse_init: false,
+        ..MfpConfig::default()
     };
     let mfp = Mfp::new(&*inner.solver, domain);
     // Open the convergence-audit scope for the solve; `run_many` fills
     // in per-slot iterations, residuals, and eviction rounds.
     mf_reqtrace::begin_batch(jobs.len());
     let solve_start_us = mf_telemetry::now_us();
-    let results = if jobs.len() == 1 && inner.cfg.no_batch {
-        // The A/B baseline: the exact per-request path.
-        vec![mfp.run(&first.bc, &cfg)]
-    } else {
-        let bcs: Vec<Tensor> = jobs.iter().map(|j| j.req.bc.clone()).collect();
-        mfp.run_many(&bcs, &cfg)
-    };
+    let bcs: Vec<Tensor> = jobs.iter().map(|j| j.req.bc.clone()).collect();
+    let results = mfp.run_many(&bcs, &cfg);
     let solve_end_us = mf_telemetry::now_us();
     let residuals = results
         .iter()
@@ -718,14 +701,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn batched_and_no_batch_modes_agree_bitwise() {
+    fn batched_and_one_request_batches_agree_bitwise() {
         let batched = service(ServeConfig {
             workers: 2,
             ..Default::default()
         });
+        // A budget below any request's cost caps every batch at the
+        // single front job (the drain always takes at least one).
         let direct = service(ServeConfig {
             workers: 2,
-            no_batch: true,
+            batch: BatchConfig {
+                max_points: 0,
+                max_wait_us: 0,
+                ..Default::default()
+            },
             ..Default::default()
         });
         for (sx, sy) in [(1, 1), (2, 1)] {

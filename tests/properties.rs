@@ -133,6 +133,16 @@ fn ulps(a: f64, b: f64) -> u64 {
     canon(x).abs_diff(canon(y))
 }
 
+/// Run `f` with the kernel backend held fixed. The backend differentials
+/// further down switch the process-wide backend while this binary's tests
+/// run in parallel, and tanh/gelu differ by a few ulps between backends:
+/// a lean-vs-legacy comparison straddling a switch fails spuriously (the
+/// third-order test did, in about a third of the runs of this binary).
+fn on_one_backend<R>(f: impl FnOnce() -> R) -> R {
+    use mosaic_flow::tensor::{backend_kind, with_backend};
+    with_backend(backend_kind(), f)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -155,8 +165,7 @@ proptest! {
             let d2 = g.grad(s1, &[x])[0];
             (g.value(d1).clone(), g.value(d2).clone())
         };
-        let (lean1, lean2) = run(true);
-        let (leg1, leg2) = run(false);
+        let ((lean1, lean2), (leg1, leg2)) = on_one_backend(|| (run(true), run(false)));
         for (a, b) in lean1.as_slice().iter().zip(leg1.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "order-1 mismatch: {} vs {}", a, b);
         }
@@ -189,8 +198,7 @@ proptest! {
             let grads = g.grad(loss, bound.all_vars());
             grads.iter().map(|&gv| g.value(gv).clone()).collect::<Vec<_>>()
         };
-        let lean = run(true);
-        let legacy = run(false);
+        let (lean, legacy) = on_one_backend(|| (run(true), run(false)));
         prop_assert_eq!(lean.len(), legacy.len());
         for (pi, (a, b)) in lean.iter().zip(&legacy).enumerate() {
             for (va, vb) in a.as_slice().iter().zip(b.as_slice()) {
@@ -223,8 +231,7 @@ proptest! {
             let d3 = g.grad(s2, &[x])[0];
             g.value(d3).clone()
         };
-        let lean = run(true);
-        let legacy = run(false);
+        let (lean, legacy) = on_one_backend(|| (run(true), run(false)));
         for (a, b) in lean.as_slice().iter().zip(legacy.as_slice()) {
             prop_assert!(
                 ulps(*a, *b) <= 64,
@@ -379,74 +386,5 @@ proptest! {
                 "chain diverged: {:e} vs {:e}", x, y
             );
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The overlapped schedule (interior/boundary split + pipelined
-    /// convergence allreduce) is a dependency-preserving reorder of the
-    /// alternating one, so across random domains, rank counts, and
-    /// receiver-side delay injection it must converge to the same
-    /// solution within tolerance and take at most one extra iteration.
-    /// `MF_FAULT_SEED` shifts the delay streams, like tests/fault.rs.
-    #[test]
-    fn overlapped_schedule_matches_alternating(
-        sx in 2usize..5,
-        sy in 2usize..5,
-        ranks_pick in 0usize..3,
-        seed in 0u64..1_000,
-        inject_delays in proptest::bool::ANY,
-    ) {
-        let ranks = [1, 2, 4][ranks_pick];
-        let spec = SubdomainSpec { m: 5, spatial: 0.5 };
-        let domain = DomainSpec::new(spec, sx, sy);
-        let mut sampler =
-            BoundarySampler::new(domain.boundary_len(), (0.4, 0.8), (0.5, 1.0), true);
-        let bc = sampler.sample(&mut ChaCha8Rng::seed_from_u64(seed));
-        let oracle = OracleSolver::new(spec, 1e-9);
-        let env_seed = std::env::var("MF_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42u64);
-        let plan = if inject_delays && ranks > 1 {
-            FaultPlan {
-                seed: env_seed ^ seed,
-                delay_rate: 0.5,
-                delay_max_us: 1_500,
-                ..FaultPlan::none()
-            }
-        } else {
-            FaultPlan::none()
-        };
-        let run = |overlap: bool| run_distributed(
-            &oracle,
-            &domain,
-            &bc,
-            ranks,
-            &DistMfpConfig {
-                max_iters: 120,
-                tol: 1e-6,
-                plan: plan.clone(),
-                overlap,
-                ..Default::default()
-            },
-        );
-        let ovl = run(true);
-        let alt = run(false);
-        prop_assert!(
-            ovl.iterations <= alt.iterations + 1,
-            "overlapped took {} iterations vs alternating {}",
-            ovl.iterations,
-            alt.iterations
-        );
-        prop_assert_eq!(ovl.converged, alt.converged);
-        let gap = ovl.grid.mean_abs_diff(&alt.grid);
-        prop_assert!(
-            gap <= 1e-10,
-            "solutions diverged by {gap:e} (sx={}, sy={}, P={}, seed={})",
-            sx, sy, ranks, seed
-        );
     }
 }
