@@ -45,7 +45,7 @@ fn time_inference(net: &SdNet, boundaries: &Tensor, q: usize, reps: usize) -> (f
         let _ = net.forward(&mut g, &bound, gb, x, q);
         g.bytes_allocated()
     };
-    let (_, secs) = mf_telemetry::timed("fig5.inference", || {
+    let (_, secs) = mf_telemetry::timed!("fig5.inference", || {
         for _ in 0..reps {
             let _ = net.predict(boundaries, &pts, q);
         }
@@ -56,7 +56,7 @@ fn time_inference(net: &SdNet, boundaries: &Tensor, q: usize, reps: usize) -> (f
 fn time_train_step(net: &SdNet, batch: &Batch, reps: usize) -> (f64, usize) {
     // Bytes of both passes (the paper's memory axis).
     let (_, _, stats) = local_gradients(net, batch, 1.0);
-    let (_, secs) = mf_telemetry::timed("fig5.train_step", || {
+    let (_, secs) = mf_telemetry::timed!("fig5.train_step", || {
         for _ in 0..reps {
             let _ = local_gradients(net, batch, 1.0);
         }

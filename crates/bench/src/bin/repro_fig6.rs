@@ -63,7 +63,7 @@ fn main() {
     let mut single_modeled_time = f64::NAN;
 
     for &p in &devices {
-        let (res, wall) = mf_telemetry::timed("fig6.train_ddp", || {
+        let (res, wall) = mf_telemetry::timed!("fig6.train_ddp", || {
             train_ddp(p, &template, &train, &val, &base, GradSync::Fused)
         });
         let final_mse = res.logs.last().unwrap().val_mse;

@@ -71,11 +71,11 @@ fn main() {
             // The unbatched baseline is the same solver behind the
             // one-launch-per-subdomain adapter.
             let (r, secs) = if batched {
-                mf_telemetry::timed("fig8.run_batched", || {
+                mf_telemetry::timed!("fig8.run_batched", || {
                     Mfp::new(&solver, domain).run(&bc, &cfg)
                 })
             } else {
-                mf_telemetry::timed("fig8.run_unbatched", || {
+                mf_telemetry::timed!("fig8.run_unbatched", || {
                     Mfp::new(&UnbatchedSolver(&solver), domain).run(&bc, &cfg)
                 })
             };

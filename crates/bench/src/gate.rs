@@ -1,8 +1,8 @@
 //! Benchmark-gate plumbing: a tiny JSON metrics format shared by the
 //! `repro_*` binaries (writers) and the `bench_gate` binary (comparator).
 //!
-//! The format is deliberately minimal so it can be written and parsed
-//! without a JSON dependency:
+//! The format is deliberately minimal; it is written with `format!` and
+//! read back with `mf-telemetry`'s [`JsonValue`]:
 //!
 //! ```json
 //! {
@@ -20,6 +20,7 @@
 //! Re-baselining: run the repro binaries with `--json BENCH_baseline.json`
 //! on the main branch and commit the file (see DESIGN.md, "Memory model").
 
+use mf_telemetry::JsonValue;
 use std::fmt::Write as _;
 
 /// One gated benchmark measurement.
@@ -67,57 +68,38 @@ pub fn write_metrics(path: &str, metrics: &[(String, Metric)]) -> std::io::Resul
     std::fs::write(path, render_metrics(&all))
 }
 
-/// Parse a metrics document produced by [`render_metrics`] (tolerant of
-/// whitespace differences, intolerant of anything structurally else).
+/// Parse a metrics document produced by [`render_metrics`]: any valid
+/// JSON whose `"metrics"` member maps names to `{value, tol,
+/// higher_better}` objects; anything else is an error.
 pub fn parse_metrics(s: &str) -> Result<Vec<(String, Metric)>, String> {
-    let body = s
-        .split_once("\"metrics\"")
-        .ok_or("missing \"metrics\" key")?
-        .1;
-    let mut out = Vec::new();
-    // Each entry looks like: "name": {"value": V, "tol": T, "higher_better": B}
-    let mut rest = body;
-    while let Some(q) = rest.find('"') {
-        let after = &rest[q + 1..];
-        let Some(qe) = after.find('"') else { break };
-        let name = &after[..qe];
-        let tail = &after[qe + 1..];
-        let Some(open) = tail.find('{') else { break };
-        let Some(close) = tail[open..].find('}') else {
-            return Err(format!("unterminated object for metric {name}"));
-        };
-        let obj = &tail[open + 1..open + close];
-        let field = |key: &str| -> Result<&str, String> {
-            let v = obj
-                .split_once(&format!("\"{key}\""))
-                .ok_or_else(|| format!("metric {name}: missing {key}"))?
-                .1;
-            let v = v.trim_start_matches([':', ' ']);
-            Ok(v.split([',', '}']).next().unwrap_or("").trim())
-        };
-        let value: f64 = field("value")?
-            .parse()
-            .map_err(|e| format!("metric {name}: bad value: {e}"))?;
-        let tol: f64 = field("tol")?
-            .parse()
-            .map_err(|e| format!("metric {name}: bad tol: {e}"))?;
-        let higher_better: bool = field("higher_better")?
-            .parse()
-            .map_err(|e| format!("metric {name}: bad higher_better: {e}"))?;
-        out.push((
-            name.to_string(),
-            Metric {
-                value,
-                tol,
-                higher_better,
-            },
-        ));
-        rest = &tail[open + close + 1..];
-    }
-    if out.is_empty() {
+    let doc = JsonValue::parse(s)?;
+    let Some(JsonValue::Obj(entries)) = doc.get("metrics") else {
+        return Err("missing \"metrics\" object".into());
+    };
+    if entries.is_empty() {
         return Err("no metrics found".into());
     }
-    Ok(out)
+    entries
+        .iter()
+        .map(|(name, m)| {
+            let num = |key: &str| {
+                m.get(key)
+                    .and_then(JsonValue::as_f64)
+                    .ok_or_else(|| format!("metric {name}: missing or non-numeric {key}"))
+            };
+            let Some(&JsonValue::Bool(higher_better)) = m.get("higher_better") else {
+                return Err(format!(
+                    "metric {name}: missing or non-boolean higher_better"
+                ));
+            };
+            let metric = Metric {
+                value: num("value")?,
+                tol: num("tol")?,
+                higher_better,
+            };
+            Ok((name.clone(), metric))
+        })
+        .collect()
 }
 
 /// Outcome of comparing one metric against its baseline.
@@ -330,5 +312,25 @@ mod tests {
     fn provenance_never_panics_on_unknown_paths() {
         let p = baseline_provenance("definitely/not/a/file.json");
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn parse_reads_json_not_a_layout() {
+        let doc = "{\"schema\": 1,\n\t\"metrics\" :{ \"a.b\" : { \"higher_better\":true ,\n\"tol\":0.5,\"value\" : 2e3 } },\n \"after\": {\"value\": 1, \"tol\": 1, \"higher_better\": false}}";
+        assert_eq!(
+            parse_metrics(doc).unwrap(),
+            vec![("a.b".to_string(), m(2000.0, 0.5, true))]
+        );
+    }
+
+    #[test]
+    fn a_truncated_file_is_an_error_not_a_shorter_pass() {
+        let full = render_metrics(&[
+            ("first".to_string(), m(1.0, 0.1, false)),
+            ("second".to_string(), m(2.0, 0.1, false)),
+        ]);
+        let cut = full.find("},").expect("two entries") + 2;
+        assert!(parse_metrics(&full[..cut]).is_err());
+        assert!(parse_metrics(&format!("{full} trailing")).is_err());
     }
 }

@@ -44,7 +44,7 @@ pub fn emit_metrics(metrics: &[(String, gate::Metric)]) {
 ///
 /// * `--trace PATH` — enable span tracing; returns the output path to
 ///   hand to [`finish_trace`]. The binaries time their measured regions
-///   with [`mf_telemetry::timed`], so the printed tables and the
+///   with [`mf_telemetry::timed!`], so the printed tables and the
 ///   exported trace come from the same spans.
 /// * `--metrics` — print the merged telemetry report to stderr at exit.
 /// * `--watch` — periodic rendered reports (loss curve, step-time
@@ -52,20 +52,9 @@ pub fn emit_metrics(metrics: &[(String, gate::Metric)]) {
 /// * `--metrics-addr HOST:PORT` (or `MF_METRICS_ADDR`) — serve live
 ///   metrics over HTTP for the lifetime of the process: `GET /metrics`
 ///   (OpenMetrics text) and `GET /snapshot` (per-rank JSON).
-/// * `--profile off` (or `MF_PROFILE=off`) — disable the continuous
-///   profiler's zone timers (on by default).
-/// * `MF_OBSERVE` — see [`mf_observe::init_from_env`] (post-mortem
-///   bundles, watch mode, recorder off).
+/// * `MF_OBSERVE=dump[:DIR]` — write a post-mortem bundle on failure
+///   (read by `mf_observe::postmortem` when a dump is due).
 pub fn init_telemetry() -> Option<String> {
-    mf_observe::init_from_env();
-    mf_profile::init_from_env();
-    if std::env::args()
-        .skip_while(|a| a != "--profile")
-        .nth(1)
-        .is_some_and(|v| v == "off")
-    {
-        mf_profile::set_enabled(false);
-    }
     if std::env::args().any(|a| a == "--metrics") {
         mf_telemetry::set_metrics_report(true);
     }
@@ -93,7 +82,6 @@ pub fn init_telemetry() -> Option<String> {
 /// not given.
 pub fn finish_trace(path: Option<String>) {
     let Some(path) = path else { return };
-    mf_telemetry::flush_thread();
     let spans = mf_telemetry::drain_spans();
     let flows = mf_telemetry::drain_flows();
     let mut body = Vec::new();

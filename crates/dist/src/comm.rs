@@ -10,9 +10,9 @@ use crate::fault::{
 };
 use crate::topology::NodeMap;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use mf_observe::{flow_id, RecKind};
+use mf_observe::flow_id;
 use mf_telemetry::{
-    counter, gauge, histogram, span, Buckets, Counter, FlowPhase, Gauge, Histogram,
+    counter, flow, gauge, histogram, span, Buckets, Counter, FlowPhase, Gauge, Histogram,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::panic::AssertUnwindSafe;
@@ -123,7 +123,6 @@ struct CommCounters {
     bytes_recv: Counter,
     comm_seconds: Gauge,
     allreduce_bytes: Histogram,
-    allreduce_us: Histogram,
     exchange_bytes: Histogram,
 }
 
@@ -136,7 +135,6 @@ impl CommCounters {
             bytes_recv: counter("comm.bytes_recv"),
             comm_seconds: gauge("comm.comm_seconds"),
             allreduce_bytes: histogram("comm.allreduce_bytes", Buckets::bytes()),
-            allreduce_us: histogram("comm.allreduce_us", Buckets::latency_us()),
             exchange_bytes: histogram("comm.exchange_bytes", Buckets::bytes()),
         }
     }
@@ -271,12 +269,10 @@ impl Cluster {
                         comm.baseline = comm.counters.raw();
                         let rank = comm.rank;
                         let out = std::panic::catch_unwind(AssertUnwindSafe(|| f(comm)));
+                        // Flush after catch_unwind so a panicked rank's
+                        // recent history (its last halo exchange, its last
+                        // step) is preserved for the post-mortem bundle.
                         mf_telemetry::flush_thread();
-                        // Flush the flight recorder after catch_unwind so
-                        // a panicked rank's recent history (its last halo
-                        // exchange, its last step) is preserved for the
-                        // post-mortem bundle.
-                        mf_observe::flush_rank(rank);
                         match out {
                             Ok(v) => Some(v),
                             Err(payload) => {
@@ -461,29 +457,12 @@ impl Communicator {
                 (seq, false, false, None)
             }
         };
-        // Causal tracing: a flow *start* stamped with the (epoch, step,
-        // seq, src→dst) coordinates plus a flight-recorder entry. Both
-        // are purely local — no extra messages, no RNG draws — so the
-        // per-link fault decision stream and the pinned message counts
-        // are untouched.
+        // Causal tracing: a flow *start* whose id packs (src→dst, seq),
+        // stamped with the thread's (epoch, step). Purely local — no extra
+        // messages, no RNG draws — so the per-link fault decision stream
+        // and the pinned message counts are untouched.
         let fid = flow_id(self.rank, dst, seq);
-        if mf_telemetry::tracing_enabled() {
-            let ctx = mf_observe::step_context();
-            mf_telemetry::record_flow(
-                "comm.send",
-                fid,
-                FlowPhase::Start,
-                &[
-                    ("epoch", ctx.epoch as f64),
-                    ("step", ctx.step as f64),
-                    ("seq", seq as f64),
-                    ("src", self.rank as f64),
-                    ("dst", dst as f64),
-                    ("bytes", (payload.len() * 8) as f64),
-                ],
-            );
-        }
-        mf_observe::record(RecKind::Send, "comm.send", fid, (payload.len() * 8) as f64);
+        flow("comm.send", fid, FlowPhase::Start, payload.len() * 8);
         // Injected delays are imposed at the *receiver*: the message is
         // stamped with a maturity instant and held on arrival, so the
         // sender never blocks (a requirement for isend-based overlap).
@@ -553,28 +532,7 @@ impl Communicator {
             // merged Chrome trace draws an arrow from the send site to
             // this rank's receive.
             let fid = flow_id(src, self.rank, msg.seq);
-            if mf_telemetry::tracing_enabled() {
-                let ctx = mf_observe::step_context();
-                mf_telemetry::record_flow(
-                    "comm.recv",
-                    fid,
-                    FlowPhase::Finish,
-                    &[
-                        ("epoch", ctx.epoch as f64),
-                        ("step", ctx.step as f64),
-                        ("seq", msg.seq as f64),
-                        ("src", src as f64),
-                        ("dst", self.rank as f64),
-                        ("bytes", (msg.payload.len() * 8) as f64),
-                    ],
-                );
-            }
-            mf_observe::record(
-                RecKind::Recv,
-                "comm.recv",
-                fid,
-                (msg.payload.len() * 8) as f64,
-            );
+            flow("comm.recv", fid, FlowPhase::Finish, msg.payload.len() * 8);
             out.push(msg);
         }
         out
@@ -679,7 +637,7 @@ impl Communicator {
                     let now = Instant::now();
                     if now >= d {
                         self.fcounters.timeouts.incr();
-                        mf_observe::record(RecKind::CommError, "comm.timeout", src as u64, 0.0);
+                        mf_observe::record("comm.timeout", src as u64, 0.0);
                         mf_telemetry::log!(Error, "comm.timeout", src = src, tag = tag);
                         return Err(CommError::Timeout { src, tag, retries });
                     }
@@ -715,12 +673,7 @@ impl Communicator {
                     // a sender to ourselves): poll the failure flags, then
                     // the retry budget.
                     if let Some(rank) = self.faults.any_failed() {
-                        mf_observe::record(
-                            RecKind::CommError,
-                            "comm.rank_failed",
-                            rank as u64,
-                            0.0,
-                        );
+                        mf_observe::record("comm.rank_failed", rank as u64, 0.0);
                         mf_telemetry::log!(Error, "comm.rank_failed", rank = rank);
                         return Err(CommError::RankFailed { rank });
                     }
@@ -728,12 +681,7 @@ impl Communicator {
                     {
                         if retries >= retry.max_retries {
                             self.fcounters.timeouts.incr();
-                            mf_observe::record(
-                                RecKind::CommError,
-                                "comm.timeout",
-                                src as u64,
-                                retries as f64,
-                            );
+                            mf_observe::record("comm.timeout", src as u64, retries as f64);
                             mf_telemetry::log!(
                                 Error,
                                 "comm.retry_budget_exhausted",
@@ -895,12 +843,7 @@ impl Communicator {
         let base = self.clock_samples[0].load(Ordering::SeqCst) as f64;
         let offset_us = mine - base;
         gauge("observe.clock_offset_us").set(offset_us);
-        mf_observe::record(
-            RecKind::Mark,
-            "observe.align_clocks",
-            self.rank as u64,
-            offset_us,
-        );
+        mf_observe::record("observe.align_clocks", self.rank as u64, offset_us);
         offset_us
     }
 
@@ -914,12 +857,6 @@ impl Communicator {
             "comm.exchange",
             peers = outgoing.len() as f64,
             bytes = bytes as f64
-        );
-        mf_observe::record(
-            RecKind::Collective,
-            "comm.exchange",
-            outgoing.len() as u64,
-            bytes as f64,
         );
         self.counters.exchange_bytes.record(bytes as f64);
         {
@@ -942,17 +879,6 @@ impl Communicator {
     /// [`wait`](Self::wait), or [`wait_deadline`](Self::wait_deadline).
     pub fn exchange_start(&mut self, outgoing: &[(usize, Vec<f64>)], tag: u64) -> Vec<RecvHandle> {
         let bytes: usize = outgoing.iter().map(|(_, p)| p.len() * 8).sum();
-        span!(
-            "comm.exchange",
-            peers = outgoing.len() as f64,
-            bytes = bytes as f64
-        );
-        mf_observe::record(
-            RecKind::Collective,
-            "comm.exchange_start",
-            outgoing.len() as u64,
-            bytes as f64,
-        );
         self.counters.exchange_bytes.record(bytes as f64);
         mf_profile::zone!("halo_send");
         outgoing
@@ -983,14 +909,6 @@ impl Communicator {
             bytes = bytes as f64,
             elems = buf.len() as f64
         );
-        mf_observe::record(
-            RecKind::Collective,
-            "comm.allreduce",
-            self.size as u64,
-            buf.len() as f64,
-        );
-        mf_profile::zone!("allreduce");
-        let t0 = Instant::now();
         if self.size > 1 {
             if buf.is_empty() {
                 self.barrier();
@@ -1005,9 +923,6 @@ impl Communicator {
             }
         }
         self.counters.allreduce_bytes.record(bytes as f64);
-        self.counters
-            .allreduce_us
-            .record(t0.elapsed().as_secs_f64() * 1e6);
     }
 
     /// Hierarchical tree allreduce for small messages at large world
@@ -1198,7 +1113,6 @@ impl Communicator {
             return;
         }
         span!("comm.allreduce", bytes = (buf.len() * 8) as f64);
-        mf_profile::zone!("allreduce");
         let gathered = self.allgather(buf);
         for (i, slot) in buf.iter_mut().enumerate() {
             let mut acc = 0.0;
@@ -1234,12 +1148,6 @@ impl Communicator {
     /// Per-rank payload lengths may differ (ragged gather).
     pub fn allgather(&mut self, local: &[f64]) -> Vec<Vec<f64>> {
         span!("comm.allgather", bytes = (local.len() * 8) as f64);
-        mf_observe::record(
-            RecKind::Collective,
-            "comm.allgather",
-            self.size as u64,
-            local.len() as f64,
-        );
         let mut out = vec![Vec::new(); self.size];
         for dst in 0..self.size {
             if dst != self.rank {
@@ -1267,12 +1175,6 @@ impl Communicator {
     pub fn broadcast(&mut self, root: usize, buf: &mut Vec<f64>) {
         assert!(root < self.size, "broadcast: root {root} out of range");
         span!("comm.broadcast", bytes = (buf.len() * 8) as f64);
-        mf_observe::record(
-            RecKind::Collective,
-            "comm.broadcast",
-            self.size as u64,
-            buf.len() as f64,
-        );
         let p = self.size;
         if p == 1 {
             return;

@@ -28,7 +28,7 @@ use mf_dist::{
     OverlapSample, OverlapTracker, PerfModel, RankOrder, RecvHandle,
 };
 use mf_numerics::boundary::apply_boundary;
-use mf_observe::{RecKind, StallDetector};
+use mf_observe::StallDetector;
 use mf_telemetry::{counter, histogram, span, Buckets, Counter, Histogram};
 use mf_tensor::Tensor;
 use std::time::Duration;
@@ -482,17 +482,11 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
             if self.complete_pending_checks() {
                 break;
             }
-            mf_observe::set_step_context(0, it as u64);
+            mf_telemetry::set_step_context(0, it as u64);
             span!(
                 "mfp.iteration",
                 it = it as f64,
                 owned = self.owned_subdomains as f64
-            );
-            mf_observe::record(
-                RecKind::Iteration,
-                "mfp.iteration",
-                self.owned_subdomains as u64,
-                self.deltas.last().copied().unwrap_or(f64::NAN),
             );
             self.begin_iteration(it);
 
@@ -655,7 +649,7 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
         if stalled {
             self.stalls_counter.incr();
             self.stall_stale_counter.add(stale_in_window);
-            mf_observe::record(RecKind::Health, "mfp.stall", stale_in_window, delta);
+            mf_observe::record("mfp.stall", stale_in_window, delta);
             self.stale_at_window = self.stale_halos;
         }
         if mf_observe::watch_enabled() {

@@ -170,8 +170,11 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
             if active.is_empty() {
                 break;
             }
-            span!("mfp.iteration", it = it as f64);
-            mf_reqtrace::note_iteration(it as u32, active.len() as u32);
+            span!(
+                "mfp.iteration",
+                it = it as f64,
+                active = active.len() as f64
+            );
             for &r in &active {
                 prevs[r].as_mut_slice().copy_from_slice(grids[r].as_slice());
             }

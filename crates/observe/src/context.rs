@@ -1,4 +1,4 @@
-//! Per-thread step context and the packed flow-id discipline.
+//! The packed flow-id discipline.
 //!
 //! Every simulated message is stamped at both ends with one 64-bit flow
 //! id so the sending and receiving slices can be connected in a merged
@@ -12,40 +12,9 @@
 //!
 //! The per-link sequence number is already unique per `(src, dst)` pair
 //! in the communicator (it drives dedup/reorder), so the triple is
-//! globally unique for any realistic run length. The *step context* —
-//! `(epoch, step)` for training, `(0, iteration)` for the MFP — is a
-//! thread-local set by the trainer/solver loops and attached to flow
-//! events and flight-recorder entries, tying every message to the
-//! algorithmic step that sent it.
-
-use std::cell::Cell;
-
-/// The algorithmic position of the current thread: `(epoch, step)` for
-/// training loops, `(0, iteration)` for solver loops.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StepContext {
-    /// Training epoch (0 outside epoch loops).
-    pub epoch: u64,
-    /// Step or iteration within the run.
-    pub step: u64,
-}
-
-thread_local! {
-    static STEP: Cell<StepContext> = const { Cell::new(StepContext { epoch: 0, step: 0 }) };
-}
-
-/// Set the current thread's step context. Called by the trainer at each
-/// step and the MFP loop at each iteration; cheap (a Cell store).
-#[inline]
-pub fn set_step_context(epoch: u64, step: u64) {
-    STEP.with(|s| s.set(StepContext { epoch, step }));
-}
-
-/// The current thread's step context.
-#[inline]
-pub fn step_context() -> StepContext {
-    STEP.with(Cell::get)
-}
+//! globally unique for any realistic run length. The thread's step
+//! context (`mf_telemetry::set_step_context`) is stamped on each end,
+//! tying every message to the algorithmic step that sent it.
 
 const SEQ_MASK: u64 = (1 << 40) - 1;
 
@@ -96,14 +65,5 @@ mod tests {
         let b = flow_id(1, 0, 5);
         let c = flow_id(0, 1, 6);
         assert!(a != b && a != c && b != c);
-    }
-
-    #[test]
-    fn step_context_is_per_thread() {
-        set_step_context(2, 17);
-        assert_eq!(step_context(), StepContext { epoch: 2, step: 17 });
-        let other = std::thread::spawn(step_context).join().unwrap();
-        assert_eq!(other, StepContext::default());
-        set_step_context(0, 0);
     }
 }

@@ -1,47 +1,38 @@
-//! Observability for distributed runs: cross-rank causal tracing,
-//! an always-on flight recorder with post-mortem bundles, and
-//! numerical-health diagnostics.
+//! Observability for distributed runs, built on the `mf-telemetry`
+//! instrumentation spine: what happened before a run died, and whether its
+//! numbers are healthy.
 //!
-//! Built on `mf-telemetry` (spans, metrics, flow events); consumed by
-//! `mf-dist` (which stamps every send/recv with a flow id and flushes
-//! each rank's recorder on exit), `mf-train` (gradient-health watchdog),
-//! and `mf-mfp` (residual stall detection). Three subsystems:
+//! Consumed by `mf-dist` (which stamps every send/recv with a flow id and
+//! dumps a bundle when a cluster run fails), `mf-train` (gradient-health
+//! watchdog), and `mf-mfp` (residual stall detection). What this crate owns:
 //!
-//! 1. **Flow ids** ([`flow_id`], [`set_step_context`]) — a 64-bit
-//!    correlation id packing `src → dst` and the per-link sequence
-//!    number, recorded at both ends of every simulated message so a
-//!    merged Perfetto timeline draws arrows across rank rows. The
-//!    thread-local step context `(epoch, step)` stamps each end.
-//! 2. **Flight recorder** ([`record`], [`flush_rank`]) — a fixed-size
-//!    per-thread ring of compact events (no heap traffic after the first
-//!    record), always on by default. On a cluster failure, a NaN/Inf
-//!    gradient, or an injected crash the recent history of every rank is
-//!    written as a post-mortem bundle ([`postmortem`]).
+//! 1. **Post-mortem bundles** ([`postmortem`]) — on a cluster failure, a
+//!    NaN/Inf gradient, or an injected crash, every rank's flight ring
+//!    (flushed by the spine, panicked ranks included), the trace and the
+//!    metrics are written as one directory. Writing is opt-in via
+//!    `MF_OBSERVE=dump[:DIR]` or [`postmortem::set_dump_dir`], so ordinary
+//!    test failures don't litter the workspace.
+//! 2. **Flow ids** ([`flow_id`]) — a 64-bit correlation id packing
+//!    `src → dst` and the per-link sequence number, recorded at both ends
+//!    of every simulated message so a merged Perfetto timeline draws arrows
+//!    across rank rows.
 //! 3. **Health** ([`GradHealth`], [`StallDetector`]) and rendering
 //!    ([`render`]) — watchdog arithmetic for the training step and the
 //!    MFP residual loop, plus the `--watch` report primitives
 //!    (sparklines, ASCII heatmaps).
 //!
-//! Enabling: the recorder rings always run (their overhead is gated in
-//! CI at ≤ 3% of a warm training step); *writing bundles to disk* is
-//! opt-in via the `MF_OBSERVE` environment variable (see
-//! [`init_from_env`]) or [`postmortem::set_dump_dir`], so ordinary test
-//! failures don't litter the workspace.
+//! The flight recorder itself is the spine's per-thread ring; this crate
+//! keeps its switch ([`set_recording`]) and the point-event call
+//! ([`record`]) under the names its callers use.
 
 mod context;
 mod health;
 pub mod postmortem;
-mod recorder;
 pub mod render;
 
-pub use context::{
-    flow_dst, flow_id, flow_seq, flow_src, set_step_context, step_context, StepContext,
-};
+pub use context::{flow_dst, flow_id, flow_seq, flow_src};
 pub use health::{GradHealth, StallDetector};
-pub use recorder::{
-    clear as clear_recorder, drain_all, flush_rank, record, recording_enabled, set_recording,
-    RankRecord, RecEvent, RecKind, RING_CAPACITY,
-};
+pub use mf_telemetry::{clear_rings as clear_recorder, event as record};
 pub use render::{
     ascii_heatmap, mfp_watch_report, series_rate_line, sparkline, train_watch_report,
 };
@@ -49,6 +40,12 @@ pub use render::{
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static WATCH: AtomicBool = AtomicBool::new(false);
+
+/// Enable or disable the flight recorder globally. On by default (it is
+/// a *flight* recorder).
+pub fn set_recording(on: bool) {
+    mf_telemetry::set_sink(mf_telemetry::RECORDER, on);
+}
 
 /// Turn the periodic `--watch` reports (loss curve, step-time
 /// sparklines, residual heatmap) on or off. Off by default.
@@ -60,49 +57,6 @@ pub fn set_watch(on: bool) {
 #[inline]
 pub fn watch_enabled() -> bool {
     WATCH.load(Ordering::Relaxed)
-}
-
-/// Configure observability from the `MF_OBSERVE` environment variable:
-/// a comma-separated token list.
-///
-/// * `dump` — enable post-mortem bundles, written under the current
-///   directory.
-/// * `dump:<dir>` — enable bundles under `<dir>`.
-/// * `trace` — enable span/flow collection (so a bundle's `trace.json`
-///   carries cross-rank flow arrows even without a `--trace` file).
-/// * `watch` — enable the periodic rendered reports.
-/// * `off` — disable the flight recorder entirely (overhead A/B runs).
-/// * `1` (or any other non-empty value) — same as `dump`.
-///
-/// Returns `true` when the variable was set. Repro binaries and the CLI
-/// call this once at startup; `--watch` / `--metrics` / `--trace` flags
-/// layer on top.
-pub fn init_from_env() -> bool {
-    let Ok(raw) = std::env::var("MF_OBSERVE") else {
-        return false;
-    };
-    if raw.is_empty() {
-        return false;
-    }
-    for tok in raw.split(',') {
-        let tok = tok.trim();
-        match tok {
-            "" => {}
-            "watch" => set_watch(true),
-            "trace" => mf_telemetry::set_tracing(true),
-            "off" => set_recording(false),
-            "dump" => postmortem::set_dump_dir(Some(".".into())),
-            _ => {
-                if let Some(dir) = tok.strip_prefix("dump:") {
-                    postmortem::set_dump_dir(Some(dir.into()));
-                } else {
-                    // Unknown token (incl. plain "1"): treat as "dump".
-                    postmortem::set_dump_dir(Some(".".into()));
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

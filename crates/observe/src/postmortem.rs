@@ -15,13 +15,11 @@
 //! └── config.txt    run configuration as reported by the caller
 //! ```
 //!
-//! Writing is opt-in: nothing touches disk unless `MF_OBSERVE` enables
-//! dumps ([`crate::init_from_env`]) or a test/tool calls
-//! [`set_dump_dir`]. [`read_bundle`] parses a bundle back for
-//! programmatic assertions.
+//! Writing is opt-in: nothing touches disk unless `MF_OBSERVE=dump[:DIR]`
+//! is set when a dump is due or a test/tool calls [`set_dump_dir`].
+//! [`read_bundle`] parses a bundle back for programmatic assertions.
 
-use crate::recorder::{self, RankRecord, RecEvent};
-use mf_telemetry::{FlowEvent, MetricsSnapshot, SpanEvent};
+use mf_telemetry::{FlowEvent, MetricsSnapshot, RankRecord, Record, SpanEvent};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,82 +37,56 @@ pub struct DumpReason {
     pub failing_rank: Option<usize>,
 }
 
-/// Explicit dump configuration. `Unset` defers to the `MF_OBSERVE`
-/// environment variable at dump time, so `cargo test` runs pick up
-/// CI's `MF_OBSERVE=dump:<dir>` without calling
-/// [`crate::init_from_env`]; an explicit [`set_dump_dir`] (either way)
-/// always wins over the environment.
-#[derive(Clone)]
-enum DumpConfig {
-    Unset,
-    Disabled,
-    Dir(PathBuf),
-}
-
-static DUMP_DIR: Mutex<DumpConfig> = Mutex::new(DumpConfig::Unset);
+/// The explicit dump setting: `None` until [`set_dump_dir`] is called, and
+/// then it always wins. Unset defers to `MF_OBSERVE` at dump time, so
+/// `cargo test` runs pick up CI's `MF_OBSERVE=dump:<dir>`.
+static DUMP_DIR: Mutex<Option<Option<PathBuf>>> = Mutex::new(None);
 static DUMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Enable (`Some(parent_dir)`) or disable (`None`) post-mortem bundle
 /// writing. Bundles are created as fresh subdirectories of the parent.
 pub fn set_dump_dir(dir: Option<PathBuf>) {
-    let mut g = match DUMP_DIR.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    *g = match dir {
-        Some(d) => DumpConfig::Dir(d),
-        None => DumpConfig::Disabled,
-    };
-}
-
-/// Whether bundle writing is enabled.
-pub fn dump_enabled() -> bool {
-    dump_parent().is_some()
+    *DUMP_DIR.lock().unwrap_or_else(|e| e.into_inner()) = Some(dir);
 }
 
 fn dump_parent() -> Option<PathBuf> {
-    let cfg = match DUMP_DIR.lock() {
-        Ok(g) => g.clone(),
-        Err(p) => p.into_inner().clone(),
-    };
-    match cfg {
-        DumpConfig::Dir(d) => Some(d),
-        DumpConfig::Disabled => None,
-        DumpConfig::Unset => env_dump_dir(),
-    }
+    let explicit = DUMP_DIR.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    explicit.unwrap_or_else(|| parse_observe(&std::env::var("MF_OBSERVE").ok()?))
 }
 
-/// Parse the dump directory out of `MF_OBSERVE` without touching any
-/// other observability switches (those belong to
-/// [`crate::init_from_env`]).
-fn env_dump_dir() -> Option<PathBuf> {
-    let raw = std::env::var("MF_OBSERVE").ok()?;
-    for tok in raw.split(',') {
-        match tok.trim() {
-            "" | "watch" | "trace" | "off" => {}
-            "dump" => return Some(".".into()),
-            other => {
-                return Some(match other.strip_prefix("dump:") {
-                    Some(dir) => dir.into(),
-                    None => ".".into(),
-                })
-            }
+/// The dump directory an `MF_OBSERVE` value asks for: a comma-separated
+/// list whose tokens are `dump` (the current directory) or `dump:DIR`. Any
+/// other token is named in one `warn` line and ignored — a typo must not
+/// write files.
+fn parse_observe(raw: &str) -> Option<PathBuf> {
+    let mut dir = None;
+    for tok in raw.split(',').map(str::trim).filter(|t| !t.is_empty()) {
+        match tok.strip_prefix("dump") {
+            Some("") => dir = dir.or(Some(".".into())),
+            Some(rest) if rest.starts_with(':') => dir = dir.or(Some(rest[1..].into())),
+            _ => mf_telemetry::log!(
+                Warn,
+                "observe.unknown_token",
+                var = "MF_OBSERVE",
+                token = tok
+            ),
         }
     }
-    None
+    dir
 }
 
-/// Dump a post-mortem bundle if dumping is enabled: drains the flight
-/// recorder registry (every rank flushed so far) and the telemetry
-/// span/flow collectors, and writes the bundle directory. Returns the
-/// bundle path, or `None` when dumping is disabled or the write failed
-/// (a post-mortem must never turn a failure report into a second
-/// failure).
+/// Dump a post-mortem bundle if dumping is enabled: drains the spine's
+/// collector (every rank flushed so far: flight rings, spans, flows) and
+/// writes the bundle directory. Returns the bundle path, or `None` when
+/// dumping is disabled or the write failed (a post-mortem must never turn
+/// a failure report into a second failure).
 pub fn dump(reason: &DumpReason, config: &str) -> Option<PathBuf> {
     let parent = dump_parent()?;
-    let records = recorder::drain_all();
+    // Draining the trace flushes the calling thread first, so its own ring
+    // (the rank that hit a NaN gradient) is among the records.
     let spans = mf_telemetry::drain_spans();
     let flows = mf_telemetry::drain_flows();
+    let records = mf_telemetry::drain_rings();
     match write_bundle(&parent, reason, config, &records, &spans, &flows) {
         Ok(path) => {
             mf_telemetry::log!(Warn, "observe.bundle_written", path = path.display());
@@ -195,8 +167,8 @@ pub fn write_bundle(
     for (rank, rec) in records {
         for e in &rec.events {
             events.push_str(&format!(
-                "rank {rank} t={}us {:?} {} epoch={} step={} a={} b={}\n",
-                e.t_us, e.kind, e.name, e.epoch, e.step, e.a, e.b
+                "rank {rank} t={}us dur={}us {:?} {} epoch={} step={} req={} a={} v={:?}\n",
+                e.t_us, e.dur_us, e.kind, e.name, e.epoch, e.step, e.req, e.a, e.v
             ));
         }
     }
@@ -206,7 +178,7 @@ pub fn write_bundle(
     Ok(dir)
 }
 
-fn rec_event_as_span(rank: usize, e: &RecEvent) -> SpanEvent {
+fn rec_event_as_span(rank: usize, e: &Record) -> SpanEvent {
     SpanEvent {
         name: format!("rec.{}", e.name),
         rank,
@@ -217,7 +189,7 @@ fn rec_event_as_span(rank: usize, e: &RecEvent) -> SpanEvent {
             ("epoch".to_string(), e.epoch as f64),
             ("step".to_string(), e.step as f64),
             ("a".to_string(), e.a as f64),
-            ("b".to_string(), e.b),
+            ("b".to_string(), e.v[0]),
         ],
     }
 }
@@ -329,8 +301,7 @@ pub fn read_bundle(dir: &Path) -> Result<Bundle, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{RecEvent, RecKind};
-    use mf_telemetry::FlowPhase;
+    use mf_telemetry::{FlowPhase, Kind, Record};
 
     fn temp_parent(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("mf_observe_pm_{tag}_{}", std::process::id()));
@@ -344,23 +315,22 @@ mod tests {
         let parent = temp_parent("roundtrip");
         let rec = RankRecord {
             events: vec![
-                RecEvent {
+                Record {
                     t_us: 5,
-                    kind: RecKind::Send,
                     name: "comm.send",
-                    epoch: 0,
+                    kind: Kind::Send,
                     step: 11,
                     a: crate::flow_id(3, 1, 42),
-                    b: 64.0,
+                    v: [64.0, 0.0],
+                    ..Record::default()
                 },
-                RecEvent {
+                Record {
                     t_us: 9,
-                    kind: RecKind::Iteration,
                     name: "mfp.iteration",
-                    epoch: 0,
+                    kind: Kind::Span,
                     step: 12,
-                    a: 0,
-                    b: 1e-3,
+                    v: [1e-3, 0.0],
+                    ..Record::default()
                 },
             ],
             metrics: {
@@ -435,10 +405,22 @@ mod tests {
 
     #[test]
     fn dump_is_a_no_op_when_disabled() {
-        // Dumping defaults to disabled; this must not touch the disk.
-        assert!(!dump_enabled() || dump_parent().is_some());
+        // Disabled explicitly: this must not touch the disk, whatever the
+        // environment says.
         set_dump_dir(None);
         let out = dump(&DumpReason::default(), "");
         assert!(out.is_none());
+    }
+
+    #[test]
+    fn mf_observe_grammar_is_dump_or_dump_dir_and_a_typo_writes_nothing() {
+        assert_eq!(parse_observe("dump"), Some(PathBuf::from(".")));
+        assert_eq!(parse_observe("dump:/tmp/d"), Some(PathBuf::from("/tmp/d")));
+        assert_eq!(parse_observe(""), None);
+        assert_eq!(parse_observe(" , "), None);
+        for typo in ["wacth", "1", "off", "trace", "dumps", "dumpster:dir"] {
+            assert_eq!(parse_observe(typo), None, "{typo:?} must not enable dumps");
+        }
+        assert_eq!(parse_observe("wacth, dump:out"), Some(PathBuf::from("out")));
     }
 }

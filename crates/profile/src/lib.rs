@@ -1,20 +1,15 @@
-//! Continuous profiling for the mosaic-flow hot paths.
+//! Live metrics exposition for the mosaic-flow hot paths.
 //!
-//! Two pieces:
+//! [`MetricsServer`] is a dependency-free HTTP server on
+//! `std::net::TcpListener` serving `GET /metrics` (Prometheus/OpenMetrics
+//! text) and `GET /snapshot` (JSON), merging every published per-rank
+//! registry on scrape. Enabled with `--metrics-addr HOST:PORT` or
+//! `MF_METRICS_ADDR`; other crates add endpoints with [`register_route`].
 //!
-//! 1. **Zones** ([`zone!`], [`Zone`]) — scoped, nestable RAII timers with
-//!    per-kernel attribution. Each zone site hoists its metric handles
-//!    into a `OnceLock` (one registry lock for the lifetime of the
-//!    process, never per call) and feeds two always-on sinks in
-//!    `mf-telemetry`: a log-bucketed latency histogram (`prof.<name>_us`,
-//!    for tails) and a 100 ms time-series ring (for rates over time).
-//!    Recording is thread-local and allocation-free once warm; a
-//!    disabled zone costs one relaxed atomic load.
-//! 2. **Exposition** ([`MetricsServer`]) — a dependency-free HTTP server
-//!    on `std::net::TcpListener` serving `GET /metrics` (Prometheus/
-//!    OpenMetrics text) and `GET /snapshot` (JSON), merging every
-//!    published per-rank registry on scrape. Enabled with
-//!    `--metrics-addr HOST:PORT` or `MF_METRICS_ADDR`.
+//! What it mostly serves are the kernel zones: [`zone!`] is the kernel
+//! level of the `mf-telemetry` instrumentation spine, re-exported here for
+//! the crates that instrument kernels, and [`set_enabled`] switches the
+//! spine's timing-histogram sink (`prof.<name>_us` and `<name>_us`).
 //!
 //! ```
 //! mf_profile::zone!("doc_example");
@@ -23,103 +18,13 @@
 
 mod server;
 
+pub use mf_telemetry::zone;
 pub use server::{http_get, register_route, MetricsServer, RouteHandler};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turn zone profiling on or off globally. On by default; the
-/// `repro_profile` overhead bench measures the A/B difference.
+/// Turn the timing histograms and series of every `zone!` and `span!` on or
+/// off globally. On by default.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
-}
-
-/// Whether zones record. One relaxed atomic load — the entire cost of a
-/// disabled [`zone!`] site.
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Apply the `MF_PROFILE` environment variable (`off`/`0`/`false`
-/// disable zone recording; anything else leaves it on).
-pub fn init_from_env() {
-    if let Ok(v) = std::env::var("MF_PROFILE") {
-        if matches!(v.as_str(), "off" | "0" | "false") {
-            set_enabled(false);
-        }
-    }
-}
-
-/// A named profiling site: a latency histogram plus a time-series ring,
-/// both resolved from the registry once. Create via [`zone!`], which
-/// hoists the `Zone` into a per-site `OnceLock`.
-pub struct Zone {
-    hist: mf_telemetry::Histogram,
-    series: mf_telemetry::Series,
-}
-
-impl Zone {
-    /// Register the metric pair for `name` (a full metric name such as
-    /// `"prof.gemm_us"`). The histogram uses the standard microsecond
-    /// latency buckets.
-    pub fn new(name: &'static str) -> Self {
-        Self {
-            hist: mf_telemetry::histogram(name, mf_telemetry::Buckets::latency_us()),
-            series: mf_telemetry::series(name),
-        }
-    }
-
-    /// Begin timing; the returned guard records elapsed microseconds
-    /// into both sinks on drop. Returns `None` (and does nothing) when
-    /// profiling is disabled.
-    #[inline]
-    pub fn enter(&self) -> Option<ZoneGuard<'_>> {
-        if !enabled() {
-            return None;
-        }
-        Some(ZoneGuard {
-            zone: self,
-            start: Instant::now(),
-        })
-    }
-}
-
-/// RAII guard for an active [`Zone`]; see [`Zone::enter`].
-pub struct ZoneGuard<'a> {
-    zone: &'a Zone,
-    start: Instant,
-}
-
-impl Drop for ZoneGuard<'_> {
-    fn drop(&mut self) {
-        let us = self.start.elapsed().as_secs_f64() * 1e6;
-        self.zone.hist.record(us);
-        self.zone.series.record(us);
-    }
-}
-
-/// Time the enclosing scope under `prof.<name>_us`. The site's handles
-/// are registered on first execution and cached in a `OnceLock`; zones
-/// nest naturally (inner guards drop first).
-///
-/// ```
-/// fn kernel() {
-///     mf_profile::zone!("gemm");
-///     // … the rest of the scope is attributed to prof.gemm_us …
-/// }
-/// ```
-#[macro_export]
-macro_rules! zone {
-    ($name:literal) => {
-        let _mf_profile_zone_guard = {
-            static ZONE: ::std::sync::OnceLock<$crate::Zone> = ::std::sync::OnceLock::new();
-            ZONE.get_or_init(|| $crate::Zone::new(concat!("prof.", $name, "_us")))
-                .enter()
-        };
-    };
+    mf_telemetry::set_sink(mf_telemetry::ZONES, on);
 }
 
 #[cfg(test)]

@@ -18,11 +18,6 @@ use std::cell::RefCell;
 /// scheduler's point budget keeps real batches far below this.
 pub const MAX_TRACKED: usize = 512;
 
-/// Most iteration marks kept per batch (matches the serve layer's
-/// `max_iters` clamp order of magnitude; later marks are dropped, the
-/// iteration *count* is still exact).
-pub const MAX_ITER_MARKS: usize = 128;
-
 /// Per-slot audit facts for one request in the batch.
 #[derive(Clone, Copy, Debug)]
 pub struct SlotAudit {
@@ -51,22 +46,9 @@ impl SlotAudit {
     };
 }
 
-/// One iteration timestamp: (iteration index, start us, active slots).
-#[derive(Clone, Copy, Debug)]
-pub struct IterMark {
-    /// Iteration index within the batch solve.
-    pub it: u32,
-    /// Start of the iteration, microseconds since the telemetry epoch.
-    pub start_us: u64,
-    /// Number of requests still in the active set at iteration start.
-    pub active: u32,
-}
-
 struct Scope {
     slots: Vec<SlotAudit>,
     n: usize,
-    marks: Vec<IterMark>,
-    nmarks: usize,
     plan_compile_us: u64,
     active: bool,
 }
@@ -76,15 +58,6 @@ impl Scope {
         Self {
             slots: vec![SlotAudit::EMPTY; MAX_TRACKED],
             n: 0,
-            marks: vec![
-                IterMark {
-                    it: 0,
-                    start_us: 0,
-                    active: 0
-                };
-                MAX_ITER_MARKS
-            ],
-            nmarks: 0,
             plan_compile_us: 0,
             active: false,
         }
@@ -116,6 +89,9 @@ pub(crate) fn ensure_scope() {
 /// hooks must never allocate one — `Mfp::run_many` calls them on every
 /// path, including direct callers with no serve worker in sight.
 fn with_active_scope(f: impl FnOnce(&mut Scope)) {
+    if !crate::enabled() {
+        return;
+    }
     SCOPE.with(|s| {
         if let Some(sc) = s.borrow_mut().as_mut() {
             if sc.active {
@@ -138,7 +114,6 @@ pub fn begin_batch(n: usize) {
             *slot = SlotAudit::EMPTY;
         }
         sc.n = n;
-        sc.nmarks = 0;
         sc.plan_compile_us = 0;
         sc.active = true;
     });
@@ -154,32 +129,11 @@ pub fn batch_active() -> bool {
     SCOPE.with(|s| s.borrow().as_ref().map(|sc| sc.active).unwrap_or(false))
 }
 
-/// Stamp the start of Schwarz iteration `it` with `active` requests
-/// still unconverged. Called from the top of the `run_many` loop.
-pub fn note_iteration(it: u32, active: u32) {
-    if !crate::enabled() {
-        return;
-    }
-    with_active_scope(|sc| {
-        if sc.nmarks < MAX_ITER_MARKS {
-            sc.marks[sc.nmarks] = IterMark {
-                it,
-                start_us: mf_telemetry::now_us(),
-                active,
-            };
-            sc.nmarks += 1;
-        }
-    });
-}
-
 /// Record per-slot convergence state: the residual observed at
 /// iteration `it`, and whether the slot converged there. The last call
 /// for a slot wins; eviction round is latched on the first converged
 /// call. Called from the residual check in `run_many`.
 pub fn note_slot(slot: usize, it: u32, residual: f64, converged: bool) {
-    if !crate::enabled() {
-        return;
-    }
     with_active_scope(|sc| {
         if slot >= sc.n {
             return;
@@ -196,9 +150,6 @@ pub fn note_slot(slot: usize, it: u32, residual: f64, converged: bool) {
 
 /// Add one stale-halo exposure for `slot` (distributed path only).
 pub fn note_stale_halo(slot: usize) {
-    if !crate::enabled() {
-        return;
-    }
     with_active_scope(|sc| {
         if slot < sc.n {
             sc.slots[slot].stale_halos += 1;
@@ -210,12 +161,8 @@ pub fn note_stale_halo(slot: usize) {
 /// batch's solve. Called by `PlanSolver` when `get_or_compile` missed
 /// its cache.
 pub fn note_plan_compile(start_us: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    let dur = mf_telemetry::now_us().saturating_sub(start_us);
     with_active_scope(|sc| {
-        sc.plan_compile_us += dur;
+        sc.plan_compile_us += mf_telemetry::now_us().saturating_sub(start_us);
     });
 }
 
@@ -223,8 +170,6 @@ pub fn note_plan_compile(start_us: u64) {
 pub struct BatchAudit {
     /// Per-slot facts, one per request in batch order.
     pub slots: Vec<SlotAudit>,
-    /// Iteration start marks (first [`MAX_ITER_MARKS`] iterations).
-    pub marks: Vec<IterMark>,
     /// Microseconds of the solve spent compiling inference plans.
     pub plan_compile_us: u64,
 }
@@ -240,13 +185,11 @@ pub fn end_batch() -> BatchAudit {
                 sc.active = false;
                 BatchAudit {
                     slots: sc.slots[..sc.n].to_vec(),
-                    marks: sc.marks[..sc.nmarks].to_vec(),
                     plan_compile_us: sc.plan_compile_us,
                 }
             }
             _ => BatchAudit {
                 slots: Vec::new(),
-                marks: Vec::new(),
                 plan_compile_us: 0,
             },
         }
@@ -258,15 +201,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scope_collects_slot_state_and_marks() {
+    fn scope_collects_slot_state() {
         let _g = crate::TEST_ENABLE_LOCK.read().unwrap();
         std::thread::spawn(|| {
             begin_batch(3);
             assert!(batch_active());
-            note_iteration(0, 3);
             note_slot(0, 0, 0.5, false);
             note_slot(1, 0, 0.2, false);
-            note_iteration(1, 3);
             note_slot(0, 1, 0.05, true);
             note_slot(0, 1, 0.05, true); // idempotent: evict latches once
             note_slot(1, 1, 0.3, false);
@@ -274,7 +215,6 @@ mod tests {
             let audit = end_batch();
             assert!(!batch_active());
             assert_eq!(audit.slots.len(), 3);
-            assert_eq!(audit.marks.len(), 2);
             assert!(audit.slots[0].converged);
             assert_eq!(audit.slots[0].evict_round, 1);
             assert_eq!(audit.slots[0].iterations, 2);
@@ -291,11 +231,9 @@ mod tests {
     fn hooks_outside_scope_are_noops() {
         let _g = crate::TEST_ENABLE_LOCK.read().unwrap();
         std::thread::spawn(|| {
-            note_iteration(0, 1);
             note_slot(0, 0, 1.0, true);
             let audit = end_batch();
             assert!(audit.slots.is_empty());
-            assert!(audit.marks.is_empty());
         })
         .join()
         .unwrap();
@@ -312,7 +250,6 @@ mod tests {
             crate::ring::record(1, crate::Phase::Queue, 0, 1);
             let after_setup = crate::ring::thread_warm_allocs();
             begin_batch(4);
-            note_iteration(0, 4);
             note_slot(3, 0, 0.2, false);
             let audit = end_batch();
             assert_eq!(audit.slots.len(), 4);

@@ -1,11 +1,11 @@
 //! Per-request end-to-end tracing for the serve fleet.
 //!
-//! The observability stack so far answers "what is the process doing"
-//! (mf-telemetry spans/metrics), "where does time go per kernel"
-//! (mf-profile zones), and "what happened before it died" (mf-observe
-//! flight recorder). This crate answers the remaining question: **what
-//! happened to request #N** — where its wall time went, how its solve
-//! converged, and whether the fleet is inside its SLOs.
+//! The `mf-telemetry` spine answers "what is the process doing" and
+//! "where does time go per kernel", mf-observe "what happened before it
+//! died". This crate owns the remaining question: **what happened to
+//! request #N** — the request log (where its wall time went), the
+//! convergence audit (how its solve converged), and SLO health (whether
+//! the fleet is inside its objectives).
 //!
 //! Pieces:
 //!
@@ -16,8 +16,8 @@
 //! - [`record`] + [`Phase`] — span recording into preallocated
 //!   per-thread rings: the warm path is one `Copy` write, zero heap
 //!   allocations (gated by the `reqtrace.warm_allocs` bench metric).
-//! - Convergence audit ([`begin_batch`], [`note_iteration`],
-//!   [`note_slot`], [`note_plan_compile`]) — thread-local hooks the MFP
+//! - Convergence audit ([`begin_batch`], [`note_slot`],
+//!   [`note_plan_compile`]) — thread-local hooks the MFP
 //!   solver fills in while a batch is in flight.
 //! - [`drain_batch`] — the off-hot-path merge: ring records + audit
 //!   scope become fixed-size [`RequestTrace`] entries in a global
@@ -30,8 +30,8 @@
 //!   reservoir and counters, exposed on the mf-profile [`MetricsServer`]
 //!   via [`install_routes`].
 //!
-//! Tracing is on by default and costs one relaxed atomic load when
-//! disabled (`MF_REQTRACE=off`, [`set_enabled`]).
+//! Tracing is on by default and costs one relaxed atomic load of the
+//! spine's sink word when disabled ([`set_enabled`]).
 //!
 //! [`MetricsServer`]: mf_profile::MetricsServer
 
@@ -44,8 +44,8 @@ mod ring;
 mod slo;
 
 pub use audit::{
-    batch_active, begin_batch, end_batch, note_iteration, note_plan_compile, note_slot,
-    note_stale_halo, BatchAudit, IterMark, SlotAudit, MAX_ITER_MARKS, MAX_TRACKED,
+    batch_active, begin_batch, end_batch, note_plan_compile, note_slot, note_stale_halo,
+    BatchAudit, SlotAudit, MAX_TRACKED,
 };
 pub use context::{next_id, TraceContext};
 pub use reqlog::{
@@ -53,13 +53,9 @@ pub use reqlog::{
     RequestMeta, RequestTrace, EXEMPLAR_WINDOW, MAX_SPANS, RECENT_CAP,
 };
 pub use ring::{
-    dropped_records, mark_warm, record, reset_warm_allocs, warm_allocs, Phase, SpanRec, RING_CAP,
+    dropped_records, mark_warm, record, reset_warm_allocs, warm_allocs, Phase, SpanRec,
 };
 pub use slo::{burns, healthz, ready, readyz, report_health, set_ready, set_slo, slo, SloConfig};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Tests that record spans take this in read mode; the test that flips
 /// the global enable switch takes it in write mode, so parallel test
@@ -70,13 +66,13 @@ pub(crate) static TEST_ENABLE_LOCK: std::sync::RwLock<()> = std::sync::RwLock::n
 /// Turn request tracing on or off globally. On by default; every
 /// recording hook is a no-op behind one relaxed load when off.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::SeqCst);
+    mf_telemetry::set_sink(mf_telemetry::REQTRACE, on);
 }
 
 /// Whether request tracing is enabled.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    mf_telemetry::sinks() & mf_telemetry::REQTRACE != 0
 }
 
 /// Preallocate the calling thread's span ring and audit scope. Serve
@@ -85,16 +81,6 @@ pub fn enabled() -> bool {
 pub fn prewarm_thread() {
     ring::ensure_ring();
     audit::ensure_scope();
-}
-
-/// Apply the `MF_REQTRACE` environment variable: `off`/`0`/`false`
-/// disables request tracing.
-pub fn init_from_env() {
-    if let Ok(v) = std::env::var("MF_REQTRACE") {
-        if v == "off" || v == "0" || v == "false" {
-            set_enabled(false);
-        }
-    }
 }
 
 /// Install this crate's endpoints on every [`mf_profile::MetricsServer`]

@@ -7,14 +7,15 @@
 //! ring guarded by one mutex — contended only batch-by-batch, never
 //! per-span. Two exemplars per rolling window of completions are kept
 //! in full (the slowest request and the worst final residual), each
-//! with the batch's iteration marks, and can be exported as a Chrome
+//! with the batch's iteration spans, and can be exported as a Chrome
 //! `trace_event` bundle ([`render_exemplar_trace`]) in the same format
 //! mf-observe post-mortem bundles use, so the existing Perfetto
 //! tooling opens them unchanged.
 
-use crate::audit::{self, IterMark};
+use crate::audit;
 use crate::context::TraceContext;
 use crate::ring::{self, Phase, SpanRec};
+use mf_telemetry::{Record, Ring, SpanEvent};
 use std::sync::{LazyLock, Mutex};
 
 /// How many completed requests the recent ring keeps.
@@ -101,12 +102,7 @@ impl RequestTrace {
         converged: false,
         final_residual: f64::NAN,
         stale_halos: 0,
-        spans: [SpanRec {
-            req: 0,
-            phase: Phase::Queue,
-            start_us: 0,
-            dur_us: 0,
-        }; MAX_SPANS],
+        spans: [SpanRec::EMPTY; MAX_SPANS],
         nspans: 0,
     };
 
@@ -121,8 +117,6 @@ impl RequestTrace {
             Phase::Solve => self.solve_us += rec.dur_us,
             Phase::ReplyWait => self.reply_wait_us += rec.dur_us,
             Phase::Serialize => self.serialize_us += rec.dur_us,
-            Phase::PlanCompile => self.plan_compile_us += rec.dur_us,
-            Phase::Iteration => {}
         }
     }
 }
@@ -149,14 +143,18 @@ pub struct RequestMeta {
     pub final_residual: f64,
 }
 
+/// Iteration spans kept per exemplar (later ones are dropped; the
+/// iteration *count* in the trace is still exact).
+const MAX_ITER_SPANS: usize = 128;
+
 struct Exemplar {
     trace: RequestTrace,
-    marks: Vec<IterMark>,
+    /// The batch's `mfp.iteration` spans, as the solver recorded them.
+    iters: Vec<Record>,
 }
 
 struct LogInner {
-    ring: Vec<RequestTrace>,
-    head: usize,
+    ring: Ring<RequestTrace>,
     completed: u64,
     /// Current / previous exemplar windows: (slowest, worst residual).
     slow_cur: Option<Exemplar>,
@@ -166,16 +164,7 @@ struct LogInner {
 }
 
 impl LogInner {
-    fn push(&mut self, t: RequestTrace) {
-        if self.ring.len() < RECENT_CAP {
-            self.ring.push(t);
-        } else {
-            self.ring[self.head] = t;
-        }
-        self.head = (self.head + 1) % RECENT_CAP;
-    }
-
-    fn consider_exemplar(&mut self, t: &RequestTrace, marks: &[IterMark]) {
+    fn consider_exemplar(&mut self, t: &RequestTrace, iters: &[Record]) {
         let slower = self
             .slow_cur
             .as_ref()
@@ -184,7 +173,7 @@ impl LogInner {
         if slower {
             self.slow_cur = Some(Exemplar {
                 trace: *t,
-                marks: marks.to_vec(),
+                iters: iters.to_vec(),
             });
         }
         let worse = self
@@ -198,7 +187,7 @@ impl LogInner {
         if worse {
             self.bad_cur = Some(Exemplar {
                 trace: *t,
-                marks: marks.to_vec(),
+                iters: iters.to_vec(),
             });
         }
         self.completed += 1;
@@ -211,8 +200,7 @@ impl LogInner {
 
 static LOG: LazyLock<Mutex<LogInner>> = LazyLock::new(|| {
     Mutex::new(LogInner {
-        ring: Vec::with_capacity(RECENT_CAP),
-        head: 0,
+        ring: Ring::new(RECENT_CAP),
         completed: 0,
         slow_cur: None,
         bad_cur: None,
@@ -226,10 +214,11 @@ pub fn completed() -> u64 {
     LOG.lock().unwrap().completed
 }
 
-/// Merge the calling worker's span ring and audit scope into finished
-/// request traces and push them into the global log. Call once per
-/// batch, after every reply is sent — this is the drain that keeps the
-/// recording path alloc-free.
+/// Merge the calling worker's span ring, audit scope and the iteration
+/// spans the solver left in the worker's flight ring into finished request
+/// traces, and push them into the global log. Call once per batch, after
+/// every reply is sent — this is the drain that keeps the recording path
+/// alloc-free.
 pub fn drain_batch(metas: &[RequestMeta]) {
     let batch_audit = audit::end_batch();
     if !crate::enabled() || metas.is_empty() {
@@ -240,6 +229,18 @@ pub fn drain_batch(metas: &[RequestMeta]) {
     ring::drain_thread(
         |r| metas.iter().any(|m| m.ctx.req == r.req),
         |r| recs.push(r),
+    );
+    // Older ones were left by batches solved while request tracing was off.
+    let solve_start = recs.iter().find(|r| r.phase == Phase::Solve);
+    let solve_start = solve_start.map_or(0, |r| r.start_us);
+    let mut iters: Vec<Record> = Vec::new();
+    mf_telemetry::drain_flight(
+        |r| r.name == "mfp.iteration",
+        |r| {
+            if r.t_us >= solve_start && iters.len() < MAX_ITER_SPANS {
+                iters.push(r);
+            }
+        },
     );
 
     let mut log = LOG.lock().unwrap();
@@ -282,8 +283,8 @@ pub fn drain_batch(metas: &[RequestMeta]) {
             // eviction mark: the eviction round is the iteration count.
             t.evict_round = t.iterations.saturating_sub(1);
         }
-        log.consider_exemplar(&t, &batch_audit.marks);
-        log.push(t);
+        log.consider_exemplar(&t, &iters);
+        log.ring.push(t);
     }
 }
 
@@ -295,40 +296,29 @@ pub fn note_serialize(req: u64, start_us: u64, dur_us: u64) {
         return;
     }
     let mut log = LOG.lock().unwrap();
-    let n = log.ring.len();
-    let head = log.head;
-    for k in 1..=n {
-        let idx = (head + RECENT_CAP - k) % RECENT_CAP;
-        let idx = if n < RECENT_CAP { n - k } else { idx };
-        let t = &mut log.ring[idx];
-        if t.req == req {
-            t.push_span(SpanRec {
-                req,
-                phase: Phase::Serialize,
-                start_us,
-                dur_us,
-            });
-            let end = start_us + dur_us;
-            t.total_us = t.total_us.max(end.saturating_sub(t.enqueued_us));
-            return;
-        }
+    let newest = log.ring.iter_mut().rev().find(|t| t.req == req);
+    if let Some(t) = newest {
+        t.push_span(SpanRec {
+            req,
+            phase: Phase::Serialize,
+            start_us,
+            dur_us,
+        });
+        let end = start_us + dur_us;
+        t.total_us = t.total_us.max(end.saturating_sub(t.enqueued_us));
     }
 }
 
 /// The most recent `n` completed request traces, newest first.
 pub fn recent(n: usize) -> Vec<RequestTrace> {
-    let log = LOG.lock().unwrap();
-    let len = log.ring.len();
-    let mut out = Vec::with_capacity(n.min(len));
-    for k in 1..=n.min(len) {
-        let idx = if len < RECENT_CAP {
-            len - k
-        } else {
-            (log.head + RECENT_CAP - k) % RECENT_CAP
-        };
-        out.push(log.ring[idx]);
-    }
-    out
+    LOG.lock()
+        .unwrap()
+        .ring
+        .iter()
+        .rev()
+        .take(n)
+        .copied()
+        .collect()
 }
 
 fn fmt_residual(r: f64) -> String {
@@ -405,9 +395,9 @@ pub fn render_requests_json(n: usize) -> String {
     body
 }
 
-fn exemplar_spans(label: &str, e: &Exemplar, out: &mut Vec<mf_telemetry::SpanEvent>) {
+fn exemplar_spans(label: &str, e: &Exemplar, out: &mut Vec<SpanEvent>) {
     let t = &e.trace;
-    out.push(mf_telemetry::SpanEvent {
+    out.push(SpanEvent {
         name: format!("request[{label}] req={} batch={}", t.req, t.batch),
         rank: t.worker as usize,
         start_us: t.enqueued_us,
@@ -421,13 +411,8 @@ fn exemplar_spans(label: &str, e: &Exemplar, out: &mut Vec<mf_telemetry::SpanEve
             ("converged".to_string(), t.converged as u8 as f64),
         ],
     });
-    let mut solve_end = 0u64;
-    for i in 0..t.nspans as usize {
-        let s = &t.spans[i];
-        if s.phase == Phase::Solve {
-            solve_end = solve_end.max(s.start_us + s.dur_us);
-        }
-        out.push(mf_telemetry::SpanEvent {
+    for s in &t.spans[..t.nspans as usize] {
+        out.push(SpanEvent {
             name: s.phase.as_str().to_string(),
             rank: t.worker as usize,
             start_us: s.start_us,
@@ -436,22 +421,11 @@ fn exemplar_spans(label: &str, e: &Exemplar, out: &mut Vec<mf_telemetry::SpanEve
             args: vec![("req".to_string(), s.req as f64)],
         });
     }
-    for (i, m) in e.marks.iter().enumerate() {
-        let end = e
-            .marks
-            .get(i + 1)
-            .map(|n| n.start_us)
-            .unwrap_or(solve_end.max(m.start_us));
-        out.push(mf_telemetry::SpanEvent {
-            name: format!("iteration {}", m.it),
-            rank: t.worker as usize,
-            start_us: m.start_us,
-            dur_us: end.saturating_sub(m.start_us),
+    for r in &e.iters {
+        out.push(SpanEvent {
+            name: format!("iteration {}", r.v[0]),
             depth: 2,
-            args: vec![
-                ("it".to_string(), m.it as f64),
-                ("active".to_string(), m.active as f64),
-            ],
+            ..SpanEvent::from_record(t.worker as usize, r)
         });
     }
 }
@@ -511,7 +485,6 @@ mod tests {
             ring::record(id, Phase::ReplyWait, 1350, 30);
             ring::record(id, Phase::Serialize, 1380, 20);
             crate::audit::begin_batch(1);
-            crate::audit::note_iteration(0, 1);
             crate::audit::note_slot(0, 4, 1e-5, true);
             drain_batch(&[m]);
             let got = recent(RECENT_CAP)
@@ -568,14 +541,16 @@ mod tests {
             let id = m.ctx.req;
             ring::record(id, Phase::Queue, 1000, 900_000);
             crate::audit::begin_batch(1);
-            crate::audit::note_iteration(0, 1);
+            {
+                mf_telemetry::span!("mfp.iteration", it = 0, active = 1);
+            }
             drain_batch(&[m]);
             let body = render_requests_json(8);
             let v = mf_telemetry::JsonValue::parse(&body).expect("valid JSON");
             assert!(v.get("completed").and_then(|x| x.as_f64()).unwrap() >= 1.0);
             let trace = render_exemplar_trace();
             assert!(trace.contains("\"ph\":\"X\""), "chrome events: {trace}");
-            assert!(trace.contains("iteration"), "iteration marks: {trace}");
+            assert!(trace.contains("iteration 0"), "iteration spans: {trace}");
             mf_telemetry::parse_chrome_trace(&trace).expect("parseable chrome trace");
         })
         .join()

@@ -1,11 +1,11 @@
-//! Per-worker ring buffers of request span records — the warm path.
+//! Request span records on the worker's ring — the warm path.
 //!
 //! The contract that makes request tracing affordable on the serve hot
-//! path: recording a span is a bounds-checked write of a `Copy` struct
-//! into a preallocated thread-local ring. No heap allocation, no global
-//! lock, no formatting. The ring is drained *off* the hot path — after
-//! the worker has sent every reply in its batch — into the global
-//! request log via [`crate::drain_batch`].
+//! path: recording a span is a write of a `Copy` struct into a
+//! preallocated thread-local [`Ring`] (the `mf-telemetry` one). No heap
+//! allocation, no global lock, no formatting. The ring is drained *off*
+//! the hot path — after the worker has sent every reply in its batch —
+//! into the global request log via [`crate::drain_batch`].
 //!
 //! Allocation accounting: the only allocation the recording path can
 //! ever perform is the one-time creation of a thread's ring. After the
@@ -13,12 +13,12 @@
 //! further ring creation increments the [`warm_allocs`] counter — the
 //! `reqtrace.warm_allocs` bench gate holds it at 0.
 
-use std::cell::{Cell, RefCell};
+use mf_telemetry::Ring;
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Phases a request's wall time decomposes into. The first five tile it
-/// exactly on the worker (queue → batch-wait → solve → reply-wait →
-/// serialize); plan-compile and iteration are children of solve.
+/// Phases a request's wall time decomposes into; they tile it exactly on
+/// the worker (queue → batch-wait → solve → reply-wait → serialize).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Phase {
@@ -36,10 +36,6 @@ pub enum Phase {
     /// Building and sending the reply (response struct + channel send on
     /// the worker; JSON rendering + socket write on the TCP path).
     Serialize = 4,
-    /// Compiling an `InferencePlan` on a cache miss — a child of Solve.
-    PlanCompile = 5,
-    /// One Schwarz iteration of the batch — a child of Solve.
-    Iteration = 6,
 }
 
 impl Phase {
@@ -51,8 +47,6 @@ impl Phase {
             Phase::Solve => "solve",
             Phase::ReplyWait => "reply_wait",
             Phase::Serialize => "serialize",
-            Phase::PlanCompile => "plan_compile",
-            Phase::Iteration => "iteration",
         }
     }
 }
@@ -61,8 +55,7 @@ impl Phase {
 /// fixed-size so rings and request-log entries never allocate.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpanRec {
-    /// The request this span belongs to (0 = batch-scoped, e.g. an
-    /// iteration span shared by every request in the batch).
+    /// The request this span belongs to.
     pub req: u64,
     /// Which phase of the request the interval covers.
     pub phase: Phase,
@@ -73,7 +66,7 @@ pub struct SpanRec {
 }
 
 impl SpanRec {
-    const EMPTY: SpanRec = SpanRec {
+    pub(crate) const EMPTY: SpanRec = SpanRec {
         req: 0,
         phase: Phase::Queue,
         start_us: 0,
@@ -81,41 +74,12 @@ impl SpanRec {
     };
 }
 
-/// Ring capacity per worker thread: a batch records 5 spans per request
-/// plus iteration marks, so 4096 covers the largest schedulable batch
-/// many times over.
-pub const RING_CAP: usize = 4096;
-
-struct Ring {
-    buf: Vec<SpanRec>,
-    /// Next write slot.
-    head: usize,
-    /// Live records (≤ RING_CAP).
-    len: usize,
-}
-
-impl Ring {
-    fn new() -> Self {
-        Self {
-            buf: vec![SpanRec::EMPTY; RING_CAP],
-            head: 0,
-            len: 0,
-        }
-    }
-
-    fn push(&mut self, rec: SpanRec) {
-        self.buf[self.head] = rec;
-        self.head = (self.head + 1) % RING_CAP;
-        if self.len < RING_CAP {
-            self.len += 1;
-        } else {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
+/// Ring capacity per worker thread: a batch records 5 spans per request,
+/// so 4096 covers the largest schedulable batch many times over.
+const RING_CAP: usize = 4096;
 
 thread_local! {
-    static RING: RefCell<Option<Ring>> = const { RefCell::new(None) };
+    static RING: RefCell<Ring<SpanRec>> = const { RefCell::new(Ring::new(RING_CAP)) };
 }
 
 static WARM: AtomicBool = AtomicBool::new(false);
@@ -145,13 +109,15 @@ pub fn dropped_records() -> u64 {
     DROPPED.load(Ordering::Relaxed)
 }
 
+#[cfg(test)]
 thread_local! {
-    static THREAD_WARM_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_WARM_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 pub(crate) fn note_warm_alloc() {
     if WARM.load(Ordering::Relaxed) {
         WARM_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
         THREAD_WARM_ALLOCS.with(|c| c.set(c.get() + 1));
     }
 }
@@ -164,15 +130,12 @@ pub(crate) fn thread_warm_allocs() -> u64 {
     THREAD_WARM_ALLOCS.with(|c| c.get())
 }
 
-/// Create the calling thread's ring now if it does not exist yet, so
-/// the one-time allocation happens before [`mark_warm`].
+/// Allocate the calling thread's request ring now if it does not exist
+/// yet, so the one-time allocation happens before [`mark_warm`].
 pub(crate) fn ensure_ring() {
-    RING.with(|r| {
-        r.borrow_mut().get_or_insert_with(|| {
-            note_warm_alloc();
-            Ring::new()
-        });
-    });
+    if RING.with(|r| r.borrow_mut().reserve()) {
+        note_warm_alloc();
+    }
 }
 
 /// Record one span into the calling thread's ring. The warm path: a
@@ -183,51 +146,30 @@ pub fn record(req: u64, phase: Phase, start_us: u64, dur_us: u64) {
     if !crate::enabled() {
         return;
     }
-    RING.with(|r| {
+    let rec = SpanRec {
+        req,
+        phase,
+        start_us,
+        dur_us,
+    };
+    let (fresh, overwritten) = RING.with(|r| {
         let mut r = r.borrow_mut();
-        let ring = r.get_or_insert_with(|| {
-            note_warm_alloc();
-            Ring::new()
-        });
-        ring.push(SpanRec {
-            req,
-            phase,
-            start_us,
-            dur_us,
-        });
+        (r.reserve(), r.push(rec))
     });
+    if fresh {
+        note_warm_alloc();
+    }
+    if overwritten.is_some() {
+        DROPPED.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Drain every record in the calling thread's ring matching `pred` into
 /// `out` (oldest first), removing them from the ring. Called off the
 /// hot path by the worker's batch-completion assembly. Records not
 /// matching stay in the ring.
-pub(crate) fn drain_thread(mut pred: impl FnMut(&SpanRec) -> bool, mut out: impl FnMut(SpanRec)) {
-    RING.with(|r| {
-        let mut r = r.borrow_mut();
-        let Some(ring) = r.as_mut() else { return };
-        let (head, len) = (ring.head, ring.len);
-        let start = (head + RING_CAP - len) % RING_CAP;
-        let mut kept = 0usize;
-        // Walk oldest→newest; compact survivors back contiguously. The
-        // keep buffer only allocates when a drain leaves records behind,
-        // which happens off the hot path by construction.
-        let mut keep_buf: Vec<SpanRec> = Vec::new();
-        for k in 0..len {
-            let rec = ring.buf[(start + k) % RING_CAP];
-            if pred(&rec) {
-                out(rec);
-            } else {
-                keep_buf.push(rec);
-                kept += 1;
-            }
-        }
-        ring.head = kept % RING_CAP;
-        ring.len = kept;
-        for (i, rec) in keep_buf.into_iter().enumerate() {
-            ring.buf[i % RING_CAP] = rec;
-        }
-    });
+pub(crate) fn drain_thread(pred: impl FnMut(&SpanRec) -> bool, out: impl FnMut(SpanRec)) {
+    RING.with(|r| r.borrow_mut().drain_filter(pred, out));
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! is plain `format!`.
 
 use crate::service::{ServeError, SolveRequest, SolveResponse};
-use mf_telemetry::JsonValue;
+use mf_telemetry::{escape_json, JsonValue};
 use mf_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -191,16 +191,12 @@ pub fn render_err(id: u64, e: &ServeError) -> String {
         }
         ServeError::BadRequest(m) => format!(
             "{{\"id\":{id},\"status\":\"error\",\"message\":\"{}\"}}\n",
-            escape(m)
+            escape_json(m)
         ),
         ServeError::Shutdown => {
             format!("{{\"id\":{id},\"status\":\"error\",\"message\":\"shutting down\"}}\n")
         }
     }
-}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -293,5 +289,19 @@ mod tests {
 
         let err = render_err(2, &ServeError::BadRequest("quote \" here".into()));
         assert!(JsonValue::parse(err.trim()).is_ok());
+    }
+
+    #[test]
+    fn an_error_message_with_control_characters_stays_one_valid_line() {
+        let msg = "quote \" backslash \\ newline \n tab \t ctrl \u{1} end";
+        let line = render_err(3, &ServeError::BadRequest(msg.into()));
+        assert_eq!(
+            line.matches('\n').count(),
+            1,
+            "one reply, one line: {line:?}"
+        );
+        assert!(line.ends_with('\n'));
+        let v = JsonValue::parse(line.trim_end()).expect("the reply line is valid JSON");
+        assert_eq!(v.get("message").and_then(JsonValue::as_str), Some(msg));
     }
 }

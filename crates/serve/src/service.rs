@@ -157,36 +157,17 @@ struct Job {
 }
 
 /// Sliding window of recent request latencies for the percentile gauges.
-struct Reservoir {
-    ring: Vec<f64>,
-    next: usize,
-}
+struct Reservoir(mf_telemetry::Ring<f64>);
 
 const RESERVOIR_CAP: usize = 2048;
 
 impl Reservoir {
-    fn new() -> Self {
-        Self {
-            ring: Vec::with_capacity(RESERVOIR_CAP),
-            next: 0,
-        }
-    }
-
-    fn push(&mut self, v: f64) {
-        if self.ring.len() < RESERVOIR_CAP {
-            self.ring.push(v);
-        } else {
-            self.ring[self.next] = v;
-        }
-        self.next = (self.next + 1) % RESERVOIR_CAP;
-    }
-
     /// `(p50, p95, p99)` over the window, nearest-rank.
     fn percentiles(&self) -> (f64, f64, f64) {
-        if self.ring.is_empty() {
+        if self.0.is_empty() {
             return (0.0, 0.0, 0.0);
         }
-        let mut sorted = self.ring.clone();
+        let mut sorted: Vec<f64> = self.0.iter().copied().collect();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let at = |p: f64| {
             let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
@@ -226,7 +207,7 @@ impl SolveService {
             spec,
             cfg,
             sched: Scheduler::new(batch),
-            reservoir: Mutex::new(Reservoir::new()),
+            reservoir: Mutex::new(Reservoir(mf_telemetry::Ring::new(RESERVOIR_CAP))),
             started: Instant::now(),
             completed: AtomicU64::new(0),
             unconverged: AtomicU64::new(0),
@@ -526,7 +507,7 @@ fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
         {
             let mut res = inner.reservoir.lock().unwrap();
             for l in &latencies {
-                res.push(*l);
+                res.0.push(*l);
             }
             // Refresh the exposition gauges periodically — the sort over
             // the window is too costly to run on every batch.

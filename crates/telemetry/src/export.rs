@@ -1,11 +1,99 @@
-//! Trace exporters: JSONL (one event per line) and Chrome `trace_event`
-//! JSON (loadable in `chrome://tracing` / Perfetto), plus parsers that
-//! invert them exactly — used by tests and offline tooling.
+//! The export/parse side of the trace: [`SpanEvent`] and [`FlowEvent`]
+//! (what a [`Record`] becomes once it leaves its thread), the JSONL (one
+//! event per line) and Chrome `trace_event` JSON writers (loadable in
+//! `chrome://tracing` / Perfetto), and parsers that invert them exactly —
+//! used by tests and offline tooling.
 
-use crate::flow::{FlowEvent, FlowPhase};
 use crate::json::{escape, JsonValue};
-use crate::span::SpanEvent;
+use crate::sink::{Kind, Record};
 use std::io::{self, Write};
+
+/// One finished span interval.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SpanEvent {
+    /// Site name, e.g. `"comm.allreduce"`.
+    pub name: String,
+    /// Rank of the recording thread (0 for untagged threads); `tid` in
+    /// the Chrome trace.
+    pub rank: usize,
+    /// Open timestamp, microseconds since the telemetry epoch.
+    pub start_us: u64,
+    /// Duration in microseconds.
+    pub dur_us: u64,
+    /// Nesting depth at open time (0 = top level).
+    pub depth: u32,
+    /// Numeric arguments captured at open time.
+    pub args: Vec<(String, f64)>,
+}
+
+/// Which end of a flow an event marks.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FlowPhase {
+    /// The producing end (a send) — Chrome phase `"s"`.
+    Start,
+    /// The consuming end (a delivery) — Chrome phase `"f"`.
+    Finish,
+}
+
+/// One end of a cross-rank flow: a message leaving its sender or arriving
+/// at its receiver. The two ends share a 64-bit id; the Chrome exporter
+/// emits them as `ph:"s"` / `ph:"f"` events, so Perfetto draws an arrow
+/// between the enclosing slices of the two ranks.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FlowEvent {
+    /// Site name, e.g. `"comm.send"`.
+    pub name: String,
+    /// Rank of the recording thread (0 for untagged threads).
+    pub rank: usize,
+    /// Timestamp, microseconds since the telemetry epoch.
+    pub ts_us: u64,
+    /// Flow id; the start and finish ends of one flow share it.
+    pub id: u64,
+    /// Which end this event is.
+    pub phase: FlowPhase,
+    /// Numeric arguments captured at record time.
+    pub args: Vec<(String, f64)>,
+}
+
+impl SpanEvent {
+    /// The exported form of a timed-scope record.
+    pub fn from_record(rank: usize, r: &Record) -> Self {
+        Self {
+            name: r.name.to_string(),
+            rank,
+            start_us: r.t_us,
+            dur_us: r.dur_us,
+            depth: r.depth,
+            args: r
+                .keys
+                .iter()
+                .zip(r.v)
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        }
+    }
+}
+
+impl FlowEvent {
+    /// The exported form of a [`Kind::Send`] / [`Kind::Recv`] record.
+    pub fn from_record(rank: usize, r: &Record) -> Self {
+        Self {
+            name: r.name.to_string(),
+            rank,
+            ts_us: r.t_us,
+            id: r.a,
+            phase: match r.kind {
+                Kind::Send => FlowPhase::Start,
+                _ => FlowPhase::Finish,
+            },
+            args: vec![
+                ("epoch".to_string(), r.epoch as f64),
+                ("step".to_string(), r.step as f64),
+                ("bytes".to_string(), r.v[0]),
+            ],
+        }
+    }
+}
 
 fn fmt_args(args: &[(String, f64)]) -> String {
     let mut out = String::from("{");
@@ -103,7 +191,8 @@ fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing numeric field {key:?}"))
 }
 
-fn event_from_json(v: &JsonValue, rank_key: &str) -> Result<SpanEvent, String> {
+/// The `name` and numeric `args` members every event object carries.
+fn name_and_args(v: &JsonValue) -> Result<(String, Vec<(String, f64)>), String> {
     let name = v
         .get("name")
         .and_then(JsonValue::as_str)
@@ -120,6 +209,11 @@ fn event_from_json(v: &JsonValue, rank_key: &str) -> Result<SpanEvent, String> {
             .collect::<Result<Vec<_>, _>>()?,
         _ => Vec::new(),
     };
+    Ok((name, args))
+}
+
+fn event_from_json(v: &JsonValue, rank_key: &str) -> Result<SpanEvent, String> {
+    let (name, args) = name_and_args(v)?;
     Ok(SpanEvent {
         name,
         rank: field_u64(v, rank_key)? as usize,
@@ -139,11 +233,7 @@ pub fn parse_jsonl(s: &str) -> Result<Vec<SpanEvent>, String> {
 }
 
 fn flow_from_json(v: &JsonValue, phase: FlowPhase) -> Result<FlowEvent, String> {
-    let name = v
-        .get("name")
-        .and_then(JsonValue::as_str)
-        .ok_or("missing field \"name\"")?
-        .to_string();
+    let (name, args) = name_and_args(v)?;
     let id = match v.get("id") {
         Some(JsonValue::Str(s)) => s
             .parse::<u64>()
@@ -153,17 +243,6 @@ fn flow_from_json(v: &JsonValue, phase: FlowPhase) -> Result<FlowEvent, String> 
             .map(|f| f as u64)
             .ok_or_else(|| format!("flow event {name}: non-numeric id"))?,
         None => return Err(format!("flow event {name}: missing id")),
-    };
-    let args = match v.get("args") {
-        Some(JsonValue::Obj(members)) => members
-            .iter()
-            .map(|(k, val)| {
-                val.as_f64()
-                    .map(|f| (k.clone(), f))
-                    .ok_or_else(|| format!("non-numeric arg {k:?}"))
-            })
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => Vec::new(),
     };
     Ok(FlowEvent {
         name,

@@ -69,8 +69,10 @@ impl JsonValue {
     }
 }
 
-/// Escape `s` for embedding in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
+/// Escape `s` for embedding in a JSON string literal: quotes,
+/// backslashes and every control character, so the literal never spans a
+/// line. The workspace's one JSON string escaper.
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

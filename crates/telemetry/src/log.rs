@@ -14,13 +14,13 @@
 //!   caller-supplied `key=value` fields (values are `Display`-formatted
 //!   and JSON-escaped).
 //! - **Request correlation** — when the current thread is handling a
-//!   traced request (see `mf-reqtrace`), [`set_current_request`] tags
+//!   traced request (see `mf-reqtrace`), [`crate::set_current_request`] tags
 //!   the thread and every line it logs carries a `"req"` field; the
 //!   thread's telemetry rank tags lines with `"rank"` the same way.
 //!
 //! Configure with `MF_LOG=error|warn|info|debug|off` (default `warn`).
 
-use std::cell::Cell;
+use crate::json::escape;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Log severity, ordered: a configured level admits itself and
@@ -54,10 +54,6 @@ impl Level {
 const LEVEL_OFF: u8 = 255;
 
 static LEVEL: AtomicU8 = AtomicU8::new(Level::Warn as u8);
-
-thread_local! {
-    static CURRENT_REQ: Cell<u64> = const { Cell::new(0) };
-}
 
 /// Set the global log level; lines above it are dropped before their
 /// fields are evaluated.
@@ -93,34 +89,6 @@ pub fn init_log_from_env() {
     }
 }
 
-/// Tag the current thread as handling request `req` (0 clears the tag);
-/// lines logged while the tag is set carry a `"req"` field. Set by the
-/// serve layer on its worker and connection threads.
-pub fn set_current_request(req: u64) {
-    CURRENT_REQ.with(|c| c.set(req));
-}
-
-/// The request id the current thread is handling, if any.
-pub fn current_request() -> u64 {
-    CURRENT_REQ.with(|c| c.get())
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Render one log line (no trailing newline). Pure so tests can assert
 /// on the exact wire format; [`log_emit`] is this plus the stderr write.
 pub fn format_log_line(level: Level, event: &str, fields: &[(&str, String)]) -> String {
@@ -130,27 +98,27 @@ pub fn format_log_line(level: Level, event: &str, fields: &[(&str, String)]) -> 
     s.push_str(",\"level\":\"");
     s.push_str(level.as_str());
     s.push_str("\",\"event\":\"");
-    escape_into(&mut s, event);
+    s.push_str(&escape(event));
     s.push('"');
     if let Some(rank) = crate::thread_rank() {
         s.push_str(",\"rank\":");
         s.push_str(&rank.to_string());
     }
-    let req = current_request();
+    let req = crate::current_request();
     if req != 0 {
         s.push_str(",\"req\":");
         s.push_str(&req.to_string());
     }
     for (k, v) in fields {
         s.push_str(",\"");
-        escape_into(&mut s, k);
+        s.push_str(&escape(k));
         s.push_str("\":");
         // Numbers pass through bare; everything else is a JSON string.
         if !v.is_empty() && v.parse::<f64>().is_ok() {
             s.push_str(v);
         } else {
             s.push('"');
-            escape_into(&mut s, v);
+            s.push_str(&escape(v));
             s.push('"');
         }
     }
@@ -189,6 +157,7 @@ macro_rules! log {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{current_request, set_current_request};
 
     /// Serializes the tests that mutate the global level.
     static LEVEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

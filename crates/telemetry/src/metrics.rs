@@ -6,10 +6,9 @@
 //! (thread) therefore accumulates an independent set, which
 //! [`snapshot`] captures for per-rank reporting and cross-rank merging.
 
-use crate::sink::SINK;
+use crate::sink::{ThreadSink, SINK};
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
-use std::time::Instant;
 
 /// Process-wide name → slot registry. Ordered vectors drive snapshot
 /// iteration; the hash maps make registration O(1) instead of a linear
@@ -175,55 +174,34 @@ impl Gauge {
 impl Histogram {
     /// Record one observation on the current thread.
     pub fn record(&self, v: f64) {
-        let idx = bucket_index(&self.bounds, v);
-        let nbuckets = self.bounds.len() + 1;
-        SINK.with(|s| {
-            let mut s = s.borrow_mut();
-            if s.hists.len() <= self.slot {
-                s.hists.resize_with(self.slot + 1, HistData::default);
-            }
-            let h = &mut s.hists[self.slot];
-            if h.counts.is_empty() {
-                h.counts = vec![0; nbuckets];
-            }
-            h.counts[idx] += 1;
-            if h.count == 0 {
-                h.min = v;
-                h.max = v;
-            } else {
-                h.min = h.min.min(v);
-                h.max = h.max.max(v);
-            }
-            h.count += 1;
-            h.sum += v;
-        });
+        SINK.with(|s| self.record_in(&mut s.borrow_mut(), v));
     }
 
-    /// Start a timer that records elapsed **microseconds** into this
-    /// histogram when dropped.
-    pub fn time(&self) -> HistTimer {
-        HistTimer {
-            hist: self.clone(),
-            start: Instant::now(),
+    pub(crate) fn record_in(&self, s: &mut ThreadSink, v: f64) {
+        let idx = bucket_index(&self.bounds, v);
+        if s.hists.len() <= self.slot {
+            s.hists.resize_with(self.slot + 1, HistData::default);
         }
+        let h = &mut s.hists[self.slot];
+        if h.counts.is_empty() {
+            h.counts = vec![0; self.bounds.len() + 1];
+        }
+        h.counts[idx] += 1;
+        if h.count == 0 {
+            h.min = v;
+            h.max = v;
+        } else {
+            h.min = h.min.min(v);
+            h.max = h.max.max(v);
+        }
+        h.count += 1;
+        h.sum += v;
     }
 
     /// The bucket upper bounds (the last bucket, not listed, is
     /// unbounded).
     pub fn bounds(&self) -> &[f64] {
         &self.bounds
-    }
-}
-
-/// RAII timer for [`Histogram::time`].
-pub struct HistTimer {
-    hist: Histogram,
-    start: Instant,
-}
-
-impl Drop for HistTimer {
-    fn drop(&mut self) {
-        self.hist.record(self.start.elapsed().as_secs_f64() * 1e6);
     }
 }
 

@@ -20,7 +20,6 @@
 use crate::metrics::{snapshot_from, HistData, MetricsSnapshot};
 use crate::series::{SeriesData, SeriesSnapshot};
 use crate::sink::SINK;
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
 
@@ -33,7 +32,7 @@ const MAIN_KEY: usize = usize::MAX;
 const LANE_KEYS: usize = 1 << 16;
 
 #[derive(Default)]
-struct PublishedSink {
+pub(crate) struct PublishedSink {
     counters: Vec<u64>,
     gauges: Vec<f64>,
     hists: Vec<HistData>,
@@ -42,11 +41,6 @@ struct PublishedSink {
 
 static PUBLISHED: LazyLock<Mutex<HashMap<usize, Arc<Mutex<PublishedSink>>>>> =
     LazyLock::new(|| Mutex::new(HashMap::new()));
-
-thread_local! {
-    // Cache of (key, slot) so a warm publish skips the global map.
-    static PUB_SLOT: RefCell<Option<(usize, Arc<Mutex<PublishedSink>>)>> = const { RefCell::new(None) };
-}
 
 fn copy_u64(dst: &mut Vec<u64>, src: &[u64]) {
     if dst.len() != src.len() {
@@ -113,26 +107,24 @@ pub fn publish_lane(lane: usize) {
 
 fn publish_under(key: Option<usize>) {
     SINK.with(|s| {
-        let s = s.borrow();
+        let s = &mut *s.borrow_mut();
         if s.counters.is_empty() && s.gauges.is_empty() && s.hists.is_empty() && s.series.is_empty()
         {
             return;
         }
         let key = key.unwrap_or(s.rank.unwrap_or(MAIN_KEY));
-        PUB_SLOT.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            let stale = !matches!(&*cache, Some((k, _)) if *k == key);
-            if stale {
-                let slot = Arc::clone(PUBLISHED.lock().unwrap().entry(key).or_default());
-                *cache = Some((key, slot));
-            }
-            let (_, slot) = cache.as_ref().unwrap();
-            let mut p = slot.lock().unwrap();
-            copy_u64(&mut p.counters, &s.counters);
-            copy_f64(&mut p.gauges, &s.gauges);
-            copy_hists(&mut p.hists, &s.hists);
-            copy_series(&mut p.series, &s.series);
-        });
+        // The sink caches its (key, slot), so a warm publish skips the
+        // global map.
+        if !matches!(&s.published, Some((k, _)) if *k == key) {
+            let slot = Arc::clone(PUBLISHED.lock().unwrap().entry(key).or_default());
+            s.published = Some((key, slot));
+        }
+        let (_, slot) = s.published.as_ref().expect("just cached");
+        let mut p = slot.lock().unwrap();
+        copy_u64(&mut p.counters, &s.counters);
+        copy_f64(&mut p.gauges, &s.gauges);
+        copy_hists(&mut p.hists, &s.hists);
+        copy_series(&mut p.series, &s.series);
     });
 }
 

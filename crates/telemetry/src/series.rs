@@ -13,7 +13,7 @@
 //! no locks, no allocation (the ring is allocated on the first record).
 
 use crate::metrics::series_slot;
-use crate::sink::SINK;
+use crate::sink::{ThreadSink, SINK};
 
 /// Number of windows a series ring holds (~25 s at 100 ms per window).
 pub const SERIES_WINDOWS: usize = 256;
@@ -64,26 +64,27 @@ impl Series {
     /// computation, and a few stores.
     pub fn record(self, v: f64) {
         let id = crate::now_us() / SERIES_WINDOW_US;
-        SINK.with(|s| {
-            let mut s = s.borrow_mut();
-            if s.series.len() <= self.slot {
-                s.series.resize_with(self.slot + 1, SeriesData::default);
-            }
-            let d = &mut s.series[self.slot];
-            if d.windows.is_empty() {
-                d.windows = vec![SeriesWindow::default(); SERIES_WINDOWS];
-            }
-            let w = &mut d.windows[(id % SERIES_WINDOWS as u64) as usize];
-            if w.id != id {
-                *w = SeriesWindow {
-                    id,
-                    ..SeriesWindow::default()
-                };
-            }
-            w.count += 1;
-            w.sum += v;
-            w.max = w.max.max(v);
-        });
+        SINK.with(|s| self.record_in(&mut s.borrow_mut(), id, v));
+    }
+
+    pub(crate) fn record_in(self, s: &mut ThreadSink, id: u64, v: f64) {
+        if s.series.len() <= self.slot {
+            s.series.resize_with(self.slot + 1, SeriesData::default);
+        }
+        let d = &mut s.series[self.slot];
+        if d.windows.is_empty() {
+            d.windows = vec![SeriesWindow::default(); SERIES_WINDOWS];
+        }
+        let w = &mut d.windows[(id % SERIES_WINDOWS as u64) as usize];
+        if w.id != id {
+            *w = SeriesWindow {
+                id,
+                ..SeriesWindow::default()
+            };
+        }
+        w.count += 1;
+        w.sum += v;
+        w.max = w.max.max(v);
     }
 
     /// Record `1.0` (an event-rate series).

@@ -19,12 +19,7 @@ fn spans_and_flows_from_many_threads_drain_once_in_rank_order() {
                 for step in 0..3 {
                     mf_telemetry::span!("it.cross_drain.step", step = step as f64);
                 }
-                mf_telemetry::record_flow(
-                    "it.cross_drain.flow",
-                    rank as u64,
-                    FlowPhase::Start,
-                    &[],
-                );
+                mf_telemetry::flow("it.cross_drain.flow", rank as u64, FlowPhase::Start, 64);
                 mf_telemetry::flush_thread();
             });
         }
@@ -51,7 +46,9 @@ fn spans_and_flows_from_many_threads_drain_once_in_rank_order() {
         .collect();
     assert_eq!(flows.len(), ranks);
     for rank in 0..ranks {
-        assert!(flows.iter().any(|f| f.rank == rank && f.id == rank as u64));
+        assert!(flows
+            .iter()
+            .any(|f| f.rank == rank && f.id == rank as u64 && f.phase == FlowPhase::Start));
     }
 
     // A second drain is empty: the collector was consumed.

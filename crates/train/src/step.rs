@@ -16,9 +16,9 @@ use mf_autodiff::Graph;
 use mf_data::Batch;
 use mf_dist::Communicator;
 use mf_nn::SdNet;
-use mf_observe::{GradHealth, RecKind};
+use mf_observe::GradHealth;
 use mf_opt::Optimizer;
-use mf_telemetry::{counter, gauge, histogram, span, Buckets, Counter, Gauge, Histogram};
+use mf_telemetry::{counter, gauge, span, Counter, Gauge};
 use mf_tensor::Tensor;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,11 +66,6 @@ pub enum GradSync {
 /// Cached `mf-telemetry` handles for the trainer hot path (registered
 /// once; recording is thread-local and lock-free).
 pub(crate) struct TrainMetrics {
-    pub data_pass_us: Histogram,
-    pub pde_pass_us: Histogram,
-    pub sync_us: Histogram,
-    pub opt_us: Histogram,
-    pub step_us: Histogram,
     pub graph_nodes: Gauge,
     pub graph_bytes: Gauge,
     pub bytes_peak: Gauge,
@@ -86,11 +81,6 @@ pub(crate) fn train_metrics() -> &'static TrainMetrics {
     use std::sync::OnceLock;
     static M: OnceLock<TrainMetrics> = OnceLock::new();
     M.get_or_init(|| TrainMetrics {
-        data_pass_us: histogram("train.data_pass_us", Buckets::latency_us()),
-        pde_pass_us: histogram("train.pde_pass_us", Buckets::latency_us()),
-        sync_us: histogram("train.sync_us", Buckets::latency_us()),
-        opt_us: histogram("train.opt_us", Buckets::latency_us()),
-        step_us: histogram("train.step_us", Buckets::latency_us()),
         graph_nodes: gauge("autodiff.graph_nodes"),
         graph_bytes: gauge("autodiff.graph_bytes"),
         bytes_peak: gauge("graph.bytes_peak"),
@@ -145,7 +135,8 @@ pub fn local_gradients(
         // Pass 1: data points. `clear()` recycles the previous step's
         // buffers into the pool instead of freeing them, so a warm graph
         // rebuilds the tape without touching the heap allocator.
-        let (data_grads, data_secs) = mf_telemetry::timed("train.data_pass", || {
+        let data_grads = {
+            span!("train.data_pass");
             g.clear();
             let bound = net.params.bind(g);
             let ld = data_loss(g, net, &bound, batch);
@@ -159,11 +150,12 @@ pub fn local_gradients(
             stats.graph_bytes += g.bytes_allocated();
             stats.peak_bytes = stats.peak_bytes.max(g.peak_bytes());
             data_grads
-        });
+        };
 
         // Pass 2: collocation points (cleared tape, like a fresh autograd
         // graph in PyTorch once the first backward freed its buffers).
-        let (pde_grads, pde_secs) = mf_telemetry::timed("train.pde_pass", || {
+        let pde_grads = {
+            span!("train.pde_pass");
             g.clear();
             let bound = net.params.bind(g);
             let lp = pde_loss(g, net, &bound, batch);
@@ -178,7 +170,7 @@ pub fn local_gradients(
             stats.graph_bytes += g.bytes_allocated();
             stats.peak_bytes = stats.peak_bytes.max(g.peak_bytes());
             pde_grads
-        });
+        };
 
         let pool_delta = g.pool_stats().since(&pool_before);
         stats.pool_hits = pool_delta.hits;
@@ -200,16 +192,9 @@ pub fn local_gradients(
         m.grad_norm.set(health.norm);
         if health.is_bad() {
             m.nonfinite_grads.add(health.nan + health.inf);
-            mf_observe::record(
-                RecKind::Health,
-                "train.nonfinite_grad",
-                health.nan + health.inf,
-                health.norm,
-            );
+            mf_observe::record("train.nonfinite_grad", health.nan + health.inf, health.norm);
             dump_on_first_nonfinite(&health, &stats);
         }
-        m.data_pass_us.record(data_secs * 1e6);
-        m.pde_pass_us.record(pde_secs * 1e6);
         m.graph_nodes.update(|v| v.max(stats.graph_nodes as f64));
         m.graph_bytes.update(|v| v.max(stats.graph_bytes as f64));
         m.bytes_peak.update(|v| v.max(stats.peak_bytes as f64));
@@ -231,15 +216,13 @@ fn dump_on_first_nonfinite(health: &GradHealth, stats: &StepStats) {
     if NONFINITE_DUMPED.swap(true, Ordering::SeqCst) {
         return;
     }
-    let rank = mf_telemetry::thread_rank().unwrap_or(0);
-    mf_observe::flush_rank(rank);
-    let ctx = mf_observe::step_context();
+    let (epoch, step) = mf_telemetry::step_context();
     mf_observe::postmortem::dump(
         &mf_observe::postmortem::DumpReason {
             kind: "nonfinite-gradient".to_string(),
             detail: format!(
                 "{} NaN + {} Inf gradient elements at epoch {} step {} (finite-part norm {:.3e})",
-                health.nan, health.inf, ctx.epoch, ctx.step, health.norm
+                health.nan, health.inf, epoch, step, health.norm
             ),
             failing_rank: mf_telemetry::thread_rank(),
         },
@@ -284,8 +267,6 @@ pub fn train_step_single(
     pde_weight: f64,
 ) -> StepStats {
     span!("train.step");
-    let m = train_metrics();
-    let _step_timer = m.step_us.time();
     let (data_grads, pde_grads, stats) = local_gradients(net, batch, pde_weight);
     let grads: Vec<Tensor> = data_grads
         .iter()
@@ -294,7 +275,6 @@ pub fn train_step_single(
         .collect();
     {
         span!("train.opt");
-        let _t = m.opt_us.time();
         opt.step(net.params.tensors_mut(), &grads, lr);
     }
     // Make this step's metrics visible to a live /metrics scrape
@@ -316,15 +296,12 @@ pub fn train_step_distributed(
     sync: GradSync,
 ) -> StepStats {
     span!("train.step");
-    let m = train_metrics();
-    let _step_timer = m.step_us.time();
     // Every rank runs this step at once: one lane each (a no-op under
     // `train_ddp`, which declares its ranks itself).
     let _lane = mf_tensor::par::compute_lanes(comm.size());
     let (data_grads, pde_grads, stats) = local_gradients(net, batch, pde_weight);
     let grads = {
         span!("train.sync");
-        let _t = m.sync_us.time();
         match sync {
             GradSync::Fused => {
                 // Accumulate locally (line 9), then one allreduce (line 10).
@@ -361,7 +338,6 @@ pub fn train_step_distributed(
     };
     {
         span!("train.opt");
-        let _t = m.opt_us.time();
         opt.step(net.params.tensors_mut(), &grads, lr);
     }
     mf_telemetry::publish_thread();

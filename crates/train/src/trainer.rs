@@ -7,7 +7,6 @@ use crate::step::GradSync;
 use mf_data::{BatchSampler, Dataset};
 use mf_dist::{Cluster, ClusterError, CommStats, FaultPlan};
 use mf_nn::SdNet;
-use mf_observe::RecKind;
 use mf_opt::{Adam, AdamW, Lamb, LrSchedule, Optimizer, OptimizerState, Sgd};
 use mf_tensor::Tensor;
 use std::time::Instant;
@@ -245,10 +244,8 @@ pub fn train_single(
         let nb = batches.len().max(1);
         for batch in &batches {
             let lr = cfg.schedule.lr_at(global_step);
-            mf_observe::set_step_context(epoch as u64, global_step as u64);
+            mf_telemetry::set_step_context(epoch as u64, global_step as u64);
             mf_telemetry::span!("train.step", epoch = epoch as f64);
-            let m = crate::step::train_metrics();
-            let _step_timer = m.step_us.time();
             // Inline single-device step using the boxed optimizer.
             let (dg, pg, stats) = crate::step::local_gradients(net, batch, cfg.pde_weight);
             let mut grads: Vec<Tensor> = dg.iter().zip(&pg).map(|(a, b)| a.add(b)).collect();
@@ -257,15 +254,8 @@ pub fn train_single(
             }
             {
                 mf_telemetry::span!("train.opt");
-                let _t = m.opt_us.time();
                 opt.step_net(net, &grads, lr);
             }
-            mf_observe::record(
-                RecKind::Step,
-                "train.step",
-                0,
-                stats.data_loss + stats.pde_loss,
-            );
             dl += stats.data_loss;
             pl += stats.pde_loss;
             global_step += 1;
@@ -433,14 +423,11 @@ pub fn train_ddp_resumable(
             );
             for (bi, batch) in batches.iter().enumerate().skip(skip) {
                 let lr = schedule.lr_at(global_step);
-                mf_observe::set_step_context(epoch as u64, global_step as u64);
+                mf_telemetry::set_step_context(epoch as u64, global_step as u64);
                 mf_telemetry::span!("train.step", epoch = epoch as f64);
-                let m = crate::step::train_metrics();
-                let _step_timer = m.step_us.time();
                 let (dg, pg, stats) = crate::step::local_gradients(&net, batch, cfg.pde_weight);
                 let mut grads: Vec<Tensor> = {
                     mf_telemetry::span!("train.sync");
-                    let _t = m.sync_us.time();
                     match sync {
                         GradSync::Fused => {
                             let local: Vec<Tensor> =
@@ -472,15 +459,8 @@ pub fn train_ddp_resumable(
                 }
                 {
                     mf_telemetry::span!("train.opt");
-                    let _t = m.opt_us.time();
                     opt.step_net(&mut net, &grads, lr);
                 }
-                mf_observe::record(
-                    RecKind::Step,
-                    "train.step",
-                    rank as u64,
-                    stats.data_loss + stats.pde_loss,
-                );
                 dl += stats.data_loss;
                 pl += stats.pde_loss;
                 global_step += 1;

@@ -46,11 +46,7 @@
 //! * `--metrics-addr HOST:PORT` (or `MF_METRICS_ADDR`) — serve live
 //!   metrics over HTTP while the command runs: `GET /metrics` is
 //!   OpenMetrics text, `GET /snapshot` is per-rank JSON.
-//! * `--profile off` — disable the continuous profiler's zone timers
-//!   (also `MF_PROFILE=off`); they are on by default and cost ≤3% (CI
-//!   gated).
-//! * `MF_OBSERVE=dump[:DIR]|watch|off` — enable post-mortem bundles on
-//!   failure (`dump`), watch mode, or disable the flight recorder.
+//! * `MF_OBSERVE=dump[:DIR]` — write a post-mortem bundle on failure.
 
 use mosaic_flow::numerics::boundary::boundary_from_fn;
 use mosaic_flow::prelude::*;
@@ -80,7 +76,6 @@ const OBSERVABILITY_FLAGS: FlagTable = &[
     ("metrics-addr", Kind::Text),
     ("trace", Kind::Text),
     ("watch", Kind::Switch),
-    ("profile", Kind::Text),
 ];
 
 type Flags = HashMap<String, String>;
@@ -210,10 +205,8 @@ fn usage() -> ExitCode {
            --metrics-addr H:P   serve GET /metrics (OpenMetrics) and /snapshot (JSON)\n\
            --trace PATH         write a Chrome trace_event JSON (.jsonl for JSON-Lines)\n\
            --watch              periodic rendered progress reports on stderr\n\
-           --profile off        disable the zone profiler (on by default)\n\
-           MF_OBSERVE=...       dump[:DIR] post-mortem bundles | watch | off (recorder)\n\
-           MF_METRICS_ADDR=H:P  same as --metrics-addr\n\
-           MF_PROFILE=off       same as --profile off"
+           MF_OBSERVE=dump[:DIR] write a post-mortem bundle on failure\n\
+           MF_METRICS_ADDR=H:P  same as --metrics-addr"
     );
     ExitCode::FAILURE
 }
@@ -642,7 +635,6 @@ fn finish_telemetry(trace_path: Option<&str>) {
         }
     }
     let Some(path) = trace_path else { return };
-    tel::flush_thread();
     let spans = tel::drain_spans();
     let flows = tel::drain_flows();
     let mut body = Vec::new();
@@ -673,16 +665,9 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    // MF_OBSERVE configures post-mortem bundles / watch mode / recorder
-    // off; the flags below layer on top of it. MF_LOG sets the structured
-    // log level and MF_REQTRACE can switch request tracing off.
-    mosaic_flow::observe::init_from_env();
-    mosaic_flow::profile::init_from_env();
+    // MF_LOG sets the structured log level (MF_OBSERVE=dump[:DIR] is read
+    // when a post-mortem is due).
     mosaic_flow::telemetry::init_log_from_env();
-    mosaic_flow::reqtrace::init_from_env();
-    if flags.get("profile").map(String::as_str) == Some("off") {
-        mosaic_flow::profile::set_enabled(false);
-    }
     // Live exposition: keep the server alive for the whole command; it
     // merges whatever the rank threads have published on each scrape.
     let _metrics_server = mosaic_flow::profile::MetricsServer::from_flag_or_env(

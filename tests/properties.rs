@@ -306,6 +306,48 @@ proptest! {
                 "q={q}: est {est} outside bucket {b} [{lo}, {hi}] containing exact {exact}");
         }
     }
+
+    /// The one `Ring` against a `VecDeque` model: random `push` /
+    /// `drain_filter` / `clear` sequences on small capacities, so most
+    /// runs cross the wrap boundary several times.
+    #[test]
+    fn ring_matches_a_deque_model_across_the_wrap_boundary(
+        cap in 1usize..9,
+        ops in prop::collection::vec(0u64..1000, 96),
+    ) {
+        use std::collections::VecDeque;
+        let mut ring = mosaic_flow::telemetry::Ring::new(cap);
+        let mut model: VecDeque<u64> = VecDeque::new();
+        let (mut total, mut overwritten) = (0u64, 0u64);
+        for (i, op) in ops.into_iter().enumerate() {
+            match op % 8 {
+                0 => {
+                    ring.clear();
+                    model.clear();
+                    (total, overwritten) = (0, 0);
+                }
+                1 | 2 => {
+                    let k = op % 3 + 2;
+                    let mut drained = Vec::new();
+                    ring.drain_filter(|v| v % k == 0, |v| drained.push(v));
+                    let expect: Vec<u64> = model.iter().copied().filter(|v| v % k == 0).collect();
+                    model.retain(|v| v % k != 0);
+                    prop_assert_eq!(drained, expect, "drain order, op {}", i);
+                }
+                _ => {
+                    model.push_back(op);
+                    let lost = (model.len() > cap).then(|| model.pop_front().unwrap());
+                    total += 1;
+                    overwritten += lost.is_some() as u64;
+                    prop_assert_eq!(ring.push(op), lost, "overwritten entry, op {}", i);
+                }
+            }
+            prop_assert_eq!(ring.iter().copied().collect::<Vec<_>>(), Vec::from(model.clone()));
+            prop_assert_eq!(ring.iter().next_back(), model.back());
+            prop_assert_eq!((ring.len(), ring.is_empty()), (model.len(), model.is_empty()));
+            prop_assert_eq!((ring.total(), ring.overwritten()), (total, overwritten));
+        }
+    }
 }
 
 proptest! {
