@@ -64,6 +64,8 @@ fn main() {
         let cfg = MfpConfig {
             max_iters: iters,
             tol: 0.0,
+            // Fig. 8 times the paper's one-level sweep.
+            accelerate: false,
             ..Default::default()
         };
         let run = |batched: bool| {

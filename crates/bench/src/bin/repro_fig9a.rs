@@ -64,6 +64,8 @@ fn main() {
                     mae: 0.05,
                     every: 1,
                 }),
+                // Fig. 9 counts the paper's one-level iterations.
+                accelerate: false,
                 ..Default::default()
             },
         );

@@ -49,6 +49,8 @@ fn main() {
             &DistMfpConfig {
                 max_iters: iters,
                 tol: 0.0,
+                // Fig. 9 breaks down the paper's one-level iteration.
+                accelerate: false,
                 ..Default::default()
             },
         );

@@ -93,6 +93,9 @@ fn main() {
     let cfg_a = DistMfpConfig {
         max_iters: part_a_iters,
         tol: 0.0,
+        // Halo traffic only, as at PR 10: with `tol = 0` the one-level
+        // iteration has no allreduce for the injected delays to hit.
+        accelerate: false,
         plan: FaultPlan {
             seed: 1234,
             delay_rate: 1.0,
@@ -151,7 +154,7 @@ fn main() {
     let cfg_b = DistMfpConfig {
         max_iters: 200,
         tol: 2e-6,
-        coarse_init: true,
+        accelerate: true,
         perf_model: PerfModel::mpi4py_serialized(),
         ..Default::default()
     };

@@ -1235,8 +1235,12 @@ impl Communicator {
 }
 
 /// Buffers of at most this many elements take the recursive-doubling
-/// allreduce path; larger buffers use the bandwidth-optimal ring.
-pub const ALLREDUCE_RD_MAX_ELEMS: usize = 8;
+/// allreduce path; larger buffers use the bandwidth-optimal ring. 256 B
+/// is latency-dominated on any fabric, and the bound covers the 22
+/// doubles an accelerated MFP iteration reduces (stop-test sums plus the
+/// mixing's Gram sums), which the ring would turn into 2(P−1) latency
+/// steps per rank.
+pub const ALLREDUCE_RD_MAX_ELEMS: usize = 32;
 
 /// World size at which small-message allreduces switch from flat
 /// recursive doubling to the hierarchical tree: below this, rd's
@@ -1377,7 +1381,7 @@ mod tests {
     #[test]
     fn allreduce_message_count_is_ring_optimal() {
         let outs = Cluster::run(4, |c| {
-            let mut buf = vec![1.0; 16];
+            let mut buf = vec![1.0; 2 * ALLREDUCE_RD_MAX_ELEMS];
             c.allreduce_sum(&mut buf);
             c.stats()
         });
@@ -1554,17 +1558,29 @@ mod tests {
 
     #[test]
     fn stats_view_is_exact_per_primitive() {
-        // Ring allreduce: p=4, n=16 → 6 messages of one 4-element chunk.
+        // Ring allreduce: p=4, n=64 → 6 messages of one 16-element chunk.
         let outs = Cluster::run(4, |c| {
-            let mut buf = vec![1.0; 16];
+            let mut buf = vec![1.0; 64];
             c.allreduce_sum(&mut buf);
             c.stats()
         });
         for s in outs {
             assert_eq!(s.msgs_sent, 6);
             assert_eq!(s.msgs_recv, 6);
-            assert_eq!(s.bytes_sent, 6 * 4 * 8);
-            assert_eq!(s.bytes_recv, 6 * 4 * 8);
+            assert_eq!(s.bytes_sent, 6 * 16 * 8);
+            assert_eq!(s.bytes_recv, 6 * 16 * 8);
+        }
+
+        // The 22 doubles of an accelerated MFP iteration stay on
+        // recursive doubling: log₂P messages of the whole buffer.
+        let outs = Cluster::run(4, |c| {
+            let mut buf = vec![1.0; 22];
+            c.allreduce_sum(&mut buf);
+            c.stats()
+        });
+        for s in outs {
+            assert_eq!((s.msgs_sent, s.bytes_sent), (2, 2 * 22 * 8));
+            assert_eq!((s.msgs_recv, s.bytes_recv), (2, 2 * 22 * 8));
         }
 
         // Allgather: p=3 → each rank sends its 5-element buffer twice.

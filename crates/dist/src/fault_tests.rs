@@ -76,7 +76,7 @@ fn injected_crash_surfaces_typed_error_with_rank_id() {
     let err = Cluster::try_run(4, plan, |c| {
         // Ring allreduce: every rank sends 6 messages, so rank 1 dies
         // mid-collective.
-        let mut buf = vec![c.rank() as f64; 16];
+        let mut buf = vec![c.rank() as f64; 64];
         c.allreduce_sum(&mut buf);
         buf
     })

@@ -260,13 +260,21 @@ mod tests {
     #[test]
     fn tree_allreduce_beats_recursive_doubling_at_scale() {
         let m = PerfModel::a30_cluster();
-        // Small (convergence-sized) message, large worlds: the tree's
+        // Small message — the 2 doubles of the one-level stop test, the
+        // 22 of the accelerated iteration — and large worlds: the tree's
         // critical path grows with log(leaders), rd's with log(p).
         for p in [64, 256, 1024] {
-            let rd = m.rd_allreduce_cost(p, 2);
-            let tree = m.tree_allreduce_cost(p, 8, 2);
-            assert!(tree < rd, "tree {tree} !< rd {rd} at p={p}");
+            for elems in [2, 22] {
+                let rd = m.rd_allreduce_cost(p, elems);
+                let tree = m.tree_allreduce_cost(p, 8, elems);
+                assert!(tree < rd, "tree {tree} !< rd {rd} at p={p}, {elems} elems");
+            }
         }
+        // The larger payload is still latency: under 1 % of one message's
+        // alpha per round.
+        let rounds = 10.0;
+        let extra = m.rd_allreduce_cost(1024, 22) - m.rd_allreduce_cost(1024, 2);
+        assert!(extra < 0.01 * rounds * m.alpha, "{extra}");
         // Degenerate worlds cost nothing.
         assert_eq!(m.rd_allreduce_cost(1, 2), 0.0);
         assert_eq!(m.tree_allreduce_cost(1, 8, 2), 0.0);

@@ -205,15 +205,11 @@ impl DomainSpec {
             .collect()
     }
 
-    /// The iterate every MFP driver starts from: `bc` on the boundary
-    /// ring, zero inside, and with `coarse_init` the lattice from
-    /// [`Self::coarse_initialize`].
-    pub(crate) fn initial_grid(&self, bc: &Tensor, coarse_init: bool) -> Tensor {
+    /// The grid every MFP driver starts from: `bc` on the boundary ring,
+    /// zero inside.
+    pub(crate) fn initial_grid(&self, bc: &Tensor) -> Tensor {
         let mut grid = Tensor::zeros(self.ny(), self.nx());
         apply_boundary(&mut grid, bc);
-        if coarse_init {
-            self.coarse_initialize(&mut grid);
-        }
         grid
     }
 

@@ -118,7 +118,7 @@ proptest! {
     /// The coarse initializer touches only lattice points and preserves
     /// the boundary ring.
     #[test]
-    fn coarse_init_preserves_boundary_and_non_lattice(d in arb_domain()) {
+    fn coarse_initialize_preserves_boundary_and_non_lattice(d in arb_domain()) {
         use mf_numerics::boundary::{apply_boundary, boundary_from_fn};
         let bc = boundary_from_fn(d.ny(), d.nx(), |t| (2.0 * std::f64::consts::PI * t).sin());
         let mut grid = mf_tensor::Tensor::zeros(d.ny(), d.nx());

@@ -17,15 +17,20 @@
 //!
 //! * the engine (`engine.rs`) — the four non-overlapping sweep groups of
 //!   an owned region, each solved in one batched inference (§4.1), the
-//!   residual sums over the owned lattice, and the stop rule (tolerance,
-//!   optional [`MaeTarget`]);
+//!   residual sums over the owned lattice, the stop rule (tolerance,
+//!   optional [`MaeTarget`]; a non-finite residual ends the solve), and
+//!   the second level that makes a solve take a dozen sweeps instead of a
+//!   hundred: a coarse-grid seed and Anderson mixing of the lattice
+//!   iterate ([`MfpConfig::accelerate`], on by default; off is
+//!   Algorithm 2 as printed — same fixed point, same meaning of `tol`);
 //! * [`Mfp`] — the local driver: any number of requests on the whole
 //!   grid, no halo ([`Mfp::run`] is [`Mfp::run_many`] of one request);
 //! * [`run_distributed`] — the per-rank driver: the domain is split over
 //!   a 2-D processor grid; each rank sweeps its own subdomains with
 //!   immediate local updates and exchanges halo lattice values with ≤8
 //!   neighbors **once per iteration** (relaxed synchronization),
-//!   overlapped with its interior sweep.
+//!   overlapped with its interior sweep; the mixing's Gram sums ride the
+//!   one convergence allreduce, so its coefficients are global.
 //!
 //! The original one-inference-per-subdomain baseline of Fig. 8 is the
 //! [`UnbatchedSolver`] adapter around any solver.

@@ -8,7 +8,9 @@
 //! (§4.1), and requests drop out independently as the stop rule fires.
 
 use crate::domain::{DomainSpec, Subdomain};
-use crate::engine::{sweep_groups_in, whole_grid, MaeTarget, StopRule, SweepEngine};
+use crate::engine::{
+    sweep_groups_in, whole_grid, Accelerator, MaeTarget, StopRule, SweepEngine, Verdict,
+};
 use crate::solver::SubdomainSolver;
 use mf_telemetry::span;
 use mf_tensor::Tensor;
@@ -23,11 +25,13 @@ pub struct MfpConfig {
     pub tol: f64,
     /// Optional reference-based stop.
     pub target: Option<MaeTarget>,
-    /// Initialize the lattice from a coarse global solve before
-    /// iterating (the coarse-grid correction of §5.3's cited future
-    /// work) — typically cuts the iteration count severalfold on large
-    /// domains.
-    pub coarse_init: bool,
+    /// Run the two-level accelerated iteration: seed the lattice from a
+    /// coarse global solve (the coarse-grid correction of §5.3's cited
+    /// future work) and Anderson-mix the lattice iterate after every
+    /// sweep. Same fixed point and same meaning of `tol` as the one-level
+    /// iteration of Algorithm 2, which `false` runs as printed, in several
+    /// times the iterations.
+    pub accelerate: bool,
 }
 
 impl Default for MfpConfig {
@@ -36,7 +40,7 @@ impl Default for MfpConfig {
             max_iters: 1000,
             tol: 1e-4,
             target: None,
-            coarse_init: false,
+            accelerate: true,
         }
     }
 }
@@ -48,7 +52,8 @@ pub struct MfpResult {
     pub grid: Tensor,
     /// Schwarz iterations performed.
     pub iterations: usize,
-    /// Whether a stop criterion fired before `max_iters`.
+    /// Whether a stop criterion fired before `max_iters` (a solve whose
+    /// residual turned non-finite ends early *without* having converged).
     pub converged: bool,
     /// Relative lattice change per iteration.
     pub deltas: Vec<f64>,
@@ -148,7 +153,7 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                     d.boundary_len(),
                     "Mfp::run: global boundary has wrong length"
                 );
-                d.initial_grid(bc, cfg.coarse_init)
+                d.initial_grid(bc)
             })
             .collect();
         // Per-request snapshots, allocated once and overwritten in place.
@@ -165,6 +170,9 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
             .collect();
 
         let engine = SweepEngine::new(self.solver, d, &whole_grid(d), sigma, forcing);
+        // Per-request mixing state, so every request stays bitwise the
+        // request solved alone.
+        let mut accel = Accelerator::new(cfg.accelerate, d, &whole_grid(d), grids.len());
         let mut active: Vec<usize> = (0..grids.len()).collect();
         for it in 0..cfg.max_iters {
             if active.is_empty() {
@@ -173,8 +181,11 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
             span!(
                 "mfp.iteration",
                 it = it as f64,
-                active = active.len() as f64
+                depth = accel.as_ref().map_or(0, |a| a.depth(&active)) as f64
             );
+            if let (0, Some(accel)) = (it, &accel) {
+                accel.seed(d, &mut grids);
+            }
             for &r in &active {
                 prevs[r].as_mut_slice().copy_from_slice(grids[r].as_slice());
             }
@@ -192,17 +203,30 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                 let res = &mut results[r];
                 res.iterations = it + 1;
                 let sums = engine.residual_sums(&grids[r], &prevs[r]);
-                res.converged = stop.residual_converged(sums, &mut res.deltas)
-                    || stop
-                        .error_check_due(res.iterations)
-                        .is_some_and(|reference| {
-                            let sums = engine.error_sums(&grids[r], reference);
-                            stop.error_converged(res.iterations, sums, &mut res.mae_history)
-                        });
+                let verdict = stop.residual_verdict(sums, &mut res.deltas);
+                res.converged = verdict == Verdict::Converged
+                    || verdict == Verdict::Continue
+                        && stop
+                            .error_check_due(res.iterations)
+                            .is_some_and(|reference| {
+                                let sums = engine.error_sums(&grids[r], reference);
+                                stop.error_converged(res.iterations, sums, &mut res.mae_history)
+                            });
                 let delta = *res.deltas.last().expect("just pushed");
                 mf_reqtrace::note_slot(r, it as u32, delta, res.converged);
-                !res.converged
+                verdict == Verdict::Continue && !res.converged
             });
+            // The requests that go on continue from the mixed iterate; the
+            // last sweep is left as it is, so the grid returned is always
+            // a plain sweep's output.
+            if let Some(accel) = accel.as_mut().filter(|_| it + 1 < cfg.max_iters) {
+                mf_profile::zone!("accelerate");
+                for &r in &active {
+                    let gram = accel.observe(r, &grids[r], &prevs[r]);
+                    let delta = *results[r].deltas.last().expect("pushed by the stop rule");
+                    accel.mix(r, &gram, delta, &mut grids[r]);
+                }
+            }
         }
 
         // One dense launch packs every request's atomic subdomains: each
@@ -396,7 +420,6 @@ mod tests {
 
     #[test]
     fn run_many_matches_individual_runs_bitwise() {
-        use rand::{Rng, SeedableRng};
         let d = DomainSpec::new(spec(), 1, 1);
         let net = equality_net(3);
         let plan = crate::PlanSolver::new(net, spec());
@@ -406,12 +429,7 @@ mod tests {
             tol: 1e-6,
             ..Default::default()
         };
-        let bcs: Vec<Tensor> = (0..5u64)
-            .map(|s| {
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(s);
-                Tensor::from_fn(1, d.boundary_len(), |_, _| rng.gen_range(-1.0..1.0))
-            })
-            .collect();
+        let bcs = random_bcs(&d, 5);
         let many = mfp.run_many(&bcs, &cfg);
         assert_eq!(many.len(), bcs.len());
         for (bc, m) in bcs.iter().zip(&many) {
@@ -476,11 +494,11 @@ mod tests {
     }
 
     #[test]
-    fn run_many_shares_the_stop_rule_of_run_under_coarse_init_and_mae_target() {
+    fn run_many_shares_the_stop_rule_of_run_under_acceleration_and_mae_target() {
         // All three entry points go through one stop rule: k requests
-        // must stop where k solo runs stop, also when the lattice starts
-        // from the coarse solve and when a MaeTarget (checked every 2nd
-        // iteration, so both due and not-due iterations occur) decides.
+        // must stop where k solo runs stop, also when the iteration is
+        // accelerated and when a MaeTarget (checked every 2nd iteration,
+        // so both due and not-due iterations occur) decides.
         let d = DomainSpec::new(spec(), 2, 2);
         let oracle = OracleSolver::new(spec(), 1e-10);
         let mfp = Mfp::new(&oracle, d);
@@ -493,7 +511,7 @@ mod tests {
         let cfg = MfpConfig {
             max_iters: 60,
             tol: 1e-7,
-            coarse_init: true,
+            accelerate: true,
             target: Some(MaeTarget {
                 reference: reference(&d, &hard),
                 mae: 1e-3,
@@ -756,10 +774,11 @@ mod tests {
     }
 
     #[test]
-    fn coarse_init_cuts_iterations_without_changing_the_answer() {
-        // The coarse-grid initialization (cited future work of §5.3)
-        // propagates boundary information globally in one cheap solve, so
-        // the Schwarz iteration starts much closer to the fixed point.
+    fn acceleration_cuts_iterations_without_changing_the_answer() {
+        // The coarse-grid seed (cited future work of §5.3) propagates
+        // boundary information globally in one cheap solve, so the Schwarz
+        // iteration starts much closer to the fixed point, and the mixing
+        // extrapolates towards it.
         let d = DomainSpec::new(spec(), 4, 4);
         let oracle = OracleSolver::new(spec(), 1e-10);
         let mfp = Mfp::new(&oracle, d);
@@ -769,6 +788,7 @@ mod tests {
             &MfpConfig {
                 max_iters: 2000,
                 tol: 1e-7,
+                accelerate: false,
                 ..Default::default()
             },
         );
@@ -777,21 +797,207 @@ mod tests {
             &MfpConfig {
                 max_iters: 2000,
                 tol: 1e-7,
-                coarse_init: true,
+                accelerate: true,
                 ..Default::default()
             },
         );
         assert!(plain.converged && coarse.converged);
         assert!(
             (coarse.iterations as f64) <= 0.8 * plain.iterations as f64,
-            "coarse init should cut iterations noticeably: {} vs {}",
+            "acceleration should cut iterations noticeably: {} vs {}",
             coarse.iterations,
             plain.iterations
         );
         assert!(
             plain.grid.mean_abs_diff(&coarse.grid) < 1e-5,
-            "coarse init changed the converged solution"
+            "acceleration changed the converged solution"
         );
+    }
+
+    #[test]
+    fn accelerated_and_one_level_iterations_share_the_fixed_point() {
+        // Mixing is the identity where `f = 0`, so the accelerated
+        // iteration can only stop where the one-level iteration stops:
+        // same grid at tight tolerance, in a fraction of the sweeps.
+        fn run<S: SubdomainSolver>(
+            mfp: &Mfp<'_, S>,
+            bc: &Tensor,
+            tol: f64,
+            accelerate: bool,
+        ) -> MfpResult {
+            let res = mfp.run(
+                bc,
+                &MfpConfig {
+                    max_iters: 2000,
+                    tol,
+                    accelerate,
+                    ..Default::default()
+                },
+            );
+            assert!(res.converged, "accelerate = {accelerate}: not converged");
+            res
+        }
+        let d = DomainSpec::new(spec(), 4, 4);
+        let oracle = OracleSolver::new(spec(), 1e-11);
+        let mfp = Mfp::new(&oracle, d);
+        let (bc, _) = harmonic_bc(&d);
+        let (one_level, two_level) = (run(&mfp, &bc, 1e-10, false), run(&mfp, &bc, 1e-10, true));
+        let gap = one_level.grid.max_abs_diff(&two_level.grid);
+        assert!(gap < 1e-8, "oracle: fixed points {gap} apart");
+        assert!(
+            3 * two_level.iterations <= one_level.iterations,
+            "{} accelerated vs {} one-level iterations",
+            two_level.iterations,
+            one_level.iterations
+        );
+
+        // And with an inexact, nonlinear subdomain solver.
+        let d = DomainSpec::new(spec(), 2, 2);
+        let plan = crate::PlanSolver::new(equality_net(2), spec());
+        let mfp = Mfp::new(&plan, d);
+        for bc in random_bcs(&d, 4) {
+            let (one_level, two_level) = (run(&mfp, &bc, 1e-9, false), run(&mfp, &bc, 1e-9, true));
+            let gap = one_level.grid.max_abs_diff(&two_level.grid);
+            assert!(gap < 1e-6, "network: fixed points {gap} apart");
+            assert!(two_level.iterations <= one_level.iterations);
+        }
+    }
+
+    /// Boundary walks of uniform noise, seeds `0..n`.
+    fn random_bcs(d: &DomainSpec, n: u64) -> Vec<Tensor> {
+        use rand::{Rng, SeedableRng};
+        (0..n)
+            .map(|s| {
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(s);
+                Tensor::from_fn(1, d.boundary_len(), |_, _| rng.gen_range(-1.0..1.0))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_many_matches_solo_runs_bitwise_through_a_restart() {
+        // Mixing state is per request: a request whose relative change
+        // grows mid-solve (so its history is dropped and rebuilt) and its
+        // smoothly converging batch mates each repeat their solo run.
+        let d = DomainSpec::new(spec(), 2, 2);
+        let plan = crate::PlanSolver::new(equality_net(2), spec());
+        let mfp = Mfp::new(&plan, d);
+        let cfg = MfpConfig {
+            max_iters: 60,
+            tol: 1e-9,
+            ..Default::default()
+        };
+        let bcs = random_bcs(&d, 4);
+        let many = mfp.run_many(&bcs, &cfg);
+        assert_results_match_solo_runs(&many, |bc| mfp.run(bc, &cfg), &bcs);
+        assert!(many.iter().all(|m| m.converged));
+        let grows = |m: &MfpResult| m.deltas.windows(2).skip(1).any(|w| w[1] > w[0]);
+        assert!(
+            grows(&many[2]),
+            "request 2 no longer restarts: pick another"
+        );
+        assert!(!grows(&many[0]), "request 0 restarts too");
+    }
+
+    #[test]
+    fn a_non_finite_request_stops_at_once_and_leaves_its_batch_alone() {
+        let d = DomainSpec::new(spec(), 2, 2);
+        let oracle = OracleSolver::new(spec(), 1e-10);
+        let mfp = Mfp::new(&oracle, d);
+        let (hard, _) = harmonic_bc(&d);
+        let mut poisoned = hard.clone();
+        poisoned.as_mut_slice()[3] = f64::NAN;
+        let mut overflowing = hard.clone();
+        overflowing.as_mut_slice()[5] = f64::INFINITY;
+        for accelerate in [true, false] {
+            let cfg = MfpConfig {
+                max_iters: 200,
+                tol: 1e-8,
+                accelerate,
+                ..Default::default()
+            };
+            let bcs = [
+                hard.clone(),
+                poisoned.clone(),
+                hard.scale(-0.5),
+                overflowing.clone(),
+            ];
+            let launches = oracle.launch_count();
+            let many = mfp.run_many(&bcs, &cfg);
+            let launches = oracle.launch_count() - launches;
+            for bad in [&many[1], &many[3]] {
+                assert_eq!((bad.iterations, bad.converged), (1, false));
+            }
+            for good in [0, 2] {
+                assert!(many[good].converged);
+                let solo = std::slice::from_ref(&bcs[good]);
+                assert_results_match_solo_runs(&many[good..=good], |bc| mfp.run(bc, &cfg), solo);
+            }
+            // The batch launched for as long as its slower good request
+            // (four sweep groups an iteration, one dense fill), not to
+            // `max_iters`.
+            let good_iters = many[0].iterations.max(many[2].iterations);
+            assert!(good_iters < cfg.max_iters);
+            assert_eq!(launches, 4 * good_iters + 1);
+        }
+    }
+
+    #[test]
+    fn the_returned_lattice_is_the_last_sweeps_output() {
+        // Mixing only ever moves the iterate a sweep *starts* from. The
+        // last sweep group's center crosses lie on atomic-subdomain edges,
+        // which the dense fill never writes, so in the returned grid they
+        // must hold the last sweep launch's predictions bit for bit —
+        // whether the run stopped at the tolerance or ran out of
+        // iterations.
+        struct Recording<'a>(&'a OracleSolver, std::sync::Mutex<Vec<Tensor>>);
+        impl SubdomainSolver for Recording<'_> {
+            fn spec(&self) -> mf_data::SubdomainSpec {
+                self.0.spec()
+            }
+            fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
+                let preds = self.0.solve_batch(boundaries, points);
+                self.1.lock().unwrap().push(preds.clone());
+                preds
+            }
+            fn inference_count(&self) -> usize {
+                self.0.inference_count()
+            }
+            fn launch_count(&self) -> usize {
+                self.0.launch_count()
+            }
+        }
+        let d = DomainSpec::new(spec(), 3, 2);
+        let oracle = OracleSolver::new(spec(), 1e-10);
+        let (bc, _) = harmonic_bc(&d);
+        for (max_iters, tol) in [(4, 0.0), (200, 1e-7)] {
+            let recording = Recording(&oracle, Default::default());
+            let mfp = Mfp::new(&recording, d);
+            let res = mfp.run(
+                &bc,
+                &MfpConfig {
+                    max_iters,
+                    tol,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(res.converged, tol > 0.0);
+            let launches = recording.1.lock().unwrap();
+            // Four sweep launches per iteration, then the dense fill.
+            assert_eq!(launches.len(), 4 * res.iterations + 1);
+            let last_sweep = &launches[launches.len() - 2];
+            let cross = d.center_cross_offsets();
+            let last_group = &mfp.sweep_groups()[3];
+            assert!(!last_group.is_empty());
+            for (sd, preds) in last_group
+                .iter()
+                .zip(last_sweep.as_slice().chunks_exact(cross.len()))
+            {
+                for (&(j, i), p) in cross.iter().zip(preds) {
+                    assert_eq!(res.grid.get(sd.oy + j, sd.ox + i).to_bits(), p.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

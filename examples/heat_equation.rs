@@ -58,9 +58,14 @@ fn main() {
     let bc = Tensor::zeros(1, domain.boundary_len());
     let oracle = OracleSolver::new(spec, 1e-10);
     let mfp = Mfp::new(&oracle, domain);
+    // The hypothesis is about the paper's one-level iteration, so that is
+    // what both counts below are of (the accelerated default needs 5 and
+    // 7: there is little left to accelerate in a step, and the steady
+    // solve loses its handicap).
     let cfg = MfpConfig {
         max_iters: 400,
         tol: 1e-8,
+        accelerate: false,
         ..Default::default()
     };
 
@@ -106,8 +111,7 @@ fn main() {
         &gp_like,
         &MfpConfig {
             max_iters: 2000,
-            tol: 1e-8,
-            ..Default::default()
+            ..cfg
         },
     );
     println!(

@@ -5,7 +5,7 @@
 //! mosaic-flow info   --model model.mfn
 //! mosaic-flow eval   --model model.mfn --samples 20
 //! mosaic-flow solve  --domain 2x1 [--model model.mfn | --oracle]
-//!                    [--boundary sin | gp:SEED] [--ranks P] [--coarse-init]
+//!                    [--boundary sin | gp:SEED] [--ranks P] [--one-level]
 //!                    [--out grid.csv]
 //!                    [--fault-seed N] [--drop-rate R] [--crash-rank K [--crash-after S]]
 //! mosaic-flow serve  --addr 127.0.0.1:7979 [--model model.mfn | --random-weights]
@@ -23,7 +23,9 @@
 //!
 //! `solve` prints convergence info and the MAE against a direct multigrid
 //! reference; `--out` writes the dense solution grid as CSV (row 0 =
-//! bottom edge). Models run on the compiled inference plan (`mf-infer`,
+//! bottom edge). It runs the two-level accelerated iteration (coarse-grid
+//! seed + Anderson mixing); `--one-level` runs Algorithm 2 as the paper
+//! prints it — same fixed point, several times the iterations. Models run on the compiled inference plan (`mf-infer`,
 //! bitwise-identical to the graph path); networks the plan cannot lower
 //! (`Concat` embedding) run on the graph-based solver.
 //!
@@ -111,7 +113,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("m", Count),
                 ("boundary", Text),
                 ("ranks", Count),
-                ("coarse-init", Switch),
+                ("one-level", Switch),
                 ("out", Text),
                 ("fault-seed", Count),
                 ("drop-rate", Real),
@@ -194,7 +196,7 @@ fn usage() -> ExitCode {
          info  --model model.mfn\n\
          eval  --model model.mfn [--samples 20] [--seed 1]\n\
          solve --domain SXxSY [--model model.mfn | --oracle] [--boundary sin|gp:SEED]\n\
-               [--ranks P] [--coarse-init] [--out grid.csv]\n\
+               [--ranks P] [--one-level] [--out grid.csv]\n\
                [--fault-seed N] [--drop-rate R] [--crash-rank K [--crash-after S]]\n\
          serve --addr H:P [--model model.mfn | --random-weights [--seed N]]\n\
                [--workers N] [--queue-depth N]\n\
@@ -344,7 +346,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
         return ExitCode::FAILURE;
     };
     let ranks: usize = get(flags, "ranks", 1);
-    let coarse_init = flags.contains_key("coarse-init");
+    let accelerate = !flags.contains_key("one-level");
 
     // Fault injection: deterministic from --fault-seed. A crashed or
     // unrecoverable run fails the command; with MF_OBSERVE=dump[:DIR]
@@ -437,7 +439,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
     // passed as a `(max_iters, tol)` pair.
     struct SolveOpts {
         ranks: usize,
-        coarse_init: bool,
+        accelerate: bool,
         plan: FaultPlan,
     }
     fn run_solver<S: SubdomainSolver>(
@@ -453,7 +455,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
                 &MfpConfig {
                     max_iters,
                     tol,
-                    coarse_init: opts.coarse_init,
+                    accelerate: opts.accelerate,
                     ..Default::default()
                 },
             );
@@ -462,7 +464,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
             let cfg = DistMfpConfig {
                 max_iters,
                 tol,
-                coarse_init: opts.coarse_init,
+                accelerate: opts.accelerate,
                 plan: opts.plan.clone(),
                 ..Default::default()
             };
@@ -473,7 +475,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
 
     let opts = SolveOpts {
         ranks,
-        coarse_init,
+        accelerate,
         plan,
     };
     let ran = match &chosen {

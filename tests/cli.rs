@@ -93,30 +93,36 @@ fn train_info_eval_solve_pipeline() {
 
 #[test]
 fn solve_with_oracle_and_multiple_ranks() {
-    let out = cli()
-        .args([
-            "solve",
-            "--domain",
-            "2x2",
-            "--ranks",
-            "4",
-            "--boundary",
-            "gp:3",
-            "--coarse-init",
-        ])
-        .output()
-        .unwrap();
+    // The accelerated default and the paper's `--one-level` iteration:
+    // both accurate, the default in fewer iterations.
+    let solve = |extra: &[&str]| {
+        let out = cli()
+            .args(["solve", "--domain", "2x2", "--ranks", "4"])
+            .args(["--boundary", "gp:3"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(stdout.contains("4 rank(s)"), "{stdout}");
+        assert!(stdout.contains("converged = true"), "{stdout}");
+        // The oracle solve must be accurate.
+        let mae_line = stdout.lines().find(|l| l.contains("MAE")).unwrap();
+        let mae: f64 = mae_line.rsplit(' ').next().unwrap().parse().unwrap();
+        assert!(mae < 1e-3, "oracle solve MAE too high: {mae}");
+        let words: Vec<&str> = stdout.split_whitespace().collect();
+        let at = words.iter().position(|w| *w == "iterations,").unwrap();
+        words[at - 1].parse::<usize>().unwrap()
+    };
+    let (accelerated, one_level) = (solve(&[]), solve(&["--one-level"]));
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        2 * accelerated <= one_level,
+        "{accelerated} accelerated vs {one_level} one-level iterations"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("4 rank(s)"), "{stdout}");
-    // The oracle solve must be accurate.
-    let mae_line = stdout.lines().find(|l| l.contains("MAE")).unwrap();
-    let mae: f64 = mae_line.rsplit(' ').next().unwrap().parse().unwrap();
-    assert!(mae < 1e-3, "oracle solve MAE too high: {mae}");
 }
 
 /// Run `args`, expect a non-zero exit, and return stderr.
@@ -132,6 +138,12 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
     // schedule than the user asked for. (Spelled in two halves so that a
     // grep for the retired switches finds only real uses.)
     let retired = concat!("--no", "-overlap");
+    let err = rejected(&["solve", "--domain", "2x1", "--oracle", retired]);
+    assert!(err.contains(&format!("unknown flag {retired}")), "{err}");
+    assert!(err.contains("usage"), "{err}");
+    // And the switch the accelerated default retired: the seed is on
+    // unless `--one-level` says otherwise.
+    let retired = concat!("--coarse", "-init");
     let err = rejected(&["solve", "--domain", "2x1", "--oracle", retired]);
     assert!(err.contains(&format!("unknown flag {retired}")), "{err}");
     assert!(err.contains("usage"), "{err}");

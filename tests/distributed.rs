@@ -60,7 +60,7 @@ fn iteration_count_grows_mildly_with_rank_count() {
     let domain = DomainSpec::new(spec(), 4, 4);
     let oracle = OracleSolver::new(spec(), 1e-9);
     let bc = gp_bc(&domain, 2);
-    let iters = |ranks: usize| {
+    let iters = |ranks: usize, accelerate: bool| {
         let res = run_distributed(
             &oracle,
             &domain,
@@ -69,21 +69,33 @@ fn iteration_count_grows_mildly_with_rank_count() {
             &DistMfpConfig {
                 max_iters: 1500,
                 tol: 1e-7,
+                accelerate,
                 ..Default::default()
             },
         );
         assert!(res.converged, "P={ranks} did not converge");
         res.iterations
     };
-    let i1 = iters(1);
-    let i4 = iters(4);
-    let i16 = iters(16);
+    // The paper's one-level iteration.
+    let i1 = iters(1, false);
+    let i4 = iters(4, false);
+    let i16 = iters(16, false);
     assert!(i4 >= i1, "P=4 ({i4}) vs P=1 ({i1})");
     assert!(i16 >= i4, "P=16 ({i16}) vs P=4 ({i4})");
     assert!(
         i16 <= i1 * 3,
         "relaxation should cost a mild factor, got {i1} -> {i16}"
     );
+    // The accelerated default mixes with global coefficients, so the
+    // relaxation costs it no more: a fraction of the one-level count at
+    // every rank count.
+    for ranks in [1, 4, 16] {
+        let accelerated = iters(ranks, true);
+        assert!(
+            3 * accelerated <= i1,
+            "P={ranks}: {accelerated} accelerated iterations vs {i1} one-level"
+        );
+    }
 }
 
 #[test]
@@ -103,6 +115,9 @@ fn halo_bytes_per_rank_shrink_with_more_ranks() {
             &DistMfpConfig {
                 max_iters: 5,
                 tol: 0.0,
+                // Halo traffic only: with `tol = 0` the one-level
+                // iteration has no allreduce.
+                accelerate: false,
                 ..Default::default()
             },
         );
@@ -176,7 +191,7 @@ fn cluster_supports_mixed_collectives_under_load() {
                 .collect();
             let got = comm.exchange(&peers, it);
             acc += got.iter().map(|(_, v)| v[0]).sum::<f64>();
-            let mut buf = vec![1.0; 16];
+            let mut buf = vec![1.0; 64];
             comm.allreduce_sum(&mut buf);
             assert_eq!(buf[0], 6.0);
         }

@@ -118,6 +118,38 @@ proptest! {
         let mae = res.grid.mean_abs_diff(&reference);
         prop_assert!(mae < 1e-3, "MAE {mae} on {sx}x{sy} domain");
     }
+
+    /// The accelerated default never needs more sweeps than the paper's
+    /// one-level iteration, and stops at the same solution — on any
+    /// domain up to 6×6 subdomains (1×1, where there is nothing to mix,
+    /// included) and any GP boundary.
+    #[test]
+    fn acceleration_never_costs_iterations(
+        sx in 1usize..7,
+        sy in 1usize..7,
+        seed in 0u64..1_000,
+    ) {
+        let spec = SubdomainSpec { m: 5, spatial: 0.5 };
+        let domain = DomainSpec::new(spec, sx, sy);
+        let mut sampler =
+            BoundarySampler::new(domain.boundary_len(), (0.4, 0.8), (0.5, 1.0), true);
+        let bc = sampler.sample(&mut ChaCha8Rng::seed_from_u64(seed));
+        let oracle = OracleSolver::new(spec, 1e-10);
+        let mfp = Mfp::new(&oracle, domain);
+        let run = |accelerate: bool| {
+            mfp.run(&bc, &MfpConfig { max_iters: 3000, tol: 1e-7, accelerate, ..Default::default() })
+        };
+        let (one_level, two_level) = (run(false), run(true));
+        prop_assert!(one_level.converged && two_level.converged);
+        prop_assert!(
+            two_level.iterations <= one_level.iterations,
+            "{sx}x{sy}, seed {seed}: {} accelerated vs {} one-level iterations",
+            two_level.iterations,
+            one_level.iterations
+        );
+        let gap = two_level.grid.max_abs_diff(&one_level.grid);
+        prop_assert!(gap < 1e-4, "{sx}x{sy}, seed {seed}: solutions {gap} apart");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-//! Golden-fixture regression tests: seeded MFP residual trajectories and
-//! trainer loss curves are pinned to committed fixtures under
+//! Golden-fixture regression tests: seeded MFP residual trajectories (the
+//! one-level iteration of Algorithm 2 and the accelerated default, one
+//! fixture each) and trainer loss curves are pinned to committed fixtures under
 //! `tests/fixtures/`, so a refactor that silently shifts convergence
 //! behaviour fails loudly here.
 //!
@@ -100,10 +101,33 @@ fn check_fixture(name: &str, header: &str, got: &[f64]) {
 
 #[test]
 fn mfp_residual_trajectory_matches_fixture() {
-    with_backend(BackendKind::Scalar, mfp_residual_trajectory_body)
+    // Algorithm 2 as printed: this fixture predates the accelerated
+    // default and does not move with it.
+    with_backend(BackendKind::Scalar, || {
+        mfp_residual_trajectory_body(
+            false,
+            25,
+            "mfp_residuals.txt",
+            "Distributed MFP residual trajectory",
+        )
+    })
 }
 
-fn mfp_residual_trajectory_body() {
+#[test]
+fn accelerated_mfp_residual_trajectory_matches_fixture() {
+    with_backend(BackendKind::Scalar, || {
+        // A dozen iterations take it where the one-level trajectory is
+        // after some forty-five; a few more and it would stop at the tolerance.
+        mfp_residual_trajectory_body(
+            true,
+            12,
+            "mfp_residuals_accelerated.txt",
+            "Distributed MFP residual trajectory, accelerated (coarse seed + Anderson mixing)",
+        )
+    })
+}
+
+fn mfp_residual_trajectory_body(accelerate: bool, iters: usize, fixture: &str, title: &str) {
     let spec = SubdomainSpec { m: 9, spatial: 0.5 };
     let d = DomainSpec::new(spec, 2, 2);
     let oracle = OracleSolver::new(spec, 1e-10);
@@ -129,17 +153,20 @@ fn mfp_residual_trajectory_body() {
         &bc,
         4,
         &DistMfpConfig {
-            max_iters: 25,
+            max_iters: iters,
             tol: 1e-15,
+            accelerate,
             ..Default::default()
         },
     );
-    assert_eq!(res.deltas.len(), 25);
+    assert_eq!(res.deltas.len(), iters);
     check_fixture(
-        "mfp_residuals.txt",
-        "Distributed MFP residual trajectory\n\
-         domain 2x2 atoms (m=9), oracle solver 1e-10, 4 ranks, 25 iterations\n\
-         one relative lattice change per line",
+        fixture,
+        &format!(
+            "{title}\n\
+             domain 2x2 atoms (m=9), oracle solver 1e-10, 4 ranks, {iters} iterations\n\
+             one relative lattice change per line"
+        ),
         &res.deltas,
     );
 }

@@ -90,6 +90,20 @@ fn a_traced_solve_nests_kernel_zones_inside_its_iterations() {
     let layer = named("layer").find(|s| inside(s, launch)).unwrap();
     assert_eq!((launch.depth, layer.depth), (it.depth + 2, it.depth + 3));
     assert_eq!(it.args[0], ("it".to_string(), 0.0));
+    // The second level sits next to the sweeps: the coarse seed inside
+    // iteration 0, one mixing zone per iteration that is followed by
+    // another, and the history depth in use as the span's second argument
+    // (none, none, then the one difference of the first two sweeps).
+    assert!(named("coarse_seed").all(|s| inside(s, it) && s.depth == it.depth + 1));
+    assert_eq!(named("coarse_seed").count(), 1);
+    assert_eq!(named("accelerate").count(), 2);
+    assert!(named("accelerate").all(|s| child_of(s, "mfp.iteration")));
+    let depths: Vec<_> = named("mfp.iteration").map(|s| s.args[1].clone()).collect();
+    assert_eq!(
+        depths,
+        [0.0, 0.0, 1.0].map(|d| ("depth".to_string(), d)),
+        "history depth per iteration"
+    );
 }
 
 /// Observation counts of the histograms the sites feed: every `*_us` but
