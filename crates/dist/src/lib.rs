@@ -21,9 +21,10 @@
 //!   §4.3, which converts counted messages/bytes into modeled wall-clock
 //!   on paper-like hardware (Table 2 presets).
 //!
-//! Because the host running this reproduction has a single core, scaling
-//! results are reported as *measured per-rank compute + modeled
-//! communication*; the message traffic itself is real and verified.
+//! Scaling is measured on real threads up to the host's cores and
+//! alpha–beta-modeled beyond: results are reported as *measured per-rank
+//! compute + modeled communication*; the message traffic itself is real
+//! and verified.
 
 mod comm;
 mod fault;

@@ -41,11 +41,26 @@ impl CheckpointConfig {
     /// Checkpoint into `dir` every `every_steps` steps, keeping the 2
     /// newest files per rank.
     pub fn new(dir: impl Into<PathBuf>, every_steps: usize) -> Self {
-        assert!(every_steps > 0, "CheckpointConfig: every_steps must be > 0");
-        Self {
+        let cfg = Self {
             dir: dir.into(),
             every_steps,
             keep: 2,
+        };
+        cfg.validate();
+        cfg
+    }
+
+    /// Panics, naming the field, on a zero: `every_steps: 0` is never due
+    /// (no checkpoint is ever written), and `keep: 0` prunes the file a
+    /// save has just renamed into place (a resume never finds one). The
+    /// fields are public, so a run checks a literal too, before any rank
+    /// starts.
+    pub(crate) fn validate(&self) {
+        for (field, n) in [("every_steps", self.every_steps), ("keep", self.keep)] {
+            assert!(
+                n > 0,
+                "CheckpointConfig::{field} must be at least 1 (got 0)"
+            );
         }
     }
 }

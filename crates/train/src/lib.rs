@@ -10,9 +10,13 @@
 //! * [`step`] implements Algorithm 1: per-rank forward/backward for data
 //!   points, gradient *accumulation* over the collocation backward, and a
 //!   **single fused allreduce-mean** per iteration. An unfused variant (one
-//!   allreduce per loss term) exists for the communication ablation.
+//!   allreduce per loss term) exists for the communication ablation. It is
+//!   written once, as a private step core that [`train_step_single`] and
+//!   [`train_step_distributed`] run without a clip.
 //! * [`trainer`] runs epochs, evaluates validation MSE on full grids, and
-//!   wires the paper's LR scaling rules for multi-device runs.
+//!   wires the paper's LR scaling rules for multi-device runs: one private
+//!   epoch core over the step core, under a local driver ([`train_single`])
+//!   and a per-rank driver ([`train_ddp`], [`train_ddp_resumable`]).
 //! * [`memory`] meters the autograd graph bytes with and without the PDE
 //!   loss, reproducing Table 3.
 

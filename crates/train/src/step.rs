@@ -10,6 +10,11 @@
 //! applied only where solutions are known; accumulating before a single
 //! fused allreduce preserves exact SGD semantics (a true global average)
 //! while paying one collective per iteration instead of two.
+//!
+//! The step is written once, in the private `step_core`, parameterised by
+//! where the gradients are averaged: [`train_step_single`] (nowhere) and
+//! [`train_step_distributed`] (across a communicator) are that core without
+//! a clip, and the epoch loops of [`crate::trainer`] call it with theirs.
 
 use crate::losses::{data_loss, pde_loss};
 use mf_autodiff::Graph;
@@ -233,49 +238,81 @@ fn dump_on_first_nonfinite(health: &GradHealth, stats: &StepStats) {
     );
 }
 
-fn flatten(grads: &[Tensor]) -> Vec<f64> {
-    let n: usize = grads.iter().map(|t| t.numel()).sum();
-    let mut out = Vec::with_capacity(n);
-    for t in grads {
-        out.extend_from_slice(t.as_slice());
-    }
-    out
+/// Where one step's gradients are averaged before the update.
+pub(crate) enum Reduce<'a> {
+    /// Nowhere: one device holds the whole batch.
+    Local,
+    /// Across the communicator's ranks, by the given strategy.
+    Ranks(&'a mut Communicator, GradSync),
 }
 
-fn unflatten_like(flat: &[f64], like: &[Tensor]) -> Vec<Tensor> {
-    let mut out = Vec::with_capacity(like.len());
-    let mut off = 0;
-    for t in like {
-        let n = t.numel();
-        out.push(Tensor::from_vec(
-            t.rows(),
-            t.cols(),
-            flat[off..off + n].to_vec(),
-        ));
-        off += n;
-    }
-    assert_eq!(off, flat.len(), "unflatten_like: length mismatch");
-    out
+fn sum(data_grads: &[Tensor], pde_grads: &[Tensor]) -> Vec<Tensor> {
+    data_grads
+        .iter()
+        .zip(pde_grads)
+        .map(|(d, p)| d.add(p))
+        .collect()
 }
 
-/// Single-device training step: local gradients, optimizer update.
-pub fn train_step_single(
+/// `grads` after `allreduce` has run over them as one flat buffer: one
+/// collective however many parameter tensors there are.
+fn averaged(mut grads: Vec<Tensor>, allreduce: impl FnOnce(&mut [f64])) -> Vec<Tensor> {
+    let mut flat = Vec::with_capacity(grads.iter().map(|t| t.numel()).sum());
+    for t in &grads {
+        flat.extend_from_slice(t.as_slice());
+    }
+    allreduce(&mut flat);
+    let mut rest = flat.as_slice();
+    for t in &mut grads {
+        let (mine, tail) = rest.split_at(t.numel());
+        t.as_mut_slice().copy_from_slice(mine);
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "averaged: length mismatch");
+    grads
+}
+
+/// Algorithm 1, once: local gradients of both passes, combined and averaged
+/// as `reduce` says, clipped to `clip_norm` if given, then handed to
+/// `update` — the optimizer step, passed as the update it performs so that
+/// an `impl Optimizer` and the trainer's boxed one reach the same code.
+/// Every training step in the crate is this function.
+pub(crate) fn step_core(
     net: &mut SdNet,
     batch: &Batch,
-    opt: &mut impl Optimizer,
-    lr: f64,
     pde_weight: f64,
+    reduce: Reduce<'_>,
+    clip_norm: Option<f64>,
+    update: impl FnOnce(&mut SdNet, &[Tensor]),
 ) -> StepStats {
-    span!("train.step");
+    span!("train.step", epoch = mf_telemetry::step_context().0);
     let (data_grads, pde_grads, stats) = local_gradients(net, batch, pde_weight);
-    let grads: Vec<Tensor> = data_grads
-        .iter()
-        .zip(&pde_grads)
-        .map(|(d, p)| d.add(p))
-        .collect();
+    let mut grads = match reduce {
+        Reduce::Local => sum(&data_grads, &pde_grads),
+        Reduce::Ranks(comm, sync) => {
+            span!("train.sync");
+            match sync {
+                // Accumulate locally (line 9), then one allreduce (line 10).
+                GradSync::Fused => averaged(sum(&data_grads, &pde_grads), |flat| {
+                    comm.allreduce_mean(flat)
+                }),
+                GradSync::OrderedFused => averaged(sum(&data_grads, &pde_grads), |flat| {
+                    comm.allreduce_mean_ordered(flat)
+                }),
+                // Naive variant: synchronize each term separately.
+                GradSync::PerLoss => sum(
+                    &averaged(data_grads, |flat| comm.allreduce_mean(flat)),
+                    &averaged(pde_grads, |flat| comm.allreduce_mean(flat)),
+                ),
+            }
+        }
+    };
+    if let Some(max) = clip_norm {
+        mf_opt::clip_grad_norm(&mut grads, max);
+    }
     {
         span!("train.opt");
-        opt.step(net.params.tensors_mut(), &grads, lr);
+        update(net, &grads);
     }
     // Make this step's metrics visible to a live /metrics scrape
     // (a warm publish does not allocate).
@@ -283,9 +320,30 @@ pub fn train_step_single(
     stats
 }
 
+/// Single-device training step: local gradients, optimizer update. No
+/// clipping — `clip_norm` belongs to the epoch loops' [`TrainConfig`].
+///
+/// A caller that loops over this itself sets the `(epoch, step)` its spans
+/// and flight-recorder entries are filed under
+/// ([`mf_telemetry::set_step_context`]); only the epoch loops do it for you.
+///
+/// [`TrainConfig`]: crate::trainer::TrainConfig
+pub fn train_step_single(
+    net: &mut SdNet,
+    batch: &Batch,
+    opt: &mut impl Optimizer,
+    lr: f64,
+    pde_weight: f64,
+) -> StepStats {
+    step_core(net, batch, pde_weight, Reduce::Local, None, |net, grads| {
+        opt.step(net.params.tensors_mut(), grads, lr)
+    })
+}
+
 /// Distributed training step (Algorithm 1). Every rank calls this with its
 /// own shard's batch; parameters stay bit-identical across ranks because
-/// each applies the same averaged gradient.
+/// each applies the same averaged gradient. No clipping, and the caller
+/// sets the step context, as for [`train_step_single`].
 pub fn train_step_distributed(
     net: &mut SdNet,
     batch: &Batch,
@@ -295,53 +353,13 @@ pub fn train_step_distributed(
     comm: &mut Communicator,
     sync: GradSync,
 ) -> StepStats {
-    span!("train.step");
     // Every rank runs this step at once: one lane each (a no-op under
     // `train_ddp`, which declares its ranks itself).
     let _lane = mf_tensor::par::compute_lanes(comm.size());
-    let (data_grads, pde_grads, stats) = local_gradients(net, batch, pde_weight);
-    let grads = {
-        span!("train.sync");
-        match sync {
-            GradSync::Fused => {
-                // Accumulate locally (line 9), then one allreduce (line 10).
-                let local: Vec<Tensor> = data_grads
-                    .iter()
-                    .zip(&pde_grads)
-                    .map(|(d, p)| d.add(p))
-                    .collect();
-                let mut flat = flatten(&local);
-                comm.allreduce_mean(&mut flat);
-                unflatten_like(&flat, &local)
-            }
-            GradSync::PerLoss => {
-                // Naive variant: synchronize each term separately.
-                let mut fd = flatten(&data_grads);
-                comm.allreduce_mean(&mut fd);
-                let mut fp = flatten(&pde_grads);
-                comm.allreduce_mean(&mut fp);
-                let avg_d = unflatten_like(&fd, &data_grads);
-                let avg_p = unflatten_like(&fp, &pde_grads);
-                avg_d.iter().zip(&avg_p).map(|(d, p)| d.add(p)).collect()
-            }
-            GradSync::OrderedFused => {
-                let local: Vec<Tensor> = data_grads
-                    .iter()
-                    .zip(&pde_grads)
-                    .map(|(d, p)| d.add(p))
-                    .collect();
-                let mut flat = flatten(&local);
-                comm.allreduce_mean_ordered(&mut flat);
-                unflatten_like(&flat, &local)
-            }
-        }
-    };
-    {
-        span!("train.opt");
-        opt.step(net.params.tensors_mut(), &grads, lr);
-    }
-    mf_telemetry::publish_thread();
-    stats
+    let reduce = Reduce::Ranks(comm, sync);
+    step_core(net, batch, pde_weight, reduce, None, |net, grads| {
+        opt.step(net.params.tensors_mut(), grads, lr)
+    })
 }
 
 #[cfg(test)]
@@ -434,6 +452,36 @@ mod tests {
         }
         // Ranks stay in lockstep with each other.
         assert_eq!(results[0], results[1]);
+    }
+
+    #[test]
+    fn distributed_step_at_world_one_is_bitwise_the_single_step() {
+        // A mean over one rank is exact, so every sync strategy is the
+        // local step: the two public step functions are one core.
+        let batches = tiny_batches(3);
+        let mut single = tiny_net(4);
+        let mut opt = mf_opt::Adam::new();
+        for batch in &batches {
+            train_step_single(&mut single, batch, &mut opt, 0.01, 0.02);
+        }
+        let expect: Vec<u64> = single
+            .params
+            .flatten()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        for sync in [GradSync::Fused, GradSync::PerLoss, GradSync::OrderedFused] {
+            let (template, batches) = (tiny_net(4), &batches);
+            let got = Cluster::run(1, move |comm| {
+                let (mut net, mut opt) = (template.clone(), mf_opt::Adam::new());
+                for batch in batches {
+                    train_step_distributed(&mut net, batch, &mut opt, 0.01, 0.02, comm, sync);
+                }
+                net.params.flatten()
+            });
+            let got: Vec<u64> = got[0].iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expect, "{sync:?}");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Epoch-level training loops, single-device and distributed.
+//! Epoch-level training, single-device and distributed: one epoch loop
+//! (`run_epochs`) under a local driver ([`train_single`]) and a per-rank
+//! driver ([`train_ddp_resumable`]'s closure).
 
 use crate::checkpoint::{
     latest_step, load_checkpoint, save_checkpoint, CheckpointConfig, TrainState,
 };
-use crate::step::GradSync;
+use crate::step::{step_core, GradSync, Reduce};
 use mf_data::{BatchSampler, Dataset};
-use mf_dist::{Cluster, ClusterError, CommStats, FaultPlan};
+use mf_dist::{Cluster, ClusterError, CommStats, Communicator, FaultPlan};
 use mf_nn::SdNet;
 use mf_opt::{Adam, AdamW, Lamb, LrSchedule, Optimizer, OptimizerState, Sgd};
 use mf_tensor::Tensor;
@@ -183,30 +185,27 @@ impl EvalPlan {
         for s in &ds.samples {
             pred.as_mut_slice().fill(0.0);
             plan.execute_into(&mut self.ws, &s.boundary, &mut pred);
-            let diff: f64 = pred
-                .as_slice()
-                .iter()
-                .zip(s.solution.as_slice())
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum();
-            acc += diff / q as f64;
+            acc += mean_sq_diff(&pred, &s.solution);
         }
         acc / ds.len() as f64
     }
+}
+
+fn mean_sq_diff(pred: &Tensor, truth: &Tensor) -> f64 {
+    let sum: f64 = pred
+        .as_slice()
+        .iter()
+        .zip(truth.as_slice())
+        .map(|(a, b)| (a - b) * (a - b))
+        .sum();
+    sum / pred.numel() as f64
 }
 
 /// Graph-path fallback used when the network cannot be lowered to a plan.
 fn graph_mse(net: &SdNet, ds: &Dataset, points: &Tensor, q: usize) -> f64 {
     let mut acc = 0.0;
     for s in &ds.samples {
-        let pred = net.predict(&s.boundary, points, q);
-        let diff: f64 = pred
-            .as_slice()
-            .iter()
-            .zip(s.solution.as_slice())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        acc += diff / q as f64;
+        acc += mean_sq_diff(&net.predict(&s.boundary, points, q), &s.solution);
     }
     acc / ds.len() as f64
 }
@@ -220,81 +219,172 @@ pub fn evaluate_mse(net: &SdNet, ds: &Dataset) -> f64 {
     EvalPlan::new().mse(net, ds)
 }
 
-/// Train on a single device.
+/// The per-rank driver's side of an epoch run: what needs the other ranks.
+struct Peers<'a> {
+    comm: &'a mut Communicator,
+    sync: GradSync,
+    ckpt: Option<&'a CheckpointConfig>,
+}
+
+/// The epoch loop, once: snapshot the sampler, draw the epoch, one
+/// [`step_core`] per batch at the schedule's LR, checkpoint when due, then
+/// the epoch's log, validation and `--watch` report. `peers` is `None` on
+/// one device; `resume` is the state a checkpoint restored, to continue
+/// bitwise-identically from. Returns the epoch logs (rank 0's; empty on
+/// the other ranks).
+fn run_epochs(
+    net: &mut SdNet,
+    data: &Dataset,
+    val: &Dataset,
+    cfg: &TrainConfig,
+    schedule: &LrSchedule,
+    mut peers: Option<Peers<'_>>,
+    resume: Option<TrainState>,
+) -> Vec<EpochLog> {
+    let (rank, world) = peers
+        .as_ref()
+        .map_or((0, 1), |p| (p.comm.rank(), p.comm.size()));
+    let seed = cfg.seed.wrapping_add(rank as u64);
+    let mut sampler = BatchSampler::new(cfg.batch_size, cfg.qd, cfg.qc, seed);
+    let mut opt = make_opt(cfg.opt);
+    let mut eval = EvalPlan::new();
+    let mut logs = Vec::new();
+    let mut global_step = 0usize;
+    let mut train_seconds = 0.0;
+    let mut start_epoch = 0usize;
+    let mut resume_skip = 0usize;
+    let mut dl = 0.0;
+    let mut pl = 0.0;
+    let mut step_secs_per_rank: Vec<Vec<f64>> = vec![Vec::new(); world];
+    if let Some(state) = resume {
+        *net = state.net;
+        opt.import_state(&state.opt);
+        sampler = BatchSampler::restore(&state.sampler_at_epoch_start);
+        global_step = state.step;
+        start_epoch = state.epoch;
+        resume_skip = state.batch_in_epoch;
+        train_seconds = state.train_seconds;
+        dl = state.data_loss_sum;
+        pl = state.pde_loss_sum;
+        logs = state.logs;
+    }
+
+    for epoch in start_epoch..cfg.epochs {
+        let t0 = Instant::now();
+        // Snapshot the sampler *before* drawing the epoch, so a
+        // checkpoint taken mid-epoch can regenerate the identical
+        // batch list and skip into it.
+        let sampler_at_epoch_start = sampler.state();
+        let skip = if epoch == start_epoch { resume_skip } else { 0 };
+        if skip == 0 {
+            dl = 0.0;
+            pl = 0.0;
+        }
+        let batches = sampler.epoch(data);
+        if let Some(p) = &mut peers {
+            // Keep ranks in lockstep: all shards have the same batch count
+            // because shards differ in size by at most one sample and the
+            // sampler drops partial batches; assert to catch mismatches.
+            let nb = p.comm.allreduce_scalar(batches.len() as f64) / world as f64;
+            assert_eq!(
+                nb as usize,
+                batches.len(),
+                "rank {rank}: shard batch counts diverged"
+            );
+        }
+        for (bi, batch) in batches.iter().enumerate().skip(skip) {
+            let lr = schedule.lr_at(global_step);
+            mf_telemetry::set_step_context(epoch as u64, global_step as u64);
+            let reduce = match &mut peers {
+                Some(p) => Reduce::Ranks(p.comm, p.sync),
+                None => Reduce::Local,
+            };
+            let update = |net: &mut SdNet, grads: &[Tensor]| opt.step_net(net, grads, lr);
+            let stats = step_core(net, batch, cfg.pde_weight, reduce, cfg.clip_norm, update);
+            dl += stats.data_loss;
+            pl += stats.pde_loss;
+            global_step += 1;
+            if let Some(ck) = peers.as_ref().and_then(|p| p.ckpt) {
+                if global_step.is_multiple_of(ck.every_steps) {
+                    let state = TrainState {
+                        step: global_step,
+                        epoch,
+                        batch_in_epoch: bi + 1,
+                        train_seconds: train_seconds + t0.elapsed().as_secs_f64(),
+                        data_loss_sum: dl,
+                        pde_loss_sum: pl,
+                        net: net.clone(),
+                        opt: opt.export_state(),
+                        sampler_at_epoch_start: sampler_at_epoch_start.clone(),
+                        logs: logs.clone(),
+                    };
+                    save_checkpoint(ck, rank, &state)
+                        .unwrap_or_else(|e| panic!("rank {rank}: checkpoint save failed: {e}"));
+                }
+            }
+        }
+        let epoch_secs = t0.elapsed().as_secs_f64();
+        train_seconds += epoch_secs;
+        let nb = batches.len().max(1) as f64;
+        if rank == 0 {
+            logs.push(EpochLog {
+                epoch,
+                data_loss: dl / nb,
+                pde_loss: pl / nb,
+                val_mse: eval.mse(net, val),
+                seconds: train_seconds,
+            });
+        }
+        if mf_observe::watch_enabled() {
+            // Straggler view: gather every rank's mean step time for
+            // this epoch and render one sparkline row per rank. Watch
+            // mode is opt-in, so the extra allgather never runs under
+            // the pinned-message-count regression fixtures.
+            let mean_step = [epoch_secs / nb];
+            let gathered = match &mut peers {
+                Some(p) => p.comm.allgather(&mean_step),
+                None => vec![mean_step.to_vec()],
+            };
+            if rank == 0 {
+                for (row, v) in step_secs_per_rank.iter_mut().zip(&gathered) {
+                    row.push(v[0]);
+                }
+                let losses: Vec<f64> = logs.iter().map(|l| l.data_loss + l.pde_loss).collect();
+                eprint!(
+                    "{}",
+                    mf_observe::train_watch_report(epoch, &losses, &step_secs_per_rank)
+                );
+                // Per-kernel VJP throughput from the published
+                // time-series rings (all ranks merged; reading the
+                // publication slots sends no messages).
+                for name in ["prof.vjp_data_us", "prof.vjp_pde_us"] {
+                    if let Some(s) = mf_telemetry::published_series(name) {
+                        eprint!(
+                            "{}",
+                            mf_observe::series_rate_line(
+                                name,
+                                s.rate_per_sec(10),
+                                &s.recent_counts(30)
+                            )
+                        );
+                    }
+                }
+            }
+        }
+    }
+    logs
+}
+
+/// Train on a single device: the local driver of the epoch loop — the
+/// caller's thread, the caller's network, the whole compute pool, no
+/// communicator and no checkpoints.
 pub fn train_single(
     net: &mut SdNet,
     train: &Dataset,
     val: &Dataset,
     cfg: &TrainConfig,
 ) -> Vec<EpochLog> {
-    let mut sampler = BatchSampler::new(cfg.batch_size, cfg.qd, cfg.qc, cfg.seed);
-    // Note: simplified single-device path; the full Algorithm-1 semantics
-    // (including the fused allreduce) live in `train_ddp`.
-    let mut opt = make_opt(cfg.opt);
-    let mut eval = EvalPlan::new();
-    let mut logs = Vec::with_capacity(cfg.epochs);
-    let mut global_step = 0usize;
-    let mut train_seconds = 0.0;
-    let mut step_secs_hist: Vec<f64> = Vec::new();
-    for epoch in 0..cfg.epochs {
-        let t0 = Instant::now();
-        let mut dl = 0.0;
-        let mut pl = 0.0;
-        let batches = sampler.epoch(train);
-        let nb = batches.len().max(1);
-        for batch in &batches {
-            let lr = cfg.schedule.lr_at(global_step);
-            mf_telemetry::set_step_context(epoch as u64, global_step as u64);
-            mf_telemetry::span!("train.step", epoch = epoch as f64);
-            // Inline single-device step using the boxed optimizer.
-            let (dg, pg, stats) = crate::step::local_gradients(net, batch, cfg.pde_weight);
-            let mut grads: Vec<Tensor> = dg.iter().zip(&pg).map(|(a, b)| a.add(b)).collect();
-            if let Some(max) = cfg.clip_norm {
-                mf_opt::clip_grad_norm(&mut grads, max);
-            }
-            {
-                mf_telemetry::span!("train.opt");
-                opt.step_net(net, &grads, lr);
-            }
-            dl += stats.data_loss;
-            pl += stats.pde_loss;
-            global_step += 1;
-            // Make this step's metrics visible to a live /metrics scrape
-            // (a warm publish does not allocate).
-            mf_telemetry::publish_thread();
-        }
-        let epoch_secs = t0.elapsed().as_secs_f64();
-        train_seconds += epoch_secs;
-        logs.push(EpochLog {
-            epoch,
-            data_loss: dl / nb as f64,
-            pde_loss: pl / nb as f64,
-            val_mse: eval.mse(net, val),
-            seconds: train_seconds,
-        });
-        if mf_observe::watch_enabled() {
-            let losses: Vec<f64> = logs.iter().map(|l| l.data_loss + l.pde_loss).collect();
-            step_secs_hist.push(epoch_secs / nb as f64);
-            eprint!(
-                "{}",
-                mf_observe::train_watch_report(epoch, &losses, &[step_secs_hist.clone()])
-            );
-            // Per-kernel VJP throughput from the profiler's time-series ring.
-            for name in ["prof.vjp_data_us", "prof.vjp_pde_us"] {
-                if let Some(s) = mf_telemetry::published_series(name) {
-                    eprint!(
-                        "{}",
-                        mf_observe::series_rate_line(
-                            name,
-                            s.rate_per_sec(10),
-                            &s.recent_counts(30)
-                        )
-                    );
-                }
-            }
-        }
-    }
-    logs
+    run_epochs(net, train, val, cfg, &cfg.schedule, None, None)
 }
 
 /// Distributed data-parallel training (Algorithm 1) on `world` simulated
@@ -333,7 +423,8 @@ pub fn train_ddp(
 ///   resumes from the *minimum* common step — or from scratch if any rank
 ///   has nothing. A resumed run replays the epoch's batch list from the
 ///   sampler snapshot and continues bitwise-identically to a run that was
-///   never interrupted.
+///   never interrupted. Panics, before any rank starts, on a cadence or a
+///   keep count of zero.
 ///
 /// Rank panics (including injected crashes) surface as a typed
 /// [`ClusterError`] naming the failed rank instead of hanging.
@@ -348,7 +439,11 @@ pub fn train_ddp_resumable(
     plan: FaultPlan,
     ckpt: Option<&CheckpointConfig>,
 ) -> Result<DdpResult, ClusterError> {
+    if let Some(ck) = ckpt {
+        ck.validate();
+    }
     let schedule = cfg.schedule.scaled_for_devices(world);
+    // The per-rank driver of the epoch loop.
     let results = Cluster::try_run(world, plan, |comm| {
         let rank = comm.rank();
         // A rank is a device: one of `world` threads computing at once.
@@ -356,182 +451,28 @@ pub fn train_ddp_resumable(
         // Align per-rank clocks at the run's first barrier so the merged
         // trace rows share a time base (barrier-only: no link messages).
         comm.align_clocks();
-        let shard = train.shard(rank, world);
-        let mut net = template.clone();
-        let mut sampler = BatchSampler::new(
-            cfg.batch_size,
-            cfg.qd,
-            cfg.qc,
-            cfg.seed.wrapping_add(rank as u64),
-        );
-        let mut opt = make_opt(cfg.opt);
-        let mut eval = EvalPlan::new();
-        let mut logs = Vec::new();
-        let mut global_step = 0usize;
-        let mut train_seconds = 0.0;
-        let mut start_epoch = 0usize;
-        let mut resume_skip = 0usize;
-        let mut dl = 0.0;
-        let mut pl = 0.0;
-        let mut step_secs_per_rank: Vec<Vec<f64>> = vec![Vec::new(); world];
-
         // Resume negotiation: every rank offers its newest checkpointed
         // step (−1 when it has none); the run restarts from the newest
         // step *all* ranks have, so a crash that interrupted some ranks
         // mid-save rolls everyone back to a consistent state.
-        if let Some(ck) = ckpt {
+        let resume = ckpt.and_then(|ck| {
             let mine = latest_step(ck, rank).map(|s| s as f64).unwrap_or(-1.0);
             let offers = comm.allgather(&[mine]);
             let common = offers.iter().map(|v| v[0]).fold(f64::INFINITY, f64::min);
-            if common >= 0.0 {
-                let state = load_checkpoint(ck, common as usize, rank).unwrap_or_else(|e| {
+            (common >= 0.0).then(|| {
+                load_checkpoint(ck, common as usize, rank).unwrap_or_else(|e| {
                     panic!("rank {rank}: failed to load checkpoint at step {common}: {e}")
-                });
-                net = state.net;
-                opt.import_state(&state.opt);
-                sampler = BatchSampler::restore(&state.sampler_at_epoch_start);
-                global_step = state.step;
-                start_epoch = state.epoch;
-                resume_skip = state.batch_in_epoch;
-                train_seconds = state.train_seconds;
-                dl = state.data_loss_sum;
-                pl = state.pde_loss_sum;
-                logs = state.logs;
-            }
-        }
-
-        for epoch in start_epoch..cfg.epochs {
-            let t0 = Instant::now();
-            // Snapshot the sampler *before* drawing the epoch, so a
-            // checkpoint taken mid-epoch can regenerate the identical
-            // batch list and skip into it.
-            let sampler_at_epoch_start = sampler.state();
-            let skip = if epoch == start_epoch { resume_skip } else { 0 };
-            if skip == 0 {
-                dl = 0.0;
-                pl = 0.0;
-            }
-            let batches = sampler.epoch(&shard);
-            // Keep ranks in lockstep: all shards have the same batch count
-            // because shards differ in size by at most one sample and the
-            // sampler drops partial batches; assert to catch mismatches.
-            let nb = comm.allreduce_scalar(batches.len() as f64) / world as f64;
-            assert_eq!(
-                nb as usize,
-                batches.len(),
-                "rank {rank}: shard batch counts diverged"
-            );
-            for (bi, batch) in batches.iter().enumerate().skip(skip) {
-                let lr = schedule.lr_at(global_step);
-                mf_telemetry::set_step_context(epoch as u64, global_step as u64);
-                mf_telemetry::span!("train.step", epoch = epoch as f64);
-                let (dg, pg, stats) = crate::step::local_gradients(&net, batch, cfg.pde_weight);
-                let mut grads: Vec<Tensor> = {
-                    mf_telemetry::span!("train.sync");
-                    match sync {
-                        GradSync::Fused => {
-                            let local: Vec<Tensor> =
-                                dg.iter().zip(&pg).map(|(a, b)| a.add(b)).collect();
-                            let mut flat = flatten(&local);
-                            comm.allreduce_mean(&mut flat);
-                            unflatten_like(&flat, &local)
-                        }
-                        GradSync::PerLoss => {
-                            let mut fd = flatten(&dg);
-                            comm.allreduce_mean(&mut fd);
-                            let mut fp = flatten(&pg);
-                            comm.allreduce_mean(&mut fp);
-                            let d = unflatten_like(&fd, &dg);
-                            let p = unflatten_like(&fp, &pg);
-                            d.iter().zip(&p).map(|(a, b)| a.add(b)).collect()
-                        }
-                        GradSync::OrderedFused => {
-                            let local: Vec<Tensor> =
-                                dg.iter().zip(&pg).map(|(a, b)| a.add(b)).collect();
-                            let mut flat = flatten(&local);
-                            comm.allreduce_mean_ordered(&mut flat);
-                            unflatten_like(&flat, &local)
-                        }
-                    }
-                };
-                if let Some(max) = cfg.clip_norm {
-                    mf_opt::clip_grad_norm(&mut grads, max);
-                }
-                {
-                    mf_telemetry::span!("train.opt");
-                    opt.step_net(&mut net, &grads, lr);
-                }
-                dl += stats.data_loss;
-                pl += stats.pde_loss;
-                global_step += 1;
-                // Make this step's metrics visible to a live /metrics
-                // scrape (a warm publish does not allocate).
-                mf_telemetry::publish_thread();
-                if let Some(ck) = ckpt {
-                    if global_step.is_multiple_of(ck.every_steps) {
-                        let state = TrainState {
-                            step: global_step,
-                            epoch,
-                            batch_in_epoch: bi + 1,
-                            train_seconds: train_seconds + t0.elapsed().as_secs_f64(),
-                            data_loss_sum: dl,
-                            pde_loss_sum: pl,
-                            net: net.clone(),
-                            opt: opt.export_state(),
-                            sampler_at_epoch_start: sampler_at_epoch_start.clone(),
-                            logs: logs.clone(),
-                        };
-                        save_checkpoint(ck, rank, &state)
-                            .unwrap_or_else(|e| panic!("rank {rank}: checkpoint save failed: {e}"));
-                    }
-                }
-            }
-            let epoch_secs = t0.elapsed().as_secs_f64();
-            train_seconds += epoch_secs;
-            if rank == 0 {
-                let nb = batches.len().max(1) as f64;
-                logs.push(EpochLog {
-                    epoch,
-                    data_loss: dl / nb,
-                    pde_loss: pl / nb,
-                    val_mse: eval.mse(&net, val),
-                    seconds: train_seconds,
-                });
-            }
-            if mf_observe::watch_enabled() {
-                // Straggler view: gather every rank's mean step time for
-                // this epoch and render one sparkline row per rank. Watch
-                // mode is opt-in, so the extra allgather never runs under
-                // the pinned-message-count regression fixtures.
-                let mean_step = epoch_secs / batches.len().max(1) as f64;
-                let gathered = comm.allgather(&[mean_step]);
-                if rank == 0 {
-                    for (r, v) in gathered.iter().enumerate() {
-                        step_secs_per_rank[r].push(v[0]);
-                    }
-                    let losses: Vec<f64> = logs.iter().map(|l| l.data_loss + l.pde_loss).collect();
-                    eprint!(
-                        "{}",
-                        mf_observe::train_watch_report(epoch, &losses, &step_secs_per_rank)
-                    );
-                    // Per-kernel VJP throughput from the published
-                    // time-series rings (all ranks merged; reading the
-                    // publication slots sends no messages).
-                    for name in ["prof.vjp_data_us", "prof.vjp_pde_us"] {
-                        if let Some(s) = mf_telemetry::published_series(name) {
-                            eprint!(
-                                "{}",
-                                mf_observe::series_rate_line(
-                                    name,
-                                    s.rate_per_sec(10),
-                                    &s.recent_counts(30)
-                                )
-                            );
-                        }
-                    }
-                }
-            }
-        }
+                })
+            })
+        });
+        let mut net = template.clone();
+        let shard = train.shard(rank, world);
+        let peers = Peers {
+            comm: &mut *comm,
+            sync,
+            ckpt,
+        };
+        let logs = run_epochs(&mut net, &shard, val, cfg, &schedule, Some(peers), resume);
         if mf_telemetry::metrics_report_enabled() {
             mf_dist::print_merged_report(comm);
         }
@@ -545,29 +486,6 @@ pub fn train_ddp_resumable(
         logs,
         comm_stats,
     })
-}
-
-fn flatten(grads: &[Tensor]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(grads.iter().map(|t| t.numel()).sum());
-    for t in grads {
-        out.extend_from_slice(t.as_slice());
-    }
-    out
-}
-
-fn unflatten_like(flat: &[f64], like: &[Tensor]) -> Vec<Tensor> {
-    let mut out = Vec::with_capacity(like.len());
-    let mut off = 0;
-    for t in like {
-        let n = t.numel();
-        out.push(Tensor::from_vec(
-            t.rows(),
-            t.cols(),
-            flat[off..off + n].to_vec(),
-        ));
-        off += n;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -646,6 +564,85 @@ mod tests {
         // Communication happened on both ranks and is symmetric in volume.
         assert!(res.comm_stats[0].msgs_sent > 0);
         assert_eq!(res.comm_stats[0].bytes_sent, res.comm_stats[1].bytes_sent);
+    }
+
+    #[test]
+    fn one_rank_is_bitwise_the_single_device() {
+        // The training twin of `one_rank_is_bitwise_the_sequential_mfp`:
+        // the per-rank driver at world 1 (LR scaled by √1, seed + 0, a
+        // mean over one rank) is the local driver, whatever the sync
+        // strategy, the optimizer or the clip.
+        let spec = SubdomainSpec { m: 9, spatial: 0.5 };
+        let ds = Dataset::generate(spec, 10, 4);
+        let (train, val) = ds.split(0.8);
+        let template = tiny_net(3, spec.boundary_len());
+        for opt in [OptKind::Adam, OptKind::Lamb(0.01)] {
+            let mut unclipped = None;
+            for clip_norm in [None, Some(0.05)] {
+                let cfg = TrainConfig {
+                    opt,
+                    clip_norm,
+                    ..tiny_cfg(3)
+                };
+                let mut net = template.clone();
+                let single = train_single(&mut net, &train, &val, &cfg);
+                let params = net.params.flatten();
+                // The clip bites, or its cases would repeat the plain ones.
+                if let Some(plain) = unclipped.replace(params.clone()) {
+                    assert_ne!(plain, params, "{opt:?}: clip {clip_norm:?} changed nothing");
+                }
+                for sync in [GradSync::Fused, GradSync::PerLoss, GradSync::OrderedFused] {
+                    let case = format!("{opt:?}, clip {clip_norm:?}, {sync:?}");
+                    let ddp = train_ddp(1, &template, &train, &val, &cfg, sync);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&ddp.params_flat), bits(&params), "{case}: parameters");
+                    let curve = |logs: &[EpochLog]| {
+                        let of = |l: &EpochLog| bits(&[l.data_loss, l.pde_loss, l.val_mse]);
+                        logs.iter().map(of).collect::<Vec<_>>()
+                    };
+                    assert_eq!(curve(&ddp.logs), curve(&single), "{case}: epoch logs");
+                }
+            }
+        }
+    }
+
+    /// A run whose result is dropped: only a panic on the calling thread,
+    /// before `Cluster::try_run` has a rank to report, reaches the test.
+    fn run_with_checkpoints(ck: &CheckpointConfig) {
+        let spec = SubdomainSpec { m: 9, spatial: 0.5 };
+        let ds = Dataset::generate(spec, 8, 1);
+        let (train, val) = ds.split(0.75);
+        let template = tiny_net(1, spec.boundary_len());
+        let _ = train_ddp_resumable(
+            2,
+            &template,
+            &train,
+            &val,
+            &tiny_cfg(1),
+            GradSync::Fused,
+            FaultPlan::none(),
+            Some(ck),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "CheckpointConfig::every_steps must be at least 1")]
+    fn zero_checkpoint_cadence_is_rejected_at_entry() {
+        run_with_checkpoints(&CheckpointConfig {
+            dir: std::env::temp_dir().join("mf_ckpt_zero_cadence"),
+            every_steps: 0,
+            keep: 2,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "CheckpointConfig::keep must be at least 1")]
+    fn zero_checkpoint_keep_is_rejected_at_entry() {
+        run_with_checkpoints(&CheckpointConfig {
+            dir: std::env::temp_dir().join("mf_ckpt_zero_keep"),
+            every_steps: 1,
+            keep: 0,
+        });
     }
 
     #[test]

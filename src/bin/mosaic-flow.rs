@@ -30,8 +30,10 @@
 //! (`Concat` embedding) run on the graph-based solver.
 //!
 //! Every subcommand has a closed list of flags: an unknown flag, a
-//! missing value, or a value that does not parse prints a one-line reason
-//! plus the usage and exits non-zero.
+//! missing value, a value that does not parse, or a zero where a count
+//! must be at least 1 (`--devices`, `--epochs`, `--ranks`, `--workers`,
+//! either factor of `--domain`) prints a one-line reason plus the usage and
+//! exits non-zero.
 //!
 //! Observability flags (any subcommand):
 //!
@@ -64,9 +66,14 @@ enum Kind {
     Switch,
     /// A non-negative integer.
     Count,
+    /// A count of at least 1: devices, ranks, epochs, workers — a zero
+    /// would divide by it, build an empty cluster, or never answer.
+    Positive,
     /// A floating-point number.
     Real,
-    /// Free text (paths, addresses, `4x2`, `gp:SEED`).
+    /// `SXxSY` atomic subdomains, both at least 1.
+    Domain,
+    /// Free text (paths, addresses, `gp:SEED`).
     Text,
 }
 
@@ -92,9 +99,9 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
             cmd_train,
             &[
                 ("samples", Count),
-                ("epochs", Count),
+                ("epochs", Positive),
                 ("m", Count),
-                ("devices", Count),
+                ("devices", Positive),
                 ("seed", Count),
                 ("out", Text),
             ],
@@ -107,12 +114,12 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
         "solve" => (
             cmd_solve,
             &[
-                ("domain", Text),
+                ("domain", Domain),
                 ("model", Text),
                 ("oracle", Switch),
                 ("m", Count),
                 ("boundary", Text),
-                ("ranks", Count),
+                ("ranks", Positive),
                 ("one-level", Switch),
                 ("out", Text),
                 ("fault-seed", Count),
@@ -129,7 +136,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("random-weights", Switch),
                 ("m", Count),
                 ("seed", Count),
-                ("workers", Count),
+                ("workers", Positive),
                 ("queue-depth", Count),
                 ("max-points", Count),
                 ("max-wait-us", Count),
@@ -165,8 +172,14 @@ fn parse_flags(cmd: &str, table: FlagTable, args: &[String]) -> Result<Flags, St
                 return Err(format!("{cmd}: --{name} needs a value"));
             };
             let expected = match kind {
-                Kind::Count if value.parse::<u64>().is_err() => Some("a non-negative integer"),
+                Kind::Count | Kind::Positive if value.parse::<u64>().is_err() => {
+                    Some("a non-negative integer")
+                }
+                Kind::Positive if value.parse::<u64>() == Ok(0) => Some("at least 1"),
                 Kind::Real if value.parse::<f64>().is_err() => Some("a number"),
+                Kind::Domain if parse_domain(value).is_none() => {
+                    Some("SXxSY atomic subdomains, both at least 1, like 4x2")
+                }
                 _ => None,
             };
             if let Some(expected) = expected {
@@ -177,6 +190,13 @@ fn parse_flags(cmd: &str, table: FlagTable, args: &[String]) -> Result<Flags, St
         flags.insert(name.to_string(), value.to_string());
     }
     Ok(flags)
+}
+
+/// `4x2` → `(4, 2)`; `None` unless both factors are integers of at least 1.
+fn parse_domain(value: &str) -> Option<(usize, usize)> {
+    let (sx, sy) = value.split_once('x')?;
+    let (sx, sy) = (sx.parse().ok()?, sy.parse().ok()?);
+    (sx >= 1 && sy >= 1).then_some((sx, sy))
 }
 
 /// A flag's value, or `default` when the flag was not given
@@ -338,13 +358,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
         .get("domain")
         .cloned()
         .unwrap_or_else(|| "2x1".to_string());
-    let Some((sx, sy)) = domain_str
-        .split_once('x')
-        .and_then(|(a, b)| Some((a.parse::<usize>().ok()?, b.parse::<usize>().ok()?)))
-    else {
-        eprintln!("solve: --domain must look like 4x2 (atomic subdomains)");
-        return ExitCode::FAILURE;
-    };
+    let (sx, sy) = parse_domain(&domain_str).expect("parse_flags checked it, or it is the default");
     let ranks: usize = get(flags, "ranks", 1);
     let accelerate = !flags.contains_key("one-level");
 

@@ -162,6 +162,42 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
     // A value flag without its value.
     let err = rejected(&["solve", "--domain", "2x1", "--trace"]);
     assert!(err.contains("--trace needs a value"), "{err}");
+    // A zero where a count must be at least 1 is a reason line like any
+    // other bad value — it used to be a division by zero, an `unwrap` on
+    // no epoch log, and two assertions deep inside the library.
+    for (args, reason) in [
+        (
+            &["train", "--devices", "0"][..],
+            "--devices expects at least 1, got `0`",
+        ),
+        (
+            &["train", "--epochs", "0"],
+            "--epochs expects at least 1, got `0`",
+        ),
+        (
+            &["solve", "--oracle", "--ranks", "0"],
+            "--ranks expects at least 1, got `0`",
+        ),
+        (
+            &["serve", "--workers", "0"],
+            "--workers expects at least 1, got `0`",
+        ),
+        (
+            &["solve", "--oracle", "--domain", "0x1"],
+            "--domain expects SXxSY",
+        ),
+        (
+            &["solve", "--oracle", "--domain", "2x0"],
+            "--domain expects SXxSY",
+        ),
+    ] {
+        let err = rejected(args);
+        assert!(
+            err.contains(reason) && err.contains("usage"),
+            "{args:?}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
 }
 
 #[test]
