@@ -114,27 +114,34 @@ struct RegShape {
 }
 
 /// Blocks a fanned-out launch is cut into per lane. Measured on the
-/// reference host (2 cores, 3×48 trunk, B = 64, p25 of 300 launches, in
-/// periods when both cores were the process's own): 1 / 2 / 4 / 8 / 16
-/// blocks per lane run a cross launch in 313 / 321 / 311–329 / 322–338 /
-/// 316–357 µs and a dense one in 1 142 / 1 111–1 140 / 1 138–1 162 /
-/// 1 160–1 169 / 1 197–1 200 µs. Since weights are packed at compile time a
-/// block costs only its zone timers and buffer checkouts, so finer blocks
-/// lose 1–2 % per doubling and not the 10 % they did; but they win nothing
-/// either. Two cost nothing against one and bound what a lane that joins
-/// late or is descheduled can hold up to a quarter of the launch.
+/// reference host (2 cores, 3×48 trunk, B = 64, p25 of 300 launches on two
+/// lanes, in a period when both cores were the process's own), with the
+/// fused-multiply-add kernels: 1 / 2 / 4 / 8 / 16 blocks per lane run a
+/// cross launch in 184 / 187 / 194 / 207 / 233 µs and a dense one in 681 /
+/// 683 / 686 / 693 / 759 µs. A block costs its zone timers and buffer
+/// checkouts, which the faster kernels made a larger share: finer blocks now
+/// lose 4 % / 11 % / 25 % on the cross launch (1–2 % per doubling before)
+/// and win nothing. Two cost 1 % against one and bound what a lane that
+/// joins late or is descheduled can hold up to a quarter of the launch.
 const BLOCKS_PER_LANE: usize = 2;
 
 /// GEMM multiply-adds below which a block is not worth handing to another
-/// lane. Measured on the reference host, a cross launch split in two
-/// against the same launch whole, at 202 k / 269 k / 404 k / 538 k / 808 k /
-/// 1 077 k multiply-adds in total: ×1.32 / ×1.59 / ×1.74 / ×1.85 / ×1.60 /
-/// ×1.89 when the worker is still polling (back-to-back launches), ×0.72 /
-/// ×0.76 / ×0.87 / ×1.07 / ×1.16 / ×1.30 when it has parked (300 µs of
-/// caller-only work in between) — waking it costs the caller about 35 µs on
-/// this VM, which is 500 k multiply-adds of the fused kernels. Two blocks of
-/// this size are where the parked case breaks even (between ×0.87 at 404 k
-/// and ×1.07 at 538 k): the smallest split that does not lose either way.
+/// lane. Measured on the reference host with the fused-multiply-add
+/// kernels, a cross launch split in two against the same launch whole, at
+/// 202 k / 269 k / 404 k / 538 k / 673 k / 808 k / 1 077 k / 1 346 k
+/// multiply-adds in total: ×1.06 / ×0.98 / ×1.48 / ×1.77 / ×1.67 / ×1.23 /
+/// ×1.74 / ×1.82 when the worker is still polling (back-to-back launches),
+/// ×0.60 / ×0.64 / ×0.72 / ×0.79 / ×0.93 / ×0.99 / ×1.16 / ×1.21 when it has
+/// parked (300 µs of caller-only work in between). Waking it still costs the
+/// caller about 35 µs on this VM, but at the fused kernels' 12 multiply-adds
+/// per ns on one lane that is now 420 k of them, so the parked case breaks
+/// even at two blocks of 400 k, no longer of 250 k. The value stays where a
+/// polling worker starts to win clearly: launches come from MFP solves,
+/// whose sweeps follow one another within the worker's polling window
+/// (`mfp.iter_ms` is its four launches to 1–6 %), so a solve meets the
+/// parked case on its first launch only — where two blocks of this size
+/// cost it 12 µs (58.8 against 46.3) — and the polling case, ×1.77 here,
+/// on every launch after that.
 const MIN_BLOCK_MACS: usize = 250_000;
 
 /// One lane's execution scratch: the buffers and register table of the

@@ -316,6 +316,19 @@ impl SolveService {
                 domain.boundary_len()
             )));
         }
+        // NaN, zero and negative all mean "never converged": the request
+        // would hold a worker for `max_iters` sweeps.
+        if !req.tol.is_finite() || req.tol <= 0.0 {
+            return Err(ServeError::BadRequest(format!(
+                "tol {} is not a positive finite number",
+                req.tol
+            )));
+        }
+        if let Some(i) = req.bc.as_slice().iter().position(|v| !v.is_finite()) {
+            return Err(ServeError::BadRequest(format!(
+                "boundary value {i} is not finite"
+            )));
+        }
         Ok(domain.boundary_len())
     }
 
@@ -674,8 +687,24 @@ pub(crate) mod tests {
             .solve_blocking(SolveRequest::new(99, 1, Tensor::zeros(1, 8)))
             .unwrap_err();
         assert!(matches!(err, ServeError::BadRequest(_)), "{err}");
-        // The service survives bad requests.
         let d = DomainSpec::new(test_spec(), 1, 1);
+        // A tolerance no residual can meet would run to `max_iters`.
+        for tol in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut req = SolveRequest::new(1, 1, sin_bc(&d));
+            req.tol = tol;
+            let err = svc.solve_blocking(req).unwrap_err();
+            assert!(matches!(err, ServeError::BadRequest(_)), "tol {tol}: {err}");
+        }
+        // Non-finite boundary values would cost a launch before the
+        // non-finite residual ends the solve.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bc = sin_bc(&d);
+            bc.as_mut_slice()[3] = bad;
+            let err = svc.solve_blocking(SolveRequest::new(1, 1, bc)).unwrap_err();
+            assert!(matches!(err, ServeError::BadRequest(_)), "bc {bad}: {err}");
+        }
+        // Nothing above reached a worker, and the service survives.
+        assert_eq!(svc.stats().accepted, 0);
         assert!(svc
             .solve_blocking(SolveRequest::new(1, 1, sin_bc(&d)))
             .is_ok());

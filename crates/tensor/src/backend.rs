@@ -9,12 +9,16 @@
 //!   identical to the pre-backend code. Golden fixtures are recorded
 //!   against this backend (see `tests/regression.rs`).
 //! * **simd** — hand-vectorized chunked kernels with a packed,
-//!   cache-blocked GEMM microkernel (the private `simd` module). GEMM, the
-//!   fused [`Backend::layer`] and the polynomial elementwise kernels
-//!   preserve the scalar accumulation order and are bitwise identical on
-//!   the shapes we run; only `tanh` and `gelu` use a different
-//!   approximation and carry explicit ulp budgets (`tests/backend.rs`
-//!   documents and enforces them).
+//!   cache-blocked GEMM microkernel (the private `simd` module). The
+//!   elementwise kernels do the scalar arithmetic per element and are
+//!   bitwise identical. GEMM and the fused [`Backend::layer`] keep the
+//!   scalar accumulation order but fuse each multiply-add when the build
+//!   target has the instruction ([`crate::FUSED`]): bitwise identical to
+//!   scalar on a build without it, within `2γ_k·(|A|·|B|)ᵢⱼ` of it
+//!   ([`check_gemm_contract`]) on a build with it, and bitwise *itself* — across plans,
+//!   partitions, pool widths and ranks — on either. `tanh` and `gelu` use
+//!   a different approximation and carry explicit ulp budgets
+//!   (`tests/backend.rs` documents and enforces all of these).
 //!
 //! The live backend is chosen once from `MF_BACKEND`
 //! (`scalar`/`simd`/`auto`, default `auto` = simd) and can be overridden
@@ -151,7 +155,10 @@ pub trait Backend: Send + Sync {
     /// `m×n`, all packed row-major with `m = c.len() / n`. Runs on the
     /// calling thread; [`crate::gemm_into`] parallelizes by invoking this
     /// once per band of output rows. Implementations must accumulate each
-    /// output element in ascending-`p` order so backends agree bitwise.
+    /// output element as one ascending-`p` chain, whatever band or tile it
+    /// falls in, so a backend agrees with itself bitwise under any row
+    /// partition and with the other backend within the chain's rounding
+    /// (see [`check_gemm_contract`]).
     fn gemm_band(&self, a: &[f64], b: &[f64], c: &mut [f64], k: usize, n: usize) {
         if n == 0 || k == 0 {
             return;
@@ -499,6 +506,51 @@ pub fn ulp_distance(a: f64, b: f64) -> u64 {
         }
     }
     key(a).abs_diff(key(b))
+}
+
+/// Check the cross-backend GEMM contract, for the differential harness:
+/// `scalar` and `simd` are the two backends' `c0 + a·b` (`a` is `m×k`, `b`
+/// is `k×n`, `c0` the `m×n` start of the chains). A `t`-term ascending
+/// multiply-add chain — fused or not — is within `γ_t·Σ|aₚ|·|bₚ|` of the
+/// exact sum, `γ_t = tε / (1 − tε)`, `ε = 2⁻⁵³`, so where the simd chain is
+/// fused ([`crate::FUSED`]) the two must be within
+/// `2γ_{k+1}·(|c0| + |a|·|b|)ᵢⱼ` of each other elementwise (`c0` is the
+/// chain's extra term); where it is not, the chains are the same and every
+/// pair must be `same` — bits, or values for inputs with zeros, which only
+/// the scalar kernel skips. `Err` names the first element that is not.
+pub fn check_gemm_contract(
+    (a, b, c0): (&[f64], &[f64], &[f64]),
+    (k, n): (usize, usize),
+    (scalar, simd): (&[f64], &[f64]),
+    same: fn(f64, f64) -> bool,
+) -> Result<(), String> {
+    if scalar.len() != c0.len() || simd.len() != c0.len() {
+        return Err("length mismatch".into());
+    }
+    let abs = |v: &[f64]| v.iter().map(|x| x.abs()).collect::<Vec<_>>();
+    let mut magnitude = abs(c0);
+    SCALAR.gemm_band(&abs(a), &abs(b), &mut magnitude, k, n);
+    let terms_eps = (k + 1) as f64 * (f64::EPSILON / 2.0);
+    let bound = 2.0 * terms_eps / (1.0 - terms_eps);
+    for (i, ((&x, &y), &mag)) in scalar.iter().zip(simd).zip(&magnitude).enumerate() {
+        let ok = if crate::FUSED {
+            (x - y).abs() <= bound * mag
+        } else {
+            same(x, y)
+        };
+        if !ok {
+            return Err(format!(
+                "elem {i}: {x:e} vs {y:e} (|c0| + |a|·|b| = {mag:e})"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Bitwise equality of two doubles (`+0.0` and `−0.0` differ, a NaN equals
+/// itself): the `same` of [`check_gemm_contract`] for zero-free inputs.
+pub fn same_bits(x: f64, y: f64) -> bool {
+    x.to_bits() == y.to_bits()
 }
 
 #[cfg(test)]

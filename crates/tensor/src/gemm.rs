@@ -27,16 +27,18 @@ pub enum Layout {
 
 /// Problem size (in multiply-adds) from which the row bands are shared out
 /// over the compute pool. Measured on the 2-core reference host with
-/// 48-wide operands, two lanes against one (p25 of 500 calls, both cores
-/// the process's own): 221 k ×1.12, 295 k ×1.61, 369 k ×1.30, 442 k ×1.15,
-/// 590 k ×1.55, 885 k ×1.65 with the worker still polling; ×0.60, ×0.82,
-/// ×0.66, ×0.69, ×0.79, ×0.93 with the worker parked (300 µs of
-/// caller-only work before each call), which wins only from 1.2 M (×1.07):
-/// waking a parked worker costs ~30 µs, now the time of 450 k
-/// multiply-adds. The callers with products this large are training
-/// steps, whose GEMMs come in bursts — the wake-up is paid once per burst,
-/// the polling gain on every product after it — so this is the size from
-/// which a polling worker wins clearly.
+/// 48-wide operands and the fused-multiply-add microkernel, two lanes
+/// against one (p25 of 400 calls, both cores the process's own): 221 k
+/// ×1.23, 295 k ×1.33, 369 k ×1.37, 442 k ×1.28, 590 k ×1.67, 737 k ×1.53,
+/// 885 k ×1.69, 1.2 M ×1.64 with the worker still polling; ×0.53, ×0.59,
+/// ×0.61, ×0.68, ×0.73, ×0.82, ×0.85, ×0.96 with the worker parked (300 µs
+/// of caller-only work before each call), which wins only from 1.5 M
+/// (×1.11): waking a parked worker costs ~28 µs, now the time of 650 k
+/// multiply-adds (450 k before the kernel fused them). The callers with
+/// products this large are training steps, whose GEMMs come in bursts — the
+/// wake-up is paid once per burst, the polling gain on every product after
+/// it — so this is the size from which a polling worker wins clearly, and
+/// that size did not move with the kernel (×1.30 at 369 k before).
 const PAR_THRESHOLD: usize = 3 << 17;
 
 /// `C = op_a(A) · op_b(B)`.

@@ -34,13 +34,14 @@ mod simd;
 mod tensor;
 
 pub use backend::{
-    backend, backend_kind, gelu_scalar, set_backend, ulp_distance, with_backend, Act, Backend,
-    BackendKind, PackedB, GELU_C, GELU_SQRT_2_OVER_PI,
+    backend, backend_kind, check_gemm_contract, gelu_scalar, same_bits, set_backend, ulp_distance,
+    with_backend, Act, Backend, BackendKind, PackedB, GELU_C, GELU_SQRT_2_OVER_PI,
 };
 pub use gemm::{gemm, gemm_into, Layout};
 pub use inplace::{fold1d_circular_into, unfold1d_circular_into};
 pub use ops::{fold1d_circular, unfold1d_circular};
 pub use pool::{BufferPool, PoolStats};
+pub use simd::{fmadd, FUSED};
 pub use tensor::Tensor;
 
 /// Relative/absolute tolerance comparison for floating-point test code.

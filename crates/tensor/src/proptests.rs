@@ -137,9 +137,10 @@ fn any_shape() -> impl Strategy<Value = (usize, usize)> {
 
 /// Differential property tests: for random shapes and data, the simd
 /// backend must reproduce the scalar reference exactly (bitwise) on
-/// every order-preserving kernel — the per-kernel contract behind
-/// `tests/backend.rs`, here explored by proptest instead of by a fixed
-/// shape table.
+/// every kernel that does the reference's arithmetic per element, and
+/// within the GEMM error bound where its multiply-add chain may be fused
+/// — the per-kernel contract behind `tests/backend.rs`, here explored by
+/// proptest instead of by a fixed shape table.
 mod backend_differential {
     use super::*;
     use crate::backend::{scalar, simd};
@@ -153,7 +154,7 @@ mod backend_differential {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn gemm_bitwise_on_random_shapes(
+        fn gemm_contract_on_random_shapes(
             (m, k) in any_shape(),
             n in 0usize..18,
             a_t in prop::bool::ANY,
@@ -190,9 +191,19 @@ mod backend_differential {
             };
             let s = run(crate::BackendKind::Scalar);
             let v = run(crate::BackendKind::Simd);
+            let (a, b) = (
+                if a_t { a.transpose() } else { a },
+                if b_t { b.transpose() } else { b },
+            );
+            let held = crate::check_gemm_contract(
+                (a.as_slice(), b.as_slice(), c0.as_slice()),
+                (k, n),
+                (s.as_slice(), v.as_slice()),
+                crate::same_bits,
+            );
             prop_assert!(
-                bits_eq(s.as_slice(), v.as_slice()),
-                "gemm {m}x{k}x{n} (a_t={a_t}, b_t={b_t}) diverged bitwise"
+                held.is_ok(),
+                "gemm {m}x{k}x{n} (a_t={a_t}, b_t={b_t}) diverged: {held:?}"
             );
         }
 

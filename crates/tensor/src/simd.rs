@@ -6,7 +6,7 @@
 //! `unsafe`, no nightly `std::simd`. Three families:
 //!
 //! * **GEMM** ([`Backend::gemm_band`], [`Backend::layer`]) — a packed,
-//!   cache-blocked microkernel: `MR×NR = 4×8` register tiles over
+//!   cache-blocked microkernel: `MR×NR = 4×16` register tiles over
 //!   `KC`-deep, `NR`-wide panels of `B` stored contiguously.
 //!   `gemm_band` accumulates into `C` and packs each panel into a
 //!   per-thread scratch buffer as it goes; `layer` reads panels a
@@ -14,20 +14,31 @@
 //!   overwrites `C`: no zero-fill, no re-load) and finishes each 64-row
 //!   band — bias, activation — while the band is in L1. The inner loop
 //!   carries no bounds checks: the tile's four row slices are cut once per
-//!   tile and zipped with `chunks_exact` over the panel. Output columns
-//!   that do not fill a tile (`n % NR`, in particular every `n < NR`
-//!   product such as a scalar head) go to a row-parallel kernel instead:
-//!   `RB = 8` rows' serial chains side by side. Every element still sees
-//!   its `k`-products in ascending order with plain mul-then-add (Rust
-//!   never contracts to FMA), so results are bitwise identical to the
-//!   scalar reference for the zero-free inputs the differential harness
-//!   checks (the scalar kernel's `a == 0` skip can flip the sign of a zero
-//!   in degenerate ±0 cases; see DESIGN.md).
+//!   tile and zipped with `chunks_exact` over the panel. The last columns
+//!   (`n % NR`) run as one 4×8 half tile if there are eight, and what is
+//!   left — in particular every `n < 8` product such as a scalar head —
+//!   goes to a row-parallel kernel instead: `RB = 8` rows' serial chains
+//!   side by side. Every element is one chain of [`fmadd`] over its
+//!   `k`-products in ascending order, whichever path computes it: **fused**
+//!   (one rounding per step) when the build target has the instruction
+//!   ([`FUSED`]: `target_feature = "fma"`, which `target-cpu=native` turns
+//!   on wherever the host has it, or aarch64), multiply then add
+//!   otherwise. So every *within-backend* equivalence is bitwise on any
+//!   build — fused layer ≡ unfused composition, plan ≡ graph, any row
+//!   partition, any pool width — while against the scalar reference the
+//!   contract depends on the build: without FMA the chains are the scalar
+//!   kernel's, bit for bit (for the zero-free inputs the differential
+//!   harness checks — the scalar kernel's `a == 0` skip can flip the sign
+//!   of a zero in degenerate ±0 cases; see DESIGN.md); with it each side
+//!   is within `γ_k·(|A|·|B|)ᵢⱼ` of the exact product, so the two are
+//!   within `2γ_k·(|A|·|B|)ᵢⱼ` of each other
+//!   ([`crate::check_gemm_contract`]).
 //! * **Elementwise / VJP kernels** — the same per-element arithmetic as
-//!   the scalar reference in 4-lane chunks: bitwise identical.
+//!   the scalar reference in 4-lane chunks, never fused: bitwise identical.
 //! * **`tanh` / `gelu`** — evaluated on 16-wide blocks, so independent
-//!   Horner chains hide the multiply/add latency, around a lane-wise `exp`
-//!   with magic-number rounding. `tanh` is an odd polynomial below 0.1 and
+//!   Horner chains hide the multiply-add latency, around a lane-wise `exp`
+//!   with magic-number rounding; every Horner step and the `ln 2`
+//!   reduction is an [`fmadd`]. `tanh` is an odd polynomial below 0.1 and
 //!   the `expm1`-style `t/(t+2)` form above it. `gelu` does not go through
 //!   `tanh`: since `½(1 + tanh u) = 1/(1 + e^(−2u))`, it is
 //!   `x / (1 + exp(−2u))` with `u = √(2/π)(x + c·x³)` — one `exp`, one
@@ -35,8 +46,8 @@
 //!   `1 + tanh u` has cancelled to exactly 0 and the result is `−0.0`. So
 //!   its divergence from scalar is no longer "the vector tanh": it is the
 //!   reference's own cancellation error in `1 + tanh u` for negative `u`
-//!   (absolute, below 2e-15) plus a couple of ulp of `exp`. These are the
-//!   only two kernels allowed to differ from scalar, within the budgets
+//!   (absolute, below 2e-15) plus a couple of ulp of `exp`. These two
+//!   kernels differ from scalar on every build, within the budgets
 //!   enforced by `tests/backend.rs` (tanh ≤ 16 ulp, gelu ≤ 32 ulp or
 //!   1e-14 absolute).
 
@@ -49,8 +60,14 @@ use std::cell::RefCell;
 const LANES: usize = 4;
 /// Microkernel register tile: rows of C per tile.
 const MR: usize = 4;
-/// Microkernel register tile: columns of C per tile (two lane blocks).
-const NR: usize = 8;
+/// Microkernel register tile: columns of C per tile (four lane blocks).
+/// With fused multiply-add the 4×8 tile is bound by its loads and
+/// broadcasts, not its arithmetic; twice the width halves those per
+/// multiply-add (the sweep is in EXPERIMENTS.md).
+const NR: usize = 16;
+/// Half tile: what the microkernel runs on a last column block of
+/// `NR / 2..NR` columns, so only fewer than this go to the narrow kernel.
+const NH: usize = NR / 2;
 /// Rows the narrow-output kernel runs side by side (one serial chain per
 /// output element, `RB` of them in flight per column).
 const RB: usize = 8;
@@ -76,15 +93,48 @@ thread_local! {
     static PANEL: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The panel grid of a `k×n` right-hand operand: `(p0, kb, j0, nb)` for
-/// each `KC`-deep block of rows, then each `NR`-wide block of columns
-/// (`kb < KC`, `nb < NR` only in the last block of each).
-fn panel_blocks(k: usize, n: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
-    (0..k).step_by(KC).flat_map(move |p0| {
-        (0..n)
-            .step_by(NR)
-            .map(move |j0| (p0, KC.min(k - p0), j0, NR.min(n - j0)))
+/// Whether [`fmadd`] rounds once: the build target has a fused
+/// multiply-add instruction. Decided at compile time from the target
+/// features, so a build without it never reaches libm's software `fma`.
+pub const FUSED: bool = cfg!(any(target_feature = "fma", target_arch = "aarch64"));
+
+/// `a·b + c` — the multiply-add of every ascending-`p` GEMM chain and
+/// every Horner step of this backend: fused (one rounding) when [`FUSED`],
+/// multiply then add (two roundings, the scalar backend's arithmetic)
+/// otherwise.
+#[inline(always)]
+pub fn fmadd(a: f64, b: f64, c: f64) -> f64 {
+    if FUSED {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
+/// Column blocks `(j0, nb)` of an `n`-wide right-hand operand: `NR`-wide
+/// tiles while they fit, then one `NH`-wide half tile if that fits, then
+/// the `< NH` columns left for the narrow kernel.
+fn column_blocks(n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut j0 = 0;
+    std::iter::from_fn(move || {
+        let nb = match n - j0 {
+            left if left >= NR => NR,
+            left if left >= NH => NH,
+            left => left,
+        };
+        let block = (j0, nb);
+        j0 += nb;
+        (nb > 0).then_some(block)
     })
+}
+
+/// The panel grid of a `k×n` right-hand operand: `(p0, kb, j0, nb)` for
+/// each `KC`-deep block of rows (`kb < KC` only in the last), then each of
+/// its [`column_blocks`].
+fn panel_blocks(k: usize, n: usize) -> impl Iterator<Item = (usize, usize, usize, usize)> {
+    (0..k)
+        .step_by(KC)
+        .flat_map(move |p0| column_blocks(n).map(move |(j0, nb)| (p0, KC.min(k - p0), j0, nb)))
 }
 
 /// Append panel `(p0, kb, j0, nb)` of `b` (`k×n` row-major) to `out`: the
@@ -111,17 +161,18 @@ pub(crate) fn pack_panels(b: &[f64], k: usize, n: usize) -> Vec<f64> {
     panels
 }
 
-/// One `MR×NR` register tile over a `kb×NR` panel: `c_tile = a_rows ·
-/// panel`, on top of the old `c_tile` when `load` and of `+0.0` otherwise.
+/// One `MR×W` register tile over a `kb×W` panel (`W` is `NR` or `NH`):
+/// `c_tile = a_rows · panel`, on top of the old `c_tile` when `load` and
+/// of `+0.0` otherwise.
 ///
 /// `a` holds the tile's `MR` rows (stride `k`, k-offset `p0`), `c` the
 /// same rows of the output (stride `n`, column offset `j0`). Products are
-/// applied in ascending `p` with separate mul and add, keeping the
-/// per-element rounding sequence identical to the scalar kernel. The four
-/// row slices and the panel are zipped, so the loop has no index to check.
+/// applied in ascending `p`, one [`fmadd`] each — the chain every simd GEMM
+/// path runs per element. The four row slices and the panel are zipped, so
+/// the loop has no index to check.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn micro_mrx8(
+fn micro<const W: usize>(
     a: &[f64],
     k: usize,
     p0: usize,
@@ -131,53 +182,58 @@ fn micro_mrx8(
     j0: usize,
     load: bool,
 ) {
-    let kb = panel.len() / NR;
+    let kb = panel.len() / W;
     let (a0, a) = a.split_at(k);
     let (a1, a) = a.split_at(k);
     let (a2, a3) = a.split_at(k);
     let (c0, c) = c.split_at_mut(n);
     let (c1, c) = c.split_at_mut(n);
     let (c2, c3) = c.split_at_mut(n);
-    fn tile(row: &mut [f64], j0: usize) -> &mut [f64; NR] {
-        (&mut row[j0..j0 + NR]).try_into().expect("NR-wide slice")
+    fn tile<const W: usize>(row: &mut [f64], j0: usize) -> &mut [f64; W] {
+        (&mut row[j0..j0 + W]).try_into().expect("W-wide slice")
     }
-    let (c0, c1, c2, c3) = (tile(c0, j0), tile(c1, j0), tile(c2, j0), tile(c3, j0));
-    let zero = [0.0f64; NR];
+    let (c0, c1, c2, c3) = (
+        tile::<W>(c0, j0),
+        tile::<W>(c1, j0),
+        tile::<W>(c2, j0),
+        tile::<W>(c3, j0),
+    );
+    let zero = [0.0f64; W];
     let (mut s0, mut s1, mut s2, mut s3) = if load {
         (*c0, *c1, *c2, *c3)
     } else {
         (zero, zero, zero, zero)
     };
     // One accumulator array per row: kept apart they stay in registers as
-    // two vectors each; as one `[[f64; NR]; MR]` the SLP vectorizer
+    // `W / LANES` vectors each; as one `[[f64; W]; MR]` the SLP vectorizer
     // regroups them across rows and shuffles in the loop.
     for ((((bv, &x0), &x1), &x2), &x3) in panel
-        .chunks_exact(NR)
+        .chunks_exact(W)
         .zip(&a0[p0..p0 + kb])
         .zip(&a1[p0..p0 + kb])
         .zip(&a2[p0..p0 + kb])
         .zip(&a3[p0..p0 + kb])
     {
         for (s, &b) in s0.iter_mut().zip(bv) {
-            *s += x0 * b;
+            *s = fmadd(x0, b, *s);
         }
         for (s, &b) in s1.iter_mut().zip(bv) {
-            *s += x1 * b;
+            *s = fmadd(x1, b, *s);
         }
         for (s, &b) in s2.iter_mut().zip(bv) {
-            *s += x2 * b;
+            *s = fmadd(x2, b, *s);
         }
         for (s, &b) in s3.iter_mut().zip(bv) {
-            *s += x3 * b;
+            *s = fmadd(x3, b, *s);
         }
     }
     (*c0, *c1, *c2, *c3) = (s0, s1, s2, s3);
 }
 
 /// `R` rows of an `NB`-wide output block over a `kb×NB` panel: every
-/// element is one serial ascending-`p` chain, `R·NB` of them side by side
-/// so the adder's latency is hidden. With `R = RB` this is the whole
-/// kernel of a narrow output (`n < NR`: a scalar head, a 4-channel
+/// element is one serial ascending-`p` [`fmadd`] chain, `R·NB` of them side
+/// by side so the multiply-add latency is hidden. With `R = RB` this is the
+/// whole kernel of a narrow output (`n < NH`: a scalar head, a 4-channel
 /// convolution), where a register tile would be mostly padding; with
 /// `R = 1` it finishes the rows no full tile covers.
 #[allow(clippy::too_many_arguments)]
@@ -204,7 +260,7 @@ fn chains<const R: usize, const NB: usize>(
         for (accr, row) in acc.iter_mut().zip(&rows) {
             let x = row[pp];
             for (s, &b) in accr.iter_mut().zip(bv) {
-                *s += x * b;
+                *s = fmadd(x, b, *s);
             }
         }
     }
@@ -213,7 +269,7 @@ fn chains<const R: usize, const NB: usize>(
     }
 }
 
-/// Every row of an `NB`-wide output block (`NB < NR`): `RB` rows at a
+/// Every row of an `NB`-wide output block (`NB < NH`): `RB` rows at a
 /// time, then one by one.
 #[allow(clippy::too_many_arguments)]
 fn narrow_rows<const NB: usize>(
@@ -237,6 +293,30 @@ fn narrow_rows<const NB: usize>(
     }
 }
 
+/// Every row of a `W`-wide output block (`W` is `NR` or `NH`): `MR`-row
+/// register tiles, then the rows no tile covers one by one.
+#[allow(clippy::too_many_arguments)]
+fn tiled_rows<const W: usize>(
+    a: &[f64],
+    k: usize,
+    p0: usize,
+    panel: &[f64],
+    c: &mut [f64],
+    n: usize,
+    j0: usize,
+    load: bool,
+) {
+    let mut ar = a.chunks_exact(MR * k);
+    let mut cr = c.chunks_exact_mut(MR * n);
+    for (at, ct) in (&mut ar).zip(&mut cr) {
+        micro::<W>(at, k, p0, panel, ct, n, j0, load);
+    }
+    let tail = ar.remainder().chunks_exact(k);
+    for (a1, c1) in tail.zip(cr.into_remainder().chunks_exact_mut(n)) {
+        chains::<1, W>(a1, k, p0, panel, c1, n, j0, load);
+    }
+}
+
 /// Columns `j0..j0 + nb` of `c` (`m×n`) from `a[:, p0..p0 + kb]` (`m×k`)
 /// times one `kb×nb` panel — added to `c` when `load`, replacing it
 /// otherwise.
@@ -253,17 +333,8 @@ fn panel_product(
     load: bool,
 ) {
     match nb {
-        NR => {
-            let mut ar = a.chunks_exact(MR * k);
-            let mut cr = c.chunks_exact_mut(MR * n);
-            for (at, ct) in (&mut ar).zip(&mut cr) {
-                micro_mrx8(at, k, p0, panel, ct, n, j0, load);
-            }
-            let tail = ar.remainder().chunks_exact(k);
-            for (a1, c1) in tail.zip(cr.into_remainder().chunks_exact_mut(n)) {
-                chains::<1, NR>(a1, k, p0, panel, c1, n, j0, load);
-            }
-        }
+        NR => tiled_rows::<NR>(a, k, p0, panel, c, n, j0, load),
+        NH => tiled_rows::<NH>(a, k, p0, panel, c, n, j0, load),
         1 => narrow_rows::<1>(a, k, p0, panel, c, n, j0, load),
         2 => narrow_rows::<2>(a, k, p0, panel, c, n, j0, load),
         3 => narrow_rows::<3>(a, k, p0, panel, c, n, j0, load),
@@ -271,7 +342,7 @@ fn panel_product(
         5 => narrow_rows::<5>(a, k, p0, panel, c, n, j0, load),
         6 => narrow_rows::<6>(a, k, p0, panel, c, n, j0, load),
         7 => narrow_rows::<7>(a, k, p0, panel, c, n, j0, load),
-        _ => unreachable!("a panel is 1..=NR columns wide"),
+        _ => unreachable!("a panel is NR, NH or fewer than NH columns wide"),
     }
 }
 
@@ -612,18 +683,18 @@ fn exp_lanes<const W: usize>(u: [f64; W]) -> [f64; W] {
     let mut out = [0.0; W];
     for (o, &ul) in out.iter_mut().zip(&u) {
         let x = ul.clamp(-600.0, 600.0);
-        let zf = x * LOG2E + ROUND_MAGIC;
+        let zf = fmadd(x, LOG2E, ROUND_MAGIC);
         // Low 32 mantissa bits of (n + 1.5·2^52) hold n in two's complement.
         let ni = zf.to_bits() as u32 as i32;
         let nf = zf - ROUND_MAGIC;
-        let r = (x - nf * LN2_HI) - nf * LN2_LO;
+        let r = fmadd(-nf, LN2_LO, fmadd(-nf, LN2_HI, x));
         let mut p = EXP_COEFFS[0];
         for &c in &EXP_COEFFS[1..] {
-            p = p * r + c;
+            p = fmadd(p, r, c);
         }
         // ... + r + 1 (the 1/1! and 1/0! terms).
-        p = p * r + 1.0;
-        p = p * r + 1.0;
+        p = fmadd(p, r, 1.0);
+        p = fmadd(p, r, 1.0);
         let scale = f64::from_bits(((1023 + ni) as u64) << 52);
         *o = p * scale;
     }
@@ -669,9 +740,9 @@ fn tanh_lanes<const W: usize>(xs: [f64; W]) -> [f64; W] {
         let w = x * x;
         let mut p = TANH_COEFFS[0];
         for &c in &TANH_COEFFS[1..] {
-            p = p * w + c;
+            p = fmadd(p, w, c);
         }
-        let small = x * (1.0 + p * w);
+        let small = x * fmadd(p, w, 1.0);
         // Mid range; t ≥ 0 so copysign matches the scalar ±r select.
         let t = e - 1.0;
         let mid = (t / (t + 2.0)).copysign(x);
@@ -703,7 +774,7 @@ const GELU_NEG_SAT: f64 = -20.0;
 fn gelu_lanes<const W: usize>(xs: [f64; W]) -> [f64; W] {
     let mut m2u = [0.0; W];
     for (m, &x) in m2u.iter_mut().zip(&xs) {
-        *m = -2.0 * (GELU_SQRT_2_OVER_PI * (x + GELU_C * x * x * x));
+        *m = -2.0 * (GELU_SQRT_2_OVER_PI * fmadd(GELU_C * x * x, x, x));
     }
     let e = exp_lanes(m2u);
     let mut out = [0.0; W];
@@ -717,7 +788,7 @@ fn gelu_lanes<const W: usize>(xs: [f64; W]) -> [f64; W] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{scalar, ulp_distance, Backend};
+    use crate::backend::{check_gemm_contract, same_bits, scalar, ulp_distance, Backend};
 
     #[test]
     fn exp_matches_libm_to_a_few_ulp() {
@@ -804,7 +875,7 @@ mod tests {
         }
     }
 
-    /// Shapes straddling every MR / NR / RB / KC boundary, zero-free
+    /// Shapes straddling every MR / NR / NH / RB / KC boundary, zero-free
     /// inputs; the last three are degenerate.
     const TAIL_SHAPES: &[(usize, usize, usize)] = &[
         (1, 1, 1),
@@ -815,6 +886,9 @@ mod tests {
         (8, 256, 8),
         (9, 257, 9),
         (16, 64, 16),
+        (6, 40, 15),
+        (9, 257, 25),
+        (5, 33, 48),
         (8, 48, 1),
         (9, 257, 1),
         (17, 5, 4),
@@ -831,10 +905,11 @@ mod tests {
             let b = zero_free(k * n, 0.23, -1.5);
             let seed: Vec<f64> = (0..m * n).map(|i| (i as f64) * 0.01 + 0.5).collect();
             let mut c_ref = seed.clone();
-            let mut c_simd = seed;
+            let mut c_simd = seed.clone();
             scalar().gemm_band(&a, &b, &mut c_ref, k, n);
             SIMD.gemm_band(&a, &b, &mut c_simd, k, n);
-            assert_bits(&c_ref, &c_simd, &format!("gemm {m}x{k}x{n}"));
+            check_gemm_contract((&a, &b, &seed), (k, n), (&c_ref, &c_simd), same_bits)
+                .unwrap_or_else(|e| panic!("gemm {m}x{k}x{n} {e}"));
         }
     }
 
@@ -845,35 +920,62 @@ mod tests {
             let w = crate::Tensor::from_vec(k, n, zero_free(k * n, 0.23, -1.5));
             let bias = zero_free(n, 0.11, 2.0);
             let packed = PackedB::new(&w);
-            // Identity, so the comparison is bitwise across backends; the
-            // destinations start as garbage that must not survive.
+            // No bias and identity, so the comparison is the GEMM contract
+            // across backends; the destinations start as garbage that must
+            // not survive.
             let mut want = vec![7.0; m * n];
             let mut got = vec![f64::NAN; m * n];
-            scalar().layer(&a, &packed, Some(&bias), Act::Identity, &mut want);
+            scalar().layer(&a, &packed, None, Act::Identity, &mut want);
+            SIMD.layer(&a, &packed, None, Act::Identity, &mut got);
+            let zeros = vec![0.0; m * n];
+            check_gemm_contract((&a, w.as_slice(), &zeros), (k, n), (&want, &got), same_bits)
+                .unwrap_or_else(|e| panic!("layer {m}x{k}x{n} {e}"));
+            // With a bias, bit for bit the simd backend's own unfused steps.
+            let mut unfused = vec![0.0; m * n];
+            SIMD.gemm_band(&a, w.as_slice(), &mut unfused, k, n);
+            if n > 0 {
+                add_row(&mut unfused, &bias);
+            }
             SIMD.layer(&a, &packed, Some(&bias), Act::Identity, &mut got);
-            assert_bits(&want, &got, &format!("layer {m}x{k}x{n}"));
+            assert_bits(&unfused, &got, &format!("layer {m}x{k}x{n} vs unfused"));
         }
     }
 
     #[test]
-    fn panels_are_kc_deep_nr_wide_blocks_in_row_order() {
-        // 300×9: two k-blocks (256 + 44), two column blocks (8 + 1).
-        let (k, n) = (300, 9);
+    fn column_blocks_are_tiles_then_a_half_tile_then_the_narrow_rest() {
+        let blocks = |n| column_blocks(n).collect::<Vec<_>>();
+        assert_eq!(blocks(0), []);
+        assert_eq!(blocks(5), [(0, 5)]);
+        assert_eq!(blocks(NH), [(0, NH)]);
+        assert_eq!(blocks(NR), [(0, NR)]);
+        assert_eq!(blocks(48), [(0, NR), (16, NR), (32, NR)]);
+        assert_eq!(blocks(25), [(0, NR), (16, NH), (24, 1)]);
+        assert_eq!(blocks(NR + 3), [(0, NR), (16, 3)]);
+    }
+
+    #[test]
+    fn panels_are_kc_deep_column_blocks_in_row_order() {
+        // 300×25: two k-blocks (256 + 44), three column blocks (16 + 8 + 1).
+        let (k, n) = (300, 25);
         let b: Vec<f64> = (0..k * n).map(|i| i as f64).collect();
         let panels = pack_panels(&b, k, n);
         assert_eq!(panels.len(), k * n);
         let at = |p0: usize, kb: usize, j0: usize| p0 * n + kb * j0;
-        // First wide panel: rows 0.., columns 0..8.
+        // First wide panel: rows 0.., columns 0..16.
         assert_eq!(&panels[..NR], &b[..NR]);
         assert_eq!(&panels[NR..2 * NR], &b[n..n + NR]);
-        // The 1-wide panel of the first k-block: column 8 of rows 0..256.
-        let narrow = at(0, KC, NR);
-        assert_eq!(panels[narrow], b[8]);
-        assert_eq!(panels[narrow + 1], b[n + 8]);
+        // The half-tile panel of the first k-block: columns 16..24.
+        let half = at(0, KC, NR);
+        assert_eq!(&panels[half..half + NH], &b[NR..NR + NH]);
+        assert_eq!(&panels[half + NH..half + 2 * NH], &b[n + NR..n + NR + NH]);
+        // Its 1-wide panel: column 24 of rows 0..256.
+        let narrow = at(0, KC, NR + NH);
+        assert_eq!(panels[narrow], b[24]);
+        assert_eq!(panels[narrow + 1], b[n + 24]);
         // Second k-block starts at row 256.
         let second = at(KC, k - KC, 0);
         assert_eq!(&panels[second..second + NR], &b[KC * n..KC * n + NR]);
-        assert_eq!(panels[at(KC, k - KC, NR)], b[KC * n + 8]);
+        assert_eq!(panels[at(KC, k - KC, NR + NH)], b[KC * n + 24]);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! 3×48 GELU trunk, 9×9 subdomains) and the launch its largest sweep group:
 //! B = 64 boundaries × 13 cross points. Every kernel of that launch is timed
 //! alone at its launch shape — on one lane and with its rows shared over
-//! two — next to a no-FMA multiply+add chain measured in the same run (the
-//! ceiling of kernels that never contract `a*b + c`), and the sum is set
-//! against the launch itself:
+//! two — next to two arithmetic chains measured in the same run, separate
+//! multiply + add and fused multiply-add. "Of chain" is against the one
+//! the simd GEMM issues in this build: the fused chain when the target has
+//! the instruction (`mf_tensor::FUSED`), the mul+add chain otherwise. The
+//! sum of the kernels is set against the launch itself:
 //!
 //! ```text
 //! cargo run --release --example kernel_profile            # ~20 s
@@ -17,7 +19,9 @@
 use mf_infer::{InferencePlan, Workspace};
 use mf_nn::{SdNet, SdNetConfig};
 use mf_tensor::par::{self, prelude::*};
-use mf_tensor::{backend, gemm_into, unfold1d_circular_into, Act, Layout, PackedB, Tensor};
+use mf_tensor::{
+    backend, fmadd, gemm_into, unfold1d_circular_into, Act, Layout, PackedB, Tensor, FUSED,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -51,9 +55,10 @@ fn best_us(samples: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// GFLOP/s of `C` independent `LANES`-wide chains of `x = x*a + b` on the
-/// calling thread: separate multiply and add, as the kernels issue them.
+/// calling thread: separate multiply and add, or with `FUSE` the simd
+/// backend's own multiply-add (fused when the build has the instruction).
 /// Timed in place — behind a closure the chains would live in memory.
-fn chain_gflops<const C: usize, const LANES: usize>(samples: usize) -> f64 {
+fn chain_gflops<const C: usize, const LANES: usize, const FUSE: bool>(samples: usize) -> f64 {
     const ROUNDS: usize = 1 << 14;
     let a = black_box([0.999_999f64; LANES]);
     let b = black_box([1e-7f64; LANES]);
@@ -64,7 +69,11 @@ fn chain_gflops<const C: usize, const LANES: usize>(samples: usize) -> f64 {
             for _ in 0..ROUNDS {
                 for chain in acc.iter_mut() {
                     for l in 0..LANES {
-                        chain[l] = chain[l] * a[l] + b[l];
+                        chain[l] = if FUSE {
+                            fmadd(chain[l], a[l], b[l])
+                        } else {
+                            chain[l] * a[l] + b[l]
+                        };
                     }
                 }
             }
@@ -210,18 +219,33 @@ fn main() {
         })
     });
 
-    let chain = [
-        chain_gflops::<12, 4>(samples),
-        chain_gflops::<8, 8>(samples),
-        chain_gflops::<10, 8>(samples),
-    ]
-    .into_iter()
-    .fold(0.0, f64::max);
+    let best = |shapes: [f64; 3]| shapes.into_iter().fold(0.0, f64::max);
+    let unfused = best([
+        chain_gflops::<12, 4, false>(samples),
+        chain_gflops::<8, 8, false>(samples),
+        chain_gflops::<10, 8, false>(samples),
+    ]);
+    // What "of chain" is stated against: the chain the simd GEMM issues.
+    let (chain, chains) = if FUSED {
+        let fused = best([
+            chain_gflops::<12, 4, true>(samples),
+            chain_gflops::<8, 8, true>(samples),
+            chain_gflops::<10, 8, true>(samples),
+        ]);
+        let both = format!(
+            "build has FMA: mul+add chain {unfused:.1}, fused chain {fused:.1} GFLOP/s per lane, \
+             \"of chain\" is of the fused one"
+        );
+        (fused, both)
+    } else {
+        let one = format!("build has no FMA: mul+add chain {unfused:.1} GFLOP/s per lane");
+        (unfused, one)
+    };
 
     println!("### Kernel profile: one B = {B} launch of the benchmark network");
     println!();
     println!(
-        "backend `{}`, no-FMA mul+add chain {chain:.1} GFLOP/s per lane, best of {samples} samples{}",
+        "backend `{}`, {chains}, best of {samples} samples{}",
         mf_tensor::backend_kind().name(),
         if quick { " (`--quick`)" } else { "" }
     );

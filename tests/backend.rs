@@ -4,14 +4,19 @@
 //! reference backend and the vectorized one, on the same inputs, and the
 //! outputs are compared:
 //!
-//! * **bitwise** where the vectorized kernel preserves the scalar
-//!   accumulation order — GEMM (ascending-`p` multiply-add per output
-//!   element, wide tiles and the narrow-output chains alike), the fused
-//!   dense layer (bitwise its own unfused composition on each backend,
-//!   and so across backends wherever the activation is), all elementwise
-//!   kernels and fused VJPs, unfold/fold, axpy/add-assign. Rust never contracts `a*b + c` into an FMA on its
-//!   own, so identical operation order means identical bits on any
-//!   target the workspace builds for (see `.cargo/config.toml`).
+//! * **bitwise** where the vectorized kernel does the scalar kernel's
+//!   arithmetic per element — all elementwise kernels and fused VJPs,
+//!   unfold/fold, axpy/add-assign — and *within* a backend: the fused
+//!   dense layer is bitwise its own unfused composition on each backend.
+//! * **error-bounded** for GEMM across backends. Both run each output
+//!   element as one ascending-`p` multiply-add chain, but the simd chain is
+//!   fused (one rounding per step) when the build target has the
+//!   instruction (`tensor::FUSED`; see `.cargo/config.toml`). Each chain is
+//!   within `γ_k·(|A|·|B|)ᵢⱼ` of the exact sum, so the two are within
+//!   `2γ_k·(|A|·|B|)ᵢⱼ` of each other, `γ_k = kε/(1 − kε)`: asserted
+//!   elementwise (`tensor::check_gemm_contract`, the magnitude computed
+//!   from `|a|` and `|b|`), and on a build without the instruction the
+//!   same tests assert bits, because there the chains are the same.
 //! * **ulp-budgeted** for `tanh` and `gelu`, whose vectorized versions
 //!   use a branch-free polynomial/rational approximation instead of
 //!   libm: `tanh` must stay within 16 ulp, `gelu` (evaluated as
@@ -27,8 +32,8 @@
 
 use mosaic_flow::prelude::*;
 use mosaic_flow::tensor::{
-    backend, fold1d_circular_into, gemm_into, ulp_distance, unfold1d_circular_into, with_backend,
-    Act, BackendKind, Layout, PackedB,
+    backend, check_gemm_contract, fold1d_circular_into, gemm_into, same_bits, ulp_distance,
+    unfold1d_circular_into, with_backend, Act, BackendKind, Layout, PackedB,
 };
 use mosaic_flow::train::local_gradients;
 use rand::{Rng, SeedableRng};
@@ -65,6 +70,25 @@ fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
     assert_slices_bitwise(a.as_slice(), b.as_slice(), what);
 }
 
+/// The cross-backend GEMM contract on `c0 + a·b` (`a` is `m×k`, `b` is
+/// `k×n`, `c0` the `m×n` start of the chains, zero if `None`): on a build
+/// whose simd chain is fused, `scalar` and `simd` differ elementwise by at
+/// most `2γ·(|c0| + |a|·|b|)ᵢⱼ`; on one where it is not they are the same
+/// chain, and must be `same` (bits, or values where zeros are skipped on
+/// one side).
+fn assert_gemm_contract(
+    (a, b, c0): (&Tensor, &Tensor, Option<&Tensor>),
+    scalar: &[f64],
+    simd: &[f64],
+    same: fn(f64, f64) -> bool,
+    what: &str,
+) {
+    let zeros = Tensor::zeros(a.rows(), b.cols());
+    let operands = (a.as_slice(), b.as_slice(), c0.unwrap_or(&zeros).as_slice());
+    check_gemm_contract(operands, b.shape(), (scalar, simd), same)
+        .unwrap_or_else(|e| panic!("{what}: {e}"));
+}
+
 /// Run `f` under both backends and return (scalar_result, simd_result).
 fn both<R>(f: impl Fn() -> R) -> (R, R) {
     (
@@ -78,8 +102,8 @@ fn both<R>(f: impl Fn() -> R) -> (R, R) {
 // ---------------------------------------------------------------------
 
 /// Shapes chosen to hit every microkernel edge: single element, odd
-/// sizes off the 4×8 tile, exact tile multiples, tall/wide panels, and
-/// k spanning the KC=256 cache-block boundary.
+/// sizes off the 4×16 tile and its 8-wide half, exact tile multiples,
+/// tall/wide panels, and k spanning the KC=256 cache-block boundary.
 const GEMM_SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (1, 7, 1),
@@ -115,7 +139,17 @@ fn gemm_bitwise_across_backends_all_layouts() {
                 gemm_into(&a, la, &b, lb, &mut c);
                 c
             });
-            assert_bitwise(&s, &v, &format!("gemm {m}x{k}x{n} {la:?}/{lb:?}"));
+            let as_used = |t: &Tensor, l| match l {
+                Layout::Normal => t.clone(),
+                Layout::Transposed => t.transpose(),
+            };
+            assert_gemm_contract(
+                (&as_used(&a, la), &as_used(&b, lb), None),
+                s.as_slice(),
+                v.as_slice(),
+                same_bits,
+                &format!("gemm {m}x{k}x{n} {la:?}/{lb:?}"),
+            );
         }
     }
 }
@@ -132,14 +166,22 @@ fn gemm_accumulates_into_nonzero_c_bitwise() {
             gemm_into(&a, Layout::Normal, &b, Layout::Normal, &mut c);
             c
         });
-        assert_bitwise(&s, &v, &format!("gemm+acc {m}x{k}x{n}"));
+        assert_gemm_contract(
+            (&a, &b, Some(&c0)),
+            s.as_slice(),
+            v.as_slice(),
+            same_bits,
+            &format!("gemm+acc {m}x{k}x{n}"),
+        );
     }
 }
 
 /// The scalar loop skips `a[p] == 0.0` terms; the packed microkernel
-/// multiplies through. For finite `b` both give the same *value* — the
-/// only representable difference is the sign of a zero sum — so this
-/// test asserts `==` (which treats ±0 as equal), not bits.
+/// multiplies through. For finite `b` a skipped term and a multiplied-
+/// through one add the same *value* — the only representable difference is
+/// the sign of a zero sum — so where the chains are otherwise the same
+/// (no fused multiply-add) this test asserts `==` (which treats ±0 as
+/// equal), not bits; the error bound holds either way.
 #[test]
 fn gemm_with_zero_entries_matches_by_value() {
     let mut rng = ChaCha8Rng::seed_from_u64(3);
@@ -156,9 +198,13 @@ fn gemm_with_zero_entries_matches_by_value() {
             gemm_into(&a, Layout::Normal, &b, Layout::Normal, &mut c);
             c
         });
-        for (x, y) in s.as_slice().iter().zip(v.as_slice()) {
-            assert_eq!(x, y, "gemm-with-zeros {m}x{k}x{n}: {x:e} vs {y:e}");
-        }
+        assert_gemm_contract(
+            (&a, &b, None),
+            s.as_slice(),
+            v.as_slice(),
+            |x, y| x == y,
+            &format!("gemm-with-zeros {m}x{k}x{n}"),
+        );
     }
 }
 
@@ -169,8 +215,9 @@ fn gemm_with_zero_entries_matches_by_value() {
 /// Shapes straddling every boundary of the simd GEMM: rows around the
 /// 4-row tile, the 8-row narrow-output block and the 64-row band; depths
 /// around the 256-deep cache block; widths below, at and above the 8-wide
-/// tile — the benchmark network's own shapes (`[832,48]×[48,48]`,
-/// `[832,48]×[48,1]`, `k = 5`, `n = 4`) among them.
+/// half tile and a multiple of the 16-wide tile — the benchmark network's
+/// own shapes (`[832,48]×[48,48]`, `[832,48]×[48,1]`, `k = 5`, `n = 4`)
+/// among them.
 const LAYER_M: &[usize] = &[1, 3, 8, 63, 64, 65, 832];
 const LAYER_K: &[usize] = &[1, 5, 48, 128, 257];
 const LAYER_N: &[usize] = &[1, 4, 7, 8, 9, 48];
@@ -180,7 +227,7 @@ const LAYER_N: &[usize] = &[1, 4, 7, 8, 9, 48];
 /// zeros, a row-broadcast bias add, then `tanh` / `gelu`. Checked on both
 /// backends, from a destination full of garbage; the pre-activation is
 /// also compared across backends (zero-free inputs), which is the simd
-/// `gemm_band` ≡ scalar contract on the same grid.
+/// `gemm_band` vs scalar contract on the same grid.
 #[test]
 fn fused_layer_is_bitwise_the_unfused_composition_on_both_backends() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -229,9 +276,11 @@ fn fused_layer_is_bitwise_the_unfused_composition_on_both_backends() {
                     }
                     sums.push(sum);
                 }
-                assert_slices_bitwise(
+                assert_gemm_contract(
+                    (&a, &w, None),
                     &sums[0],
                     &sums[1],
+                    same_bits,
                     &format!("gemm_band {m}x{k}x{n} scalar vs simd"),
                 );
             }
@@ -595,4 +644,30 @@ fn mfp_solve_agrees_across_backends() {
         diff <= 1e-8 * scale,
         "MFP field diverged across backends: {diff:e} vs scale {scale:e}"
     );
+}
+
+/// The error contract end to end: MFP is a self-correcting fixed-point
+/// iteration, so the per-launch differences between the backends (a fused
+/// or an unfused GEMM chain, the activations' ulp budgets) must neither
+/// cost a sweep nor move the fixed point. On a 4×4 domain with a seeded
+/// network, to `tol 1e-7`: the same iteration count, grids within 1e-10.
+#[test]
+fn mfp_fixed_point_and_iteration_count_agree_across_backends() {
+    let (spec, net) = test_net(18);
+    let domain = DomainSpec::new(spec, 4, 4);
+    let mut rng = ChaCha8Rng::seed_from_u64(19);
+    let bc = Tensor::from_fn(1, domain.boundary_len(), |_, _| rng.gen_range(-0.5..0.5));
+    let cfg = MfpConfig {
+        max_iters: 200,
+        tol: 1e-7,
+        ..Default::default()
+    };
+    let (s, v) = both(|| {
+        let solver = PlanSolver::new(net.clone(), spec);
+        Mfp::new(&solver, domain).run(&bc, &cfg)
+    });
+    assert!(s.converged && v.converged, "the seeded net must contract");
+    assert_eq!(s.iterations, v.iterations, "iteration count moved");
+    let diff = s.grid.max_abs_diff(&v.grid);
+    assert!(diff <= 1e-10, "fixed points are {diff:e} apart");
 }

@@ -144,9 +144,17 @@ fn tcp_round_trip_returns_the_solo_solution_bitwise() {
         v.get("iterations").and_then(|x| x.as_f64()),
         Some(alone.iterations as f64)
     );
-    let grid = v.get("grid").and_then(|g| g.as_arr()).expect("grid array");
-    assert_eq!(grid.len(), alone.grid.numel());
-    for (i, (wire, direct)) in grid.iter().zip(alone.grid.as_slice()).enumerate() {
+    assert_wire_grid_is_bitwise(&v, &alone.grid);
+}
+
+/// The `grid` array of an `ok` reply line is `direct`, bit for bit.
+fn assert_wire_grid_is_bitwise(reply: &mosaic_flow::telemetry::JsonValue, direct: &Tensor) {
+    let grid = reply
+        .get("grid")
+        .and_then(|g| g.as_arr())
+        .expect("grid array");
+    assert_eq!(grid.len(), direct.numel());
+    for (i, (wire, direct)) in grid.iter().zip(direct.as_slice()).enumerate() {
         let wire = wire.as_f64().unwrap();
         assert_eq!(
             wire.to_bits(),
@@ -154,6 +162,67 @@ fn tcp_round_trip_returns_the_solo_solution_bitwise() {
             "grid[{i}] did not round trip the wire bitwise"
         );
     }
+}
+
+/// A tolerance no residual can meet and a non-finite boundary value are
+/// refused at admission with an error line — neither reaches a worker —
+/// and the connection they arrived on goes on serving: the well-formed
+/// request behind them gets its bitwise solo answer.
+#[test]
+fn unmeetable_tol_and_non_finite_boundary_get_an_error_line_and_the_connection_serves_on() {
+    let svc = Arc::new(service(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    }));
+    let server = TcpServer::bind(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+    let d = DomainSpec::new(spec(), 1, 1);
+    let bc = random_bc(d.boundary_len(), 78);
+    let values = |poison: Option<usize>| {
+        let v: Vec<String> = (bc.as_slice().iter().enumerate())
+            .map(|(i, v)| match poison {
+                Some(p) if p == i => "1e999".to_string(),
+                _ => format!("{v:.17e}"),
+            })
+            .collect();
+        v.join(",")
+    };
+
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |line: String| {
+        writer.write_all(line.as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        mosaic_flow::telemetry::JsonValue::parse(reply.trim())
+            .unwrap_or_else(|e| panic!("unparseable reply {reply:?}: {e}"))
+    };
+    let status = |v: &mosaic_flow::telemetry::JsonValue| {
+        v.get("status").and_then(|s| s.as_str().map(str::to_string))
+    };
+
+    let bad_tol = exchange(format!(
+        "{{\"id\":1,\"domain\":\"1x1\",\"bc\":[{}],\"tol\":-1}}\n",
+        values(None)
+    ));
+    assert_eq!(status(&bad_tol), Some("error".into()), "{bad_tol:?}");
+    let bad_bc = exchange(format!(
+        "{{\"id\":2,\"domain\":\"1x1\",\"bc\":[{}]}}\n",
+        values(Some(5))
+    ));
+    assert_eq!(status(&bad_bc), Some("error".into()), "{bad_bc:?}");
+    assert_eq!(
+        svc.stats().accepted,
+        0,
+        "a refused request reached the queue"
+    );
+
+    let good = exchange(format!(
+        "{{\"id\":3,\"domain\":\"1x1\",\"bc\":[{}],\"want_grid\":true}}\n",
+        values(None)
+    ));
+    assert_eq!(status(&good), Some("ok".into()), "{good:?}");
+    assert_wire_grid_is_bitwise(&good, &solve_alone(1, 1, &bc).grid);
 }
 
 #[test]
