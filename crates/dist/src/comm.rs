@@ -344,11 +344,6 @@ impl Communicator {
         self.size
     }
 
-    /// The fault plan this cluster runs under.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults.plan
-    }
-
     /// Counters accumulated since the rank thread started (or the last
     /// [`reset_stats`](Self::reset_stats)). This is a view over the
     /// `mf-telemetry` registry for the calling thread.

@@ -143,11 +143,6 @@ impl OverlapTracker {
         self.total_compute_s
     }
 
-    /// Accumulated measured comm-wait seconds observed so far.
-    pub fn total_comm_wait_s(&self) -> f64 {
-        self.total_wait_s
-    }
-
     /// Cumulative hideable fraction (see [`OverlapSample::overlap_ratio`]).
     pub fn overlap_ratio(&self) -> f64 {
         if self.total_modeled_s > 0.0 {

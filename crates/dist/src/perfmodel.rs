@@ -29,15 +29,6 @@ impl PerfModel {
         }
     }
 
-    /// V100 nodes: PCIe intra-node staging (32 GB/s) raises the effective
-    /// latency for GPU buffers.
-    pub fn v100_pcie() -> Self {
-        Self {
-            alpha: 6.0e-6,
-            beta: 12.5e9,
-        }
-    }
-
     /// A30 nodes with NVLink (200 GB/s intra-node); inter-node still
     /// 100 Gbit/s InfiniBand — this is the platform of the paper's headline
     /// scaling runs.
@@ -45,14 +36,6 @@ impl PerfModel {
         Self {
             alpha: 2.5e-6,
             beta: 12.5e9,
-        }
-    }
-
-    /// A100 nodes with 600 GB/s NVLink.
-    pub fn a100_nvlink() -> Self {
-        Self {
-            alpha: 2.0e-6,
-            beta: 25.0e9,
         }
     }
 

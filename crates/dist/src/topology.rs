@@ -77,17 +77,6 @@ impl Direction {
             Direction::SouthWest => Direction::NorthEast,
         }
     }
-
-    /// True for the four diagonal directions (red halo lines in Fig. 4).
-    pub fn is_diagonal(&self) -> bool {
-        matches!(
-            self,
-            Direction::NorthEast
-                | Direction::NorthWest
-                | Direction::SouthEast
-                | Direction::SouthWest
-        )
-    }
 }
 
 /// A `py × px` grid of ranks.

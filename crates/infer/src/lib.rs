@@ -416,12 +416,6 @@ impl InferencePlan {
         net.params.version() != self.params_version
     }
 
-    /// The cached normalized/Fourier query-coordinate projection
-    /// `W_x · X` (`[q, d0]`).
-    pub fn cached_split(&self) -> &Tensor {
-        &self.consts[0]
-    }
-
     /// Execute the plan on a `[B, L]` boundary batch, writing the
     /// `[B·q, 1]` predictions into `out`. Allocation-free once `ws` is
     /// warm.

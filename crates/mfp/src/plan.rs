@@ -13,12 +13,11 @@
 //! points from concurrent requests into one fat launch against the same
 //! machinery.
 
-use crate::solver::SubdomainSolver;
+use crate::solver::{LaunchCounter, SubdomainSolver};
 use mf_data::SubdomainSpec;
 use mf_infer::{InferencePlan, PlanCache, WorkspacePool};
 use mf_nn::SdNet;
 use mf_tensor::Tensor;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// SDNet-backed subdomain solver on the graph-free compiled path.
 ///
@@ -32,8 +31,7 @@ pub struct PlanSolver {
     spec: SubdomainSpec,
     plans: PlanCache,
     workspaces: WorkspacePool,
-    count: AtomicUsize,
-    launches: AtomicUsize,
+    counter: LaunchCounter,
 }
 
 impl PlanSolver {
@@ -56,8 +54,7 @@ impl PlanSolver {
             spec,
             plans: PlanCache::new(),
             workspaces: WorkspacePool::new(),
-            count: AtomicUsize::new(0),
-            launches: AtomicUsize::new(0),
+            counter: LaunchCounter::default(),
         }
     }
 
@@ -114,17 +111,16 @@ impl SubdomainSolver for PlanSolver {
         let mut out = Tensor::zeros(b * q, 1);
         plan.execute_into(&mut ws, boundaries, &mut out);
         self.workspaces.checkin(ws);
-        self.count.fetch_add(b * q, Ordering::Relaxed);
-        self.launches.fetch_add(1, Ordering::Relaxed);
+        self.counter.record(b * q);
         out
     }
 
     fn inference_count(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
+        self.counter.inferences()
     }
 
     fn launch_count(&self) -> usize {
-        self.launches.load(Ordering::Relaxed)
+        self.counter.launches()
     }
 }
 

@@ -3,9 +3,36 @@
 use mf_data::SubdomainSpec;
 use mf_nn::SdNet;
 use mf_numerics::boundary::grid_with_boundary;
-use mf_numerics::{solve_dirichlet, Poisson};
+use mf_numerics::{solve_dirichlet, solve_shifted_sor, Poisson};
 use mf_tensor::Tensor;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// The inference and launch tallies behind
+/// [`SubdomainSolver::inference_count`] and
+/// [`SubdomainSolver::launch_count`], held by every solver that launches
+/// for itself. Relaxed: statistics that publish no other data.
+#[derive(Default)]
+pub(crate) struct LaunchCounter {
+    inferences: AtomicUsize,
+    launches: AtomicUsize,
+}
+
+impl LaunchCounter {
+    /// Count one launch of `inferences` scalar inferences.
+    pub(crate) fn record(&self, inferences: usize) {
+        self.inferences.fetch_add(inferences, Ordering::Relaxed);
+        self.launches.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn inferences(&self) -> usize {
+        self.inferences.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn launches(&self) -> usize {
+        self.launches.load(Ordering::Relaxed)
+    }
+}
 
 /// Map grid-aligned query points to `(row, col)` grid indices on an
 /// `m×m` subdomain with spacing `h`. Panics when a point is farther than
@@ -112,8 +139,7 @@ impl<S: SubdomainSolver> SubdomainSolver for UnbatchedSolver<'_, S> {
 pub struct NeuralSolver {
     net: SdNet,
     spec: SubdomainSpec,
-    count: std::sync::atomic::AtomicUsize,
-    launches: std::sync::atomic::AtomicUsize,
+    counter: LaunchCounter,
 }
 
 impl NeuralSolver {
@@ -128,8 +154,7 @@ impl NeuralSolver {
         Self {
             net,
             spec,
-            count: std::sync::atomic::AtomicUsize::new(0),
-            launches: std::sync::atomic::AtomicUsize::new(0),
+            counter: LaunchCounter::default(),
         }
     }
 
@@ -153,19 +178,16 @@ impl SubdomainSolver for NeuralSolver {
             tiled.extend_from_slice(points.as_slice());
         }
         let tiled = Tensor::from_vec(b * q, 2, tiled);
-        self.count
-            .fetch_add(b * q, std::sync::atomic::Ordering::Relaxed);
-        self.launches
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.counter.record(b * q);
         self.net.predict(boundaries, &tiled, q)
     }
 
     fn inference_count(&self) -> usize {
-        self.count.load(std::sync::atomic::Ordering::Relaxed)
+        self.counter.inferences()
     }
 
     fn launch_count(&self) -> usize {
-        self.launches.load(std::sync::atomic::Ordering::Relaxed)
+        self.counter.launches()
     }
 }
 
@@ -176,8 +198,7 @@ impl SubdomainSolver for NeuralSolver {
 pub struct OracleSolver {
     spec: SubdomainSpec,
     tol: f64,
-    count: std::sync::atomic::AtomicUsize,
-    launches: std::sync::atomic::AtomicUsize,
+    counter: LaunchCounter,
 }
 
 impl OracleSolver {
@@ -186,9 +207,37 @@ impl OracleSolver {
         Self {
             spec,
             tol,
-            count: std::sync::atomic::AtomicUsize::new(0),
-            launches: std::sync::atomic::AtomicUsize::new(0),
+            counter: LaunchCounter::default(),
         }
+    }
+
+    /// One launch: for every boundary row, `solve(row index, m×m grid
+    /// holding that boundary)` returns the solved grid, which is sampled at
+    /// the (grid-aligned) query points.
+    fn launch(
+        &self,
+        boundaries: &Tensor,
+        points: &Tensor,
+        solve: impl Fn(usize, &Tensor) -> Tensor + Sync,
+    ) -> Tensor {
+        let m = self.spec.m;
+        let q = points.rows();
+        let idx = grid_aligned_indices(points, self.spec.h());
+        let mut out = Tensor::zeros(boundaries.rows() * q, 1);
+        // Each boundary owns a disjoint q-row block of the output, so the
+        // grid solves run in parallel.
+        out.as_mut_slice()
+            .par_chunks_mut(q)
+            .enumerate()
+            .for_each(|(bi, chunk)| {
+                let bc = Tensor::from_vec(1, boundaries.cols(), boundaries.row(bi).to_vec());
+                let sol = solve(bi, &grid_with_boundary(m, m, &bc));
+                for (k, &(j, i)) in idx.iter().enumerate() {
+                    chunk[k] = sol.get(j, i);
+                }
+            });
+        self.counter.record(boundaries.rows() * q);
+        out
     }
 }
 
@@ -198,42 +247,20 @@ impl SubdomainSolver for OracleSolver {
     }
 
     fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
-        let m = self.spec.m;
-        let h = self.spec.h();
-        let b = boundaries.rows();
-        let q = points.rows();
-        // Query points must be grid-aligned for the oracle.
-        let idx = grid_aligned_indices(points, h);
-
-        let mut out = Tensor::zeros(b * q, 1);
-        let problem = Poisson::laplace(m, m, h);
-        // Each boundary owns a disjoint q-row block of the output, so the
-        // multigrid solves run in parallel.
-        out.as_mut_slice()
-            .par_chunks_mut(q)
-            .enumerate()
-            .for_each(|(bi, chunk)| {
-                let bc = Tensor::from_vec(1, boundaries.cols(), boundaries.row(bi).to_vec());
-                let guess = grid_with_boundary(m, m, &bc);
-                let (sol, stats) = solve_dirichlet(&problem, &guess, self.tol);
-                debug_assert!(stats.converged, "oracle subdomain solve failed: {stats:?}");
-                for (k, &(j, i)) in idx.iter().enumerate() {
-                    chunk[k] = sol.get(j, i);
-                }
-            });
-        self.count
-            .fetch_add(b * q, std::sync::atomic::Ordering::Relaxed);
-        self.launches
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        out
+        let problem = Poisson::laplace(self.spec.m, self.spec.m, self.spec.h());
+        self.launch(boundaries, points, |_, guess| {
+            let (sol, stats) = solve_dirichlet(&problem, guess, self.tol);
+            debug_assert!(stats.converged, "oracle subdomain solve failed: {stats:?}");
+            sol
+        })
     }
 
     fn inference_count(&self) -> usize {
-        self.count.load(std::sync::atomic::Ordering::Relaxed)
+        self.counter.inferences()
     }
 
     fn launch_count(&self) -> usize {
-        self.launches.load(std::sync::atomic::Ordering::Relaxed)
+        self.counter.launches()
     }
 
     fn solve_batch_shifted(
@@ -243,39 +270,20 @@ impl SubdomainSolver for OracleSolver {
         forcings: Option<&Tensor>,
         points: &Tensor,
     ) -> Tensor {
-        use mf_numerics::solve_shifted_sor;
         if sigma == 0.0 && forcings.is_none() {
             return self.solve_batch(boundaries, points);
         }
-        let m = self.spec.m;
-        let h = self.spec.h();
-        let b = boundaries.rows();
-        let q = points.rows();
-        let idx = grid_aligned_indices(points, h);
-        let mut out = Tensor::zeros(b * q, 1);
-        out.as_mut_slice()
-            .par_chunks_mut(q)
-            .enumerate()
-            .for_each(|(bi, chunk)| {
-                let bc = Tensor::from_vec(1, boundaries.cols(), boundaries.row(bi).to_vec());
-                let guess = grid_with_boundary(m, m, &bc);
-                let f = match forcings {
-                    Some(fr) => Tensor::from_vec(m, m, fr.row(bi).to_vec()),
-                    None => Tensor::zeros(m, m),
-                };
-                let problem = Poisson { f, h };
-                let (sol, stats) =
-                    solve_shifted_sor(&problem, sigma, &guess, 1.5, 50_000, self.tol);
-                debug_assert!(stats.converged, "oracle shifted solve failed: {stats:?}");
-                for (k, &(j, i)) in idx.iter().enumerate() {
-                    chunk[k] = sol.get(j, i);
-                }
-            });
-        self.count
-            .fetch_add(b * q, std::sync::atomic::Ordering::Relaxed);
-        self.launches
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        out
+        let (m, h) = (self.spec.m, self.spec.h());
+        self.launch(boundaries, points, |bi, guess| {
+            let f = match forcings {
+                Some(fr) => Tensor::from_vec(m, m, fr.row(bi).to_vec()),
+                None => Tensor::zeros(m, m),
+            };
+            let problem = Poisson { f, h };
+            let (sol, stats) = solve_shifted_sor(&problem, sigma, guess, 1.5, 50_000, self.tol);
+            debug_assert!(stats.converged, "oracle shifted solve failed: {stats:?}");
+            sol
+        })
     }
 }
 
@@ -312,8 +320,12 @@ mod tests {
         let e1 = (2.0 * h) * (2.0 * h) - (6.0 * h) * (6.0 * h);
         assert!((out.get(0, 0) - e0).abs() < 1e-6);
         assert!((out.get(1, 0) - e1).abs() < 1e-6);
-        // One boundary × two query points.
-        assert_eq!(s.inference_count(), 2);
+        // One boundary × two query points, in one launch — and the same
+        // again for a shifted batch, which runs the same loop.
+        assert_eq!((s.inference_count(), s.launch_count()), (2, 1));
+        let shifted = s.solve_batch_shifted(1.0, &bc, None, &pts);
+        assert_eq!(shifted.shape(), (2, 1));
+        assert_eq!((s.inference_count(), s.launch_count()), (4, 2));
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! boundary-value problems for the Laplace equation with pyAMG. This crate
 //! plays that role with classical iterative solvers built from scratch:
 //!
-//! * pointwise relaxation: Jacobi, red-black Gauss–Seidel, SOR,
-//! * conjugate gradients on the 5-point stencil,
 //! * a geometric multigrid V-cycle (full-weighting restriction, bilinear
-//!   prolongation, red-black GS smoothing) for large grids,
+//!   prolongation, red-black Gauss–Seidel smoothing) for large grids,
+//! * pointwise relaxation: red-black Gauss–Seidel, SOR, and the shifted
+//!   SOR behind the time-dependent extension (`σu − Δu = f`),
 //! * [`solve_dirichlet`] which picks multigrid when the grid supports
 //!   coarsening and falls back to SOR otherwise.
+//!
+//! That is the whole family: every solver here is on a path from data
+//! generation, ground truth, the MFP oracle or the multigrid smoother.
 //!
 //! Grids are stored as `mf_tensor::Tensor` with `ny` rows × `nx` columns;
 //! row 0 is the bottom edge (y = 0). The [`boundary`] module fixes the
@@ -21,18 +24,14 @@
 
 mod analytic;
 pub mod boundary;
-mod cg;
 mod multigrid;
 mod relax;
 #[cfg(test)]
 mod solver_proptests;
 
 pub use analytic::{eval_on_grid, harmonic_polynomial, harmonic_sin_sinh, HarmonicFn};
-pub use cg::solve_cg;
 pub use multigrid::{can_coarsen, solve_multigrid, MultigridOpts};
-pub use relax::{
-    residual_norm, solve_jacobi, solve_rbgs, solve_shifted_sor, solve_sor, sor_optimal_omega,
-};
+pub use relax::{residual_norm, solve_rbgs, solve_shifted_sor, solve_sor, sor_optimal_omega};
 
 use mf_tensor::Tensor;
 

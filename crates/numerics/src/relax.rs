@@ -1,4 +1,4 @@
-//! Pointwise relaxation solvers: Jacobi, red-black Gauss–Seidel, SOR.
+//! Pointwise relaxation solvers: red-black Gauss–Seidel, SOR, shifted SOR.
 
 use crate::{Poisson, SolveStats};
 use mf_tensor::Tensor;
@@ -24,46 +24,6 @@ pub fn residual_norm(problem: &Poisson, u: &Tensor) -> f64 {
 pub fn sor_optimal_omega(n: usize) -> f64 {
     let h = std::f64::consts::PI / (n.max(2) - 1) as f64;
     2.0 / (1.0 + h.sin())
-}
-
-/// Weighted Jacobi iteration (weight 1 = classical Jacobi).
-pub fn solve_jacobi(
-    problem: &Poisson,
-    u0: &Tensor,
-    max_iters: usize,
-    tol: f64,
-) -> (Tensor, SolveStats) {
-    let (ny, nx) = problem.shape();
-    let h2 = problem.h * problem.h;
-    let mut u = u0.clone();
-    let mut next = u.clone();
-    let mut iterations = 0;
-    let mut residual = residual_norm(problem, &u);
-    while residual > tol && iterations < max_iters {
-        for j in 1..ny - 1 {
-            for i in 1..nx - 1 {
-                let v = 0.25
-                    * (u.get(j, i - 1) + u.get(j, i + 1) + u.get(j - 1, i) + u.get(j + 1, i)
-                        - h2 * problem.f.get(j, i));
-                next.set(j, i, v);
-            }
-        }
-        std::mem::swap(&mut u, &mut next);
-        iterations += 1;
-        // Residual check every few sweeps to amortize its cost.
-        if iterations % 8 == 0 || iterations == max_iters {
-            residual = residual_norm(problem, &u);
-        }
-    }
-    residual = residual_norm(problem, &u);
-    (
-        u,
-        SolveStats {
-            iterations,
-            residual,
-            converged: residual <= tol,
-        },
-    )
 }
 
 /// One red-black Gauss–Seidel sweep (both colors), in place.
@@ -241,25 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_converges_to_linear_solution() {
-        let (p, g, exact) = linear_exact(11);
-        let (u, stats) = solve_jacobi(&p, &g, 5000, 1e-10);
+    fn rbgs_converges_to_linear_solution() {
+        let (p, g, exact) = linear_exact(17);
+        let (u, stats) = solve_rbgs(&p, &g, 20_000, 1e-10);
         assert!(stats.converged);
         assert!(u.max_abs_diff(&exact) < 1e-8);
-    }
-
-    #[test]
-    fn rbgs_converges_faster_than_jacobi() {
-        let (p, g, _) = linear_exact(17);
-        let (_, sj) = solve_jacobi(&p, &g, 20_000, 1e-8);
-        let (_, sg) = solve_rbgs(&p, &g, 20_000, 1e-8);
-        assert!(sg.converged && sj.converged);
-        assert!(
-            sg.iterations < sj.iterations,
-            "RBGS ({}) should beat Jacobi ({})",
-            sg.iterations,
-            sj.iterations
-        );
     }
 
     #[test]

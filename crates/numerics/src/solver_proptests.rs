@@ -4,7 +4,7 @@
 
 use crate::boundary::{apply_boundary, boundary_from_fn};
 use crate::{
-    solve_cg, solve_dirichlet, solve_multigrid, solve_shifted_sor, solve_sor, sor_optimal_omega,
+    solve_dirichlet, solve_multigrid, solve_shifted_sor, solve_sor, sor_optimal_omega,
     MultigridOpts, Poisson,
 };
 use mf_tensor::Tensor;
@@ -24,7 +24,7 @@ fn grid_with_random_bc(n: usize, a: f64, b: f64, phase: f64) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Multigrid, SOR and CG converge to the same solution.
+    /// Multigrid, SOR and `solve_dirichlet` converge to the same solution.
     #[test]
     fn all_solvers_agree(a in -1.0f64..1.0, b in -0.5f64..0.5, phase in 0.0f64..3.0) {
         let n = 17;
@@ -33,10 +33,10 @@ proptest! {
         let p = Poisson::laplace(n, n, h);
         let (mg, s1) = solve_multigrid(&p, &guess, &MultigridOpts::default());
         let (sor, s2) = solve_sor(&p, &guess, sor_optimal_omega(n), 50_000, 1e-9);
-        let (cg, s3) = solve_cg(&p, &guess, 5000, 1e-9);
+        let (auto, s3) = solve_dirichlet(&p, &guess, 1e-9);
         prop_assert!(s1.converged && s2.converged && s3.converged);
         prop_assert!(mg.max_abs_diff(&sor) < 1e-6);
-        prop_assert!(mg.max_abs_diff(&cg) < 1e-6);
+        prop_assert!(mg.max_abs_diff(&auto) < 1e-6);
     }
 
     /// Discrete maximum principle: the interior never exceeds the

@@ -1,4 +1,20 @@
 //! First-order optimizers.
+//!
+//! [`Sgd`] stands alone. [`Adam`], [`AdamW`] and [`Lamb`] are one moment
+//! core plus one rule each: the private `Moments` owns everything the three
+//! share — β₁, β₂, ε, the step counter, the per-parameter first and second
+//! moments, the bias-corrected direction `m̂ / (√v̂ + ε)`, the walk over
+//! `(parameter, gradient)` pairs, and the checkpoint layout — and each
+//! public type adds only what it does with a parameter and its direction:
+//! plain `axpy` (Adam); decoupled decay, then `axpy` (AdamW); decay folded
+//! into the direction, per-tensor trust ratio, clamp (LAMB).
+//!
+//! The checkpoint layout is part of the bitwise kill-restart guarantee and
+//! is written once, in `Moments::export` / `Moments::import`: scalars
+//! `[β₁, β₂, ε]` followed by the kind's own (`λ` for AdamW; `λ, max_trust`
+//! for LAMB), tensors interleaved `[m₀, v₀, m₁, v₁, …]`. The tests
+//! `exported_state_carries_kind_and_hyperparameters` and
+//! `five_steps_match_golden_bits` pin that layout and the operation order.
 
 use mf_tensor::Tensor;
 
@@ -51,32 +67,6 @@ impl OptimizerState {
             self.kind
         );
     }
-}
-
-/// Split an interleaved `[m0, v0, m1, v1, …]` tensor list back into
-/// `Moments`.
-fn moments_from_interleaved(tensors: &[Tensor]) -> Moments {
-    assert!(
-        tensors.len().is_multiple_of(2),
-        "optimizer state: moment tensor count {} is odd",
-        tensors.len()
-    );
-    let mut m = Vec::with_capacity(tensors.len() / 2);
-    let mut v = Vec::with_capacity(tensors.len() / 2);
-    for pair in tensors.chunks_exact(2) {
-        m.push(pair[0].clone());
-        v.push(pair[1].clone());
-    }
-    Moments { m, v }
-}
-
-fn moments_to_interleaved(moments: &Moments) -> Vec<Tensor> {
-    let mut out = Vec::with_capacity(moments.m.len() * 2);
-    for (m, v) in moments.m.iter().zip(&moments.v) {
-        out.push(m.clone());
-        out.push(v.clone());
-    }
-    out
 }
 
 /// Scale all gradients in place so their joint L2 norm is at most
@@ -175,40 +165,55 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Per-parameter Adam state.
+/// What Adam, AdamW and LAMB share: hyperparameters, step counter,
+/// per-parameter moments, and the code that walks, updates and
+/// checkpoints them.
 #[derive(Clone, Debug)]
 struct Moments {
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
+    t: usize,
 }
 
 impl Moments {
-    fn new() -> Self {
+    fn new(beta1: f64, beta2: f64, eps: f64) -> Self {
         Self {
+            beta1,
+            beta2,
+            eps,
             m: Vec::new(),
             v: Vec::new(),
+            t: 0,
         }
     }
 
-    fn ensure(&mut self, i: usize, shape: (usize, usize)) {
-        while self.m.len() <= i {
-            self.m.push(Tensor::zeros(shape.0, shape.1));
-            self.v.push(Tensor::zeros(shape.0, shape.1));
+    /// One update: advance the step counter, then hand every parameter and
+    /// its Adam direction to `apply`, the one thing the optimizers differ in.
+    fn step<'a>(
+        &mut self,
+        params: impl Iterator<Item = &'a mut Tensor>,
+        grads: &[Tensor],
+        mut apply: impl FnMut(&mut Tensor, Tensor),
+    ) {
+        self.t += 1;
+        for (i, (p, g)) in params.zip(grads).enumerate() {
+            check_shapes(p, g, i);
+            let dir = self.direction(i, g);
+            apply(p, dir);
         }
     }
 
     /// Update the moments for parameter `i` and return the bias-corrected
     /// Adam direction `m̂ / (√v̂ + ε)` as a tensor.
-    fn direction(
-        &mut self,
-        i: usize,
-        g: &Tensor,
-        t: usize,
-        beta1: f64,
-        beta2: f64,
-        eps: f64,
-    ) -> Tensor {
-        self.ensure(i, g.shape());
+    fn direction(&mut self, i: usize, g: &Tensor) -> Tensor {
+        while self.m.len() <= i {
+            self.m.push(Tensor::zeros(g.rows(), g.cols()));
+            self.v.push(Tensor::zeros(g.rows(), g.cols()));
+        }
+        let (beta1, beta2, eps) = (self.beta1, self.beta2, self.eps);
         let m = &mut self.m[i];
         let v = &mut self.v[i];
         for ((mm, vv), gg) in m
@@ -220,8 +225,8 @@ impl Moments {
             *mm = beta1 * *mm + (1.0 - beta1) * gg;
             *vv = beta2 * *vv + (1.0 - beta2) * gg * gg;
         }
-        let bc1 = 1.0 - beta1.powi(t as i32);
-        let bc2 = 1.0 - beta2.powi(t as i32);
+        let bc1 = 1.0 - beta1.powi(self.t as i32);
+        let bc2 = 1.0 - beta2.powi(self.t as i32);
         let mut dir = Tensor::zeros(g.rows(), g.cols());
         for ((d, mm), vv) in dir
             .as_mut_slice()
@@ -235,16 +240,43 @@ impl Moments {
         }
         dir
     }
+
+    /// Snapshot as `kind`: scalars `[β₁, β₂, ε]` then `extra`, tensors
+    /// interleaved `[m₀, v₀, m₁, v₁, …]`.
+    fn export(&self, kind: &str, extra: &[f64]) -> OptimizerState {
+        let mut scalars = vec![self.beta1, self.beta2, self.eps];
+        scalars.extend_from_slice(extra);
+        let pairs = self.m.iter().zip(&self.v);
+        OptimizerState {
+            kind: kind.into(),
+            t: self.t,
+            scalars,
+            tensors: pairs.flat_map(|(m, v)| [m.clone(), v.clone()]).collect(),
+        }
+    }
+
+    /// Restore a snapshot of `kind` and return its `extra` scalars.
+    fn import<'s>(&mut self, kind: &str, state: &'s OptimizerState) -> &'s [f64] {
+        state.expect_kind(kind);
+        assert!(
+            state.tensors.len().is_multiple_of(2),
+            "optimizer state: moment tensor count {} is odd",
+            state.tensors.len()
+        );
+        self.t = state.t;
+        self.beta1 = state.scalars[0];
+        self.beta2 = state.scalars[1];
+        self.eps = state.scalars[2];
+        self.m = state.tensors.iter().step_by(2).cloned().collect();
+        self.v = state.tensors.iter().skip(1).step_by(2).cloned().collect();
+        &state.scalars[3..]
+    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Clone, Debug)]
 pub struct Adam {
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     moments: Moments,
-    t: usize,
 }
 
 impl Adam {
@@ -256,11 +288,7 @@ impl Adam {
     /// Custom betas and epsilon.
     pub fn with_betas(beta1: f64, beta2: f64, eps: f64) -> Self {
         Self {
-            beta1,
-            beta2,
-            eps,
-            moments: Moments::new(),
-            t: 0,
+            moments: Moments::new(beta1, beta2, eps),
         }
     }
 }
@@ -278,61 +306,36 @@ impl Optimizer for Adam {
         grads: &[Tensor],
         lr: f64,
     ) {
-        self.t += 1;
-        for (i, (p, g)) in params.zip(grads).enumerate() {
-            check_shapes(p, g, i);
-            let dir = self
-                .moments
-                .direction(i, g, self.t, self.beta1, self.beta2, self.eps);
-            p.axpy(-lr, &dir);
-        }
+        self.moments.step(params, grads, |p, dir| p.axpy(-lr, &dir));
     }
 
     fn steps(&self) -> usize {
-        self.t
+        self.moments.t
     }
 
     fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            kind: "adam".into(),
-            t: self.t,
-            scalars: vec![self.beta1, self.beta2, self.eps],
-            tensors: moments_to_interleaved(&self.moments),
-        }
+        self.moments.export("adam", &[])
     }
 
     fn import_state(&mut self, state: &OptimizerState) {
-        state.expect_kind("adam");
-        self.t = state.t;
-        self.beta1 = state.scalars[0];
-        self.beta2 = state.scalars[1];
-        self.eps = state.scalars[2];
-        self.moments = moments_from_interleaved(&state.tensors);
+        self.moments.import("adam", state);
     }
 }
 
 /// AdamW (Loshchilov & Hutter): Adam with *decoupled* weight decay.
 #[derive(Clone, Debug)]
 pub struct AdamW {
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     /// Decoupled weight-decay coefficient λ.
     pub weight_decay: f64,
     moments: Moments,
-    t: usize,
 }
 
 impl AdamW {
     /// Standard betas with the given decay coefficient.
     pub fn new(weight_decay: f64) -> Self {
         Self {
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             weight_decay,
-            moments: Moments::new(),
-            t: 0,
+            moments: Moments::new(0.9, 0.999, 1e-8),
         }
     }
 }
@@ -344,42 +347,26 @@ impl Optimizer for AdamW {
         grads: &[Tensor],
         lr: f64,
     ) {
-        self.t += 1;
-        for (i, (p, g)) in params.zip(grads).enumerate() {
-            check_shapes(p, g, i);
-            let dir = self
-                .moments
-                .direction(i, g, self.t, self.beta1, self.beta2, self.eps);
+        let wd = self.weight_decay;
+        self.moments.step(params, grads, |p, dir| {
             // Decoupled decay: w ← w − lr·λ·w, independent of the gradient.
-            if self.weight_decay != 0.0 {
-                let wd = self.weight_decay;
+            if wd != 0.0 {
                 p.map_in_place(|w| w * (1.0 - lr * wd));
             }
             p.axpy(-lr, &dir);
-        }
+        });
     }
 
     fn steps(&self) -> usize {
-        self.t
+        self.moments.t
     }
 
     fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            kind: "adamw".into(),
-            t: self.t,
-            scalars: vec![self.beta1, self.beta2, self.eps, self.weight_decay],
-            tensors: moments_to_interleaved(&self.moments),
-        }
+        self.moments.export("adamw", &[self.weight_decay])
     }
 
     fn import_state(&mut self, state: &OptimizerState) {
-        state.expect_kind("adamw");
-        self.t = state.t;
-        self.beta1 = state.scalars[0];
-        self.beta2 = state.scalars[1];
-        self.eps = state.scalars[2];
-        self.weight_decay = state.scalars[3];
-        self.moments = moments_from_interleaved(&state.tensors);
+        self.weight_decay = self.moments.import("adamw", state)[0];
     }
 }
 
@@ -388,28 +375,20 @@ impl Optimizer for AdamW {
 /// data-parallel training (§5.2 of the paper uses NVIDIA's FusedLAMB).
 #[derive(Clone, Debug)]
 pub struct Lamb {
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     /// Weight-decay coefficient λ added to the update direction.
     pub weight_decay: f64,
     /// Upper clamp on the trust ratio (10 in the reference implementation).
     pub max_trust: f64,
     moments: Moments,
-    t: usize,
 }
 
 impl Lamb {
     /// Standard betas with the given decay coefficient.
     pub fn new(weight_decay: f64) -> Self {
         Self {
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-6,
             weight_decay,
             max_trust: 10.0,
-            moments: Moments::new(),
-            t: 0,
+            moments: Moments::new(0.9, 0.999, 1e-6),
         }
     }
 }
@@ -421,54 +400,34 @@ impl Optimizer for Lamb {
         grads: &[Tensor],
         lr: f64,
     ) {
-        self.t += 1;
-        for (i, (p, g)) in params.zip(grads).enumerate() {
-            check_shapes(p, g, i);
-            let mut r = self
-                .moments
-                .direction(i, g, self.t, self.beta1, self.beta2, self.eps);
-            if self.weight_decay != 0.0 {
-                r.axpy(self.weight_decay, p);
+        let (wd, max_trust) = (self.weight_decay, self.max_trust);
+        self.moments.step(params, grads, |p, mut r| {
+            if wd != 0.0 {
+                r.axpy(wd, p);
             }
             let w_norm = p.norm_l2();
             let r_norm = r.norm_l2();
             let trust = if w_norm > 0.0 && r_norm > 0.0 {
-                (w_norm / r_norm).min(self.max_trust)
+                (w_norm / r_norm).min(max_trust)
             } else {
                 1.0
             };
             p.axpy(-lr * trust, &r);
-        }
+        });
     }
 
     fn steps(&self) -> usize {
-        self.t
+        self.moments.t
     }
 
     fn export_state(&self) -> OptimizerState {
-        OptimizerState {
-            kind: "lamb".into(),
-            t: self.t,
-            scalars: vec![
-                self.beta1,
-                self.beta2,
-                self.eps,
-                self.weight_decay,
-                self.max_trust,
-            ],
-            tensors: moments_to_interleaved(&self.moments),
-        }
+        self.moments
+            .export("lamb", &[self.weight_decay, self.max_trust])
     }
 
     fn import_state(&mut self, state: &OptimizerState) {
-        state.expect_kind("lamb");
-        self.t = state.t;
-        self.beta1 = state.scalars[0];
-        self.beta2 = state.scalars[1];
-        self.eps = state.scalars[2];
-        self.weight_decay = state.scalars[3];
-        self.max_trust = state.scalars[4];
-        self.moments = moments_from_interleaved(&state.tensors);
+        let extra = self.moments.import("lamb", state);
+        (self.weight_decay, self.max_trust) = (extra[0], extra[1]);
     }
 }
 
@@ -686,5 +645,73 @@ mod tests {
     fn importing_wrong_kind_panics() {
         let snap = Adam::new().export_state();
         Sgd::new(0.0).import_state(&snap);
+    }
+
+    /// Five steps on two parameter tensors (1×3 and 2×2) with gradients
+    /// that change every step, as bits.
+    fn five_step_bits<O: Optimizer>(mut opt: O) -> Vec<u64> {
+        let mut p = [
+            Tensor::from_vec(1, 3, vec![0.5, -0.25, 2.0]),
+            Tensor::from_vec(2, 2, vec![1.5, -3.0, 0.125, 0.75]),
+        ];
+        for step in 0..5 {
+            let k = step as f64;
+            let g = [
+                Tensor::from_vec(1, 3, vec![0.3 - 0.2 * k, 1.0 + 0.5 * k, -0.7]),
+                Tensor::from_vec(2, 2, vec![-1.25, 0.1 * k, 2.0 - k, 0.05]),
+            ];
+            opt.step(p.iter_mut(), &g, 0.02);
+        }
+        p.iter()
+            .flat_map(|t| t.as_slice().iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    /// The update rules, to the bit. The literals were captured at commit
+    /// a41edeb, before the three optimizers shared one moment core, and pin
+    /// the order of every floating-point operation in `direction` and in
+    /// each rule — which the fixtures and the kill-restart tests only see
+    /// through LAMB.
+    #[test]
+    fn five_steps_match_golden_bits() {
+        assert_eq!(
+            five_step_bits(Adam::new()),
+            [
+                0x3fddc927d0cdcf18,
+                0xbfd658960d2d8045,
+                0x4000cccccc9bb6f4,
+                0x3ff9999999629fd9,
+                0xc008890a584bd616,
+                0x3fb1a295ed4e29d9,
+                0x3fe4ccccd789941c
+            ],
+            "adam"
+        );
+        assert_eq!(
+            five_step_bits(AdamW::new(0.01)),
+            [
+                0x3fddc173863b6be6,
+                0xbfd653d73f879695,
+                0x4000c89facde9b91,
+                0x3ff9934b6df59d44,
+                0xc00882dc2066cc99,
+                0x3fb19ca28518b041,
+                0x3fe4c6fc79eb8d92
+            ],
+            "adamw"
+        );
+        assert_eq!(
+            five_step_bits(Lamb::new(0.01)),
+            [
+                0x3fdd4a9c4d3c4aca,
+                0xbfd8ce2589a4f206,
+                0x40011746ad05f094,
+                0x3ffb2cc9b96ed0bd,
+                0xc00909aebba595b0,
+                0x3f8f9eb8f5939575,
+                0x3fe18152bfba9c00
+            ],
+            "lamb"
+        );
     }
 }

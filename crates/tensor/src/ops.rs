@@ -6,6 +6,12 @@
 //! `ĝW₁ᵀ ⊕ XW₂ᵀ`, and the column slice/concat pair supports the
 //! *input-concat* baseline and extracting ∂u/∂x, ∂u/∂y columns from
 //! gradient tensors.
+//!
+//! Each allocating name here is sugar over its `_into` kernel in
+//! `inplace.rs`: it sizes a zeroed output, calls the kernel and
+//! returns the output. The loops, and every shape check that does not
+//! decide the output size, live there once; only `sum_axis1` and `vstack`,
+//! which have no `_into` form, are written out here.
 
 use crate::Tensor;
 
@@ -13,12 +19,7 @@ impl Tensor {
     /// Sum over rows, producing a `1×cols` row vector.
     pub fn sum_axis0(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols());
-        let o = out.as_mut_slice();
-        for r in 0..self.rows() {
-            for (acc, &v) in o.iter_mut().zip(self.row(r)) {
-                *acc += v;
-            }
-        }
+        self.sum_axis0_into(&mut out);
         out
     }
 
@@ -29,18 +30,8 @@ impl Tensor {
 
     /// Add a `1×cols` row vector to every row.
     pub fn broadcast_row_add(&self, row: &Tensor) -> Tensor {
-        assert_eq!(row.rows(), 1, "broadcast_row_add: rhs must be a row vector");
-        assert_eq!(
-            row.cols(),
-            self.cols(),
-            "broadcast_row_add: column mismatch"
-        );
-        let mut out = self.clone();
-        for r in 0..out.rows() {
-            for (o, &b) in out.row_mut(r).iter_mut().zip(row.row(0)) {
-                *o += b;
-            }
-        }
+        let mut out = Tensor::zeros(self.rows(), self.cols());
+        self.broadcast_row_add_into(row, &mut out);
         out
     }
 
@@ -50,15 +41,8 @@ impl Tensor {
     /// boundary embedding row is shared by the `q` query points of that
     /// boundary without materializing the replicated boundary matrix `G`.
     pub fn repeat_rows(&self, q: usize) -> Tensor {
-        assert!(q > 0, "repeat_rows: q must be positive");
-        let (b, d) = self.shape();
-        let mut out = Tensor::zeros(b * q, d);
-        for r in 0..b {
-            let src = self.row(r).to_vec();
-            for i in 0..q {
-                out.row_mut(r * q + i).copy_from_slice(&src);
-            }
-        }
+        let mut out = Tensor::zeros(self.rows() * q, self.cols());
+        self.repeat_rows_into(q, &mut out);
         out
     }
 
@@ -67,70 +51,37 @@ impl Tensor {
     /// The adjoint of [`Tensor::repeat_rows`].
     pub fn sum_groups(&self, q: usize) -> Tensor {
         assert!(q > 0, "sum_groups: q must be positive");
-        let (bq, d) = self.shape();
-        assert_eq!(
-            bq % q,
-            0,
-            "sum_groups: {bq} rows not divisible by group size {q}"
-        );
-        let b = bq / q;
-        let mut out = Tensor::zeros(b, d);
-        for r in 0..bq {
-            let dst = r / q;
-            for c in 0..d {
-                let v = self.get(r, c);
-                *out.row_mut(dst).get_mut(c).unwrap() += v;
-            }
-        }
+        let mut out = Tensor::zeros(self.rows() / q, self.cols());
+        self.sum_groups_into(q, &mut out);
         out
     }
 
     /// Copy of columns `[start, start+len)`.
     pub fn slice_cols(&self, start: usize, len: usize) -> Tensor {
-        assert!(
-            start + len <= self.cols(),
-            "slice_cols: [{start}, {}) out of bounds for {} cols",
-            start + len,
-            self.cols()
-        );
-        Tensor::from_fn(self.rows(), len, |r, c| self.get(r, start + c))
+        let mut out = Tensor::zeros(self.rows(), len);
+        self.slice_cols_into(start, len, &mut out);
+        out
     }
 
     /// Copy of rows `[start, start+len)`.
     pub fn slice_rows(&self, start: usize, len: usize) -> Tensor {
-        assert!(
-            start + len <= self.rows(),
-            "slice_rows: [{start}, {}) out of bounds for {} rows",
-            start + len,
-            self.rows()
-        );
         let mut out = Tensor::zeros(len, self.cols());
-        for r in 0..len {
-            out.row_mut(r).copy_from_slice(self.row(start + r));
-        }
+        self.slice_rows_into(start, len, &mut out);
         out
     }
 
     /// Horizontal concatenation: `[r×c1] ++ [r×c2] -> [r×(c1+c2)]`.
     pub fn concat_cols(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rows(), other.rows(), "concat_cols: row mismatch");
-        let (r, c1) = self.shape();
-        let c2 = other.cols();
-        let mut out = Tensor::zeros(r, c1 + c2);
-        for i in 0..r {
-            out.row_mut(i)[..c1].copy_from_slice(self.row(i));
-            out.row_mut(i)[c1..].copy_from_slice(other.row(i));
-        }
+        let mut out = Tensor::zeros(self.rows(), self.cols() + other.cols());
+        self.concat_cols_into(other, &mut out);
         out
     }
 
     /// Vertical concatenation: `[r1×c]` on top of `[r2×c]`.
     pub fn concat_rows(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.cols(), other.cols(), "concat_rows: column mismatch");
-        let mut data = Vec::with_capacity(self.numel() + other.numel());
-        data.extend_from_slice(self.as_slice());
-        data.extend_from_slice(other.as_slice());
-        Tensor::from_vec(self.rows() + other.rows(), self.cols(), data)
+        let mut out = Tensor::zeros(self.rows() + other.rows(), self.cols());
+        self.concat_rows_into(other, &mut out);
+        out
     }
 
     /// Stack a list of same-width tensors vertically.
@@ -149,28 +100,16 @@ impl Tensor {
     /// Embed this tensor as columns `[start, start+cols)` of a wider
     /// zero matrix with `total` columns (adjoint of [`Tensor::slice_cols`]).
     pub fn pad_cols(&self, start: usize, total: usize) -> Tensor {
-        assert!(
-            start + self.cols() <= total,
-            "pad_cols: slice exceeds target width"
-        );
         let mut out = Tensor::zeros(self.rows(), total);
-        for r in 0..self.rows() {
-            out.row_mut(r)[start..start + self.cols()].copy_from_slice(self.row(r));
-        }
+        self.pad_cols_into(start, total, &mut out);
         out
     }
 
     /// Embed this tensor as rows `[start, start+rows)` of a taller zero
     /// matrix with `total` rows (adjoint of [`Tensor::slice_rows`]).
     pub fn pad_rows(&self, start: usize, total: usize) -> Tensor {
-        assert!(
-            start + self.rows() <= total,
-            "pad_rows: slice exceeds target height"
-        );
         let mut out = Tensor::zeros(total, self.cols());
-        for r in 0..self.rows() {
-            out.row_mut(start + r).copy_from_slice(self.row(r));
-        }
+        self.pad_rows_into(start, total, &mut out);
         out
     }
 }

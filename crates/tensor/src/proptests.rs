@@ -128,6 +128,140 @@ proptest! {
     }
 }
 
+/// The structural kernels exist once (`inplace.rs`; the allocating names are
+/// `zeros` + `_into`), so nothing in the crate is left to compare them with.
+/// This is the outside oracle: every one of them, and the blocked transpose,
+/// against its index formula written with `from_fn` / `get`, by bits — on
+/// edge shapes that always run and on random ones. The kernels documented
+/// to overwrite their whole output are also run into a NaN-filled one.
+#[test]
+fn structural_ops_equal_their_index_formulas() {
+    use proptest::test_runner::TestRng;
+    // (rows, cols, q, (row start, row len), (col start, col len))
+    type Case = (usize, usize, usize, (usize, usize), (usize, usize));
+    const EDGES: [Case; 6] = [
+        (0, 3, 2, (0, 0), (1, 2)),     // no rows
+        (3, 0, 1, (1, 2), (0, 0)),     // no columns, q = 1
+        (1, 1, 1, (0, 1), (0, 1)),     // 1×1 transpose, whole-tensor slices
+        (2, 33, 3, (2, 0), (30, 3)),   // transpose crosses the 32-block; start + len = cols
+        (33, 2, 2, (32, 1), (2, 0)),   // … and crosses it by rows; start + len = rows
+        (40, 37, 1, (0, 40), (0, 37)), // two blocks each way, ragged
+    ];
+    let random = |case: u64| -> Case {
+        let mut rng = TestRng::for_case(case);
+        let mut below = |n: usize| (0..=n).generate(&mut rng);
+        let (rows, cols, q) = (below(6), below(36), 1 + below(3));
+        let (rs, cs) = (below(rows), below(cols));
+        (
+            rows,
+            cols,
+            q,
+            (rs, below(rows - rs)),
+            (cs, below(cols - cs)),
+        )
+    };
+    for (i, case) in EDGES.into_iter().chain((0..64).map(random)).enumerate() {
+        let (rows, cols, q, (rs, rl), (cs, cl)) = case;
+        let mut rng = TestRng::for_case(1000 + i as u64);
+        let mut fill = |r, c| tensor(r, c).generate(&mut rng);
+        let a = fill(rows, cols);
+        let check = |op: &str, got: &Tensor, want: &Tensor| {
+            assert_eq!(got.shape(), want.shape(), "{op}: shape, case {case:?}");
+            let same = |(&g, &w)| crate::same_bits(g, w);
+            assert!(
+                got.as_slice().iter().zip(want.as_slice()).all(same),
+                "{op}: bits, case {case:?}"
+            );
+        };
+        let dirty = |want: &Tensor| Tensor::full(want.rows(), want.cols(), f64::NAN);
+
+        let want = Tensor::from_fn(cols, rows, |r, c| a.get(c, r));
+        check("transpose", &a.transpose(), &want);
+        let mut out = dirty(&want);
+        a.transpose_into(&mut out);
+        check("transpose_into", &out, &want);
+
+        let want = Tensor::from_fn(1, cols, |_, c| (0..rows).fold(0.0, |s, r| s + a.get(r, c)));
+        check("sum_axis0", &a.sum_axis0(), &want);
+
+        let bias = fill(1, cols);
+        let want = Tensor::from_fn(rows, cols, |r, c| a.get(r, c) + bias.get(0, c));
+        check("broadcast_row_add", &a.broadcast_row_add(&bias), &want);
+        let mut out = dirty(&want);
+        a.broadcast_row_add_into(&bias, &mut out);
+        check("broadcast_row_add_into", &out, &want);
+
+        let want = Tensor::from_fn(rows * q, cols, |r, c| a.get(r / q, c));
+        check("repeat_rows", &a.repeat_rows(q), &want);
+        let mut out = dirty(&want);
+        a.repeat_rows_into(q, &mut out);
+        check("repeat_rows_into", &out, &want);
+
+        let g = fill(rows * q, cols);
+        let want = Tensor::from_fn(rows, cols, |r, c| {
+            (r * q..(r + 1) * q).fold(0.0, |s, i| s + g.get(i, c))
+        });
+        check("sum_groups", &g.sum_groups(q), &want);
+
+        let want = Tensor::from_fn(rows, cl, |r, c| a.get(r, cs + c));
+        check("slice_cols", &a.slice_cols(cs, cl), &want);
+        let mut out = dirty(&want);
+        a.slice_cols_into(cs, cl, &mut out);
+        check("slice_cols_into", &out, &want);
+
+        let want = Tensor::from_fn(rl, cols, |r, c| a.get(rs + r, c));
+        check("slice_rows", &a.slice_rows(rs, rl), &want);
+        let mut out = dirty(&want);
+        a.slice_rows_into(rs, rl, &mut out);
+        check("slice_rows_into", &out, &want);
+
+        let right = fill(rows, cl);
+        let want = Tensor::from_fn(rows, cols + cl, |r, c| {
+            if c < cols {
+                a.get(r, c)
+            } else {
+                right.get(r, c - cols)
+            }
+        });
+        check("concat_cols", &a.concat_cols(&right), &want);
+        let mut out = dirty(&want);
+        a.concat_cols_into(&right, &mut out);
+        check("concat_cols_into", &out, &want);
+
+        let below = fill(rl, cols);
+        let want = Tensor::from_fn(rows + rl, cols, |r, c| {
+            if r < rows {
+                a.get(r, c)
+            } else {
+                below.get(r - rows, c)
+            }
+        });
+        check("concat_rows", &a.concat_rows(&below), &want);
+        let mut out = dirty(&want);
+        a.concat_rows_into(&below, &mut out);
+        check("concat_rows_into", &out, &want);
+
+        // Embedded at offset `cs` / `rs` with `cl` / `rl` zero lines after.
+        let want = Tensor::from_fn(rows, cs + cols + cl, |r, c| {
+            if (cs..cs + cols).contains(&c) {
+                a.get(r, c - cs)
+            } else {
+                0.0
+            }
+        });
+        check("pad_cols", &a.pad_cols(cs, cs + cols + cl), &want);
+
+        let want = Tensor::from_fn(rs + rows + rl, cols, |r, c| {
+            if (rs..rs + rows).contains(&r) {
+                a.get(r - rs, c)
+            } else {
+                0.0
+            }
+        });
+        check("pad_rows", &a.pad_rows(rs, rs + rows + rl), &want);
+    }
+}
+
 /// Strategy: an arbitrary small shape, *including* degenerate ones —
 /// empty tensors, single rows/columns, and sizes that don't divide the
 /// vector width or the 4×8 GEMM tile.

@@ -252,17 +252,7 @@ impl Tensor {
     /// Transposed copy.
     pub fn transpose(&self) -> Tensor {
         let mut out = Tensor::zeros(self.cols, self.rows);
-        // Blocked transpose for cache friendliness on large tensors.
-        const B: usize = 32;
-        for rb in (0..self.rows).step_by(B) {
-            for cb in (0..self.cols).step_by(B) {
-                for r in rb..(rb + B).min(self.rows) {
-                    for c in cb..(cb + B).min(self.cols) {
-                        out.data[c * self.rows + r] = self.data[r * self.cols + c];
-                    }
-                }
-            }
-        }
+        self.transpose_into(&mut out);
         out
     }
 
@@ -319,11 +309,6 @@ impl Tensor {
         let mut out = Tensor::zeros(self.rows, self.cols);
         crate::backend().mul(&self.data, &other.data, &mut out.data);
         out
-    }
-
-    /// Elementwise division.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        self.zip_map(other, |a, b| a / b)
     }
 
     /// `self += other` in place.

@@ -73,6 +73,9 @@ enum Kind {
     Real,
     /// `SXxSY` atomic subdomains, both at least 1.
     Domain,
+    /// Grid points per subdomain side: odd (neighbours overlap by half a
+    /// side, on a centre line) and at least 5, or `DomainSpec` panics.
+    Side,
     /// Free text (paths, addresses, `gp:SEED`).
     Text,
 }
@@ -100,7 +103,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
             &[
                 ("samples", Count),
                 ("epochs", Positive),
-                ("m", Count),
+                ("m", Side),
                 ("devices", Positive),
                 ("seed", Count),
                 ("out", Text),
@@ -117,7 +120,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("domain", Domain),
                 ("model", Text),
                 ("oracle", Switch),
-                ("m", Count),
+                ("m", Side),
                 ("boundary", Text),
                 ("ranks", Positive),
                 ("one-level", Switch),
@@ -134,7 +137,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("addr", Text),
                 ("model", Text),
                 ("random-weights", Switch),
-                ("m", Count),
+                ("m", Side),
                 ("seed", Count),
                 ("workers", Positive),
                 ("queue-depth", Count),
@@ -179,6 +182,9 @@ fn parse_flags(cmd: &str, table: FlagTable, args: &[String]) -> Result<Flags, St
                 Kind::Real if value.parse::<f64>().is_err() => Some("a number"),
                 Kind::Domain if parse_domain(value).is_none() => {
                     Some("SXxSY atomic subdomains, both at least 1, like 4x2")
+                }
+                Kind::Side if !value.parse::<usize>().is_ok_and(|m| m % 2 == 1 && m >= 5) => {
+                    Some("an odd number of at least 5")
                 }
                 _ => None,
             };

@@ -190,6 +190,32 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
             &["solve", "--oracle", "--domain", "2x0"],
             "--domain expects SXxSY",
         ),
+        // A subdomain side that is even or under 5 used to reach the
+        // assertion in `DomainSpec::new` — or, from `train`, produce a
+        // network no `solve` could ever load.
+        (
+            &["solve", "--m", "8", "--domain", "2x2"],
+            "--m expects an odd number of at least 5, got `8`",
+        ),
+        (
+            &["solve", "--m", "1", "--domain", "2x2"],
+            "--m expects an odd number of at least 5, got `1`",
+        ),
+        (
+            &[
+                "serve",
+                "--random-weights",
+                "--m",
+                "8",
+                "--addr",
+                "127.0.0.1:0",
+            ],
+            "--m expects an odd number of at least 5, got `8`",
+        ),
+        (
+            &["train", "--m", "8"],
+            "--m expects an odd number of at least 5, got `8`",
+        ),
     ] {
         let err = rejected(args);
         assert!(
