@@ -192,7 +192,7 @@ fn run_closed_loop(batch: BatchConfig, clients: usize, workers: usize, secs: f64
 
     barrier.wait();
     // Warmup is over: from here on, neither the serve workspace pool nor
-    // the reqtrace recording path may touch the allocator.
+    // the request log (its ring was reserved by the workers) may allocate.
     mf_reqtrace::mark_warm();
     mf_reqtrace::reset_warm_allocs();
     let warm0 = service.warm_allocs();
@@ -218,7 +218,7 @@ fn run_closed_loop(batch: BatchConfig, clients: usize, workers: usize, secs: f64
 
 /// Interleaved A/B of the request-tracing overhead: one batched service,
 /// free-running closed-loop clients, and alternating 100 ms slices with
-/// span recording enabled / disabled. Two back-to-back full runs drift
+/// request tracing enabled / disabled. Two back-to-back full runs drift
 /// by ±10% on a busy box — far too noisy to gate a 3% budget —
 /// but adjacent slices share thermal and scheduling conditions, so the
 /// off ÷ on rate ratio isolates the tracing cost.
@@ -527,7 +527,7 @@ fn main() {
         "serve hot path allocated on a warm launch"
     );
 
-    // End-to-end reqtrace health: traces were drained for the completed
+    // End-to-end reqtrace health: the workers logged the completed
     // requests, and the SLO machinery reports healthy within the bench
     // budgets set above.
     assert!(
@@ -537,7 +537,7 @@ fn main() {
     let sample = mf_reqtrace::recent(32);
     assert!(
         sample.iter().any(|t| t.solve_us > 0),
-        "drained traces carry no solve spans"
+        "logged traces carry no solve spans"
     );
     mf_reqtrace::set_ready(true);
     let (healthy, body) = mf_reqtrace::healthz();

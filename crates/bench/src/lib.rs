@@ -77,27 +77,10 @@ pub fn init_telemetry() -> Option<String> {
 }
 
 /// Write the spans (and cross-rank flow events) recorded since
-/// [`init_telemetry`] to `path` — Chrome `trace_event` JSON by default,
-/// JSON Lines when the path ends in `.jsonl`. No-op when `--trace` was
-/// not given.
+/// [`init_telemetry`] to `path` ([`mf_telemetry::write_trace_file`]). No-op
+/// when `--trace` was not given.
 pub fn finish_trace(path: Option<String>) {
-    let Some(path) = path else { return };
-    let spans = mf_telemetry::drain_spans();
-    let flows = mf_telemetry::drain_flows();
-    let mut body = Vec::new();
-    let written = if path.ends_with(".jsonl") {
-        mf_telemetry::write_jsonl(&spans, &mut body)
-    } else {
-        mf_telemetry::write_chrome_trace_with_flows(&spans, &flows, &mut body)
-    };
-    match written.and_then(|()| std::fs::write(&path, body)) {
-        Ok(()) => eprintln!(
-            "wrote {} span(s) and {} flow event(s) to {path}",
-            spans.len(),
-            flows.len()
-        ),
-        Err(e) => eprintln!("failed to write trace: {e}"),
-    }
+    mf_telemetry::write_trace_file(path.as_deref());
 }
 
 /// The subdomain geometry used by the reproduction runs: 0.5×0.5 spatial,

@@ -101,7 +101,10 @@ impl PlanCache {
                 return Arc::clone(plan);
             }
         }
-        let plan = Arc::new(InferencePlan::compile(net, points));
+        let plan = {
+            mf_telemetry::span!("infer.plan_compile");
+            Arc::new(InferencePlan::compile(net, points))
+        };
         match plans.iter_mut().find(|(k, _)| k.matches(points)) {
             Some(entry) => entry.1 = Arc::clone(&plan),
             None => plans.push((PointsKey::of(points), Arc::clone(&plan))),

@@ -91,20 +91,7 @@ impl SubdomainSolver for PlanSolver {
     fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
         let b = boundaries.rows();
         let q = points.rows();
-        // Attribute compile time to the in-flight request batch (a hit
-        // count that did not move across get_or_compile means the plan
-        // was built, not fetched).
-        let audit = if mf_reqtrace::batch_active() {
-            Some((mf_telemetry::now_us(), self.plans.hits()))
-        } else {
-            None
-        };
         let plan = self.plans.get_or_compile(&self.net, points);
-        if let Some((start_us, hits0)) = audit {
-            if self.plans.hits() == hits0 {
-                mf_reqtrace::note_plan_compile(start_us);
-            }
-        }
         // Check a workspace out of the shared pool so concurrent sweep
         // groups never contend on one buffer pool.
         let mut ws = self.workspaces.checkout();

@@ -212,8 +212,6 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                                 let sums = engine.error_sums(&grids[r], reference);
                                 stop.error_converged(res.iterations, sums, &mut res.mae_history)
                             });
-                let delta = *res.deltas.last().expect("just pushed");
-                mf_reqtrace::note_slot(r, it as u32, delta, res.converged);
                 verdict == Verdict::Continue && !res.converged
             });
             // The requests that go on continue from the mixed iterate; the

@@ -3,68 +3,62 @@
 //! The `mf-telemetry` spine answers "what is the process doing" and
 //! "where does time go per kernel", mf-observe "what happened before it
 //! died". This crate owns the remaining question: **what happened to
-//! request #N** — the request log (where its wall time went), the
-//! convergence audit (how its solve converged), and SLO health (whether
-//! the fleet is inside its objectives).
+//! request #N** — where its wall time went, how its solve ended, and
+//! whether the fleet is inside its objectives.
 //!
-//! Pieces:
+//! A request's record is written once, by the serve worker: when a reply
+//! goes out the worker holds every fact of the request in local variables,
+//! so nothing on the solve path deposits fragments for a later join, and
+//! `mf-mfp` does not know this crate exists.
 //!
 //! - [`TraceContext`] — a `Copy` (request id, parent span) pair minted
 //!   at TCP accept (or in-process submit) and carried by value through
-//!   the scheduler queue, the worker's batch, the MFP solve, and the
-//!   reply.
-//! - [`record`] + [`Phase`] — span recording into preallocated
-//!   per-thread rings: the warm path is one `Copy` write, zero heap
-//!   allocations (gated by the `reqtrace.warm_allocs` bench metric).
-//! - Convergence audit ([`begin_batch`], [`note_slot`],
-//!   [`note_plan_compile`]) — thread-local hooks the MFP
-//!   solver fills in while a batch is in flight.
-//! - [`drain_batch`] — the off-hot-path merge: ring records + audit
-//!   scope become fixed-size [`RequestTrace`] entries in a global
-//!   recent-N ring, queryable via `GET /requests`; the slowest and
-//!   worst-residual request per window are kept in full and exported as
-//!   a Chrome-trace bundle (`GET /requests/exemplar`) compatible with
-//!   the mf-observe Perfetto tooling.
+//!   the scheduler queue, the worker's batch and the reply.
+//! - [`RequestTrace::finished`] — the worker builds the fixed-size record
+//!   from the six instants that bound the request's five [`Phase`]s (so
+//!   they tile its wall time by construction) and from what `Mfp::run_many`
+//!   returned for it: iterations, converged, last residual.
+//! - [`log_batch`] — after the batch's replies are sent, the records go
+//!   into a global recent-N ring, queryable via `GET /requests`. The log
+//!   stamps the two facts of the thread: the worker's rank, and one read
+//!   of its flight ring over the solve interval — the
+//!   `infer.plan_compile` spans sum to `plan_compile_us`, and the slowest
+//!   and worst-residual request per window keep every span the spine
+//!   recorded under their solve, exported as a Chrome-trace bundle
+//!   (`GET /requests/exemplar`) compatible with the mf-observe Perfetto
+//!   tooling. Both read empty while the flight recorder is off.
+//! - [`note_serialize`] — the TCP connection thread appends its JSON
+//!   render + socket write to the logged record.
+//! - [`mark_warm`] / [`warm_allocs`] — the crate creates one buffer
+//!   lazily, the log ring's storage; workers [`reserve`] it at start, and
+//!   a first touch after `mark_warm` is counted (the `reqtrace.warm_allocs`
+//!   bench metric holds it at 0).
 //! - SLO health ([`SloConfig`], [`report_health`], [`healthz`],
 //!   [`readyz`]) — burn-rate tracking over the serve layer's latency
 //!   reservoir and counters, exposed on the mf-profile [`MetricsServer`]
 //!   via [`install_routes`].
 //!
 //! Tracing is on by default and costs one relaxed atomic load of the
-//! spine's sink word when disabled ([`set_enabled`]).
+//! spine's sink word per batch when disabled ([`set_enabled`]).
 //!
 //! [`MetricsServer`]: mf_profile::MetricsServer
 
 #![warn(missing_docs)]
 
-mod audit;
 mod context;
 mod reqlog;
-mod ring;
 mod slo;
 
-pub use audit::{
-    batch_active, begin_batch, end_batch, note_plan_compile, note_slot, note_stale_halo,
-    BatchAudit, SlotAudit, MAX_TRACKED,
-};
 pub use context::{next_id, TraceContext};
 pub use reqlog::{
-    completed, drain_batch, note_serialize, recent, render_exemplar_trace, render_requests_json,
-    RequestMeta, RequestTrace, EXEMPLAR_WINDOW, MAX_SPANS, RECENT_CAP,
-};
-pub use ring::{
-    dropped_records, mark_warm, record, reset_warm_allocs, warm_allocs, Phase, SpanRec,
+    completed, log_batch, mark_warm, note_serialize, recent, render_exemplar_trace,
+    render_requests_json, reserve, reset_warm_allocs, warm_allocs, Phase, RequestTrace, SpanRec,
+    EXEMPLAR_WINDOW, MAX_SPANS, RECENT_CAP,
 };
 pub use slo::{burns, healthz, ready, readyz, report_health, set_ready, set_slo, slo, SloConfig};
 
-/// Tests that record spans take this in read mode; the test that flips
-/// the global enable switch takes it in write mode, so parallel test
-/// threads never observe tracing disabled mid-record.
-#[cfg(test)]
-pub(crate) static TEST_ENABLE_LOCK: std::sync::RwLock<()> = std::sync::RwLock::new(());
-
-/// Turn request tracing on or off globally. On by default; every
-/// recording hook is a no-op behind one relaxed load when off.
+/// Turn request tracing on or off globally. On by default; logging a
+/// batch is a no-op behind one relaxed load when off.
 pub fn set_enabled(on: bool) {
     mf_telemetry::set_sink(mf_telemetry::REQTRACE, on);
 }
@@ -75,19 +69,10 @@ pub fn enabled() -> bool {
     mf_telemetry::sinks() & mf_telemetry::REQTRACE != 0
 }
 
-/// Preallocate the calling thread's span ring and audit scope. Serve
-/// workers call this at thread start so the one-time buffer creation
-/// lands before [`mark_warm`] and the warm path stays allocation-free.
-pub fn prewarm_thread() {
-    ring::ensure_ring();
-    audit::ensure_scope();
-}
-
 /// Install this crate's endpoints on every [`mf_profile::MetricsServer`]
 /// in the process:
 ///
-/// - `GET /requests` — recent completed request traces + convergence
-///   audit (JSON).
+/// - `GET /requests` — recent completed request records (JSON).
 /// - `GET /requests/exemplar` — Chrome-trace bundle of the current
 ///   slowest / worst-residual exemplars.
 /// - `GET /healthz` — 200 while every SLO burn rate is ≤ 1, 503 when
@@ -132,25 +117,6 @@ pub fn install_routes() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disable_switch_gates_recording() {
-        let _g = TEST_ENABLE_LOCK.write().unwrap();
-        std::thread::spawn(|| {
-            set_enabled(false);
-            assert!(!enabled());
-            record(99_999_001, Phase::Queue, 0, 1);
-            set_enabled(true);
-            // Nothing was recorded while disabled: draining this
-            // thread's ring finds no record for that id.
-            let mut n = 0;
-            drain_batch(&[]); // no-op, closes any stray scope
-            crate::ring::drain_thread(|r| r.req == 99_999_001, |_| n += 1);
-            assert_eq!(n, 0);
-        })
-        .join()
-        .unwrap();
-    }
 
     #[test]
     fn routes_serve_health_and_requests() {

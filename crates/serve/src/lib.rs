@@ -44,12 +44,13 @@
 //!
 //! Every request also carries an `mf-reqtrace` [`TraceContext`]: minted
 //! at TCP accept (or [`SolveService::submit`]), carried through the
-//! scheduler queue and the worker's batch, and stamped into span
-//! records decomposing the request's wall time into queue-wait,
-//! batch-wait, solve, and serialization. Completed traces — including
-//! the per-request convergence audit `Mfp::run_many` deposits — land in
-//! the `GET /requests` ring, the slowest/worst-residual exemplars are
-//! exportable as a Chrome-trace bundle, and the workers feed
+//! scheduler queue and the worker's batch. The worker writes the
+//! request's record when its reply goes out — wall time decomposed into
+//! queue-wait, batch-wait, solve, reply-wait and serialization, plus the
+//! iterations, convergence and last residual of its solve — and the
+//! batch's records land in the `GET /requests` ring, the
+//! slowest/worst-residual exemplars are exportable as a Chrome-trace
+//! bundle, and the workers feed
 //! `serve.slo_*` burn-rate gauges plus `/healthz` + `/readyz` on the
 //! same `MetricsServer`.
 //!

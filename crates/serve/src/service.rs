@@ -14,7 +14,7 @@
 use crate::scheduler::{BatchConfig, Scheduler, SchedulerStats, SubmitError};
 use mf_data::SubdomainSpec;
 use mf_mfp::{DomainSpec, Mfp, MfpConfig, PlanSolver, SubdomainSolver};
-use mf_reqtrace::{Phase, RequestMeta, TraceContext};
+use mf_reqtrace::{RequestTrace, TraceContext};
 use mf_tensor::Tensor;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -96,7 +96,8 @@ pub struct SolveResponse {
     pub mean: f64,
     /// Dense grid when the request asked for it.
     pub grid: Option<Tensor>,
-    /// Queue wait + solve time, as measured by the worker.
+    /// Queue wait + solve time, as measured by the worker: enqueue until
+    /// it turned to this reply.
     pub latency_ms: f64,
 }
 
@@ -148,11 +149,10 @@ pub struct ServiceStats {
 struct Job {
     req: SolveRequest,
     reply: mpsc::Sender<Result<SolveResponse, ServeError>>,
-    enqueued: Instant,
     /// Request-scoped trace context, carried by value to the worker.
     ctx: TraceContext,
-    /// Enqueue time on the telemetry clock, so span records and the
-    /// request log share one epoch.
+    /// Enqueue time on the telemetry clock: the one clock of the reply's
+    /// latency and the request log's phases.
     enqueued_us: u64,
 }
 
@@ -263,7 +263,6 @@ impl SolveService {
         let job = Job {
             req,
             reply: tx,
-            enqueued: Instant::now(),
             ctx,
             enqueued_us: mf_telemetry::now_us(),
         };
@@ -421,9 +420,9 @@ fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
     mf_telemetry::set_thread_rank(WORKER_RANK_BASE + index);
     // The workers solve side by side and share the cores between them.
     let _lane = mf_tensor::par::compute_lanes(inner.cfg.workers);
-    // Touch the trace ring and audit scope now, so their one-time
-    // buffers exist before the serve layer declares the warm phase.
-    mf_reqtrace::prewarm_thread();
+    // Reserve the request log's storage now, before the serve layer
+    // declares the warm phase.
+    mf_reqtrace::reserve();
     let c_requests = mf_telemetry::counter("serve.requests");
     let c_batches = mf_telemetry::counter("serve.batches");
     let g_occ = mf_telemetry::gauge("serve.batch_occupancy");
@@ -438,31 +437,9 @@ fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
     let g_slo_conv = mf_telemetry::gauge("serve.slo_conv_burn");
     let mut batches = 0u64;
     while let Some(jobs) = inner.sched.next_batch() {
-        // The batch claim closes every member's queue-wait span.
+        // The batch claim closes every member's queue wait.
         let claim_us = mf_telemetry::now_us();
-        for job in &jobs {
-            mf_reqtrace::record(
-                job.ctx.req,
-                Phase::Queue,
-                job.enqueued_us,
-                claim_us.saturating_sub(job.enqueued_us),
-            );
-        }
         let outcome = handle_batch(&inner, &jobs);
-        for job in &jobs {
-            mf_reqtrace::record(
-                job.ctx.req,
-                Phase::BatchWait,
-                claim_us,
-                outcome.solve_start_us.saturating_sub(claim_us),
-            );
-            mf_reqtrace::record(
-                job.ctx.req,
-                Phase::Solve,
-                outcome.solve_start_us,
-                outcome.solve_end_us.saturating_sub(outcome.solve_start_us),
-            );
-        }
         // Count completions before any reply goes out, so a client that
         // reads `stats()` right after its reply sees itself counted.
         let done = inner
@@ -474,45 +451,39 @@ fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
             inner.unconverged.fetch_add(unconverged, Ordering::Relaxed);
         }
         let mut latencies = Vec::with_capacity(jobs.len());
-        let mut metas = Vec::with_capacity(jobs.len());
+        let tracing = mf_reqtrace::enabled();
+        let mut traces = Vec::with_capacity(if tracing { jobs.len() } else { 0 });
+        let solve = outcome.solve_us;
         // Replies go out one after another: a request waits behind its
         // siblings' replies [solve end, cursor) and is then serialized
         // [cursor, sent), so its five phases tile its wall time exactly.
-        let mut ser_cursor = outcome.solve_end_us;
+        let mut ser_cursor = solve.1;
         for ((job, resp), residual) in jobs.iter().zip(outcome.responses).zip(outcome.residuals) {
-            let latency_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
+            let latency_ms = ser_cursor.saturating_sub(job.enqueued_us) as f64 / 1e3;
             latencies.push(latency_ms);
-            let iterations = resp.iterations as u32;
-            let converged = resp.converged;
+            let (iterations, converged) = (resp.iterations as u32, resp.converged);
             let _ = job.reply.send(Ok(SolveResponse { latency_ms, ..resp }));
             let sent_us = mf_telemetry::now_us();
-            mf_reqtrace::record(
-                job.ctx.req,
-                Phase::ReplyWait,
-                outcome.solve_end_us,
-                ser_cursor.saturating_sub(outcome.solve_end_us),
-            );
-            mf_reqtrace::record(
-                job.ctx.req,
-                Phase::Serialize,
-                ser_cursor,
-                sent_us.saturating_sub(ser_cursor),
-            );
+            // The worker holds every fact of the request: it writes the
+            // record, whole.
+            if tracing {
+                let bounds = [
+                    job.enqueued_us,
+                    claim_us,
+                    solve.0,
+                    solve.1,
+                    ser_cursor,
+                    sent_us,
+                ];
+                let (sx, sy) = (job.req.sx as u32, job.req.sy as u32);
+                traces.push(RequestTrace::finished(
+                    job.ctx, sx, sy, bounds, iterations, converged, residual,
+                ));
+            }
             ser_cursor = sent_us;
-            metas.push(RequestMeta {
-                ctx: job.ctx,
-                sx: job.req.sx as u32,
-                sy: job.req.sy as u32,
-                enqueued_us: job.enqueued_us,
-                total_us: sent_us.saturating_sub(job.enqueued_us),
-                iterations,
-                converged,
-                final_residual: residual,
-            });
         }
-        // Off the hot path: replies are out; fold the ring + audit scope
-        // into the global request log.
-        mf_reqtrace::drain_batch(&metas);
+        // Off the hot path: replies are out.
+        mf_reqtrace::log_batch(&traces, solve.0..=solve.1);
         c_requests.add(jobs.len() as u64);
         c_batches.incr();
         g_occ.set(jobs.len() as f64);
@@ -554,8 +525,8 @@ struct BatchOutcome {
     responses: Vec<SolveResponse>,
     /// Final residual per request (NaN when the solve recorded none).
     residuals: Vec<f64>,
-    solve_start_us: u64,
-    solve_end_us: u64,
+    /// Start and end of `run_many` on the telemetry clock.
+    solve_us: (u64, u64),
 }
 
 /// Solve one same-key batch. Requests were validated at submission, and
@@ -569,9 +540,6 @@ fn handle_batch(inner: &ServiceInner, jobs: &[Job]) -> BatchOutcome {
         ..MfpConfig::default()
     };
     let mfp = Mfp::new(&*inner.solver, domain);
-    // Open the convergence-audit scope for the solve; `run_many` fills
-    // in per-slot iterations, residuals, and eviction rounds.
-    mf_reqtrace::begin_batch(jobs.len());
     let solve_start_us = mf_telemetry::now_us();
     let bcs: Vec<Tensor> = jobs.iter().map(|j| j.req.bc.clone()).collect();
     let results = mfp.run_many(&bcs, &cfg);
@@ -597,8 +565,7 @@ fn handle_batch(inner: &ServiceInner, jobs: &[Job]) -> BatchOutcome {
     BatchOutcome {
         responses,
         residuals,
-        solve_start_us,
-        solve_end_us,
+        solve_us: (solve_start_us, solve_end_us),
     }
 }
 

@@ -108,6 +108,31 @@ fn fmt_args(args: &[(String, f64)]) -> String {
     out
 }
 
+/// Take every collected span and flow event ([`crate::drain_spans`],
+/// [`crate::drain_flows`]) and write them to `path` — Chrome `trace_event`
+/// JSON, or JSON Lines when the path ends in `.jsonl` — reporting the counts
+/// or the failure on stderr. The end of a `--trace PATH` run; no-op without
+/// a path.
+pub fn write_trace_file(path: Option<&str>) {
+    let Some(path) = path else { return };
+    let spans = crate::drain_spans();
+    let flows = crate::drain_flows();
+    let mut body = Vec::new();
+    let written = if path.ends_with(".jsonl") {
+        write_jsonl(&spans, &mut body)
+    } else {
+        write_chrome_trace_with_flows(&spans, &flows, &mut body)
+    };
+    match written.and_then(|()| std::fs::write(path, body)) {
+        Ok(()) => eprintln!(
+            "wrote {} span(s) and {} flow event(s) to {path}",
+            spans.len(),
+            flows.len()
+        ),
+        Err(e) => eprintln!("failed to write trace: {e}"),
+    }
+}
+
 /// Write events as JSON Lines: one self-contained object per line with
 /// `name`, `rank`, `ts` (µs), `dur` (µs), `depth`, and `args`.
 pub fn write_jsonl<W: Write>(events: &[SpanEvent], w: &mut W) -> io::Result<()> {

@@ -2,7 +2,7 @@
 //! record, one set of stores, and the exporters that read them. The other
 //! observability crates are consumers (`mf-observe`: post-mortem bundles,
 //! health, rendering; `mf-profile`: HTTP exposition; `mf-reqtrace`: request
-//! log, convergence audit, SLO).
+//! log, SLO).
 //!
 //! 1. **The spine** ([`span!`], [`zone!`], [`flow`], [`event`]) — one
 //!    scoped-site guard ([`Scope`]) behind two macros that differ in level,
@@ -58,7 +58,7 @@ mod span;
 
 pub use export::{
     parse_chrome_trace, parse_chrome_trace_full, parse_jsonl, write_chrome_trace,
-    write_chrome_trace_with_flows, write_jsonl, FlowEvent, FlowPhase, SpanEvent,
+    write_chrome_trace_with_flows, write_jsonl, write_trace_file, FlowEvent, FlowPhase, SpanEvent,
 };
 pub use expose::{render_openmetrics, render_snapshot_json, sanitize_metric_name};
 pub use json::{escape as escape_json, JsonValue};

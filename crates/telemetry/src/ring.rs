@@ -1,5 +1,5 @@
-//! The workspace's one ring buffer: the flight recorder's, the request-span
-//! ring and request log of `mf-reqtrace`, the latency window of `mf-serve`.
+//! The workspace's one ring buffer: the flight recorder's, the request log
+//! of `mf-reqtrace`, the latency window of `mf-serve`.
 
 /// Fixed-capacity ring of `Copy` values that overwrites its oldest entry
 /// when full. Storage is reserved on the first push (or an explicit

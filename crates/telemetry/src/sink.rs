@@ -24,7 +24,7 @@ pub const TRACE: u8 = 1;
 pub const ZONES: u8 = 2;
 /// Sink bit: the flight-recorder ring (`mf_observe::set_recording`).
 pub const RECORDER: u8 = 4;
-/// Sink bit: request spans and convergence audit (`mf_reqtrace::set_enabled`).
+/// Sink bit: the request log (`mf_reqtrace::set_enabled`).
 pub const REQTRACE: u8 = 8;
 
 static SINKS: AtomicU8 = AtomicU8::new(ZONES | RECORDER | REQTRACE);
@@ -223,7 +223,8 @@ pub fn current_request() -> u64 {
 }
 
 /// Remove the records matching `pred` from the current thread's flight
-/// ring, oldest first (a serve worker takes its batch's iteration spans).
+/// ring, oldest first (the request log takes the spans recorded under a
+/// serve worker's solve).
 pub fn drain_flight(pred: impl FnMut(&Record) -> bool, out: impl FnMut(Record)) {
     SINK.with(|s| s.borrow_mut().flight.drain_filter(pred, out));
 }

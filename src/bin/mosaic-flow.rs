@@ -656,23 +656,7 @@ fn finish_telemetry(trace_path: Option<&str>) {
             eprint!("{}", tel::render_report(std::slice::from_ref(&snap)));
         }
     }
-    let Some(path) = trace_path else { return };
-    let spans = tel::drain_spans();
-    let flows = tel::drain_flows();
-    let mut body = Vec::new();
-    let written = if path.ends_with(".jsonl") {
-        tel::write_jsonl(&spans, &mut body)
-    } else {
-        tel::write_chrome_trace_with_flows(&spans, &flows, &mut body)
-    };
-    match written.and_then(|()| std::fs::write(path, body)) {
-        Ok(()) => eprintln!(
-            "wrote {} span(s) and {} flow event(s) to {path}",
-            spans.len(),
-            flows.len()
-        ),
-        Err(e) => eprintln!("failed to write trace: {e}"),
-    }
+    tel::write_trace_file(trace_path);
 }
 
 fn main() -> ExitCode {

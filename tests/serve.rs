@@ -262,8 +262,8 @@ fn request_traces_decompose_wall_time_completely() {
         h.join().unwrap();
     }
 
-    // Replies are sent before the worker folds its span ring into the
-    // global log; give the drain a moment to land.
+    // Replies are sent before the worker hands the batch's records to the
+    // global log; give them a moment to land.
     let mut traces = Vec::new();
     for _ in 0..500 {
         traces = reqtrace::recent(reqtrace::RECENT_CAP);
