@@ -46,7 +46,8 @@ pub fn emit_metrics(metrics: &[(String, gate::Metric)]) {
 ///   hand to [`finish_trace`]. The binaries time their measured regions
 ///   with [`mf_telemetry::timed!`], so the printed tables and the
 ///   exported trace come from the same spans.
-/// * `--metrics` — print the merged telemetry report to stderr at exit.
+/// * `--metrics` — every `Cluster` run prints its merged per-rank
+///   telemetry report to stderr as it ends.
 /// * `--watch` — periodic rendered reports (loss curve, step-time
 ///   sparklines, residual heatmap) to stderr while running.
 /// * `--metrics-addr HOST:PORT` (or `MF_METRICS_ADDR`) — serve live

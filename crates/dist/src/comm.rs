@@ -12,7 +12,8 @@ use crate::topology::NodeMap;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use mf_observe::flow_id;
 use mf_telemetry::{
-    counter, flow, gauge, histogram, span, Buckets, Counter, FlowPhase, Gauge, Histogram,
+    counter, flow, gauge, histogram, render_report, span, Buckets, Counter, FlowPhase, Gauge,
+    Histogram, MetricsSnapshot,
 };
 use std::collections::{BTreeMap, HashSet};
 use std::panic::AssertUnwindSafe;
@@ -208,6 +209,11 @@ impl Cluster {
     /// Run `f` on `size` ranks under a [`FaultPlan`], collecting per-rank
     /// results in rank order or a [`ClusterError`] naming every failed
     /// rank (origin first) if any rank panicked or was crash-injected.
+    ///
+    /// With the `--metrics` report on
+    /// ([`mf_telemetry::set_metrics_report`]), a run in which every rank
+    /// returned prints one [`render_report`] over the ranks' metrics
+    /// snapshots, taken as each `f` returns, to stderr.
     pub fn try_run<T, F>(size: usize, plan: FaultPlan, f: F) -> Result<Vec<T>, ClusterError>
     where
         T: Send,
@@ -255,7 +261,11 @@ impl Cluster {
         drop(senders_per_dst);
 
         let f = &f;
-        let outs: Vec<Option<T>> = std::thread::scope(|scope| {
+        // `--metrics`: each rank keeps its own registry, so the report is
+        // built from the snapshots the ranks hand back — no message is sent
+        // and no counter moves.
+        let report = mf_telemetry::metrics_report_enabled();
+        let outs: Vec<Option<(T, Option<MetricsSnapshot>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = comms
                 .iter_mut()
                 .map(|comm| {
@@ -274,7 +284,7 @@ impl Cluster {
                         // step) is preserved for the post-mortem bundle.
                         mf_telemetry::flush_thread();
                         match out {
-                            Ok(v) => Some(v),
+                            Ok(v) => Some((v, report.then(mf_telemetry::snapshot))),
                             Err(payload) => {
                                 faults.mark_failed(rank, panic_message(payload.as_ref()));
                                 None
@@ -291,7 +301,13 @@ impl Cluster {
 
         let failed = std::mem::take(&mut *lock_robust(&faults.panics));
         if failed.is_empty() {
-            Ok(outs.into_iter().map(|o| o.expect("rank result")).collect())
+            let (outs, snaps): (Vec<T>, Vec<_>) =
+                outs.into_iter().map(|o| o.expect("rank result")).unzip();
+            if report {
+                let snaps: Vec<MetricsSnapshot> = snaps.into_iter().flatten().collect();
+                eprint!("{}", render_report(&snaps));
+            }
+            Ok(outs)
         } else {
             let err = ClusterError { failed };
             // Post-mortem: every rank's flight recorder was flushed on

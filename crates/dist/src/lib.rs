@@ -9,7 +9,8 @@
 //! thread and every link is a crossbeam channel:
 //!
 //! * [`Cluster::run`] spawns one thread per rank and hands each a
-//!   [`Communicator`],
+//!   [`Communicator`]; with `--metrics` on it prints one report over the
+//!   ranks' own metrics snapshots when they return, without a message,
 //! * point-to-point [`Communicator::send`]/[`Communicator::recv`] with
 //!   tags and out-of-order buffering (MPI semantics),
 //! * collectives: ring [`Communicator::allreduce_sum`] (reduce-scatter +
@@ -34,7 +35,6 @@ mod overlap;
 mod perfmodel;
 #[cfg(test)]
 mod stress_tests;
-mod telemetry;
 mod topology;
 
 pub use comm::{
@@ -44,5 +44,4 @@ pub use comm::{
 pub use fault::{ClusterError, CommError, CrashAt, FaultPlan, RetryPolicy};
 pub use overlap::{OverlapSample, OverlapTracker};
 pub use perfmodel::{thread_cpu_time, GpuModel, PerfModel};
-pub use telemetry::{gather_rank_metrics, merge_rank_metrics, print_merged_report};
 pub use topology::{CartesianGrid, Direction, NodeMap, RankOrder};

@@ -1,10 +1,11 @@
 //! Integration of `mf-telemetry` with the simulated cluster: span
-//! nesting/ordering under `Cluster::run`, per-rank metric aggregation, and
-//! trace-exporter round-trips over real collective traffic.
+//! nesting/ordering under `Cluster::run`, per-rank metric snapshots, and
+//! the trace exporter's round trip over real collective traffic.
 
-use mf_dist::{gather_rank_metrics, Cluster};
+use mf_dist::Cluster;
 use mf_telemetry::{
-    drain_spans, parse_chrome_trace, parse_jsonl, span, write_chrome_trace, write_jsonl,
+    drain_spans, histogram, parse_chrome_trace, snapshot, span, write_chrome_trace, Buckets,
+    MetricValue, MetricsSnapshot,
 };
 use std::sync::Mutex;
 
@@ -57,23 +58,19 @@ fn spans_nest_and_order_per_rank_under_cluster_run() {
         assert_eq!(outer[0].args, vec![("rank".to_string(), rank as f64)]);
     }
 
-    // The full trace survives both exporters byte-exactly.
-    let mut jsonl = Vec::new();
-    write_jsonl(&spans, &mut jsonl).unwrap();
-    assert_eq!(
-        parse_jsonl(&String::from_utf8(jsonl).unwrap()).unwrap(),
-        spans
-    );
+    // The full trace survives the exporter byte-exactly.
     let mut chrome = Vec::new();
     write_chrome_trace(&spans, &mut chrome).unwrap();
     assert_eq!(
-        parse_chrome_trace(&String::from_utf8(chrome).unwrap()).unwrap(),
+        parse_chrome_trace(&String::from_utf8(chrome).unwrap())
+            .unwrap()
+            .0,
         spans
     );
 }
 
 #[test]
-fn gather_rank_metrics_merges_per_rank_snapshots() {
+fn rank_snapshots_count_their_own_traffic() {
     let _guard = TRACE_LOCK.lock().unwrap();
     let outs = Cluster::run(4, |c| {
         // Distinct per-rank traffic: rank r sends r point-to-point
@@ -89,25 +86,13 @@ fn gather_rank_metrics_merges_per_rank_snapshots() {
                 }
             }
         }
-        c.barrier();
-        let per_rank = gather_rank_metrics(c);
-        (c.stats(), per_rank)
+        (c.stats(), snapshot())
     });
-
-    // Every rank saw the same gathered vector.
-    let (_, per_rank0) = &outs[0];
-    assert_eq!(per_rank0.len(), 4);
-    for (_, per_rank) in &outs[1..] {
-        for (a, b) in per_rank.iter().zip(per_rank0) {
-            assert_eq!(a.serialize(), b.serialize());
-        }
-    }
-    // Snapshot counters match each rank's own CommStats view of the
-    // pre-gather traffic (the gather's messages are excluded because the
-    // snapshot is taken first).
-    for (rank, (stats, _)) in outs.iter().enumerate() {
-        let snap = &per_rank0[rank];
-        assert!(snap.counter("comm.msgs_sent") >= stats.msgs_sent as u64 - 3);
+    // Rank threads are fresh, so a snapshot is exactly that rank's run and
+    // agrees with its own CommStats view.
+    for (rank, (stats, snap)) in outs.iter().enumerate() {
+        assert_eq!(snap.counter("comm.msgs_sent"), stats.msgs_sent as u64);
+        assert_eq!(snap.counter("comm.bytes_sent"), stats.bytes_sent as u64);
         if rank > 0 {
             assert_eq!(snap.counter("comm.msgs_sent"), rank as u64);
             assert_eq!(snap.counter("comm.bytes_sent"), rank as u64 * 8);
@@ -115,5 +100,65 @@ fn gather_rank_metrics_merges_per_rank_snapshots() {
             assert_eq!(snap.counter("comm.msgs_recv"), 6);
             assert_eq!(snap.counter("comm.bytes_recv"), 48);
         }
+    }
+}
+
+#[test]
+fn merged_rank_histograms_pool_per_bucket_counts() {
+    // Each rank records a disjoint slice of one observation set; merging
+    // the ranks' snapshots (what the `--metrics` report does) must behave
+    // as if a single rank had observed the whole pool: summed bucket
+    // counts, pooled count/sum/min/max, and quantile estimates that land
+    // in the pooled quantile's bucket.
+    let per_rank_obs: [&[f64]; 4] = [
+        &[1.0, 2.0, 3.0],
+        &[10.0, 20.0, 900.0],
+        &[40.0, 55.0],
+        &[0.5, 7.0, 70.0, 800.0],
+    ];
+    let mut pooled: Vec<f64> = per_rank_obs
+        .iter()
+        .flat_map(|o| o.iter().copied())
+        .collect();
+    pooled.sort_by(f64::total_cmp);
+    let buckets = Buckets::exponential(1.0, 4.0, 6);
+    let bounds = buckets.bounds().to_vec();
+
+    let mut merged = MetricsSnapshot::default();
+    for snap in Cluster::run(4, |c| {
+        let h = histogram("test.dist.merge_hist", Buckets::exponential(1.0, 4.0, 6));
+        for &v in per_rank_obs[c.rank()] {
+            h.record(v);
+        }
+        snapshot()
+    }) {
+        merged.merge(&snap);
+    }
+
+    let Some(MetricValue::Histogram(h)) = merged.get("test.dist.merge_hist") else {
+        panic!("merged histogram missing");
+    };
+    assert_eq!(h.count, pooled.len() as u64);
+    assert_eq!(h.sum, pooled.iter().sum::<f64>());
+    assert_eq!((h.min, h.max), (0.5, 900.0));
+    let mut expect = vec![0u64; bounds.len() + 1];
+    for &v in &pooled {
+        expect[buckets.bucket_index(v)] += 1;
+    }
+    assert_eq!(h.counts, expect);
+    for q in [0.5, 0.95, 0.99] {
+        let exact = pooled[((q * pooled.len() as f64).ceil() as usize - 1).min(pooled.len() - 1)];
+        let est = h.quantile_est(q);
+        let b = buckets.bucket_index(exact);
+        let lo = if b == 0 {
+            h.min
+        } else {
+            bounds[b - 1].max(h.min)
+        };
+        let hi = bounds.get(b).copied().unwrap_or(h.max).min(h.max);
+        assert!(
+            est >= lo && est <= hi,
+            "q{q}: est {est} outside bucket [{lo}, {hi}] containing exact {exact}"
+        );
     }
 }

@@ -786,9 +786,6 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
             stale_halos: self.stale_halos,
             overlap: self.overlap.final_sample(),
         };
-        if mf_telemetry::metrics_report_enabled() {
-            mf_dist::print_merged_report(self.comm);
-        }
         DistMfpResult {
             grid: global,
             iterations: self.iterations,

@@ -9,8 +9,9 @@
 //! ├── trace.json    merged Chrome trace: spans + cross-rank flow events
 //! │                 + flight-recorder events as zero-length slices
 //! │                 (loadable in Perfetto; flows draw send→recv arrows)
-//! ├── metrics.txt   per-rank MetricsSnapshot wire format, one section
-//! │                 per rank
+//! ├── metrics.txt   one `--- rank N ---` section per rank, each the
+//! │                 rank's metrics as OpenMetrics text (what `GET
+//! │                 /metrics` serves), ending in `# EOF`
 //! ├── events.txt    human-readable flight-recorder log, oldest first
 //! └── config.txt    run configuration as reported by the caller
 //! ```
@@ -19,7 +20,7 @@
 //! is set when a dump is due or a test/tool calls [`set_dump_dir`].
 //! [`read_bundle`] parses a bundle back for programmatic assertions.
 
-use mf_telemetry::{FlowEvent, MetricsSnapshot, RankRecord, Record, SpanEvent};
+use mf_telemetry::{FlowEvent, RankRecord, Record, SpanEvent};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -154,11 +155,11 @@ pub fn write_bundle(
     mf_telemetry::write_chrome_trace_with_flows(&all_spans, flows, &mut buf)?;
     std::fs::write(dir.join("trace.json"), buf)?;
 
-    // metrics.txt — per-rank snapshot wire format.
+    // metrics.txt — per-rank OpenMetrics text.
     let mut metrics = String::new();
     for (rank, rec) in records {
         metrics.push_str(&format!("--- rank {rank} ---\n"));
-        metrics.push_str(&rec.metrics);
+        metrics.push_str(&mf_telemetry::render_openmetrics(&rec.metrics, &[]));
     }
     std::fs::write(dir.join("metrics.txt"), metrics)?;
 
@@ -222,8 +223,8 @@ pub struct Bundle {
     pub spans: Vec<SpanEvent>,
     /// Cross-rank flow events from `trace.json`.
     pub flows: Vec<FlowEvent>,
-    /// Per-rank metric snapshots from `metrics.txt`.
-    pub metrics: Vec<(usize, MetricsSnapshot)>,
+    /// `metrics.txt` as written: per-rank OpenMetrics sections.
+    pub metrics: String,
     /// Run configuration from `config.txt`.
     pub config: String,
 }
@@ -277,23 +278,9 @@ pub fn read_bundle(dir: &Path) -> Result<Bundle, String> {
             });
         }
     }
-    let (spans, flows) = mf_telemetry::parse_chrome_trace_full(&read("trace.json")?)
+    (b.spans, b.flows) = mf_telemetry::parse_chrome_trace(&read("trace.json")?)
         .map_err(|e| format!("trace.json: {e}"))?;
-    b.spans = spans;
-    b.flows = flows;
-    let metrics_text = read("metrics.txt")?;
-    for section in metrics_text.split("--- rank ").skip(1) {
-        let (head, body) = section
-            .split_once(" ---\n")
-            .ok_or("metrics.txt: bad section header")?;
-        let rank: usize = head
-            .trim()
-            .parse()
-            .map_err(|e| format!("metrics.txt: bad rank: {e}"))?;
-        let snap =
-            MetricsSnapshot::parse(body).ok_or_else(|| format!("metrics.txt: rank {rank}"))?;
-        b.metrics.push((rank, snap));
-    }
+    b.metrics = read("metrics.txt")?;
     b.config = read("config.txt")?;
     Ok(b)
 }
@@ -333,9 +320,11 @@ mod tests {
                     ..Record::default()
                 },
             ],
-            metrics: {
-                let snap = mf_telemetry::snapshot();
-                snap.serialize()
+            metrics: mf_telemetry::MetricsSnapshot {
+                metrics: vec![(
+                    "comm.msgs_sent".into(),
+                    mf_telemetry::MetricValue::Counter(7),
+                )],
             },
             total: 2,
         };
@@ -397,8 +386,10 @@ mod tests {
         // The recorder ring shows up as zero-length slices.
         assert!(b.spans.iter().any(|s| s.name == "rec.comm.send"));
         assert!(b.spans.iter().any(|s| s.name == "mfp.iteration"));
-        assert_eq!(b.metrics.len(), 1);
-        assert_eq!(b.metrics[0].0, 3);
+        assert_eq!(
+            b.metrics,
+            "--- rank 3 ---\n# TYPE comm_msgs_sent counter\ncomm_msgs_sent_total 7\n# EOF\n"
+        );
         assert!(b.config.contains("lossy"));
         let _ = std::fs::remove_dir_all(&parent);
     }

@@ -600,7 +600,7 @@ mod tests {
             // Slowest of any window the other tests fill: the spans under
             // its solve export, the iteration recorded before it does not.
             let trace = render_exemplar_trace();
-            let events = mf_telemetry::parse_chrome_trace(&trace).expect("chrome trace");
+            let (events, _) = mf_telemetry::parse_chrome_trace(&trace).expect("chrome trace");
             let named = |n: &str| events.iter().filter(|e| e.name == n).count();
             assert_eq!(named("mfp.iteration"), 1, "{trace}");
             assert_eq!(named("infer.plan_compile"), 1, "{trace}");

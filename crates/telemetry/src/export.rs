@@ -1,8 +1,8 @@
 //! The export/parse side of the trace: [`SpanEvent`] and [`FlowEvent`]
-//! (what a [`Record`] becomes once it leaves its thread), the JSONL (one
-//! event per line) and Chrome `trace_event` JSON writers (loadable in
-//! `chrome://tracing` / Perfetto), and parsers that invert them exactly —
-//! used by tests and offline tooling.
+//! (what a [`Record`] becomes once it leaves its thread), the Chrome
+//! `trace_event` JSON writer (loadable in `chrome://tracing` / Perfetto),
+//! and the parser that inverts it exactly — used by tests and post-mortem
+//! bundles.
 
 use crate::json::{escape, JsonValue};
 use crate::sink::{Kind, Record};
@@ -109,21 +109,17 @@ fn fmt_args(args: &[(String, f64)]) -> String {
 }
 
 /// Take every collected span and flow event ([`crate::drain_spans`],
-/// [`crate::drain_flows`]) and write them to `path` — Chrome `trace_event`
-/// JSON, or JSON Lines when the path ends in `.jsonl` — reporting the counts
-/// or the failure on stderr. The end of a `--trace PATH` run; no-op without
-/// a path.
+/// [`crate::drain_flows`]) and write them to `path` as Chrome `trace_event`
+/// JSON, reporting the counts or the failure on stderr. The end of a
+/// `--trace PATH` run; no-op without a path.
 pub fn write_trace_file(path: Option<&str>) {
     let Some(path) = path else { return };
     let spans = crate::drain_spans();
     let flows = crate::drain_flows();
     let mut body = Vec::new();
-    let written = if path.ends_with(".jsonl") {
-        write_jsonl(&spans, &mut body)
-    } else {
-        write_chrome_trace_with_flows(&spans, &flows, &mut body)
-    };
-    match written.and_then(|()| std::fs::write(path, body)) {
+    match write_chrome_trace_with_flows(&spans, &flows, &mut body)
+        .and_then(|()| std::fs::write(path, body))
+    {
         Ok(()) => eprintln!(
             "wrote {} span(s) and {} flow event(s) to {path}",
             spans.len(),
@@ -131,24 +127,6 @@ pub fn write_trace_file(path: Option<&str>) {
         ),
         Err(e) => eprintln!("failed to write trace: {e}"),
     }
-}
-
-/// Write events as JSON Lines: one self-contained object per line with
-/// `name`, `rank`, `ts` (µs), `dur` (µs), `depth`, and `args`.
-pub fn write_jsonl<W: Write>(events: &[SpanEvent], w: &mut W) -> io::Result<()> {
-    for e in events {
-        writeln!(
-            w,
-            "{{\"name\":\"{}\",\"rank\":{},\"ts\":{},\"dur\":{},\"depth\":{},\"args\":{}}}",
-            escape(&e.name),
-            e.rank,
-            e.start_us,
-            e.dur_us,
-            e.depth,
-            fmt_args(&e.args)
-        )?;
-    }
-    Ok(())
 }
 
 /// Write events in the Chrome `trace_event` array format: complete
@@ -237,24 +215,16 @@ fn name_and_args(v: &JsonValue) -> Result<(String, Vec<(String, f64)>), String> 
     Ok((name, args))
 }
 
-fn event_from_json(v: &JsonValue, rank_key: &str) -> Result<SpanEvent, String> {
+fn event_from_json(v: &JsonValue) -> Result<SpanEvent, String> {
     let (name, args) = name_and_args(v)?;
     Ok(SpanEvent {
         name,
-        rank: field_u64(v, rank_key)? as usize,
+        rank: field_u64(v, "tid")? as usize,
         start_us: field_u64(v, "ts")?,
         dur_us: field_u64(v, "dur")?,
         depth: field_u64(v, "depth")? as u32,
         args,
     })
-}
-
-/// Parse a JSONL trace written by [`write_jsonl`].
-pub fn parse_jsonl(s: &str) -> Result<Vec<SpanEvent>, String> {
-    s.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| event_from_json(&JsonValue::parse(l)?, "rank"))
-        .collect()
 }
 
 fn flow_from_json(v: &JsonValue, phase: FlowPhase) -> Result<FlowEvent, String> {
@@ -280,15 +250,8 @@ fn flow_from_json(v: &JsonValue, phase: FlowPhase) -> Result<FlowEvent, String> 
 }
 
 /// Parse a Chrome trace written by [`write_chrome_trace`] or
-/// [`write_chrome_trace_with_flows`], returning only the slice events
-/// (flow events are skipped).
-pub fn parse_chrome_trace(s: &str) -> Result<Vec<SpanEvent>, String> {
-    parse_chrome_trace_full(s).map(|(spans, _)| spans)
-}
-
-/// Parse a Chrome trace written by [`write_chrome_trace_with_flows`],
-/// returning both slice and flow events.
-pub fn parse_chrome_trace_full(s: &str) -> Result<(Vec<SpanEvent>, Vec<FlowEvent>), String> {
+/// [`write_chrome_trace_with_flows`] into its slice and flow events.
+pub fn parse_chrome_trace(s: &str) -> Result<(Vec<SpanEvent>, Vec<FlowEvent>), String> {
     let doc = JsonValue::parse(s)?;
     let events = doc
         .as_arr()
@@ -297,7 +260,7 @@ pub fn parse_chrome_trace_full(s: &str) -> Result<(Vec<SpanEvent>, Vec<FlowEvent
     let mut flows = Vec::new();
     for e in events {
         match e.get("ph").and_then(JsonValue::as_str) {
-            Some("X") => spans.push(event_from_json(e, "tid")?),
+            Some("X") => spans.push(event_from_json(e)?),
             Some("s") => flows.push(flow_from_json(e, FlowPhase::Start)?),
             Some("f") => flows.push(flow_from_json(e, FlowPhase::Finish)?),
             other => return Err(format!("unsupported event phase {other:?}")),
@@ -340,24 +303,14 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_identical_spans() {
-        let events = sample_events();
-        let mut buf = Vec::new();
-        write_jsonl(&events, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert_eq!(text.lines().count(), events.len());
-        let back = parse_jsonl(&text).unwrap();
-        assert_eq!(back, events);
-    }
-
-    #[test]
     fn chrome_trace_round_trips_identical_spans() {
         let events = sample_events();
         let mut buf = Vec::new();
         write_chrome_trace(&events, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let back = parse_chrome_trace(&text).unwrap();
+        let (back, flows) = parse_chrome_trace(&text).unwrap();
         assert_eq!(back, events);
+        assert!(flows.is_empty());
         // Structural validity: every event is a complete event with
         // microsecond timestamps and the rank as tid.
         let doc = JsonValue::parse(&text).unwrap();
@@ -386,9 +339,11 @@ mod tests {
             args: vec![],
         }];
         let mut buf = Vec::new();
-        write_jsonl(&events, &mut buf).unwrap();
+        write_chrome_trace(&events, &mut buf).unwrap();
         assert_eq!(
-            parse_jsonl(&String::from_utf8(buf).unwrap()).unwrap(),
+            parse_chrome_trace(&String::from_utf8(buf).unwrap())
+                .unwrap()
+                .0,
             events
         );
     }
@@ -397,8 +352,8 @@ mod tests {
     fn empty_trace_is_valid() {
         let mut buf = Vec::new();
         write_chrome_trace(&[], &mut buf).unwrap();
-        let back = parse_chrome_trace(&String::from_utf8(buf).unwrap()).unwrap();
-        assert!(back.is_empty());
+        let (spans, flows) = parse_chrome_trace(&String::from_utf8(buf).unwrap()).unwrap();
+        assert!(spans.is_empty() && flows.is_empty());
     }
 
     #[test]
@@ -428,11 +383,9 @@ mod tests {
         let mut buf = Vec::new();
         write_chrome_trace_with_flows(&events, &flows, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let (spans_back, flows_back) = parse_chrome_trace_full(&text).unwrap();
+        let (spans_back, flows_back) = parse_chrome_trace(&text).unwrap();
         assert_eq!(spans_back, events);
         assert_eq!(flows_back, flows);
-        // The span-only parser tolerates (skips) flow phases.
-        assert_eq!(parse_chrome_trace(&text).unwrap(), events);
         // Structural validity of the flow pair: "s" then "f" with bp:"e".
         let doc = JsonValue::parse(&text).unwrap();
         let arr = doc.as_arr().unwrap();
@@ -459,7 +412,7 @@ mod tests {
         }];
         let mut buf = Vec::new();
         write_chrome_trace_with_flows(&[], &flows, &mut buf).unwrap();
-        let (spans, back) = parse_chrome_trace_full(&String::from_utf8(buf).unwrap()).unwrap();
+        let (spans, back) = parse_chrome_trace(&String::from_utf8(buf).unwrap()).unwrap();
         assert!(spans.is_empty());
         assert_eq!(back, flows);
     }

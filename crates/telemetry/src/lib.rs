@@ -18,18 +18,19 @@
 //!    accumulates its own independent set; recording is a vector index
 //!    plus an add.
 //! 3. **Exporters** — a human-readable summary report
-//!    ([`render_report`]), a JSONL trace file ([`write_jsonl`]), a Chrome
-//!    `trace_event` JSON file ([`write_chrome_trace`]) loadable in
+//!    ([`render_report`]), a Chrome `trace_event` JSON file
+//!    ([`write_chrome_trace`], [`write_trace_file`]) loadable in
 //!    `chrome://tracing` / Perfetto, and OpenMetrics / JSON exposition
 //!    ([`render_openmetrics`], [`render_snapshot_json`]).
 //! 4. **Structured logging** ([`log!`], [`log_emit`]) — leveled JSONL
 //!    diagnostics on stderr (`MF_LOG=error|warn|info|debug`), tagged with
 //!    the thread's rank and, when set, the request id being handled.
 //!
-//! Distributed runs aggregate per-rank [`MetricsSnapshot`]s over the
-//! existing communicator (see `mf_dist::gather_rank_metrics`), which uses
-//! [`MetricsSnapshot::serialize`]/[`MetricsSnapshot::parse`] from this
-//! crate, and emit one merged report.
+//! Distributed runs report without a message: every rank is a thread, so
+//! `mf_dist::Cluster` takes each rank's [`snapshot`] as the rank returns and,
+//! when [`set_metrics_report`] is on, prints one [`render_report`] over
+//! them. Post-mortem bundles write the same snapshots with
+//! [`render_openmetrics`], the format `GET /metrics` serves.
 //!
 //! ```
 //! mf_telemetry::set_tracing(true);
@@ -57,8 +58,8 @@ mod sink;
 mod span;
 
 pub use export::{
-    parse_chrome_trace, parse_chrome_trace_full, parse_jsonl, write_chrome_trace,
-    write_chrome_trace_with_flows, write_jsonl, write_trace_file, FlowEvent, FlowPhase, SpanEvent,
+    parse_chrome_trace, write_chrome_trace, write_chrome_trace_with_flows, write_trace_file,
+    FlowEvent, FlowPhase, SpanEvent,
 };
 pub use expose::{render_openmetrics, render_snapshot_json, sanitize_metric_name};
 pub use json::{escape as escape_json, JsonValue};
@@ -108,8 +109,8 @@ pub fn set_tracing(on: bool) {
     set_sink(TRACE, on);
 }
 
-/// Request that distributed runs print a merged per-rank metrics report
-/// (the `--metrics` CLI flag). Off by default.
+/// Request that every `Cluster` run print one merged per-rank metrics
+/// report (the `--metrics` CLI flag). Off by default.
 pub fn set_metrics_report(on: bool) {
     METRICS_REPORT.store(on, Ordering::SeqCst);
 }

@@ -421,8 +421,7 @@ pub enum MetricValue {
 }
 
 /// Every registered metric's value on one thread (one rank), captured by
-/// [`snapshot`]. Serializable so ranks can ship their snapshots over the
-/// communicator for a merged report.
+/// [`snapshot`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` pairs, sorted by name.
@@ -516,96 +515,6 @@ impl MetricsSnapshot {
             }
         }
         self.metrics.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-
-    /// Compact text encoding for shipping snapshots between ranks.
-    /// Exact: floats are encoded as their IEEE-754 bits, so
-    /// `parse(serialize(s)) == s`.
-    pub fn serialize(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("mfm1\n");
-        for (name, val) in &self.metrics {
-            debug_assert!(!name.contains(char::is_whitespace), "metric name {name:?}");
-            match val {
-                MetricValue::Counter(v) => {
-                    let _ = writeln!(out, "c {name} {v}");
-                }
-                MetricValue::Gauge(v) => {
-                    let _ = writeln!(out, "g {name} {}", v.to_bits());
-                }
-                MetricValue::Histogram(h) => {
-                    let _ = write!(
-                        out,
-                        "h {name} {} {} {} {} {}",
-                        h.bounds.len(),
-                        h.count,
-                        h.sum.to_bits(),
-                        h.min.to_bits(),
-                        h.max.to_bits()
-                    );
-                    for b in &h.bounds {
-                        let _ = write!(out, " {}", b.to_bits());
-                    }
-                    for c in &h.counts {
-                        let _ = write!(out, " {c}");
-                    }
-                    out.push('\n');
-                }
-            }
-        }
-        out
-    }
-
-    /// Inverse of [`MetricsSnapshot::serialize`].
-    pub fn parse(s: &str) -> Option<MetricsSnapshot> {
-        let mut lines = s.lines();
-        if lines.next()? != "mfm1" {
-            return None;
-        }
-        let mut metrics = Vec::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut t = line.split_ascii_whitespace();
-            let kind = t.next()?;
-            let name = t.next()?.to_string();
-            match kind {
-                "c" => metrics.push((name, MetricValue::Counter(t.next()?.parse().ok()?))),
-                "g" => metrics.push((
-                    name,
-                    MetricValue::Gauge(f64::from_bits(t.next()?.parse().ok()?)),
-                )),
-                "h" => {
-                    let nbounds: usize = t.next()?.parse().ok()?;
-                    let count: u64 = t.next()?.parse().ok()?;
-                    let sum = f64::from_bits(t.next()?.parse().ok()?);
-                    let min = f64::from_bits(t.next()?.parse().ok()?);
-                    let max = f64::from_bits(t.next()?.parse().ok()?);
-                    let mut bounds = Vec::with_capacity(nbounds);
-                    for _ in 0..nbounds {
-                        bounds.push(f64::from_bits(t.next()?.parse().ok()?));
-                    }
-                    let mut counts = Vec::with_capacity(nbounds + 1);
-                    for _ in 0..nbounds + 1 {
-                        counts.push(t.next()?.parse().ok()?);
-                    }
-                    metrics.push((
-                        name,
-                        MetricValue::Histogram(HistSnapshot {
-                            bounds,
-                            counts,
-                            count,
-                            sum,
-                            min,
-                            max,
-                        }),
-                    ));
-                }
-                _ => return None,
-            }
-        }
-        Some(MetricsSnapshot { metrics })
     }
 }
 
@@ -752,22 +661,6 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(other, (0, 0.0));
-    }
-
-    #[test]
-    fn snapshot_serialization_round_trips_exactly() {
-        let c = counter("test.roundtrip.counter");
-        let g = gauge("test.roundtrip.gauge");
-        let h = histogram("test.roundtrip.hist", Buckets::exponential(0.1, 3.0, 4));
-        crate::reset_thread_metrics();
-        c.add(42);
-        g.set(-0.1 + 0.3); // a value with an inexact decimal form
-        h.record(0.05);
-        h.record(7.25);
-        let snap = snapshot();
-        let text = snap.serialize();
-        let back = MetricsSnapshot::parse(&text).expect("parse failed");
-        assert_eq!(back, snap);
     }
 
     #[test]

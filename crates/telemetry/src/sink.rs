@@ -150,8 +150,8 @@ thread_local! {
 pub struct RankRecord {
     /// Ring contents, oldest first.
     pub events: Vec<Record>,
-    /// The rank's serialized [`crate::MetricsSnapshot`] at flush time.
-    pub metrics: String,
+    /// The rank's metrics at flush time.
+    pub metrics: crate::MetricsSnapshot,
     /// Total events ever recorded (>= `events.len()` once wrapped).
     pub total: u64,
 }
@@ -256,8 +256,7 @@ pub fn flush_thread() {
             let record = RankRecord {
                 total: s.flight.total(),
                 events: s.flight.iter().copied().collect(),
-                metrics: crate::metrics::snapshot_from(&s.counters, &s.gauges, &s.hists)
-                    .serialize(),
+                metrics: crate::metrics::snapshot_from(&s.counters, &s.gauges, &s.hists),
             };
             c.rings.insert(rank, record);
             s.flight.clear();
@@ -394,6 +393,7 @@ mod tests {
             set_thread_rank(3);
             set_step_context(1, 7);
             crate::event("test.step", 0, 0.5);
+            crate::counter("test.flush.rank3").add(2);
             let caught = std::panic::catch_unwind(|| panic!("injected"));
             assert!(caught.is_err());
             flush_thread();
@@ -424,7 +424,7 @@ mod tests {
         let rec = &all.iter().find(|(r, _)| *r == 3).expect("rank 3 flushed").1;
         assert_eq!(rec.events.len(), 1);
         assert_eq!(rec.last_step(), Some((1, 7)));
-        assert!(rec.metrics.starts_with("mfm1"));
+        assert_eq!(rec.metrics.counter("test.flush.rank3"), 2);
         let rec9 = &all.iter().find(|(r, _)| *r == 9).expect("rank 9 flushed").1;
         assert!(rec9.events.iter().all(|e| e.name != "test.disabled"));
         let rec0 = &all.iter().find(|(r, _)| *r == 0).expect("rank 0 filed").1;

@@ -1,11 +1,10 @@
 //! Integration coverage for the cross-thread collection paths: many
 //! rank-tagged threads recording spans/flows/metrics concurrently, one
-//! drain seeing all of them, and the snapshot wire format surviving a
-//! serialize → parse → merge round trip (including histograms and the
-//! interpolated quantiles).
+//! drain seeing all of them, and per-thread snapshots merging into one
+//! (including histograms and the interpolated quantiles).
 
 use mf_telemetry::{
-    drain_flows, drain_spans, histogram, snapshot, Buckets, FlowPhase, MetricValue, MetricsSnapshot,
+    drain_flows, drain_spans, histogram, snapshot, Buckets, FlowPhase, MetricValue,
 };
 
 #[test]
@@ -61,10 +60,10 @@ fn spans_and_flows_from_many_threads_drain_once_in_rank_order() {
 }
 
 #[test]
-fn per_rank_snapshots_serialize_parse_and_merge_with_quantiles() {
+fn per_rank_snapshots_merge_with_quantiles() {
     // Two "ranks" record into the same named metrics on their own
-    // threads; each ships its snapshot as text (exactly what
-    // gather_rank_metrics does over the communicator).
+    // threads and hand back their snapshots (exactly what the cluster's
+    // `--metrics` report does).
     let mk = |rank: u64| {
         std::thread::spawn(move || {
             mf_telemetry::set_thread_rank(rank as usize);
@@ -76,21 +75,13 @@ fn per_rank_snapshots_serialize_parse_and_merge_with_quantiles() {
             for v in [1.0, 20.0, 30.0 + rank as f64 * 200.0] {
                 h.record(v);
             }
-            snapshot().serialize()
+            snapshot()
         })
         .join()
         .unwrap()
     };
-    let wire0 = mk(0);
-    let wire1 = mk(1);
-
-    let s0 = MetricsSnapshot::parse(&wire0).expect("rank 0 snapshot parses");
-    let s1 = MetricsSnapshot::parse(&wire1).expect("rank 1 snapshot parses");
-    // The wire format is exact: re-serializing reproduces the bytes.
-    assert_eq!(s0.serialize(), wire0);
-    assert_eq!(s1.serialize(), wire1);
-
-    let mut merged = s0.clone();
+    let s1 = mk(1);
+    let mut merged = mk(0);
     merged.merge(&s1);
     assert_eq!(merged.counter("it.roundtrip.msgs"), 2 + 3);
     assert_eq!(merged.gauge("it.roundtrip.peak"), 3.0); // gauges keep max
@@ -106,9 +97,4 @@ fn per_rank_snapshots_serialize_parse_and_merge_with_quantiles() {
     assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
     assert!(p50 >= h.min && p99 <= h.max);
     assert!(p99.is_finite(), "overflow bucket must not yield inf");
-    // The merged snapshot round-trips too.
-    assert_eq!(
-        MetricsSnapshot::parse(&merged.serialize()).as_ref(),
-        Some(&merged)
-    );
 }

@@ -473,9 +473,6 @@ pub fn train_ddp_resumable(
             ckpt,
         };
         let logs = run_epochs(&mut net, &shard, val, cfg, &schedule, Some(peers), resume);
-        if mf_telemetry::metrics_report_enabled() {
-            mf_dist::print_merged_report(comm);
-        }
         (net.params.flatten(), logs, comm.stats())
     })?;
 

@@ -30,19 +30,20 @@
 //! (`Concat` embedding) run on the graph-based solver.
 //!
 //! Every subcommand has a closed list of flags: an unknown flag, a
-//! missing value, a value that does not parse, or a zero where a count
-//! must be at least 1 (`--devices`, `--epochs`, `--ranks`, `--workers`,
-//! either factor of `--domain`) prints a one-line reason plus the usage and
-//! exits non-zero.
+//! missing value, a value that does not parse, a negative or non-finite
+//! rate (`--drop-rate`, `--slo-*`), or a zero where a count must be at
+//! least 1 (`--devices`, `--epochs`, `--ranks`, `--workers`, `eval
+//! --samples`, either factor of `--domain`) prints a one-line reason plus
+//! the usage and exits non-zero; so does a `train --samples` too small to
+//! leave a validation sample.
 //!
 //! Observability flags (any subcommand):
 //!
-//! * `--metrics` — print a telemetry summary to stderr at exit;
-//!   distributed regions (`--ranks P`, `--devices P`) print one report
-//!   merged across ranks.
+//! * `--metrics` — print a telemetry summary to stderr at exit; every
+//!   distributed region (`--ranks P`, `--devices P`) prints one report
+//!   merged across its ranks as it ends, at no message cost.
 //! * `--trace PATH` — record spans and write a Chrome `trace_event` JSON
-//!   file (open in `chrome://tracing` / Perfetto); a `.jsonl` suffix
-//!   selects the JSON-Lines format instead. Distributed runs include
+//!   file (open in `chrome://tracing` / Perfetto). Distributed runs include
 //!   cross-rank flow events connecting each send to its receive.
 //! * `--watch` — periodic rendered progress reports (loss curve,
 //!   step-time sparklines, residual heatmap, live series rates) on
@@ -69,7 +70,7 @@ enum Kind {
     /// A count of at least 1: devices, ranks, epochs, workers — a zero
     /// would divide by it, build an empty cluster, or never answer.
     Positive,
-    /// A floating-point number.
+    /// A finite number of at least 0: a rate or a budget.
     Real,
     /// `SXxSY` atomic subdomains, both at least 1.
     Domain,
@@ -112,7 +113,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
         "info" => (cmd_info, &[("model", Text)]),
         "eval" => (
             cmd_eval,
-            &[("model", Text), ("samples", Count), ("seed", Count)],
+            &[("model", Text), ("samples", Positive), ("seed", Count)],
         ),
         "solve" => (
             cmd_solve,
@@ -179,7 +180,13 @@ fn parse_flags(cmd: &str, table: FlagTable, args: &[String]) -> Result<Flags, St
                     Some("a non-negative integer")
                 }
                 Kind::Positive if value.parse::<u64>() == Ok(0) => Some("at least 1"),
-                Kind::Real if value.parse::<f64>().is_err() => Some("a number"),
+                Kind::Real
+                    if !value
+                        .parse::<f64>()
+                        .is_ok_and(|r| r.is_finite() && r >= 0.0) =>
+                {
+                    Some("a finite number of at least 0")
+                }
                 Kind::Domain if parse_domain(value).is_none() => {
                     Some("SXxSY atomic subdomains, both at least 1, like 4x2")
                 }
@@ -229,9 +236,9 @@ fn usage() -> ExitCode {
                [--max-points N] [--max-wait-us U]\n\
          \n\
          observability (any subcommand):\n\
-           --metrics            print a telemetry summary to stderr at exit\n\
+           --metrics            print telemetry reports to stderr: one per distributed run, one at exit\n\
            --metrics-addr H:P   serve GET /metrics (OpenMetrics) and /snapshot (JSON)\n\
-           --trace PATH         write a Chrome trace_event JSON (.jsonl for JSON-Lines)\n\
+           --trace PATH         write a Chrome trace_event JSON\n\
            --watch              periodic rendered progress reports on stderr\n\
            MF_OBSERVE=dump[:DIR] write a post-mortem bundle on failure\n\
            MF_METRICS_ADDR=H:P  same as --metrics-addr"
@@ -253,6 +260,10 @@ fn cmd_train(flags: &Flags) -> ExitCode {
     eprintln!("generating {samples} samples on a {m}x{m} subdomain ...");
     let dataset = Dataset::generate(spec, samples, seed);
     let (train, val) = dataset.split(0.9);
+    if val.is_empty() {
+        eprintln!("mosaic-flow train: --samples {samples} leaves no validation sample\n");
+        return usage();
+    }
 
     let mut cfg = SdNetConfig::small(spec.boundary_len());
     cfg.conv_channels = vec![4];
@@ -639,14 +650,13 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
 }
 
 /// Flush telemetry at process exit: print the main-thread metrics summary
-/// (distributed regions already print a merged per-rank report from inside
-/// the rank closures) and write the span trace if `--trace` was given.
+/// (each distributed region already printed its merged per-rank report as
+/// its cluster ended) and write the span trace if `--trace` was given.
 fn finish_telemetry(trace_path: Option<&str>) {
     use mosaic_flow::telemetry as tel;
     if tel::metrics_report_enabled() {
         let snap = tel::snapshot();
-        // Distributed regions print a merged per-rank report from inside the
-        // rank closures; only add a main-thread report if it saw activity.
+        // Only add a main-thread report if it saw activity.
         let active = snap.metrics.iter().any(|(_, v)| match v {
             tel::MetricValue::Counter(c) => *c > 0,
             tel::MetricValue::Gauge(g) => *g != 0.0,

@@ -162,6 +162,8 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
     // A value flag without its value.
     let err = rejected(&["solve", "--domain", "2x1", "--trace"]);
     assert!(err.contains("--trace needs a value"), "{err}");
+    let model = tmp("rejected.mfn");
+    let model = model.to_str().unwrap();
     // A zero where a count must be at least 1 is a reason line like any
     // other bad value — it used to be a division by zero, an `unwrap` on
     // no epoch log, and two assertions deep inside the library.
@@ -216,6 +218,44 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
             &["train", "--m", "8"],
             "--m expects an odd number of at least 5, got `8`",
         ),
+        // An empty validation split used to report a perfect MSE of zero
+        // over zero samples: the 90/10 split leaves none for N < 6.
+        (
+            &["train", "--samples", "5", "--epochs", "1", "--out", model],
+            "--samples 5 leaves no validation sample",
+        ),
+        (
+            &[
+                "train",
+                "--samples",
+                "3",
+                "--devices",
+                "4",
+                "--epochs",
+                "1",
+                "--out",
+                model,
+            ],
+            "--samples 3 leaves no validation sample",
+        ),
+        (
+            &["eval", "--model", model, "--samples", "0"],
+            "--samples expects at least 1, got `0`",
+        ),
+        // A rate is a finite number of at least 0: `nan` and a negative
+        // used to run silently with no faults.
+        (
+            &["solve", "--oracle", "--ranks", "2", "--drop-rate", "nan"],
+            "--drop-rate expects a finite number of at least 0, got `nan`",
+        ),
+        (
+            &["solve", "--oracle", "--ranks", "2", "--drop-rate", "-0.5"],
+            "--drop-rate expects a finite number of at least 0, got `-0.5`",
+        ),
+        (
+            &["solve", "--oracle", "--ranks", "2", "--drop-rate", "inf"],
+            "--drop-rate expects a finite number of at least 0, got `inf`",
+        ),
     ] {
         let err = rejected(args);
         assert!(
@@ -224,6 +264,76 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
         );
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
+}
+
+/// Run `args`, expect success, and return stderr.
+fn stderr_of(args: &[&str]) -> String {
+    let out = cli().args(args).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(out.status.success(), "{args:?}: {err}");
+    err
+}
+
+#[test]
+fn metrics_and_trace_flags_report_once_per_distributed_run() {
+    use mosaic_flow::telemetry::parse_chrome_trace;
+    let trace = tmp("trace.json");
+    let err = stderr_of(&[
+        "solve",
+        "--domain",
+        "2x1",
+        "--oracle",
+        "--ranks",
+        "2",
+        "--metrics",
+        "--trace",
+        trace.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        err.matches("== telemetry report (2 ranks) ==").count(),
+        1,
+        "{err}"
+    );
+    let msgs = err
+        .lines()
+        .find(|l| l.starts_with("comm.msgs_sent "))
+        .unwrap_or_else(|| panic!("no comm.msgs_sent row: {err}"));
+    assert!(msgs.ends_with("per-rank [13 13]"), "{msgs}");
+    let (spans, flows) = parse_chrome_trace(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    for rank in 0..2 {
+        assert!(
+            spans.iter().any(|s| s.rank == rank),
+            "no span on tid {rank}"
+        );
+    }
+    let sends: Vec<_> = flows
+        .iter()
+        .filter(|f| f.phase == mosaic_flow::telemetry::FlowPhase::Start)
+        .collect();
+    assert!(
+        sends.iter().any(|s| flows
+            .iter()
+            .any(|f| f.id == s.id && f.phase == mosaic_flow::telemetry::FlowPhase::Finish)),
+        "no send/recv flow pair among {} flow events",
+        flows.len()
+    );
+    let _ = std::fs::remove_file(&trace);
+
+    let model = tmp("report.mfn");
+    let err = stderr_of(&[
+        "train",
+        "--samples",
+        "12",
+        "--epochs",
+        "1",
+        "--devices",
+        "2",
+        "--metrics",
+        "--out",
+        model.to_str().unwrap(),
+    ]);
+    assert_eq!(err.matches("(2 ranks) ==").count(), 1, "{err}");
+    let _ = std::fs::remove_file(&model);
 }
 
 #[test]
