@@ -45,7 +45,7 @@
 use mf_bench::gate::Metric;
 use mf_bench::*;
 use mf_data::SubdomainSpec;
-use mf_mfp::PlanSolver;
+use mf_mfp::{PlanSolver, SubdomainSolver};
 use mf_nn::{SdNet, SdNetConfig};
 use mf_serve::{BatchConfig, ServeConfig, ServeError, SolveRequest, SolveService};
 use mf_tensor::Tensor;
@@ -129,10 +129,10 @@ fn run_closed_loop(batch: BatchConfig, clients: usize, workers: usize, secs: f64
         PlanSolver::new(serve_net(spec), spec),
         cfg,
     ));
-    // Grow the workspace envelope for every batch size the backlog can
-    // produce (1..=clients requests per drain) before any client
-    // arrives — first-seen buffer size classes allocate by design;
-    // steady state must not, and the warm-alloc gate below asserts it.
+    // Reserve every worker's workspace for the largest batch the backlog
+    // can produce (`clients` requests per drain) before any client
+    // arrives; steady state must not allocate, and the warm-alloc gate
+    // below asserts it.
     service.prewarm(1, 1, clients);
     let bc_len = 4 * (spec.m - 1); // 1×1 domain perimeter
                                    // A short concurrent warmup on top settles caches, branch
@@ -195,8 +195,8 @@ fn run_closed_loop(batch: BatchConfig, clients: usize, workers: usize, secs: f64
     // the request log (its ring was reserved by the workers) may allocate.
     mf_reqtrace::mark_warm();
     mf_reqtrace::reset_warm_allocs();
-    let warm0 = service.warm_allocs();
-    let launches0 = service.launch_count() as u64;
+    let warm0 = service.solver().warm_allocs();
+    let launches0 = service.solver().launch_count() as u64;
     let mut lat: Vec<f64> = Vec::new();
     for h in handles {
         lat.extend(h.join().expect("load client panicked"));
@@ -210,8 +210,8 @@ fn run_closed_loop(batch: BatchConfig, clients: usize, workers: usize, secs: f64
         p95: percentile(&mut lat, 95.0),
         p99: percentile(&mut lat, 99.0),
         occupancy: sched.occupancy(),
-        launches: service.launch_count() as u64 - launches0,
-        warm_allocs: service.warm_allocs() - warm0,
+        launches: service.solver().launch_count() as u64 - launches0,
+        warm_allocs: service.solver().warm_allocs() - warm0,
         reqtrace_warm_allocs: mf_reqtrace::warm_allocs(),
     }
 }

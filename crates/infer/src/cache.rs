@@ -19,7 +19,7 @@
 
 use crate::{InferencePlan, Workspace};
 use mf_nn::SdNet;
-use mf_tensor::Tensor;
+use mf_tensor::{PoolStats, Tensor};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -150,6 +150,17 @@ impl WorkspacePool {
             .unwrap()
             .iter()
             .map(|w| w.warm_allocs())
+            .sum()
+    }
+
+    /// Buffer-pool statistics of every lane of every checked-in workspace,
+    /// cold blocks included.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.stack
+            .lock()
+            .unwrap()
+            .iter()
+            .map(Workspace::pool_stats)
             .sum()
     }
 

@@ -17,10 +17,12 @@
 //!   interpreter is a `for` loop over lowered steps with no tape, no
 //!   `Var`s, and no backward metadata.
 //! * **No heap allocations on warm calls.** Every intermediate lives in a
-//!   buffer checked out of the workspace's
-//!   [`BufferPool`] and returned as soon as its
-//!   single consumer has read it; after the first (cold) execution every
-//!   acquire is a pool hit.
+//!   buffer checked out of the lane's [`BufferPool`] and returned as soon
+//!   as its single consumer has read it. A lane asks for the size class of
+//!   the largest block it has run (its envelope), so once it has run a
+//!   block of `N` boundaries, every acquire of a block of at most `N` is a
+//!   pool hit. [`Workspace::reserve`] grows every lane to the envelope of
+//!   the largest launch a caller expects before the first one arrives.
 //! * **One kernel call per layer.** `matmul → + bias → activation` is one
 //!   [`Backend::layer`](mf_tensor::Backend::layer) call that *overwrites*
 //!   its destination (no zero-fill) and finishes each 64-row band — bias,
@@ -151,14 +153,19 @@ struct Lane {
     pool: BufferPool,
     /// Register table of the block being run; all `None` between blocks.
     slots: Vec<Option<Tensor>>,
+    /// Boundaries in the largest block this lane has run or been reserved
+    /// for: every register is taken from the size class of a block this
+    /// large, so the buffers one block of it left behind serve every block
+    /// of up to that many boundaries.
+    envelope: usize,
     warmed: bool,
     warm_allocs: u64,
 }
 
 /// Reusable execution scratch: one buffer pool per lane of the compute
 /// pool, plus warm-allocation accounting. One workspace serves one
-/// launch at a time; executions after a lane's first block reuse all of
-/// that lane's buffers.
+/// launch at a time; a block that fits the envelope of a lane that has
+/// already run its plan reuses that lane's buffers.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Indexed by [`par::lane`]. A lane is only ever locked by the one
@@ -179,6 +186,7 @@ impl Workspace {
             self.lanes.push(Mutex::new(Lane {
                 pool: BufferPool::new(),
                 slots: Vec::new(),
+                envelope: 0,
                 warmed: false,
                 warm_allocs: 0,
             }));
@@ -199,15 +207,50 @@ impl Workspace {
 
     /// Buffer-pool statistics, summed over the lanes.
     pub fn pool_stats(&self) -> PoolStats {
-        self.lanes().fold(PoolStats::default(), |acc, l| {
-            let s = l.pool.stats();
-            PoolStats {
-                hits: acc.hits + s.hits,
-                misses: acc.misses + s.misses,
-                miss_bytes: acc.miss_bytes + s.miss_bytes,
-                released: acc.released + s.released,
+        self.lanes().map(|l| l.pool.stats()).sum()
+    }
+
+    /// Make every launch of up to `b` boundaries of each listed plan, made
+    /// from the calling thread, run on this workspace without a pool miss.
+    /// Per plan, the largest block [`InferencePlan::launch_blocks`] cuts
+    /// such a launch into runs once on zero boundaries, on each lane that
+    /// could run it, from the calling thread: no lane is left to whichever
+    /// pool worker happens to wake first. Every lane's envelope is raised
+    /// to the largest of those blocks before anything runs, so each plan
+    /// leaves buffers of the size class its later blocks ask for, in
+    /// whatever order the plans are listed. A reserved block counts as a
+    /// lane's cold block: its misses are not warm allocations.
+    pub fn reserve(&mut self, launches: &[(&InferencePlan, usize)]) {
+        let blocks: Vec<(&InferencePlan, usize, usize)> = launches
+            .iter()
+            .filter_map(|&(plan, b)| {
+                let block = (1..=b).map(|n| n.div_ceil(plan.launch_blocks(n))).max()?;
+                // The block count never falls as a launch grows, so the
+                // largest launch fans out if any does.
+                let lanes = if plan.launch_blocks(b) > 1 {
+                    par::lanes()
+                } else {
+                    1
+                };
+                Some((plan, block, lanes))
+            })
+            .collect();
+        let envelope = blocks.iter().map(|&(_, block, _)| block).max().unwrap_or(0);
+        self.ensure_lanes(blocks.iter().map(|&(.., lanes)| lanes).max().unwrap_or(0));
+        let mut lanes: Vec<&mut Lane> = (self.lanes.iter_mut())
+            .map(|l| l.get_mut().expect("a plan block panicked on this lane"))
+            .collect();
+        for lane in &mut lanes {
+            lane.envelope = lane.envelope.max(envelope);
+        }
+        for (plan, block, n) in blocks {
+            let boundaries = vec![0.0; block * plan.boundary_len];
+            let mut out = vec![0.0; block * plan.q];
+            for lane in &mut lanes[..n] {
+                lane.warmed = false;
+                plan.run_block(lane, block, &boundaries, &mut out);
             }
-        })
+        }
     }
 }
 
@@ -541,18 +584,23 @@ impl InferencePlan {
 
     /// The step program over one block: `boundaries` is `[nb, L]` packed,
     /// `out` its `[nb·q]` predictions, `nb ≤ block`. Buffers come from the
-    /// size class of a full block, so a lane that has run one block of
-    /// this plan runs every later one — full or short — without a miss.
+    /// size class of the lane's envelope — the largest block it has run,
+    /// this one included — not of this launch's block. So once a lane has
+    /// run this plan at its envelope, every later block of the plan that
+    /// fits the envelope — full or short, of any launch — runs without a
+    /// miss.
     fn run_block(&self, lane: &mut Lane, block: usize, boundaries: &[f64], out: &mut [f64]) {
         let nb = boundaries.len() / self.boundary_len;
         let miss0 = lane.pool.stats().misses;
+        lane.envelope = lane.envelope.max(block);
+        let envelope = lane.envelope;
         let Lane { pool, slots, .. } = lane;
         slots.resize_with(self.regs.len(), || None);
         // Register buffer with unspecified contents, for steps that
         // overwrite every element.
         let acquire = |pool: &mut BufferPool, reg: usize| {
             let RegShape { rows_per_b, cols } = self.regs[reg];
-            pool.acquire_dirty_with_capacity(rows_per_b * nb, cols, rows_per_b * block * cols)
+            pool.acquire_dirty_with_capacity(rows_per_b * nb, cols, rows_per_b * envelope * cols)
         };
         for step in &self.steps {
             match *step {
@@ -817,6 +865,35 @@ mod tests {
             let (got, warm) = fat_launch_at_width(width);
             assert_bitwise(&want, &got);
             assert_eq!(warm, 0, "width {width}: a warm lane allocated");
+        }
+    }
+
+    /// One reservation covers every launch up to its size, of every plan it
+    /// names, on every lane — listed smallest envelope first on purpose.
+    #[test]
+    fn a_reserved_workspace_runs_every_smaller_launch_without_a_miss() {
+        let mut cfg = SdNetConfig::small(16);
+        cfg.conv_channels = vec![2];
+        cfg.hidden = vec![48, 48];
+        let (net, bounds, cross) = random_case(cfg.clone(), 31, 40, 13);
+        let (_, _, interior) = random_case(cfg, 32, 1, 29);
+        let a = InferencePlan::compile(&net, &cross);
+        let b = InferencePlan::compile(&net, &interior);
+        for width in [1, 2, 4] {
+            par::with_pool_width(width, || {
+                let mut ws = Workspace::new();
+                ws.reserve(&[(&b, 12), (&a, 40)]);
+                let misses = ws.pool_stats().misses;
+                for n in 1..=40 {
+                    let rows = bounds.slice_rows(0, n);
+                    a.execute(&mut ws, &rows);
+                    if n <= 12 {
+                        b.execute(&mut ws, &rows);
+                    }
+                }
+                assert_eq!(ws.pool_stats().misses, misses, "width {width}");
+                assert_eq!(ws.warm_allocs(), 0, "width {width}");
+            });
         }
     }
 

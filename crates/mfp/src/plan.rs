@@ -13,11 +13,13 @@
 //! points from concurrent requests into one fat launch against the same
 //! machinery.
 
+use crate::domain::DomainSpec;
+use crate::engine::{whole_grid, SweepEngine};
 use crate::solver::{LaunchCounter, SubdomainSolver};
 use mf_data::SubdomainSpec;
-use mf_infer::{InferencePlan, PlanCache, WorkspacePool};
+use mf_infer::{InferencePlan, PlanCache, Workspace, WorkspacePool};
 use mf_nn::SdNet;
-use mf_tensor::Tensor;
+use mf_tensor::{PoolStats, Tensor};
 
 /// SDNet-backed subdomain solver on the graph-free compiled path.
 ///
@@ -80,6 +82,45 @@ impl PlanSolver {
     /// currently checked in. Zero means the hot path is allocation-free.
     pub fn warm_allocs(&self) -> u64 {
         self.workspaces.warm_allocs()
+    }
+
+    /// Buffer-pool statistics of all pooled workspaces currently checked
+    /// in, cold blocks included.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.workspaces.pool_stats()
+    }
+
+    /// Distinct point sets with a compiled plan.
+    pub fn compiled_plans(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// Get ready for [`Mfp::run_many`](crate::Mfp::run_many) batches of up
+    /// to `max_requests` requests on `domain`, made from `workspaces`
+    /// threads with the calling thread's lane budget: compile the domain's
+    /// two plans — the sweeps' center cross and the dense fill's interior —
+    /// and [`reserve`](mf_infer::Workspace::reserve) that many pooled
+    /// workspaces for the widest sweep launch and the dense-fill launch
+    /// such a batch forms. No launch of such a batch then misses a pool,
+    /// whichever of those workspaces it checks out.
+    pub fn reserve(&self, domain: &DomainSpec, max_requests: usize, workspaces: usize) {
+        let engine = SweepEngine::new(self, domain, &whole_grid(domain), 0.0, None);
+        let widest = engine.groups.iter().map(Vec::len).max().unwrap_or(0);
+        let cross = self.plans.get_or_compile(&self.net, &engine.cross.pts);
+        let interior = self.plans.get_or_compile(&self.net, &engine.interior.pts);
+        let launches = [
+            (&*cross, max_requests * widest),
+            (&*interior, max_requests * engine.atoms.len()),
+        ];
+        let mut taken: Vec<Workspace> = (0..workspaces)
+            .map(|_| self.workspaces.checkout())
+            .collect();
+        for ws in &mut taken {
+            ws.reserve(&launches);
+        }
+        for ws in taken {
+            self.workspaces.checkin(ws);
+        }
     }
 }
 

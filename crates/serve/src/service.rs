@@ -258,7 +258,7 @@ impl SolveService {
         };
         debug_assert_eq!(req.bc.numel(), domain_len);
         let key = batch_key(&req);
-        let cost = sweep_cost(self.inner.spec, &req);
+        let cost = sweep_cost(self.inner.spec, req.sx, req.sy);
         let (tx, rx) = mpsc::channel();
         let job = Job {
             req,
@@ -331,26 +331,33 @@ impl SolveService {
         Ok(domain.boundary_len())
     }
 
-    /// Warm the solve path for a domain shape: drives `Mfp::run_many`
-    /// inline on the calling thread for every batch size in
-    /// `1..=max_batch` (zero boundaries), compiling the plans and
-    /// growing a pooled workspace to the full buffer envelope the
-    /// backlog can produce. With a single worker this is deterministic —
-    /// the idle worker later checks out the same workspace prewarm grew,
-    /// so steady-state serving performs zero allocations
-    /// ([`SolveService::warm_allocs`] stays 0).
+    /// Warm the solve path for batches of up to `max_batch` requests of
+    /// shape `sx × sy`: compile the shape's two plans once and reserve one
+    /// pooled workspace per worker ([`PlanSolver::reserve`]), each under
+    /// the lane budget a worker declares, at the largest sweep and
+    /// dense-fill launch such a batch forms. Each lane of each workspace
+    /// runs every block of those launches and of every smaller one without
+    /// a miss, so serving such batches allocates nothing in the workspace
+    /// pool from the first request on, whichever worker takes it
+    /// ([`PlanSolver::warm_allocs`] stays 0). The cost is a few block
+    /// programs per worker, not a solve per batch size.
     pub fn prewarm(&self, sx: usize, sy: usize, max_batch: usize) {
+        let workers = self.inner.cfg.workers.max(1);
+        // A worker's lane budget decides how its launches are cut.
+        let _lane = mf_tensor::par::compute_lanes(workers);
         let domain = DomainSpec::new(self.inner.spec, sx, sy);
-        let cfg = MfpConfig {
-            max_iters: 2,
-            ..MfpConfig::default()
-        };
-        for b in 1..=max_batch.max(1) {
-            let bcs: Vec<Tensor> = (0..b)
-                .map(|_| Tensor::zeros(1, domain.boundary_len()))
-                .collect();
-            let _ = Mfp::new(&*self.inner.solver, domain).run_many(&bcs, &cfg);
-        }
+        self.inner
+            .solver
+            .reserve(&domain, max_batch.max(1), workers);
+    }
+
+    /// The most requests of shape `sx × sy` the scheduler puts in one
+    /// batch: same-key jobs up to the `max_points` budget of sweep cost
+    /// (at least one), and no more than the queue holds.
+    pub fn max_batch(&self, sx: usize, sy: usize) -> usize {
+        let cfg = &self.inner.cfg;
+        (cfg.batch.max_points / sweep_cost(self.inner.spec, sx, sy))
+            .clamp(1, cfg.queue_depth.max(1))
     }
 
     /// Requests currently queued (not yet claimed by a worker).
@@ -380,15 +387,10 @@ impl SolveService {
         self.inner.sched.stats()
     }
 
-    /// Pool misses on warm plan executions — 0 means the inference hot
-    /// path ran allocation-free for the whole service lifetime.
-    pub fn warm_allocs(&self) -> u64 {
-        self.inner.solver.warm_allocs()
-    }
-
-    /// Plan launches issued against the shared solver (both paths).
-    pub fn launch_count(&self) -> usize {
-        self.inner.solver.launch_count()
+    /// The compiled-plan solver every worker launches on: its launch
+    /// count, plan cache and workspace-pool statistics.
+    pub fn solver(&self) -> &PlanSolver {
+        &self.inner.solver
     }
 }
 
@@ -409,11 +411,11 @@ fn batch_key(req: &SolveRequest) -> u64 {
     h.finish()
 }
 
-/// The scheduler-budget cost of a request: the number of query points
-/// one of its Schwarz sweeps stacks into a launch.
-fn sweep_cost(spec: SubdomainSpec, req: &SolveRequest) -> usize {
+/// The scheduler-budget cost of a request on `sx × sy` subdomains: the
+/// number of query points one of its Schwarz sweeps stacks into a launch.
+fn sweep_cost(spec: SubdomainSpec, sx: usize, sy: usize) -> usize {
     let q_cross = 2 * (spec.m - 2) - 1;
-    (req.sx * req.sy * q_cross).max(1)
+    (sx * sy * q_cross).max(1)
 }
 
 fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
@@ -755,6 +757,25 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn max_batch_is_what_one_drain_can_take() {
+        let max_batch =
+            |cfg: ServeConfig, sx, sy| service(ServeConfig { workers: 0, ..cfg }).max_batch(sx, sy);
+        // A 1×1 request at m = 9 costs 13 points: 4096 / 13 = 315 fit the
+        // budget, and the queue holds 256.
+        let mut cfg = ServeConfig::default();
+        assert_eq!(max_batch(cfg, 1, 1), 256);
+        // `--max-points`: a 2×2 request costs 52 points.
+        cfg.batch.max_points = 1300;
+        assert_eq!((max_batch(cfg, 1, 1), max_batch(cfg, 2, 2)), (100, 25));
+        // `--queue-depth`.
+        cfg.queue_depth = 64;
+        assert_eq!(max_batch(cfg, 1, 1), 64);
+        // A budget below one request's cost still drains one.
+        cfg.batch.max_points = 0;
+        assert_eq!(max_batch(cfg, 1, 1), 1);
     }
 
     #[test]

@@ -48,6 +48,18 @@ impl PoolStats {
     }
 }
 
+/// Counters of several pools added up.
+impl std::iter::Sum for PoolStats {
+    fn sum<I: Iterator<Item = PoolStats>>(iter: I) -> PoolStats {
+        iter.fold(PoolStats::default(), |acc, s| PoolStats {
+            hits: acc.hits + s.hits,
+            misses: acc.misses + s.misses,
+            miss_bytes: acc.miss_bytes + s.miss_bytes,
+            released: acc.released + s.released,
+        })
+    }
+}
+
 /// Freelists of `Vec<f64>` storage binned by power-of-two capacity.
 #[derive(Debug, Default)]
 pub struct BufferPool {

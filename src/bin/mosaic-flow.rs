@@ -611,10 +611,12 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
     mosaic_flow::reqtrace::install_routes();
 
     let service = Arc::new(SolveService::new(PlanSolver::new(net, spec), cfg));
-    // Compile the 1×1 plans and grow the workspace buffer envelope for
-    // backlogs up to 32 requests before accepting connections, so the
-    // common case serves allocation-free from the first client on.
-    service.prewarm(1, 1, 32);
+    // Compile the 1×1 plans and reserve every worker's workspace for the
+    // largest 1×1 batch the scheduler can drain (256 requests at the
+    // default --queue-depth and --max-points) before accepting
+    // connections, so the common case serves allocation-free from the
+    // first client on.
+    service.prewarm(1, 1, service.max_batch(1, 1));
     // Everything allocated up front from here on is a warm-path bug;
     // start counting (reqtrace.warm_allocs gates this in the bench).
     mosaic_flow::reqtrace::mark_warm();

@@ -198,6 +198,42 @@ fn fat_plan_launch_is_bitwise_equal_and_allocation_free_at_widths_1_2_4() {
     }
 }
 
+/// A lane takes its registers from the size class of the largest block it
+/// has run, so a small launch runs on buffers a larger one left behind.
+/// Every step overwrites what it reads next: a launch on a workspace whose
+/// last launch was larger — of NaN boundaries, so any stale element read
+/// would show — is bitwise the same launch on a fresh workspace (whose
+/// bits do not depend on the pool width), for both plans of a solve,
+/// every batch up to 32 and pool widths 1, 2 and 4.
+#[test]
+fn stale_larger_buffers_never_leak_into_a_smaller_launch() {
+    let net = wide_net(8);
+    let domain = DomainSpec::new(spec(), 1, 1);
+    let l = spec().boundary_len();
+    let batches: Vec<Tensor> = (1..=32).map(|b| random(9, b, l)).collect();
+    for offsets in [domain.center_cross_offsets(), domain.interior_offsets()] {
+        let plan = InferencePlan::compile(&net, &domain.offsets_to_points(&offsets));
+        let fresh: Vec<Vec<u64>> = (batches.iter())
+            .map(|rows| bits(&plan.execute(&mut Workspace::new(), rows)))
+            .collect();
+        assert!(fresh
+            .concat()
+            .iter()
+            .all(|&v| f64::from_bits(v).is_finite()));
+        for width in [1, 2, 4] {
+            par::with_pool_width(width, || {
+                let mut stale = Workspace::new();
+                for (rows, want) in batches.iter().zip(&fresh) {
+                    let b = rows.rows();
+                    plan.execute(&mut stale, &Tensor::from_fn(b + 1, l, |_, _| f64::NAN));
+                    let got = bits(&plan.execute(&mut stale, rows));
+                    assert_eq!(*want, got, "q {}, width {width}, b {b}", plan.q());
+                }
+            });
+        }
+    }
+}
+
 #[test]
 fn a_full_solve_is_bitwise_equal_at_widths_1_2_4() {
     let solver = PlanSolver::new(wide_net(5), spec());

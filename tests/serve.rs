@@ -329,6 +329,64 @@ fn request_traces_decompose_wall_time_completely() {
     }
 }
 
+/// Warm-up is a few block programs per worker, not a solve per batch size,
+/// and it reaches every lane of every worker's workspace: after
+/// `prewarm(1, 1, 32)`, bursts of every size up to 32 — one per worker,
+/// each drained whole as the scheduler's window holds its batch open —
+/// leave every pool's miss count where warm-up left it. The network is
+/// the benchmark's trunk width, so launches fan out over lanes where the
+/// host gives a worker more than one.
+#[test]
+fn prewarm_reserves_every_lane_of_every_worker_in_a_handful_of_launches() {
+    let mut cfg = SdNetConfig::small(spec().boundary_len());
+    cfg.conv_channels = vec![2];
+    cfg.hidden = vec![48, 48];
+    cfg.coord_fourier = 2;
+    let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(12));
+    // One 1×1 request's sweep costs its 13 cross points.
+    let cost = 2 * (spec().m - 2) - 1;
+    let d = DomainSpec::new(spec(), 1, 1);
+    for workers in [1, 2] {
+        let svc = SolveService::new(
+            PlanSolver::new(net.clone(), spec()),
+            ServeConfig {
+                workers,
+                batch: BatchConfig {
+                    max_points: 32 * cost,
+                    max_wait_us: 5_000,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        );
+        let launches = svc.solver().launch_count();
+        svc.prewarm(1, 1, 32);
+        assert!(svc.solver().launch_count() - launches <= 4);
+        assert_eq!(svc.solver().compiled_plans(), 2);
+        let misses = svc.solver().pool_stats().misses;
+        for k in 1..=32 {
+            // One batch key per worker (the tolerance is part of it), so
+            // every worker drains a burst of its own.
+            let replies: Vec<_> = (0..workers * k)
+                .map(|i| {
+                    let mut req = SolveRequest::new(1, 1, random_bc(d.boundary_len(), i as u64));
+                    req.max_iters = 1;
+                    req.tol = 1e-6 * (1 + i / k) as f64;
+                    svc.submit(req).unwrap()
+                })
+                .collect();
+            for rx in replies {
+                rx.recv().unwrap().unwrap();
+            }
+            assert_eq!(
+                svc.solver().pool_stats().misses,
+                misses,
+                "{workers} workers, bursts of {k}: a lane missed its pool after prewarm"
+            );
+        }
+    }
+}
+
 #[test]
 fn backpressure_is_typed_and_recoverable_end_to_end() {
     // Fill a tiny queue (no workers drain it), watch Busy come back with
