@@ -6,8 +6,10 @@
 //! cross). The graph path rebuilds the tape — including the query-point
 //! Fourier features and the `W_x · X` half of the input-split layer —
 //! on every launch; the compiled plan (`mf-infer`) caches both per point
-//! set and replays a flat list of fused kernels over pooled workspaces.
-//! This binary measures both on the same warm workload and gates:
+//! set and replays a flat list of fused `f32` kernels over pooled
+//! workspaces, within its launch bound of the `f64` graph (checked before
+//! anything is timed). This binary measures both on the same warm workload
+//! and gates:
 //!
 //! * `infer.pts_per_s` — compiled-plan solve throughput,
 //! * `infer.speedup_vs_graph` — must stay ≥ 5× (machine-independent),
@@ -20,6 +22,7 @@
 use mf_bench::gate::Metric;
 use mf_bench::*;
 use mf_data::SubdomainSpec;
+use mf_infer::InferencePlan;
 use mf_mfp::{NeuralSolver, PlanSolver, SubdomainSolver};
 use mf_nn::{SdNet, SdNetConfig};
 use mf_tensor::Tensor;
@@ -81,11 +84,13 @@ fn main() {
     let graph = NeuralSolver::new(net.clone(), spec);
     let plan = PlanSolver::new(net, spec);
 
-    // Both paths must produce identical bits before any timing matters.
+    // The f32 plan must hold its contract with the f64 graph — every
+    // output within the launch's bound — before any timing matters.
     let expect = graph.solve_batch(&bnds, &pts);
     let got = plan.solve_batch(&bnds, &pts);
-    for (e, g) in expect.as_slice().iter().zip(got.as_slice()) {
-        assert_eq!(e.to_bits(), g.to_bits(), "plan diverged from graph path");
+    let bound = InferencePlan::compile(plan.net(), &pts).graph_error_bound(&bnds);
+    for ((e, g), b) in (expect.as_slice().iter().zip(got.as_slice())).zip(bound.as_slice()) {
+        assert!((e - g).abs() <= *b, "plan left its bound of the graph path");
     }
 
     let launches = if full_scale() { 800 } else { 150 };

@@ -30,6 +30,12 @@
 //!   the microkernel's panel order ([`PackedB`]) at compile time, so a
 //!   launch packs nothing. The input-split combine, its bias and its
 //!   activation are one step as well.
+//! * **`f32` registers.** Weights, cached constants and every register are
+//!   `f32`: the `Load` step rounds the caller's `f64` boundaries, the
+//!   `Store` step widens the predictions back, and everything between runs
+//!   at twice the lanes per vector instruction and half the bytes. The
+//!   caller's side — the MFP lattice, its stop test and mixing — stays
+//!   `f64`.
 //! * **One fan-out per launch.** A launch with enough work is cut into
 //!   blocks of whole boundaries and the whole step program runs per block,
 //!   each lane of the compute pool ([`mf_tensor::par`]) on its own buffers:
@@ -38,26 +44,30 @@
 //!   and pool width produces the same bits.
 //! * **Cached invariants.** The normalized/Fourier-encoded query
 //!   coordinates and the coordinate half `W_x · X` of the input-split
-//!   layer are computed once at compile time and reused by every
-//!   execution — each call only pays the boundary-dependent half.
+//!   layer are computed once at compile time (in `f64`, then rounded) and
+//!   reused by every execution — each call only pays the
+//!   boundary-dependent half.
 //!
-//! Results are **bitwise identical** to the graph path: every element
-//! goes through the arithmetic `Graph::eval` would apply to it, in the
-//! same order — a fused layer is defined as its unfused composition (the
-//! reference body of `Backend::layer`), and the only reordering is the
-//! commutative operand swap in the split-layer add, which IEEE-754
-//! addition preserves bit-for-bit.
+//! Two contracts hold the plan. Against **itself** it is bitwise: every
+//! row is the same chain of `f32` kernels whatever block, batch, pool
+//! width or rank it runs in, so batched serving equals solving alone and
+//! `run_many` equals `run`. Against the **`f64` graph** (`SdNet::predict`,
+//! which training and validation run) it is within
+//! [`InferencePlan::graph_error_bound`] on every output of a launch: a
+//! first-order running error bound of the `f32` chain, replayed element by
+//! element in `f64`. What that costs a whole MFP
+//! solve — iterations, fixed point, accuracy against multigrid — is pinned
+//! per boundary on the benchmark network by `tests/precision.rs`.
 //!
 //! Plans are snapshots of the network weights. [`Params`](mf_nn::Params)
 //! carries a mutation counter; [`InferencePlan::is_stale`] compares it so
-//! callers (e.g. `mf-mfp`'s `PlanSolver`, or the training loop's periodic
-//! evaluation) recompile after an optimizer step instead of serving stale
-//! weights.
+//! callers (e.g. `mf-mfp`'s `PlanSolver`) recompile after an optimizer
+//! step instead of serving stale weights.
 
 use mf_nn::{EmbeddingKind, SdNet};
 use mf_tensor::par::{self, prelude::*};
 use mf_tensor::{
-    backend, gemm, unfold1d_circular_into, Act, BufferPool, Layout, PackedB, PoolStats, Tensor,
+    backend, gemm, unfold1d_windows, Act, BufferPool, Layout, PackedB, PoolStats, Tensor,
 };
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -68,10 +78,10 @@ pub use cache::{PlanCache, PointsKey, WorkspacePool};
 
 /// One lowered instruction of a compiled plan. Registers are indices into
 /// the per-execution slot table; `weight` indexes the plan's packed weight
-/// matrices, `bias` and `cached` its constant tensors.
+/// matrices, `bias` and `cached` its constant vectors.
 #[derive(Clone, Copy, Debug)]
 enum Step {
-    /// Copy the caller's `[B, L]` boundary batch into a register.
+    /// Round the caller's `[B, L]` boundary batch to `f32` into a register.
     Load { dst: usize },
     /// Circular im2col: `[B, L·ic] → [B·L, k·ic]`.
     Unfold {
@@ -103,7 +113,7 @@ enum Step {
         act: Act,
         dst: usize,
     },
-    /// Copy the final register into the caller's output buffer.
+    /// Widen the final register into the caller's `f64` output buffer.
     Store { src: usize },
 }
 
@@ -116,43 +126,43 @@ struct RegShape {
 }
 
 /// Blocks a fanned-out launch is cut into per lane. Measured on the
-/// reference host (2 cores, 3×48 trunk, B = 64, p25 of 300 launches on two
-/// lanes, in a period when both cores were the process's own), with the
-/// fused-multiply-add kernels: 1 / 2 / 4 / 8 / 16 blocks per lane run a
-/// cross launch in 184 / 187 / 194 / 207 / 233 µs and a dense one in 681 /
-/// 683 / 686 / 693 / 759 µs. A block costs its zone timers and buffer
-/// checkouts, which the faster kernels made a larger share: finer blocks now
-/// lose 4 % / 11 % / 25 % on the cross launch (1–2 % per doubling before)
-/// and win nothing. Two cost 1 % against one and bound what a lane that
-/// joins late or is descheduled can hold up to a quarter of the launch.
+/// reference host (2 cores, 3×48 trunk, B = 64, `f32` kernels, two lanes),
+/// interleaving the settings within each of 40 rounds, four runs: 2 blocks
+/// per lane cost the cross launch 0.5–2.5 % of its median against 1, and
+/// 4 / 8 / 16 cost 3–8 / 7–16 / 19–38 %, back to back; after 300 µs of
+/// caller-only work (the worker parked) 2 read −3 … +4 %. On the dense
+/// launch 2 cost nothing in the median and trimmed its p90 by 2–9 % (901 →
+/// 881, 950 → 861 µs back to back): with two blocks a lane that joins late
+/// or is descheduled holds up a quarter of the launch, not half. The
+/// per-block zone timers and buffer checkouts are why finer blocks lose.
 const BLOCKS_PER_LANE: usize = 2;
 
 /// GEMM multiply-adds below which a block is not worth handing to another
-/// lane. Measured on the reference host with the fused-multiply-add
-/// kernels, a cross launch split in two against the same launch whole, at
-/// 202 k / 269 k / 404 k / 538 k / 673 k / 808 k / 1 077 k / 1 346 k
-/// multiply-adds in total: ×1.06 / ×0.98 / ×1.48 / ×1.77 / ×1.67 / ×1.23 /
-/// ×1.74 / ×1.82 when the worker is still polling (back-to-back launches),
-/// ×0.60 / ×0.64 / ×0.72 / ×0.79 / ×0.93 / ×0.99 / ×1.16 / ×1.21 when it has
-/// parked (300 µs of caller-only work in between). Waking it still costs the
-/// caller about 35 µs on this VM, but at the fused kernels' 12 multiply-adds
-/// per ns on one lane that is now 420 k of them, so the parked case breaks
-/// even at two blocks of 400 k, no longer of 250 k. The value stays where a
-/// polling worker starts to win clearly: launches come from MFP solves,
-/// whose sweeps follow one another within the worker's polling window
-/// (`mfp.iter_ms` is its four launches to 1–6 %), so a solve meets the
-/// parked case on its first launch only — where two blocks of this size
-/// cost it 12 µs (58.8 against 46.3) — and the polling case, ×1.77 here,
-/// on every launch after that.
+/// lane. Measured on the reference host with the `f32` kernels, a cross
+/// launch split in two against the same launch whole, interleaved over 40
+/// rounds, median of four runs, at 201 k / 269 k / 403 k / 538 k / 673 k /
+/// 807 k / 1 076 k / 1 346 k multiply-adds in total: ×1.22 / ×1.00 / ×1.22
+/// / ×1.21 / ×1.21 / ×1.26 / ×1.30 / ×1.35 when the worker is still polling
+/// (back-to-back launches), ×0.80 / ×0.75 / ×0.83 / ×0.90 / ×0.96 / ×0.90 /
+/// ×1.16 / ×1.18 when it has parked (300 µs of caller-only work in
+/// between). Waking it costs the caller about 35 µs, which the `f32`
+/// kernels fill with about twice the multiply-adds the `f64` ones did, so
+/// the parked case now breaks even near 1 M (400 k in `f64`). The value
+/// stays where a polling worker wins clearly, about ×1.2 from 200 k on (in
+/// `f64`, from 250 k): launches come from MFP solves and served batches,
+/// whose sweeps follow one another within the worker's polling window, so
+/// a solve meets the parked case on its first launch only — where two
+/// blocks of this size cost it about 5 µs — and the polling case on every
+/// launch after that.
 const MIN_BLOCK_MACS: usize = 250_000;
 
 /// One lane's execution scratch: the buffers and register table of the
 /// blocks that lane runs.
 #[derive(Debug)]
 struct Lane {
-    pool: BufferPool,
+    pool: BufferPool<f32>,
     /// Register table of the block being run; all `None` between blocks.
-    slots: Vec<Option<Tensor>>,
+    slots: Vec<Option<Vec<f32>>>,
     /// Boundaries in the largest block this lane has run or been reserved
     /// for: every register is taken from the size class of a block this
     /// large, so the buffers one block of it left behind serve every block
@@ -184,7 +194,7 @@ impl Workspace {
     fn ensure_lanes(&mut self, lanes: usize) {
         while self.lanes.len() < lanes {
             self.lanes.push(Mutex::new(Lane {
-                pool: BufferPool::new(),
+                pool: BufferPool::default(),
                 slots: Vec::new(),
                 envelope: 0,
                 warmed: false,
@@ -260,8 +270,9 @@ impl Workspace {
 pub struct InferencePlan {
     steps: Vec<Step>,
     regs: Vec<RegShape>,
-    consts: Vec<Tensor>,
-    /// Weight matrices, transposed to `k×n` and packed once.
+    /// Biases and the cached `W_x · X` rows, rounded to `f32`.
+    consts: Vec<Vec<f32>>,
+    /// Weight matrices, transposed to `k×n`, rounded and packed once.
     weights: Vec<PackedB>,
     boundary_len: usize,
     q: usize,
@@ -284,9 +295,9 @@ impl InferencePlan {
     /// Compilation pre-transposes every weight matrix, normalizes and
     /// Fourier-encodes the coordinates, and computes the `W_x · X` half of
     /// the input-split layer — all the work that does not depend on
-    /// boundary values. Compile-time allocation is unrestricted; the
-    /// resulting plan executes without heap allocation on a warm
-    /// [`Workspace`].
+    /// boundary values — in `f64`, then rounds weights and constants to
+    /// `f32`. Compile-time allocation is unrestricted; the resulting plan
+    /// executes without heap allocation on a warm [`Workspace`].
     ///
     /// # Panics
     /// If the network uses the `Concat` embedding (check
@@ -301,12 +312,12 @@ impl InferencePlan {
         let q = points.rows();
         let l = cfg.boundary_len;
 
-        let mut consts: Vec<Tensor> = Vec::new();
+        let mut consts: Vec<Vec<f32>> = Vec::new();
         let mut weights: Vec<PackedB> = Vec::new();
         let mut regs: Vec<RegShape> = Vec::new();
         let mut steps: Vec<Step> = Vec::new();
-        let push_const = |consts: &mut Vec<Tensor>, t: &Tensor| {
-            consts.push(t.clone());
+        let push_const = |consts: &mut Vec<Vec<f32>>, t: &Tensor| {
+            consts.push(t.as_slice().iter().map(|&v| v as f32).collect());
             consts.len() - 1
         };
         // Parameters store `[out, in]`; the kernels multiply by `[in, out]`.
@@ -459,9 +470,133 @@ impl InferencePlan {
         net.params.version() != self.params_version
     }
 
+    /// How far each output of a launch on `boundaries` may sit from the
+    /// `f64` graph's (`SdNet::predict` on the same points): a first-order
+    /// running error bound of the plan's `f32` chain, `[B·q, 1]` like the
+    /// launch's output. Its largest element is the launch's bound.
+    ///
+    /// The step program is replayed in `f64` on the plan's own weights,
+    /// carrying each register's values `x` and error bounds `e` element by
+    /// element, with `u = 2⁻²⁴`: `Load` rounds (`e = u·|x|`); a layer over
+    /// a `k`-deep product adds to the propagated `|W|·e` the `f32`
+    /// multiply-add chain and the weights' rounding, `(γ_k + u)·|x|·|W|`,
+    /// the bias's rounding `u·|b|` and its add's `u·|z|`; the split
+    /// combine adds its cached rows' rounding and two adds. An activation
+    /// multiplies `e` by its Lipschitz constant (1.13 for GELU) and adds
+    /// its `f32` kernel's error, `64u·|z|` for GELU (whose reference
+    /// cancels in `1 + tanh` for negative `z`) and `64u·|tanh z|`. The
+    /// graph's own `f64` rounding, 2²⁹ times finer, is inside that slack.
+    pub fn graph_error_bound(&self, boundaries: &Tensor) -> Tensor {
+        const U: f64 = f32::EPSILON as f64 / 2.0;
+        let b = boundaries.rows();
+        let widen = |v: &[f32]| v.iter().map(|&x| x as f64).collect::<Vec<f64>>();
+        let activate = |act: Act, z: &mut [f64], e: &mut [f64]| {
+            for (z, e) in z.iter_mut().zip(e) {
+                match act {
+                    Act::Identity => {}
+                    Act::Tanh => {
+                        *z = z.tanh();
+                        *e += 64.0 * U * z.abs();
+                    }
+                    Act::Gelu => {
+                        *e = 1.13 * *e + 64.0 * U * z.abs();
+                        *z = mf_tensor::gelu_scalar(*z);
+                    }
+                }
+            }
+        };
+        // Values and error bounds per register.
+        let mut regs: Vec<(Vec<f64>, Vec<f64>)> = vec![Default::default(); self.regs.len()];
+        let rows = |reg: usize| self.regs[reg].rows_per_b * b;
+        for step in &self.steps {
+            match *step {
+                Step::Load { dst } => {
+                    let x = boundaries.as_slice().to_vec();
+                    let e = x.iter().map(|v| U * v.abs()).collect();
+                    regs[dst] = (x, e);
+                }
+                Step::Unfold {
+                    src,
+                    dst,
+                    channels,
+                    kernel,
+                } => {
+                    let len = self.regs[src].cols / channels;
+                    let unfold = |v: &[f64]| {
+                        let mut out = vec![0.0; v.len() * kernel];
+                        unfold1d_windows(v, rows(src), len, channels, kernel, &mut out);
+                        out
+                    };
+                    regs[dst] = (unfold(&regs[src].0), unfold(&regs[src].1));
+                }
+                Step::Layer {
+                    src,
+                    weight,
+                    bias,
+                    act,
+                    dst,
+                } => {
+                    let w = &self.weights[weight];
+                    let (k, n, m) = (w.k(), w.n(), rows(src));
+                    let wv = widen(w.rows());
+                    let bias = bias.map_or_else(|| vec![0.0; n], |b| widen(&self.consts[b]));
+                    let (x, ex) = &regs[src];
+                    let (mut z, mut ez, mut mag) =
+                        (vec![0.0; m * n], vec![0.0; m * n], vec![0.0; m * n]);
+                    for r in 0..m {
+                        for p in 0..k {
+                            let (xv, ev) = (x[r * k + p], ex[r * k + p]);
+                            for (j, &w) in wv[p * n..][..n].iter().enumerate() {
+                                z[r * n + j] += xv * w;
+                                mag[r * n + j] += (xv * w).abs();
+                                ez[r * n + j] += ev * w.abs();
+                            }
+                        }
+                    }
+                    let t = k as f64 * U;
+                    for (i, ((z, e), mag)) in z.iter_mut().zip(&mut ez).zip(&mag).enumerate() {
+                        *z += bias[i % n];
+                        *e += (t / (1.0 - t) + U) * mag + U * bias[i % n].abs() + U * z.abs();
+                    }
+                    activate(act, &mut z, &mut ez);
+                    regs[dst] = (z, ez);
+                }
+                Step::Split {
+                    src,
+                    cached,
+                    bias,
+                    act,
+                    dst,
+                } => {
+                    let (hx, bias) = (widen(&self.consts[cached]), widen(&self.consts[bias]));
+                    let d0 = bias.len();
+                    let (g, eg) = &regs[src];
+                    let (mut z, mut ez) = (Vec::new(), Vec::new());
+                    for (gr, er) in g.chunks_exact(d0).zip(eg.chunks_exact(d0)) {
+                        for xrow in hx.chunks_exact(d0) {
+                            for (((&x, &gv), &ev), &bv) in xrow.iter().zip(gr).zip(er).zip(&bias) {
+                                let mag = x.abs() + gv.abs() + bv.abs();
+                                z.push((x + gv) + bv);
+                                ez.push(ev + U * x.abs() + U * bv.abs() + 2.0 * U * mag);
+                            }
+                        }
+                    }
+                    activate(act, &mut z, &mut ez);
+                    regs[dst] = (z, ez);
+                }
+                Step::Store { src } => {
+                    let e = std::mem::take(&mut regs[src].1);
+                    return Tensor::from_vec(b * self.q, 1, e);
+                }
+            }
+        }
+        unreachable!("a plan ends in Store")
+    }
+
     /// Execute the plan on a `[B, L]` boundary batch, writing the
-    /// `[B·q, 1]` predictions into `out`. Allocation-free once `ws` is
-    /// warm.
+    /// `[B·q, 1]` predictions into `out`: the boundaries are rounded to
+    /// `f32` on the way in and the predictions widened on the way out.
+    /// Allocation-free once `ws` is warm.
     ///
     /// A launch with enough work is cut into blocks of whole boundaries —
     /// two per lane the calling thread may use — and the
@@ -598,15 +733,17 @@ impl InferencePlan {
         slots.resize_with(self.regs.len(), || None);
         // Register buffer with unspecified contents, for steps that
         // overwrite every element.
-        let acquire = |pool: &mut BufferPool, reg: usize| {
+        let acquire = |pool: &mut BufferPool<f32>, reg: usize| {
             let RegShape { rows_per_b, cols } = self.regs[reg];
-            pool.acquire_dirty_with_capacity(rows_per_b * nb, cols, rows_per_b * envelope * cols)
+            pool.acquire_vec(rows_per_b * nb * cols, rows_per_b * envelope * cols)
         };
         for step in &self.steps {
             match *step {
                 Step::Load { dst } => {
                     let mut t = acquire(pool, dst);
-                    t.as_mut_slice().copy_from_slice(boundaries);
+                    for (r, &v) in t.iter_mut().zip(boundaries) {
+                        *r = v as f32;
+                    }
                     slots[dst] = Some(t);
                 }
                 Step::Unfold {
@@ -618,8 +755,10 @@ impl InferencePlan {
                     mf_profile::zone!("unfold");
                     let s = slots[src].take().expect("register consumed twice");
                     let mut d = acquire(pool, dst);
-                    unfold1d_circular_into(&s, channels, kernel, &mut d);
-                    pool.release(s);
+                    let RegShape { rows_per_b, cols } = self.regs[src];
+                    let len = cols / channels;
+                    unfold1d_windows(&s, rows_per_b * nb, len, channels, kernel, &mut d);
+                    pool.release_vec(s);
                     slots[dst] = Some(d);
                 }
                 Step::Layer {
@@ -632,17 +771,14 @@ impl InferencePlan {
                     mf_profile::zone!("layer");
                     let s = slots[src].take().expect("register consumed twice");
                     let mut d = acquire(pool, dst);
-                    // Backend-dispatched, and on either backend equal to
-                    // the kernel sequence the graph's eval_live runs, so
-                    // plan-vs-graph stays bitwise.
                     backend().layer(
-                        s.as_slice(),
+                        &s,
                         &self.weights[weight],
                         bias.map(|b| self.consts[b].as_slice()),
                         act,
-                        d.as_mut_slice(),
+                        &mut d,
                     );
-                    pool.release(s);
+                    pool.release_vec(s);
                     slots[dst] = Some(d);
                 }
                 Step::Split {
@@ -656,33 +792,29 @@ impl InferencePlan {
                     let s = slots[src].take().expect("register consumed twice");
                     let mut d = acquire(pool, dst);
                     let hx = &self.consts[cached];
-                    let bias = self.consts[bias].as_slice();
-                    let d0 = hx.cols();
+                    let bias = &self.consts[bias];
+                    let d0 = bias.len();
                     let be = backend();
                     // One boundary's q rows at a time: summed, biased and
                     // activated while they are in L1.
-                    for (g, o) in s
-                        .as_slice()
-                        .chunks_exact(d0)
-                        .zip(d.as_mut_slice().chunks_exact_mut(hx.numel()))
-                    {
-                        for (orow, xrow) in
-                            o.chunks_exact_mut(d0).zip(hx.as_slice().chunks_exact(d0))
-                        {
+                    for (g, o) in s.chunks_exact(d0).zip(d.chunks_exact_mut(hx.len())) {
+                        for (orow, xrow) in o.chunks_exact_mut(d0).zip(hx.chunks_exact(d0)) {
                             for (((ov, &x), &gg), &b) in orow.iter_mut().zip(xrow).zip(g).zip(bias)
                             {
                                 *ov = (x + gg) + b;
                             }
                         }
-                        be.activate(act, o);
+                        be.activate_f32(act, o);
                     }
-                    pool.release(s);
+                    pool.release_vec(s);
                     slots[dst] = Some(d);
                 }
                 Step::Store { src } => {
                     let s = slots[src].take().expect("register consumed twice");
-                    out.copy_from_slice(s.as_slice());
-                    pool.release(s);
+                    for (o, &v) in out.iter_mut().zip(&s) {
+                        *o = v as f64;
+                    }
+                    pool.release_vec(s);
                 }
             }
         }
@@ -728,13 +860,29 @@ mod tests {
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
-                "row {i}: plan {y} vs graph {x} differ in bits"
+                "row {i}: {x} vs {y} differ in bits"
+            );
+        }
+    }
+
+    /// Every output of the launch `got` of `plan` on `bounds` within the
+    /// plan's bound of the graph's `want`.
+    fn assert_within_bound(plan: &InferencePlan, bounds: &Tensor, want: &Tensor, got: &Tensor) {
+        assert_eq!(want.shape(), got.shape());
+        let bound = plan.graph_error_bound(bounds);
+        for (i, ((w, g), e)) in (want.as_slice().iter().zip(got.as_slice()))
+            .zip(bound.as_slice())
+            .enumerate()
+        {
+            assert!(
+                (w - g).abs() <= *e,
+                "output {i}: plan {g:e}, graph {w:e}, bound {e:e}"
             );
         }
     }
 
     #[test]
-    fn matches_graph_path_bitwise_across_architectures() {
+    fn matches_graph_path_within_the_launch_bound_across_architectures() {
         let mut base = SdNetConfig::small(16);
         base.conv_channels = vec![2];
         base.hidden = vec![12, 12];
@@ -761,7 +909,12 @@ mod tests {
             let mut ws = Workspace::new();
             let got = plan.execute(&mut ws, &bounds);
             let want = net.predict(&bounds, &tiled(&pts, 3), 7);
-            assert_bitwise(&want, &got);
+            assert_within_bound(&plan, &bounds, &want, &got);
+            // A bound on rounding, not on wiring: worst-case chains of
+            // absolute values keep it about 1e3 times the gap seen here,
+            // still a small fraction of the outputs.
+            let bound = plan.graph_error_bound(&bounds).norm_linf();
+            assert!(bound < 1e-2 * (1.0 + want.norm_linf()), "bound {bound:e}");
         }
     }
 
@@ -901,7 +1054,7 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
         /// Rows of a plan are independent: every partition of a launch
         /// into blocks of whole boundaries gives the same bits, fanned
-        /// out or not, and matches the graph path.
+        /// out or not, and stays within the bound of the graph path.
         #[test]
         fn every_block_partition_gives_the_same_bits(
             b in 1usize..24,
@@ -914,13 +1067,15 @@ mod tests {
             cfg.hidden = vec![12, 12];
             let (net, bounds, pts) = random_case(cfg, seed, b, 7);
             let plan = InferencePlan::compile(&net, &pts);
-            let want = net.predict(&bounds, &tiled(&pts, b), 7);
+            let whole = par::with_pool_width(1, || plan.execute(&mut Workspace::new(), &bounds));
             let mut got = Tensor::zeros(b * 7, 1);
             par::with_pool_width(width, || {
                 let mut ws = Workspace::new();
                 plan.execute_blocks(&mut ws, &bounds, got.as_mut_slice(), block);
             });
-            assert_bitwise(&want, &got);
+            assert_bitwise(&whole, &got);
+            let want = net.predict(&bounds, &tiled(&pts, b), 7);
+            assert_within_bound(&plan, &bounds, &want, &got);
         }
     }
 
@@ -937,7 +1092,7 @@ mod tests {
             let bounds = Tensor::from_fn(b, 12, |_, _| rng.gen_range(-1.0..1.0));
             let got = plan.execute(&mut ws, &bounds);
             let want = net.predict(&bounds, &tiled(&pts, b), 5);
-            assert_bitwise(&want, &got);
+            assert_within_bound(&plan, &bounds, &want, &got);
         }
     }
 
@@ -960,7 +1115,7 @@ mod tests {
         let mut ws = Workspace::new();
         let got = plan2.execute(&mut ws, &bounds);
         let want = net.predict(&bounds, &tiled(&pts, 2), 4);
-        assert_bitwise(&want, &got);
+        assert_within_bound(&plan2, &bounds, &want, &got);
     }
 
     #[test]

@@ -1116,8 +1116,9 @@ mod tests {
     #[test]
     fn compiled_plan_solver_matches_graph_solver_across_ranks() {
         // The distributed MFP must be oblivious to which SDNet execution
-        // path backs the subdomain solver: the compiled-plan and graph
-        // paths produce bitwise-identical lattices on every rank count.
+        // path backs the subdomain solver: on every rank count, each
+        // launch of the compiled-plan run is within its bound of the graph
+        // on the same inputs.
         use rand::SeedableRng;
         let d = DomainSpec::new(spec(), 2, 2);
         let mut cfg = mf_nn::SdNetConfig::small(spec().boundary_len());
@@ -1125,8 +1126,8 @@ mod tests {
         cfg.hidden = vec![10, 10];
         cfg.coord_fourier = 2;
         let net = mf_nn::SdNet::new(cfg, &mut rand_chacha::ChaCha8Rng::seed_from_u64(7));
-        let plan = crate::PlanSolver::new(net.clone(), spec());
-        let graph = crate::NeuralSolver::new(net, spec());
+        let plan = crate::PlanSolver::new(net, spec());
+        let checked = crate::plan::tests::Checked::new(&plan);
         let bc = harmonic_bc(&d);
         let cfg = DistMfpConfig {
             max_iters: 3,
@@ -1135,9 +1136,8 @@ mod tests {
         };
         for ranks in [1, 4] {
             let a = run_distributed(&plan, &d, &bc, ranks, &cfg);
-            let e = run_distributed(&graph, &d, &bc, ranks, &cfg);
-            assert_eq!(a.grid.shape(), e.grid.shape());
-            for (x, y) in e.grid.as_slice().iter().zip(a.grid.as_slice()) {
+            let c = run_distributed(&checked, &d, &bc, ranks, &cfg);
+            for (x, y) in a.grid.as_slice().iter().zip(c.grid.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "P={ranks}");
             }
         }

@@ -23,11 +23,20 @@ use mf_tensor::{PoolStats, Tensor};
 
 /// SDNet-backed subdomain solver on the graph-free compiled path.
 ///
-/// Results are bitwise identical to [`NeuralSolver`](crate::NeuralSolver)
-/// (asserted by the `seq` equality tests); the difference is purely cost:
-/// no autodiff tape, pooled workspaces, and the query-coordinate half of
-/// the input-split layer computed once per (point set, weight version)
-/// instead of once per launch.
+/// It takes and returns `f64` tensors like every solver, so the lattice,
+/// the stop test and Anderson mixing stay `f64`; the network runs in
+/// `f32` inside each launch. Against itself a launch is bitwise, whatever
+/// its batch, block partition, pool width or rank — so batched serving
+/// equals solving alone. Against [`NeuralSolver`](crate::NeuralSolver),
+/// the `f64` graph, each output is within
+/// [`InferencePlan::graph_error_bound`] of its launch; over a whole solve
+/// on the benchmark network the iteration count stays within one of the
+/// graph's, the fixed point within 1e-5 grid MAE and the error against
+/// multigrid within 10 % (`tests/precision.rs`). For `f64` inference, run
+/// the graph through `NeuralSolver`. Besides twice the lanes, the plan
+/// saves the autodiff tape, pools its workspaces and computes the
+/// query-coordinate half of the input-split layer once per (point set,
+/// weight version) instead of once per launch.
 pub struct PlanSolver {
     net: SdNet,
     spec: SubdomainSpec,
@@ -153,12 +162,55 @@ impl SubdomainSolver for PlanSolver {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::NeuralSolver;
     use mf_nn::SdNetConfig;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// A [`PlanSolver`] whose every launch is checked against the `f64`
+    /// graph on the same boundaries and points: each output within the
+    /// launch's [`InferencePlan::graph_error_bound`]. It serves the plan's
+    /// outputs, so a run on it is bitwise the run on the plan.
+    pub(crate) struct Checked<'a>(pub &'a PlanSolver, pub NeuralSolver);
+
+    impl<'a> Checked<'a> {
+        pub(crate) fn new(plan: &'a PlanSolver) -> Self {
+            Self(plan, NeuralSolver::new(plan.net.clone(), plan.spec))
+        }
+    }
+
+    impl SubdomainSolver for Checked<'_> {
+        fn spec(&self) -> SubdomainSpec {
+            self.0.spec
+        }
+
+        fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
+            let got = self.0.solve_batch(boundaries, points);
+            let want = self.1.solve_batch(boundaries, points);
+            let plan = self.0.plans.get_or_compile(&self.0.net, points);
+            let bound = plan.graph_error_bound(boundaries);
+            for (i, ((w, g), e)) in (want.as_slice().iter().zip(got.as_slice()))
+                .zip(bound.as_slice())
+                .enumerate()
+            {
+                assert!(
+                    (w - g).abs() <= *e,
+                    "output {i}: plan {g:e}, graph {w:e}, bound {e:e}"
+                );
+            }
+            got
+        }
+
+        fn inference_count(&self) -> usize {
+            self.0.inference_count()
+        }
+
+        fn launch_count(&self) -> usize {
+            self.0.launch_count()
+        }
+    }
 
     fn spec() -> SubdomainSpec {
         SubdomainSpec { m: 9, spatial: 0.5 }
@@ -173,25 +225,27 @@ mod tests {
     }
 
     #[test]
-    fn matches_neural_solver_bitwise() {
+    fn matches_neural_solver_within_the_launch_bound() {
         let spec = spec();
-        let n = net(0);
-        let plan = PlanSolver::new(n.clone(), spec);
-        let graph = NeuralSolver::new(n, spec);
+        let plan = PlanSolver::new(net(0), spec);
+        let checked = Checked::new(&plan);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let b = Tensor::from_fn(5, spec.boundary_len(), |_, _| rng.gen_range(-1.0..1.0));
         let pts = Tensor::from_fn(4, 2, |_, _| rng.gen_range(0.0..0.5));
-        for _ in 0..3 {
-            let a = plan.solve_batch(&b, &pts);
-            let e = graph.solve_batch(&b, &pts);
-            for (x, y) in e.as_slice().iter().zip(a.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
+        let first = checked.solve_batch(&b, &pts);
+        for _ in 0..2 {
+            let again = checked.solve_batch(&b, &pts);
+            assert!(first
+                .as_slice()
+                .iter()
+                .zip(again.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits()));
         }
         assert_eq!(plan.inference_count(), 3 * 5 * 4);
         assert_eq!(plan.launch_count(), 3);
-        // First launch compiles, the rest hit the cache.
-        assert_eq!(plan.cache_hits(), 2);
+        // The first launch compiles, the rest hit the cache (each checked
+        // launch looks its plan up once more for the bound).
+        assert_eq!(plan.cache_hits(), 2 + 3);
         // Single-threaded reuse of one pooled workspace stays warm.
         assert_eq!(plan.warm_allocs(), 0);
     }
@@ -215,13 +269,11 @@ mod tests {
         let after = solver.solve_batch(&b, &pts);
         assert_eq!(solver.cache_hits(), hits_before);
         assert!(before.max_abs_diff(&after) > 0.0);
-        let expect = NeuralSolver::new(solver.net().clone(), spec).solve_batch(&b, &pts);
-        for (x, y) in expect.as_slice().iter().zip(after.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // And once recompiled, the fresh plan is cached again.
-        let _ = solver.solve_batch(&b, &pts);
-        assert_eq!(solver.cache_hits(), hits_before + 1);
+        // And once recompiled, the fresh plan is cached again: the checked
+        // launch hits it twice, and holds the new weights' bound.
+        let again = Checked::new(&solver).solve_batch(&b, &pts);
+        assert_eq!(solver.cache_hits(), hits_before + 2);
+        assert_eq!(again.max_abs_diff(&after), 0.0);
     }
 
     #[test]

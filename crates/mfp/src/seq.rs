@@ -391,10 +391,11 @@ mod tests {
     }
 
     #[test]
-    fn plan_batched_and_unbatched_mfp_runs_are_bitwise_identical() {
-        // The compiled-plan solver, the batched graph path, and the
-        // unbatched graph path must agree *bit for bit* through a full
-        // MFP run (sweeps + dense fill exercise two distinct plans).
+    fn graph_runs_are_bitwise_across_batching_and_every_plan_launch_holds_its_bound() {
+        // The batched and the unbatched graph path agree *bit for bit*
+        // through a full MFP run, and every launch of the compiled-plan
+        // run — sweeps and dense fill, two distinct plans — is within its
+        // bound of the graph on the same inputs.
         let d = DomainSpec::new(spec(), 2, 1);
         let net = equality_net(42);
         let (bc, _) = harmonic_bc(&d);
@@ -407,9 +408,10 @@ mod tests {
         let plan = crate::PlanSolver::new(net.clone(), spec());
         let graph = crate::NeuralSolver::new(net, spec());
         let rp = Mfp::new(&plan, d).run(&bc, &cfg);
+        let rc = Mfp::new(&crate::plan::tests::Checked::new(&plan), d).run(&bc, &cfg);
         let rb = Mfp::new(&graph, d).run(&bc, &cfg);
         let ru = Mfp::new(&crate::UnbatchedSolver(&graph), d).run(&bc, &cfg);
-        assert_grids_bitwise(&rb.grid, &rp.grid, "plan vs batched graph");
+        assert_grids_bitwise(&rp.grid, &rc.grid, "plan vs checked plan");
         assert_grids_bitwise(&rb.grid, &ru.grid, "batched vs unbatched graph");
         // Sweeps reuse the cross-point plan after the first compile; the
         // dense fill compiles a second plan for the interior points.
@@ -579,11 +581,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
 
-            /// The compiled plan, the batched graph path, and the
-            /// per-boundary graph path must be bitwise-identical for any
-            /// weights, boundaries, and query points.
+            /// For any weights, boundaries, and query points, the compiled
+            /// plan is within its launch bound of the batched graph path,
+            /// which is bitwise the per-boundary graph path.
             #[test]
-            fn plan_and_graph_paths_agree_bitwise(
+            fn plan_and_graph_paths_agree_within_the_launch_bound(
                 net_seed in 0u64..1_000_000,
                 data_seed in 0u64..1_000_000,
                 b in 1usize..5,
@@ -599,11 +601,9 @@ mod tests {
                 });
                 let pts = Tensor::from_fn(q, 2, |_, _| rng.gen_range(0.0..0.5));
 
-                let compiled = plan.solve_batch(&bnd, &pts);
+                // Checks every output against the bound.
+                crate::plan::tests::Checked::new(&plan).solve_batch(&bnd, &pts);
                 let batched = graph.solve_batch(&bnd, &pts);
-                for (x, y) in batched.as_slice().iter().zip(compiled.as_slice()) {
-                    prop_assert_eq!(x.to_bits(), y.to_bits());
-                }
                 // Unbatched graph path: one boundary per launch.
                 for bi in 0..b {
                     let row = Tensor::from_fn(1, spec.boundary_len(), |_, c| bnd.get(bi, c));
@@ -849,10 +849,12 @@ mod tests {
             one_level.iterations
         );
 
-        // And with an inexact, nonlinear subdomain solver.
+        // And with an inexact, nonlinear subdomain solver: the `f64` graph,
+        // which can meet `tol 1e-9` (the `f32` plan's relative change
+        // bottoms out near its rounding, about 1e-7).
         let d = DomainSpec::new(spec(), 2, 2);
-        let plan = crate::PlanSolver::new(equality_net(2), spec());
-        let mfp = Mfp::new(&plan, d);
+        let graph = crate::NeuralSolver::new(equality_net(2), spec());
+        let mfp = Mfp::new(&graph, d);
         for bc in random_bcs(&d, 4) {
             let (one_level, two_level) = (run(&mfp, &bc, 1e-9, false), run(&mfp, &bc, 1e-9, true));
             let gap = one_level.grid.max_abs_diff(&two_level.grid);
@@ -877,9 +879,10 @@ mod tests {
         // Mixing state is per request: a request whose relative change
         // grows mid-solve (so its history is dropped and rebuilt) and its
         // smoothly converging batch mates each repeat their solo run.
+        // On the `f64` graph: the `f32` plan cannot meet `tol 1e-9`.
         let d = DomainSpec::new(spec(), 2, 2);
-        let plan = crate::PlanSolver::new(equality_net(2), spec());
-        let mfp = Mfp::new(&plan, d);
+        let graph = crate::NeuralSolver::new(equality_net(2), spec());
+        let mfp = Mfp::new(&graph, d);
         let cfg = MfpConfig {
             max_iters: 60,
             tol: 1e-9,

@@ -1,9 +1,10 @@
 //! Runtime-dispatched kernel backends.
 //!
 //! Every dense kernel the Mosaic Flow stack spends time in — GEMM row
-//! bands, the elementwise/activation family and their VJPs, and the
-//! circular unfold/fold pair behind SDNet's convolution — is routed
-//! through the [`Backend`] trait. Two implementations exist:
+//! bands, the elementwise/activation family and their VJPs, the circular
+//! unfold/fold pair behind SDNet's convolution, and the compiled inference
+//! plan's fused `f32` layer — is routed through the [`Backend`] trait. Two
+//! implementations exist:
 //!
 //! * **scalar** — the original reference loops, kept bit-for-bit
 //!   identical to the pre-backend code. Golden fixtures are recorded
@@ -15,10 +16,15 @@
 //!   scalar accumulation order but fuse each multiply-add when the build
 //!   target has the instruction ([`crate::FUSED`]): bitwise identical to
 //!   scalar on a build without it, within `2γ_k·(|A|·|B|)ᵢⱼ` of it
-//!   ([`check_gemm_contract`]) on a build with it, and bitwise *itself* — across plans,
-//!   partitions, pool widths and ranks — on either. `tanh` and `gelu` use
-//!   a different approximation and carry explicit ulp budgets
+//!   ([`check_gemm_contract`], [`check_layer_contract`] with `f32`'s `γ`)
+//!   on a build with it, and bitwise *itself* — across plans, partitions,
+//!   pool widths and ranks — on either. `tanh` and `gelu`, in `f64` and in
+//!   `f32`, use a different approximation and carry explicit ulp budgets
 //!   (`tests/backend.rs` documents and enforces all of these).
+//!
+//! Everything is `f64` except the compiled plan's kernels:
+//! [`Backend::layer`] over a [`PackedB`] and [`Backend::activate_f32`] run
+//! in `f32`, twice the lanes per vector, for inference only.
 //!
 //! The live backend is chosen once from `MF_BACKEND`
 //! (`scalar`/`simd`/`auto`, default `auto` = simd) and can be overridden
@@ -45,6 +51,15 @@ pub fn gelu_scalar(x: f64) -> f64 {
     0.5 * x * (1.0 + (GELU_SQRT_2_OVER_PI * (x + GELU_C * x * x * x)).tanh())
 }
 
+/// [`gelu_scalar`] in `f32` arithmetic, on the constants rounded to `f32`:
+/// the reference of [`Backend::activate_f32`].
+#[inline]
+pub fn gelu_scalar_f32(x: f32) -> f32 {
+    const S: f32 = GELU_SQRT_2_OVER_PI as f32;
+    const C: f32 = GELU_C as f32;
+    0.5 * x * (1.0 + (S * (x + C * x * x * x)).tanh())
+}
+
 /// Cache block size along the `k` dimension of the GEMM kernels.
 pub(crate) const KC: usize = 256;
 
@@ -67,29 +82,30 @@ pub enum Act {
     Gelu,
 }
 
-/// A `k×n` right-hand GEMM operand prepared once for many products — a
-/// weight matrix of a compiled plan. Holds the matrix row-major (what the
-/// reference kernels read) and cut into the column panels the simd
-/// microkernel streams, so [`Backend::layer`] packs nothing per call and
-/// either backend can run a plan whichever one was live when it was
-/// compiled.
+/// A `k×n` right-hand operand of [`Backend::layer`] prepared once for many
+/// products — a weight matrix of a compiled plan, rounded to `f32`. Holds
+/// the matrix row-major (what the reference kernel reads) and cut into the
+/// column panels the simd microkernel streams, so [`Backend::layer`] packs
+/// nothing per call and either backend can run a plan whichever one was
+/// live when it was compiled.
 #[derive(Clone, Debug)]
 pub struct PackedB {
     k: usize,
     n: usize,
-    rows: Vec<f64>,
-    panels: Vec<f64>,
+    rows: Vec<f32>,
+    panels: Vec<f32>,
 }
 
 impl PackedB {
-    /// Pack the `k×n` matrix `b`.
+    /// Round the `k×n` matrix `b` to `f32` and pack it.
     pub fn new(b: &crate::Tensor) -> Self {
         let (k, n) = b.shape();
+        let rows: Vec<f32> = b.as_slice().iter().map(|&v| v as f32).collect();
         Self {
             k,
             n,
-            rows: b.as_slice().to_vec(),
-            panels: crate::simd::pack_panels(b.as_slice(), k, n),
+            panels: crate::simd::pack_panels(&rows, k, n),
+            rows,
         }
     }
 
@@ -104,12 +120,12 @@ impl PackedB {
     }
 
     /// The matrix, row-major.
-    pub fn rows(&self) -> &[f64] {
+    pub fn rows(&self) -> &[f32] {
         &self.rows
     }
 
     /// The matrix in the simd backend's panel order.
-    pub(crate) fn panels(&self) -> &[f64] {
+    pub(crate) fn panels(&self) -> &[f32] {
         &self.panels
     }
 }
@@ -181,22 +197,33 @@ pub trait Backend: Send + Sync {
         }
     }
 
-    /// One dense layer: `out = act(a · w + bias)`, **overwriting** `out`
-    /// (`m×n`, `m = a.len() / k`). Every element is the ascending-`p` sum
-    /// started from `+0.0`, then the bias, then the activation — bit for
-    /// bit what [`Backend::gemm_band`] into a zero-filled `out`, a row
-    /// broadcast add and [`Backend::tanh`] / [`Backend::gelu`] produce on
-    /// the same backend. This default body *is* that composition.
-    fn layer(&self, a: &[f64], w: &PackedB, bias: Option<&[f64]>, act: Act, out: &mut [f64]) {
-        if w.n() == 0 {
+    /// One dense layer of a compiled plan, in `f32`: `out = act(a · w +
+    /// bias)`, **overwriting** `out` (`m×n`, `m = a.len() / k`). Every
+    /// element is the ascending-`p` chain of multiply-adds started from
+    /// `+0.0`, then the bias, then [`Backend::activate_f32`] — this default
+    /// body is that reference, with a separate multiply and add per step.
+    /// Implementations keep the chain, so they agree with themselves bitwise
+    /// under any row partition and with this body within the chain's
+    /// rounding ([`check_layer_contract`]).
+    fn layer(&self, a: &[f32], w: &PackedB, bias: Option<&[f32]>, act: Act, out: &mut [f32]) {
+        let (k, n) = (w.k(), w.n());
+        if n == 0 {
             return;
         }
         out.fill(0.0);
-        self.gemm_band(a, w.rows(), out, w.k(), w.n());
+        if k > 0 {
+            for (a_row, row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                for (&x, w_row) in a_row.iter().zip(w.rows().chunks_exact(n)) {
+                    for (o, &wv) in row.iter_mut().zip(w_row) {
+                        *o += x * wv;
+                    }
+                }
+            }
+        }
         if let Some(bias) = bias {
             add_row(out, bias);
         }
-        self.activate(act, out);
+        self.activate_f32(act, out);
     }
 
     /// `buf[i] = act(buf[i])` in place, with the arithmetic of
@@ -206,6 +233,16 @@ pub trait Backend: Send + Sync {
             Act::Identity => {}
             Act::Tanh => buf.iter_mut().for_each(|v| *v = v.tanh()),
             Act::Gelu => buf.iter_mut().for_each(|v| *v = gelu_scalar(*v)),
+        }
+    }
+
+    /// [`Backend::activate`] in `f32`: the plan's activations. The
+    /// reference is `f32::tanh` and [`gelu_scalar_f32`].
+    fn activate_f32(&self, act: Act, buf: &mut [f32]) {
+        match act {
+            Act::Identity => {}
+            Act::Tanh => buf.iter_mut().for_each(|v| *v = v.tanh()),
+            Act::Gelu => buf.iter_mut().for_each(|v| *v = gelu_scalar_f32(*v)),
         }
     }
 
@@ -321,24 +358,7 @@ pub trait Backend: Send + Sync {
         kw: usize,
         out: &mut [f64],
     ) {
-        let width = len * channels;
-        let wk = kw * channels;
-        let half = (kw - 1) / 2;
-        for bi in 0..bsz {
-            let src = &input[bi * width..(bi + 1) * width];
-            for p in 0..len {
-                let row = bi * len + p;
-                let dst = &mut out[row * wk..(row + 1) * wk];
-                for w in 0..kw {
-                    // `+ kw·len` (a multiple of the modulus) keeps the
-                    // index positive even when the kernel is wider than
-                    // the signal (`half > p + len`).
-                    let pos = (p + w + kw * len - half) % len;
-                    dst[w * channels..(w + 1) * channels]
-                        .copy_from_slice(&src[pos * channels..(pos + 1) * channels]);
-                }
-            }
-        }
+        unfold_reference(input, bsz, len, channels, kw, out);
     }
 
     /// Adjoint of [`Backend::unfold1d`]: scatter-add windows back onto the
@@ -372,10 +392,40 @@ pub trait Backend: Send + Sync {
     }
 }
 
+/// The reference body of [`Backend::unfold1d`], for any element type (an
+/// unfold only copies).
+pub(crate) fn unfold_reference<T: Copy>(
+    input: &[T],
+    bsz: usize,
+    len: usize,
+    channels: usize,
+    kw: usize,
+    out: &mut [T],
+) {
+    let width = len * channels;
+    let wk = kw * channels;
+    let half = (kw - 1) / 2;
+    for bi in 0..bsz {
+        let src = &input[bi * width..(bi + 1) * width];
+        for p in 0..len {
+            let row = bi * len + p;
+            let dst = &mut out[row * wk..(row + 1) * wk];
+            for w in 0..kw {
+                // `+ kw·len` (a multiple of the modulus) keeps the
+                // index positive even when the kernel is wider than
+                // the signal (`half > p + len`).
+                let pos = (p + w + kw * len - half) % len;
+                dst[w * channels..(w + 1) * channels]
+                    .copy_from_slice(&src[pos * channels..(pos + 1) * channels]);
+            }
+        }
+    }
+}
+
 /// `rows[r][c] += row[c]` for every `row.len()`-wide row of `rows` (the
 /// bias add of [`Backend::layer`]; `a + b` per element like the graph's
 /// broadcast add).
-pub(crate) fn add_row(rows: &mut [f64], row: &[f64]) {
+pub(crate) fn add_row<T: Copy + std::ops::AddAssign>(rows: &mut [T], row: &[T]) {
     for r in rows.chunks_exact_mut(row.len()) {
         for (o, &b) in r.iter_mut().zip(row) {
             *o += b;
@@ -545,6 +595,64 @@ pub fn check_gemm_contract(
         }
     }
     Ok(())
+}
+
+/// [`check_gemm_contract`] for [`Backend::layer`]: `scalar` and `simd` are
+/// the two backends' `a · w` (no bias, identity activation). The chains
+/// run in `f32`, so `ε = 2⁻²⁴` and, started from `+0.0`, they have `k`
+/// terms: within `2γ_k·(|a|·|w|)ᵢⱼ` of each other where the simd chain is
+/// fused ([`crate::FUSED`]), the same bits where it is not (the reference
+/// skips no zero, so there is no ±0 exception).
+pub fn check_layer_contract(
+    (a, w): (&[f32], &PackedB),
+    (scalar, simd): (&[f32], &[f32]),
+) -> Result<(), String> {
+    let (k, n) = (w.k(), w.n());
+    // Rows of the product; none to compare when it has no columns.
+    let m = scalar.len().checked_div(n).unwrap_or(0);
+    if scalar.len() != m * n || simd.len() != m * n || (n > 0 && a.len() != m * k) {
+        return Err("length mismatch".into());
+    }
+    let terms_eps = k as f64 * (f32::EPSILON as f64 / 2.0);
+    let bound = 2.0 * terms_eps / (1.0 - terms_eps);
+    for (i, (&x, &y)) in scalar.iter().zip(simd).enumerate() {
+        let (r, j) = (i / n, i % n);
+        let mag: f64 = (0..k)
+            .map(|p| (a[r * k + p] as f64 * w.rows()[p * n + j] as f64).abs())
+            .sum();
+        let ok = if crate::FUSED {
+            (x as f64 - y as f64).abs() <= bound * mag
+        } else {
+            x.to_bits() == y.to_bits()
+        };
+        if !ok {
+            return Err(format!("elem {i}: {x:e} vs {y:e} (|a|·|w| = {mag:e})"));
+        }
+    }
+    Ok(())
+}
+
+/// [`ulp_distance`] between two `f32`s.
+pub fn ulp_distance_f32(a: f32, b: f32) -> u64 {
+    if a == b {
+        return 0;
+    }
+    if a.is_nan() || b.is_nan() {
+        return if a.is_nan() && b.is_nan() {
+            0
+        } else {
+            u64::MAX
+        };
+    }
+    fn key(x: f32) -> u32 {
+        let b = x.to_bits();
+        if b >> 31 == 0 {
+            b | 0x8000_0000
+        } else {
+            !b
+        }
+    }
+    key(a).abs_diff(key(b)) as u64
 }
 
 /// Bitwise equality of two doubles (`+0.0` and `−0.0` differ, a NaN equals

@@ -60,12 +60,23 @@ impl std::iter::Sum for PoolStats {
     }
 }
 
-/// Freelists of `Vec<f64>` storage binned by power-of-two capacity.
-#[derive(Debug, Default)]
-pub struct BufferPool {
-    classes: Vec<Vec<Vec<f64>>>,
+/// Freelists of `Vec<T>` storage binned by power-of-two capacity: `f64`
+/// tensor storage by default, `f32` for the compiled plan's registers.
+#[derive(Debug)]
+pub struct BufferPool<T = f64> {
+    classes: Vec<Vec<Vec<T>>>,
     held_bytes: usize,
     stats: PoolStats,
+}
+
+impl<T> Default for BufferPool<T> {
+    fn default() -> Self {
+        Self {
+            classes: (0..CLASSES).map(|_| Vec::new()).collect(),
+            held_bytes: 0,
+            stats: PoolStats::default(),
+        }
+    }
 }
 
 /// Smallest `k` with `2^k >= n` (`n >= 1`).
@@ -84,11 +95,7 @@ fn class_for_capacity(cap: usize) -> usize {
 impl BufferPool {
     /// Empty pool.
     pub fn new() -> Self {
-        Self {
-            classes: (0..CLASSES).map(|_| Vec::new()).collect(),
-            held_bytes: 0,
-            stats: PoolStats::default(),
-        }
+        Self::default()
     }
 
     /// A zero-filled `rows×cols` tensor, recycled when possible.
@@ -116,39 +123,52 @@ impl BufferPool {
         cols: usize,
         capacity: usize,
     ) -> Tensor {
-        let n = (rows * cols).max(capacity).max(1);
+        Tensor::from_vec(rows, cols, self.acquire_vec(rows * cols, capacity))
+    }
+
+    /// Hand a tensor's storage back for reuse.
+    pub fn release(&mut self, t: Tensor) {
+        self.release_vec(t.into_vec());
+    }
+}
+
+impl<T: Copy + Default> BufferPool<T> {
+    /// A `len`-element buffer with **unspecified contents**, from the size
+    /// class that holds `max(len, capacity)` elements: the storage behind
+    /// [`BufferPool::acquire_dirty_with_capacity`], for any element type.
+    pub fn acquire_vec(&mut self, len: usize, capacity: usize) -> Vec<T> {
+        let n = len.max(capacity).max(1);
         let k = class_for_request(n);
         let mut buf = match self.classes.get_mut(k).and_then(Vec::pop) {
             Some(buf) => {
                 debug_assert!(buf.capacity() >= n);
-                self.held_bytes -= buf.capacity() * std::mem::size_of::<f64>();
+                self.held_bytes -= buf.capacity() * std::mem::size_of::<T>();
                 self.stats.hits += 1;
                 buf
             }
             None => {
                 let cap = 1usize << k;
                 self.stats.misses += 1;
-                self.stats.miss_bytes += (cap * std::mem::size_of::<f64>()) as u64;
+                self.stats.miss_bytes += (cap * std::mem::size_of::<T>()) as u64;
                 Vec::with_capacity(cap)
             }
         };
         // Adjust the length without wiping what's already there: elements
         // below the old length keep their stale values, any grown region
         // is zero-extended — never uninitialized memory.
-        buf.resize(rows * cols, 0.0);
-        Tensor::from_vec(rows, cols, buf)
+        buf.resize(len, T::default());
+        buf
     }
 
-    /// Hand a tensor's storage back for reuse.
-    pub fn release(&mut self, t: Tensor) {
-        let buf = t.into_vec();
+    /// Hand a buffer back for reuse.
+    pub fn release_vec(&mut self, buf: Vec<T>) {
         let cap = buf.capacity();
         if cap == 0 {
             return;
         }
         self.stats.released += 1;
         let k = class_for_capacity(cap).min(CLASSES - 1);
-        self.held_bytes += cap * std::mem::size_of::<f64>();
+        self.held_bytes += cap * std::mem::size_of::<T>();
         self.classes[k].push(buf);
     }
 

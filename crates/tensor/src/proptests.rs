@@ -271,10 +271,12 @@ fn any_shape() -> impl Strategy<Value = (usize, usize)> {
 
 /// Differential property tests: for random shapes and data, the simd
 /// backend must reproduce the scalar reference exactly (bitwise) on
-/// every kernel that does the reference's arithmetic per element, and
-/// within the GEMM error bound where its multiply-add chain may be fused
-/// — the per-kernel contract behind `tests/backend.rs`, here explored by
-/// proptest instead of by a fixed shape table.
+/// every kernel that does the reference's arithmetic per element, within
+/// the GEMM error bound — `f64`, and `f32` for the plan's layer — where its
+/// multiply-add chain may be fused, and within the ulp budgets of its
+/// activations in both types — the per-kernel contract behind
+/// `tests/backend.rs`, here explored by proptest instead of by a fixed
+/// shape table.
 mod backend_differential {
     use super::*;
     use crate::backend::{scalar, simd};
@@ -338,6 +340,39 @@ mod backend_differential {
             prop_assert!(
                 held.is_ok(),
                 "gemm {m}x{k}x{n} (a_t={a_t}, b_t={b_t}) diverged: {held:?}"
+            );
+        }
+
+        #[test]
+        fn f32_layer_contract_on_random_shapes(
+            (m, k) in any_shape(),
+            n in 0usize..18,
+            act in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            // Zeros included: the f32 reference skips none.
+            let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            let w = Tensor::from_fn(k, n, |_, _| rng.gen_range(-2.0..2.0));
+            let bias: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let packed = crate::PackedB::new(&w);
+            let (mut s, mut v) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+            scalar().layer(&a, &packed, None, crate::Act::Identity, &mut s);
+            simd().layer(&a, &packed, None, crate::Act::Identity, &mut v);
+            let held = crate::check_layer_contract((&a, &packed), (&s, &v));
+            prop_assert!(held.is_ok(), "layer {m}x{k}x{n} diverged: {held:?}");
+            // Bias and activation are the simd backend's own unfused steps.
+            let act = [crate::Act::Identity, crate::Act::Tanh, crate::Act::Gelu][act];
+            if n > 0 {
+                crate::backend::add_row(&mut v, &bias);
+            }
+            simd().activate_f32(act, &mut v);
+            let mut fused = vec![f32::NAN; m * n];
+            simd().layer(&a, &packed, Some(&bias), act, &mut fused);
+            prop_assert!(
+                v.iter().zip(&fused).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "fused {act:?} layer {m}x{k}x{n} left its unfused steps"
             );
         }
 
@@ -433,6 +468,20 @@ mod backend_differential {
                     d <= 32 || (r - g).abs() <= 1e-14,
                     "gelu({x}) off by {d} ulp"
                 );
+            }
+            // And the plan's f32 activations, in place.
+            let xs: Vec<f32> = xs.iter().map(|&x| x as f32).collect();
+            for (act, name) in [(crate::Act::Tanh, "tanh"), (crate::Act::Gelu, "gelu")] {
+                let (mut r, mut g) = (xs.clone(), xs.clone());
+                scalar().activate_f32(act, &mut r);
+                simd().activate_f32(act, &mut g);
+                for ((&x, &r), &g) in xs.iter().zip(&r).zip(&g) {
+                    let d = crate::ulp_distance_f32(r, g);
+                    prop_assert!(
+                        d <= 8 || (name == "gelu" && (r - g).abs() <= 4.0 * f32::EPSILON * x.abs()),
+                        "f32 {name}({x}) off by {d} ulp"
+                    );
+                }
             }
         }
     }

@@ -5,54 +5,58 @@
 //! them to packed vector instructions on any target — no intrinsics, no
 //! `unsafe`, no nightly `std::simd`. Three families:
 //!
-//! * **GEMM** ([`Backend::gemm_band`], [`Backend::layer`]) — a packed,
-//!   cache-blocked microkernel: `MR×NR = 4×16` register tiles over
-//!   `KC`-deep, `NR`-wide panels of `B` stored contiguously.
-//!   `gemm_band` accumulates into `C` and packs each panel into a
-//!   per-thread scratch buffer as it goes; `layer` reads panels a
-//!   [`PackedB`] packed once, starts its accumulators at `+0.0` (it
-//!   overwrites `C`: no zero-fill, no re-load) and finishes each 64-row
-//!   band — bias, activation — while the band is in L1. The inner loop
-//!   carries no bounds checks: the tile's four row slices are cut once per
-//!   tile and zipped with `chunks_exact` over the panel. The last columns
-//!   (`n % NR`) run as one 4×8 half tile if there are eight, and what is
-//!   left — in particular every `n < 8` product such as a scalar head —
-//!   goes to a row-parallel kernel instead: `RB = 8` rows' serial chains
-//!   side by side. Every element is one chain of [`fmadd`] over its
-//!   `k`-products in ascending order, whichever path computes it: **fused**
-//!   (one rounding per step) when the build target has the instruction
-//!   ([`FUSED`]: `target_feature = "fma"`, which `target-cpu=native` turns
-//!   on wherever the host has it, or aarch64), multiply then add
-//!   otherwise. So every *within-backend* equivalence is bitwise on any
-//!   build — fused layer ≡ unfused composition, plan ≡ graph, any row
-//!   partition, any pool width — while against the scalar reference the
-//!   contract depends on the build: without FMA the chains are the scalar
-//!   kernel's, bit for bit (for the zero-free inputs the differential
-//!   harness checks — the scalar kernel's `a == 0` skip can flip the sign
-//!   of a zero in degenerate ±0 cases; see DESIGN.md); with it each side
-//!   is within `γ_k·(|A|·|B|)ᵢⱼ` of the exact product, so the two are
-//!   within `2γ_k·(|A|·|B|)ᵢⱼ` of each other
-//!   ([`crate::check_gemm_contract`]).
+//! * **GEMM** ([`Backend::gemm_band`] in `f64`, [`Backend::layer`] in
+//!   `f32`) — one packed, cache-blocked microkernel, generic over the
+//!   element type: `MR×NR = 4×16` register tiles over `KC`-deep, `NR`-wide
+//!   panels of `B` stored contiguously. `gemm_band` accumulates into `C`
+//!   and packs each panel into a per-thread scratch buffer as it goes;
+//!   `layer` reads panels a [`PackedB`] packed once, starts its
+//!   accumulators at `+0.0` (it overwrites `C`: no zero-fill, no re-load)
+//!   and finishes each 64-row band — bias, activation — while the band is
+//!   in L1. An `f32` tile is half the registers of an `f64` one, so the
+//!   plan's layers issue twice the multiply-adds per vector instruction.
+//!   The inner loop carries no bounds checks: the tile's four row slices
+//!   are cut once per tile and zipped with `chunks_exact` over the panel.
+//!   The last columns (`n % NR`) run as one 4×8 half tile if there are
+//!   eight, and what is left — in particular every `n < 8` product such as
+//!   a scalar head — goes to a row-parallel kernel instead: `RB = 8` rows'
+//!   serial chains side by side. Every element is one chain of [`fmadd`]
+//!   over its `k`-products in ascending order, whichever path computes it:
+//!   **fused** (one rounding per step) when the build target has the
+//!   instruction ([`FUSED`]: `target_feature = "fma"`, which
+//!   `target-cpu=native` turns on wherever the host has it, or aarch64),
+//!   multiply then add otherwise. So every *within-backend* equivalence is
+//!   bitwise on any build — fused layer ≡ unfused steps, any row partition,
+//!   any pool width — while against the scalar reference the contract
+//!   depends on the build: without FMA the chains are the scalar kernel's,
+//!   bit for bit (for `f64`, on the zero-free inputs the differential
+//!   harness checks — the scalar GEMM's `a == 0` skip can flip the sign of
+//!   a zero in degenerate ±0 cases; see DESIGN.md); with it each side is
+//!   within `γ_k·(|A|·|B|)ᵢⱼ` of the exact product, so the two are within
+//!   `2γ_k·(|A|·|B|)ᵢⱼ` of each other ([`crate::check_gemm_contract`],
+//!   [`crate::check_layer_contract`]).
 //! * **Elementwise / VJP kernels** — the same per-element arithmetic as
 //!   the scalar reference in 4-lane chunks, never fused: bitwise identical.
-//! * **`tanh` / `gelu`** — evaluated on 16-wide blocks, so independent
-//!   Horner chains hide the multiply-add latency, around a lane-wise `exp`
-//!   with magic-number rounding; every Horner step and the `ln 2`
-//!   reduction is an [`fmadd`]. `tanh` is an odd polynomial below 0.1 and
-//!   the `expm1`-style `t/(t+2)` form above it. `gelu` does not go through
-//!   `tanh`: since `½(1 + tanh u) = 1/(1 + e^(−2u))`, it is
-//!   `x / (1 + exp(−2u))` with `u = √(2/π)(x + c·x³)` — one `exp`, one
-//!   divide, and one select for `u < −20`, where the reference's
-//!   `1 + tanh u` has cancelled to exactly 0 and the result is `−0.0`. So
-//!   its divergence from scalar is no longer "the vector tanh": it is the
-//!   reference's own cancellation error in `1 + tanh u` for negative `u`
-//!   (absolute, below 2e-15) plus a couple of ulp of `exp`. These two
-//!   kernels differ from scalar on every build, within the budgets
-//!   enforced by `tests/backend.rs` (tanh ≤ 16 ulp, gelu ≤ 32 ulp or
-//!   1e-14 absolute).
+//! * **`tanh` / `gelu`** — evaluated on blocks of independent Horner chains
+//!   (16 `f64` or 32 `f32` lanes, four vectors either way), so the chains
+//!   hide the multiply-add latency, around a lane-wise `exp` with
+//!   magic-number rounding; every Horner step and the `ln 2` reduction is
+//!   a fused multiply-add where the target has one. `tanh` is an odd
+//!   polynomial below 0.1 and the `expm1`-style `t/(t+2)` form above it.
+//!   `gelu` does not go through `tanh`: since `½(1 + tanh u) = 1/(1 +
+//!   e^(−2u))`, it is `x / (1 + exp(−2u))` with `u = √(2/π)(x + c·x³)` —
+//!   one `exp`, one divide, and one select for `u < −20`, where the
+//!   reference's `1 + tanh u` has cancelled to exactly 0 and the result is
+//!   `−0.0`. So its divergence from scalar is no longer "the vector tanh":
+//!   it is the reference's own cancellation error in `1 + tanh u` for
+//!   negative `u` plus a couple of ulp of `exp`. These kernels differ from
+//!   scalar on every build, within the budgets enforced by
+//!   `tests/backend.rs` (`f64`: tanh ≤ 16 ulp, gelu ≤ 32 ulp or 1e-14
+//!   absolute; `f32`: tanh ≤ 8 ulp, gelu ≤ 8 ulp or `4ε·|x|` absolute).
 
 use crate::backend::{
-    add_row, Act, Backend, BackendKind, PackedB, BAND, GELU_C, GELU_SQRT_2_OVER_PI, KC,
+    add_row, unfold_reference, Act, Backend, BackendKind, PackedB, BAND, GELU_C,
+    GELU_SQRT_2_OVER_PI, KC,
 };
 use std::cell::RefCell;
 
@@ -75,6 +79,8 @@ const RB: usize = 8;
 /// several vectors' worth of independent per-element Horner chains, so
 /// the serially-dependent polynomial latency is hidden by interleaving.
 const BLOCK: usize = 16;
+/// [`BLOCK`] for the `f32` kernels: the same four vectors, twice the lanes.
+const BLOCK_F32: usize = 32;
 
 /// The vectorized backend (unit struct; all state is per-call).
 pub struct SimdBackend;
@@ -111,6 +117,31 @@ pub fn fmadd(a: f64, b: f64, c: f64) -> f64 {
     }
 }
 
+/// An element type the GEMM microkernel runs in: `f64` for
+/// [`Backend::gemm_band`], `f32` for [`Backend::layer`].
+pub(crate) trait Elem: Copy + Default {
+    /// `a·b + c` as [`fmadd`] does it: fused exactly when [`FUSED`].
+    fn fmadd(a: Self, b: Self, c: Self) -> Self;
+}
+
+impl Elem for f64 {
+    #[inline(always)]
+    fn fmadd(a: f64, b: f64, c: f64) -> f64 {
+        fmadd(a, b, c)
+    }
+}
+
+impl Elem for f32 {
+    #[inline(always)]
+    fn fmadd(a: f32, b: f32, c: f32) -> f32 {
+        if FUSED {
+            a.mul_add(b, c)
+        } else {
+            a * b + c
+        }
+    }
+}
+
 /// Column blocks `(j0, nb)` of an `n`-wide right-hand operand: `NR`-wide
 /// tiles while they fit, then one `NH`-wide half tile if that fits, then
 /// the `< NH` columns left for the narrow kernel.
@@ -139,11 +170,11 @@ fn panel_blocks(k: usize, n: usize) -> impl Iterator<Item = (usize, usize, usize
 
 /// Append panel `(p0, kb, j0, nb)` of `b` (`k×n` row-major) to `out`: the
 /// `kb×nb` sub-matrix contiguous, row stride `nb`.
-fn pack_panel(
-    b: &[f64],
+fn pack_panel<T: Copy>(
+    b: &[T],
     n: usize,
     (p0, kb, j0, nb): (usize, usize, usize, usize),
-    out: &mut Vec<f64>,
+    out: &mut Vec<T>,
 ) {
     for row in b[p0 * n..(p0 + kb) * n].chunks_exact(n) {
         out.extend_from_slice(&row[j0..j0 + nb]);
@@ -153,7 +184,7 @@ fn pack_panel(
 /// `b` (`k×n` row-major) in panel order: every panel of [`panel_blocks`],
 /// one after the other. The panel of block `(p0, j0)` starts at
 /// `p0·n + kb·j0`.
-pub(crate) fn pack_panels(b: &[f64], k: usize, n: usize) -> Vec<f64> {
+pub(crate) fn pack_panels<T: Copy>(b: &[T], k: usize, n: usize) -> Vec<T> {
     let mut panels = Vec::with_capacity(k * n);
     for block in panel_blocks(k, n) {
         pack_panel(b, n, block, &mut panels);
@@ -172,12 +203,12 @@ pub(crate) fn pack_panels(b: &[f64], k: usize, n: usize) -> Vec<f64> {
 /// the loop has no index to check.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn micro<const W: usize>(
-    a: &[f64],
+fn micro<T: Elem, const W: usize>(
+    a: &[T],
     k: usize,
     p0: usize,
-    panel: &[f64],
-    c: &mut [f64],
+    panel: &[T],
+    c: &mut [T],
     n: usize,
     j0: usize,
     load: bool,
@@ -189,23 +220,23 @@ fn micro<const W: usize>(
     let (c0, c) = c.split_at_mut(n);
     let (c1, c) = c.split_at_mut(n);
     let (c2, c3) = c.split_at_mut(n);
-    fn tile<const W: usize>(row: &mut [f64], j0: usize) -> &mut [f64; W] {
+    fn tile<T, const W: usize>(row: &mut [T], j0: usize) -> &mut [T; W] {
         (&mut row[j0..j0 + W]).try_into().expect("W-wide slice")
     }
     let (c0, c1, c2, c3) = (
-        tile::<W>(c0, j0),
-        tile::<W>(c1, j0),
-        tile::<W>(c2, j0),
-        tile::<W>(c3, j0),
+        tile::<T, W>(c0, j0),
+        tile::<T, W>(c1, j0),
+        tile::<T, W>(c2, j0),
+        tile::<T, W>(c3, j0),
     );
-    let zero = [0.0f64; W];
+    let zero = [T::default(); W];
     let (mut s0, mut s1, mut s2, mut s3) = if load {
         (*c0, *c1, *c2, *c3)
     } else {
         (zero, zero, zero, zero)
     };
     // One accumulator array per row: kept apart they stay in registers as
-    // `W / LANES` vectors each; as one `[[f64; W]; MR]` the SLP vectorizer
+    // a few vectors each; as one `[[T; W]; MR]` the SLP vectorizer
     // regroups them across rows and shuffles in the loop.
     for ((((bv, &x0), &x1), &x2), &x3) in panel
         .chunks_exact(W)
@@ -215,16 +246,16 @@ fn micro<const W: usize>(
         .zip(&a3[p0..p0 + kb])
     {
         for (s, &b) in s0.iter_mut().zip(bv) {
-            *s = fmadd(x0, b, *s);
+            *s = T::fmadd(x0, b, *s);
         }
         for (s, &b) in s1.iter_mut().zip(bv) {
-            *s = fmadd(x1, b, *s);
+            *s = T::fmadd(x1, b, *s);
         }
         for (s, &b) in s2.iter_mut().zip(bv) {
-            *s = fmadd(x2, b, *s);
+            *s = T::fmadd(x2, b, *s);
         }
         for (s, &b) in s3.iter_mut().zip(bv) {
-            *s = fmadd(x3, b, *s);
+            *s = T::fmadd(x3, b, *s);
         }
     }
     (*c0, *c1, *c2, *c3) = (s0, s1, s2, s3);
@@ -238,19 +269,19 @@ fn micro<const W: usize>(
 /// `R = 1` it finishes the rows no full tile covers.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn chains<const R: usize, const NB: usize>(
-    a: &[f64],
+fn chains<T: Elem, const R: usize, const NB: usize>(
+    a: &[T],
     k: usize,
     p0: usize,
-    panel: &[f64],
-    c: &mut [f64],
+    panel: &[T],
+    c: &mut [T],
     n: usize,
     j0: usize,
     load: bool,
 ) {
     let kb = panel.len() / NB;
-    let rows: [&[f64]; R] = std::array::from_fn(|r| &a[r * k + p0..r * k + p0 + kb]);
-    let mut acc = [[0.0f64; NB]; R];
+    let rows: [&[T]; R] = std::array::from_fn(|r| &a[r * k + p0..r * k + p0 + kb]);
+    let mut acc = [[T::default(); NB]; R];
     if load {
         for (r, accr) in acc.iter_mut().enumerate() {
             accr.copy_from_slice(&c[r * n + j0..r * n + j0 + NB]);
@@ -260,7 +291,7 @@ fn chains<const R: usize, const NB: usize>(
         for (accr, row) in acc.iter_mut().zip(&rows) {
             let x = row[pp];
             for (s, &b) in accr.iter_mut().zip(bv) {
-                *s = fmadd(x, b, *s);
+                *s = T::fmadd(x, b, *s);
             }
         }
     }
@@ -272,12 +303,12 @@ fn chains<const R: usize, const NB: usize>(
 /// Every row of an `NB`-wide output block (`NB < NH`): `RB` rows at a
 /// time, then one by one.
 #[allow(clippy::too_many_arguments)]
-fn narrow_rows<const NB: usize>(
-    a: &[f64],
+fn narrow_rows<T: Elem, const NB: usize>(
+    a: &[T],
     k: usize,
     p0: usize,
-    panel: &[f64],
-    c: &mut [f64],
+    panel: &[T],
+    c: &mut [T],
     n: usize,
     j0: usize,
     load: bool,
@@ -285,23 +316,23 @@ fn narrow_rows<const NB: usize>(
     let mut ar = a.chunks_exact(RB * k);
     let mut cr = c.chunks_exact_mut(RB * n);
     for (ab, cb) in (&mut ar).zip(&mut cr) {
-        chains::<RB, NB>(ab, k, p0, panel, cb, n, j0, load);
+        chains::<T, RB, NB>(ab, k, p0, panel, cb, n, j0, load);
     }
     let tail = ar.remainder().chunks_exact(k);
     for (a1, c1) in tail.zip(cr.into_remainder().chunks_exact_mut(n)) {
-        chains::<1, NB>(a1, k, p0, panel, c1, n, j0, load);
+        chains::<T, 1, NB>(a1, k, p0, panel, c1, n, j0, load);
     }
 }
 
 /// Every row of a `W`-wide output block (`W` is `NR` or `NH`): `MR`-row
 /// register tiles, then the rows no tile covers one by one.
 #[allow(clippy::too_many_arguments)]
-fn tiled_rows<const W: usize>(
-    a: &[f64],
+fn tiled_rows<T: Elem, const W: usize>(
+    a: &[T],
     k: usize,
     p0: usize,
-    panel: &[f64],
-    c: &mut [f64],
+    panel: &[T],
+    c: &mut [T],
     n: usize,
     j0: usize,
     load: bool,
@@ -309,11 +340,11 @@ fn tiled_rows<const W: usize>(
     let mut ar = a.chunks_exact(MR * k);
     let mut cr = c.chunks_exact_mut(MR * n);
     for (at, ct) in (&mut ar).zip(&mut cr) {
-        micro::<W>(at, k, p0, panel, ct, n, j0, load);
+        micro::<T, W>(at, k, p0, panel, ct, n, j0, load);
     }
     let tail = ar.remainder().chunks_exact(k);
     for (a1, c1) in tail.zip(cr.into_remainder().chunks_exact_mut(n)) {
-        chains::<1, W>(a1, k, p0, panel, c1, n, j0, load);
+        chains::<T, 1, W>(a1, k, p0, panel, c1, n, j0, load);
     }
 }
 
@@ -321,27 +352,27 @@ fn tiled_rows<const W: usize>(
 /// times one `kb×nb` panel — added to `c` when `load`, replacing it
 /// otherwise.
 #[allow(clippy::too_many_arguments)]
-fn panel_product(
-    a: &[f64],
+fn panel_product<T: Elem>(
+    a: &[T],
     k: usize,
     p0: usize,
-    panel: &[f64],
-    c: &mut [f64],
+    panel: &[T],
+    c: &mut [T],
     n: usize,
     j0: usize,
     nb: usize,
     load: bool,
 ) {
     match nb {
-        NR => tiled_rows::<NR>(a, k, p0, panel, c, n, j0, load),
-        NH => tiled_rows::<NH>(a, k, p0, panel, c, n, j0, load),
-        1 => narrow_rows::<1>(a, k, p0, panel, c, n, j0, load),
-        2 => narrow_rows::<2>(a, k, p0, panel, c, n, j0, load),
-        3 => narrow_rows::<3>(a, k, p0, panel, c, n, j0, load),
-        4 => narrow_rows::<4>(a, k, p0, panel, c, n, j0, load),
-        5 => narrow_rows::<5>(a, k, p0, panel, c, n, j0, load),
-        6 => narrow_rows::<6>(a, k, p0, panel, c, n, j0, load),
-        7 => narrow_rows::<7>(a, k, p0, panel, c, n, j0, load),
+        NR => tiled_rows::<T, NR>(a, k, p0, panel, c, n, j0, load),
+        NH => tiled_rows::<T, NH>(a, k, p0, panel, c, n, j0, load),
+        1 => narrow_rows::<T, 1>(a, k, p0, panel, c, n, j0, load),
+        2 => narrow_rows::<T, 2>(a, k, p0, panel, c, n, j0, load),
+        3 => narrow_rows::<T, 3>(a, k, p0, panel, c, n, j0, load),
+        4 => narrow_rows::<T, 4>(a, k, p0, panel, c, n, j0, load),
+        5 => narrow_rows::<T, 5>(a, k, p0, panel, c, n, j0, load),
+        6 => narrow_rows::<T, 6>(a, k, p0, panel, c, n, j0, load),
+        7 => narrow_rows::<T, 7>(a, k, p0, panel, c, n, j0, load),
         _ => unreachable!("a panel is NR, NH or fewer than NH columns wide"),
     }
 }
@@ -365,16 +396,16 @@ impl Backend for SimdBackend {
         });
     }
 
-    fn layer(&self, a: &[f64], w: &PackedB, bias: Option<&[f64]>, act: Act, out: &mut [f64]) {
+    fn layer(&self, a: &[f32], w: &PackedB, bias: Option<&[f32]>, act: Act, out: &mut [f32]) {
         let (k, n) = (w.k(), w.n());
         if n == 0 {
             return;
         }
-        let finish = |band: &mut [f64]| {
+        let finish = |band: &mut [f32]| {
             if let Some(bias) = bias {
                 add_row(band, bias);
             }
-            self.activate(act, band);
+            self.activate_f32(act, band);
         };
         if k == 0 {
             out.fill(0.0);
@@ -397,6 +428,14 @@ impl Backend for SimdBackend {
             Act::Identity => {}
             Act::Tanh => blocks_apply_in_place(buf, tanh_lanes::<BLOCK>),
             Act::Gelu => blocks_apply_in_place(buf, gelu_lanes::<BLOCK>),
+        }
+    }
+
+    fn activate_f32(&self, act: Act, buf: &mut [f32]) {
+        match act {
+            Act::Identity => {}
+            Act::Tanh => blocks_apply_in_place(buf, tanh_lanes_f32::<BLOCK_F32>),
+            Act::Gelu => blocks_apply_in_place(buf, gelu_lanes_f32::<BLOCK_F32>),
         }
     }
 
@@ -485,34 +524,7 @@ impl Backend for SimdBackend {
         kw: usize,
         out: &mut [f64],
     ) {
-        if channels != 1 {
-            // Multi-channel windows interleave; use the reference loops.
-            return crate::backend::scalar().unfold1d(input, bsz, len, channels, kw, out);
-        }
-        let half = (kw - 1) / 2;
-        // Interior rows read a contiguous kw-window; only the first `half`
-        // and last `kw-1-half` positions of each signal wrap.
-        let lo = half.min(len);
-        let hi = len.saturating_sub(kw - 1 - half).max(lo);
-        for bi in 0..bsz {
-            let src = &input[bi * len..(bi + 1) * len];
-            for p in 0..lo {
-                let dst = &mut out[(bi * len + p) * kw..(bi * len + p + 1) * kw];
-                for (w, d) in dst.iter_mut().enumerate() {
-                    *d = src[(p + w + kw * len - half) % len];
-                }
-            }
-            for p in lo..hi {
-                let dst = &mut out[(bi * len + p) * kw..(bi * len + p + 1) * kw];
-                dst.copy_from_slice(&src[p - half..p - half + kw]);
-            }
-            for p in hi..len {
-                let dst = &mut out[(bi * len + p) * kw..(bi * len + p + 1) * kw];
-                for (w, d) in dst.iter_mut().enumerate() {
-                    *d = src[(p + w + kw * len - half) % len];
-                }
-            }
-        }
+        unfold1d_windows(input, bsz, len, channels, kw, out);
     }
 
     fn fold1d(
@@ -551,6 +563,48 @@ impl Backend for SimdBackend {
                 for (w, &s) in src.iter().enumerate() {
                     dst[(p + w + kw * len - half) % len] += s;
                 }
+            }
+        }
+    }
+}
+
+/// The simd backend's circular 1-D unfold ([`Backend::unfold1d`]), for
+/// any element type: the compiled plan unfolds its `f32` registers with
+/// it. An unfold only copies, so this is bitwise the reference on every
+/// input; a single-channel signal takes the fast path below.
+pub fn unfold1d_windows<T: Copy>(
+    input: &[T],
+    bsz: usize,
+    len: usize,
+    channels: usize,
+    kw: usize,
+    out: &mut [T],
+) {
+    if channels != 1 {
+        // Multi-channel windows interleave; use the reference loops.
+        return unfold_reference(input, bsz, len, channels, kw, out);
+    }
+    let half = (kw - 1) / 2;
+    // Interior rows read a contiguous kw-window; only the first `half`
+    // and last `kw-1-half` positions of each signal wrap.
+    let lo = half.min(len);
+    let hi = len.saturating_sub(kw - 1 - half).max(lo);
+    for bi in 0..bsz {
+        let src = &input[bi * len..(bi + 1) * len];
+        for p in 0..lo {
+            let dst = &mut out[(bi * len + p) * kw..(bi * len + p + 1) * kw];
+            for (w, d) in dst.iter_mut().enumerate() {
+                *d = src[(p + w + kw * len - half) % len];
+            }
+        }
+        for p in lo..hi {
+            let dst = &mut out[(bi * len + p) * kw..(bi * len + p + 1) * kw];
+            dst.copy_from_slice(&src[p - half..p - half + kw]);
+        }
+        for p in hi..len {
+            let dst = &mut out[(bi * len + p) * kw..(bi * len + p + 1) * kw];
+            for (w, d) in dst.iter_mut().enumerate() {
+                *d = src[(p + w + kw * len - half) % len];
             }
         }
     }
@@ -621,18 +675,22 @@ fn blocks_apply(a: &[f64], out: &mut [f64], f: impl Fn([f64; BLOCK]) -> [f64; BL
     }
 }
 
-/// [`blocks_apply`] over one buffer, in place.
+/// [`blocks_apply`] over one buffer, in place, for either element type
+/// and block width.
 #[inline]
-fn blocks_apply_in_place(buf: &mut [f64], f: impl Fn([f64; BLOCK]) -> [f64; BLOCK]) {
-    let mut bs = buf.chunks_exact_mut(BLOCK);
+fn blocks_apply_in_place<T: Copy + Default, const B: usize>(
+    buf: &mut [T],
+    f: impl Fn([T; B]) -> [T; B],
+) {
+    let mut bs = buf.chunks_exact_mut(B);
     for bc in &mut bs {
-        let mut block = [0.0; BLOCK];
+        let mut block = [T::default(); B];
         block.copy_from_slice(bc);
         bc.copy_from_slice(&f(block));
     }
     let rem = bs.into_remainder();
     if !rem.is_empty() {
-        let mut block = [0.0; BLOCK];
+        let mut block = [T::default(); B];
         block[..rem.len()].copy_from_slice(rem);
         let r = f(block);
         rem.copy_from_slice(&r[..rem.len()]);
@@ -785,10 +843,116 @@ fn gelu_lanes<const W: usize>(xs: [f64; W]) -> [f64; W] {
     out
 }
 
+/// [`LOG2E`] for [`exp_lanes_f32`].
+const LOG2E_F32: f32 = std::f32::consts::LOG2_E;
+/// High part of `ln 2` in `f32`: `355/512`, nine bits, so `n·LN2_HI_F32`
+/// is exact.
+const LN2_HI_F32: f32 = 0.693_359_4;
+/// Low part of `ln 2` (`ln 2 - LN2_HI_F32`).
+const LN2_LO_F32: f32 = -2.121_944_4e-4;
+/// `1.5 · 2^23`: [`ROUND_MAGIC`] for `f32`.
+const ROUND_MAGIC_F32: f32 = 12_582_912.0;
+
+/// Taylor coefficients `1/k!` for `f32` `exp` on `|r| ≤ ln2/2`: degree 7
+/// keeps truncation below a tenth of an `f32` ulp.
+const EXP_COEFFS_F32: [f32; 6] = [
+    1.0 / 5040.0, // 1/7!
+    1.0 / 720.0,  // 1/6!
+    1.0 / 120.0,  // 1/5!
+    1.0 / 24.0,   // 1/4!
+    1.0 / 6.0,    // 1/3!
+    0.5,          // 1/2!
+];
+
+/// [`exp_lanes`] in `f32`, for `|u| ≤ 87` (callers clamp; so `2^n` stays
+/// a normal number): the same reduction, a degree-7 polynomial and the
+/// exponent bits of `2^n` taken as the difference of the rounded value's
+/// bits from the magic number's.
+#[inline]
+fn exp_lanes_f32<const W: usize>(u: [f32; W]) -> [f32; W] {
+    let mut out = [0.0; W];
+    for (o, &ul) in out.iter_mut().zip(&u) {
+        let x = ul.clamp(-87.0, 87.0);
+        let zf = f32::fmadd(x, LOG2E_F32, ROUND_MAGIC_F32);
+        let n = (zf.to_bits() as i32).wrapping_sub(ROUND_MAGIC_F32.to_bits() as i32);
+        let nf = zf - ROUND_MAGIC_F32;
+        let r = f32::fmadd(-nf, LN2_LO_F32, f32::fmadd(-nf, LN2_HI_F32, x));
+        let mut p = EXP_COEFFS_F32[0];
+        for &c in &EXP_COEFFS_F32[1..] {
+            p = f32::fmadd(p, r, c);
+        }
+        p = f32::fmadd(p, r, 1.0);
+        p = f32::fmadd(p, r, 1.0);
+        let scale = f32::from_bits((n.wrapping_add(127) as u32) << 23);
+        *o = p * scale;
+    }
+    out
+}
+
+/// Above this, `tanh` rounds to ±1 in `f32` (from about 9.01).
+const TANH_SAT_F32: f32 = 9.5;
+
+/// [`tanh_lanes`] in `f32`: the same three ranges on the same
+/// coefficients, saturating where `f32` does.
+#[inline]
+fn tanh_lanes_f32<const W: usize>(xs: [f32; W]) -> [f32; W] {
+    let mut e2 = [0.0; W];
+    for (e, &x) in e2.iter_mut().zip(&xs) {
+        *e = (2.0 * x.abs()).min(2.0 * TANH_SAT_F32 + 1.0);
+    }
+    let ex = exp_lanes_f32(e2);
+    let mut out = [0.0; W];
+    for ((o, &x), &e) in out.iter_mut().zip(&xs).zip(&ex) {
+        let a = x.abs();
+        let w = x * x;
+        let mut p = TANH_COEFFS[0] as f32;
+        for &c in &TANH_COEFFS[1..] {
+            p = f32::fmadd(p, w, c as f32);
+        }
+        let small = x * f32::fmadd(p, w, 1.0);
+        let t = e - 1.0;
+        let mid = (t / (t + 2.0)).copysign(x);
+        let big = if a < TANH_SAT_F32 {
+            mid
+        } else {
+            1.0f32.copysign(x)
+        };
+        let big = if a.is_nan() { x } else { big };
+        *o = if a <= TANH_SMALL as f32 { small } else { big };
+    }
+    out
+}
+
+/// [`gelu_lanes`] in `f32`: `x / (1 + exp(−2u))`, `−0.0` below
+/// `u = −20`, on the constants of [`crate::backend::gelu_scalar_f32`].
+#[inline]
+fn gelu_lanes_f32<const W: usize>(xs: [f32; W]) -> [f32; W] {
+    const S: f32 = GELU_SQRT_2_OVER_PI as f32;
+    const C: f32 = GELU_C as f32;
+    let mut m2u = [0.0; W];
+    for (m, &x) in m2u.iter_mut().zip(&xs) {
+        *m = -2.0 * (S * f32::fmadd(C * x * x, x, x));
+    }
+    let e = exp_lanes_f32(m2u);
+    let mut out = [0.0; W];
+    for (((o, &x), &ev), &m) in out.iter_mut().zip(&xs).zip(&e).zip(&m2u) {
+        let y = x / (1.0 + ev);
+        *o = if m > -2.0 * GELU_NEG_SAT as f32 {
+            -0.0
+        } else {
+            y
+        };
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{check_gemm_contract, same_bits, scalar, ulp_distance, Backend};
+    use crate::backend::{
+        check_gemm_contract, check_layer_contract, same_bits, scalar, ulp_distance,
+        ulp_distance_f32, Backend,
+    };
 
     #[test]
     fn exp_matches_libm_to_a_few_ulp() {
@@ -869,12 +1033,6 @@ mod tests {
             .collect()
     }
 
-    fn assert_bits(want: &[f64], got: &[f64], what: &str) {
-        for (i, (w, g)) in want.iter().zip(got).enumerate() {
-            assert_eq!(w.to_bits(), g.to_bits(), "{what} elem {i}: {w:e} vs {g:e}");
-        }
-    }
-
     /// Shapes straddling every MR / NR / NH / RB / KC boundary, zero-free
     /// inputs; the last three are degenerate.
     const TAIL_SHAPES: &[(usize, usize, usize)] = &[
@@ -916,29 +1074,60 @@ mod tests {
     #[test]
     fn simd_layer_overwrites_with_the_scalar_pre_activation() {
         for &(m, k, n) in TAIL_SHAPES {
-            let a = zero_free(m * k, 0.37, 1.5);
+            let a: Vec<f32> = zero_free(m * k, 0.37, 1.5)
+                .iter()
+                .map(|&v| v as f32)
+                .collect();
             let w = crate::Tensor::from_vec(k, n, zero_free(k * n, 0.23, -1.5));
-            let bias = zero_free(n, 0.11, 2.0);
+            let bias: Vec<f32> = zero_free(n, 0.11, 2.0).iter().map(|&v| v as f32).collect();
             let packed = PackedB::new(&w);
-            // No bias and identity, so the comparison is the GEMM contract
+            // No bias and identity, so the comparison is the layer contract
             // across backends; the destinations start as garbage that must
             // not survive.
             let mut want = vec![7.0; m * n];
-            let mut got = vec![f64::NAN; m * n];
+            let mut got = vec![f32::NAN; m * n];
             scalar().layer(&a, &packed, None, Act::Identity, &mut want);
             SIMD.layer(&a, &packed, None, Act::Identity, &mut got);
-            let zeros = vec![0.0; m * n];
-            check_gemm_contract((&a, w.as_slice(), &zeros), (k, n), (&want, &got), same_bits)
+            check_layer_contract((&a, &packed), (&want, &got))
                 .unwrap_or_else(|e| panic!("layer {m}x{k}x{n} {e}"));
-            // With a bias, bit for bit the simd backend's own unfused steps.
-            let mut unfused = vec![0.0; m * n];
-            SIMD.gemm_band(&a, w.as_slice(), &mut unfused, k, n);
-            if n > 0 {
-                add_row(&mut unfused, &bias);
+            // With a bias and an activation, bit for bit the simd backend's
+            // own unfused steps.
+            for act in [Act::Identity, Act::Tanh, Act::Gelu] {
+                let mut unfused = got.clone();
+                if n > 0 {
+                    add_row(&mut unfused, &bias);
+                }
+                SIMD.activate_f32(act, &mut unfused);
+                let mut fused = vec![f32::NAN; m * n];
+                SIMD.layer(&a, &packed, Some(&bias), act, &mut fused);
+                for (i, (u, f)) in unfused.iter().zip(&fused).enumerate() {
+                    assert_eq!(
+                        u.to_bits(),
+                        f.to_bits(),
+                        "layer {m}x{k}x{n} {act:?} elem {i}"
+                    );
+                }
             }
-            SIMD.layer(&a, &packed, Some(&bias), Act::Identity, &mut got);
-            assert_bits(&unfused, &got, &format!("layer {m}x{k}x{n} vs unfused"));
         }
+    }
+
+    #[test]
+    fn f32_exp_and_tanh_match_libm_to_a_few_ulp() {
+        let mut worst = (0, 0);
+        for i in -8700..=8700 {
+            let x = i as f32 * 0.01; // [-87, 87]
+            let e = exp_lanes_f32([x, 0.0, 0.0, 0.0])[0];
+            worst.0 = worst.0.max(ulp_distance_f32(e, x.exp()));
+            let t = tanh_lanes_f32([x / 4.0, 0.0, 0.0, 0.0])[0];
+            worst.1 = worst.1.max(ulp_distance_f32(t, (x / 4.0).tanh()));
+        }
+        assert!(worst.0 <= 2, "f32 exp drifted {} ulp from libm", worst.0);
+        assert!(worst.1 <= 8, "f32 tanh drifted {} ulp from libm", worst.1);
+        let r = tanh_lanes_f32([0.0, -0.0, f32::NAN, 25.0]);
+        assert_eq!(r[0].to_bits(), 0.0f32.to_bits());
+        assert_eq!(r[1].to_bits(), (-0.0f32).to_bits());
+        assert!(r[2].is_nan());
+        assert_eq!(r[3], 1.0);
     }
 
     #[test]

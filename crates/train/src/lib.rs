@@ -34,6 +34,5 @@ pub use step::{
     train_step_single, GradSync, StepStats,
 };
 pub use trainer::{
-    evaluate_mse, train_ddp, train_ddp_resumable, train_single, DdpResult, EpochLog, EvalPlan,
-    TrainConfig,
+    evaluate_mse, train_ddp, train_ddp_resumable, train_single, DdpResult, EpochLog, TrainConfig,
 };

@@ -124,73 +124,6 @@ impl<O: Optimizer> OptimizerObj for O {
     }
 }
 
-/// Validation evaluator on the compiled inference path.
-///
-/// Holds one [`InferencePlan`](mf_infer::InferencePlan) for the dataset's
-/// full-grid query points plus a pooled workspace, and revalidates the
-/// plan against the network's parameter version before every evaluation:
-/// the optimizer step between epochs bumps the version, so each epoch's
-/// validation pass recompiles once and then runs every sample graph-free
-/// with zero warm allocations. Networks the plan compiler cannot lower
-/// (the `Concat` embedding) fall back to [`SdNet::predict`].
-///
-/// One `EvalPlan` follows one network lineage — the version counter is
-/// only meaningful within a single parameter store, so don't share an
-/// instance across unrelated networks.
-#[derive(Default)]
-pub struct EvalPlan {
-    cached: Option<mf_infer::InferencePlan>,
-    ws: mf_infer::Workspace,
-}
-
-impl EvalPlan {
-    /// An evaluator with nothing compiled yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mean squared error of the network against full solution grids.
-    pub fn mse(&mut self, net: &SdNet, ds: &Dataset) -> f64 {
-        if ds.is_empty() {
-            return 0.0;
-        }
-        let spec = ds.spec;
-        let q = spec.m * spec.m;
-        // Grid coordinates in row-major (j, i) order, matching the
-        // solution tensor layout.
-        let mut pts = Vec::with_capacity(q * 2);
-        for j in 0..spec.m {
-            for i in 0..spec.m {
-                let (x, y) = spec.coords(j, i);
-                pts.push(x);
-                pts.push(y);
-            }
-        }
-        let points = Tensor::from_vec(q, 2, pts);
-        if !mf_infer::InferencePlan::supports(net) {
-            return graph_mse(net, ds, &points, q);
-        }
-        let stale = match &self.cached {
-            Some(plan) => plan.is_stale(net) || plan.q() != q,
-            None => true,
-        };
-        if stale {
-            self.cached = Some(mf_infer::InferencePlan::compile(net, &points));
-        } else {
-            mf_telemetry::counter("infer.plan_cache_hits").incr();
-        }
-        let plan = self.cached.as_ref().unwrap();
-        let mut pred = Tensor::zeros(q, 1);
-        let mut acc = 0.0;
-        for s in &ds.samples {
-            pred.as_mut_slice().fill(0.0);
-            plan.execute_into(&mut self.ws, &s.boundary, &mut pred);
-            acc += mean_sq_diff(&pred, &s.solution);
-        }
-        acc / ds.len() as f64
-    }
-}
-
 fn mean_sq_diff(pred: &Tensor, truth: &Tensor) -> f64 {
     let sum: f64 = pred
         .as_slice()
@@ -201,22 +134,31 @@ fn mean_sq_diff(pred: &Tensor, truth: &Tensor) -> f64 {
     sum / pred.numel() as f64
 }
 
-/// Graph-path fallback used when the network cannot be lowered to a plan.
-fn graph_mse(net: &SdNet, ds: &Dataset, points: &Tensor, q: usize) -> f64 {
-    let mut acc = 0.0;
-    for s in &ds.samples {
-        acc += mean_sq_diff(&net.predict(&s.boundary, points, q), &s.solution);
-    }
-    acc / ds.len() as f64
-}
-
-/// Mean squared error of the network against full solution grids.
-///
-/// One-shot wrapper around [`EvalPlan::mse`]; training loops keep a
-/// persistent [`EvalPlan`] instead so the compiled plan and workspace
-/// carry across epochs.
+/// Mean squared error of the network against full solution grids, on the
+/// `f64` graph (`SdNet::predict`): validation measures the network
+/// training produced, in training's arithmetic — the compiled plan is
+/// `f32`.
 pub fn evaluate_mse(net: &SdNet, ds: &Dataset) -> f64 {
-    EvalPlan::new().mse(net, ds)
+    if ds.is_empty() {
+        return 0.0;
+    }
+    let spec = ds.spec;
+    let q = spec.m * spec.m;
+    // Grid coordinates in row-major (j, i) order, matching the solution
+    // tensor layout.
+    let mut pts = Vec::with_capacity(q * 2);
+    for j in 0..spec.m {
+        for i in 0..spec.m {
+            let (x, y) = spec.coords(j, i);
+            pts.push(x);
+            pts.push(y);
+        }
+    }
+    let points = Tensor::from_vec(q, 2, pts);
+    let acc = ds.samples.iter().fold(0.0, |acc, s| {
+        acc + mean_sq_diff(&net.predict(&s.boundary, &points, q), &s.solution)
+    });
+    acc / ds.len() as f64
 }
 
 /// The per-rank driver's side of an epoch run: what needs the other ranks.
@@ -247,7 +189,6 @@ fn run_epochs(
     let seed = cfg.seed.wrapping_add(rank as u64);
     let mut sampler = BatchSampler::new(cfg.batch_size, cfg.qd, cfg.qc, seed);
     let mut opt = make_opt(cfg.opt);
-    let mut eval = EvalPlan::new();
     let mut logs = Vec::new();
     let mut global_step = 0usize;
     let mut train_seconds = 0.0;
@@ -331,7 +272,7 @@ fn run_epochs(
                 epoch,
                 data_loss: dl / nb,
                 pde_loss: pl / nb,
-                val_mse: eval.mse(net, val),
+                val_mse: evaluate_mse(net, val),
                 seconds: train_seconds,
             });
         }
@@ -658,42 +599,6 @@ mod tests {
             before,
             logs.last().unwrap().val_mse
         );
-    }
-
-    #[test]
-    fn eval_plan_matches_graph_path_and_recompiles_after_updates() {
-        let spec = SubdomainSpec { m: 9, spatial: 0.5 };
-        let ds = Dataset::generate(spec, 6, 11);
-        let (train, val) = ds.split(0.5);
-        let mut net = tiny_net(9, spec.boundary_len());
-        let q = spec.m * spec.m;
-        let mut pts = Vec::new();
-        for j in 0..spec.m {
-            for i in 0..spec.m {
-                let (x, y) = spec.coords(j, i);
-                pts.push(x);
-                pts.push(y);
-            }
-        }
-        let points = Tensor::from_vec(q, 2, pts);
-
-        // The compiled evaluation path is bitwise-identical to the graph
-        // path, and a second evaluation reuses the cached plan.
-        let mut eval = EvalPlan::new();
-        let a = eval.mse(&net, &val);
-        assert_eq!(a.to_bits(), graph_mse(&net, &val, &points, q).to_bits());
-        let v0 = eval.cached.as_ref().unwrap().params_version();
-        let b = eval.mse(&net, &val);
-        assert_eq!(a.to_bits(), b.to_bits());
-        assert_eq!(eval.cached.as_ref().unwrap().params_version(), v0);
-
-        // An optimizer step bumps the parameter version; the next
-        // evaluation recompiles instead of serving stale weights.
-        let _ = train_single(&mut net, &train, &val, &tiny_cfg(1));
-        assert!(eval.cached.as_ref().unwrap().is_stale(&net));
-        let c = eval.mse(&net, &val);
-        assert!(eval.cached.as_ref().unwrap().params_version() > v0);
-        assert_eq!(c.to_bits(), graph_mse(&net, &val, &points, q).to_bits());
     }
 
     #[test]

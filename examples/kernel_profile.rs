@@ -2,13 +2,16 @@
 //!
 //! The network is the one `mf-benchmark` solves with (one 4-channel conv,
 //! 3×48 GELU trunk, 9×9 subdomains) and the launch its largest sweep group:
-//! B = 64 boundaries × 13 cross points. Every kernel of that launch is timed
-//! alone at its launch shape — on one lane and with its rows shared over
-//! two — next to two arithmetic chains measured in the same run, separate
-//! multiply + add and fused multiply-add. "Of chain" is against the one
-//! the simd GEMM issues in this build: the fused chain when the target has
-//! the instruction (`mf_tensor::FUSED`), the mul+add chain otherwise. The
-//! sum of the kernels is set against the launch itself:
+//! B = 64 boundaries × 13 cross points. Every kernel of that launch — the
+//! plan's `f32` layers, unfold and split-combine GELU — is timed alone at
+//! its launch shape, on one lane and with its rows shared over two, next
+//! to arithmetic chains measured in the same run: separate multiply + add
+//! and fused multiply-add, in `f32` and in `f64`. "Of chain" is against
+//! the one the simd kernel issues in this build, in its element type: the
+//! fused chain when the target has the instruction (`mf_tensor::FUSED`),
+//! the mul+add chain otherwise. The `f64` kernels training runs are listed
+//! for comparison. The sum of the launch's kernels is set against the
+//! launch itself:
 //!
 //! ```text
 //! cargo run --release --example kernel_profile            # ~20 s
@@ -19,9 +22,7 @@
 use mf_infer::{InferencePlan, Workspace};
 use mf_nn::{SdNet, SdNetConfig};
 use mf_tensor::par::{self, prelude::*};
-use mf_tensor::{
-    backend, fmadd, gemm_into, unfold1d_circular_into, Act, Layout, PackedB, Tensor, FUSED,
-};
+use mf_tensor::{backend, fmadd, gemm_into, unfold1d_windows, Act, Layout, PackedB, Tensor, FUSED};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -54,26 +55,58 @@ fn best_us(samples: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
+/// An element type a chain runs in, with the simd backend's multiply-add.
+trait Chain: Copy {
+    const A: Self;
+    const B: Self;
+    const ONE: Self;
+    fn step(self, a: Self, b: Self, fuse: bool) -> Self;
+}
+
+impl Chain for f64 {
+    const A: f64 = 0.999_999;
+    const B: f64 = 1e-7;
+    const ONE: f64 = 1.0;
+    fn step(self, a: f64, b: f64, fuse: bool) -> f64 {
+        if fuse {
+            fmadd(self, a, b)
+        } else {
+            self * a + b
+        }
+    }
+}
+
+impl Chain for f32 {
+    const A: f32 = 0.999_999;
+    const B: f32 = 1e-7;
+    const ONE: f32 = 1.0;
+    fn step(self, a: f32, b: f32, fuse: bool) -> f32 {
+        if fuse && FUSED {
+            self.mul_add(a, b)
+        } else {
+            self * a + b
+        }
+    }
+}
+
 /// GFLOP/s of `C` independent `LANES`-wide chains of `x = x*a + b` on the
 /// calling thread: separate multiply and add, or with `FUSE` the simd
 /// backend's own multiply-add (fused when the build has the instruction).
 /// Timed in place — behind a closure the chains would live in memory.
-fn chain_gflops<const C: usize, const LANES: usize, const FUSE: bool>(samples: usize) -> f64 {
+fn chain_gflops<T: Chain, const C: usize, const LANES: usize, const FUSE: bool>(
+    samples: usize,
+) -> f64 {
     const ROUNDS: usize = 1 << 14;
-    let a = black_box([0.999_999f64; LANES]);
-    let b = black_box([1e-7f64; LANES]);
+    let a = black_box([T::A; LANES]);
+    let b = black_box([T::B; LANES]);
     (0..samples)
         .map(|_| {
-            let mut acc = [[1.0f64; LANES]; C];
+            let mut acc = [[T::ONE; LANES]; C];
             let t = Instant::now();
             for _ in 0..ROUNDS {
                 for chain in acc.iter_mut() {
                     for l in 0..LANES {
-                        chain[l] = if FUSE {
-                            fmadd(chain[l], a[l], b[l])
-                        } else {
-                            chain[l] * a[l] + b[l]
-                        };
+                        chain[l] = chain[l].step(a[l], b[l], FUSE);
                     }
                 }
             }
@@ -83,24 +116,60 @@ fn chain_gflops<const C: usize, const LANES: usize, const FUSE: bool>(samples: u
         .fold(0.0, f64::max)
 }
 
+/// The chain the simd kernels issue in `T` (the fused one when the build
+/// has FMA) at the register blocking fastest on this host, and a header
+/// note giving both.
+fn ceiling<T: Chain, const V: usize>(samples: usize, name: &str) -> (f64, String) {
+    let best = |shapes: [f64; 3]| shapes.into_iter().fold(0.0, f64::max);
+    let unfused = best([
+        chain_gflops::<T, 12, V, false>(samples),
+        chain_gflops::<T, 8, V, false>(samples),
+        chain_gflops::<T, 10, V, false>(samples),
+    ]);
+    if !FUSED {
+        return (unfused, format!("{name} mul+add chain {unfused:.1}"));
+    }
+    let fused = best([
+        chain_gflops::<T, 12, V, true>(samples),
+        chain_gflops::<T, 8, V, true>(samples),
+        chain_gflops::<T, 10, V, true>(samples),
+    ]);
+    (
+        fused,
+        format!("{name} mul+add chain {unfused:.1}, fused chain {fused:.1}"),
+    )
+}
+
 fn filled(rows: usize, cols: usize) -> Tensor {
     Tensor::from_fn(rows, cols, |r, c| {
         ((r * 31 + c * 17) % 97) as f64 * 0.02 - 0.9
     })
 }
 
-/// `f(rows of a, rows of out)` over the `m` rows of one kernel call, on one
-/// lane or cut into one block of rows per lane.
-fn over_rows(lanes: usize, a: &Tensor, out: &mut Tensor, f: impl Fn(&[f64], &mut [f64]) + Sync) {
-    let (m, k, n) = (a.rows(), a.cols(), out.cols());
+fn filled_f32(rows: usize, cols: usize) -> Vec<f32> {
+    filled(rows, cols)
+        .as_slice()
+        .iter()
+        .map(|&v| v as f32)
+        .collect()
+}
+
+/// `f(rows of a, rows of out)` over the rows of one kernel call (`a` is
+/// `k` wide, `out` `n` wide), on one lane or cut into one block of rows
+/// per lane.
+fn over_rows<T: Send + Sync>(
+    lanes: usize,
+    (a, k): (&[T], usize),
+    (out, n): (&mut [T], usize),
+    f: impl Fn(&[T], &mut [T]) + Sync,
+) {
     if lanes == 1 {
-        return f(a.as_slice(), out.as_mut_slice());
+        return f(a, out);
     }
-    let rows = m.div_ceil(lanes);
-    out.as_mut_slice()
-        .par_chunks_mut(rows * n)
+    let rows = (out.len() / n).div_ceil(lanes);
+    out.par_chunks_mut(rows * n)
         .enumerate()
-        .for_each(|(i, o)| f(&a.as_slice()[i * rows * k..][..o.len() / n * k], o));
+        .for_each(|(i, o)| f(&a[i * rows * k..][..o.len() / n * k], o));
 }
 
 struct Row {
@@ -109,6 +178,8 @@ struct Row {
     us: [f64; 2],
     flops: f64,
     elems: f64,
+    /// Whether the kernel runs in `f32` (its chain is the `f32` one).
+    single: bool,
     /// Calls per launch (0: not a step of the launch).
     per_launch: usize,
 }
@@ -117,20 +188,24 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let samples = if quick { 3 } else { 15 };
     let mut rows: Vec<Row> = Vec::new();
-    let mut time =
-        |name: &str, flops: f64, elems: f64, per_launch: usize, run: &mut dyn FnMut(usize)| {
-            let us =
-                [1, 2].map(|lanes| par::with_pool_width(lanes, || best_us(samples, || run(lanes))));
-            rows.push(Row {
-                name: name.to_string(),
-                us,
-                flops,
-                elems,
-                per_launch,
-            });
-        };
+    let mut time = |name: &str,
+                    (flops, elems): (f64, f64),
+                    single: bool,
+                    per_launch: usize,
+                    run: &mut dyn FnMut(usize)| {
+        let us =
+            [1, 2].map(|lanes| par::with_pool_width(lanes, || best_us(samples, || run(lanes))));
+        rows.push(Row {
+            name: name.to_string(),
+            us,
+            flops,
+            elems,
+            single,
+            per_launch,
+        });
+    };
 
-    // The fused layers of the launch, at their launch shapes.
+    // The fused f32 layers of the launch, at their launch shapes.
     let layers: [(&str, usize, usize, usize, Act, usize); 4] = [
         ("conv", B * L, KW, OC, Act::Identity, 1),
         ("split projection", B, L * OC, WIDTH, Act::Identity, 1),
@@ -138,67 +213,79 @@ fn main() {
         ("head", B * Q, WIDTH, 1, Act::Identity, 1),
     ];
     for (what, m, k, n, act, per_launch) in layers {
-        let a = filled(m, k);
+        let a = filled_f32(m, k);
         let w = PackedB::new(&filled(k, n));
-        let bias = filled(1, n);
-        let mut out = Tensor::zeros(m, n);
+        let bias = filled_f32(1, n);
+        let mut out = vec![0.0f32; m * n];
         let macs = (m * k * n) as f64;
         // The activation's share is reported by the gelu row; a layer's
         // GFLOP/s counts its multiply-adds only.
         time(
             &format!("layer [{m},{k}]×[{k},{n}] {what}"),
-            2.0 * macs,
-            0.0,
+            (2.0 * macs, 0.0),
+            true,
             per_launch,
             &mut |lanes| {
-                over_rows(lanes, black_box(&a), &mut out, |a, o| {
-                    backend().layer(a, &w, Some(bias.as_slice()), act, o)
+                over_rows(lanes, (black_box(&a), k), (&mut out, n), |a, o| {
+                    backend().layer(a, &w, Some(&bias), act, o)
                 })
             },
         );
     }
     // What the launch does besides layers.
     {
-        let load = filled(B, L);
-        let mut unfolded = Tensor::zeros(B * L, KW);
-        time("unfold [64,32]→[2048,5]", 0.0, 0.0, 1, &mut |_| {
-            unfold1d_circular_into(black_box(&load), 1, KW, &mut unfolded)
-        });
-        let x = filled(B * Q, WIDTH);
+        let load = filled_f32(B, L);
+        let mut unfolded = vec![0.0f32; B * L * KW];
+        time(
+            "unfold [64,32]→[2048,5]",
+            (0.0, 0.0),
+            true,
+            1,
+            &mut |_| unfold1d_windows(black_box(&load), B, L, 1, KW, &mut unfolded),
+        );
+        let x = filled_f32(B * Q, WIDTH);
         let mut y = x.clone();
         time(
             "gelu [832,48] in place (split combine)",
-            0.0,
-            (B * Q * WIDTH) as f64,
+            (0.0, (B * Q * WIDTH) as f64),
+            true,
             1,
             &mut |lanes| {
-                over_rows(lanes, &x, &mut y, |x, y| {
+                over_rows(lanes, (&x, WIDTH), (&mut y, WIDTH), |x, y| {
                     y.copy_from_slice(x);
-                    backend().activate(Act::Gelu, y)
+                    backend().activate_f32(Act::Gelu, y)
                 })
             },
         );
     }
-    // The unfused kernels the graph path (training) runs, for comparison.
+    // The f64 kernels the graph path (training) runs, for comparison.
     {
         let (a, w) = (filled(B * Q, WIDTH), filled(WIDTH, WIDTH));
         let mut out = Tensor::zeros(B * Q, WIDTH);
         let flops = 2.0 * (B * Q * WIDTH * WIDTH) as f64;
         time(
-            "gemm_into [832,48]×[48,48] (accumulating)",
-            flops,
-            0.0,
+            "f64 gemm_into [832,48]×[48,48] (accumulating)",
+            (flops, 0.0),
+            false,
             0,
             &mut |_| gemm_into(black_box(&a), Layout::Normal, &w, Layout::Normal, &mut out),
         );
         let mut y = Tensor::zeros(B * Q, WIDTH);
         let elems = (B * Q * WIDTH) as f64;
-        time("gelu_into [832,48]", 0.0, elems, 0, &mut |_| {
-            black_box(&a).gelu_into(&mut y)
-        });
-        time("tanh_into [832,48]", 0.0, elems, 0, &mut |_| {
-            black_box(&a).tanh_into(&mut y)
-        });
+        time(
+            "f64 gelu_into [832,48]",
+            (0.0, elems),
+            false,
+            0,
+            &mut |_| black_box(&a).gelu_into(&mut y),
+        );
+        time(
+            "f64 tanh_into [832,48]",
+            (0.0, elems),
+            false,
+            0,
+            &mut |_| black_box(&a).tanh_into(&mut y),
+        );
     }
 
     // The launch itself.
@@ -219,34 +306,18 @@ fn main() {
         })
     });
 
-    let best = |shapes: [f64; 3]| shapes.into_iter().fold(0.0, f64::max);
-    let unfused = best([
-        chain_gflops::<12, 4, false>(samples),
-        chain_gflops::<8, 8, false>(samples),
-        chain_gflops::<10, 8, false>(samples),
-    ]);
-    // What "of chain" is stated against: the chain the simd GEMM issues.
-    let (chain, chains) = if FUSED {
-        let fused = best([
-            chain_gflops::<12, 4, true>(samples),
-            chain_gflops::<8, 8, true>(samples),
-            chain_gflops::<10, 8, true>(samples),
-        ]);
-        let both = format!(
-            "build has FMA: mul+add chain {unfused:.1}, fused chain {fused:.1} GFLOP/s per lane, \
-             \"of chain\" is of the fused one"
-        );
-        (fused, both)
-    } else {
-        let one = format!("build has no FMA: mul+add chain {unfused:.1} GFLOP/s per lane");
-        (unfused, one)
-    };
+    // What "of chain" is stated against: the chain the simd kernels issue.
+    let (chain32, note32) = ceiling::<f32, 8>(samples, "f32");
+    let (chain64, note64) = ceiling::<f64, 4>(samples, "f64");
+    let which = if FUSED { "fused" } else { "mul+add" };
 
     println!("### Kernel profile: one B = {B} launch of the benchmark network");
     println!();
     println!(
-        "backend `{}`, {chains}, best of {samples} samples{}",
+        "backend `{}`, build {} FMA: {note32}, {note64} GFLOP/s per lane; \"of chain\" is of \
+         the {which} chain in the kernel's type; best of {samples} samples{}",
         mf_tensor::backend_kind().name(),
+        if FUSED { "has" } else { "has no" },
         if quick { " (`--quick`)" } else { "" }
     );
     println!();
@@ -256,6 +327,7 @@ fn main() {
     for r in &rows {
         let (rate, of_chain) = if r.flops > 0.0 {
             let g = r.flops / r.us[0] / 1e3;
+            let chain = if r.single { chain32 } else { chain64 };
             (format!("{g:.1} GFLOP/s"), format!("{:.2}", g / chain))
         } else if r.elems > 0.0 {
             (format!("{:.0} Melem/s", r.elems / r.us[0]), String::new())

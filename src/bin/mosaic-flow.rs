@@ -25,9 +25,12 @@
 //! reference; `--out` writes the dense solution grid as CSV (row 0 =
 //! bottom edge). It runs the two-level accelerated iteration (coarse-grid
 //! seed + Anderson mixing); `--one-level` runs Algorithm 2 as the paper
-//! prints it — same fixed point, several times the iterations. Models run on the compiled inference plan (`mf-infer`,
-//! bitwise-identical to the graph path); networks the plan cannot lower
-//! (`Concat` embedding) run on the graph-based solver.
+//! prints it — same fixed point, several times the iterations. Models run
+//! on the compiled inference plan (`mf-infer`), which evaluates the network
+//! in `f32` while the lattice and the stop test stay `f64` — within one
+//! iteration and 1e-5 of the `f64` graph's fixed point on the benchmark
+//! network (`tests/precision.rs`); networks the plan cannot lower (`Concat`
+//! embedding) run on the `f64` graph-based solver.
 //!
 //! Every subcommand has a closed list of flags: an unknown flag, a
 //! missing value, a value that does not parse, a negative or non-finite
@@ -401,8 +404,8 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
     }
 
     // Solver selection. Models run on the compiled inference plan
-    // (graph-free, bitwise-identical to the graph path) unless the
-    // network cannot be lowered.
+    // (graph-free, `f32` inside each launch, within its launch bound of
+    // the `f64` graph) unless the network cannot be lowered.
     enum Chosen {
         Oracle(OracleSolver),
         Neural(Box<NeuralSolver>),

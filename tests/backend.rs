@@ -7,33 +7,37 @@
 //! * **bitwise** where the vectorized kernel does the scalar kernel's
 //!   arithmetic per element — all elementwise kernels and fused VJPs,
 //!   unfold/fold, axpy/add-assign — and *within* a backend: the fused
-//!   dense layer is bitwise its own unfused composition on each backend.
-//! * **error-bounded** for GEMM across backends. Both run each output
-//!   element as one ascending-`p` multiply-add chain, but the simd chain is
-//!   fused (one rounding per step) when the build target has the
-//!   instruction (`tensor::FUSED`; see `.cargo/config.toml`). Each chain is
-//!   within `γ_k·(|A|·|B|)ᵢⱼ` of the exact sum, so the two are within
-//!   `2γ_k·(|A|·|B|)ᵢⱼ` of each other, `γ_k = kε/(1 − kε)`: asserted
-//!   elementwise (`tensor::check_gemm_contract`, the magnitude computed
-//!   from `|a|` and `|b|`), and on a build without the instruction the
-//!   same tests assert bits, because there the chains are the same.
+//!   `f32` dense layer is bitwise its own unfused steps on each backend.
+//! * **error-bounded** for GEMM and the `f32` layer across backends. Both
+//!   run each output element as one ascending-`p` multiply-add chain, but
+//!   the simd chain is fused (one rounding per step) when the build target
+//!   has the instruction (`tensor::FUSED`; see `.cargo/config.toml`). Each
+//!   chain is within `γ_k·(|A|·|B|)ᵢⱼ` of the exact sum, so the two are
+//!   within `2γ_k·(|A|·|B|)ᵢⱼ` of each other, `γ_k = kε/(1 − kε)` with the
+//!   element type's `ε`: asserted elementwise (`tensor::check_gemm_contract`,
+//!   `tensor::check_layer_contract`, the magnitude computed from `|a|` and
+//!   `|b|`), and on a build without the instruction the same tests assert
+//!   bits, because there the chains are the same.
 //! * **ulp-budgeted** for `tanh` and `gelu`, whose vectorized versions
 //!   use a branch-free polynomial/rational approximation instead of
-//!   libm: `tanh` must stay within 16 ulp, `gelu` (evaluated as
+//!   libm. In `f64`, `tanh` must stay within 16 ulp, `gelu` (evaluated as
 //!   `x / (1 + e^(−2u))`, without a `tanh`) within 32 ulp or `1e-14`
 //!   absolute (where the reference's `1 + tanh u` cancels, its own
-//!   rounding makes relative error meaningless).
+//!   rounding makes relative error meaningless). In `f32` — the compiled
+//!   plan's activations — `tanh` within 8 ulp, `gelu` within 8 ulp or
+//!   `4ε·|x|` absolute, the same cancellation scaled to `f32`.
 //!
 //! On top of the per-kernel tests, the end-to-end paths — an SDNet
 //! forward pass, the compiled inference plan, a full physics-informed
 //! training step, and an MFP solve-batch — are run under both backends
-//! and compared, and the plan-vs-graph bitwise contract is asserted
-//! under each backend separately.
+//! and compared, and the plan-vs-graph launch bound is asserted under each
+//! backend separately.
 
 use mosaic_flow::prelude::*;
 use mosaic_flow::tensor::{
-    backend, check_gemm_contract, fold1d_circular_into, gemm_into, same_bits, ulp_distance,
-    unfold1d_circular_into, with_backend, Act, BackendKind, Layout, PackedB,
+    backend, check_gemm_contract, check_layer_contract, fold1d_circular_into, gelu_scalar_f32,
+    gemm_into, same_bits, ulp_distance, ulp_distance_f32, unfold1d_circular_into, with_backend,
+    Act, BackendKind, Layout, PackedB,
 };
 use mosaic_flow::train::local_gradients;
 use rand::{Rng, SeedableRng};
@@ -209,7 +213,7 @@ fn gemm_with_zero_entries_matches_by_value() {
 }
 
 // ---------------------------------------------------------------------
-// The fused dense layer and the kernels under it
+// The fused f32 dense layer and the kernels under it
 // ---------------------------------------------------------------------
 
 /// Shapes straddling every boundary of the simd GEMM: rows around the
@@ -222,12 +226,16 @@ const LAYER_M: &[usize] = &[1, 3, 8, 63, 64, 65, 832];
 const LAYER_K: &[usize] = &[1, 5, 48, 128, 257];
 const LAYER_N: &[usize] = &[1, 4, 7, 8, 9, 48];
 
-/// `Backend::layer` overwrites its destination with exactly what the
-/// unfused kernels of the same backend leave there: `gemm_band` into
-/// zeros, a row-broadcast bias add, then `tanh` / `gelu`. Checked on both
-/// backends, from a destination full of garbage; the pre-activation is
-/// also compared across backends (zero-free inputs), which is the simd
-/// `gemm_band` vs scalar contract on the same grid.
+fn to_f32(t: &Tensor) -> Vec<f32> {
+    t.as_slice().iter().map(|&v| v as f32).collect()
+}
+
+/// `Backend::layer` overwrites its destination with exactly what its own
+/// unfused steps leave there: the bare product (no bias, identity), a
+/// row-broadcast bias add, then `activate_f32`. Checked on both backends,
+/// from a destination full of garbage. The bare product is compared
+/// across backends under the `f32` layer contract, and the `f64`
+/// `gemm_band` on the same grid under the GEMM contract.
 #[test]
 fn fused_layer_is_bitwise_the_unfused_composition_on_both_backends() {
     let mut rng = ChaCha8Rng::seed_from_u64(7);
@@ -235,47 +243,49 @@ fn fused_layer_is_bitwise_the_unfused_composition_on_both_backends() {
         for &n in LAYER_N {
             let w = rand_tensor(&mut rng, k, n);
             let packed = PackedB::new(&w);
-            let bias = rand_tensor(&mut rng, 1, n);
+            let bias = to_f32(&rand_tensor(&mut rng, 1, n));
             for &m in LAYER_M {
                 let a = rand_tensor(&mut rng, m, k);
+                let a32 = to_f32(&a);
+                let mut products = Vec::new();
                 let mut sums = Vec::new();
                 for be in [backend::scalar(), backend::simd()] {
                     let name = be.kind().name();
-                    let mut sum = vec![0.0; m * n];
-                    be.gemm_band(a.as_slice(), w.as_slice(), &mut sum, k, n);
+                    let mut product = vec![f32::NAN; m * n];
+                    be.layer(&a32, &packed, None, Act::Identity, &mut product);
                     for with_bias in [false, true] {
-                        let mut pre = sum.clone();
+                        let mut pre = product.clone();
                         if with_bias {
                             for row in pre.chunks_exact_mut(n) {
-                                for (o, &b) in row.iter_mut().zip(bias.as_slice()) {
+                                for (o, &b) in row.iter_mut().zip(&bias) {
                                     *o += b;
                                 }
                             }
                         }
                         for act in [Act::Identity, Act::Tanh, Act::Gelu] {
-                            let mut want = vec![0.0; m * n];
-                            match act {
-                                Act::Identity => want.copy_from_slice(&pre),
-                                Act::Tanh => be.tanh(&pre, &mut want),
-                                Act::Gelu => be.gelu(&pre, &mut want),
-                            }
-                            let mut got = vec![f64::NAN; m * n];
+                            let mut want = pre.clone();
+                            be.activate_f32(act, &mut want);
+                            let mut got = vec![f32::NAN; m * n];
                             be.layer(
-                                a.as_slice(),
+                                &a32,
                                 &packed,
                                 with_bias.then_some(bias.as_slice()),
                                 act,
                                 &mut got,
                             );
-                            assert_slices_bitwise(
-                                &want,
-                                &got,
-                                &format!("{name} layer {m}x{k}x{n} bias={with_bias} {act:?}"),
-                            );
+                            let what = format!("{name} layer {m}x{k}x{n} bias={with_bias} {act:?}");
+                            for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                                assert_eq!(x.to_bits(), y.to_bits(), "{what}: elem {i}");
+                            }
                         }
                     }
+                    products.push(product);
+                    let mut sum = vec![0.0; m * n];
+                    be.gemm_band(a.as_slice(), w.as_slice(), &mut sum, k, n);
                     sums.push(sum);
                 }
+                check_layer_contract((&a32, &packed), (&products[0], &products[1]))
+                    .unwrap_or_else(|e| panic!("layer {m}x{k}x{n} scalar vs simd: {e}"));
                 assert_gemm_contract(
                     (&a, &w, None),
                     &sums[0],
@@ -285,6 +295,28 @@ fn fused_layer_is_bitwise_the_unfused_composition_on_both_backends() {
                 );
             }
         }
+    }
+}
+
+/// The `f32` reference skips no zero term, so exact zeros in the inputs
+/// (and the `−0.0` they can produce) stay inside the layer contract: bits
+/// on a build without FMA, the `2γ_k` bound on one with it.
+#[test]
+fn f32_layer_with_zero_entries_holds_the_contract() {
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+    for &(m, k, n) in GEMM_SHAPES {
+        let mut a = to_f32(&rand_tensor(&mut rng, m, k));
+        for x in a.iter_mut() {
+            if rng.gen_bool(0.4) {
+                *x = if rng.gen_bool(0.5) { 0.0 } else { -0.0 };
+            }
+        }
+        let packed = PackedB::new(&rand_tensor(&mut rng, k, n));
+        let (mut s, mut v) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+        backend::scalar().layer(&a, &packed, None, Act::Identity, &mut s);
+        backend::simd().layer(&a, &packed, None, Act::Identity, &mut v);
+        check_layer_contract((&a, &packed), (&s, &v))
+            .unwrap_or_else(|e| panic!("layer-with-zeros {m}x{k}x{n}: {e}"));
     }
 }
 
@@ -542,6 +574,98 @@ fn tanh_preserves_signed_zero_and_saturation() {
     assert_eq!(g[5], -1.0);
 }
 
+/// `f32` inputs for the plan's activations: a fine sweep over [−24, 24]
+/// (both saturations, the GELU select at `u = −20` near `x = −7.33`, the
+/// `f32` tanh saturation near 9), the edges at ±20, and the specials:
+/// ±0, the smallest subnormals and normal, the largest finite, ±inf, NaN.
+fn f32_inputs() -> Vec<f32> {
+    let mut xs: Vec<f32> = (-240_000..=240_000).map(|i| i as f32 * 1e-4).collect();
+    for edge in [20.0f32, -20.0, 7.33, -7.33, 9.0, -9.0] {
+        let mut x = edge;
+        for _ in 0..64 {
+            xs.extend([x, -x]);
+            x = f32::from_bits(x.to_bits() + 1);
+        }
+    }
+    xs.extend([
+        0.0,
+        -0.0,
+        f32::from_bits(1),
+        -f32::from_bits(1),
+        f32::MIN_POSITIVE,
+        -f32::MIN_POSITIVE,
+        f32::MAX,
+        f32::MIN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+    ]);
+    xs
+}
+
+#[test]
+fn f32_tanh_within_8_ulp_of_scalar_reference() {
+    let xs = f32_inputs();
+    let mut reference = xs.clone();
+    let mut got = xs.clone();
+    backend::scalar().activate_f32(Act::Tanh, &mut reference);
+    backend::simd().activate_f32(Act::Tanh, &mut got);
+    for ((&x, &r), &g) in xs.iter().zip(&reference).zip(&got) {
+        let d = ulp_distance_f32(r, g);
+        assert!(d <= 8, "tanh({x:e}): {r:e} vs {g:e} is {d} ulp (budget 8)");
+        // Signed zeros and ±1 at the infinities to the bit; NaN stays NaN.
+        if x == 0.0 || x.is_infinite() {
+            assert_eq!(r.to_bits(), g.to_bits(), "tanh({x:e})");
+        }
+        assert_eq!(x.is_nan(), g.is_nan(), "tanh({x:e})");
+    }
+}
+
+#[test]
+fn f32_gelu_within_8_ulp_or_4eps_x_of_scalar_reference() {
+    let xs = f32_inputs();
+    let mut reference = xs.clone();
+    let mut got = xs.clone();
+    backend::scalar().activate_f32(Act::Gelu, &mut reference);
+    backend::simd().activate_f32(Act::Gelu, &mut got);
+    for ((&x, &r), &g) in xs.iter().zip(&reference).zip(&got) {
+        assert_eq!(r.to_bits(), gelu_scalar_f32(x).to_bits());
+        if x.is_nan() {
+            assert!(r.is_nan() && g.is_nan(), "NaN propagates");
+        }
+        // The reference's `x·(1 + tanh)` is `−∞·0` at `−∞`; the specials
+        // are checked on their own below.
+        if !x.is_finite() {
+            continue;
+        }
+        let d = ulp_distance_f32(r, g);
+        let abs = (r - g).abs();
+        assert!(
+            d <= 8 || abs <= 4.0 * f32::EPSILON * x.abs(),
+            "gelu({x:e}): {r:e} vs {g:e} is {d} ulp, {abs:e} absolute"
+        );
+    }
+    // Signed zeros, the identity above and −0.0 far below, infinities.
+    let gelu = |x: f32| {
+        let mut v = [x];
+        backend::simd().activate_f32(Act::Gelu, &mut v);
+        v[0]
+    };
+    assert_eq!(gelu(0.0).to_bits(), 0.0f32.to_bits());
+    assert_eq!(gelu(-0.0).to_bits(), (-0.0f32).to_bits());
+    assert_eq!(gelu(f32::INFINITY), f32::INFINITY);
+    for x in [20.0f32, 1e20, f32::MAX] {
+        assert_eq!(gelu(x).to_bits(), x.to_bits(), "gelu({x:e})");
+    }
+    for x in [-20.0f32, -1e20, f32::MIN, f32::NEG_INFINITY] {
+        assert_eq!(gelu(x).to_bits(), (-0.0f32).to_bits(), "gelu({x:e})");
+    }
+    // Subnormals neither trap nor leave the budget: gelu(x) = x/2.
+    for x in [f32::from_bits(1), -f32::from_bits(1), f32::MIN_POSITIVE] {
+        assert!((gelu(x) - 0.5 * x).abs() <= f32::EPSILON * x.abs());
+    }
+}
+
 // ---------------------------------------------------------------------
 // End-to-end paths
 // ---------------------------------------------------------------------
@@ -578,11 +702,11 @@ fn sdnet_forward_agrees_across_backends() {
     }
 }
 
-/// The compiled inference plan and the graph path share backend kernels,
-/// so within EITHER backend they must agree bitwise. This is the
-/// contract `repro_mfp_throughput` relies on, asserted per backend.
+/// The compiled `f32` inference plan stays within its launch bound of the
+/// `f64` graph path under EITHER backend. This is the contract
+/// `repro_mfp_throughput` relies on, asserted per backend.
 #[test]
-fn plan_matches_graph_bitwise_under_each_backend() {
+fn plan_matches_graph_within_the_launch_bound_under_each_backend() {
     let (spec, net) = test_net(12);
     for kind in [BackendKind::Scalar, BackendKind::Simd] {
         with_backend(kind, || {
@@ -592,7 +716,17 @@ fn plan_matches_graph_bitwise_under_each_backend() {
             let pts = Tensor::from_vec(4, 2, pts.as_slice()[..8].to_vec());
             let e = graph.solve_batch(&bnds, &pts);
             let g = plan.solve_batch(&bnds, &pts);
-            assert_bitwise(&e, &g, &format!("plan-vs-graph under {}", kind.name()));
+            let bound = InferencePlan::compile(&net, &pts).graph_error_bound(&bnds);
+            for (i, ((x, y), b)) in (e.as_slice().iter().zip(g.as_slice()))
+                .zip(bound.as_slice())
+                .enumerate()
+            {
+                assert!(
+                    (x - y).abs() <= *b,
+                    "plan-vs-graph under {}, output {i}: {y:e} vs {x:e}, bound {b:e}",
+                    kind.name()
+                );
+            }
         });
     }
 }
@@ -648,9 +782,12 @@ fn mfp_solve_agrees_across_backends() {
 
 /// The error contract end to end: MFP is a self-correcting fixed-point
 /// iteration, so the per-launch differences between the backends (a fused
-/// or an unfused GEMM chain, the activations' ulp budgets) must neither
-/// cost a sweep nor move the fixed point. On a 4×4 domain with a seeded
-/// network, to `tol 1e-7`: the same iteration count, grids within 1e-10.
+/// or an unfused `f32` multiply-add chain, the activations' ulp budgets)
+/// must neither cost a sweep nor move the fixed point. On a 4×4 domain
+/// with a seeded network, to `tol 1e-6` — above the `f32` plan's floor of
+/// relative change, about 1e-7, where rounding decides the count: the same
+/// iteration count, grids within 1e-5 (the fixed-point clause of the
+/// plan's contract with the `f64` graph; measured 1.4e-7).
 #[test]
 fn mfp_fixed_point_and_iteration_count_agree_across_backends() {
     let (spec, net) = test_net(18);
@@ -659,7 +796,7 @@ fn mfp_fixed_point_and_iteration_count_agree_across_backends() {
     let bc = Tensor::from_fn(1, domain.boundary_len(), |_, _| rng.gen_range(-0.5..0.5));
     let cfg = MfpConfig {
         max_iters: 200,
-        tol: 1e-7,
+        tol: 1e-6,
         ..Default::default()
     };
     let (s, v) = both(|| {
@@ -669,5 +806,5 @@ fn mfp_fixed_point_and_iteration_count_agree_across_backends() {
     assert!(s.converged && v.converged, "the seeded net must contract");
     assert_eq!(s.iterations, v.iterations, "iteration count moved");
     let diff = s.grid.max_abs_diff(&v.grid);
-    assert!(diff <= 1e-10, "fixed points are {diff:e} apart");
+    assert!(diff <= 1e-5, "fixed points are {diff:e} apart");
 }

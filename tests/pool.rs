@@ -188,9 +188,14 @@ fn fat_plan_launch_is_bitwise_equal_and_allocation_free_at_widths_1_2_4() {
     };
     let (want, warm) = launch(1);
     assert_eq!(warm, 0);
-    // The graph path is the reference for the bits themselves.
+    // The f64 graph path is the reference for the values: within the
+    // launch's bound of the f32 plan.
     let tiled = Tensor::vstack(&vec![cross.clone(); 64]);
-    assert_eq!(want, bits(&net.predict(&boundaries, &tiled, plan.q())));
+    let graph = net.predict(&boundaries, &tiled, plan.q());
+    let bound = plan.graph_error_bound(&boundaries);
+    for ((&w, g), b) in want.iter().zip(graph.as_slice()).zip(bound.as_slice()) {
+        assert!((f64::from_bits(w) - g).abs() <= *b);
+    }
     for width in [2, 4] {
         let (got, warm) = launch(width);
         assert_eq!(want, got, "width {width}");
