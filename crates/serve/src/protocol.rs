@@ -14,7 +14,12 @@
 //! Gaussian-process sample, the paper's training distribution), or
 //! `"rand:SEED"` (uniform noise). Generators are deterministic in their
 //! seed and the domain size, so a load generator and the server agree on
-//! the problem without shipping the walk.
+//! the problem without shipping the walk. A generator's cost grows with
+//! the domain — `gp:` factorizes a kernel matrix as wide as the walk — so
+//! the TCP front end checks the domain bound
+//! ([`SolveService::check_domain`](crate::SolveService::check_domain))
+//! before it builds the boundary: an out-of-bounds domain gets its error
+//! line at once, whatever its `bc`.
 //!
 //! Parsing uses `mf-telemetry`'s dependency-free [`JsonValue`]; rendering
 //! is plain `format!`.
@@ -146,7 +151,9 @@ pub fn resolve_bc(bc: &BcSpec, ny: usize, nx: usize, boundary_len: usize) -> Ten
 }
 
 /// Build the service-level request from a parsed line (resolving the
-/// boundary generator against the domain geometry).
+/// boundary generator against the domain geometry). Call it only on a
+/// domain [`SolveService::check_domain`](crate::SolveService::check_domain)
+/// accepted: it builds the boundary for any domain, however large.
 pub fn to_solve_request(w: &WireRequest, spec: mf_data::SubdomainSpec) -> SolveRequest {
     let d = mf_mfp::DomainSpec::new(spec, w.sx.max(1), w.sy.max(1));
     SolveRequest {

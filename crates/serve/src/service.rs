@@ -297,15 +297,22 @@ impl SolveService {
         rx.recv().map_err(|_| ServeError::Shutdown)?
     }
 
-    fn validate(&self, req: &SolveRequest) -> Result<usize, ServeError> {
+    /// The `sx × sy` domain, or [`ServeError::BadRequest`] if it is outside
+    /// `1..=max_domain` subdomains on either axis — the first check of
+    /// every submission, and one a front end runs before it builds a
+    /// boundary whose cost grows with the domain.
+    pub fn check_domain(&self, sx: usize, sy: usize) -> Result<DomainSpec, ServeError> {
         let max = self.inner.cfg.max_domain;
-        if req.sx == 0 || req.sy == 0 || req.sx > max || req.sy > max {
+        if sx == 0 || sy == 0 || sx > max || sy > max {
             return Err(ServeError::BadRequest(format!(
-                "domain {}x{} out of bounds (1..={max} per axis)",
-                req.sx, req.sy
+                "domain {sx}x{sy} out of bounds (1..={max} per axis)"
             )));
         }
-        let domain = DomainSpec::new(self.inner.spec, req.sx, req.sy);
+        Ok(DomainSpec::new(self.inner.spec, sx, sy))
+    }
+
+    fn validate(&self, req: &SolveRequest) -> Result<usize, ServeError> {
+        let domain = self.check_domain(req.sx, req.sy)?;
         if req.bc.numel() != domain.boundary_len() {
             return Err(ServeError::BadRequest(format!(
                 "boundary length {} does not match domain {}x{} (expected {})",

@@ -138,6 +138,13 @@ fn respond(line: &str, service: &SolveService, conn_id: u64) -> String {
         Err(e) => return protocol::render_err(0, &ServeError::BadRequest(e)),
     };
     let id = wire.id;
+    // The domain bound before the boundary: a generated boundary costs
+    // more the larger the domain (`gp:` factorizes a kernel matrix as wide
+    // as the boundary walk), so an out-of-bounds request must not build it.
+    if let Err(e) = service.check_domain(wire.sx, wire.sy) {
+        mf_telemetry::log!(Warn, "serve.bad_request", conn = conn_id, err = e);
+        return protocol::render_err(id, &e);
+    }
     let req = protocol::to_solve_request(&wire, service.spec());
     // Each wire request gets its own trace context, parented to the
     // connection; log lines on this thread carry the request id until

@@ -1,33 +1,39 @@
 //! Runtime-dispatched kernel backends.
 //!
-//! Every dense kernel the Mosaic Flow stack spends time in — GEMM row
-//! bands, the elementwise/activation family and their VJPs, the circular
-//! unfold/fold pair behind SDNet's convolution, and the compiled inference
-//! plan's fused `f32` layer — is routed through the [`Backend`] trait. Two
+//! The [`Backend`] trait holds only the kernels whose two implementations
+//! compute different things: GEMM row bands, the compiled inference plan's
+//! fused `f32` layer and its activations, and `tanh` / `gelu`. Two
 //! implementations exist:
 //!
-//! * **scalar** — the original reference loops, kept bit-for-bit
-//!   identical to the pre-backend code. Golden fixtures are recorded
+//! * **scalar** — the reference loops. Golden fixtures are recorded
 //!   against this backend (see `tests/regression.rs`).
-//! * **simd** — hand-vectorized chunked kernels with a packed,
-//!   cache-blocked GEMM microkernel (the private `simd` module). The
-//!   elementwise kernels do the scalar arithmetic per element and are
-//!   bitwise identical. GEMM and the fused [`Backend::layer`] keep the
-//!   scalar accumulation order but fuse each multiply-add when the build
-//!   target has the instruction ([`crate::FUSED`]): bitwise identical to
-//!   scalar on a build without it, within `2γ_k·(|A|·|B|)ᵢⱼ` of it
-//!   ([`check_gemm_contract`], [`check_layer_contract`] with `f32`'s `γ`)
-//!   on a build with it, and bitwise *itself* — across plans, partitions,
-//!   pool widths and ranks — on either. `tanh` and `gelu`, in `f64` and in
-//!   `f32`, use a different approximation and carry explicit ulp budgets
-//!   (`tests/backend.rs` documents and enforces all of these).
+//! * **simd** — a packed, cache-blocked GEMM microkernel and vector
+//!   `exp`/`tanh`/`gelu` (the private `simd` module). GEMM and the fused
+//!   [`Backend::layer`] keep the scalar accumulation order but fuse each
+//!   multiply-add when the build target has the instruction
+//!   ([`crate::FUSED`]): bitwise identical to scalar on a build without
+//!   it, within `2γ_k·(|A|·|B|)ᵢⱼ` of it ([`check_gemm_contract`],
+//!   [`check_layer_contract`] with `f32`'s `γ`) on a build with it, and
+//!   bitwise *itself* — across plans, partitions, pool widths and ranks —
+//!   on either. `tanh` and `gelu`, in `f64` and in `f32`, use a different
+//!   approximation and carry explicit ulp budgets (`tests/backend.rs`
+//!   documents and enforces all of these).
+//!
+//! Every other kernel — the elementwise family and its fused VJPs,
+//! axpy/add-acc, the circular unfold/fold pair behind SDNet's convolution —
+//! has one body, in [`crate::Tensor`]'s methods and `inplace.rs`, the same
+//! under either backend: a second body doing the same arithmetic per
+//! element in a different loop shape computes nothing new, and the
+//! compiler vectorizes the plain loop without hand-chunking.
 //!
 //! Everything is `f64` except the compiled plan's kernels:
 //! [`Backend::layer`] over a [`PackedB`] and [`Backend::activate_f32`] run
 //! in `f32`, twice the lanes per vector, for inference only.
 //!
 //! The live backend is chosen once from `MF_BACKEND`
-//! (`scalar`/`simd`/`auto`, default `auto` = simd) and can be overridden
+//! (`scalar`/`simd`/`auto`, default `auto` = simd; parsed by
+//! [`backend_from_env`], which a program calls at start-up to refuse a bad
+//! value before any work) and can be overridden
 //! programmatically with [`set_backend`] or, scoped and race-free for
 //! tests, [`with_backend`]. The choice is published on the
 //! `backend.dispatch` telemetry gauge (1 = scalar, 2 = simd).
@@ -71,7 +77,7 @@ pub(crate) const KC: usize = 256;
 pub(crate) const BAND: usize = 64;
 
 /// The pointwise nonlinearity a fused kernel ([`Backend::layer`],
-/// [`Backend::activate`]) ends with.
+/// [`Backend::activate_f32`]) ends with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Act {
     /// No-op.
@@ -157,7 +163,7 @@ impl BackendKind {
     }
 }
 
-/// The kernel surface both backends implement.
+/// The kernels whose scalar and simd implementations differ.
 ///
 /// All methods operate on packed row-major slices so implementations stay
 /// independent of [`crate::Tensor`] internals; the tensor layer validates
@@ -226,72 +232,14 @@ pub trait Backend: Send + Sync {
         self.activate_f32(act, out);
     }
 
-    /// `buf[i] = act(buf[i])` in place, with the arithmetic of
-    /// [`Backend::tanh`] / [`Backend::gelu`].
-    fn activate(&self, act: Act, buf: &mut [f64]) {
-        match act {
-            Act::Identity => {}
-            Act::Tanh => buf.iter_mut().for_each(|v| *v = v.tanh()),
-            Act::Gelu => buf.iter_mut().for_each(|v| *v = gelu_scalar(*v)),
-        }
-    }
-
-    /// [`Backend::activate`] in `f32`: the plan's activations. The
-    /// reference is `f32::tanh` and [`gelu_scalar_f32`].
+    /// `buf[i] = act(buf[i])` in place, in `f32`: the plan's activations,
+    /// with the approximations of [`Backend::tanh`] / [`Backend::gelu`].
+    /// The reference is `f32::tanh` and [`gelu_scalar_f32`].
     fn activate_f32(&self, act: Act, buf: &mut [f32]) {
         match act {
             Act::Identity => {}
             Act::Tanh => buf.iter_mut().for_each(|v| *v = v.tanh()),
             Act::Gelu => buf.iter_mut().for_each(|v| *v = gelu_scalar_f32(*v)),
-        }
-    }
-
-    /// `out[i] = a[i] + b[i]`.
-    fn add(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x + y;
-        }
-    }
-
-    /// `out[i] = a[i] - b[i]`.
-    fn sub(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x - y;
-        }
-    }
-
-    /// `out[i] = a[i] * b[i]`.
-    fn mul(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = x * y;
-        }
-    }
-
-    /// `out[i] = a[i] * s`.
-    fn scale(&self, a: &[f64], s: f64, out: &mut [f64]) {
-        for (o, &x) in out.iter_mut().zip(a) {
-            *o = x * s;
-        }
-    }
-
-    /// `out[i] = a[i] + s`.
-    fn add_scalar(&self, a: &[f64], s: f64, out: &mut [f64]) {
-        for (o, &x) in out.iter_mut().zip(a) {
-            *o = x + s;
-        }
-    }
-
-    /// `y[i] += alpha * x[i]` (axpy).
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        for (o, &v) in y.iter_mut().zip(x) {
-            *o += alpha * v;
-        }
-    }
-
-    /// `y[i] += x[i]` (the add-acc kernel behind gradient accumulation).
-    fn add_assign(&self, y: &mut [f64], x: &[f64]) {
-        for (o, &v) in y.iter_mut().zip(x) {
-            *o += v;
         }
     }
 
@@ -308,118 +256,6 @@ pub trait Backend: Send + Sync {
             *o = gelu_scalar(x);
         }
     }
-
-    /// Fused tanh backward: `out[i] = g[i] * (1 - t[i]²)` where
-    /// `t = tanh(x)`.
-    fn tanh_vjp(&self, g: &[f64], t: &[f64], out: &mut [f64]) {
-        for ((o, &gv), &tv) in out.iter_mut().zip(g).zip(t) {
-            *o = gv * (1.0 - tv * tv);
-        }
-    }
-
-    /// `out[i] = 1 - t[i]²` (the sech² factor of `d tanh`).
-    fn one_minus_sq(&self, t: &[f64], out: &mut [f64]) {
-        for (o, &tv) in out.iter_mut().zip(t) {
-            *o = 1.0 - tv * tv;
-        }
-    }
-
-    /// Fused GELU pre-activation `√(2/π) (x + c·x³)` from `x` and `x³`.
-    fn gelu_inner(&self, x: &[f64], x3: &[f64], out: &mut [f64]) {
-        for ((o, &a), &c) in out.iter_mut().zip(x).zip(x3) {
-            *o = (a + c * GELU_C) * GELU_SQRT_2_OVER_PI;
-        }
-    }
-
-    /// Fused GELU inner derivative `√(2/π) (1 + 3c·x²)` from `x²`.
-    fn gelu_du(&self, x2: &[f64], out: &mut [f64]) {
-        for (o, &a) in out.iter_mut().zip(x2) {
-            *o = (a * (3.0 * GELU_C) + 1.0) * GELU_SQRT_2_OVER_PI;
-        }
-    }
-
-    /// `out[i] = (t[i] + 1) / 2`, fused.
-    fn half_one_plus(&self, t: &[f64], out: &mut [f64]) {
-        for (o, &a) in out.iter_mut().zip(t) {
-            *o = (a + 1.0) * 0.5;
-        }
-    }
-
-    /// Circular 1-D unfold (im2col): `input` is `bsz` rows of
-    /// `len·channels` (positions × interleaved channels); `out` is
-    /// `bsz·len` rows of `kw·channels`. Shapes are validated by
-    /// [`crate::unfold1d_circular_into`] before dispatch.
-    fn unfold1d(
-        &self,
-        input: &[f64],
-        bsz: usize,
-        len: usize,
-        channels: usize,
-        kw: usize,
-        out: &mut [f64],
-    ) {
-        unfold_reference(input, bsz, len, channels, kw, out);
-    }
-
-    /// Adjoint of [`Backend::unfold1d`]: scatter-add windows back onto the
-    /// signal. `grad` is `bsz·len` rows of `kw·channels`; `out` is `bsz`
-    /// rows of `len·channels` and must be pre-zeroed (or hold an existing
-    /// accumulation).
-    fn fold1d(
-        &self,
-        grad: &[f64],
-        bsz: usize,
-        len: usize,
-        channels: usize,
-        kw: usize,
-        out: &mut [f64],
-    ) {
-        let width = len * channels;
-        let wk = kw * channels;
-        let half = (kw - 1) / 2;
-        for bi in 0..bsz {
-            let dst = &mut out[bi * width..(bi + 1) * width];
-            for p in 0..len {
-                let src = &grad[(bi * len + p) * wk..(bi * len + p + 1) * wk];
-                for w in 0..kw {
-                    let pos = (p + w + kw * len - half) % len;
-                    for c in 0..channels {
-                        dst[pos * channels + c] += src[w * channels + c];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The reference body of [`Backend::unfold1d`], for any element type (an
-/// unfold only copies).
-pub(crate) fn unfold_reference<T: Copy>(
-    input: &[T],
-    bsz: usize,
-    len: usize,
-    channels: usize,
-    kw: usize,
-    out: &mut [T],
-) {
-    let width = len * channels;
-    let wk = kw * channels;
-    let half = (kw - 1) / 2;
-    for bi in 0..bsz {
-        let src = &input[bi * width..(bi + 1) * width];
-        for p in 0..len {
-            let row = bi * len + p;
-            let dst = &mut out[row * wk..(row + 1) * wk];
-            for w in 0..kw {
-                // `+ kw·len` (a multiple of the modulus) keeps the
-                // index positive even when the kernel is wider than
-                // the signal (`half > p + len`).
-                let pos = (p + w + kw * len - half) % len;
-                dst[w * channels..(w + 1) * channels]
-                    .copy_from_slice(&src[pos * channels..(pos + 1) * channels]);
-            }
-        }
-    }
 }
 
 /// `rows[r][c] += row[c]` for every `row.len()`-wide row of `rows` (the
@@ -434,7 +270,7 @@ pub(crate) fn add_row<T: Copy + std::ops::AddAssign>(rows: &mut [T], row: &[T]) 
 }
 
 /// The reference backend: adopts every [`Backend`] default body
-/// unchanged, preserving the exact pre-backend kernel semantics.
+/// unchanged.
 pub struct ScalarBackend;
 
 impl Backend for ScalarBackend {
@@ -474,12 +310,24 @@ pub fn set_backend(kind: BackendKind) {
     mf_telemetry::gauge("backend.dispatch").set(kind.code() as f64);
 }
 
+/// The backend the `MF_BACKEND` environment variable selects: `scalar`,
+/// or `simd` for `simd`, `auto` and unset; any other value is an `Err`
+/// naming it. The first kernel call resolves the live backend through
+/// this and panics on an `Err`, so a program checks it at start-up.
+pub fn backend_from_env() -> Result<BackendKind, String> {
+    match std::env::var("MF_BACKEND") {
+        Err(std::env::VarError::NotPresent) => Ok(BackendKind::Simd),
+        Ok(v) if v == "scalar" => Ok(BackendKind::Scalar),
+        Ok(v) if v == "simd" || v == "auto" => Ok(BackendKind::Simd),
+        Ok(v) => Err(format!(
+            "MF_BACKEND must be one of scalar|simd|auto, got {v:?}"
+        )),
+        Err(e) => Err(format!("MF_BACKEND: {e}")),
+    }
+}
+
 fn init_from_env() -> BackendKind {
-    let kind = match std::env::var("MF_BACKEND").as_deref() {
-        Ok("scalar") => BackendKind::Scalar,
-        Ok("simd") | Ok("auto") | Err(_) => BackendKind::Simd,
-        Ok(other) => panic!("MF_BACKEND must be one of scalar|simd|auto, got {other:?}"),
-    };
+    let kind = backend_from_env().unwrap_or_else(|e| panic!("{e}"));
     set_backend(kind);
     kind
 }

@@ -1,21 +1,26 @@
 //! Write-into variants of the tensor kernels, for pooled output buffers.
 //!
 //! Every method takes a pre-shaped output tensor (typically fresh from a
-//! [`crate::BufferPool`], i.e. zero-filled) and fills it. The structural
-//! kernels — `transpose`, `sum_axis0`, `broadcast_row_add`, `repeat_rows`,
-//! `sum_groups`, `slice_*`, `concat_*`, `pad_*`, `unfold1d_circular`,
-//! `fold1d_circular` — are written here and nowhere else: the allocating
-//! name of each is `Tensor::zeros` plus the `_into` call, so an
-//! allocation-lean caller gets the allocating caller's values bit for bit
-//! by construction. The elementwise kernels forward to the same
-//! [`crate::Backend`] call as their allocating names.
+//! [`crate::BufferPool`], i.e. zero-filled) and fills it. The elementwise
+//! kernels and their fused VJPs — `add`, `sub`, `mul`, `scale`,
+//! `add_scalar`, `tanh_vjp`, `one_minus_sq`, `gelu_inner`, `gelu_du`,
+//! `half_one_plus` — and the structural ones — `transpose`, `sum_axis0`,
+//! `broadcast_row_add`, `repeat_rows`, `sum_groups`, `slice_*`, `concat_*`,
+//! `pad_*`, `unfold1d_circular`, `fold1d_circular` — are written here and
+//! nowhere else, the same under either kernel backend: the allocating name
+//! of each is `Tensor::zeros` plus the `_into` call, so an allocation-lean
+//! caller gets the allocating caller's values bit for bit by construction.
+//! Only `tanh_into` and `gelu_into` dispatch to the live
+//! [`crate::Backend`], whose two implementations compute them differently.
 //!
 //! Kernels that accumulate (`sum_axis0_into`, `sum_groups_into`,
 //! `fold1d_circular_into`) or leave gaps (`pad_cols_into`, `pad_rows_into`)
 //! require the output to be zeroed; the pool guarantees that. The others
 //! overwrite every element.
 
+use crate::backend::{GELU_C, GELU_SQRT_2_OVER_PI};
 use crate::Tensor;
+use std::ops::{AddAssign, Range};
 
 impl Tensor {
     #[inline]
@@ -53,40 +58,29 @@ impl Tensor {
         }
     }
 
-    #[inline]
-    fn assert_zip_shapes(&self, other: &Tensor, out: &Tensor, op: &str) {
-        assert_eq!(self.shape(), other.shape(), "{op}: shape mismatch");
-        self.assert_out_shape(out, self.rows(), self.cols(), op);
-    }
-
     /// `out = self + other`.
     pub fn add_into(&self, other: &Tensor, out: &mut Tensor) {
-        self.assert_zip_shapes(other, out, "add_into");
-        crate::backend().add(self.as_slice(), other.as_slice(), out.as_mut_slice());
+        self.zip_map_into(other, out, |a, b| a + b);
     }
 
     /// `out = self - other`.
     pub fn sub_into(&self, other: &Tensor, out: &mut Tensor) {
-        self.assert_zip_shapes(other, out, "sub_into");
-        crate::backend().sub(self.as_slice(), other.as_slice(), out.as_mut_slice());
+        self.zip_map_into(other, out, |a, b| a - b);
     }
 
     /// `out = self ⊙ other`.
     pub fn mul_into(&self, other: &Tensor, out: &mut Tensor) {
-        self.assert_zip_shapes(other, out, "mul_into");
-        crate::backend().mul(self.as_slice(), other.as_slice(), out.as_mut_slice());
+        self.zip_map_into(other, out, |a, b| a * b);
     }
 
     /// `out = self * s`.
     pub fn scale_into(&self, s: f64, out: &mut Tensor) {
-        self.assert_out_shape(out, self.rows(), self.cols(), "scale_into");
-        crate::backend().scale(self.as_slice(), s, out.as_mut_slice());
+        self.map_into(out, |a| a * s);
     }
 
     /// `out = self + s`.
     pub fn add_scalar_into(&self, s: f64, out: &mut Tensor) {
-        self.assert_out_shape(out, self.rows(), self.cols(), "add_scalar_into");
-        crate::backend().add_scalar(self.as_slice(), s, out.as_mut_slice());
+        self.map_into(out, |a| a + s);
     }
 
     /// `out = tanh(self)` through the live kernel backend.
@@ -104,32 +98,27 @@ impl Tensor {
     /// Fused tanh backward: `out = self ⊙ (1 - t²)` where `self` is the
     /// upstream gradient and `t = tanh(x)`.
     pub fn tanh_vjp_into(&self, t: &Tensor, out: &mut Tensor) {
-        self.assert_zip_shapes(t, out, "tanh_vjp_into");
-        crate::backend().tanh_vjp(self.as_slice(), t.as_slice(), out.as_mut_slice());
+        self.zip_map_into(t, out, |g, t| g * (1.0 - t * t));
     }
 
     /// `out = 1 - self²` (the sech² factor of `d tanh`).
     pub fn one_minus_sq_into(&self, out: &mut Tensor) {
-        self.assert_out_shape(out, self.rows(), self.cols(), "one_minus_sq_into");
-        crate::backend().one_minus_sq(self.as_slice(), out.as_mut_slice());
+        self.map_into(out, |t| 1.0 - t * t);
     }
 
     /// Fused GELU pre-activation `√(2/π)(self + c·x3)` where `x3 = self³`.
     pub fn gelu_inner_into(&self, x3: &Tensor, out: &mut Tensor) {
-        self.assert_zip_shapes(x3, out, "gelu_inner_into");
-        crate::backend().gelu_inner(self.as_slice(), x3.as_slice(), out.as_mut_slice());
+        self.zip_map_into(x3, out, |x, x3| (x + x3 * GELU_C) * GELU_SQRT_2_OVER_PI);
     }
 
     /// Fused GELU inner derivative `√(2/π)(1 + 3c·self)` where `self = x²`.
     pub fn gelu_du_into(&self, out: &mut Tensor) {
-        self.assert_out_shape(out, self.rows(), self.cols(), "gelu_du_into");
-        crate::backend().gelu_du(self.as_slice(), out.as_mut_slice());
+        self.map_into(out, |x2| (x2 * (3.0 * GELU_C) + 1.0) * GELU_SQRT_2_OVER_PI);
     }
 
     /// `out = (self + 1) / 2`, fused.
     pub fn half_one_plus_into(&self, out: &mut Tensor) {
-        self.assert_out_shape(out, self.rows(), self.cols(), "half_one_plus_into");
-        crate::backend().half_one_plus(self.as_slice(), out.as_mut_slice());
+        self.map_into(out, |t| (t + 1.0) * 0.5);
     }
 
     /// `out = selfᵀ`, in 32×32 blocks for cache friendliness on large
@@ -323,7 +312,7 @@ pub fn unfold1d_circular_into(input: &Tensor, channels: usize, k: usize, out: &m
         (b * len, k * channels),
         "unfold1d_circular_into: output shape mismatch"
     );
-    crate::backend().unfold1d(input.as_slice(), b, len, channels, k, out.as_mut_slice());
+    unfold1d_windows(input.as_slice(), b, len, channels, k, out.as_mut_slice());
 }
 
 /// [`crate::fold1d_circular`] into a zeroed `[B × len·channels]` output.
@@ -341,7 +330,94 @@ pub fn fold1d_circular_into(grad: &Tensor, b: usize, channels: usize, k: usize, 
         (b, len * channels),
         "fold1d_circular_into: output shape mismatch"
     );
-    crate::backend().fold1d(grad.as_slice(), b, len, channels, k, out.as_mut_slice());
+    fold1d_windows(grad.as_slice(), b, len, channels, k, out.as_mut_slice());
+}
+
+/// `(half, inner)` of a circular window of `kw` over `len` positions: the
+/// window of row `p` covers positions `p - half ..= p - half + kw - 1`
+/// (mod `len`), and for `p` in `inner` none of them wraps.
+fn windows(len: usize, kw: usize) -> (usize, Range<usize>) {
+    let half = (kw - 1) / 2;
+    let lo = half.min(len);
+    (half, lo..len.saturating_sub(kw - 1 - half).max(lo))
+}
+
+/// Circular 1-D unfold (im2col) on raw buffers, for any element type: the
+/// body of [`unfold1d_circular_into`], and how the compiled plan unfolds
+/// its `f32` registers. `input` is `bsz` rows of `len·channels` (positions
+/// × interleaved channels); `out` is `bsz·len` rows of `kw·channels`.
+/// Since the channels interleave, a row's window is `kw·channels`
+/// consecutive elements of its signal, read circularly: one contiguous
+/// copy where it does not wrap, element by element where it does.
+pub fn unfold1d_windows<T: Copy>(
+    input: &[T],
+    bsz: usize,
+    len: usize,
+    channels: usize,
+    kw: usize,
+    out: &mut [T],
+) {
+    let (half, inner) = windows(len, kw);
+    // `+ kw·len` (a multiple of the modulus) keeps the index positive even
+    // when the kernel is wider than the signal (`half > p + len`).
+    let first = |p: usize| (p + kw * len - half) % len;
+    let (width, wk) = (len * channels, kw * channels);
+    for bi in 0..bsz {
+        let src = &input[bi * width..(bi + 1) * width];
+        for p in 0..len {
+            let dst = &mut out[(bi * len + p) * wk..(bi * len + p + 1) * wk];
+            if inner.contains(&p) {
+                dst.copy_from_slice(&src[(p - half) * channels..][..wk]);
+            } else {
+                let mut q = first(p) * channels;
+                for d in dst.iter_mut() {
+                    *d = src[q];
+                    q += 1;
+                    if q == width {
+                        q = 0;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Adjoint of [`unfold1d_windows`]: scatter-add the windows in `grad`
+/// (`bsz·len` rows of `kw·channels`) back onto `out` (`bsz` rows of
+/// `len·channels`, zeroed or holding an accumulation), with the same two
+/// cases. Every output element accumulates row by row, window offset
+/// ascending, whichever case a row takes.
+fn fold1d_windows<T: Copy + AddAssign>(
+    grad: &[T],
+    bsz: usize,
+    len: usize,
+    channels: usize,
+    kw: usize,
+    out: &mut [T],
+) {
+    let (half, inner) = windows(len, kw);
+    let first = |p: usize| (p + kw * len - half) % len;
+    let (width, wk) = (len * channels, kw * channels);
+    for bi in 0..bsz {
+        let dst = &mut out[bi * width..(bi + 1) * width];
+        for p in 0..len {
+            let src = &grad[(bi * len + p) * wk..(bi * len + p + 1) * wk];
+            if inner.contains(&p) {
+                for (d, &s) in dst[(p - half) * channels..][..wk].iter_mut().zip(src) {
+                    *d += s;
+                }
+            } else {
+                let mut q = first(p) * channels;
+                for &s in src {
+                    dst[q] += s;
+                    q += 1;
+                    if q == width {
+                        q = 0;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -352,10 +428,71 @@ mod tests {
         Tensor::from_fn(r, c, |i, j| ((i * 13 + j * 7) as f64 * 0.37).sin())
     }
 
-    /// The elementwise kernels reach the backend through two wrappers (`add`
-    /// and `add_into`, …): both must give the same bits. (A structural
-    /// kernel has one body, which
-    /// `proptests::structural_ops_equal_their_index_formulas` checks.)
+    /// The circular unfold and fold written out one element at a time —
+    /// fold accumulating in the kernels' order, row by row and window
+    /// offset ascending — against [`unfold1d_windows`] and
+    /// [`fold1d_windows`], by bits: single- and multi-channel signals,
+    /// rows that wrap and rows that do not, a one-position signal, and
+    /// kernels wider than the signal, which wrap around it more than once
+    /// (an index that once underflowed).
+    fn check_unfold_fold_against_index_formulas<T>(bits: fn(T) -> u64)
+    where
+        T: Copy + Default + AddAssign + From<f32>,
+    {
+        for &(bsz, len, channels, kw) in &[
+            (1usize, 4usize, 1usize, 3usize),
+            (2, 8, 1, 5),
+            (3, 5, 1, 1),
+            (1, 3, 1, 3),
+            (2, 7, 1, 7),
+            (2, 8, 2, 3),
+            (3, 16, 4, 5),
+            (1, 5, 3, 5),
+            (1, 1, 1, 1),
+            (2, 1, 2, 3),
+            (1, 1, 1, 5),
+            (2, 2, 1, 7),
+            (1, 3, 2, 9),
+            (1, 1, 3, 3),
+        ] {
+            let value = |i: usize| T::from(((i * 7) as f32 * 0.31).sin());
+            let input: Vec<T> = (0..bsz * len * channels).map(value).collect();
+            let grad: Vec<T> = (0..bsz * len * kw * channels)
+                .map(|i| value(i + 3))
+                .collect();
+            let half = (kw - 1) / 2;
+            let mut unfolded = vec![T::default(); grad.len()];
+            let mut folded = vec![T::default(); input.len()];
+            for b in 0..bsz {
+                for p in 0..len {
+                    for w in 0..kw {
+                        for c in 0..channels {
+                            let row = ((b * len + p) * kw + w) * channels + c;
+                            let sig = (b * len + (p + w + kw * len - half) % len) * channels + c;
+                            unfolded[row] = input[sig];
+                            folded[sig] += grad[row];
+                        }
+                    }
+                }
+            }
+            let what = format!("b={bsz} len={len} c={channels} k={kw}");
+            let same =
+                |got: &[T], want: &[T]| got.iter().zip(want).all(|(&g, &w)| bits(g) == bits(w));
+            let mut got = vec![T::default(); grad.len()];
+            unfold1d_windows(&input, bsz, len, channels, kw, &mut got);
+            assert!(same(&got, &unfolded), "unfold {what}");
+            let mut got = vec![T::default(); input.len()];
+            fold1d_windows(&grad, bsz, len, channels, kw, &mut got);
+            assert!(same(&got, &folded), "fold {what}");
+        }
+    }
+
+    #[test]
+    fn unfold_fold_match_their_index_formulas_bitwise() {
+        check_unfold_fold_against_index_formulas::<f64>(f64::to_bits);
+        check_unfold_fold_against_index_formulas::<f32>(|x| x.to_bits().into());
+    }
+
     #[test]
     fn into_kernels_match_allocating_kernels_bitwise() {
         let a = t(5, 7);

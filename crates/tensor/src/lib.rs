@@ -10,10 +10,11 @@
 //! * a 2-D row-major [`Tensor`] (vectors are `1×n` or `n×1`),
 //! * a blocked GEMM with optional transposes, row-parallel on the
 //!   process-wide compute pool ([`par`]: one pool, one thread budget),
-//! * runtime-dispatched kernel [`mod@backend`]s (`MF_BACKEND=scalar|simd`):
-//!   a scalar reference and a vectorized implementation with a packed
-//!   GEMM microkernel, the compiled plan's fused `f32` dense-layer kernel
-//!   over pre-packed weights ([`Backend::layer`], [`PackedB`]) and vector
+//! * runtime-dispatched kernel [`mod@backend`]s (`MF_BACKEND=scalar|simd`)
+//!   for the kernels the two implementations compute differently: a
+//!   scalar reference and a vectorized implementation with a packed GEMM
+//!   microkernel, the compiled plan's fused `f32` dense-layer kernel over
+//!   pre-packed weights ([`Backend::layer`], [`PackedB`]) and vector
 //!   `tanh`/`gelu` in `f64` and `f32`,
 //! * the axis/broadcast operations required by the *input-split* layer of
 //!   SDNet (grouped row repetition and grouped row summation),
@@ -35,15 +36,15 @@ mod simd;
 mod tensor;
 
 pub use backend::{
-    backend, backend_kind, check_gemm_contract, check_layer_contract, gelu_scalar, gelu_scalar_f32,
-    same_bits, set_backend, ulp_distance, ulp_distance_f32, with_backend, Act, Backend,
-    BackendKind, PackedB, GELU_C, GELU_SQRT_2_OVER_PI,
+    backend, backend_from_env, backend_kind, check_gemm_contract, check_layer_contract,
+    gelu_scalar, gelu_scalar_f32, same_bits, set_backend, ulp_distance, ulp_distance_f32,
+    with_backend, Act, Backend, BackendKind, PackedB, GELU_C, GELU_SQRT_2_OVER_PI,
 };
 pub use gemm::{gemm, gemm_into, Layout};
-pub use inplace::{fold1d_circular_into, unfold1d_circular_into};
+pub use inplace::{fold1d_circular_into, unfold1d_circular_into, unfold1d_windows};
 pub use ops::{fold1d_circular, unfold1d_circular};
 pub use pool::{BufferPool, PoolStats};
-pub use simd::{fmadd, unfold1d_windows, FUSED};
+pub use simd::{fmadd, FUSED};
 pub use tensor::Tensor;
 
 /// Relative/absolute tolerance comparison for floating-point test code.

@@ -270,13 +270,13 @@ fn any_shape() -> impl Strategy<Value = (usize, usize)> {
 }
 
 /// Differential property tests: for random shapes and data, the simd
-/// backend must reproduce the scalar reference exactly (bitwise) on
-/// every kernel that does the reference's arithmetic per element, within
-/// the GEMM error bound — `f64`, and `f32` for the plan's layer — where its
-/// multiply-add chain may be fused, and within the ulp budgets of its
-/// activations in both types — the per-kernel contract behind
-/// `tests/backend.rs`, here explored by proptest instead of by a fixed
-/// shape table.
+/// backend must stay within the GEMM error bound of the scalar reference —
+/// `f64`, and `f32` for the plan's layer — where its multiply-add chain may
+/// be fused, and within the ulp budgets of its activations in both types;
+/// and the kernels with one body (elementwise, axpy/add-acc, unfold/fold)
+/// must give the same bits under either backend — the per-kernel contract
+/// behind `tests/backend.rs`, here explored by proptest instead of by a
+/// fixed shape table.
 mod backend_differential {
     use super::*;
     use crate::backend::{scalar, simd};
@@ -284,6 +284,14 @@ mod backend_differential {
 
     fn bits_eq(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// `f` under the scalar backend, then under the simd one.
+    fn both<R>(f: impl Fn() -> R) -> (R, R) {
+        (
+            crate::with_backend(crate::BackendKind::Scalar, &f),
+            crate::with_backend(crate::BackendKind::Simd, &f),
+        )
     }
 
     proptest! {
@@ -318,15 +326,11 @@ mod backend_differential {
                 (Layout::Normal, fill(k, n))
             };
             let c0 = fill(m, n);
-            let run = |backend: crate::BackendKind| {
-                crate::with_backend(backend, || {
-                    let mut c = c0.clone();
-                    gemm_into(&a, la, &b, lb, &mut c);
-                    c
-                })
-            };
-            let s = run(crate::BackendKind::Scalar);
-            let v = run(crate::BackendKind::Simd);
+            let (s, v) = both(|| {
+                let mut c = c0.clone();
+                gemm_into(&a, la, &b, lb, &mut c);
+                c
+            });
             let (a, b) = (
                 if a_t { a.transpose() } else { a },
                 if b_t { b.transpose() } else { b },
@@ -379,44 +383,59 @@ mod backend_differential {
         #[test]
         fn elementwise_bitwise_on_random_lengths(
             n in 0usize..70,
-            seed in 0u64..u64::MAX,
+            a in prop::collection::vec(-10.0f64..10.0, 70),
+            b in prop::collection::vec(-10.0f64..10.0, 70),
             s in -3.0f64..3.0,
         ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let a: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            let b: Vec<f64> = (0..n).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            let mut out_s = vec![0.0; n];
-            let mut out_v = vec![0.0; n];
-            type K = fn(&dyn crate::Backend, &[f64], &[f64], f64, &mut [f64]);
-            let kernels: &[(&str, K)] = &[
-                ("add", |bk, a, b, _, o| bk.add(a, b, o)),
-                ("sub", |bk, a, b, _, o| bk.sub(a, b, o)),
-                ("mul", |bk, a, b, _, o| bk.mul(a, b, o)),
-                ("scale", |bk, a, _, s, o| bk.scale(a, s, o)),
-                ("add_scalar", |bk, a, _, s, o| bk.add_scalar(a, s, o)),
-                ("tanh_vjp", |bk, a, b, _, o| bk.tanh_vjp(a, b, o)),
-                ("one_minus_sq", |bk, a, _, _, o| bk.one_minus_sq(a, o)),
-                ("gelu_inner", |bk, a, b, _, o| bk.gelu_inner(a, b, o)),
-                ("gelu_du", |bk, a, _, _, o| bk.gelu_du(a, o)),
-                ("half_one_plus", |bk, a, _, _, o| bk.half_one_plus(a, o)),
+            let a = Tensor::from_vec(1, n, a[..n].to_vec());
+            let b = Tensor::from_vec(1, n, b[..n].to_vec());
+            type Kernel = fn(&Tensor, &Tensor, f64) -> Tensor;
+            let kernels: &[(&str, Kernel)] = &[
+                ("add", |a, b, _| a.add(b)),
+                ("sub", |a, b, _| a.sub(b)),
+                ("mul", |a, b, _| a.mul(b)),
+                ("scale", |a, _, s| a.scale(s)),
+                ("add_scalar", |a, _, s| a.add_scalar(s)),
+                ("tanh_vjp", |a, b, _| {
+                    let mut o = Tensor::zeros(1, a.cols());
+                    a.tanh_vjp_into(b, &mut o);
+                    o
+                }),
+                ("one_minus_sq", |a, _, _| {
+                    let mut o = Tensor::zeros(1, a.cols());
+                    a.one_minus_sq_into(&mut o);
+                    o
+                }),
+                ("gelu_inner", |a, b, _| {
+                    let mut o = Tensor::zeros(1, a.cols());
+                    a.gelu_inner_into(b, &mut o);
+                    o
+                }),
+                ("gelu_du", |a, _, _| {
+                    let mut o = Tensor::zeros(1, a.cols());
+                    a.gelu_du_into(&mut o);
+                    o
+                }),
+                ("half_one_plus", |a, _, _| {
+                    let mut o = Tensor::zeros(1, a.cols());
+                    a.half_one_plus_into(&mut o);
+                    o
+                }),
+                ("axpy", |a, b, s| {
+                    let mut y = b.clone();
+                    y.axpy(s, a);
+                    y
+                }),
+                ("add_assign", |a, b, _| {
+                    let mut y = b.clone();
+                    y.add_assign(a);
+                    y
+                }),
             ];
             for (name, k) in kernels {
-                k(scalar(), &a, &b, s, &mut out_s);
-                k(simd(), &a, &b, s, &mut out_v);
-                prop_assert!(bits_eq(&out_s, &out_v), "{name} diverged at len {n}");
+                let (x, y) = both(|| k(&a, &b, s));
+                prop_assert!(bits_eq(x.as_slice(), y.as_slice()), "{name} diverged at len {n}");
             }
-            // Accumulating kernels start from the same random state.
-            let mut y_s = b.clone();
-            let mut y_v = b.clone();
-            scalar().axpy(s, &a, &mut y_s);
-            simd().axpy(s, &a, &mut y_v);
-            prop_assert!(bits_eq(&y_s, &y_v), "axpy diverged at len {n}");
-            let mut y_s = b.clone();
-            let mut y_v = b;
-            scalar().add_assign(&mut y_s, &a);
-            simd().add_assign(&mut y_v, &a);
-            prop_assert!(bits_eq(&y_s, &y_v), "add_assign diverged at len {n}");
         }
 
         #[test]
@@ -431,17 +450,11 @@ mod backend_differential {
             let kw = 2 * khalf + 1; // circular kernels are odd-width
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let input = Tensor::from_fn(bsz, len * channels, |_, _| rng.gen_range(-2.0..2.0));
-            let mut u_s = vec![0.0; bsz * len * kw * channels];
-            let mut u_v = u_s.clone();
-            scalar().unfold1d(input.as_slice(), bsz, len, channels, kw, &mut u_s);
-            simd().unfold1d(input.as_slice(), bsz, len, channels, kw, &mut u_v);
-            prop_assert!(bits_eq(&u_s, &u_v), "unfold diverged");
+            let (s, v) = both(|| unfold1d_circular(&input, channels, kw));
+            prop_assert!(bits_eq(s.as_slice(), v.as_slice()), "unfold diverged");
             let grad = Tensor::from_fn(bsz * len, kw * channels, |_, _| rng.gen_range(-2.0..2.0));
-            let mut f_s = vec![0.0; bsz * len * channels];
-            let mut f_v = f_s.clone();
-            scalar().fold1d(grad.as_slice(), bsz, len, channels, kw, &mut f_s);
-            simd().fold1d(grad.as_slice(), bsz, len, channels, kw, &mut f_v);
-            prop_assert!(bits_eq(&f_s, &f_v), "fold diverged");
+            let (s, v) = both(|| fold1d_circular(&grad, bsz, channels, kw));
+            prop_assert!(bits_eq(s.as_slice(), v.as_slice()), "fold diverged");
         }
 
         #[test]

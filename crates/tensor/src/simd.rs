@@ -1,9 +1,11 @@
 //! The vectorized kernel backend.
 //!
-//! Portable hand-vectorization: every kernel processes fixed-width lane
-//! blocks (`[f64; 4]`, two AVX2 registers' worth) written so LLVM lowers
-//! them to packed vector instructions on any target — no intrinsics, no
-//! `unsafe`, no nightly `std::simd`. Three families:
+//! Portable hand-vectorization: every kernel processes fixed-width register
+//! tiles or lane blocks written so LLVM lowers them to packed vector
+//! instructions on any target — no intrinsics, no `unsafe`, no nightly
+//! `std::simd`. It overrides only what it computes differently from the
+//! scalar reference; the elementwise kernels, their VJPs and unfold/fold
+//! have one body for both backends, outside the trait. Two families:
 //!
 //! * **GEMM** ([`Backend::gemm_band`] in `f64`, [`Backend::layer`] in
 //!   `f32`) — one packed, cache-blocked microkernel, generic over the
@@ -35,8 +37,6 @@
 //!   within `γ_k·(|A|·|B|)ᵢⱼ` of the exact product, so the two are within
 //!   `2γ_k·(|A|·|B|)ᵢⱼ` of each other ([`crate::check_gemm_contract`],
 //!   [`crate::check_layer_contract`]).
-//! * **Elementwise / VJP kernels** — the same per-element arithmetic as
-//!   the scalar reference in 4-lane chunks, never fused: bitwise identical.
 //! * **`tanh` / `gelu`** — evaluated on blocks of independent Horner chains
 //!   (16 `f64` or 32 `f32` lanes, four vectors either way), so the chains
 //!   hide the multiply-add latency, around a lane-wise `exp` with
@@ -55,13 +55,10 @@
 //!   absolute; `f32`: tanh ≤ 8 ulp, gelu ≤ 8 ulp or `4ε·|x|` absolute).
 
 use crate::backend::{
-    add_row, unfold_reference, Act, Backend, BackendKind, PackedB, BAND, GELU_C,
-    GELU_SQRT_2_OVER_PI, KC,
+    add_row, Act, Backend, BackendKind, PackedB, BAND, GELU_C, GELU_SQRT_2_OVER_PI, KC,
 };
 use std::cell::RefCell;
 
-/// Lane width of the chunked loops (one 256-bit vector of `f64`).
-const LANES: usize = 4;
 /// Microkernel register tile: rows of C per tile.
 const MR: usize = 4;
 /// Microkernel register tile: columns of C per tile (four lane blocks).
@@ -423,65 +420,11 @@ impl Backend for SimdBackend {
         }
     }
 
-    fn activate(&self, act: Act, buf: &mut [f64]) {
-        match act {
-            Act::Identity => {}
-            Act::Tanh => blocks_apply_in_place(buf, tanh_lanes::<BLOCK>),
-            Act::Gelu => blocks_apply_in_place(buf, gelu_lanes::<BLOCK>),
-        }
-    }
-
     fn activate_f32(&self, act: Act, buf: &mut [f32]) {
         match act {
             Act::Identity => {}
             Act::Tanh => blocks_apply_in_place(buf, tanh_lanes_f32::<BLOCK_F32>),
             Act::Gelu => blocks_apply_in_place(buf, gelu_lanes_f32::<BLOCK_F32>),
-        }
-    }
-
-    fn add(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        zip_lanes(a, b, out, |x, y| x + y);
-    }
-
-    fn sub(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        zip_lanes(a, b, out, |x, y| x - y);
-    }
-
-    fn mul(&self, a: &[f64], b: &[f64], out: &mut [f64]) {
-        zip_lanes(a, b, out, |x, y| x * y);
-    }
-
-    fn scale(&self, a: &[f64], s: f64, out: &mut [f64]) {
-        map_lanes(a, out, |x| x * s);
-    }
-
-    fn add_scalar(&self, a: &[f64], s: f64, out: &mut [f64]) {
-        map_lanes(a, out, |x| x + s);
-    }
-
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        let mut ys = y.chunks_exact_mut(LANES);
-        let mut xs = x.chunks_exact(LANES);
-        for (yc, xc) in (&mut ys).zip(&mut xs) {
-            for (o, &v) in yc.iter_mut().zip(xc) {
-                *o += alpha * v;
-            }
-        }
-        for (o, &v) in ys.into_remainder().iter_mut().zip(xs.remainder()) {
-            *o += alpha * v;
-        }
-    }
-
-    fn add_assign(&self, y: &mut [f64], x: &[f64]) {
-        let mut ys = y.chunks_exact_mut(LANES);
-        let mut xs = x.chunks_exact(LANES);
-        for (yc, xc) in (&mut ys).zip(&mut xs) {
-            for (o, &v) in yc.iter_mut().zip(xc) {
-                *o += v;
-            }
-        }
-        for (o, &v) in ys.into_remainder().iter_mut().zip(xs.remainder()) {
-            *o += v;
         }
     }
 
@@ -491,159 +434,6 @@ impl Backend for SimdBackend {
 
     fn gelu(&self, a: &[f64], out: &mut [f64]) {
         blocks_apply(a, out, gelu_lanes::<BLOCK>);
-    }
-
-    fn tanh_vjp(&self, g: &[f64], t: &[f64], out: &mut [f64]) {
-        zip_lanes(g, t, out, |gv, tv| gv * (1.0 - tv * tv));
-    }
-
-    fn one_minus_sq(&self, t: &[f64], out: &mut [f64]) {
-        map_lanes(t, out, |tv| 1.0 - tv * tv);
-    }
-
-    fn gelu_inner(&self, x: &[f64], x3: &[f64], out: &mut [f64]) {
-        zip_lanes(x, x3, out, |a, c| (a + c * GELU_C) * GELU_SQRT_2_OVER_PI);
-    }
-
-    fn gelu_du(&self, x2: &[f64], out: &mut [f64]) {
-        map_lanes(x2, out, |a| {
-            (a * (3.0 * GELU_C) + 1.0) * GELU_SQRT_2_OVER_PI
-        });
-    }
-
-    fn half_one_plus(&self, t: &[f64], out: &mut [f64]) {
-        map_lanes(t, out, |a| (a + 1.0) * 0.5);
-    }
-
-    fn unfold1d(
-        &self,
-        input: &[f64],
-        bsz: usize,
-        len: usize,
-        channels: usize,
-        kw: usize,
-        out: &mut [f64],
-    ) {
-        unfold1d_windows(input, bsz, len, channels, kw, out);
-    }
-
-    fn fold1d(
-        &self,
-        grad: &[f64],
-        bsz: usize,
-        len: usize,
-        channels: usize,
-        kw: usize,
-        out: &mut [f64],
-    ) {
-        if channels != 1 {
-            return crate::backend::scalar().fold1d(grad, bsz, len, channels, kw, out);
-        }
-        let half = (kw - 1) / 2;
-        let lo = half.min(len);
-        let hi = len.saturating_sub(kw - 1 - half).max(lo);
-        // Same p-major, w-ascending accumulation order as the reference;
-        // the interior specialization only removes the position modulo.
-        for bi in 0..bsz {
-            let dst = &mut out[bi * len..(bi + 1) * len];
-            for p in 0..lo {
-                let src = &grad[(bi * len + p) * kw..(bi * len + p + 1) * kw];
-                for (w, &s) in src.iter().enumerate() {
-                    dst[(p + w + kw * len - half) % len] += s;
-                }
-            }
-            for p in lo..hi {
-                let src = &grad[(bi * len + p) * kw..(bi * len + p + 1) * kw];
-                for (d, &s) in dst[p - half..p - half + kw].iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-            for p in hi..len {
-                let src = &grad[(bi * len + p) * kw..(bi * len + p + 1) * kw];
-                for (w, &s) in src.iter().enumerate() {
-                    dst[(p + w + kw * len - half) % len] += s;
-                }
-            }
-        }
-    }
-}
-
-/// The simd backend's circular 1-D unfold ([`Backend::unfold1d`]), for
-/// any element type: the compiled plan unfolds its `f32` registers with
-/// it. An unfold only copies, so this is bitwise the reference on every
-/// input; a single-channel signal takes the fast path below.
-pub fn unfold1d_windows<T: Copy>(
-    input: &[T],
-    bsz: usize,
-    len: usize,
-    channels: usize,
-    kw: usize,
-    out: &mut [T],
-) {
-    if channels != 1 {
-        // Multi-channel windows interleave; use the reference loops.
-        return unfold_reference(input, bsz, len, channels, kw, out);
-    }
-    let half = (kw - 1) / 2;
-    // Interior rows read a contiguous kw-window; only the first `half`
-    // and last `kw-1-half` positions of each signal wrap.
-    let lo = half.min(len);
-    let hi = len.saturating_sub(kw - 1 - half).max(lo);
-    for bi in 0..bsz {
-        let src = &input[bi * len..(bi + 1) * len];
-        for p in 0..lo {
-            let dst = &mut out[(bi * len + p) * kw..(bi * len + p + 1) * kw];
-            for (w, d) in dst.iter_mut().enumerate() {
-                *d = src[(p + w + kw * len - half) % len];
-            }
-        }
-        for p in lo..hi {
-            let dst = &mut out[(bi * len + p) * kw..(bi * len + p + 1) * kw];
-            dst.copy_from_slice(&src[p - half..p - half + kw]);
-        }
-        for p in hi..len {
-            let dst = &mut out[(bi * len + p) * kw..(bi * len + p + 1) * kw];
-            for (w, d) in dst.iter_mut().enumerate() {
-                *d = src[(p + w + kw * len - half) % len];
-            }
-        }
-    }
-}
-
-/// Unary elementwise kernel in `LANES`-wide chunks. The per-element
-/// arithmetic is whatever `f` does, so chunking never changes rounding.
-#[inline]
-fn map_lanes(a: &[f64], out: &mut [f64], f: impl Fn(f64) -> f64) {
-    let mut os = out.chunks_exact_mut(LANES);
-    let mut xs = a.chunks_exact(LANES);
-    for (oc, xc) in (&mut os).zip(&mut xs) {
-        for (o, &x) in oc.iter_mut().zip(xc) {
-            *o = f(x);
-        }
-    }
-    for (o, &x) in os.into_remainder().iter_mut().zip(xs.remainder()) {
-        *o = f(x);
-    }
-}
-
-/// Binary elementwise kernel in `LANES`-wide chunks.
-#[inline]
-fn zip_lanes(a: &[f64], b: &[f64], out: &mut [f64], f: impl Fn(f64, f64) -> f64) {
-    let mut os = out.chunks_exact_mut(LANES);
-    let mut xs = a.chunks_exact(LANES);
-    let mut ys = b.chunks_exact(LANES);
-    for ((oc, xc), yc) in (&mut os).zip(&mut xs).zip(&mut ys) {
-        for ((o, &x), &y) in oc.iter_mut().zip(xc).zip(yc) {
-            *o = f(x, y);
-        }
-    }
-    for ((o, &x), &y) in os
-        .into_remainder()
-        .iter_mut()
-        .zip(xs.remainder())
-        .zip(ys.remainder())
-    {
-        *o = f(x, y);
     }
 }
 
@@ -1165,58 +955,5 @@ mod tests {
         let second = at(KC, k - KC, 0);
         assert_eq!(&panels[second..second + NR], &b[KC * n..KC * n + NR]);
         assert_eq!(panels[at(KC, k - KC, NR + NH)], b[KC * n + 24]);
-    }
-
-    #[test]
-    fn unfold_fold_fast_paths_match_scalar_bitwise() {
-        for &(bsz, len, kw) in &[(1, 4, 3), (2, 8, 5), (3, 5, 1), (1, 3, 3), (2, 7, 7)] {
-            let input: Vec<f64> = (0..bsz * len)
-                .map(|i| ((i * 7) as f64 * 0.31).sin())
-                .collect();
-            let mut u_ref = vec![0.0; bsz * len * kw];
-            let mut u_simd = vec![0.0; bsz * len * kw];
-            scalar().unfold1d(&input, bsz, len, 1, kw, &mut u_ref);
-            SIMD.unfold1d(&input, bsz, len, 1, kw, &mut u_simd);
-            assert_eq!(u_ref, u_simd, "unfold b={bsz} len={len} k={kw}");
-            let mut f_ref = vec![0.0; bsz * len];
-            let mut f_simd = vec![0.0; bsz * len];
-            scalar().fold1d(&u_ref, bsz, len, 1, kw, &mut f_ref);
-            SIMD.fold1d(&u_ref, bsz, len, 1, kw, &mut f_simd);
-            for (r, s) in f_ref.iter().zip(&f_simd) {
-                assert_eq!(r.to_bits(), s.to_bits(), "fold b={bsz} len={len} k={kw}");
-            }
-        }
-    }
-
-    /// Regression: a kernel wider than the signal used to underflow the
-    /// circular index (`p + len + w - half` with `half > p + len`); the
-    /// window must instead wrap around the signal multiple times.
-    #[test]
-    fn unfold_fold_kernel_wider_than_signal() {
-        for &(bsz, len, channels, kw) in &[
-            (1usize, 1usize, 1usize, 5usize),
-            (2, 2, 1, 7),
-            (1, 3, 2, 9),
-            (1, 1, 3, 3),
-        ] {
-            let input: Vec<f64> = (0..bsz * len * channels).map(|i| 1.0 + i as f64).collect();
-            let mut u_ref = vec![0.0; bsz * len * kw * channels];
-            let mut u_simd = u_ref.clone();
-            scalar().unfold1d(&input, bsz, len, channels, kw, &mut u_ref);
-            SIMD.unfold1d(&input, bsz, len, channels, kw, &mut u_simd);
-            assert_eq!(
-                u_ref, u_simd,
-                "unfold b={bsz} len={len} c={channels} k={kw}"
-            );
-            // Every window position is some wrap of the signal, never 0.
-            assert!(u_ref.iter().all(|&v| v >= 1.0));
-            let mut f_ref = vec![0.0; bsz * len * channels];
-            let mut f_simd = f_ref.clone();
-            scalar().fold1d(&u_ref, bsz, len, channels, kw, &mut f_ref);
-            SIMD.fold1d(&u_ref, bsz, len, channels, kw, &mut f_simd);
-            for (r, s) in f_ref.iter().zip(&f_simd) {
-                assert_eq!(r.to_bits(), s.to_bits());
-            }
-        }
     }
 }

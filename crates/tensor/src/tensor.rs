@@ -289,51 +289,52 @@ impl Tensor {
 
     /// Elementwise addition.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        self.assert_same_shape(other, "add");
         let mut out = Tensor::zeros(self.rows, self.cols);
-        crate::backend().add(&self.data, &other.data, &mut out.data);
+        self.add_into(other, &mut out);
         out
     }
 
     /// Elementwise subtraction.
     pub fn sub(&self, other: &Tensor) -> Tensor {
-        self.assert_same_shape(other, "sub");
         let mut out = Tensor::zeros(self.rows, self.cols);
-        crate::backend().sub(&self.data, &other.data, &mut out.data);
+        self.sub_into(other, &mut out);
         out
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        self.assert_same_shape(other, "mul");
         let mut out = Tensor::zeros(self.rows, self.cols);
-        crate::backend().mul(&self.data, &other.data, &mut out.data);
+        self.mul_into(other, &mut out);
         out
     }
 
-    /// `self += other` in place.
+    /// `self += other` in place (the add-acc behind gradient accumulation).
     pub fn add_assign(&mut self, other: &Tensor) {
         self.assert_same_shape(other, "add_assign");
-        crate::backend().add_assign(&mut self.data, &other.data);
+        for (o, &v) in self.data.iter_mut().zip(&other.data) {
+            *o += v;
+        }
     }
 
     /// `self += alpha * other` in place (axpy).
     pub fn axpy(&mut self, alpha: f64, other: &Tensor) {
         self.assert_same_shape(other, "axpy");
-        crate::backend().axpy(alpha, &other.data, &mut self.data);
+        for (o, &v) in self.data.iter_mut().zip(&other.data) {
+            *o += alpha * v;
+        }
     }
 
     /// Multiply every element by `s`.
     pub fn scale(&self, s: f64) -> Tensor {
         let mut out = Tensor::zeros(self.rows, self.cols);
-        crate::backend().scale(&self.data, s, &mut out.data);
+        self.scale_into(s, &mut out);
         out
     }
 
     /// Add `s` to every element.
     pub fn add_scalar(&self, s: f64) -> Tensor {
         let mut out = Tensor::zeros(self.rows, self.cols);
-        crate::backend().add_scalar(&self.data, s, &mut out.data);
+        self.add_scalar_into(s, &mut out);
         out
     }
 

@@ -1,13 +1,14 @@
 //! Differential correctness harness for the kernel backends.
 //!
-//! Every kernel behind the `Backend` trait is run on both the scalar
-//! reference backend and the vectorized one, on the same inputs, and the
-//! outputs are compared:
+//! Every kernel is run under both the scalar reference backend and the
+//! vectorized one, on the same inputs, and the outputs are compared:
 //!
-//! * **bitwise** where the vectorized kernel does the scalar kernel's
-//!   arithmetic per element — all elementwise kernels and fused VJPs,
-//!   unfold/fold, axpy/add-assign — and *within* a backend: the fused
-//!   `f32` dense layer is bitwise its own unfused steps on each backend.
+//! * **bitwise** for the kernels with one body — the elementwise kernels
+//!   and fused VJPs, unfold/fold, axpy/add-assign — driven through the
+//!   `Tensor` API under `with_backend`, so that no backend-specific
+//!   arithmetic for them can come back unnoticed; and *within* a backend:
+//!   the fused `f32` dense layer is bitwise its own unfused steps on each
+//!   backend.
 //! * **error-bounded** for GEMM and the `f32` layer across backends. Both
 //!   run each output element as one ascending-`p` multiply-add chain, but
 //!   the simd chain is fused (one rounding per step) when the build target
@@ -320,32 +321,9 @@ fn f32_layer_with_zero_entries_holds_the_contract() {
     }
 }
 
-/// In-place activation is the out-of-place kernel, on both backends and
-/// at lengths around the 16-wide block.
-#[test]
-fn activate_in_place_matches_the_out_of_place_kernels_bitwise() {
-    let mut rng = ChaCha8Rng::seed_from_u64(8);
-    for &len in LENGTHS {
-        let x: Vec<f64> = (0..len).map(|_| rng.gen_range(-6.0..6.0)).collect();
-        for be in [backend::scalar(), backend::simd()] {
-            for act in [Act::Identity, Act::Tanh, Act::Gelu] {
-                let mut want = x.clone();
-                match act {
-                    Act::Identity => {}
-                    Act::Tanh => be.tanh(&x, &mut want),
-                    Act::Gelu => be.gelu(&x, &mut want),
-                }
-                let mut got = x.clone();
-                be.activate(act, &mut got);
-                let what = format!("{} activate {act:?} len={len}", be.kind().name());
-                assert_slices_bitwise(&want, &got, &what);
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------
-// Elementwise kernels and fused VJPs (all bitwise)
+// Kernels with one body: elementwise, fused VJPs, axpy/add-acc,
+// unfold/fold (all bitwise, through the Tensor API)
 // ---------------------------------------------------------------------
 
 /// Lengths around the 16-wide block boundary plus empty and tiny.
@@ -431,6 +409,8 @@ fn unfold_and_fold_bitwise_across_backends() {
         (2, 8, 2, 3),
         (3, 16, 4, 5),
         (1, 5, 3, 5),
+        (2, 1, 1, 5),
+        (1, 3, 2, 9),
     ] {
         let input = rand_tensor(&mut rng, bsz, len * channels);
         let (s, v) = both(|| {

@@ -225,6 +225,56 @@ fn unmeetable_tol_and_non_finite_boundary_get_an_error_line_and_the_connection_s
     assert_wire_grid_is_bitwise(&good, &solve_alone(1, 1, &bc).grid);
 }
 
+/// An out-of-bounds domain is refused before its boundary is built: a
+/// `gp:` boundary on 100×100 subdomains would first factorize a kernel
+/// matrix 3 200 boundary points wide on the connection thread (seconds in
+/// a release build). The error line names the bound and arrives at once,
+/// and the connection goes on serving.
+#[test]
+fn an_out_of_bounds_gp_domain_is_refused_before_its_boundary_is_built() {
+    let svc = Arc::new(service(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    }));
+    let server = TcpServer::bind(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    // A guard against a hang, not the bound under test.
+    let patience = std::time::Duration::from_secs(30);
+    stream.set_read_timeout(Some(patience)).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |line: &str| {
+        let t0 = std::time::Instant::now();
+        writer.write_all(line.as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader
+            .read_line(&mut reply)
+            .unwrap_or_else(|e| panic!("no reply to {line:?} within {patience:?}: {e}"));
+        let v = mosaic_flow::telemetry::JsonValue::parse(reply.trim())
+            .unwrap_or_else(|e| panic!("unparseable reply {reply:?}: {e}"));
+        (v, t0.elapsed())
+    };
+
+    let (v, took) = exchange("{\"id\":5,\"domain\":\"100x100\",\"bc\":\"gp:1\"}\n");
+    assert!(took.as_secs_f64() < 0.5, "the refusal took {took:?}");
+    assert_eq!(v.get("id").and_then(|x| x.as_f64()), Some(5.0));
+    assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("error"));
+    let message = v.get("message").and_then(|s| s.as_str()).unwrap_or("");
+    assert!(message.contains("out of bounds"), "{message}");
+    assert_eq!(
+        svc.stats().accepted,
+        0,
+        "the refused request reached the queue"
+    );
+
+    let (v, _) = exchange("{\"id\":6,\"domain\":\"1x1\",\"bc\":\"gp:1\"}\n");
+    assert_eq!(
+        v.get("status").and_then(|s| s.as_str()),
+        Some("ok"),
+        "{v:?}"
+    );
+}
+
 #[test]
 fn request_traces_decompose_wall_time_completely() {
     use mosaic_flow::reqtrace;
