@@ -16,6 +16,11 @@
 //! per-element order as the chain it replaces, and duplicated contributions
 //! are still delivered as separate accumulate calls so the accumulation
 //! order is unchanged.
+//!
+//! [`Graph::backward`] is the same walk over the same `propagate`, made
+//! the tape's last: it releases every value the rest of the walk cannot
+//! read, so the pass runs in the cache-sized set of buffers it is using
+//! instead of streaming through the whole retained tape.
 
 use crate::graph::{op_inputs, Graph, Op, Var};
 use mf_tensor::Layout;
@@ -24,18 +29,110 @@ use mf_tensor::Layout;
 /// owns it as an in-place-extensible `AddAcc` accumulator.
 type Slot = Option<(Var, bool)>;
 
+/// The adjoint slots of one reverse walk.
+///
+/// A consuming walk also counts how many slots hold each node the walk
+/// created: `Add`, `AddBias` and `AddScalar` hand one adjoint to several
+/// inputs, so a node is dead only once the last slot lets go of it.
+struct Adjoints {
+    slots: Vec<Slot>,
+    consume: bool,
+    /// The first node the walk created: `holds[j - base]` counts node `j`.
+    base: usize,
+    holds: Vec<u32>,
+    /// Nodes whose last slot let go of them, not yet released.
+    unheld: Vec<Var>,
+}
+
+impl Adjoints {
+    fn new(n: usize, base: usize, consume: bool) -> Self {
+        Self {
+            slots: vec![None; n],
+            consume,
+            base,
+            holds: Vec::new(),
+            unheld: Vec::new(),
+        }
+    }
+
+    fn get(&self, v: Var) -> Slot {
+        self.slots.get(v.0).copied().flatten()
+    }
+
+    /// Point `target`'s slot at `slot`, letting go of what it held.
+    fn set(&mut self, target: Var, slot: (Var, bool)) {
+        if self.consume {
+            let k = slot.0 .0 - self.base;
+            if k >= self.holds.len() {
+                self.holds.resize(k + 1, 0);
+            }
+            self.holds[k] += 1;
+        }
+        if let Some((old, _)) = self.slots[target.0].replace(slot) {
+            self.let_go(old);
+        }
+    }
+
+    /// Empty `target`'s slot: its adjoint has been propagated.
+    fn clear(&mut self, target: Var) {
+        if let Some((old, _)) = self.slots[target.0].take() {
+            self.let_go(old);
+        }
+    }
+
+    fn let_go(&mut self, v: Var) {
+        if self.consume {
+            let h = &mut self.holds[v.0 - self.base];
+            *h -= 1;
+            if *h == 0 {
+                self.unheld.push(v);
+            }
+        }
+    }
+
+    fn held(&self, v: Var) -> bool {
+        self.holds.get(v.0 - self.base).is_some_and(|&h| h > 0)
+    }
+}
+
 impl Graph {
     /// Reverse-mode gradients of a scalar `output` with respect to `wrt`.
     ///
     /// Returns one `Var` per entry of `wrt`, in order. Variables that the
     /// output does not depend on receive a zero constant of matching shape.
+    /// The tape is retained, so the returned gradients can be
+    /// differentiated again (`create_graph=True` in PyTorch's terms).
     ///
     /// Panics if `output` is not `1×1`.
     pub fn grad(&mut self, output: Var, wrt: &[Var]) -> Vec<Var> {
+        self.reverse(output, wrt, false)
+    }
+
+    /// The tape's last reverse pass, like PyTorch's `loss.backward()`:
+    /// the same gradients as [`Graph::grad`], bit for bit, from the same
+    /// walk, but the walk *consumes* the tape as it goes.
+    ///
+    /// Once node `i` has been propagated its value is dead, because its
+    /// consumers have larger indices and were walked first; so is every
+    /// adjoint or VJP temporary that no adjoint slot still holds. Dead
+    /// buffers go straight back to the pool, so the next VJP writes into
+    /// one that is still in cache. Leaves, constants, the `wrt` variables
+    /// and the returned gradients stay readable; reading any other walked
+    /// node panics, and so does differentiating the returned gradients
+    /// again — use `grad` for every pass but the last.
+    ///
+    /// Panics if `output` is not `1×1`.
+    pub fn backward(&mut self, output: Var, wrt: &[Var]) -> Vec<Var> {
+        self.reverse(output, wrt, true)
+    }
+
+    /// The reverse walk behind [`Graph::grad`] and, with `consume`,
+    /// [`Graph::backward`].
+    fn reverse(&mut self, output: Var, wrt: &[Var], consume: bool) -> Vec<Var> {
         assert_eq!(
             self.shape_of(output),
             (1, 1),
-            "grad: output must be a scalar (got {:?}); reduce with sum()/mean() first",
+            "backward pass: output must be a scalar (got {:?}); reduce with sum()/mean() first",
             self.shape_of(output)
         );
         let n = output.0 + 1;
@@ -55,24 +152,30 @@ impl Graph {
             }
         }
 
-        let mut adjoint: Vec<Slot> = vec![None; n];
+        let mut adjoint = Adjoints::new(n, self.len(), consume);
         if needed[output.0] {
             let mut one = self.alloc(1, 1);
             one.set(0, 0, 1.0);
             let seed = self.push(Op::Const, one, false);
-            adjoint[output.0] = Some((seed, false));
+            adjoint.set(output, (seed, false));
         }
 
         for i in (0..n).rev() {
             if !needed[i] {
                 continue;
             }
-            let Some((g, _)) = adjoint[i] else { continue };
+            let Some((g, _)) = adjoint.get(Var(i)) else {
+                continue;
+            };
+            let fresh = self.len();
             self.propagate(Var(i), g, &needed, &mut adjoint);
+            if consume {
+                self.release_spent(Var(i), wrt.contains(&Var(i)), fresh, &mut adjoint);
+            }
         }
 
         wrt.iter()
-            .map(|&w| match adjoint.get(w.0).copied().flatten() {
+            .map(|&w| match adjoint.get(w) {
                 Some((v, _)) => v,
                 None => {
                     let (r, c) = self.shape_of(w);
@@ -83,8 +186,30 @@ impl Graph {
             .collect()
     }
 
+    /// After a consuming walk has propagated `node`: release its value and
+    /// its adjoint (unless `node` is one of the walk's `wrt`), and every
+    /// node the walk created that no slot holds any more. Nothing reads
+    /// them again: the walk goes on to smaller indices only, and a node's
+    /// VJP reads its inputs, itself and its own slot.
+    fn release_spent(&mut self, node: Var, returned: bool, fresh: usize, adjoint: &mut Adjoints) {
+        if !returned {
+            adjoint.clear(node);
+            if !matches!(self.op(node), Op::Leaf | Op::Const) {
+                self.release(node);
+            }
+        }
+        for j in fresh..self.len() {
+            if !adjoint.held(Var(j)) {
+                self.release(Var(j));
+            }
+        }
+        for v in adjoint.unheld.drain(..) {
+            self.release(v);
+        }
+    }
+
     /// Emit VJP nodes for one graph node and accumulate them on its inputs.
-    fn propagate(&mut self, node: Var, g: Var, needed: &[bool], adjoint: &mut [Slot]) {
+    fn propagate(&mut self, node: Var, g: Var, needed: &[bool], adjoint: &mut Adjoints) {
         let op = self.op(node).clone();
         match op {
             Op::Leaf | Op::Const => {}
@@ -444,22 +569,20 @@ impl Graph {
         target: Var,
         contribution: Var,
         needed: &[bool],
-        adjoint: &mut [Slot],
+        adjoint: &mut Adjoints,
     ) {
         if !self.wants(target, needed) {
             return;
         }
         if !self.is_lean() {
-            adjoint[target.0] = Some((
-                match adjoint[target.0] {
-                    None => contribution,
-                    Some((prev, _)) => self.add(prev, contribution),
-                },
-                false,
-            ));
+            let sum = match adjoint.get(target) {
+                None => contribution,
+                Some((prev, _)) => self.add(prev, contribution),
+            };
+            adjoint.set(target, (sum, false));
             return;
         }
-        adjoint[target.0] = Some(match adjoint[target.0] {
+        let slot = match adjoint.get(target) {
             None => (contribution, false),
             Some((prev, false)) => {
                 let (r, c) = self.shape_of(prev);
@@ -480,7 +603,8 @@ impl Graph {
                 let next = self.push_op(Op::AddAcc(inputs), val);
                 (next, true)
             }
-        });
+        };
+        adjoint.set(target, slot);
     }
 }
 
@@ -665,6 +789,90 @@ mod tests {
         for (a, b) in db_lean.as_slice().iter().zip(db_leg.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// A tape with every sharing pattern the slot counts must get right:
+    /// `Add` of a node with itself, `AddBias` and `AddScalar` handing one
+    /// adjoint to several inputs, and an inner `grad` the final pass
+    /// differentiates through.
+    fn shared_tape(g: &mut Graph) -> (Var, Var, Var) {
+        let x = g.leaf(Tensor::from_fn(3, 2, |r, c| {
+            ((r * 2 + c) as f64 * 0.7).sin()
+        }));
+        let b = g.leaf(Tensor::row_vector(&[0.3, -0.8]));
+        let h = g.add_bias(x, b);
+        let t = g.tanh(h);
+        let tt = g.add(t, t);
+        let e = g.gelu(tt);
+        let p = g.mul(e, x);
+        let s = g.add_scalar(p, 1.5);
+        let f = g.sum(s);
+        let dx = g.grad(f, &[x])[0];
+        let q = g.mul(dx, dx);
+        let sq = g.sum(q);
+        let loss = g.add(sq, f);
+        (loss, x, b)
+    }
+
+    #[test]
+    fn backward_equals_grad_bitwise_on_lean_and_legacy_tapes() {
+        for lean in [true, false] {
+            let fresh = || {
+                if lean {
+                    Graph::new()
+                } else {
+                    Graph::new_legacy()
+                }
+            };
+            let run = |consume: bool| {
+                let mut g = fresh();
+                let (loss, x, b) = shared_tape(&mut g);
+                let grads = if consume {
+                    g.backward(loss, &[x, b])
+                } else {
+                    g.grad(loss, &[x, b])
+                };
+                let vals: Vec<Vec<u64>> = grads
+                    .iter()
+                    .map(|&v| g.value(v).as_slice().iter().map(|x| x.to_bits()).collect())
+                    .collect();
+                (vals, g.peak_bytes(), g.bytes_allocated())
+            };
+            let (kept, kept_peak, kept_bytes) = run(false);
+            let (consumed, consumed_peak, consumed_bytes) = run(true);
+            assert_eq!(consumed, kept, "lean = {lean}");
+            assert!(consumed_peak < kept_peak, "lean = {lean}");
+            assert!(consumed_bytes < kept_bytes, "lean = {lean}");
+        }
+    }
+
+    #[test]
+    fn backward_consumes_intermediates_but_keeps_leaves_and_gradients() {
+        let mut g = Graph::new();
+        let x_t = Tensor::row_vector(&[0.5, -1.0, 2.0]);
+        let x = g.leaf(x_t.clone());
+        let c = g.constant(Tensor::row_vector(&[1.0, 2.0, 3.0]));
+        let t = g.tanh(x);
+        let y = g.mul(t, c);
+        let f = g.sum(y);
+        let dx = g.backward(f, &[x])[0];
+        let expect = Tensor::from_fn(1, 3, |_, i| {
+            (i + 1) as f64 * (1.0 - x_t.get(0, i).tanh().powi(2))
+        });
+        assert!(g.value(dx).allclose(&expect, 1e-12));
+        assert_eq!(g.value(x), &x_t);
+        assert_eq!(g.value(c).as_slice(), &[1.0, 2.0, 3.0]);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = g.value(t);
+        }))
+        .expect_err("a consumed intermediate must not be readable");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("panic carries a message");
+        assert!(
+            msg.contains("released by backward") && msg.contains("evicted by a checkpoint"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! reproducing the original allocate-per-node behaviour for before/after
 //! comparisons (`repro_table3`).
 //!
+//! [`Graph::grad`] *retains* the tape: every value and every adjoint stays
+//! live until [`Graph::clear`], because a later `grad` may differentiate
+//! through them. [`Graph::backward`] is the tape's last reverse pass and
+//! *consumes* it: each value is released as soon as the walk has passed
+//! every node that reads it, so the next VJP writes into a buffer the pool
+//! just got back (its freelists are LIFO) — one that is still in cache.
+//!
 //! With [`Graph::set_checkpointing`] enabled, [`Graph::evict_dead_values`]
 //! releases the values of nodes whose VJPs never read them (pure structural
 //! ops such as `Add`, slices, broadcasts); if a later operation does need an
@@ -125,8 +132,9 @@ pub enum Op {
 
 pub(crate) struct Node {
     pub op: Op,
-    /// `None` when the value was checkpoint-evicted (or the node is a
-    /// hollowed-out accumulator superseded by a longer one).
+    /// `None` when the value was checkpoint-evicted, released by a
+    /// consuming [`Graph::backward`], or the node is a hollowed-out
+    /// accumulator superseded by a longer one.
     pub value: Option<Tensor>,
     /// Output shape, kept as metadata so shape queries (and therefore the
     /// whole backward pass structure) never need the possibly-evicted value.
@@ -149,7 +157,8 @@ pub struct GraphStats {
 ///
 /// Typical lifecycle: build leaves for parameters and inputs, run a forward
 /// computation, call [`Graph::grad`] one or more times (each emits adjoint
-/// nodes into the same graph), read gradients with [`Graph::value`], then
+/// nodes into the same graph), finish with [`Graph::grad`] or the consuming
+/// [`Graph::backward`], read gradients with [`Graph::value`], then
 /// [`Graph::clear`] the graph (recycling every buffer into the pool) before
 /// the next training step.
 pub struct Graph {
@@ -283,13 +292,15 @@ impl Graph {
 
     /// The computed value of a variable.
     ///
-    /// Panics if the value was checkpoint-evicted; internal consumers
-    /// rematerialize via `Graph::ensure_live` first.
+    /// Panics if the value was released by [`Graph::backward`] or evicted
+    /// by a checkpoint; internal consumers rematerialize evicted values via
+    /// `Graph::ensure_live` first.
     pub fn value(&self, v: Var) -> &Tensor {
         self.nodes[v.0].value.as_ref().unwrap_or_else(|| {
             panic!(
-                "value of node {} was checkpoint-evicted; call an op on it (which \
-                 rematerializes) or read it before evict_dead_values()",
+                "value of node {} is gone: either released by backward() (read it \
+                 before the backward, or use grad()) or evicted by a checkpoint (call \
+                 an op on it, which rematerializes, or read it before evict_dead_values())",
                 v.0
             )
         })
@@ -374,9 +385,11 @@ impl Graph {
     /// mode (recycled data from a previous node). Only for evaluation
     /// arms whose kernel overwrites every element — accumulating kernels
     /// (`gemm_into`, `fold1d`, axis sums, pads) must use [`Graph::alloc`].
-    /// Skipping the zero-fill removes a full write pass over the graph's
-    /// working set per step, which is significant: the PDE double-backward
-    /// is memory-bandwidth-bound.
+    /// Skipping the zero-fill removes a full write pass over every buffer
+    /// a step acquires. Under [`Graph::grad`] that pass streams through
+    /// the retained tape's whole working set; under [`Graph::backward`]
+    /// the buffer is usually one the walk just released and is still in
+    /// cache, so the saving is smaller but the pass is still wasted work.
     pub(crate) fn alloc_dirty(&mut self, rows: usize, cols: usize) -> Tensor {
         if self.lean {
             let before = self.pool.stats().misses;
@@ -502,11 +515,18 @@ impl Graph {
             {
                 continue;
             }
-            if let Some(val) = self.nodes[i].value.take() {
-                self.live_bytes -= val.capacity_bytes();
-                if self.lean {
-                    self.pool.release(val);
-                }
+            self.release(Var(i));
+        }
+    }
+
+    /// Drop `v`'s value (back into the pool in lean mode), for a consuming
+    /// [`Graph::backward`] or a checkpoint eviction; a no-op on a node
+    /// whose value is already gone.
+    pub(crate) fn release(&mut self, v: Var) {
+        if let Some(val) = self.nodes[v.0].value.take() {
+            self.live_bytes -= val.capacity_bytes();
+            if self.lean {
+                self.pool.release(val);
             }
         }
     }

@@ -17,9 +17,20 @@
 //! * every primitive's VJP is expressed in terms of the same primitive set,
 //!   which makes the rule set closed under differentiation.
 //!
+//! Two entry points run that one reverse walk:
+//!
+//! * [`Graph::grad`] is `torch.autograd.grad(..., create_graph=True)`: it
+//!   *retains* the tape, so its gradients can be differentiated again;
+//! * [`Graph::backward`] is `loss.backward()`: the tape's last pass, with
+//!   the same gradients bit for bit, *consuming* the tape as it walks —
+//!   each value goes back to the buffer pool as soon as nothing later in
+//!   the walk reads it, so the pass runs in cache instead of streaming
+//!   through everything the forward and the inner passes recorded.
+//!
 //! The arena also meters the bytes held by node values
 //! ([`Graph::bytes_allocated`]), which is how the repository reproduces the
-//! autograd-memory measurements of Table 3.
+//! autograd-memory measurements of Table 3 (metered through `grad`, which
+//! keeps every node it counts).
 //!
 //! # Example
 //!
@@ -37,6 +48,11 @@
 //! let s2 = g.sum(dx);
 //! let dxx = g.grad(s2, &[x])[0]; // d²y/dx² = 2
 //! assert!(g.value(dxx).allclose(&Tensor::full(3, 1, 2.0), 1e-12));
+//! // The last pass may consume the tape: same bits, freed as it walks.
+//! let s3 = g.sum(dxx);
+//! let s3 = g.add(s3, s);
+//! let d = g.backward(s3, &[x])[0]; // d/dx (Σ 2 + Σ x²) = 2x
+//! assert!(g.value(d).allclose(&Tensor::from_vec(3, 1, vec![1.0, 2.0, 4.0]), 1e-12));
 //! ```
 
 mod backward;

@@ -34,9 +34,12 @@ impl MemoryReport {
 }
 
 /// Meter the graph bytes of a full training step on `batch`, with and
-/// without the PDE loss term. The peak node count and byte footprint are
-/// also published to the `autodiff.graph_nodes` / `autodiff.graph_bytes`
-/// telemetry gauges.
+/// without the PDE loss term, through [`Graph::grad`], which retains the
+/// tape (so the table counts the final backward's adjoints too). The
+/// with-PDE node count and the bytes its tape held when the final backward
+/// began are also published to the `autodiff.graph_nodes` /
+/// `autodiff.graph_bytes` telemetry gauges, which a training step feeds
+/// with the same quantities.
 pub fn measure_step_memory(net: &SdNet, batch: &Batch) -> MemoryReport {
     measure_step_memory_with(net, batch, false)
 }
@@ -62,6 +65,7 @@ pub fn measure_step_memory_with(net: &SdNet, batch: &Batch, ckpt: bool) -> Memor
     let ld = data_loss(&mut g, net, &bound, batch);
     let lp = pde_loss(&mut g, net, &bound, batch);
     let total = g.add(ld, lp);
+    let tape_bytes = g.bytes_allocated();
     let _ = g.grad(total, bound.all_vars());
     let bytes_with_pde = g.bytes_allocated();
     let peak_with_pde = g.peak_bytes();
@@ -69,7 +73,7 @@ pub fn measure_step_memory_with(net: &SdNet, batch: &Batch, ckpt: bool) -> Memor
 
     let m = crate::step::train_metrics();
     m.graph_nodes.update(|v| v.max(g.len() as f64));
-    m.graph_bytes.update(|v| v.max(bytes_with_pde as f64));
+    m.graph_bytes.update(|v| v.max(tape_bytes as f64));
     m.bytes_peak.update(|v| v.max(peak_with_pde as f64));
 
     MemoryReport {

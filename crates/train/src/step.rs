@@ -72,7 +72,9 @@ pub enum GradSync {
 /// once; recording is thread-local and lock-free).
 pub(crate) struct TrainMetrics {
     pub graph_nodes: Gauge,
+    /// Largest tape a final backward began on ([`StepStats::graph_bytes`]).
     pub graph_bytes: Gauge,
+    /// Largest high-water mark of a pass ([`StepStats::peak_bytes`]).
     pub bytes_peak: Gauge,
     pub pool_hits: Counter,
     pub pool_misses: Counter,
@@ -106,9 +108,12 @@ pub struct StepStats {
     pub pde_loss: f64,
     /// Autograd nodes created this step.
     pub graph_nodes: usize,
-    /// Autograd bytes held at peak (sum over both passes).
+    /// Bytes the tape held when each pass's final backward began (forward,
+    /// loss and, for the PDE pass, its inner backward passes), summed over
+    /// both passes: the autograd footprint Table 3 reports.
     pub graph_bytes: usize,
-    /// High-water mark of live graph bytes within a single pass.
+    /// High-water mark of live graph bytes within a single pass, the
+    /// final backward included.
     pub peak_bytes: usize,
     /// Tensor-buffer acquisitions served from the graph's pool this step.
     pub pool_hits: u64,
@@ -146,19 +151,22 @@ pub fn local_gradients(
             let bound = net.params.bind(g);
             let ld = data_loss(g, net, &bound, batch);
             stats.data_loss = g.value(ld).item();
+            stats.graph_bytes += g.bytes_allocated();
+            // The pass's last backward consumes the tape as it walks it.
             let dgrads = {
                 mf_profile::zone!("vjp_data");
-                g.grad(ld, bound.all_vars())
+                g.backward(ld, bound.all_vars())
             };
             let data_grads: Vec<Tensor> = dgrads.iter().map(|&v| g.value(v).clone()).collect();
             stats.graph_nodes += g.len();
-            stats.graph_bytes += g.bytes_allocated();
             stats.peak_bytes = stats.peak_bytes.max(g.peak_bytes());
             data_grads
         };
 
         // Pass 2: collocation points (cleared tape, like a fresh autograd
-        // graph in PyTorch once the first backward freed its buffers).
+        // graph in PyTorch once the first backward freed its buffers). The
+        // inner backward passes of `pde_loss` retain the tape (`grad`),
+        // since the weight backward differentiates through them.
         let pde_grads = {
             span!("train.pde_pass");
             g.clear();
@@ -166,13 +174,13 @@ pub fn local_gradients(
             let lp = pde_loss(g, net, &bound, batch);
             let lp = g.scale(lp, pde_weight);
             stats.pde_loss = g.value(lp).item();
+            stats.graph_bytes += g.bytes_allocated();
             let pgrads = {
                 mf_profile::zone!("vjp_pde");
-                g.grad(lp, bound.all_vars())
+                g.backward(lp, bound.all_vars())
             };
             let pde_grads: Vec<Tensor> = pgrads.iter().map(|&v| g.value(v).clone()).collect();
             stats.graph_nodes += g.len();
-            stats.graph_bytes += g.bytes_allocated();
             stats.peak_bytes = stats.peak_bytes.max(g.peak_bytes());
             pde_grads
         };

@@ -274,6 +274,105 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The consuming final backward against the retaining `grad`.
+// ---------------------------------------------------------------------------
+
+/// Every element's bits, tensor by tensor.
+fn bits<'a>(ts: impl IntoIterator<Item = &'a Tensor>) -> Vec<Vec<u64>> {
+    ts.into_iter()
+        .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `Graph::backward` is `grad`'s walk releasing the tape as it goes. On
+    /// the data loss and the PDE loss of a random SDNet and batch it must
+    /// return `grad`'s weight gradients bit for bit, on lean and legacy
+    /// graphs, with checkpointed segments on and off, and the PDE pass must
+    /// peak strictly lower. `local_gradients`, which ends both of its
+    /// passes with it, must return the same bits and stay allocation-free
+    /// once warm.
+    #[test]
+    fn backward_matches_grad_bitwise_on_sdnet_losses(
+        convs in 0usize..3,
+        channels in 1usize..4,
+        depth in 1usize..4,
+        width in 3usize..12,
+        concat in prop::bool::ANY,
+        tanh in prop::bool::ANY,
+        domains in 1usize..4,
+        qd in 1usize..6,
+        qc in 1usize..6,
+        seed in 0u64..1_000,
+    ) {
+        use mosaic_flow::train::{data_loss, local_gradients, pde_loss, set_checkpointed_segments};
+        let spec = spec();
+        let mut cfg = SdNetConfig::small(spec.boundary_len());
+        cfg.conv_channels = vec![channels; convs];
+        cfg.hidden = vec![width; depth];
+        if concat {
+            cfg.embedding = EmbeddingKind::Concat;
+        }
+        if tanh {
+            cfg.activation = Activation::Tanh;
+        }
+        let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(seed));
+        let ds = Dataset::generate(spec, domains, seed);
+        let idx: Vec<usize> = (0..domains).collect();
+        let batch = BatchSampler::new(domains, qd, qc, seed).make_batch(&ds, &idx);
+        let pde_weight = 0.25;
+
+        // One pass as `local_gradients` builds it, on a fresh graph: the
+        // weight gradients' bits and the pass's peak bytes.
+        let pass = |lean: bool, ckpt: bool, pde: bool, consume: bool| {
+            let mut g = if lean { Graph::new() } else { Graph::new_legacy() };
+            g.set_checkpointing(ckpt);
+            let bound = net.params.bind(&mut g);
+            let loss = if pde {
+                let lp = pde_loss(&mut g, &net, &bound, &batch);
+                g.scale(lp, pde_weight)
+            } else {
+                data_loss(&mut g, &net, &bound, &batch)
+            };
+            let grads = if consume {
+                g.backward(loss, bound.all_vars())
+            } else {
+                g.grad(loss, bound.all_vars())
+            };
+            (bits(grads.iter().map(|&v| g.value(v))), g.peak_bytes())
+        };
+        on_one_backend(|| {
+            for (lean, ckpt, pde) in (0..8).map(|k| (k & 4 == 0, k & 2 != 0, k & 1 != 0)) {
+                let (kept, kept_peak) = pass(lean, ckpt, pde, false);
+                let (consumed, consumed_peak) = pass(lean, ckpt, pde, true);
+                prop_assert!(
+                    consumed == kept,
+                    "backward differs from grad (lean {}, ckpt {}, pde {})", lean, ckpt, pde
+                );
+                if pde {
+                    prop_assert!(
+                        consumed_peak < kept_peak,
+                        "PDE peak {} not below grad's {} (lean {}, ckpt {})",
+                        consumed_peak, kept_peak, lean, ckpt
+                    );
+                }
+            }
+            for ckpt in [false, true] {
+                set_checkpointed_segments(ckpt);
+                let _ = local_gradients(&net, &batch, pde_weight);
+                let (data, pde, warm) = local_gradients(&net, &batch, pde_weight);
+                set_checkpointed_segments(false);
+                prop_assert_eq!((warm.pool_misses, warm.heap_allocs), (0, 0), "ckpt {}", ckpt);
+                prop_assert!(bits(&data) == pass(true, ckpt, false, false).0, "data, ckpt {}", ckpt);
+                prop_assert!(bits(&pde) == pass(true, ckpt, true, false).0, "pde, ckpt {}", ckpt);
+            }
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Telemetry histogram quantile estimation.
 // ---------------------------------------------------------------------------
 
