@@ -22,7 +22,7 @@
 //! read, so the pass runs in the cache-sized set of buffers it is using
 //! instead of streaming through the whole retained tape.
 
-use crate::graph::{op_inputs, Graph, Op, Var};
+use crate::graph::{for_each_input, Graph, Op, Var};
 use mf_tensor::Layout;
 
 /// Adjoint slot: the accumulated gradient `Var`, plus whether this graph
@@ -143,12 +143,12 @@ impl Graph {
             let mut stack = vec![output.0];
             needed[output.0] = true;
             while let Some(i) = stack.pop() {
-                for v in op_inputs(self.op(Var(i))) {
+                for_each_input(self.op(Var(i)), |v| {
                     if self.requires_grad(v) && !needed[v.0] {
                         needed[v.0] = true;
                         stack.push(v.0);
                     }
-                }
+                });
             }
         }
 

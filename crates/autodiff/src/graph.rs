@@ -17,13 +17,19 @@
 //! every node that reads it, so the next VJP writes into a buffer the pool
 //! just got back (its freelists are LIFO) — one that is still in cache.
 //!
-//! With [`Graph::set_checkpointing`] enabled, [`Graph::evict_dead_values`]
-//! releases the values of nodes whose VJPs never read them (pure structural
-//! ops such as `Add`, slices, broadcasts); if a later operation does need an
-//! evicted value it is recomputed on demand from its (never-evicted) leaf
-//! ancestors — recompute-instead-of-retain checkpointing. All kernels are
+//! [`Graph::evict_dead_values`] releases, within one segment of the tape,
+//! the values of nodes whose VJPs never read them (pure structural ops such
+//! as `Add`, slices, broadcasts); if a later operation does need an evicted
+//! value it is recomputed on demand from its (never-evicted) leaf ancestors
+//! — recompute-instead-of-retain checkpointing. All kernels are
 //! deterministic, so a recomputed value is bitwise identical to the evicted
-//! one.
+//! one. On a legacy graph the call is a no-op, like pooling and the fused
+//! VJPs.
+//!
+//! Two meters tell the footprints apart: [`Graph::bytes_allocated`] is what
+//! the tape holds *now*, after every eviction and consuming release, and
+//! [`Graph::recorded_bytes`] is what it *recorded* — the footprint of a
+//! tape that keeps everything, as PyTorch's does (Table 3).
 
 use mf_tensor::Layout;
 use mf_tensor::{BufferPool, PoolStats, Tensor};
@@ -167,11 +173,11 @@ pub struct Graph {
     /// Pool-recycled buffers + fused backward kernels (default). `false`
     /// reproduces the original allocate-per-node tape for benchmarking.
     lean: bool,
-    /// Opt-in checkpointing: [`Graph::evict_dead_values`] is a no-op
-    /// unless set.
-    ckpt: bool,
     /// Capacity bytes of all live node values.
     live_bytes: usize,
+    /// Capacity bytes of every value pushed since the last
+    /// [`Graph::clear`], less accumulator buffers moved into a longer one.
+    recorded_bytes: usize,
     /// High-water mark of `live_bytes` since the last [`Graph::clear`].
     peak_bytes: usize,
     /// Buffers obtained from the heap instead of the pool: pool misses,
@@ -193,8 +199,8 @@ impl Graph {
             nodes: Vec::new(),
             pool: BufferPool::new(),
             lean: true,
-            ckpt: false,
             live_bytes: 0,
+            recorded_bytes: 0,
             peak_bytes: 0,
             heap_allocs: 0,
         }
@@ -216,18 +222,6 @@ impl Graph {
         self.lean
     }
 
-    /// Enable or disable checkpointed segments: when enabled,
-    /// [`Graph::evict_dead_values`] frees values the backward pass can
-    /// recompute on demand.
-    pub fn set_checkpointing(&mut self, on: bool) {
-        self.ckpt = on;
-    }
-
-    /// Whether checkpoint eviction is enabled.
-    pub fn checkpointing(&self) -> bool {
-        self.ckpt
-    }
-
     /// Drop all nodes and recycle their buffers into the pool, starting a
     /// fresh tape. Pool contents survive, so the next identically-shaped
     /// step is served entirely from recycled memory.
@@ -240,6 +234,7 @@ impl Graph {
             }
         }
         self.live_bytes = 0;
+        self.recorded_bytes = 0;
         self.peak_bytes = 0;
     }
 
@@ -258,6 +253,15 @@ impl Graph {
     /// are ordinary nodes on this tape.
     pub fn bytes_allocated(&self) -> usize {
         self.live_bytes
+    }
+
+    /// Capacity bytes of every value the tape recorded since the last
+    /// [`Graph::clear`], whether or not it was since evicted or released
+    /// by a consuming [`Graph::backward`]: the footprint of a tape that
+    /// keeps every node. On a tape that has released nothing it equals
+    /// [`Graph::bytes_allocated`].
+    pub fn recorded_bytes(&self) -> usize {
+        self.recorded_bytes
     }
 
     /// High-water mark of [`Graph::bytes_allocated`] since the last
@@ -409,6 +413,7 @@ impl Graph {
     pub(crate) fn push(&mut self, op: Op, value: Tensor, requires_grad: bool) -> Var {
         let (rows, cols) = value.shape();
         self.live_bytes += value.capacity_bytes();
+        self.recorded_bytes += value.capacity_bytes();
         if self.live_bytes > self.peak_bytes {
             self.peak_bytes = self.live_bytes;
         }
@@ -423,19 +428,22 @@ impl Graph {
     }
 
     pub(crate) fn push_op(&mut self, op: Op, value: Tensor) -> Var {
-        let rg = op_inputs(&op).iter().any(|v| self.nodes[v.0].requires_grad);
+        let mut rg = false;
+        for_each_input(&op, |v| rg |= self.nodes[v.0].requires_grad);
         self.push(op, value, rg)
     }
 
     /// Remove and return a node's value (used when extending an `AddAcc`
     /// accumulator in place: the hollowed node stays on the tape but is
-    /// referenced by nothing).
+    /// referenced by nothing, and the buffer is recorded again under the
+    /// longer accumulator).
     pub(crate) fn take_value(&mut self, v: Var) -> Tensor {
         let t = self.nodes[v.0]
             .value
             .take()
             .expect("take_value: node already hollow");
         self.live_bytes -= t.capacity_bytes();
+        self.recorded_bytes -= t.capacity_bytes();
         t
     }
 
@@ -453,11 +461,11 @@ impl Graph {
                 continue;
             }
             dead.push(i);
-            for inp in op_inputs(&self.nodes[i].op) {
+            for_each_input(&self.nodes[i].op, |inp| {
                 if self.nodes[inp.0].value.is_none() {
                     stack.push(inp.0);
                 }
-            }
+            });
         }
         dead.sort_unstable();
         for i in dead {
@@ -471,51 +479,48 @@ impl Graph {
         }
     }
 
-    /// Release the values of nodes that no future backward pass reads:
-    /// everything except leaves/constants, `Tanh`/`Exp` outputs (their
-    /// VJPs read their own output), inputs of ops whose VJPs read input
-    /// values (`Mul`, `MatMul`, `Sin`, `Cos`, `Gelu`, `TanhVjp`,
-    /// `OneMinusSq`), and the explicitly `protect`ed variables.
+    /// Release the values of the segment's nodes — those at index `from`
+    /// or later — that no future backward pass reads: everything except
+    /// leaves/constants, `Tanh`/`Exp` outputs (their VJPs read their own
+    /// output), inputs of ops whose VJPs read input values (`Mul`,
+    /// `MatMul`, `Sin`, `Cos`, `Gelu`, `TanhVjp`, `OneMinusSq`), and the
+    /// explicitly `protect`ed variables. Nodes before `from` belong to the
+    /// caller (a loss recorded earlier on a shared tape) and are left alone.
     ///
-    /// No-op unless checkpointing is enabled ([`Graph::set_checkpointing`]).
-    /// Evicting is always safe — a value that does turn out to be needed is
-    /// recomputed bitwise-identically — the rule above just avoids evicting
-    /// what is certain to be recomputed.
-    pub fn evict_dead_values(&mut self, protect: &[Var]) {
-        if !self.ckpt {
+    /// A no-op on a legacy graph ([`Graph::new_legacy`]). Evicting is always
+    /// safe — a value that does turn out to be needed is recomputed
+    /// bitwise-identically — the rule above just avoids evicting what is
+    /// certain to be recomputed.
+    pub fn evict_dead_values(&mut self, from: usize, protect: &[Var]) {
+        if !self.lean {
             return;
         }
         let n = self.nodes.len();
         let mut keep = vec![false; n];
-        for node in &self.nodes {
-            match node.op {
-                Op::Mul(..)
-                | Op::MatMul(..)
-                | Op::Sin(..)
-                | Op::Cos(..)
-                | Op::Gelu(..)
-                | Op::TanhVjp(..)
-                | Op::OneMinusSq(..) => {
-                    for v in op_inputs(&node.op) {
-                        keep[v.0] = true;
-                    }
-                }
-                _ => {}
+        for node in &self.nodes[from..] {
+            if let Op::Mul(..)
+            | Op::MatMul(..)
+            | Op::Sin(..)
+            | Op::Cos(..)
+            | Op::Gelu(..)
+            | Op::TanhVjp(..)
+            | Op::OneMinusSq(..) = node.op
+            {
+                for_each_input(&node.op, |v| keep[v.0] = true);
             }
         }
         for p in protect {
             keep[p.0] = true;
         }
-        for (i, kept) in keep.iter().enumerate().take(n) {
-            if *kept
-                || matches!(
+        for (i, &kept) in keep.iter().enumerate().skip(from) {
+            if !kept
+                && !matches!(
                     self.nodes[i].op,
                     Op::Leaf | Op::Const | Op::Tanh(_) | Op::Exp(_)
                 )
             {
-                continue;
+                self.release(Var(i));
             }
-            self.release(Var(i));
         }
     }
 
@@ -532,12 +537,13 @@ impl Graph {
     }
 }
 
-/// The input variables of an operation, in a fixed small buffer.
-pub(crate) fn op_inputs(op: &Op) -> Vec<Var> {
+/// Call `f` on each input variable of an operation, in order, without
+/// allocating.
+pub(crate) fn for_each_input(op: &Op, mut f: impl FnMut(Var)) {
     use Op::*;
     match op {
-        Leaf | Const => vec![],
-        AddAcc(inputs) => inputs.clone(),
+        Leaf | Const => {}
+        AddAcc(inputs) => inputs.iter().copied().for_each(f),
         Add(a, b)
         | Sub(a, b)
         | Mul(a, b)
@@ -546,7 +552,10 @@ pub(crate) fn op_inputs(op: &Op) -> Vec<Var> {
         | ConcatRows(a, b)
         | AddBias(a, b)
         | TanhVjp(a, b)
-        | GeluInner(a, b) => vec![*a, *b],
+        | GeluInner(a, b) => {
+            f(*a);
+            f(*b);
+        }
         Neg(a)
         | Scale(a, _)
         | AddScalar(a, _)
@@ -572,7 +581,7 @@ pub(crate) fn op_inputs(op: &Op) -> Vec<Var> {
         | Cos(a)
         | OneMinusSq(a)
         | GeluDu(a)
-        | HalfOnePlus(a) => vec![*a],
+        | HalfOnePlus(a) => f(*a),
     }
 }
 
@@ -677,14 +686,13 @@ mod tests {
     #[test]
     fn eviction_and_remat_are_bitwise_identical() {
         let mut g = Graph::new();
-        g.set_checkpointing(true);
         let x = g.leaf(Tensor::from_fn(2, 3, |r, c| {
             (r as f64 + 1.3) * (c as f64 - 0.7)
         }));
         let s = g.scale(x, 1.7);
         let a = g.add_scalar(s, 0.25);
         let before = g.value(a).clone();
-        g.evict_dead_values(&[]);
+        g.evict_dead_values(0, &[]);
         assert!(
             g.nodes[a.0].value.is_none(),
             "Add-scalar output should evict"
@@ -701,20 +709,65 @@ mod tests {
     #[test]
     fn evict_protects_requested_vars() {
         let mut g = Graph::new();
-        g.set_checkpointing(true);
         let x = g.leaf(Tensor::ones(2, 2));
         let s = g.scale(x, 2.0);
-        g.evict_dead_values(&[s]);
+        g.evict_dead_values(0, &[s]);
         assert!(g.nodes[s.0].value.is_some());
     }
 
     #[test]
-    fn evict_is_noop_without_checkpointing() {
-        let mut g = Graph::new();
+    fn evict_is_noop_on_a_legacy_graph() {
+        let mut g = Graph::new_legacy();
         let x = g.leaf(Tensor::ones(2, 2));
         let s = g.scale(x, 2.0);
-        g.evict_dead_values(&[]);
+        g.evict_dead_values(0, &[]);
         assert!(g.nodes[s.0].value.is_some());
+        assert_eq!(g.bytes_allocated(), g.recorded_bytes());
+    }
+
+    #[test]
+    fn evict_leaves_nodes_before_from_alone() {
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::ones(2, 2));
+        let caller = g.scale(x, 2.0);
+        let from = g.len();
+        let mine = g.scale(x, 3.0);
+        g.evict_dead_values(from, &[]);
+        assert!(g.nodes[caller.0].value.is_some());
+        assert!(g.nodes[mine.0].value.is_none());
+    }
+
+    #[test]
+    fn recorded_bytes_do_not_move_through_eviction_or_backward() {
+        let tape = |g: &mut Graph| {
+            let x = g.leaf(Tensor::from_fn(4, 3, |r, c| (r as f64 - c as f64) * 0.3));
+            let s = g.scale(x, 1.5);
+            let t = g.add_scalar(s, 0.5);
+            let y = g.mul(t, t);
+            let f = g.sum(y);
+            let dx = g.grad(f, &[x])[0];
+            let z = g.sum(dx);
+            (x, g.add(z, f))
+        };
+        // The oracle keeps every value: its live bytes are what it recorded.
+        let mut kept = Graph::new();
+        let (x, loss) = tape(&mut kept);
+        let _ = kept.grad(loss, &[x]);
+        assert_eq!(kept.recorded_bytes(), kept.bytes_allocated());
+
+        let mut g = Graph::new();
+        let (x, loss) = tape(&mut g);
+        let recorded = g.recorded_bytes();
+        g.evict_dead_values(0, &[loss]);
+        assert!(g.bytes_allocated() < recorded, "nothing was evicted");
+        assert_eq!(g.recorded_bytes(), recorded);
+        // The consuming backward rematerializes what it reads and releases
+        // what it walks; neither is recorded.
+        let _ = g.backward(loss, &[x]);
+        assert!(g.bytes_allocated() < g.recorded_bytes());
+        assert_eq!(g.recorded_bytes(), kept.bytes_allocated());
+        g.clear();
+        assert_eq!(g.recorded_bytes(), 0);
     }
 
     #[test]

@@ -27,10 +27,15 @@
 //!   the walk reads it, so the pass runs in cache instead of streaming
 //!   through everything the forward and the inner passes recorded.
 //!
-//! The arena also meters the bytes held by node values
-//! ([`Graph::bytes_allocated`]), which is how the repository reproduces the
-//! autograd-memory measurements of Table 3 (metered through `grad`, which
-//! keeps every node it counts).
+//! A caller may also evict, within its own segment of the tape, the values
+//! no later VJP reads ([`Graph::evict_dead_values`]); an op that reads one
+//! recomputes it, bit for bit.
+//!
+//! The arena meters the bytes its node values hold now
+//! ([`Graph::bytes_allocated`]) and the bytes it recorded, evicted or
+//! released values included ([`Graph::recorded_bytes`]): the second is the
+//! footprint of a tape that keeps every node, which is how the repository
+//! reproduces the autograd-memory measurements of Table 3.
 //!
 //! # Example
 //!

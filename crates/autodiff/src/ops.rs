@@ -8,7 +8,7 @@
 //! checkpoint rematerialization share the exact same kernel calls, so a
 //! recomputed value is bitwise identical to the original.
 
-use crate::graph::{op_inputs, Graph, Op, Var};
+use crate::graph::{for_each_input, Graph, Op, Var};
 use mf_tensor::{fold1d_circular_into, gemm_into, unfold1d_circular_into, Layout, Tensor};
 
 // The GELU constants now live with the backend kernels in `mf-tensor`;
@@ -19,11 +19,7 @@ impl Graph {
     /// Rematerialize evicted inputs, then evaluate `op` into a fresh
     /// (pooled) buffer.
     fn eval(&mut self, op: &Op) -> Tensor {
-        if self.checkpointing() {
-            for v in op_inputs(op) {
-                self.ensure_live(v);
-            }
-        }
+        for_each_input(op, |v| self.ensure_live(v));
         self.eval_live(op)
     }
 

@@ -6,7 +6,10 @@
 //! domains on a 16 GB V100 once the PDE loss is enabled. Here the arena
 //! graph meters its bytes exactly, so the same blowup is reported
 //! per-domain-count, together with the extrapolated domain count that
-//! would exhaust a 16 GB device.
+//! would exhaust a 16 GB device. The first table counts the bytes the tape
+//! *recorded* (a tape that keeps every node, as PyTorch's does); the second
+//! compares the live peaks of a legacy step and of the training step, whose
+//! PDE loss evicts what it can recompute.
 //!
 //! ```text
 //! cargo run -p mf-bench --release --bin repro_table3 [--full]
@@ -17,9 +20,7 @@ use mf_bench::gate::Metric;
 use mf_bench::*;
 use mf_data::{Batch, BatchSampler, Dataset};
 use mf_nn::SdNet;
-use mf_train::{
-    data_loss, local_gradients, measure_step_memory, pde_loss, set_checkpointed_segments,
-};
+use mf_train::{data_loss, local_gradients, measure_step_memory, pde_loss};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -88,9 +89,8 @@ fn main() {
 
     // Before/after table for the allocation-lean hot path: the legacy
     // engine (fresh unpooled graph per pass, chained adjoint adds, unfused
-    // VJPs — what `main` ran) vs the lean engine with checkpointed
-    // segments on a warm persistent graph (steps 2+ of a training run).
-    set_checkpointed_segments(true);
+    // VJPs, no eviction — what `main` ran) vs a warm training step on the
+    // lean engine's persistent graph (steps 2+ of a training run).
     let mut lean_rows = Vec::new();
     let mut gate_metrics = Vec::new();
     for &domains in &domain_counts {
@@ -144,7 +144,6 @@ fn main() {
             ));
         }
     }
-    set_checkpointed_segments(false);
     print_table(
         "Allocation-lean hot path: before (legacy engine) vs after (warm lean step)",
         &[

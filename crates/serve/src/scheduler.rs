@@ -43,8 +43,6 @@ pub struct BatchConfig {
     /// Bound on queued cost; submissions beyond it are rejected with
     /// [`SubmitError::QueueFull`] instead of queuing unboundedly.
     pub queue_points: usize,
-    /// Bound on queued jobs (the service maps its `queue_depth` here).
-    pub queue_jobs: usize,
 }
 
 impl Default for BatchConfig {
@@ -53,7 +51,6 @@ impl Default for BatchConfig {
             max_points: 4096,
             max_wait_us: 0,
             queue_points: 65_536,
-            queue_jobs: 256,
         }
     }
 }
@@ -125,6 +122,7 @@ struct Queue<J> {
 /// one batch always share it) and a `cost` (the budget unit).
 pub struct Scheduler<J> {
     cfg: BatchConfig,
+    queue_depth: usize,
     q: Mutex<Queue<J>>,
     cv: Condvar,
     submitted: AtomicU64,
@@ -135,10 +133,12 @@ pub struct Scheduler<J> {
 }
 
 impl<J> Scheduler<J> {
-    /// An empty scheduler with the given budgets.
-    pub fn new(cfg: BatchConfig) -> Self {
+    /// An empty scheduler with the given budgets, holding at most
+    /// `queue_depth` jobs.
+    pub fn new(cfg: BatchConfig, queue_depth: usize) -> Self {
         Self {
             cfg,
+            queue_depth,
             q: Mutex::new(Queue {
                 jobs: VecDeque::new(),
                 points: 0,
@@ -160,7 +160,7 @@ impl<J> Scheduler<J> {
             if q.shutdown {
                 return Err(SubmitError::Shutdown);
             }
-            if q.jobs.len() >= self.cfg.queue_jobs || q.points + cost > self.cfg.queue_points {
+            if q.jobs.len() >= self.queue_depth || q.points + cost > self.cfg.queue_points {
                 let behind = q.jobs.len() as u64;
                 drop(q);
                 self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -275,7 +275,7 @@ mod tests {
     use std::sync::Arc;
 
     fn sched(cfg: BatchConfig) -> Scheduler<u32> {
-        Scheduler::new(cfg)
+        Scheduler::new(cfg, 256)
     }
 
     #[test]
@@ -308,10 +308,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_rejects_with_typed_error_not_a_hang() {
-        let s = sched(BatchConfig {
-            queue_jobs: 2,
-            ..BatchConfig::default()
-        });
+        let s = Scheduler::new(BatchConfig::default(), 2);
         s.submit(0, 1, 1).unwrap();
         s.submit(1, 1, 1).unwrap();
         match s.submit(2, 1, 1) {

@@ -200,13 +200,11 @@ impl SolveService {
     /// Start the service around a shared compiled-plan solver.
     pub fn new(solver: PlanSolver, cfg: ServeConfig) -> Self {
         let spec = solver.spec();
-        let mut batch = cfg.batch;
-        batch.queue_jobs = cfg.queue_depth;
         let inner = Arc::new(ServiceInner {
             solver: Arc::new(solver),
             spec,
             cfg,
-            sched: Scheduler::new(batch),
+            sched: Scheduler::new(cfg.batch, cfg.queue_depth),
             reservoir: Mutex::new(Reservoir(mf_telemetry::Ring::new(RESERVOIR_CAP))),
             started: Instant::now(),
             completed: AtomicU64::new(0),

@@ -322,30 +322,11 @@ impl HistSnapshot {
         }
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile observation
-    /// (`f64::INFINITY` if it falls in the overflow bucket, 0 when
-    /// empty). Bucket-resolution estimate, biased upward.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
-    }
-
     /// Interpolated estimate of the `q`-quantile: finds the bucket
     /// holding the `q`-th observation and interpolates linearly within
     /// it, clamping to the observed `[min, max]` so estimates never
-    /// stray outside the data (unlike [`HistSnapshot::quantile`], which
-    /// reports the raw bucket upper bound and returns infinity for the
-    /// overflow bucket). Returns 0 when empty.
+    /// stray outside the data (a raw bucket upper bound would be
+    /// infinite for the overflow bucket). Returns 0 when empty.
     pub fn quantile_est(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
@@ -560,8 +541,6 @@ mod tests {
         assert_eq!(hs.max, 100.0);
         assert!((hs.sum - 111.0).abs() < 1e-12);
         assert!((hs.mean() - 22.2).abs() < 1e-12);
-        assert_eq!(hs.quantile(0.5), 4.0);
-        assert_eq!(hs.quantile(1.0), f64::INFINITY);
     }
 
     #[test]
@@ -576,8 +555,8 @@ mod tests {
             panic!("histogram missing from snapshot");
         };
         let [p50, p95, p99] = hs.percentiles();
-        // Estimates are finite, ordered, and inside [min, max] — unlike
-        // quantile(), which reports inf for the overflow bucket.
+        // Estimates are finite, ordered, and inside [min, max], even for
+        // the overflow bucket.
         assert!(p50 >= hs.min && p99 <= hs.max);
         assert!(p50 <= p95 && p95 <= p99);
         assert!(p99.is_finite());

@@ -6,7 +6,8 @@
 //! * [`losses`] builds the two loss terms on the autodiff graph: an MSE
 //!   data loss at points with known solutions, and the PDE residual loss
 //!   `mean((∂²u/∂x² + ∂²u/∂y²)²)` at collocation points via two chained
-//!   backward passes (the third backward then reaches the weights).
+//!   backward passes (the third backward then reaches the weights), a
+//!   checkpointed segment of the tape that evicts what it can recompute.
 //! * [`step`] implements Algorithm 1: per-rank forward/backward for data
 //!   points, gradient *accumulation* over the collocation backward, and a
 //!   **single fused allreduce-mean** per iteration. An unfused variant (one
@@ -17,8 +18,8 @@
 //!   wires the paper's LR scaling rules for multi-device runs: one private
 //!   epoch core over the step core, under a local driver ([`train_single`])
 //!   and a per-rank driver ([`train_ddp`], [`train_ddp_resumable`]).
-//! * [`memory`] meters the autograd graph bytes with and without the PDE
-//!   loss, reproducing Table 3.
+//! * [`memory`] meters the autograd graph bytes a tape records with and
+//!   without the PDE loss, reproducing Table 3.
 
 pub mod checkpoint;
 pub mod losses;
@@ -28,11 +29,8 @@ pub mod trainer;
 
 pub use checkpoint::{save_checkpoint, CheckpointConfig, TrainState};
 pub use losses::{data_loss, pde_loss};
-pub use memory::{measure_step_memory, measure_step_memory_with, MemoryReport};
-pub use step::{
-    checkpointed_segments, local_gradients, set_checkpointed_segments, train_step_distributed,
-    train_step_single, GradSync, StepStats,
-};
+pub use memory::{measure_step_memory, MemoryReport};
+pub use step::{local_gradients, train_step_distributed, train_step_single, GradSync, StepStats};
 pub use trainer::{
     evaluate_mse, train_ddp, train_ddp_resumable, train_single, DdpResult, EpochLog, TrainConfig,
 };

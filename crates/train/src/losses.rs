@@ -22,7 +22,15 @@ pub fn data_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Va
 /// that each extend the autograd graph), and the resulting scalar is later
 /// differentiated with respect to the weights — three chained backwards in
 /// total.
+///
+/// The loss is a checkpointed segment of the tape: after each inner
+/// backward pass it evicts the values of its own nodes that can be
+/// recomputed cheaply ([`Graph::evict_dead_values`]), and the weight
+/// backward rematerializes the few it reads, bit for bit. Nodes recorded
+/// before the call (a data loss on a shared tape) are left alone, and
+/// [`Graph::recorded_bytes`] still counts everything the segment recorded.
 pub fn pde_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Var {
+    let from = g.len();
     let gb = g.constant_from(&batch.boundaries);
     // Collocation coordinates are a *leaf*: we differentiate w.r.t. them.
     let x = g.leaf_from(&batch.colloc_points);
@@ -33,23 +41,18 @@ pub fn pde_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Var
     // Jacobian diagonal exactly.
     let su = g.sum(u);
     let du = g.grad(su, &[x])[0];
-    // Each inner backward pass grows the graph; with checkpointing
-    // enabled, drop the values of nodes that can be recomputed cheaply
-    // (anything not feeding a nonlinear VJP). Rematerialization through
-    // the shared evaluator is bitwise-identical, so these calls never
-    // change the loss; without checkpointing they are no-ops.
-    g.evict_dead_values(&[du]);
+    g.evict_dead_values(from, &[du]);
     let ux = g.slice_cols(du, 0, 1);
     let uy = g.slice_cols(du, 1, 1);
 
     // Second derivatives.
     let sux = g.sum(ux);
     let dux = g.grad(sux, &[x])[0];
-    g.evict_dead_values(&[dux, uy]);
+    g.evict_dead_values(from, &[dux, uy]);
     let uxx = g.slice_cols(dux, 0, 1);
     let suy = g.sum(uy);
     let duy = g.grad(suy, &[x])[0];
-    g.evict_dead_values(&[duy, uxx]);
+    g.evict_dead_values(from, &[duy, uxx]);
     let uyy = g.slice_cols(duy, 1, 1);
 
     let lap = g.add(uxx, uyy);
@@ -58,12 +61,38 @@ pub fn pde_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Var
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mf_data::{BatchSampler, Dataset, SubdomainSpec};
     use mf_nn::{SdNet, SdNetConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    /// The oracle: [`pde_loss`] without its three evictions, a tape that
+    /// keeps every value it records.
+    pub(crate) fn pde_loss_retained(
+        g: &mut Graph,
+        net: &SdNet,
+        bound: &Bound,
+        batch: &Batch,
+    ) -> Var {
+        let gb = g.constant_from(&batch.boundaries);
+        let x = g.leaf_from(&batch.colloc_points);
+        let u = net.forward(g, bound, gb, x, batch.qc);
+        let su = g.sum(u);
+        let du = g.grad(su, &[x])[0];
+        let ux = g.slice_cols(du, 0, 1);
+        let uy = g.slice_cols(du, 1, 1);
+        let sux = g.sum(ux);
+        let dux = g.grad(sux, &[x])[0];
+        let uxx = g.slice_cols(dux, 0, 1);
+        let suy = g.sum(uy);
+        let duy = g.grad(suy, &[x])[0];
+        let uyy = g.slice_cols(duy, 1, 1);
+        let lap = g.add(uxx, uyy);
+        let sq = g.mul(lap, lap);
+        g.mean(sq)
+    }
 
     fn tiny_setup() -> (SdNet, Batch) {
         let spec = SubdomainSpec { m: 9, spatial: 0.5 };

@@ -5,6 +5,11 @@
 //! dominates (0.05 GB → 0.5 GB at 5 domains; OOM at 640 domains with PDE
 //! loss on a 16 GB V100). Here the same quantity is exact: the arena graph
 //! knows precisely how many bytes its node values hold.
+//!
+//! The table reports what a tape that keeps every node would hold, as
+//! PyTorch's does: [`Graph::recorded_bytes`], which counts the values the
+//! PDE loss's checkpointed segment evicted. The live high-water mark, with
+//! those evictions, is [`MemoryReport::peak_with_pde`].
 
 use crate::losses::{data_loss, pde_loss};
 use mf_autodiff::Graph;
@@ -16,9 +21,9 @@ use mf_nn::SdNet;
 pub struct MemoryReport {
     /// Number of boundary conditions ("# domains" in Table 3).
     pub domains: usize,
-    /// Bytes held by the graph for forward + data loss + backward.
+    /// Bytes the graph recorded for forward + data loss + backward.
     pub bytes_no_pde: usize,
-    /// Bytes held when the PDE loss (double backward) is included.
+    /// Bytes recorded when the PDE loss (double backward) is included.
     pub bytes_with_pde: usize,
     /// High-water mark of live bytes during the with-PDE step.
     pub peak_with_pde: usize,
@@ -34,40 +39,30 @@ impl MemoryReport {
 }
 
 /// Meter the graph bytes of a full training step on `batch`, with and
-/// without the PDE loss term, through [`Graph::grad`], which retains the
-/// tape (so the table counts the final backward's adjoints too). The
-/// with-PDE node count and the bytes its tape held when the final backward
-/// began are also published to the `autodiff.graph_nodes` /
-/// `autodiff.graph_bytes` telemetry gauges, which a training step feeds
-/// with the same quantities.
+/// without the PDE loss term, through [`Graph::grad`] (so the table counts
+/// the final backward's adjoints too). The with-PDE node count and the
+/// bytes its tape recorded before the final backward are also published
+/// to the `autodiff.graph_nodes` / `autodiff.graph_bytes` telemetry
+/// gauges, which a training step feeds with the same quantities.
 pub fn measure_step_memory(net: &SdNet, batch: &Batch) -> MemoryReport {
-    measure_step_memory_with(net, batch, false)
-}
-
-/// [`measure_step_memory`] with explicit control over checkpointed
-/// segments in the PDE loss: with `ckpt` on, cheap-to-recompute node
-/// values are evicted between the inner backward passes, lowering the
-/// with-PDE footprint at the cost of rematerialization FLOPs.
-pub fn measure_step_memory_with(net: &SdNet, batch: &Batch, ckpt: bool) -> MemoryReport {
     // Without PDE loss: forward + data loss + backward to weights.
     let mut g = Graph::new();
     let bound = net.params.bind(&mut g);
     let ld = data_loss(&mut g, net, &bound, batch);
     let _ = g.grad(ld, bound.all_vars());
-    let bytes_no_pde = g.bytes_allocated();
+    let bytes_no_pde = g.recorded_bytes();
     drop(g);
 
     // With PDE loss: the same plus the collocation pass with its two inner
     // backward passes and the final backward to weights.
     let mut g = Graph::new();
-    g.set_checkpointing(ckpt);
     let bound = net.params.bind(&mut g);
     let ld = data_loss(&mut g, net, &bound, batch);
     let lp = pde_loss(&mut g, net, &bound, batch);
     let total = g.add(ld, lp);
-    let tape_bytes = g.bytes_allocated();
+    let tape_bytes = g.recorded_bytes();
     let _ = g.grad(total, bound.all_vars());
-    let bytes_with_pde = g.bytes_allocated();
+    let bytes_with_pde = g.recorded_bytes();
     let peak_with_pde = g.peak_bytes();
     let heap_allocs = g.heap_allocs();
 
@@ -88,10 +83,14 @@ pub fn measure_step_memory_with(net: &SdNet, batch: &Batch, ckpt: bool) -> Memor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::losses::tests::pde_loss_retained;
+    use mf_autodiff::Var;
     use mf_data::{BatchSampler, Dataset, SubdomainSpec};
-    use mf_nn::{SdNet, SdNetConfig};
+    use mf_nn::{Bound, SdNet, SdNetConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    type PdeLoss = fn(&mut Graph, &SdNet, &Bound, &Batch) -> Var;
 
     fn setup(domains: usize) -> (SdNet, Batch) {
         let ds = Dataset::generate(SubdomainSpec { m: 9, spatial: 0.5 }, domains, 0);
@@ -116,16 +115,39 @@ mod tests {
     }
 
     #[test]
-    fn checkpointing_lowers_with_pde_peak() {
+    fn eviction_lowers_with_pde_peak() {
+        // The with-PDE tape of `measure_step_memory`, once through the
+        // evicting `pde_loss` and once through the retaining oracle.
         let (net, batch) = setup(2);
-        let plain = measure_step_memory_with(&net, &batch, false);
-        let ckpt = measure_step_memory_with(&net, &batch, true);
+        let with_pde = |pde: PdeLoss| {
+            let mut g = Graph::new();
+            let bound = net.params.bind(&mut g);
+            let ld = data_loss(&mut g, &net, &bound, &batch);
+            let lp = pde(&mut g, &net, &bound, &batch);
+            let total = g.add(ld, lp);
+            let grads = g.grad(total, bound.all_vars());
+            let bits: Vec<u64> = grads
+                .iter()
+                .flat_map(|&v| g.value(v).as_slice().iter().map(|x| x.to_bits()))
+                .collect();
+            (
+                bits,
+                g.peak_bytes(),
+                g.recorded_bytes(),
+                g.bytes_allocated(),
+            )
+        };
+        let (bits, peak, recorded, _) = with_pde(pde_loss);
+        let (oracle_bits, oracle_peak, _, oracle_bytes) = with_pde(pde_loss_retained);
+        assert!(bits == oracle_bits, "eviction changed a gradient");
         assert!(
-            ckpt.peak_with_pde < plain.peak_with_pde,
-            "ckpt peak {} not below plain peak {}",
-            ckpt.peak_with_pde,
-            plain.peak_with_pde
+            peak < oracle_peak,
+            "evicting peak {peak} not below the oracle's {oracle_peak}"
         );
+        assert_eq!(recorded, oracle_bytes);
+        let r = measure_step_memory(&net, &batch);
+        assert_eq!(r.bytes_with_pde, oracle_bytes);
+        assert_eq!(r.peak_with_pde, peak);
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //! where the gradients are averaged: [`train_step_single`] (nowhere) and
 //! [`train_step_distributed`] (across a communicator) are that core without
 //! a clip, and the epoch loops of [`crate::trainer`] call it with theirs.
+//!
+//! Each pass ends with the consuming [`Graph::backward`], and the PDE loss
+//! evicts what it can recompute between its inner passes, so a step holds
+//! far less than it records: [`StepStats::graph_bytes`] is the recorded
+//! footprint (Table 3's and Fig. 5's), [`StepStats::peak_bytes`] the live
+//! high-water mark.
 
 use crate::losses::{data_loss, pde_loss};
 use mf_autodiff::Graph;
@@ -25,7 +31,7 @@ use mf_observe::GradHealth;
 use mf_opt::Optimizer;
 use mf_telemetry::{counter, gauge, span, Counter, Gauge};
 use mf_tensor::Tensor;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 thread_local! {
@@ -34,21 +40,6 @@ thread_local! {
     /// every tensor the hot path needs comes back out of the pool and the
     /// heap allocator is no longer involved.
     static STEP_GRAPH: RefCell<Graph> = RefCell::new(Graph::new());
-    static CKPT_SEGMENTS: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Opt into checkpointed segments for the second-order residual backward
-/// on this thread: the PDE loss evicts cheap-to-recompute node values
-/// between its inner backward passes and rematerializes them on demand
-/// (bitwise-identically) during the weight backward. Trades FLOPs for
-/// peak graph bytes; off by default.
-pub fn set_checkpointed_segments(on: bool) {
-    CKPT_SEGMENTS.with(|c| c.set(on));
-}
-
-/// Whether [`set_checkpointed_segments`] is active on this thread.
-pub fn checkpointed_segments() -> bool {
-    CKPT_SEGMENTS.with(|c| c.get())
 }
 
 /// Gradient synchronization strategy (ablation knob).
@@ -72,7 +63,8 @@ pub enum GradSync {
 /// once; recording is thread-local and lock-free).
 pub(crate) struct TrainMetrics {
     pub graph_nodes: Gauge,
-    /// Largest tape a final backward began on ([`StepStats::graph_bytes`]).
+    /// Largest tape a final backward began on, as recorded
+    /// ([`StepStats::graph_bytes`]).
     pub graph_bytes: Gauge,
     /// Largest high-water mark of a pass ([`StepStats::peak_bytes`]).
     pub bytes_peak: Gauge,
@@ -108,12 +100,14 @@ pub struct StepStats {
     pub pde_loss: f64,
     /// Autograd nodes created this step.
     pub graph_nodes: usize,
-    /// Bytes the tape held when each pass's final backward began (forward,
-    /// loss and, for the PDE pass, its inner backward passes), summed over
-    /// both passes: the autograd footprint Table 3 reports.
+    /// Bytes the tape recorded before each pass's final backward began
+    /// (forward, loss and, for the PDE pass, its inner backward passes),
+    /// summed over both passes: [`Graph::recorded_bytes`], which counts
+    /// what the PDE loss's checkpointed segment evicted — the autograd
+    /// footprint Table 3 reports.
     pub graph_bytes: usize,
     /// High-water mark of live graph bytes within a single pass, the
-    /// final backward included.
+    /// evictions and the final backward included.
     pub peak_bytes: usize,
     /// Tensor-buffer acquisitions served from the graph's pool this step.
     pub pool_hits: u64,
@@ -137,7 +131,6 @@ pub fn local_gradients(
 ) -> (Vec<Tensor>, Vec<Tensor>, StepStats) {
     STEP_GRAPH.with(|cell| {
         let g = &mut *cell.borrow_mut();
-        g.set_checkpointing(checkpointed_segments());
         let pool_before = g.pool_stats();
         let allocs_before = g.heap_allocs();
         let mut stats = StepStats::default();
@@ -151,7 +144,7 @@ pub fn local_gradients(
             let bound = net.params.bind(g);
             let ld = data_loss(g, net, &bound, batch);
             stats.data_loss = g.value(ld).item();
-            stats.graph_bytes += g.bytes_allocated();
+            stats.graph_bytes += g.recorded_bytes();
             // The pass's last backward consumes the tape as it walks it.
             let dgrads = {
                 mf_profile::zone!("vjp_data");
@@ -166,7 +159,8 @@ pub fn local_gradients(
         // Pass 2: collocation points (cleared tape, like a fresh autograd
         // graph in PyTorch once the first backward freed its buffers). The
         // inner backward passes of `pde_loss` retain the tape (`grad`),
-        // since the weight backward differentiates through them.
+        // since the weight backward differentiates through them, less the
+        // values its checkpointed segment evicts.
         let pde_grads = {
             span!("train.pde_pass");
             g.clear();
@@ -174,7 +168,7 @@ pub fn local_gradients(
             let lp = pde_loss(g, net, &bound, batch);
             let lp = g.scale(lp, pde_weight);
             stats.pde_loss = g.value(lp).item();
-            stats.graph_bytes += g.bytes_allocated();
+            stats.graph_bytes += g.recorded_bytes();
             let pgrads = {
                 mf_profile::zone!("vjp_pde");
                 g.backward(lp, bound.all_vars())
@@ -552,22 +546,37 @@ mod tests {
 
     #[test]
     fn checkpointed_segments_keep_gradients_bitwise_and_lower_peak() {
+        // The oracle step: `local_gradients`' two passes with the PDE pass
+        // through the retaining oracle, so nothing is ever evicted.
         let net = tiny_net(9);
         let batch = &tiny_batches(1)[0];
-        let (d0, p0, s0) = local_gradients(&net, batch, 0.3);
-        set_checkpointed_segments(true);
-        let (d1, p1, s1) = local_gradients(&net, batch, 0.3);
-        set_checkpointed_segments(false);
-        for (a, b) in d0.iter().zip(&d1).chain(p0.iter().zip(&p1)) {
+        let mut g = Graph::new();
+        let (mut oracle, mut oracle_bytes, mut oracle_peak) = (Vec::new(), 0, 0);
+        for pde in [false, true] {
+            g.clear();
+            let bound = net.params.bind(&mut g);
+            let loss = if pde {
+                let lp = crate::losses::tests::pde_loss_retained(&mut g, &net, &bound, batch);
+                g.scale(lp, 0.3)
+            } else {
+                data_loss(&mut g, &net, &bound, batch)
+            };
+            oracle_bytes += g.bytes_allocated();
+            let grads = g.backward(loss, bound.all_vars());
+            oracle.extend(grads.iter().map(|&v| g.value(v).clone()));
+            oracle_peak = oracle_peak.max(g.peak_bytes());
+        }
+        let (d, p, stats) = local_gradients(&net, batch, 0.3);
+        for (a, b) in d.iter().chain(&p).zip(&oracle) {
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "ckpt changed a gradient");
+                assert_eq!(x.to_bits(), y.to_bits(), "eviction changed a gradient");
             }
         }
         assert!(
-            s1.peak_bytes < s0.peak_bytes,
-            "ckpt peak {} not below plain peak {}",
-            s1.peak_bytes,
-            s0.peak_bytes
+            stats.peak_bytes < oracle_peak,
+            "evicting peak {} not below the oracle's {oracle_peak}",
+            stats.peak_bytes
         );
+        assert_eq!(stats.graph_bytes, oracle_bytes);
     }
 }

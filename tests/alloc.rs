@@ -8,15 +8,15 @@
 //! in the tensor/autodiff/nn stack that silently reintroduces per-step
 //! allocation fails CI.
 
-use mosaic_flow::autodiff::Graph;
+use mosaic_flow::autodiff::{Graph, Var};
 use mosaic_flow::nn::{Linear, Params};
 use mosaic_flow::tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// A fixed two-layer MLP regression step: forward, MSE loss, full
-/// backward through both layers. Returns the loss value.
-fn two_layer_step(g: &mut Graph, ps: &mut Params, l1: &Linear, l2: &Linear, lr: f64) -> f64 {
+/// backward through both layers. Returns the loss variable.
+fn two_layer_step(g: &mut Graph, ps: &mut Params, l1: &Linear, l2: &Linear, lr: f64) -> Var {
     let x = Tensor::from_fn(8, 6, |r, c| ((r * 6 + c) as f64 * 0.13).sin());
     let y = Tensor::from_fn(8, 1, |r, _| (r as f64 * 0.4).cos());
     let bound = ps.bind(g);
@@ -34,7 +34,7 @@ fn two_layer_step(g: &mut Graph, ps: &mut Params, l1: &Linear, l2: &Linear, lr: 
     for (p, gt) in ps.tensors_mut().zip(&step) {
         p.axpy(-lr, gt);
     }
-    g.value(loss).get(0, 0)
+    loss
 }
 
 fn fresh_net() -> (Params, Linear, Linear) {
@@ -56,7 +56,8 @@ fn warm_two_layer_loop_has_zero_pool_misses() {
     let mut losses = Vec::new();
     for step in 1..=6 {
         g.clear();
-        losses.push(two_layer_step(&mut g, &mut ps, &l1, &l2, 1e-2));
+        let loss = two_layer_step(&mut g, &mut ps, &l1, &l2, 1e-2);
+        losses.push(g.value(loss).item());
         let d = g.pool_stats().since(&pool_before);
         let allocs = g.heap_allocs() - allocs_before;
         if step == 1 {
@@ -83,12 +84,25 @@ fn warm_two_layer_loop_has_zero_pool_misses() {
 fn warm_loop_stays_allocation_free_with_checkpointing() {
     let (mut ps, l1, l2) = fresh_net();
     let mut g = Graph::new();
-    g.set_checkpointing(true);
     let mut pool_before = g.pool_stats();
     let mut allocs_before = g.heap_allocs();
     for step in 1..=4 {
         g.clear();
-        two_layer_step(&mut g, &mut ps, &l1, &l2, 1e-2);
+        let from = g.len();
+        let loss = two_layer_step(&mut g, &mut ps, &l1, &l2, 1e-2);
+        let value = g.value(loss).item();
+        g.evict_dead_values(from, &[]);
+        assert!(
+            g.bytes_allocated() < g.recorded_bytes(),
+            "step {step}: the segment evicted nothing"
+        );
+        // No backward reads the loss, so it was evicted with the square
+        // it averages; an op on it rematerializes both, bit for bit: the
+        // live bytes grow by more than the one node the op records.
+        let (live, recorded) = (g.bytes_allocated(), g.recorded_bytes());
+        let again = g.scale(loss, 1.0);
+        assert!(g.bytes_allocated() - live > g.recorded_bytes() - recorded);
+        assert_eq!(g.value(again).item().to_bits(), value.to_bits());
         let d = g.pool_stats().since(&pool_before);
         let allocs = g.heap_allocs() - allocs_before;
         if step >= 2 {

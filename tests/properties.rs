@@ -284,16 +284,53 @@ fn bits<'a>(ts: impl IntoIterator<Item = &'a Tensor>) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// The loss one training pass differentiates.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Loss {
+    Data,
+    /// `pde_loss`, which evicts within its own segment of the tape.
+    Pde,
+    /// `pde_loss_retained`, the oracle.
+    Oracle,
+}
+
+/// The oracle: `pde_loss` without its three evictions, a tape that keeps
+/// every value it records.
+fn pde_loss_retained(
+    g: &mut Graph,
+    net: &SdNet,
+    bound: &mosaic_flow::nn::Bound,
+    batch: &Batch,
+) -> Var {
+    let gb = g.constant_from(&batch.boundaries);
+    let x = g.leaf_from(&batch.colloc_points);
+    let u = net.forward(g, bound, gb, x, batch.qc);
+    let su = g.sum(u);
+    let du = g.grad(su, &[x])[0];
+    let ux = g.slice_cols(du, 0, 1);
+    let uy = g.slice_cols(du, 1, 1);
+    let sux = g.sum(ux);
+    let dux = g.grad(sux, &[x])[0];
+    let uxx = g.slice_cols(dux, 0, 1);
+    let suy = g.sum(uy);
+    let duy = g.grad(suy, &[x])[0];
+    let uyy = g.slice_cols(duy, 1, 1);
+    let lap = g.add(uxx, uyy);
+    let sq = g.mul(lap, lap);
+    g.mean(sq)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// `Graph::backward` is `grad`'s walk releasing the tape as it goes. On
     /// the data loss and the PDE loss of a random SDNet and batch it must
     /// return `grad`'s weight gradients bit for bit, on lean and legacy
-    /// graphs, with checkpointed segments on and off, and the PDE pass must
-    /// peak strictly lower. `local_gradients`, which ends both of its
-    /// passes with it, must return the same bits and stay allocation-free
-    /// once warm.
+    /// graphs, and the PDE pass must peak strictly lower. The evicting PDE
+    /// loss must match the retaining oracle bit for bit under both walks,
+    /// never peak higher, and record the same bytes. `local_gradients`,
+    /// which ends both of its passes with `backward`, must return the
+    /// oracle's bits and stay allocation-free once warm.
     #[test]
     fn backward_matches_grad_bitwise_on_sdnet_losses(
         convs in 0usize..3,
@@ -307,7 +344,7 @@ proptest! {
         qc in 1usize..6,
         seed in 0u64..1_000,
     ) {
-        use mosaic_flow::train::{data_loss, local_gradients, pde_loss, set_checkpointed_segments};
+        use mosaic_flow::train::{data_loss, local_gradients, pde_loss};
         let spec = spec();
         let mut cfg = SdNetConfig::small(spec.boundary_len());
         cfg.conv_channels = vec![channels; convs];
@@ -325,49 +362,62 @@ proptest! {
         let pde_weight = 0.25;
 
         // One pass as `local_gradients` builds it, on a fresh graph: the
-        // weight gradients' bits and the pass's peak bytes.
-        let pass = |lean: bool, ckpt: bool, pde: bool, consume: bool| {
+        // weight gradients' bits, the pass's peak and its recorded bytes.
+        // `loss` is the data loss, the evicting PDE loss or the oracle.
+        let pass = |lean: bool, loss: Loss, consume: bool| {
             let mut g = if lean { Graph::new() } else { Graph::new_legacy() };
-            g.set_checkpointing(ckpt);
             let bound = net.params.bind(&mut g);
-            let loss = if pde {
-                let lp = pde_loss(&mut g, &net, &bound, &batch);
-                g.scale(lp, pde_weight)
-            } else {
-                data_loss(&mut g, &net, &bound, &batch)
+            let loss = match loss {
+                Loss::Data => data_loss(&mut g, &net, &bound, &batch),
+                Loss::Pde | Loss::Oracle => {
+                    let lp = if loss == Loss::Pde {
+                        pde_loss(&mut g, &net, &bound, &batch)
+                    } else {
+                        pde_loss_retained(&mut g, &net, &bound, &batch)
+                    };
+                    g.scale(lp, pde_weight)
+                }
             };
             let grads = if consume {
                 g.backward(loss, bound.all_vars())
             } else {
                 g.grad(loss, bound.all_vars())
             };
-            (bits(grads.iter().map(|&v| g.value(v))), g.peak_bytes())
+            (bits(grads.iter().map(|&v| g.value(v))), g.peak_bytes(), g.recorded_bytes())
         };
         on_one_backend(|| {
-            for (lean, ckpt, pde) in (0..8).map(|k| (k & 4 == 0, k & 2 != 0, k & 1 != 0)) {
-                let (kept, kept_peak) = pass(lean, ckpt, pde, false);
-                let (consumed, consumed_peak) = pass(lean, ckpt, pde, true);
-                prop_assert!(
-                    consumed == kept,
-                    "backward differs from grad (lean {}, ckpt {}, pde {})", lean, ckpt, pde
-                );
-                if pde {
+            for lean in [true, false] {
+                for loss in [Loss::Data, Loss::Pde, Loss::Oracle] {
+                    let (kept, kept_peak, _) = pass(lean, loss, false);
+                    let (consumed, consumed_peak, _) = pass(lean, loss, true);
                     prop_assert!(
-                        consumed_peak < kept_peak,
-                        "PDE peak {} not below grad's {} (lean {}, ckpt {})",
-                        consumed_peak, kept_peak, lean, ckpt
+                        consumed == kept,
+                        "backward differs from grad (lean {}, {:?})", lean, loss
                     );
+                    if loss != Loss::Data {
+                        prop_assert!(
+                            consumed_peak < kept_peak,
+                            "PDE peak {} not below grad's {} (lean {}, {:?})",
+                            consumed_peak, kept_peak, lean, loss
+                        );
+                    }
+                }
+                for consume in [false, true] {
+                    let (evicting, peak, recorded) = pass(lean, Loss::Pde, consume);
+                    let (oracle, oracle_peak, oracle_recorded) = pass(lean, Loss::Oracle, consume);
+                    prop_assert!(
+                        evicting == oracle,
+                        "eviction changed a gradient (lean {}, consume {})", lean, consume
+                    );
+                    prop_assert!(peak <= oracle_peak, "lean {}, consume {}", lean, consume);
+                    prop_assert_eq!(recorded, oracle_recorded, "lean {}, consume {}", lean, consume);
                 }
             }
-            for ckpt in [false, true] {
-                set_checkpointed_segments(ckpt);
-                let _ = local_gradients(&net, &batch, pde_weight);
-                let (data, pde, warm) = local_gradients(&net, &batch, pde_weight);
-                set_checkpointed_segments(false);
-                prop_assert_eq!((warm.pool_misses, warm.heap_allocs), (0, 0), "ckpt {}", ckpt);
-                prop_assert!(bits(&data) == pass(true, ckpt, false, false).0, "data, ckpt {}", ckpt);
-                prop_assert!(bits(&pde) == pass(true, ckpt, true, false).0, "pde, ckpt {}", ckpt);
-            }
+            let _ = local_gradients(&net, &batch, pde_weight);
+            let (data, pde, warm) = local_gradients(&net, &batch, pde_weight);
+            prop_assert_eq!((warm.pool_misses, warm.heap_allocs), (0, 0));
+            prop_assert!(bits(&data) == pass(true, Loss::Data, false).0, "data");
+            prop_assert!(bits(&pde) == pass(true, Loss::Oracle, false).0, "pde");
         });
     }
 }
