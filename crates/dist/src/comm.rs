@@ -4,6 +4,15 @@
 //! deduplicate and reorder, lost messages are recovered from a
 //! retransmit log, and rank death surfaces as a typed error instead of a
 //! deadlock.
+//!
+//! Delivery has one path. Every arriving transmission — off the channel,
+//! matured from an injected delay, or replayed from the retransmit log —
+//! goes through `accept` (ack, dedup, reorder, tombstone) into the
+//! `pending` buffer, and every receive is one loop that ends by taking
+//! the first matching message out of `pending`. The loop blocks
+//! ([`Communicator::recv`], [`Communicator::wait`]) or runs to a
+//! deadline ([`Communicator::wait_deadline`]); only the blocking form
+//! replays the log.
 
 use crate::fault::{
     lock_robust, ClusterError, CommError, FaultBarrier, FaultCounters, FaultPlan, FaultState,
@@ -41,38 +50,13 @@ struct Message {
     deliver_at: Option<Instant>,
 }
 
-/// Poll-able handle to a non-blocking send posted with
-/// [`Communicator::isend`]. Completion means the receiver acknowledged
-/// the transmission (it left the retransmit log); the send buffer is
-/// copied at post time, so the caller never has to wait before reusing
-/// its data.
-#[derive(Clone, Copy, Debug)]
-pub struct SendHandle {
-    dst: usize,
-    seq: u64,
-}
-
-/// Poll-able handle to a non-blocking receive posted with
-/// [`Communicator::irecv`]. Complete it with
-/// [`Communicator::try_complete`] (non-blocking),
-/// [`Communicator::wait`] (blocking), or
+/// A receive posted by [`Communicator::exchange_start`], one per peer.
+/// Complete it with [`Communicator::wait`] (blocking) or
 /// [`Communicator::wait_deadline`] (bounded).
 #[derive(Clone, Copy, Debug)]
 pub struct RecvHandle {
     src: usize,
     tag: u64,
-}
-
-impl RecvHandle {
-    /// Source rank this receive was posted against.
-    pub fn src(&self) -> usize {
-        self.src
-    }
-
-    /// Tag this receive was posted against.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
 }
 
 /// Per-source reorder window: messages are handed to tag matching in
@@ -114,8 +98,7 @@ pub struct CommStats {
 ///
 /// All recording goes through these; [`Communicator::stats`] is a *view*
 /// over the registry (current thread-local values minus the baseline
-/// captured when the rank thread started or at the last
-/// [`Communicator::reset_stats`]).
+/// captured when the rank thread started).
 #[derive(Clone)]
 struct CommCounters {
     msgs_sent: Counter,
@@ -173,8 +156,8 @@ pub struct Communicator {
     immature: Vec<Message>,
     counters: CommCounters,
     fcounters: FaultCounters,
-    /// Registry values at thread start / last `reset_stats`; `stats()`
-    /// reports the delta since then.
+    /// Registry values at thread start; `stats()` reports the delta since
+    /// then.
     baseline: CommStats,
     /// Shared scratch for [`align_clocks`](Self::align_clocks): one slot
     /// per rank, written between two barriers. Deliberately *not* a link
@@ -338,17 +321,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How long a receive is allowed to wait.
-enum WaitMode {
-    /// Wait indefinitely (lossless) or until the retry budget is spent
-    /// (lossy plan), recovering dropped messages from the retransmit log.
-    Block,
-    /// Wait until the deadline only, with no retransmission — the
-    /// degraded-halo path: if the data is not there in time, the caller
-    /// uses stale values instead.
-    Deadline(Instant),
-}
-
 impl Communicator {
     /// This rank's id in `0..size`.
     pub fn rank(&self) -> usize {
@@ -360,9 +332,8 @@ impl Communicator {
         self.size
     }
 
-    /// Counters accumulated since the rank thread started (or the last
-    /// [`reset_stats`](Self::reset_stats)). This is a view over the
-    /// `mf-telemetry` registry for the calling thread.
+    /// Counters accumulated since the rank thread started. This is a view
+    /// over the `mf-telemetry` registry for the calling thread.
     pub fn stats(&self) -> CommStats {
         let raw = self.counters.raw();
         CommStats {
@@ -374,61 +345,15 @@ impl Communicator {
         }
     }
 
-    /// Reset the counters (e.g. after warmup iterations). The underlying
-    /// telemetry registry is monotone; this only moves the baseline that
-    /// [`stats`](Self::stats) subtracts.
-    pub fn reset_stats(&mut self) {
-        self.baseline = self.counters.raw();
-    }
-
-    fn count_sent(&self, bytes: usize, t0: Instant) {
-        self.counters.msgs_sent.incr();
-        self.counters.bytes_sent.add(bytes as u64);
-        self.counters.comm_seconds.add(t0.elapsed().as_secs_f64());
-    }
-
-    /// Send `payload` to `dst` with a user tag. Non-blocking (buffered).
+    /// Send `payload` to `dst` with a user tag. Non-blocking (buffered):
+    /// injected delays are imposed on the *receiver* side (the message
+    /// matures in flight), so a send never waits.
     ///
     /// Under an active [`FaultPlan`] the transmission may be dropped,
     /// duplicated, or delayed; the message is always appended to the
     /// link's retransmit log first, so a receiver can recover it. Counted
     /// once as a logical send regardless of injected faults.
     pub fn send(&mut self, dst: usize, tag: u64, payload: &[f64]) {
-        let _ = self.send_internal(dst, tag, payload);
-    }
-
-    /// Non-blocking send returning a poll-able [`SendHandle`].
-    ///
-    /// The wire protocol is identical to [`send`](Self::send) — sends are
-    /// buffered and injected delays are imposed on the *receiver* side
-    /// (the message matures in flight), so posting a send never blocks
-    /// the caller. The handle exposes delivery state:
-    /// [`send_complete`](Self::send_complete) turns true once the
-    /// receiver has acknowledged the transmission.
-    pub fn isend(&mut self, dst: usize, tag: u64, payload: &[f64]) -> SendHandle {
-        let seq = self.send_internal(dst, tag, payload);
-        SendHandle { dst, seq }
-    }
-
-    /// Whether the transmission behind `h` has been acknowledged by its
-    /// receiver (i.e. left the retransmit log).
-    pub fn send_complete(&self, h: &SendHandle) -> bool {
-        !self
-            .faults
-            .link(self.rank, h.dst, self.size)
-            .unacked
-            .contains_key(&h.seq)
-    }
-
-    /// Post a receive for `(src, tag)` without blocking. Completion is
-    /// polled with [`try_complete`](Self::try_complete) or awaited with
-    /// [`wait`](Self::wait) / [`wait_deadline`](Self::wait_deadline).
-    pub fn irecv(&mut self, src: usize, tag: u64) -> RecvHandle {
-        assert!(src < self.size, "irecv: source {src} out of range");
-        RecvHandle { src, tag }
-    }
-
-    fn send_internal(&mut self, dst: usize, tag: u64, payload: &[f64]) -> u64 {
         assert!(dst < self.size, "send: destination {dst} out of range");
         let t0 = Instant::now();
         if let Some(crash) = self.faults.plan.crash {
@@ -476,7 +401,7 @@ impl Communicator {
         flow("comm.send", fid, FlowPhase::Start, payload.len() * 8);
         // Injected delays are imposed at the *receiver*: the message is
         // stamped with a maturity instant and held on arrival, so the
-        // sender never blocks (a requirement for isend-based overlap).
+        // sender never blocks (a requirement for overlapped halos).
         let deliver_at = match delay_us {
             Some(us) if us > 0 => {
                 self.fcounters.delayed.incr();
@@ -500,40 +425,30 @@ impl Communicator {
             }
             let _ = self.senders[dst].send(msg);
         }
-        self.count_sent(payload.len() * 8, t0);
-        seq
+        self.counters.msgs_sent.incr();
+        self.counters.bytes_sent.add((payload.len() * 8) as u64);
+        self.counters.comm_seconds.add(t0.elapsed().as_secs_f64());
     }
 
-    /// Acknowledge, deduplicate, and reorder one arriving transmission,
-    /// returning the messages that became deliverable (in `seq` order).
-    fn accept(&mut self, m: Message) -> Vec<Message> {
+    /// Acknowledge, deduplicate, and reorder one arriving transmission —
+    /// pulled off the channel, matured from an injected delay, or replayed
+    /// from the retransmit log — and append every message it makes
+    /// deliverable to `pending`, in `seq` order.
+    fn accept(&mut self, m: Message) {
         let src = m.src;
         // Ack: the transmission reached us, drop it from the sender's
         // retransmit log whether or not it turns out to be a duplicate.
         lock_robust(&self.faults.links[src * self.size + self.rank])
             .unacked
             .remove(&m.seq);
-        let duplicate = {
-            let ro = &self.reorder[src];
-            m.seq < ro.next || ro.held.contains_key(&m.seq)
-        };
-        if duplicate {
+        let ro = &mut self.reorder[src];
+        if m.seq < ro.next || ro.held.contains_key(&m.seq) {
             self.fcounters.dedup_discarded.incr();
-            return Vec::new();
+            return;
         }
-        self.reorder[src].held.insert(m.seq, m);
-        let mut out = Vec::new();
-        loop {
-            let msg = {
-                let ro = &mut self.reorder[src];
-                match ro.held.remove(&ro.next) {
-                    Some(m) => {
-                        ro.next += 1;
-                        m
-                    }
-                    None => break,
-                }
-            };
+        ro.held.insert(m.seq, m);
+        while let Some(msg) = ro.held.remove(&ro.next) {
+            ro.next += 1;
             if self.tombstones.contains(&(src, msg.tag)) {
                 continue;
             }
@@ -544,15 +459,13 @@ impl Communicator {
             // this rank's receive.
             let fid = flow_id(src, self.rank, msg.seq);
             flow("comm.recv", fid, FlowPhase::Finish, msg.payload.len() * 8);
-            out.push(msg);
+            self.pending.push(msg);
         }
-        out
     }
 
     /// Replay the src→me retransmit log through the accept path (dedup
-    /// makes this idempotent), returning the payload if the wanted
-    /// message was among the recovered ones.
-    fn replay_unacked(&mut self, src: usize, tag: u64) -> Option<Vec<f64>> {
+    /// makes this idempotent).
+    fn replay_unacked(&mut self, src: usize) {
         let entries: Vec<Message> = {
             let link = self.faults.link(src, self.rank, self.size);
             link.unacked
@@ -566,47 +479,24 @@ impl Communicator {
                 })
                 .collect()
         };
-        let mut found = None;
         for m in entries {
-            for m in self.accept(m) {
-                if found.is_none() && m.src == src && m.tag == tag {
-                    found = Some(m.payload);
-                } else {
-                    self.pending.push(m);
-                }
-            }
+            self.accept(m);
         }
-        found
     }
 
     /// Move delay-injected messages whose maturity instant has passed
-    /// through the accept path. Returns the payload if one of them
-    /// matches `(src, tag)`; the rest land in the out-of-order buffer.
-    fn deliver_matured(&mut self, src: usize, tag: u64) -> Option<Vec<f64>> {
-        if self.immature.is_empty() {
-            return None;
-        }
+    /// through the accept path. Returns whether any had.
+    fn deliver_matured(&mut self) -> bool {
         let now = Instant::now();
-        let mut matured = Vec::new();
-        let mut i = 0;
-        while i < self.immature.len() {
-            if self.immature[i].deliver_at.is_none_or(|at| at <= now) {
-                matured.push(self.immature.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        let mut found = None;
+        let matured: Vec<Message> = self
+            .immature
+            .extract_if(.., |m| m.deliver_at.is_none_or(|at| at <= now))
+            .collect();
+        let any = !matured.is_empty();
         for m in matured {
-            for m in self.accept(m) {
-                if found.is_none() && m.src == src && m.tag == tag {
-                    found = Some(m.payload);
-                } else {
-                    self.pending.push(m);
-                }
-            }
+            self.accept(m);
         }
-        found
+        any
     }
 
     /// Time until the earliest held delay-injected message matures.
@@ -619,66 +509,59 @@ impl Communicator {
             .min()
     }
 
-    fn recv_inner(&mut self, src: usize, tag: u64, mode: WaitMode) -> Result<Vec<f64>, CommError> {
-        // Check the out-of-order buffer first. `remove` (not
-        // `swap_remove`): the buffer may hold several messages with the
-        // same (src, tag) when a peer runs a collective ahead, and they
-        // must keep arriving in seq order.
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|m| m.src == src && m.tag == tag)
-        {
-            return Ok(self.pending.remove(pos).payload);
-        }
-        let lossy = self.faults.plan.is_lossy();
+    /// The one receive path: take the first `(src, tag)` message out of
+    /// `pending`, feeding `pending` from matured delays and the channel
+    /// until one is there. Without a `timeout` a lossy plan replays the
+    /// retransmit log each retry round until the budget is spent; with
+    /// one the wait ends at the deadline and nothing is replayed (the
+    /// degraded-halo path: a late slot keeps its stale values). A failed
+    /// rank ends either wait.
+    fn receive(
+        &mut self,
+        src: usize,
+        tag: u64,
+        timeout: Option<Duration>,
+    ) -> Result<Vec<f64>, CommError> {
+        let t0 = Instant::now();
+        let deadline = timeout.map(|t| t0 + t);
         let retry = self.faults.plan.retry;
+        let replays = deadline.is_none() && self.faults.plan.is_lossy();
         let mut retries = 0usize;
-        let mut round_deadline = Instant::now() + retry.timeout;
-        loop {
-            // Injected-delay maturities first: a held message whose
-            // in-flight time has elapsed must be delivered before we
-            // sleep on the channel again.
-            if let Some(payload) = self.deliver_matured(src, tag) {
-                return Ok(payload);
+        let mut round_deadline = t0 + retry.timeout;
+        let result = loop {
+            // `remove` (not `swap_remove`): the buffer may hold several
+            // messages with the same (src, tag) when a peer runs a
+            // collective ahead, and they must keep arriving in seq order.
+            if let Some(pos) = self
+                .pending
+                .iter()
+                .position(|m| m.src == src && m.tag == tag)
+            {
+                break Ok(self.pending.remove(pos).payload);
             }
-            let wait = match mode {
-                WaitMode::Block => TICK,
-                WaitMode::Deadline(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        self.fcounters.timeouts.incr();
-                        mf_observe::record("comm.timeout", src as u64, 0.0);
-                        mf_telemetry::log!(Error, "comm.timeout", src = src, tag = tag);
-                        return Err(CommError::Timeout { src, tag, retries });
-                    }
-                    TICK.min(d - now)
+            // A held message whose in-flight time has elapsed is delivered
+            // before we sleep on the channel again.
+            if self.deliver_matured() {
+                continue;
+            }
+            let mut wait = TICK;
+            if let Some(d) = deadline {
+                let now = Instant::now();
+                if now >= d {
+                    break Err(self.timed_out(src, tag, retries));
                 }
-            };
-            let wait = match self.next_maturity() {
-                Some(d) => wait.min(d),
-                None => wait,
-            };
+                wait = wait.min(d - now);
+            }
+            if let Some(d) = self.next_maturity() {
+                wait = wait.min(d);
+            }
             match self.receiver.recv_timeout(wait) {
-                Ok(m) => {
-                    // A delay-injected message that is still "on the
-                    // wire": hold it unacknowledged until it matures.
-                    if m.deliver_at.is_some_and(|at| Instant::now() < at) {
-                        self.immature.push(m);
-                        continue;
-                    }
-                    let mut found = None;
-                    for m in self.accept(m) {
-                        if found.is_none() && m.src == src && m.tag == tag {
-                            found = Some(m.payload);
-                        } else {
-                            self.pending.push(m);
-                        }
-                    }
-                    if let Some(payload) = found {
-                        return Ok(payload);
-                    }
+                // A delay-injected message that is still "on the wire" is
+                // held unacknowledged until it matures.
+                Ok(m) if m.deliver_at.is_some_and(|at| Instant::now() < at) => {
+                    self.immature.push(m)
                 }
+                Ok(m) => self.accept(m),
                 Err(_) => {
                     // Idle tick (disconnection is unreachable while we hold
                     // a sender to ourselves): poll the failure flags, then
@@ -686,21 +569,11 @@ impl Communicator {
                     if let Some(rank) = self.faults.any_failed() {
                         mf_observe::record("comm.rank_failed", rank as u64, 0.0);
                         mf_telemetry::log!(Error, "comm.rank_failed", rank = rank);
-                        return Err(CommError::RankFailed { rank });
+                        break Err(CommError::RankFailed { rank });
                     }
-                    if lossy && matches!(mode, WaitMode::Block) && Instant::now() >= round_deadline
-                    {
+                    if replays && Instant::now() >= round_deadline {
                         if retries >= retry.max_retries {
-                            self.fcounters.timeouts.incr();
-                            mf_observe::record("comm.timeout", src as u64, retries as f64);
-                            mf_telemetry::log!(
-                                Error,
-                                "comm.retry_budget_exhausted",
-                                src = src,
-                                tag = tag,
-                                retries = retries
-                            );
-                            return Err(CommError::Timeout { src, tag, retries });
+                            break Err(self.timed_out(src, tag, retries));
                         }
                         retries += 1;
                         self.fcounters.retries.incr();
@@ -711,21 +584,28 @@ impl Communicator {
                             tag = tag,
                             attempt = retries
                         );
-                        if let Some(payload) = self.replay_unacked(src, tag) {
-                            mf_telemetry::log!(
-                                Debug,
-                                "comm.replay_recovered",
-                                src = src,
-                                tag = tag,
-                                attempt = retries
-                            );
-                            return Ok(payload);
-                        }
+                        self.replay_unacked(src);
                         round_deadline = Instant::now() + retry.timeout;
                     }
                 }
             }
-        }
+        };
+        self.counters.comm_seconds.add(t0.elapsed().as_secs_f64());
+        result
+    }
+
+    /// Count and report a receive that gave up waiting for `(src, tag)`.
+    fn timed_out(&self, src: usize, tag: u64, retries: usize) -> CommError {
+        self.fcounters.timeouts.incr();
+        mf_observe::record("comm.timeout", src as u64, retries as f64);
+        mf_telemetry::log!(
+            Error,
+            "comm.timeout",
+            src = src,
+            tag = tag,
+            retries = retries
+        );
+        CommError::Timeout { src, tag, retries }
     }
 
     /// Blocking receive of the message with the given source and tag.
@@ -744,50 +624,7 @@ impl Communicator {
     /// message still missing after the retry budget yields
     /// [`CommError::Timeout`].
     pub fn recv_result(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        let t0 = Instant::now();
-        let result = self.recv_inner(src, tag, WaitMode::Block);
-        self.counters.comm_seconds.add(t0.elapsed().as_secs_f64());
-        result
-    }
-
-    /// Receive with an explicit deadline and *no* retransmission: if the
-    /// message has not arrived when `timeout` expires, returns
-    /// [`CommError::Timeout`] and leaves recovery policy to the caller.
-    /// The slot is not tombstoned; a later identical `recv` can still
-    /// match the message.
-    pub fn recv_timeout(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Duration,
-    ) -> Result<Vec<f64>, CommError> {
-        let t0 = Instant::now();
-        let result = self.recv_inner(src, tag, WaitMode::Deadline(t0 + timeout));
-        self.counters.comm_seconds.add(t0.elapsed().as_secs_f64());
-        result
-    }
-
-    /// Non-blocking completion attempt for a posted receive: matures any
-    /// held delay-injected messages, drains whatever is already queued on
-    /// the channel, then checks the out-of-order buffer. Returns `None`
-    /// if the message has not arrived yet.
-    pub fn try_complete(&mut self, h: &RecvHandle) -> Option<Vec<f64>> {
-        if let Some(payload) = self.deliver_matured(h.src, h.tag) {
-            return Some(payload);
-        }
-        while let Some(m) = self.receiver.try_recv() {
-            if m.deliver_at.is_some_and(|at| Instant::now() < at) {
-                self.immature.push(m);
-                continue;
-            }
-            let deliverable = self.accept(m);
-            self.pending.extend(deliverable);
-        }
-        let pos = self
-            .pending
-            .iter()
-            .position(|m| m.src == h.src && m.tag == h.tag)?;
-        Some(self.pending.remove(pos).payload)
+        self.receive(src, tag, None)
     }
 
     /// Block until the receive behind `h` completes. Identical semantics
@@ -799,29 +636,21 @@ impl Communicator {
     /// Complete the receive behind `h` under a deadline with *no*
     /// retransmission — the degraded mode of the distributed MFP (§6.3).
     /// On timeout the `(src, tag)` slot is tombstoned: a late arrival is
-    /// discarded, never delivered to a future iteration, and the caller
-    /// reuses stale halo values instead. The tag must be unique per
-    /// exchange round for tombstoning to be sound — the MFP uses its
-    /// iteration index.
+    /// acknowledged and discarded, never delivered to a future iteration,
+    /// and the caller reuses stale halo values instead. The tag must be
+    /// unique per exchange round for tombstoning to be sound — the MFP
+    /// uses its iteration index.
     pub fn wait_deadline(
         &mut self,
         h: &RecvHandle,
         timeout: Duration,
     ) -> Result<Vec<f64>, CommError> {
-        let t0 = Instant::now();
-        let result = self.recv_inner(h.src, h.tag, WaitMode::Deadline(t0 + timeout));
+        let result = self.receive(h.src, h.tag, Some(timeout));
         if matches!(result, Err(CommError::Timeout { .. })) {
-            self.tombstone(h.src, h.tag);
+            // `pending` holds no match, or the receive would have taken it.
+            self.tombstones.insert((h.src, h.tag));
         }
-        self.counters.comm_seconds.add(t0.elapsed().as_secs_f64());
         result
-    }
-
-    /// Abandon the `(src, tag)` receive slot: any queued or future
-    /// arrival with this pair is acknowledged and discarded.
-    fn tombstone(&mut self, src: usize, tag: u64) {
-        self.tombstones.insert((src, tag));
-        self.pending.retain(|m| !(m.src == src && m.tag == tag));
     }
 
     /// Synchronize all ranks. Panics with the failed rank id if a rank
@@ -858,10 +687,11 @@ impl Communicator {
         offset_us
     }
 
-    /// Exchange buffers with a set of peers: send to every peer, then
-    /// receive one buffer from each. This is the halo-exchange primitive
-    /// of the distributed MFP (§4.2). Sends complete before any receive
-    /// blocks, so the pattern is deadlock-free.
+    /// Exchange buffers with a set of peers:
+    /// [`exchange_start`](Self::exchange_start), then [`wait`](Self::wait)
+    /// on each handle. This is the halo-exchange primitive of the
+    /// distributed MFP (§4.2). Sends complete before any receive blocks,
+    /// so the pattern is deadlock-free.
     pub fn exchange(&mut self, outgoing: &[(usize, Vec<f64>)], tag: u64) -> Vec<(usize, Vec<f64>)> {
         let bytes: usize = outgoing.iter().map(|(_, p)| p.len() * 8).sum();
         span!(
@@ -869,34 +699,24 @@ impl Communicator {
             peers = outgoing.len() as f64,
             bytes = bytes as f64
         );
-        self.counters.exchange_bytes.record(bytes as f64);
-        {
-            mf_profile::zone!("halo_send");
-            for (dst, payload) in outgoing {
-                self.send(*dst, tag, payload);
-            }
-        }
-        mf_profile::zone!("halo_recv");
-        outgoing
-            .iter()
-            .map(|(peer, _)| (*peer, self.recv(*peer, tag)))
-            .collect()
+        let handles = self.exchange_start(outgoing, tag);
+        mf_profile::zone!("halo_wait");
+        handles.iter().map(|h| (h.src, self.wait(h))).collect()
     }
 
-    /// Asynchronous counterpart of [`exchange`](Self::exchange): post
-    /// every halo send without blocking and return one [`RecvHandle`] per
-    /// peer. The caller overlaps computation with the in-flight halos and
-    /// completes each handle with [`try_complete`](Self::try_complete),
-    /// [`wait`](Self::wait), or [`wait_deadline`](Self::wait_deadline).
+    /// Post every halo send without blocking and return one
+    /// [`RecvHandle`] per peer, in `outgoing` order. The caller overlaps
+    /// computation with the in-flight halos and completes each handle
+    /// with [`wait`](Self::wait) or [`wait_deadline`](Self::wait_deadline).
     pub fn exchange_start(&mut self, outgoing: &[(usize, Vec<f64>)], tag: u64) -> Vec<RecvHandle> {
         let bytes: usize = outgoing.iter().map(|(_, p)| p.len() * 8).sum();
         self.counters.exchange_bytes.record(bytes as f64);
         mf_profile::zone!("halo_send");
         outgoing
             .iter()
-            .map(|(dst, payload)| {
-                let _ = self.isend(*dst, tag, payload);
-                self.irecv(*dst, tag)
+            .map(|(peer, payload)| {
+                self.send(*peer, tag, payload);
+                RecvHandle { src: *peer, tag }
             })
             .collect()
     }
@@ -1214,35 +1034,6 @@ impl Communicator {
             mask >>= 1;
         }
     }
-
-    /// Reduce-sum `buf` onto `root` (other ranks' buffers are left as
-    /// their partial sums; only the root holds the total).
-    pub fn reduce_sum_to(&mut self, root: usize, buf: &mut [f64]) {
-        assert!(root < self.size, "reduce_sum_to: root {root} out of range");
-        let p = self.size;
-        if p == 1 {
-            return;
-        }
-        let vrank = (self.rank + p - root) % p;
-        let mut mask = 1usize;
-        while mask < p {
-            if vrank & mask != 0 {
-                let dst = (vrank - mask + root) % p;
-                self.send(dst, TAG_REDUCE, buf);
-                return;
-            } else {
-                let vsrc = vrank | mask;
-                if vsrc < p {
-                    let src = (vsrc + root) % p;
-                    let incoming = self.recv(src, TAG_REDUCE);
-                    for (a, b) in buf.iter_mut().zip(incoming) {
-                        *a += b;
-                    }
-                }
-            }
-            mask <<= 1;
-        }
-    }
 }
 
 /// Buffers of at most this many elements take the recursive-doubling
@@ -1266,7 +1057,6 @@ pub const TREE_NODE_SIZE: usize = 8;
 
 const TAG_ALLGATHER: u64 = u64::MAX - 1;
 const TAG_BCAST: u64 = u64::MAX - 2;
-const TAG_REDUCE: u64 = u64::MAX - 3;
 const TAG_RD_FOLD: u64 = u64::MAX - 4;
 const TAG_RD_UNFOLD: u64 = u64::MAX - 5;
 const TAG_TREE_GATHER: u64 = u64::MAX - 6;
@@ -1485,34 +1275,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sum_collects_on_root() {
-        for root in [0usize, 2] {
-            let outs = Cluster::run(4, move |c| {
-                let mut buf = vec![c.rank() as f64 + 1.0; 3];
-                c.reduce_sum_to(root, &mut buf);
-                (c.rank(), buf)
-            });
-            let (_, root_buf) = outs.iter().find(|(r, _)| *r == root).unwrap();
-            assert_eq!(root_buf, &vec![10.0; 3], "root {root}");
-        }
-    }
-
-    #[test]
-    fn reduce_then_broadcast_equals_allreduce() {
-        let outs = Cluster::run(6, |c| {
-            let mut a = vec![c.rank() as f64; 4];
-            c.reduce_sum_to(0, &mut a);
-            c.broadcast(0, &mut a);
-            let mut b = vec![c.rank() as f64; 4];
-            c.allreduce_sum(&mut b);
-            (a, b)
-        });
-        for (a, b) in outs {
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
     fn allreduce_with_fewer_elements_than_ranks() {
         let outs = Cluster::run(6, |c| {
             let mut buf = vec![1.0, 2.0];
@@ -1633,28 +1395,6 @@ mod tests {
                 (s.msgs_sent, s.bytes_sent, s.msgs_recv, s.bytes_recv),
                 (1, 24, 1, 24)
             );
-        }
-    }
-
-    #[test]
-    fn reset_stats_zeroes_the_view() {
-        let outs = Cluster::run(2, |c| {
-            let peer = 1 - c.rank();
-            c.send(peer, 1, &[0.0; 4]);
-            let _ = c.recv(peer, 1);
-            let before = c.stats();
-            c.reset_stats();
-            let zeroed = c.stats();
-            c.send(peer, 2, &[0.0; 2]);
-            let _ = c.recv(peer, 2);
-            (before, zeroed, c.stats())
-        });
-        for (before, zeroed, after) in outs {
-            assert_eq!((before.msgs_sent, before.bytes_sent), (1, 32));
-            assert_eq!((before.msgs_recv, before.bytes_recv), (1, 32));
-            assert_eq!(zeroed, CommStats::default());
-            assert_eq!((after.msgs_sent, after.bytes_sent), (1, 16));
-            assert_eq!((after.msgs_recv, after.bytes_recv), (1, 16));
         }
     }
 
@@ -1836,30 +1576,6 @@ mod tests {
         // 56 member gathers + 56 leader fan-outs + 7 leader-reduce +
         // 7 leader-broadcast = 126 — well under rd's 64·log₂64 = 384.
         assert_eq!(total_msgs, 126);
-    }
-
-    #[test]
-    fn isend_irecv_roundtrip_with_polling() {
-        let outs = Cluster::run(2, |c| {
-            if c.rank() == 0 {
-                let h = c.isend(1, 7, &[1.0, 2.0]);
-                let t0 = Instant::now();
-                while !c.send_complete(&h) {
-                    assert!(t0.elapsed() < Duration::from_secs(5), "ack never arrived");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Vec::new()
-            } else {
-                let h = c.irecv(0, 7);
-                loop {
-                    if let Some(p) = c.try_complete(&h) {
-                        break p;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        });
-        assert_eq!(outs[1], vec![1.0, 2.0]);
     }
 
     #[test]

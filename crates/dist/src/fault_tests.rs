@@ -225,25 +225,6 @@ fn wait_deadline_times_out_then_tombstones_the_slot() {
     assert_eq!(outs[1].1, vec![2.0]);
 }
 
-#[test]
-fn recv_timeout_is_soft_late_message_still_matches() {
-    let outs = Cluster::try_run(2, FaultPlan::none(), |c| {
-        if c.rank() == 0 {
-            std::thread::sleep(Duration::from_millis(60));
-            c.send(1, 3, &[4.0]);
-            Vec::new()
-        } else {
-            // First attempt times out; unlike wait_deadline, the slot
-            // is not tombstoned, so a retry sees the late arrival.
-            let first = c.recv_timeout(0, 3, Duration::from_millis(5));
-            assert!(first.is_err(), "{first:?}");
-            c.recv(0, 3)
-        }
-    })
-    .unwrap();
-    assert_eq!(outs[1], vec![4.0]);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -278,37 +259,54 @@ proptest! {
         }
     }
 
-    /// Under drops and duplication, retried point-to-point delivery is
-    /// exactly-once and in order, for any seed.
+    /// Under drops, duplication and delays, retried point-to-point
+    /// delivery is exactly-once and in send order per tag, for any seed
+    /// and any receive order: matured, replayed and duplicated arrivals
+    /// all reach the receive through the one pending buffer.
     #[test]
     fn lossy_p2p_delivery_is_exactly_once(
         seed in 0u64..500,
         drop_pm in 0usize..350,
         dup_pm in 0usize..350,
+        delay_pm in 0usize..350,
+        perm_seed in 0u64..1000,
     ) {
-        let n_msgs = 20u64;
+        // Message i carries tag i % n_tags, so every tag has several.
+        let (n_msgs, n_tags) = (20u64, 5u64);
         let plan = FaultPlan {
             seed,
             drop_rate: drop_pm as f64 / 1000.0,
             dup_rate: dup_pm as f64 / 1000.0,
+            delay_rate: delay_pm as f64 / 1000.0,
+            delay_max_us: 2_000,
             retry: fast_retry(),
             ..FaultPlan::none()
         };
         let outs = Cluster::try_run(2, plan, move |c| {
             if c.rank() == 0 {
                 for i in 0..n_msgs {
-                    c.send(1, i, &[i as f64, i as f64 * 2.0]);
+                    c.send(1, i % n_tags, &[i as f64, i as f64 * 2.0]);
                 }
                 (Vec::new(), 0)
             } else {
-                let got: Vec<Vec<f64>> =
-                    (0..n_msgs).map(|i| c.recv(0, i)).collect();
+                // Receive the tags in a random order.
+                let mut order: Vec<u64> = (0..n_msgs).map(|i| i % n_tags).collect();
+                let mut rng = ChaCha8Rng::seed_from_u64(perm_seed);
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                let got: Vec<(u64, Vec<f64>)> =
+                    order.into_iter().map(|t| (t, c.recv(0, t))).collect();
                 (got, c.stats().msgs_recv)
             }
         }).unwrap();
         let (got, msgs_recv) = &outs[1];
-        for (i, m) in got.iter().enumerate() {
-            prop_assert_eq!(m, &vec![i as f64, i as f64 * 2.0]);
+        // The k-th receive of tag t gets message t + k·n_tags.
+        let mut taken = vec![0u64; n_tags as usize];
+        for (t, m) in got {
+            let i = (t + taken[*t as usize] * n_tags) as f64;
+            taken[*t as usize] += 1;
+            prop_assert_eq!(m, &vec![i, i * 2.0]);
         }
         // Logical receive count: one per sent message, despite dups and
         // retransmits.

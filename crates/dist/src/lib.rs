@@ -13,9 +13,12 @@
 //!   ranks' own metrics snapshots when they return, without a message,
 //! * point-to-point [`Communicator::send`]/[`Communicator::recv`] with
 //!   tags and out-of-order buffering (MPI semantics),
-//! * collectives: ring [`Communicator::allreduce_sum`] (reduce-scatter +
-//!   allgather, the same algorithm NCCL/MPI use), [`Communicator::allgather`],
-//!   [`Communicator::barrier`],
+//! * the halo exchange of Algorithm 2: [`Communicator::exchange_start`]
+//!   posts the sends, and [`Communicator::wait`] (or, in degraded mode,
+//!   [`Communicator::wait_deadline`]) completes each receive,
+//! * collectives: [`Communicator::allreduce_sum`] (ring, recursive
+//!   doubling or tree by size), [`Communicator::allgather`],
+//!   [`Communicator::broadcast`], [`Communicator::barrier`],
 //! * [`CartesianGrid`] — the 2-D processor grid of §4.2 with row-scan or
 //!   Morton rank placement and 8-neighbor stencils,
 //! * [`CommStats`] counters and the [`PerfModel`] alpha–beta model of
@@ -38,8 +41,8 @@ mod stress_tests;
 mod topology;
 
 pub use comm::{
-    Cluster, CommStats, Communicator, RecvHandle, SendHandle, ALLREDUCE_RD_MAX_ELEMS,
-    TREE_MIN_RANKS, TREE_NODE_SIZE,
+    Cluster, CommStats, Communicator, RecvHandle, ALLREDUCE_RD_MAX_ELEMS, TREE_MIN_RANKS,
+    TREE_NODE_SIZE,
 };
 pub use fault::{ClusterError, CommError, CrashAt, FaultPlan, RetryPolicy};
 pub use overlap::{OverlapSample, OverlapTracker};

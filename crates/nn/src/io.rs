@@ -14,6 +14,14 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MFSDNET1";
 
+/// Largest boundary length, channel count, kernel or hidden width a model
+/// file may declare.
+const MAX_WIDTH: usize = 1 << 16;
+
+/// Largest scalar parameter count a model file may declare: 2²⁶ ≈ 64M
+/// (512 MiB of `f64`), the same cap a single stored tensor has.
+const MAX_PARAMS: usize = 1 << 26;
+
 pub mod wire {
     //! Little-endian wire primitives of the model format, exposed so
     //! other crates (the trainer's checkpoint format, notably) can share
@@ -137,10 +145,13 @@ impl SdNet {
 
     /// Deserialize a network saved with [`SdNet::save_to`].
     ///
-    /// The architecture is rebuilt from the stored config (with a dummy
-    /// RNG — every parameter is then overwritten by the stored values),
-    /// and the parameter list is validated name-by-name and
-    /// shape-by-shape.
+    /// The stored config is checked before anything is built — every
+    /// width in range, an odd kernel, a positive finite `coord_extent` and
+    /// at most 2²⁶ declared parameters — so a corrupt file is an
+    /// `InvalidData` error, never an assert or a huge allocation. The
+    /// architecture is then rebuilt (with a dummy RNG — every parameter is
+    /// overwritten by the stored values), and the parameter list is
+    /// validated name-by-name and shape-by-shape.
     pub fn load_from(r: &mut impl Read) -> io::Result<SdNet> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -191,6 +202,7 @@ impl SdNet {
             coord_extent,
             coord_fourier,
         };
+        check_architecture(&config)?;
         use rand::SeedableRng;
         let mut net = SdNet::new(config, &mut rand_chacha::ChaCha8Rng::seed_from_u64(0));
 
@@ -235,6 +247,51 @@ impl SdNet {
     }
 }
 
+/// Refuse a declared architecture that [`SdNet::new`] would assert on or
+/// could not allocate.
+fn check_architecture(cfg: &SdNetConfig) -> io::Result<()> {
+    let mut widths = [cfg.boundary_len, cfg.conv_kernel]
+        .into_iter()
+        .chain(cfg.conv_channels.iter().copied())
+        .chain(cfg.hidden.iter().copied());
+    if widths.any(|w| !(1..=MAX_WIDTH).contains(&w)) {
+        return Err(bad("layer width, channel count or kernel out of range"));
+    }
+    if cfg.conv_kernel.is_multiple_of(2) {
+        return Err(bad("conv kernel is even"));
+    }
+    if !(cfg.coord_extent.is_finite() && cfg.coord_extent > 0.0) {
+        return Err(bad("coord_extent is not a positive finite number"));
+    }
+    match declared_params(cfg) {
+        Some(n) if n <= MAX_PARAMS => Ok(()),
+        _ => Err(bad("declared parameter count out of range")),
+    }
+}
+
+/// The scalar parameter count [`SdNet::new`] allocates for `cfg`, or
+/// `None` if it overflows. Every layer is a `[out × fan_in]` weight plus a
+/// `[1 × out]` bias.
+fn declared_params(cfg: &SdNetConfig) -> Option<usize> {
+    let layer = |fan_in: usize, out: usize| fan_in.checked_mul(out)?.checked_add(out);
+    let mut total = 0usize;
+    let mut in_ch = 1usize;
+    for &out in &cfg.conv_channels {
+        total = total.checked_add(layer(in_ch.checked_mul(cfg.conv_kernel)?, out)?)?;
+        in_ch = out;
+    }
+    // The split layer's two weight blocks share one bias.
+    let mut fan_in = cfg
+        .boundary_len
+        .checked_mul(in_ch)?
+        .checked_add(cfg.coord_features())?;
+    for &out in cfg.hidden.iter().chain(&[1]) {
+        total = total.checked_add(layer(fan_in, out)?)?;
+        fan_in = out;
+    }
+    Some(total)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +322,7 @@ mod tests {
         assert_eq!(loaded.config().hidden, net.config().hidden);
         assert_eq!(loaded.config().conv_channels, net.config().conv_channels);
         assert_eq!(loaded.count_params(), net.count_params());
+        assert_eq!(declared_params(net.config()), Some(net.count_params()));
 
         let gb = Tensor::from_fn(2, 16, |r, c| ((r * 16 + c) as f64 * 0.3).sin());
         let x = Tensor::from_fn(6, 2, |r, c| 0.05 * (r * 2 + c) as f64);
@@ -298,6 +356,32 @@ mod tests {
         make_net().save_to(&mut buf).unwrap();
         buf.truncate(buf.len() / 2);
         assert!(SdNet::load_from(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn corrupt_architectures_are_invalid_data_before_anything_is_built() {
+        // `make_net`'s header: magic, boundary_len, conv count and its 2
+        // channels from 24, the kernel at 40, hidden count and its 2
+        // widths from 56, embedding, activation, coord_extent at 88.
+        let mut clean = Vec::new();
+        make_net().save_to(&mut clean).unwrap();
+        let cases: [(&str, &[(usize, u64)]); 6] = [
+            ("even kernel", &[(40, 4)]),
+            ("2^40 width", &[(56, 1 << 40)]),
+            ("zero channels", &[(24, 0)]),
+            ("NaN coord_extent", &[(88, f64::NAN.to_bits())]),
+            ("negative coord_extent", &[(88, (-0.5f64).to_bits())]),
+            // Each width in range; the 2^16 × 2^16 trunk layer is not.
+            ("2^32 parameters", &[(56, 1 << 16), (64, 1 << 16)]),
+        ];
+        for (what, splices) in cases {
+            let mut buf = clean.clone();
+            for &(at, v) in splices {
+                buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            }
+            let err = SdNet::load_from(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
     }
 
     #[test]

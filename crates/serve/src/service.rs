@@ -28,6 +28,10 @@ use std::time::Instant;
 /// simulated cluster's ranks in `/snapshot`).
 pub const WORKER_RANK_BASE: usize = 64;
 
+/// The largest `max_iters` a request may ask for; submission refuses
+/// anything outside `1..=MAX_ITERS`.
+const MAX_ITERS: usize = 10_000;
+
 /// Service-level configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -62,7 +66,7 @@ pub struct SolveRequest {
     pub sy: usize,
     /// Global boundary walk (`1 × domain.boundary_len()`).
     pub bc: Tensor,
-    /// Schwarz iteration cap.
+    /// Schwarz iteration cap, in `1..=10_000`.
     pub max_iters: usize,
     /// Relative-change convergence threshold.
     pub tol: f64,
@@ -320,6 +324,12 @@ impl SolveService {
                 domain.boundary_len()
             )));
         }
+        if !(1..=MAX_ITERS).contains(&req.max_iters) {
+            return Err(ServeError::BadRequest(format!(
+                "max_iters {} out of bounds (1..={MAX_ITERS})",
+                req.max_iters
+            )));
+        }
         // NaN, zero and negative all mean "never converged": the request
         // would hold a worker for `max_iters` sweeps.
         if !req.tol.is_finite() || req.tol <= 0.0 {
@@ -542,7 +552,7 @@ fn handle_batch(inner: &ServiceInner, jobs: &[Job]) -> BatchOutcome {
     let first = &jobs[0].req;
     let domain = DomainSpec::new(inner.spec, first.sx, first.sy);
     let cfg = MfpConfig {
-        max_iters: first.max_iters.clamp(1, 10_000),
+        max_iters: first.max_iters,
         tol: first.tol,
         ..MfpConfig::default()
     };
@@ -669,6 +679,17 @@ pub(crate) mod tests {
             let err = svc.solve_blocking(req).unwrap_err();
             assert!(matches!(err, ServeError::BadRequest(_)), "tol {tol}: {err}");
         }
+        // An iteration cap outside 1..=MAX_ITERS: 0 would run one sweep,
+        // and 20 000 and 30 000 the same capped solve under two batch keys.
+        for max_iters in [0, MAX_ITERS + 1, 20_000, 30_000] {
+            let mut req = SolveRequest::new(1, 1, sin_bc(&d));
+            req.max_iters = max_iters;
+            let err = svc.solve_blocking(req).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::BadRequest(m) if m.contains("max_iters")),
+                "max_iters {max_iters}: {err}"
+            );
+        }
         // Non-finite boundary values would cost a launch before the
         // non-finite residual ends the solve.
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
@@ -677,11 +698,12 @@ pub(crate) mod tests {
             let err = svc.solve_blocking(SolveRequest::new(1, 1, bc)).unwrap_err();
             assert!(matches!(err, ServeError::BadRequest(_)), "bc {bad}: {err}");
         }
-        // Nothing above reached a worker, and the service survives.
+        // Nothing above reached a worker, and the service survives, up to
+        // the largest cap.
         assert_eq!(svc.stats().accepted, 0);
-        assert!(svc
-            .solve_blocking(SolveRequest::new(1, 1, sin_bc(&d)))
-            .is_ok());
+        let mut req = SolveRequest::new(1, 1, sin_bc(&d));
+        req.max_iters = MAX_ITERS;
+        assert!(svc.solve_blocking(req).is_ok());
     }
 
     #[test]

@@ -388,12 +388,37 @@ fn ci_solve_invocation_with_documented_oracle_flag_succeeds() {
 
 #[test]
 fn info_rejects_garbage_file() {
-    let path = tmp("garbage.mfn");
-    std::fs::write(&path, b"definitely not a model").unwrap();
-    let out = cli()
-        .args(["info", "--model", path.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let _ = std::fs::remove_file(&path);
+    use mosaic_flow::prelude::{SdNet, SdNetConfig};
+    use rand::SeedableRng;
+    let net = SdNet::new(
+        SdNetConfig::small(16),
+        &mut rand_chacha::ChaCha8Rng::seed_from_u64(0),
+    );
+    let mut model = Vec::new();
+    net.save_to(&mut model).unwrap();
+    let spliced = |at: usize, v: u64| {
+        let mut buf = model.clone();
+        buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        buf
+    };
+    // After the magic, boundary length and two conv channels, the header
+    // holds the conv kernel at byte 40, then the hidden count and the
+    // first hidden width at 56. A corrupt architecture is refused before
+    // it is built.
+    for (what, bytes, reason) in [
+        ("garbage", b"definitely not a model".to_vec(), "bad magic"),
+        ("even kernel", spliced(40, 4), "kernel is even"),
+        ("2^40 width", spliced(56, 1 << 40), "out of range"),
+    ] {
+        let path = tmp("garbage.mfn");
+        std::fs::write(&path, &bytes).unwrap();
+        let out = cli()
+            .args(["info", "--model", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let _ = std::fs::remove_file(&path);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+        assert!(stderr.contains(reason), "{what}: {stderr}");
+    }
 }
