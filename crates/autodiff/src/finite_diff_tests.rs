@@ -161,7 +161,7 @@ fn second_order_matches_finite_difference_gelu() {
 fn laplacian_of_harmonic_polynomial_is_zero() {
     // u(x,y) = x² - y² is harmonic: u_xx + u_yy = 0. Build it on the graph
     // and verify the double-backward Laplacian is exactly zero — the same
-    // code path as the physics-informed loss.
+    // code path as the paper's triple-backward physics-informed loss.
     let mut g = Graph::new();
     let pts = Tensor::from_fn(5, 2, |r, c| {
         0.1 * (r as f64 + 1.0) * if c == 0 { 1.0 } else { -0.7 }

@@ -3,12 +3,15 @@
 //! Tensor-valued reverse-mode automatic differentiation with
 //! **differentiable vector-Jacobian products**.
 //!
-//! Physics-informed training needs the Laplacian `∂²u/∂x² + ∂²u/∂y²` of the
-//! network output with respect to its *inputs* inside a loss that is then
-//! differentiated with respect to the *weights* — three chained backward
-//! passes (§5.2 of the paper). PyTorch supports this via
+//! The paper's physics-informed loss takes the Laplacian `∂²u/∂x² + ∂²u/∂y²`
+//! of the network output with respect to its *inputs* inside a loss that is
+//! then differentiated with respect to the *weights* — three chained
+//! backward passes (§5.2 of the paper). PyTorch supports this via
 //! `autograd.grad(..., create_graph=True)`; this crate reproduces the same
-//! semantics from scratch:
+//! semantics from scratch. Training itself now pushes the Laplacian forward
+//! through the network (`mf-nn`'s `SdNet::forward_laplacian`) and needs one
+//! backward; the triple backward is what Table 3 meters and what the tests
+//! hold the forward Laplacian to:
 //!
 //! * computation is recorded on an arena [`Graph`] of tensor-valued nodes,
 //! * [`Graph::grad`] walks the graph in reverse and **emits new graph

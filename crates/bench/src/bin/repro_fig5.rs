@@ -55,9 +55,9 @@ fn time_inference(net: &SdNet, boundaries: &Tensor, q: usize, reps: usize) -> (f
 
 fn time_train_step(net: &SdNet, batch: &Batch, reps: usize) -> (f64, usize) {
     // The paper's memory axis: the bytes each pass's tape held when its
-    // final backward began (forward, loss, inner backward passes), summed
-    // over both passes. That backward consumes the tape, so the bytes left
-    // after it are only leaves and gradients.
+    // final backward began (forward and loss; for the PDE pass, the
+    // forward Laplacian), summed over both passes. That backward consumes
+    // the tape, so the bytes left after it are only leaves and gradients.
     let (_, _, stats) = local_gradients(net, batch, 1.0);
     let (_, secs) = mf_telemetry::timed!("fig5.train_step", || {
         for _ in 0..reps {
@@ -83,7 +83,7 @@ fn main() {
         "({} boundary conditions per batch; inference = forward only,",
         BOUNDARIES
     );
-    println!(" training = data pass + PDE double-backward pass)");
+    println!(" training = data pass + forward-Laplacian PDE pass)");
 
     let boundaries = Tensor::vstack(
         &ds.samples

@@ -7,9 +7,10 @@
 //! graph meters its bytes exactly, so the same blowup is reported
 //! per-domain-count, together with the extrapolated domain count that
 //! would exhaust a 16 GB device. The first table counts the bytes the tape
-//! *recorded* (a tape that keeps every node, as PyTorch's does); the second
-//! compares the live peaks of a legacy step and of the training step, whose
-//! PDE loss evicts what it can recompute.
+//! *recorded* by the paper's triple-backward PDE loss (a tape that keeps
+//! every node, as PyTorch's does); the second compares the live peaks of a
+//! legacy step (the same triple backward) and of the training step, whose
+//! PDE loss is a forward Laplacian.
 //!
 //! ```text
 //! cargo run -p mf-bench --release --bin repro_table3 [--full]
@@ -20,7 +21,7 @@ use mf_bench::gate::Metric;
 use mf_bench::*;
 use mf_data::{Batch, BatchSampler, Dataset};
 use mf_nn::SdNet;
-use mf_train::{data_loss, local_gradients, measure_step_memory, pde_loss};
+use mf_train::{data_loss, local_gradients, measure_step_memory, pde_loss_triple_backward};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -38,7 +39,7 @@ fn legacy_step(net: &SdNet, batch: &Batch) -> (usize, u64) {
         let loss = if pass == 0 {
             data_loss(&mut g, net, &bound, batch)
         } else {
-            pde_loss(&mut g, net, &bound, batch)
+            pde_loss_triple_backward(&mut g, net, &bound, batch)
         };
         let _ = g.grad(loss, bound.all_vars());
         peak = peak.max(g.peak_bytes());

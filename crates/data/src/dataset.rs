@@ -87,12 +87,15 @@ impl Dataset {
         let mut sampler =
             BoundarySampler::new(spec.boundary_len(), lengthscale_range, variance_range, true);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        // Draw boundaries sequentially (the Sobol sweep is stateful), then
-        // solve in parallel.
-        let boundaries: Vec<Tensor> = (0..count).map(|_| sampler.sample(&mut rng)).collect();
-        let samples: Vec<Sample> = boundaries
+        // Draw sequentially what consumes randomness (the Sobol sweep and
+        // the rng are stateful), then realize each curve and solve it in
+        // parallel: the same bits as a sequential `sample` stream.
+        let draws: Vec<_> = (0..count).map(|_| sampler.draw(&mut rng)).collect();
+        let sampler = &sampler;
+        let samples: Vec<Sample> = draws
             .into_par_iter()
-            .map(|boundary| {
+            .map(|(kernel, z)| {
+                let boundary = sampler.realize(&kernel, &z);
                 let guess = grid_with_boundary(spec.m, spec.m, &boundary);
                 let problem = Poisson::laplace(spec.m, spec.m, spec.h());
                 let (solution, stats) = solve_dirichlet(&problem, &guess, 1e-9);
@@ -208,6 +211,42 @@ mod tests {
         assert!(a.samples[1].boundary.allclose(&b.samples[1].boundary, 0.0));
         let c = Dataset::generate(spec, 2, 8);
         assert!(a.samples[0].boundary.max_abs_diff(&c.samples[0].boundary) > 1e-6);
+    }
+
+    #[test]
+    fn parallel_generation_is_bitwise_the_sequential_stream() {
+        // `generate` realizes and solves in parallel what it drew in
+        // order; at every pool width each sample must be the one a
+        // sequential `sample` stream plus `solve_dirichlet` produces.
+        let spec = SubdomainSpec { m: 9, spatial: 0.5 };
+        let (count, seed) = (7, 3);
+        let mut sampler = BoundarySampler::new(spec.boundary_len(), (0.3, 0.9), (0.4, 1.2), true);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let expect: Vec<(Tensor, Tensor)> = (0..count)
+            .map(|_| {
+                let boundary = sampler.sample(&mut rng);
+                let guess = grid_with_boundary(spec.m, spec.m, &boundary);
+                let problem = Poisson::laplace(spec.m, spec.m, spec.h());
+                (boundary, solve_dirichlet(&problem, &guess, 1e-9).0)
+            })
+            .collect();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for width in [1, 2, 4] {
+            let ds = rayon::with_pool_width(width, || Dataset::generate(spec, count, seed));
+            assert_eq!(ds.len(), count);
+            for (i, (s, (boundary, solution))) in ds.samples.iter().zip(&expect).enumerate() {
+                assert_eq!(
+                    bits(&s.boundary),
+                    bits(boundary),
+                    "width {width}, boundary {i}"
+                );
+                assert_eq!(
+                    bits(&s.solution),
+                    bits(solution),
+                    "width {width}, solution {i}"
+                );
+            }
+        }
     }
 
     #[test]

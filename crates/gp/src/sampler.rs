@@ -43,10 +43,19 @@ impl GpSampler {
     /// Draw one sample function as a `1×n` row vector: `f = L·z`,
     /// `z ~ N(0, I)`.
     pub fn sample(&self, rng: &mut impl Rng) -> Tensor {
-        let n = self.len();
-        let z = Tensor::from_fn(n, 1, |_, _| standard_normal(rng));
-        self.chol.matmul(&z).transpose()
+        self.realize(&noise(self.len(), rng))
     }
+
+    /// The sample function `L·z` for a given `n×1` standard-normal draw
+    /// `z`, as a `1×n` row vector.
+    fn realize(&self, z: &Tensor) -> Tensor {
+        self.chol.matmul(z).transpose()
+    }
+}
+
+/// `n` standard-normal draws as an `n×1` column.
+fn noise(n: usize, rng: &mut impl Rng) -> Tensor {
+    Tensor::from_fn(n, 1, |_, _| standard_normal(rng))
 }
 
 /// Generates boundary conditions following §5.1 of the paper: a Sobol
@@ -91,8 +100,17 @@ impl BoundarySampler {
     /// Draw the next boundary condition (a `1×n_points` row vector).
     ///
     /// Hyperparameters advance along the Sobol sequence; the curve itself
-    /// is drawn with `rng`.
+    /// is drawn with `rng`. The same as [`BoundarySampler::draw`] followed
+    /// by [`BoundarySampler::realize`].
     pub fn sample(&mut self, rng: &mut impl Rng) -> Tensor {
+        let (kernel, z) = self.draw(rng);
+        self.realize(&kernel, &z)
+    }
+
+    /// The part of [`BoundarySampler::sample`] that consumes randomness and
+    /// state: the next kernel on the Sobol sweep and the `n_points×1`
+    /// standard-normal draw. Cheap, and sequential by nature.
+    pub fn draw(&mut self, rng: &mut impl Rng) -> (Kernel1d, Tensor) {
         let hp = self
             .sobol
             .next_in_ranges(&[self.lengthscale_range, self.variance_range]);
@@ -107,7 +125,15 @@ impl BoundarySampler {
                 variance: hp[1],
             }
         };
-        GpSampler::new(&kernel, &self.points).sample(rng)
+        (kernel, noise(self.points.len(), rng))
+    }
+
+    /// The part of [`BoundarySampler::sample`] that costs: the kernel
+    /// matrix, its Cholesky factor `L` and the curve `L·z` for a
+    /// [`BoundarySampler::draw`]. Pure, so draws may be realized in any
+    /// order or in parallel.
+    pub fn realize(&self, kernel: &Kernel1d, z: &Tensor) -> Tensor {
+        GpSampler::new(kernel, &self.points).realize(z)
     }
 
     /// Draw `count` boundary conditions stacked as a `count×n_points`

@@ -71,19 +71,25 @@ impl Linear {
 
     /// Forward pass: `x` is `[n×in]`, result `[n×out]`.
     pub fn forward(&self, g: &mut Graph, bound: &Bound, x: Var) -> Var {
-        assert_eq!(
-            g.value(x).cols(),
-            self.in_dim,
-            "Linear::forward: expected {} input features, got {}",
-            self.in_dim,
-            g.value(x).cols()
-        );
-        let w = bound.var(self.w);
-        let mut y = g.matmul_layout(x, Layout::Normal, w, Layout::Transposed);
+        let mut y = self.tangent(g, bound, x);
         if let Some(b) = self.b {
             y = g.add_bias(y, bound.var(b));
         }
         y
+    }
+
+    /// The layer's linear part `dx·Wᵀ`, without the bias: how the layer
+    /// maps a derivative of its input with respect to anything upstream.
+    pub(crate) fn tangent(&self, g: &mut Graph, bound: &Bound, dx: Var) -> Var {
+        assert_eq!(
+            g.shape_of(dx).1,
+            self.in_dim,
+            "Linear::forward: expected {} input features, got {}",
+            self.in_dim,
+            g.shape_of(dx).1
+        );
+        let w = bound.var(self.w);
+        g.matmul_layout(dx, Layout::Normal, w, Layout::Transposed)
     }
 }
 

@@ -48,8 +48,8 @@ pub struct SdNetConfig {
     /// normalized coordinate `x'` is augmented with
     /// `sin(2^j π x'), cos(2^j π x')` for `j = 0..k`. Zero disables the
     /// encoding. Fourier features are the standard remedy for the
-    /// spectral bias of coordinate MLPs in PINNs; all derivatives flow
-    /// through the graph's sin/cos rules, so the PDE loss still works.
+    /// spectral bias of coordinate MLPs in PINNs; their derivatives have
+    /// closed forms, which [`SdNet::forward_laplacian`] carries.
     pub coord_fourier: usize,
 }
 
@@ -81,6 +81,10 @@ impl SdNetConfig {
         self.boundary_len * self.conv_channels.last().copied().unwrap_or(1)
     }
 }
+
+/// A block's coordinate derivatives `([∂/∂x, ∂/∂y], Δ)`, with `None` for a
+/// Laplacian that is zero.
+type Jet = ([Var; 2], Option<Var>);
 
 /// The subdomain solver network: boundary embedding → input-split layer →
 /// GELU MLP → scalar solution value.
@@ -236,42 +240,166 @@ impl SdNet {
     ///
     /// Returns `[B·q, 1]` predicted solution values.
     pub fn forward(&self, g: &mut Graph, bound: &Bound, gb: Var, x: Var, q: usize) -> Var {
-        let batch = g.value(gb).rows();
+        let (mut h, _) = self.split_layer(g, bound, gb, x, q, false);
+        h = self.config.activation.apply(g, h);
+
+        for lin in &self.trunk {
+            h = lin.forward(g, bound, h);
+            h = self.config.activation.apply(g, h);
+        }
+        self.head.forward(g, bound, h)
+    }
+
+    /// The Laplacian `Δu = ∂²u/∂x² + ∂²u/∂y²` of [`SdNet::forward`]'s output
+    /// with respect to the physical coordinates, `[B·q, 1]`, in one forward
+    /// pass (the "forward Laplacian" of Li et al., 2023).
+    ///
+    /// Each layer carries four blocks: the pre-activation `h`, its
+    /// coordinate derivatives `J_x`, `J_y` and its Laplacian `Λ`. A linear
+    /// layer maps all four with the same `W` and adds its bias to `h` only;
+    /// an activation maps `h → σ(h)`, `J → σ'(h)⊙J` and
+    /// `Λ → σ'(h)⊙Λ + σ''(h)⊙(J_x² + J_y²)`. The boundary branch does not
+    /// depend on the coordinates, so the blocks start at the split layer as
+    /// `(∂φ/∂x)·W_xᵀ`, `(∂φ/∂y)·W_xᵀ` and `(Δφ)·W_xᵀ`, with `φ` the
+    /// coordinate features. The blocks are ordinary graph nodes, so one
+    /// backward from a loss on `Δu` reaches every weight: `x` may be a
+    /// constant, and no inner backward pass runs.
+    pub fn forward_laplacian(
+        &self,
+        g: &mut Graph,
+        bound: &Bound,
+        gb: Var,
+        x: Var,
+        q: usize,
+    ) -> Var {
+        let (mut h, jet) = self.split_layer(g, bound, gb, x, q, true);
+        let (mut jac, mut lap) = jet.expect("split_layer returns a jet when asked");
+        let act = self.config.activation;
+        let last = self.trunk.len();
+        for (i, lin) in self.trunk.iter().chain([&self.head]).enumerate() {
+            // Only the Laplacian leaves the last activation: the head has
+            // no nonlinearity after it, and its bias does not reach Δu.
+            if let Some((d1, d2)) = act.derivatives(g, h) {
+                let jx2 = g.mul(jac[0], jac[0]);
+                let jy2 = g.mul(jac[1], jac[1]);
+                let grad2 = g.add(jx2, jy2);
+                let curvature = g.mul(d2, grad2);
+                lap = Some(match lap {
+                    Some(l) => {
+                        let slope = g.mul(d1, l);
+                        g.add(slope, curvature)
+                    }
+                    None => curvature,
+                });
+                if i < last {
+                    jac = jac.map(|j| g.mul(d1, j));
+                }
+            }
+            let Some(l) = lap else {
+                // An affine network of affine features: Δu is zero.
+                let zero = g.constant_scalar(0.0);
+                return g.broadcast_scalar(zero, g.shape_of(x).0, 1);
+            };
+            if i == last {
+                return lin.tangent(g, bound, l);
+            }
+            let a = act.apply(g, h);
+            h = lin.forward(g, bound, a);
+            jac = jac.map(|j| lin.tangent(g, bound, j));
+            lap = Some(lin.tangent(g, bound, l));
+        }
+        unreachable!("the head is the last layer")
+    }
+
+    /// The coordinate block `φ` the split layer reads, and with `jet` its
+    /// derivatives `([∂φ/∂x, ∂φ/∂y], Δφ)` with respect to the physical
+    /// coordinates (`Δφ` is `None` where it is zero: without Fourier
+    /// features). `x` is `[B·q, 2]`, grouped by boundary as `gb`'s rows.
+    fn coord_features(
+        &self,
+        g: &mut Graph,
+        gb: Var,
+        x: Var,
+        q: usize,
+        jet: bool,
+    ) -> (Var, Option<Jet>) {
+        let batch = g.shape_of(gb).0;
         assert_eq!(
-            g.value(x).shape(),
+            g.shape_of(x),
             (batch * q, 2),
             "SdNet: expected {}x2 coordinates, got {:?}",
             batch * q,
-            g.value(x).shape()
+            g.shape_of(x)
         );
-        let emb = self.embed_boundary(g, bound, gb);
-        let wg = bound.var(self.w_g);
-        let wx = bound.var(self.w_x);
-
         // Map physical coordinates [0, extent] → [-1, 1]. Differentiation
         // with respect to the *physical* coordinates still works: the
         // affine map participates in the graph, so the chain rule applies.
+        let extent = self.config.coord_extent;
         let x = {
-            let centered = g.add_scalar(x, -0.5 * self.config.coord_extent);
-            g.scale(centered, 2.0 / self.config.coord_extent)
+            let centered = g.add_scalar(x, -0.5 * extent);
+            g.scale(centered, 2.0 / extent)
         };
-        // Optional Fourier encoding of the normalized coordinates.
-        let x = if self.config.coord_fourier == 0 {
-            x
-        } else {
-            let mut feats = x;
-            for j in 0..self.config.coord_fourier {
-                let freq = std::f64::consts::PI * (1 << j) as f64;
-                let scaled = g.scale(x, freq);
-                let s = g.sin(scaled);
-                let c = g.cos(scaled);
-                feats = g.concat_cols(feats, s);
-                feats = g.concat_cols(feats, c);
+        // ∂x'/∂x = [s, 0] and ∂x'/∂y = [0, s] on every row, s = 2/extent.
+        let dx = jet.then(|| {
+            let s = g.constant_scalar(2.0 / extent);
+            let col = g.broadcast_scalar(s, batch * q, 1);
+            [g.pad_cols(col, 0, 2), g.pad_cols(col, 1, 2)]
+        });
+        let (mut jac, mut lap) = (dx, None);
+        // Optional Fourier encoding of the normalized coordinates: each
+        // feature is a function of one coordinate, so its Laplacian is its
+        // own second derivative, −(2^j π s)² times itself.
+        let mut feats = x;
+        for j in 0..self.config.coord_fourier {
+            let freq = std::f64::consts::PI * (1 << j) as f64;
+            let scaled = g.scale(x, freq);
+            let s = g.sin(scaled);
+            let c = g.cos(scaled);
+            feats = g.concat_cols(feats, s);
+            feats = g.concat_cols(feats, c);
+            if let (Some(dx), Some(jac)) = (dx, jac.as_mut()) {
+                let ds = g.scale(c, freq);
+                let dc = g.scale(s, -freq);
+                for (acc, dx) in jac.iter_mut().zip(dx) {
+                    let ds = g.mul(ds, dx);
+                    let dc = g.mul(dc, dx);
+                    *acc = g.concat_cols(*acc, ds);
+                    *acc = g.concat_cols(*acc, dc);
+                }
+                let k = -(freq * 2.0 / extent).powi(2);
+                let ls = g.scale(s, k);
+                let lc = g.scale(c, k);
+                let block = g.concat_cols(ls, lc);
+                lap = Some(match lap {
+                    Some(l) => g.concat_cols(l, block),
+                    None => block,
+                });
             }
-            feats
-        };
+        }
+        let cols = self.config.coord_features();
+        let jet = jac.map(|jac| (jac, lap.map(|l| g.pad_cols(l, 2, cols))));
+        (feats, jet)
+    }
 
-        let mut h = match self.config.embedding {
+    /// The split layer's pre-activation `h`, `[B·q, d0]`: the boundary
+    /// embedding and the coordinate features of `x` through the input
+    /// split (or concat), plus the bias; with `jet`, also `h`'s coordinate
+    /// derivatives `([∂h/∂x, ∂h/∂y], Δh)` as [`SdNet::coord_features`]
+    /// gives them for the features.
+    fn split_layer(
+        &self,
+        g: &mut Graph,
+        bound: &Bound,
+        gb: Var,
+        x: Var,
+        q: usize,
+        jet: bool,
+    ) -> (Var, Option<Jet>) {
+        let emb = self.embed_boundary(g, bound, gb);
+        let wg = bound.var(self.w_g);
+        let wx = bound.var(self.w_x);
+        let (x, jet) = self.coord_features(g, gb, x, q, jet);
+        let h = match self.config.embedding {
             EmbeddingKind::Split => {
                 // ĝW₁ᵀ computed once per boundary, broadcast over points.
                 let hg = g.matmul_layout(emb, Layout::Normal, wg, Layout::Transposed); // [B, d0]
@@ -287,14 +415,15 @@ impl SdNet {
                 g.matmul_layout(inp, Layout::Normal, w, Layout::Transposed)
             }
         };
-        h = g.add_bias(h, bound.var(self.b0));
-        h = self.config.activation.apply(g, h);
-
-        for lin in &self.trunk {
-            h = lin.forward(g, bound, h);
-            h = self.config.activation.apply(g, h);
-        }
-        self.head.forward(g, bound, h)
+        let h = g.add_bias(h, bound.var(self.b0));
+        // The boundary branch is constant in x, so the derivatives of `h`
+        // are those of the coordinate features through W_x, in both the
+        // split and the concat form (whose coordinate columns are W_x).
+        let jet = jet.map(|(jac, lap)| {
+            let mut through_wx = |d| g.matmul_layout(d, Layout::Normal, wx, Layout::Transposed);
+            (jac.map(&mut through_wx), lap.map(through_wx))
+        });
+        (h, jet)
     }
 
     /// Inference convenience: run a forward pass on a reusable per-thread

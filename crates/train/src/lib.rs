@@ -5,9 +5,12 @@
 //!
 //! * [`losses`] builds the two loss terms on the autodiff graph: an MSE
 //!   data loss at points with known solutions, and the PDE residual loss
-//!   `mean((∂²u/∂x² + ∂²u/∂y²)²)` at collocation points via two chained
-//!   backward passes (the third backward then reaches the weights), a
-//!   checkpointed segment of the tape that evicts what it can recompute.
+//!   `mean((∂²u/∂x² + ∂²u/∂y²)²)` at collocation points, whose Laplacian the
+//!   network carries forward through its layers (one backward then reaches
+//!   the weights). The paper's form of the same loss — two chained backward
+//!   passes to the Laplacian, the third to the weights, as a checkpointed
+//!   segment that evicts what it can recompute — is kept for Table 3's meter
+//!   and as the tests' oracle.
 //! * [`step`] implements Algorithm 1: per-rank forward/backward for data
 //!   points, gradient *accumulation* over the collocation backward, and a
 //!   **single fused allreduce-mean** per iteration. An unfused variant (one
@@ -19,7 +22,7 @@
 //!   epoch core over the step core, under a local driver ([`train_single`])
 //!   and a per-rank driver ([`train_ddp`], [`train_ddp_resumable`]).
 //! * [`memory`] meters the autograd graph bytes a tape records with and
-//!   without the PDE loss, reproducing Table 3.
+//!   without the paper's triple-backward PDE loss, reproducing Table 3.
 
 pub mod checkpoint;
 pub mod losses;
@@ -28,7 +31,7 @@ pub mod step;
 pub mod trainer;
 
 pub use checkpoint::{save_checkpoint, CheckpointConfig, TrainState};
-pub use losses::{data_loss, pde_loss};
+pub use losses::{data_loss, pde_loss, pde_loss_triple_backward};
 pub use memory::{measure_step_memory, MemoryReport};
 pub use step::{local_gradients, train_step_distributed, train_step_single, GradSync, StepStats};
 pub use trainer::{

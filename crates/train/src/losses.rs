@@ -17,11 +17,26 @@ pub fn data_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Va
 /// PDE residual loss for the Laplace equation at the batch's collocation
 /// points: `mean((u_xx + u_yy)²)`.
 ///
-/// This is the expensive path of the paper (§5.2): the model output is
+/// The network pushes `(u, ∇u, Δu)` forward through its layers
+/// ([`SdNet::forward_laplacian`]), so the residual is a plain forward
+/// pass on a constant `x` and one backward reaches the weights. The
+/// paper's form of the same loss, three chained backward passes, is
+/// [`pde_loss_triple_backward`]; the two agree to rounding.
+pub fn pde_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Var {
+    let gb = g.constant_from(&batch.boundaries);
+    let x = g.constant_from(&batch.colloc_points);
+    let lap = net.forward_laplacian(g, bound, gb, x, batch.qc);
+    let sq = g.mul(lap, lap);
+    g.mean(sq)
+}
+
+/// [`pde_loss`] the way the paper computes it (§5.2): the model output is
 /// differentiated twice with respect to its *inputs* (two backward passes
 /// that each extend the autograd graph), and the resulting scalar is later
 /// differentiated with respect to the weights — three chained backwards in
-/// total.
+/// total. This is the tape whose footprint Table 3 meters
+/// ([`crate::measure_step_memory`]), and the oracle the forward Laplacian
+/// is tested against.
 ///
 /// The loss is a checkpointed segment of the tape: after each inner
 /// backward pass it evicts the values of its own nodes that can be
@@ -29,7 +44,19 @@ pub fn data_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Va
 /// backward rematerializes the few it reads, bit for bit. Nodes recorded
 /// before the call (a data loss on a shared tape) are left alone, and
 /// [`Graph::recorded_bytes`] still counts everything the segment recorded.
-pub fn pde_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Var {
+pub fn pde_loss_triple_backward(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Var {
+    triple_backward(g, net, bound, batch, Graph::evict_dead_values)
+}
+
+/// The body of [`pde_loss_triple_backward`]; `evict(g, from, protect)`
+/// runs after each inner backward pass.
+fn triple_backward(
+    g: &mut Graph,
+    net: &SdNet,
+    bound: &Bound,
+    batch: &Batch,
+    evict: fn(&mut Graph, usize, &[Var]),
+) -> Var {
     let from = g.len();
     let gb = g.constant_from(&batch.boundaries);
     // Collocation coordinates are a *leaf*: we differentiate w.r.t. them.
@@ -41,18 +68,18 @@ pub fn pde_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Var
     // Jacobian diagonal exactly.
     let su = g.sum(u);
     let du = g.grad(su, &[x])[0];
-    g.evict_dead_values(from, &[du]);
+    evict(g, from, &[du]);
     let ux = g.slice_cols(du, 0, 1);
     let uy = g.slice_cols(du, 1, 1);
 
     // Second derivatives.
     let sux = g.sum(ux);
     let dux = g.grad(sux, &[x])[0];
-    g.evict_dead_values(from, &[dux, uy]);
+    evict(g, from, &[dux, uy]);
     let uxx = g.slice_cols(dux, 0, 1);
     let suy = g.sum(uy);
     let duy = g.grad(suy, &[x])[0];
-    g.evict_dead_values(from, &[duy, uxx]);
+    evict(g, from, &[duy, uxx]);
     let uyy = g.slice_cols(duy, 1, 1);
 
     let lap = g.add(uxx, uyy);
@@ -68,30 +95,15 @@ pub(crate) mod tests {
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    /// The oracle: [`pde_loss`] without its three evictions, a tape that
-    /// keeps every value it records.
+    /// The oracle: [`pde_loss_triple_backward`] without its three
+    /// evictions, a tape that keeps every value it records.
     pub(crate) fn pde_loss_retained(
         g: &mut Graph,
         net: &SdNet,
         bound: &Bound,
         batch: &Batch,
     ) -> Var {
-        let gb = g.constant_from(&batch.boundaries);
-        let x = g.leaf_from(&batch.colloc_points);
-        let u = net.forward(g, bound, gb, x, batch.qc);
-        let su = g.sum(u);
-        let du = g.grad(su, &[x])[0];
-        let ux = g.slice_cols(du, 0, 1);
-        let uy = g.slice_cols(du, 1, 1);
-        let sux = g.sum(ux);
-        let dux = g.grad(sux, &[x])[0];
-        let uxx = g.slice_cols(dux, 0, 1);
-        let suy = g.sum(uy);
-        let duy = g.grad(suy, &[x])[0];
-        let uyy = g.slice_cols(duy, 1, 1);
-        let lap = g.add(uxx, uyy);
-        let sq = g.mul(lap, lap);
-        g.mean(sq)
+        triple_backward(g, net, bound, batch, |_, _, _| {})
     }
 
     fn tiny_setup() -> (SdNet, Batch) {

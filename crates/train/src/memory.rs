@@ -6,12 +6,16 @@
 //! loss on a 16 GB V100). Here the same quantity is exact: the arena graph
 //! knows precisely how many bytes its node values hold.
 //!
-//! The table reports what a tape that keeps every node would hold, as
-//! PyTorch's does: [`Graph::recorded_bytes`], which counts the values the
-//! PDE loss's checkpointed segment evicted. The live high-water mark, with
+//! The meter runs the paper's form of the PDE loss,
+//! [`pde_loss_triple_backward`], whose three chained backward passes are
+//! what PyTorch's `create_graph=True` records; training runs the forward
+//! Laplacian ([`crate::pde_loss`]), which records far less. The table
+//! reports what a tape that keeps every node would hold, as PyTorch's
+//! does: [`Graph::recorded_bytes`], which counts the values the triple
+//! backward's checkpointed segment evicted. The live high-water mark, with
 //! those evictions, is [`MemoryReport::peak_with_pde`].
 
-use crate::losses::{data_loss, pde_loss};
+use crate::losses::{data_loss, pde_loss_triple_backward};
 use mf_autodiff::Graph;
 use mf_data::Batch;
 use mf_nn::SdNet;
@@ -23,7 +27,7 @@ pub struct MemoryReport {
     pub domains: usize,
     /// Bytes the graph recorded for forward + data loss + backward.
     pub bytes_no_pde: usize,
-    /// Bytes recorded when the PDE loss (double backward) is included.
+    /// Bytes recorded when the triple-backward PDE loss is included.
     pub bytes_with_pde: usize,
     /// High-water mark of live bytes during the with-PDE step.
     pub peak_with_pde: usize,
@@ -39,11 +43,12 @@ impl MemoryReport {
 }
 
 /// Meter the graph bytes of a full training step on `batch`, with and
-/// without the PDE loss term, through [`Graph::grad`] (so the table counts
-/// the final backward's adjoints too). The with-PDE node count and the
-/// bytes its tape recorded before the final backward are also published
-/// to the `autodiff.graph_nodes` / `autodiff.graph_bytes` telemetry
-/// gauges, which a training step feeds with the same quantities.
+/// without the paper's triple-backward PDE loss term, through
+/// [`Graph::grad`] (so the table counts the final backward's adjoints too).
+/// The with-PDE node count and the bytes its tape recorded before the final
+/// backward are also published to the `autodiff.graph_nodes` /
+/// `autodiff.graph_bytes` telemetry gauges, which a training step feeds with
+/// the same quantities for its own tapes.
 pub fn measure_step_memory(net: &SdNet, batch: &Batch) -> MemoryReport {
     // Without PDE loss: forward + data loss + backward to weights.
     let mut g = Graph::new();
@@ -54,11 +59,12 @@ pub fn measure_step_memory(net: &SdNet, batch: &Batch) -> MemoryReport {
     drop(g);
 
     // With PDE loss: the same plus the collocation pass with its two inner
-    // backward passes and the final backward to weights.
+    // backward passes and the final backward to weights — the paper's tape,
+    // not the forward Laplacian that training runs.
     let mut g = Graph::new();
     let bound = net.params.bind(&mut g);
     let ld = data_loss(&mut g, net, &bound, batch);
-    let lp = pde_loss(&mut g, net, &bound, batch);
+    let lp = pde_loss_triple_backward(&mut g, net, &bound, batch);
     let total = g.add(ld, lp);
     let tape_bytes = g.recorded_bytes();
     let _ = g.grad(total, bound.all_vars());
@@ -117,7 +123,8 @@ mod tests {
     #[test]
     fn eviction_lowers_with_pde_peak() {
         // The with-PDE tape of `measure_step_memory`, once through the
-        // evicting `pde_loss` and once through the retaining oracle.
+        // evicting `pde_loss_triple_backward` and once through the
+        // retaining oracle.
         let (net, batch) = setup(2);
         let with_pde = |pde: PdeLoss| {
             let mut g = Graph::new();
@@ -137,7 +144,7 @@ mod tests {
                 g.bytes_allocated(),
             )
         };
-        let (bits, peak, recorded, _) = with_pde(pde_loss);
+        let (bits, peak, recorded, _) = with_pde(pde_loss_triple_backward);
         let (oracle_bits, oracle_peak, _, oracle_bytes) = with_pde(pde_loss_retained);
         assert!(bits == oracle_bits, "eviction changed a gradient");
         assert!(

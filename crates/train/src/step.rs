@@ -16,11 +16,13 @@
 //! [`train_step_distributed`] (across a communicator) are that core without
 //! a clip, and the epoch loops of [`crate::trainer`] call it with theirs.
 //!
-//! Each pass ends with the consuming [`Graph::backward`], and the PDE loss
-//! evicts what it can recompute between its inner passes, so a step holds
-//! far less than it records: [`StepStats::graph_bytes`] is the recorded
-//! footprint (Table 3's and Fig. 5's), [`StepStats::peak_bytes`] the live
-//! high-water mark.
+//! Each pass is one forward and one consuming [`Graph::backward`]: the PDE
+//! pass pushes the Laplacian forward through the network
+//! ([`crate::pde_loss`]) instead of taking it with two inner backward
+//! passes. [`StepStats::graph_bytes`] is what the two tapes recorded
+//! (Fig. 5's memory axis), [`StepStats::peak_bytes`] the live high-water
+//! mark; Table 3 meters the paper's triple-backward tape instead
+//! ([`crate::measure_step_memory`]).
 
 use crate::losses::{data_loss, pde_loss};
 use mf_autodiff::Graph;
@@ -101,10 +103,8 @@ pub struct StepStats {
     /// Autograd nodes created this step.
     pub graph_nodes: usize,
     /// Bytes the tape recorded before each pass's final backward began
-    /// (forward, loss and, for the PDE pass, its inner backward passes),
-    /// summed over both passes: [`Graph::recorded_bytes`], which counts
-    /// what the PDE loss's checkpointed segment evicted — the autograd
-    /// footprint Table 3 reports.
+    /// (forward and loss; for the PDE pass, the forward Laplacian), summed
+    /// over both passes: [`Graph::recorded_bytes`].
     pub graph_bytes: usize,
     /// High-water mark of live graph bytes within a single pass, the
     /// evictions and the final backward included.
@@ -158,9 +158,8 @@ pub fn local_gradients(
 
         // Pass 2: collocation points (cleared tape, like a fresh autograd
         // graph in PyTorch once the first backward freed its buffers). The
-        // inner backward passes of `pde_loss` retain the tape (`grad`),
-        // since the weight backward differentiates through them, less the
-        // values its checkpointed segment evicts.
+        // Laplacian is part of the forward, so this pass too is one
+        // forward and one backward.
         let pde_grads = {
             span!("train.pde_pass");
             g.clear();
@@ -544,29 +543,46 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpointed_segments_keep_gradients_bitwise_and_lower_peak() {
-        // The oracle step: `local_gradients`' two passes with the PDE pass
-        // through the retaining oracle, so nothing is ever evicted.
-        let net = tiny_net(9);
-        let batch = &tiny_batches(1)[0];
+    /// `local_gradients`' two passes on a fresh graph with `pde` as the
+    /// PDE loss: `(data_grads, pde_grads, stats)`, the stats' bytes and
+    /// peak as the step reports them.
+    fn two_passes(
+        net: &SdNet,
+        batch: &Batch,
+        pde_weight: f64,
+        pde: fn(&mut Graph, &SdNet, &mf_nn::Bound, &Batch) -> mf_autodiff::Var,
+    ) -> (Vec<Tensor>, Vec<Tensor>, StepStats) {
         let mut g = Graph::new();
-        let (mut oracle, mut oracle_bytes, mut oracle_peak) = (Vec::new(), 0, 0);
-        for pde in [false, true] {
+        let mut stats = StepStats::default();
+        let [data_grads, pde_grads] = [true, false].map(|data| {
             g.clear();
             let bound = net.params.bind(&mut g);
-            let loss = if pde {
-                let lp = crate::losses::tests::pde_loss_retained(&mut g, &net, &bound, batch);
-                g.scale(lp, 0.3)
+            let loss = if data {
+                data_loss(&mut g, net, &bound, batch)
             } else {
-                data_loss(&mut g, &net, &bound, batch)
+                let lp = pde(&mut g, net, &bound, batch);
+                g.scale(lp, pde_weight)
             };
-            oracle_bytes += g.bytes_allocated();
+            stats.graph_bytes += g.recorded_bytes();
             let grads = g.backward(loss, bound.all_vars());
-            oracle.extend(grads.iter().map(|&v| g.value(v).clone()));
-            oracle_peak = oracle_peak.max(g.peak_bytes());
-        }
-        let (d, p, stats) = local_gradients(&net, batch, 0.3);
+            stats.peak_bytes = stats.peak_bytes.max(g.peak_bytes());
+            grads.iter().map(|&v| g.value(v).clone()).collect()
+        });
+        (data_grads, pde_grads, stats)
+    }
+
+    #[test]
+    fn checkpointed_segments_keep_gradients_bitwise_and_lower_peak() {
+        // The two passes with the PDE loss's triple-backward form, once
+        // evicting and once through the retaining oracle, which never
+        // evicts anything.
+        use crate::losses::{pde_loss_triple_backward, tests::pde_loss_retained};
+        let net = tiny_net(9);
+        let batch = &tiny_batches(1)[0];
+        let (oracle_d, oracle_p, o) = two_passes(&net, batch, 0.3, pde_loss_retained);
+        let oracle: Vec<Tensor> = oracle_d.into_iter().chain(oracle_p).collect();
+        let (oracle_bytes, oracle_peak) = (o.graph_bytes, o.peak_bytes);
+        let (d, p, stats) = two_passes(&net, batch, 0.3, pde_loss_triple_backward);
         for (a, b) in d.iter().chain(&p).zip(&oracle) {
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "eviction changed a gradient");

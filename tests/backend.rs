@@ -711,9 +711,9 @@ fn plan_matches_graph_within_the_launch_bound_under_each_backend() {
     }
 }
 
-/// A full physics-informed training step (data pass + PDE double
-/// backward) produces gradients that agree across backends to relative
-/// 1e-6 — the double backward amplifies the activation ulp budgets, but
+/// A full physics-informed training step (data pass + forward-Laplacian
+/// PDE pass) produces gradients that agree across backends to relative
+/// 1e-6 — the second derivatives amplify the activation ulp budgets, but
 /// only by a few orders of magnitude.
 #[test]
 fn training_step_gradients_agree_across_backends() {

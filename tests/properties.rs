@@ -288,14 +288,17 @@ fn bits<'a>(ts: impl IntoIterator<Item = &'a Tensor>) -> Vec<Vec<u64>> {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Loss {
     Data,
-    /// `pde_loss`, which evicts within its own segment of the tape.
+    /// `pde_loss_triple_backward`, which evicts within its own segment of
+    /// the tape.
     Pde,
     /// `pde_loss_retained`, the oracle.
     Oracle,
+    /// `pde_loss`, the forward Laplacian training runs.
+    Forward,
 }
 
-/// The oracle: `pde_loss` without its three evictions, a tape that keeps
-/// every value it records.
+/// The oracle: `pde_loss_triple_backward` without its three evictions, a
+/// tape that keeps every value it records.
 fn pde_loss_retained(
     g: &mut Graph,
     net: &SdNet,
@@ -326,11 +329,12 @@ proptest! {
     /// `Graph::backward` is `grad`'s walk releasing the tape as it goes. On
     /// the data loss and the PDE loss of a random SDNet and batch it must
     /// return `grad`'s weight gradients bit for bit, on lean and legacy
-    /// graphs, and the PDE pass must peak strictly lower. The evicting PDE
-    /// loss must match the retaining oracle bit for bit under both walks,
-    /// never peak higher, and record the same bytes. `local_gradients`,
-    /// which ends both of its passes with `backward`, must return the
-    /// oracle's bits and stay allocation-free once warm.
+    /// graphs, and the PDE pass must peak strictly lower. The evicting
+    /// triple-backward PDE loss must match the retaining oracle bit for bit
+    /// under both walks, never peak higher, and record the same bytes.
+    /// `local_gradients`, which ends both of its passes with `backward`,
+    /// must return a `pde_loss` pass's bits and stay allocation-free once
+    /// warm.
     #[test]
     fn backward_matches_grad_bitwise_on_sdnet_losses(
         convs in 0usize..3,
@@ -344,7 +348,7 @@ proptest! {
         qc in 1usize..6,
         seed in 0u64..1_000,
     ) {
-        use mosaic_flow::train::{data_loss, local_gradients, pde_loss};
+        use mosaic_flow::train::{data_loss, local_gradients, pde_loss, pde_loss_triple_backward};
         let spec = spec();
         let mut cfg = SdNetConfig::small(spec.boundary_len());
         cfg.conv_channels = vec![channels; convs];
@@ -363,20 +367,20 @@ proptest! {
 
         // One pass as `local_gradients` builds it, on a fresh graph: the
         // weight gradients' bits, the pass's peak and its recorded bytes.
-        // `loss` is the data loss, the evicting PDE loss or the oracle.
+        // `loss` is the data loss or one of the three PDE losses.
         let pass = |lean: bool, loss: Loss, consume: bool| {
             let mut g = if lean { Graph::new() } else { Graph::new_legacy() };
             let bound = net.params.bind(&mut g);
-            let loss = match loss {
-                Loss::Data => data_loss(&mut g, &net, &bound, &batch),
-                Loss::Pde | Loss::Oracle => {
-                    let lp = if loss == Loss::Pde {
-                        pde_loss(&mut g, &net, &bound, &batch)
-                    } else {
-                        pde_loss_retained(&mut g, &net, &bound, &batch)
-                    };
-                    g.scale(lp, pde_weight)
-                }
+            let loss = if loss == Loss::Data {
+                data_loss(&mut g, &net, &bound, &batch)
+            } else {
+                let pde = match loss {
+                    Loss::Pde => pde_loss_triple_backward,
+                    Loss::Oracle => pde_loss_retained,
+                    _ => pde_loss,
+                };
+                let lp = pde(&mut g, &net, &bound, &batch);
+                g.scale(lp, pde_weight)
             };
             let grads = if consume {
                 g.backward(loss, bound.all_vars())
@@ -387,7 +391,7 @@ proptest! {
         };
         on_one_backend(|| {
             for lean in [true, false] {
-                for loss in [Loss::Data, Loss::Pde, Loss::Oracle] {
+                for loss in [Loss::Data, Loss::Pde, Loss::Oracle, Loss::Forward] {
                     let (kept, kept_peak, _) = pass(lean, loss, false);
                     let (consumed, consumed_peak, _) = pass(lean, loss, true);
                     prop_assert!(
@@ -417,8 +421,111 @@ proptest! {
             let (data, pde, warm) = local_gradients(&net, &batch, pde_weight);
             prop_assert_eq!((warm.pool_misses, warm.heap_allocs), (0, 0));
             prop_assert!(bits(&data) == pass(true, Loss::Data, false).0, "data");
-            prop_assert!(bits(&pde) == pass(true, Loss::Oracle, false).0, "pde");
+            prop_assert!(bits(&pde) == pass(true, Loss::Forward, false).0, "pde");
         });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The forward Laplacian against the triple-backward oracle.
+// ---------------------------------------------------------------------------
+
+/// The relative bound within which `pde_loss`'s forward Laplacian must
+/// reproduce the triple-backward form, on the residual and on every weight
+/// gradient: both evaluate the same derivatives of the same network, in a
+/// different order of floating-point operations.
+const FORWARD_LAPLACIAN_REL_TOL: f64 = 1e-12;
+
+/// `max |a − b|` over `max |b|` (zero when both are zero).
+fn rel_err(a: &Tensor, b: &Tensor) -> f64 {
+    let scale = b.norm_linf();
+    let diff = a.max_abs_diff(b);
+    if diff == 0.0 {
+        0.0
+    } else {
+        diff / scale
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `SdNet::forward_laplacian` pushes `(h, ∇h, Δh)` through the layers;
+    /// the oracle differentiates `forward` twice through the tape. On
+    /// random SDNet shapes, with every activation, both embeddings and with
+    /// and without Fourier features, the per-point residual `Δu` and the
+    /// weight gradients of the two PDE losses agree within
+    /// `FORWARD_LAPLACIAN_REL_TOL`.
+    #[test]
+    fn forward_laplacian_matches_the_triple_backward_oracle(
+        convs in 0usize..3,
+        channels in 1usize..4,
+        depth in 1usize..4,
+        width in 3usize..12,
+        concat in prop::bool::ANY,
+        activation in 0usize..3,
+        fourier in prop::bool::ANY,
+        domains in 1usize..4,
+        qc in 1usize..6,
+        seed in 0u64..1_000,
+    ) {
+        use mosaic_flow::train::{pde_loss, pde_loss_triple_backward};
+        let spec = spec();
+        let mut cfg = SdNetConfig::small(spec.boundary_len());
+        cfg.conv_channels = vec![channels; convs];
+        cfg.hidden = vec![width; depth];
+        cfg.coord_fourier = if fourier { 2 } else { 0 };
+        if concat {
+            cfg.embedding = EmbeddingKind::Concat;
+        }
+        cfg.activation = [Activation::Gelu, Activation::Tanh, Activation::Identity][activation];
+        let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(seed));
+        let ds = Dataset::generate(spec, domains, seed);
+        let idx: Vec<usize> = (0..domains).collect();
+        let batch = BatchSampler::new(domains, 1, qc, seed).make_batch(&ds, &idx);
+
+        // The residual itself, per collocation point.
+        let mut g = Graph::new();
+        let bound = net.params.bind(&mut g);
+        let gb = g.constant_from(&batch.boundaries);
+        let x = g.constant_from(&batch.colloc_points);
+        let lap = net.forward_laplacian(&mut g, &bound, gb, x, qc);
+        let forward = g.value(lap).clone();
+        let x = g.leaf_from(&batch.colloc_points);
+        let u = net.forward(&mut g, &bound, gb, x, qc);
+        let su = g.sum(u);
+        let du = g.grad(su, &[x])[0];
+        let (ux, uy) = (g.slice_cols(du, 0, 1), g.slice_cols(du, 1, 1));
+        let (sux, suy) = (g.sum(ux), g.sum(uy));
+        let dux = g.grad(sux, &[x])[0];
+        let duy = g.grad(suy, &[x])[0];
+        let (uxx, uyy) = (g.slice_cols(dux, 0, 1), g.slice_cols(duy, 1, 1));
+        let oracle = g.add(uxx, uyy);
+        let err = rel_err(&forward, g.value(oracle));
+        prop_assert!(err <= FORWARD_LAPLACIAN_REL_TOL, "residual rel err {:e}", err);
+
+        // The loss and its weight gradients, each from one consuming pass.
+        let pass = |forward: bool| {
+            let mut g = Graph::new();
+            let bound = net.params.bind(&mut g);
+            let lp = if forward {
+                pde_loss(&mut g, &net, &bound, &batch)
+            } else {
+                pde_loss_triple_backward(&mut g, &net, &bound, &batch)
+            };
+            let loss = g.value(lp).clone();
+            let grads = g.backward(lp, bound.all_vars());
+            let grads: Vec<Tensor> = grads.iter().map(|&v| g.value(v).clone()).collect();
+            (loss, grads)
+        };
+        let (loss, grads) = pass(true);
+        let (oracle_loss, oracle_grads) = pass(false);
+        let err = rel_err(&loss, &oracle_loss);
+        prop_assert!(err <= FORWARD_LAPLACIAN_REL_TOL, "loss rel err {:e}", err);
+        for ((name, _), (a, b)) in net.params.iter().zip(grads.iter().zip(&oracle_grads)) {
+            let err = rel_err(a, b);
+            prop_assert!(err <= FORWARD_LAPLACIAN_REL_TOL, "gradient of {} rel err {:e}", name, err);
+        }
     }
 }
 
