@@ -544,16 +544,18 @@ mod tests {
     }
 
     /// `local_gradients`' two passes on a fresh graph with `pde` as the
-    /// PDE loss: `(data_grads, pde_grads, stats)`, the stats' bytes and
-    /// peak as the step reports them.
+    /// PDE loss: `(data_grads, pde_grads, stats, live_bytes)`, the stats'
+    /// bytes and peak as the step reports them, `live_bytes` the bytes the
+    /// graph really held as each backward began, summed over both passes.
     fn two_passes(
         net: &SdNet,
         batch: &Batch,
         pde_weight: f64,
         pde: fn(&mut Graph, &SdNet, &mf_nn::Bound, &Batch) -> mf_autodiff::Var,
-    ) -> (Vec<Tensor>, Vec<Tensor>, StepStats) {
+    ) -> (Vec<Tensor>, Vec<Tensor>, StepStats, usize) {
         let mut g = Graph::new();
         let mut stats = StepStats::default();
+        let mut live_bytes = 0;
         let [data_grads, pde_grads] = [true, false].map(|data| {
             g.clear();
             let bound = net.params.bind(&mut g);
@@ -564,25 +566,26 @@ mod tests {
                 g.scale(lp, pde_weight)
             };
             stats.graph_bytes += g.recorded_bytes();
+            live_bytes += g.bytes_allocated();
             let grads = g.backward(loss, bound.all_vars());
             stats.peak_bytes = stats.peak_bytes.max(g.peak_bytes());
             grads.iter().map(|&v| g.value(v).clone()).collect()
         });
-        (data_grads, pde_grads, stats)
+        (data_grads, pde_grads, stats, live_bytes)
     }
 
     #[test]
     fn checkpointed_segments_keep_gradients_bitwise_and_lower_peak() {
         // The two passes with the PDE loss's triple-backward form, once
         // evicting and once through the retaining oracle, which never
-        // evicts anything.
+        // evicts anything, so its live bytes are everything it recorded.
         use crate::losses::{pde_loss_triple_backward, tests::pde_loss_retained};
         let net = tiny_net(9);
         let batch = &tiny_batches(1)[0];
-        let (oracle_d, oracle_p, o) = two_passes(&net, batch, 0.3, pde_loss_retained);
+        let (oracle_d, oracle_p, o, oracle_bytes) = two_passes(&net, batch, 0.3, pde_loss_retained);
         let oracle: Vec<Tensor> = oracle_d.into_iter().chain(oracle_p).collect();
-        let (oracle_bytes, oracle_peak) = (o.graph_bytes, o.peak_bytes);
-        let (d, p, stats) = two_passes(&net, batch, 0.3, pde_loss_triple_backward);
+        let oracle_peak = o.peak_bytes;
+        let (d, p, stats, _) = two_passes(&net, batch, 0.3, pde_loss_triple_backward);
         for (a, b) in d.iter().chain(&p).zip(&oracle) {
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "eviction changed a gradient");

@@ -305,6 +305,19 @@ fn pde_loss_retained(
     bound: &mosaic_flow::nn::Bound,
     batch: &Batch,
 ) -> Var {
+    let lap = laplacian_retained(g, net, bound, batch);
+    let sq = g.mul(lap, lap);
+    g.mean(sq)
+}
+
+/// The oracle's per-point residual `u_xx + u_yy`: `forward` differentiated
+/// twice with respect to its inputs through the tape.
+fn laplacian_retained(
+    g: &mut Graph,
+    net: &SdNet,
+    bound: &mosaic_flow::nn::Bound,
+    batch: &Batch,
+) -> Var {
     let gb = g.constant_from(&batch.boundaries);
     let x = g.leaf_from(&batch.colloc_points);
     let u = net.forward(g, bound, gb, x, batch.qc);
@@ -318,9 +331,7 @@ fn pde_loss_retained(
     let suy = g.sum(uy);
     let duy = g.grad(suy, &[x])[0];
     let uyy = g.slice_cols(duy, 1, 1);
-    let lap = g.add(uxx, uyy);
-    let sq = g.mul(lap, lap);
-    g.mean(sq)
+    g.add(uxx, uyy)
 }
 
 proptest! {
@@ -491,16 +502,7 @@ proptest! {
         let x = g.constant_from(&batch.colloc_points);
         let lap = net.forward_laplacian(&mut g, &bound, gb, x, qc);
         let forward = g.value(lap).clone();
-        let x = g.leaf_from(&batch.colloc_points);
-        let u = net.forward(&mut g, &bound, gb, x, qc);
-        let su = g.sum(u);
-        let du = g.grad(su, &[x])[0];
-        let (ux, uy) = (g.slice_cols(du, 0, 1), g.slice_cols(du, 1, 1));
-        let (sux, suy) = (g.sum(ux), g.sum(uy));
-        let dux = g.grad(sux, &[x])[0];
-        let duy = g.grad(suy, &[x])[0];
-        let (uxx, uyy) = (g.slice_cols(dux, 0, 1), g.slice_cols(duy, 1, 1));
-        let oracle = g.add(uxx, uyy);
+        let oracle = laplacian_retained(&mut g, &net, &bound, &batch);
         let err = rel_err(&forward, g.value(oracle));
         prop_assert!(err <= FORWARD_LAPLACIAN_REL_TOL, "residual rel err {:e}", err);
 
