@@ -17,19 +17,11 @@
 //! every node that reads it, so the next VJP writes into a buffer the pool
 //! just got back (its freelists are LIFO) — one that is still in cache.
 //!
-//! [`Graph::evict_dead_values`] releases, within one segment of the tape,
-//! the values of nodes whose VJPs never read them (pure structural ops such
-//! as `Add`, slices, broadcasts); if a later operation does need an evicted
-//! value it is recomputed on demand from its (never-evicted) leaf ancestors
-//! — recompute-instead-of-retain checkpointing. All kernels are
-//! deterministic, so a recomputed value is bitwise identical to the evicted
-//! one. On a legacy graph the call is a no-op, like pooling and the fused
-//! VJPs.
-//!
-//! Two meters tell the footprints apart: [`Graph::bytes_allocated`] is what
-//! the tape holds *now*, after every eviction and consuming release, and
-//! [`Graph::recorded_bytes`] is what it *recorded* — the footprint of a
-//! tape that keeps everything, as PyTorch's does (Table 3).
+//! The graph has one byte meter, [`Graph::bytes_allocated`]: what the
+//! tape holds now. Until a consuming [`Graph::backward`] releases values it
+//! is everything the tape recorded — the footprint of a tape that keeps
+//! every node, as PyTorch's does (Table 3). [`Graph::peak_bytes`] is its
+//! high-water mark.
 
 use mf_tensor::Layout;
 use mf_tensor::{BufferPool, PoolStats, Tensor};
@@ -138,24 +130,16 @@ pub enum Op {
 
 pub(crate) struct Node {
     pub op: Op,
-    /// `None` when the value was checkpoint-evicted, released by a
-    /// consuming [`Graph::backward`], or the node is a hollowed-out
-    /// accumulator superseded by a longer one.
+    /// `None` when the value was released by a consuming
+    /// [`Graph::backward`], or the node is a hollowed-out accumulator
+    /// superseded by a longer one.
     pub value: Option<Tensor>,
     /// Output shape, kept as metadata so shape queries (and therefore the
-    /// whole backward pass structure) never need the possibly-evicted value.
+    /// whole backward pass structure) never need the possibly-released
+    /// value.
     pub rows: usize,
     pub cols: usize,
     pub requires_grad: bool,
-}
-
-/// Aggregate statistics of a graph, used by the Table-3 memory experiment.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct GraphStats {
-    /// Number of nodes recorded.
-    pub nodes: usize,
-    /// Bytes held by node value buffers (the "autograd graph" footprint).
-    pub bytes: usize,
 }
 
 /// An eager tape of tensor operations supporting repeated, differentiable
@@ -175,9 +159,6 @@ pub struct Graph {
     lean: bool,
     /// Capacity bytes of all live node values.
     live_bytes: usize,
-    /// Capacity bytes of every value pushed since the last
-    /// [`Graph::clear`], less accumulator buffers moved into a longer one.
-    recorded_bytes: usize,
     /// High-water mark of `live_bytes` since the last [`Graph::clear`].
     peak_bytes: usize,
     /// Buffers obtained from the heap instead of the pool: pool misses,
@@ -200,7 +181,6 @@ impl Graph {
             pool: BufferPool::new(),
             lean: true,
             live_bytes: 0,
-            recorded_bytes: 0,
             peak_bytes: 0,
             heap_allocs: 0,
         }
@@ -218,7 +198,7 @@ impl Graph {
     }
 
     /// Whether this graph runs in lean (pooled + fused) mode.
-    pub fn is_lean(&self) -> bool {
+    pub(crate) fn is_lean(&self) -> bool {
         self.lean
     }
 
@@ -234,7 +214,6 @@ impl Graph {
             }
         }
         self.live_bytes = 0;
-        self.recorded_bytes = 0;
         self.peak_bytes = 0;
     }
 
@@ -253,15 +232,6 @@ impl Graph {
     /// are ordinary nodes on this tape.
     pub fn bytes_allocated(&self) -> usize {
         self.live_bytes
-    }
-
-    /// Capacity bytes of every value the tape recorded since the last
-    /// [`Graph::clear`], whether or not it was since evicted or released
-    /// by a consuming [`Graph::backward`]: the footprint of a tape that
-    /// keeps every node. On a tape that has released nothing it equals
-    /// [`Graph::bytes_allocated`].
-    pub fn recorded_bytes(&self) -> usize {
-        self.recorded_bytes
     }
 
     /// High-water mark of [`Graph::bytes_allocated`] since the last
@@ -286,32 +256,21 @@ impl Graph {
         self.heap_allocs
     }
 
-    /// Node and byte counts in one call.
-    pub fn stats(&self) -> GraphStats {
-        GraphStats {
-            nodes: self.len(),
-            bytes: self.bytes_allocated(),
-        }
-    }
-
     /// The computed value of a variable.
     ///
-    /// Panics if the value was released by [`Graph::backward`] or evicted
-    /// by a checkpoint; internal consumers rematerialize evicted values via
-    /// `Graph::ensure_live` first.
+    /// Panics if the value was released by [`Graph::backward`].
     pub fn value(&self, v: Var) -> &Tensor {
         self.nodes[v.0].value.as_ref().unwrap_or_else(|| {
             panic!(
-                "value of node {} is gone: either released by backward() (read it \
-                 before the backward, or use grad()) or evicted by a checkpoint (call \
-                 an op on it, which rematerializes, or read it before evict_dead_values())",
+                "value of node {} was released by backward(): read it before the \
+                 backward, or use grad()",
                 v.0
             )
         })
     }
 
     /// Output shape of a variable, from metadata (works even when the
-    /// value is evicted).
+    /// value was released).
     pub fn shape_of(&self, v: Var) -> (usize, usize) {
         let n = &self.nodes[v.0];
         (n.rows, n.cols)
@@ -413,7 +372,6 @@ impl Graph {
     pub(crate) fn push(&mut self, op: Op, value: Tensor, requires_grad: bool) -> Var {
         let (rows, cols) = value.shape();
         self.live_bytes += value.capacity_bytes();
-        self.recorded_bytes += value.capacity_bytes();
         if self.live_bytes > self.peak_bytes {
             self.peak_bytes = self.live_bytes;
         }
@@ -443,90 +401,11 @@ impl Graph {
             .take()
             .expect("take_value: node already hollow");
         self.live_bytes -= t.capacity_bytes();
-        self.recorded_bytes -= t.capacity_bytes();
         t
     }
 
-    /// Rematerialize `v` (and any evicted ancestors, in topological order)
-    /// if its value was checkpoint-evicted. Deterministic kernels make the
-    /// recomputed value bitwise identical to the evicted one.
-    pub(crate) fn ensure_live(&mut self, v: Var) {
-        if self.nodes[v.0].value.is_some() {
-            return;
-        }
-        let mut dead: Vec<usize> = Vec::new();
-        let mut stack = vec![v.0];
-        while let Some(i) = stack.pop() {
-            if self.nodes[i].value.is_some() || dead.contains(&i) {
-                continue;
-            }
-            dead.push(i);
-            for_each_input(&self.nodes[i].op, |inp| {
-                if self.nodes[inp.0].value.is_none() {
-                    stack.push(inp.0);
-                }
-            });
-        }
-        dead.sort_unstable();
-        for i in dead {
-            let op = self.nodes[i].op.clone();
-            let val = self.eval_live(&op);
-            self.live_bytes += val.capacity_bytes();
-            if self.live_bytes > self.peak_bytes {
-                self.peak_bytes = self.live_bytes;
-            }
-            self.nodes[i].value = Some(val);
-        }
-    }
-
-    /// Release the values of the segment's nodes — those at index `from`
-    /// or later — that no future backward pass reads: everything except
-    /// leaves/constants, `Tanh`/`Exp` outputs (their VJPs read their own
-    /// output), inputs of ops whose VJPs read input values (`Mul`,
-    /// `MatMul`, `Sin`, `Cos`, `Gelu`, `TanhVjp`, `OneMinusSq`), and the
-    /// explicitly `protect`ed variables. Nodes before `from` belong to the
-    /// caller (a loss recorded earlier on a shared tape) and are left alone.
-    ///
-    /// A no-op on a legacy graph ([`Graph::new_legacy`]). Evicting is always
-    /// safe — a value that does turn out to be needed is recomputed
-    /// bitwise-identically — the rule above just avoids evicting what is
-    /// certain to be recomputed.
-    pub fn evict_dead_values(&mut self, from: usize, protect: &[Var]) {
-        if !self.lean {
-            return;
-        }
-        let n = self.nodes.len();
-        let mut keep = vec![false; n];
-        for node in &self.nodes[from..] {
-            if let Op::Mul(..)
-            | Op::MatMul(..)
-            | Op::Sin(..)
-            | Op::Cos(..)
-            | Op::Gelu(..)
-            | Op::TanhVjp(..)
-            | Op::OneMinusSq(..) = node.op
-            {
-                for_each_input(&node.op, |v| keep[v.0] = true);
-            }
-        }
-        for p in protect {
-            keep[p.0] = true;
-        }
-        for (i, &kept) in keep.iter().enumerate().skip(from) {
-            if !kept
-                && !matches!(
-                    self.nodes[i].op,
-                    Op::Leaf | Op::Const | Op::Tanh(_) | Op::Exp(_)
-                )
-            {
-                self.release(Var(i));
-            }
-        }
-    }
-
     /// Drop `v`'s value (back into the pool in lean mode), for a consuming
-    /// [`Graph::backward`] or a checkpoint eviction; a no-op on a node
-    /// whose value is already gone.
+    /// [`Graph::backward`]; a no-op on a node whose value is already gone.
     pub(crate) fn release(&mut self, v: Var) {
         if let Some(val) = self.nodes[v.0].value.take() {
             self.live_bytes -= val.capacity_bytes();
@@ -618,17 +497,16 @@ mod tests {
         assert!(!g.is_empty());
         g.clear();
         assert!(g.is_empty());
-        assert_eq!(g.stats(), GraphStats::default());
+        assert_eq!((g.len(), g.bytes_allocated()), (0, 0));
     }
 
     #[test]
-    fn stats_track_bytes() {
+    fn len_and_bytes_track_the_tape() {
         let mut g = Graph::new();
         let a = g.leaf(Tensor::ones(8, 8));
         let _ = g.mul(a, a);
-        let s = g.stats();
-        assert_eq!(s.nodes, 2);
-        assert_eq!(s.bytes, 2 * 64 * 8);
+        assert_eq!(g.len(), 2);
+        assert_eq!(g.bytes_allocated(), 2 * 64 * 8);
     }
 
     #[test]
@@ -684,61 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn eviction_and_remat_are_bitwise_identical() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::from_fn(2, 3, |r, c| {
-            (r as f64 + 1.3) * (c as f64 - 0.7)
-        }));
-        let s = g.scale(x, 1.7);
-        let a = g.add_scalar(s, 0.25);
-        let before = g.value(a).clone();
-        g.evict_dead_values(0, &[]);
-        assert!(
-            g.nodes[a.0].value.is_none(),
-            "Add-scalar output should evict"
-        );
-        assert_eq!(g.shape_of(a), (2, 3));
-        // Consuming the evicted var rematerializes it (and its ancestors).
-        let t = g.tanh(a);
-        assert_eq!(g.shape_of(t), (2, 3));
-        for (x, y) in g.value(a).as_slice().iter().zip(before.as_slice()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
-
-    #[test]
-    fn evict_protects_requested_vars() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::ones(2, 2));
-        let s = g.scale(x, 2.0);
-        g.evict_dead_values(0, &[s]);
-        assert!(g.nodes[s.0].value.is_some());
-    }
-
-    #[test]
-    fn evict_is_noop_on_a_legacy_graph() {
-        let mut g = Graph::new_legacy();
-        let x = g.leaf(Tensor::ones(2, 2));
-        let s = g.scale(x, 2.0);
-        g.evict_dead_values(0, &[]);
-        assert!(g.nodes[s.0].value.is_some());
-        assert_eq!(g.bytes_allocated(), g.recorded_bytes());
-    }
-
-    #[test]
-    fn evict_leaves_nodes_before_from_alone() {
-        let mut g = Graph::new();
-        let x = g.leaf(Tensor::ones(2, 2));
-        let caller = g.scale(x, 2.0);
-        let from = g.len();
-        let mine = g.scale(x, 3.0);
-        g.evict_dead_values(from, &[]);
-        assert!(g.nodes[caller.0].value.is_some());
-        assert!(g.nodes[mine.0].value.is_none());
-    }
-
-    #[test]
-    fn recorded_bytes_do_not_move_through_eviction_or_backward() {
+    fn bytes_fall_only_through_backward() {
         let tape = |g: &mut Graph| {
             let x = g.leaf(Tensor::from_fn(4, 3, |r, c| (r as f64 - c as f64) * 0.3));
             let s = g.scale(x, 1.5);
@@ -749,25 +573,22 @@ mod tests {
             let z = g.sum(dx);
             (x, g.add(z, f))
         };
-        // The oracle keeps every value: its live bytes are what it recorded.
+        // A retaining tape never releases: its live bytes are its peak.
         let mut kept = Graph::new();
         let (x, loss) = tape(&mut kept);
+        let recorded = kept.bytes_allocated();
         let _ = kept.grad(loss, &[x]);
-        assert_eq!(kept.recorded_bytes(), kept.bytes_allocated());
+        assert!(kept.bytes_allocated() > recorded);
+        assert_eq!(kept.peak_bytes(), kept.bytes_allocated());
 
+        // The consuming backward releases what it walks.
         let mut g = Graph::new();
         let (x, loss) = tape(&mut g);
-        let recorded = g.recorded_bytes();
-        g.evict_dead_values(0, &[loss]);
-        assert!(g.bytes_allocated() < recorded, "nothing was evicted");
-        assert_eq!(g.recorded_bytes(), recorded);
-        // The consuming backward rematerializes what it reads and releases
-        // what it walks; neither is recorded.
+        assert_eq!(g.bytes_allocated(), recorded);
         let _ = g.backward(loss, &[x]);
-        assert!(g.bytes_allocated() < g.recorded_bytes());
-        assert_eq!(g.recorded_bytes(), kept.bytes_allocated());
+        assert!(g.bytes_allocated() < recorded);
         g.clear();
-        assert_eq!(g.recorded_bytes(), 0);
+        assert_eq!((g.bytes_allocated(), g.peak_bytes()), (0, 0));
     }
 
     #[test]

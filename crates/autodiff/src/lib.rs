@@ -30,13 +30,10 @@
 //!   the walk reads it, so the pass runs in cache instead of streaming
 //!   through everything the forward and the inner passes recorded.
 //!
-//! A caller may also evict, within its own segment of the tape, the values
-//! no later VJP reads ([`Graph::evict_dead_values`]); an op that reads one
-//! recomputes it, bit for bit.
-//!
-//! The arena meters the bytes its node values hold now
-//! ([`Graph::bytes_allocated`]) and the bytes it recorded, evicted or
-//! released values included ([`Graph::recorded_bytes`]): the second is the
+//! A tape holds every value it records until a consuming backward frees
+//! it. The arena meters the bytes its node values hold
+//! ([`Graph::bytes_allocated`], with its high-water mark
+//! [`Graph::peak_bytes`]); read before the last backward, that is the
 //! footprint of a tape that keeps every node, which is how the repository
 //! reproduces the autograd-memory measurements of Table 3.
 //!
@@ -67,7 +64,7 @@ mod backward;
 mod graph;
 mod ops;
 
-pub use graph::{Graph, GraphStats, Op, Var};
+pub use graph::{Graph, Op, Var};
 
 #[cfg(test)]
 mod adjoint_tests;

@@ -4,11 +4,9 @@
 //! records the [`Op`] so the backward pass can differentiate it later.
 //!
 //! All values flow through a single evaluator ([`Graph::eval_live`]) that
-//! writes into pool-recycled buffers in lean mode: eager execution and
-//! checkpoint rematerialization share the exact same kernel calls, so a
-//! recomputed value is bitwise identical to the original.
+//! writes into pool-recycled buffers in lean mode.
 
-use crate::graph::{for_each_input, Graph, Op, Var};
+use crate::graph::{Graph, Op, Var};
 use mf_tensor::{fold1d_circular_into, gemm_into, unfold1d_circular_into, Layout, Tensor};
 
 // The GELU constants now live with the backend kernels in `mf-tensor`;
@@ -16,20 +14,12 @@ use mf_tensor::{fold1d_circular_into, gemm_into, unfold1d_circular_into, Layout,
 pub(crate) use mf_tensor::{GELU_C, GELU_SQRT_2_OVER_PI};
 
 impl Graph {
-    /// Rematerialize evicted inputs, then evaluate `op` into a fresh
-    /// (pooled) buffer.
-    fn eval(&mut self, op: &Op) -> Tensor {
-        for_each_input(op, |v| self.ensure_live(v));
-        self.eval_live(op)
-    }
-
-    /// Evaluate `op` assuming every input value is live. The single source
-    /// of truth for primitive semantics — eager ops and checkpoint
-    /// rematerialization both land here.
-    pub(crate) fn eval_live(&mut self, op: &Op) -> Tensor {
+    /// Evaluate `op` into a fresh (pooled) buffer. The single source of
+    /// truth for primitive semantics: every eager op lands here.
+    fn eval_live(&mut self, op: &Op) -> Tensor {
         match *op {
             Op::Leaf | Op::Const => {
-                unreachable!("leaves and constants are never re-evaluated")
+                unreachable!("leaves and constants are recorded, never evaluated")
             }
             Op::Add(a, b) => {
                 let mut out = self.alloc_like_dirty(a);
@@ -258,7 +248,7 @@ impl Graph {
     }
 
     fn record(&mut self, op: Op) -> Var {
-        let v = self.eval(&op);
+        let v = self.eval_live(&op);
         self.push_op(op, v)
     }
 

@@ -27,9 +27,10 @@ use rand_chacha::ChaCha8Rng;
 
 /// One training step the way `main` ran it before the allocation-lean
 /// hot path: a fresh legacy graph per pass, allocate-add-replace adjoint
-/// accumulation, unfused VJP chains, no buffer pool. Returns
-/// `(peak_bytes, heap_allocs)` with the same per-pass-max / summed
-/// semantics as `StepStats`.
+/// accumulation, unfused VJP chains, no buffer pool, and the paper's
+/// triple-backward PDE loss on a tape that keeps every value until it is
+/// dropped. Returns `(peak_bytes, heap_allocs)` with the same
+/// per-pass-max / summed semantics as `StepStats`.
 fn legacy_step(net: &SdNet, batch: &Batch) -> (usize, u64) {
     let mut peak = 0usize;
     let mut allocs = 0u64;
@@ -90,8 +91,9 @@ fn main() {
 
     // Before/after table for the allocation-lean hot path: the legacy
     // engine (fresh unpooled graph per pass, chained adjoint adds, unfused
-    // VJPs, no eviction — what `main` ran) vs a warm training step on the
-    // lean engine's persistent graph (steps 2+ of a training run).
+    // VJPs, triple-backward PDE loss — what `main` ran) vs a warm training
+    // step on the lean engine's persistent graph (steps 2+ of a training
+    // run), whose PDE loss is the forward Laplacian.
     let mut lean_rows = Vec::new();
     let mut gate_metrics = Vec::new();
     for &domains in &domain_counts {

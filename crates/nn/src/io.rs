@@ -153,6 +153,12 @@ impl SdNet {
     /// overwritten by the stored values), and the parameter list is
     /// validated name-by-name and shape-by-shape.
     pub fn load_from(r: &mut impl Read) -> io::Result<SdNet> {
+        Self::load_within(r, u64::MAX)
+    }
+
+    /// [`SdNet::load_from`] for a source of at most `max_bytes` bytes: a
+    /// header that declares more parameters than that is refused too.
+    fn load_within(r: &mut impl Read, max_bytes: u64) -> io::Result<SdNet> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -202,7 +208,10 @@ impl SdNet {
             coord_extent,
             coord_fourier,
         };
-        check_architecture(&config)?;
+        let declared = check_architecture(&config)?;
+        if (declared as u64).saturating_mul(8) > max_bytes {
+            return Err(bad("declared parameters exceed the file"));
+        }
         use rand::SeedableRng;
         let mut net = SdNet::new(config, &mut rand_chacha::ChaCha8Rng::seed_from_u64(0));
 
@@ -240,16 +249,18 @@ impl SdNet {
         self.save_to(&mut f)
     }
 
-    /// Load from a file path.
+    /// Load from a file path, refusing a header that declares more
+    /// parameters than the file holds before anything is built.
     pub fn load(path: impl AsRef<Path>) -> io::Result<SdNet> {
-        let mut f = io::BufReader::new(std::fs::File::open(path)?);
-        Self::load_from(&mut f)
+        let f = std::fs::File::open(path)?;
+        let len = f.metadata()?.len();
+        Self::load_within(&mut io::BufReader::new(f), len)
     }
 }
 
 /// Refuse a declared architecture that [`SdNet::new`] would assert on or
-/// could not allocate.
-fn check_architecture(cfg: &SdNetConfig) -> io::Result<()> {
+/// could not allocate; otherwise its scalar parameter count.
+fn check_architecture(cfg: &SdNetConfig) -> io::Result<usize> {
     let mut widths = [cfg.boundary_len, cfg.conv_kernel]
         .into_iter()
         .chain(cfg.conv_channels.iter().copied())
@@ -264,7 +275,7 @@ fn check_architecture(cfg: &SdNetConfig) -> io::Result<()> {
         return Err(bad("coord_extent is not a positive finite number"));
     }
     match declared_params(cfg) {
-        Some(n) if n <= MAX_PARAMS => Ok(()),
+        Some(n) if n <= MAX_PARAMS => Ok(n),
         _ => Err(bad("declared parameter count out of range")),
     }
 }

@@ -313,6 +313,13 @@ impl SolveService {
         Ok(DomainSpec::new(self.inner.spec, sx, sy))
     }
 
+    /// The largest domain [`SolveService::check_domain`] admits (one
+    /// subdomain when it admits none).
+    pub(crate) fn largest_domain(&self) -> DomainSpec {
+        let max = self.inner.cfg.max_domain.max(1);
+        DomainSpec::new(self.inner.spec, max, max)
+    }
+
     fn validate(&self, req: &SolveRequest) -> Result<usize, ServeError> {
         let domain = self.check_domain(req.sx, req.sy)?;
         if req.bc.numel() != domain.boundary_len() {

@@ -7,16 +7,33 @@
 //! connection is a closed loop: the next request on the same connection
 //! is read only after the previous response was written, so concurrency
 //! comes from the number of connections (the `repro_serve` load generator
-//! opens one per simulated client).
+//! opens one per simulated client). A request line longer than the
+//! longest legal request gets a `BadRequest` reply and the connection is
+//! closed, so a client that never sends `\n` cannot grow the server's
+//! buffer without bound.
 
 use crate::protocol;
 use crate::service::{ServeError, SolveService};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The most bytes `{:.17e}` writes for an `f64`
+/// (`-1.23456789012345678e-308`), plus the comma after it.
+const MAX_VALUE_BYTES: usize = 26;
+
+/// Room on a request line for everything but the `bc` values: the other
+/// fields, their keys, and whitespace between tokens.
+const LINE_SLACK_BYTES: usize = 4096;
+
+/// The longest request line `service` has to read: an explicit `bc` array
+/// for the largest domain it admits, plus slack.
+fn max_line_bytes(service: &SolveService) -> usize {
+    service.largest_domain().boundary_len() * MAX_VALUE_BYTES + LINE_SLACK_BYTES
+}
 
 /// A running TCP server bound to a local address. Dropping it stops the
 /// accept loop; established connections close when clients disconnect.
@@ -106,15 +123,27 @@ fn handle_connection(stream: TcpStream, service: Arc<SolveService>, conn_id: u64
             return;
         }
     };
+    let max_line = max_line_bytes(&service);
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match reader
+            .by_ref()
+            .take(max_line as u64 + 1)
+            .read_line(&mut line)
+        {
             Ok(0) | Err(_) => {
                 mf_telemetry::set_current_request(0);
                 mf_telemetry::log!(Debug, "serve.conn_closed", conn = conn_id);
                 return; // client closed
+            }
+            Ok(n) if n > max_line => {
+                let e = ServeError::BadRequest(format!("request line exceeds {max_line} bytes"));
+                mf_telemetry::log!(Warn, "serve.bad_request", conn = conn_id, err = e);
+                let _ = writer.write_all(protocol::render_err(0, &e).as_bytes());
+                let _ = writer.flush();
+                return; // the rest of the line is never read
             }
             Ok(_) => {}
         }
@@ -218,6 +247,45 @@ mod tests {
             .unwrap();
         reader.read_line(&mut line).unwrap();
         let v = JsonValue::parse(line.trim()).unwrap();
+        assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("ok"));
+    }
+
+    #[test]
+    fn an_oversized_line_is_refused_and_the_server_serves_on() {
+        let (svc, server) = test_server(ServeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let request = |line: &[u8]| {
+            let stream = TcpStream::connect(server.addr()).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            writer.write_all(line).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            JsonValue::parse(reply.trim()).unwrap()
+        };
+
+        // The longest legal request: an explicit array of the widest
+        // values for the largest domain, on one line of at most the cap.
+        let max = ServeConfig::default().max_domain;
+        let walk = svc.check_domain(max, max).unwrap().boundary_len();
+        let bc: Vec<String> = (0..walk).map(|_| format!("{:.17e}", -1.5e-300)).collect();
+        let legal = format!(
+            "{{\"id\":1,\"domain\":\"{max}x{max}\",\"max_iters\":1,\"bc\":[{}]}}\n",
+            bc.join(",")
+        );
+        let cap = max_line_bytes(&svc);
+        assert!(legal.len() <= cap, "{} > {cap}", legal.len());
+
+        // Far over the cap and no newline in sight.
+        let v = request(&vec![b' '; 4 * cap]);
+        assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("error"));
+        let msg = v.get("message").and_then(JsonValue::as_str).unwrap();
+        assert!(msg.contains("exceeds"), "{msg}");
+
+        let v = request(legal.as_bytes());
+        assert_eq!(v.get("id").and_then(JsonValue::as_f64), Some(1.0));
         assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("ok"));
     }
 

@@ -8,9 +8,9 @@
 //!   `mean((∂²u/∂x² + ∂²u/∂y²)²)` at collocation points, whose Laplacian the
 //!   network carries forward through its layers (one backward then reaches
 //!   the weights). The paper's form of the same loss — two chained backward
-//!   passes to the Laplacian, the third to the weights, as a checkpointed
-//!   segment that evicts what it can recompute — is kept for Table 3's meter
-//!   and as the tests' oracle.
+//!   passes to the Laplacian, the third to the weights, on a tape that keeps
+//!   everything it records — is kept for Table 3's meter and as the tests'
+//!   oracle.
 //! * [`step`] implements Algorithm 1: per-rank forward/backward for data
 //!   points, gradient *accumulation* over the collocation backward, and a
 //!   **single fused allreduce-mean** per iteration. An unfused variant (one

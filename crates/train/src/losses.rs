@@ -38,26 +38,9 @@ pub fn pde_loss(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Var
 /// ([`crate::measure_step_memory`]), and the oracle the forward Laplacian
 /// is tested against.
 ///
-/// The loss is a checkpointed segment of the tape: after each inner
-/// backward pass it evicts the values of its own nodes that can be
-/// recomputed cheaply ([`Graph::evict_dead_values`]), and the weight
-/// backward rematerializes the few it reads, bit for bit. Nodes recorded
-/// before the call (a data loss on a shared tape) are left alone, and
-/// [`Graph::recorded_bytes`] still counts everything the segment recorded.
+/// Every value the loss records stays on the tape until the weight
+/// backward, as under PyTorch's `create_graph=True`.
 pub fn pde_loss_triple_backward(g: &mut Graph, net: &SdNet, bound: &Bound, batch: &Batch) -> Var {
-    triple_backward(g, net, bound, batch, Graph::evict_dead_values)
-}
-
-/// The body of [`pde_loss_triple_backward`]; `evict(g, from, protect)`
-/// runs after each inner backward pass.
-fn triple_backward(
-    g: &mut Graph,
-    net: &SdNet,
-    bound: &Bound,
-    batch: &Batch,
-    evict: fn(&mut Graph, usize, &[Var]),
-) -> Var {
-    let from = g.len();
     let gb = g.constant_from(&batch.boundaries);
     // Collocation coordinates are a *leaf*: we differentiate w.r.t. them.
     let x = g.leaf_from(&batch.colloc_points);
@@ -68,18 +51,15 @@ fn triple_backward(
     // Jacobian diagonal exactly.
     let su = g.sum(u);
     let du = g.grad(su, &[x])[0];
-    evict(g, from, &[du]);
     let ux = g.slice_cols(du, 0, 1);
     let uy = g.slice_cols(du, 1, 1);
 
     // Second derivatives.
     let sux = g.sum(ux);
     let dux = g.grad(sux, &[x])[0];
-    evict(g, from, &[dux, uy]);
     let uxx = g.slice_cols(dux, 0, 1);
     let suy = g.sum(uy);
     let duy = g.grad(suy, &[x])[0];
-    evict(g, from, &[duy, uxx]);
     let uyy = g.slice_cols(duy, 1, 1);
 
     let lap = g.add(uxx, uyy);
@@ -88,23 +68,12 @@ fn triple_backward(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use mf_data::{BatchSampler, Dataset, SubdomainSpec};
     use mf_nn::{SdNet, SdNetConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    /// The oracle: [`pde_loss_triple_backward`] without its three
-    /// evictions, a tape that keeps every value it records.
-    pub(crate) fn pde_loss_retained(
-        g: &mut Graph,
-        net: &SdNet,
-        bound: &Bound,
-        batch: &Batch,
-    ) -> Var {
-        triple_backward(g, net, bound, batch, |_, _, _| {})
-    }
 
     fn tiny_setup() -> (SdNet, Batch) {
         let spec = SubdomainSpec { m: 9, spatial: 0.5 };

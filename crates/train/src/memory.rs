@@ -9,11 +9,10 @@
 //! The meter runs the paper's form of the PDE loss,
 //! [`pde_loss_triple_backward`], whose three chained backward passes are
 //! what PyTorch's `create_graph=True` records; training runs the forward
-//! Laplacian ([`crate::pde_loss`]), which records far less. The table
-//! reports what a tape that keeps every node would hold, as PyTorch's
-//! does: [`Graph::recorded_bytes`], which counts the values the triple
-//! backward's checkpointed segment evicted. The live high-water mark, with
-//! those evictions, is [`MemoryReport::peak_with_pde`].
+//! Laplacian ([`crate::pde_loss`]), which records far less. Both tapes end
+//! with the retaining [`Graph::grad`], so nothing is released and
+//! [`Graph::bytes_allocated`] is everything the step recorded, as on
+//! PyTorch's tape; it is also the step's high-water mark.
 
 use crate::losses::{data_loss, pde_loss_triple_backward};
 use mf_autodiff::Graph;
@@ -29,8 +28,6 @@ pub struct MemoryReport {
     pub bytes_no_pde: usize,
     /// Bytes recorded when the triple-backward PDE loss is included.
     pub bytes_with_pde: usize,
-    /// High-water mark of live bytes during the with-PDE step.
-    pub peak_with_pde: usize,
     /// Graph-attributed heap allocations during the with-PDE step.
     pub heap_allocs: u64,
 }
@@ -55,7 +52,7 @@ pub fn measure_step_memory(net: &SdNet, batch: &Batch) -> MemoryReport {
     let bound = net.params.bind(&mut g);
     let ld = data_loss(&mut g, net, &bound, batch);
     let _ = g.grad(ld, bound.all_vars());
-    let bytes_no_pde = g.recorded_bytes();
+    let bytes_no_pde = g.bytes_allocated();
     drop(g);
 
     // With PDE loss: the same plus the collocation pass with its two inner
@@ -66,22 +63,20 @@ pub fn measure_step_memory(net: &SdNet, batch: &Batch) -> MemoryReport {
     let ld = data_loss(&mut g, net, &bound, batch);
     let lp = pde_loss_triple_backward(&mut g, net, &bound, batch);
     let total = g.add(ld, lp);
-    let tape_bytes = g.recorded_bytes();
+    let tape_bytes = g.bytes_allocated();
     let _ = g.grad(total, bound.all_vars());
-    let bytes_with_pde = g.recorded_bytes();
-    let peak_with_pde = g.peak_bytes();
+    let bytes_with_pde = g.bytes_allocated();
     let heap_allocs = g.heap_allocs();
 
     let m = crate::step::train_metrics();
     m.graph_nodes.update(|v| v.max(g.len() as f64));
     m.graph_bytes.update(|v| v.max(tape_bytes as f64));
-    m.bytes_peak.update(|v| v.max(peak_with_pde as f64));
+    m.bytes_peak.update(|v| v.max(bytes_with_pde as f64));
 
     MemoryReport {
         domains: batch.batch_size(),
         bytes_no_pde,
         bytes_with_pde,
-        peak_with_pde,
         heap_allocs,
     }
 }
@@ -89,14 +84,10 @@ pub fn measure_step_memory(net: &SdNet, batch: &Batch) -> MemoryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::losses::tests::pde_loss_retained;
-    use mf_autodiff::Var;
     use mf_data::{BatchSampler, Dataset, SubdomainSpec};
-    use mf_nn::{Bound, SdNet, SdNetConfig};
+    use mf_nn::{SdNet, SdNetConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    type PdeLoss = fn(&mut Graph, &SdNet, &Bound, &Batch) -> Var;
 
     fn setup(domains: usize) -> (SdNet, Batch) {
         let ds = Dataset::generate(SubdomainSpec { m: 9, spatial: 0.5 }, domains, 0);
@@ -118,43 +109,6 @@ mod tests {
         let r = measure_step_memory(&net, &batch);
         assert!(r.bytes_with_pde > r.bytes_no_pde);
         assert!(r.blowup() > 3.0, "blowup only {:.2}x", r.blowup());
-    }
-
-    #[test]
-    fn eviction_lowers_with_pde_peak() {
-        // The with-PDE tape of `measure_step_memory`, once through the
-        // evicting `pde_loss_triple_backward` and once through the
-        // retaining oracle.
-        let (net, batch) = setup(2);
-        let with_pde = |pde: PdeLoss| {
-            let mut g = Graph::new();
-            let bound = net.params.bind(&mut g);
-            let ld = data_loss(&mut g, &net, &bound, &batch);
-            let lp = pde(&mut g, &net, &bound, &batch);
-            let total = g.add(ld, lp);
-            let grads = g.grad(total, bound.all_vars());
-            let bits: Vec<u64> = grads
-                .iter()
-                .flat_map(|&v| g.value(v).as_slice().iter().map(|x| x.to_bits()))
-                .collect();
-            (
-                bits,
-                g.peak_bytes(),
-                g.recorded_bytes(),
-                g.bytes_allocated(),
-            )
-        };
-        let (bits, peak, recorded, _) = with_pde(pde_loss_triple_backward);
-        let (oracle_bits, oracle_peak, _, oracle_bytes) = with_pde(pde_loss_retained);
-        assert!(bits == oracle_bits, "eviction changed a gradient");
-        assert!(
-            peak < oracle_peak,
-            "evicting peak {peak} not below the oracle's {oracle_peak}"
-        );
-        assert_eq!(recorded, oracle_bytes);
-        let r = measure_step_memory(&net, &batch);
-        assert_eq!(r.bytes_with_pde, oracle_bytes);
-        assert_eq!(r.peak_with_pde, peak);
     }
 
     #[test]

@@ -315,37 +315,40 @@ fn cmd_train(flags: &Flags) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The model at `path`, or `None` after printing `<cmd>: failed to load
+/// model <path>: <reason>`; the caller then exits 1.
+fn load_model(cmd: &str, path: &str) -> Option<SdNet> {
+    SdNet::load(path)
+        .map_err(|e| eprintln!("{cmd}: failed to load model {path}: {e}"))
+        .ok()
+}
+
 fn cmd_info(flags: &Flags) -> ExitCode {
     let Some(path) = flags.get("model") else {
         eprintln!("info: --model <path> is required");
         return ExitCode::FAILURE;
     };
-    match SdNet::load(path) {
-        Ok(net) => {
-            let c = net.config();
-            println!("SDNet model: {path}");
-            println!(
-                "  boundary walk : {} points (m = {})",
-                c.boundary_len,
-                c.boundary_len / 4 + 1
-            );
-            println!(
-                "  conv embedding: {:?} channels, kernel {}",
-                c.conv_channels, c.conv_kernel
-            );
-            println!(
-                "  trunk         : {:?} ({:?}, {:?} embedding)",
-                c.hidden, c.activation, c.embedding
-            );
-            println!("  coord extent  : {}", c.coord_extent);
-            println!("  parameters    : {}", net.count_params());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("failed to load model: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    let Some(net) = load_model("info", path) else {
+        return ExitCode::FAILURE;
+    };
+    let c = net.config();
+    println!("SDNet model: {path}");
+    println!(
+        "  boundary walk : {} points (m = {})",
+        c.boundary_len,
+        c.boundary_len / 4 + 1
+    );
+    println!(
+        "  conv embedding: {:?} channels, kernel {}",
+        c.conv_channels, c.conv_kernel
+    );
+    println!(
+        "  trunk         : {:?} ({:?}, {:?} embedding)",
+        c.hidden, c.activation, c.embedding
+    );
+    println!("  coord extent  : {}", c.coord_extent);
+    println!("  parameters    : {}", net.count_params());
+    ExitCode::SUCCESS
 }
 
 fn cmd_eval(flags: &Flags) -> ExitCode {
@@ -355,12 +358,8 @@ fn cmd_eval(flags: &Flags) -> ExitCode {
     };
     let samples: usize = get(flags, "samples", 20);
     let seed: u64 = get(flags, "seed", 1);
-    let net = match SdNet::load(path) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("failed to load model: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(net) = load_model("eval", path) else {
+        return ExitCode::FAILURE;
     };
     let m = net.config().boundary_len / 4 + 1;
     let spec = SubdomainSpec {
@@ -415,12 +414,8 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
         Plan(Box<PlanSolver>),
     }
     let (spec, chosen) = if let Some(path) = flags.get("model") {
-        let net = match SdNet::load(path) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("failed to load model: {e}");
-                return ExitCode::FAILURE;
-            }
+        let Some(net) = load_model("solve", path) else {
+            return ExitCode::FAILURE;
         };
         let m = net.config().boundary_len / 4 + 1;
         let spec = SubdomainSpec {
@@ -570,13 +565,10 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
     // load tests (the MFP control flow — launches, batching, telemetry —
     // is identical; only the PDE accuracy differs).
     let net = if let Some(path) = flags.get("model") {
-        match SdNet::load(path) {
-            Ok(n) => n,
-            Err(e) => {
-                eprintln!("failed to load model: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let Some(net) = load_model("serve", path) else {
+            return ExitCode::FAILURE;
+        };
+        net
     } else if flags.contains_key("random-weights") {
         let m: usize = get(flags, "m", 9);
         let seed: u64 = get(flags, "seed", 0);

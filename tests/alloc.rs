@@ -77,43 +77,6 @@ fn warm_two_layer_loop_has_zero_pool_misses() {
     );
 }
 
-/// Checkpointed segments evict and rematerialize values but must not
-/// break the steady state: eviction returns buffers to the same pool the
-/// remat draws from.
-#[test]
-fn warm_loop_stays_allocation_free_with_checkpointing() {
-    let (mut ps, l1, l2) = fresh_net();
-    let mut g = Graph::new();
-    let mut pool_before = g.pool_stats();
-    let mut allocs_before = g.heap_allocs();
-    for step in 1..=4 {
-        g.clear();
-        let from = g.len();
-        let loss = two_layer_step(&mut g, &mut ps, &l1, &l2, 1e-2);
-        let value = g.value(loss).item();
-        g.evict_dead_values(from, &[]);
-        assert!(
-            g.bytes_allocated() < g.recorded_bytes(),
-            "step {step}: the segment evicted nothing"
-        );
-        // No backward reads the loss, so it was evicted with the square
-        // it averages; an op on it rematerializes both, bit for bit: the
-        // live bytes grow by more than the one node the op records.
-        let (live, recorded) = (g.bytes_allocated(), g.recorded_bytes());
-        let again = g.scale(loss, 1.0);
-        assert!(g.bytes_allocated() - live > g.recorded_bytes() - recorded);
-        assert_eq!(g.value(again).item().to_bits(), value.to_bits());
-        let d = g.pool_stats().since(&pool_before);
-        let allocs = g.heap_allocs() - allocs_before;
-        if step >= 2 {
-            assert_eq!(d.misses, 0, "ckpt step {step} missed the pool");
-            assert_eq!(allocs, 0, "ckpt step {step} touched the heap");
-        }
-        pool_before = g.pool_stats();
-        allocs_before = g.heap_allocs();
-    }
-}
-
 /// The end-to-end SDNet training step (data pass + PDE triple-backward)
 /// reaches the same steady state through `local_gradients`' persistent
 /// per-thread graph.

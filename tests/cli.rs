@@ -404,21 +404,29 @@ fn info_rejects_garbage_file() {
     // After the magic, boundary length and two conv channels, the header
     // holds the conv kernel at byte 40, then the hidden count and the
     // first hidden width at 56. A corrupt architecture is refused before
-    // it is built.
+    // it is built, by every command that loads a model.
+    let path = tmp("garbage.mfn");
+    let path = path.to_str().unwrap();
     for (what, bytes, reason) in [
         ("garbage", b"definitely not a model".to_vec(), "bad magic"),
         ("even kernel", spliced(40, 4), "kernel is even"),
         ("2^40 width", spliced(56, 1 << 40), "out of range"),
+        // In range, but ~8.5M parameters (68 MB) in a file of ~100 KB.
+        (
+            "2^16 width",
+            spliced(56, 1 << 16),
+            "declared parameters exceed the file",
+        ),
     ] {
-        let path = tmp("garbage.mfn");
-        std::fs::write(&path, &bytes).unwrap();
-        let out = cli()
-            .args(["info", "--model", path.to_str().unwrap()])
-            .output()
-            .unwrap();
-        let _ = std::fs::remove_file(&path);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
-        assert!(stderr.contains(reason), "{what}: {stderr}");
+        std::fs::write(path, &bytes).unwrap();
+        for cmd in ["info", "eval", "solve", "serve"] {
+            let out = cli().args([cmd, "--model", path]).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{cmd}, {what}: {stderr}");
+            let expected = format!("{cmd}: failed to load model {path}: ");
+            assert!(stderr.contains(&expected), "{cmd}, {what}: {stderr}");
+            assert!(stderr.contains(reason), "{cmd}, {what}: {stderr}");
+        }
     }
+    let _ = std::fs::remove_file(path);
 }

@@ -288,26 +288,10 @@ fn bits<'a>(ts: impl IntoIterator<Item = &'a Tensor>) -> Vec<Vec<u64>> {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Loss {
     Data,
-    /// `pde_loss_triple_backward`, which evicts within its own segment of
-    /// the tape.
+    /// `pde_loss_triple_backward`, the paper's three chained backwards.
     Pde,
-    /// `pde_loss_retained`, the oracle.
-    Oracle,
     /// `pde_loss`, the forward Laplacian training runs.
     Forward,
-}
-
-/// The oracle: `pde_loss_triple_backward` without its three evictions, a
-/// tape that keeps every value it records.
-fn pde_loss_retained(
-    g: &mut Graph,
-    net: &SdNet,
-    bound: &mosaic_flow::nn::Bound,
-    batch: &Batch,
-) -> Var {
-    let lap = laplacian_retained(g, net, bound, batch);
-    let sq = g.mul(lap, lap);
-    g.mean(sq)
 }
 
 /// The oracle's per-point residual `u_xx + u_yy`: `forward` differentiated
@@ -340,10 +324,7 @@ proptest! {
     /// `Graph::backward` is `grad`'s walk releasing the tape as it goes. On
     /// the data loss and the PDE loss of a random SDNet and batch it must
     /// return `grad`'s weight gradients bit for bit, on lean and legacy
-    /// graphs, and the PDE pass must peak strictly lower. The evicting
-    /// triple-backward PDE loss must match the retaining oracle bit for bit
-    /// under both walks, never peak higher, and record the same bytes.
-    /// `local_gradients`, which ends both of its passes with `backward`,
+    /// graphs, and the PDE pass must peak strictly lower. `local_gradients`, which ends both of its passes with `backward`,
     /// must return a `pde_loss` pass's bits and stay allocation-free once
     /// warm.
     #[test]
@@ -377,8 +358,8 @@ proptest! {
         let pde_weight = 0.25;
 
         // One pass as `local_gradients` builds it, on a fresh graph: the
-        // weight gradients' bits, the pass's peak and its recorded bytes.
-        // `loss` is the data loss or one of the three PDE losses.
+        // weight gradients' bits and the pass's peak. `loss` is the data
+        // loss or one of the two PDE losses.
         let pass = |lean: bool, loss: Loss, consume: bool| {
             let mut g = if lean { Graph::new() } else { Graph::new_legacy() };
             let bound = net.params.bind(&mut g);
@@ -387,7 +368,6 @@ proptest! {
             } else {
                 let pde = match loss {
                     Loss::Pde => pde_loss_triple_backward,
-                    Loss::Oracle => pde_loss_retained,
                     _ => pde_loss,
                 };
                 let lp = pde(&mut g, &net, &bound, &batch);
@@ -398,13 +378,13 @@ proptest! {
             } else {
                 g.grad(loss, bound.all_vars())
             };
-            (bits(grads.iter().map(|&v| g.value(v))), g.peak_bytes(), g.recorded_bytes())
+            (bits(grads.iter().map(|&v| g.value(v))), g.peak_bytes())
         };
         on_one_backend(|| {
             for lean in [true, false] {
-                for loss in [Loss::Data, Loss::Pde, Loss::Oracle, Loss::Forward] {
-                    let (kept, kept_peak, _) = pass(lean, loss, false);
-                    let (consumed, consumed_peak, _) = pass(lean, loss, true);
+                for loss in [Loss::Data, Loss::Pde, Loss::Forward] {
+                    let (kept, kept_peak) = pass(lean, loss, false);
+                    let (consumed, consumed_peak) = pass(lean, loss, true);
                     prop_assert!(
                         consumed == kept,
                         "backward differs from grad (lean {}, {:?})", lean, loss
@@ -416,16 +396,6 @@ proptest! {
                             consumed_peak, kept_peak, lean, loss
                         );
                     }
-                }
-                for consume in [false, true] {
-                    let (evicting, peak, recorded) = pass(lean, Loss::Pde, consume);
-                    let (oracle, oracle_peak, oracle_recorded) = pass(lean, Loss::Oracle, consume);
-                    prop_assert!(
-                        evicting == oracle,
-                        "eviction changed a gradient (lean {}, consume {})", lean, consume
-                    );
-                    prop_assert!(peak <= oracle_peak, "lean {}, consume {}", lean, consume);
-                    prop_assert_eq!(recorded, oracle_recorded, "lean {}, consume {}", lean, consume);
                 }
             }
             let _ = local_gradients(&net, &batch, pde_weight);
