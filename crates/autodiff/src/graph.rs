@@ -245,11 +245,6 @@ impl Graph {
         self.pool.stats()
     }
 
-    /// Bytes parked in the pool's freelists (recycled, reusable).
-    pub fn pool_held_bytes(&self) -> usize {
-        self.pool.held_bytes()
-    }
-
     /// Buffers this graph obtained from the heap rather than the pool
     /// (pool misses, legacy-mode allocations, adopted external buffers).
     pub fn heap_allocs(&self) -> u64 {
@@ -517,7 +512,7 @@ mod tests {
         let misses_first = g.pool_stats().misses;
         assert!(misses_first >= 2);
         g.clear();
-        assert!(g.pool_held_bytes() >= 2 * 64 * 8);
+        assert!(g.pool.held_bytes() >= 2 * 64 * 8);
         // The identical second build is served entirely from the pool.
         let a = g.leaf_from(&Tensor::ones(8, 8));
         let _ = g.mul(a, a);

@@ -22,15 +22,6 @@ pub struct SubdomainSpec {
 }
 
 impl SubdomainSpec {
-    /// Paper-like default: 0.5×0.5 subdomain, 17 points per side
-    /// (laptop-scale stand-in for the paper's 32).
-    pub fn default_small() -> Self {
-        Self {
-            m: 17,
-            spatial: 0.5,
-        }
-    }
-
     /// Grid spacing.
     pub fn h(&self) -> f64 {
         self.spatial / (self.m - 1) as f64
@@ -188,7 +179,10 @@ mod tests {
 
     #[test]
     fn generated_samples_solve_the_laplace_equation() {
-        let spec = SubdomainSpec::default_small();
+        let spec = SubdomainSpec {
+            m: 17,
+            spatial: 0.5,
+        };
         let ds = Dataset::generate(spec, 3, 42);
         assert_eq!(ds.len(), 3);
         for s in &ds.samples {

@@ -157,20 +157,6 @@ impl OverlapTracker {
         self.total_modeled_s
     }
 
-    /// Modeled wall-clock of the run under an *alternating* schedule:
-    /// every modeled wire second is exposed on the critical path after
-    /// the compute it follows (`Σ compute + Σ modeled`).
-    pub fn alternating_wall_s(&self) -> f64 {
-        self.total_compute_s + self.total_modeled_s
-    }
-
-    /// Modeled wall-clock under a *fully overlapped* schedule: the
-    /// hideable part of the wire time progresses under compute and only
-    /// the excess is exposed (`Σ compute + Σ (modeled − hideable)`).
-    pub fn overlapped_wall_s(&self) -> f64 {
-        self.total_compute_s + (self.total_modeled_s - self.total_hideable_s).max(0.0)
-    }
-
     /// The final cumulative sample, without observing a new interval.
     /// Convenient for stashing overlap accounting in per-rank reports.
     pub fn final_sample(&self) -> OverlapSample {
@@ -219,9 +205,13 @@ mod tests {
             let _ = comm.exchange(&[(peer, vec![1.0; 1024])], 0);
             // Tiny compute: most of the wire time cannot hide.
             t.observe_iteration(comm, 1e-6);
+            // Alternating: every modeled wire second is exposed after the
+            // compute it follows. Overlapped: only what the compute cannot
+            // hide is.
+            let exposed = (t.total_modeled_s - t.total_hideable_s).max(0.0);
             (
-                t.alternating_wall_s(),
-                t.overlapped_wall_s(),
+                t.total_compute_s + t.total_modeled_s,
+                t.total_compute_s + exposed,
                 t.final_sample(),
             )
         });

@@ -135,13 +135,6 @@ impl BoundarySampler {
     pub fn realize(&self, kernel: &Kernel1d, z: &Tensor) -> Tensor {
         GpSampler::new(kernel, &self.points).realize(z)
     }
-
-    /// Draw `count` boundary conditions stacked as a `count×n_points`
-    /// matrix.
-    pub fn sample_batch(&mut self, count: usize, rng: &mut impl Rng) -> Tensor {
-        let rows: Vec<Tensor> = (0..count).map(|_| self.sample(rng)).collect();
-        Tensor::vstack(&rows)
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +237,8 @@ mod tests {
     fn batch_shapes_and_diversity() {
         let mut rng = ChaCha8Rng::seed_from_u64(19);
         let mut bs = BoundarySampler::with_defaults(32);
-        let batch = bs.sample_batch(5, &mut rng);
+        let rows: Vec<Tensor> = (0..5).map(|_| bs.sample(&mut rng)).collect();
+        let batch = Tensor::vstack(&rows);
         assert_eq!(batch.shape(), (5, 32));
         // Different Sobol hyperparameters + different noise ⇒ distinct rows.
         for r in 1..5 {

@@ -64,7 +64,7 @@
 //! callers (e.g. `mf-mfp`'s `PlanSolver`) recompile after an optimizer
 //! step instead of serving stale weights.
 
-use mf_nn::{EmbeddingKind, SdNet};
+use mf_nn::SdNet;
 use mf_tensor::par::{self, prelude::*};
 use mf_tensor::{
     backend, gemm, unfold1d_windows, Act, BufferPool, Layout, PackedB, PoolStats, Tensor,
@@ -282,13 +282,6 @@ pub struct InferencePlan {
 }
 
 impl InferencePlan {
-    /// Whether a network can be lowered: the plan implements the paper's
-    /// input-split embedding (the `Concat` baseline stays on the graph
-    /// path).
-    pub fn supports(net: &SdNet) -> bool {
-        net.config().embedding == EmbeddingKind::Split
-    }
-
     /// Lower `net` for the fixed query points `points` (`[q, 2]` local
     /// physical coordinates, shared by every boundary in a batch).
     ///
@@ -299,15 +292,14 @@ impl InferencePlan {
     /// `f32`. Compile-time allocation is unrestricted; the resulting plan
     /// executes without heap allocation on a warm [`Workspace`].
     ///
+    /// Both embeddings lower to the same steps: a `Concat` network holds
+    /// the same `W_g`, `W_x` and `b` as a `Split` one, and its first layer
+    /// is the same affine map, only computed through a concat.
+    ///
     /// # Panics
-    /// If the network uses the `Concat` embedding (check
-    /// [`InferencePlan::supports`] first) or `points` is not `[q, 2]`.
+    /// If `points` is not `[q, 2]`.
     pub fn compile(net: &SdNet, points: &Tensor) -> Self {
         let cfg = net.config();
-        assert!(
-            Self::supports(net),
-            "InferencePlan: only the input-split embedding is supported"
-        );
         assert_eq!(points.cols(), 2, "InferencePlan: points must be [q, 2]");
         let q = points.rows();
         let l = cfg.boundary_len;
@@ -450,11 +442,6 @@ impl InferencePlan {
     /// Boundary walk length this plan expects.
     pub fn boundary_len(&self) -> usize {
         self.boundary_len
-    }
-
-    /// Number of lowered instructions (for introspection and tests).
-    pub fn num_steps(&self) -> usize {
-        self.steps.len()
     }
 
     /// The [`Params`](mf_nn::Params) mutation-counter value the plan was
@@ -656,7 +643,7 @@ impl InferencePlan {
     /// Blocks [`InferencePlan::execute_into`] cuts a launch of `b ≥ 1`
     /// boundaries into when called from this thread: 1 unless the thread
     /// may fan out and the launch has the work for it (for introspection
-    /// and tests, like [`InferencePlan::num_steps`]).
+    /// and tests).
     pub fn launch_blocks(&self, b: usize) -> usize {
         // Blocks only count when there is a second lane to give them to.
         let lanes = par::lanes();
@@ -832,7 +819,7 @@ impl InferencePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_nn::{Activation, SdNetConfig};
+    use mf_nn::{Activation, EmbeddingKind, SdNetConfig};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -899,8 +886,10 @@ mod tests {
         deep.hidden = vec![10, 8, 6];
         let mut single = base.clone();
         single.hidden = vec![9];
+        let mut concat = fourier.clone();
+        concat.embedding = EmbeddingKind::Concat;
 
-        for (i, cfg) in [base, fourier, no_conv, tanh, identity, deep, single]
+        for (i, cfg) in [base, fourier, no_conv, tanh, identity, deep, single, concat]
             .into_iter()
             .enumerate()
         {
@@ -1116,14 +1105,6 @@ mod tests {
         let got = plan2.execute(&mut ws, &bounds);
         let want = net.predict(&bounds, &tiled(&pts, 2), 4);
         assert_within_bound(&plan2, &bounds, &want, &got);
-    }
-
-    #[test]
-    fn rejects_concat_embedding() {
-        let mut cfg = SdNetConfig::small(12);
-        cfg.embedding = EmbeddingKind::Concat;
-        let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(0));
-        assert!(!InferencePlan::supports(&net));
     }
 
     #[test]

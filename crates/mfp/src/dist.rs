@@ -1,39 +1,37 @@
 //! Distributed Mosaic Flow predictor — Algorithm 2 of the paper — as the
-//! per-rank driver over the shared
-//! [`SweepEngine`](crate::engine::SweepEngine).
+//! one iteration loop (`Mfp::iterate`) run on every rank with that rank's
+//! [`Peers`].
 //!
 //! The global domain is partitioned over a 2-D processor grid (row-scan or
 //! Morton rank placement). Each rank owns a half-open block of grid points
-//! and the overlapping subdomains whose centers fall inside it. One
-//! iteration sweeps the rank's interior subdomains while the previous
-//! iteration's halo exchange is still in flight, completes the exchange,
-//! sweeps the boundary subdomains, reduces the stop-test sums — and with
-//! them the Gram sums of the Anderson mixing, so every rank mixes its
-//! owned lattice with the same coefficients — in **one** small allreduce,
-//! and posts the next exchange of owned lattice values in a band of
-//! half-a-subdomain width with up to eight neighbors — **once** per
-//! iteration (the relaxed synchronization of §4.2). A final dense pass
-//! fills the owned atomic subdomains and an allgather assembles the
-//! global solution.
+//! and the overlapping subdomains whose centers fall inside it. With its
+//! peers, one iteration sweeps the rank's interior subdomains while the
+//! previous iteration's halo exchange is still in flight, completes the
+//! exchange, sweeps the boundary subdomains, reduces the stop-test sums —
+//! and with them the Gram sums of the Anderson mixing, so every rank mixes
+//! its owned lattice with the same coefficients — in **one** small
+//! allreduce, and posts the next exchange of owned lattice values in a
+//! band of half-a-subdomain width with up to eight neighbors — **once**
+//! per iteration (the relaxed synchronization of §4.2). A final dense pass
+//! fills the owned atomic subdomains and an allgather assembles the global
+//! solution.
 //!
 //! The alternating schedule this one reorders (sweep everything →
-//! allreduce → blocking exchange) lives on as the test oracle
-//! `alternating_schedule` below, which the shipping schedule must match
-//! bit for bit.
+//! allreduce → blocking exchange) lives on as the test oracle: the same
+//! loop on the same state, with every exchange completed as soon as it is
+//! posted, which the shipping schedule must match bit for bit.
 
 use crate::domain::{DomainSpec, Subdomain};
-use crate::engine::{
-    Accelerator, MaeTarget, Region, StopRule, SweepEngine, Verdict, GRAM_LEN, SUMS_LEN,
-};
+use crate::engine::{sweep_groups_in, MaeTarget, Region, StopRule, SweepEngine};
+use crate::seq::Mfp;
 use crate::solver::SubdomainSolver;
 use mf_dist::thread_cpu_time;
 use mf_dist::{
     CartesianGrid, Cluster, ClusterError, CommError, CommStats, Communicator, Direction, FaultPlan,
     OverlapSample, OverlapTracker, PerfModel, RankOrder, RecvHandle,
 };
-use mf_numerics::boundary::apply_boundary;
 use mf_observe::StallDetector;
-use mf_telemetry::{counter, histogram, span, Buckets, Counter, Histogram};
+use mf_telemetry::{counter, histogram, Buckets, Counter, Histogram};
 use mf_tensor::Tensor;
 use std::time::Duration;
 
@@ -330,37 +328,28 @@ fn split_sweep_groups(
     (interior, boundary)
 }
 
-/// Which of a rank's subdomains one sweep pass covers.
-enum Pass {
-    /// Every owned subdomain (nothing in flight to hide).
-    All,
-    /// The subdomains no halo unpack can touch.
-    Interior,
-    /// The rest: swept once the halo has landed.
-    Boundary,
+/// Thread CPU seconds `f` takes.
+fn cpu_seconds(f: impl FnOnce()) -> f64 {
+    let t0 = thread_cpu_time();
+    f();
+    thread_cpu_time() - t0
 }
 
-/// Everything one rank carries through Algorithm 2: its engine, its local
-/// copy of the grid, the halo plumbing, the mixing history and the
-/// per-rank measurements.
-struct Rank<'a, S: SubdomainSolver> {
+/// What one rank has that a local solve does not: the communicator and
+/// the partition, the halo plumbing, the interior/boundary split of its
+/// sweep groups, and its accounting and watchdog. Every rank of
+/// [`run_distributed`] hands its own to the one iteration loop, which
+/// reduces over it, sweeps through it and posts its halo; a local solve
+/// has none, so it registers none of the counters below.
+pub(crate) struct Peers<'a> {
     comm: &'a mut Communicator,
     cfg: &'a DistMfpConfig,
     part: &'a Partition<'a>,
-    stop: &'a StopRule<'a>,
-    engine: SweepEngine<'a, S>,
-    /// The second level, when the run accelerates: one request.
-    accel: Option<Accelerator>,
-    owned: Region,
-    owned_subdomains: usize,
-    /// Geometric interior/boundary split of `engine.groups`.
+    /// The rank's block of the global grid: the region its engine owns.
+    pub(crate) owned: Region,
+    /// Geometric interior/boundary split of the owned sweep groups.
     interior_groups: [Vec<Subdomain>; 4],
     boundary_groups: [Vec<Subdomain>; 4],
-
-    /// Local copy of the global grid (only owned ∪ halo is maintained)
-    /// and its snapshot from the top of the current iteration.
-    u: Tensor,
-    prev: Tensor,
 
     /// Per-direction halo geometry, fixed for the whole run: the lattice
     /// cells (flat grid indices) of the bands we send and of the
@@ -374,16 +363,16 @@ struct Rank<'a, S: SubdomainSolver> {
     /// Receive handles of the exchange posted by the previous iteration,
     /// completed mid-iteration between the passes.
     inflight: Vec<RecvHandle>,
-
-    iterations: usize,
-    converged: bool,
-    /// Converged, or diverged: no further sweep.
-    stopped: bool,
-    deltas: Vec<f64>,
-    mae_history: Vec<(usize, f64)>,
+    /// The test oracle's schedule: every exchange completes as soon as it
+    /// is posted, so nothing is ever in flight and every sweep is the
+    /// full-group pass — the alternating schedule (sweep everything →
+    /// allreduce → blocking exchange) the shipping one reorders.
+    alternating: bool,
 
     compute_seconds: f64,
     pack_seconds: f64,
+    /// Communication counters when the iteration loop ended.
+    halo: CommStats,
     /// Comm/compute overlap accounting (§4.3): measured busy/wait
     /// intervals folded through the alpha-beta model into the
     /// dist.overlap_ratio / dist.comm_wait_us / dist.compute_us metrics,
@@ -405,17 +394,12 @@ struct Rank<'a, S: SubdomainSolver> {
     h_halo: Histogram,
 }
 
-impl<'a, S: SubdomainSolver> Rank<'a, S> {
-    #[allow(clippy::too_many_arguments)]
+impl<'a> Peers<'a> {
     fn new(
         comm: &'a mut Communicator,
-        solver: &'a S,
         part: &'a Partition<'a>,
-        stop: &'a StopRule<'a>,
         cfg: &'a DistMfpConfig,
-        bc: &Tensor,
-        sigma: f64,
-        forcing: Option<&'a Tensor>,
+        alternating: bool,
     ) -> Self {
         let domain = part.domain;
         let rank = comm.rank();
@@ -430,20 +414,12 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
             .iter()
             .map(|&(dir, nbr)| part.band(nbr, dir.opposite()))
             .collect();
-
-        let u = domain.initial_grid(bc);
-        let engine = SweepEngine::new(solver, domain, &owned, sigma, forcing);
         let (interior_groups, boundary_groups) =
-            split_sweep_groups(domain, &engine.groups, &halo_regions);
+            split_sweep_groups(domain, &sweep_groups_in(domain, &owned), &halo_regions);
         Self {
-            owned_subdomains: engine.groups.iter().map(|g| g.len()).sum(),
+            owned,
             interior_groups,
             boundary_groups,
-            engine,
-            accel: Accelerator::new(cfg.accelerate, domain, &owned, 1),
-            owned,
-            prev: u.clone(),
-            u,
             send_cells,
             halo_cells: halo_regions.into_iter().map(cells).collect(),
             outgoing: neighbors
@@ -451,13 +427,10 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
                 .map(|&(_, nbr)| (nbr, Vec::new()))
                 .collect(),
             inflight: Vec::new(),
-            iterations: 0,
-            converged: false,
-            stopped: false,
-            deltas: Vec::new(),
-            mae_history: Vec::new(),
+            alternating,
             compute_seconds: 0.0,
             pack_seconds: 0.0,
+            halo: CommStats::default(),
             overlap: OverlapTracker::new(cfg.perf_model, comm),
             busy_mark: 0.0,
             stall: StallDetector::new(5),
@@ -472,99 +445,93 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
             comm,
             cfg,
             part,
-            stop,
         }
     }
 
-    /// The shipping schedule: interior sweep → complete halo → boundary
-    /// sweep → reduce, judge and mix → post halo, with a full-group sweep
-    /// whenever nothing is in flight (the first iteration, or a
-    /// communication-avoiding gap). A dependency-preserving reorder of
-    /// the alternating schedule, so the iterates are bitwise identical
-    /// (see DESIGN.md "Overlapped halo exchange").
-    fn iterate(&mut self) {
-        for it in 0..self.cfg.max_iters {
-            mf_telemetry::set_step_context(0, it as u64);
-            span!(
-                "mfp.iteration",
-                it = it as f64,
-                depth = self.accel.as_ref().map_or(0, |a| a.depth(&[0])) as f64
-            );
-            self.begin_iteration(it);
-
-            if self.inflight.is_empty() {
-                mf_profile::zone!("sweep");
-                self.sweep(Pass::All);
-            } else {
-                {
-                    mf_profile::zone!("sweep_interior");
-                    self.sweep(Pass::Interior);
-                }
-                self.complete_halo_exchange();
-                mf_profile::zone!("sweep_boundary");
-                self.sweep(Pass::Boundary);
-            }
-            self.judge_and_mix();
-
-            // Relaxed synchronization: one halo exchange per iteration
-            // (or every `comm_every` iterations), only *posted* here — the
-            // next iteration's interior pass runs while it is in flight.
-            // A run that just stopped posts it too: the final dense pass
-            // reads halo cells, so they must hold this sweep's values.
-            if self.iterations.is_multiple_of(self.cfg.comm_every) {
-                self.pack_halos();
-                self.inflight = self.comm.exchange_start(&self.outgoing, it as u64);
-            }
-
-            // Close this iteration's busy/wait interval and make the
-            // rank's metrics visible to live scrapes.
-            self.close_interval();
-            if self.stopped {
-                break;
-            }
-        }
-
-        if !self.inflight.is_empty() {
-            self.complete_halo_exchange();
-            // Its wait belongs to the run's accounting too.
-            self.close_interval();
-        }
+    /// Whether the iteration that brings the count to `n` checks the stop
+    /// test, and whether it exchanges a halo.
+    pub(crate) fn cadence(&self, n: usize) -> (bool, bool) {
+        (
+            n.is_multiple_of(self.cfg.check_every),
+            n.is_multiple_of(self.cfg.comm_every),
+        )
     }
 
-    /// Seed the lattice before the first sweep, snapshot the grid for this
-    /// iteration's residual and count the iteration.
-    fn begin_iteration(&mut self, it: usize) {
-        if let (0, Some(accel)) = (it, &self.accel) {
-            accel.seed(self.part.domain, std::slice::from_mut(&mut self.u));
-        }
-        self.prev.as_mut_slice().copy_from_slice(self.u.as_slice());
-        self.iterations = it + 1;
+    /// Stamp iteration `it` on the rank's telemetry and note the stale
+    /// halos its sweep starts from.
+    pub(crate) fn begin_iteration(&mut self, it: usize) {
+        mf_telemetry::set_step_context(0, it as u64);
         self.stale_at_sweep = self.stale_halos;
     }
 
-    /// Local sweeps with immediate updates, in group order.
-    fn sweep(&mut self, pass: Pass) {
-        let t0 = thread_cpu_time();
-        let groups = match pass {
-            Pass::All => &self.engine.groups,
-            Pass::Interior => &self.interior_groups,
-            Pass::Boundary => &self.boundary_groups,
+    /// Local sweeps with immediate updates, in group order. With an
+    /// exchange in flight, the interior pass hides it, the exchange
+    /// completes and the boundary pass follows: a dependency-preserving
+    /// reorder of the full-group pass, so the iterates are bitwise
+    /// identical (see DESIGN.md "Overlapped halo exchange"). With nothing
+    /// in flight (the first iteration, a communication-avoiding gap), the
+    /// full-group pass.
+    pub(crate) fn sweep<S: SubdomainSolver>(
+        &mut self,
+        engine: &SweepEngine<'_, S>,
+        u: &mut Tensor,
+    ) {
+        let pass = |groups: &[Vec<Subdomain>], u: &mut Tensor| {
+            cpu_seconds(|| {
+                for group in groups {
+                    engine.sweep_grid(group, &engine.cross, u);
+                }
+            })
         };
-        for group in groups {
-            self.engine
-                .sweep_grid(group, &self.engine.cross, &mut self.u);
+        if self.inflight.is_empty() {
+            mf_profile::zone!("sweep");
+            self.compute_seconds += pass(&engine.groups, u);
+        } else {
+            {
+                mf_profile::zone!("sweep_interior");
+                self.compute_seconds += pass(&self.interior_groups, u);
+            }
+            self.complete_halo_exchange(u);
+            mf_profile::zone!("sweep_boundary");
+            self.compute_seconds += pass(&self.boundary_groups, u);
         }
-        self.compute_seconds += thread_cpu_time() - t0;
+    }
+
+    /// Whether a halo slot of this iteration's sweep was served stale.
+    pub(crate) fn read_stale_halo(&self) -> bool {
+        self.stale_halos > self.stale_at_sweep
+    }
+
+    /// Sum `sums` over the ranks; every rank gets the same bits.
+    pub(crate) fn allreduce(&mut self, sums: &mut [f64]) {
+        self.comm.allreduce_sum(sums);
+    }
+
+    /// Relaxed synchronization: post the halo exchange of the iterate the
+    /// next sweep starts from once per iteration (or every `comm_every`
+    /// iterations) — the next iteration's interior pass runs while it is
+    /// in flight. A run that just stopped posts it too: the final dense
+    /// pass reads halo cells, so they must hold this sweep's values. Then
+    /// close the iteration's busy/wait interval.
+    pub(crate) fn end_iteration(&mut self, u: &mut Tensor, it: usize) {
+        if (it + 1).is_multiple_of(self.cfg.comm_every) {
+            self.pack_halos(u);
+            self.inflight = self.comm.exchange_start(&self.outgoing, it as u64);
+            if self.alternating {
+                self.complete_halo_exchange(u);
+            }
+        }
+        self.close_interval();
     }
 
     /// Pack the owned bands every neighbor needs into the pooled buffers.
-    fn pack_halos(&mut self) {
+    fn pack_halos(&mut self, u: &Tensor) {
         let t0 = thread_cpu_time();
         {
             mf_profile::zone!("halo_pack");
             for ((_, buf), cells) in self.outgoing.iter_mut().zip(&self.send_cells) {
                 let cap = buf.capacity();
-                pack_cells(&self.u, cells, buf);
+                pack_cells(u, cells, buf);
                 if buf.capacity() != cap {
                     self.pool_miss.incr();
                 }
@@ -585,13 +552,13 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
     /// the deadline and a slot whose neighbor missed it keeps its previous
     /// (stale) values — the per-iteration tag keeps late round-N data out
     /// of round N+1.
-    fn complete_halo_exchange(&mut self) {
+    fn complete_halo_exchange(&mut self, u: &mut Tensor) {
         let t0 = thread_cpu_time();
         mf_profile::zone!("halo_wait");
         for (h, cells) in self.inflight.drain(..).zip(&self.halo_cells) {
             if self.cfg.degraded_halos {
                 match self.comm.wait_deadline(&h, self.cfg.halo_timeout) {
-                    Ok(data) => unpack_cells(&mut self.u, cells, &data),
+                    Ok(data) => unpack_cells(u, cells, &data),
                     Err(CommError::Timeout { .. }) => {
                         self.stale_halos += 1;
                         self.stale_counter.incr();
@@ -600,78 +567,23 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
                 }
             } else {
                 let data = self.comm.wait(&h);
-                unpack_cells(&mut self.u, cells, &data);
+                unpack_cells(u, cells, &data);
             }
         }
         self.pack_seconds += thread_cpu_time() - t0;
     }
 
-    /// The end of a sweep (Algorithm 2, line 5, and the second level):
-    /// reduce the stop-test sums and the mixing's Gram sums in one
-    /// allreduce, judge the un-mixed sweep, and — when the run goes on —
-    /// continue from the mixed iterate, so the halo posted next carries
-    /// it. The sums read only owned lattice cells, and every rank sees the
-    /// same reduced values, so all ranks stop, restart and mix together.
-    ///
-    /// Mixing needs the reduction and a sweep whose halo was current, so
-    /// it happens on the iterations that check *and* exchange; a sweep
-    /// that read a stale halo slot is reported as NaN sums, which makes
-    /// every rank forget its history ([`Accelerator::mix`]).
-    fn judge_and_mix(&mut self) {
-        let n = self.iterations;
-        let checks = n.is_multiple_of(self.cfg.check_every);
-        // The last sweep allowed is left as it is: the grid returned is
-        // always a plain sweep's output.
-        let mixes = self.accel.is_some()
-            && checks
-            && n.is_multiple_of(self.cfg.comm_every)
-            && n < self.cfg.max_iters;
-        let mut sums = [0.0; SUMS_LEN];
-        if checks && (self.cfg.tol > 0.0 || mixes) {
-            let residual = self.engine.residual_sums(&self.u, &self.prev);
-            sums[..2].copy_from_slice(&residual);
-            // The mixer never files a non-finite sweep; the residual sums
-            // end such a run on every rank.
-            if mixes && residual.iter().all(|v| v.is_finite()) {
-                mf_profile::zone!("accelerate");
-                let accel = self.accel.as_mut().expect("mixes");
-                let gram = if self.stale_halos > self.stale_at_sweep {
-                    [f64::NAN; GRAM_LEN]
-                } else {
-                    accel.observe(0, &self.u, &self.prev)
-                };
-                sums[2..].copy_from_slice(&gram);
-            }
-            self.comm
-                .allreduce_sum(&mut sums[..if mixes { SUMS_LEN } else { 2 }]);
-            let verdict = self
-                .stop
-                .residual_verdict([sums[0], sums[1]], &mut self.deltas);
-            self.converged = verdict == Verdict::Converged;
-            self.stopped = verdict != Verdict::Continue;
-            self.watch_convergence(n);
-        }
-        if !self.stopped {
-            if let Some(reference) = self.stop.error_check_due(n) {
-                let mut sums = self.engine.error_sums(&self.u, reference);
-                self.comm.allreduce_sum(&mut sums);
-                self.converged = self.stop.error_converged(n, sums, &mut self.mae_history);
-                self.stopped = self.converged;
-            }
-        }
-        if mixes && !self.stopped {
-            mf_profile::zone!("accelerate");
-            let gram: &[f64; GRAM_LEN] = sums[2..].try_into().expect("SUMS_LEN = 2 + GRAM_LEN");
-            let delta = *self.deltas.last().expect("pushed by the stop rule");
-            let accel = self.accel.as_mut().expect("mixes");
-            accel.mix(0, gram, delta, &mut self.u);
-        }
-    }
-
-    /// Feed the newest delta to the stall watchdog and, in watch mode,
-    /// render the residual report for the iteration it was taken at.
-    fn watch_convergence(&mut self, at_iter: usize) {
-        let delta = *self.deltas.last().expect("a delta was just recorded");
+    /// Feed the newest of `deltas` to the stall watchdog and, in watch
+    /// mode, render the residual report for the iteration it was taken at.
+    pub(crate) fn watch_convergence(
+        &mut self,
+        at_iter: usize,
+        deltas: &[f64],
+        atoms: &[Subdomain],
+        u: &Tensor,
+        prev: &Tensor,
+    ) {
+        let delta = *deltas.last().expect("a delta was just recorded");
         let stalled = self.stall.observe(delta);
         let stale_in_window = (self.stale_halos - self.stale_at_window) as u64;
         if stalled {
@@ -680,24 +592,21 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
             mf_observe::record("mfp.stall", stale_in_window, delta);
             self.stale_at_window = self.stale_halos;
         }
-        if mf_observe::watch_enabled() {
-            self.watch_residual_report(at_iter, stalled, stale_in_window);
+        if !mf_observe::watch_enabled() {
+            return;
         }
-    }
-
-    /// Watch-mode side channel: gather every rank's per-atomic-subdomain
-    /// residual (mean |u − prev| over the window) and render the lattice
-    /// heatmap report on rank 0. Watch is opt-in, so its allgather never
-    /// runs under the pinned-message-count fixtures.
-    fn watch_residual_report(&mut self, iteration: usize, stalled: bool, stale_in_window: u64) {
+        // Watch-mode side channel: gather every rank's per-atomic-subdomain
+        // residual (mean |u − prev| over the window) and render the lattice
+        // heatmap report on rank 0. Watch is opt-in, so its allgather never
+        // runs under the pinned-message-count fixtures.
         let domain = self.part.domain;
         // Encode owned atoms as (lattice index, residual) pairs: the gather
         // is ragged, each rank contributes only what it owns.
         let mut local = Vec::new();
         let step = domain.sub.m - 1;
-        for &sd in &self.engine.atoms {
-            let a = domain.read_window_field(&self.u, sd);
-            let b = domain.read_window_field(&self.prev, sd);
+        for &sd in atoms {
+            let a = domain.read_window_field(u, sd);
+            let b = domain.read_window_field(prev, sd);
             let n = a.numel().max(1) as f64;
             let resid = a
                 .as_slice()
@@ -718,8 +627,8 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
             eprint!(
                 "{}",
                 mf_observe::mfp_watch_report(
-                    iteration,
-                    &self.deltas,
+                    at_iter,
+                    deltas,
                     &grid,
                     domain.sy,
                     domain.sx,
@@ -748,51 +657,54 @@ impl<'a, S: SubdomainSolver> Rank<'a, S> {
         self.overlap
             .observe_iteration(self.comm, busy - self.busy_mark);
         self.busy_mark = busy;
-        mf_telemetry::publish_thread();
     }
 
-    /// Final phase: dense prediction of the owned atomic subdomains, then
-    /// an allgather of the owned dense blocks assembles the global grid.
-    fn finish(mut self, bc: &Tensor) -> DistMfpResult {
-        let halo_stats = self.comm.stats();
-        let domain = self.part.domain;
-
-        let t0 = thread_cpu_time();
-        self.engine
-            .sweep_grid(&self.engine.atoms, &self.engine.interior, &mut self.u);
-        self.compute_seconds += thread_cpu_time() - t0;
+    /// The rank's end of the run: complete the exchange still in flight
+    /// (the dense fill reads halo cells), fill the owned atomic subdomains
+    /// densely, and replace `u` by the global grid, assembled from every
+    /// rank's owned block by one allgather.
+    pub(crate) fn finish<S: SubdomainSolver>(
+        &mut self,
+        engine: &SweepEngine<'_, S>,
+        u: &mut Tensor,
+        bc: &Tensor,
+    ) {
+        if !self.inflight.is_empty() {
+            self.complete_halo_exchange(u);
+            // Its wait belongs to the run's accounting too.
+            self.close_interval();
+            mf_telemetry::publish_thread();
+        }
+        self.halo = self.comm.stats();
+        self.compute_seconds +=
+            cpu_seconds(|| engine.sweep_grid(&engine.atoms, &engine.interior, u));
 
         let t1 = thread_cpu_time();
-        let local = self.part.pack_dense(&self.u, &self.owned);
+        let local = self.part.pack_dense(u, &self.owned);
         self.pack_seconds += thread_cpu_time() - t1;
         let gathered = self.comm.allgather(&local);
         let t2 = thread_cpu_time();
-        let mut global = Tensor::zeros(domain.ny(), domain.nx());
-        apply_boundary(&mut global, bc);
+        *u = self.part.domain.initial_grid(bc);
         for (r, data) in gathered.iter().enumerate() {
-            let region = self.part.owned(r);
-            self.part.unpack_dense(&mut global, &region, data);
+            self.part.unpack_dense(u, &self.part.owned(r), data);
         }
         self.pack_seconds += thread_cpu_time() - t2;
+    }
 
-        let report = RankReport {
+    /// This rank's measurements of the run.
+    fn report(&self) -> RankReport {
+        let count = |groups: &[Vec<Subdomain>]| groups.iter().map(Vec::len).sum::<usize>();
+        let interior_subdomains = count(&self.interior_groups);
+        RankReport {
             rank: self.comm.rank(),
             compute_seconds: self.compute_seconds,
             pack_seconds: self.pack_seconds,
             comm: self.comm.stats(),
-            halo: halo_stats,
-            owned_subdomains: self.owned_subdomains,
-            interior_subdomains: self.interior_groups.iter().map(|g| g.len()).sum(),
+            halo: self.halo,
+            owned_subdomains: interior_subdomains + count(&self.boundary_groups),
+            interior_subdomains,
             stale_halos: self.stale_halos,
             overlap: self.overlap.final_sample(),
-        };
-        DistMfpResult {
-            grid: global,
-            iterations: self.iterations,
-            converged: self.converged,
-            deltas: self.deltas,
-            mae_history: self.mae_history,
-            reports: vec![report],
         }
     }
 }
@@ -852,15 +764,13 @@ pub fn try_run_distributed_shifted<S: SubdomainSolver>(
     ranks: usize,
     cfg: &DistMfpConfig,
 ) -> Result<DistMfpResult, ClusterError> {
-    run_ranks(solver, domain, bc, sigma, forcing, ranks, cfg, |rank| {
-        rank.iterate()
-    })
+    run_ranks(solver, domain, bc, sigma, forcing, ranks, cfg, false)
 }
 
-/// Validate the inputs, run `schedule` on every rank of a fresh cluster
-/// and assemble rank 0's solution with every rank's report. The schedule
-/// is a parameter so the test oracle can drive the same per-rank state
-/// through the alternating loop.
+/// Validate the inputs, run the one iteration loop with one request and
+/// the rank's [`Peers`] on every rank of a fresh cluster, and assemble
+/// rank 0's result with every rank's report. `alternating` runs the test
+/// oracle's schedule (see [`Peers`]).
 #[allow(clippy::too_many_arguments)]
 fn run_ranks<S: SubdomainSolver>(
     solver: &S,
@@ -870,27 +780,13 @@ fn run_ranks<S: SubdomainSolver>(
     forcing: Option<&Tensor>,
     ranks: usize,
     cfg: &DistMfpConfig,
-    schedule: impl Fn(&mut Rank<'_, S>) + Sync,
+    alternating: bool,
 ) -> Result<DistMfpResult, ClusterError> {
-    if let Some(f) = forcing {
-        assert_eq!(
-            f.shape(),
-            (domain.ny(), domain.nx()),
-            "run_distributed_shifted: forcing shape mismatch"
-        );
-    }
-    assert_eq!(
-        solver.spec(),
-        domain.sub,
-        "run_distributed: solver and domain geometry differ"
-    );
-    assert_eq!(
-        bc.numel(),
-        domain.boundary_len(),
-        "run_distributed: bad boundary length"
-    );
+    let mfp = Mfp::new(solver, *domain);
+    mfp.check_problem(std::slice::from_ref(bc), forcing);
     let stop = StopRule::new(
         cfg.tol,
+        cfg.max_iters,
         cfg.target.as_ref(),
         &[
             ("DistMfpConfig::check_every", cfg.check_every),
@@ -909,21 +805,29 @@ fn run_ranks<S: SubdomainSolver>(
         // share a time base (barrier-only: no link messages, so the
         // fault RNG streams and pinned message counts are untouched).
         comm.align_clocks();
-        let mut rank = Rank::new(comm, solver, &part, &stop, cfg, bc, sigma, forcing);
-        schedule(&mut rank);
-        rank.finish(bc)
+        let mut peers = Peers::new(comm, &part, cfg, alternating);
+        let bcs = std::slice::from_ref(bc);
+        let mut results = mfp.iterate(bcs, sigma, forcing, &stop, cfg.accelerate, Some(&mut peers));
+        let result = results.pop().expect("one request in, one result out");
+        (result, peers.report())
     })?;
 
-    let reports = per_rank.iter().map(|r| r.reports[0]).collect();
-    let mut result = per_rank.swap_remove(0);
-    result.reports = reports;
-    Ok(result)
+    let reports = per_rank.iter().map(|(_, report)| *report).collect();
+    let (rank0, _) = per_rank.swap_remove(0);
+    Ok(DistMfpResult {
+        grid: rank0.grid,
+        iterations: rank0.iterations,
+        converged: rank0.converged,
+        deltas: rank0.deltas,
+        mae_history: rank0.mae_history,
+        reports,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::{Mfp, MfpConfig};
+    use crate::seq::MfpConfig;
     use crate::solver::OracleSolver;
     use mf_data::SubdomainSpec;
     use mf_numerics::boundary::boundary_coords;
@@ -1515,30 +1419,12 @@ mod tests {
         }
     }
 
-    /// The schedule Algorithm 2 is written in, kept as the oracle of the
-    /// shipping one: sweep all groups → allreduce, judge and mix →
-    /// blocking exchange, on the same per-rank state and primitives.
-    fn alternating_schedule<S: SubdomainSolver>(rank: &mut Rank<'_, S>) {
-        for it in 0..rank.cfg.max_iters {
-            rank.begin_iteration(it);
-            rank.sweep(Pass::All);
-            rank.judge_and_mix();
-            if rank.iterations.is_multiple_of(rank.cfg.comm_every) {
-                rank.pack_halos();
-                let incoming = rank.comm.exchange(&rank.outgoing, it as u64);
-                for (cells, (_, data)) in rank.halo_cells.iter().zip(incoming) {
-                    unpack_cells(&mut rank.u, cells, &data);
-                }
-            }
-            if rank.stopped {
-                break;
-            }
-        }
-    }
-
-    /// Run the shipping driver and the alternating oracle on the same
-    /// problem and require identical iterates, convergence trajectory and
-    /// iteration count — not just "close". Returns the shipping result.
+    /// Run the shipping schedule and the alternating oracle — the
+    /// schedule Algorithm 2 is written in (sweep all groups → allreduce,
+    /// judge and mix → blocking exchange), the same loop on the same state
+    /// — on the same problem and require identical iterates, convergence
+    /// trajectory and iteration count, not just "close". Returns the
+    /// shipping result.
     fn assert_matches_alternating_oracle<S: SubdomainSolver>(
         solver: &S,
         d: &DomainSpec,
@@ -1547,7 +1433,7 @@ mod tests {
         cfg: &DistMfpConfig,
     ) -> DistMfpResult {
         let ship = run_distributed(solver, d, bc, ranks, cfg);
-        let alt = run_ranks(solver, d, bc, 0.0, None, ranks, cfg, alternating_schedule).unwrap();
+        let alt = run_ranks(solver, d, bc, 0.0, None, ranks, cfg, true).unwrap();
         assert_eq!(ship.iterations, alt.iterations);
         assert_eq!(ship.converged, alt.converged);
         assert_eq!(ship.deltas, alt.deltas, "delta trajectories diverged");
@@ -1662,7 +1548,23 @@ mod tests {
                     plan,
                     ..Default::default()
                 };
-                assert_matches_alternating_oracle(&oracle, &domain, &bc, ranks, &cfg);
+                let ship = assert_matches_alternating_oracle(&oracle, &domain, &bc, ranks, &cfg);
+                // One rank is `Mfp::run`: the same loop, whose allreduce is
+                // the identity.
+                if ranks == 1 {
+                    let seq = Mfp::new(&oracle, domain).run(&bc, &MfpConfig {
+                        max_iters: cfg.max_iters,
+                        tol: cfg.tol,
+                        ..Default::default()
+                    });
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(ship.iterations, seq.iterations);
+                    prop_assert_eq!(ship.converged, seq.converged);
+                    prop_assert_eq!(bits(&ship.deltas), bits(&seq.deltas));
+                    let mae = |h: &[(usize, f64)]| h.iter().map(|&(i, m)| (i, m.to_bits())).collect::<Vec<_>>();
+                    prop_assert_eq!(mae(&ship.mae_history), mae(&seq.mae_history));
+                    prop_assert_eq!(bits(ship.grid.as_slice()), bits(seq.grid.as_slice()));
+                }
             }
         }
     }

@@ -1,10 +1,11 @@
-//! The MFP iteration core shared by the local and the per-rank driver.
+//! What the MFP iteration loop is made of.
 //!
-//! Algorithm 2 is one loop, and this module is the part of it that does
-//! not depend on where the loop runs: a [`SweepEngine`] bound to the
-//! region of the global grid its caller owns (the whole grid for
-//! [`Mfp`](crate::Mfp), one rank's block for
-//! [`run_distributed`](crate::run_distributed)), with two operations —
+//! Algorithm 2 is one loop (`Mfp::iterate` in `seq.rs`), run with no peers
+//! by [`Mfp`](crate::Mfp) and with a rank's peers by
+//! [`run_distributed`](crate::run_distributed). This module is the part
+//! of it that does not depend on where the loop runs: a [`SweepEngine`]
+//! bound to the region of the global grid the loop owns (the whole grid
+//! without peers, one rank's block with them), with two operations —
 //! *sweep* a list of subdomains across a set of grids in one solver launch
 //! and the *residual sums* of a grid against its snapshot — the one
 //! [`StopRule`] that turns those sums into continue/converged/diverged, and
@@ -185,15 +186,15 @@ impl<'a, S: SubdomainSolver> SweepEngine<'a, S> {
 /// | mixing alone     | 36.0 | 27.8 | 20.6 | 16.4 | 15.6 |
 /// | seed + mixing    | 20.0 | 16.0 | 12.6 | 12.2 | 12.2 |
 ///
-/// Nothing is gained beyond 5, and 5 keeps the Gram sums of the per-rank
-/// driver inside one small-message allreduce ([`SUMS_LEN`] doubles).
+/// Nothing is gained beyond 5, and 5 keeps the Gram sums a rank reduces
+/// inside one small-message allreduce ([`SUMS_LEN`] doubles).
 pub(crate) const ANDERSON_DEPTH: usize = 5;
 const D: usize = ANDERSON_DEPTH;
 /// Entries of the upper triangle of `ΔFᵀΔF`.
 const TRI: usize = D * (D + 1) / 2;
 /// `ΔFᵀΔF` (upper triangle, row-major) then `ΔFᵀf`.
 pub(crate) const GRAM_LEN: usize = TRI + D;
-/// What the per-rank driver reduces once per iteration:
+/// What a rank reduces once per iteration:
 /// `[Σf², Σx², ΔFᵀΔF, ΔFᵀf]`.
 pub(crate) const SUMS_LEN: usize = 2 + GRAM_LEN;
 /// Tikhonov term of the normal equations, relative to their unit diagonal
@@ -234,8 +235,8 @@ const FRESH: Mixing = Mixing {
 /// vectors [`SweepEngine::residual_sums`] reads), the mixer keeps the last
 /// [`ANDERSON_DEPTH`] differences `ΔF`, `ΔG` of successive `f` and `g`,
 /// solves `min ‖f − ΔF γ‖` through the regularised normal equations and
-/// continues from `x⁺ = g − ΔG γ`. The drivers call it in two halves so
-/// the per-rank driver can allreduce in between: [`Self::observe`] files
+/// continues from `x⁺ = g − ΔG γ`. The loop calls it in two halves so a
+/// rank can allreduce in between: [`Self::observe`] files
 /// the sweep and returns the *local* sums `ΔFᵀΔF`, `ΔFᵀf`;
 /// [`Self::mix`] takes the *reduced* sums, so every rank computes the same
 /// `γ` and mixes its own cells. It only ever moves the iterate a sweep
@@ -348,9 +349,9 @@ impl Accelerator {
     ///
     /// Restarts instead — `g` stays the plain sweep — when the relative
     /// change grew against the previous sweep's (the columns are dropped)
-    /// or when `γ` is not finite (so is the previous sweep: a per-rank
-    /// driver poisons its sums with NaN to have every rank forget a sweep
-    /// that read a stale halo).
+    /// or when `γ` is not finite (so is the previous sweep: a rank poisons
+    /// its sums with NaN to have every rank forget a sweep that read a
+    /// stale halo).
     pub(crate) fn mix(&mut self, request: usize, gram: &Gram, delta: f64, g: &mut Tensor) {
         let l = self.cells.len();
         let m = &mut self.mixing[request];
@@ -432,14 +433,17 @@ pub(crate) enum Verdict {
     Diverged,
 }
 
-/// The stop decision of Algorithm 2, line 5, for both drivers: the
-/// relative lattice change against `tol`, then the optional
-/// [`MaeTarget`]. It takes *reduced* sums — the per-rank driver runs its
+/// The stop decision of Algorithm 2, line 5, for the one iteration loop:
+/// the iteration budget, the relative lattice change against `tol`, then
+/// the optional [`MaeTarget`]. It takes *reduced* sums — a rank runs its
 /// allreduce between [`SweepEngine::residual_sums`] and here — and
 /// appends to the caller's histories, so one rule serves any number of
 /// concurrent requests.
 pub(crate) struct StopRule<'c> {
-    tol: f64,
+    /// Relative-change threshold (0 never converges).
+    pub(crate) tol: f64,
+    /// Iterations allowed.
+    pub(crate) max_iters: usize,
     target: Option<&'c MaeTarget>,
     h_residual: Histogram,
 }
@@ -449,13 +453,19 @@ impl<'c> StopRule<'c> {
     /// `cadences` (`(field, every)` pairs of the calling driver) is zero —
     /// here, at driver entry, instead of as a check that never fires or a
     /// division by zero inside a rank thread.
-    pub(crate) fn new(tol: f64, target: Option<&'c MaeTarget>, cadences: &[(&str, usize)]) -> Self {
+    pub(crate) fn new(
+        tol: f64,
+        max_iters: usize,
+        target: Option<&'c MaeTarget>,
+        cadences: &[(&str, usize)],
+    ) -> Self {
         let target_cadence = target.map(|t| ("MaeTarget::every", t.every));
         for (field, every) in cadences.iter().copied().chain(target_cadence) {
             assert!(every > 0, "{field} must be at least 1 (got 0)");
         }
         Self {
             tol,
+            max_iters,
             target,
             h_residual: histogram("mfp.residual", Buckets::exponential(1e-9, 10.0, 12)),
         }

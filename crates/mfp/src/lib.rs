@@ -12,8 +12,7 @@
 //! small fraction of the grid points. A final dense pass fills the atomic
 //! (non-overlapping) subdomains.
 //!
-//! Algorithm 2 is one loop, and the crate runs it as one private sweep
-//! engine with two thin drivers:
+//! Algorithm 2 is one loop, and the crate has it once:
 //!
 //! * the engine (`engine.rs`) — the four non-overlapping sweep groups of
 //!   an owned region, each solved in one batched inference (§4.1), the
@@ -23,14 +22,16 @@
 //!   hundred: a coarse-grid seed and Anderson mixing of the lattice
 //!   iterate ([`MfpConfig::accelerate`], on by default; off is
 //!   Algorithm 2 as printed — same fixed point, same meaning of `tol`);
-//! * [`Mfp`] — the local driver: any number of requests on the whole
-//!   grid, no halo ([`Mfp::run`] is [`Mfp::run_many`] of one request);
-//! * [`run_distributed`] — the per-rank driver: the domain is split over
-//!   a 2-D processor grid; each rank sweeps its own subdomains with
-//!   immediate local updates and exchanges halo lattice values with ≤8
-//!   neighbors **once per iteration** (relaxed synchronization),
-//!   overlapped with its interior sweep; the mixing's Gram sums ride the
-//!   one convergence allreduce, so its coefficients are global.
+//! * the loop (`seq.rs`), which [`Mfp`] runs with no peers: any number of
+//!   requests on the whole grid, no halo ([`Mfp::run`] is
+//!   [`Mfp::run_many`] of one request);
+//! * [`run_distributed`], which runs the same loop on every rank with its
+//!   peers (`dist.rs`): the domain is split over a 2-D processor grid;
+//!   each rank sweeps its own subdomains with immediate local updates and
+//!   exchanges halo lattice values with ≤8 neighbors **once per
+//!   iteration** (relaxed synchronization), overlapped with its interior
+//!   sweep; the mixing's Gram sums ride the one convergence allreduce, so
+//!   its coefficients are global.
 //!
 //! The original one-inference-per-subdomain baseline of Fig. 8 is the
 //! [`UnbatchedSolver`] adapter around any solver.

@@ -17,7 +17,7 @@ use crate::domain::DomainSpec;
 use crate::engine::{whole_grid, SweepEngine};
 use crate::solver::{LaunchCounter, SubdomainSolver};
 use mf_data::SubdomainSpec;
-use mf_infer::{InferencePlan, PlanCache, Workspace, WorkspacePool};
+use mf_infer::{PlanCache, Workspace, WorkspacePool};
 use mf_nn::SdNet;
 use mf_tensor::{PoolStats, Tensor};
 
@@ -29,7 +29,8 @@ use mf_tensor::{PoolStats, Tensor};
 /// its batch, block partition, pool width or rank — so batched serving
 /// equals solving alone. Against [`NeuralSolver`](crate::NeuralSolver),
 /// the `f64` graph, each output is within
-/// [`InferencePlan::graph_error_bound`] of its launch; over a whole solve
+/// [`InferencePlan::graph_error_bound`](mf_infer::InferencePlan::graph_error_bound)
+/// of its launch; over a whole solve
 /// on the benchmark network the iteration count stays within one of the
 /// graph's, the fixed point within 1e-5 grid MAE and the error against
 /// multigrid within 10 % (`tests/precision.rs`). For `f64` inference, run
@@ -46,19 +47,13 @@ pub struct PlanSolver {
 }
 
 impl PlanSolver {
-    /// Wrap a trained network. Panics if the network's boundary length
-    /// does not match the subdomain geometry or the network uses the
-    /// `Concat` embedding (which stays on the graph path — check
-    /// [`InferencePlan::supports`] before constructing).
+    /// Wrap a trained network (either embedding lowers). Panics if the
+    /// network's boundary length does not match the subdomain geometry.
     pub fn new(net: SdNet, spec: SubdomainSpec) -> Self {
         assert_eq!(
             net.config().boundary_len,
             spec.boundary_len(),
             "PlanSolver: network boundary length does not match subdomain"
-        );
-        assert!(
-            InferencePlan::supports(&net),
-            "PlanSolver: network embedding cannot be lowered to a plan"
         );
         Self {
             net,
@@ -171,7 +166,7 @@ pub(crate) mod tests {
 
     /// A [`PlanSolver`] whose every launch is checked against the `f64`
     /// graph on the same boundaries and points: each output within the
-    /// launch's [`InferencePlan::graph_error_bound`]. It serves the plan's
+    /// launch's `InferencePlan::graph_error_bound`. It serves the plan's
     /// outputs, so a run on it is bitwise the run on the plan.
     pub(crate) struct Checked<'a>(pub &'a PlanSolver, pub NeuralSolver);
 

@@ -1,15 +1,21 @@
-//! The local MFP driver: any number of boundary-value problems on one
-//! domain, solved in one process with no halo.
+//! The MFP iteration loop, and [`Mfp`], which runs it with no peers.
 //!
-//! [`Mfp::run`], [`Mfp::run_shifted`] and [`Mfp::run_many`] are all "N
-//! requests on the whole grid" over the shared
-//! [`SweepEngine`](crate::engine::SweepEngine): every Schwarz sweep stacks
-//! each active request's group boundaries into one batched solver launch
-//! (§4.1), and requests drop out independently as the stop rule fires.
+//! `Mfp::iterate` is Algorithm 2's loop, the only one in the crate, for any
+//! number of requests on one domain: seed the lattice at iteration 0,
+//! snapshot, sweep the four groups, reduce the stop-test and Gram sums,
+//! judge, mix; then one dense fill. [`Mfp::run`], [`Mfp::run_shifted`] and
+//! [`Mfp::run_many`] run it with no peers on the whole grid: a reduction is
+//! the identity, nothing is in flight, every sweep stacks each active
+//! request's group boundaries into one batched solver launch (§4.1), and
+//! requests drop out independently as the stop rule fires.
+//! [`run_distributed`](crate::run_distributed) runs it on every rank with
+//! one request and that rank's peers (`dist.rs`).
 
+use crate::dist::Peers;
 use crate::domain::{DomainSpec, Subdomain};
 use crate::engine::{
-    sweep_groups_in, whole_grid, Accelerator, MaeTarget, StopRule, SweepEngine, Verdict,
+    sweep_groups_in, whole_grid, Accelerator, MaeTarget, StopRule, SweepEngine, Verdict, GRAM_LEN,
+    SUMS_LEN,
 };
 use crate::solver::SubdomainSolver;
 use mf_telemetry::span;
@@ -46,7 +52,7 @@ impl Default for MfpConfig {
 }
 
 /// Outcome of an MFP run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MfpResult {
     /// Dense solution on the global grid.
     pub grid: Tensor,
@@ -76,11 +82,6 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
             "Mfp: solver and domain subdomain geometry differ"
         );
         Self { solver, domain }
-    }
-
-    /// The bound domain.
-    pub fn domain(&self) -> &DomainSpec {
-        &self.domain
     }
 
     /// Solve the BVP given the global boundary walk `bc`
@@ -127,8 +128,7 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
         self.run_local(bcs, 0.0, None, cfg)
     }
 
-    /// The local driver: `bcs.len()` requests sharing `σ`/`forcing`, no
-    /// halo.
+    /// `bcs.len()` requests sharing `σ`/`forcing`, with no peers.
     fn run_local(
         &self,
         bcs: &[Tensor],
@@ -136,47 +136,68 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
         forcing: Option<&Tensor>,
         cfg: &MfpConfig,
     ) -> Vec<MfpResult> {
+        self.check_problem(bcs, forcing);
+        let stop = StopRule::new(cfg.tol, cfg.max_iters, cfg.target.as_ref(), &[]);
+        self.iterate(bcs, sigma, forcing, &stop, cfg.accelerate, None)
+    }
+
+    /// Panics unless every boundary walk in `bcs` and the forcing fit the
+    /// domain: checked where a solve enters, before any rank starts.
+    pub(crate) fn check_problem(&self, bcs: &[Tensor], forcing: Option<&Tensor>) {
         let d = &self.domain;
-        if let Some(f) = forcing {
+        for bc in bcs {
             assert_eq!(
-                f.shape(),
-                (d.ny(), d.nx()),
-                "run_shifted: forcing shape mismatch"
+                bc.numel(),
+                d.boundary_len(),
+                "MFP: global boundary has wrong length"
             );
         }
-        let stop = StopRule::new(cfg.tol, cfg.target.as_ref(), &[]);
-        let mut grids: Vec<Tensor> = bcs
-            .iter()
-            .map(|bc| {
-                assert_eq!(
-                    bc.numel(),
-                    d.boundary_len(),
-                    "Mfp::run: global boundary has wrong length"
-                );
-                d.initial_grid(bc)
-            })
-            .collect();
+        if let Some(f) = forcing {
+            assert_eq!(f.shape(), (d.ny(), d.nx()), "MFP: forcing shape mismatch");
+        }
+    }
+
+    /// The MFP iteration loop: `bcs.len()` requests sharing `σ`/`forcing`
+    /// (checked by [`Self::check_problem`]), each iterated until `stop`
+    /// ends it, then densely filled.
+    ///
+    /// With no `peers` the requests own the whole grid, a reduction is the
+    /// identity and nothing is ever in flight, so every sweep is the
+    /// full-group pass and every iteration checks and mixes. A rank of
+    /// [`run_distributed`](crate::run_distributed) passes its [`Peers`]
+    /// and one request: the engine covers the rank's block, the sums are
+    /// allreduced, checks and mixing follow the cadences, the halo
+    /// exchange posted at the end of an iteration is in flight during the
+    /// next one's interior pass, and the dense grid is gathered at the end.
+    pub(crate) fn iterate(
+        &self,
+        bcs: &[Tensor],
+        sigma: f64,
+        forcing: Option<&Tensor>,
+        stop: &StopRule<'_>,
+        accelerate: bool,
+        mut peers: Option<&mut Peers<'_>>,
+    ) -> Vec<MfpResult> {
+        let d = &self.domain;
+        let mut grids: Vec<Tensor> = bcs.iter().map(|bc| d.initial_grid(bc)).collect();
         // Per-request snapshots, allocated once and overwritten in place.
         let mut prevs = grids.clone();
-        let mut results: Vec<MfpResult> = bcs
-            .iter()
-            .map(|_| MfpResult {
-                grid: Tensor::zeros(0, 0),
-                iterations: 0,
-                converged: false,
-                deltas: Vec::new(),
-                mae_history: Vec::new(),
-            })
-            .collect();
+        let mut results = vec![MfpResult::default(); bcs.len()];
 
-        let engine = SweepEngine::new(self.solver, d, &whole_grid(d), sigma, forcing);
+        let owned = peers
+            .as_ref()
+            .map_or_else(|| whole_grid(d), |p| p.owned.clone());
+        let engine = SweepEngine::new(self.solver, d, &owned, sigma, forcing);
         // Per-request mixing state, so every request stays bitwise the
         // request solved alone.
-        let mut accel = Accelerator::new(cfg.accelerate, d, &whole_grid(d), grids.len());
+        let mut accel = Accelerator::new(accelerate, d, &owned, grids.len());
         let mut active: Vec<usize> = (0..grids.len()).collect();
-        for it in 0..cfg.max_iters {
+        for it in 0..stop.max_iters {
             if active.is_empty() {
                 break;
+            }
+            if let Some(p) = peers.as_deref_mut() {
+                p.begin_iteration(it);
             }
             span!(
                 "mfp.iteration",
@@ -188,50 +209,96 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
             }
             for &r in &active {
                 prevs[r].as_mut_slice().copy_from_slice(grids[r].as_slice());
+                results[r].iterations = it + 1;
             }
-            {
-                mf_profile::zone!("sweep");
-                for group in &engine.groups {
-                    engine.sweep(group, &engine.cross, &mut grids, &active);
+            match peers.as_deref_mut() {
+                Some(p) => p.sweep(&engine, &mut grids[0]),
+                None => {
+                    mf_profile::zone!("sweep");
+                    for group in &engine.groups {
+                        engine.sweep(group, &engine.cross, &mut grids, &active);
+                    }
                 }
             }
-            // Make this thread's metrics visible to live scrapes once
-            // per iteration (a warm publish does not allocate).
-            mf_telemetry::publish_thread();
 
+            // Algorithm 2, line 5, and the second level. A rank checks and
+            // mixes on its cadences, and skips the residual's allreduce
+            // when nothing reads it; without peers there is no message to
+            // save, so every iteration records its delta. The last sweep
+            // allowed is left as it is: the grid returned is always a
+            // plain sweep's output.
+            let n = it + 1;
+            let (checks, exchanges) = peers.as_ref().map_or((true, true), |p| p.cadence(n));
+            let mixes = accel.is_some() && checks && exchanges && n < stop.max_iters;
+            let judges = checks && (peers.is_none() || stop.tol > 0.0 || mixes);
             active.retain(|&r| {
                 let res = &mut results[r];
-                res.iterations = it + 1;
-                let sums = engine.residual_sums(&grids[r], &prevs[r]);
-                let verdict = stop.residual_verdict(sums, &mut res.deltas);
-                res.converged = verdict == Verdict::Converged
-                    || verdict == Verdict::Continue
-                        && stop
-                            .error_check_due(res.iterations)
-                            .is_some_and(|reference| {
-                                let sums = engine.error_sums(&grids[r], reference);
-                                stop.error_converged(res.iterations, sums, &mut res.mae_history)
-                            });
-                verdict == Verdict::Continue && !res.converged
-            });
-            // The requests that go on continue from the mixed iterate; the
-            // last sweep is left as it is, so the grid returned is always
-            // a plain sweep's output.
-            if let Some(accel) = accel.as_mut().filter(|_| it + 1 < cfg.max_iters) {
-                mf_profile::zone!("accelerate");
-                for &r in &active {
-                    let gram = accel.observe(r, &grids[r], &prevs[r]);
-                    let delta = *results[r].deltas.last().expect("pushed by the stop rule");
-                    accel.mix(r, &gram, delta, &mut grids[r]);
+                let (grid, prev) = (&mut grids[r], &prevs[r]);
+                let mut sums = [0.0; SUMS_LEN];
+                let mut verdict = Verdict::Continue;
+                if judges {
+                    let residual = engine.residual_sums(grid, prev);
+                    sums[..2].copy_from_slice(&residual);
+                    // The mixer never files a non-finite sweep: the
+                    // residual sums end such a solve, on every rank. A
+                    // sweep that read a stale halo slot is reported as NaN
+                    // Gram sums, which makes every rank forget its history.
+                    if mixes && residual.iter().all(|v| v.is_finite()) {
+                        let gram = if peers.as_ref().is_some_and(|p| p.read_stale_halo()) {
+                            [f64::NAN; GRAM_LEN]
+                        } else {
+                            accel.as_mut().expect("mixes").observe(r, grid, prev)
+                        };
+                        sums[2..].copy_from_slice(&gram);
+                    }
+                    if let Some(p) = peers.as_deref_mut() {
+                        p.allreduce(&mut sums[..if mixes { SUMS_LEN } else { 2 }]);
+                    }
+                    verdict = stop.residual_verdict([sums[0], sums[1]], &mut res.deltas);
+                    if let Some(p) = peers.as_deref_mut() {
+                        p.watch_convergence(n, &res.deltas, &engine.atoms, grid, prev);
+                    }
                 }
+                res.converged = verdict == Verdict::Converged;
+                let mut stopped = verdict != Verdict::Continue;
+                if let Some(reference) = stop.error_check_due(n).filter(|_| !stopped) {
+                    let mut sums = engine.error_sums(grid, reference);
+                    if let Some(p) = peers.as_deref_mut() {
+                        p.allreduce(&mut sums);
+                    }
+                    res.converged = stop.error_converged(n, sums, &mut res.mae_history);
+                    stopped = res.converged;
+                }
+                // A request that goes on continues from the mixed iterate
+                // (a rank posts its halo from it).
+                if mixes && !stopped {
+                    mf_profile::zone!("accelerate");
+                    let gram: &[f64; GRAM_LEN] =
+                        sums[2..].try_into().expect("SUMS_LEN = 2 + GRAM_LEN");
+                    let delta = *res.deltas.last().expect("pushed by the stop rule");
+                    accel.as_mut().expect("mixes").mix(r, gram, delta, grid);
+                }
+                !stopped
+            });
+            if let Some(p) = peers.as_deref_mut() {
+                p.end_iteration(&mut grids[0], it);
             }
+            // Make this thread's metrics visible to live scrapes once per
+            // iteration (a warm publish does not allocate).
+            mf_telemetry::publish_thread();
         }
 
         // One dense launch packs every request's atomic subdomains: each
-        // grid is frozen after its own convergence, so deferring the
-        // fill to the end changes nothing.
-        let all: Vec<usize> = (0..grids.len()).collect();
-        engine.sweep(&engine.atoms, &engine.interior, &mut grids, &all);
+        // grid is frozen after its own convergence, so deferring the fill
+        // to the end changes nothing. A rank fills its own atoms, then
+        // gathers the global grid.
+        match peers {
+            Some(p) => p.finish(&engine, &mut grids[0], &bcs[0]),
+            None => {
+                let all: Vec<usize> = (0..grids.len()).collect();
+                engine.sweep(&engine.atoms, &engine.interior, &mut grids, &all);
+            }
+        }
         for (res, grid) in results.iter_mut().zip(grids) {
             res.grid = grid;
         }
@@ -247,13 +314,8 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     /// Final dense pass: predict every interior point of every atomic
     /// subdomain from its current lattice boundary.
     pub fn dense_fill(&self, grid: &mut Tensor) {
-        self.dense_fill_shifted(grid, 0.0, None)
-    }
-
-    /// Dense pass for the shifted operator.
-    pub fn dense_fill_shifted(&self, grid: &mut Tensor, sigma: f64, forcing: Option<&Tensor>) {
         let d = &self.domain;
-        let engine = SweepEngine::new(self.solver, d, &whole_grid(d), sigma, forcing);
+        let engine = SweepEngine::new(self.solver, d, &whole_grid(d), 0.0, None);
         engine.sweep_grid(&engine.atoms, &engine.interior, grid);
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::{Activation, EmbeddingKind, SdNet, SdNetConfig};
 use mf_tensor::Tensor;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MFSDNET1";
@@ -147,18 +147,13 @@ impl SdNet {
     ///
     /// The stored config is checked before anything is built — every
     /// width in range, an odd kernel, a positive finite `coord_extent` and
-    /// at most 2²⁶ declared parameters — so a corrupt file is an
-    /// `InvalidData` error, never an assert or a huge allocation. The
+    /// at most 2²⁶ declared parameters, eight bytes each of which the
+    /// source still holds after the header — so a corrupt or torn file is
+    /// an `InvalidData` error, never an assert or a huge allocation. The
     /// architecture is then rebuilt (with a dummy RNG — every parameter is
     /// overwritten by the stored values), and the parameter list is
     /// validated name-by-name and shape-by-shape.
-    pub fn load_from(r: &mut impl Read) -> io::Result<SdNet> {
-        Self::load_within(r, u64::MAX)
-    }
-
-    /// [`SdNet::load_from`] for a source of at most `max_bytes` bytes: a
-    /// header that declares more parameters than that is refused too.
-    fn load_within(r: &mut impl Read, max_bytes: u64) -> io::Result<SdNet> {
+    pub fn load_from(r: &mut (impl Read + Seek)) -> io::Result<SdNet> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -209,7 +204,7 @@ impl SdNet {
             coord_fourier,
         };
         let declared = check_architecture(&config)?;
-        if (declared as u64).saturating_mul(8) > max_bytes {
+        if (declared as u64).saturating_mul(8) > bytes_left(r)? {
             return Err(bad("declared parameters exceed the file"));
         }
         use rand::SeedableRng;
@@ -249,13 +244,18 @@ impl SdNet {
         self.save_to(&mut f)
     }
 
-    /// Load from a file path, refusing a header that declares more
-    /// parameters than the file holds before anything is built.
+    /// Load from a file path.
     pub fn load(path: impl AsRef<Path>) -> io::Result<SdNet> {
-        let f = std::fs::File::open(path)?;
-        let len = f.metadata()?.len();
-        Self::load_within(&mut io::BufReader::new(f), len)
+        Self::load_from(&mut io::BufReader::new(std::fs::File::open(path)?))
     }
+}
+
+/// Bytes between the source's position and its end; the position is kept.
+fn bytes_left(r: &mut impl Seek) -> io::Result<u64> {
+    let at = r.stream_position()?;
+    let end = r.seek(SeekFrom::End(0))?;
+    r.seek(SeekFrom::Start(at))?;
+    Ok(end.saturating_sub(at))
 }
 
 /// Refuse a declared architecture that [`SdNet::new`] would assert on or
@@ -328,7 +328,7 @@ mod tests {
         let net = make_net();
         let mut buf = Vec::new();
         net.save_to(&mut buf).unwrap();
-        let loaded = SdNet::load_from(&mut buf.as_slice()).unwrap();
+        let loaded = SdNet::load_from(&mut io::Cursor::new(&buf)).unwrap();
 
         assert_eq!(loaded.config().hidden, net.config().hidden);
         assert_eq!(loaded.config().conv_channels, net.config().conv_channels);
@@ -357,7 +357,7 @@ mod tests {
         let mut buf = Vec::new();
         make_net().save_to(&mut buf).unwrap();
         buf[0] = b'X';
-        let err = SdNet::load_from(&mut buf.as_slice()).unwrap_err();
+        let err = SdNet::load_from(&mut io::Cursor::new(&buf)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -366,31 +366,39 @@ mod tests {
         let mut buf = Vec::new();
         make_net().save_to(&mut buf).unwrap();
         buf.truncate(buf.len() / 2);
-        assert!(SdNet::load_from(&mut buf.as_slice()).is_err());
+        assert!(SdNet::load_from(&mut io::Cursor::new(&buf)).is_err());
     }
 
     #[test]
     fn corrupt_architectures_are_invalid_data_before_anything_is_built() {
         // `make_net`'s header: magic, boundary_len, conv count and its 2
         // channels from 24, the kernel at 40, hidden count and its 2
-        // widths from 56, embedding, activation, coord_extent at 88.
+        // widths from 56, embedding, activation, coord_extent at 88,
+        // coord_fourier; the parameters from 104.
         let mut clean = Vec::new();
         make_net().save_to(&mut clean).unwrap();
-        let cases: [(&str, &[(usize, u64)]); 6] = [
-            ("even kernel", &[(40, 4)]),
-            ("2^40 width", &[(56, 1 << 40)]),
-            ("zero channels", &[(24, 0)]),
-            ("NaN coord_extent", &[(88, f64::NAN.to_bits())]),
-            ("negative coord_extent", &[(88, (-0.5f64).to_bits())]),
+        let whole = clean.len();
+        let cases: [(&str, &[(usize, u64)], usize); 7] = [
+            ("even kernel", &[(40, 4)], whole),
+            ("2^40 width", &[(56, 1 << 40)], whole),
+            ("zero channels", &[(24, 0)], whole),
+            ("NaN coord_extent", &[(88, f64::NAN.to_bits())], whole),
+            ("negative coord_extent", &[(88, (-0.5f64).to_bits())], whole),
             // Each width in range; the 2^16 × 2^16 trunk layer is not.
-            ("2^32 parameters", &[(56, 1 << 16), (64, 1 << 16)]),
+            ("2^32 parameters", &[(56, 1 << 16), (64, 1 << 16)], whole),
+            // A torn file: ~2^24 parameters in range, no bytes left for them.
+            (
+                "torn after the header",
+                &[(56, 1 << 12), (64, 1 << 12)],
+                104,
+            ),
         ];
-        for (what, splices) in cases {
-            let mut buf = clean.clone();
+        for (what, splices, len) in cases {
+            let mut buf = clean[..len].to_vec();
             for &(at, v) in splices {
                 buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
             }
-            let err = SdNet::load_from(&mut buf.as_slice()).unwrap_err();
+            let err = SdNet::load_from(&mut io::Cursor::new(&buf)).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
         }
     }
@@ -410,7 +418,7 @@ mod tests {
         let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(1));
         let mut buf = Vec::new();
         net.save_to(&mut buf).unwrap();
-        let loaded = SdNet::load_from(&mut buf.as_slice()).unwrap();
+        let loaded = SdNet::load_from(&mut io::Cursor::new(&buf)).unwrap();
         assert_eq!(loaded.config().embedding, EmbeddingKind::Concat);
         assert_eq!(loaded.config().activation, Activation::Tanh);
         assert_eq!(loaded.config().coord_extent, 1.0);

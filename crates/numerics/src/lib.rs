@@ -31,7 +31,7 @@ mod solver_proptests;
 
 pub use analytic::{eval_on_grid, harmonic_polynomial, harmonic_sin_sinh, HarmonicFn};
 pub use multigrid::{can_coarsen, solve_multigrid, MultigridOpts};
-pub use relax::{residual_norm, solve_rbgs, solve_shifted_sor, solve_sor, sor_optimal_omega};
+pub use relax::{residual_norm, solve_shifted_sor, solve_sor, sor_optimal_omega};
 
 use mf_tensor::Tensor;
 

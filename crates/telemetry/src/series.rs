@@ -136,17 +136,6 @@ impl SeriesSnapshot {
         events as f64 / (span as f64 * SERIES_WINDOW_US as f64 / 1e6)
     }
 
-    /// Mean observed value over the most recent `n` windows.
-    pub fn recent_mean(&self, n: usize) -> f64 {
-        let start = self.windows.len().saturating_sub(n);
-        let recent = &self.windows[start..];
-        let events: u64 = recent.iter().map(|w| w.count).sum();
-        if events == 0 {
-            return 0.0;
-        }
-        recent.iter().map(|w| w.sum).sum::<f64>() / events as f64
-    }
-
     /// Per-window counts of the most recent `n` windows, zero-filled for
     /// id gaps — ready for a sparkline.
     pub fn recent_counts(&self, n: usize) -> Vec<f64> {
@@ -212,7 +201,6 @@ mod tests {
         assert!(total >= 2);
         assert!(mine.windows.windows(2).all(|p| p[0].id < p[1].id));
         assert!(mine.rate_per_sec(SERIES_WINDOWS) > 0.0);
-        assert!(mine.recent_mean(SERIES_WINDOWS) >= 2.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt;
 /// The representation is a plain `Vec<f64>` plus a shape, so reshapes of a
 /// contiguous tensor are free and the data can be handed to the simulated
 /// communication layer without copies.
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Tensor {
     data: Vec<f64>,
     rows: usize,
@@ -230,13 +230,6 @@ impl Tensor {
             rows,
             cols,
         }
-    }
-
-    /// In-place reshape (metadata only).
-    pub fn reshape_in_place(&mut self, rows: usize, cols: usize) {
-        assert_eq!(self.numel(), rows * cols, "reshape_in_place: size mismatch");
-        self.rows = rows;
-        self.cols = cols;
     }
 
     /// Change the shape to `rows×cols`, keeping the allocation when it is

@@ -21,7 +21,7 @@ use mf_nn::wire::{
 };
 use mf_nn::SdNet;
 use mf_opt::OptimizerState;
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"MFCKPT01";
@@ -131,8 +131,10 @@ impl TrainState {
         Ok(())
     }
 
-    /// Deserialize a state saved with [`TrainState::save_to`].
-    pub fn load_from(r: &mut impl Read) -> io::Result<Self> {
+    /// Deserialize a state saved with [`TrainState::save_to`]. The
+    /// embedded network is read by [`SdNet::load_from`], so it may not
+    /// declare more parameters than the bytes left in `r`.
+    pub fn load_from(r: &mut (impl Read + Seek)) -> io::Result<Self> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -335,7 +337,7 @@ mod tests {
         let state = tiny_state(40);
         let mut buf = Vec::new();
         state.save_to(&mut buf).unwrap();
-        let loaded = TrainState::load_from(&mut buf.as_slice()).unwrap();
+        let loaded = TrainState::load_from(&mut io::Cursor::new(&buf)).unwrap();
         assert_eq!(loaded.step, 40);
         assert_eq!(loaded.epoch, 1);
         assert_eq!(loaded.batch_in_epoch, 3);
@@ -357,9 +359,16 @@ mod tests {
         tiny_state(1).save_to(&mut buf).unwrap();
         let mut broken = buf.clone();
         broken[0] = b'X';
-        assert!(TrainState::load_from(&mut broken.as_slice()).is_err());
+        assert!(TrainState::load_from(&mut io::Cursor::new(&broken)).is_err());
+        // Torn inside the network, after a header whose one hidden width
+        // (at 104) now declares millions of parameters, which the bytes left
+        // cannot hold: refused before the network is built.
+        let mut torn = buf[..144].to_vec();
+        torn[104..112].copy_from_slice(&(1u64 << 16).to_le_bytes());
+        let err = TrainState::load_from(&mut io::Cursor::new(&torn)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         buf.truncate(buf.len() - 7);
-        assert!(TrainState::load_from(&mut buf.as_slice()).is_err());
+        assert!(TrainState::load_from(&mut io::Cursor::new(&buf)).is_err());
     }
 
     #[test]

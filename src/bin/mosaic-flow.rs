@@ -29,8 +29,7 @@
 //! on the compiled inference plan (`mf-infer`), which evaluates the network
 //! in `f32` while the lattice and the stop test stay `f64` — within one
 //! iteration and 1e-5 of the `f64` graph's fixed point on the benchmark
-//! network (`tests/precision.rs`); networks the plan cannot lower (`Concat`
-//! embedding) run on the `f64` graph-based solver.
+//! network (`tests/precision.rs`), whichever embedding it uses.
 //!
 //! Every subcommand has a closed list of flags: an unknown flag, a
 //! missing value, a value that does not parse, a negative or non-finite
@@ -407,10 +406,9 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
 
     // Solver selection. Models run on the compiled inference plan
     // (graph-free, `f32` inside each launch, within its launch bound of
-    // the `f64` graph) unless the network cannot be lowered.
+    // the `f64` graph).
     enum Chosen {
         Oracle(OracleSolver),
-        Neural(Box<NeuralSolver>),
         Plan(Box<PlanSolver>),
     }
     let (spec, chosen) = if let Some(path) = flags.get("model") {
@@ -422,11 +420,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
             m,
             spatial: net.config().coord_extent,
         };
-        if InferencePlan::supports(&net) {
-            (spec, Chosen::Plan(Box::new(PlanSolver::new(net, spec))))
-        } else {
-            (spec, Chosen::Neural(Box::new(NeuralSolver::new(net, spec))))
-        }
+        (spec, Chosen::Plan(Box::new(PlanSolver::new(net, spec))))
     } else {
         let m: usize = get(flags, "m", 9);
         let spec = SubdomainSpec { m, spatial: 0.5 };
@@ -512,7 +506,6 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
     };
     let ran = match &chosen {
         Chosen::Oracle(s) => run_solver(s, domain, &bc, &opts, (2000, 1e-6)),
-        Chosen::Neural(s) => run_solver(s.as_ref(), domain, &bc, &opts, (500, 1e-5)),
         Chosen::Plan(s) => run_solver(s.as_ref(), domain, &bc, &opts, (500, 1e-5)),
     };
     let (grid, iterations, converged) = match ran {
@@ -581,10 +574,6 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
         eprintln!("serve: --model <path> or --random-weights is required");
         return ExitCode::FAILURE;
     };
-    if !InferencePlan::supports(&net) {
-        eprintln!("serve: model embedding cannot be lowered to a compiled plan");
-        return ExitCode::FAILURE;
-    }
     let m = net.config().boundary_len / 4 + 1;
     let spec = SubdomainSpec {
         m,

@@ -21,7 +21,6 @@ fn solver() -> (SubdomainSpec, PlanSolver) {
     cfg.hidden = vec![16, 16];
     // Untrained weights: the test measures plumbing, not accuracy.
     let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(0));
-    assert!(InferencePlan::supports(&net));
     (spec, PlanSolver::new(net, spec))
 }
 
