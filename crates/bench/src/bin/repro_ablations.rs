@@ -141,7 +141,6 @@ fn ablate_comm_avoiding(spec: mf_data::SubdomainSpec) {
                     max_iters: 3000,
                     tol: 1e-7,
                     comm_every: k,
-                    check_every: 1,
                     accelerate,
                     ..Default::default()
                 },

@@ -469,7 +469,6 @@ fn main() {
     let one_request_batches = BatchConfig {
         max_points: 0,
         max_wait_us: 0,
-        ..BatchConfig::default()
     };
     let unbatched = run_closed_loop(one_request_batches, clients, workers, secs);
     let batched = run_closed_loop(BatchConfig::default(), clients, workers, secs);

@@ -5,10 +5,9 @@
 //! tiny number of distinct query-point sets, thousands of times each.
 //! Both want the same two pieces of machinery:
 //!
-//! * [`PlanCache`] — one compiled [`InferencePlan`] per *point set*,
-//!   revalidated against the network's parameter version on every lookup
-//!   so an optimizer step anywhere in the process invalidates every
-//!   cached plan without an explicit call.
+//! * [`PlanCache`] — one compiled [`InferencePlan`] per *point set* of
+//!   the one network its owner holds immutably (the weights of a
+//!   pre-trained SDNet never change while it solves).
 //! * [`WorkspacePool`] — a checkout/checkin stack of [`Workspace`]s so
 //!   concurrent launchers never contend on one buffer pool, while a
 //!   single-threaded caller keeps reusing the same warm workspace.
@@ -54,11 +53,11 @@ impl PointsKey {
     }
 }
 
-/// A per-point-set cache of compiled plans with staleness revalidation.
+/// A per-point-set cache of compiled plans for one network.
 ///
-/// [`PlanCache::get_or_compile`] returns the cached plan when its
-/// parameter version still matches the network, and recompiles in place
-/// otherwise. Hits are counted for telemetry (`infer.plan_cache_hits`).
+/// [`PlanCache::get_or_compile`] returns the cached plan for a point set,
+/// and compiles and keeps one on the first lookup. Hits are counted for
+/// telemetry (`infer.plan_cache_hits`).
 #[derive(Default)]
 pub struct PlanCache {
     plans: Mutex<Vec<(PointsKey, Arc<InferencePlan>)>>,
@@ -71,7 +70,7 @@ impl PlanCache {
         Self::default()
     }
 
-    /// Lookups served by an already-compiled, still-fresh plan.
+    /// Lookups served by an already-compiled plan.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -86,29 +85,23 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// The compiled plan for `points` against `net`'s current weights,
-    /// rebuilt when absent or stale.
+    /// The compiled plan for `points`, compiled from `net` on the first
+    /// lookup. Every call on one cache passes the same network.
     pub fn get_or_compile(&self, net: &SdNet, points: &Tensor) -> Arc<InferencePlan> {
         static CACHE_HITS: std::sync::OnceLock<mf_telemetry::Counter> = std::sync::OnceLock::new();
-        let version = net.params.version();
         let mut plans = self.plans.lock().unwrap();
         if let Some((_, plan)) = plans.iter().find(|(k, _)| k.matches(points)) {
-            if plan.params_version() == version {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                CACHE_HITS
-                    .get_or_init(|| mf_telemetry::counter("infer.plan_cache_hits"))
-                    .incr();
-                return Arc::clone(plan);
-            }
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            CACHE_HITS
+                .get_or_init(|| mf_telemetry::counter("infer.plan_cache_hits"))
+                .incr();
+            return Arc::clone(plan);
         }
         let plan = {
             mf_telemetry::span!("infer.plan_compile");
             Arc::new(InferencePlan::compile(net, points))
         };
-        match plans.iter_mut().find(|(k, _)| k.matches(points)) {
-            Some(entry) => entry.1 = Arc::clone(&plan),
-            None => plans.push((PointsKey::of(points), Arc::clone(&plan))),
-        }
+        plans.push((PointsKey::of(points), Arc::clone(&plan)));
         plan
     }
 }
@@ -198,21 +191,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn cache_recompiles_after_weight_mutation() {
-        let mut net = net(3);
-        let cache = PlanCache::new();
-        let pts = Tensor::from_fn(4, 2, |_, _| 0.1);
-        let before = cache.get_or_compile(&net, &pts);
-        for t in net.params.tensors_mut() {
-            t.as_mut_slice().iter_mut().for_each(|v| *v += 0.5);
-        }
-        let after = cache.get_or_compile(&net, &pts);
-        assert!(!Arc::ptr_eq(&before, &after));
-        assert_eq!(cache.hits(), 0, "stale plan must not count as a hit");
-        assert_eq!(cache.len(), 1, "recompile replaces in place");
     }
 
     #[test]

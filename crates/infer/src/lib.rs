@@ -59,10 +59,9 @@
 //! solve — iterations, fixed point, accuracy against multigrid — is pinned
 //! per boundary on the benchmark network by `tests/precision.rs`.
 //!
-//! Plans are snapshots of the network weights. [`Params`](mf_nn::Params)
-//! carries a mutation counter; [`InferencePlan::is_stale`] compares it so
-//! callers (e.g. `mf-mfp`'s `PlanSolver`) recompile after an optimizer
-//! step instead of serving stale weights.
+//! Plans are snapshots of the network weights: Mosaic Flow solves by
+//! inference with one pre-trained SDNet, and every caller (e.g. `mf-mfp`'s
+//! `PlanSolver`) owns its network immutably, so a plan never goes stale.
 
 use mf_nn::SdNet;
 use mf_tensor::par::{self, prelude::*};
@@ -278,7 +277,6 @@ pub struct InferencePlan {
     q: usize,
     /// GEMM multiply-adds one boundary costs.
     macs_per_boundary: usize,
-    params_version: u64,
 }
 
 impl InferencePlan {
@@ -430,7 +428,6 @@ impl InferencePlan {
             boundary_len: l,
             q,
             macs_per_boundary,
-            params_version: net.params.version(),
         }
     }
 
@@ -442,19 +439,6 @@ impl InferencePlan {
     /// Boundary walk length this plan expects.
     pub fn boundary_len(&self) -> usize {
         self.boundary_len
-    }
-
-    /// The [`Params`](mf_nn::Params) mutation-counter value the plan was
-    /// compiled against.
-    pub fn params_version(&self) -> u64 {
-        self.params_version
-    }
-
-    /// True when the network's parameters have (possibly) changed since
-    /// compilation and the plan must be rebuilt before its results can be
-    /// trusted.
-    pub fn is_stale(&self, net: &SdNet) -> bool {
-        net.params.version() != self.params_version
     }
 
     /// How far each output of a launch on `boundaries` may sit from the
@@ -1083,28 +1067,6 @@ mod tests {
             let want = net.predict(&bounds, &tiled(&pts, b), 5);
             assert_within_bound(&plan, &bounds, &want, &got);
         }
-    }
-
-    #[test]
-    fn staleness_tracks_parameter_mutations() {
-        let mut cfg = SdNetConfig::small(12);
-        cfg.conv_channels = vec![2];
-        cfg.hidden = vec![8];
-        let (mut net, bounds, pts) = random_case(cfg, 3, 2, 4);
-        let plan = InferencePlan::compile(&net, &pts);
-        assert!(!plan.is_stale(&net));
-        // Mutate a weight the way an optimizer step would.
-        for t in net.params.tensors_mut() {
-            t.as_mut_slice().iter_mut().for_each(|v| *v *= 0.5);
-        }
-        assert!(plan.is_stale(&net));
-        // A recompiled plan agrees with the new weights.
-        let plan2 = InferencePlan::compile(&net, &pts);
-        assert!(!plan2.is_stale(&net));
-        let mut ws = Workspace::new();
-        let got = plan2.execute(&mut ws, &bounds);
-        let want = net.predict(&bounds, &tiled(&pts, 2), 4);
-        assert_within_bound(&plan2, &bounds, &want, &got);
     }
 
     #[test]

@@ -43,9 +43,6 @@ pub struct DistMfpConfig {
     /// Relative-change threshold (0 disables the check — and, on the
     /// one-level iteration, its allreduce).
     pub tol: f64,
-    /// Evaluate the convergence check every this many iterations (at
-    /// least 1).
-    pub check_every: usize,
     /// Exchange halos every this many iterations (1 = Algorithm 2;
     /// larger values are the communication-avoiding variant discussed in
     /// §5.3 "Open problems"; at least 1).
@@ -82,7 +79,6 @@ impl Default for DistMfpConfig {
         Self {
             max_iters: 1000,
             tol: 1e-4,
-            check_every: 1,
             comm_every: 1,
             order: RankOrder::RowMajor,
             target: None,
@@ -448,13 +444,10 @@ impl<'a> Peers<'a> {
         }
     }
 
-    /// Whether the iteration that brings the count to `n` checks the stop
-    /// test, and whether it exchanges a halo.
-    pub(crate) fn cadence(&self, n: usize) -> (bool, bool) {
-        (
-            n.is_multiple_of(self.cfg.check_every),
-            n.is_multiple_of(self.cfg.comm_every),
-        )
+    /// Whether the iteration that brings the count to `n` exchanges a
+    /// halo.
+    pub(crate) fn exchanges(&self, n: usize) -> bool {
+        n.is_multiple_of(self.cfg.comm_every)
     }
 
     /// Stamp iteration `it` on the rank's telemetry and note the stale
@@ -788,10 +781,7 @@ fn run_ranks<S: SubdomainSolver>(
         cfg.tol,
         cfg.max_iters,
         cfg.target.as_ref(),
-        &[
-            ("DistMfpConfig::check_every", cfg.check_every),
-            ("DistMfpConfig::comm_every", cfg.comm_every),
-        ],
+        &[("DistMfpConfig::comm_every", cfg.comm_every)],
     );
     let part = Partition {
         domain,
@@ -1567,23 +1557,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "DistMfpConfig::check_every must be at least 1")]
-    fn zero_check_cadence_is_rejected_at_entry() {
-        let d = DomainSpec::new(spec(), 2, 2);
-        let cfg = DistMfpConfig {
-            check_every: 0,
-            ..Default::default()
-        };
-        run_distributed(
-            &OracleSolver::new(spec(), 1e-9),
-            &d,
-            &harmonic_bc(&d),
-            2,
-            &cfg,
-        );
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //! paths run graph-free. The MFP evaluates the network on a tiny number
 //! of distinct query-point sets (the center cross during sweeps, the
 //! subdomain interior during the dense fill), so the solver keeps one
-//! compiled plan per point set via mf-infer's shared [`PlanCache`] and
-//! revalidates it against the network's parameter version on every launch
-//! — an optimizer step anywhere in the process automatically invalidates
-//! every cached plan. The same cache and [`WorkspacePool`] also back the
-//! serve layer's cross-request batcher (`mf-serve`), which coalesces
-//! points from concurrent requests into one fat launch against the same
-//! machinery.
+//! compiled plan per point set via mf-infer's shared [`PlanCache`]. The
+//! solver owns its network and never changes the weights, so a plan,
+//! once compiled, serves every later launch. The same cache and
+//! [`WorkspacePool`] also back the serve layer's cross-request batcher
+//! (`mf-serve`), which coalesces points from concurrent requests into one
+//! fat launch against the same machinery.
 
 use crate::domain::DomainSpec;
 use crate::engine::{whole_grid, SweepEngine};
@@ -36,8 +35,8 @@ use mf_tensor::{PoolStats, Tensor};
 /// multigrid within 10 % (`tests/precision.rs`). For `f64` inference, run
 /// the graph through `NeuralSolver`. Besides twice the lanes, the plan
 /// saves the autodiff tape, pools its workspaces and computes the
-/// query-coordinate half of the input-split layer once per (point set,
-/// weight version) instead of once per launch.
+/// query-coordinate half of the input-split layer once per point set
+/// instead of once per launch.
 pub struct PlanSolver {
     net: SdNet,
     spec: SubdomainSpec,
@@ -69,15 +68,7 @@ impl PlanSolver {
         &self.net
     }
 
-    /// Mutable access to the wrapped network, e.g. for applying an
-    /// optimizer step between solves. Any mutable parameter access bumps
-    /// the store's version counter, so cached plans recompile on the next
-    /// launch — no explicit invalidation call needed.
-    pub fn net_mut(&mut self) -> &mut SdNet {
-        &mut self.net
-    }
-
-    /// Launches served by an already-compiled, still-fresh plan.
+    /// Launches served by an already-compiled plan.
     pub fn cache_hits(&self) -> usize {
         self.plans.hits() as usize
     }
@@ -243,32 +234,6 @@ pub(crate) mod tests {
         assert_eq!(plan.cache_hits(), 2 + 3);
         // Single-threaded reuse of one pooled workspace stays warm.
         assert_eq!(plan.warm_allocs(), 0);
-    }
-
-    #[test]
-    fn weight_update_invalidates_cached_plans() {
-        let spec = spec();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let b = Tensor::from_fn(2, spec.boundary_len(), |_, _| rng.gen_range(-1.0..1.0));
-        let pts = Tensor::from_fn(3, 2, |_, _| rng.gen_range(0.0..0.5));
-
-        let mut solver = PlanSolver::new(net(2), spec);
-        let before = solver.solve_batch(&b, &pts);
-        let hits_before = solver.cache_hits();
-
-        // An in-place optimizer-style step bumps the params version...
-        for t in solver.net_mut().params.tensors_mut() {
-            t.as_mut_slice().iter_mut().for_each(|v| *v += 0.1);
-        }
-        // ...so the next launch recompiles instead of serving stale bits.
-        let after = solver.solve_batch(&b, &pts);
-        assert_eq!(solver.cache_hits(), hits_before);
-        assert!(before.max_abs_diff(&after) > 0.0);
-        // And once recompiled, the fresh plan is cached again: the checked
-        // launch hits it twice, and holds the new weights' bound.
-        let again = Checked::new(&solver).solve_batch(&b, &pts);
-        assert_eq!(solver.cache_hits(), hits_before + 2);
-        assert_eq!(again.max_abs_diff(&after), 0.0);
     }
 
     #[test]

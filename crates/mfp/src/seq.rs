@@ -166,7 +166,7 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     /// full-group pass and every iteration checks and mixes. A rank of
     /// [`run_distributed`](crate::run_distributed) passes its [`Peers`]
     /// and one request: the engine covers the rank's block, the sums are
-    /// allreduced, checks and mixing follow the cadences, the halo
+    /// allreduced, mixing follows the exchange cadence, the halo
     /// exchange posted at the end of an iteration is in flight during the
     /// next one's interior pass, and the dense grid is gathered at the end.
     pub(crate) fn iterate(
@@ -221,16 +221,16 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                 }
             }
 
-            // Algorithm 2, line 5, and the second level. A rank checks and
-            // mixes on its cadences, and skips the residual's allreduce
+            // Algorithm 2, line 5, and the second level. A rank mixes on
+            // its exchanging iterations, and skips the residual's allreduce
             // when nothing reads it; without peers there is no message to
             // save, so every iteration records its delta. The last sweep
             // allowed is left as it is: the grid returned is always a
             // plain sweep's output.
             let n = it + 1;
-            let (checks, exchanges) = peers.as_ref().map_or((true, true), |p| p.cadence(n));
-            let mixes = accel.is_some() && checks && exchanges && n < stop.max_iters;
-            let judges = checks && (peers.is_none() || stop.tol > 0.0 || mixes);
+            let exchanges = peers.as_ref().is_none_or(|p| p.exchanges(n));
+            let mixes = accel.is_some() && exchanges && n < stop.max_iters;
+            let judges = peers.is_none() || stop.tol > 0.0 || mixes;
             active.retain(|&r| {
                 let res = &mut results[r];
                 let (grid, prev) = (&mut grids[r], &prevs[r]);

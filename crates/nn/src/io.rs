@@ -9,7 +9,7 @@
 
 use crate::{Activation, EmbeddingKind, SdNet, SdNetConfig};
 use mf_tensor::Tensor;
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MFSDNET1";
@@ -28,7 +28,7 @@ pub mod wire {
     //! one encoding instead of inventing a second one.
 
     use mf_tensor::Tensor;
-    use std::io::{self, Read, Write};
+    use std::io::{self, Read, Seek, SeekFrom, Write};
 
     /// Write a `u64` little-endian.
     pub fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
@@ -70,25 +70,26 @@ pub mod wire {
         Ok(f64::from_le_bytes(b))
     }
 
-    /// Read a length-prefixed UTF-8 string (length capped at 1 MiB).
-    pub fn read_str(r: &mut impl Read) -> io::Result<String> {
-        let n = read_u64(r)? as usize;
-        if n > 1 << 20 {
-            return Err(bad("string length out of range"));
+    /// Read a length-prefixed UTF-8 string (no longer than the bytes
+    /// left in `r`).
+    pub fn read_str(r: &mut (impl Read + Seek)) -> io::Result<String> {
+        let n = read_u64(r)?;
+        if n > bytes_left(r)? {
+            return Err(bad("string length exceeds the file"));
         }
-        let mut buf = vec![0u8; n];
+        let mut buf = vec![0u8; n as usize];
         r.read_exact(&mut buf)?;
         String::from_utf8(buf).map_err(|_| bad("invalid UTF-8 in model file"))
     }
 
-    /// Read a tensor written by [`write_tensor`] (elements capped at
-    /// 2²⁶ ≈ 64M to bound allocation on corrupt input).
-    pub fn read_tensor(r: &mut impl Read) -> io::Result<Tensor> {
-        let rows = read_u64(r)? as usize;
-        let cols = read_u64(r)? as usize;
-        if rows.saturating_mul(cols) > 1 << 26 {
-            return Err(bad("tensor size out of range"));
+    /// Read a tensor written by [`write_tensor`] (no more elements than
+    /// the bytes left in `r` hold, to bound allocation on corrupt input).
+    pub fn read_tensor(r: &mut (impl Read + Seek)) -> io::Result<Tensor> {
+        let (rows, cols) = (read_u64(r)?, read_u64(r)?);
+        if rows.saturating_mul(cols).saturating_mul(8) > bytes_left(r)? {
+            return Err(bad("tensor size exceeds the file"));
         }
+        let (rows, cols) = (rows as usize, cols as usize);
         let mut data = vec![0.0; rows * cols];
         for v in &mut data {
             *v = read_f64(r)?;
@@ -100,9 +101,19 @@ pub mod wire {
     pub fn bad(msg: &str) -> io::Error {
         io::Error::new(io::ErrorKind::InvalidData, msg)
     }
+
+    /// Bytes between the source's position and its end; the position is
+    /// kept. A count read from a file is checked against it before
+    /// anything is sized by the count.
+    pub fn bytes_left(r: &mut impl Seek) -> io::Result<u64> {
+        let at = r.stream_position()?;
+        let end = r.seek(SeekFrom::End(0))?;
+        r.seek(SeekFrom::Start(at))?;
+        Ok(end.saturating_sub(at))
+    }
 }
 
-use wire::{bad, read_f64, read_str, read_u64, write_f64, write_str, write_u64};
+use wire::{bad, bytes_left, read_f64, read_str, read_u64, write_f64, write_str, write_u64};
 
 impl SdNet {
     /// Serialize the architecture and all parameters to a writer.
@@ -250,14 +261,6 @@ impl SdNet {
     }
 }
 
-/// Bytes between the source's position and its end; the position is kept.
-fn bytes_left(r: &mut impl Seek) -> io::Result<u64> {
-    let at = r.stream_position()?;
-    let end = r.seek(SeekFrom::End(0))?;
-    r.seek(SeekFrom::Start(at))?;
-    Ok(end.saturating_sub(at))
-}
-
 /// Refuse a declared architecture that [`SdNet::new`] would assert on or
 /// could not allocate; otherwise its scalar parameter count.
 fn check_architecture(cfg: &SdNetConfig) -> io::Result<usize> {
@@ -378,7 +381,9 @@ mod tests {
         let mut clean = Vec::new();
         make_net().save_to(&mut clean).unwrap();
         let whole = clean.len();
-        let cases: [(&str, &[(usize, u64)], usize); 7] = [
+        // (what, spliced `(offset, word)`s, bytes kept)
+        type Case<'a> = (&'a str, &'a [(usize, u64)], usize);
+        let cases: [Case; 7] = [
             ("even kernel", &[(40, 4)], whole),
             ("2^40 width", &[(56, 1 << 40)], whole),
             ("zero channels", &[(24, 0)], whole),

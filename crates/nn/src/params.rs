@@ -18,12 +18,6 @@ pub struct ParamId(pub(crate) usize);
 #[derive(Clone, Debug, Default)]
 pub struct Params {
     entries: Vec<(String, Tensor)>,
-    /// Monotonic mutation counter. Bumped by every handle that can change
-    /// a parameter value (`get_mut`, `tensors_mut`, `unflatten`), so
-    /// derived artifacts — compiled inference plans, cached projections —
-    /// can detect staleness with a single integer compare instead of
-    /// hashing tensors.
-    version: u64,
 }
 
 /// Graph leaves for one binding of a [`Params`] store.
@@ -41,7 +35,6 @@ impl Params {
     /// Register a parameter; the returned id is stable for the lifetime of
     /// the store.
     pub fn add(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
-        self.version += 1;
         self.entries.push((name.into(), value));
         ParamId(self.entries.len() - 1)
     }
@@ -68,17 +61,7 @@ impl Params {
 
     /// Mutable access to a parameter tensor.
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
-        self.version += 1;
         &mut self.entries[id.0].1
-    }
-
-    /// Current mutation-counter value. Two reads returning the same number
-    /// guarantee no mutable handle was taken in between; a changed number
-    /// means cached derived state (e.g. an `InferencePlan`) must be
-    /// recompiled. The counter is conservative: taking a mutable handle
-    /// bumps it even if the value is written back unchanged.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// Parameter name (for debugging / serialization).
@@ -93,7 +76,6 @@ impl Params {
 
     /// Mutable iterator over tensors in registration order (optimizer use).
     pub fn tensors_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
-        self.version += 1;
         self.entries.iter_mut().map(|(_, t)| t)
     }
 
@@ -118,7 +100,6 @@ impl Params {
     /// the same structure.
     pub fn unflatten(&mut self, flat: &[f64]) {
         assert_eq!(flat.len(), self.numel(), "unflatten: length mismatch");
-        self.version += 1;
         let mut off = 0;
         for (_, t) in &mut self.entries {
             let n = t.numel();
@@ -167,28 +148,6 @@ mod tests {
         assert_eq!(q.flatten(), vec![10.0, 20.0, 30.0, 40.0, 50.0]);
         // Structure preserved.
         assert_eq!(q.get(ParamId(1)).shape(), (2, 1));
-    }
-
-    #[test]
-    fn version_bumps_on_every_mutable_handle() {
-        let mut p = Params::new();
-        let id = p.add("w", Tensor::ones(2, 2));
-        let v0 = p.version();
-        // Read-only accessors leave the counter alone.
-        let _ = p.get(id);
-        let _ = p.iter().count();
-        let _ = p.flatten();
-        assert_eq!(p.version(), v0);
-        // Every mutable handle bumps it, even without a write.
-        let _ = p.get_mut(id);
-        assert!(p.version() > v0);
-        let v1 = p.version();
-        for _ in p.tensors_mut() {}
-        assert!(p.version() > v1);
-        let v2 = p.version();
-        let flat = p.flatten();
-        p.unflatten(&flat);
-        assert!(p.version() > v2);
     }
 
     #[test]

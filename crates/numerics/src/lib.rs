@@ -9,8 +9,9 @@
 //!
 //! * a geometric multigrid V-cycle (full-weighting restriction, bilinear
 //!   prolongation, red-black Gauss–Seidel smoothing) for large grids,
-//! * pointwise relaxation: red-black Gauss–Seidel, SOR, and the shifted
-//!   SOR behind the time-dependent extension (`σu − Δu = f`),
+//! * pointwise relaxation: red-black Gauss–Seidel, and one SOR for the
+//!   shifted operator `σu − Δu = f` — the time-dependent extension, and
+//!   at `σ = 0` the Laplace/Poisson fallback,
 //! * [`solve_dirichlet`] which picks multigrid when the grid supports
 //!   coarsening and falls back to SOR otherwise.
 //!
@@ -30,8 +31,8 @@ mod relax;
 mod solver_proptests;
 
 pub use analytic::{eval_on_grid, harmonic_polynomial, harmonic_sin_sinh, HarmonicFn};
-pub use multigrid::{can_coarsen, solve_multigrid, MultigridOpts};
-pub use relax::{residual_norm, solve_shifted_sor, solve_sor, sor_optimal_omega};
+pub use multigrid::{can_coarsen, solve_multigrid};
+pub use relax::{residual_norm, solve_shifted_sor, sor_optimal_omega};
 
 use mf_tensor::Tensor;
 
@@ -88,16 +89,15 @@ pub fn solve_dirichlet(problem: &Poisson, u0: &Tensor, tol: f64) -> (Tensor, Sol
         "solve_dirichlet: guess shape mismatch"
     );
     if can_coarsen(ny, nx) {
-        solve_multigrid(
-            problem,
-            u0,
-            &MultigridOpts {
-                tol,
-                ..Default::default()
-            },
-        )
+        solve_multigrid(problem, u0, tol)
     } else {
-        solve_sor(problem, u0, sor_optimal_omega(ny.max(nx)), 20_000, tol)
+        // `Δu = f` is `−Δu = −f` at zero shift.
+        let negated = Poisson {
+            f: problem.f.scale(-1.0),
+            h: problem.h,
+        };
+        let omega = sor_optimal_omega(ny.max(nx));
+        solve_shifted_sor(&negated, 0.0, u0, omega, 20_000, tol)
     }
 }
 

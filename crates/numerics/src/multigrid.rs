@@ -10,29 +10,12 @@ use crate::relax::{rbgs_sweep, residual_norm};
 use crate::{Poisson, SolveStats};
 use mf_tensor::Tensor;
 
-/// Options for [`solve_multigrid`].
-#[derive(Clone, Copy, Debug)]
-pub struct MultigridOpts {
-    /// Residual max-norm tolerance.
-    pub tol: f64,
-    /// Maximum number of V-cycles.
-    pub max_cycles: usize,
-    /// Pre-smoothing sweeps per level.
-    pub pre_sweeps: usize,
-    /// Post-smoothing sweeps per level.
-    pub post_sweeps: usize,
-}
-
-impl Default for MultigridOpts {
-    fn default() -> Self {
-        Self {
-            tol: 1e-9,
-            max_cycles: 60,
-            pre_sweeps: 2,
-            post_sweeps: 2,
-        }
-    }
-}
+/// Maximum number of V-cycles.
+const MAX_CYCLES: usize = 60;
+/// Pre-smoothing sweeps per level.
+const PRE_SWEEPS: usize = 2;
+/// Post-smoothing sweeps per level.
+const POST_SWEEPS: usize = 2;
 
 /// Whether both dimensions admit at least one vertex-centered coarsening
 /// (`n = 2^k + 1` with `k ≥ 2`).
@@ -43,15 +26,12 @@ pub fn can_coarsen(ny: usize, nx: usize) -> bool {
     ok(ny) && ok(nx)
 }
 
-/// Solve with V-cycles. `u0`'s ring supplies the Dirichlet data.
+/// Solve with V-cycles until the residual max-norm is at most `tol`.
+/// `u0`'s ring supplies the Dirichlet data.
 ///
 /// Panics if the grid cannot be coarsened (check [`can_coarsen`] first or
 /// use [`crate::solve_dirichlet`], which falls back to SOR).
-pub fn solve_multigrid(
-    problem: &Poisson,
-    u0: &Tensor,
-    opts: &MultigridOpts,
-) -> (Tensor, SolveStats) {
+pub fn solve_multigrid(problem: &Poisson, u0: &Tensor, tol: f64) -> (Tensor, SolveStats) {
     let (ny, nx) = problem.shape();
     assert!(
         can_coarsen(ny, nx),
@@ -60,8 +40,8 @@ pub fn solve_multigrid(
     let mut u = u0.clone();
     let mut cycles = 0;
     let mut residual = residual_norm(problem, &u);
-    while residual > opts.tol && cycles < opts.max_cycles {
-        vcycle(problem, &mut u, opts);
+    while residual > tol && cycles < MAX_CYCLES {
+        vcycle(problem, &mut u);
         residual = residual_norm(problem, &u);
         cycles += 1;
     }
@@ -70,13 +50,13 @@ pub fn solve_multigrid(
         SolveStats {
             iterations: cycles,
             residual,
-            converged: residual <= opts.tol,
+            converged: residual <= tol,
         },
     )
 }
 
 /// One V-cycle on `u` (in place).
-pub fn vcycle(problem: &Poisson, u: &mut Tensor, opts: &MultigridOpts) {
+fn vcycle(problem: &Poisson, u: &mut Tensor) {
     let (ny, nx) = problem.shape();
     if ny <= 5 || nx <= 5 || !can_coarsen(ny, nx) {
         // Coarsest level: smooth hard.
@@ -86,7 +66,7 @@ pub fn vcycle(problem: &Poisson, u: &mut Tensor, opts: &MultigridOpts) {
         return;
     }
 
-    for _ in 0..opts.pre_sweeps {
+    for _ in 0..PRE_SWEEPS {
         rbgs_sweep(problem, u);
     }
 
@@ -101,7 +81,7 @@ pub fn vcycle(problem: &Poisson, u: &mut Tensor, opts: &MultigridOpts) {
     };
     let (cy, cx) = coarse.shape();
     let mut e = Tensor::zeros(cy, cx);
-    vcycle(&coarse, &mut e, opts);
+    vcycle(&coarse, &mut e);
 
     // Correct: u += P e.
     let ef = prolong_bilinear(&e, ny, nx);
@@ -112,7 +92,7 @@ pub fn vcycle(problem: &Poisson, u: &mut Tensor, opts: &MultigridOpts) {
         }
     }
 
-    for _ in 0..opts.post_sweeps {
+    for _ in 0..POST_SWEEPS {
         rbgs_sweep(problem, u);
     }
 }
@@ -186,7 +166,7 @@ fn prolong_bilinear(coarse: &Tensor, ny: usize, nx: usize) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{solve_sor, sor_optimal_omega};
+    use crate::{solve_shifted_sor, sor_optimal_omega};
 
     #[test]
     fn can_coarsen_detects_valid_sizes() {
@@ -214,8 +194,8 @@ mod tests {
     #[test]
     fn multigrid_matches_sor_reference() {
         let (p, g) = trig_boundary_problem(33);
-        let (umg, smg) = solve_multigrid(&p, &g, &MultigridOpts::default());
-        let (usor, ssor) = solve_sor(&p, &g, sor_optimal_omega(33), 100_000, 1e-9);
+        let (umg, smg) = solve_multigrid(&p, &g, 1e-9);
+        let (usor, ssor) = solve_shifted_sor(&p, 0.0, &g, sor_optimal_omega(33), 100_000, 1e-9);
         assert!(smg.converged, "{smg:?}");
         assert!(ssor.converged);
         assert!(umg.max_abs_diff(&usor) < 1e-6);
@@ -225,7 +205,7 @@ mod tests {
     fn multigrid_converges_in_few_cycles() {
         // Textbook multigrid: O(10) V-cycles independent of grid size.
         let (p, g) = trig_boundary_problem(65);
-        let (_, stats) = solve_multigrid(&p, &g, &MultigridOpts::default());
+        let (_, stats) = solve_multigrid(&p, &g, 1e-9);
         assert!(stats.converged);
         assert!(stats.iterations <= 25, "needed {} cycles", stats.iterations);
     }
@@ -235,7 +215,7 @@ mod tests {
         let mut counts = Vec::new();
         for &n in &[17, 33, 65, 129] {
             let (p, g) = trig_boundary_problem(n);
-            let (_, stats) = solve_multigrid(&p, &g, &MultigridOpts::default());
+            let (_, stats) = solve_multigrid(&p, &g, 1e-9);
             assert!(stats.converged, "n={n}: {stats:?}");
             counts.push(stats.iterations);
         }
@@ -256,11 +236,7 @@ mod tests {
                 guess.set(j, i, 0.5);
             }
         }
-        let (u, stats) = solve_multigrid(
-            &Poisson::laplace(n, n, h),
-            &guess,
-            &MultigridOpts::default(),
-        );
+        let (u, stats) = solve_multigrid(&Poisson::laplace(n, n, h), &guess, 1e-9);
         assert!(stats.converged);
         assert!(u.max_abs_diff(&exact) < 1e-8);
     }

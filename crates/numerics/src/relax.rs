@@ -1,4 +1,5 @@
-//! Pointwise relaxation solvers: red-black Gauss–Seidel, SOR, shifted SOR.
+//! Pointwise relaxation solvers: red-black Gauss–Seidel, and SOR for the
+//! shifted operator (at zero shift, the Laplace/Poisson one).
 
 use crate::{Poisson, SolveStats};
 use mf_tensor::Tensor;
@@ -112,49 +113,6 @@ pub fn solve_shifted_sor(
     )
 }
 
-/// Successive over-relaxation with factor `omega` (lexicographic sweeps).
-pub fn solve_sor(
-    problem: &Poisson,
-    u0: &Tensor,
-    omega: f64,
-    max_iters: usize,
-    tol: f64,
-) -> (Tensor, SolveStats) {
-    assert!(
-        omega > 0.0 && omega < 2.0,
-        "SOR requires 0 < omega < 2, got {omega}"
-    );
-    let (ny, nx) = problem.shape();
-    let h2 = problem.h * problem.h;
-    let mut u = u0.clone();
-    let mut iterations = 0;
-    let mut residual = residual_norm(problem, &u);
-    while residual > tol && iterations < max_iters {
-        for j in 1..ny - 1 {
-            for i in 1..nx - 1 {
-                let gs = 0.25
-                    * (u.get(j, i - 1) + u.get(j, i + 1) + u.get(j - 1, i) + u.get(j + 1, i)
-                        - h2 * problem.f.get(j, i));
-                let old = u.get(j, i);
-                u.set(j, i, old + omega * (gs - old));
-            }
-        }
-        iterations += 1;
-        if iterations % 8 == 0 || iterations == max_iters {
-            residual = residual_norm(problem, &u);
-        }
-    }
-    residual = residual_norm(problem, &u);
-    (
-        u,
-        SolveStats {
-            iterations,
-            residual,
-            converged: residual <= tol,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,8 +143,8 @@ mod tests {
     #[test]
     fn sor_with_optimal_omega_beats_gauss_seidel() {
         let (p, g, _) = linear_exact(33);
-        let (_, s_gs) = solve_sor(&p, &g, 1.0, 50_000, 1e-8); // ω=1 is Gauss–Seidel
-        let (_, s_opt) = solve_sor(&p, &g, sor_optimal_omega(33), 50_000, 1e-8);
+        let (_, s_gs) = solve_shifted_sor(&p, 0.0, &g, 1.0, 50_000, 1e-8); // ω=1 is Gauss–Seidel
+        let (_, s_opt) = solve_shifted_sor(&p, 0.0, &g, sor_optimal_omega(33), 50_000, 1e-8);
         assert!(s_opt.converged);
         assert!(
             s_opt.iterations < s_gs.iterations / 2,
@@ -198,7 +156,8 @@ mod tests {
 
     #[test]
     fn poisson_with_constant_rhs() {
-        // Δu = 2 with u = x² on the boundary has exact solution u = x².
+        // Δu = 2 (−Δu = −2 at zero shift) with u = x² on the boundary has
+        // exact solution u = x².
         let n = 17;
         let h = 1.0 / (n - 1) as f64;
         let exact = Tensor::from_fn(n, n, |_, i| (i as f64 * h).powi(2));
@@ -209,10 +168,10 @@ mod tests {
             }
         }
         let p = Poisson {
-            f: Tensor::full(n, n, 2.0),
+            f: Tensor::full(n, n, -2.0),
             h,
         };
-        let (u, stats) = solve_sor(&p, &guess, sor_optimal_omega(n), 20_000, 1e-10);
+        let (u, stats) = solve_shifted_sor(&p, 0.0, &guess, sor_optimal_omega(n), 20_000, 1e-10);
         assert!(stats.converged);
         assert!(u.max_abs_diff(&exact) < 1e-7);
     }
@@ -242,11 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn shifted_sor_with_zero_shift_matches_plain_sor() {
-        let n = 17;
+    fn dirichlet_fallback_is_zero_shift_sor_on_the_negated_source() {
+        // 18 points per side cannot coarsen, so `solve_dirichlet` relaxes
+        // Δu = g as −Δu = −g at zero shift.
+        let n = 18;
         let h = 1.0 / (n - 1) as f64;
-        // -Δu = f convention: compare on a Poisson problem Δu = g by
-        // passing f = -g to the shifted solver.
         let g = Tensor::full(n, n, 2.0);
         let exact = Tensor::from_fn(n, n, |_, i| (i as f64 * h).powi(2));
         let mut guess = exact.clone();
@@ -255,7 +214,7 @@ mod tests {
                 guess.set(j, i, 0.0);
             }
         }
-        let (u_plain, s1) = solve_sor(&Poisson { f: g.clone(), h }, &guess, 1.5, 50_000, 1e-10);
+        let (u_auto, s1) = crate::solve_dirichlet(&Poisson { f: g.clone(), h }, &guess, 1e-10);
         let (u_shift, s2) = solve_shifted_sor(
             &Poisson {
                 f: g.scale(-1.0),
@@ -263,12 +222,13 @@ mod tests {
             },
             0.0,
             &guess,
-            1.5,
-            50_000,
+            sor_optimal_omega(n),
+            20_000,
             1e-10,
         );
-        assert!(s1.converged && s2.converged);
-        assert!(u_plain.max_abs_diff(&u_shift) < 1e-7);
+        assert!(s1.converged);
+        assert_eq!(s1.iterations, s2.iterations);
+        assert_eq!(u_auto.as_slice(), u_shift.as_slice());
     }
 
     #[test]

@@ -3,10 +3,7 @@
 //! discrete maximum principle, and respect the operator's linearity.
 
 use crate::boundary::{apply_boundary, boundary_from_fn};
-use crate::{
-    solve_dirichlet, solve_multigrid, solve_shifted_sor, solve_sor, sor_optimal_omega,
-    MultigridOpts, Poisson,
-};
+use crate::{solve_dirichlet, solve_multigrid, solve_shifted_sor, sor_optimal_omega, Poisson};
 use mf_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -31,8 +28,8 @@ proptest! {
         let h = 1.0 / (n - 1) as f64;
         let guess = grid_with_random_bc(n, a, b, phase);
         let p = Poisson::laplace(n, n, h);
-        let (mg, s1) = solve_multigrid(&p, &guess, &MultigridOpts::default());
-        let (sor, s2) = solve_sor(&p, &guess, sor_optimal_omega(n), 50_000, 1e-9);
+        let (mg, s1) = solve_multigrid(&p, &guess, 1e-9);
+        let (sor, s2) = solve_shifted_sor(&p, 0.0, &guess, sor_optimal_omega(n), 50_000, 1e-9);
         let (auto, s3) = solve_dirichlet(&p, &guess, 1e-9);
         prop_assert!(s1.converged && s2.converged && s3.converged);
         prop_assert!(mg.max_abs_diff(&sor) < 1e-6);

@@ -23,20 +23,23 @@ pub struct SloConfig {
     pub conv_fail_rate: f64,
 }
 
+/// The budgets installed until [`set_slo`] replaces them.
+const DEFAULT: SloConfig = SloConfig {
+    p99_ms: 25.0,
+    error_rate: 0.01,
+    conv_fail_rate: 0.01,
+};
+
 impl Default for SloConfig {
     fn default() -> Self {
-        Self {
-            p99_ms: 25.0,
-            error_rate: 0.01,
-            conv_fail_rate: 0.01,
-        }
+        DEFAULT
     }
 }
 
-// f64s stored as bit patterns; defaults mirror SloConfig::default().
-static P99_BUDGET_MS: AtomicU64 = AtomicU64::new(0x4039_0000_0000_0000); // 25.0
-static ERR_BUDGET: AtomicU64 = AtomicU64::new(0x3F84_7AE1_47AE_147B); // 0.01
-static CONV_BUDGET: AtomicU64 = AtomicU64::new(0x3F84_7AE1_47AE_147B); // 0.01
+// f64s stored as bit patterns.
+static P99_BUDGET_MS: AtomicU64 = AtomicU64::new(DEFAULT.p99_ms.to_bits());
+static ERR_BUDGET: AtomicU64 = AtomicU64::new(DEFAULT.error_rate.to_bits());
+static CONV_BUDGET: AtomicU64 = AtomicU64::new(DEFAULT.conv_fail_rate.to_bits());
 
 static P99_BURN: AtomicU64 = AtomicU64::new(0);
 static ERR_BURN: AtomicU64 = AtomicU64::new(0);
@@ -164,14 +167,6 @@ mod tests {
         assert!(healthz().0);
         set_slo(SloConfig::default());
         report_health(0.0, 0.0, 0.0);
-    }
-
-    #[test]
-    fn default_budget_bit_patterns_match() {
-        // The static initializers hard-code f64 bit patterns; keep them
-        // in sync with SloConfig::default().
-        assert_eq!(0x4039_0000_0000_0000u64, 25.0f64.to_bits());
-        assert_eq!(0x3F84_7AE1_47AE_147Bu64, 0.01f64.to_bits());
     }
 
     #[test]

@@ -26,7 +26,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Batch-budget and backpressure knobs for the [`Scheduler`].
+/// Bound on queued cost; submissions beyond it are rejected with
+/// [`SubmitError::QueueFull`] instead of queuing unboundedly.
+const QUEUE_POINTS: usize = 65_536;
+
+/// Batch-budget knobs for the [`Scheduler`].
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
     /// Drain at most this much cost (Σ job cost — the service uses a
@@ -40,9 +44,6 @@ pub struct BatchConfig {
     /// a fixed per-batch delay. Set a window only to trade latency for
     /// larger batches under sparse arrivals.
     pub max_wait_us: u64,
-    /// Bound on queued cost; submissions beyond it are rejected with
-    /// [`SubmitError::QueueFull`] instead of queuing unboundedly.
-    pub queue_points: usize,
 }
 
 impl Default for BatchConfig {
@@ -50,7 +51,6 @@ impl Default for BatchConfig {
         Self {
             max_points: 4096,
             max_wait_us: 0,
-            queue_points: 65_536,
         }
     }
 }
@@ -160,7 +160,7 @@ impl<J> Scheduler<J> {
             if q.shutdown {
                 return Err(SubmitError::Shutdown);
             }
-            if q.jobs.len() >= self.queue_depth || q.points + cost > self.cfg.queue_points {
+            if q.jobs.len() >= self.queue_depth || q.points + cost > QUEUE_POINTS {
                 let behind = q.jobs.len() as u64;
                 drop(q);
                 self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -323,14 +323,12 @@ mod tests {
 
     #[test]
     fn point_bound_backpressure_also_rejects() {
-        let s = sched(BatchConfig {
-            queue_points: 25,
-            ..BatchConfig::default()
-        });
-        s.submit(0, 1, 10).unwrap();
-        s.submit(1, 1, 10).unwrap();
+        let s = sched(BatchConfig::default());
+        let cost = QUEUE_POINTS * 2 / 5;
+        s.submit(0, 1, cost).unwrap();
+        s.submit(1, 1, cost).unwrap();
         assert!(matches!(
-            s.submit(2, 1, 10),
+            s.submit(2, 1, cost),
             Err(SubmitError::QueueFull { .. })
         ));
     }
@@ -355,7 +353,6 @@ mod tests {
         let s = Arc::new(sched(BatchConfig {
             max_points: 1_000_000,
             max_wait_us: 200_000, // 200ms window
-            ..BatchConfig::default()
         }));
         let consumer = {
             let s = Arc::clone(&s);

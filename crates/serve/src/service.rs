@@ -7,7 +7,7 @@
 //! the [`Scheduler`] and drive each batch through one
 //! `Mfp::run_many`, which packs every request's query points into
 //! shared compiled-plan launches. A zero batch budget
-//! (`BatchConfig { max_points: 0, max_wait_us: 0, .. }`) caps every batch
+//! (`BatchConfig { max_points: 0, max_wait_us: 0 }`) caps every batch
 //! at one request — the per-request baseline the bench gate compares
 //! against.
 
@@ -32,6 +32,9 @@ pub const WORKER_RANK_BASE: usize = 64;
 /// anything outside `1..=MAX_ITERS`.
 const MAX_ITERS: usize = 10_000;
 
+/// The most subdomains a request's domain may have per axis.
+const MAX_DOMAIN: usize = 8;
+
 /// Service-level configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
@@ -42,8 +45,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Batch-budget knobs for the cross-request scheduler.
     pub batch: BatchConfig,
-    /// Reject domains larger than this many subdomains per axis.
-    pub max_domain: usize,
 }
 
 impl Default for ServeConfig {
@@ -52,7 +53,6 @@ impl Default for ServeConfig {
             workers: 8,
             queue_depth: 256,
             batch: BatchConfig::default(),
-            max_domain: 8,
         }
     }
 }
@@ -300,24 +300,21 @@ impl SolveService {
     }
 
     /// The `sx × sy` domain, or [`ServeError::BadRequest`] if it is outside
-    /// `1..=max_domain` subdomains on either axis — the first check of
+    /// `1..=MAX_DOMAIN` subdomains on either axis — the first check of
     /// every submission, and one a front end runs before it builds a
     /// boundary whose cost grows with the domain.
     pub fn check_domain(&self, sx: usize, sy: usize) -> Result<DomainSpec, ServeError> {
-        let max = self.inner.cfg.max_domain;
-        if sx == 0 || sy == 0 || sx > max || sy > max {
+        if sx == 0 || sy == 0 || sx > MAX_DOMAIN || sy > MAX_DOMAIN {
             return Err(ServeError::BadRequest(format!(
-                "domain {sx}x{sy} out of bounds (1..={max} per axis)"
+                "domain {sx}x{sy} out of bounds (1..={MAX_DOMAIN} per axis)"
             )));
         }
         Ok(DomainSpec::new(self.inner.spec, sx, sy))
     }
 
-    /// The largest domain [`SolveService::check_domain`] admits (one
-    /// subdomain when it admits none).
+    /// The largest domain [`SolveService::check_domain`] admits.
     pub(crate) fn largest_domain(&self) -> DomainSpec {
-        let max = self.inner.cfg.max_domain.max(1);
-        DomainSpec::new(self.inner.spec, max, max)
+        DomainSpec::new(self.inner.spec, MAX_DOMAIN, MAX_DOMAIN)
     }
 
     fn validate(&self, req: &SolveRequest) -> Result<usize, ServeError> {
@@ -726,7 +723,6 @@ pub(crate) mod tests {
             batch: BatchConfig {
                 max_points: 0,
                 max_wait_us: 0,
-                ..Default::default()
             },
             ..Default::default()
         });

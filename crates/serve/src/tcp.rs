@@ -268,8 +268,8 @@ mod tests {
 
         // The longest legal request: an explicit array of the widest
         // values for the largest domain, on one line of at most the cap.
-        let max = ServeConfig::default().max_domain;
-        let walk = svc.check_domain(max, max).unwrap().boundary_len();
+        let largest = svc.largest_domain();
+        let (max, walk) = (largest.sx, largest.boundary_len());
         let bc: Vec<String> = (0..walk).map(|_| format!("{:.17e}", -1.5e-300)).collect();
         let legal = format!(
             "{{\"id\":1,\"domain\":\"{max}x{max}\",\"max_iters\":1,\"bc\":[{}]}}\n",

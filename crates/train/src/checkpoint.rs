@@ -17,7 +17,8 @@
 use crate::trainer::EpochLog;
 use mf_data::SamplerState;
 use mf_nn::wire::{
-    bad, read_f64, read_str, read_tensor, read_u64, write_f64, write_str, write_tensor, write_u64,
+    bad, bytes_left, read_f64, read_str, read_tensor, read_u64, write_f64, write_str, write_tensor,
+    write_u64,
 };
 use mf_nn::SdNet;
 use mf_opt::OptimizerState;
@@ -157,11 +158,12 @@ impl TrainState {
         for _ in 0..n_scalars {
             scalars.push(read_f64(r)?);
         }
-        let n_tensors = read_u64(r)? as usize;
-        if n_tensors > 1 << 16 {
-            return Err(bad("optimizer tensor count out of range"));
+        // A stored tensor is at least its two shape words.
+        let n_tensors = read_u64(r)?;
+        if n_tensors.saturating_mul(16) > bytes_left(r)? {
+            return Err(bad("optimizer tensor count exceeds the file"));
         }
-        let mut tensors = Vec::with_capacity(n_tensors);
+        let mut tensors = Vec::with_capacity(n_tensors as usize);
         for _ in 0..n_tensors {
             tensors.push(read_tensor(r)?);
         }
@@ -176,11 +178,12 @@ impl TrainState {
         for _ in 0..n_words {
             rng_words.push(read_u64(r)? as u32);
         }
-        let n_logs = read_u64(r)? as usize;
-        if n_logs > 1 << 24 {
-            return Err(bad("log count out of range"));
+        // A stored log is five 8-byte words.
+        let n_logs = read_u64(r)?;
+        if n_logs.saturating_mul(40) > bytes_left(r)? {
+            return Err(bad("log count exceeds the file"));
         }
-        let mut logs = Vec::with_capacity(n_logs);
+        let mut logs = Vec::with_capacity(n_logs as usize);
         for _ in 0..n_logs {
             logs.push(EpochLog {
                 epoch: read_u64(r)? as usize,

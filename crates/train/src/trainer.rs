@@ -166,6 +166,8 @@ struct Peers<'a> {
     comm: &'a mut Communicator,
     sync: GradSync,
     ckpt: Option<&'a CheckpointConfig>,
+    /// Batches every rank runs per epoch: the smallest shard's count.
+    batches: usize,
 }
 
 /// The epoch loop, once: snapshot the sampler, draw the epoch, one
@@ -221,11 +223,14 @@ fn run_epochs(
             dl = 0.0;
             pl = 0.0;
         }
-        let batches = sampler.epoch(data);
+        let mut batches = sampler.epoch(data);
         if let Some(p) = &mut peers {
-            // Keep ranks in lockstep: all shards have the same batch count
-            // because shards differ in size by at most one sample and the
-            // sampler drops partial batches; assert to catch mismatches.
+            // Keep ranks in lockstep: shards differ in size by at most one
+            // sample, which can give a larger shard one more full batch,
+            // so every rank runs the smallest shard's count (known from
+            // the global train length, no message); assert to catch
+            // mismatches.
+            batches.truncate(p.batches);
             let nb = p.comm.allreduce_scalar(batches.len() as f64) / world as f64;
             assert_eq!(
                 nb as usize,
@@ -331,7 +336,8 @@ pub fn train_single(
 /// Distributed data-parallel training (Algorithm 1) on `world` simulated
 /// devices. The LR schedule is scaled per §5.2 (√batch-growth for the max
 /// LR, linear for the warmup fraction); every rank trains on its strided
-/// shard and applies the identical averaged gradient.
+/// shard, as many batches per epoch as the smallest shard holds, and
+/// applies the identical averaged gradient.
 pub fn train_ddp(
     world: usize,
     template: &SdNet,
@@ -412,6 +418,7 @@ pub fn train_ddp_resumable(
             comm: &mut *comm,
             sync,
             ckpt,
+            batches: train.len() / world / cfg.batch_size,
         };
         let logs = run_epochs(&mut net, &shard, val, cfg, &schedule, Some(peers), resume);
         (net.params.flatten(), logs, comm.stats())
@@ -502,6 +509,24 @@ mod tests {
         // Communication happened on both ranks and is symmetric in volume.
         assert!(res.comm_stats[0].msgs_sent > 0);
         assert_eq!(res.comm_stats[0].bytes_sent, res.comm_stats[1].bytes_sent);
+    }
+
+    #[test]
+    fn uneven_shards_run_the_smallest_shards_batch_count() {
+        // 15 samples over 2 ranks: strided shards of 8 and 7, which make
+        // one batch of 8 and none. Every rank runs none.
+        let spec = SubdomainSpec { m: 9, spatial: 0.5 };
+        let train = Dataset::generate(spec, 15, 7);
+        let val = Dataset::generate(spec, 2, 8);
+        let template = tiny_net(1, spec.boundary_len());
+        let cfg = TrainConfig {
+            batch_size: 8,
+            ..tiny_cfg(2)
+        };
+        let res = train_ddp(2, &template, &train, &val, &cfg, GradSync::Fused);
+        assert_eq!(res.logs.len(), 2);
+        assert_eq!(res.params_flat, template.params.flatten());
+        assert_eq!(res.comm_stats[0].msgs_sent, res.comm_stats[1].msgs_sent);
     }
 
     #[test]

@@ -314,10 +314,29 @@ fn cmd_train(flags: &Flags) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The model at `path`, or `None` after printing `<cmd>: failed to load
-/// model <path>: <reason>`; the caller then exits 1.
-fn load_model(cmd: &str, path: &str) -> Option<SdNet> {
-    SdNet::load(path)
+/// The model at `path` and the subdomain its boundary walk belongs to, or
+/// `None` after printing `<cmd>: failed to load model <path>: <reason>`;
+/// the caller then exits 1. A walk that is not `4(m-1)` points for an odd
+/// `m ≥ 5` (the subdomains `--m` admits) is refused.
+fn load_model(cmd: &str, path: &str) -> Option<(SdNet, SubdomainSpec)> {
+    let loaded = SdNet::load(path)
+        .map_err(|e| e.to_string())
+        .and_then(|net| {
+            let c = net.config();
+            let m = c.boundary_len / 4 + 1;
+            if c.boundary_len % 4 != 0 || m % 2 == 0 || m < 5 {
+                return Err(format!(
+                    "boundary walk of {} points is not 4(m-1) for an odd m >= 5",
+                    c.boundary_len
+                ));
+            }
+            let spec = SubdomainSpec {
+                m,
+                spatial: c.coord_extent,
+            };
+            Ok((net, spec))
+        });
+    loaded
         .map_err(|e| eprintln!("{cmd}: failed to load model {path}: {e}"))
         .ok()
 }
@@ -327,15 +346,14 @@ fn cmd_info(flags: &Flags) -> ExitCode {
         eprintln!("info: --model <path> is required");
         return ExitCode::FAILURE;
     };
-    let Some(net) = load_model("info", path) else {
+    let Some((net, spec)) = load_model("info", path) else {
         return ExitCode::FAILURE;
     };
     let c = net.config();
     println!("SDNet model: {path}");
     println!(
         "  boundary walk : {} points (m = {})",
-        c.boundary_len,
-        c.boundary_len / 4 + 1
+        c.boundary_len, spec.m
     );
     println!(
         "  conv embedding: {:?} channels, kernel {}",
@@ -357,13 +375,8 @@ fn cmd_eval(flags: &Flags) -> ExitCode {
     };
     let samples: usize = get(flags, "samples", 20);
     let seed: u64 = get(flags, "seed", 1);
-    let Some(net) = load_model("eval", path) else {
+    let Some((net, spec)) = load_model("eval", path) else {
         return ExitCode::FAILURE;
-    };
-    let m = net.config().boundary_len / 4 + 1;
-    let spec = SubdomainSpec {
-        m,
-        spatial: net.config().coord_extent,
     };
     let ds = Dataset::generate(spec, samples, seed);
     println!(
@@ -412,13 +425,8 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
         Plan(Box<PlanSolver>),
     }
     let (spec, chosen) = if let Some(path) = flags.get("model") {
-        let Some(net) = load_model("solve", path) else {
+        let Some((net, spec)) = load_model("solve", path) else {
             return ExitCode::FAILURE;
-        };
-        let m = net.config().boundary_len / 4 + 1;
-        let spec = SubdomainSpec {
-            m,
-            spatial: net.config().coord_extent,
         };
         (spec, Chosen::Plan(Box::new(PlanSolver::new(net, spec))))
     } else {
@@ -557,11 +565,11 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
     // Model selection: a trained network, or fresh random weights for
     // load tests (the MFP control flow — launches, batching, telemetry —
     // is identical; only the PDE accuracy differs).
-    let net = if let Some(path) = flags.get("model") {
-        let Some(net) = load_model("serve", path) else {
+    let (net, spec) = if let Some(path) = flags.get("model") {
+        let Some(loaded) = load_model("serve", path) else {
             return ExitCode::FAILURE;
         };
-        net
+        loaded
     } else if flags.contains_key("random-weights") {
         let m: usize = get(flags, "m", 9);
         let seed: u64 = get(flags, "seed", 0);
@@ -569,15 +577,10 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
         let mut cfg = SdNetConfig::small(spec.boundary_len());
         cfg.conv_channels = vec![4];
         cfg.hidden = vec![48, 48, 48];
-        SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(seed))
+        (SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(seed)), spec)
     } else {
         eprintln!("serve: --model <path> or --random-weights is required");
         return ExitCode::FAILURE;
-    };
-    let m = net.config().boundary_len / 4 + 1;
-    let spec = SubdomainSpec {
-        m,
-        spatial: net.config().coord_extent,
     };
 
     let mut cfg = ServeConfig::default();
@@ -620,13 +623,13 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
         Info,
         "serve.listening",
         addr = server.addr(),
-        m = m,
+        m = spec.m,
         workers = cfg.workers
     );
     println!(
         "mf-serve listening on {} (m = {}, {} workers, batch budget {} points)",
         server.addr(),
-        m,
+        spec.m,
         cfg.workers,
         cfg.batch.max_points
     );

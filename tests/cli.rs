@@ -396,6 +396,17 @@ fn info_rejects_garbage_file() {
     );
     let mut model = Vec::new();
     net.save_to(&mut model).unwrap();
+    // A well-formed model whose boundary walk belongs to no subdomain the
+    // MFP can tile: 20 points (m = 6, even) and 10 (not 4(m-1); m = 3).
+    let walk = |boundary_len: usize| {
+        let net = SdNet::new(
+            SdNetConfig::small(boundary_len),
+            &mut rand_chacha::ChaCha8Rng::seed_from_u64(0),
+        );
+        let mut bytes = Vec::new();
+        net.save_to(&mut bytes).unwrap();
+        bytes
+    };
     let spliced = |at: usize, v: u64| {
         let mut buf = model.clone();
         buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
@@ -417,6 +428,8 @@ fn info_rejects_garbage_file() {
             spliced(56, 1 << 16),
             "declared parameters exceed the file",
         ),
+        ("m = 6", walk(20), "not 4(m-1) for an odd m >= 5"),
+        ("m = 3", walk(10), "not 4(m-1) for an odd m >= 5"),
     ] {
         std::fs::write(path, &bytes).unwrap();
         for cmd in ["info", "eval", "solve", "serve"] {

@@ -404,7 +404,6 @@ fn prewarm_reserves_every_lane_of_every_worker_in_a_handful_of_launches() {
                 batch: BatchConfig {
                     max_points: 32 * cost,
                     max_wait_us: 5_000,
-                    ..Default::default()
                 },
                 ..Default::default()
             },
