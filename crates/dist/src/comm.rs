@@ -1,21 +1,20 @@
 //! Ranks-as-threads cluster with MPI-flavored point-to-point and
-//! collective operations, hardened by the `mf-faultsim` layer
-//! ([`crate::fault`]): every link carries sequence numbers, receivers
-//! deduplicate and reorder, lost messages are recovered from a
-//! retransmit log, and rank death surfaces as a typed error instead of a
+//! collective operations over reliable FIFO links, with the fault
+//! injection of [`crate::fault`]: seeded delays that never reorder a
+//! link, and rank death that surfaces as a typed error instead of a
 //! deadlock.
 //!
-//! Delivery has one path. Every arriving transmission — off the channel,
-//! matured from an injected delay, or replayed from the retransmit log —
-//! goes through `accept` (ack, dedup, reorder, tombstone) into the
+//! Delivery has one path. A send copies its payload once, into the
+//! destination's channel. Every arrival — off the channel, or matured from an
+//! injected delay — goes through `accept` (tombstone check) into the
 //! `pending` buffer, and every receive is one loop that ends by taking
 //! the first matching message out of `pending`. The loop blocks
 //! ([`Communicator::recv`], [`Communicator::wait`]) or runs to a
-//! deadline ([`Communicator::wait_deadline`]); only the blocking form
-//! replays the log.
+//! deadline ([`Communicator::wait_deadline`]).
 
 use crate::fault::{
     lock_robust, ClusterError, CommError, FaultBarrier, FaultCounters, FaultPlan, FaultState,
+    Splitmix,
 };
 use crate::topology::NodeMap;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -24,7 +23,7 @@ use mf_telemetry::{
     counter, flow, gauge, histogram, render_report, span, Buckets, Counter, FlowPhase, Gauge,
     Histogram, MetricsSnapshot,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,20 +33,30 @@ use std::time::{Duration, Instant};
 /// waiter re-checks the rank-failure flags.
 const TICK: Duration = Duration::from_millis(5);
 
-/// A tagged, per-link-sequenced message between ranks.
-#[derive(Clone, Debug)]
+/// A tagged message between ranks.
+#[derive(Debug)]
 struct Message {
     src: usize,
-    /// Position in the src→dst link's send order; receivers deliver in
-    /// `seq` order and drop duplicates.
+    /// Position in the src→dst link's send order (the flow id's third
+    /// part).
     seq: u64,
     tag: u64,
     payload: Vec<f64>,
     /// Injected-delay maturity: the receiver holds the message until this
-    /// instant, modeling in-flight wire latency. `None` for undelayed
-    /// transmissions and retransmit-log replays (replays travel the
-    /// reliable control path and are never re-delayed).
+    /// instant, modeling in-flight wire latency. Set on every message of
+    /// a plan with delays, never earlier than the link's previous stamp;
+    /// `None` without one.
     deliver_at: Option<Instant>,
+}
+
+/// The sending end of one src→dst link, owned by the sender.
+struct OutLink {
+    /// Messages sent on the link so far.
+    seq: u64,
+    /// The link's delay stream.
+    rng: Splitmix,
+    /// Maturity stamp of the link's last message under a delay plan.
+    last_at: Option<Instant>,
 }
 
 /// A receive posted by [`Communicator::exchange_start`], one per peer.
@@ -59,26 +68,15 @@ pub struct RecvHandle {
     tag: u64,
 }
 
-/// Per-source reorder window: messages are handed to tag matching in
-/// exact send (`seq`) order, so fault recovery preserves the lossless
-/// cluster's per-link FIFO semantics bit-for-bit.
-struct Reorder {
-    /// Next sequence number to deliver.
-    next: u64,
-    /// Out-of-order arrivals waiting for the gap to fill.
-    held: BTreeMap<u64, Message>,
-}
-
 /// Communication counters for one rank.
 ///
 /// `comm_seconds` is wall time spent inside blocking communication calls.
 /// On a single-core host the interesting outputs are `msgs_*`/`bytes_*`,
 /// which feed the [`PerfModel`](crate::PerfModel).
 ///
-/// Counters track *logical* traffic: a send is counted once even if the
-/// fault layer drops, duplicates, or retransmits it, so a run under
-/// `drop_rate = 0` counts exactly like the lossless cluster. Injected
-/// faults are visible in the `fault.*` telemetry counters instead.
+/// Injected delays do not change what is counted, so a run under a delay
+/// plan counts exactly like a run without one. Injected faults are
+/// visible in the `fault.*` telemetry counters instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CommStats {
     /// Point-to-point messages sent (collectives count their internal
@@ -144,15 +142,17 @@ pub struct Communicator {
     pending: Vec<Message>,
     barrier: Arc<FaultBarrier>,
     faults: Arc<FaultState>,
-    /// Per-source dedup/reorder windows.
-    reorder: Vec<Reorder>,
+    /// Sending ends of this rank's links, by destination.
+    links: Vec<OutLink>,
+    /// Point-to-point messages this rank has sent (crash trigger).
+    sends: usize,
     /// `(src, tag)` pairs abandoned by a deadline receive; late arrivals
-    /// are acknowledged and discarded instead of polluting `pending`.
+    /// are discarded instead of polluting `pending`.
     tombstones: HashSet<(usize, u64)>,
-    /// Delay-injected messages still "on the wire": pulled off the channel
-    /// but not yet mature. They are not acknowledged until maturity, so a
-    /// retry round can recover them early via the reliable replay path
-    /// (dedup then discards the late original).
+    /// Delay-stamped messages pulled off the channel, in arrival order,
+    /// until they mature. A stamp is never earlier than the one before it
+    /// on its link, so releasing the mature ones in this order keeps every
+    /// link FIFO.
     immature: Vec<Message>,
     counters: CommCounters,
     fcounters: FaultCounters,
@@ -212,7 +212,7 @@ impl Cluster {
             receivers.push(rx);
         }
         let barrier = Arc::new(FaultBarrier::new(size));
-        let faults = Arc::new(FaultState::new(size, plan));
+        let faults = Arc::new(FaultState::new(plan));
         let clock_samples: Arc<Vec<AtomicU64>> =
             Arc::new((0..size).map(|_| AtomicU64::new(0)).collect());
 
@@ -227,12 +227,18 @@ impl Cluster {
                 pending: Vec::new(),
                 barrier: Arc::clone(&barrier),
                 faults: Arc::clone(&faults),
-                reorder: (0..size)
-                    .map(|_| Reorder {
-                        next: 0,
-                        held: BTreeMap::new(),
+                links: (0..size)
+                    .map(|dst| OutLink {
+                        seq: 0,
+                        // Decorrelate links; golden-ratio offset per link id.
+                        rng: Splitmix::new(
+                            faults.plan.seed
+                                ^ ((rank * size + dst) as u64).wrapping_mul(0xA24B_AED4_963E_E407),
+                        ),
+                        last_at: None,
                     })
                     .collect(),
+                sends: 0,
                 tombstones: HashSet::new(),
                 immature: Vec::new(),
                 counters: CommCounters::new(),
@@ -349,139 +355,72 @@ impl Communicator {
     /// injected delays are imposed on the *receiver* side (the message
     /// matures in flight), so a send never waits.
     ///
-    /// Under an active [`FaultPlan`] the transmission may be dropped,
-    /// duplicated, or delayed; the message is always appended to the
-    /// link's retransmit log first, so a receiver can recover it. Counted
-    /// once as a logical send regardless of injected faults.
+    /// Under a [`FaultPlan`] with delays every message is stamped with a
+    /// maturity instant no earlier than the link's previous stamp, so a
+    /// delayed message holds back the ones sent after it on its link, as
+    /// MPI's non-overtaking rule requires.
     pub fn send(&mut self, dst: usize, tag: u64, payload: &[f64]) {
         assert!(dst < self.size, "send: destination {dst} out of range");
         let t0 = Instant::now();
-        if let Some(crash) = self.faults.plan.crash {
-            if crash.rank == self.rank {
-                let issued = self.faults.sends_issued[self.rank].fetch_add(1, Ordering::SeqCst);
-                if issued >= crash.after_sends {
-                    panic!(
-                        "injected crash: rank {} after {} sends",
-                        self.rank, crash.after_sends
-                    );
-                }
+        let plan = &self.faults.plan;
+        if let Some(crash) = plan.crash.filter(|c| c.rank == self.rank) {
+            if self.sends >= crash.after_sends {
+                panic!(
+                    "injected crash: rank {} after {} sends",
+                    self.rank, crash.after_sends
+                );
             }
         }
-        let plan = &self.faults.plan;
-        // Log the message and draw the link's fault decisions under the
-        // link lock: the decision stream depends only on the seed and the
-        // link's send count, never on thread scheduling. Exactly four
-        // draws per send keep the stream aligned.
-        let (seq, dropped, duplicated, delay_us) = {
-            let mut link = self.faults.link(self.rank, dst, self.size);
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            link.unacked.insert(seq, (tag, payload.to_vec()));
-            if plan.is_lossy() {
-                let d_drop = link.rng.unit();
-                let d_dup = link.rng.unit();
-                let d_delay = link.rng.unit();
-                let d_amount = link.rng.unit();
-                (
-                    seq,
-                    d_drop < plan.drop_rate,
-                    d_dup < plan.dup_rate,
-                    (d_delay < plan.delay_rate)
-                        .then_some((d_amount * plan.delay_max_us as f64) as u64),
-                )
-            } else {
-                (seq, false, false, None)
+        self.sends += 1;
+        let link = &mut self.links[dst];
+        let seq = link.seq;
+        link.seq += 1;
+        // Two draws per send keep the link's delay stream a function of
+        // the seed and its send count alone.
+        let deliver_at = (plan.delay_rate > 0.0).then(|| {
+            let delayed = link.rng.unit() < plan.delay_rate;
+            let us = (link.rng.unit() * plan.delay_max_us as f64) as u64;
+            let mut at = t0;
+            if delayed && us > 0 {
+                self.fcounters.delayed.incr();
+                at += Duration::from_micros(us);
             }
-        };
+            let at = link.last_at.map_or(at, |last| last.max(at));
+            link.last_at = Some(at);
+            at
+        });
         // Causal tracing: a flow *start* whose id packs (src→dst, seq),
         // stamped with the thread's (epoch, step). Purely local — no extra
-        // messages, no RNG draws — so the per-link fault decision stream
-        // and the pinned message counts are untouched.
+        // messages, no RNG draws — so the per-link delay stream and the
+        // pinned message counts are untouched.
         let fid = flow_id(self.rank, dst, seq);
         flow("comm.send", fid, FlowPhase::Start, payload.len() * 8);
-        // Injected delays are imposed at the *receiver*: the message is
-        // stamped with a maturity instant and held on arrival, so the
-        // sender never blocks (a requirement for overlapped halos).
-        let deliver_at = match delay_us {
-            Some(us) if us > 0 => {
-                self.fcounters.delayed.incr();
-                Some(Instant::now() + Duration::from_micros(us))
-            }
-            _ => None,
-        };
-        let msg = Message {
+        let _ = self.senders[dst].send(Message {
             src: self.rank,
             seq,
             tag,
             payload: payload.to_vec(),
             deliver_at,
-        };
-        if dropped {
-            self.fcounters.dropped.incr();
-        } else {
-            if duplicated {
-                self.fcounters.duplicated.incr();
-                let _ = self.senders[dst].send(msg.clone());
-            }
-            let _ = self.senders[dst].send(msg);
-        }
+        });
         self.counters.msgs_sent.incr();
         self.counters.bytes_sent.add((payload.len() * 8) as u64);
         self.counters.comm_seconds.add(t0.elapsed().as_secs_f64());
     }
 
-    /// Acknowledge, deduplicate, and reorder one arriving transmission —
-    /// pulled off the channel, matured from an injected delay, or replayed
-    /// from the retransmit log — and append every message it makes
-    /// deliverable to `pending`, in `seq` order.
-    fn accept(&mut self, m: Message) {
-        let src = m.src;
-        // Ack: the transmission reached us, drop it from the sender's
-        // retransmit log whether or not it turns out to be a duplicate.
-        lock_robust(&self.faults.links[src * self.size + self.rank])
-            .unacked
-            .remove(&m.seq);
-        let ro = &mut self.reorder[src];
-        if m.seq < ro.next || ro.held.contains_key(&m.seq) {
-            self.fcounters.dedup_discarded.incr();
+    /// Hand one arrival to tag matching, unless a deadline receive
+    /// abandoned its `(src, tag)` slot.
+    fn accept(&mut self, msg: Message) {
+        if self.tombstones.contains(&(msg.src, msg.tag)) {
             return;
         }
-        ro.held.insert(m.seq, m);
-        while let Some(msg) = ro.held.remove(&ro.next) {
-            ro.next += 1;
-            if self.tombstones.contains(&(src, msg.tag)) {
-                continue;
-            }
-            self.counters.msgs_recv.incr();
-            self.counters.bytes_recv.add((msg.payload.len() * 8) as u64);
-            // Causal tracing: close the sender's flow on delivery so the
-            // merged Chrome trace draws an arrow from the send site to
-            // this rank's receive.
-            let fid = flow_id(src, self.rank, msg.seq);
-            flow("comm.recv", fid, FlowPhase::Finish, msg.payload.len() * 8);
-            self.pending.push(msg);
-        }
-    }
-
-    /// Replay the src→me retransmit log through the accept path (dedup
-    /// makes this idempotent).
-    fn replay_unacked(&mut self, src: usize) {
-        let entries: Vec<Message> = {
-            let link = self.faults.link(src, self.rank, self.size);
-            link.unacked
-                .iter()
-                .map(|(&seq, (t, p))| Message {
-                    src,
-                    seq,
-                    tag: *t,
-                    payload: p.clone(),
-                    deliver_at: None,
-                })
-                .collect()
-        };
-        for m in entries {
-            self.accept(m);
-        }
+        self.counters.msgs_recv.incr();
+        self.counters.bytes_recv.add((msg.payload.len() * 8) as u64);
+        // Causal tracing: close the sender's flow on delivery so the
+        // merged Chrome trace draws an arrow from the send site to this
+        // rank's receive.
+        let fid = flow_id(msg.src, self.rank, msg.seq);
+        flow("comm.recv", fid, FlowPhase::Finish, msg.payload.len() * 8);
+        self.pending.push(msg);
     }
 
     /// Move delay-injected messages whose maturity instant has passed
@@ -490,7 +429,7 @@ impl Communicator {
         let now = Instant::now();
         let matured: Vec<Message> = self
             .immature
-            .extract_if(.., |m| m.deliver_at.is_none_or(|at| at <= now))
+            .extract_if(.., |m| m.deliver_at.is_some_and(|at| at <= now))
             .collect();
         let any = !matured.is_empty();
         for m in matured {
@@ -511,9 +450,8 @@ impl Communicator {
 
     /// The one receive path: take the first `(src, tag)` message out of
     /// `pending`, feeding `pending` from matured delays and the channel
-    /// until one is there. Without a `timeout` a lossy plan replays the
-    /// retransmit log each retry round until the budget is spent; with
-    /// one the wait ends at the deadline and nothing is replayed (the
+    /// until one is there. Without a `timeout` the wait ends only when the
+    /// message arrives; with one it also ends at the deadline (the
     /// degraded-halo path: a late slot keeps its stale values). A failed
     /// rank ends either wait.
     fn receive(
@@ -524,14 +462,10 @@ impl Communicator {
     ) -> Result<Vec<f64>, CommError> {
         let t0 = Instant::now();
         let deadline = timeout.map(|t| t0 + t);
-        let retry = self.faults.plan.retry;
-        let replays = deadline.is_none() && self.faults.plan.is_lossy();
-        let mut retries = 0usize;
-        let mut round_deadline = t0 + retry.timeout;
         let result = loop {
             // `remove` (not `swap_remove`): the buffer may hold several
             // messages with the same (src, tag) when a peer runs a
-            // collective ahead, and they must keep arriving in seq order.
+            // collective ahead, and they must keep arriving in send order.
             if let Some(pos) = self
                 .pending
                 .iter()
@@ -548,7 +482,7 @@ impl Communicator {
             if let Some(d) = deadline {
                 let now = Instant::now();
                 if now >= d {
-                    break Err(self.timed_out(src, tag, retries));
+                    break Err(self.timed_out(src, tag));
                 }
                 wait = wait.min(d - now);
             }
@@ -556,36 +490,18 @@ impl Communicator {
                 wait = wait.min(d);
             }
             match self.receiver.recv_timeout(wait) {
-                // A delay-injected message that is still "on the wire" is
-                // held unacknowledged until it matures.
-                Ok(m) if m.deliver_at.is_some_and(|at| Instant::now() < at) => {
-                    self.immature.push(m)
-                }
+                // A stamped message waits its turn behind the ones held
+                // before it, even if it is already mature: taken straight
+                // to `pending` it could overtake one of them.
+                Ok(m) if m.deliver_at.is_some() => self.immature.push(m),
                 Ok(m) => self.accept(m),
                 Err(_) => {
                     // Idle tick (disconnection is unreachable while we hold
-                    // a sender to ourselves): poll the failure flags, then
-                    // the retry budget.
+                    // a sender to ourselves): poll the failure flags.
                     if let Some(rank) = self.faults.any_failed() {
                         mf_observe::record("comm.rank_failed", rank as u64, 0.0);
                         mf_telemetry::log!(Error, "comm.rank_failed", rank = rank);
                         break Err(CommError::RankFailed { rank });
-                    }
-                    if replays && Instant::now() >= round_deadline {
-                        if retries >= retry.max_retries {
-                            break Err(self.timed_out(src, tag, retries));
-                        }
-                        retries += 1;
-                        self.fcounters.retries.incr();
-                        mf_telemetry::log!(
-                            Debug,
-                            "comm.retry",
-                            src = src,
-                            tag = tag,
-                            attempt = retries
-                        );
-                        self.replay_unacked(src);
-                        round_deadline = Instant::now() + retry.timeout;
                     }
                 }
             }
@@ -595,17 +511,11 @@ impl Communicator {
     }
 
     /// Count and report a receive that gave up waiting for `(src, tag)`.
-    fn timed_out(&self, src: usize, tag: u64, retries: usize) -> CommError {
+    fn timed_out(&self, src: usize, tag: u64) -> CommError {
         self.fcounters.timeouts.incr();
-        mf_observe::record("comm.timeout", src as u64, retries as f64);
-        mf_telemetry::log!(
-            Error,
-            "comm.timeout",
-            src = src,
-            tag = tag,
-            retries = retries
-        );
-        CommError::Timeout { src, tag, retries }
+        mf_observe::record("comm.timeout", src as u64, tag as f64);
+        mf_telemetry::log!(Error, "comm.timeout", src = src, tag = tag);
+        CommError::Timeout { src, tag }
     }
 
     /// Blocking receive of the message with the given source and tag.
@@ -620,9 +530,7 @@ impl Communicator {
     }
 
     /// Blocking receive that surfaces faults as typed errors: a crashed
-    /// peer yields [`CommError::RankFailed`]; under a lossy plan a
-    /// message still missing after the retry budget yields
-    /// [`CommError::Timeout`].
+    /// peer yields [`CommError::RankFailed`].
     pub fn recv_result(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
         self.receive(src, tag, None)
     }
@@ -633,10 +541,10 @@ impl Communicator {
         self.recv(h.src, h.tag)
     }
 
-    /// Complete the receive behind `h` under a deadline with *no*
-    /// retransmission — the degraded mode of the distributed MFP (§6.3).
-    /// On timeout the `(src, tag)` slot is tombstoned: a late arrival is
-    /// acknowledged and discarded, never delivered to a future iteration,
+    /// Complete the receive behind `h` under a deadline — the degraded
+    /// mode of the distributed MFP (§6.3). On timeout the `(src, tag)`
+    /// slot is tombstoned: a late arrival is discarded, never delivered to
+    /// a future iteration,
     /// and the caller reuses stale halo values instead. The tag must be
     /// unique per exchange round for tombstoning to be sound — the MFP
     /// uses its iteration index.

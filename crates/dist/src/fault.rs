@@ -1,53 +1,32 @@
-//! `mf-faultsim`: deterministic fault injection for the simulated cluster.
+//! Fault injection for the simulated cluster: seeded delivery delays and
+//! an injected rank crash, plus the failure detection that turns a dead
+//! or silent peer into a typed error.
 //!
-//! A seeded [`FaultPlan`] wraps every link of the cluster with message
-//! drops, duplication, delivery delays, and rank-crash injection, all
-//! behind the existing [`Communicator`](crate::Communicator) API. The
-//! recovery machinery lives here too:
+//! Links are reliable and FIFO, as MPI's are: nothing sent is lost,
+//! duplicated or reordered, so there is nothing to retransmit. A
+//! [`FaultPlan`] can only make a peer *slow* or make it *vanish*:
 //!
-//! * every point-to-point message carries a per-link sequence number and
-//!   is kept in a shared **retransmit log** until the receiver
-//!   acknowledges it, so a receive timeout can replay lost messages
-//!   (NACK/retry semantics) without involving the — possibly busy —
-//!   sender thread, exactly like a NIC-level reliable transport;
-//! * receivers **deduplicate** by sequence number, so retransmits and
-//!   injected duplicates deliver exactly once;
-//! * a per-rank **failure flag** turns a crashed or panicking rank into a
-//!   typed [`CommError::RankFailed`] on every peer instead of a deadlock.
+//! * a **delayed** message matures on the receiver, so a send never
+//!   blocks. Its maturity stamp is never earlier than the previous stamp
+//!   on its link, so delays keep MPI's non-overtaking rule by
+//!   construction;
+//! * a **crashed** rank panics after a set number of sends, and a
+//!   per-rank **failure flag** turns it — or any panicking rank — into a
+//!   typed [`CommError::RankFailed`] on every peer instead of a deadlock;
+//! * a receive under a **deadline**
+//!   ([`Communicator::wait_deadline`](crate::Communicator::wait_deadline))
+//!   ends in [`CommError::Timeout`], the degraded-halo path of the
+//!   distributed MFP.
 //!
-//! Drop/duplicate/delay decisions are drawn from a per-link splitmix64
-//! stream seeded from `FaultPlan::seed`, advanced once per `send` in the
-//! sender's program order — so the set of dropped first transmissions is
-//! a pure function of the seed, independent of thread scheduling.
-//! Retransmissions travel the reliable path (they model a NACK-triggered
-//! resend over a control channel), which bounds recovery: any message in
-//! the log is delivered after at most one retry round.
+//! Delay decisions are drawn from a per-link splitmix64 stream seeded from
+//! `FaultPlan::seed` and advanced by two draws per `send` in the sender's
+//! program order, so which messages are delayed, and by how much, is a
+//! pure function of the seed, independent of thread scheduling.
 
 use mf_telemetry::{counter, Counter};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Receive timeout + bounded-retry policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// How long a receiver waits for a matching message before it
-    /// requests a retransmission of the link's unacknowledged messages.
-    pub timeout: Duration,
-    /// Retransmission rounds before the receive fails with
-    /// [`CommError::Timeout`].
-    pub max_retries: usize,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            timeout: Duration::from_millis(100),
-            max_retries: 8,
-        }
-    }
-}
 
 /// Crash injection: rank `rank` panics once it has issued
 /// `after_sends` point-to-point messages (collectives count their
@@ -66,21 +45,14 @@ pub struct CrashAt {
 /// [`Cluster::run`](crate::Cluster::run) uses.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
-    /// Seed of the per-link fault streams.
+    /// Seed of the per-link delay streams.
     pub seed: u64,
-    /// Probability that a first transmission is dropped.
-    pub drop_rate: f64,
-    /// Probability that a delivered message is duplicated.
-    pub dup_rate: f64,
     /// Probability that a send stalls before delivery.
     pub delay_rate: f64,
     /// Maximum stall, in microseconds (uniform in `0..=max`).
     pub delay_max_us: u64,
     /// Optional injected rank crash.
     pub crash: Option<CrashAt>,
-    /// Timeout/retry policy used by every blocking receive while this
-    /// plan is active.
-    pub retry: RetryPolicy,
 }
 
 impl Default for FaultPlan {
@@ -90,54 +62,31 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// The no-fault plan: lossless delivery, failure detection only.
+    /// The no-fault plan: prompt delivery, failure detection only.
     pub fn none() -> Self {
         Self {
             seed: 0,
-            drop_rate: 0.0,
-            dup_rate: 0.0,
             delay_rate: 0.0,
             delay_max_us: 0,
             crash: None,
-            retry: RetryPolicy::default(),
         }
-    }
-
-    /// A lossy plan: drop `drop_rate` of first transmissions, recover via
-    /// the default retry policy.
-    pub fn lossy(seed: u64, drop_rate: f64) -> Self {
-        Self {
-            seed,
-            drop_rate,
-            ..Self::none()
-        }
-    }
-
-    /// Whether transmissions themselves can be perturbed (drop /
-    /// duplicate / delay). Crash-only plans are not lossy: nothing sent
-    /// is lost, so receives wait without a retry budget.
-    pub fn is_lossy(&self) -> bool {
-        self.drop_rate > 0.0 || self.dup_rate > 0.0 || self.delay_rate > 0.0
     }
 
     /// Whether any fault is injected (as opposed to pure detection).
     pub fn is_active(&self) -> bool {
-        self.is_lossy() || self.crash.is_some()
+        self.delay_rate > 0.0 || self.crash.is_some()
     }
 }
 
 /// A typed communication failure, carrying the rank it implicates.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommError {
-    /// No matching message arrived within the policy's timeout and retry
-    /// budget.
+    /// No matching message arrived before the receive's deadline.
     Timeout {
         /// Expected source rank.
         src: usize,
         /// Expected message tag.
         tag: u64,
-        /// Retransmission rounds that were attempted.
-        retries: usize,
     },
     /// A rank in the job crashed or panicked.
     RankFailed {
@@ -149,10 +98,9 @@ pub enum CommError {
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CommError::Timeout { src, tag, retries } => write!(
-                f,
-                "timed out waiting for message (src {src}, tag {tag}) after {retries} retries"
-            ),
+            CommError::Timeout { src, tag } => {
+                write!(f, "timed out waiting for message (src {src}, tag {tag})")
+            }
             CommError::RankFailed { rank } => write!(f, "rank {rank} failed"),
         }
     }
@@ -198,23 +146,15 @@ impl std::error::Error for ClusterError {}
 /// thread.
 #[derive(Clone)]
 pub(crate) struct FaultCounters {
-    pub dropped: Counter,
-    pub duplicated: Counter,
     pub delayed: Counter,
-    pub retries: Counter,
     pub timeouts: Counter,
-    pub dedup_discarded: Counter,
 }
 
 impl FaultCounters {
     pub(crate) fn new() -> Self {
         Self {
-            dropped: counter("fault.dropped"),
-            duplicated: counter("fault.duplicated"),
             delayed: counter("fault.delayed"),
-            retries: counter("fault.retries"),
             timeouts: counter("fault.timeouts"),
-            dedup_discarded: counter("fault.dedup_discarded"),
         }
     }
 }
@@ -244,55 +184,24 @@ impl Splitmix {
     }
 }
 
-/// Per-directed-link shared state: the sequence counter, the retransmit
-/// log of unacknowledged messages, and the link's fault stream.
-pub(crate) struct Link {
-    pub next_seq: u64,
-    /// seq → (tag, payload) for every sent-but-unacknowledged message.
-    pub unacked: BTreeMap<u64, (u64, Vec<f64>)>,
-    pub rng: Splitmix,
-}
-
-/// Shared fault/recovery state of one cluster run.
+/// Shared failure state of one cluster run.
 pub(crate) struct FaultState {
     pub plan: FaultPlan,
-    /// `links[src * size + dst]`.
-    pub links: Vec<Mutex<Link>>,
     /// First rank to fail (`usize::MAX` while all are healthy); checked
     /// by every blocked receive so peers report the root cause, not a
     /// cascade.
     pub origin: AtomicUsize,
     /// Panic messages in observation order.
     pub panics: Mutex<Vec<(usize, String)>>,
-    /// Per-rank count of issued point-to-point sends (crash trigger).
-    pub sends_issued: Vec<AtomicUsize>,
 }
 
 impl FaultState {
-    pub(crate) fn new(size: usize, plan: FaultPlan) -> Self {
-        let links = (0..size * size)
-            .map(|idx| {
-                Mutex::new(Link {
-                    next_seq: 0,
-                    unacked: BTreeMap::new(),
-                    // Decorrelate links; golden-ratio offset per link id.
-                    rng: Splitmix::new(
-                        plan.seed ^ (idx as u64).wrapping_mul(0xA24B_AED4_963E_E407),
-                    ),
-                })
-            })
-            .collect();
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         Self {
             plan,
-            links,
             origin: AtomicUsize::new(usize::MAX),
             panics: Mutex::new(Vec::new()),
-            sends_issued: (0..size).map(|_| AtomicUsize::new(0)).collect(),
         }
-    }
-
-    pub(crate) fn link(&self, src: usize, dst: usize, size: usize) -> MutexGuard<'_, Link> {
-        lock_robust(&self.links[src * size + dst])
     }
 
     /// The first-failing rank, if any rank has failed.
@@ -380,7 +289,13 @@ mod tests {
     #[test]
     fn plan_activity_flag() {
         assert!(!FaultPlan::none().is_active());
-        assert!(FaultPlan::lossy(1, 0.1).is_active());
+        let delay = FaultPlan {
+            seed: 1,
+            delay_rate: 0.1,
+            delay_max_us: 1_000,
+            ..FaultPlan::none()
+        };
+        assert!(delay.is_active());
         let crash = FaultPlan {
             crash: Some(CrashAt {
                 rank: 0,
@@ -404,11 +319,7 @@ mod tests {
 
     #[test]
     fn comm_error_messages_name_the_rank() {
-        let t = CommError::Timeout {
-            src: 3,
-            tag: 9,
-            retries: 2,
-        };
+        let t = CommError::Timeout { src: 3, tag: 9 };
         assert!(t.to_string().contains("src 3"));
         let f = CommError::RankFailed { rank: 5 };
         assert!(f.to_string().contains("rank 5"));

@@ -1,23 +1,15 @@
-//! Tests of the `mf-faultsim` layer: fail-fast failure detection,
-//! deterministic fault streams, exactly-once recovery, and the
+//! Tests of the fault layer: fail-fast failure detection, deadline
+//! receives, per-link send order under injected delays, and the
 //! zero-fault equivalence guarantee (a `FaultPlan` with all rates at
-//! zero is observationally identical to the lossless cluster).
+//! zero is observationally identical to the plain cluster).
 
-use crate::fault::{CommError, CrashAt, FaultPlan, RetryPolicy};
+use crate::fault::{CommError, CrashAt, FaultPlan};
 use crate::{Cluster, Communicator};
 use mf_telemetry::counter;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::time::{Duration, Instant};
-
-/// Tight retry budget so drop-recovery tests run in milliseconds.
-fn fast_retry() -> RetryPolicy {
-    RetryPolicy {
-        timeout: Duration::from_millis(20),
-        max_retries: 100,
-    }
-}
 
 #[test]
 fn panicking_rank_fails_fast_and_names_the_rank() {
@@ -102,98 +94,6 @@ fn recv_result_reports_failed_peer() {
 }
 
 #[test]
-fn collectives_under_drops_recover_bitwise_identical_results() {
-    let p = 4;
-    let mk_inputs = || -> Vec<Vec<f64>> {
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        (0..p)
-            .map(|_| (0..24).map(|_| rng.gen_range(-1.0..1.0)).collect())
-            .collect()
-    };
-    let body = |c: &mut Communicator, inputs: &[Vec<f64>]| {
-        let mut buf = inputs[c.rank()].clone();
-        c.allreduce_sum(&mut buf);
-        let gathered = c.allgather(&buf[..4]);
-        let mut bcast = if c.rank() == 2 {
-            buf[..3].to_vec()
-        } else {
-            vec![]
-        };
-        c.broadcast(2, &mut bcast);
-        (buf, gathered, bcast)
-    };
-    let inputs = mk_inputs();
-    let clean = Cluster::run(p, |c| body(c, &inputs));
-    for seed in [1u64, 2, 3] {
-        let plan = FaultPlan {
-            retry: fast_retry(),
-            ..FaultPlan::lossy(seed, 0.15)
-        };
-        let faulty = Cluster::try_run(p, plan, |c| body(c, &inputs)).unwrap();
-        // Retransmission delivers the same payloads, so results are not
-        // merely close — they are bitwise equal to the fault-free run.
-        for (a, b) in clean.iter().zip(&faulty) {
-            assert_eq!(a, b, "seed {seed}");
-        }
-    }
-}
-
-#[test]
-fn fault_stream_is_seed_deterministic() {
-    let run = || {
-        let plan = FaultPlan {
-            dup_rate: 0.1,
-            retry: fast_retry(),
-            ..FaultPlan::lossy(42, 0.2)
-        };
-        Cluster::try_run(3, plan, |c| {
-            let mut buf = vec![c.rank() as f64; 32];
-            c.allreduce_sum(&mut buf);
-            let dropped = counter("fault.dropped").get();
-            let duplicated = counter("fault.duplicated").get();
-            (buf, dropped, duplicated)
-        })
-        .unwrap()
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a, b, "same seed must give the same faults and results");
-    let total_dropped: u64 = a.iter().map(|(_, d, _)| d).sum();
-    assert!(total_dropped > 0, "20% drop over 24 sends should drop some");
-}
-
-#[test]
-fn duplicates_are_discarded() {
-    let plan = FaultPlan {
-        seed: 5,
-        dup_rate: 1.0,
-        retry: fast_retry(),
-        ..FaultPlan::none()
-    };
-    let outs = Cluster::try_run(2, plan, |c| {
-        if c.rank() == 0 {
-            for i in 0..10u64 {
-                c.send(1, i, &[i as f64]);
-            }
-            // Final marker so the receiver can drain the last duplicate
-            // (links deliver in sequence order).
-            c.send(1, 100, &[0.0]);
-            0
-        } else {
-            for i in 0..10u64 {
-                assert_eq!(c.recv(0, i), vec![i as f64]);
-            }
-            let _ = c.recv(0, 100);
-            counter("fault.dedup_discarded").get()
-        }
-    })
-    .unwrap();
-    // Every payload message was sent twice; exactly one copy of each
-    // survived (the marker's own duplicate may still be in flight).
-    assert!(outs[1] >= 10, "dedup_discarded = {}", outs[1]);
-}
-
-#[test]
 fn wait_deadline_times_out_then_tombstones_the_slot() {
     let outs = Cluster::try_run(2, FaultPlan::none(), |c| {
         if c.rank() == 0 {
@@ -259,27 +159,23 @@ proptest! {
         }
     }
 
-    /// Under drops, duplication and delays, retried point-to-point
-    /// delivery is exactly-once and in send order per tag, for any seed
-    /// and any receive order: matured, replayed and duplicated arrivals
-    /// all reach the receive through the one pending buffer.
+    /// Under injected delays, point-to-point delivery is exactly-once
+    /// and in send order per tag, for any seed and any receive order: a
+    /// delayed message holds back every later one on its link (MPI's
+    /// non-overtaking rule), and matured arrivals reach the receive
+    /// through the one pending buffer.
     #[test]
-    fn lossy_p2p_delivery_is_exactly_once(
+    fn delayed_p2p_delivery_is_in_send_order(
         seed in 0u64..500,
-        drop_pm in 0usize..350,
-        dup_pm in 0usize..350,
-        delay_pm in 0usize..350,
+        delay_pm in 0usize..=1000,
         perm_seed in 0u64..1000,
     ) {
         // Message i carries tag i % n_tags, so every tag has several.
         let (n_msgs, n_tags) = (20u64, 5u64);
         let plan = FaultPlan {
             seed,
-            drop_rate: drop_pm as f64 / 1000.0,
-            dup_rate: dup_pm as f64 / 1000.0,
             delay_rate: delay_pm as f64 / 1000.0,
             delay_max_us: 2_000,
-            retry: fast_retry(),
             ..FaultPlan::none()
         };
         let outs = Cluster::try_run(2, plan, move |c| {
@@ -308,8 +204,7 @@ proptest! {
             taken[*t as usize] += 1;
             prop_assert_eq!(m, &vec![i, i * 2.0]);
         }
-        // Logical receive count: one per sent message, despite dups and
-        // retransmits.
+        // Receive count: one per sent message.
         prop_assert_eq!(*msgs_recv, n_msgs as usize);
     }
 }

@@ -44,7 +44,7 @@ pub use comm::{
     Cluster, CommStats, Communicator, RecvHandle, ALLREDUCE_RD_MAX_ELEMS, TREE_MIN_RANKS,
     TREE_NODE_SIZE,
 };
-pub use fault::{ClusterError, CommError, CrashAt, FaultPlan, RetryPolicy};
+pub use fault::{ClusterError, CommError, CrashAt, FaultPlan};
 pub use overlap::{OverlapSample, OverlapTracker};
 pub use perfmodel::{thread_cpu_time, GpuModel, PerfModel};
 pub use topology::{CartesianGrid, Direction, NodeMap, RankOrder};

@@ -1289,37 +1289,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_halos_recover_to_the_fault_free_result() {
-        // 10% drop with bounded retries: retransmission delivers the
-        // identical payloads, so the run matches the fault-free residual
-        // trajectory bitwise (well inside the 1e-6 acceptance bound).
-        use mf_dist::RetryPolicy;
-        let d = DomainSpec::new(spec(), 2, 2);
-        let oracle = OracleSolver::new(spec(), 1e-10);
-        let bc = harmonic_bc(&d);
-        let base = DistMfpConfig {
-            max_iters: 60,
-            tol: 1e-8,
-            ..Default::default()
-        };
-        let clean = run_distributed(&oracle, &d, &bc, 4, &base);
-        let faulty_cfg = DistMfpConfig {
-            plan: FaultPlan {
-                retry: RetryPolicy {
-                    timeout: Duration::from_millis(20),
-                    max_retries: 100,
-                },
-                ..FaultPlan::lossy(9, 0.10)
-            },
-            ..base
-        };
-        let faulty = try_run_distributed(&oracle, &d, &bc, 4, &faulty_cfg).unwrap();
-        assert_eq!(clean.iterations, faulty.iterations);
-        assert_eq!(clean.deltas, faulty.deltas, "residual trajectories differ");
-        assert!(clean.grid.max_abs_diff(&faulty.grid) < 1e-6);
-    }
-
-    #[test]
     fn degraded_mode_reuses_stale_halos_and_still_converges() {
         // Sender-side delays larger than the halo deadline force timeouts;
         // degraded mode substitutes the stale halo and keeps iterating.

@@ -10,8 +10,8 @@
 //! bits 39..0    per-link sequence number (40 bits)
 //! ```
 //!
-//! The per-link sequence number is already unique per `(src, dst)` pair
-//! in the communicator (it drives dedup/reorder), so the triple is
+//! The per-link sequence number is the sender's count of messages to
+//! that destination, unique per `(src, dst)` pair, so the triple is
 //! globally unique for any realistic run length. The thread's step
 //! context (`mf_telemetry::set_step_context`) is stamped on each end,
 //! tying every message to the algorithmic step that sent it.

@@ -361,9 +361,9 @@ pub fn train_ddp(
 
 /// [`train_ddp`] with fault injection and periodic checkpoint/restart.
 ///
-/// * `plan` wraps the cluster's communicator in the `mf-faultsim` layer;
-///   [`FaultPlan::none`] reproduces `train_ddp` exactly (same messages,
-///   same numerics).
+/// * `plan` injects delays or a rank crash into the cluster's links
+///   ([`mf_dist::FaultPlan`]); [`FaultPlan::none`] reproduces `train_ddp`
+///   exactly (same messages, same numerics).
 /// * `ckpt`, when given, saves a per-rank [`TrainState`] every
 ///   `every_steps` optimizer steps (atomic write, keep-K pruning). On
 ///   entry every rank offers its newest on-disk step and the cluster

@@ -7,7 +7,7 @@
 //! mosaic-flow solve  --domain 2x1 [--model model.mfn | --oracle]
 //!                    [--boundary sin | gp:SEED] [--ranks P] [--one-level]
 //!                    [--out grid.csv]
-//!                    [--fault-seed N] [--drop-rate R] [--crash-rank K [--crash-after S]]
+//!                    [--crash-rank K [--crash-after S]]
 //! mosaic-flow serve  --addr 127.0.0.1:7979 [--model model.mfn | --random-weights]
 //!                    [--workers N] [--queue-depth N]
 //!                    [--max-points N] [--max-wait-us U] [--metrics-addr H:P]
@@ -33,7 +33,7 @@
 //!
 //! Every subcommand has a closed list of flags: an unknown flag, a
 //! missing value, a value that does not parse, a negative or non-finite
-//! rate (`--drop-rate`, `--slo-*`), or a zero where a count must be at
+//! rate (`--slo-*`), or a zero where a count must be at
 //! least 1 (`--devices`, `--epochs`, `--ranks`, `--workers`, `eval
 //! --samples`, either factor of `--domain`) prints a one-line reason plus
 //! the usage and exits non-zero; so does a `train --samples` too small to
@@ -129,8 +129,6 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("ranks", Positive),
                 ("one-level", Switch),
                 ("out", Text),
-                ("fault-seed", Count),
-                ("drop-rate", Real),
                 ("crash-rank", Count),
                 ("crash-after", Count),
             ],
@@ -233,7 +231,7 @@ fn usage() -> ExitCode {
          eval  --model model.mfn [--samples 20] [--seed 1]\n\
          solve --domain SXxSY [--model model.mfn | --oracle] [--boundary sin|gp:SEED]\n\
                [--ranks P] [--one-level] [--out grid.csv]\n\
-               [--fault-seed N] [--drop-rate R] [--crash-rank K [--crash-after S]]\n\
+               [--crash-rank K [--crash-after S]]\n\
          serve --addr H:P [--model model.mfn | --random-weights [--seed N]]\n\
                [--workers N] [--queue-depth N]\n\
                [--max-points N] [--max-wait-us U]\n\
@@ -396,21 +394,15 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
     let ranks: usize = get(flags, "ranks", 1);
     let accelerate = !flags.contains_key("one-level");
 
-    // Fault injection: deterministic from --fault-seed. A crashed or
-    // unrecoverable run fails the command; with MF_OBSERVE=dump[:DIR]
-    // the cluster writes a post-mortem bundle on the way down.
-    let plan = {
-        let mut plan = FaultPlan::lossy(
-            get(flags, "fault-seed", 0u64),
-            get(flags, "drop-rate", 0.0f64),
-        );
-        if flags.contains_key("crash-rank") {
-            plan.crash = Some(CrashAt {
-                rank: get(flags, "crash-rank", 0),
-                after_sends: get(flags, "crash-after", 10),
-            });
-        }
-        plan
+    // Fault injection: a rank crash after a set number of sends. A
+    // crashed run fails the command; with MF_OBSERVE=dump[:DIR] the
+    // cluster writes a post-mortem bundle on the way down.
+    let plan = FaultPlan {
+        crash: flags.contains_key("crash-rank").then(|| CrashAt {
+            rank: get(flags, "crash-rank", 0),
+            after_sends: get(flags, "crash-after", 10),
+        }),
+        ..FaultPlan::none()
     };
     if plan.is_active() && ranks == 1 {
         eprintln!("solve: fault injection needs --ranks > 1");

@@ -6,12 +6,11 @@
 //! collectors, and dump directory are process-wide, and this binary is
 //! its own process, so the test owns that state outright.
 
-use mosaic_flow::dist::{CrashAt, FaultPlan, RetryPolicy};
+use mosaic_flow::dist::{CrashAt, FaultPlan};
 use mosaic_flow::mfp::{try_run_distributed, DistMfpConfig, DomainSpec, OracleSolver};
 use mosaic_flow::numerics::boundary::boundary_coords;
 use mosaic_flow::observe::{flow_dst, flow_src, postmortem};
 use mosaic_flow::tensor::Tensor;
-use std::time::Duration;
 
 fn harmonic_bc(d: &DomainSpec) -> Tensor {
     let h = d.h();
@@ -57,10 +56,6 @@ fn crashed_mfp_run_dumps_a_bundle_naming_the_failing_rank() {
                 rank: 3,
                 after_sends: 10,
             }),
-            retry: RetryPolicy {
-                timeout: Duration::from_millis(20),
-                max_retries: 20,
-            },
             ..FaultPlan::none()
         },
         ..Default::default()
