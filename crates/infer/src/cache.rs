@@ -9,7 +9,7 @@
 //!   the one network its owner holds immutably (the weights of a
 //!   pre-trained SDNet never change while it solves).
 //! * [`WorkspacePool`] — a checkout/checkin stack of [`Workspace`]s so
-//!   concurrent launchers never contend on one buffer pool, while a
+//!   concurrent launchers never contend on one set of registers, while a
 //!   single-threaded caller keeps reusing the same warm workspace.
 //!
 //! Both types are `Sync`; interior mutability is a plain `Mutex` because
@@ -111,7 +111,7 @@ impl PlanCache {
 /// A launcher pops a workspace (or gets a fresh one when the stack is
 /// empty), executes, and pushes it back; a single-threaded caller always
 /// gets the same warm workspace back. Warm-allocation counts survive the
-/// round trip, so [`WorkspacePool::warm_allocs`] aggregates pool misses
+/// round trip, so [`WorkspacePool::warm_allocs`] aggregates warm growth
 /// across every workspace ever checked in.
 #[derive(Default)]
 pub struct WorkspacePool {
@@ -134,9 +134,9 @@ impl WorkspacePool {
         self.stack.lock().unwrap().push(ws);
     }
 
-    /// Total pool misses observed on warm executions across all
-    /// checked-in workspaces. Zero means every launch after each
-    /// workspace's first ran allocation-free.
+    /// Total registers grown on warm executions across all checked-in
+    /// workspaces. Zero means every launch after each workspace's first
+    /// ran allocation-free.
     pub fn warm_allocs(&self) -> u64 {
         self.stack
             .lock()
@@ -146,7 +146,7 @@ impl WorkspacePool {
             .sum()
     }
 
-    /// Buffer-pool statistics of every lane of every checked-in workspace,
+    /// Register statistics of every lane of every checked-in workspace,
     /// cold blocks included.
     pub fn pool_stats(&self) -> PoolStats {
         self.stack

@@ -10,19 +10,20 @@
 //! fixed for the lifetime of a solve.
 //!
 //! [`InferencePlan::compile`] lowers the conv-embed → input-split → MLP
-//! pipeline into a flat list of fused layer steps over pooled, reusable
+//! pipeline into a flat list of fused layer steps over reusable
 //! workspaces:
 //!
 //! * **No graph nodes.** The plan is a straight-line register program; the
 //!   interpreter is a `for` loop over lowered steps with no tape, no
 //!   `Var`s, and no backward metadata.
-//! * **No heap allocations on warm calls.** Every intermediate lives in a
-//!   buffer checked out of the lane's [`BufferPool`] and returned as soon
-//!   as its single consumer has read it. A lane asks for the size class of
-//!   the largest block it has run (its envelope), so once it has run a
-//!   block of `N` boundaries, every acquire of a block of at most `N` is a
-//!   pool hit. [`Workspace::reserve`] grows every lane to the envelope of
-//!   the largest launch a caller expects before the first one arrives.
+//! * **No heap allocations on warm calls.** Each step reads the register
+//!   the step before it wrote, so a lane holds two `f32` registers and the
+//!   steps write them in turn, each cut to its step's exact length. The
+//!   plan knows its widest register per boundary, so a lane whose
+//!   registers have held a block of `N` boundaries runs every block of at
+//!   most `N` without growing them. [`Workspace::reserve`] sizes every
+//!   lane's registers for the largest launch a caller expects before the
+//!   first one arrives, and runs nothing.
 //! * **One kernel call per layer.** `matmul → + bias → activation` is one
 //!   [`Backend::layer`](mf_tensor::Backend::layer) call that *overwrites*
 //!   its destination (no zero-fill) and finishes each 64-row band — bias,
@@ -65,9 +66,7 @@
 
 use mf_nn::SdNet;
 use mf_tensor::par::{self, prelude::*};
-use mf_tensor::{
-    backend, gemm, unfold1d_windows, Act, BufferPool, Layout, PackedB, PoolStats, Tensor,
-};
+use mf_tensor::{backend, gemm, unfold1d_windows, Act, Layout, PackedB, PoolStats, Tensor};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -75,45 +74,37 @@ mod cache;
 
 pub use cache::{PlanCache, PointsKey, WorkspacePool};
 
-/// One lowered instruction of a compiled plan. Registers are indices into
-/// the per-execution slot table; `weight` indexes the plan's packed weight
-/// matrices, `bias` and `cached` its constant vectors.
+/// One lowered instruction of a compiled plan. Each step reads `src`, the
+/// register the step before it wrote, and writes `dst`; `weight` indexes
+/// the plan's packed weight matrices, `bias` and `cached` its constant
+/// vectors.
 #[derive(Clone, Copy, Debug)]
 enum Step {
-    /// Round the caller's `[B, L]` boundary batch to `f32` into a register.
-    Load { dst: usize },
+    /// Round the caller's `[B, L]` boundary batch to `f32`.
+    Load,
     /// Circular im2col: `[B, L·ic] → [B·L, k·ic]`.
-    Unfold {
-        src: usize,
-        dst: usize,
-        channels: usize,
-        kernel: usize,
-    },
+    Unfold { channels: usize, kernel: usize },
     /// One dense layer, `dst = act(src · weights[weight] + consts[bias])`,
     /// as one [`Backend::layer`](mf_tensor::Backend::layer) call. `dst`
     /// holds the `[rows, n]` result under whatever shape the next step
     /// reads it in (the conv embedding's `[B·len, oc] → [B, len·oc]` is the
     /// same memory).
     Layer {
-        src: usize,
         weight: usize,
         bias: Option<usize>,
         act: Act,
-        dst: usize,
     },
     /// The input-split layer's combine, bias and activation:
     /// `dst[b·q + r] = act((consts[cached][r] + src[b]) + consts[bias])` —
     /// the cached `W_x · X` rows plus the per-boundary projection,
     /// replacing the graph's `repeat_rows` + `add` + bias + activation.
     Split {
-        src: usize,
         cached: usize,
         bias: usize,
         act: Act,
-        dst: usize,
     },
-    /// Widen the final register into the caller's `f64` output buffer.
-    Store { src: usize },
+    /// Widen the last register into the caller's `f64` output buffer.
+    Store,
 }
 
 /// Shape of a register: `rows_per_b * B` rows × `cols` columns, so one
@@ -133,7 +124,8 @@ struct RegShape {
 /// launch 2 cost nothing in the median and trimmed its p90 by 2–9 % (901 →
 /// 881, 950 → 861 µs back to back): with two blocks a lane that joins late
 /// or is descheduled holds up a quarter of the launch, not half. The
-/// per-block zone timers and buffer checkouts are why finer blocks lose.
+/// per-block zone timers (and, when this was measured, per-step buffer
+/// checkouts) are why finer blocks lose.
 const BLOCKS_PER_LANE: usize = 2;
 
 /// GEMM multiply-adds below which a block is not worth handing to another
@@ -155,26 +147,46 @@ const BLOCKS_PER_LANE: usize = 2;
 /// launch after that.
 const MIN_BLOCK_MACS: usize = 250_000;
 
-/// One lane's execution scratch: the buffers and register table of the
-/// blocks that lane runs.
-#[derive(Debug)]
+/// One lane's execution scratch: the two registers the steps of the blocks
+/// that lane runs write in turn.
+#[derive(Debug, Default)]
 struct Lane {
-    pool: BufferPool<f32>,
-    /// Register table of the block being run; all `None` between blocks.
-    slots: Vec<Option<Vec<f32>>>,
-    /// Boundaries in the largest block this lane has run or been reserved
-    /// for: every register is taken from the size class of a block this
-    /// large, so the buffers one block of it left behind serve every block
-    /// of up to that many boundaries.
-    envelope: usize,
+    /// Their capacity only grows, so once they have held a block of `N`
+    /// boundaries of a plan, every block of up to `N` fits. Their length
+    /// is the longest prefix a block has used: growing the capacity
+    /// touches no memory, and the first block to use a prefix zero-fills
+    /// it once.
+    regs: [Vec<f32>; 2],
     warmed: bool,
+    /// A miss per register grown, a hit per register found large enough.
+    stats: PoolStats,
     warm_allocs: u64,
 }
 
-/// Reusable execution scratch: one buffer pool per lane of the compute
+impl Lane {
+    /// Grow both registers' capacity to at least `len` elements; returns
+    /// the misses.
+    fn fit(&mut self, len: usize) -> u64 {
+        let mut misses = 0;
+        for reg in &mut self.regs {
+            if reg.capacity() < len {
+                // Nothing in a register outlives its block.
+                *reg = Vec::with_capacity(len);
+                misses += 1;
+                self.stats.miss_bytes += (len * std::mem::size_of::<f32>()) as u64;
+            } else {
+                self.stats.hits += 1;
+            }
+        }
+        self.stats.misses += misses;
+        misses
+    }
+}
+
+/// Reusable execution scratch: two registers per lane of the compute
 /// pool, plus warm-allocation accounting. One workspace serves one
-/// launch at a time; a block that fits the envelope of a lane that has
-/// already run its plan reuses that lane's buffers.
+/// launch at a time; a block that fits the registers of a lane that has
+/// already run reuses them.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Indexed by [`par::lane`]. A lane is only ever locked by the one
@@ -192,13 +204,7 @@ impl Workspace {
 
     fn ensure_lanes(&mut self, lanes: usize) {
         while self.lanes.len() < lanes {
-            self.lanes.push(Mutex::new(Lane {
-                pool: BufferPool::default(),
-                slots: Vec::new(),
-                envelope: 0,
-                warmed: false,
-                warm_allocs: 0,
-            }));
+            self.lanes.push(Mutex::default());
         }
     }
 
@@ -208,57 +214,55 @@ impl Workspace {
             .map(|l| l.lock().expect("a plan block panicked on this lane"))
     }
 
-    /// Pool misses observed on *warm* blocks (anything after a lane's
-    /// first). Zero means the plan is running allocation-free.
+    /// Registers grown on *warm* blocks (anything after a lane's first or
+    /// its reservation). Zero means the plan is running allocation-free.
     pub fn warm_allocs(&self) -> u64 {
         self.lanes().map(|l| l.warm_allocs).sum()
     }
 
-    /// Buffer-pool statistics, summed over the lanes.
+    /// Register statistics, summed over the lanes: a miss per register a
+    /// block or a reservation grew, a hit per register it found large
+    /// enough.
     pub fn pool_stats(&self) -> PoolStats {
-        self.lanes().map(|l| l.pool.stats()).sum()
+        self.lanes().map(|l| l.stats).sum()
+    }
+
+    /// Bytes of register storage held, summed over the lanes.
+    pub fn held_bytes(&self) -> usize {
+        let elems: usize = (self.lanes())
+            .map(|l| l.regs.iter().map(Vec::capacity).sum::<usize>())
+            .sum();
+        elems * std::mem::size_of::<f32>()
     }
 
     /// Make every launch of up to `b` boundaries of each listed plan, made
-    /// from the calling thread, run on this workspace without a pool miss.
-    /// Per plan, the largest block [`InferencePlan::launch_blocks`] cuts
-    /// such a launch into runs once on zero boundaries, on each lane that
-    /// could run it, from the calling thread: no lane is left to whichever
-    /// pool worker happens to wake first. Every lane's envelope is raised
-    /// to the largest of those blocks before anything runs, so each plan
-    /// leaves buffers of the size class its later blocks ask for, in
-    /// whatever order the plans are listed. A reserved block counts as a
-    /// lane's cold block: its misses are not warm allocations.
+    /// from the calling thread, run on this workspace without growing a
+    /// register. Per plan, the largest block
+    /// [`InferencePlan::launch_blocks`] cuts such a launch into sets the
+    /// register length, `widest register × block`; every lane that could
+    /// run such a block gets two registers of the largest of those
+    /// lengths. Nothing runs: the cost is the allocation. Growth here
+    /// counts as a lane's cold block: it is not a warm allocation.
     pub fn reserve(&mut self, launches: &[(&InferencePlan, usize)]) {
-        let blocks: Vec<(&InferencePlan, usize, usize)> = launches
-            .iter()
-            .filter_map(|&(plan, b)| {
-                let block = (1..=b).map(|n| n.div_ceil(plan.launch_blocks(n))).max()?;
-                // The block count never falls as a launch grows, so the
-                // largest launch fans out if any does.
-                let lanes = if plan.launch_blocks(b) > 1 {
-                    par::lanes()
-                } else {
-                    1
-                };
-                Some((plan, block, lanes))
-            })
-            .collect();
-        let envelope = blocks.iter().map(|&(_, block, _)| block).max().unwrap_or(0);
-        self.ensure_lanes(blocks.iter().map(|&(.., lanes)| lanes).max().unwrap_or(0));
-        let mut lanes: Vec<&mut Lane> = (self.lanes.iter_mut())
-            .map(|l| l.get_mut().expect("a plan block panicked on this lane"))
-            .collect();
-        for lane in &mut lanes {
-            lane.envelope = lane.envelope.max(envelope);
+        let (mut len, mut lanes) = (0, 0);
+        for &(plan, b) in launches {
+            let Some(block) = (1..=b).map(|n| n.div_ceil(plan.launch_blocks(n))).max() else {
+                continue;
+            };
+            len = len.max(plan.widest * block);
+            // The block count never falls as a launch grows, so the
+            // largest launch fans out if any does.
+            lanes = lanes.max(if plan.launch_blocks(b) > 1 {
+                par::lanes()
+            } else {
+                1
+            });
         }
-        for (plan, block, n) in blocks {
-            let boundaries = vec![0.0; block * plan.boundary_len];
-            let mut out = vec![0.0; block * plan.q];
-            for lane in &mut lanes[..n] {
-                lane.warmed = false;
-                plan.run_block(lane, block, &boundaries, &mut out);
-            }
+        self.ensure_lanes(lanes);
+        for lane in &mut self.lanes[..lanes] {
+            let lane = lane.get_mut().expect("a plan block panicked on this lane");
+            lane.fit(len);
+            lane.warmed = true;
         }
     }
 }
@@ -268,7 +272,11 @@ impl Workspace {
 #[derive(Clone, Debug)]
 pub struct InferencePlan {
     steps: Vec<Step>,
+    /// `regs[i]` is the register `steps[i]` writes; the final `Store`
+    /// writes none.
     regs: Vec<RegShape>,
+    /// Elements per boundary of the widest register.
+    widest: usize,
     /// Biases and the cached `W_x · X` rows, rounded to `f32`.
     consts: Vec<Vec<f32>>,
     /// Weight matrices, transposed to `k×n`, rounded and packed once.
@@ -315,9 +323,9 @@ impl InferencePlan {
             weights.push(PackedB::new(&w.transpose()));
             weights.len() - 1
         };
-        let push_reg = |regs: &mut Vec<RegShape>, rows_per_b: usize, cols: usize| {
+        let push = |steps: &mut Vec<Step>, regs: &mut Vec<RegShape>, step, rows_per_b, cols| {
+            steps.push(step);
             regs.push(RegShape { rows_per_b, cols });
-            regs.len() - 1
         };
         let act = cfg.activation.kernel();
 
@@ -345,84 +353,76 @@ impl InferencePlan {
         let hx_c = push_const(&mut consts, &hx);
 
         // Boundary load + conv embedding.
-        let mut cur = push_reg(&mut regs, 1, l);
-        steps.push(Step::Load { dst: cur });
+        push(&mut steps, &mut regs, Step::Load, 1, l);
         let n_convs = net.convs().len();
         for (i, conv) in net.convs().iter().enumerate() {
             let (ic, oc, k) = (conv.in_channels(), conv.out_channels(), conv.kernel());
-            let len = regs[cur].cols / ic;
-            let u = push_reg(&mut regs, len, k * ic);
-            steps.push(Step::Unfold {
-                src: cur,
-                dst: u,
+            let len = regs[regs.len() - 1].cols / ic;
+            let unfold = Step::Unfold {
                 channels: ic,
                 kernel: k,
-            });
+            };
+            push(&mut steps, &mut regs, unfold, len, k * ic);
             // The `[B·len, oc]` product is read as `[B, len·oc]` from here
             // on. Nonlinearity between conv layers only (the final
             // embedding stays linear so the split == concat algebra holds).
-            let y = push_reg(&mut regs, 1, len * oc);
-            steps.push(Step::Layer {
-                src: u,
+            let layer = Step::Layer {
                 weight: push_weight(&mut weights, net.params.get(conv.weight())),
                 bias: conv
                     .bias()
                     .map(|b| push_const(&mut consts, net.params.get(b))),
                 act: if i + 1 < n_convs { act } else { Act::Identity },
-                dst: y,
-            });
-            cur = y;
+            };
+            push(&mut steps, &mut regs, layer, 1, len * oc);
         }
 
         // Input-split layer: per-boundary projection + cached W_x·X.
         let d0 = cfg.hidden[0];
-        let hg = push_reg(&mut regs, 1, d0);
-        steps.push(Step::Layer {
-            src: cur,
+        let projection = Step::Layer {
             weight: push_weight(&mut weights, net.params.get(wg_id)),
             bias: None,
             act: Act::Identity,
-            dst: hg,
-        });
-        let h = push_reg(&mut regs, q, d0);
-        steps.push(Step::Split {
-            src: hg,
+        };
+        push(&mut steps, &mut regs, projection, 1, d0);
+        let split = Step::Split {
             cached: hx_c,
             bias: push_const(&mut consts, net.params.get(b0_id)),
             act,
-            dst: h,
-        });
-        cur = h;
+        };
+        push(&mut steps, &mut regs, split, q, d0);
 
         // Dense trunk (activated) + scalar head (not).
         let head = std::iter::once((net.head(), Act::Identity));
         for (lin, act) in net.trunk().iter().map(|lin| (lin, act)).chain(head) {
-            let y = push_reg(&mut regs, q, lin.out_dim());
-            steps.push(Step::Layer {
-                src: cur,
+            let layer = Step::Layer {
                 weight: push_weight(&mut weights, net.params.get(lin.weight())),
                 bias: lin
                     .bias()
                     .map(|b| push_const(&mut consts, net.params.get(b))),
                 act,
-                dst: y,
-            });
-            cur = y;
+            };
+            push(&mut steps, &mut regs, layer, q, lin.out_dim());
         }
-        steps.push(Step::Store { src: cur });
+        steps.push(Step::Store);
 
-        let macs_per_boundary = steps
-            .iter()
-            .map(|step| match *step {
-                Step::Layer { src, weight, .. } => {
-                    regs[src].rows_per_b * weights[weight].k() * weights[weight].n()
+        // Every step but the first reads the register before its own.
+        let macs_per_boundary = (steps[1..].iter().zip(&regs))
+            .map(|(step, src)| match *step {
+                Step::Layer { weight, .. } => {
+                    src.rows_per_b * weights[weight].k() * weights[weight].n()
                 }
                 _ => 0,
             })
             .sum();
+        let widest = regs
+            .iter()
+            .map(|r| r.rows_per_b * r.cols)
+            .max()
+            .unwrap_or(0);
         Self {
             steps,
             regs,
+            widest,
             consts,
             weights,
             boundary_len: l,
@@ -476,42 +476,39 @@ impl InferencePlan {
                 }
             }
         };
-        // Values and error bounds per register.
-        let mut regs: Vec<(Vec<f64>, Vec<f64>)> = vec![Default::default(); self.regs.len()];
-        let rows = |reg: usize| self.regs[reg].rows_per_b * b;
-        for step in &self.steps {
-            match *step {
-                Step::Load { dst } => {
+        // Values and error bounds of the register the last step wrote.
+        let mut cur: (Vec<f64>, Vec<f64>) = Default::default();
+        for (i, step) in self.steps.iter().enumerate() {
+            // The shape of the register this step reads.
+            let src = || self.regs[i - 1];
+            cur = match *step {
+                Step::Load => {
                     let x = boundaries.as_slice().to_vec();
                     let e = x.iter().map(|v| U * v.abs()).collect();
-                    regs[dst] = (x, e);
+                    (x, e)
                 }
-                Step::Unfold {
-                    src,
-                    dst,
-                    channels,
-                    kernel,
-                } => {
-                    let len = self.regs[src].cols / channels;
+                Step::Unfold { channels, kernel } => {
+                    let RegShape { rows_per_b, cols } = src();
                     let unfold = |v: &[f64]| {
                         let mut out = vec![0.0; v.len() * kernel];
-                        unfold1d_windows(v, rows(src), len, channels, kernel, &mut out);
+                        unfold1d_windows(
+                            v,
+                            rows_per_b * b,
+                            cols / channels,
+                            channels,
+                            kernel,
+                            &mut out,
+                        );
                         out
                     };
-                    regs[dst] = (unfold(&regs[src].0), unfold(&regs[src].1));
+                    (unfold(&cur.0), unfold(&cur.1))
                 }
-                Step::Layer {
-                    src,
-                    weight,
-                    bias,
-                    act,
-                    dst,
-                } => {
+                Step::Layer { weight, bias, act } => {
                     let w = &self.weights[weight];
-                    let (k, n, m) = (w.k(), w.n(), rows(src));
+                    let (k, n, m) = (w.k(), w.n(), src().rows_per_b * b);
                     let wv = widen(w.rows());
                     let bias = bias.map_or_else(|| vec![0.0; n], |b| widen(&self.consts[b]));
-                    let (x, ex) = &regs[src];
+                    let (x, ex) = &cur;
                     let (mut z, mut ez, mut mag) =
                         (vec![0.0; m * n], vec![0.0; m * n], vec![0.0; m * n]);
                     for r in 0..m {
@@ -530,18 +527,12 @@ impl InferencePlan {
                         *e += (t / (1.0 - t) + U) * mag + U * bias[i % n].abs() + U * z.abs();
                     }
                     activate(act, &mut z, &mut ez);
-                    regs[dst] = (z, ez);
+                    (z, ez)
                 }
-                Step::Split {
-                    src,
-                    cached,
-                    bias,
-                    act,
-                    dst,
-                } => {
+                Step::Split { cached, bias, act } => {
                     let (hx, bias) = (widen(&self.consts[cached]), widen(&self.consts[bias]));
                     let d0 = bias.len();
-                    let (g, eg) = &regs[src];
+                    let (g, eg) = &cur;
                     let (mut z, mut ez) = (Vec::new(), Vec::new());
                     for (gr, er) in g.chunks_exact(d0).zip(eg.chunks_exact(d0)) {
                         for xrow in hx.chunks_exact(d0) {
@@ -553,13 +544,10 @@ impl InferencePlan {
                         }
                     }
                     activate(act, &mut z, &mut ez);
-                    regs[dst] = (z, ez);
+                    (z, ez)
                 }
-                Step::Store { src } => {
-                    let e = std::mem::take(&mut regs[src].1);
-                    return Tensor::from_vec(b * self.q, 1, e);
-                }
-            }
+                Step::Store => return Tensor::from_vec(b * self.q, 1, cur.1),
+            };
         }
         unreachable!("a plan ends in Store")
     }
@@ -689,79 +677,55 @@ impl InferencePlan {
     }
 
     /// The step program over one block: `boundaries` is `[nb, L]` packed,
-    /// `out` its `[nb·q]` predictions, `nb ≤ block`. Buffers come from the
-    /// size class of the lane's envelope — the largest block it has run,
-    /// this one included — not of this launch's block. So once a lane has
-    /// run this plan at its envelope, every later block of the plan that
-    /// fits the envelope — full or short, of any launch — runs without a
-    /// miss.
+    /// `out` its `[nb·q]` predictions, `nb ≤ block`. The lane's registers
+    /// grow to fit a whole block of `block` boundaries, not only this one,
+    /// so a lane that runs the short last block of a launch fits every
+    /// full block of it as well. Each step writes the register the step
+    /// before it did not, cut to the step's exact length.
     fn run_block(&self, lane: &mut Lane, block: usize, boundaries: &[f64], out: &mut [f64]) {
         let nb = boundaries.len() / self.boundary_len;
-        let miss0 = lane.pool.stats().misses;
-        lane.envelope = lane.envelope.max(block);
-        let envelope = lane.envelope;
-        let Lane { pool, slots, .. } = lane;
-        slots.resize_with(self.regs.len(), || None);
-        // Register buffer with unspecified contents, for steps that
-        // overwrite every element.
-        let acquire = |pool: &mut BufferPool<f32>, reg: usize| {
-            let RegShape { rows_per_b, cols } = self.regs[reg];
-            pool.acquire_vec(rows_per_b * nb * cols, rows_per_b * envelope * cols)
-        };
-        for step in &self.steps {
+        let misses = lane.fit(self.widest * block);
+        if lane.warmed {
+            lane.warm_allocs += misses;
+        } else {
+            lane.warmed = true;
+        }
+        for reg in &mut lane.regs {
+            if reg.len() < self.widest * nb {
+                // Within the capacity `fit` gave it: no allocation.
+                reg.resize(self.widest * nb, 0.0);
+            }
+        }
+        let [a, b] = &mut lane.regs;
+        let (mut src, mut dst) = (a.as_mut_slice(), b.as_mut_slice());
+        // Length of what the previous step wrote into `src`.
+        let mut len = 0;
+        for (i, step) in self.steps.iter().enumerate() {
+            let dst_len = self.regs.get(i).map_or(0, |r| r.rows_per_b * nb * r.cols);
+            let (s, d) = (&src[..len], &mut dst[..dst_len]);
             match *step {
-                Step::Load { dst } => {
-                    let mut t = acquire(pool, dst);
-                    for (r, &v) in t.iter_mut().zip(boundaries) {
+                Step::Load => {
+                    for (r, &v) in d.iter_mut().zip(boundaries) {
                         *r = v as f32;
                     }
-                    slots[dst] = Some(t);
                 }
-                Step::Unfold {
-                    src,
-                    dst,
-                    channels,
-                    kernel,
-                } => {
+                Step::Unfold { channels, kernel } => {
                     mf_profile::zone!("unfold");
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = acquire(pool, dst);
-                    let RegShape { rows_per_b, cols } = self.regs[src];
-                    let len = cols / channels;
-                    unfold1d_windows(&s, rows_per_b * nb, len, channels, kernel, &mut d);
-                    pool.release_vec(s);
-                    slots[dst] = Some(d);
+                    let RegShape { rows_per_b, cols } = self.regs[i - 1];
+                    unfold1d_windows(s, rows_per_b * nb, cols / channels, channels, kernel, d);
                 }
-                Step::Layer {
-                    src,
-                    weight,
-                    bias,
-                    act,
-                    dst,
-                } => {
+                Step::Layer { weight, bias, act } => {
                     mf_profile::zone!("layer");
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = acquire(pool, dst);
                     backend().layer(
-                        &s,
+                        s,
                         &self.weights[weight],
                         bias.map(|b| self.consts[b].as_slice()),
                         act,
-                        &mut d,
+                        d,
                     );
-                    pool.release_vec(s);
-                    slots[dst] = Some(d);
                 }
-                Step::Split {
-                    src,
-                    cached,
-                    bias,
-                    act,
-                    dst,
-                } => {
+                Step::Split { cached, bias, act } => {
                     mf_profile::zone!("split_add");
-                    let s = slots[src].take().expect("register consumed twice");
-                    let mut d = acquire(pool, dst);
                     let hx = &self.consts[cached];
                     let bias = &self.consts[bias];
                     let d0 = bias.len();
@@ -777,25 +741,15 @@ impl InferencePlan {
                         }
                         be.activate_f32(act, o);
                     }
-                    pool.release_vec(s);
-                    slots[dst] = Some(d);
                 }
-                Step::Store { src } => {
-                    let s = slots[src].take().expect("register consumed twice");
-                    for (o, &v) in out.iter_mut().zip(&s) {
+                Step::Store => {
+                    for (o, &v) in out.iter_mut().zip(s) {
                         *o = v as f64;
                     }
-                    pool.release_vec(s);
                 }
             }
-        }
-        debug_assert!(slots.iter().all(Option::is_none), "leaked plan register");
-
-        let misses = lane.pool.stats().misses - miss0;
-        if lane.warmed {
-            lane.warm_allocs += misses;
-        } else {
-            lane.warmed = true;
+            std::mem::swap(&mut src, &mut dst);
+            len = dst_len;
         }
     }
 }
@@ -904,11 +858,11 @@ mod tests {
             .steps
             .iter()
             .map(|s| match s {
-                Step::Load { .. } => "load",
+                Step::Load => "load",
                 Step::Unfold { .. } => "unfold",
                 Step::Layer { .. } => "layer",
                 Step::Split { .. } => "split",
-                Step::Store { .. } => "store",
+                Step::Store => "store",
             })
             .collect();
         assert_eq!(
@@ -1017,6 +971,60 @@ mod tests {
                         b.execute(&mut ws, &rows);
                     }
                 }
+                assert_eq!(ws.pool_stats().misses, misses, "width {width}");
+                assert_eq!(ws.warm_allocs(), 0, "width {width}");
+            });
+        }
+    }
+
+    /// A reservation leaves each lane that can run a reserved launch
+    /// exactly two registers of the widest register times the largest
+    /// block such a launch is cut into (its envelope), and every launch it
+    /// covers runs on them without growing either.
+    #[test]
+    fn a_reservation_holds_two_registers_per_lane_that_no_covered_launch_grows() {
+        let mut cfg = SdNetConfig::small(16);
+        cfg.conv_channels = vec![2];
+        cfg.hidden = vec![48, 48];
+        let (net, bounds, cross) = random_case(cfg.clone(), 31, 40, 13);
+        let (_, _, interior) = random_case(cfg, 32, 1, 29);
+        let cross = InferencePlan::compile(&net, &cross);
+        let interior = InferencePlan::compile(&net, &interior);
+        // The trunk's `[q, 48]` registers are the widest.
+        assert_eq!((cross.widest, interior.widest), (13 * 48, 29 * 48));
+        let launches = [(&cross, 40), (&interior, 12)];
+        for width in [1, 2, 4] {
+            par::with_pool_width(width, || {
+                let mut ws = Workspace::new();
+                ws.reserve(&launches);
+                let envelope = |plan: &InferencePlan, b: usize| {
+                    (1..=b).map(|n| n.div_ceil(plan.launch_blocks(n))).max()
+                };
+                let len = (launches.iter())
+                    .map(|&(plan, b)| plan.widest * envelope(plan, b).unwrap())
+                    .max()
+                    .unwrap();
+                if width == 1 {
+                    assert_eq!(len, 13 * 48 * 40);
+                }
+                let lanes = if cross.launch_blocks(40) > 1 {
+                    width
+                } else {
+                    1
+                };
+                let held = lanes * 2 * len * std::mem::size_of::<f32>();
+                assert_eq!(ws.lanes.len(), lanes, "width {width}");
+                assert_eq!(ws.held_bytes(), held, "width {width}");
+                let misses = ws.pool_stats().misses;
+                assert_eq!(misses, 2 * lanes as u64, "width {width}");
+                for n in 1..=40 {
+                    let rows = bounds.slice_rows(0, n);
+                    cross.execute(&mut ws, &rows);
+                    if n <= 12 {
+                        interior.execute(&mut ws, &rows);
+                    }
+                }
+                assert_eq!(ws.held_bytes(), held, "width {width}");
                 assert_eq!(ws.pool_stats().misses, misses, "width {width}");
                 assert_eq!(ws.warm_allocs(), 0, "width {width}");
             });

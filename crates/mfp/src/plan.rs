@@ -73,14 +73,16 @@ impl PlanSolver {
         self.plans.hits() as usize
     }
 
-    /// Pool misses on warm plan executions across all pooled workspaces
-    /// currently checked in. Zero means the hot path is allocation-free.
+    /// Registers grown on warm plan executions across all pooled
+    /// workspaces currently checked in. Zero means the hot path is
+    /// allocation-free.
     pub fn warm_allocs(&self) -> u64 {
         self.workspaces.warm_allocs()
     }
 
-    /// Buffer-pool statistics of all pooled workspaces currently checked
-    /// in, cold blocks included.
+    /// Register statistics ([`Workspace::pool_stats`]) of all pooled
+    /// workspaces currently checked in, cold blocks and reservations
+    /// included.
     pub fn pool_stats(&self) -> PoolStats {
         self.workspaces.pool_stats()
     }
@@ -96,8 +98,9 @@ impl PlanSolver {
     /// two plans — the sweeps' center cross and the dense fill's interior —
     /// and [`reserve`](mf_infer::Workspace::reserve) that many pooled
     /// workspaces for the widest sweep launch and the dense-fill launch
-    /// such a batch forms. No launch of such a batch then misses a pool,
-    /// whichever of those workspaces it checks out.
+    /// such a batch forms. That sizes their registers and runs nothing.
+    /// No launch of such a batch then grows a register, whichever of those
+    /// workspaces it checks out.
     pub fn reserve(&self, domain: &DomainSpec, max_requests: usize, workspaces: usize) {
         let engine = SweepEngine::new(self, domain, &whole_grid(domain), 0.0, None);
         let widest = engine.groups.iter().map(Vec::len).max().unwrap_or(0);
@@ -129,7 +132,7 @@ impl SubdomainSolver for PlanSolver {
         let q = points.rows();
         let plan = self.plans.get_or_compile(&self.net, points);
         // Check a workspace out of the shared pool so concurrent sweep
-        // groups never contend on one buffer pool.
+        // groups never contend on one set of registers.
         let mut ws = self.workspaces.checkout();
         let mut out = Tensor::zeros(b * q, 1);
         plan.execute_into(&mut ws, boundaries, &mut out);

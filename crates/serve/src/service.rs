@@ -358,8 +358,9 @@ impl SolveService {
     /// runs every block of those launches and of every smaller one without
     /// a miss, so serving such batches allocates nothing in the workspace
     /// pool from the first request on, whichever worker takes it
-    /// ([`PlanSolver::warm_allocs`] stays 0). The cost is a few block
-    /// programs per worker, not a solve per batch size.
+    /// ([`PlanSolver::warm_allocs`] stays 0). The cost is compiling the
+    /// two plans and allocating two registers per lane per worker: no
+    /// step of either plan runs.
     pub fn prewarm(&self, sx: usize, sy: usize, max_batch: usize) {
         let workers = self.inner.cfg.workers.max(1);
         // A worker's lane budget decides how its launches are cut.

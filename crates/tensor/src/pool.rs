@@ -60,16 +60,15 @@ impl std::iter::Sum for PoolStats {
     }
 }
 
-/// Freelists of `Vec<T>` storage binned by power-of-two capacity: `f64`
-/// tensor storage by default, `f32` for the compiled plan's registers.
+/// Freelists of `f64` tensor storage binned by power-of-two capacity.
 #[derive(Debug)]
-pub struct BufferPool<T = f64> {
-    classes: Vec<Vec<Vec<T>>>,
+pub struct BufferPool {
+    classes: Vec<Vec<Vec<f64>>>,
     held_bytes: usize,
     stats: PoolStats,
 }
 
-impl<T> Default for BufferPool<T> {
+impl Default for BufferPool {
     fn default() -> Self {
         Self {
             classes: (0..CLASSES).map(|_| Vec::new()).collect(),
@@ -110,65 +109,39 @@ impl BufferPool {
     /// destinations that overwrite every element; accumulating kernels
     /// (`gemm_into`) need the zero-filled [`BufferPool::acquire`].
     pub fn acquire_dirty(&mut self, rows: usize, cols: usize) -> Tensor {
-        self.acquire_dirty_with_capacity(rows, cols, 0)
-    }
-
-    /// [`BufferPool::acquire_dirty`] from the size class that holds
-    /// `capacity` elements (when that is more than `rows·cols`). A caller
-    /// whose row count varies below a known bound asks for the bound's
-    /// class every time, so that one warm buffer serves every row count.
-    pub fn acquire_dirty_with_capacity(
-        &mut self,
-        rows: usize,
-        cols: usize,
-        capacity: usize,
-    ) -> Tensor {
-        Tensor::from_vec(rows, cols, self.acquire_vec(rows * cols, capacity))
-    }
-
-    /// Hand a tensor's storage back for reuse.
-    pub fn release(&mut self, t: Tensor) {
-        self.release_vec(t.into_vec());
-    }
-}
-
-impl<T: Copy + Default> BufferPool<T> {
-    /// A `len`-element buffer with **unspecified contents**, from the size
-    /// class that holds `max(len, capacity)` elements: the storage behind
-    /// [`BufferPool::acquire_dirty_with_capacity`], for any element type.
-    pub fn acquire_vec(&mut self, len: usize, capacity: usize) -> Vec<T> {
-        let n = len.max(capacity).max(1);
-        let k = class_for_request(n);
+        let len = rows * cols;
+        let k = class_for_request(len.max(1));
         let mut buf = match self.classes.get_mut(k).and_then(Vec::pop) {
             Some(buf) => {
-                debug_assert!(buf.capacity() >= n);
-                self.held_bytes -= buf.capacity() * std::mem::size_of::<T>();
+                debug_assert!(buf.capacity() >= len);
+                self.held_bytes -= buf.capacity() * std::mem::size_of::<f64>();
                 self.stats.hits += 1;
                 buf
             }
             None => {
                 let cap = 1usize << k;
                 self.stats.misses += 1;
-                self.stats.miss_bytes += (cap * std::mem::size_of::<T>()) as u64;
+                self.stats.miss_bytes += (cap * std::mem::size_of::<f64>()) as u64;
                 Vec::with_capacity(cap)
             }
         };
         // Adjust the length without wiping what's already there: elements
         // below the old length keep their stale values, any grown region
         // is zero-extended — never uninitialized memory.
-        buf.resize(len, T::default());
-        buf
+        buf.resize(len, 0.0);
+        Tensor::from_vec(rows, cols, buf)
     }
 
-    /// Hand a buffer back for reuse.
-    pub fn release_vec(&mut self, buf: Vec<T>) {
+    /// Hand a tensor's storage back for reuse.
+    pub fn release(&mut self, t: Tensor) {
+        let buf = t.into_vec();
         let cap = buf.capacity();
         if cap == 0 {
             return;
         }
         self.stats.released += 1;
         let k = class_for_capacity(cap).min(CLASSES - 1);
-        self.held_bytes += cap * std::mem::size_of::<T>();
+        self.held_bytes += cap * std::mem::size_of::<f64>();
         self.classes[k].push(buf);
     }
 
@@ -228,18 +201,6 @@ mod tests {
         let t2 = p.acquire(2, 7);
         assert_eq!(p.stats().hits, 1);
         assert_eq!(t2.shape(), (2, 7));
-    }
-
-    #[test]
-    fn capacity_class_serves_every_smaller_row_count() {
-        // One buffer of the 8-row class serves 8 rows, then 1, then 5.
-        let mut p = BufferPool::new();
-        for rows in [8, 1, 5] {
-            let t = p.acquire_dirty_with_capacity(rows, 6, 8 * 6);
-            assert_eq!(t.shape(), (rows, 6));
-            p.release(t);
-        }
-        assert_eq!((p.stats().misses, p.stats().hits), (1, 2));
     }
 
     #[test]

@@ -203,8 +203,8 @@ fn fat_plan_launch_is_bitwise_equal_and_allocation_free_at_widths_1_2_4() {
     }
 }
 
-/// A lane takes its registers from the size class of the largest block it
-/// has run, so a small launch runs on buffers a larger one left behind.
+/// A lane's two registers only grow, to fit the largest block it has run,
+/// so a small launch runs on buffers a larger one left behind.
 /// Every step overwrites what it reads next: a launch on a workspace whose
 /// last launch was larger — of NaN boundaries, so any stale element read
 /// would show — is bitwise the same launch on a fresh workspace (whose

@@ -379,8 +379,8 @@ fn request_traces_decompose_wall_time_completely() {
     }
 }
 
-/// Warm-up is a few block programs per worker, not a solve per batch size,
-/// and it reaches every lane of every worker's workspace: after
+/// Warm-up sizes registers, it runs no solve per batch size, and it
+/// reaches every lane of every worker's workspace: after
 /// `prewarm(1, 1, 32)`, bursts of every size up to 32 — one per worker,
 /// each drained whole as the scheduler's window holds its batch open —
 /// leave every pool's miss count where warm-up left it. The network is

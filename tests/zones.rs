@@ -35,6 +35,12 @@ fn kernel_zones_count_every_block_on_every_lane() {
     let blocks = par::with_pool_width(2, || {
         let blocks = plan.launch_blocks(64) as u64;
         let mut ws = Workspace::new();
+        // Sizing the workspace for this very launch runs none of its steps.
+        ws.reserve(&[(&plan, 64)]);
+        publish_thread();
+        for zone in ["prof.layer_us", "prof.unfold_us", "prof.split_add_us"] {
+            assert_eq!(zone_count(zone), 0, "reserve ran a kernel: {zone}");
+        }
         let mut out = Tensor::zeros(64 * 13, 1);
         for _ in 0..LAUNCHES {
             plan.execute_into(&mut ws, &bounds, &mut out);
