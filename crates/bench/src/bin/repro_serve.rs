@@ -48,6 +48,7 @@ use mf_data::SubdomainSpec;
 use mf_mfp::{PlanSolver, SubdomainSolver};
 use mf_nn::{SdNet, SdNetConfig};
 use mf_serve::{BatchConfig, ServeConfig, ServeError, SolveRequest, SolveService};
+use mf_telemetry::{JsonValue, JsonWriter};
 use mf_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -361,25 +362,30 @@ fn run_tcp(addr: &str, clients: usize, reqs_per_client: u64, latency_out: Option
                 let mut busy = 0u64;
                 for seq in 0..reqs_per_client {
                     let id = (c as u64) << 32 | seq;
-                    let line = format!(
-                        "{{\"id\":{id},\"domain\":\"1x1\",\"bc\":\"rand:{id}\",\"max_iters\":100,\"tol\":1e-4}}\n"
-                    );
+                    let line = JsonWriter::object(|w| {
+                        w.field("id", id)
+                            .field("domain", "1x1")
+                            .field("bc", format!("rand:{id}").as_str())
+                            .field("max_iters", 100u32)
+                            .field("tol", 1e-4);
+                    }) + "\n";
                     let t0 = Instant::now();
                     loop {
                         writer.write_all(line.as_bytes()).expect("write request");
                         let mut reply = String::new();
                         reader.read_line(&mut reply).expect("read reply");
-                        if reply.contains("\"status\":\"busy\"") {
-                            busy += 1;
-                            std::thread::sleep(Duration::from_millis(2));
-                            continue;
+                        let doc = JsonValue::parse(reply.trim()).ok();
+                        match doc.as_ref().and_then(|d| d.get("status")?.as_str()) {
+                            Some("busy") => {
+                                busy += 1;
+                                std::thread::sleep(Duration::from_millis(2));
+                            }
+                            Some("ok") => {
+                                lat.push(t0.elapsed().as_secs_f64() * 1e3);
+                                break;
+                            }
+                            _ => panic!("unexpected reply: {reply}"),
                         }
-                        assert!(
-                            reply.contains("\"status\":\"ok\""),
-                            "unexpected reply: {reply}"
-                        );
-                        lat.push(t0.elapsed().as_secs_f64() * 1e3);
-                        break;
                     }
                 }
                 (lat, busy)
@@ -406,14 +412,24 @@ fn run_tcp(addr: &str, clients: usize, reqs_per_client: u64, latency_out: Option
     println!("  completed {total} in {elapsed:.2}s = {req_per_s:.0} req/s ({busy} busy retries)");
     println!("  latency p50/p95/p99: {p50:.2} / {p95:.2} / {p99:.2} ms (client wall clock)");
     if let Some(path) = latency_out {
-        let samples: Vec<String> = lat.iter().take(10_000).map(|l| format!("{l:.4}")).collect();
-        let body = format!(
-            "{{\"mode\":\"tcp\",\"addr\":\"{addr}\",\"clients\":{clients},\"completed\":{total},\
-             \"elapsed_s\":{elapsed:.3},\"req_per_s\":{req_per_s:.2},\"busy_retries\":{busy},\
-             \"p50_ms\":{p50:.4},\"p95_ms\":{p95:.4},\"p99_ms\":{p99:.4},\
-             \"latencies_ms\":[{}]}}\n",
-            samples.join(",")
-        );
+        let body = JsonWriter::object(|w| {
+            w.field("mode", "tcp")
+                .field("addr", addr)
+                .field("clients", clients)
+                .field("completed", total)
+                .field("elapsed_s", elapsed)
+                .field("req_per_s", req_per_s)
+                .field("busy_retries", busy)
+                .field("p50_ms", p50)
+                .field("p95_ms", p95)
+                .field("p99_ms", p99);
+            // Each sample rounded to 0.1 µs keeps the artifact small.
+            w.key("latencies_ms").arr(|w| {
+                for l in lat.iter().take(10_000) {
+                    w.val((l * 1e4).round() / 1e4);
+                }
+            });
+        }) + "\n";
         match std::fs::write(&path, body) {
             Ok(()) => eprintln!("wrote latency artifact to {path}"),
             Err(e) => eprintln!("failed to write {path}: {e}"),

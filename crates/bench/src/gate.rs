@@ -1,8 +1,8 @@
 //! Benchmark-gate plumbing: a tiny JSON metrics format shared by the
 //! `repro_*` binaries (writers) and the `bench_gate` binary (comparator).
 //!
-//! The format is deliberately minimal; it is written with `format!` and
-//! read back with `mf-telemetry`'s [`JsonValue`]:
+//! The format is deliberately minimal; it is written with `mf-telemetry`'s
+//! [`JsonWriter`] (on one line) and read back with its [`JsonValue`]:
 //!
 //! ```json
 //! {
@@ -20,7 +20,7 @@
 //! Re-baselining: run the repro binaries with `--json BENCH_baseline.json`
 //! on the main branch and commit the file (see DESIGN.md, "Memory model").
 
-use mf_telemetry::JsonValue;
+use mf_telemetry::{JsonValue, JsonWriter};
 use std::fmt::Write as _;
 
 /// One gated benchmark measurement.
@@ -37,25 +37,28 @@ pub struct Metric {
 
 /// Render a metrics set as the gate's JSON document.
 pub fn render_metrics(metrics: &[(String, Metric)]) -> String {
-    let mut s = String::from("{\n  \"metrics\": {\n");
-    for (i, (name, m)) in metrics.iter().enumerate() {
-        let comma = if i + 1 < metrics.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    \"{name}\": {{\"value\": {}, \"tol\": {}, \"higher_better\": {}}}{comma}",
-            m.value, m.tol, m.higher_better
-        );
-    }
-    s.push_str("  }\n}\n");
-    s
+    JsonWriter::object(|w| {
+        w.key("metrics").obj(|w| {
+            for (name, m) in metrics {
+                w.key(name).obj(|w| {
+                    w.field("value", m.value)
+                        .field("tol", m.tol)
+                        .field("higher_better", m.higher_better);
+                });
+            }
+        });
+    }) + "\n"
 }
 
 /// Append `metrics` to the JSON file at `path` (merging with any metrics
 /// already there; later writers win on name collisions). Lets several
-/// repro binaries contribute to one `BENCH_pr.json`.
+/// repro binaries contribute to one `BENCH_pr.json`. An existing file
+/// that does not parse is an error, and is left as it is: merging into an
+/// empty set would drop every metric written before.
 pub fn write_metrics(path: &str, metrics: &[(String, Metric)]) -> std::io::Result<()> {
     let mut all = match std::fs::read_to_string(path) {
-        Ok(s) => parse_metrics(&s).unwrap_or_default(),
+        Ok(s) => parse_metrics(&s)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?,
         Err(_) => Vec::new(),
     };
     for (name, m) in metrics {
@@ -70,7 +73,8 @@ pub fn write_metrics(path: &str, metrics: &[(String, Metric)]) -> std::io::Resul
 
 /// Parse a metrics document produced by [`render_metrics`]: any valid
 /// JSON whose `"metrics"` member maps names to `{value, tol,
-/// higher_better}` objects; anything else is an error.
+/// higher_better}` objects; anything else is an error. A `null` value is
+/// a non-finite measurement and reads back as NaN.
 pub fn parse_metrics(s: &str) -> Result<Vec<(String, Metric)>, String> {
     let doc = JsonValue::parse(s)?;
     let Some(JsonValue::Obj(entries)) = doc.get("metrics") else {
@@ -92,8 +96,14 @@ pub fn parse_metrics(s: &str) -> Result<Vec<(String, Metric)>, String> {
                     "metric {name}: missing or non-boolean higher_better"
                 ));
             };
+            // A non-finite measurement is written as `null`; it reads back
+            // as NaN, which [`compare`] fails.
+            let value = match m.get("value") {
+                Some(JsonValue::Null) => f64::NAN,
+                _ => num("value")?,
+            };
             let metric = Metric {
-                value: num("value")?,
+                value,
                 tol: num("tol")?,
                 higher_better,
             };
@@ -116,13 +126,14 @@ pub struct Comparison {
     pub regression: f64,
     /// Allowed regression (the baseline's `tol`).
     pub tol: f64,
-    /// True when `regression > tol`.
+    /// True when `regression > tol`, or the current value is not finite.
     pub failed: bool,
 }
 
 /// Compare current metrics against the baseline. Metrics present on only
 /// one side are reported but never fail the gate (renames/additions must
-/// not brick CI).
+/// not brick CI). A non-finite current value always fails: no comparison
+/// with a NaN is true, so it would otherwise pass every budget.
 pub fn compare(
     baseline: &[(String, Metric)],
     current: &[(String, Metric)],
@@ -144,7 +155,7 @@ pub fn compare(
             current: c.value,
             regression,
             tol: b.tol,
-            failed: regression > b.tol,
+            failed: regression > b.tol || !c.value.is_finite(),
         });
     }
     for (name, _) in current {
@@ -258,6 +269,43 @@ mod tests {
         assert_eq!(all[0].1.value, 2.0);
         assert_eq!(all[1].1.value, 3.0);
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn an_unparseable_file_is_an_error_and_is_left_as_it_was() {
+        let dir = std::env::temp_dir().join("mf_bench_gate_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("unparseable.json");
+        let path = path.to_str().unwrap();
+        // What a writer that printed a NaN bare used to leave behind.
+        let bad =
+            "{\"metrics\": {\"a\": {\"value\": NaN, \"tol\": 0.1, \"higher_better\": false}}}";
+        std::fs::write(path, bad).unwrap();
+        let err = write_metrics(path, &[("b".into(), m(1.0, 0.1, false))]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(std::fs::read_to_string(path).unwrap(), bad);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn a_non_finite_current_value_fails() {
+        let base = vec![
+            ("lower".to_string(), m(100.0, 0.15, false)),
+            ("higher".to_string(), m(100.0, 0.15, true)),
+        ];
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let cur = vec![
+                ("lower".to_string(), m(v, 0.15, false)),
+                ("higher".to_string(), m(v, 0.15, true)),
+            ];
+            let (rows, _) = compare(&base, &cur);
+            assert!(rows.iter().all(|r| r.failed), "{v}: {rows:?}");
+            // Through the file: written as null, read back as NaN, failed.
+            let cur = parse_metrics(&render_metrics(&cur)).unwrap();
+            assert!(cur.iter().all(|(_, c)| c.value.is_nan()));
+            let (rows, _) = compare(&base, &cur);
+            assert!(rows.iter().all(|r| r.failed), "{v}: {rows:?}");
+        }
     }
 
     #[test]

@@ -30,12 +30,17 @@ pub fn json_out() -> Option<String> {
     std::env::args().skip_while(|a| a != "--json").nth(1)
 }
 
-/// Merge gate metrics into the `--json PATH` file, if one was given.
+/// Merge gate metrics into the `--json PATH` file, if one was given. A
+/// file that cannot be merged into ends the process with exit code 1, so
+/// no metric is lost without the run failing.
 pub fn emit_metrics(metrics: &[(String, gate::Metric)]) {
     let Some(path) = json_out() else { return };
     match gate::write_metrics(&path, metrics) {
         Ok(()) => eprintln!("wrote {} metric(s) to {path}", metrics.len()),
-        Err(e) => eprintln!("failed to write metrics to {path}: {e}"),
+        Err(e) => {
+            eprintln!("failed to write metrics to {path}: {e}");
+            std::process::exit(1);
+        }
     }
 }
 

@@ -22,7 +22,7 @@
 //! the `reqtrace.warm_allocs` bench gate holds it at 0.
 
 use crate::context::TraceContext;
-use mf_telemetry::{Kind, Record, Ring, SpanEvent};
+use mf_telemetry::{JsonWriter, Kind, Record, Ring, SpanEvent};
 use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -384,60 +384,55 @@ pub fn recent(n: usize) -> Vec<RequestTrace> {
     lock_log().ring.iter().rev().take(n).copied().collect()
 }
 
-fn fmt_residual(r: f64) -> String {
-    if r.is_finite() {
-        format!("{r:e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn trace_json(t: &RequestTrace) -> String {
-    let spans: Vec<String> = t.spans[..t.nspans as usize]
-        .iter()
-        .map(|s| {
-            let (phase, start_us, dur_us) = (s.phase.as_str(), s.start_us, s.dur_us);
-            format!("{{\"phase\":\"{phase}\",\"start_us\":{start_us},\"dur_us\":{dur_us}}}")
-        })
-        .collect();
-    let spans = spans.join(",");
+fn write_trace(w: &mut JsonWriter, t: &RequestTrace) {
     let evict = if t.evict_round == u32::MAX {
-        -1i64
+        -1
     } else {
         t.evict_round as i64
     };
-    format!(
-        "{{\"req\":{},\"parent\":{},\"sx\":{},\"sy\":{},\"batch\":{},\"worker\":{},\
-         \"enqueued_us\":{},\"total_us\":{},\"queue_us\":{},\"batch_wait_us\":{},\
-         \"solve_us\":{},\"reply_wait_us\":{},\"serialize_us\":{},\"plan_compile_us\":{},\
-         \"iterations\":{},\"evict_round\":{evict},\"converged\":{},\
-         \"final_residual\":{},\"spans\":[{spans}]}}",
-        t.req,
-        t.parent,
-        t.sx,
-        t.sy,
-        t.batch,
-        t.worker,
-        t.enqueued_us,
-        t.total_us,
-        t.queue_us,
-        t.batch_wait_us,
-        t.solve_us,
-        t.reply_wait_us,
-        t.serialize_us,
-        t.plan_compile_us,
-        t.iterations,
-        t.converged,
-        fmt_residual(t.final_residual),
-    )
+    w.obj(|w| {
+        w.field("req", t.req)
+            .field("parent", t.parent)
+            .field("sx", t.sx)
+            .field("sy", t.sy)
+            .field("batch", t.batch)
+            .field("worker", t.worker)
+            .field("enqueued_us", t.enqueued_us)
+            .field("total_us", t.total_us)
+            .field("queue_us", t.queue_us)
+            .field("batch_wait_us", t.batch_wait_us)
+            .field("solve_us", t.solve_us)
+            .field("reply_wait_us", t.reply_wait_us)
+            .field("serialize_us", t.serialize_us)
+            .field("plan_compile_us", t.plan_compile_us)
+            .field("iterations", t.iterations)
+            .field("evict_round", evict)
+            .field("converged", t.converged)
+            .field("final_residual", t.final_residual);
+        w.key("spans").arr(|w| {
+            for s in &t.spans[..t.nspans as usize] {
+                w.obj(|w| {
+                    w.field("phase", s.phase.as_str())
+                        .field("start_us", s.start_us)
+                        .field("dur_us", s.dur_us);
+                });
+            }
+        });
+    });
 }
 
 /// Render the `GET /requests` body: completion count and the recent
 /// request traces (newest first).
 pub fn render_requests_json(n: usize) -> String {
-    let traces: Vec<String> = recent(n).iter().map(trace_json).collect();
-    let (completed, traces) = (completed(), traces.join(","));
-    format!("{{\"completed\":{completed},\"requests\":[{traces}]}}")
+    let traces = recent(n);
+    JsonWriter::object(|w| {
+        w.field("completed", completed());
+        w.key("requests").arr(|w| {
+            for t in &traces {
+                write_trace(w, t);
+            }
+        });
+    })
 }
 
 fn exemplar_spans(label: &str, e: &Exemplar, out: &mut Vec<SpanEvent>) {
@@ -549,7 +544,8 @@ mod tests {
         let ctx = TraceContext::root();
         let open = RequestTrace::finished(ctx, 1, 1, [0, 1, 2, 3, 4, 5], 7, false, 0.5);
         assert_eq!(open.evict_round, u32::MAX);
-        assert!(trace_json(&open).contains("\"evict_round\":-1"));
+        let body = JsonWriter::array(|w| write_trace(w, &open));
+        assert!(body.contains("\"evict_round\":-1"));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! reservoir and counters ([`report_health`]); health is one atomic
 //! read per probe.
 
+use mf_telemetry::JsonWriter;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// SLO budgets for the serve fleet. Burn rates are observed/budget.
@@ -109,31 +110,26 @@ pub fn ready() -> bool {
     READY.load(Ordering::Relaxed)
 }
 
-fn fmt_burn(b: f64) -> String {
-    if b.is_finite() {
-        format!("{b:.4}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// The `/healthz` probe: healthy while every burn rate is within
-/// budget. Returns `(healthy, body)`.
+/// budget. Returns `(healthy, body)`; burns are rounded to 1e-4.
 pub fn healthz() -> (bool, String) {
     let (p99, err, conv) = burns();
     let healthy = p99 <= 1.0 && err <= 1.0 && conv <= 1.0;
-    let status = if healthy { "ok" } else { "degraded" };
+    let round = |b: f64| (b * 1e4).round() / 1e4;
     let cfg = slo();
-    let body = format!(
-        "{{\"status\":\"{status}\",\"burns\":{{\"p99\":{},\"error\":{},\"convergence\":{}}},\
-         \"budgets\":{{\"p99_ms\":{},\"error_rate\":{},\"conv_fail_rate\":{}}}}}",
-        fmt_burn(p99),
-        fmt_burn(err),
-        fmt_burn(conv),
-        cfg.p99_ms,
-        cfg.error_rate,
-        cfg.conv_fail_rate,
-    );
+    let body = JsonWriter::object(|w| {
+        w.field("status", if healthy { "ok" } else { "degraded" });
+        w.key("burns").obj(|w| {
+            w.field("p99", round(p99))
+                .field("error", round(err))
+                .field("convergence", round(conv));
+        });
+        w.key("budgets").obj(|w| {
+            w.field("p99_ms", cfg.p99_ms)
+                .field("error_rate", cfg.error_rate)
+                .field("conv_fail_rate", cfg.conv_fail_rate);
+        });
+    });
     (healthy, body)
 }
 
@@ -141,7 +137,10 @@ pub fn healthz() -> (bool, String) {
 /// bound and prewarm complete). Returns `(ready, body)`.
 pub fn readyz() -> (bool, String) {
     let r = ready();
-    (r, format!("{{\"ready\":{r}}}"))
+    let body = JsonWriter::object(|w| {
+        w.field("ready", r);
+    });
+    (r, body)
 }
 
 #[cfg(test)]

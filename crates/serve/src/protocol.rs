@@ -21,11 +21,12 @@
 //! before it builds the boundary: an out-of-bounds domain gets its error
 //! line at once, whatever its `bc`.
 //!
-//! Parsing uses `mf-telemetry`'s dependency-free [`JsonValue`]; rendering
-//! is plain `format!`.
+//! Both directions use `mf-telemetry`'s JSON codec: [`JsonValue`] parses
+//! a request line, [`JsonWriter`] renders a reply line. A non-finite
+//! number in a reply (a diverged solve's `mean`) is written as `null`.
 
 use crate::service::{ServeError, SolveRequest, SolveResponse};
-use mf_telemetry::{escape_json, JsonValue};
+use mf_telemetry::{JsonValue, JsonWriter};
 use mf_tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -166,44 +167,39 @@ pub fn to_solve_request(w: &WireRequest, spec: mf_data::SubdomainSpec) -> SolveR
     }
 }
 
-/// Render a success response line (newline included).
+/// Render a success response line (newline included). `latency_ms` is
+/// rounded to the microsecond; `mean` and the grid are exact.
 pub fn render_ok(id: u64, r: &SolveResponse) -> String {
-    let mut s = format!(
-        "{{\"id\":{id},\"status\":\"ok\",\"iterations\":{},\"converged\":{},\"mean\":{:.12e},\"latency_ms\":{:.3}",
-        r.iterations, r.converged, r.mean, r.latency_ms
-    );
-    if let Some(grid) = &r.grid {
-        s.push_str(&format!(
-            ",\"ny\":{},\"nx\":{},\"grid\":[",
-            grid.rows(),
-            grid.cols()
-        ));
-        for (i, v) in grid.as_slice().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{v:.17e}"));
+    JsonWriter::object(|w| {
+        w.field("id", id)
+            .field("status", "ok")
+            .field("iterations", r.iterations)
+            .field("converged", r.converged)
+            .field("mean", r.mean)
+            .field("latency_ms", (r.latency_ms * 1e3).round() / 1e3);
+        if let Some(grid) = &r.grid {
+            w.field("ny", grid.rows()).field("nx", grid.cols());
+            w.key("grid").arr(|w| {
+                for &v in grid.as_slice() {
+                    w.val(v);
+                }
+            });
         }
-        s.push(']');
-    }
-    s.push_str("}\n");
-    s
+    }) + "\n"
 }
 
 /// Render an error/busy response line (newline included).
 pub fn render_err(id: u64, e: &ServeError) -> String {
-    match e {
-        ServeError::Busy { retry_after_ms } => {
-            format!("{{\"id\":{id},\"status\":\"busy\",\"retry_after_ms\":{retry_after_ms}}}\n")
-        }
-        ServeError::BadRequest(m) => format!(
-            "{{\"id\":{id},\"status\":\"error\",\"message\":\"{}\"}}\n",
-            escape_json(m)
-        ),
-        ServeError::Shutdown => {
-            format!("{{\"id\":{id},\"status\":\"error\",\"message\":\"shutting down\"}}\n")
-        }
-    }
+    JsonWriter::object(|w| {
+        w.field("id", id);
+        match e {
+            ServeError::Busy { retry_after_ms } => w
+                .field("status", "busy")
+                .field("retry_after_ms", *retry_after_ms),
+            ServeError::BadRequest(m) => w.field("status", "error").field("message", m.as_str()),
+            ServeError::Shutdown => w.field("status", "error").field("message", "shutting down"),
+        };
+    }) + "\n"
 }
 
 #[cfg(test)]

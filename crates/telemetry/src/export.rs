@@ -4,7 +4,7 @@
 //! and the parser that inverts it exactly — used by tests and post-mortem
 //! bundles.
 
-use crate::json::{escape, JsonValue};
+use crate::json::{JsonValue, JsonWriter};
 use crate::sink::{Kind, Record};
 use std::io::{self, Write};
 
@@ -95,17 +95,13 @@ impl FlowEvent {
     }
 }
 
-fn fmt_args(args: &[(String, f64)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+/// The numeric `args` object of an event.
+fn write_args(w: &mut JsonWriter, args: &[(String, f64)]) {
+    w.key("args").obj(|w| {
+        for (k, v) in args {
+            w.field(k, *v);
         }
-        let v = if v.is_finite() { *v } else { 0.0 };
-        out.push_str(&format!("\"{}\":{}", escape(k), v));
-    }
-    out.push('}');
-    out
+    });
 }
 
 /// Take every collected span and flow event ([`crate::drain_spans`],
@@ -147,44 +143,39 @@ pub fn write_chrome_trace_with_flows<W: Write>(
     flows: &[FlowEvent],
     w: &mut W,
 ) -> io::Result<()> {
-    let total = events.len() + flows.len();
-    writeln!(w, "[")?;
-    let mut written = 0usize;
-    for e in events {
-        written += 1;
-        let sep = if written == total { "" } else { "," };
-        writeln!(
-            w,
-            "{{\"name\":\"{}\",\"cat\":\"mf\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"depth\":{},\"args\":{}}}{sep}",
-            escape(&e.name),
-            e.start_us,
-            e.dur_us,
-            e.rank,
-            e.depth,
-            fmt_args(&e.args)
-        )?;
-    }
-    for f in flows {
-        written += 1;
-        let sep = if written == total { "" } else { "," };
-        let phase = match f.phase {
-            FlowPhase::Start => "\"ph\":\"s\"",
-            FlowPhase::Finish => "\"ph\":\"f\",\"bp\":\"e\"",
-        };
-        // The id is a string: packed flow ids use all 64 bits and would
-        // lose precision as a JSON double.
-        writeln!(
-            w,
-            "{{\"name\":\"{}\",\"cat\":\"mf.flow\",{phase},\"id\":\"{}\",\"ts\":{},\"pid\":0,\"tid\":{},\"args\":{}}}{sep}",
-            escape(&f.name),
-            f.id,
-            f.ts_us,
-            f.rank,
-            fmt_args(&f.args)
-        )?;
-    }
-    writeln!(w, "]")?;
-    Ok(())
+    let doc = JsonWriter::array(|doc| {
+        for e in events {
+            doc.obj(|o| {
+                o.field("name", e.name.as_str())
+                    .field("cat", "mf")
+                    .field("ph", "X")
+                    .field("ts", e.start_us)
+                    .field("dur", e.dur_us)
+                    .field("pid", 0u32)
+                    .field("tid", e.rank)
+                    .field("depth", e.depth);
+                write_args(o, &e.args);
+            });
+        }
+        for f in flows {
+            doc.obj(|o| {
+                o.field("name", f.name.as_str()).field("cat", "mf.flow");
+                match f.phase {
+                    FlowPhase::Start => o.field("ph", "s"),
+                    FlowPhase::Finish => o.field("ph", "f").field("bp", "e"),
+                };
+                // The id is a string: packed flow ids use all 64 bits and
+                // would lose precision as a JSON double.
+                o.field("id", f.id.to_string().as_str())
+                    .field("ts", f.ts_us)
+                    .field("pid", 0u32)
+                    .field("tid", f.rank);
+                write_args(o, &f.args);
+            });
+        }
+    });
+    w.write_all(doc.as_bytes())?;
+    writeln!(w)
 }
 
 fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
@@ -194,7 +185,8 @@ fn field_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing numeric field {key:?}"))
 }
 
-/// The `name` and numeric `args` members every event object carries.
+/// The `name` and numeric `args` members every event object carries. A
+/// `null` arg is a non-finite value, read back as NaN.
 fn name_and_args(v: &JsonValue) -> Result<(String, Vec<(String, f64)>), String> {
     let name = v
         .get("name")
@@ -204,10 +196,12 @@ fn name_and_args(v: &JsonValue) -> Result<(String, Vec<(String, f64)>), String> 
     let args = match v.get("args") {
         Some(JsonValue::Obj(members)) => members
             .iter()
-            .map(|(k, val)| {
-                val.as_f64()
+            .map(|(k, val)| match val {
+                JsonValue::Null => Ok((k.clone(), f64::NAN)),
+                _ => val
+                    .as_f64()
                     .map(|f| (k.clone(), f))
-                    .ok_or_else(|| format!("non-numeric arg {k:?}"))
+                    .ok_or_else(|| format!("non-numeric arg {k:?}")),
             })
             .collect::<Result<Vec<_>, _>>()?,
         _ => Vec::new(),
@@ -229,16 +223,13 @@ fn event_from_json(v: &JsonValue) -> Result<SpanEvent, String> {
 
 fn flow_from_json(v: &JsonValue, phase: FlowPhase) -> Result<FlowEvent, String> {
     let (name, args) = name_and_args(v)?;
-    let id = match v.get("id") {
-        Some(JsonValue::Str(s)) => s
-            .parse::<u64>()
-            .map_err(|e| format!("flow event {name}: bad id: {e}"))?,
-        Some(other) => other
-            .as_f64()
-            .map(|f| f as u64)
-            .ok_or_else(|| format!("flow event {name}: non-numeric id"))?,
-        None => return Err(format!("flow event {name}: missing id")),
-    };
+    // Written as a string: a JSON number is read as an f64, which does not
+    // hold the 64 bits of a packed flow id.
+    let id = v
+        .get("id")
+        .and_then(JsonValue::as_str)
+        .and_then(|s| s.parse::<u64>().ok())
+        .ok_or_else(|| format!("flow event {name}: missing or bad id"))?;
     Ok(FlowEvent {
         name,
         rank: field_u64(v, "tid")? as usize,

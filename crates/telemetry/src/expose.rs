@@ -6,6 +6,7 @@
 //! `GET /metrics` lives in `mf-profile` so this crate stays free of any
 //! I/O concerns.
 
+use crate::json::JsonWriter;
 use crate::metrics::{HistSnapshot, MetricValue, MetricsSnapshot};
 use crate::series::SeriesSnapshot;
 use std::fmt::Write;
@@ -90,43 +91,28 @@ pub fn render_openmetrics(snap: &MetricsSnapshot, series: &[SeriesSnapshot]) -> 
     out
 }
 
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn write_metrics_json(out: &mut String, snap: &MetricsSnapshot) {
-    out.push('{');
-    for (i, (name, val)) in snap.metrics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+fn write_metrics_json(w: &mut JsonWriter, snap: &MetricsSnapshot) {
+    w.obj(|w| {
+        for (name, val) in &snap.metrics {
+            w.key(name);
+            match val {
+                MetricValue::Counter(v) => w.val(*v),
+                MetricValue::Gauge(v) => w.val(*v),
+                MetricValue::Histogram(h) => {
+                    let [p50, p95, p99] = h.percentiles();
+                    w.obj(|w| {
+                        w.field("count", h.count)
+                            .field("sum", h.sum)
+                            .field("min", h.min)
+                            .field("max", h.max)
+                            .field("p50", p50)
+                            .field("p95", p95)
+                            .field("p99", p99);
+                    })
+                }
+            };
         }
-        let _ = write!(out, "\"{}\":", crate::json::escape(name));
-        match val {
-            MetricValue::Counter(v) => {
-                let _ = write!(out, "{v}");
-            }
-            MetricValue::Gauge(v) => out.push_str(&json_num(*v)),
-            MetricValue::Histogram(h) => {
-                let [p50, p95, p99] = h.percentiles();
-                let _ = write!(
-                    out,
-                    "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                    h.count,
-                    json_num(h.sum),
-                    json_num(h.min),
-                    json_num(h.max),
-                    json_num(p50),
-                    json_num(p95),
-                    json_num(p99)
-                );
-            }
-        }
-    }
-    out.push('}');
+    });
 }
 
 /// Render the full scrape state as a JSON document:
@@ -139,55 +125,35 @@ pub fn render_snapshot_json(
     merged: &MetricsSnapshot,
     series: &[SeriesSnapshot],
 ) -> String {
-    let mut out = String::from("{\"ranks\":[");
-    for (i, (rank, snap)) in per_rank.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match rank {
-            Some(r) => {
-                let _ = write!(out, "{{\"rank\":{r},\"metrics\":");
+    JsonWriter::object(|w| {
+        w.key("ranks").arr(|w| {
+            for (rank, snap) in per_rank {
+                w.obj(|w| {
+                    match rank {
+                        Some(r) => w.field("rank", *r),
+                        None => w.field("rank", "main"),
+                    };
+                    write_metrics_json(w.key("metrics"), snap);
+                });
             }
-            None => out.push_str("{\"rank\":\"main\",\"metrics\":"),
-        }
-        write_metrics_json(&mut out, snap);
-        out.push('}');
-    }
-    out.push_str("],\"merged\":");
-    write_metrics_json(&mut out, merged);
-    out.push_str(",\"series\":[");
-    let mut first = true;
-    for s in series {
-        if s.windows.is_empty() {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"rate_per_s\":{},\"windows\":[",
-            crate::json::escape(&s.name),
-            json_num(s.rate_per_sec(10))
-        );
-        for (i, w) in s.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        });
+        write_metrics_json(w.key("merged"), merged);
+        w.key("series").arr(|w| {
+            for s in series.iter().filter(|s| !s.windows.is_empty()) {
+                w.obj(|w| {
+                    w.field("name", s.name.as_str())
+                        .field("rate_per_s", s.rate_per_sec(10));
+                    w.key("windows").arr(|w| {
+                        for win in &s.windows {
+                            w.arr(|w| {
+                                w.val(win.id).val(win.count).val(win.sum).val(win.max);
+                            });
+                        }
+                    });
+                });
             }
-            let _ = write!(
-                out,
-                "[{},{},{},{}]",
-                w.id,
-                w.count,
-                json_num(w.sum),
-                json_num(w.max)
-            );
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+        });
+    })
 }
 
 #[cfg(test)]

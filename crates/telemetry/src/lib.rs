@@ -21,7 +21,9 @@
 //!    ([`render_report`]), a Chrome `trace_event` JSON file
 //!    ([`write_chrome_trace`], [`write_trace_file`]) loadable in
 //!    `chrome://tracing` / Perfetto, and OpenMetrics / JSON exposition
-//!    ([`render_openmetrics`], [`render_snapshot_json`]).
+//!    ([`render_openmetrics`], [`render_snapshot_json`]). Every JSON
+//!    document in the workspace is written by [`JsonWriter`] and read by
+//!    [`JsonValue::parse`], the one codec.
 //! 4. **Structured logging** ([`log!`], [`log_emit`]) — leveled JSONL
 //!    diagnostics on stderr (`MF_LOG=error|warn|info|debug`), tagged with
 //!    the thread's rank and, when set, the request id being handled.
@@ -62,7 +64,7 @@ pub use export::{
     FlowEvent, FlowPhase, SpanEvent,
 };
 pub use expose::{render_openmetrics, render_snapshot_json, sanitize_metric_name};
-pub use json::{escape as escape_json, JsonValue};
+pub use json::{JsonScalar, JsonValue, JsonWriter};
 pub use log::{
     format_log_line, init_log_from_env, log_emit, log_enabled, set_log_level, set_log_off, Level,
 };

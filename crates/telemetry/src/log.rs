@@ -11,8 +11,9 @@
 //!   site is allocation-free.
 //! - **Structure** — every line is a self-contained JSON object:
 //!   `{"ts_us":…,"level":"warn","event":"serve.bind_failed",…}` plus
-//!   caller-supplied `key=value` fields (values are `Display`-formatted
-//!   and JSON-escaped).
+//!   caller-supplied `key=value` fields (values are `Display`-formatted,
+//!   written bare when the text is a JSON number and as a string
+//!   otherwise).
 //! - **Request correlation** — when the current thread is handling a
 //!   traced request (see `mf-reqtrace`), [`crate::set_current_request`] tags
 //!   the thread and every line it logs carries a `"req"` field; the
@@ -20,7 +21,7 @@
 //!
 //! Configure with `MF_LOG=error|warn|info|debug|off` (default `warn`).
 
-use crate::json::escape;
+use crate::json::JsonWriter;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Log severity, ordered: a configured level admits itself and
@@ -92,38 +93,23 @@ pub fn init_log_from_env() {
 /// Render one log line (no trailing newline). Pure so tests can assert
 /// on the exact wire format; [`log_emit`] is this plus the stderr write.
 pub fn format_log_line(level: Level, event: &str, fields: &[(&str, String)]) -> String {
-    let mut s = String::with_capacity(96);
-    s.push_str("{\"ts_us\":");
-    s.push_str(&crate::now_us().to_string());
-    s.push_str(",\"level\":\"");
-    s.push_str(level.as_str());
-    s.push_str("\",\"event\":\"");
-    s.push_str(&escape(event));
-    s.push('"');
-    if let Some(rank) = crate::thread_rank() {
-        s.push_str(",\"rank\":");
-        s.push_str(&rank.to_string());
-    }
-    let req = crate::current_request();
-    if req != 0 {
-        s.push_str(",\"req\":");
-        s.push_str(&req.to_string());
-    }
-    for (k, v) in fields {
-        s.push_str(",\"");
-        s.push_str(&escape(k));
-        s.push_str("\":");
-        // Numbers pass through bare; everything else is a JSON string.
-        if !v.is_empty() && v.parse::<f64>().is_ok() {
-            s.push_str(v);
-        } else {
-            s.push('"');
-            s.push_str(&escape(v));
-            s.push('"');
+    JsonWriter::object(|w| {
+        w.field("ts_us", crate::now_us())
+            .field("level", level.as_str())
+            .field("event", event);
+        if let Some(rank) = crate::thread_rank() {
+            w.field("rank", rank);
         }
-    }
-    s.push('}');
-    s
+        let req = crate::current_request();
+        if req != 0 {
+            w.field("req", req);
+        }
+        // A value that is a JSON number passes through bare; everything
+        // else, `NaN` and `inf` included, is a JSON string.
+        for (k, v) in fields {
+            w.key(k).num_or_str(v);
+        }
+    })
 }
 
 /// Emit one structured line to stderr. Prefer the [`crate::log!`] macro,

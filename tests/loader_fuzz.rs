@@ -1,6 +1,7 @@
 //! Mutation fuzzer over the two file formats the CLI reads: a saved model
 //! (`SdNet::load_from`) and a training checkpoint
-//! (`TrainState::load_from`, which embeds a model).
+//! (`TrainState::load_from`, which embeds a model), and over the JSON
+//! codec, which reads every request line the server gets.
 //!
 //! Every mutant of a small clean file — a truncation at every offset,
 //! every byte XORed with 0xFF, and `u64::MAX` / 2^40 spliced in at every
@@ -9,13 +10,23 @@
 //! and none may hold more than 16× the file size plus 64 KiB of heap at
 //! once while it loads: a count field read from the file is checked
 //! against the bytes left before anything is sized by it.
+//!
+//! The codec fuzz mutates documents the program writes — truncated,
+//! spliced with JSON punctuation, nested deeply, given huge exponents, long
+//! strings and control characters — and parses each on a thread with the
+//! 2 MiB stack a connection thread has: every one must give `Ok` or `Err`,
+//! never a panic or a stack overflow. Values the writer writes must parse
+//! back unchanged.
 
 use mosaic_flow::data::SamplerState;
 use mosaic_flow::nn::{SdNet, SdNetConfig};
 use mosaic_flow::opt::OptimizerState;
+use mosaic_flow::serve::{protocol, ServeError, SolveResponse};
+use mosaic_flow::telemetry::{self as tel, JsonValue, JsonWriter};
 use mosaic_flow::tensor::Tensor;
 use mosaic_flow::train::{EpochLog, TrainState};
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::Cursor;
@@ -212,4 +223,223 @@ fn every_model_and_checkpoint_mutant_is_refused_or_runs() {
         failures.len(),
         failures[..failures.len().min(20)].join("\n")
     );
+}
+
+/// Documents the program writes: a reply line with a grid, an error line,
+/// a Chrome trace with a flow, a `/snapshot` body, a log line, `/healthz`.
+fn written_documents() -> Vec<String> {
+    let resp = SolveResponse {
+        iterations: 4,
+        converged: true,
+        mean: -0.125,
+        grid: Some(Tensor::from_vec(1, 4, vec![1e-300, -0.0, f64::NAN, 2.5])),
+        latency_ms: 1.5,
+    };
+    let span = tel::SpanEvent {
+        name: "mfp.iteration".into(),
+        rank: 1,
+        start_us: 10,
+        dur_us: 4,
+        depth: 1,
+        args: vec![("residual".into(), 1e-7), ("bad".into(), f64::INFINITY)],
+    };
+    let flow = tel::FlowEvent {
+        name: "comm.send".into(),
+        rank: 0,
+        ts_us: 9,
+        id: u64::MAX,
+        phase: tel::FlowPhase::Start,
+        args: vec![("bytes".into(), 64.0)],
+    };
+    let mut trace = Vec::new();
+    tel::write_chrome_trace_with_flows(&[span], &[flow], &mut trace).unwrap();
+    let snap = tel::MetricsSnapshot {
+        metrics: vec![
+            ("c".into(), tel::MetricValue::Counter(3)),
+            ("g".into(), tel::MetricValue::Gauge(0.5)),
+        ],
+    };
+    let fields = [
+        ("msg", "a \"b\" \n\u{1}".to_string()),
+        ("n", "12".to_string()),
+    ];
+    vec![
+        protocol::render_ok(3, &resp),
+        protocol::render_err(4, &ServeError::BadRequest("bad \"line\"\n".into())),
+        String::from_utf8(trace).unwrap(),
+        tel::render_snapshot_json(&[(Some(0), snap.clone())], &snap, &[]),
+        tel::format_log_line(tel::Level::Warn, "fuzz.event", &fields),
+        mosaic_flow::reqtrace::healthz().1,
+    ]
+}
+
+/// Hostile inputs: every truncation and seeded splices of the written
+/// documents, plus deep nesting, huge exponents, long strings and control
+/// characters.
+fn codec_inputs() -> Vec<(String, String)> {
+    const SPLICES: [&str; 24] = [
+        "[",
+        "{",
+        "]",
+        "}",
+        ",",
+        ":",
+        "\"",
+        "\\",
+        "\\u",
+        "\\ud800",
+        "-",
+        ".",
+        "e",
+        "E+",
+        "1e999999999",
+        "-1e-999999999",
+        "NaN",
+        "Infinity",
+        "+1",
+        "00",
+        "\u{0}",
+        "\u{1f}",
+        "\n",
+        "😀",
+    ];
+    let mut rng = ChaCha8Rng::seed_from_u64(38);
+    let mut inputs = Vec::new();
+    for (d, doc) in written_documents().into_iter().enumerate() {
+        let cuts: Vec<usize> = (0..=doc.len())
+            .filter(|&i| doc.is_char_boundary(i))
+            .collect();
+        for &at in &cuts {
+            inputs.push((format!("doc {d} truncated at {at}"), doc[..at].to_string()));
+        }
+        for k in 0..400 {
+            let at = cuts[rng.gen_range(0..cuts.len())];
+            let token = SPLICES[rng.gen_range(0..SPLICES.len())];
+            let mut m = doc.clone();
+            if k % 2 == 0 {
+                m.insert_str(at, token);
+            } else {
+                let end = cuts.iter().copied().find(|&e| e > at).unwrap_or(at);
+                m.replace_range(at..end, token);
+            }
+            inputs.push((format!("doc {d} splice {k}: {token:?} at {at}"), m));
+        }
+        for c in (0u8..0x20).map(char::from) {
+            let mut m = doc.clone();
+            m.insert(doc.find('"').map_or(0, |q| q + 1), c);
+            inputs.push((format!("doc {d} with {c:?} in a string"), m));
+        }
+    }
+    for n in [31, 32, 33, 1_000, 10_000, 100_000] {
+        let open = "[".repeat(n);
+        inputs.push((format!("{n} open ["), open.clone()));
+        inputs.push((format!("{n} nested []"), format!("{open}{}", "]".repeat(n))));
+        let obj = format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        inputs.push((format!("{n} nested objects"), obj));
+    }
+    for (what, text) in [
+        ("huge exponent", "1e99999999999999999999".to_string()),
+        ("tiny exponent", "-0.5e-99999999999999999999".to_string()),
+        ("long integer", "1".repeat(5_000)),
+        ("long fraction", format!("0.{}1", "0".repeat(5_000))),
+        ("long string", format!("\"{}\"", "a".repeat(1 << 20))),
+        (
+            "long escapes",
+            format!("\"{}\"", "\\n\\u00e9".repeat(50_000)),
+        ),
+        ("unterminated string", format!("\"{}", "µ".repeat(100_000))),
+        ("long array", format!("[{}0]", "1e308,".repeat(20_000))),
+    ] {
+        inputs.push((what.to_string(), text));
+    }
+    inputs
+}
+
+#[test]
+fn every_json_mutant_parses_or_is_refused_on_a_connection_stack() {
+    let inputs = codec_inputs();
+    let outcome = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let mut failures = Vec::new();
+            let (mut ok, mut refused) = (0, 0);
+            for (what, text) in &inputs {
+                match catch_unwind(AssertUnwindSafe(|| JsonValue::parse(text))) {
+                    Err(_) => failures.push(format!("{what}: panicked")),
+                    Ok(Ok(_)) => ok += 1,
+                    Ok(Err(_)) => refused += 1,
+                }
+            }
+            (failures, ok, refused)
+        })
+        .unwrap()
+        .join();
+    let (failures, ok, refused) = outcome.expect("the parsing thread survived");
+    assert!(ok > 0 && refused > 0, "{ok} parsed, {refused} refused");
+    assert!(
+        failures.is_empty(),
+        "{} failing inputs, first ones:\n{}",
+        failures.len(),
+        failures[..failures.len().min(20)].join("\n")
+    );
+}
+
+#[test]
+fn values_the_writer_writes_parse_back_unchanged() {
+    let mut rng = ChaCha8Rng::seed_from_u64(38);
+    let mut numbers: Vec<f64> = (0..20_000)
+        .map(|_| f64::from_bits(rng.next_u64()))
+        .collect();
+    numbers.extend([
+        0.0,
+        -0.0,
+        5e-324,
+        f64::MAX,
+        f64::MIN,
+        1e20,
+        f64::NAN,
+        f64::INFINITY,
+    ]);
+    let strings: Vec<String> = (0..2_000)
+        .map(|_| {
+            let len = rng.gen_range(0..40usize);
+            (0..len)
+                .filter_map(|_| match rng.gen_range(0..4u32) {
+                    0 => char::from_u32(rng.next_u32() % 0x20),
+                    1 => Some(['"', '\\', '/', 'u'][rng.gen_range(0..4usize)]),
+                    2 => char::from_u32(rng.next_u32() % 0x11_0000),
+                    _ => char::from_u32(0x20 + rng.next_u32() % 0x5f),
+                })
+                .collect()
+        })
+        .collect();
+    let doc = JsonWriter::object(|w| {
+        w.key("numbers").arr(|w| {
+            for &v in &numbers {
+                w.val(v);
+            }
+        });
+        w.key("strings").obj(|w| {
+            for s in &strings {
+                w.field(s, s.as_str());
+            }
+        });
+    });
+    let doc = JsonValue::parse(&doc).expect("the writer writes JSON");
+    let back = doc.get("numbers").and_then(JsonValue::as_arr).unwrap();
+    assert_eq!(back.len(), numbers.len());
+    for (v, b) in numbers.iter().zip(back) {
+        match b {
+            JsonValue::Num(b) => assert_eq!(b.to_bits(), v.to_bits(), "{v:?}"),
+            JsonValue::Null => assert!(!v.is_finite(), "{v:?} written as null"),
+            other => panic!("{v:?} read back as {other:?}"),
+        }
+    }
+    let Some(JsonValue::Obj(members)) = doc.get("strings") else {
+        panic!("strings is not an object");
+    };
+    assert_eq!(members.len(), strings.len());
+    for ((k, v), s) in members.iter().zip(&strings) {
+        assert_eq!((k, v.as_str()), (s, Some(s.as_str())));
+    }
 }

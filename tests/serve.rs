@@ -110,8 +110,8 @@ fn concurrent_clients_get_bitwise_identical_answers_to_solving_alone() {
 fn tcp_round_trip_returns_the_solo_solution_bitwise() {
     // Submit an explicit boundary walk over TCP with want_grid and
     // compare the wire grid against the direct in-process solve. The
-    // wire format prints f64 with 17 significant digits, which round
-    // trips exactly.
+    // wire format prints each f64 as the shortest text that parses back
+    // to the same bits.
     let svc = Arc::new(service(ServeConfig {
         workers: 2,
         ..Default::default()
@@ -273,6 +273,41 @@ fn an_out_of_bounds_gp_domain_is_refused_before_its_boundary_is_built() {
         Some("ok"),
         "{v:?}"
     );
+}
+
+/// A line of 10 000 `[`s fits under the request-line cap, and a parser
+/// that recursed once per `[` overflowed the connection thread's stack,
+/// which aborts the process. It gets an error line, and the server then
+/// answers a valid request on the same connection.
+#[test]
+fn a_line_of_ten_thousand_brackets_gets_an_error_and_the_server_serves_on() {
+    let svc = Arc::new(service(ServeConfig {
+        workers: 1,
+        ..Default::default()
+    }));
+    let server = TcpServer::bind(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+    let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut exchange = |line: String| {
+        writer.write_all(line.as_bytes()).unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        mosaic_flow::telemetry::JsonValue::parse(reply.trim())
+            .unwrap_or_else(|e| panic!("unparseable reply {reply:?}: {e}"))
+    };
+    let status = |v: &mosaic_flow::telemetry::JsonValue| {
+        v.get("status").and_then(|s| s.as_str()).map(str::to_string)
+    };
+
+    let deep = exchange(format!("{}\n", "[".repeat(10_000)));
+    assert_eq!(status(&deep), Some("error".into()), "{deep:?}");
+    let good = exchange("{\"id\":4,\"domain\":\"1x1\",\"bc\":\"sin\"}\n".into());
+    assert_eq!(status(&good), Some("ok".into()), "{good:?}");
+    assert_eq!(good.get("id").and_then(|x| x.as_f64()), Some(4.0));
 }
 
 #[test]
