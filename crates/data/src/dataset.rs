@@ -1,8 +1,7 @@
-//! Sample generation: GP boundaries solved with multigrid.
+//! Sample generation: GP boundaries mapped to their exact Laplace solutions.
 
 use mf_gp::BoundarySampler;
-use mf_numerics::boundary::grid_with_boundary;
-use mf_numerics::{solve_dirichlet, Poisson};
+use mf_numerics::DirichletMap;
 use mf_tensor::Tensor;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -10,9 +9,9 @@ use rayon::prelude::*;
 
 /// Geometry of the training subdomain.
 ///
-/// The paper trains on a `0.5×0.5` spatial domain at `32×32` resolution;
-/// the defaults here use an odd point count so the multigrid ground-truth
-/// solver can coarsen (`m = 2^k + 1`).
+/// The paper trains on a `0.5×0.5` spatial domain at `32×32` resolution.
+/// Ground truth comes from the exact [`DirichletMap`], which takes any
+/// `m ≥ 3`; the repository's defaults use `m = 9`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SubdomainSpec {
     /// Grid points per side.
@@ -58,8 +57,9 @@ pub struct Dataset {
 
 impl Dataset {
     /// Generate `count` samples: GP boundary curves (Sobol-swept
-    /// hyperparameters, periodic kernel) solved to `1e-9` residual with
-    /// multigrid/SOR. Deterministic in `seed`.
+    /// hyperparameters, periodic kernel), each interior filled with the
+    /// exact discrete Laplace solution `H·ĝ` of [`DirichletMap`].
+    /// Deterministic in `seed`.
     pub fn generate(spec: SubdomainSpec, count: usize, seed: u64) -> Self {
         Self::generate_with(spec, count, seed, (0.3, 0.9), (0.4, 1.2))
     }
@@ -79,21 +79,16 @@ impl Dataset {
             BoundarySampler::new(spec.boundary_len(), lengthscale_range, variance_range, true);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         // Draw sequentially what consumes randomness (the Sobol sweep and
-        // the rng are stateful), then realize each curve and solve it in
+        // the rng are stateful), then realize each curve and map it in
         // parallel: the same bits as a sequential `sample` stream.
         let draws: Vec<_> = (0..count).map(|_| sampler.draw(&mut rng)).collect();
-        let sampler = &sampler;
+        let map = DirichletMap::new(spec.m);
+        let (sampler, map) = (&sampler, &map);
         let samples: Vec<Sample> = draws
             .into_par_iter()
             .map(|(kernel, z)| {
                 let boundary = sampler.realize(&kernel, &z);
-                let guess = grid_with_boundary(spec.m, spec.m, &boundary);
-                let problem = Poisson::laplace(spec.m, spec.m, spec.h());
-                let (solution, stats) = solve_dirichlet(&problem, &guess, 1e-9);
-                assert!(
-                    stats.converged,
-                    "ground-truth solve failed to converge: {stats:?}"
-                );
+                let solution = map.solve(&boundary);
                 Sample { boundary, solution }
             })
             .collect();
@@ -162,8 +157,8 @@ pub(crate) fn stack_boundaries(ds: &Dataset, idx: &[usize]) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_numerics::boundary::extract_boundary;
-    use mf_numerics::residual_norm;
+    use mf_numerics::boundary::{extract_boundary, grid_with_boundary};
+    use mf_numerics::{residual_norm, solve_dirichlet, Poisson};
 
     #[test]
     fn spec_geometry() {
@@ -208,20 +203,42 @@ mod tests {
     }
 
     #[test]
+    fn generated_solutions_are_exact() {
+        // The map's solution leaves a residual at rounding level, where the
+        // multigrid ground truth it replaced stopped at 1e-9, and it is
+        // that multigrid solution to within the solver's tolerance.
+        let spec = SubdomainSpec { m: 9, spatial: 0.5 };
+        let ds = Dataset::generate(spec, 16, 5);
+        let problem = Poisson::laplace(spec.m, spec.m, spec.h());
+        for (i, s) in ds.samples.iter().enumerate() {
+            let residual = residual_norm(&problem, &s.solution);
+            assert!(
+                residual <= 1e-11 * s.solution.norm_linf(),
+                "sample {i}: residual {residual:e}"
+            );
+            let guess = grid_with_boundary(spec.m, spec.m, &s.boundary);
+            let (mg, stats) = solve_dirichlet(&problem, &guess, 1e-9);
+            assert!(stats.converged, "sample {i}: {stats:?}");
+            let gap = s.solution.max_abs_diff(&mg);
+            assert!(gap <= 1e-10, "sample {i}: {gap:e} from solve_dirichlet");
+        }
+    }
+
+    #[test]
     fn parallel_generation_is_bitwise_the_sequential_stream() {
-        // `generate` realizes and solves in parallel what it drew in
-        // order; at every pool width each sample must be the one a
-        // sequential `sample` stream plus `solve_dirichlet` produces.
+        // `generate` realizes and maps in parallel what it drew in order;
+        // at every pool width each sample must be the one a sequential
+        // `sample` stream plus `DirichletMap::solve` produces.
         let spec = SubdomainSpec { m: 9, spatial: 0.5 };
         let (count, seed) = (7, 3);
         let mut sampler = BoundarySampler::new(spec.boundary_len(), (0.3, 0.9), (0.4, 1.2), true);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let map = DirichletMap::new(spec.m);
         let expect: Vec<(Tensor, Tensor)> = (0..count)
             .map(|_| {
                 let boundary = sampler.sample(&mut rng);
-                let guess = grid_with_boundary(spec.m, spec.m, &boundary);
-                let problem = Poisson::laplace(spec.m, spec.m, spec.h());
-                (boundary, solve_dirichlet(&problem, &guess, 1e-9).0)
+                let solution = map.solve(&boundary);
+                (boundary, solution)
             })
             .collect();
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

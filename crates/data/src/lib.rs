@@ -4,8 +4,9 @@
 //!
 //! Pipeline, mirroring the paper: a Sobol sequence sweeps Gaussian-process
 //! kernel hyperparameters → each GP yields one boundary curve → each
-//! boundary value problem is solved with geometric multigrid (our pyAMG
-//! substitute) → the (boundary, solution-grid) pairs form the dataset.
+//! boundary value problem is solved exactly by the subdomain's discrete
+//! Dirichlet map (`mf_numerics::DirichletMap`, our pyAMG substitute) →
+//! the (boundary, solution-grid) pairs form the dataset.
 //!
 //! Training consumes [`Batch`]es holding three tensors per step: the
 //! boundary conditions, *data points* with known solutions (grid points of

@@ -57,27 +57,31 @@ fn mean_diag(a: &Tensor) -> f64 {
     (0..n).map(|i| a.get(i, i)).sum::<f64>() / n as f64
 }
 
+/// Cholesky–Banachiewicz, row by row, each inner product in ascending `k`.
 fn try_factor(a: &Tensor, jitter: f64) -> Result<Tensor, usize> {
     let n = a.rows();
+    let a = a.as_slice();
     let mut l = Tensor::zeros(n, n);
+    let lv = l.as_mut_slice();
     for i in 0..n {
-        for j in 0..=i {
-            let mut s = a.get(i, j);
-            if i == j {
-                s += jitter;
+        let (done, rest) = lv.split_at_mut(i * n);
+        let row_i = &mut rest[..n];
+        for j in 0..i {
+            let row_j = &done[j * n..j * n + j + 1];
+            let mut s = a[i * n + j];
+            for (x, y) in row_i[..j].iter().zip(&row_j[..j]) {
+                s -= x * y;
             }
-            for k in 0..j {
-                s -= l.get(i, k) * l.get(j, k);
-            }
-            if i == j {
-                if s <= 0.0 {
-                    return Err(i);
-                }
-                l.set(i, j, s.sqrt());
-            } else {
-                l.set(i, j, s / l.get(j, j));
-            }
+            row_i[j] = s / row_j[j];
         }
+        let mut s = a[i * n + i] + jitter;
+        for x in &row_i[..i] {
+            s -= x * x;
+        }
+        if s <= 0.0 {
+            return Err(i);
+        }
+        row_i[i] = s.sqrt();
     }
     Ok(l)
 }
@@ -85,6 +89,7 @@ fn try_factor(a: &Tensor, jitter: f64) -> Result<Tensor, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{kernel_matrix, Kernel1d};
 
     #[test]
     fn factors_identity() {
@@ -122,6 +127,74 @@ mod tests {
         let l = cholesky(&a).unwrap();
         let rec = l.matmul(&l.transpose());
         assert!(rec.max_abs_diff(&a) < 1e-4);
+    }
+
+    /// The factor as written with `get`/`set`, the reference the slice
+    /// loops must match bit for bit.
+    fn reference_factor(a: &Tensor, jitter: f64) -> Result<Tensor, usize> {
+        let n = a.rows();
+        let mut l = Tensor::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = a.get(i, j);
+                if i == j {
+                    s += jitter;
+                }
+                for k in 0..j {
+                    s -= l.get(i, k) * l.get(j, k);
+                }
+                if i == j {
+                    if s <= 0.0 {
+                        return Err(i);
+                    }
+                    l.set(i, j, s.sqrt());
+                } else {
+                    l.set(i, j, s / l.get(j, j));
+                }
+            }
+        }
+        Ok(l)
+    }
+
+    /// `cholesky`'s jitter schedule over [`reference_factor`].
+    fn reference_cholesky(a: &Tensor) -> (Tensor, f64) {
+        let base = 1e-10 * mean_diag(a).max(1.0);
+        let mut jitter = 0.0;
+        loop {
+            if let Ok(l) = reference_factor(a, jitter) {
+                return (l, jitter);
+            }
+            jitter = if jitter == 0.0 { base } else { jitter * 10.0 };
+        }
+    }
+
+    #[test]
+    fn factor_is_bitwise_the_get_set_reference() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let pts: Vec<f64> = (0..32).map(|i| i as f64 / 32.0).collect();
+        let m = Tensor::from_fn(6, 6, |r, c| ((r * 6 + c) as f64 * 0.37).sin());
+        let v = Tensor::col_vector(&[1.0, 2.0, 3.0]);
+        let cases = [
+            ("SPD", m.matmul(&m.transpose()).add(&Tensor::eye(6))),
+            ("rank one", v.matmul(&v.transpose())),
+            (
+                "smooth kernel",
+                kernel_matrix(
+                    &Kernel1d::Periodic {
+                        lengthscale: 0.9,
+                        variance: 1.2,
+                    },
+                    &pts,
+                ),
+            ),
+        ];
+        let mut retried = 0;
+        for (name, a) in cases {
+            let (want, jitter) = reference_cholesky(&a);
+            retried += usize::from(jitter > 0.0);
+            assert_eq!(bits(&cholesky(&a).unwrap()), bits(&want), "{name}");
+        }
+        assert!(retried >= 1, "no case needed a jitter retry");
     }
 
     #[test]

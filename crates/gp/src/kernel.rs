@@ -58,14 +58,30 @@ impl Kernel1d {
 }
 
 /// Dense covariance matrix `K[i][j] = k(points[i], points[j])`.
+///
+/// Both kernels see only the lag `s − t`, so [`Kernel1d::eval`] runs once
+/// per distinct lag: a value is kept per index gap `i − j` with the bits of
+/// its lag and reused while the bits match. On a dyadic uniform grid of `n`
+/// points that is `n` evaluations instead of `n(n+1)/2`, with the same
+/// bits; other grids re-evaluate where a gap's lag rounds differently.
 pub fn kernel_matrix(kernel: &Kernel1d, points: &[f64]) -> Tensor {
     let n = points.len();
     let mut k = Tensor::zeros(n, n);
+    let out = k.as_mut_slice();
+    let mut by_gap: Vec<Option<(u64, f64)>> = vec![None; n];
     for i in 0..n {
         for j in 0..=i {
-            let v = kernel.eval(points[i], points[j]);
-            k.set(i, j, v);
-            k.set(j, i, v);
+            let lag = (points[i] - points[j]).to_bits();
+            let v = match by_gap[i - j] {
+                Some((bits, v)) if bits == lag => v,
+                _ => {
+                    let v = kernel.eval(points[i], points[j]);
+                    by_gap[i - j] = Some((lag, v));
+                    v
+                }
+            };
+            out[i * n + j] = v;
+            out[j * n + i] = v;
         }
     }
     k
@@ -108,6 +124,36 @@ mod tests {
             let m = kernel_matrix(&k, &pts);
             assert!(m.allclose(&m.transpose(), 1e-14));
             assert!(cholesky(&m).is_ok(), "kernel {k:?} not PSD");
+        }
+    }
+
+    #[test]
+    fn kernel_matrix_is_bitwise_the_per_pair_eval() {
+        // Both mirrored entries must carry the bits of the per-pair
+        // `eval(pts[i], pts[j])`, j ≤ i, on a dyadic grid (lags repeat
+        // exactly) and on a non-dyadic one (one index gap can round to
+        // several lags).
+        for n in [32, 30] {
+            let pts: Vec<f64> = (0..n).map(|i| i as f64 / n as f64).collect();
+            for k in [
+                Kernel1d::Rbf {
+                    lengthscale: 0.37,
+                    variance: 1.3,
+                },
+                Kernel1d::Periodic {
+                    lengthscale: 0.61,
+                    variance: 0.8,
+                },
+            ] {
+                let m = kernel_matrix(&k, &pts);
+                for i in 0..n {
+                    for j in 0..=i {
+                        let v = k.eval(pts[i], pts[j]).to_bits();
+                        assert_eq!(m.get(j, i).to_bits(), v, "{k:?}, n {n}, ({j}, {i})");
+                        assert_eq!(m.get(i, j).to_bits(), v, "{k:?}, n {n}, ({i}, {j})");
+                    }
+                }
+            }
         }
     }
 

@@ -37,9 +37,9 @@
 //! [`UnbatchedSolver`] adapter around any solver.
 //!
 //! The [`SubdomainSolver`] trait abstracts the subdomain solver: a trained
-//! [`NeuralSolver`] (SDNet) or the numerical [`OracleSolver`] (multigrid),
-//! which isolates the convergence behaviour of the distributed algorithm
-//! from neural-model error.
+//! [`NeuralSolver`] (SDNet) or the numerical [`OracleSolver`] (the exact
+//! discrete Dirichlet map), which isolates the convergence behaviour of the
+//! distributed algorithm from neural-model error.
 
 mod dist;
 mod domain;

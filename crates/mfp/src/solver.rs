@@ -3,8 +3,8 @@
 use mf_data::SubdomainSpec;
 use mf_nn::SdNet;
 use mf_numerics::boundary::grid_with_boundary;
-use mf_numerics::{solve_dirichlet, solve_shifted_sor, Poisson};
-use mf_tensor::Tensor;
+use mf_numerics::{solve_shifted_sor, DirichletMap, Poisson};
+use mf_tensor::{gemm, Layout, Tensor};
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -36,8 +36,7 @@ impl LaunchCounter {
 
 /// Map grid-aligned query points to `(row, col)` grid indices on an
 /// `m×m` subdomain with spacing `h`. Panics when a point is farther than
-/// 1e-9 from a lattice site — the oracle can only sample what the grid
-/// solver computed.
+/// 1e-9 from a lattice site — the oracle can only sample the grid.
 fn grid_aligned_indices(points: &Tensor, h: f64) -> Vec<(usize, usize)> {
     (0..points.rows())
         .map(|k| {
@@ -191,53 +190,32 @@ impl SubdomainSolver for NeuralSolver {
     }
 }
 
-/// Numerical oracle: solves each subdomain with multigrid/SOR and samples
-/// the query points. With this solver the MFP becomes a classical
+/// Numerical oracle: the exact discrete subdomain map, sampled at the
+/// query points. With this solver the MFP becomes a classical
 /// lattice-restricted alternating Schwarz method — the reference for
 /// isolating distributed-algorithm behaviour from model error.
+///
+/// A Laplace batch is one GEMM of the boundaries against the
+/// [`DirichletMap`] rows of the query points (a point on the ring selects
+/// its boundary value). A shifted batch (`σ ≠ 0` or a forcing) solves each
+/// subdomain with SOR to residual `tol`.
 pub struct OracleSolver {
     spec: SubdomainSpec,
     tol: f64,
+    map: DirichletMap,
     counter: LaunchCounter,
 }
 
 impl OracleSolver {
-    /// Oracle for the given geometry, solving to residual `tol`.
+    /// Oracle for the given geometry. `tol` is the residual the shifted
+    /// path solves to; the Laplace path is exact to rounding.
     pub fn new(spec: SubdomainSpec, tol: f64) -> Self {
         Self {
             spec,
             tol,
+            map: DirichletMap::new(spec.m),
             counter: LaunchCounter::default(),
         }
-    }
-
-    /// One launch: for every boundary row, `solve(row index, m×m grid
-    /// holding that boundary)` returns the solved grid, which is sampled at
-    /// the (grid-aligned) query points.
-    fn launch(
-        &self,
-        boundaries: &Tensor,
-        points: &Tensor,
-        solve: impl Fn(usize, &Tensor) -> Tensor + Sync,
-    ) -> Tensor {
-        let m = self.spec.m;
-        let q = points.rows();
-        let idx = grid_aligned_indices(points, self.spec.h());
-        let mut out = Tensor::zeros(boundaries.rows() * q, 1);
-        // Each boundary owns a disjoint q-row block of the output, so the
-        // grid solves run in parallel.
-        out.as_mut_slice()
-            .par_chunks_mut(q)
-            .enumerate()
-            .for_each(|(bi, chunk)| {
-                let bc = Tensor::from_vec(1, boundaries.cols(), boundaries.row(bi).to_vec());
-                let sol = solve(bi, &grid_with_boundary(m, m, &bc));
-                for (k, &(j, i)) in idx.iter().enumerate() {
-                    chunk[k] = sol.get(j, i);
-                }
-            });
-        self.counter.record(boundaries.rows() * q);
-        out
     }
 }
 
@@ -247,12 +225,10 @@ impl SubdomainSolver for OracleSolver {
     }
 
     fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
-        let problem = Poisson::laplace(self.spec.m, self.spec.m, self.spec.h());
-        self.launch(boundaries, points, |_, guess| {
-            let (sol, stats) = solve_dirichlet(&problem, guess, self.tol);
-            debug_assert!(stats.converged, "oracle subdomain solve failed: {stats:?}");
-            sol
-        })
+        let rows = self.map.rows(&grid_aligned_indices(points, self.spec.h()));
+        let out = gemm(boundaries, Layout::Normal, &rows, Layout::Transposed);
+        self.counter.record(out.numel());
+        Tensor::from_vec(out.numel(), 1, out.into_vec())
     }
 
     fn inference_count(&self) -> usize {
@@ -274,16 +250,31 @@ impl SubdomainSolver for OracleSolver {
             return self.solve_batch(boundaries, points);
         }
         let (m, h) = (self.spec.m, self.spec.h());
-        self.launch(boundaries, points, |bi, guess| {
-            let f = match forcings {
-                Some(fr) => Tensor::from_vec(m, m, fr.row(bi).to_vec()),
-                None => Tensor::zeros(m, m),
-            };
-            let problem = Poisson { f, h };
-            let (sol, stats) = solve_shifted_sor(&problem, sigma, guess, 1.5, 50_000, self.tol);
-            debug_assert!(stats.converged, "oracle shifted solve failed: {stats:?}");
-            sol
-        })
+        let q = points.rows();
+        let idx = grid_aligned_indices(points, h);
+        let mut out = Tensor::zeros(boundaries.rows() * q, 1);
+        // Each boundary owns a disjoint q-row block of the output, so the
+        // grid solves run in parallel.
+        out.as_mut_slice()
+            .par_chunks_mut(q)
+            .enumerate()
+            .for_each(|(bi, chunk)| {
+                let bc = Tensor::from_vec(1, boundaries.cols(), boundaries.row(bi).to_vec());
+                let f = match forcings {
+                    Some(fr) => Tensor::from_vec(m, m, fr.row(bi).to_vec()),
+                    None => Tensor::zeros(m, m),
+                };
+                let problem = Poisson { f, h };
+                let guess = grid_with_boundary(m, m, &bc);
+                let (sol, stats) =
+                    solve_shifted_sor(&problem, sigma, &guess, 1.5, 50_000, self.tol);
+                debug_assert!(stats.converged, "oracle shifted solve failed: {stats:?}");
+                for (k, &(j, i)) in idx.iter().enumerate() {
+                    chunk[k] = sol.get(j, i);
+                }
+            });
+        self.counter.record(boundaries.rows() * q);
+        out
     }
 }
 

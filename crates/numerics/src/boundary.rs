@@ -41,6 +41,27 @@ pub fn boundary_coords(ny: usize, nx: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// The position of grid point `(row j, col i)` in the walk of an `ny×nx`
+/// grid, or `None` for an interior point. Panics off the grid.
+pub fn walk_index(ny: usize, nx: usize, j: usize, i: usize) -> Option<usize> {
+    assert!(
+        j < ny && i < nx,
+        "walk_index: ({j}, {i}) is off the {ny}x{nx} grid"
+    );
+    let (top, right) = (ny - 1, nx - 1);
+    if j == 0 {
+        Some(i)
+    } else if i == right {
+        Some(right + j)
+    } else if j == top {
+        Some(right + top + (right - i))
+    } else if i == 0 {
+        Some(2 * right + top + (top - j))
+    } else {
+        None
+    }
+}
+
 /// Arc-length parameters `t ∈ [0, 1)` of the walk points, proportional to
 /// physical distance along the perimeter. Used to evaluate boundary
 /// functions such as the paper's `ĝ(t) = sin(2πt)` (Fig. 7).
@@ -122,6 +143,19 @@ mod tests {
                 (1, 0), // left (top to bottom)
             ]
         );
+    }
+
+    #[test]
+    fn walk_index_inverts_the_walk() {
+        for (ny, nx) in [(3, 3), (5, 7), (6, 4), (9, 9)] {
+            let coords = boundary_coords(ny, nx);
+            for j in 0..ny {
+                for i in 0..nx {
+                    let k = coords.iter().position(|&p| p == (j, i));
+                    assert_eq!(walk_index(ny, nx, j, i), k, "{ny}x{nx} ({j}, {i})");
+                }
+            }
+        }
     }
 
     #[test]

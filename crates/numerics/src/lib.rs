@@ -5,15 +5,20 @@
 //!
 //! The paper (§5.1) generates all ground-truth data by solving Dirichlet
 //! boundary-value problems for the Laplace equation with pyAMG. This crate
-//! plays that role with classical iterative solvers built from scratch:
+//! plays that role from scratch:
 //!
+//! * [`DirichletMap`], the exact subdomain map `u_interior = H·ĝ` of the
+//!   square `m×m` Laplace grid (the discrete harmonic measure), built from
+//!   the operator's sine eigenbasis: the ground truth of every training
+//!   sample and of the MFP oracle, at any `m ≥ 3`,
 //! * a geometric multigrid V-cycle (full-weighting restriction, bilinear
 //!   prolongation, red-black Gauss–Seidel smoothing) for large grids,
 //! * pointwise relaxation: red-black Gauss–Seidel, and one SOR for the
 //!   shifted operator `σu − Δu = f` — the time-dependent extension, and
 //!   at `σ = 0` the Laplace/Poisson fallback,
 //! * [`solve_dirichlet`] which picks multigrid when the grid supports
-//!   coarsening and falls back to SOR otherwise.
+//!   coarsening and falls back to SOR otherwise: the large-domain
+//!   reference and the MFP coarse seed.
 //!
 //! That is the whole family: every solver here is on a path from data
 //! generation, ground truth, the MFP oracle or the multigrid smoother.
@@ -25,12 +30,14 @@
 
 mod analytic;
 pub mod boundary;
+mod dirichlet_map;
 mod multigrid;
 mod relax;
 #[cfg(test)]
 mod solver_proptests;
 
 pub use analytic::{eval_on_grid, harmonic_polynomial, harmonic_sin_sinh, HarmonicFn};
+pub use dirichlet_map::DirichletMap;
 pub use multigrid::{can_coarsen, solve_multigrid};
 pub use relax::{residual_norm, solve_shifted_sor, sor_optimal_omega};
 
