@@ -74,6 +74,57 @@ mod cache;
 
 pub use cache::{PlanCache, PointsKey, WorkspacePool};
 
+/// Which of a plan's `q` shared points each boundary of a launch takes.
+///
+/// A launch's output keeps the `[B·q, 1]` shape either way: boundary `b`'s
+/// points fill the head of its `q`-row block, in the order listed, and the
+/// rows after them are left as they were.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Subset<'a> {
+    /// Every boundary takes all `q` points, in order.
+    #[default]
+    All,
+    /// Boundary `b` takes the ascending point indices
+    /// `sets[b % sets.len()]`, so a launch that stacks the same windows
+    /// for several requests names each window's points once.
+    Cycle(&'a [Vec<usize>]),
+}
+
+impl<'a> Subset<'a> {
+    /// The points boundary `b` takes; `None` for all of them.
+    pub fn of(&self, b: usize) -> Option<&'a [usize]> {
+        match self {
+            Subset::All => None,
+            Subset::Cycle(sets) => Some(&sets[b % sets.len()]),
+        }
+    }
+
+    /// How many of its `q` points boundary `b` takes.
+    pub fn count(&self, b: usize, q: usize) -> usize {
+        self.of(b).map_or(q, <[usize]>::len)
+    }
+
+    /// Points a launch of boundaries `range` takes in all.
+    pub fn total(&self, range: std::ops::Range<usize>, q: usize) -> usize {
+        range.map(|b| self.count(b, q)).sum()
+    }
+
+    /// Turn `out`, all `q` points of each boundary, into the subset's
+    /// layout: each boundary's taken points moved, in order, to the head
+    /// of its block. What a solver that computes every point does.
+    pub fn compact(&self, out: &mut [f64], q: usize) {
+        if let Subset::Cycle(_) = self {
+            for (b, block) in out.chunks_exact_mut(q).enumerate() {
+                for (i, &p) in self.of(b).into_iter().flatten().enumerate() {
+                    // Ascending indices: `p ≥ i` is still unmoved.
+                    debug_assert!(p >= i && p < q, "subset indices must ascend below q");
+                    block[i] = block[p];
+                }
+            }
+        }
+    }
+}
+
 /// One lowered instruction of a compiled plan. Each step reads `src`, the
 /// register the step before it wrote, and writes `dst`; `weight` indexes
 /// the plan's packed weight matrices, `bias` and `cached` its constant
@@ -108,11 +159,24 @@ enum Step {
 }
 
 /// Shape of a register: `rows_per_b * B` rows × `cols` columns, so one
-/// plan serves any batch size.
+/// plan serves any batch size. A register from the split on holds one row
+/// per point a boundary takes: `rows_per_b` is `q` there, its most.
 #[derive(Clone, Copy, Debug)]
 struct RegShape {
     rows_per_b: usize,
+    per_point: bool,
     cols: usize,
+}
+
+impl RegShape {
+    /// Rows in a block of `nb` boundaries that take `np` points in all.
+    fn rows(&self, nb: usize, np: usize) -> usize {
+        if self.per_point {
+            np
+        } else {
+            self.rows_per_b * nb
+        }
+    }
 }
 
 /// Blocks a fanned-out launch is cut into per lane. Measured on the
@@ -283,6 +347,8 @@ pub struct InferencePlan {
     weights: Vec<PackedB>,
     boundary_len: usize,
     q: usize,
+    /// `0..q`: the points [`Subset::All`] takes.
+    all_points: Vec<usize>,
     /// GEMM multiply-adds one boundary costs.
     macs_per_boundary: usize,
 }
@@ -323,10 +389,17 @@ impl InferencePlan {
             weights.push(PackedB::new(&w.transpose()));
             weights.len() - 1
         };
-        let push = |steps: &mut Vec<Step>, regs: &mut Vec<RegShape>, step, rows_per_b, cols| {
-            steps.push(step);
-            regs.push(RegShape { rows_per_b, cols });
-        };
+        let push =
+            |steps: &mut Vec<Step>, regs: &mut Vec<RegShape>, step: Step, rows_per_b, cols| {
+                steps.push(step);
+                let per_point = matches!(step, Step::Split { .. })
+                    || regs.last().is_some_and(|r: &RegShape| r.per_point);
+                regs.push(RegShape {
+                    rows_per_b,
+                    per_point,
+                    cols,
+                });
+            };
         let act = cfg.activation.kernel();
 
         // Cached invariant #1: normalized + Fourier-encoded coordinates.
@@ -427,6 +500,7 @@ impl InferencePlan {
             weights,
             boundary_len: l,
             q,
+            all_points: (0..q).collect(),
             macs_per_boundary,
         }
     }
@@ -488,7 +562,9 @@ impl InferencePlan {
                     (x, e)
                 }
                 Step::Unfold { channels, kernel } => {
-                    let RegShape { rows_per_b, cols } = src();
+                    let RegShape {
+                        rows_per_b, cols, ..
+                    } = src();
                     let unfold = |v: &[f64]| {
                         let mut out = vec![0.0; v.len() * kernel];
                         unfold1d_windows(
@@ -555,7 +631,21 @@ impl InferencePlan {
     /// Execute the plan on a `[B, L]` boundary batch, writing the
     /// `[B·q, 1]` predictions into `out`: the boundaries are rounded to
     /// `f32` on the way in and the predictions widened on the way out.
-    /// Allocation-free once `ws` is warm.
+    /// Allocation-free once `ws` is warm. The [`Subset::All`] case of
+    /// [`InferencePlan::execute_subset_into`].
+    ///
+    /// # Panics
+    /// On boundary/output shape mismatch.
+    pub fn execute_into(&self, ws: &mut Workspace, boundaries: &Tensor, out: &mut Tensor) {
+        self.execute_subset_into(ws, boundaries, Subset::All, out);
+    }
+
+    /// Execute the plan on a `[B, L]` boundary batch for only the points
+    /// `subset` gives each boundary, into the subset's layout of the
+    /// `[B·q, 1]` `out`. Only the taken points are evaluated: the split
+    /// expands each boundary to its taken rows, every later step runs on
+    /// those, and the store writes them to the head of their boundary's
+    /// block. A row's value is the same whatever subset it is taken in.
     ///
     /// A launch with enough work is cut into blocks of whole boundaries —
     /// two per lane the calling thread may use — and the
@@ -567,8 +657,14 @@ impl InferencePlan {
     /// partition and every pool width.
     ///
     /// # Panics
-    /// On boundary/output shape mismatch.
-    pub fn execute_into(&self, ws: &mut Workspace, boundaries: &Tensor, out: &mut Tensor) {
+    /// On boundary/output shape mismatch, or a point index not below `q`.
+    pub fn execute_subset_into(
+        &self,
+        ws: &mut Workspace,
+        boundaries: &Tensor,
+        subset: Subset<'_>,
+        out: &mut Tensor,
+    ) {
         let b = boundaries.rows();
         assert_eq!(
             boundaries.cols(),
@@ -590,7 +686,13 @@ impl InferencePlan {
         mf_profile::zone!("plan_launch");
         let t0 = Instant::now();
         let blocks = self.launch_blocks(b);
-        self.execute_blocks(ws, boundaries, out.as_mut_slice(), b.div_ceil(blocks));
+        self.execute_blocks(
+            ws,
+            boundaries,
+            subset,
+            out.as_mut_slice(),
+            b.div_ceil(blocks),
+        );
 
         // Registry lookups lock a process-wide mutex; resolve the handles
         // once instead of on every launch.
@@ -608,8 +710,13 @@ impl InferencePlan {
         if dt > 0.0 {
             PTS_PER_S
                 .get_or_init(|| mf_telemetry::gauge("infer.pts_per_s"))
-                .set((b * self.q) as f64 / dt);
+                .set(subset.total(0..b, self.q) as f64 / dt);
         }
+    }
+
+    /// The point indices boundary `b` of a launch takes.
+    fn points_of<'s>(&'s self, subset: Subset<'s>, b: usize) -> &'s [usize] {
+        subset.of(b).unwrap_or(&self.all_points)
     }
 
     /// Blocks [`InferencePlan::execute_into`] cuts a launch of `b ≥ 1`
@@ -642,6 +749,7 @@ impl InferencePlan {
         &self,
         ws: &mut Workspace,
         boundaries: &Tensor,
+        subset: Subset<'_>,
         out: &mut [f64],
         block: usize,
     ) {
@@ -650,7 +758,7 @@ impl InferencePlan {
             let lane = ws.lanes[0]
                 .get_mut()
                 .expect("a plan block panicked on this lane");
-            return self.run_block(lane, block, boundaries.as_slice(), out);
+            return self.run_block(lane, block, (boundaries.as_slice(), 0), subset, out);
         }
         // Lanes that can take part: the caller's (0) and the workers its
         // budget lets join (`par::lane() < par::lanes()` inside the call).
@@ -665,7 +773,7 @@ impl InferencePlan {
                 let mut lane = lanes[par::lane()]
                     .lock()
                     .expect("a plan block panicked on this lane");
-                self.run_block(&mut lane, block, rows, out_block);
+                self.run_block(&mut lane, block, (rows, bi * block), subset, out_block);
                 // A worker lane has no loop of its own to publish its
                 // kernel zones from: it does so before the block counts as
                 // done, so they are visible when the launch returns.
@@ -677,13 +785,22 @@ impl InferencePlan {
     }
 
     /// The step program over one block: `boundaries` is `[nb, L]` packed,
-    /// `out` its `[nb·q]` predictions, `nb ≤ block`. The lane's registers
-    /// grow to fit a whole block of `block` boundaries, not only this one,
-    /// so a lane that runs the short last block of a launch fits every
-    /// full block of it as well. Each step writes the register the step
-    /// before it did not, cut to the step's exact length.
-    fn run_block(&self, lane: &mut Lane, block: usize, boundaries: &[f64], out: &mut [f64]) {
+    /// launch boundaries `b0..b0 + nb` (`nb ≤ block`), and `out` their
+    /// `[nb·q]` block of the launch's output. The lane's registers grow to
+    /// fit a whole block of `block` boundaries taking every point, not
+    /// only this one, so a lane that runs the short last block of a launch
+    /// fits every full block of it as well. Each step writes the register
+    /// the step before it did not, cut to the step's exact length.
+    fn run_block(
+        &self,
+        lane: &mut Lane,
+        block: usize,
+        (boundaries, b0): (&[f64], usize),
+        subset: Subset<'_>,
+        out: &mut [f64],
+    ) {
         let nb = boundaries.len() / self.boundary_len;
+        let np = subset.total(b0..b0 + nb, self.q);
         let misses = lane.fit(self.widest * block);
         if lane.warmed {
             lane.warm_allocs += misses;
@@ -701,7 +818,7 @@ impl InferencePlan {
         // Length of what the previous step wrote into `src`.
         let mut len = 0;
         for (i, step) in self.steps.iter().enumerate() {
-            let dst_len = self.regs.get(i).map_or(0, |r| r.rows_per_b * nb * r.cols);
+            let dst_len = self.regs.get(i).map_or(0, |r| r.rows(nb, np) * r.cols);
             let (s, d) = (&src[..len], &mut dst[..dst_len]);
             match *step {
                 Step::Load => {
@@ -711,8 +828,9 @@ impl InferencePlan {
                 }
                 Step::Unfold { channels, kernel } => {
                     mf_profile::zone!("unfold");
-                    let RegShape { rows_per_b, cols } = self.regs[i - 1];
-                    unfold1d_windows(s, rows_per_b * nb, cols / channels, channels, kernel, d);
+                    let src = self.regs[i - 1];
+                    let (rows, cols) = (src.rows(nb, np), src.cols);
+                    unfold1d_windows(s, rows, cols / channels, channels, kernel, d);
                 }
                 Step::Layer { weight, bias, act } => {
                     mf_profile::zone!("layer");
@@ -730,21 +848,32 @@ impl InferencePlan {
                     let bias = &self.consts[bias];
                     let d0 = bias.len();
                     let be = backend();
-                    // One boundary's q rows at a time: summed, biased and
-                    // activated while they are in L1.
-                    for (g, o) in s.chunks_exact(d0).zip(d.chunks_exact_mut(hx.len())) {
-                        for (orow, xrow) in o.chunks_exact_mut(d0).zip(hx.chunks_exact(d0)) {
+                    // One boundary's taken rows at a time: summed, biased
+                    // and activated while they are in L1.
+                    let mut rest = d;
+                    for (bi, g) in s.chunks_exact(d0).enumerate() {
+                        let points = self.points_of(subset, b0 + bi);
+                        let (o, tail) = rest.split_at_mut(points.len() * d0);
+                        for (orow, &p) in o.chunks_exact_mut(d0).zip(points) {
+                            let xrow = &hx[p * d0..][..d0];
                             for (((ov, &x), &gg), &b) in orow.iter_mut().zip(xrow).zip(g).zip(bias)
                             {
                                 *ov = (x + gg) + b;
                             }
                         }
                         be.activate_f32(act, o);
+                        rest = tail;
                     }
                 }
                 Step::Store => {
-                    for (o, &v) in out.iter_mut().zip(s) {
-                        *o = v as f64;
+                    // Packed rows out, each boundary's to the head of its
+                    // `q`-row block.
+                    let mut rows = s.iter();
+                    for (bi, o) in out.chunks_exact_mut(self.q).enumerate() {
+                        let n = subset.count(b0 + bi, self.q);
+                        for (o, &v) in o[..n].iter_mut().zip(&mut rows) {
+                            *o = v as f64;
+                        }
                     }
                 }
             }
@@ -1052,11 +1181,50 @@ mod tests {
             let mut got = Tensor::zeros(b * 7, 1);
             par::with_pool_width(width, || {
                 let mut ws = Workspace::new();
-                plan.execute_blocks(&mut ws, &bounds, got.as_mut_slice(), block);
+                plan.execute_blocks(&mut ws, &bounds, Subset::All, got.as_mut_slice(), block);
             });
             assert_bitwise(&whole, &got);
             let want = net.predict(&bounds, &tiled(&pts, b), 7);
             assert_within_bound(&plan, &bounds, &want, &got);
+        }
+
+        /// A boundary's row for a point is the same bits whichever subset
+        /// of the points it takes and whichever block it runs in: a
+        /// subset launch is the full launch, compacted.
+        #[test]
+        fn a_subset_launch_is_the_full_launch_compacted(
+            b in 1usize..24,
+            block in 1usize..24,
+            width in 1usize..4,
+            sets in 1usize..5,
+            seed in 0u64..1000,
+        ) {
+            let mut cfg = SdNetConfig::small(16);
+            cfg.conv_channels = vec![2];
+            cfg.hidden = vec![12, 12];
+            let (net, bounds, pts) = random_case(cfg, seed, b, 7);
+            let plan = InferencePlan::compile(&net, &pts);
+            // Random ascending point sets, the empty and the full one
+            // among the candidates.
+            let mut rng = ChaCha8Rng::seed_from_u64(seed + 2);
+            let sets: Vec<Vec<usize>> = (0..sets)
+                .map(|_| (0..7).filter(|_| rng.gen_bool(0.6)).collect())
+                .collect();
+            let subset = Subset::Cycle(&sets);
+            let mut want = par::with_pool_width(1, || plan.execute(&mut Workspace::new(), &bounds));
+            subset.compact(want.as_mut_slice(), 7);
+            let mut got = Tensor::zeros(b * 7, 1);
+            par::with_pool_width(width, || {
+                let mut ws = Workspace::new();
+                plan.execute_blocks(&mut ws, &bounds, subset, got.as_mut_slice(), block);
+            });
+            for (bi, (w, g)) in want.as_slice().chunks_exact(7).zip(got.as_slice().chunks_exact(7)).enumerate() {
+                let n = subset.count(bi, 7);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                proptest::prop_assert_eq!(bits(&w[..n]), bits(&g[..n]), "boundary {}", bi);
+                // The rows no point was taken for are left as they were.
+                proptest::prop_assert!(g[n..].iter().all(|&x| x == 0.0));
+            }
         }
     }
 

@@ -22,7 +22,7 @@
 //! posted, which the shipping schedule must match bit for bit.
 
 use crate::domain::{DomainSpec, Subdomain};
-use crate::engine::{sweep_groups_in, MaeTarget, Region, StopRule, SweepEngine};
+use crate::engine::{sweep_lists_in, MaeTarget, Region, StopRule, SweepEngine, SweepList};
 use crate::seq::Mfp;
 use crate::solver::SubdomainSolver;
 use mf_dist::thread_cpu_time;
@@ -251,9 +251,9 @@ fn regions_overlap(a: &Region, b: &Region) -> bool {
 /// identical (see DESIGN.md "Overlapped halo exchange").
 fn split_sweep_groups(
     domain: &DomainSpec,
-    groups: &[Vec<Subdomain>; 4],
+    groups: &[SweepList; 4],
     halo_regions: &[Region],
-) -> ([Vec<Subdomain>; 4], [Vec<Subdomain>; 4]) {
+) -> ([SweepList; 4], [SweepList; 4]) {
     let m = domain.sub.m;
     let s = domain.shift();
     let window = |sd: &Subdomain| -> Region { (sd.oy..sd.oy + m, sd.ox..sd.ox + m) };
@@ -275,8 +275,10 @@ fn split_sweep_groups(
     // Seed: any window rectangle that intersects an incoming halo
     // region. That covers both its perimeter reads and (since crosses
     // live inside the window) its writes racing the unpack.
+    let groups = groups.each_ref();
+    let subs: [&Vec<Subdomain>; 4] = groups.map(|g| &g.subs);
     let mut tainted: [Vec<bool>; 4] = std::array::from_fn(|g| {
-        groups[g]
+        subs[g]
             .iter()
             .map(|sd| halo_regions.iter().any(|h| regions_overlap(h, &window(sd))))
             .collect()
@@ -293,11 +295,11 @@ fn split_sweep_groups(
         let mut changed = false;
         for gi in 0..3 {
             for gj in gi + 1..4 {
-                for (ai, a) in groups[gi].iter().enumerate() {
+                for (ai, a) in subs[gi].iter().enumerate() {
                     if !tainted[gi][ai] {
                         continue;
                     }
-                    for (ci, c) in groups[gj].iter().enumerate() {
+                    for (ci, c) in subs[gj].iter().enumerate() {
                         if !tainted[gj][ci] && conflicts(a, c) {
                             tainted[gj][ci] = true;
                             changed = true;
@@ -310,16 +312,10 @@ fn split_sweep_groups(
             break;
         }
     }
-    let mut interior: [Vec<Subdomain>; 4] = Default::default();
-    let mut boundary: [Vec<Subdomain>; 4] = Default::default();
+    let mut interior: [SweepList; 4] = Default::default();
+    let mut boundary: [SweepList; 4] = Default::default();
     for g in 0..4 {
-        for (i, &sd) in groups[g].iter().enumerate() {
-            if tainted[g][i] {
-                boundary[g].push(sd);
-            } else {
-                interior[g].push(sd);
-            }
-        }
+        [interior[g], boundary[g]] = groups[g].partition(|i| tainted[g][i]);
     }
     (interior, boundary)
 }
@@ -344,8 +340,8 @@ pub(crate) struct Peers<'a> {
     /// The rank's block of the global grid: the region its engine owns.
     pub(crate) owned: Region,
     /// Geometric interior/boundary split of the owned sweep groups.
-    interior_groups: [Vec<Subdomain>; 4],
-    boundary_groups: [Vec<Subdomain>; 4],
+    interior_groups: [SweepList; 4],
+    boundary_groups: [SweepList; 4],
 
     /// Per-direction halo geometry, fixed for the whole run: the lattice
     /// cells (flat grid indices) of the bands we send and of the
@@ -411,7 +407,7 @@ impl<'a> Peers<'a> {
             .map(|&(dir, nbr)| part.band(nbr, dir.opposite()))
             .collect();
         let (interior_groups, boundary_groups) =
-            split_sweep_groups(domain, &sweep_groups_in(domain, &owned), &halo_regions);
+            split_sweep_groups(domain, &sweep_lists_in(domain, &owned), &halo_regions);
         Self {
             owned,
             interior_groups,
@@ -469,10 +465,10 @@ impl<'a> Peers<'a> {
         engine: &SweepEngine<'_, S>,
         u: &mut Tensor,
     ) {
-        let pass = |groups: &[Vec<Subdomain>], u: &mut Tensor| {
+        let pass = |groups: &[SweepList], u: &mut Tensor| {
             cpu_seconds(|| {
                 for group in groups {
-                    engine.sweep_grid(group, &engine.cross, u);
+                    engine.sweep_grid(group, u);
                 }
             })
         };
@@ -669,8 +665,7 @@ impl<'a> Peers<'a> {
             mf_telemetry::publish_thread();
         }
         self.halo = self.comm.stats();
-        self.compute_seconds +=
-            cpu_seconds(|| engine.sweep_grid(&engine.atoms, &engine.interior, u));
+        self.compute_seconds += cpu_seconds(|| engine.fill(std::slice::from_mut(u), &[0]));
 
         let t1 = thread_cpu_time();
         let local = self.part.pack_dense(u, &self.owned);
@@ -686,7 +681,7 @@ impl<'a> Peers<'a> {
 
     /// This rank's measurements of the run.
     fn report(&self) -> RankReport {
-        let count = |groups: &[Vec<Subdomain>]| groups.iter().map(Vec::len).sum::<usize>();
+        let count = |groups: &[SweepList]| groups.iter().map(|g| g.subs.len()).sum::<usize>();
         let interior_subdomains = count(&self.interior_groups);
         RankReport {
             rank: self.comm.rank(),

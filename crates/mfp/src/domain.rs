@@ -350,18 +350,29 @@ impl SweepTables {
         }
     }
 
-    /// Write one window's predictions (`q` values, in the order of
-    /// `points`) into the grid.
+    /// Write one window's predictions into the grid: for the points
+    /// `taken` lists (indices into `points`; all of them when `None`), in
+    /// that order.
     pub(crate) fn scatter(
         &self,
         grid: &mut Tensor,
         sd: Subdomain,
         points: &PointSet,
+        taken: Option<&[usize]>,
         preds: &[f64],
     ) {
         let window = &mut grid.as_mut_slice()[self.origin(sd)..];
-        for (&p, &v) in points.at.iter().zip(preds) {
-            window[p] = v;
+        match taken {
+            None => {
+                for (&p, &v) in points.at.iter().zip(preds) {
+                    window[p] = v;
+                }
+            }
+            Some(taken) => {
+                for (&c, &v) in taken.iter().zip(preds) {
+                    window[points.at[c]] = v;
+                }
+            }
         }
     }
 }
@@ -533,7 +544,7 @@ mod tests {
         let sd = subs[subs.len() / 2];
         let preds: Vec<f64> = (0..cross.len()).map(|k| -1.0 - k as f64).collect();
         let mut got = grid.clone();
-        t.scatter(&mut got, sd, &points, &preds);
+        t.scatter(&mut got, sd, &points, None, &preds);
         let mut want = grid.clone();
         for (&(j, i), &v) in cross.iter().zip(&preds) {
             want.set(sd.oy + j, sd.ox + i, v);

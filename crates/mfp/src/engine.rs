@@ -15,6 +15,8 @@
 
 use crate::domain::{diff_sumsq_at, sumsq_at, DomainSpec, PointSet, Subdomain, SweepTables};
 use crate::solver::SubdomainSolver;
+use mf_infer::Subset;
+use mf_numerics::boundary::boundary_coords;
 use mf_telemetry::{counter, histogram, Buckets, Counter, Histogram};
 use mf_tensor::Tensor;
 use std::cell::RefCell;
@@ -52,6 +54,89 @@ pub(crate) fn sweep_groups_in(domain: &DomainSpec, owned: &Region) -> [Vec<Subdo
     groups
 }
 
+/// Subdomains of one sweep group, each with its **live** center-cross
+/// points: the ones an iteration's sweep must write.
+#[derive(Default)]
+pub(crate) struct SweepList {
+    pub(crate) subs: Vec<Subdomain>,
+    /// `live[i]`: ascending indices into
+    /// [`DomainSpec::center_cross_offsets`] of what `subs[i]` writes.
+    live: Vec<Vec<usize>>,
+}
+
+impl SweepList {
+    /// Split into the subdomains `keep` refuses and those it takes, each
+    /// with its live points.
+    pub(crate) fn partition(&self, keep: impl Fn(usize) -> bool) -> [SweepList; 2] {
+        let mut out: [SweepList; 2] = Default::default();
+        for (i, (&sd, live)) in self.subs.iter().zip(&self.live).enumerate() {
+            let list = &mut out[usize::from(keep(i))];
+            list.subs.push(sd);
+            list.live.push(live.clone());
+        }
+        out
+    }
+}
+
+/// The four sweep groups of [`sweep_groups_in`], each subdomain with its
+/// live center-cross points.
+///
+/// A point of a subdomain's cross is **dead** when a later group of the
+/// same region writes it in its own cross before any subdomain of the
+/// region reads it on a window perimeter: no one could see the value.
+/// It is live when a later group reads it first, or when nothing touches
+/// it again before the iteration ends — the residual, the mixing and the
+/// halo pack read everything then. Within a group no point is both read
+/// and written (windows of a group share at most a seam line, which no
+/// cross reaches), and a launch gathers before it writes. The rule is the
+/// region's own: a cross arm that only a neighbouring rank's subdomain
+/// overwrites stays live. On an 8×8 domain it drops the horizontal arms
+/// of the even-column subdomains that face another subdomain, 21.5 % of
+/// the cross points.
+///
+/// One flat table over the grid, filled in `O(subdomains × (L + q))`,
+/// holds which groups read (bit `g`) and write (bit `4 + g`) each point.
+pub(crate) fn sweep_lists_in(domain: &DomainSpec, owned: &Region) -> [SweepList; 4] {
+    let mut groups = sweep_groups_in(domain, owned);
+    let (m, nx) = (domain.sub.m, domain.nx());
+    let cross = domain.center_cross_offsets();
+    let walk = boundary_coords(m, m);
+    let at = |sd: &Subdomain, (j, i): (usize, usize)| (sd.oy + j) * nx + sd.ox + i;
+    let mut touched = vec![0u8; domain.ny() * nx];
+    for (g, group) in groups.iter().enumerate() {
+        for sd in group {
+            for &p in &walk {
+                touched[at(sd, p)] |= 1 << g;
+            }
+            for &p in &cross {
+                touched[at(sd, p)] |= 16 << g;
+            }
+        }
+    }
+    let live = |g: usize, t: u8| {
+        for h in g + 1..4 {
+            if t & (1 << h) != 0 {
+                return true;
+            }
+            if t & (16 << h) != 0 {
+                return false;
+            }
+        }
+        true
+    };
+    std::array::from_fn(|g| {
+        let subs = std::mem::take(&mut groups[g]);
+        let live = (subs.iter())
+            .map(|sd| {
+                (0..cross.len())
+                    .filter(|&c| live(g, touched[at(sd, cross[c])]))
+                    .collect()
+            })
+            .collect();
+        SweepList { subs, live }
+    })
+}
+
 /// Sweep bookkeeping of one owned region, built once per run (or per
 /// rank) and reused by every iteration.
 pub(crate) struct SweepEngine<'a, S: SubdomainSolver> {
@@ -59,12 +144,14 @@ pub(crate) struct SweepEngine<'a, S: SubdomainSolver> {
     tables: SweepTables,
     sigma: f64,
     forcing: Option<&'a Tensor>,
-    /// The owned subdomains, split into the four sweep groups.
-    pub(crate) groups: [Vec<Subdomain>; 4],
+    /// The owned subdomains, split into the four sweep groups, with
+    /// their live points.
+    pub(crate) groups: [SweepList; 4],
     /// The owned atomic subdomains (an atom belongs to the region holding
     /// its lower-left corner) — the dense fill's sweep list.
     pub(crate) atoms: Vec<Subdomain>,
-    /// Center-cross points: what an iteration sweep predicts.
+    /// Center-cross points: what an iteration sweep predicts (the live
+    /// ones of each subdomain).
     pub(crate) cross: PointSet,
     /// Full window interior: what the final dense fill predicts.
     pub(crate) interior: PointSet,
@@ -88,7 +175,7 @@ impl<'a, S: SubdomainSolver> SweepEngine<'a, S> {
             solver,
             sigma,
             forcing,
-            groups: sweep_groups_in(domain, owned),
+            groups: sweep_lists_in(domain, owned),
             atoms: domain
                 .atomic_subdomains()
                 .into_iter()
@@ -102,21 +189,42 @@ impl<'a, S: SubdomainSolver> SweepEngine<'a, S> {
         }
     }
 
-    /// Sweep `subs` on every grid listed in `active` with immediate
-    /// updates: gather the window boundaries (and forcing windows) into a
-    /// single batched launch — request-major, subdomain-minor rows — and
-    /// write the predictions at `points` back.
+    /// Sweep `list` (a sweep group or part of one) on every grid listed
+    /// in `active` with immediate updates: one launch predicts each
+    /// subdomain's live cross points.
+    pub(crate) fn sweep(&self, list: &SweepList, grids: &mut [Tensor], active: &[usize]) {
+        let subset = Subset::Cycle(&list.live);
+        self.launch(&list.subs, &self.cross, subset, grids, active);
+    }
+
+    /// [`Self::sweep`] for a driver that holds a single grid.
+    pub(crate) fn sweep_grid(&self, list: &SweepList, grid: &mut Tensor) {
+        self.sweep(list, std::slice::from_mut(grid), &[0]);
+    }
+
+    /// The dense fill: predict every interior point of the owned atoms on
+    /// every grid listed in `active`, in one launch.
+    pub(crate) fn fill(&self, grids: &mut [Tensor], active: &[usize]) {
+        self.launch(&self.atoms, &self.interior, Subset::All, grids, active);
+    }
+
+    /// Gather the window boundaries of `subs` (and forcing windows) on
+    /// every grid listed in `active` into a single batched launch —
+    /// request-major, subdomain-minor rows — and write the `subset` of
+    /// `points` each subdomain takes back.
     ///
     /// `subs` must not overlap one another (one sweep group, the atoms, or
     /// any subset of either). Splitting a group over several calls is
     /// exact: same-group subdomains never read one another's cross writes
     /// (their windows share at most the one-cell seam line, which crosses
     /// never touch), and every solver row is independent, so neither the
-    /// split nor the number of grids in the launch changes any value.
-    pub(crate) fn sweep(
+    /// split, the number of grids in the launch nor the points taken
+    /// change any value.
+    fn launch(
         &self,
         subs: &[Subdomain],
         points: &PointSet,
+        subset: Subset<'_>,
         grids: &mut [Tensor],
         active: &[usize],
     ) {
@@ -141,18 +249,18 @@ impl<'a, S: SubdomainSolver> SweepEngine<'a, S> {
                     .collect::<Vec<_>>(),
             )
         });
-        let preds =
-            self.solver
-                .solve_batch_shifted(self.sigma, &boundaries, fw.as_ref(), &points.pts);
+        let preds = self.solver.solve_batch_subset(
+            self.sigma,
+            &boundaries,
+            fw.as_ref(),
+            &points.pts,
+            subset,
+        );
         let q = points.pts.rows();
-        for ((r, sd), p) in rows().zip(preds.as_slice().chunks_exact(q)) {
-            self.tables.scatter(&mut grids[r], sd, points, p);
+        for (k, ((r, sd), p)) in rows().zip(preds.as_slice().chunks_exact(q)).enumerate() {
+            self.tables
+                .scatter(&mut grids[r], sd, points, subset.of(k), p);
         }
-    }
-
-    /// [`Self::sweep`] for a driver that holds a single grid.
-    pub(crate) fn sweep_grid(&self, subs: &[Subdomain], points: &PointSet, grid: &mut Tensor) {
-        self.sweep(subs, points, std::slice::from_mut(grid), &[0]);
     }
 
     /// Local sums of Algorithm 2's relative-change test over the owned
@@ -545,7 +653,7 @@ mod tests {
         assert_eq!(engine.error_sums(&u, &zero), [abs, n]);
         // Two of the three overlapping subdomains are centered in the
         // block (columns 4 and 6), one atom starts in it.
-        assert_eq!(engine.groups.iter().flatten().count(), 2);
+        assert_eq!(engine.groups.iter().map(|g| g.subs.len()).sum::<usize>(), 2);
         assert_eq!(engine.atoms, [Subdomain { ox: 4, oy: 0 }]);
     }
 

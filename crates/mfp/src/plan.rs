@@ -16,11 +16,13 @@ use crate::domain::DomainSpec;
 use crate::engine::{whole_grid, SweepEngine};
 use crate::solver::{LaunchCounter, SubdomainSolver};
 use mf_data::SubdomainSpec;
-use mf_infer::{PlanCache, Workspace, WorkspacePool};
+use mf_infer::{PlanCache, Subset, Workspace, WorkspacePool};
 use mf_nn::SdNet;
 use mf_tensor::{PoolStats, Tensor};
 
-/// SDNet-backed subdomain solver on the graph-free compiled path.
+/// SDNet-backed subdomain solver on the graph-free compiled path. A
+/// [`SubdomainSolver::solve_batch_subset`] launch evaluates only the taken
+/// points.
 ///
 /// It takes and returns `f64` tensors like every solver, so the lattice,
 /// the stop test and Anderson mixing stay `f64`; the network runs in
@@ -103,7 +105,10 @@ impl PlanSolver {
     /// workspaces it checks out.
     pub fn reserve(&self, domain: &DomainSpec, max_requests: usize, workspaces: usize) {
         let engine = SweepEngine::new(self, domain, &whole_grid(domain), 0.0, None);
-        let widest = engine.groups.iter().map(Vec::len).max().unwrap_or(0);
+        let widest = (engine.groups.iter())
+            .map(|g| g.subs.len())
+            .max()
+            .unwrap_or(0);
         let cross = self.plans.get_or_compile(&self.net, &engine.cross.pts);
         let interior = self.plans.get_or_compile(&self.net, &engine.interior.pts);
         let launches = [
@@ -128,6 +133,21 @@ impl SubdomainSolver for PlanSolver {
     }
 
     fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
+        self.solve_batch_subset(0.0, boundaries, None, points, Subset::All)
+    }
+
+    fn solve_batch_subset(
+        &self,
+        sigma: f64,
+        boundaries: &Tensor,
+        forcings: Option<&Tensor>,
+        points: &Tensor,
+        subset: Subset<'_>,
+    ) -> Tensor {
+        assert!(
+            sigma == 0.0 && forcings.is_none(),
+            "this subdomain solver supports only the Laplace equation"
+        );
         let b = boundaries.rows();
         let q = points.rows();
         let plan = self.plans.get_or_compile(&self.net, points);
@@ -135,9 +155,9 @@ impl SubdomainSolver for PlanSolver {
         // groups never contend on one set of registers.
         let mut ws = self.workspaces.checkout();
         let mut out = Tensor::zeros(b * q, 1);
-        plan.execute_into(&mut ws, boundaries, &mut out);
+        plan.execute_subset_into(&mut ws, boundaries, subset, &mut out);
         self.workspaces.checkin(ws);
-        self.counter.record(b * q);
+        self.counter.record(subset.total(0..b, q));
         out
     }
 

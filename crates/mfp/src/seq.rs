@@ -216,7 +216,7 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                 None => {
                     mf_profile::zone!("sweep");
                     for group in &engine.groups {
-                        engine.sweep(group, &engine.cross, &mut grids, &active);
+                        engine.sweep(group, &mut grids, &active);
                     }
                 }
             }
@@ -296,7 +296,7 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
             Some(p) => p.finish(&engine, &mut grids[0], &bcs[0]),
             None => {
                 let all: Vec<usize> = (0..grids.len()).collect();
-                engine.sweep(&engine.atoms, &engine.interior, &mut grids, &all);
+                engine.fill(&mut grids, &all);
             }
         }
         for (res, grid) in results.iter_mut().zip(grids) {
@@ -316,7 +316,7 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     pub fn dense_fill(&self, grid: &mut Tensor) {
         let d = &self.domain;
         let engine = SweepEngine::new(self.solver, d, &whole_grid(d), 0.0, None);
-        engine.sweep_grid(&engine.atoms, &engine.interior, grid);
+        engine.fill(std::slice::from_mut(grid), &[0]);
     }
 }
 

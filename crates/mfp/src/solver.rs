@@ -1,6 +1,7 @@
 //! The subdomain-solver abstraction and its two implementations.
 
 use mf_data::SubdomainSpec;
+use mf_infer::Subset;
 use mf_nn::SdNet;
 use mf_numerics::boundary::grid_with_boundary;
 use mf_numerics::{solve_shifted_sor, DirichletMap, Poisson};
@@ -57,6 +58,9 @@ fn grid_aligned_indices(points: &Tensor, h: f64) -> Vec<(usize, usize)> {
 /// `boundaries` is `[B, 4(m−1)]` (counter-clockwise walks); `points` is a
 /// single `q×2` set of local physical coordinates shared by all `B`
 /// problems. The result is `[B·q, 1]` with rows grouped per boundary.
+/// A launch may also ask for whatever [`Subset`] of its points each
+/// boundary takes ([`SubdomainSolver::solve_batch_subset`]); a row's value
+/// must not depend on the subset it is taken in, nor on the batch.
 pub trait SubdomainSolver: Sync {
     /// Subdomain geometry this solver was built for.
     fn spec(&self) -> SubdomainSpec;
@@ -88,6 +92,26 @@ pub trait SubdomainSolver: Sync {
             "this subdomain solver supports only the Laplace equation"
         );
         self.solve_batch(boundaries, points)
+    }
+
+    /// [`SubdomainSolver::solve_batch_shifted`] for only the points
+    /// `subset` gives each boundary, in the subset's layout of the
+    /// `[B·q, 1]` result: boundary `b`'s taken points fill the head of its
+    /// `q`-row block, in order. The MFP sweeps launch through this, each
+    /// subdomain taking the center-cross points no later sweep group
+    /// overwrites unread. The default computes every point and compacts;
+    /// a solver that can evaluate only the taken rows overrides it.
+    fn solve_batch_subset(
+        &self,
+        sigma: f64,
+        boundaries: &Tensor,
+        forcings: Option<&Tensor>,
+        points: &Tensor,
+        subset: Subset<'_>,
+    ) -> Tensor {
+        let mut out = self.solve_batch_shifted(sigma, boundaries, forcings, points);
+        subset.compact(out.as_mut_slice(), points.rows());
+        out
     }
 }
 
