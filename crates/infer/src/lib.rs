@@ -331,6 +331,37 @@ impl Workspace {
     }
 }
 
+/// The boundary embedding's linear tail — the last conv, which is always
+/// linear (the split == concat algebra needs it), and the split layer's
+/// projection `W_g` — composed into one affine map in `f64`: `(M, c)` with
+/// `M` the `[len·ic, d0]` matrix (the kernels' `[in, out]` layout) and `c`
+/// the conv's bias carried through `W_g`. Without convs it is `W_gᵀ`.
+///
+/// `M`'s rows are the tail applied to the unit signals: the identity,
+/// unfolded, through the conv's filters, then through `W_g`.
+fn fold_embedding(net: &SdNet) -> (Tensor, Option<Tensor>) {
+    let wg = net.params.get(net.split_params().0);
+    let Some(conv) = net.convs().last() else {
+        return (wg.transpose(), None);
+    };
+    let (ic, oc, k) = (conv.in_channels(), conv.out_channels(), conv.kernel());
+    let len = wg.cols() / oc;
+    let width = len * ic;
+    let eye = Tensor::from_fn(width, width, |r, c| if r == c { 1.0 } else { 0.0 });
+    let mut windows = Tensor::zeros(width * len, k * ic);
+    unfold1d_windows(eye.as_slice(), width, len, ic, k, windows.as_mut_slice());
+    let filters = net.params.get(conv.weight());
+    let conv_out = gemm(&windows, Layout::Normal, filters, Layout::Transposed);
+    let conv_out = Tensor::from_vec(width, len * oc, conv_out.into_vec());
+    let folded = gemm(&conv_out, Layout::Normal, wg, Layout::Transposed);
+    let bias = conv.bias().map(|b| {
+        let b = net.params.get(b);
+        let tiled = Tensor::from_fn(1, len * oc, |_, j| b.get(0, j % oc));
+        gemm(&tiled, Layout::Normal, wg, Layout::Transposed)
+    });
+    (folded, bias)
+}
+
 /// A forward-only compiled execution plan for one [`SdNet`] and one fixed
 /// set of query points. See the crate docs for the contract.
 #[derive(Clone, Debug)]
@@ -416,7 +447,7 @@ impl InferencePlan {
             feats = feats.concat_cols(&c);
         }
         // Cached invariant #2: the coordinate half of the split layer.
-        let (wg_id, wx_id, b0_id) = net.split_params();
+        let (_, wx_id, b0_id) = net.split_params();
         let hx = gemm(
             &feats,
             Layout::Normal,
@@ -425,10 +456,10 @@ impl InferencePlan {
         );
         let hx_c = push_const(&mut consts, &hx);
 
-        // Boundary load + conv embedding.
+        // Boundary load + the activated convs of the embedding.
         push(&mut steps, &mut regs, Step::Load, 1, l);
-        let n_convs = net.convs().len();
-        for (i, conv) in net.convs().iter().enumerate() {
+        let convs = net.convs();
+        for conv in &convs[..convs.len().saturating_sub(1)] {
             let (ic, oc, k) = (conv.in_channels(), conv.out_channels(), conv.kernel());
             let len = regs[regs.len() - 1].cols / ic;
             let unfold = Step::Unfold {
@@ -437,23 +468,25 @@ impl InferencePlan {
             };
             push(&mut steps, &mut regs, unfold, len, k * ic);
             // The `[B·len, oc]` product is read as `[B, len·oc]` from here
-            // on. Nonlinearity between conv layers only (the final
-            // embedding stays linear so the split == concat algebra holds).
+            // on.
             let layer = Step::Layer {
                 weight: push_weight(&mut weights, net.params.get(conv.weight())),
                 bias: conv
                     .bias()
                     .map(|b| push_const(&mut consts, net.params.get(b))),
-                act: if i + 1 < n_convs { act } else { Act::Identity },
+                act,
             };
             push(&mut steps, &mut regs, layer, 1, len * oc);
         }
 
-        // Input-split layer: per-boundary projection + cached W_x·X.
+        // Input-split layer: the embedding's linear tail and the
+        // per-boundary projection as one layer, then + cached W_x·X.
         let d0 = cfg.hidden[0];
+        let (folded, folded_bias) = fold_embedding(net);
+        weights.push(PackedB::new(&folded));
         let projection = Step::Layer {
-            weight: push_weight(&mut weights, net.params.get(wg_id)),
-            bias: None,
+            weight: weights.len() - 1,
+            bias: folded_bias.map(|c| push_const(&mut consts, &c)),
             act: Act::Identity,
         };
         push(&mut steps, &mut regs, projection, 1, d0);
@@ -996,13 +1029,13 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            ["load", "unfold", "layer", "layer", "split", "layer", "layer", "layer", "store"]
+            ["load", "layer", "split", "layer", "layer", "layer", "store"]
         );
-        // conv [32,5]×[5,4], projection [1,128]×[128,48], two trunk layers
-        // and the head over the 13 cross points.
+        // The conv and the projection folded into one [32,48] layer, two
+        // trunk layers and the head over the 13 cross points.
         assert_eq!(
             plan.macs_per_boundary,
-            32 * 5 * 4 + 128 * 48 + 2 * 13 * 48 * 48 + 13 * 48
+            32 * 48 + 2 * 13 * 48 * 48 + 13 * 48
         );
         // Only the trunk (and the split combine) carries the nonlinearity.
         let acts: Vec<Act> = plan
@@ -1015,15 +1048,74 @@ mod tests {
             .collect();
         assert_eq!(
             acts,
-            [
-                Act::Identity,
-                Act::Identity,
-                Act::Gelu,
-                Act::Gelu,
-                Act::Gelu,
-                Act::Identity
-            ]
+            [Act::Identity, Act::Gelu, Act::Gelu, Act::Gelu, Act::Identity]
         );
+    }
+
+    /// The folded embedding tail is the last conv and the projection
+    /// composed: in `f64`, `x·M + c` equals unfold → conv → projection of
+    /// the same `x` (the input of the last conv), for every depth of conv
+    /// stack and both embeddings.
+    #[test]
+    fn the_folded_step_is_unfold_conv_and_projection_composed() {
+        let mut base = SdNetConfig::small(16);
+        base.hidden = vec![12, 12];
+        let configs = [0, 1, 2].map(|convs| {
+            let mut cfg = base.clone();
+            cfg.conv_channels = [3, 2][..convs].to_vec();
+            cfg
+        });
+        let mut concat = configs[2].clone();
+        concat.embedding = EmbeddingKind::Concat;
+        for (i, cfg) in configs.into_iter().chain([concat]).enumerate() {
+            let (mut net, _, _) = random_case(cfg, 40 + i as u64, 1, 1);
+            // Non-zero conv biases, so the carried bias is exercised.
+            let bias_ids: Vec<_> = net.convs().iter().filter_map(|c| c.bias()).collect();
+            for id in bias_ids {
+                let b = net.params.get_mut(id);
+                *b = Tensor::from_fn(1, b.cols(), |_, j| 0.3 - 0.2 * j as f64);
+            }
+            let wg = net.params.get(net.split_params().0);
+            let (m, c) = fold_embedding(&net);
+            let mut rng = ChaCha8Rng::seed_from_u64(i as u64);
+            let x = Tensor::from_fn(5, m.rows(), |_, _| rng.gen_range(-1.0..1.0));
+            let mut got = gemm(&x, Layout::Normal, &m, Layout::Normal);
+            let want = match net.convs().last() {
+                None => gemm(&x, Layout::Normal, wg, Layout::Transposed),
+                Some(conv) => {
+                    let (ic, oc, k) = (conv.in_channels(), conv.out_channels(), conv.kernel());
+                    let len = x.cols() / ic;
+                    let mut windows = Tensor::zeros(5 * len, k * ic);
+                    unfold1d_windows(x.as_slice(), 5, len, ic, k, windows.as_mut_slice());
+                    let w = net.params.get(conv.weight());
+                    let mut y = gemm(&windows, Layout::Normal, w, Layout::Transposed);
+                    let b = net.params.get(conv.bias().expect("convs carry a bias"));
+                    for row in y.as_mut_slice().chunks_exact_mut(oc) {
+                        for (v, &bv) in row.iter_mut().zip(b.as_slice()) {
+                            *v += bv;
+                        }
+                    }
+                    let y = Tensor::from_vec(5, len * oc, y.into_vec());
+                    gemm(&y, Layout::Normal, wg, Layout::Transposed)
+                }
+            };
+            if let Some(c) = c {
+                for row in got.as_mut_slice().chunks_exact_mut(c.cols()) {
+                    for (v, &cv) in row.iter_mut().zip(c.as_slice()) {
+                        *v += cv;
+                    }
+                }
+            }
+            assert_eq!(got.shape(), want.shape());
+            let err = (got.as_slice().iter().zip(want.as_slice()))
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max);
+            assert!(err <= 1e-12, "config {i}: fold off by {err:e}");
+            // The plan multiplies by it: a `[len·ic, d0]` layer.
+            let plan = InferencePlan::compile(&net, &Tensor::zeros(1, 2));
+            let fold_k = plan.weights.iter().map(PackedB::k).find(|&k| k == m.rows());
+            assert_eq!(fold_k, Some(m.rows()), "config {i}");
+        }
     }
 
     #[test]
