@@ -1033,10 +1033,7 @@ mod tests {
         );
         // The conv and the projection folded into one [32,48] layer, two
         // trunk layers and the head over the 13 cross points.
-        assert_eq!(
-            plan.macs_per_boundary,
-            32 * 48 + 2 * 13 * 48 * 48 + 13 * 48
-        );
+        assert_eq!(plan.macs_per_boundary, 32 * 48 + 2 * 13 * 48 * 48 + 13 * 48);
         // Only the trunk (and the split combine) carries the nonlinearity.
         let acts: Vec<Act> = plan
             .steps
@@ -1048,7 +1045,13 @@ mod tests {
             .collect();
         assert_eq!(
             acts,
-            [Act::Identity, Act::Gelu, Act::Gelu, Act::Gelu, Act::Identity]
+            [
+                Act::Identity,
+                Act::Gelu,
+                Act::Gelu,
+                Act::Gelu,
+                Act::Identity
+            ]
         );
     }
 

@@ -20,10 +20,14 @@
 //!   The inner loop carries no bounds checks: the tile's four row slices
 //!   are cut once per tile and zipped with `chunks_exact` over the panel.
 //!   The last columns (`n % NR`) run as one 4×8 half tile if there are
-//!   eight, and what is left — in particular every `n < 8` product such as
-//!   a scalar head — goes to a row-parallel kernel instead: `RB = 8` rows'
+//!   eight, and what is left — every `n < 8` product such as a 4-channel
+//!   convolution — goes to a row-parallel kernel instead: `RB = 8` rows'
 //!   serial chains side by side. Every element is one chain of [`fmadd`]
-//!   over its `k`-products in ascending order, whichever path computes it:
+//!   over its `k`-products in ascending order, whichever path computes it
+//!   (but one: a fused build's one-column `layer`, the network's scalar
+//!   head, is a `k`-vectorized dot, `DOT` partial chains over `p mod DOT`
+//!   added pairwise — the same order for every row, within the same
+//!   bound):
 //!   **fused** (one rounding per step) when the build target has the
 //!   instruction ([`FUSED`]: `target_feature = "fma"`, which
 //!   `target-cpu=native` turns on wherever the host has it, or aarch64),
@@ -78,6 +82,9 @@ const RB: usize = 8;
 const BLOCK: usize = 16;
 /// [`BLOCK`] for the `f32` kernels: the same four vectors, twice the lanes.
 const BLOCK_F32: usize = 32;
+/// Partial sums of the one-column `f32` dot ([`dot_rows`]): two vectors'
+/// worth, so a 48-deep head row is three multiply-adds deep.
+const DOT: usize = 16;
 
 /// The vectorized backend (unit struct; all state is per-call).
 pub struct SimdBackend;
@@ -321,6 +328,41 @@ fn narrow_rows<T: Elem, const NB: usize>(
     }
 }
 
+/// Every row of a one-column product `c = a · w` (`w` the `k` weights):
+/// each row's dot as [`DOT`] partial chains, chain `l` the [`fmadd`]s of
+/// the products `p ≡ l (mod DOT)` in ascending `p` from `+0.0`, then the
+/// chains added pairwise (`l + DOT/2` into `l`, halving). A row's order
+/// does not depend on where it sits, and the error stays within the
+/// serial chain's `γ_k·(|a|·|w|)`: no product passes through more than
+/// `k/DOT + log₂ DOT ≤ k` roundings.
+fn dot_rows(a: &[f32], w: &[f32], c: &mut [f32]) {
+    let k = w.len();
+    for (row, out) in a.chunks_exact(k).zip(c) {
+        let mut acc = [0.0f32; DOT];
+        let (rows, cols) = (row.chunks_exact(DOT), w.chunks_exact(DOT));
+        let (row_rest, w_rest) = (rows.remainder(), cols.remainder());
+        for (x, y) in rows.zip(cols) {
+            // Fixed-size lanes: the loop below is a few vector FMAs.
+            let x: &[f32; DOT] = x.try_into().expect("DOT-wide chunk");
+            let y: &[f32; DOT] = y.try_into().expect("DOT-wide chunk");
+            for l in 0..DOT {
+                acc[l] = f32::fmadd(x[l], y[l], acc[l]);
+            }
+        }
+        for ((s, &x), &y) in acc.iter_mut().zip(row_rest).zip(w_rest) {
+            *s = f32::fmadd(x, y, *s);
+        }
+        let mut width = DOT;
+        while width > 1 {
+            width /= 2;
+            for l in 0..width {
+                acc[l] += acc[l + width];
+            }
+        }
+        *out = acc[0];
+    }
+}
+
 /// Every row of a `W`-wide output block (`W` is `NR` or `NH`): `MR`-row
 /// register tiles, then the rows no tile covers one by one.
 #[allow(clippy::too_many_arguments)]
@@ -412,9 +454,14 @@ impl Backend for SimdBackend {
         // band of `out` fit in L1 together, and bias and activation run
         // over the band before the next one evicts it.
         for (a_band, c_band) in a.chunks(BAND * k).zip(out.chunks_mut(BAND * n)) {
-            for (p0, kb, j0, nb) in panel_blocks(k, n) {
-                let panel = &w.panels()[p0 * n + kb * j0..][..kb * nb];
-                panel_product(a_band, k, p0, panel, c_band, n, j0, nb, p0 > 0);
+            if FUSED && n == 1 {
+                // One column's panels, in order, are the column.
+                dot_rows(a_band, w.panels(), c_band);
+            } else {
+                for (p0, kb, j0, nb) in panel_blocks(k, n) {
+                    let panel = &w.panels()[p0 * n + kb * j0..][..kb * nb];
+                    panel_product(a_band, k, p0, panel, c_band, n, j0, nb, p0 > 0);
+                }
             }
             finish(c_band);
         }
@@ -897,6 +944,26 @@ mod tests {
                         "layer {m}x{k}x{n} {act:?} elem {i}"
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_column_row_is_the_same_bits_alone_or_in_a_band() {
+        // The scalar head's dot: every row the same order wherever it
+        // sits, for depths below, at and past the partial sums and `KC`.
+        for k in [1, 5, 16, 48, 257] {
+            let m = 70;
+            let a: Vec<f32> = (zero_free(m * k, 0.37, 0.1).iter())
+                .map(|&v| v as f32)
+                .collect();
+            let packed = PackedB::new(&crate::Tensor::from_vec(k, 1, zero_free(k, 0.23, -0.4)));
+            let mut band = vec![f32::NAN; m];
+            SIMD.layer(&a, &packed, None, Act::Identity, &mut band);
+            for (r, &want) in band.iter().enumerate() {
+                let mut alone = [f32::NAN];
+                SIMD.layer(&a[r * k..][..k], &packed, None, Act::Identity, &mut alone);
+                assert_eq!(alone[0].to_bits(), want.to_bits(), "k {k} row {r}");
             }
         }
     }

@@ -3,7 +3,8 @@
 //! The network is the one `mf-benchmark` solves with (one 4-channel conv,
 //! 3×48 GELU trunk, 9×9 subdomains) and the launch its largest sweep group:
 //! B = 64 boundaries × 13 cross points. Every kernel of that launch — the
-//! plan's `f32` layers, unfold and split-combine GELU — is timed alone at
+//! plan's `f32` layers (the conv and the split projection are one, folded
+//! at compile time) and the split-combine GELU — is timed alone at
 //! its launch shape, on one lane and with its rows shared over two, next
 //! to arithmetic chains measured in the same run: separate multiply + add
 //! and fused multiply-add, in `f32` and in `f64`. "Of chain" is against
@@ -22,18 +23,17 @@
 use mf_infer::{InferencePlan, Workspace};
 use mf_nn::{SdNet, SdNetConfig};
 use mf_tensor::par::{self, prelude::*};
-use mf_tensor::{backend, fmadd, gemm_into, unfold1d_windows, Act, Layout, PackedB, Tensor, FUSED};
+use mf_tensor::{backend, fmadd, gemm_into, Act, Layout, PackedB, Tensor, FUSED};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
 use std::time::Instant;
 
 /// Boundaries in the launch, cross points per boundary, boundary walk
-/// length, conv kernel and channels, trunk width.
+/// length, conv channels, trunk width.
 const B: usize = 64;
 const Q: usize = 13;
 const L: usize = 32;
-const KW: usize = 5;
 const OC: usize = 4;
 const WIDTH: usize = 48;
 
@@ -206,9 +206,8 @@ fn main() {
     };
 
     // The fused f32 layers of the launch, at their launch shapes.
-    let layers: [(&str, usize, usize, usize, Act, usize); 4] = [
-        ("conv", B * L, KW, OC, Act::Identity, 1),
-        ("split projection", B, L * OC, WIDTH, Act::Identity, 1),
+    let layers: [(&str, usize, usize, usize, Act, usize); 3] = [
+        ("embedding", B, L, WIDTH, Act::Identity, 1),
         ("trunk + gelu", B * Q, WIDTH, WIDTH, Act::Gelu, 2),
         ("head", B * Q, WIDTH, 1, Act::Identity, 1),
     ];
@@ -234,15 +233,6 @@ fn main() {
     }
     // What the launch does besides layers.
     {
-        let load = filled_f32(B, L);
-        let mut unfolded = vec![0.0f32; B * L * KW];
-        time(
-            "unfold [64,32]→[2048,5]",
-            (0.0, 0.0),
-            true,
-            1,
-            &mut |_| unfold1d_windows(black_box(&load), B, L, 1, KW, &mut unfolded),
-        );
         let x = filled_f32(B * Q, WIDTH);
         let mut y = x.clone();
         time(
