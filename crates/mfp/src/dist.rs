@@ -320,6 +320,32 @@ fn split_sweep_groups(
     (interior, boundary)
 }
 
+/// One sweep group's subdomains, each with the ascending indices into
+/// [`DomainSpec::center_cross_offsets`] of the points its sweep writes.
+pub type LiveGroup = Vec<(Subdomain, Vec<usize>)>;
+
+/// The center-cross points each rank of a `ranks`-rank
+/// [`run_distributed`] under `order` writes per iteration: per rank, its
+/// four sweep groups in the order it sweeps them, each subdomain with its
+/// live points — those no later group of the rank overwrites unread. At
+/// one rank this is the sweep of [`Mfp`].
+pub fn live_cross_points(
+    domain: &DomainSpec,
+    ranks: usize,
+    order: RankOrder,
+) -> Vec<[LiveGroup; 4]> {
+    let part = Partition {
+        domain,
+        grid: CartesianGrid::square_for(ranks, order),
+    };
+    (0..ranks)
+        .map(|rank| {
+            sweep_lists_in(domain, &part.owned(rank))
+                .map(|list| list.subs.into_iter().zip(list.live).collect())
+        })
+        .collect()
+}
+
 /// Thread CPU seconds `f` takes.
 fn cpu_seconds(f: impl FnOnce()) -> f64 {
     let t0 = thread_cpu_time();

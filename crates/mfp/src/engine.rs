@@ -61,7 +61,7 @@ pub(crate) struct SweepList {
     pub(crate) subs: Vec<Subdomain>,
     /// `live[i]`: ascending indices into
     /// [`DomainSpec::center_cross_offsets`] of what `subs[i]` writes.
-    live: Vec<Vec<usize>>,
+    pub(crate) live: Vec<Vec<usize>>,
 }
 
 impl SweepList {

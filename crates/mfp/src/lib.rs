@@ -51,11 +51,12 @@ mod seq;
 mod solver;
 
 pub use dist::{
-    run_distributed, run_distributed_shifted, try_run_distributed, try_run_distributed_shifted,
-    DistMfpConfig, DistMfpResult, RankReport,
+    live_cross_points, run_distributed, run_distributed_shifted, try_run_distributed,
+    try_run_distributed_shifted, DistMfpConfig, DistMfpResult, LiveGroup, RankReport,
 };
 pub use domain::{DomainSpec, Subdomain};
 pub use engine::MaeTarget;
+pub use mf_infer::Subset;
 pub use plan::PlanSolver;
 pub use seq::{Mfp, MfpConfig, MfpResult};
 pub use solver::{NeuralSolver, OracleSolver, SubdomainSolver, UnbatchedSolver};

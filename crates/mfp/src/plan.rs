@@ -219,6 +219,37 @@ pub(crate) mod tests {
         fn launch_count(&self) -> usize {
             self.0.launch_count()
         }
+
+        /// The plan's own subset launch, each taken row within the bound
+        /// of the graph's row for the same point.
+        fn solve_batch_subset(
+            &self,
+            sigma: f64,
+            boundaries: &Tensor,
+            forcings: Option<&Tensor>,
+            points: &Tensor,
+            subset: Subset<'_>,
+        ) -> Tensor {
+            let got = self
+                .0
+                .solve_batch_subset(sigma, boundaries, forcings, points, subset);
+            let mut want = self.1.solve_batch(boundaries, points);
+            let plan = self.0.plans.get_or_compile(&self.0.net, points);
+            let mut bound = plan.graph_error_bound(boundaries);
+            let q = points.rows();
+            subset.compact(want.as_mut_slice(), q);
+            subset.compact(bound.as_mut_slice(), q);
+            for b in 0..boundaries.rows() {
+                for i in b * q..b * q + subset.count(b, q) {
+                    let (w, g, e) = (want.get(i, 0), got.get(i, 0), bound.get(i, 0));
+                    assert!(
+                        (w - g).abs() <= e,
+                        "row {i}: plan {g:e}, graph {w:e}, bound {e:e}"
+                    );
+                }
+            }
+            got
+        }
     }
 
     fn spec() -> SubdomainSpec {
