@@ -11,7 +11,8 @@
 //!
 //! [`InferencePlan::compile`] lowers the conv-embed → input-split → MLP
 //! pipeline into a flat list of fused layer steps over reusable
-//! workspaces:
+//! workspaces, evaluating per launch only the points each boundary takes
+//! ([`InferencePlan::execute_subset_into`]):
 //!
 //! * **No graph nodes.** The plan is a straight-line register program; the
 //!   interpreter is a `for` loop over lowered steps with no tape, no
@@ -30,7 +31,9 @@
 //!   activation — while it is in L1. Weights are transposed and packed into
 //!   the microkernel's panel order ([`PackedB`]) at compile time, so a
 //!   launch packs nothing. The input-split combine, its bias and its
-//!   activation are one step as well.
+//!   activation are one step as well, and the embedding's linear tail —
+//!   the last conv and the split projection — is one layer, folded at
+//!   compile time.
 //! * **`f32` registers.** Weights, cached constants and every register are
 //!   `f32`: the `Load` step rounds the caller's `f64` boundaries, the
 //!   `Store` step widens the predictions back, and everything between runs
@@ -51,8 +54,9 @@
 //!
 //! Two contracts hold the plan. Against **itself** it is bitwise: every
 //! row is the same chain of `f32` kernels whatever block, batch, pool
-//! width or rank it runs in, so batched serving equals solving alone and
-//! `run_many` equals `run`. Against the **`f64` graph** (`SdNet::predict`,
+//! width or rank it runs in, and whatever subset of its points a boundary
+//! takes ([`Subset`]), so batched serving equals solving alone, `run_many`
+//! equals `run` and a sweep of live points equals one of full crosses. Against the **`f64` graph** (`SdNet::predict`,
 //! which training and validation run) it is within
 //! [`InferencePlan::graph_error_bound`] on every output of a launch: a
 //! first-order running error bound of the `f32` chain, replayed element by
@@ -388,7 +392,8 @@ impl InferencePlan {
     /// Lower `net` for the fixed query points `points` (`[q, 2]` local
     /// physical coordinates, shared by every boundary in a batch).
     ///
-    /// Compilation pre-transposes every weight matrix, normalizes and
+    /// Compilation pre-transposes every weight matrix, folds the last
+    /// conv and the split projection `W_g` into one layer, normalizes and
     /// Fourier-encodes the coordinates, and computes the `W_x · X` half of
     /// the input-split layer — all the work that does not depend on
     /// boundary values — in `f64`, then rounds weights and constants to

@@ -146,8 +146,9 @@ impl DomainSpec {
 
     /// Local `(row, col)` offsets of a subdomain's center cross — the
     /// interior points of its vertical and horizontal center lines (the
-    /// center point appears once). These are exactly the points the MFP
-    /// iteration predicts per subdomain.
+    /// center point appears once). The MFP iteration predicts, per
+    /// subdomain, the live ones among them
+    /// ([`live_cross_points`](crate::live_cross_points)).
     pub fn center_cross_offsets(&self) -> Vec<(usize, usize)> {
         let m = self.sub.m;
         let s = self.shift();

@@ -9,7 +9,9 @@
 //! subdomain's boundary (read from the lattice) to the subdomain solver and
 //! writes back the predicted **center cross**, which is a boundary line of
 //! the neighboring subdomains — an alternating-Schwarz sweep that touches a
-//! small fraction of the grid points. A final dense pass fills the atomic
+//! small fraction of the grid points. Only a cross's *live* points are
+//! predicted: those that no later sweep group of the same owned region
+//! overwrites before it reads them ([`live_cross_points`]). A final dense pass fills the atomic
 //! (non-overlapping) subdomains.
 //!
 //! Algorithm 2 is one loop, and the crate has it once:

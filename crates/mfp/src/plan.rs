@@ -27,8 +27,9 @@ use mf_tensor::{PoolStats, Tensor};
 /// It takes and returns `f64` tensors like every solver, so the lattice,
 /// the stop test and Anderson mixing stay `f64`; the network runs in
 /// `f32` inside each launch. Against itself a launch is bitwise, whatever
-/// its batch, block partition, pool width or rank — so batched serving
-/// equals solving alone. Against [`NeuralSolver`](crate::NeuralSolver),
+/// its batch, block partition, pool width or rank, and whatever subset of
+/// its points a boundary takes — so batched serving equals solving alone,
+/// and a sweep of the live points equals one of full crosses. Against [`NeuralSolver`](crate::NeuralSolver),
 /// the `f64` graph, each output is within
 /// [`InferencePlan::graph_error_bound`](mf_infer::InferencePlan::graph_error_bound)
 /// of its launch; over a whole solve
