@@ -17,7 +17,9 @@ use rand_chacha::ChaCha8Rng;
 fn solver() -> (SubdomainSpec, PlanSolver) {
     let spec = SubdomainSpec { m: 9, spatial: 0.5 };
     let mut cfg = SdNetConfig::small(spec.boundary_len());
-    cfg.conv_channels = vec![2];
+    // Two convs: the plan folds the last one into the split projection,
+    // so the first is what still runs an unfold.
+    cfg.conv_channels = vec![2, 2];
     cfg.hidden = vec![16, 16];
     // Untrained weights: the test measures plumbing, not accuracy.
     let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(0));

@@ -17,13 +17,15 @@ fn zone_count(name: &str) -> u64 {
 
 #[test]
 fn kernel_zones_count_every_block_on_every_lane() {
-    // The benchmark network at its largest sweep group: five fused layers
-    // (conv, split projection, two trunk layers, head), one unfold and one
-    // split combine per block.
+    // The benchmark network with a second conv in front (the plan folds the
+    // last conv into the split projection, so with one conv a launch runs
+    // no unfold), at its largest sweep group: five fused layers (conv,
+    // folded embedding, two trunk layers, head), one unfold and one split
+    // combine per block.
     const LAYERS: u64 = 5;
     const LAUNCHES: u64 = 25;
     let mut cfg = SdNetConfig::small(32);
-    cfg.conv_channels = vec![4];
+    cfg.conv_channels = vec![4, 4];
     cfg.hidden = vec![48, 48, 48];
     let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(0));
     let mut rng = ChaCha8Rng::seed_from_u64(1);
