@@ -340,28 +340,44 @@ impl Workspace {
 /// projection `W_g` — composed into one affine map in `f64`: `(M, c)` with
 /// `M` the `[len·ic, d0]` matrix (the kernels' `[in, out]` layout) and `c`
 /// the conv's bias carried through `W_g`. Without convs it is `W_gᵀ`.
-///
-/// `M`'s rows are the tail applied to the unit signals: the identity,
-/// unfolded, through the conv's filters, then through `W_g`.
 fn fold_embedding(net: &SdNet) -> (Tensor, Option<Tensor>) {
-    let wg = net.params.get(net.split_params().0);
+    // Rows `p·oc + o`: what conv output channel `o` at position `p` adds
+    // to each of the `d0` projections.
+    let wg = net.params.get(net.split_params().0).transpose();
     let Some(conv) = net.convs().last() else {
-        return (wg.transpose(), None);
+        return (wg, None);
     };
     let (ic, oc, k) = (conv.in_channels(), conv.out_channels(), conv.kernel());
-    let len = wg.cols() / oc;
-    let width = len * ic;
-    let eye = Tensor::from_fn(width, width, |r, c| if r == c { 1.0 } else { 0.0 });
-    let mut windows = Tensor::zeros(width * len, k * ic);
-    unfold1d_windows(eye.as_slice(), width, len, ic, k, windows.as_mut_slice());
+    let len = wg.rows() / oc;
     let filters = net.params.get(conv.weight());
-    let conv_out = gemm(&windows, Layout::Normal, filters, Layout::Transposed);
-    let conv_out = Tensor::from_vec(width, len * oc, conv_out.into_vec());
-    let folded = gemm(&conv_out, Layout::Normal, wg, Layout::Transposed);
+    let mut folded = Tensor::zeros(len * ic, wg.cols());
+    for p in 0..len {
+        // Tap `t` of position `p` reads input position `p − half + t`,
+        // circularly (as `unfold1d_windows` lays the window out).
+        for t in 0..k {
+            let s = (p + k * len - (k - 1) / 2 + t) % len;
+            for c in 0..ic {
+                let row = folded.row_mut(s * ic + c);
+                for o in 0..oc {
+                    let w = filters.get(o, t * ic + c);
+                    for (m, &g) in row.iter_mut().zip(wg.row(p * oc + o)) {
+                        *m += w * g;
+                    }
+                }
+            }
+        }
+    }
     let bias = conv.bias().map(|b| {
         let b = net.params.get(b);
-        let tiled = Tensor::from_fn(1, len * oc, |_, j| b.get(0, j % oc));
-        gemm(&tiled, Layout::Normal, wg, Layout::Transposed)
+        let mut carried = Tensor::zeros(1, wg.cols());
+        for p in 0..len {
+            for o in 0..oc {
+                for (v, &g) in carried.row_mut(0).iter_mut().zip(wg.row(p * oc + o)) {
+                    *v += b.get(0, o) * g;
+                }
+            }
+        }
+        carried
     });
     (folded, bias)
 }
