@@ -56,8 +56,9 @@
 //! row is the same chain of `f32` kernels whatever block, batch, pool
 //! width or rank it runs in, and whatever subset of its points a boundary
 //! takes ([`Subset`]), so batched serving equals solving alone, `run_many`
-//! equals `run` and a sweep of live points equals one of full crosses. Against the **`f64` graph** (`SdNet::predict`,
-//! which training and validation run) it is within
+//! equals `run` and a sweep of live points equals one of full crosses.
+//! Against the **`f64` graph** (`SdNet::predict`, which training and
+//! validation run) it is within
 //! [`InferencePlan::graph_error_bound`] on every output of a launch: a
 //! first-order running error bound of the `f32` chain, replayed element by
 //! element in `f64`. What that costs a whole MFP

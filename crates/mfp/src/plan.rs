@@ -29,7 +29,8 @@ use mf_tensor::{PoolStats, Tensor};
 /// `f32` inside each launch. Against itself a launch is bitwise, whatever
 /// its batch, block partition, pool width or rank, and whatever subset of
 /// its points a boundary takes — so batched serving equals solving alone,
-/// and a sweep of the live points equals one of full crosses. Against [`NeuralSolver`](crate::NeuralSolver),
+/// and a sweep of the live points equals one of full crosses. Against
+/// [`NeuralSolver`](crate::NeuralSolver),
 /// the `f64` graph, each output is within
 /// [`InferencePlan::graph_error_bound`](mf_infer::InferencePlan::graph_error_bound)
 /// of its launch; over a whole solve
@@ -106,7 +107,9 @@ impl PlanSolver {
     /// workspaces it checks out.
     pub fn reserve(&self, domain: &DomainSpec, max_requests: usize, workspaces: usize) {
         let engine = SweepEngine::new(self, domain, &whole_grid(domain), 0.0, None);
-        let widest = (engine.groups.iter())
+        let widest = engine
+            .groups
+            .iter()
             .map(|g| g.subs.len())
             .max()
             .unwrap_or(0);
