@@ -73,7 +73,7 @@ impl SubdomainSolver for MultigridSolver {
         for (bi, chunk) in out.as_mut_slice().chunks_mut(q).enumerate() {
             let bc = Tensor::from_vec(1, boundaries.cols(), boundaries.row(bi).to_vec());
             let (sol, stats) = solve_dirichlet(&problem, &grid_with_boundary(m, m, &bc), 1e-9);
-            debug_assert!(stats.converged, "subdomain solve failed: {stats:?}");
+            assert!(stats.converged, "subdomain solve failed: {stats:?}");
             for (v, &(j, i)) in chunk.iter_mut().zip(&idx) {
                 *v = sol.get(j, i);
             }

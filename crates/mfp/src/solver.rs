@@ -292,7 +292,8 @@ impl SubdomainSolver for OracleSolver {
                 let guess = grid_with_boundary(m, m, &bc);
                 let (sol, stats) =
                     solve_shifted_sor(&problem, sigma, &guess, 1.5, 50_000, self.tol);
-                debug_assert!(stats.converged, "oracle shifted solve failed: {stats:?}");
+                // An unconverged grid is no ground truth: stop, in every build.
+                assert!(stats.converged, "oracle shifted solve failed: {stats:?}");
                 for (k, &(j, i)) in idx.iter().enumerate() {
                     chunk[k] = sol.get(j, i);
                 }
@@ -311,6 +312,18 @@ mod tests {
 
     fn spec() -> SubdomainSpec {
         SubdomainSpec { m: 9, spatial: 0.5 }
+    }
+
+    /// A shifted solve that cannot reach its residual panics, in release
+    /// builds too, instead of returning the last SOR sweep as the answer.
+    #[test]
+    #[should_panic(expected = "oracle shifted solve failed")]
+    fn an_unconverged_shifted_solve_panics() {
+        let spec = SubdomainSpec { m: 5, spatial: 0.5 };
+        let s = OracleSolver::new(spec, 0.0);
+        let bc = Tensor::from_fn(1, spec.boundary_len(), |_, j| 1.0 + 0.1 * j as f64);
+        let pts = Tensor::from_vec(1, 2, vec![0.25, 0.25]);
+        s.solve_batch_shifted(1.0, &bc, None, &pts);
     }
 
     #[test]
