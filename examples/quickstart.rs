@@ -83,8 +83,9 @@ fn main() {
     );
     assert!(stats.converged);
 
-    // Mosaic Flow predictor with the freshly trained network.
-    let solver = NeuralSolver::new(net, spec);
+    // Mosaic Flow predictor with the freshly trained network, compiled to
+    // the f32 inference plan that `mosaic-flow solve` and `serve` run.
+    let solver = PlanSolver::new(net, spec);
     let mfp = Mfp::new(&solver, domain);
     let result = mfp.run(
         &bc,
