@@ -31,14 +31,12 @@ fn main() {
     let current = load(current_path);
     let (rows, unmatched) = compare(&baseline, &current);
     let mut md = render_markdown(&rows, &unmatched, &baseline_provenance(baseline_path));
-    // Record which kernel backend produced the PR-side numbers: the repro
-    // binaries and this gate run under the same MF_BACKEND in CI, and are
-    // built in one job with one set of flags, so the resolved dispatch and
-    // the target's FMA here are those that generated BENCH_pr.json.
+    // Record which kernels produced the PR-side numbers: the repro binaries
+    // and this gate are built in one job with one set of flags, so the
+    // target's FMA here is the one that generated BENCH_pr.json.
     md.push_str(&format!(
-        "\nKernel backend: `{}` (`MF_BACKEND={}`), built {} FMA\n",
+        "\nKernel backend: `{}`, built {} FMA\n",
         mf_tensor::backend_kind().name(),
-        std::env::var("MF_BACKEND").unwrap_or_else(|_| "unset (auto)".into()),
         if mf_tensor::FUSED { "with" } else { "without" },
     ));
     println!("{md}");

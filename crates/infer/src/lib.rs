@@ -889,7 +889,7 @@ impl InferencePlan {
                 }
                 Step::Layer { weight, bias, act } => {
                     mf_profile::zone!("layer");
-                    backend().layer(
+                    backend::simd().layer(
                         s,
                         &self.weights[weight],
                         bias.map(|b| self.consts[b].as_slice()),
@@ -902,7 +902,7 @@ impl InferencePlan {
                     let hx = &self.consts[cached];
                     let bias = &self.consts[bias];
                     let d0 = bias.len();
-                    let be = backend();
+                    let be = backend::simd();
                     // One boundary's taken rows at a time: summed, biased
                     // and activated while they are in L1.
                     let mut rest = d;

@@ -1,49 +1,41 @@
-//! Runtime-dispatched kernel backends.
+//! The kernel sets: the production simd kernels and the scalar reference.
 //!
 //! The [`Backend`] trait holds only the kernels whose two implementations
 //! compute different things: GEMM row bands, the compiled inference plan's
 //! fused `f32` layer and its activations, and `tanh` / `gelu`. Two
 //! implementations exist:
 //!
-//! * **scalar** — the reference loops. Golden fixtures are recorded
-//!   against this backend (see `tests/regression.rs`).
-//! * **simd** — a packed, cache-blocked GEMM microkernel and vector
-//!   `exp`/`tanh`/`gelu` (the private `simd` module). GEMM and the fused
-//!   [`Backend::layer`] keep the scalar accumulation order but fuse each
-//!   multiply-add when the build target has the instruction
-//!   ([`crate::FUSED`]): bitwise identical to scalar on a build without
-//!   it, within `2γ_k·(|A|·|B|)ᵢⱼ` of it ([`check_gemm_contract`],
-//!   [`check_layer_contract`] with `f32`'s `γ`) on a build with it, and
-//!   bitwise *itself* — across plans, partitions, pool widths and ranks —
-//!   on either. `tanh` and `gelu`, in `f64` and in `f32`, use a different
-//!   approximation and carry explicit ulp budgets (`tests/backend.rs`
-//!   documents and enforces all of these).
+//! * **simd** ([`simd`]) — the kernels production runs: a packed,
+//!   cache-blocked GEMM microkernel and vector `exp`/`tanh`/`gelu` (the
+//!   private `simd` module). [`crate::gemm_into`], `tanh_into`,
+//!   `gelu_into` and the compiled plan call it directly; there is no
+//!   runtime choice. GEMM and the fused [`Backend::layer`] keep the scalar
+//!   accumulation order but fuse each multiply-add when the build target
+//!   has the instruction ([`crate::FUSED`]): bitwise identical to scalar
+//!   on a build without it, within `2γ_k·(|A|·|B|)ᵢⱼ` of it
+//!   ([`check_gemm_contract`], [`check_layer_contract`] with `f32`'s `γ`)
+//!   on a build with it, and bitwise *itself* — across plans, partitions,
+//!   pool widths and ranks — on either. `tanh` and `gelu`, in `f64` and in
+//!   `f32`, use a different approximation and carry explicit ulp budgets
+//!   (`tests/backend.rs` documents and enforces all of these).
+//! * **scalar** ([`scalar`]) — the reference loops, the test oracle the
+//!   differential tests hold the simd kernels to, kernel by kernel. No
+//!   production path calls it.
 //!
 //! Every other kernel — the elementwise family and its fused VJPs,
 //! axpy/add-acc, the circular unfold/fold pair behind SDNet's convolution —
-//! has one body, in [`crate::Tensor`]'s methods and `inplace.rs`, the same
-//! under either backend: a second body doing the same arithmetic per
-//! element in a different loop shape computes nothing new, and the
-//! compiler vectorizes the plain loop without hand-chunking.
+//! has one body, in [`crate::Tensor`]'s methods and `inplace.rs`: a second
+//! body doing the same arithmetic per element in a different loop shape
+//! computes nothing new, and the compiler vectorizes the plain loop
+//! without hand-chunking.
 //!
 //! Everything is `f64` except the compiled plan's kernels:
 //! [`Backend::layer`] over a [`PackedB`] and [`Backend::activate_f32`] run
 //! in `f32`, twice the lanes per vector, for inference only.
 //!
-//! The live backend is chosen once from `MF_BACKEND`
-//! (`scalar`/`simd`/`auto`, default `auto` = simd; parsed by
-//! [`backend_from_env`], which a program calls at start-up to refuse a bad
-//! value before any work) and can be overridden
-//! programmatically with [`set_backend`] or, scoped and race-free for
-//! tests, [`with_backend`]. The choice is published on the
-//! `backend.dispatch` telemetry gauge (1 = scalar, 2 = simd).
-//!
 //! The trait's default method bodies *are* the scalar reference
 //! implementation; [`ScalarBackend`] adopts them unchanged so the
 //! reference semantics live in exactly one place.
-
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
 
 /// Constant `√(2/π)` of the GELU tanh approximation (shared by every
 /// layer of the stack so graph, plan and backend kernels agree bitwise).
@@ -92,8 +84,7 @@ pub enum Act {
 /// products — a weight matrix of a compiled plan, rounded to `f32`. Holds
 /// the matrix row-major (what the reference kernel reads) and cut into the
 /// column panels the simd microkernel streams, so [`Backend::layer`] packs
-/// nothing per call and either backend can run a plan whichever one was
-/// live when it was compiled.
+/// nothing per call and either backend can run it.
 #[derive(Clone, Debug)]
 pub struct PackedB {
     k: usize,
@@ -139,26 +130,18 @@ impl PackedB {
 /// Identifies a kernel implementation set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Reference loops; golden fixtures are recorded against these.
+    /// Reference loops, the test oracle.
     Scalar,
     /// Chunked/vectorized kernels with a packed GEMM microkernel.
     Simd,
 }
 
 impl BackendKind {
-    /// Stable lowercase name (`"scalar"` / `"simd"`), as accepted by the
-    /// `MF_BACKEND` environment variable.
+    /// Stable lowercase name (`"scalar"` / `"simd"`).
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Scalar => "scalar",
             BackendKind::Simd => "simd",
-        }
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            BackendKind::Scalar => 1,
-            BackendKind::Simd => 2,
         }
     }
 }
@@ -281,102 +264,23 @@ impl Backend for ScalarBackend {
 
 static SCALAR: ScalarBackend = ScalarBackend;
 
-/// 0 = uninitialized (resolve from `MF_BACKEND` on first use).
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// The scalar reference backend instance. Differential tests call kernel
-/// methods on this directly, without touching the global dispatch.
+/// The scalar reference backend instance: the oracle differential tests
+/// hold [`simd`] to.
 pub fn scalar() -> &'static dyn Backend {
     &SCALAR
 }
 
-/// The vectorized backend instance (the private `simd` module).
+/// The vectorized backend instance (the private `simd` module): the
+/// kernels every production path calls.
+#[inline]
 pub fn simd() -> &'static dyn Backend {
     crate::simd::instance()
 }
 
-fn by_kind(kind: BackendKind) -> &'static dyn Backend {
-    match kind {
-        BackendKind::Scalar => scalar(),
-        BackendKind::Simd => simd(),
-    }
-}
-
-/// Force the process-global backend. Publishes the choice on the
-/// `backend.dispatch` gauge. Prefer [`with_backend`] in tests — a bare
-/// `set_backend` in one test races with concurrently running tests.
-pub fn set_backend(kind: BackendKind) {
-    ACTIVE.store(kind.code(), Ordering::Relaxed);
-    mf_telemetry::gauge("backend.dispatch").set(kind.code() as f64);
-}
-
-/// The backend the `MF_BACKEND` environment variable selects: `scalar`,
-/// or `simd` for `simd`, `auto` and unset; any other value is an `Err`
-/// naming it. The first kernel call resolves the live backend through
-/// this and panics on an `Err`, so a program checks it at start-up.
-pub fn backend_from_env() -> Result<BackendKind, String> {
-    match std::env::var("MF_BACKEND") {
-        Err(std::env::VarError::NotPresent) => Ok(BackendKind::Simd),
-        Ok(v) if v == "scalar" => Ok(BackendKind::Scalar),
-        Ok(v) if v == "simd" || v == "auto" => Ok(BackendKind::Simd),
-        Ok(v) => Err(format!(
-            "MF_BACKEND must be one of scalar|simd|auto, got {v:?}"
-        )),
-        Err(e) => Err(format!("MF_BACKEND: {e}")),
-    }
-}
-
-fn init_from_env() -> BackendKind {
-    let kind = backend_from_env().unwrap_or_else(|e| panic!("{e}"));
-    set_backend(kind);
-    kind
-}
-
-/// The live backend kind, resolving `MF_BACKEND` on first call
-/// (`scalar` | `simd` | `auto`; unset and `auto` select simd).
+/// The kind of the production kernel set, [`simd`]'s: always
+/// [`BackendKind::Simd`].
 pub fn backend_kind() -> BackendKind {
-    match ACTIVE.load(Ordering::Relaxed) {
-        1 => BackendKind::Scalar,
-        2 => BackendKind::Simd,
-        _ => init_from_env(),
-    }
-}
-
-/// The live backend every tensor kernel dispatches through.
-#[inline]
-pub fn backend() -> &'static dyn Backend {
-    by_kind(backend_kind())
-}
-
-/// Run `f` with the global backend forced to `kind`, restoring the
-/// previous choice afterwards (also on panic). Serialized by a
-/// process-wide mutex so parallel tests overriding the backend don't
-/// observe each other's choice. Reentrant on the same thread: a nested
-/// `with_backend` inside `f` switches (and restores) without re-locking,
-/// so differential helpers can be composed freely.
-pub fn with_backend<R>(kind: BackendKind, f: impl FnOnce() -> R) -> R {
-    static LOCK: Mutex<()> = Mutex::new(());
-    thread_local! {
-        static DEPTH: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-    }
-    // Drop order is reverse declaration order: `_restore` (backend +
-    // depth) unwinds before `_guard` releases the lock.
-    let _guard = if DEPTH.with(|d| d.get()) == 0 {
-        Some(LOCK.lock().unwrap_or_else(|e| e.into_inner()))
-    } else {
-        None
-    };
-    struct Restore(BackendKind);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_backend(self.0);
-            DEPTH.with(|d| d.set(d.get() - 1));
-        }
-    }
-    DEPTH.with(|d| d.set(d.get() + 1));
-    let _restore = Restore(backend_kind());
-    set_backend(kind);
-    f()
+    simd().kind()
 }
 
 /// Distance in units-in-the-last-place between two doubles, via the
@@ -519,57 +423,7 @@ mod tests {
         assert_eq!(BackendKind::Simd.name(), "simd");
         assert_eq!(scalar().kind(), BackendKind::Scalar);
         assert_eq!(simd().kind(), BackendKind::Simd);
-    }
-
-    // The global backend may only be read under `with_backend`'s lock: a
-    // sibling test's override is otherwise observed as "before". The outer
-    // scope of each test below takes the lock; the scopes inside re-enter.
-
-    #[test]
-    fn with_backend_restores_previous_choice() {
-        with_backend(BackendKind::Simd, || {
-            let before = backend_kind();
-            let seen = with_backend(BackendKind::Scalar, backend_kind);
-            assert_eq!(seen, BackendKind::Scalar);
-            assert_eq!(backend_kind(), before);
-        });
-    }
-
-    #[test]
-    fn with_backend_restores_on_panic() {
-        with_backend(BackendKind::Simd, || {
-            let r =
-                std::panic::catch_unwind(|| with_backend(BackendKind::Scalar, || panic!("boom")));
-            assert!(r.is_err());
-            assert_eq!(backend_kind(), BackendKind::Simd);
-        });
-    }
-
-    #[test]
-    fn with_backend_is_reentrant_on_the_same_thread() {
-        with_backend(BackendKind::Scalar, || {
-            with_backend(BackendKind::Simd, || {
-                assert_eq!(backend_kind(), BackendKind::Simd);
-                let inner = with_backend(BackendKind::Scalar, backend_kind);
-                assert_eq!(inner, BackendKind::Scalar);
-                // The nested scope restored the outer override...
-                assert_eq!(backend_kind(), BackendKind::Simd);
-            });
-            // ...and the outer scope restored the choice before it.
-            assert_eq!(backend_kind(), BackendKind::Scalar);
-        });
-    }
-
-    #[test]
-    fn set_backend_publishes_the_dispatch_gauge() {
-        with_backend(BackendKind::Scalar, || {
-            assert_eq!(mf_telemetry::snapshot().gauge("backend.dispatch"), 1.0);
-            with_backend(BackendKind::Simd, || {
-                assert_eq!(mf_telemetry::snapshot().gauge("backend.dispatch"), 2.0);
-            });
-            // The restore path republishes the gauge too.
-            assert_eq!(mf_telemetry::snapshot().gauge("backend.dispatch"), 1.0);
-        });
+        assert_eq!(backend_kind(), BackendKind::Simd);
     }
 
     #[test]

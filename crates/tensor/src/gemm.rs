@@ -4,15 +4,15 @@
 //! backward pass. This layer owns the *shape* work — operand transpose
 //! packing, fan-out over row bands of the output on the compute pool
 //! ([`crate::par`]) — and hands
-//! each band to the live [`crate::backend::Backend`], which owns the
-//! arithmetic (the scalar reference `ikj` loops or the simd register-tiled
-//! microkernel; see `crate::backend`). Pack and compute phases are
+//! each band to the simd [`crate::backend::Backend`], whose register-tiled
+//! microkernel owns the arithmetic (the scalar reference `ikj` loops are
+//! its test oracle; see `crate::backend`). Pack and compute phases are
 //! attributed separately under `prof.gemm_pack_us` / `prof.gemm_compute_us`.
 //!
 //! Transposed operands are handled by packing the transposed matrix once
 //! (O(n²)) rather than striding through it in the O(n³) inner loop.
 
-use crate::backend::{backend, BAND};
+use crate::backend::{simd, BAND};
 use crate::par::{self, prelude::*};
 use crate::Tensor;
 
@@ -94,7 +94,7 @@ pub fn gemm_into(a: &Tensor, la: Layout, b: &Tensor, lb: Layout, out: &mut Tenso
     };
 
     mf_profile::zone!("gemm_compute");
-    let be = backend();
+    let be = simd();
     let work = m * n * k;
     let out_buf = out.as_mut_slice();
     // A single band has nothing to share out.

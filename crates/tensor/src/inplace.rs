@@ -7,11 +7,11 @@
 //! `half_one_plus` — and the structural ones — `transpose`, `sum_axis0`,
 //! `broadcast_row_add`, `repeat_rows`, `sum_groups`, `slice_*`, `concat_*`,
 //! `pad_*`, `unfold1d_circular`, `fold1d_circular` — are written here and
-//! nowhere else, the same under either kernel backend: the allocating name
+//! nowhere else: the allocating name
 //! of each is `Tensor::zeros` plus the `_into` call, so an allocation-lean
 //! caller gets the allocating caller's values bit for bit by construction.
-//! Only `tanh_into` and `gelu_into` dispatch to the live
-//! [`crate::Backend`], whose two implementations compute them differently.
+//! Only `tanh_into` and `gelu_into` call a [`crate::Backend`] — the simd
+//! one, whose approximations the scalar reference differs from.
 //!
 //! Kernels that accumulate (`sum_axis0_into`, `sum_groups_into`,
 //! `fold1d_circular_into`) or leave gaps (`pad_cols_into`, `pad_rows_into`)
@@ -83,16 +83,16 @@ impl Tensor {
         self.map_into(out, |a| a + s);
     }
 
-    /// `out = tanh(self)` through the live kernel backend.
+    /// `out = tanh(self)` through the simd kernel backend.
     pub fn tanh_into(&self, out: &mut Tensor) {
         self.assert_out_shape(out, self.rows(), self.cols(), "tanh_into");
-        crate::backend().tanh(self.as_slice(), out.as_mut_slice());
+        crate::backend::simd().tanh(self.as_slice(), out.as_mut_slice());
     }
 
-    /// `out = gelu(self)` (tanh approximation) through the live backend.
+    /// `out = gelu(self)` (tanh approximation) through the simd backend.
     pub fn gelu_into(&self, out: &mut Tensor) {
         self.assert_out_shape(out, self.rows(), self.cols(), "gelu_into");
-        crate::backend().gelu(self.as_slice(), out.as_mut_slice());
+        crate::backend::simd().gelu(self.as_slice(), out.as_mut_slice());
     }
 
     /// Fused tanh backward: `out = self ⊙ (1 - t²)` where `self` is the

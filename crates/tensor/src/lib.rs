@@ -10,12 +10,12 @@
 //! * a 2-D row-major [`Tensor`] (vectors are `1×n` or `n×1`),
 //! * a blocked GEMM with optional transposes, row-parallel on the
 //!   process-wide compute pool ([`par`]: one pool, one thread budget),
-//! * runtime-dispatched kernel [`mod@backend`]s (`MF_BACKEND=scalar|simd`)
-//!   for the kernels the two implementations compute differently: a
-//!   scalar reference and a vectorized implementation with a packed GEMM
-//!   microkernel, the compiled plan's fused `f32` dense-layer kernel over
-//!   pre-packed weights ([`Backend::layer`], [`PackedB`]) and vector
-//!   `tanh`/`gelu` in `f64` and `f32`,
+//! * one production kernel set, the vectorized [`backend::simd`] — a
+//!   packed GEMM microkernel, the compiled plan's fused `f32` dense-layer
+//!   kernel over pre-packed weights ([`Backend::layer`], [`PackedB`]) and
+//!   vector `tanh`/`gelu` in `f64` and `f32` — with the scalar reference
+//!   [`backend::scalar`] beside it as the test oracle
+//!   ([`check_gemm_contract`], [`check_layer_contract`], ulp budgets),
 //! * the axis/broadcast operations required by the *input-split* layer of
 //!   SDNet (grouped row repetition and grouped row summation),
 //! * reductions and norms used by losses and convergence tests.
@@ -36,9 +36,9 @@ mod simd;
 mod tensor;
 
 pub use backend::{
-    backend, backend_from_env, backend_kind, check_gemm_contract, check_layer_contract,
-    gelu_scalar, gelu_scalar_f32, same_bits, set_backend, ulp_distance, ulp_distance_f32,
-    with_backend, Act, Backend, BackendKind, PackedB, GELU_C, GELU_SQRT_2_OVER_PI,
+    backend_kind, check_gemm_contract, check_layer_contract, gelu_scalar, gelu_scalar_f32,
+    same_bits, ulp_distance, ulp_distance_f32, Act, Backend, BackendKind, PackedB, GELU_C,
+    GELU_SQRT_2_OVER_PI,
 };
 pub use gemm::{gemm, gemm_into, Layout};
 pub use inplace::{fold1d_circular_into, unfold1d_circular_into, unfold1d_windows};

@@ -1,11 +1,11 @@
-//! The vectorized kernel backend.
+//! The vectorized kernel backend: the kernels production runs.
 //!
 //! Portable hand-vectorization: every kernel processes fixed-width register
 //! tiles or lane blocks written so LLVM lowers them to packed vector
 //! instructions on any target — no intrinsics, no `unsafe`, no nightly
 //! `std::simd`. It overrides only what it computes differently from the
 //! scalar reference; the elementwise kernels, their VJPs and unfold/fold
-//! have one body for both backends, outside the trait. Two families:
+//! have one body, outside the trait. Two families:
 //!
 //! * **GEMM** ([`Backend::gemm_band`] in `f64`, [`Backend::layer`] in
 //!   `f32`) — one packed, cache-blocked microkernel, generic over the
@@ -92,6 +92,7 @@ pub struct SimdBackend;
 static SIMD: SimdBackend = SimdBackend;
 
 /// The process-wide [`SimdBackend`] instance.
+#[inline]
 pub(crate) fn instance() -> &'static dyn Backend {
     &SIMD
 }

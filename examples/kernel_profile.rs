@@ -226,7 +226,7 @@ fn main() {
             per_launch,
             &mut |lanes| {
                 over_rows(lanes, (black_box(&a), k), (&mut out, n), |a, o| {
-                    backend().layer(a, &w, Some(&bias), act, o)
+                    backend::simd().layer(a, &w, Some(&bias), act, o)
                 })
             },
         );
@@ -243,7 +243,7 @@ fn main() {
             &mut |lanes| {
                 over_rows(lanes, (&x, WIDTH), (&mut y, WIDTH), |x, y| {
                     y.copy_from_slice(x);
-                    backend().activate_f32(Act::Gelu, y)
+                    backend::simd().activate_f32(Act::Gelu, y)
                 })
             },
         );

@@ -37,8 +37,7 @@
 //! least 1 (`--devices`, `--epochs`, `--ranks`, `--workers`, `eval
 //! --samples`, either factor of `--domain`) prints a one-line reason plus
 //! the usage and exits non-zero; so does a `train --samples` too small to
-//! leave a validation sample, and an `MF_BACKEND` other than `scalar`,
-//! `simd` or `auto`, before the command starts.
+//! leave a validation sample, before the command starts.
 //!
 //! Observability flags (any subcommand):
 //!
@@ -242,9 +241,7 @@ fn usage() -> ExitCode {
            --trace PATH         write a Chrome trace_event JSON\n\
            --watch              periodic rendered progress reports on stderr\n\
            MF_OBSERVE=dump[:DIR] write a post-mortem bundle on failure\n\
-           MF_METRICS_ADDR=H:P  same as --metrics-addr\n\
-         \n\
-         MF_BACKEND=scalar|simd|auto  kernel backend (default auto: simd)"
+           MF_METRICS_ADDR=H:P  same as --metrics-addr"
     );
     ExitCode::FAILURE
 }
@@ -668,15 +665,6 @@ fn main() -> ExitCode {
     // MF_LOG sets the structured log level (MF_OBSERVE=dump[:DIR] is read
     // when a post-mortem is due).
     mosaic_flow::telemetry::init_log_from_env();
-    // MF_BACKEND is checked here, before any work: a bad value is a reason
-    // line, not a panic at the first kernel call (or no complaint at all
-    // from a command that never reaches one). The first kernel call reads
-    // it through the same parse; publishing the choice from here would put
-    // its gauge in a main-thread `--metrics` report that is otherwise empty.
-    if let Err(reason) = mosaic_flow::tensor::backend_from_env() {
-        eprintln!("mosaic-flow: {reason}\n");
-        return usage();
-    }
     // Live exposition: keep the server alive for the whole command; it
     // merges whatever the rank threads have published on each scrape.
     let _metrics_server = mosaic_flow::profile::MetricsServer::from_flag_or_env(

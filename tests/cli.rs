@@ -259,42 +259,6 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
     }
 }
 
-/// An unknown `MF_BACKEND` is a reason line and the usage before the
-/// command starts, whatever the command: `train` used to generate its
-/// dataset and then panic at the first kernel call, and an oracle `solve`
-/// ran to completion without noticing.
-#[test]
-fn an_unknown_backend_is_rejected_with_a_reason_before_the_command_runs() {
-    let model = tmp("bad_backend.mfn");
-    let model = model.to_str().unwrap();
-    for args in [
-        &[
-            "train",
-            "--samples",
-            "12",
-            "--epochs",
-            "1",
-            "--devices",
-            "2",
-            "--out",
-            model,
-        ][..],
-        &["solve", "--domain", "2x1", "--oracle"],
-    ] {
-        let out = cli().args(args).env("MF_BACKEND", "fast").output().unwrap();
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
-        assert!(
-            err.contains("MF_BACKEND must be one of scalar|simd|auto, got \"fast\"")
-                && err.contains("usage"),
-            "{args:?}: {err}"
-        );
-        assert!(!err.contains("panicked"), "{args:?}: {err}");
-        assert!(out.stdout.is_empty(), "{args:?} started its work");
-    }
-    assert!(!std::path::Path::new(model).exists());
-}
-
 /// Run `args`, expect success, and return stderr.
 fn stderr_of(args: &[&str]) -> String {
     let out = cli().args(args).output().unwrap();

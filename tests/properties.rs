@@ -165,16 +165,6 @@ fn ulps(a: f64, b: f64) -> u64 {
     canon(x).abs_diff(canon(y))
 }
 
-/// Run `f` with the kernel backend held fixed. The backend differentials
-/// further down switch the process-wide backend while this binary's tests
-/// run in parallel, and tanh/gelu differ by a few ulps between backends:
-/// a lean-vs-legacy comparison straddling a switch fails spuriously (the
-/// third-order test did, in about a third of the runs of this binary).
-fn on_one_backend<R>(f: impl FnOnce() -> R) -> R {
-    use mosaic_flow::tensor::{backend_kind, with_backend};
-    with_backend(backend_kind(), f)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -197,7 +187,7 @@ proptest! {
             let d2 = g.grad(s1, &[x])[0];
             (g.value(d1).clone(), g.value(d2).clone())
         };
-        let ((lean1, lean2), (leg1, leg2)) = on_one_backend(|| (run(true), run(false)));
+        let ((lean1, lean2), (leg1, leg2)) = (run(true), run(false));
         for (a, b) in lean1.as_slice().iter().zip(leg1.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "order-1 mismatch: {} vs {}", a, b);
         }
@@ -230,7 +220,7 @@ proptest! {
             let grads = g.grad(loss, bound.all_vars());
             grads.iter().map(|&gv| g.value(gv).clone()).collect::<Vec<_>>()
         };
-        let (lean, legacy) = on_one_backend(|| (run(true), run(false)));
+        let (lean, legacy) = (run(true), run(false));
         prop_assert_eq!(lean.len(), legacy.len());
         for (pi, (a, b)) in lean.iter().zip(&legacy).enumerate() {
             for (va, vb) in a.as_slice().iter().zip(b.as_slice()) {
@@ -263,7 +253,7 @@ proptest! {
             let d3 = g.grad(s2, &[x])[0];
             g.value(d3).clone()
         };
-        let (lean, legacy) = on_one_backend(|| (run(true), run(false)));
+        let (lean, legacy) = (run(true), run(false));
         for (a, b) in lean.as_slice().iter().zip(legacy.as_slice()) {
             prop_assert!(
                 ulps(*a, *b) <= 64,
@@ -380,30 +370,28 @@ proptest! {
             };
             (bits(grads.iter().map(|&v| g.value(v))), g.peak_bytes())
         };
-        on_one_backend(|| {
-            for lean in [true, false] {
-                for loss in [Loss::Data, Loss::Pde, Loss::Forward] {
-                    let (kept, kept_peak) = pass(lean, loss, false);
-                    let (consumed, consumed_peak) = pass(lean, loss, true);
+        for lean in [true, false] {
+            for loss in [Loss::Data, Loss::Pde, Loss::Forward] {
+                let (kept, kept_peak) = pass(lean, loss, false);
+                let (consumed, consumed_peak) = pass(lean, loss, true);
+                prop_assert!(
+                    consumed == kept,
+                    "backward differs from grad (lean {}, {:?})", lean, loss
+                );
+                if loss != Loss::Data {
                     prop_assert!(
-                        consumed == kept,
-                        "backward differs from grad (lean {}, {:?})", lean, loss
+                        consumed_peak < kept_peak,
+                        "PDE peak {} not below grad's {} (lean {}, {:?})",
+                        consumed_peak, kept_peak, lean, loss
                     );
-                    if loss != Loss::Data {
-                        prop_assert!(
-                            consumed_peak < kept_peak,
-                            "PDE peak {} not below grad's {} (lean {}, {:?})",
-                            consumed_peak, kept_peak, lean, loss
-                        );
-                    }
                 }
             }
-            let _ = local_gradients(&net, &batch, pde_weight);
-            let (data, pde, warm) = local_gradients(&net, &batch, pde_weight);
-            prop_assert_eq!((warm.pool_misses, warm.heap_allocs), (0, 0));
-            prop_assert!(bits(&data) == pass(true, Loss::Data, false).0, "data");
-            prop_assert!(bits(&pde) == pass(true, Loss::Forward, false).0, "pde");
-        });
+        }
+        let _ = local_gradients(&net, &batch, pde_weight);
+        let (data, pde, warm) = local_gradients(&net, &batch, pde_weight);
+        prop_assert_eq!((warm.pool_misses, warm.heap_allocs), (0, 0));
+        prop_assert!(bits(&data) == pass(true, Loss::Data, false).0, "data");
+        prop_assert!(bits(&pde) == pass(true, Loss::Forward, false).0, "pde");
     }
 }
 
@@ -613,43 +601,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Whole-stack backend differential: a random SDNet forward pass on
-    /// random shapes agrees across the scalar and simd backends to tight
-    /// relative tolerance (the only divergence allowed comes from the
-    /// vectorized tanh/gelu ulp budgets; GEMM and the data-movement
-    /// kernels are bitwise — `tests/backend.rs` pins those per kernel).
-    #[test]
-    fn sdnet_forward_backend_differential(
-        b in 1usize..5,
-        q in 1usize..7,
-        hidden in 4usize..24,
-        channels in 1usize..4,
-        seed in 0u64..u64::MAX,
-    ) {
-        use mosaic_flow::tensor::{with_backend, BackendKind};
-        use rand::Rng;
-        let spec = spec();
-        let mut cfg = SdNetConfig::small(spec.boundary_len());
-        cfg.conv_channels = vec![channels];
-        cfg.hidden = vec![hidden, hidden];
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let net = SdNet::new(cfg, &mut rng);
-        let bnds = Tensor::from_fn(b, spec.boundary_len(), |_, _| rng.gen_range(-1.0..1.0));
-        let pts = Tensor::from_fn(b * q, 2, |_, _| rng.gen_range(0.0..spec.spatial));
-        let s = with_backend(BackendKind::Scalar, || net.predict(&bnds, &pts, q));
-        let v = with_backend(BackendKind::Simd, || net.predict(&bnds, &pts, q));
-        prop_assert_eq!(s.shape(), v.shape());
-        for (x, y) in s.as_slice().iter().zip(v.as_slice()) {
-            prop_assert!(
-                (x - y).abs() <= 1e-10 * x.abs().max(1.0),
-                "forward diverged across backends: {:e} vs {:e}", x, y
-            );
-        }
-    }
-
     /// Tensor-level differential on random rectangular chains: the
-    /// composition (unfold → gemm → gelu → gemm) that makes up an SDNet
-    /// layer stack, on shapes proptest picks, matches across backends.
+    /// composition (gemm → gelu → gemm) that makes up an SDNet layer stack,
+    /// on shapes proptest picks, through the production `Tensor` kernels
+    /// matches the same chain on the scalar reference kernels.
     #[test]
     fn layer_chain_backend_differential(
         rows in 1usize..10,
@@ -657,7 +612,7 @@ proptest! {
         cols in 1usize..10,
         seed in 0u64..u64::MAX,
     ) {
-        use mosaic_flow::tensor::{gemm_into, with_backend, BackendKind, Layout};
+        use mosaic_flow::tensor::{backend::scalar, gemm_into, Layout};
         use rand::Rng;
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut fill = |r: usize, c: usize| {
@@ -669,20 +624,21 @@ proptest! {
         let a = fill(rows, inner);
         let w1 = fill(inner, cols);
         let w2 = fill(cols, rows);
-        let run = |kind| with_backend(kind, || {
-            let mut h = Tensor::zeros(rows, cols);
-            gemm_into(&a, Layout::Normal, &w1, Layout::Normal, &mut h);
-            let mut act = Tensor::zeros(rows, cols);
-            h.gelu_into(&mut act);
-            let mut out = Tensor::zeros(rows, rows);
-            gemm_into(&act, Layout::Normal, &w2, Layout::Normal, &mut out);
-            out
-        });
-        let s = run(BackendKind::Scalar);
-        let v = run(BackendKind::Simd);
+        let mut h = Tensor::zeros(rows, cols);
+        gemm_into(&a, Layout::Normal, &w1, Layout::Normal, &mut h);
+        let mut act = Tensor::zeros(rows, cols);
+        h.gelu_into(&mut act);
+        let mut v = Tensor::zeros(rows, rows);
+        gemm_into(&act, Layout::Normal, &w2, Layout::Normal, &mut v);
+        let mut h = vec![0.0; rows * cols];
+        scalar().gemm_band(a.as_slice(), w1.as_slice(), &mut h, inner, cols);
+        let mut act = vec![0.0; rows * cols];
+        scalar().gelu(&h, &mut act);
+        let mut s = vec![0.0; rows * rows];
+        scalar().gemm_band(&act, w2.as_slice(), &mut s, cols, rows);
         // gelu carries a 32-ulp budget; one GEMM on top keeps the
         // relative gap at ~1e-13.
-        for (x, y) in s.as_slice().iter().zip(v.as_slice()) {
+        for (x, y) in s.iter().zip(v.as_slice()) {
             prop_assert!(
                 (x - y).abs() <= 1e-11 * x.abs().max(1.0),
                 "chain diverged: {:e} vs {:e}", x, y

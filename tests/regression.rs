@@ -4,13 +4,12 @@
 //! `tests/fixtures/`, so a refactor that silently shifts convergence
 //! behaviour fails loudly here.
 //!
-//! Every fixture test runs pinned to the **scalar** kernel backend
-//! (`with_backend(BackendKind::Scalar, ..)`), regardless of `MF_BACKEND`
-//! or the auto-detected default: the fixtures define the reference
-//! numerics, and the vectorized backend's agreement with them is the
-//! differential harness's job (`tests/backend.rs`), not this file's.
-//! This is what lets CI run the whole test matrix under `MF_BACKEND=simd`
-//! without the fixtures seeing ulp-level tanh/gelu drift.
+//! The fixtures run on the kernels that ship (`backend::simd()`; there is
+//! no other production kernel set). They were recorded on the scalar
+//! reference kernels, and the production kernels stay within `TOL` of
+//! them on a build with FMA and on one without (CI runs this file on both);
+//! kernel-by-kernel agreement with the reference is the differential
+//! harness's job (`tests/backend.rs`).
 //!
 //! Regenerate after an *intentional* numerical change with:
 //!
@@ -18,14 +17,14 @@
 //! UPDATE_FIXTURES=1 cargo test --test regression
 //! ```
 //!
-//! (Regeneration also runs pinned to scalar, so fixtures never encode
-//! vectorized-backend rounding.)
+//! Regeneration records the production kernels' numbers, in the build it
+//! runs in.
 
 use mosaic_flow::data::{Dataset, SubdomainSpec};
 use mosaic_flow::mfp::{run_distributed, DistMfpConfig, DomainSpec, OracleSolver};
 use mosaic_flow::nn::{SdNet, SdNetConfig};
 use mosaic_flow::opt::LrSchedule;
-use mosaic_flow::tensor::{with_backend, BackendKind, Tensor};
+use mosaic_flow::tensor::Tensor;
 use mosaic_flow::train::trainer::OptKind;
 use mosaic_flow::train::{train_ddp, GradSync, TrainConfig};
 use rand::SeedableRng;
@@ -103,28 +102,24 @@ fn check_fixture(name: &str, header: &str, got: &[f64]) {
 fn mfp_residual_trajectory_matches_fixture() {
     // Algorithm 2 as printed: this fixture predates the accelerated
     // default and does not move with it.
-    with_backend(BackendKind::Scalar, || {
-        mfp_residual_trajectory_body(
-            false,
-            25,
-            "mfp_residuals.txt",
-            "Distributed MFP residual trajectory",
-        )
-    })
+    mfp_residual_trajectory_body(
+        false,
+        25,
+        "mfp_residuals.txt",
+        "Distributed MFP residual trajectory",
+    )
 }
 
 #[test]
 fn accelerated_mfp_residual_trajectory_matches_fixture() {
-    with_backend(BackendKind::Scalar, || {
-        // A dozen iterations take it where the one-level trajectory is
-        // after some forty-five; a few more and it would stop at the tolerance.
-        mfp_residual_trajectory_body(
-            true,
-            12,
-            "mfp_residuals_accelerated.txt",
-            "Distributed MFP residual trajectory, accelerated (coarse seed + Anderson mixing)",
-        )
-    })
+    // A dozen iterations take it where the one-level trajectory is after
+    // some forty-five; a few more and it would stop at the tolerance.
+    mfp_residual_trajectory_body(
+        true,
+        12,
+        "mfp_residuals_accelerated.txt",
+        "Distributed MFP residual trajectory, accelerated (coarse seed + Anderson mixing)",
+    )
 }
 
 fn mfp_residual_trajectory_body(accelerate: bool, iters: usize, fixture: &str, title: &str) {
@@ -173,10 +168,6 @@ fn mfp_residual_trajectory_body(accelerate: bool, iters: usize, fixture: &str, t
 
 #[test]
 fn trainer_loss_curve_matches_fixture() {
-    with_backend(BackendKind::Scalar, trainer_loss_curve_body)
-}
-
-fn trainer_loss_curve_body() {
     let spec = SubdomainSpec { m: 9, spatial: 0.5 };
     let ds = Dataset::generate(spec, 8, 1);
     let (train, val) = ds.split(0.75);
@@ -210,19 +201,4 @@ fn trainer_loss_curve_body() {
          three lines per epoch: data_loss, pde_loss, val_mse",
         &values,
     );
-}
-
-/// Guard: the fixture tests above must actually run on the scalar
-/// backend even when the process-wide default is simd — a regression in
-/// the pinning (a dropped `with_backend`, say) would silently re-record
-/// fixtures against vectorized numerics on the next UPDATE_FIXTURES run.
-#[test]
-fn fixture_tests_pin_the_scalar_backend() {
-    use mosaic_flow::tensor::backend_kind;
-    with_backend(BackendKind::Simd, || {
-        let inside = with_backend(BackendKind::Scalar, backend_kind);
-        assert_eq!(inside, BackendKind::Scalar);
-        // and the pin is scoped: the surrounding choice is restored.
-        assert_eq!(backend_kind(), BackendKind::Simd);
-    });
 }
