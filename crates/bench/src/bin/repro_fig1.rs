@@ -12,7 +12,7 @@
 //! ```
 
 use mf_bench::*;
-use mf_mfp::{run_distributed, DistMfpConfig, DomainSpec, NeuralSolver, OracleSolver};
+use mf_mfp::{run_distributed, DistMfpConfig, DomainSpec, OracleSolver, PlanSolver};
 use mf_tensor::Tensor;
 
 fn ascii_map(diff: &Tensor, levels: &str) {
@@ -62,13 +62,13 @@ fn main() {
     );
     let diff_oracle = res_oracle.grid.zip_map(&reference, |a, b| (a - b).abs());
 
-    println!("[3/3] distributed MFP on 4 ranks with a freshly trained SDNet");
+    println!("[3/3] distributed MFP on 4 ranks with a freshly trained SDNet (compiled f32 plan)");
     let (samples, epochs) = if full_scale() { (600, 150) } else { (200, 60) };
     let (net, val_mse) = train_sdnet(spec, samples, epochs, 0);
     println!("      trained SDNet validation MSE: {val_mse:.5}");
-    let neural = NeuralSolver::new(net, spec);
+    let plan = PlanSolver::new(net, spec);
     let res_net = run_distributed(
-        &neural,
+        &plan,
         &domain,
         &bc,
         4,

@@ -5,7 +5,8 @@
 //! trained on 1..32 GPUs (Fig 6) do **not** translate into MFP accuracy
 //! differences — the MAE curves for all models coincide. This binary
 //! trains models with 1, 2 and 4 simulated devices and runs each as the
-//! MFP subdomain solver on domains of increasing size.
+//! MFP subdomain solver (the compiled `f32` plan) on domains of increasing
+//! size.
 //!
 //! ```text
 //! cargo run -p mf-bench --release --bin repro_fig7 [--full]
@@ -13,7 +14,7 @@
 
 use mf_bench::*;
 use mf_data::Dataset;
-use mf_mfp::{DomainSpec, Mfp, MfpConfig, NeuralSolver};
+use mf_mfp::{DomainSpec, Mfp, MfpConfig, PlanSolver};
 use mf_nn::SdNet;
 use mf_numerics::boundary::boundary_from_fn;
 use mf_opt::LrSchedule;
@@ -79,7 +80,7 @@ fn main() {
             sy as f64 * spec.spatial
         )];
         for (_, net, _) in &models {
-            let solver = NeuralSolver::new(net.clone(), spec);
+            let solver = PlanSolver::new(net.clone(), spec);
             let res = Mfp::new(&solver, domain).run(
                 &bc,
                 &MfpConfig {
@@ -98,11 +99,10 @@ fn main() {
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     print_table("Fig 7: MFP MAE per trained model", &header_refs, &rows);
 
-    // Spread across models should be small relative to the MAE itself.
     println!(
-        "\nshape check vs paper: the MAE columns agree closely for every domain\n\
-         size — models trained with different device counts are equally good\n\
-         subdomain solvers, despite their small validation-MSE differences."
+        "\npaper's claim (compare the columns): the MAE columns agree closely for\n\
+         every domain size — models trained with different device counts are\n\
+         equally good subdomain solvers, despite small validation-MSE differences."
     );
     finish_trace(trace);
 }

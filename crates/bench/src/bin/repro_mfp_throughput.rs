@@ -23,7 +23,7 @@ use mf_bench::gate::Metric;
 use mf_bench::*;
 use mf_data::SubdomainSpec;
 use mf_infer::InferencePlan;
-use mf_mfp::{NeuralSolver, PlanSolver, SubdomainSolver};
+use mf_mfp::{PlanSolver, SubdomainSolver};
 use mf_nn::{SdNet, SdNetConfig};
 use mf_tensor::Tensor;
 use rand::{Rng, SeedableRng};
@@ -81,12 +81,17 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(11);
     let bnds = Tensor::from_fn(b, spec.boundary_len(), |_, _| rng.gen_range(-1.0..1.0));
 
-    let graph = NeuralSolver::new(net.clone(), spec);
-    let plan = PlanSolver::new(net, spec);
+    // The graph path: the shared query points tiled for every boundary,
+    // then one `SdNet::predict`, the tape rebuilt per launch.
+    let graph = |bnds: &Tensor| {
+        let tiled = Tensor::from_vec(b * q, 2, pts.as_slice().repeat(b));
+        net.predict(bnds, &tiled, q)
+    };
+    let plan = PlanSolver::new(net.clone(), spec);
 
     // The f32 plan must hold its contract with the f64 graph — every
     // output within the launch's bound — before any timing matters.
-    let expect = graph.solve_batch(&bnds, &pts);
+    let expect = graph(&bnds);
     let got = plan.solve_batch(&bnds, &pts);
     let bound = InferencePlan::compile(plan.net(), &pts).graph_error_bound(&bnds);
     for ((e, g), b) in (expect.as_slice().iter().zip(got.as_slice())).zip(bound.as_slice()) {
@@ -102,7 +107,7 @@ fn main() {
         (b * q * launches) as f64 / t0.elapsed().as_secs_f64()
     };
     let run_graph = || {
-        graph.solve_batch(&bnds, &pts);
+        graph(&bnds);
     };
     let run_plan = || {
         plan.solve_batch(&bnds, &pts);

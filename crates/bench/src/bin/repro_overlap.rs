@@ -31,7 +31,7 @@
 use mf_bench::*;
 use mf_data::SubdomainSpec;
 use mf_dist::{CartesianGrid, FaultPlan, PerfModel, RankOrder};
-use mf_mfp::{run_distributed, DistMfpConfig, DistMfpResult, DomainSpec, SubdomainSolver};
+use mf_mfp::{run_distributed, DistMfpConfig, DistMfpResult, DomainSpec, SubdomainSolver, Subset};
 use mf_numerics::boundary::grid_with_boundary;
 use mf_numerics::{solve_dirichlet, Poisson};
 use mf_tensor::Tensor;
@@ -59,7 +59,17 @@ impl SubdomainSolver for MultigridSolver {
         self.spec
     }
 
-    fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
+    /// Laplace only: every point of every subdomain, then compacted to
+    /// the subset.
+    fn solve_batch_subset(
+        &self,
+        sigma: f64,
+        boundaries: &Tensor,
+        forcings: Option<&Tensor>,
+        points: &Tensor,
+        subset: Subset<'_>,
+    ) -> Tensor {
+        assert!(sigma == 0.0 && forcings.is_none(), "Laplace only");
         let (m, h) = (self.spec.m, self.spec.h());
         let problem = Poisson::laplace(m, m, h);
         let q = points.rows();
@@ -80,6 +90,7 @@ impl SubdomainSolver for MultigridSolver {
         }
         self.launches.fetch_add(1, Ordering::Relaxed);
         self.inferences.fetch_add(out.numel(), Ordering::Relaxed);
+        subset.compact(out.as_mut_slice(), q);
         out
     }
 

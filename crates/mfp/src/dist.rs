@@ -60,15 +60,14 @@ pub struct DistMfpConfig {
     /// Fault injection for the cluster's links ([`FaultPlan::none`] keeps
     /// the lossless PR-1 semantics).
     pub plan: FaultPlan,
-    /// Degraded mode: bound each halo exchange by [`Self::halo_timeout`]
-    /// and *reuse the stale halo* from the previous exchange when a
-    /// neighbor misses the deadline, instead of blocking the iteration.
-    /// The Schwarz fixed point is unchanged — stale interface data only
-    /// slows convergence (the same trade as `comm_every > 1`); a sweep
-    /// that read one is left out of the mixing history on every rank.
-    pub degraded_halos: bool,
-    /// Per-exchange deadline in degraded mode.
-    pub halo_timeout: Duration,
+    /// Degraded mode: `Some(deadline)` bounds each halo exchange by
+    /// `deadline` and *reuses the stale halo* from the previous exchange
+    /// when a neighbor misses it, instead of blocking the iteration
+    /// (`None`, the default, blocks). The Schwarz fixed point is unchanged
+    /// — stale interface data only slows convergence (the same trade as
+    /// `comm_every > 1`); a sweep that read one is left out of the mixing
+    /// history on every rank.
+    pub halo_deadline: Option<Duration>,
     /// Alpha–beta model used by the per-rank overlap accounting
     /// (`dist.overlap_ratio` and friends).
     pub perf_model: PerfModel,
@@ -84,8 +83,7 @@ impl Default for DistMfpConfig {
             target: None,
             accelerate: true,
             plan: FaultPlan::none(),
-            degraded_halos: false,
-            halo_timeout: Duration::from_millis(50),
+            halo_deadline: None,
             perf_model: PerfModel::a30_cluster(),
         }
     }
@@ -571,8 +569,8 @@ impl<'a> Peers<'a> {
         let t0 = thread_cpu_time();
         mf_profile::zone!("halo_wait");
         for (h, cells) in self.inflight.drain(..).zip(&self.halo_cells) {
-            if self.cfg.degraded_halos {
-                match self.comm.wait_deadline(&h, self.cfg.halo_timeout) {
+            if let Some(deadline) = self.cfg.halo_deadline {
+                match self.comm.wait_deadline(&h, deadline) {
                     Ok(data) => unpack_cells(u, cells, &data),
                     Err(CommError::Timeout { .. }) => {
                         self.stale_halos += 1;
@@ -1338,8 +1336,7 @@ mod tests {
                 delay_max_us: 30_000,
                 ..FaultPlan::none()
             },
-            degraded_halos: true,
-            halo_timeout: Duration::from_millis(8),
+            halo_deadline: Some(Duration::from_millis(8)),
             ..Default::default()
         };
         let degraded = try_run_distributed(&oracle, &d, &bc, 4, &degraded_cfg).unwrap();

@@ -38,10 +38,11 @@
 //! The original one-inference-per-subdomain baseline of Fig. 8 is the
 //! [`UnbatchedSolver`] adapter around any solver.
 //!
-//! The [`SubdomainSolver`] trait abstracts the subdomain solver: a trained
-//! [`NeuralSolver`] (SDNet) or the numerical [`OracleSolver`] (the exact
-//! discrete Dirichlet map), which isolates the convergence behaviour of the
-//! distributed algorithm from neural-model error.
+//! The [`SubdomainSolver`] trait abstracts the subdomain solver behind one
+//! launch, [`SubdomainSolver::solve_batch_subset`]: a trained SDNet run as
+//! the compiled `f32` [`PlanSolver`], or the numerical [`OracleSolver`]
+//! (the exact discrete Dirichlet map), which isolates the convergence
+//! behaviour of the distributed algorithm from neural-model error.
 
 mod dist;
 mod domain;
@@ -61,4 +62,4 @@ pub use engine::MaeTarget;
 pub use mf_infer::Subset;
 pub use plan::PlanSolver;
 pub use seq::{Mfp, MfpConfig, MfpResult};
-pub use solver::{NeuralSolver, OracleSolver, SubdomainSolver, UnbatchedSolver};
+pub use solver::{OracleSolver, SubdomainSolver, UnbatchedSolver};

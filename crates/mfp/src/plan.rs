@@ -30,15 +30,13 @@ use mf_tensor::{PoolStats, Tensor};
 /// its batch, block partition, pool width or rank, and whatever subset of
 /// its points a boundary takes — so batched serving equals solving alone,
 /// and a sweep of the live points equals one of full crosses. Against
-/// [`NeuralSolver`](crate::NeuralSolver),
-/// the `f64` graph, each output is within
+/// the `f64` graph ([`SdNet::predict`]) each output is within
 /// [`InferencePlan::graph_error_bound`](mf_infer::InferencePlan::graph_error_bound)
 /// of its launch; over a whole solve
 /// on the benchmark network the iteration count stays within one of the
 /// graph's, the fixed point within 1e-5 grid MAE and the error against
-/// multigrid within 10 % (`tests/precision.rs`). For `f64` inference, run
-/// the graph through `NeuralSolver`. Besides twice the lanes, the plan
-/// saves the autodiff tape, pools its workspaces and computes the
+/// multigrid within 10 % (`tests/precision.rs`). Besides twice the lanes,
+/// the plan saves the autodiff tape, pools its workspaces and computes the
 /// query-coordinate half of the input-split layer once per point set
 /// instead of once per launch.
 pub struct PlanSolver {
@@ -136,10 +134,6 @@ impl SubdomainSolver for PlanSolver {
         self.spec
     }
 
-    fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
-        self.solve_batch_subset(0.0, boundaries, None, points, Subset::All)
-    }
-
     fn solve_batch_subset(
         &self,
         sigma: f64,
@@ -177,20 +171,71 @@ impl SubdomainSolver for PlanSolver {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::NeuralSolver;
     use mf_nn::SdNetConfig;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
+    /// The `f64` graph as a subdomain solver, the oracle the `f32` plan is
+    /// checked against and the solver of tests whose `tol` lies below the
+    /// plan's rounding: each launch tiles the points for every boundary,
+    /// runs [`SdNet::predict`] and compacts to the subset.
+    pub(crate) struct GraphSolver {
+        net: SdNet,
+        spec: SubdomainSpec,
+        counter: LaunchCounter,
+    }
+
+    impl GraphSolver {
+        pub(crate) fn new(net: SdNet, spec: SubdomainSpec) -> Self {
+            Self {
+                net,
+                spec,
+                counter: LaunchCounter::default(),
+            }
+        }
+    }
+
+    impl SubdomainSolver for GraphSolver {
+        fn spec(&self) -> SubdomainSpec {
+            self.spec
+        }
+
+        fn solve_batch_subset(
+            &self,
+            sigma: f64,
+            boundaries: &Tensor,
+            forcings: Option<&Tensor>,
+            points: &Tensor,
+            subset: Subset<'_>,
+        ) -> Tensor {
+            assert!(sigma == 0.0 && forcings.is_none(), "Laplace only");
+            let (b, q) = (boundaries.rows(), points.rows());
+            let tiled = Tensor::from_vec(b * q, 2, points.as_slice().repeat(b));
+            self.counter.record(b * q);
+            let mut out = self.net.predict(boundaries, &tiled, q);
+            subset.compact(out.as_mut_slice(), q);
+            out
+        }
+
+        fn inference_count(&self) -> usize {
+            self.counter.inferences()
+        }
+
+        fn launch_count(&self) -> usize {
+            self.counter.launches()
+        }
+    }
+
     /// A [`PlanSolver`] whose every launch is checked against the `f64`
-    /// graph on the same boundaries and points: each output within the
-    /// launch's `InferencePlan::graph_error_bound`. It serves the plan's
-    /// outputs, so a run on it is bitwise the run on the plan.
-    pub(crate) struct Checked<'a>(pub &'a PlanSolver, pub NeuralSolver);
+    /// graph on the same boundaries and points: each taken row within the
+    /// bound of the graph's row for the same point
+    /// (`InferencePlan::graph_error_bound`). It serves the plan's outputs,
+    /// so a run on it is bitwise the run on the plan.
+    pub(crate) struct Checked<'a>(pub &'a PlanSolver, pub GraphSolver);
 
     impl<'a> Checked<'a> {
         pub(crate) fn new(plan: &'a PlanSolver) -> Self {
-            Self(plan, NeuralSolver::new(plan.net.clone(), plan.spec))
+            Self(plan, GraphSolver::new(plan.net.clone(), plan.spec))
         }
     }
 
@@ -199,33 +244,6 @@ pub(crate) mod tests {
             self.0.spec
         }
 
-        fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
-            let got = self.0.solve_batch(boundaries, points);
-            let want = self.1.solve_batch(boundaries, points);
-            let plan = self.0.plans.get_or_compile(&self.0.net, points);
-            let bound = plan.graph_error_bound(boundaries);
-            for (i, ((w, g), e)) in (want.as_slice().iter().zip(got.as_slice()))
-                .zip(bound.as_slice())
-                .enumerate()
-            {
-                assert!(
-                    (w - g).abs() <= *e,
-                    "output {i}: plan {g:e}, graph {w:e}, bound {e:e}"
-                );
-            }
-            got
-        }
-
-        fn inference_count(&self) -> usize {
-            self.0.inference_count()
-        }
-
-        fn launch_count(&self) -> usize {
-            self.0.launch_count()
-        }
-
-        /// The plan's own subset launch, each taken row within the bound
-        /// of the graph's row for the same point.
         fn solve_batch_subset(
             &self,
             sigma: f64,
@@ -254,6 +272,14 @@ pub(crate) mod tests {
             }
             got
         }
+
+        fn inference_count(&self) -> usize {
+            self.0.inference_count()
+        }
+
+        fn launch_count(&self) -> usize {
+            self.0.launch_count()
+        }
     }
 
     fn spec() -> SubdomainSpec {
@@ -269,7 +295,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn matches_neural_solver_within_the_launch_bound() {
+    fn matches_the_graph_within_the_launch_bound() {
         let spec = spec();
         let plan = PlanSolver::new(net(0), spec);
         let checked = Checked::new(&plan);
@@ -308,5 +334,15 @@ pub(crate) mod tests {
         let _ = solver.solve_batch(&b, &p2);
         // Two compiles, then every launch is a hit.
         assert_eq!(solver.cache_hits(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "boundary length")]
+    fn checks_geometry() {
+        let mut cfg = SdNetConfig::small(16);
+        cfg.conv_channels = vec![];
+        cfg.hidden = vec![4];
+        let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(0));
+        let _ = PlanSolver::new(net, spec()); // spec wants 32
     }
 }

@@ -94,8 +94,8 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     /// global grid. With `σ = 1/(α·Δt)` and `f = σ·uⁿ` this is one
     /// implicit-Euler step of the heat equation — the time-dependent
     /// extension hypothesized in §5.3 of the paper. Requires a subdomain
-    /// solver that implements
-    /// [`SubdomainSolver::solve_batch_shifted`] (the oracle does).
+    /// solver whose [`SubdomainSolver::solve_batch_subset`] takes `σ ≠ 0`
+    /// and a forcing (the oracle does).
     pub fn run_shifted(
         &self,
         bc: &Tensor,
@@ -109,16 +109,15 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
 
     /// Solve many BVPs on the *same* domain in one batched pass: each
     /// Schwarz sweep stacks every active request's group boundaries into
-    /// a single `solve_batch` launch, and the final dense fill packs all
-    /// requests into one launch per point set.
+    /// a single launch, and the final dense fill packs all requests into
+    /// one launch per point set.
     ///
-    /// Because every solver row is independent (the property
-    /// `plan_and_graph_paths_agree_bitwise` proves for the compiled
-    /// plan), each request's grid, iteration count, and deltas are
-    /// **bitwise identical** to calling [`Mfp::run`] on that request
-    /// alone — which is this function with one request. Requests converge
-    /// independently: a request that meets `cfg.tol` drops out of
-    /// subsequent sweeps while the rest continue.
+    /// Because every solver row is independent of its batch (the
+    /// [`SubdomainSolver`] contract), each request's grid, iteration
+    /// count, and deltas are **bitwise identical** to calling [`Mfp::run`]
+    /// on that request alone — which is this function with one request.
+    /// Requests converge independently: a request that meets `cfg.tol`
+    /// drops out of subsequent sweeps while the rest continue.
     ///
     /// This is the serving hot path: cross-request batching amortizes
     /// the per-launch fixed cost (plan-cache probe, workspace checkout,
@@ -468,7 +467,7 @@ mod tests {
         };
 
         let plan = crate::PlanSolver::new(net.clone(), spec());
-        let graph = crate::NeuralSolver::new(net, spec());
+        let graph = crate::plan::tests::GraphSolver::new(net, spec());
         let rp = Mfp::new(&plan, d).run(&bc, &cfg);
         let rc = Mfp::new(&crate::plan::tests::Checked::new(&plan), d).run(&bc, &cfg);
         let rb = Mfp::new(&graph, d).run(&bc, &cfg);
@@ -656,7 +655,7 @@ mod tests {
                 let spec = spec();
                 let net = equality_net(net_seed);
                 let plan = crate::PlanSolver::new(net.clone(), spec);
-                let graph = crate::NeuralSolver::new(net, spec);
+                let graph = crate::plan::tests::GraphSolver::new(net, spec);
                 let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(data_seed);
                 let bnd = Tensor::from_fn(b, spec.boundary_len(), |_, _| {
                     rng.gen_range(-1.0..1.0)
@@ -915,7 +914,7 @@ mod tests {
         // which can meet `tol 1e-9` (the `f32` plan's relative change
         // bottoms out near its rounding, about 1e-7).
         let d = DomainSpec::new(spec(), 2, 2);
-        let graph = crate::NeuralSolver::new(equality_net(2), spec());
+        let graph = crate::plan::tests::GraphSolver::new(equality_net(2), spec());
         let mfp = Mfp::new(&graph, d);
         for bc in random_bcs(&d, 4) {
             let (one_level, two_level) = (run(&mfp, &bc, 1e-9, false), run(&mfp, &bc, 1e-9, true));
@@ -943,7 +942,7 @@ mod tests {
         // smoothly converging batch mates each repeat their solo run.
         // On the `f64` graph: the `f32` plan cannot meet `tol 1e-9`.
         let d = DomainSpec::new(spec(), 2, 2);
-        let graph = crate::NeuralSolver::new(equality_net(2), spec());
+        let graph = crate::plan::tests::GraphSolver::new(equality_net(2), spec());
         let mfp = Mfp::new(&graph, d);
         let cfg = MfpConfig {
             max_iters: 60,
@@ -1018,9 +1017,24 @@ mod tests {
             fn spec(&self) -> mf_data::SubdomainSpec {
                 self.0.spec()
             }
-            fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
-                let preds = self.0.solve_batch(boundaries, points);
+            /// Records every point of the launch, then takes the subset.
+            fn solve_batch_subset(
+                &self,
+                sigma: f64,
+                boundaries: &Tensor,
+                forcings: Option<&Tensor>,
+                points: &Tensor,
+                subset: crate::Subset<'_>,
+            ) -> Tensor {
+                let mut preds = self.0.solve_batch_subset(
+                    sigma,
+                    boundaries,
+                    forcings,
+                    points,
+                    crate::Subset::All,
+                );
                 self.1.lock().unwrap().push(preds.clone());
+                subset.compact(preds.as_mut_slice(), points.rows());
                 preds
             }
             fn inference_count(&self) -> usize {

@@ -1,8 +1,8 @@
-//! The subdomain-solver abstraction and its two implementations.
+//! The subdomain-solver abstraction, the numerical oracle and the
+//! one-launch-per-subdomain adapter of Fig. 8.
 
 use mf_data::SubdomainSpec;
 use mf_infer::Subset;
-use mf_nn::SdNet;
 use mf_numerics::boundary::grid_with_boundary;
 use mf_numerics::{solve_shifted_sor, DirichletMap, Poisson};
 use mf_tensor::{gemm, Layout, Tensor};
@@ -58,49 +58,57 @@ fn grid_aligned_indices(points: &Tensor, h: f64) -> Vec<(usize, usize)> {
 /// `boundaries` is `[B, 4(m−1)]` (counter-clockwise walks); `points` is a
 /// single `q×2` set of local physical coordinates shared by all `B`
 /// problems. The result is `[B·q, 1]` with rows grouped per boundary.
-/// A launch may also ask for whatever [`Subset`] of its points each
-/// boundary takes ([`SubdomainSolver::solve_batch_subset`]); a row's value
-/// must not depend on the subset it is taken in, nor on the batch.
+/// A solver has one launch, [`SubdomainSolver::solve_batch_subset`], which
+/// also names the [`Subset`] of its points each boundary takes; a row's
+/// value must not depend on the subset it is taken in, nor on the batch.
 pub trait SubdomainSolver: Sync {
     /// Subdomain geometry this solver was built for.
     fn spec(&self) -> SubdomainSpec;
 
-    /// Solve all `B` problems at the shared query points.
-    fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor;
-
-    /// Number of scalar inferences performed so far (for the cost model).
-    fn inference_count(&self) -> usize;
-
-    /// Number of `solve_batch` calls so far — "kernel launches" in the
-    /// device-occupancy model behind the Fig-8 reproduction.
-    fn launch_count(&self) -> usize;
-
-    /// Solve the shifted problem `σu − Δu = f` on each subdomain, with
-    /// `forcings` holding one row-major `m·m` window per boundary. This
-    /// powers the time-dependent extension (implicit-Euler heat stepping,
-    /// §5.3 of the paper); the default rejects anything but the plain
-    /// Laplace equation, which is all a Laplace-trained SDNet supports.
-    fn solve_batch_shifted(
+    /// Solve the shifted problem `σu − Δu = f` on each subdomain for only
+    /// the points `subset` gives each boundary, in the subset's layout of
+    /// the `[B·q, 1]` result: boundary `b`'s taken points fill the head of
+    /// its `q`-row block, in order. `forcings` holds one row-major `m·m`
+    /// window per boundary. `σ ≠ 0` or a forcing powers the time-dependent
+    /// extension (implicit-Euler heat stepping, §5.3 of the paper); a
+    /// Laplace-trained SDNet supports only `σ = 0` without forcing. The
+    /// MFP sweeps launch through this, each subdomain taking the
+    /// center-cross points no later sweep group overwrites unread.
+    fn solve_batch_subset(
         &self,
         sigma: f64,
         boundaries: &Tensor,
         forcings: Option<&Tensor>,
         points: &Tensor,
-    ) -> Tensor {
-        assert!(
-            sigma == 0.0 && forcings.is_none(),
-            "this subdomain solver supports only the Laplace equation"
-        );
-        self.solve_batch(boundaries, points)
+        subset: Subset<'_>,
+    ) -> Tensor;
+
+    /// Solve all `B` Laplace problems at every shared query point.
+    fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
+        self.solve_batch_subset(0.0, boundaries, None, points, Subset::All)
     }
 
-    /// [`SubdomainSolver::solve_batch_shifted`] for only the points
-    /// `subset` gives each boundary, in the subset's layout of the
-    /// `[B·q, 1]` result: boundary `b`'s taken points fill the head of its
-    /// `q`-row block, in order. The MFP sweeps launch through this, each
-    /// subdomain taking the center-cross points no later sweep group
-    /// overwrites unread. The default computes every point and compacts;
-    /// a solver that can evaluate only the taken rows overrides it.
+    /// Number of scalar inferences performed so far (for the cost model).
+    fn inference_count(&self) -> usize;
+
+    /// Number of launches so far — "kernel launches" in the
+    /// device-occupancy model behind the Fig-8 reproduction.
+    fn launch_count(&self) -> usize;
+}
+
+/// The original Mosaic Flow baseline of Fig. 8: forwards every call to the
+/// wrapped solver **one boundary row per launch**, each row with its own
+/// subset, so an MFP run through this adapter costs one inference per
+/// subdomain instead of one per sweep group. Rows are independent, so the
+/// results and the points taken are bitwise those of the wrapped solver;
+/// only `launch_count` (and the time) differ.
+pub struct UnbatchedSolver<'a, S: SubdomainSolver>(pub &'a S);
+
+impl<S: SubdomainSolver> SubdomainSolver for UnbatchedSolver<'_, S> {
+    fn spec(&self) -> SubdomainSpec {
+        self.0.spec()
+    }
+
     fn solve_batch_subset(
         &self,
         sigma: f64,
@@ -109,26 +117,21 @@ pub trait SubdomainSolver: Sync {
         points: &Tensor,
         subset: Subset<'_>,
     ) -> Tensor {
-        let mut out = self.solve_batch_shifted(sigma, boundaries, forcings, points);
-        subset.compact(out.as_mut_slice(), points.rows());
-        out
-    }
-}
-
-/// The original Mosaic Flow baseline of Fig. 8: forwards every call to the
-/// wrapped solver **one boundary row per launch**, so an MFP run through
-/// this adapter costs one inference per subdomain instead of one per sweep
-/// group. Rows are independent, so the results are bitwise those of the
-/// wrapped solver; only `launch_count` (and the time) differ.
-pub struct UnbatchedSolver<'a, S: SubdomainSolver>(pub &'a S);
-
-impl<S: SubdomainSolver> SubdomainSolver for UnbatchedSolver<'_, S> {
-    fn spec(&self) -> SubdomainSpec {
-        self.0.spec()
-    }
-
-    fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
-        self.solve_batch_shifted(0.0, boundaries, None, points)
+        let row = |t: &Tensor, r: usize| Tensor::from_vec(1, t.cols(), t.row(r).to_vec());
+        let per_row: Vec<Tensor> = (0..boundaries.rows())
+            .map(|r| {
+                let forcing = forcings.map(|f| row(f, r));
+                let own = match subset {
+                    Subset::All => Subset::All,
+                    Subset::Cycle(sets) => {
+                        Subset::Cycle(std::slice::from_ref(&sets[r % sets.len()]))
+                    }
+                };
+                self.0
+                    .solve_batch_subset(sigma, &row(boundaries, r), forcing.as_ref(), points, own)
+            })
+            .collect();
+        Tensor::vstack(&per_row)
     }
 
     fn inference_count(&self) -> usize {
@@ -137,80 +140,6 @@ impl<S: SubdomainSolver> SubdomainSolver for UnbatchedSolver<'_, S> {
 
     fn launch_count(&self) -> usize {
         self.0.launch_count()
-    }
-
-    fn solve_batch_shifted(
-        &self,
-        sigma: f64,
-        boundaries: &Tensor,
-        forcings: Option<&Tensor>,
-        points: &Tensor,
-    ) -> Tensor {
-        let row = |t: &Tensor, r: usize| Tensor::from_vec(1, t.cols(), t.row(r).to_vec());
-        let per_row: Vec<Tensor> = (0..boundaries.rows())
-            .map(|r| {
-                let forcing = forcings.map(|f| row(f, r));
-                self.0
-                    .solve_batch_shifted(sigma, &row(boundaries, r), forcing.as_ref(), points)
-            })
-            .collect();
-        Tensor::vstack(&per_row)
-    }
-}
-
-/// SDNet-backed solver (the paper's configuration).
-pub struct NeuralSolver {
-    net: SdNet,
-    spec: SubdomainSpec,
-    counter: LaunchCounter,
-}
-
-impl NeuralSolver {
-    /// Wrap a trained network. The network's `boundary_len` must match the
-    /// subdomain geometry.
-    pub fn new(net: SdNet, spec: SubdomainSpec) -> Self {
-        assert_eq!(
-            net.config().boundary_len,
-            spec.boundary_len(),
-            "NeuralSolver: network boundary length does not match subdomain"
-        );
-        Self {
-            net,
-            spec,
-            counter: LaunchCounter::default(),
-        }
-    }
-
-    /// Access the wrapped network.
-    pub fn net(&self) -> &SdNet {
-        &self.net
-    }
-}
-
-impl SubdomainSolver for NeuralSolver {
-    fn spec(&self) -> SubdomainSpec {
-        self.spec
-    }
-
-    fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
-        let b = boundaries.rows();
-        let q = points.rows();
-        // Tile the shared query points for every boundary in the batch.
-        let mut tiled = Vec::with_capacity(b * q * 2);
-        for _ in 0..b {
-            tiled.extend_from_slice(points.as_slice());
-        }
-        let tiled = Tensor::from_vec(b * q, 2, tiled);
-        self.counter.record(b * q);
-        self.net.predict(boundaries, &tiled, q)
-    }
-
-    fn inference_count(&self) -> usize {
-        self.counter.inferences()
-    }
-
-    fn launch_count(&self) -> usize {
-        self.counter.launches()
     }
 }
 
@@ -222,7 +151,8 @@ impl SubdomainSolver for NeuralSolver {
 /// A Laplace batch is one GEMM of the boundaries against the
 /// [`DirichletMap`] rows of the query points (a point on the ring selects
 /// its boundary value). A shifted batch (`σ ≠ 0` or a forcing) solves each
-/// subdomain with SOR to residual `tol`.
+/// subdomain with SOR to residual `tol`. Either computes every point, then
+/// compacts to the subset.
 pub struct OracleSolver {
     spec: SubdomainSpec,
     tol: f64,
@@ -248,11 +178,53 @@ impl SubdomainSolver for OracleSolver {
         self.spec
     }
 
-    fn solve_batch(&self, boundaries: &Tensor, points: &Tensor) -> Tensor {
-        let rows = self.map.rows(&grid_aligned_indices(points, self.spec.h()));
-        let out = gemm(boundaries, Layout::Normal, &rows, Layout::Transposed);
+    fn solve_batch_subset(
+        &self,
+        sigma: f64,
+        boundaries: &Tensor,
+        forcings: Option<&Tensor>,
+        points: &Tensor,
+        subset: Subset<'_>,
+    ) -> Tensor {
+        let (m, h) = (self.spec.m, self.spec.h());
+        let q = points.rows();
+        let idx = grid_aligned_indices(points, h);
+        let mut out = if sigma == 0.0 && forcings.is_none() {
+            let out = gemm(
+                boundaries,
+                Layout::Normal,
+                &self.map.rows(&idx),
+                Layout::Transposed,
+            );
+            Tensor::from_vec(out.numel(), 1, out.into_vec())
+        } else {
+            let mut out = Tensor::zeros(boundaries.rows() * q, 1);
+            // Each boundary owns a disjoint q-row block of the output, so
+            // the grid solves run in parallel.
+            out.as_mut_slice()
+                .par_chunks_mut(q)
+                .enumerate()
+                .for_each(|(bi, chunk)| {
+                    let bc = Tensor::from_vec(1, boundaries.cols(), boundaries.row(bi).to_vec());
+                    let f = match forcings {
+                        Some(fr) => Tensor::from_vec(m, m, fr.row(bi).to_vec()),
+                        None => Tensor::zeros(m, m),
+                    };
+                    let problem = Poisson { f, h };
+                    let guess = grid_with_boundary(m, m, &bc);
+                    let (sol, stats) =
+                        solve_shifted_sor(&problem, sigma, &guess, 1.5, 50_000, self.tol);
+                    // An unconverged grid is no ground truth: stop, in every build.
+                    assert!(stats.converged, "oracle shifted solve failed: {stats:?}");
+                    for (k, &(j, i)) in idx.iter().enumerate() {
+                        chunk[k] = sol.get(j, i);
+                    }
+                });
+            out
+        };
         self.counter.record(out.numel());
-        Tensor::from_vec(out.numel(), 1, out.into_vec())
+        subset.compact(out.as_mut_slice(), q);
+        out
     }
 
     fn inference_count(&self) -> usize {
@@ -262,51 +234,13 @@ impl SubdomainSolver for OracleSolver {
     fn launch_count(&self) -> usize {
         self.counter.launches()
     }
-
-    fn solve_batch_shifted(
-        &self,
-        sigma: f64,
-        boundaries: &Tensor,
-        forcings: Option<&Tensor>,
-        points: &Tensor,
-    ) -> Tensor {
-        if sigma == 0.0 && forcings.is_none() {
-            return self.solve_batch(boundaries, points);
-        }
-        let (m, h) = (self.spec.m, self.spec.h());
-        let q = points.rows();
-        let idx = grid_aligned_indices(points, h);
-        let mut out = Tensor::zeros(boundaries.rows() * q, 1);
-        // Each boundary owns a disjoint q-row block of the output, so the
-        // grid solves run in parallel.
-        out.as_mut_slice()
-            .par_chunks_mut(q)
-            .enumerate()
-            .for_each(|(bi, chunk)| {
-                let bc = Tensor::from_vec(1, boundaries.cols(), boundaries.row(bi).to_vec());
-                let f = match forcings {
-                    Some(fr) => Tensor::from_vec(m, m, fr.row(bi).to_vec()),
-                    None => Tensor::zeros(m, m),
-                };
-                let problem = Poisson { f, h };
-                let guess = grid_with_boundary(m, m, &bc);
-                let (sol, stats) =
-                    solve_shifted_sor(&problem, sigma, &guess, 1.5, 50_000, self.tol);
-                // An unconverged grid is no ground truth: stop, in every build.
-                assert!(stats.converged, "oracle shifted solve failed: {stats:?}");
-                for (k, &(j, i)) in idx.iter().enumerate() {
-                    chunk[k] = sol.get(j, i);
-                }
-            });
-        self.counter.record(boundaries.rows() * q);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_nn::SdNetConfig;
+    use crate::{DomainSpec, Mfp, MfpConfig, PlanSolver};
+    use mf_nn::{SdNet, SdNetConfig};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -323,7 +257,7 @@ mod tests {
         let s = OracleSolver::new(spec, 0.0);
         let bc = Tensor::from_fn(1, spec.boundary_len(), |_, j| 1.0 + 0.1 * j as f64);
         let pts = Tensor::from_vec(1, 2, vec![0.25, 0.25]);
-        s.solve_batch_shifted(1.0, &bc, None, &pts);
+        s.solve_batch_subset(1.0, &bc, None, &pts, Subset::All);
     }
 
     #[test]
@@ -351,7 +285,7 @@ mod tests {
         // One boundary × two query points, in one launch — and the same
         // again for a shifted batch, which runs the same loop.
         assert_eq!((s.inference_count(), s.launch_count()), (2, 1));
-        let shifted = s.solve_batch_shifted(1.0, &bc, None, &pts);
+        let shifted = s.solve_batch_subset(1.0, &bc, None, &pts, Subset::All);
         assert_eq!(shifted.shape(), (2, 1));
         assert_eq!((s.inference_count(), s.launch_count()), (4, 2));
     }
@@ -384,36 +318,43 @@ mod tests {
         let _ = s.solve_batch(&b, &pts);
     }
 
+    /// Around the compiled plan, the one-launch-per-subdomain adapter
+    /// takes each row's own subset: the same grid, the same points, one
+    /// launch per subdomain per iteration plus one per atom.
     #[test]
-    fn neural_solver_tiles_points_per_boundary() {
-        let spec = spec();
-        let mut cfg = SdNetConfig::small(spec.boundary_len());
+    fn unbatched_adapter_takes_the_points_its_solver_takes() {
+        let mut cfg = SdNetConfig::small(spec().boundary_len());
         cfg.conv_channels = vec![2];
         cfg.hidden = vec![8, 8];
-        let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(0));
-        let s = NeuralSolver::new(net, spec);
-        let b = Tensor::from_fn(3, spec.boundary_len(), |r, c| ((r + c) as f64 * 0.1).sin());
-        let pts = Tensor::from_vec(2, 2, vec![0.1, 0.2, 0.3, 0.4]);
-        let out = s.solve_batch(&b, &pts);
-        assert_eq!(out.shape(), (6, 1));
-        assert_eq!(s.inference_count(), 6);
-        // Same boundary ⇒ same prediction for the same point; different
-        // boundaries ⇒ (generically) different predictions.
-        let single = s.solve_batch(
-            &Tensor::from_vec(1, spec.boundary_len(), b.row(1).to_vec()),
-            &pts,
+        let plan = PlanSolver::new(SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(3)), spec());
+        let d = DomainSpec::new(spec(), 3, 2);
+        let bc = Tensor::from_fn(1, d.boundary_len(), |_, k| (0.3 * k as f64).sin());
+        let cfg = MfpConfig {
+            max_iters: 4,
+            tol: 0.0,
+            ..Default::default()
+        };
+        let counted = |run: &dyn Fn() -> crate::MfpResult| {
+            let (l0, p0) = (plan.launch_count(), plan.inference_count());
+            let r = run();
+            (r, plan.launch_count() - l0, plan.inference_count() - p0)
+        };
+        let (rb, _, pb) = counted(&|| Mfp::new(&plan, d).run(&bc, &cfg));
+        let (ru, lu, pu) = counted(&|| Mfp::new(&UnbatchedSolver(&plan), d).run(&bc, &cfg));
+        assert_eq!(rb.iterations, ru.iterations);
+        for (k, (x, y)) in rb
+            .grid
+            .as_slice()
+            .iter()
+            .zip(ru.grid.as_slice())
+            .enumerate()
+        {
+            assert_eq!(x.to_bits(), y.to_bits(), "cell {k}: {x} vs {y}");
+        }
+        assert_eq!(pb, pu, "points taken batched vs unbatched");
+        assert_eq!(
+            lu,
+            d.subdomains().len() * ru.iterations + d.atomic_subdomains().len()
         );
-        assert!((single.get(0, 0) - out.get(2, 0)).abs() < 1e-12);
-        assert!((single.get(1, 0) - out.get(3, 0)).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "boundary length")]
-    fn neural_solver_checks_geometry() {
-        let mut cfg = SdNetConfig::small(16);
-        cfg.conv_channels = vec![];
-        cfg.hidden = vec![4];
-        let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(0));
-        let _ = NeuralSolver::new(net, spec()); // spec wants 32
     }
 }

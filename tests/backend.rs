@@ -603,11 +603,11 @@ fn plan_matches_graph_within_the_launch_bound() {
     cfg.conv_channels = vec![2];
     cfg.hidden = vec![16, 16];
     let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(12));
-    let graph = NeuralSolver::new(net.clone(), spec);
     let plan = PlanSolver::new(net.clone(), spec);
     let (bnds, pts) = sample_points(spec, 5, 4, 13);
     let pts = Tensor::from_vec(4, 2, pts.as_slice()[..8].to_vec());
-    let e = graph.solve_batch(&bnds, &pts);
+    // The graph: every boundary's copy of the points in one predict.
+    let e = net.predict(&bnds, &Tensor::from_vec(20, 2, pts.as_slice().repeat(5)), 4);
     let g = plan.solve_batch(&bnds, &pts);
     let bound = InferencePlan::compile(&net, &pts).graph_error_bound(&bnds);
     for (i, ((x, y), b)) in (e.as_slice().iter().zip(g.as_slice()))

@@ -49,7 +49,7 @@ fn trained_sdnet_beats_untrained_as_mfp_subdomain_solver() {
     assert!(st.converged);
 
     let run_mae = |net: SdNet| {
-        let solver = NeuralSolver::new(net, spec);
+        let solver = PlanSolver::new(net, spec);
         let res = Mfp::new(&solver, domain).run(
             &bc,
             &MfpConfig {

@@ -4,7 +4,7 @@
 //!
 //! Per boundary of the benchmark's seed-0 pool on its 8×8 domain (the
 //! checked-in fixture `benchmark/fixtures/sdnet_m9.f64hex`, read-only),
-//! `PlanSolver` against `NeuralSolver`:
+//! `PlanSolver` against the `f64` graph (`GraphSolver`):
 //!
 //! * iterations to the benchmark's `tol 1e-4` (`mfp.iters_to_tol`) at most
 //!   one above the graph's;
@@ -26,6 +26,7 @@
 //! prints one markdown row per boundary (CI appends the table to the job
 //! summary).
 
+use mosaic_flow::mfp::Subset;
 use mosaic_flow::numerics::boundary::grid_with_boundary;
 use mosaic_flow::numerics::{solve_dirichlet, Poisson};
 use mosaic_flow::prelude::*;
@@ -33,6 +34,41 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 const SPEC: SubdomainSpec = SubdomainSpec { m: 9, spatial: 0.5 };
+
+/// The `f64` graph as a subdomain solver: each launch tiles the points for
+/// every boundary, runs `SdNet::predict` and compacts to the subset. It
+/// keeps no tallies; nothing here reads them.
+struct GraphSolver(SdNet);
+
+impl SubdomainSolver for GraphSolver {
+    fn spec(&self) -> SubdomainSpec {
+        SPEC
+    }
+
+    fn solve_batch_subset(
+        &self,
+        sigma: f64,
+        boundaries: &Tensor,
+        forcings: Option<&Tensor>,
+        points: &Tensor,
+        subset: Subset<'_>,
+    ) -> Tensor {
+        assert!(sigma == 0.0 && forcings.is_none(), "Laplace only");
+        let (b, q) = (boundaries.rows(), points.rows());
+        let tiled = Tensor::from_vec(b * q, 2, points.as_slice().repeat(b));
+        let mut out = self.0.predict(boundaries, &tiled, q);
+        subset.compact(out.as_mut_slice(), q);
+        out
+    }
+
+    fn inference_count(&self) -> usize {
+        0
+    }
+
+    fn launch_count(&self) -> usize {
+        0
+    }
+}
 
 /// The fixture, parsed the way `benchmark/src/fixture.rs` does: one `f64`
 /// per line as 16 hex digits of its bits, in `Params::flatten` order, into
@@ -95,7 +131,7 @@ fn config(tol: f64) -> MfpConfig {
 fn the_f32_plan_keeps_iterations_fixed_point_and_accuracy_on_every_pool_boundary() {
     let net = fixture();
     let plan = PlanSolver::new(net.clone(), SPEC);
-    let graph = NeuralSolver::new(net, SPEC);
+    let graph = GraphSolver(net);
     let d = DomainSpec::new(SPEC, 8, 8);
     // A line of its own: the test harness prints the test's name before it.
     println!(
