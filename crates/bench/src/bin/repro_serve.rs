@@ -47,7 +47,7 @@ use mf_bench::*;
 use mf_data::SubdomainSpec;
 use mf_mfp::{PlanSolver, SubdomainSolver};
 use mf_nn::{SdNet, SdNetConfig};
-use mf_serve::{BatchConfig, ServeConfig, ServeError, SolveRequest, SolveService};
+use mf_serve::{ServeConfig, ServeError, SolveRequest, SolveService};
 use mf_telemetry::{JsonValue, JsonWriter};
 use mf_tensor::Tensor;
 use rand::{Rng, SeedableRng};
@@ -116,14 +116,15 @@ impl LoadResult {
     }
 }
 
-/// Closed-loop load: `clients` threads each submit-and-wait in a tight
-/// loop for `secs` after a joint warmup barrier. Latencies are measured
-/// client-side (submit to reply, wall clock).
-fn run_closed_loop(batch: BatchConfig, clients: usize, workers: usize, secs: f64) -> LoadResult {
+/// Closed-loop load under a `max_points` batch budget: `clients` threads
+/// each submit-and-wait in a tight loop for `secs` after a joint warmup
+/// barrier. Latencies are measured client-side (submit to reply, wall
+/// clock).
+fn run_closed_loop(max_points: usize, clients: usize, workers: usize, secs: f64) -> LoadResult {
     let spec = SubdomainSpec { m: 9, spatial: 0.5 };
     let cfg = ServeConfig {
         workers,
-        batch,
+        max_points,
         ..ServeConfig::default()
     };
     let service = Arc::new(SolveService::new(
@@ -482,12 +483,9 @@ fn main() {
         conv_fail_rate: 1.5,
     });
     // The baseline arm: a zero budget caps every batch at one request.
-    let one_request_batches = BatchConfig {
-        max_points: 0,
-        max_wait_us: 0,
-    };
-    let unbatched = run_closed_loop(one_request_batches, clients, workers, secs);
-    let batched = run_closed_loop(BatchConfig::default(), clients, workers, secs);
+    let unbatched = run_closed_loop(0, clients, workers, secs);
+    let default_points = ServeConfig::default().max_points;
+    let batched = run_closed_loop(default_points, clients, workers, secs);
     let speedup = batched.req_per_s() / unbatched.req_per_s();
 
     // A/B the request-tracing overhead on the batched path: alternating

@@ -25,7 +25,6 @@ use mf_telemetry::{
 };
 use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -159,11 +158,6 @@ pub struct Communicator {
     /// Registry values at thread start; `stats()` reports the delta since
     /// then.
     baseline: CommStats,
-    /// Shared scratch for [`align_clocks`](Self::align_clocks): one slot
-    /// per rank, written between two barriers. Deliberately *not* a link
-    /// message — clock alignment must never perturb the per-link fault
-    /// RNG streams or the message counters.
-    clock_samples: Arc<Vec<AtomicU64>>,
 }
 
 /// Factory for simulated clusters.
@@ -213,8 +207,6 @@ impl Cluster {
         }
         let barrier = Arc::new(FaultBarrier::new(size));
         let faults = Arc::new(FaultState::new(plan));
-        let clock_samples: Arc<Vec<AtomicU64>> =
-            Arc::new((0..size).map(|_| AtomicU64::new(0)).collect());
 
         let mut comms: Vec<Communicator> = receivers
             .into_iter()
@@ -244,7 +236,6 @@ impl Cluster {
                 counters: CommCounters::new(),
                 fcounters: FaultCounters::new(),
                 baseline: CommStats::default(),
-                clock_samples: Arc::clone(&clock_samples),
             })
             .collect();
         drop(senders_per_dst);
@@ -570,29 +561,6 @@ impl Communicator {
         if let Err(e) = result {
             panic!("barrier: {e}");
         }
-    }
-
-    /// Align per-rank monotonic clocks at a barrier point and report each
-    /// rank's offset relative to rank 0 as the `observe.clock_offset_us`
-    /// gauge (plus a flight-recorder mark).
-    ///
-    /// All ranks share one telemetry epoch (`mf_telemetry::now_us` reads
-    /// a process-wide `Instant`), so the offset measures residual barrier
-    /// jitter rather than true clock skew — on a real deployment this is
-    /// the hook where NTP-style skew would be estimated. Implemented with
-    /// two barriers and a shared atomic slot per rank, deliberately *not*
-    /// with link messages: alignment must never perturb the per-link
-    /// fault RNG streams or the pinned message counters.
-    pub fn align_clocks(&mut self) -> f64 {
-        self.barrier();
-        self.clock_samples[self.rank].store(mf_telemetry::now_us(), Ordering::SeqCst);
-        self.barrier();
-        let mine = self.clock_samples[self.rank].load(Ordering::SeqCst) as f64;
-        let base = self.clock_samples[0].load(Ordering::SeqCst) as f64;
-        let offset_us = mine - base;
-        gauge("observe.clock_offset_us").set(offset_us);
-        mf_observe::record("observe.align_clocks", self.rank as u64, offset_us);
-        offset_us
     }
 
     /// Exchange buffers with a set of peers:

@@ -281,33 +281,24 @@ fn split_sweep_groups(
             .map(|sd| halo_regions.iter().any(|h| regions_overlap(h, &window(sd))))
             .collect()
     });
-    // Propagate to a fixed point: a boundary subdomain in one group
-    // conflicts-taints subdomains of *later* groups (their interior
+    // Propagate in one pass, in group order: a boundary subdomain in one
+    // group conflicts-taints subdomains of *later* groups (their interior
     // copies would otherwise run before its post-unpack sweep, i.e.
     // before it in the reordered schedule while after it in the
     // alternating one). Earlier groups need no taint: the interior
     // phase preserves group order, so an earlier-group interior sweep
-    // still runs before a later-group boundary sweep. Interaction
-    // range is one shift per hop, so this settles in ≤ 3 rounds.
-    loop {
-        let mut changed = false;
-        for gi in 0..3 {
-            for gj in gi + 1..4 {
-                for (ai, a) in subs[gi].iter().enumerate() {
-                    if !tainted[gi][ai] {
-                        continue;
-                    }
-                    for (ci, c) in subs[gj].iter().enumerate() {
-                        if !tainted[gj][ci] && conflicts(a, c) {
-                            tainted[gj][ci] = true;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
+    // still runs before a later-group boundary sweep. Taint only flows
+    // forward, so every earlier group's status is final when a group is
+    // reached.
+    for gj in 1..4 {
+        for (ci, c) in subs[gj].iter().enumerate() {
+            let hit = (0..gj).any(|gi| {
+                subs[gi]
+                    .iter()
+                    .zip(&tainted[gi])
+                    .any(|(a, &t)| t && conflicts(a, c))
+            });
+            tainted[gj][ci] |= hit;
         }
     }
     let mut interior: [SweepList; 4] = Default::default();
@@ -810,10 +801,6 @@ fn run_ranks<S: SubdomainSolver>(
     let mut per_rank = Cluster::try_run(ranks, cfg.plan.clone(), |comm| {
         // A rank is a device: one of `ranks` threads computing at once.
         let _lane = mf_tensor::par::compute_lanes(ranks);
-        // Align per-rank clocks before iterating so the merged trace rows
-        // share a time base (barrier-only: no link messages, so the
-        // fault RNG streams and pinned message counts are untouched).
-        comm.align_clocks();
         let mut peers = Peers::new(comm, &part, cfg, alternating);
         let bcs = std::slice::from_ref(bc);
         let mut results = mfp.iterate(bcs, sigma, forcing, &stop, cfg.accelerate, Some(&mut peers));

@@ -46,8 +46,8 @@ pub enum Phase {
     /// Enqueued until a worker claimed the batch containing the request.
     #[default]
     Queue = 0,
-    /// Claimed until the solve launched: batch assembly plus any
-    /// hold-open window spent waiting for co-batched peers.
+    /// Claimed until the solve launched: batch assembly only (a drain
+    /// takes what is queued and never holds the batch open).
     BatchWait = 1,
     /// Inside `Mfp::run_many`.
     Solve = 2,

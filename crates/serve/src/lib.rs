@@ -21,12 +21,11 @@
 //!   hangs on a full queue) and a worker pool draining request batches.
 //! * [`Scheduler`] — the batching heart: accepted requests enter a
 //!   bounded queue; a worker drains the oldest request *plus every
-//!   queued request sharing its batch key* (domain shape + iteration
-//!   controls), oldest-first, up to a point budget
-//!   ([`BatchConfig::max_points`] / [`BatchConfig::max_wait_us`]). The
-//!   whole batch is driven through one `Mfp::run_many`, which stacks
-//!   every request's subdomain boundaries into shared fat compiled-plan
-//!   launches (per-shape plan cache, shared `Workspace` pool — the same
+//!   queued request with an equal batch key* (domain shape + iteration
+//!   controls, compared exactly), oldest-first, up to a point budget
+//!   ([`ServeConfig::max_points`]). The whole batch is driven through
+//!   one `Mfp::run_many`, which stacks every request's subdomain
+//!   boundaries into shared fat compiled-plan launches (per-shape plan cache, shared `Workspace` pool — the same
 //!   `PlanCache` / `WorkspacePool` machinery `mf-mfp`'s `PlanSolver`
 //!   uses) and scatters solution rows back per request. Batching is
 //!   *lossless*: every kernel in the plan is row-independent and each
@@ -39,8 +38,8 @@
 //!
 //! Latency percentiles (`serve.p50_ms`/`p95_ms`/`p99_ms`), sustained
 //! `serve.req_per_s`, queue depths, and batch occupancy are published
-//! through `mf-telemetry`, so the live `MetricsServer` (`/metrics`,
-//! `/snapshot`) exposes them mid-load.
+//! only as `mf-telemetry` gauges, so the live `MetricsServer`
+//! (`/metrics`, `/snapshot`) exposes them mid-load.
 //!
 //! Every request also carries an `mf-reqtrace` [`TraceContext`]: minted
 //! at TCP accept (or [`SolveService::submit`]), carried through the
@@ -61,7 +60,7 @@ mod scheduler;
 mod service;
 mod tcp;
 
-pub use scheduler::{BatchConfig, Scheduler, SchedulerStats, SubmitError};
+pub use scheduler::{Scheduler, SchedulerStats, SubmitError};
 pub use service::{
     ServeConfig, ServeError, ServiceStats, SolveRequest, SolveResponse, SolveService,
     WORKER_RANK_BASE,

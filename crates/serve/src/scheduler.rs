@@ -6,10 +6,11 @@
 //! fixed cost (plan-cache probe, workspace checkout, interpreter
 //! dispatch) for barely any arithmetic — and on a box with few cores
 //! there is no parallelism to hide it. The leverage is *cross-request
-//! batching*: a worker drains every queued request that shares a batch
-//! key (domain shape + iteration controls) up to a point budget and
-//! drives them through one `Mfp::run_many`, which stacks all requests'
-//! query points into single `InferencePlan` launches. Row independence
+//! batching*: a worker drains every queued request whose batch key
+//! (domain shape + iteration controls) equals the oldest one's, up to a
+//! point budget, and drives them through one `Mfp::run_many`, which
+//! stacks all requests' query points into single `InferencePlan`
+//! launches. Row independence
 //! makes the coalesced solve bitwise identical to solving each request
 //! alone (property-tested in `mf-mfp`).
 //!
@@ -17,43 +18,20 @@
 //! dedicated coalescer thread. A handoff to a middleman thread costs a
 //! futex round trip per submission, which on a single-core host is the
 //! same order as the launch fixed cost being amortized; draining in the
-//! worker keeps the win. Backpressure is explicit: when the queue is at
-//! its bound, [`Scheduler::submit`] returns a typed
+//! worker keeps the win. A drain never waits for more work than it
+//! finds: batches form from the submissions that pile up while the
+//! previous batch solves (greedy backlog batching), so a lightly loaded
+//! service pays no per-batch delay. Backpressure is explicit: when the
+//! queue is at its bound, [`Scheduler::submit`] returns a typed
 //! [`SubmitError::QueueFull`] with a retry hint instead of blocking.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Bound on queued cost; submissions beyond it are rejected with
 /// [`SubmitError::QueueFull`] instead of queuing unboundedly.
 const QUEUE_POINTS: usize = 65_536;
-
-/// Batch-budget knobs for the [`Scheduler`].
-#[derive(Clone, Copy, Debug)]
-pub struct BatchConfig {
-    /// Drain at most this much cost (Σ job cost — the service uses a
-    /// request's sweep-launch point footprint) into one batch.
-    pub max_points: usize,
-    /// How long a drain holds an under-budget batch open waiting for
-    /// more same-key submissions, in microseconds. The default 0 drains
-    /// the backlog immediately: batches still form naturally from the
-    /// submissions that accumulate while the previous batch solves
-    /// (backlog batching), without taxing a lightly-loaded service with
-    /// a fixed per-batch delay. Set a window only to trade latency for
-    /// larger batches under sparse arrivals.
-    pub max_wait_us: u64,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self {
-            max_points: 4096,
-            max_wait_us: 0,
-        }
-    }
-}
 
 /// Typed submission rejection — the backpressure contract. Callers never
 /// block on a full queue; they get a retry hint instead.
@@ -105,25 +83,26 @@ impl SchedulerStats {
     }
 }
 
-struct Entry<J> {
+struct Entry<J, K> {
     job: J,
-    key: u64,
+    key: K,
     cost: usize,
 }
 
-struct Queue<J> {
-    jobs: VecDeque<Entry<J>>,
+struct Queue<J, K> {
+    jobs: VecDeque<Entry<J, K>>,
     points: usize,
     shutdown: bool,
 }
 
 /// Bounded multi-producer queue drained in same-key batches. `J` is the
-/// job payload; the submitter tags each job with a batch `key` (jobs in
-/// one batch always share it) and a `cost` (the budget unit).
-pub struct Scheduler<J> {
-    cfg: BatchConfig,
+/// job payload; the submitter tags each job with a batch key `K` (jobs in
+/// one batch always have equal keys, compared with `==`) and a `cost`
+/// (the budget unit).
+pub struct Scheduler<J, K> {
+    max_points: usize,
     queue_depth: usize,
-    q: Mutex<Queue<J>>,
+    q: Mutex<Queue<J, K>>,
     cv: Condvar,
     submitted: AtomicU64,
     rejected: AtomicU64,
@@ -132,12 +111,13 @@ pub struct Scheduler<J> {
     points: AtomicU64,
 }
 
-impl<J> Scheduler<J> {
-    /// An empty scheduler with the given budgets, holding at most
+impl<J, K: Copy + PartialEq> Scheduler<J, K> {
+    /// An empty scheduler that drains at most `max_points` of cost into
+    /// one batch (always at least one job) and holds at most
     /// `queue_depth` jobs.
-    pub fn new(cfg: BatchConfig, queue_depth: usize) -> Self {
+    pub fn new(max_points: usize, queue_depth: usize) -> Self {
         Self {
-            cfg,
+            max_points,
             queue_depth,
             q: Mutex::new(Queue {
                 jobs: VecDeque::new(),
@@ -154,7 +134,7 @@ impl<J> Scheduler<J> {
     }
 
     /// Enqueue a job, or reject it when a bound is hit. Never blocks.
-    pub fn submit(&self, job: J, key: u64, cost: usize) -> Result<(), SubmitError> {
+    pub fn submit(&self, job: J, key: K, cost: usize) -> Result<(), SubmitError> {
         {
             let mut q = self.q.lock().unwrap();
             if q.shutdown {
@@ -176,72 +156,43 @@ impl<J> Scheduler<J> {
         Ok(())
     }
 
-    /// Block until work is available, then drain one batch: the oldest
-    /// job plus every queued job sharing its key, oldest-first, up to
-    /// the `max_points` budget. Returns `None` only after [`shutdown`]
-    /// **and** a fully drained queue — accepted jobs always come out.
-    ///
-    /// With `max_wait_us > 0` the drain holds the batch open until the
-    /// same-key backlog reaches the budget or the window expires.
+    /// Block until work is available, then drain one batch and return it
+    /// with its key: the oldest job plus every queued job with an equal
+    /// key, oldest-first, up to the `max_points` budget. Returns `None`
+    /// only after [`shutdown`] **and** a fully drained queue — accepted
+    /// jobs always come out.
     ///
     /// [`shutdown`]: Scheduler::shutdown
-    pub fn next_batch(&self) -> Option<Vec<J>> {
+    pub fn next_batch(&self) -> Option<(K, Vec<J>)> {
         let mut q = self.q.lock().unwrap();
-        'arm: loop {
-            while q.jobs.is_empty() {
-                if q.shutdown {
-                    return None;
-                }
-                q = self.cv.wait(q).unwrap();
+        while q.jobs.is_empty() {
+            if q.shutdown {
+                return None;
             }
-            if self.cfg.max_wait_us > 0 && !q.shutdown {
-                let deadline = Instant::now() + Duration::from_micros(self.cfg.max_wait_us);
-                loop {
-                    let Some(front) = q.jobs.front() else {
-                        // Another worker drained everything while we
-                        // waited; re-arm on the outer loop.
-                        continue 'arm;
-                    };
-                    let key = front.key;
-                    let avail: usize = q.jobs.iter().filter(|e| e.key == key).map(|e| e.cost).sum();
-                    if avail >= self.cfg.max_points || q.shutdown {
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = self.cv.wait_timeout(q, deadline - now).unwrap();
-                    q = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
-                if q.jobs.is_empty() {
-                    continue 'arm;
-                }
-            }
-            let key = q.jobs.front().unwrap().key;
-            let mut batch = Vec::new();
-            let mut cost = 0usize;
-            let mut i = 0;
-            while i < q.jobs.len() {
-                let e = &q.jobs[i];
-                if e.key == key && (batch.is_empty() || cost + e.cost <= self.cfg.max_points) {
-                    let e = q.jobs.remove(i).unwrap();
-                    cost += e.cost;
-                    q.points -= e.cost;
-                    batch.push(e.job);
-                } else {
-                    i += 1;
-                }
-            }
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.drained
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-            self.points.fetch_add(cost as u64, Ordering::Relaxed);
-            return Some(batch);
+            q = self.cv.wait(q).unwrap();
         }
+        let front = q.jobs.pop_front().unwrap();
+        let mut cost = front.cost;
+        q.points -= front.cost;
+        let mut batch = vec![front.job];
+        let mut i = 0;
+        while i < q.jobs.len() {
+            let e = &q.jobs[i];
+            if e.key == front.key && cost + e.cost <= self.max_points {
+                let e = q.jobs.remove(i).unwrap();
+                cost += e.cost;
+                q.points -= e.cost;
+                batch.push(e.job);
+            } else {
+                i += 1;
+            }
+        }
+        drop(q);
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.drained
+            .fetch_add(batch.len() as u64, Ordering::Relaxed);
+        self.points.fetch_add(cost as u64, Ordering::Relaxed);
+        Some((front.key, batch))
     }
 
     /// Stop accepting new jobs and wake every blocked drain. Queued jobs
@@ -272,23 +223,22 @@ impl<J> Scheduler<J> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::BatchKey;
     use std::sync::Arc;
+    use std::time::Duration;
 
-    fn sched(cfg: BatchConfig) -> Scheduler<u32> {
-        Scheduler::new(cfg, 256)
+    fn sched(max_points: usize) -> Scheduler<u32, u64> {
+        Scheduler::new(max_points, 256)
     }
 
     #[test]
     fn drains_same_key_jobs_oldest_first_up_to_budget() {
-        let s = sched(BatchConfig {
-            max_points: 30,
-            ..BatchConfig::default()
-        });
+        let s = sched(30);
         for j in 0..5u32 {
             s.submit(j, 7, 10).unwrap();
         }
-        assert_eq!(s.next_batch().unwrap(), vec![0, 1, 2]);
-        assert_eq!(s.next_batch().unwrap(), vec![3, 4]);
+        assert_eq!(s.next_batch().unwrap().1, vec![0, 1, 2]);
+        assert_eq!(s.next_batch().unwrap().1, vec![3, 4]);
         let st = s.stats();
         assert_eq!((st.batches, st.drained, st.points), (2, 5, 50));
         assert!((st.occupancy() - 2.5).abs() < 1e-12);
@@ -296,19 +246,58 @@ mod tests {
 
     #[test]
     fn mixed_keys_never_share_a_batch() {
-        let s = sched(BatchConfig::default());
+        let s = sched(4096);
         for (j, key) in [(0u32, 1u64), (1, 2), (2, 1), (3, 2), (4, 1)] {
             s.submit(j, key, 1).unwrap();
         }
         // Front job's key leads; same-key jobs coalesce across the
         // interleaving without reordering within the key.
-        assert_eq!(s.next_batch().unwrap(), vec![0, 2, 4]);
-        assert_eq!(s.next_batch().unwrap(), vec![1, 3]);
+        assert_eq!(s.next_batch().unwrap().1, vec![0, 2, 4]);
+        assert_eq!(s.next_batch().unwrap().1, vec![1, 3]);
+    }
+
+    #[test]
+    fn keys_one_field_apart_never_share_a_batch() {
+        let base = BatchKey {
+            sx: 2,
+            sy: 1,
+            max_iters: 100,
+            tol_bits: 1e-4f64.to_bits(),
+        };
+        // Each neighbour differs from `base` in exactly one field; the
+        // transposed shape has the same boundary length, and the tolerance
+        // is one ulp away.
+        let keys = [
+            base,
+            BatchKey { sx: 1, ..base },
+            BatchKey { sy: 2, ..base },
+            BatchKey {
+                max_iters: 101,
+                ..base
+            },
+            BatchKey {
+                tol_bits: base.tol_bits + 1,
+                ..base
+            },
+        ];
+        let s = Scheduler::new(4096, 256);
+        for _ in 0..3 {
+            for key in keys {
+                s.submit(key, key, 1).unwrap();
+            }
+        }
+        s.shutdown();
+        let mut drained = Vec::new();
+        while let Some((key, batch)) = s.next_batch() {
+            assert_eq!(batch, vec![key; 3], "a batch mixed keys, or split one");
+            drained.push(key);
+        }
+        assert_eq!(drained, keys);
     }
 
     #[test]
     fn bounded_queue_rejects_with_typed_error_not_a_hang() {
-        let s = Scheduler::new(BatchConfig::default(), 2);
+        let s: Scheduler<u32, u64> = Scheduler::new(4096, 2);
         s.submit(0, 1, 1).unwrap();
         s.submit(1, 1, 1).unwrap();
         match s.submit(2, 1, 1) {
@@ -317,13 +306,13 @@ mod tests {
         }
         assert_eq!(s.stats().rejected, 1);
         // Draining frees capacity.
-        assert_eq!(s.next_batch().unwrap().len(), 2);
+        assert_eq!(s.next_batch().unwrap().1.len(), 2);
         s.submit(2, 1, 1).unwrap();
     }
 
     #[test]
     fn point_bound_backpressure_also_rejects() {
-        let s = sched(BatchConfig::default());
+        let s = sched(4096);
         let cost = QUEUE_POINTS * 2 / 5;
         s.submit(0, 1, cost).unwrap();
         s.submit(1, 1, cost).unwrap();
@@ -335,42 +324,19 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs_then_ends() {
-        let s = sched(BatchConfig {
-            max_points: 1,
-            ..BatchConfig::default()
-        });
+        let s = sched(1);
         s.submit(0, 1, 1).unwrap();
         s.submit(1, 1, 1).unwrap();
         s.shutdown();
         assert_eq!(s.submit(9, 1, 1), Err(SubmitError::Shutdown));
-        assert_eq!(s.next_batch().unwrap(), vec![0]);
-        assert_eq!(s.next_batch().unwrap(), vec![1]);
+        assert_eq!(s.next_batch().unwrap().1, vec![0]);
+        assert_eq!(s.next_batch().unwrap().1, vec![1]);
         assert!(s.next_batch().is_none());
     }
 
     #[test]
-    fn window_holds_the_batch_open_for_late_arrivals() {
-        let s = Arc::new(sched(BatchConfig {
-            max_points: 1_000_000,
-            max_wait_us: 200_000, // 200ms window
-        }));
-        let consumer = {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || s.next_batch())
-        };
-        s.submit(0, 1, 1).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        s.submit(1, 1, 1).unwrap();
-        std::thread::sleep(Duration::from_millis(10));
-        s.submit(2, 1, 1).unwrap();
-        s.shutdown(); // closes the window without waiting out the 200ms
-        let batch = consumer.join().unwrap().unwrap();
-        assert_eq!(batch, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn concurrent_submitters_all_get_drained_exactly_once() {
-        let s = Arc::new(sched(BatchConfig::default()));
+        let s = Arc::new(sched(4096));
         let producers: Vec<_> = (0..8u32)
             .map(|p| {
                 let s = Arc::clone(&s);
@@ -393,7 +359,7 @@ mod tests {
             let s = Arc::clone(&s);
             std::thread::spawn(move || {
                 let mut seen = Vec::new();
-                while let Some(batch) = s.next_batch() {
+                while let Some((_, batch)) = s.next_batch() {
                     seen.extend(batch);
                 }
                 seen

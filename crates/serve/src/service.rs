@@ -6,17 +6,17 @@
 //! its bound). Worker threads drain same-shape request *batches* from
 //! the [`Scheduler`] and drive each batch through one
 //! `Mfp::run_many`, which packs every request's query points into
-//! shared compiled-plan launches. A zero batch budget
-//! (`BatchConfig { max_points: 0, max_wait_us: 0 }`) caps every batch
-//! at one request — the per-request baseline the bench gate compares
-//! against.
+//! shared compiled-plan launches. Requests share a batch only when their
+//! `BatchKey`s are equal, and the batch's domain and `MfpConfig` are
+//! read from that key. A zero budget (`ServeConfig { max_points: 0, .. }`)
+//! caps every batch at one request — the per-request baseline the bench
+//! gate compares against.
 
-use crate::scheduler::{BatchConfig, Scheduler, SchedulerStats, SubmitError};
+use crate::scheduler::{Scheduler, SchedulerStats, SubmitError};
 use mf_data::SubdomainSpec;
 use mf_mfp::{DomainSpec, Mfp, MfpConfig, PlanSolver, SubdomainSolver};
 use mf_reqtrace::{RequestTrace, TraceContext};
 use mf_tensor::Tensor;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -43,8 +43,10 @@ pub struct ServeConfig {
     /// Bound on queued (not yet started) requests; beyond it submissions
     /// get [`ServeError::Busy`].
     pub queue_depth: usize,
-    /// Batch-budget knobs for the cross-request scheduler.
-    pub batch: BatchConfig,
+    /// Drain at most this many sweep query points (Σ over the batch's
+    /// requests) into one batch; a batch always takes at least one
+    /// request, so 0 solves every request alone.
+    pub max_points: usize,
 }
 
 impl Default for ServeConfig {
@@ -52,7 +54,7 @@ impl Default for ServeConfig {
         Self {
             workers: 8,
             queue_depth: 256,
-            batch: BatchConfig::default(),
+            max_points: 4096,
         }
     }
 }
@@ -131,7 +133,8 @@ impl std::fmt::Display for ServeError {
     }
 }
 
-/// Service-level throughput/latency summary (see [`SolveService::stats`]).
+/// Service-level request counters (see [`SolveService::stats`]). The
+/// latency percentiles and throughput are the `serve.*` gauges.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServiceStats {
     /// Requests accepted into the queue.
@@ -140,18 +143,44 @@ pub struct ServiceStats {
     pub rejected: u64,
     /// Requests completed.
     pub completed: u64,
-    /// Completed requests per second since service start.
-    pub req_per_s: f64,
-    /// Median request latency (queue wait + solve), milliseconds.
-    pub p50_ms: f64,
-    /// 95th-percentile request latency, milliseconds.
-    pub p95_ms: f64,
-    /// 99th-percentile request latency, milliseconds.
-    pub p99_ms: f64,
 }
 
+/// Which requests may share one `Mfp::run_many`: those with the same
+/// domain shape and iteration controls, compared exactly. A batch's
+/// domain and `MfpConfig` are built from its key alone.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct BatchKey {
+    pub(crate) sx: usize,
+    pub(crate) sy: usize,
+    pub(crate) max_iters: usize,
+    /// `tol.to_bits()`: submission admits only finite positive
+    /// tolerances, for which equal bits mean equal values.
+    pub(crate) tol_bits: u64,
+}
+
+impl BatchKey {
+    fn of(req: &SolveRequest) -> Self {
+        Self {
+            sx: req.sx,
+            sy: req.sy,
+            max_iters: req.max_iters,
+            tol_bits: req.tol.to_bits(),
+        }
+    }
+
+    fn mfp_config(&self) -> MfpConfig {
+        MfpConfig {
+            max_iters: self.max_iters,
+            tol: f64::from_bits(self.tol_bits),
+            ..MfpConfig::default()
+        }
+    }
+}
+
+/// A queued request: what its batch key does not hold.
 struct Job {
-    req: SolveRequest,
+    bc: Tensor,
+    want_grid: bool,
     reply: mpsc::Sender<Result<SolveResponse, ServeError>>,
     /// Request-scoped trace context, carried by value to the worker.
     ctx: TraceContext,
@@ -185,7 +214,7 @@ struct ServiceInner {
     solver: Arc<PlanSolver>,
     spec: SubdomainSpec,
     cfg: ServeConfig,
-    sched: Scheduler<Job>,
+    sched: Scheduler<Job, BatchKey>,
     reservoir: Mutex<Reservoir>,
     started: Instant,
     completed: AtomicU64,
@@ -208,7 +237,7 @@ impl SolveService {
             solver: Arc::new(solver),
             spec,
             cfg,
-            sched: Scheduler::new(cfg.batch, cfg.queue_depth),
+            sched: Scheduler::new(cfg.max_points, cfg.queue_depth),
             reservoir: Mutex::new(Reservoir(mf_telemetry::Ring::new(RESERVOIR_CAP))),
             started: Instant::now(),
             completed: AtomicU64::new(0),
@@ -259,11 +288,12 @@ impl SolveService {
             }
         };
         debug_assert_eq!(req.bc.numel(), domain_len);
-        let key = batch_key(&req);
+        let key = BatchKey::of(&req);
         let cost = sweep_cost(self.inner.spec, req.sx, req.sy);
         let (tx, rx) = mpsc::channel();
         let job = Job {
-            req,
+            bc: req.bc,
+            want_grid: req.want_grid,
             reply: tx,
             ctx,
             enqueued_us: mf_telemetry::now_us(),
@@ -376,8 +406,7 @@ impl SolveService {
     /// (at least one), and no more than the queue holds.
     pub fn max_batch(&self, sx: usize, sy: usize) -> usize {
         let cfg = &self.inner.cfg;
-        (cfg.batch.max_points / sweep_cost(self.inner.spec, sx, sy))
-            .clamp(1, cfg.queue_depth.max(1))
+        (cfg.max_points / sweep_cost(self.inner.spec, sx, sy)).clamp(1, cfg.queue_depth.max(1))
     }
 
     /// Requests currently queued (not yet claimed by a worker).
@@ -385,20 +414,13 @@ impl SolveService {
         self.inner.sched.queue_len()
     }
 
-    /// Service-level stats (latency percentiles over a sliding window of
-    /// the most recent 2048 requests).
+    /// Request counters since the service started.
     pub fn stats(&self) -> ServiceStats {
-        let (p50, p95, p99) = self.inner.reservoir.lock().unwrap().percentiles();
-        let completed = self.inner.completed.load(Ordering::Relaxed);
         let sched = self.inner.sched.stats();
         ServiceStats {
             accepted: sched.submitted,
             rejected: sched.rejected,
-            completed,
-            req_per_s: completed as f64 / self.inner.started.elapsed().as_secs_f64().max(1e-9),
-            p50_ms: p50,
-            p95_ms: p95,
-            p99_ms: p99,
+            completed: self.inner.completed.load(Ordering::Relaxed),
         }
     }
 
@@ -421,14 +443,6 @@ impl Drop for SolveService {
             let _ = h.join();
         }
     }
-}
-
-/// The batch key: requests solved together must share the domain shape
-/// and every knob that feeds the shared `MfpConfig`.
-fn batch_key(req: &SolveRequest) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    (req.sx, req.sy, req.max_iters, req.tol.to_bits()).hash(&mut h);
-    h.finish()
 }
 
 /// The scheduler-budget cost of a request on `sx × sy` subdomains: the
@@ -458,10 +472,10 @@ fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
     let g_slo_err = mf_telemetry::gauge("serve.slo_error_burn");
     let g_slo_conv = mf_telemetry::gauge("serve.slo_conv_burn");
     let mut batches = 0u64;
-    while let Some(jobs) = inner.sched.next_batch() {
+    while let Some((key, jobs)) = inner.sched.next_batch() {
         // The batch claim closes every member's queue wait.
         let claim_us = mf_telemetry::now_us();
-        let outcome = handle_batch(&inner, &jobs);
+        let outcome = handle_batch(&inner, key, &jobs);
         // Count completions before any reply goes out, so a client that
         // reads `stats()` right after its reply sees itself counted.
         let done = inner
@@ -497,7 +511,7 @@ fn worker_loop(index: usize, inner: Arc<ServiceInner>) {
                     ser_cursor,
                     sent_us,
                 ];
-                let (sx, sy) = (job.req.sx as u32, job.req.sy as u32);
+                let (sx, sy) = (key.sx as u32, key.sy as u32);
                 traces.push(RequestTrace::finished(
                     job.ctx, sx, sy, bounds, iterations, converged, residual,
                 ));
@@ -551,20 +565,14 @@ struct BatchOutcome {
     solve_us: (u64, u64),
 }
 
-/// Solve one same-key batch. Requests were validated at submission, and
-/// the batch key guarantees a shared domain shape and `MfpConfig`.
-fn handle_batch(inner: &ServiceInner, jobs: &[Job]) -> BatchOutcome {
-    let first = &jobs[0].req;
-    let domain = DomainSpec::new(inner.spec, first.sx, first.sy);
-    let cfg = MfpConfig {
-        max_iters: first.max_iters,
-        tol: first.tol,
-        ..MfpConfig::default()
-    };
+/// Solve one batch on its key's domain and `MfpConfig`. Its requests
+/// were validated at submission.
+fn handle_batch(inner: &ServiceInner, key: BatchKey, jobs: &[Job]) -> BatchOutcome {
+    let domain = DomainSpec::new(inner.spec, key.sx, key.sy);
     let mfp = Mfp::new(&*inner.solver, domain);
     let solve_start_us = mf_telemetry::now_us();
-    let bcs: Vec<Tensor> = jobs.iter().map(|j| j.req.bc.clone()).collect();
-    let results = mfp.run_many(&bcs, &cfg);
+    let bcs: Vec<Tensor> = jobs.iter().map(|j| j.bc.clone()).collect();
+    let results = mfp.run_many(&bcs, &key.mfp_config());
     let solve_end_us = mf_telemetry::now_us();
     let residuals = results
         .iter()
@@ -579,7 +587,7 @@ fn handle_batch(inner: &ServiceInner, jobs: &[Job]) -> BatchOutcome {
                 iterations: result.iterations,
                 converged: result.converged,
                 mean,
-                grid: job.req.want_grid.then_some(result.grid),
+                grid: job.want_grid.then_some(result.grid),
                 latency_ms: 0.0,
             }
         })
@@ -721,10 +729,7 @@ pub(crate) mod tests {
         // single front job (the drain always takes at least one).
         let direct = service(ServeConfig {
             workers: 2,
-            batch: BatchConfig {
-                max_points: 0,
-                max_wait_us: 0,
-            },
+            max_points: 0,
             ..Default::default()
         });
         for (sx, sy) in [(1, 1), (2, 1)] {
@@ -791,6 +796,52 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_burst_of_transposed_shapes_and_two_tolerances_solves_each_request_as_its_own() {
+        // 2×1 and 1×2 walks have the same length, so only the batch key
+        // keeps their requests apart; so does a tolerance that differs.
+        let svc = service(ServeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let reqs: Vec<SolveRequest> = (0..16u64)
+            .map(|i| {
+                let (sx, sy) = if i % 2 == 0 { (2, 1) } else { (1, 2) };
+                let d = DomainSpec::new(test_spec(), sx, sy);
+                let mut rng = ChaCha8Rng::seed_from_u64(i);
+                let bc = Tensor::from_fn(1, d.boundary_len(), |_, _| rng.gen_range(-1.0..1.0));
+                let mut req = SolveRequest::new(sx, sy, bc);
+                req.tol = if i % 4 < 2 { 1e-2 } else { 1e-6 };
+                req.want_grid = true;
+                req
+            })
+            .collect();
+        let rxs: Vec<_> = reqs
+            .iter()
+            .map(|r| svc.submit(r.clone()).unwrap())
+            .collect();
+        for (i, (req, rx)) in reqs.iter().zip(rxs).enumerate() {
+            let resp = rx.recv().unwrap().unwrap();
+            let cfg = MfpConfig {
+                max_iters: req.max_iters,
+                tol: req.tol,
+                ..Default::default()
+            };
+            let d = DomainSpec::new(test_spec(), req.sx, req.sy);
+            let alone = Mfp::new(svc.solver(), d).run(&req.bc, &cfg);
+            assert_eq!(
+                (resp.iterations, resp.converged),
+                (alone.iterations, alone.converged),
+                "request {i}"
+            );
+            let grid = resp.grid.unwrap();
+            assert_eq!(grid.shape(), alone.grid.shape(), "request {i}");
+            for (x, y) in grid.as_slice().iter().zip(alone.grid.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "request {i}");
+            }
+        }
+    }
+
+    #[test]
     fn max_batch_is_what_one_drain_can_take() {
         let max_batch =
             |cfg: ServeConfig, sx, sy| service(ServeConfig { workers: 0, ..cfg }).max_batch(sx, sy);
@@ -799,13 +850,13 @@ pub(crate) mod tests {
         let mut cfg = ServeConfig::default();
         assert_eq!(max_batch(cfg, 1, 1), 256);
         // `--max-points`: a 2×2 request costs 52 points.
-        cfg.batch.max_points = 1300;
+        cfg.max_points = 1300;
         assert_eq!((max_batch(cfg, 1, 1), max_batch(cfg, 2, 2)), (100, 25));
         // `--queue-depth`.
         cfg.queue_depth = 64;
         assert_eq!(max_batch(cfg, 1, 1), 64);
         // A budget below one request's cost still drains one.
-        cfg.batch.max_points = 0;
+        cfg.max_points = 0;
         assert_eq!(max_batch(cfg, 1, 1), 1);
     }
 

@@ -224,18 +224,17 @@ fn run_epochs(
             pl = 0.0;
         }
         let mut batches = sampler.epoch(data);
-        if let Some(p) = &mut peers {
+        if let Some(p) = &peers {
             // Keep ranks in lockstep: shards differ in size by at most one
             // sample, which can give a larger shard one more full batch,
-            // so every rank runs the smallest shard's count (known from
-            // the global train length, no message); assert to catch
-            // mismatches.
+            // so every rank runs the smallest shard's count, known from the
+            // global train length with no message. A strided shard holds
+            // at least ⌊len/world⌋ samples, so no rank has fewer.
             batches.truncate(p.batches);
-            let nb = p.comm.allreduce_scalar(batches.len() as f64) / world as f64;
             assert_eq!(
-                nb as usize,
                 batches.len(),
-                "rank {rank}: shard batch counts diverged"
+                p.batches,
+                "rank {rank}: shard holds fewer batches than the smallest shard's count"
             );
         }
         for (bi, batch) in batches.iter().enumerate().skip(skip) {
@@ -395,9 +394,6 @@ pub fn train_ddp_resumable(
         let rank = comm.rank();
         // A rank is a device: one of `world` threads computing at once.
         let _lane = mf_tensor::par::compute_lanes(world);
-        // Align per-rank clocks at the run's first barrier so the merged
-        // trace rows share a time base (barrier-only: no link messages).
-        comm.align_clocks();
         // Resume negotiation: every rank offers its newest checkpointed
         // step (−1 when it has none); the run restarts from the newest
         // step *all* ranks have, so a crash that interrupted some ranks

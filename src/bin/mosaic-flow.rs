@@ -10,16 +10,18 @@
 //!                    [--crash-rank K [--crash-after S]]
 //! mosaic-flow serve  --addr 127.0.0.1:7979 [--model model.mfn | --random-weights]
 //!                    [--workers N] [--queue-depth N]
-//!                    [--max-points N] [--max-wait-us U] [--metrics-addr H:P]
+//!                    [--max-points N] [--metrics-addr H:P]
 //! ```
 //!
 //! `serve` runs the long-lived solve service: concurrent clients submit
 //! BVPs as line-delimited JSON over TCP (see `mf-serve`'s `protocol`
 //! docs) and points from different requests are coalesced into one
 //! compiled-plan launch. `--random-weights` serves an untrained network
-//! (useful for load tests — the MFP control flow is identical);
-//! `--max-points 0 --max-wait-us 0` caps every batch at one request (the
-//! per-request baseline).
+//! (useful for load tests — the MFP control flow is identical). A worker
+//! drains the queued requests that share the oldest one's domain and
+//! iteration controls, up to `--max-points` sweep query points;
+//! `--max-points 0` caps every batch at one request (the per-request
+//! baseline).
 //!
 //! `solve` prints convergence info and the MAE against a direct multigrid
 //! reference; `--out` writes the dense solution grid as CSV (row 0 =
@@ -143,7 +145,6 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("workers", Positive),
                 ("queue-depth", Count),
                 ("max-points", Count),
-                ("max-wait-us", Count),
                 ("slo-p99-ms", Real),
                 ("slo-error-rate", Real),
                 ("slo-conv-fail-rate", Real),
@@ -233,7 +234,7 @@ fn usage() -> ExitCode {
                [--crash-rank K [--crash-after S]]\n\
          serve --addr H:P [--model model.mfn | --random-weights [--seed N]]\n\
                [--workers N] [--queue-depth N]\n\
-               [--max-points N] [--max-wait-us U]\n\
+               [--max-points N]\n\
          \n\
          observability (any subcommand):\n\
            --metrics            print telemetry reports to stderr: one per distributed run, one at exit\n\
@@ -575,8 +576,7 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
     let mut cfg = ServeConfig::default();
     cfg.workers = get(flags, "workers", cfg.workers);
     cfg.queue_depth = get(flags, "queue-depth", cfg.queue_depth);
-    cfg.batch.max_points = get(flags, "max-points", cfg.batch.max_points);
-    cfg.batch.max_wait_us = get(flags, "max-wait-us", cfg.batch.max_wait_us);
+    cfg.max_points = get(flags, "max-points", cfg.max_points);
 
     // SLO budgets: defaults from SloConfig, overridable for load tests
     // whose latency envelope differs from production hardware.
@@ -620,7 +620,7 @@ fn cmd_serve(flags: &Flags) -> ExitCode {
         server.addr(),
         spec.m,
         cfg.workers,
-        cfg.batch.max_points
+        cfg.max_points
     );
     use std::io::Write as _;
     let _ = std::io::stdout().flush();

@@ -60,7 +60,7 @@ pub mod prelude {
     pub use mf_nn::{Activation, EmbeddingKind, SdNet, SdNetConfig};
     pub use mf_opt::{Adam, AdamW, Lamb, LrSchedule, Optimizer, Sgd};
     pub use mf_serve::{
-        BatchConfig, ServeConfig, ServeError, SolveRequest, SolveResponse, SolveService, TcpServer,
+        ServeConfig, ServeError, SolveRequest, SolveResponse, SolveService, TcpServer,
     };
     pub use mf_tensor::Tensor;
     pub use mf_train::trainer::OptKind;

@@ -154,6 +154,19 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
         assert!(err.contains(&format!("unknown flag {retired}")), "{err}");
         assert!(err.contains("usage"), "{err}");
     }
+    // And the batch hold-open window: a worker drains the backlog it
+    // finds, so `--max-points` is the one batch budget.
+    let retired = concat!("--max", "-wait-us");
+    let err = rejected(&[
+        "serve",
+        "--random-weights",
+        "--addr",
+        "127.0.0.1:0",
+        retired,
+        "0",
+    ]);
+    assert!(err.contains(&format!("unknown flag {retired}")), "{err}");
+    assert!(err.contains("usage"), "{err}");
     // A misspelt flag.
     let err = rejected(&["solve", "--domain", "2x1", "--rank", "4"]);
     assert!(err.contains("unknown flag --rank"), "{err}");

@@ -416,11 +416,11 @@ fn request_traces_decompose_wall_time_completely() {
 
 /// Warm-up sizes registers, it runs no solve per batch size, and it
 /// reaches every lane of every worker's workspace: after
-/// `prewarm(1, 1, 32)`, bursts of every size up to 32 — one per worker,
-/// each drained whole as the scheduler's window holds its batch open —
-/// leave every pool's miss count where warm-up left it. The network is
-/// the benchmark's trunk width, so launches fan out over lanes where the
-/// host gives a worker more than one.
+/// `prewarm(1, 1, 32)`, `run_many` bursts of every size up to 32 on the
+/// service's solver — one per worker, side by side, each under a worker's
+/// lane budget — leave every pool's miss count where warm-up left it. The
+/// network is the benchmark's trunk width, so launches fan out over lanes
+/// where the host gives a worker more than one.
 #[test]
 fn prewarm_reserves_every_lane_of_every_worker_in_a_handful_of_launches() {
     let mut cfg = SdNetConfig::small(spec().boundary_len());
@@ -428,18 +428,16 @@ fn prewarm_reserves_every_lane_of_every_worker_in_a_handful_of_launches() {
     cfg.hidden = vec![48, 48];
     cfg.coord_fourier = 2;
     let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(12));
-    // One 1×1 request's sweep costs its 13 cross points.
-    let cost = 2 * (spec().m - 2) - 1;
     let d = DomainSpec::new(spec(), 1, 1);
+    let one_sweep = MfpConfig {
+        max_iters: 1,
+        ..Default::default()
+    };
     for workers in [1, 2] {
         let svc = SolveService::new(
             PlanSolver::new(net.clone(), spec()),
             ServeConfig {
                 workers,
-                batch: BatchConfig {
-                    max_points: 32 * cost,
-                    max_wait_us: 5_000,
-                },
                 ..Default::default()
             },
         );
@@ -449,19 +447,18 @@ fn prewarm_reserves_every_lane_of_every_worker_in_a_handful_of_launches() {
         assert_eq!(svc.solver().compiled_plans(), 2);
         let misses = svc.solver().pool_stats().misses;
         for k in 1..=32 {
-            // One batch key per worker (the tolerance is part of it), so
-            // every worker drains a burst of its own.
-            let replies: Vec<_> = (0..workers * k)
-                .map(|i| {
-                    let mut req = SolveRequest::new(1, 1, random_bc(d.boundary_len(), i as u64));
-                    req.max_iters = 1;
-                    req.tol = 1e-6 * (1 + i / k) as f64;
-                    svc.submit(req).unwrap()
-                })
-                .collect();
-            for rx in replies {
-                rx.recv().unwrap().unwrap();
-            }
+            std::thread::scope(|s| {
+                for w in 0..workers {
+                    let (svc, one_sweep) = (&svc, &one_sweep);
+                    s.spawn(move || {
+                        let _lane = mosaic_flow::tensor::par::compute_lanes(workers);
+                        let bcs: Vec<Tensor> = (0..k)
+                            .map(|i| random_bc(d.boundary_len(), (w * k + i) as u64))
+                            .collect();
+                        Mfp::new(svc.solver(), d).run_many(&bcs, one_sweep);
+                    });
+                }
+            });
             assert_eq!(
                 svc.solver().pool_stats().misses,
                 misses,
