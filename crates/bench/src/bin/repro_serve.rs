@@ -15,7 +15,9 @@
 //!   (batched path),
 //! * `serve.p99_ms` — client-observed 99th-percentile latency (batched),
 //! * `serve.speedup_vs_no_batch` — batched ÷ one-request-per-batch
-//!   req/s; the machine-independent win, must stay ≥ 2×,
+//!   req/s, the machine-independent win: ten runs on a 2-vCPU x86-64 host
+//!   read 1.78–2.28× (median 2.06×), and the gate fails below 1.46×
+//!   (baseline 2.25, tol 0.35),
 //! * `serve.batch_occupancy` — mean requests per drained batch,
 //! * `serve.warm_allocs` — workspace-pool misses after warmup; must be 0,
 //! * `reqtrace.warm_allocs` — heap allocations on the request-tracing

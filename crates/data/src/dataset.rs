@@ -82,7 +82,7 @@ impl Dataset {
         // the rng are stateful), then realize each curve and map it in
         // parallel: the same bits as a sequential `sample` stream.
         let draws: Vec<_> = (0..count).map(|_| sampler.draw(&mut rng)).collect();
-        let map = DirichletMap::new(spec.m);
+        let map = DirichletMap::new(spec.m, 0.0);
         let (sampler, map) = (&sampler, &map);
         let samples: Vec<Sample> = draws
             .into_par_iter()
@@ -233,7 +233,7 @@ mod tests {
         let (count, seed) = (7, 3);
         let mut sampler = BoundarySampler::new(spec.boundary_len(), (0.3, 0.9), (0.4, 1.2), true);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let map = DirichletMap::new(spec.m);
+        let map = DirichletMap::new(spec.m, 0.0);
         let expect: Vec<(Tensor, Tensor)> = (0..count)
             .map(|_| {
                 let boundary = sampler.sample(&mut rng);

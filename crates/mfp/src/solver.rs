@@ -3,11 +3,11 @@
 
 use mf_data::SubdomainSpec;
 use mf_infer::Subset;
-use mf_numerics::boundary::grid_with_boundary;
-use mf_numerics::{solve_shifted_sor, DirichletMap, Poisson};
+use mf_numerics::DirichletMap;
 use mf_tensor::{gemm, Layout, Tensor};
-use rayon::prelude::*;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// The inference and launch tallies behind
 /// [`SubdomainSolver::inference_count`] and
@@ -70,7 +70,8 @@ pub trait SubdomainSolver: Sync {
     /// the `[B·q, 1]` result: boundary `b`'s taken points fill the head of
     /// its `q`-row block, in order. `forcings` holds one row-major `m·m`
     /// window per boundary. `σ ≠ 0` or a forcing powers the time-dependent
-    /// extension (implicit-Euler heat stepping, §5.3 of the paper); a
+    /// extension (implicit-Euler heat stepping, §5.3 of the paper): the
+    /// oracle solves any `σ ≥ 0` and forcing exactly, while a
     /// Laplace-trained SDNet supports only `σ = 0` without forcing. The
     /// MFP sweeps launch through this, each subdomain taking the
     /// center-cross points no later sweep group overwrites unread.
@@ -148,28 +149,44 @@ impl<S: SubdomainSolver> SubdomainSolver for UnbatchedSolver<'_, S> {
 /// lattice-restricted alternating Schwarz method — the reference for
 /// isolating distributed-algorithm behaviour from model error.
 ///
-/// A Laplace batch is one GEMM of the boundaries against the
+/// Every launch, at any `σ ≥ 0`, is one GEMM of the boundaries against the
 /// [`DirichletMap`] rows of the query points (a point on the ring selects
-/// its boundary value). A shifted batch (`σ ≠ 0` or a forcing) solves each
-/// subdomain with SOR to residual `tol`. Either computes every point, then
-/// compacts to the subset.
+/// its boundary value), plus, given a forcing, the map's
+/// [`DirichletMap::forcing_solution`] at those points. Both are exact to
+/// rounding: no subdomain solve iterates. It computes every point, then
+/// compacts to the subset. The `σ = 0` map is built with the solver; the
+/// map of another `σ` on its first launch, and kept for the solver's
+/// lifetime (an implicit-Euler run uses one `σ`).
 pub struct OracleSolver {
     spec: SubdomainSpec,
-    tol: f64,
     map: DirichletMap,
+    /// The maps of `σ > 0`, keyed by the bits of `σ`.
+    shifted: Mutex<HashMap<u64, Arc<DirichletMap>>>,
     counter: LaunchCounter,
 }
 
 impl OracleSolver {
-    /// Oracle for the given geometry. `tol` is the residual the shifted
-    /// path solves to; the Laplace path is exact to rounding.
-    pub fn new(spec: SubdomainSpec, tol: f64) -> Self {
+    /// Oracle for the given geometry. `_tol` is unused, since every launch
+    /// is exact; the parameter stays so that existing callers build.
+    pub fn new(spec: SubdomainSpec, _tol: f64) -> Self {
         Self {
             spec,
-            tol,
-            map: DirichletMap::new(spec.m),
+            map: DirichletMap::new(spec.m, 0.0),
+            shifted: Mutex::default(),
             counter: LaunchCounter::default(),
         }
+    }
+
+    /// The map of `σ > 0`, built on first use.
+    fn shifted_map(&self, sigma: f64) -> Arc<DirichletMap> {
+        let h = self.spec.h();
+        // A build that panics (a negative σ) inserts nothing, so a
+        // poisoned map is still whole.
+        let mut maps = self.shifted.lock().unwrap_or_else(PoisonError::into_inner);
+        let map = maps
+            .entry(sigma.to_bits())
+            .or_insert_with(|| Arc::new(DirichletMap::new(self.spec.m, sigma * h * h)));
+        Arc::clone(map)
     }
 }
 
@@ -186,42 +203,17 @@ impl SubdomainSolver for OracleSolver {
         points: &Tensor,
         subset: Subset<'_>,
     ) -> Tensor {
-        let (m, h) = (self.spec.m, self.spec.h());
+        let h = self.spec.h();
         let q = points.rows();
         let idx = grid_aligned_indices(points, h);
-        let mut out = if sigma == 0.0 && forcings.is_none() {
-            let out = gemm(
-                boundaries,
-                Layout::Normal,
-                &self.map.rows(&idx),
-                Layout::Transposed,
-            );
-            Tensor::from_vec(out.numel(), 1, out.into_vec())
-        } else {
-            let mut out = Tensor::zeros(boundaries.rows() * q, 1);
-            // Each boundary owns a disjoint q-row block of the output, so
-            // the grid solves run in parallel.
-            out.as_mut_slice()
-                .par_chunks_mut(q)
-                .enumerate()
-                .for_each(|(bi, chunk)| {
-                    let bc = Tensor::from_vec(1, boundaries.cols(), boundaries.row(bi).to_vec());
-                    let f = match forcings {
-                        Some(fr) => Tensor::from_vec(m, m, fr.row(bi).to_vec()),
-                        None => Tensor::zeros(m, m),
-                    };
-                    let problem = Poisson { f, h };
-                    let guess = grid_with_boundary(m, m, &bc);
-                    let (sol, stats) =
-                        solve_shifted_sor(&problem, sigma, &guess, 1.5, 50_000, self.tol);
-                    // An unconverged grid is no ground truth: stop, in every build.
-                    assert!(stats.converged, "oracle shifted solve failed: {stats:?}");
-                    for (k, &(j, i)) in idx.iter().enumerate() {
-                        chunk[k] = sol.get(j, i);
-                    }
-                });
-            out
-        };
+        let shifted = (sigma != 0.0).then(|| self.shifted_map(sigma));
+        let map = shifted.as_deref().unwrap_or(&self.map);
+        let rows = map.rows(&idx);
+        let mut out = gemm(boundaries, Layout::Normal, &rows, Layout::Transposed);
+        if let Some(f) = forcings {
+            out.axpy(h * h, &map.forcing_solution(f, &idx));
+        }
+        let mut out = Tensor::from_vec(out.numel(), 1, out.into_vec());
         self.counter.record(out.numel());
         subset.compact(out.as_mut_slice(), q);
         out
@@ -248,18 +240,6 @@ mod tests {
         SubdomainSpec { m: 9, spatial: 0.5 }
     }
 
-    /// A shifted solve that cannot reach its residual panics, in release
-    /// builds too, instead of returning the last SOR sweep as the answer.
-    #[test]
-    #[should_panic(expected = "oracle shifted solve failed")]
-    fn an_unconverged_shifted_solve_panics() {
-        let spec = SubdomainSpec { m: 5, spatial: 0.5 };
-        let s = OracleSolver::new(spec, 0.0);
-        let bc = Tensor::from_fn(1, spec.boundary_len(), |_, j| 1.0 + 0.1 * j as f64);
-        let pts = Tensor::from_vec(1, 2, vec![0.25, 0.25]);
-        s.solve_batch_subset(1.0, &bc, None, &pts, Subset::All);
-    }
-
     #[test]
     fn oracle_reproduces_harmonic_function() {
         let spec = spec();
@@ -283,11 +263,53 @@ mod tests {
         assert!((out.get(0, 0) - e0).abs() < 1e-6);
         assert!((out.get(1, 0) - e1).abs() < 1e-6);
         // One boundary × two query points, in one launch — and the same
-        // again for a shifted batch, which runs the same loop.
+        // again for a shifted batch, which runs the same GEMM.
         assert_eq!((s.inference_count(), s.launch_count()), (2, 1));
         let shifted = s.solve_batch_subset(1.0, &bc, None, &pts, Subset::All);
         assert_eq!(shifted.shape(), (2, 1));
         assert_eq!((s.inference_count(), s.launch_count()), (4, 2));
+    }
+
+    /// A shifted, forced batch is the per-subdomain grid solve at every
+    /// point, a ring point included, in one launch, and a subset takes its
+    /// values unchanged.
+    #[test]
+    fn shifted_forced_batches_match_per_subdomain_sor() {
+        use mf_numerics::boundary::grid_with_boundary;
+        use mf_numerics::{solve_shifted_sor, Poisson};
+        let spec = spec();
+        let (m, h, sigma) = (spec.m, spec.h(), 50.0);
+        let s = OracleSolver::new(spec, 1e-9);
+        let bc = Tensor::from_fn(2, spec.boundary_len(), |b, k| {
+            ((3 * b + k) as f64 * 0.7).sin()
+        });
+        let f = Tensor::from_fn(2, m * m, |b, k| ((5 * b + k) as f64 * 0.3).cos() * 20.0);
+        let idx = [(4, 4), (2, 6), (0, 3), (7, 1)];
+        let pts = Tensor::from_fn(idx.len(), 2, |k, c| h * [idx[k].1, idx[k].0][c] as f64);
+        let out = s.solve_batch_subset(sigma, &bc, Some(&f), &pts, Subset::All);
+        assert_eq!((s.inference_count(), s.launch_count()), (8, 1));
+        for b in 0..2 {
+            let bc_b = Tensor::from_vec(1, bc.cols(), bc.row(b).to_vec());
+            let problem = Poisson {
+                f: Tensor::from_vec(m, m, f.row(b).to_vec()),
+                h,
+            };
+            let guess = grid_with_boundary(m, m, &bc_b);
+            let (sor, st) = solve_shifted_sor(&problem, sigma, &guess, 1.5, 100_000, 1e-11);
+            assert!(st.converged, "{st:?}");
+            for (k, &(j, i)) in idx.iter().enumerate() {
+                let err = (out.get(b * idx.len() + k, 0) - sor.get(j, i)).abs();
+                assert!(err <= 1e-10, "boundary {b}, point {k}: {err:e}");
+            }
+        }
+        let picked = [vec![1, 3], vec![0]];
+        let sub = s.solve_batch_subset(sigma, &bc, Some(&f), &pts, Subset::Cycle(&picked));
+        for (b, taken) in picked.iter().enumerate() {
+            for (r, &k) in taken.iter().enumerate() {
+                let (x, y) = (sub.get(b * idx.len() + r, 0), out.get(b * idx.len() + k, 0));
+                assert_eq!(x.to_bits(), y.to_bits(), "boundary {b}, point {k}");
+            }
+        }
     }
 
     #[test]

@@ -7,15 +7,17 @@
 //! boundary-value problems for the Laplace equation with pyAMG. This crate
 //! plays that role from scratch:
 //!
-//! * [`DirichletMap`], the exact subdomain map `u_interior = H·ĝ` of the
-//!   square `m×m` Laplace grid (the discrete harmonic measure), built from
-//!   the operator's sine eigenbasis: the ground truth of every training
-//!   sample and of the MFP oracle, at any `m ≥ 3`,
+//! * [`DirichletMap`], the exact subdomain map `u_interior = H_σ·ĝ +
+//!   G_σ·(h²f)` of the square `m×m` grid of `σu − Δu = f`, `σ ≥ 0` (at
+//!   `σ = 0`, `H_0` is the discrete harmonic measure), built from the
+//!   operator's sine eigenbasis: the ground truth of every training sample
+//!   and of every MFP oracle launch, at any `m ≥ 3`,
 //! * a geometric multigrid V-cycle (full-weighting restriction, bilinear
 //!   prolongation, red-black Gauss–Seidel smoothing) for large grids,
 //! * pointwise relaxation: red-black Gauss–Seidel, and one SOR for the
-//!   shifted operator `σu − Δu = f` — the time-dependent extension, and
-//!   at `σ = 0` the Laplace/Poisson fallback,
+//!   shifted operator `σu − Δu = f` on a whole domain — the reference of
+//!   the time-dependent extension, and at `σ = 0` the Laplace/Poisson
+//!   fallback,
 //! * [`solve_dirichlet`] which picks multigrid when the grid supports
 //!   coarsening and falls back to SOR otherwise: the large-domain
 //!   reference and the MFP coarse seed.
