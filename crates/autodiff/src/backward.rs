@@ -20,7 +20,17 @@
 //! [`Graph::backward`] is the same walk over the same `propagate`, made
 //! the tape's last: it releases every value the rest of the walk cannot
 //! read, so the pass runs in the cache-sized set of buffers it is using
-//! instead of streaming through the whole retained tape.
+//! instead of streaming through the whole retained tape. Because nothing
+//! differentiates what it emits, its GELU VJP is two nodes,
+//! `mul(g, GeluDeriv(x, 1))`, where the retaining walk emits the 12-node
+//! chain — the same bits, since `GeluDeriv(x, 1)` rounds every step of
+//! that chain in order. `grad` keeps the chain because its output may be
+//! differentiated again: the chain's second-order adjoints are what
+//! `fused_vjps_match_unfused_bitwise_to_second_order` holds bitwise to the
+//! legacy graph's 18-node chain, which `GeluDeriv`'s analytic VJP
+//! (`g·σ''`) would only approximate. `GeluDeriv(x, k)` itself — the forward
+//! Laplacian's `σ'` and `σ''` — has the VJP `g·GeluDeriv(x, k + 1)` in
+//! every walk, and `k = 3` none: a gradient through it panics.
 
 use crate::graph::{for_each_input, Graph, Op, Var};
 use mf_tensor::Layout;
@@ -477,6 +487,19 @@ impl Graph {
                     self.accumulate(t, c, needed, adjoint);
                 }
             }
+            Op::GeluDeriv(x, k) => {
+                if self.wants(x, needed) {
+                    assert!(
+                        k < 3,
+                        "GeluDeriv(x, 3) has no VJP: a fourth GELU derivative is never \
+                         needed (the forward Laplacian's σ'' reaches σ''' in the weight \
+                         gradient, which nothing differentiates again)"
+                    );
+                    let d = self.gelu_deriv(x, k + 1);
+                    let gx = self.mul(g, d);
+                    self.accumulate(x, gx, needed, adjoint);
+                }
+            }
             Op::Exp(a) => {
                 if self.wants(a, needed) {
                     let ga = self.mul(g, node);
@@ -501,7 +524,14 @@ impl Graph {
             Op::Gelu(a) => {
                 if self.wants(a, needed) {
                     use crate::ops::{GELU_C, GELU_SQRT_2_OVER_PI};
-                    if self.is_lean() {
+                    if self.is_lean() && adjoint.consume {
+                        // The tape's last pass: nothing differentiates this
+                        // VJP again, so gelu'(x) is one node with the bits
+                        // of the chain below.
+                        let deriv = self.gelu_deriv(a, 1);
+                        let ga = self.mul(g, deriv);
+                        self.accumulate(a, ga, needed, adjoint);
+                    } else if self.is_lean() {
                         // gelu'(x) = ½(1 + t) + ½x (1 − t²)·u'(x) with the
                         // scalar-chain segments fused: 12 nodes instead of
                         // 18, same per-element arithmetic and accumulation

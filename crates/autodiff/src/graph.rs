@@ -126,6 +126,11 @@ pub enum Op {
     GeluDu(Var),
     /// Elementwise `(t + 1) / 2`.
     HalfOnePlus(Var),
+    /// The `k`-th derivative `σ⁽ᵏ⁾(x)` of the GELU, `k` = 1, 2 or 3, as one
+    /// node: `σ'` and `σ''` of the forward Laplacian and `σ'` of the
+    /// consuming backward's GELU VJP, bit for bit the elementwise chains
+    /// they replace. Its VJP is `g·σ⁽ᵏ⁺¹⁾(x)`; `k = 3` has none.
+    GeluDeriv(Var, u8),
 }
 
 pub(crate) struct Node {
@@ -455,7 +460,8 @@ pub(crate) fn for_each_input(op: &Op, mut f: impl FnMut(Var)) {
         | Cos(a)
         | OneMinusSq(a)
         | GeluDu(a)
-        | HalfOnePlus(a) => f(*a),
+        | HalfOnePlus(a)
+        | GeluDeriv(a, _) => f(*a),
     }
 }
 

@@ -7,7 +7,7 @@
 //! writes into pool-recycled buffers in lean mode.
 
 use crate::graph::{Graph, Op, Var};
-use mf_tensor::{fold1d_circular_into, gemm_into, unfold1d_circular_into, Layout, Tensor};
+use mf_tensor::{fold1d_circular_into, gemm_overwrite, unfold1d_circular_into, Layout, Tensor};
 
 // The GELU constants now live with the backend kernels in `mf-tensor`;
 // re-exported here for the backward pass.
@@ -62,10 +62,10 @@ impl Graph {
                     Layout::Normal => bc,
                     Layout::Transposed => br,
                 };
-                // gemm_into accumulates into the zeroed output, which is
-                // exactly what the allocating gemm does internally.
-                let mut out = self.alloc(m, n);
-                gemm_into(self.value(a), la, self.value(b), lb, &mut out);
+                // The product is written over the recycled buffer, exactly
+                // as the allocating gemm writes its fresh one.
+                let mut out = self.alloc_dirty(m, n);
+                gemm_overwrite(self.value(a), la, self.value(b), lb, &mut out);
                 out
             }
             Op::Transpose(a) => {
@@ -235,12 +235,17 @@ impl Graph {
                 self.value(t).half_one_plus_into(&mut out);
                 out
             }
+            Op::GeluDeriv(x, k) => {
+                let mut out = self.alloc_like_dirty(x);
+                self.value(x).gelu_deriv_into(k, &mut out);
+                out
+            }
         }
     }
 
     /// [`Graph::alloc_dirty`] with the shape of `a`. Every arm above that
     /// uses this writes each output element exactly once; the arms that
-    /// accumulate (`MatMul`, `Fold1d`, axis sums) or rely on zero padding
+    /// accumulate (`Fold1d`, axis sums) or rely on zero padding
     /// (`PadCols`/`PadRows`) stay on the zeroed [`Graph::alloc`].
     fn alloc_like_dirty(&mut self, a: Var) -> Tensor {
         let (r, c) = self.shape_of(a);
@@ -473,6 +478,17 @@ impl Graph {
     pub fn half_one_plus(&mut self, t: Var) -> Var {
         self.record(Op::HalfOnePlus(t))
     }
+
+    /// The `k`-th derivative of [`Graph::gelu`] at `x`, `k` = 1, 2 or 3,
+    /// as one node ([`Op::GeluDeriv`]). Differentiable twice over: the
+    /// gradient of `k = 3` panics.
+    pub fn gelu_deriv(&mut self, x: Var, k: u8) -> Var {
+        assert!(
+            (1..=3).contains(&k),
+            "gelu_deriv: order {k} is not 1, 2 or 3"
+        );
+        self.record(Op::GeluDeriv(x, k))
+    }
 }
 
 #[cfg(test)]
@@ -584,5 +600,119 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    /// `x ∈ [−12, 12]` in steps of 1/64, plus `±0`.
+    fn gelu_samples() -> Tensor {
+        let mut xs: Vec<f64> = (-768..=768).map(|i| i as f64 / 64.0).collect();
+        xs.extend([0.0, -0.0]);
+        Tensor::row_vector(&xs)
+    }
+
+    /// `(σ', σ'')` of the GELU from primitive nodes, as the forward
+    /// Laplacian built them before `GeluDeriv`.
+    fn gelu_chain(g: &mut Graph, x: Var) -> (Var, Var) {
+        let x2 = g.mul(x, x);
+        let x3 = g.mul(x2, x);
+        let u = g.gelu_inner(x, x3);
+        let t = g.tanh(u);
+        let sech2 = g.one_minus_sq(t);
+        let du = g.gelu_du(x2);
+        let term1 = g.half_one_plus(t);
+        let half_x = g.scale(x, 0.5);
+        let hs = g.mul(half_x, sech2);
+        let term2 = g.mul(hs, du);
+        let d1 = g.add(term1, term2);
+        let du2 = g.mul(du, du);
+        let xt = g.mul(x, t);
+        let xtdu2 = g.mul(xt, du2);
+        let inner = g.sub(du, xtdu2);
+        let kx2 = g.scale(x2, 3.0 * GELU_C * GELU_SQRT_2_OVER_PI);
+        let inner = g.add(inner, kx2);
+        (d1, g.mul(sech2, inner))
+    }
+
+    fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} elem {i}: {a:e} vs {b:e}");
+        }
+    }
+
+    #[test]
+    fn gelu_deriv_1_and_2_are_the_bits_of_their_chains() {
+        let mut g = Graph::new();
+        let x = g.leaf(gelu_samples());
+        let (c1, c2) = gelu_chain(&mut g, x);
+        let (d1, d2) = (g.gelu_deriv(x, 1), g.gelu_deriv(x, 2));
+        assert_same_bits(g.value(d1), g.value(c1), "σ'");
+        assert_same_bits(g.value(d2), g.value(c2), "σ''");
+        // The second half of a lane block and a lone tail element too.
+        for n in [1, 17, 33] {
+            let xs = Tensor::from_fn(1, n, |_, i| i as f64 * 0.37 - 3.0);
+            let mut h = Graph::new();
+            let x = h.leaf(xs);
+            let (c1, c2) = gelu_chain(&mut h, x);
+            let (d1, d2) = (h.gelu_deriv(x, 1), h.gelu_deriv(x, 2));
+            assert_same_bits(h.value(d1), h.value(c1), "σ' tail");
+            assert_same_bits(h.value(d2), h.value(c2), "σ'' tail");
+        }
+    }
+
+    #[test]
+    fn gelu_deriv_3_is_the_chains_gradient_and_the_slope_of_order_2() {
+        let xs = gelu_samples();
+        let mut g = Graph::new();
+        let x = g.leaf(xs.clone());
+        let (_, c2) = gelu_chain(&mut g, x);
+        let s = g.sum(c2);
+        let oracle = g.grad(s, &[x])[0];
+        let d3 = g.gelu_deriv(x, 3);
+        let (got, want) = (g.value(d3), g.value(oracle));
+        for (i, (&a, &b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-12 * b.abs().max(1e-300),
+                "σ''' at x = {}: {a:e} vs autodiff {b:e}",
+                xs.as_slice()[i]
+            );
+        }
+        // A central difference of σ'' (step h, error O(h²)).
+        let h = 1e-5;
+        let order2 = |shift: f64| {
+            let mut g = Graph::new();
+            let x = g.leaf(xs.add_scalar(shift));
+            let d2 = g.gelu_deriv(x, 2);
+            g.value(d2).clone()
+        };
+        let fd = order2(h).sub(&order2(-h)).scale(0.5 / h);
+        for (i, (&a, &b)) in got.as_slice().iter().zip(fd.as_slice()).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-8 * (1.0 + a.abs()),
+                "σ''' at x = {}: {a:e} vs central difference {b:e}",
+                xs.as_slice()[i]
+            );
+        }
+    }
+
+    #[test]
+    fn gelu_deriv_vjps_are_the_next_order() {
+        let mut g = Graph::new();
+        let x = g.leaf(gelu_samples());
+        for k in 1..=2 {
+            let d = g.gelu_deriv(x, k);
+            let s = g.sum(d);
+            let grad = g.grad(s, &[x])[0];
+            let next = g.gelu_deriv(x, k + 1);
+            assert_same_bits(g.value(grad), g.value(next), "VJP");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "GeluDeriv(x, 3) has no VJP")]
+    fn gelu_deriv_3_cannot_be_differentiated() {
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::row_vector(&[-1.0, 0.5]));
+        let d3 = g.gelu_deriv(x, 3);
+        let s = g.sum(d3);
+        let _ = g.grad(s, &[x]);
     }
 }

@@ -30,37 +30,20 @@ impl Activation {
     /// The first and second derivatives `(σ'(x), σ''(x))` on the graph, or
     /// `None` for Identity (`σ' = 1`, `σ'' = 0`).
     ///
-    /// Both are composed from differentiable primitives, so a loss built
-    /// on them still backpropagates to `x`:
-    /// * tanh, with `y = tanh x`: `σ' = 1 − y²`, `σ'' = −2y(1 − y²)`;
-    /// * GELU, with `u = √(2/π)(x + c x³)` and `t = tanh u`:
+    /// A loss built on them still backpropagates to `x`:
+    /// * tanh, with `y = tanh x`: `σ' = 1 − y²`, `σ'' = −2y(1 − y²)`,
+    ///   composed from differentiable primitives;
+    /// * GELU: one [`Graph::gelu_deriv`] node each — with
+    ///   `u = √(2/π)(x + c x³)` and `t = tanh u`,
     ///   `σ' = ½(1 + t) + ½x(1 − t²)u'` and
     ///   `σ'' = (1 − t²)(u' − x t u'² + ½x u'')`, where
-    ///   `u' = √(2/π)(1 + 3c x²)` and `½x u'' = 3c√(2/π) x²`.
+    ///   `u' = √(2/π)(1 + 3c x²)` and `½x u'' = 3c√(2/π) x²` — whose VJPs
+    ///   are `g·σ''` and `g·σ'''`, the analytic third derivative. That is
+    ///   as far as the GELU's derivatives go: the weight gradient of a loss
+    ///   on `σ''` cannot be differentiated again (it would need `σ⁗`).
     pub(crate) fn derivatives(&self, g: &mut Graph, x: Var) -> Option<(Var, Var)> {
         match self {
-            Activation::Gelu => {
-                use mf_tensor::{GELU_C, GELU_SQRT_2_OVER_PI};
-                let x2 = g.mul(x, x);
-                let x3 = g.mul(x2, x);
-                let u = g.gelu_inner(x, x3);
-                let t = g.tanh(u);
-                let sech2 = g.one_minus_sq(t);
-                let du = g.gelu_du(x2);
-                // σ' as the GELU VJP composes it.
-                let term1 = g.half_one_plus(t);
-                let half_x = g.scale(x, 0.5);
-                let hs = g.mul(half_x, sech2);
-                let term2 = g.mul(hs, du);
-                let d1 = g.add(term1, term2);
-                let du2 = g.mul(du, du);
-                let xt = g.mul(x, t);
-                let xtdu2 = g.mul(xt, du2);
-                let inner = g.sub(du, xtdu2);
-                let kx2 = g.scale(x2, 3.0 * GELU_C * GELU_SQRT_2_OVER_PI);
-                let inner = g.add(inner, kx2);
-                Some((d1, g.mul(sech2, inner)))
-            }
+            Activation::Gelu => Some((g.gelu_deriv(x, 1), g.gelu_deriv(x, 2))),
             Activation::Tanh => {
                 let y = g.tanh(x);
                 let d1 = g.one_minus_sq(y);

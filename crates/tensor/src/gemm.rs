@@ -9,12 +9,25 @@
 //! its test oracle; see `crate::backend`). Pack and compute phases are
 //! attributed separately under `prof.gemm_pack_us` / `prof.gemm_compute_us`.
 //!
-//! Transposed operands are handled by packing the transposed matrix once
-//! (O(n²)) rather than striding through it in the O(n³) inner loop.
+//! A transposed operand is transposed once (O(n²)) rather than strided
+//! through in the O(n³) inner loop, by the one tiled transpose kernel
+//! [`Tensor::transpose_into`] runs too, into a per-thread scratch buffer
+//! that grows to the largest pack the thread has needed and is reused by
+//! every later product: a warm training step packs its weight-gradient
+//! operands without touching the heap. The kernel then sees row-major
+//! `m×k` and `k×n` buffers, so every element is the same ascending-`p`
+//! chain as with an explicitly transposed operand, bit for bit.
+//!
+//! [`gemm`] and [`gemm_overwrite`] write the product over their output:
+//! each chain starts at `+0.0` instead of re-reading a zero-filled buffer
+//! (the same bits); [`gemm_into`] adds it to what the output holds.
 
-use crate::backend::{simd, BAND};
+use crate::backend::BAND;
+use crate::inplace::transpose;
 use crate::par::{self, prelude::*};
+use crate::simd::band_product;
 use crate::Tensor;
+use std::cell::Cell;
 
 /// Whether an operand participates as itself or transposed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,76 +54,110 @@ pub enum Layout {
 /// that size did not move with the kernel (×1.30 at 369 k before).
 const PAR_THRESHOLD: usize = 3 << 17;
 
-/// `C = op_a(A) · op_b(B)`.
+thread_local! {
+    /// Per-thread scratch for transposed operands, taken for the length of
+    /// one product and put back (a product nested in another one, were
+    /// there any, would pack into a buffer of its own).
+    static PACKS: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
+
+/// `C = op_a(A) · op_b(B)`, freshly allocated.
 ///
 /// Shapes: with `op_a(A)` being `m×k` and `op_b(B)` being `k×n`, the result
 /// is `m×n`. Panics on inner-dimension mismatch.
 pub fn gemm(a: &Tensor, la: Layout, b: &Tensor, lb: Layout) -> Tensor {
-    let (m, k1) = effective_shape(a, la);
-    let (k2, n) = effective_shape(b, lb);
-    assert_eq!(
-        k1, k2,
-        "gemm: inner dimension mismatch ({m}x{k1} · {k2}x{n}) with layouts {la:?}/{lb:?}"
-    );
+    let (m, n) = product_shape(a, la, b, lb, "gemm");
     let mut out = Tensor::zeros(m, n);
-    gemm_into(a, la, b, lb, &mut out);
+    product(a, la, b, lb, &mut out, false);
     out
+}
+
+/// `C = op_a(A) · op_b(B)` written over an existing output, whatever it
+/// held (a recycled buffer needs no zero-fill first).
+pub fn gemm_overwrite(a: &Tensor, la: Layout, b: &Tensor, lb: Layout, out: &mut Tensor) {
+    let shape = product_shape(a, la, b, lb, "gemm_overwrite");
+    assert_eq!(out.shape(), shape, "gemm_overwrite: output shape mismatch");
+    product(a, la, b, lb, out, false);
 }
 
 /// `C += op_a(A) · op_b(B)` accumulated into an existing output tensor.
 pub fn gemm_into(a: &Tensor, la: Layout, b: &Tensor, lb: Layout, out: &mut Tensor) {
+    let shape = product_shape(a, la, b, lb, "gemm_into");
+    assert_eq!(out.shape(), shape, "gemm_into: output shape mismatch");
+    product(a, la, b, lb, out, true);
+}
+
+/// The `m×n` shape of `op_a(A) · op_b(B)`; panics on an inner-dimension
+/// mismatch.
+fn product_shape(a: &Tensor, la: Layout, b: &Tensor, lb: Layout, op: &str) -> (usize, usize) {
     let (m, k1) = effective_shape(a, la);
     let (k2, n) = effective_shape(b, lb);
-    assert_eq!(k1, k2, "gemm_into: inner dimension mismatch");
-    assert_eq!(out.shape(), (m, n), "gemm_into: output shape mismatch");
-    let k = k1;
-    // Degenerate shapes: nothing to accumulate (and `chunks_mut(0)` on an
+    assert_eq!(
+        k1, k2,
+        "{op}: inner dimension mismatch ({m}x{k1} · {k2}x{n}) with layouts {la:?}/{lb:?}"
+    );
+    (m, n)
+}
+
+/// The product behind [`gemm`], [`gemm_overwrite`] and [`gemm_into`]:
+/// `out` (shape checked) receives `op_a(A) · op_b(B)`, added to it when
+/// `accumulate`.
+fn product(a: &Tensor, la: Layout, b: &Tensor, lb: Layout, out: &mut Tensor, accumulate: bool) {
+    let (m, k) = effective_shape(a, la);
+    let n = out.cols();
+    // Degenerate shapes: nothing to multiply (and `chunks_mut(0)` on an
     // `n == 0` output would panic — see the zero-dim regression tests).
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 {
         return;
     }
 
-    // Pack transposed operands once so the kernel always sees row-major
-    // `m×k` and `k×n` buffers with unit-stride inner loops.
-    let a_packed;
-    let b_packed;
+    let mut scratch = PACKS.with(Cell::take);
+    let a_len = if la == Layout::Transposed { m * k } else { 0 };
+    let b_len = if lb == Layout::Transposed { k * n } else { 0 };
+    if scratch.len() < a_len + b_len {
+        scratch.resize(a_len + b_len, 0.0);
+    }
+    let (a_pack, rest) = scratch.split_at_mut(a_len);
+    let b_pack = &mut rest[..b_len];
     let (a_buf, b_buf): (&[f64], &[f64]) = {
         mf_profile::zone!("gemm_pack");
         let a_buf: &[f64] = match la {
             Layout::Normal => a.as_slice(),
             Layout::Transposed => {
-                a_packed = a.transpose();
-                a_packed.as_slice()
+                transpose(a.as_slice(), a.rows(), a.cols(), a_pack);
+                a_pack
             }
         };
         let b_buf: &[f64] = match lb {
             Layout::Normal => b.as_slice(),
             Layout::Transposed => {
-                b_packed = b.transpose();
-                b_packed.as_slice()
+                transpose(b.as_slice(), b.rows(), b.cols(), b_pack);
+                b_pack
             }
         };
         (a_buf, b_buf)
     };
 
-    mf_profile::zone!("gemm_compute");
-    let be = simd();
-    let work = m * n * k;
-    let out_buf = out.as_mut_slice();
-    // A single band has nothing to share out.
-    if work >= PAR_THRESHOLD && m > BAND {
-        out_buf
-            .par_chunks_mut(n * BAND)
-            .enumerate()
-            .for_each(|(bi, band)| {
-                let rows = band.len() / n;
-                let a_band = &a_buf[bi * BAND * k..bi * BAND * k + rows * k];
-                be.gemm_band(a_band, b_buf, band, k, n);
-            });
-        par::publish_thread_spawns();
-    } else {
-        be.gemm_band(a_buf, b_buf, out_buf, k, n);
+    {
+        mf_profile::zone!("gemm_compute");
+        let work = m * n * k;
+        let out_buf = out.as_mut_slice();
+        // A single band has nothing to share out.
+        if work >= PAR_THRESHOLD && m > BAND {
+            out_buf
+                .par_chunks_mut(n * BAND)
+                .enumerate()
+                .for_each(|(bi, band)| {
+                    let rows = band.len() / n;
+                    let a_band = &a_buf[bi * BAND * k..bi * BAND * k + rows * k];
+                    band_product(a_band, b_buf, band, k, n, accumulate);
+                });
+            par::publish_thread_spawns();
+        } else {
+            band_product(a_buf, b_buf, out_buf, k, n, accumulate);
+        }
     }
+    PACKS.with(|cell| cell.set(scratch));
 }
 
 #[inline]
@@ -173,24 +220,95 @@ mod tests {
         }
     }
 
+    /// `op_a(A)·op_b(B)` through the transposed-operand packs is the
+    /// product of explicitly transposed copies bit for bit: the same
+    /// ascending-`p` chain per element whatever the layout, for every
+    /// layout pair, past `KC`, across the pool fan-out and over narrow and
+    /// half-tile widths.
     #[test]
     fn transposed_layouts_agree_with_explicit_transpose() {
+        use Layout::{Normal as N, Transposed as T};
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let a = random(&mut rng, 7, 4);
-        let b = random(&mut rng, 7, 5);
-        // aᵀ·b
-        let tn = gemm(&a, Layout::Transposed, &b, Layout::Normal);
-        assert!(tn.allclose(&a.transpose().matmul(&b), 1e-12));
-        // a·bᵀ with compatible shapes
-        let c = random(&mut rng, 4, 9);
-        let d = random(&mut rng, 5, 9);
-        let nt = gemm(&c, Layout::Normal, &d, Layout::Transposed);
-        assert!(nt.allclose(&c.matmul(&d.transpose()), 1e-12));
-        // aᵀ·bᵀ
-        let e = random(&mut rng, 4, 7);
-        let f = random(&mut rng, 9, 4);
-        let tt = gemm(&e, Layout::Transposed, &f, Layout::Transposed);
-        assert!(tt.allclose(&e.transpose().matmul(&f.transpose()), 1e-12));
+        let mut shapes = vec![
+            (7, 4, 5),
+            (4, 7, 9),
+            (9, 300, 7),
+            (200, 64, 48),
+            (512, 48, 48),
+        ];
+        const { assert!(200 > BAND && 200 * 64 * 48 >= PAR_THRESHOLD) };
+        shapes.extend([1, 2, 7, 8, 16, 48].map(|n| (37, 48, n)));
+        for (m, k, n) in shapes {
+            let a = random(&mut rng, m, k);
+            let b = random(&mut rng, k, n);
+            let want = a.matmul(&b);
+            let (at, bt) = (a.transpose(), b.transpose());
+            for (la, lb) in [(N, N), (T, N), (N, T), (T, T)] {
+                let lhs = if la == T { &at } else { &a };
+                let rhs = if lb == T { &bt } else { &b };
+                let got = gemm(lhs, la, rhs, lb);
+                assert!(
+                    got.as_slice()
+                        .iter()
+                        .zip(want.as_slice())
+                        .all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{m}x{k}x{n} with layouts {la:?}/{lb:?}"
+                );
+                // Accumulating into zeros and overwriting garbage: the
+                // same bits again.
+                let mut acc = Tensor::zeros(m, n);
+                gemm_into(lhs, la, rhs, lb, &mut acc);
+                let mut over = Tensor::full(m, n, f64::NAN);
+                gemm_overwrite(lhs, la, rhs, lb, &mut over);
+                assert_eq!(acc, want, "{m}x{k}x{n} gemm_into {la:?}/{lb:?}");
+                assert_eq!(over, want, "{m}x{k}x{n} gemm_overwrite {la:?}/{lb:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_moves_every_element_on_random_shapes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        let mut shapes: Vec<(usize, usize)> = (0..40)
+            .map(|_| (rng.gen_range(1..80), rng.gen_range(1..80)))
+            .collect();
+        shapes.extend([
+            (1, 1),
+            (1, 70),
+            (70, 1),
+            (1, 8),
+            (8, 1),
+            (8, 8),
+            (33, 65),
+            (61, 129),
+        ]);
+        for (r, c) in shapes {
+            let a = random(&mut rng, r, c);
+            let mut t = Tensor::full(c, r, f64::NAN);
+            a.transpose_into(&mut t);
+            for i in 0..r {
+                for j in 0..c {
+                    assert_eq!(
+                        t.get(j, i).to_bits(),
+                        a.get(i, j).to_bits(),
+                        "{r}x{c} ({i},{j})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overwrite_of_an_empty_inner_dimension_is_zero() {
+        let mut out = Tensor::full(2, 3, 7.5);
+        gemm_overwrite(
+            &Tensor::zeros(0, 2),
+            Layout::Transposed,
+            &Tensor::zeros(0, 3),
+            Layout::Normal,
+            &mut out,
+        );
+        assert_eq!(out.as_slice(), &[0.0; 6]);
     }
 
     #[test]

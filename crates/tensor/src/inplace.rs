@@ -11,7 +11,10 @@
 //! of each is `Tensor::zeros` plus the `_into` call, so an allocation-lean
 //! caller gets the allocating caller's values bit for bit by construction.
 //! Only `tanh_into` and `gelu_into` call a [`crate::Backend`] — the simd
-//! one, whose approximations the scalar reference differs from.
+//! one, whose approximations the scalar reference differs from — and
+//! `gelu_deriv_into` calls the simd module's GELU-derivative kernel, built
+//! on the same vector `tanh`. `transpose_into` is the tiled [`transpose`]
+//! kernel, which the GEMM's transposed-operand packs run too.
 //!
 //! Kernels that accumulate (`sum_axis0_into`, `sum_groups_into`,
 //! `fold1d_circular_into`) or leave gaps (`pad_cols_into`, `pad_rows_into`)
@@ -95,6 +98,16 @@ impl Tensor {
         crate::backend::simd().gelu(self.as_slice(), out.as_mut_slice());
     }
 
+    /// `out = σ⁽ᵏ⁾(self)`, the `k`-th derivative of the GELU `σ` (tanh
+    /// approximation) for `k` = 1, 2 or 3, through the simd kernel
+    /// (`tanh` as [`Tensor::tanh_into`] takes it). `k` = 1 and 2 are bit
+    /// for bit the elementwise chains `σ'` and `σ''` were built from before
+    /// this kernel existed. Panics for any other `k`.
+    pub fn gelu_deriv_into(&self, k: u8, out: &mut Tensor) {
+        self.assert_out_shape(out, self.rows(), self.cols(), "gelu_deriv_into");
+        crate::simd::gelu_deriv(k, self.as_slice(), out.as_mut_slice());
+    }
+
     /// Fused tanh backward: `out = self ⊙ (1 - t²)` where `self` is the
     /// upstream gradient and `t = tanh(x)`.
     pub fn tanh_vjp_into(&self, t: &Tensor, out: &mut Tensor) {
@@ -121,23 +134,11 @@ impl Tensor {
         self.map_into(out, |t| (t + 1.0) * 0.5);
     }
 
-    /// `out = selfᵀ`, in 32×32 blocks for cache friendliness on large
-    /// tensors.
+    /// `out = selfᵀ` ([`transpose`]).
     pub fn transpose_into(&self, out: &mut Tensor) {
         self.assert_out_shape(out, self.cols(), self.rows(), "transpose_into");
-        const B: usize = 32;
         let (rows, cols) = self.shape();
-        let src = self.as_slice();
-        let dst = out.as_mut_slice();
-        for rb in (0..rows).step_by(B) {
-            for cb in (0..cols).step_by(B) {
-                for r in rb..(rb + B).min(rows) {
-                    for c in cb..(cb + B).min(cols) {
-                        dst[c * rows + r] = src[r * cols + c];
-                    }
-                }
-            }
-        }
+        transpose(self.as_slice(), rows, cols, out.as_mut_slice());
     }
 
     /// Row sum into a zeroed `1×cols` output.
@@ -416,6 +417,56 @@ fn fold1d_windows<T: Copy + AddAssign>(
                     }
                 }
             }
+        }
+    }
+}
+
+/// Rows of the source one pass of [`transpose`] covers: the pass writes a
+/// run of this many consecutive elements (four cache lines) into every
+/// row of the destination.
+const ROW_BLOCK: usize = 32;
+/// Side of the register tile [`transpose`] moves at once.
+const TILE: usize = 4;
+
+/// `dst = srcᵀ` for a `rows×cols` row-major `src` (`dst` is `cols×rows`):
+/// the one transpose kernel, behind [`Tensor::transpose_into`] and the
+/// transposed-operand packs of [`crate::gemm_into`]. It takes `ROW_BLOCK`
+/// rows of the source at a time (a block that stays in L1) and walks
+/// their columns in `TILE×TILE` tiles, each read as `TILE` row pieces and
+/// written as `TILE` column pieces, so every destination row receives a
+/// run of consecutive elements per pass instead of one element per cache
+/// line. The last rows and columns go element by element.
+pub(crate) fn transpose(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+    assert_eq!(src.len(), rows * cols, "transpose: source length");
+    assert_eq!(dst.len(), rows * cols, "transpose: destination length");
+    let (full_rows, full_cols) = (rows - rows % TILE, cols - cols % TILE);
+    for r0 in (0..full_rows).step_by(ROW_BLOCK) {
+        let r1 = (r0 + ROW_BLOCK).min(full_rows);
+        for c in (0..full_cols).step_by(TILE) {
+            for r in (r0..r1).step_by(TILE) {
+                let mut tile = [[0.0; TILE]; TILE];
+                for (i, t) in tile.iter_mut().enumerate() {
+                    t.copy_from_slice(&src[(r + i) * cols + c..][..TILE]);
+                }
+                for j in 0..TILE {
+                    let d: &mut [f64; TILE] = (&mut dst[(c + j) * rows + r..][..TILE])
+                        .try_into()
+                        .expect("TILE-wide piece");
+                    for (i, t) in tile.iter().enumerate() {
+                        d[i] = t[j];
+                    }
+                }
+            }
+        }
+        for c in full_cols..cols {
+            for r in r0..r1 {
+                dst[c * rows + r] = src[r * cols + c];
+            }
+        }
+    }
+    for r in full_rows..rows {
+        for c in 0..cols {
+            dst[c * rows + r] = src[r * cols + c];
         }
     }
 }

@@ -40,7 +40,7 @@ pub use backend::{
     same_bits, ulp_distance, ulp_distance_f32, Act, Backend, BackendKind, PackedB, GELU_C,
     GELU_SQRT_2_OVER_PI,
 };
-pub use gemm::{gemm, gemm_into, Layout};
+pub use gemm::{gemm, gemm_into, gemm_overwrite, Layout};
 pub use inplace::{fold1d_circular_into, unfold1d_circular_into, unfold1d_windows};
 pub use ops::{fold1d_circular, unfold1d_circular};
 pub use pool::{BufferPool, PoolStats};

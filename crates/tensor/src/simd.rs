@@ -11,7 +11,9 @@
 //!   `f32`) — one packed, cache-blocked microkernel, generic over the
 //!   element type: `MR×NR = 4×16` register tiles over `KC`-deep, `NR`-wide
 //!   panels of `B` stored contiguously. `gemm_band` accumulates into `C`
-//!   and packs each panel into a per-thread scratch buffer as it goes;
+//!   and packs each panel into a per-thread scratch buffer as it goes (the
+//!   band product behind it, which the GEMM entry points call, can also
+//!   overwrite `C`, starting at `+0.0` as `layer` does);
 //!   `layer` reads panels a [`PackedB`] packed once, starts its
 //!   accumulators at `+0.0` (it overwrites `C`: no zero-fill, no re-load)
 //!   and finishes each 64-row band — bias, activation — while the band is
@@ -417,23 +419,45 @@ fn panel_product<T: Elem>(
     }
 }
 
+/// One row band of `c = a · b` (`a` is `m×k`, `b` is `k×n`, `c` is `m×n`,
+/// all row-major): added to `c` when `accumulate`, otherwise written over
+/// whatever `c` held, the first `KC` block's chains starting at `+0.0` as
+/// [`Backend::layer`]'s do — the bits of accumulating into a zeroed `c`.
+/// Each panel of `b` is packed into the per-thread [`PANEL`] as it goes.
+pub(crate) fn band_product(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    k: usize,
+    n: usize,
+    accumulate: bool,
+) {
+    if n == 0 || c.is_empty() {
+        return;
+    }
+    if k == 0 {
+        if !accumulate {
+            c.fill(0.0);
+        }
+        return;
+    }
+    PANEL.with(|cell| {
+        let mut panel = cell.borrow_mut();
+        for block @ (p0, _, j0, nb) in panel_blocks(k, n) {
+            panel.clear();
+            pack_panel(b, n, block, &mut panel);
+            panel_product(a, k, p0, &panel, c, n, j0, nb, accumulate || p0 > 0);
+        }
+    });
+}
+
 impl Backend for SimdBackend {
     fn kind(&self) -> BackendKind {
         BackendKind::Simd
     }
 
     fn gemm_band(&self, a: &[f64], b: &[f64], c: &mut [f64], k: usize, n: usize) {
-        if n == 0 || k == 0 || c.is_empty() {
-            return;
-        }
-        PANEL.with(|cell| {
-            let mut panel = cell.borrow_mut();
-            for block @ (p0, _, j0, nb) in panel_blocks(k, n) {
-                panel.clear();
-                pack_panel(b, n, block, &mut panel);
-                panel_product(a, k, p0, &panel, c, n, j0, nb, true);
-            }
-        });
+        band_product(a, b, c, k, n, true);
     }
 
     fn layer(&self, a: &[f32], w: &PackedB, bias: Option<&[f32]>, act: Act, out: &mut [f32]) {
@@ -677,6 +701,61 @@ fn gelu_lanes<const W: usize>(xs: [f64; W]) -> [f64; W] {
     for (((o, &x), &ev), &m) in out.iter_mut().zip(&xs).zip(&e).zip(&m2u) {
         let y = x / (1.0 + ev);
         *o = if m > -2.0 * GELU_NEG_SAT { -0.0 } else { y };
+    }
+    out
+}
+
+/// `3c·√(2/π)`: `½x·u''(x)` over `x²`, the last term of `σ''`.
+const GELU_K2: f64 = 3.0 * GELU_C * GELU_SQRT_2_OVER_PI;
+
+/// `out = σ⁽ᵏ⁾(a)` elementwise for the GELU `σ`, `k` = 1, 2 or 3, in one
+/// pass. With `u = √(2/π)(x + c·x³)`, `t = tanh u` from [`tanh_lanes`],
+/// `s = 1 − t²` and `u' = √(2/π)(1 + 3c·x²)`:
+///
+/// * `σ'  = ½(1 + t) + (½x·s)·u'`,
+/// * `σ'' = s·w` with `w = (u' − (x·t)·u'²) + x²·3c√(2/π)`,
+/// * `σ''' = s·(w' − 2t·u'·w)` with
+///   `w' = 12c√(2/π)·x − t·u'² − x·s·u'³ − 12c√(2/π)·x²·t·u'`.
+///
+/// `k` = 1 and 2 round every step as the graph's elementwise chains for
+/// them do (`mul`, `gelu_inner`, `tanh`, `one_minus_sq`, `gelu_du`,
+/// `half_one_plus`, `add`, `sub`, `scale`, in the same order), so their
+/// values are those chains' bits.
+pub(crate) fn gelu_deriv(k: u8, a: &[f64], out: &mut [f64]) {
+    match k {
+        1 => blocks_apply(a, out, gelu_deriv_lanes::<1, BLOCK>),
+        2 => blocks_apply(a, out, gelu_deriv_lanes::<2, BLOCK>),
+        3 => blocks_apply(a, out, gelu_deriv_lanes::<3, BLOCK>),
+        _ => panic!("gelu_deriv: order {k} is not 1, 2 or 3"),
+    }
+}
+
+/// Lane-wise [`gelu_deriv`] of order `K`.
+#[inline]
+fn gelu_deriv_lanes<const K: u8, const W: usize>(xs: [f64; W]) -> [f64; W] {
+    let mut u = [0.0; W];
+    for (u, &x) in u.iter_mut().zip(&xs) {
+        let x3 = x * x * x;
+        *u = (x + x3 * GELU_C) * GELU_SQRT_2_OVER_PI;
+    }
+    let ts = tanh_lanes(u);
+    let mut out = [0.0; W];
+    for ((o, &x), &t) in out.iter_mut().zip(&xs).zip(&ts) {
+        let x2 = x * x;
+        let s = 1.0 - t * t;
+        let du = (x2 * (3.0 * GELU_C) + 1.0) * GELU_SQRT_2_OVER_PI;
+        let w = (du - x * t * (du * du)) + x2 * GELU_K2;
+        *o = match K {
+            1 => (t + 1.0) * 0.5 + x * 0.5 * s * du,
+            2 => s * w,
+            _ => {
+                let dw = 4.0 * GELU_K2 * x
+                    - t * (du * du)
+                    - x * s * (du * du * du)
+                    - 4.0 * GELU_K2 * x2 * t * du;
+                s * (dw - 2.0 * t * du * w)
+            }
+        };
     }
     out
 }

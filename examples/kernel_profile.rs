@@ -12,7 +12,8 @@
 //! fused chain when the target has the instruction (`mf_tensor::FUSED`),
 //! the mul+add chain otherwise. The `f64` kernels training runs are listed
 //! for comparison. The sum of the launch's kernels is set against the
-//! launch itself:
+//! launch itself. A second table does the same for the kernels of one
+//! training step (`local_gradients` at the `train_ddp` step's shapes):
 //!
 //! ```text
 //! cargo run --release --example kernel_profile            # ~20 s
@@ -20,10 +21,12 @@
 //! ```
 //!
 //! Output is a markdown table (CI appends it to the job summary).
+use mf_data::{BatchSampler, Dataset, SubdomainSpec};
 use mf_infer::{InferencePlan, Workspace};
 use mf_nn::{SdNet, SdNetConfig};
 use mf_tensor::par::{self, prelude::*};
 use mf_tensor::{backend, fmadd, gemm_into, Act, Layout, PackedB, Tensor, FUSED};
+use mf_train::local_gradients;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -342,4 +345,138 @@ fn main() {
         launch[1],
         100.0 * launch[0] / budget
     );
+
+    training_section(samples, chain64);
+}
+
+/// Boundaries, data points and collocation points per boundary of one
+/// training step of the benchmark (`mf-benchmark`'s `train_ddp`).
+const TRAIN_B: usize = 8;
+const QD: usize = 48;
+const QC: usize = 16;
+
+/// The kernels a training step of the benchmark network spends its
+/// elementwise time in since `σ⁽ᵏ⁾` became one node — `GeluDeriv` at the
+/// data tape's `[384,48]` and the PDE tape's `[128,48]` — and its
+/// weight-gradient GEMM `Aᵀ·B` with the transposed pack, each set against
+/// the `f64` chain and one measured one-lane `local_gradients`. Calls per
+/// step follow from the network: with `n` GELU layers, the data backward
+/// runs `n` `σ'` (the GELU VJPs); the PDE forward runs `σ'` and `σ''` per
+/// layer, its backward `σ''` and `σ'''` for them and `σ'` for the `n − 1`
+/// GELUs the forward Laplacian applies; the `n − 1` trunk layers each take
+/// one `Aᵀ·B` on the data tape.
+fn training_section(samples: usize, chain64: f64) {
+    let mut cfg = SdNetConfig::small(L);
+    cfg.conv_channels = vec![OC];
+    cfg.hidden = vec![WIDTH; 3];
+    let n = cfg.hidden.len();
+    let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(0));
+    let spec = SubdomainSpec { m: 9, spatial: 0.5 };
+    let ds = Dataset::generate(spec, TRAIN_B, 0);
+    let idx: Vec<usize> = (0..TRAIN_B).collect();
+    let batch = BatchSampler::new(TRAIN_B, QD, QC, 0).make_batch(&ds, &idx);
+    let one_lane = |f: &mut dyn FnMut()| par::with_pool_width(1, || best_us(samples, f));
+    let step = one_lane(&mut || {
+        black_box(local_gradients(&net, &batch, 0.02));
+    });
+
+    // (name, µs, rate, against the chain, calls per step)
+    let mut rows: Vec<(String, f64, String, String, usize)> = Vec::new();
+    let (data_rows, pde_rows) = (TRAIN_B * QD, TRAIN_B * QC);
+    let per_step = |k: u8, rows: usize| match (k, rows == data_rows) {
+        (1, true) => n,
+        (1, false) => n + n - 1,
+        (2, _) => 2 * n,
+        _ => n,
+    };
+    for (k, m) in [(1, pde_rows), (2, pde_rows), (3, pde_rows), (1, data_rows)] {
+        let x = filled(m, WIDTH);
+        let mut y = Tensor::zeros(m, WIDTH);
+        let us = one_lane(&mut || black_box(&x).gelu_deriv_into(k, &mut y));
+        let elems = (m * WIDTH) as f64;
+        // What one element costs, in multiply-adds of the f64 chain.
+        let fmas = us / elems * chain64 / 2.0 * 1e3;
+        rows.push((
+            format!("f64 gelu_deriv_into k = {k} [{m},{WIDTH}]"),
+            us,
+            format!("{:.0} Melem/s", elems / us),
+            format!("{fmas:.0} multiply-adds / elem"),
+            per_step(k, m),
+        ));
+    }
+    // The elementwise node chain `σ'` was before it was one node.
+    {
+        let x = filled(data_rows, WIDTH);
+        let mut t = [(); 11].map(|_| Tensor::zeros(data_rows, WIDTH));
+        let us = one_lane(&mut || {
+            let [x2, x3, u, th, h1, s, du, hx, hs, t2, d] = &mut t;
+            x.mul_into(&x, x2);
+            x2.mul_into(&x, x3);
+            x.gelu_inner_into(x3, u);
+            u.tanh_into(th);
+            th.half_one_plus_into(h1);
+            th.one_minus_sq_into(s);
+            x2.gelu_du_into(du);
+            x.scale_into(0.5, hx);
+            hx.mul_into(s, hs);
+            hs.mul_into(du, t2);
+            h1.add_into(t2, d);
+        });
+        let elems = (data_rows * WIDTH) as f64;
+        rows.push((
+            format!("f64 σ' as 11 node kernels [{data_rows},{WIDTH}] (before)"),
+            us,
+            format!("{:.0} Melem/s", elems / us),
+            format!(
+                "{:.0} multiply-adds / elem",
+                us / elems * chain64 / 2.0 * 1e3
+            ),
+            0,
+        ));
+    }
+    {
+        let a = filled(data_rows, WIDTH);
+        let g = filled(data_rows, WIDTH);
+        let mut out = Tensor::zeros(WIDTH, WIDTH);
+        let us = one_lane(&mut || {
+            gemm_into(
+                black_box(&a),
+                Layout::Transposed,
+                &g,
+                Layout::Normal,
+                &mut out,
+            )
+        });
+        let gflops = 2.0 * (data_rows * WIDTH * WIDTH) as f64 / us / 1e3;
+        rows.push((
+            format!("f64 gemm Aᵀ·B [{WIDTH},{data_rows}]×[{data_rows},{WIDTH}], pack included"),
+            us,
+            format!("{gflops:.1} GFLOP/s"),
+            format!("{:.2} of chain", gflops / chain64),
+            n - 1,
+        ));
+    }
+
+    println!();
+    println!("### Training kernels: one `local_gradients` step of the benchmark network, one lane");
+    println!();
+    println!(
+        "{TRAIN_B} boundaries × {QD} data / {QC} collocation points; `local_gradients` \
+         {step:.0} µs; the f64 chain runs {chain64:.1} GFLOP/s per lane"
+    );
+    println!();
+    println!("| kernel | 1 lane µs | rate | against the f64 chain | per step | step µs | share |");
+    println!("|---|---:|---:|---:|---:|---:|---:|");
+    for (name, us, rate, against, calls) in rows {
+        let (in_step, share) = if calls > 0 {
+            let total = calls as f64 * us;
+            (
+                format!("{total:.1}"),
+                format!("{:.1} %", 100.0 * total / step),
+            )
+        } else {
+            (String::new(), String::new())
+        };
+        println!("| {name} | {us:.1} | {rate} | {against} | {calls} | {in_step} | {share} |");
+    }
 }
