@@ -50,7 +50,7 @@ fn main() {
     let mut sampler = BatchSampler::new(2, 16, 16, 0);
     let batch = sampler.make_batch(&ds, &[0, 1]);
     let mut net = SdNet::new(bench_net_config(spec), &mut ChaCha8Rng::seed_from_u64(0));
-    let mut opt = Sgd::new(0.0);
+    let mut opt = Sgd::new();
 
     // Prime the pool: the first steps allocate, later ones must not.
     for _ in 0..4 {

@@ -453,7 +453,8 @@ impl InferencePlan {
                     cols,
                 });
             };
-        let act = cfg.activation.kernel();
+        // The trunk's nonlinearity: the f32 kernel of the graph's `gelu`.
+        let act = Act::Gelu;
 
         // Cached invariant #1: normalized + Fourier-encoded coordinates.
         let base = points
@@ -581,11 +582,11 @@ impl InferencePlan {
     /// a `k`-deep product adds to the propagated `|W|·e` the `f32`
     /// multiply-add chain and the weights' rounding, `(γ_k + u)·|x|·|W|`,
     /// the bias's rounding `u·|b|` and its add's `u·|z|`; the split
-    /// combine adds its cached rows' rounding and two adds. An activation
-    /// multiplies `e` by its Lipschitz constant (1.13 for GELU) and adds
-    /// its `f32` kernel's error, `64u·|z|` for GELU (whose reference
-    /// cancels in `1 + tanh` for negative `z`) and `64u·|tanh z|`. The
-    /// graph's own `f64` rounding, 2²⁹ times finer, is inside that slack.
+    /// combine adds its cached rows' rounding and two adds. The GELU
+    /// multiplies `e` by its Lipschitz constant, 1.13, and adds its `f32`
+    /// kernel's error, `64u·|z|` (the reference cancels in `1 + tanh` for
+    /// negative `z`). The graph's own `f64` rounding, 2²⁹ times finer, is
+    /// inside that slack.
     pub fn graph_error_bound(&self, boundaries: &Tensor) -> Tensor {
         const U: f64 = f32::EPSILON as f64 / 2.0;
         let b = boundaries.rows();
@@ -594,10 +595,6 @@ impl InferencePlan {
             for (z, e) in z.iter_mut().zip(e) {
                 match act {
                     Act::Identity => {}
-                    Act::Tanh => {
-                        *z = z.tanh();
-                        *e += 64.0 * U * z.abs();
-                    }
                     Act::Gelu => {
                         *e = 1.13 * *e + 64.0 * U * z.abs();
                         *z = mf_tensor::gelu_scalar(*z);
@@ -941,7 +938,7 @@ impl InferencePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mf_nn::{Activation, EmbeddingKind, SdNetConfig};
+    use mf_nn::{EmbeddingKind, SdNetConfig};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -999,10 +996,6 @@ mod tests {
         fourier.coord_fourier = 4;
         let mut no_conv = base.clone();
         no_conv.conv_channels = vec![];
-        let mut tanh = base.clone();
-        tanh.activation = Activation::Tanh;
-        let mut identity = base.clone();
-        identity.activation = Activation::Identity;
         let mut deep = base.clone();
         deep.conv_channels = vec![3, 2];
         deep.hidden = vec![10, 8, 6];
@@ -1011,7 +1004,7 @@ mod tests {
         let mut concat = fourier.clone();
         concat.embedding = EmbeddingKind::Concat;
 
-        for (i, cfg) in [base, fourier, no_conv, tanh, identity, deep, single, concat]
+        for (i, cfg) in [base, fourier, no_conv, deep, single, concat]
             .into_iter()
             .enumerate()
         {

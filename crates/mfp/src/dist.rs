@@ -2,8 +2,8 @@
 //! one iteration loop (`Mfp::iterate`) run on every rank with that rank's
 //! [`Peers`].
 //!
-//! The global domain is partitioned over a 2-D processor grid (row-scan or
-//! Morton rank placement). Each rank owns a half-open block of grid points
+//! The global domain is partitioned over a 2-D processor grid, ranks
+//! placed in row-major order. Each rank owns a half-open block of grid points
 //! and the overlapping subdomains whose centers fall inside it. With its
 //! peers, one iteration sweeps the rank's interior subdomains while the
 //! previous iteration's halo exchange is still in flight, completes the
@@ -47,8 +47,6 @@ pub struct DistMfpConfig {
     /// larger values are the communication-avoiding variant discussed in
     /// §5.3 "Open problems"; at least 1).
     pub comm_every: usize,
-    /// Rank placement on the processor grid.
-    pub order: RankOrder,
     /// Optional reference-based stop (MAE on lattice points).
     pub target: Option<MaeTarget>,
     /// Run the two-level accelerated iteration (see
@@ -79,7 +77,6 @@ impl Default for DistMfpConfig {
             max_iters: 1000,
             tol: 1e-4,
             comm_every: 1,
-            order: RankOrder::RowMajor,
             target: None,
             accelerate: true,
             plan: FaultPlan::none(),
@@ -143,7 +140,16 @@ struct Partition<'a> {
     grid: CartesianGrid,
 }
 
-impl Partition<'_> {
+impl<'a> Partition<'a> {
+    /// `domain` over the squarest `ranks`-rank grid, ranks in row-major
+    /// order.
+    fn new(domain: &'a DomainSpec, ranks: usize) -> Self {
+        Self {
+            domain,
+            grid: CartesianGrid::square_for(ranks, RankOrder::RowMajor),
+        }
+    }
+
     /// Owned grid points of a rank: half-open `(rows, cols)`.
     ///
     /// Atomic subdomains are split near-evenly over the processor grid
@@ -314,19 +320,12 @@ fn split_sweep_groups(
 pub type LiveGroup = Vec<(Subdomain, Vec<usize>)>;
 
 /// The center-cross points each rank of a `ranks`-rank
-/// [`run_distributed`] under `order` writes per iteration: per rank, its
+/// [`run_distributed`] writes per iteration: per rank, its
 /// four sweep groups in the order it sweeps them, each subdomain with its
 /// live points — those no later group of the rank overwrites unread. At
 /// one rank this is the sweep of [`Mfp`].
-pub fn live_cross_points(
-    domain: &DomainSpec,
-    ranks: usize,
-    order: RankOrder,
-) -> Vec<[LiveGroup; 4]> {
-    let part = Partition {
-        domain,
-        grid: CartesianGrid::square_for(ranks, order),
-    };
+pub fn live_cross_points(domain: &DomainSpec, ranks: usize) -> Vec<[LiveGroup; 4]> {
+    let part = Partition::new(domain, ranks);
     (0..ranks)
         .map(|rank| {
             sweep_lists_in(domain, &part.owned(rank))
@@ -793,10 +792,7 @@ fn run_ranks<S: SubdomainSolver>(
         cfg.target.as_ref(),
         &[("DistMfpConfig::comm_every", cfg.comm_every)],
     );
-    let part = Partition {
-        domain,
-        grid: CartesianGrid::square_for(ranks, cfg.order),
-    };
+    let part = Partition::new(domain, ranks);
 
     let mut per_rank = Cluster::try_run(ranks, cfg.plan.clone(), |comm| {
         // A rank is a device: one of `ranks` threads computing at once.
@@ -1152,39 +1148,6 @@ mod tests {
             bytes(&every4),
             bytes(&every1)
         );
-    }
-
-    #[test]
-    fn morton_and_row_major_orders_agree() {
-        let d = DomainSpec::new(spec(), 2, 2);
-        let oracle = OracleSolver::new(spec(), 1e-10);
-        let bc = harmonic_bc(&d);
-        let a = run_distributed(
-            &oracle,
-            &d,
-            &bc,
-            4,
-            &DistMfpConfig {
-                max_iters: 300,
-                tol: 1e-8,
-                order: RankOrder::RowMajor,
-                ..Default::default()
-            },
-        );
-        let b = run_distributed(
-            &oracle,
-            &d,
-            &bc,
-            4,
-            &DistMfpConfig {
-                max_iters: 300,
-                tol: 1e-8,
-                order: RankOrder::Morton,
-                ..Default::default()
-            },
-        );
-        assert!(a.converged && b.converged);
-        assert!(a.grid.mean_abs_diff(&b.grid) < 1e-6);
     }
 
     #[test]
@@ -1591,10 +1554,7 @@ mod tests {
         // end-to-end `overlap.warm_allocs = 0` gate lives in the
         // repro_overlap bench, where the process is quiet).
         let d = DomainSpec::new(spec(), 3, 3);
-        let p = Partition {
-            domain: &d,
-            grid: CartesianGrid::square_for(4, RankOrder::RowMajor),
-        };
+        let p = Partition::new(&d, 4);
         let g = Tensor::zeros(d.ny(), d.nx());
         for (dir, _) in p.grid.neighbors(0) {
             let (rows, cols) = p.band(0, dir);

@@ -7,7 +7,7 @@
 //! binary layout (magic + version + architecture + named parameter
 //! tensors, little-endian f64) with no external dependencies.
 
-use crate::{Activation, EmbeddingKind, SdNet, SdNetConfig};
+use crate::{EmbeddingKind, SdNet, SdNetConfig};
 use mf_tensor::Tensor;
 use std::io::{self, Read, Seek, Write};
 use std::path::Path;
@@ -131,14 +131,8 @@ impl SdNet {
             write_u64(w, h as u64)?;
         }
         write_u64(w, matches!(cfg.embedding, EmbeddingKind::Concat) as u64)?;
-        write_u64(
-            w,
-            match cfg.activation {
-                Activation::Gelu => 0,
-                Activation::Tanh => 1,
-                Activation::Identity => 2,
-            },
-        )?;
+        // The activation word: the trunk is GELU, id 0.
+        write_u64(w, 0)?;
         write_f64(w, cfg.coord_extent)?;
         write_u64(w, cfg.coord_fourier as u64)?;
 
@@ -157,13 +151,14 @@ impl SdNet {
     /// Deserialize a network saved with [`SdNet::save_to`].
     ///
     /// The stored config is checked before anything is built — every
-    /// width in range, an odd kernel, a positive finite `coord_extent` and
-    /// at most 2²⁶ declared parameters, eight bytes each of which the
-    /// source still holds after the header — so a corrupt or torn file is
-    /// an `InvalidData` error, never an assert or a huge allocation. The
-    /// architecture is then rebuilt (with a dummy RNG — every parameter is
-    /// overwritten by the stored values), and the parameter list is
-    /// validated name-by-name and shape-by-shape.
+    /// width in range, an odd kernel, an embedding id of 0 (split) or 1
+    /// (concat), the activation id 0 (GELU, the only trunk), a positive
+    /// finite `coord_extent` and at most 2²⁶ declared parameters, eight
+    /// bytes each of which the source still holds after the header — so a
+    /// corrupt or torn file is an `InvalidData` error, never an assert or a
+    /// huge allocation. The architecture is then rebuilt (with a dummy RNG
+    /// — every parameter is overwritten by the stored values), and the
+    /// parameter list is validated name-by-name and shape-by-shape.
     pub fn load_from(r: &mut (impl Read + Seek)) -> io::Result<SdNet> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
@@ -188,17 +183,14 @@ impl SdNet {
         for _ in 0..n_hidden {
             hidden.push(read_u64(r)? as usize);
         }
-        let embedding = if read_u64(r)? == 1 {
-            EmbeddingKind::Concat
-        } else {
-            EmbeddingKind::Split
+        let embedding = match read_u64(r)? {
+            0 => EmbeddingKind::Split,
+            1 => EmbeddingKind::Concat,
+            _ => return Err(bad("unknown embedding id")),
         };
-        let activation = match read_u64(r)? {
-            0 => Activation::Gelu,
-            1 => Activation::Tanh,
-            2 => Activation::Identity,
-            _ => return Err(bad("unknown activation id")),
-        };
+        if read_u64(r)? != 0 {
+            return Err(bad("unknown activation id (only GELU, 0, is supported)"));
+        }
         let coord_extent = read_f64(r)?;
         let coord_fourier = read_u64(r)? as usize;
         if coord_fourier > 32 {
@@ -210,7 +202,6 @@ impl SdNet {
             conv_kernel,
             hidden,
             embedding,
-            activation,
             coord_extent,
             coord_fourier,
         };
@@ -319,7 +310,6 @@ mod tests {
             conv_kernel: 3,
             hidden: vec![10, 8],
             embedding: EmbeddingKind::Split,
-            activation: Activation::Gelu,
             coord_extent: 0.5,
             coord_fourier: 2,
         };
@@ -376,15 +366,18 @@ mod tests {
     fn corrupt_architectures_are_invalid_data_before_anything_is_built() {
         // `make_net`'s header: magic, boundary_len, conv count and its 2
         // channels from 24, the kernel at 40, hidden count and its 2
-        // widths from 56, embedding, activation, coord_extent at 88,
-        // coord_fourier; the parameters from 104.
+        // widths from 56, embedding at 72, activation at 80, coord_extent
+        // at 88, coord_fourier; the parameters from 104.
         let mut clean = Vec::new();
         make_net().save_to(&mut clean).unwrap();
         let whole = clean.len();
         // (what, spliced `(offset, word)`s, bytes kept)
         type Case<'a> = (&'a str, &'a [(usize, u64)], usize);
-        let cases: [Case; 7] = [
+        let cases: [Case; 9] = [
             ("even kernel", &[(40, 4)], whole),
+            ("embedding word 7", &[(72, 7)], whole),
+            // A Tanh network written by an older build.
+            ("activation word 1", &[(80, 1)], whole),
             ("2^40 width", &[(56, 1 << 40)], whole),
             ("zero channels", &[(24, 0)], whole),
             ("NaN coord_extent", &[(88, f64::NAN.to_bits())], whole),
@@ -409,14 +402,13 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_tanh_variants_roundtrip() {
+    fn concat_variant_roundtrips() {
         let cfg = SdNetConfig {
             boundary_len: 8,
             conv_channels: vec![],
             conv_kernel: 3,
             hidden: vec![6],
             embedding: EmbeddingKind::Concat,
-            activation: Activation::Tanh,
             coord_extent: 1.0,
             coord_fourier: 0,
         };
@@ -425,7 +417,6 @@ mod tests {
         net.save_to(&mut buf).unwrap();
         let loaded = SdNet::load_from(&mut io::Cursor::new(&buf)).unwrap();
         assert_eq!(loaded.config().embedding, EmbeddingKind::Concat);
-        assert_eq!(loaded.config().activation, Activation::Tanh);
         assert_eq!(loaded.config().coord_extent, 1.0);
     }
 }

@@ -10,7 +10,9 @@
 //! 2. the **input-split first layer** (§3.2) computes
 //!    `φ(ĝW₁ᵀ ⊕ XW₂ᵀ)`, sharing the boundary embedding across all query
 //!    points of that boundary instead of replicating it,
-//! 3. a GELU MLP trunk and a scalar head.
+//! 3. a GELU MLP trunk and a scalar head. GELU (tanh approximation, §3.1)
+//!    is the network's one nonlinearity: it also sits between the conv
+//!    layers, and no setting selects another.
 //!
 //! The *input-concat baseline* (replicating `ĝ` for every query point, as
 //! in eq. 5/6) is also implemented; Fig. 5 compares the two.
@@ -18,14 +20,12 @@
 //! Parameters live in a [`Params`] store that persists across training
 //! steps; each step binds them as graph leaves ([`Params::bind`]).
 
-mod activation;
 mod conv;
 mod io;
 mod linear;
 mod params;
 mod sdnet;
 
-pub use activation::Activation;
 pub use conv::CircularConv1d;
 pub use io::wire;
 pub use linear::Linear;

@@ -1,6 +1,5 @@
 //! SDNet: the physics-informed subdomain neural PDE solver (Fig. 3).
 
-use crate::activation::Activation;
 use crate::conv::CircularConv1d;
 use crate::linear::{uniform_init, xavier_bound, Linear};
 use crate::params::{Bound, ParamId, Params};
@@ -37,8 +36,6 @@ pub struct SdNetConfig {
     pub hidden: Vec<usize>,
     /// Input embedding strategy.
     pub embedding: EmbeddingKind,
-    /// Trunk nonlinearity.
-    pub activation: Activation,
     /// Physical edge length of the training subdomain; query coordinates in
     /// `[0, coord_extent]` are affinely mapped to `[-1, 1]` before the
     /// first layer so the coordinate signal is not drowned out by the
@@ -63,7 +60,6 @@ impl SdNetConfig {
             conv_kernel: 5,
             hidden: vec![64, 64, 64],
             embedding: EmbeddingKind::Split,
-            activation: Activation::Gelu,
             coord_extent: 0.5,
             coord_fourier: 0,
         }
@@ -225,7 +221,7 @@ impl SdNet {
             // Nonlinearity between conv layers, but keep the final
             // embedding linear so split == concat algebra holds exactly.
             if i + 1 < self.convs.len() {
-                h = self.config.activation.apply(g, h);
+                h = g.gelu(h);
             }
         }
         h
@@ -241,11 +237,11 @@ impl SdNet {
     /// Returns `[B·q, 1]` predicted solution values.
     pub fn forward(&self, g: &mut Graph, bound: &Bound, gb: Var, x: Var, q: usize) -> Var {
         let (mut h, _) = self.split_layer(g, bound, gb, x, q, false);
-        h = self.config.activation.apply(g, h);
+        h = g.gelu(h);
 
         for lin in &self.trunk {
             h = lin.forward(g, bound, h);
-            h = self.config.activation.apply(g, h);
+            h = g.gelu(h);
         }
         self.head.forward(g, bound, h)
     }
@@ -257,13 +253,22 @@ impl SdNet {
     /// Each layer carries four blocks: the pre-activation `h`, its
     /// coordinate derivatives `J_x`, `J_y` and its Laplacian `Λ`. A linear
     /// layer maps all four with the same `W` and adds its bias to `h` only;
-    /// an activation maps `h → σ(h)`, `J → σ'(h)⊙J` and
+    /// the GELU maps `h → σ(h)`, `J → σ'(h)⊙J` and
     /// `Λ → σ'(h)⊙Λ + σ''(h)⊙(J_x² + J_y²)`. The boundary branch does not
     /// depend on the coordinates, so the blocks start at the split layer as
     /// `(∂φ/∂x)·W_xᵀ`, `(∂φ/∂y)·W_xᵀ` and `(Δφ)·W_xᵀ`, with `φ` the
     /// coordinate features. The blocks are ordinary graph nodes, so one
     /// backward from a loss on `Δu` reaches every weight: `x` may be a
     /// constant, and no inner backward pass runs.
+    ///
+    /// `σ'` and `σ''` are one [`Graph::gelu_deriv`] node each — with
+    /// `u = √(2/π)(x + c x³)` and `t = tanh u`,
+    /// `σ' = ½(1 + t) + ½x(1 − t²)u'` and
+    /// `σ'' = (1 − t²)(u' − x t u'² + ½x u'')`, where
+    /// `u' = √(2/π)(1 + 3c x²)` and `½x u'' = 3c√(2/π) x²` — whose VJPs are
+    /// `g·σ''` and `g·σ'''`, the analytic third derivative. That is as far
+    /// as the GELU's derivatives go: the weight gradient of a loss on `σ''`
+    /// cannot be differentiated again (it would need `σ⁗`).
     pub fn forward_laplacian(
         &self,
         g: &mut Graph,
@@ -274,36 +279,27 @@ impl SdNet {
     ) -> Var {
         let (mut h, jet) = self.split_layer(g, bound, gb, x, q, true);
         let (mut jac, mut lap) = jet.expect("split_layer returns a jet when asked");
-        let act = self.config.activation;
         let last = self.trunk.len();
         for (i, lin) in self.trunk.iter().chain([&self.head]).enumerate() {
             // Only the Laplacian leaves the last activation: the head has
             // no nonlinearity after it, and its bias does not reach Δu.
-            if let Some((d1, d2)) = act.derivatives(g, h) {
-                let jx2 = g.mul(jac[0], jac[0]);
-                let jy2 = g.mul(jac[1], jac[1]);
-                let grad2 = g.add(jx2, jy2);
-                let curvature = g.mul(d2, grad2);
-                lap = Some(match lap {
-                    Some(l) => {
-                        let slope = g.mul(d1, l);
-                        g.add(slope, curvature)
-                    }
-                    None => curvature,
-                });
-                if i < last {
-                    jac = jac.map(|j| g.mul(d1, j));
+            let (d1, d2) = (g.gelu_deriv(h, 1), g.gelu_deriv(h, 2));
+            let jx2 = g.mul(jac[0], jac[0]);
+            let jy2 = g.mul(jac[1], jac[1]);
+            let grad2 = g.add(jx2, jy2);
+            let curvature = g.mul(d2, grad2);
+            let l = match lap {
+                Some(l) => {
+                    let slope = g.mul(d1, l);
+                    g.add(slope, curvature)
                 }
-            }
-            let Some(l) = lap else {
-                // An affine network of affine features: Δu is zero.
-                let zero = g.constant_scalar(0.0);
-                return g.broadcast_scalar(zero, g.shape_of(x).0, 1);
+                None => curvature,
             };
             if i == last {
                 return lin.tangent(g, bound, l);
             }
-            let a = act.apply(g, h);
+            jac = jac.map(|j| g.mul(d1, j));
+            let a = g.gelu(h);
             h = lin.forward(g, bound, a);
             jac = jac.map(|j| lin.tangent(g, bound, j));
             lap = Some(lin.tangent(g, bound, l));
@@ -465,7 +461,6 @@ mod tests {
             conv_kernel: 3,
             hidden: vec![8, 8],
             embedding,
-            activation: Activation::Gelu,
             coord_extent: 0.5,
             coord_fourier: 0,
         }
@@ -608,7 +603,6 @@ mod tests {
             conv_kernel: 3,
             hidden: vec![6],
             embedding: EmbeddingKind::Split,
-            activation: Activation::Tanh,
             coord_extent: 1.0,
             coord_fourier: 0,
         };

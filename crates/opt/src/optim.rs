@@ -1,9 +1,10 @@
 //! First-order optimizers.
 //!
-//! [`Sgd`] stands alone. [`Adam`], [`AdamW`] and [`Lamb`] are one moment
-//! core plus one rule each: the private `Moments` owns everything the three
-//! share — β₁, β₂, ε, the step counter, the per-parameter first and second
-//! moments, the bias-corrected direction `m̂ / (√v̂ + ε)`, the walk over
+//! [`Sgd`] stands alone: plain steps, no state but the step counter.
+//! [`Adam`], [`AdamW`] and [`Lamb`] are one moment core plus one rule
+//! each: the private `Moments` owns everything the three share — β₁, β₂,
+//! ε, the step counter, the per-parameter first and second moments, the
+//! bias-corrected direction `m̂ / (√v̂ + ε)`, the walk over
 //! `(parameter, gradient)` pairs, and the checkpoint layout — and each
 //! public type adds only what it does with a parameter and its direction:
 //! plain `axpy` (Adam); decoupled decay, then `axpy` (AdamW); decay folded
@@ -43,13 +44,15 @@ pub trait Optimizer {
 }
 
 /// A serializable snapshot of an optimizer: its kind tag, step counter,
-/// hyperparameter scalars, and per-parameter state tensors (momentum /
-/// moment buffers). The layout of `scalars` and `tensors` is private to
-/// each optimizer kind; treat the struct as an opaque blob keyed by
-/// `kind`.
+/// hyperparameter scalars, and per-parameter state tensors (the moment
+/// buffers of the Adam family). The layout of `scalars` and `tensors` is
+/// private to each optimizer kind; treat the struct as an opaque blob
+/// keyed by `kind`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct OptimizerState {
-    /// Optimizer kind tag: `"sgd"`, `"adam"`, `"adamw"`, or `"lamb"`.
+    /// Optimizer kind tag: `"sgd"` (plain SGD: no scalars, no tensors),
+    /// or `"adam"`, `"adamw"`, `"lamb"` (`[β₁, β₂, ε]` and the kind's own
+    /// scalars, moments interleaved `[m₀, v₀, m₁, v₁, …]`).
     pub kind: String,
     /// Updates applied so far (drives Adam-family bias correction).
     pub t: usize,
@@ -99,23 +102,17 @@ fn check_shapes(param: &Tensor, grad: &Tensor, idx: usize) {
     );
 }
 
-/// Stochastic gradient descent with classical momentum.
-#[derive(Clone, Debug)]
+/// Plain stochastic gradient descent: `w ← w − lr·g`. It keeps no state
+/// but its step counter.
+#[derive(Clone, Debug, Default)]
 pub struct Sgd {
-    momentum: f64,
-    velocity: Vec<Tensor>,
     t: usize,
 }
 
 impl Sgd {
-    /// Plain SGD (`momentum = 0`) or heavy-ball SGD.
-    pub fn new(momentum: f64) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        Self {
-            momentum,
-            velocity: Vec::new(),
-            t: 0,
-        }
+    /// A fresh optimizer.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -129,18 +126,7 @@ impl Optimizer for Sgd {
         self.t += 1;
         for (i, (p, g)) in params.zip(grads).enumerate() {
             check_shapes(p, g, i);
-            if self.momentum == 0.0 {
-                p.axpy(-lr, g);
-            } else {
-                if self.velocity.len() <= i {
-                    self.velocity.push(Tensor::zeros(g.rows(), g.cols()));
-                }
-                let v = &mut self.velocity[i];
-                for (vv, gg) in v.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                    *vv = self.momentum * *vv + gg;
-                }
-                p.axpy(-lr, v);
-            }
+            p.axpy(-lr, g);
         }
     }
 
@@ -152,16 +138,14 @@ impl Optimizer for Sgd {
         OptimizerState {
             kind: "sgd".into(),
             t: self.t,
-            scalars: vec![self.momentum],
-            tensors: self.velocity.clone(),
+            scalars: Vec::new(),
+            tensors: Vec::new(),
         }
     }
 
     fn import_state(&mut self, state: &OptimizerState) {
         state.expect_kind("sgd");
         self.t = state.t;
-        self.momentum = state.scalars[0];
-        self.velocity = state.tensors.clone();
     }
 }
 
@@ -282,13 +266,8 @@ pub struct Adam {
 impl Adam {
     /// Standard hyperparameters: β₁ = 0.9, β₂ = 0.999, ε = 1e-8.
     pub fn new() -> Self {
-        Self::with_betas(0.9, 0.999, 1e-8)
-    }
-
-    /// Custom betas and epsilon.
-    pub fn with_betas(beta1: f64, beta2: f64, eps: f64) -> Self {
         Self {
-            moments: Moments::new(beta1, beta2, eps),
+            moments: Moments::new(0.9, 0.999, 1e-8),
         }
     }
 }
@@ -448,15 +427,8 @@ mod tests {
 
     #[test]
     fn sgd_converges() {
-        let mut o = Sgd::new(0.0);
+        let mut o = Sgd::new();
         let err = converges_on_quadratic(&mut |p, g| o.step(p.iter_mut(), g, 0.1));
-        assert!(err < 1e-6, "err {err}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut o = Sgd::new(0.9);
-        let err = converges_on_quadratic(&mut |p, g| o.step(p.iter_mut(), g, 0.02));
         assert!(err < 1e-6, "err {err}");
     }
 
@@ -582,7 +554,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "shape")]
     fn mismatched_gradient_shape_panics() {
-        let mut o = Sgd::new(0.0);
+        let mut o = Sgd::new();
         let mut p = [Tensor::zeros(2, 2)];
         o.step(p.iter_mut(), &[Tensor::zeros(1, 4)], 0.1);
     }
@@ -622,7 +594,7 @@ mod tests {
 
     #[test]
     fn state_roundtrip_is_bitwise_for_all_optimizers() {
-        roundtrip_resumes_bitwise(|| Sgd::new(0.9));
+        roundtrip_resumes_bitwise(Sgd::new);
         roundtrip_resumes_bitwise(Adam::new);
         roundtrip_resumes_bitwise(|| AdamW::new(0.01));
         roundtrip_resumes_bitwise(|| Lamb::new(0.01));
@@ -644,7 +616,7 @@ mod tests {
     #[should_panic(expected = "kind mismatch")]
     fn importing_wrong_kind_panics() {
         let snap = Adam::new().export_state();
-        Sgd::new(0.0).import_state(&snap);
+        Sgd::new().import_state(&snap);
     }
 
     /// Five steps on two parameter tensors (1×3 and 2×2) with gradients

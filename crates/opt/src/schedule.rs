@@ -1,19 +1,7 @@
 //! Learning-rate schedules and the paper's multi-device scaling rules.
 
-/// Post-warmup decay shape.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Decay {
-    /// Hold the max learning rate.
-    Constant,
-    /// Polynomial decay to zero: `lr = max_lr · (1 − progress)^power`.
-    /// The paper uses `power = 1` (linear).
-    Polynomial {
-        /// Decay exponent.
-        power: f64,
-    },
-}
-
-/// Linear warmup into a decay, as tuned in §5.2 of the paper.
+/// Linear warmup into a linear decay to zero, as tuned in §5.2 of the
+/// paper (polynomial decay with exponent one).
 #[derive(Clone, Copy, Debug)]
 pub struct LrSchedule {
     /// Peak learning rate reached at the end of warmup.
@@ -22,8 +10,6 @@ pub struct LrSchedule {
     pub warmup_frac: f64,
     /// Total number of optimizer steps.
     pub total_steps: usize,
-    /// Decay shape after warmup.
-    pub decay: Decay,
 }
 
 impl LrSchedule {
@@ -34,7 +20,6 @@ impl LrSchedule {
             max_lr: 1e-3,
             warmup_frac: 0.001,
             total_steps,
-            decay: Decay::Polynomial { power: 1.0 },
         }
     }
 
@@ -49,7 +34,6 @@ impl LrSchedule {
             max_lr: self.max_lr * (devices as f64).sqrt(),
             warmup_frac: (self.warmup_frac * devices as f64).min(1.0),
             total_steps: self.total_steps,
-            decay: self.decay,
         }
     }
 
@@ -62,21 +46,18 @@ impl LrSchedule {
         }
     }
 
-    /// Learning rate at a zero-based step index.
+    /// Learning rate at a zero-based step index: a linear ramp to
+    /// `max_lr` over the warmup, then `max_lr · (1 − progress)`, reaching
+    /// zero at `total_steps`.
     pub fn lr_at(&self, step: usize) -> f64 {
         let warmup = self.warmup_steps();
         if step < warmup {
             // Linear ramp from max_lr/warmup to max_lr.
             return self.max_lr * (step + 1) as f64 / warmup as f64;
         }
-        match self.decay {
-            Decay::Constant => self.max_lr,
-            Decay::Polynomial { power } => {
-                let total = self.total_steps.max(warmup + 1);
-                let progress = (step - warmup) as f64 / (total - warmup) as f64;
-                self.max_lr * (1.0 - progress.min(1.0)).powf(power)
-            }
-        }
+        let total = self.total_steps.max(warmup + 1);
+        let progress = (step - warmup) as f64 / (total - warmup) as f64;
+        self.max_lr * (1.0 - progress.min(1.0))
     }
 }
 
@@ -90,13 +71,12 @@ mod tests {
             max_lr: 1.0,
             warmup_frac: 0.1,
             total_steps: 100,
-            decay: Decay::Constant,
         };
         assert_eq!(s.warmup_steps(), 10);
         assert!(s.lr_at(0) > 0.0);
         assert!(s.lr_at(0) < s.lr_at(5));
         assert!((s.lr_at(9) - 1.0).abs() < 1e-12);
-        assert_eq!(s.lr_at(50), 1.0);
+        assert_eq!(s.lr_at(10), 1.0);
     }
 
     #[test]
@@ -104,6 +84,7 @@ mod tests {
         let s = LrSchedule::paper_default(1000);
         let end = s.lr_at(999);
         assert!(end < s.max_lr * 0.01, "end lr {end}");
+        assert_eq!(s.lr_at(1000), 0.0);
         // Monotone decrease after warmup.
         let w = s.warmup_steps();
         assert!(s.lr_at(w) >= s.lr_at(w + 100));
@@ -116,9 +97,8 @@ mod tests {
             max_lr: 2.0,
             warmup_frac: 0.0,
             total_steps: 100,
-            decay: Decay::Polynomial { power: 1.0 },
         };
-        assert!((s.lr_at(50) - 1.0).abs() < 0.05);
+        assert_eq!(s.lr_at(50), 1.0);
     }
 
     #[test]
@@ -138,7 +118,6 @@ mod tests {
             max_lr: 1.0,
             warmup_frac: 0.2,
             total_steps: 10,
-            decay: Decay::Constant,
         };
         let huge = s.scaled_for_devices(100);
         assert_eq!(huge.warmup_frac, 1.0);
@@ -150,7 +129,6 @@ mod tests {
             max_lr: 0.5,
             warmup_frac: 0.0,
             total_steps: 10,
-            decay: Decay::Constant,
         };
         assert_eq!(s.lr_at(0), 0.5);
     }

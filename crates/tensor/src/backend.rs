@@ -74,8 +74,6 @@ pub(crate) const BAND: usize = 64;
 pub enum Act {
     /// No-op.
     Identity,
-    /// Hyperbolic tangent ([`Backend::tanh`]).
-    Tanh,
     /// GELU, tanh approximation ([`Backend::gelu`]).
     Gelu,
 }
@@ -216,12 +214,11 @@ pub trait Backend: Send + Sync {
     }
 
     /// `buf[i] = act(buf[i])` in place, in `f32`: the plan's activations,
-    /// with the approximations of [`Backend::tanh`] / [`Backend::gelu`].
-    /// The reference is `f32::tanh` and [`gelu_scalar_f32`].
+    /// with the approximation of [`Backend::gelu`]. The reference is
+    /// [`gelu_scalar_f32`].
     fn activate_f32(&self, act: Act, buf: &mut [f32]) {
         match act {
             Act::Identity => {}
-            Act::Tanh => buf.iter_mut().for_each(|v| *v = v.tanh()),
             Act::Gelu => buf.iter_mut().for_each(|v| *v = gelu_scalar_f32(*v)),
         }
     }

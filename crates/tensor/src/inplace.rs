@@ -134,7 +134,8 @@ impl Tensor {
         self.map_into(out, |t| (t + 1.0) * 0.5);
     }
 
-    /// `out = selfᵀ` ([`transpose`]).
+    /// `out = selfᵀ`, by the crate's one tiled transpose kernel, the one
+    /// the transposed-operand packs of [`crate::gemm_into`] run too.
     pub fn transpose_into(&self, out: &mut Tensor) {
         self.assert_out_shape(out, self.cols(), self.rows(), "transpose_into");
         let (rows, cols) = self.shape();

@@ -338,7 +338,7 @@ mod backend_differential {
         fn f32_layer_contract_on_random_shapes(
             (m, k) in any_shape(),
             n in 0usize..18,
-            act in 0usize..3,
+            act in 0usize..2,
             seed in 0u64..u64::MAX,
         ) {
             use rand::{Rng, SeedableRng};
@@ -354,7 +354,7 @@ mod backend_differential {
             let held = crate::check_layer_contract((&a, &packed), (&s, &v));
             prop_assert!(held.is_ok(), "layer {m}x{k}x{n} diverged: {held:?}");
             // Bias and activation are the simd backend's own unfused steps.
-            let act = [crate::Act::Identity, crate::Act::Tanh, crate::Act::Gelu][act];
+            let act = [crate::Act::Identity, crate::Act::Gelu][act];
             if n > 0 {
                 crate::backend::add_row(&mut v, &bias);
             }
@@ -392,19 +392,17 @@ mod backend_differential {
                     "gelu({x}) off by {d} ulp"
                 );
             }
-            // And the plan's f32 activations, in place.
+            // And the plan's f32 activation, in place.
             let xs: Vec<f32> = xs.iter().map(|&x| x as f32).collect();
-            for (act, name) in [(crate::Act::Tanh, "tanh"), (crate::Act::Gelu, "gelu")] {
-                let (mut r, mut g) = (xs.clone(), xs.clone());
-                scalar().activate_f32(act, &mut r);
-                simd().activate_f32(act, &mut g);
-                for ((&x, &r), &g) in xs.iter().zip(&r).zip(&g) {
-                    let d = crate::ulp_distance_f32(r, g);
-                    prop_assert!(
-                        d <= 8 || (name == "gelu" && (r - g).abs() <= 4.0 * f32::EPSILON * x.abs()),
-                        "f32 {name}({x}) off by {d} ulp"
-                    );
-                }
+            let (mut r, mut g) = (xs.clone(), xs.clone());
+            scalar().activate_f32(crate::Act::Gelu, &mut r);
+            simd().activate_f32(crate::Act::Gelu, &mut g);
+            for ((&x, &r), &g) in xs.iter().zip(&r).zip(&g) {
+                let d = crate::ulp_distance_f32(r, g);
+                prop_assert!(
+                    d <= 8 || (r - g).abs() <= 4.0 * f32::EPSILON * x.abs(),
+                    "f32 gelu({x}) off by {d} ulp"
+                );
             }
         }
     }

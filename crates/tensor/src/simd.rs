@@ -58,7 +58,8 @@
 //!   negative `u` plus a couple of ulp of `exp`. These kernels differ from
 //!   scalar on every build, within the budgets enforced by
 //!   `tests/backend.rs` (`f64`: tanh ≤ 16 ulp, gelu ≤ 32 ulp or 1e-14
-//!   absolute; `f32`: tanh ≤ 8 ulp, gelu ≤ 8 ulp or `4ε·|x|` absolute).
+//!   absolute; `f32`, the plan's only activation: gelu ≤ 8 ulp or
+//!   `4ε·|x|` absolute).
 
 use crate::backend::{
     add_row, Act, Backend, BackendKind, PackedB, BAND, GELU_C, GELU_SQRT_2_OVER_PI, KC,
@@ -495,7 +496,6 @@ impl Backend for SimdBackend {
     fn activate_f32(&self, act: Act, buf: &mut [f32]) {
         match act {
             Act::Identity => {}
-            Act::Tanh => blocks_apply_in_place(buf, tanh_lanes_f32::<BLOCK_F32>),
             Act::Gelu => blocks_apply_in_place(buf, gelu_lanes_f32::<BLOCK_F32>),
         }
     }
@@ -806,40 +806,6 @@ fn exp_lanes_f32<const W: usize>(u: [f32; W]) -> [f32; W] {
     out
 }
 
-/// Above this, `tanh` rounds to ±1 in `f32` (from about 9.01).
-const TANH_SAT_F32: f32 = 9.5;
-
-/// [`tanh_lanes`] in `f32`: the same three ranges on the same
-/// coefficients, saturating where `f32` does.
-#[inline]
-fn tanh_lanes_f32<const W: usize>(xs: [f32; W]) -> [f32; W] {
-    let mut e2 = [0.0; W];
-    for (e, &x) in e2.iter_mut().zip(&xs) {
-        *e = (2.0 * x.abs()).min(2.0 * TANH_SAT_F32 + 1.0);
-    }
-    let ex = exp_lanes_f32(e2);
-    let mut out = [0.0; W];
-    for ((o, &x), &e) in out.iter_mut().zip(&xs).zip(&ex) {
-        let a = x.abs();
-        let w = x * x;
-        let mut p = TANH_COEFFS[0] as f32;
-        for &c in &TANH_COEFFS[1..] {
-            p = f32::fmadd(p, w, c as f32);
-        }
-        let small = x * f32::fmadd(p, w, 1.0);
-        let t = e - 1.0;
-        let mid = (t / (t + 2.0)).copysign(x);
-        let big = if a < TANH_SAT_F32 {
-            mid
-        } else {
-            1.0f32.copysign(x)
-        };
-        let big = if a.is_nan() { x } else { big };
-        *o = if a <= TANH_SMALL as f32 { small } else { big };
-    }
-    out
-}
-
 /// [`gelu_lanes`] in `f32`: `x / (1 + exp(−2u))`, `−0.0` below
 /// `u = −20`, on the constants of [`crate::backend::gelu_scalar_f32`].
 #[inline]
@@ -1009,7 +975,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("layer {m}x{k}x{n} {e}"));
             // With a bias and an activation, bit for bit the simd backend's
             // own unfused steps.
-            for act in [Act::Identity, Act::Tanh, Act::Gelu] {
+            for act in [Act::Identity, Act::Gelu] {
                 let mut unfused = got.clone();
                 if n > 0 {
                     add_row(&mut unfused, &bias);
@@ -1049,22 +1015,14 @@ mod tests {
     }
 
     #[test]
-    fn f32_exp_and_tanh_match_libm_to_a_few_ulp() {
-        let mut worst = (0, 0);
+    fn f32_exp_matches_libm_to_a_few_ulp() {
+        let mut worst = 0;
         for i in -8700..=8700 {
             let x = i as f32 * 0.01; // [-87, 87]
             let e = exp_lanes_f32([x, 0.0, 0.0, 0.0])[0];
-            worst.0 = worst.0.max(ulp_distance_f32(e, x.exp()));
-            let t = tanh_lanes_f32([x / 4.0, 0.0, 0.0, 0.0])[0];
-            worst.1 = worst.1.max(ulp_distance_f32(t, (x / 4.0).tanh()));
+            worst = worst.max(ulp_distance_f32(e, x.exp()));
         }
-        assert!(worst.0 <= 2, "f32 exp drifted {} ulp from libm", worst.0);
-        assert!(worst.1 <= 8, "f32 tanh drifted {} ulp from libm", worst.1);
-        let r = tanh_lanes_f32([0.0, -0.0, f32::NAN, 25.0]);
-        assert_eq!(r[0].to_bits(), 0.0f32.to_bits());
-        assert_eq!(r[1].to_bits(), (-0.0f32).to_bits());
-        assert!(r[2].is_nan());
-        assert_eq!(r[3], 1.0);
+        assert!(worst <= 2, "f32 exp drifted {worst} ulp from libm");
     }
 
     #[test]

@@ -392,7 +392,7 @@ mod tests {
         let mut net = tiny_net(0);
         let batch = &tiny_batches(1)[0];
         let before = net.params.flatten();
-        let mut opt = Sgd::new(0.0);
+        let mut opt = Sgd::new();
         let s1 = train_step_single(&mut net, batch, &mut opt, 0.05, 0.01);
         let after = net.params.flatten();
         assert!(before.iter().zip(&after).any(|(a, b)| a != b));
@@ -426,7 +426,7 @@ mod tests {
             .map(|((a, b), (c, d))| a.add(b).add(&c.add(d)).scale(0.5))
             .collect();
         let mut net_ref = net0.clone();
-        let mut opt_ref = Sgd::new(0.0);
+        let mut opt_ref = Sgd::new();
         opt_ref.step(net_ref.params.tensors_mut(), &manual, 0.1);
 
         // Two-rank DDP with the same batches.
@@ -434,7 +434,7 @@ mod tests {
         let net_template = net0.clone();
         let results = Cluster::run(2, move |comm| {
             let mut net = net_template.clone();
-            let mut opt = Sgd::new(0.0);
+            let mut opt = Sgd::new();
             train_step_distributed(
                 &mut net,
                 &batches_ref[comm.rank()],
@@ -495,7 +495,7 @@ mod tests {
         let run = |sync: GradSync| {
             Cluster::run(2, move |comm| {
                 let mut net = t.clone();
-                let mut opt = Sgd::new(0.0);
+                let mut opt = Sgd::new();
                 train_step_distributed(
                     &mut net,
                     &batches_ref[comm.rank()],

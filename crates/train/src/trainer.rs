@@ -16,8 +16,8 @@ use std::time::Instant;
 /// Optimizer selection for a training run.
 #[derive(Clone, Copy, Debug)]
 pub enum OptKind {
-    /// Plain/momentum SGD.
-    Sgd(f64),
+    /// Plain SGD.
+    Sgd,
     /// Adam.
     Adam,
     /// AdamW with decoupled weight decay.
@@ -95,7 +95,7 @@ pub struct DdpResult {
 
 fn make_opt(kind: OptKind) -> Box<dyn OptimizerObj> {
     match kind {
-        OptKind::Sgd(m) => Box::new(Sgd::new(m)),
+        OptKind::Sgd => Box::new(Sgd::new()),
         OptKind::Adam => Box::new(Adam::new()),
         OptKind::AdamW(wd) => Box::new(AdamW::new(wd)),
         OptKind::Lamb(wd) => Box::new(Lamb::new(wd)),
@@ -434,7 +434,6 @@ mod tests {
     use super::*;
     use mf_data::SubdomainSpec;
     use mf_nn::SdNetConfig;
-    use mf_opt::Decay;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -456,7 +455,6 @@ mod tests {
                 max_lr: 3e-3,
                 warmup_frac: 0.05,
                 total_steps: epochs * 4,
-                decay: Decay::Polynomial { power: 1.0 },
             },
             opt: OptKind::Adam,
             seed: 0,

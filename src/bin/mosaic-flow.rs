@@ -356,8 +356,8 @@ fn cmd_info(flags: &Flags) -> ExitCode {
         c.conv_channels, c.conv_kernel
     );
     println!(
-        "  trunk         : {:?} ({:?}, {:?} embedding)",
-        c.hidden, c.activation, c.embedding
+        "  trunk         : {:?} (GELU, {:?} embedding)",
+        c.hidden, c.embedding
     );
     println!("  coord extent  : {}", c.coord_extent);
     println!("  parameters    : {}", net.count_params());
@@ -411,7 +411,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
     // (graph-free, `f32` inside each launch, within its launch bound of
     // the `f64` graph).
     enum Chosen {
-        Oracle(OracleSolver),
+        Oracle(Box<OracleSolver>),
         Plan(Box<PlanSolver>),
     }
     let (spec, chosen) = if let Some(path) = flags.get("model") {
@@ -422,7 +422,10 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
     } else {
         let m: usize = get(flags, "m", 9);
         let spec = SubdomainSpec { m, spatial: 0.5 };
-        (spec, Chosen::Oracle(OracleSolver::new(spec, 1e-9)))
+        (
+            spec,
+            Chosen::Oracle(Box::new(OracleSolver::new(spec, 1e-9))),
+        )
     };
 
     let domain = DomainSpec::new(spec, sx, sy);
@@ -503,7 +506,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
         plan,
     };
     let ran = match &chosen {
-        Chosen::Oracle(s) => run_solver(s, domain, &bc, &opts, (2000, 1e-6)),
+        Chosen::Oracle(s) => run_solver(s.as_ref(), domain, &bc, &opts, (2000, 1e-6)),
         Chosen::Plan(s) => run_solver(s.as_ref(), domain, &bc, &opts, (500, 1e-5)),
     };
     let (grid, iterations, converged) = match ran {

@@ -57,7 +57,7 @@ pub mod prelude {
         run_distributed, try_run_distributed, DistMfpConfig, DomainSpec, Mfp, MfpConfig,
         OracleSolver, PlanSolver, SubdomainSolver,
     };
-    pub use mf_nn::{Activation, EmbeddingKind, SdNet, SdNetConfig};
+    pub use mf_nn::{EmbeddingKind, SdNet, SdNetConfig};
     pub use mf_opt::{Adam, AdamW, Lamb, LrSchedule, Optimizer, Sgd};
     pub use mf_serve::{
         ServeConfig, ServeError, SolveRequest, SolveResponse, SolveService, TcpServer,

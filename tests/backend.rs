@@ -25,8 +25,8 @@
 //!   `x / (1 + e^(−2u))`, without a `tanh`) within 32 ulp or `1e-14`
 //!   absolute (where the reference's `1 + tanh u` cancels, its own
 //!   rounding makes relative error meaningless). In `f32` — the compiled
-//!   plan's activations — `tanh` within 8 ulp, `gelu` within 8 ulp or
-//!   `4ε·|x|` absolute, the same cancellation scaled to `f32`.
+//!   plan's one activation — `gelu` within 8 ulp or `4ε·|x|` absolute, the
+//!   same cancellation scaled to `f32`.
 //!
 //! A guard holds the production paths — `Tensor` GEMM, `tanh`, `gelu` and
 //! a compiled plan's layers — to the bits of `backend::simd()`, and the
@@ -230,7 +230,7 @@ fn fused_layer_is_bitwise_the_unfused_composition_on_both_backends() {
                                 }
                             }
                         }
-                        for act in [Act::Identity, Act::Tanh, Act::Gelu] {
+                        for act in [Act::Identity, Act::Gelu] {
                             let mut want = pre.clone();
                             be.activate_f32(act, &mut want);
                             let mut got = vec![f32::NAN; m * n];
@@ -402,7 +402,7 @@ fn tanh_preserves_signed_zero_and_saturation() {
     assert_eq!(g[5], -1.0);
 }
 
-/// `f32` inputs for the plan's activations: a fine sweep over [−24, 24]
+/// `f32` inputs for the plan's activation: a fine sweep over [−24, 24]
 /// (both saturations, the GELU select at `u = −20` near `x = −7.33`, the
 /// `f32` tanh saturation near 9), the edges at ±20, and the specials:
 /// ±0, the smallest subnormals and normal, the largest finite, ±inf, NaN.
@@ -429,24 +429,6 @@ fn f32_inputs() -> Vec<f32> {
         f32::NAN,
     ]);
     xs
-}
-
-#[test]
-fn f32_tanh_within_8_ulp_of_scalar_reference() {
-    let xs = f32_inputs();
-    let mut reference = xs.clone();
-    let mut got = xs.clone();
-    backend::scalar().activate_f32(Act::Tanh, &mut reference);
-    backend::simd().activate_f32(Act::Tanh, &mut got);
-    for ((&x, &r), &g) in xs.iter().zip(&reference).zip(&got) {
-        let d = ulp_distance_f32(r, g);
-        assert!(d <= 8, "tanh({x:e}): {r:e} vs {g:e} is {d} ulp (budget 8)");
-        // Signed zeros and ±1 at the infinities to the bit; NaN stays NaN.
-        if x == 0.0 || x.is_infinite() {
-            assert_eq!(r.to_bits(), g.to_bits(), "tanh({x:e})");
-        }
-        assert_eq!(x.is_nan(), g.is_nan(), "tanh({x:e})");
-    }
 }
 
 #[test]
@@ -548,7 +530,7 @@ fn production_runs_the_simd_kernels() {
     let mut cfg = SdNetConfig::small(spec.boundary_len());
     cfg.conv_channels = vec![];
     cfg.hidden = vec![16, 16];
-    let (act, extent) = (cfg.activation.kernel(), cfg.coord_extent);
+    let extent = cfg.coord_extent;
     let net = SdNet::new(cfg, &mut ChaCha8Rng::seed_from_u64(21));
     let (b, q) = (3, 5);
     let (bnds, pts) = sample_points(spec, b, q, 22);
@@ -574,9 +556,9 @@ fn production_runs_the_simd_kernels() {
             h.extend(sum.map(|((&x, &gg), &c)| (x + gg) + c));
         }
     }
-    simd.activate_f32(act, &mut h);
+    simd.activate_f32(Act::Gelu, &mut h);
     let head = std::iter::once((net.head(), Act::Identity));
-    for (lin, act) in net.trunk().iter().map(|lin| (lin, act)).chain(head) {
+    for (lin, act) in net.trunk().iter().map(|lin| (lin, Act::Gelu)).chain(head) {
         let w = PackedB::new(&param(lin.weight()).transpose());
         let bias = lin.bias().map(|id| f32s(param(id)));
         let mut out = vec![0.0f32; b * q * w.n()];

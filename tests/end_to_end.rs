@@ -125,7 +125,7 @@ fn ddp_trained_model_is_identical_across_sync_strategies() {
         qc: 4,
         pde_weight: 0.05,
         schedule: LrSchedule::paper_default(40),
-        opt: OptKind::Sgd(0.0),
+        opt: OptKind::Sgd,
         seed: 7,
         clip_norm: None,
     };

@@ -141,7 +141,7 @@ fn ordered_sync_loss_curves_are_world_size_independent() {
     let run = |world: usize| {
         Cluster::run(world, move |comm| {
             let mut net = t.clone();
-            let mut opt = Sgd::new(0.0);
+            let mut opt = Sgd::new();
             let mut curve = Vec::new();
             for batch in batches_ref {
                 // Every rank sees the same batch, so the global batch is

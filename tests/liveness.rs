@@ -32,13 +32,13 @@ const SPEC: SubdomainSpec = SubdomainSpec { m: 9, spatial: 0.5 };
 /// live points (fresh) and skips the rest (stale). A stale point must not
 /// be read, nor left stale when the iteration ends. Returns the live and
 /// the total cross points of the iteration, summed over the ranks.
-fn replay(domain: &DomainSpec, ranks: usize, order: RankOrder) -> (usize, usize) {
+fn replay(domain: &DomainSpec, ranks: usize) -> (usize, usize) {
     let (nx, m) = (domain.nx(), domain.sub.m);
     let cross = domain.center_cross_offsets();
     let walk = boundary_coords(m, m);
     let at = |sd: &Subdomain, (j, i): (usize, usize)| (sd.oy + j) * nx + sd.ox + i;
     let (mut live, mut total) = (0, 0);
-    for (rank, groups) in live_cross_points(domain, ranks, order).iter().enumerate() {
+    for (rank, groups) in live_cross_points(domain, ranks).iter().enumerate() {
         let mut stale = vec![false; domain.ny() * nx];
         for (g, group) in groups.iter().enumerate() {
             for (sd, _) in group {
@@ -75,10 +75,10 @@ fn replay(domain: &DomainSpec, ranks: usize, order: RankOrder) -> (usize, usize)
 
 /// Every interior lattice point is some rank's live write, and nothing
 /// else is.
-fn assert_live_writes_cover_the_lattice(domain: &DomainSpec, ranks: usize, order: RankOrder) {
+fn assert_live_writes_cover_the_lattice(domain: &DomainSpec, ranks: usize) {
     let cross = domain.center_cross_offsets();
     let mut written = std::collections::HashSet::new();
-    for groups in live_cross_points(domain, ranks, order) {
+    for groups in live_cross_points(domain, ranks) {
         for (sd, points) in groups.iter().flatten() {
             for &c in points {
                 let (j, i) = cross[c];
@@ -107,19 +107,17 @@ fn every_skipped_write_is_rewritten_before_it_is_read() {
     for (sx, sy) in [(1, 1), (2, 3), (3, 2), (8, 8)] {
         let d = DomainSpec::new(SPEC, sx, sy);
         for ranks in 1..=4 {
-            for order in [RankOrder::RowMajor, RankOrder::Morton] {
-                replay(&d, ranks, order);
-            }
+            replay(&d, ranks);
         }
     }
     // The cut the rule makes on the benchmark's domain: the horizontal
     // arms of the even-column subdomains that face another subdomain,
     // 630 of 2 925 points.
     let d = DomainSpec::new(SPEC, 8, 8);
-    assert_eq!(replay(&d, 1, RankOrder::RowMajor), (2295, 2925));
+    assert_eq!(replay(&d, 1), (2295, 2925));
     // Two ranks split by columns: an arm facing the other rank's block is
     // overwritten only there, so it stays live here.
-    let (live, _) = replay(&d, 2, RankOrder::RowMajor);
+    let (live, _) = replay(&d, 2);
     assert!(live > 2295, "{live} live points at 2 ranks");
 }
 
@@ -128,7 +126,7 @@ fn live_writes_still_cover_every_interior_lattice_point() {
     for (sx, sy) in [(1, 1), (2, 3), (3, 2), (8, 8)] {
         let d = DomainSpec::new(SPEC, sx, sy);
         for ranks in 1..=4 {
-            assert_live_writes_cover_the_lattice(&d, ranks, RankOrder::RowMajor);
+            assert_live_writes_cover_the_lattice(&d, ranks);
         }
     }
 }
@@ -142,8 +140,8 @@ fn large_domains_cut_exactly_at_every_rank_count() {
     for side in [16, 32] {
         let d = DomainSpec::new(SPEC, side, side);
         for ranks in [1, 2, 4] {
-            let (live, total) = replay(&d, ranks, RankOrder::RowMajor);
-            assert_live_writes_cover_the_lattice(&d, ranks, RankOrder::RowMajor);
+            let (live, total) = replay(&d, ranks);
+            assert_live_writes_cover_the_lattice(&d, ranks);
             println!(
                 "{side}x{side} domain, {ranks} rank(s): live cross points per iteration: \
                  {live} of {total}"

@@ -79,7 +79,7 @@ fn warm_paths_create_no_os_threads() {
     assert_warm_run_spawns_nothing("train_step_distributed, world 2", || {
         Cluster::run(2, |comm| {
             let mut net = template.clone();
-            let mut opt = Sgd::new(0.0);
+            let mut opt = Sgd::new();
             train_step_distributed(
                 &mut net,
                 &batches[comm.rank()],

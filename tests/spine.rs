@@ -234,7 +234,7 @@ fn the_three_setters_switch_every_store_and_one_call_is_one_observation() {
             comm.allreduce_sum(&mut buf);
         }
         let reduced = counts();
-        let (mut net, mut opt) = (net.clone(), Sgd::new(0.0));
+        let (mut net, mut opt) = (net.clone(), Sgd::new());
         let batch = &batches[comm.rank()];
         for _ in 0..CALLS {
             train_step_distributed(&mut net, batch, &mut opt, 0.1, 0.01, comm, GradSync::Fused);
