@@ -6,15 +6,13 @@
 //!
 //! Delivery has one path. A send copies its payload once, into the
 //! destination's channel. Every arrival — off the channel, or matured from an
-//! injected delay — goes through `accept` (tombstone check) into the
-//! `pending` buffer, and every receive is one loop that ends by taking
-//! the first matching message out of `pending`. The loop blocks
-//! ([`Communicator::recv`], [`Communicator::wait`]) or runs to a
-//! deadline ([`Communicator::wait_deadline`]).
+//! injected delay — goes through `accept` into the `pending` buffer, and
+//! every receive ([`Communicator::recv`], [`Communicator::wait`]) is one
+//! blocking loop that ends by taking the first matching message out of
+//! `pending`, or by a failed rank.
 
 use crate::fault::{
-    lock_robust, ClusterError, CommError, FaultBarrier, FaultCounters, FaultPlan, FaultState,
-    Splitmix,
+    lock_robust, ClusterError, CommError, FaultBarrier, FaultPlan, FaultState, Splitmix,
 };
 use crate::topology::NodeMap;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -23,7 +21,6 @@ use mf_telemetry::{
     counter, flow, gauge, histogram, render_report, span, Buckets, Counter, FlowPhase, Gauge,
     Histogram, MetricsSnapshot,
 };
-use std::collections::HashSet;
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -59,8 +56,7 @@ struct OutLink {
 }
 
 /// A receive posted by [`Communicator::exchange_start`], one per peer.
-/// Complete it with [`Communicator::wait`] (blocking) or
-/// [`Communicator::wait_deadline`] (bounded).
+/// Complete it with [`Communicator::wait`].
 #[derive(Clone, Copy, Debug)]
 pub struct RecvHandle {
     src: usize,
@@ -145,16 +141,14 @@ pub struct Communicator {
     links: Vec<OutLink>,
     /// Point-to-point messages this rank has sent (crash trigger).
     sends: usize,
-    /// `(src, tag)` pairs abandoned by a deadline receive; late arrivals
-    /// are discarded instead of polluting `pending`.
-    tombstones: HashSet<(usize, u64)>,
     /// Delay-stamped messages pulled off the channel, in arrival order,
     /// until they mature. A stamp is never earlier than the one before it
     /// on its link, so releasing the mature ones in this order keeps every
     /// link FIFO.
     immature: Vec<Message>,
     counters: CommCounters,
-    fcounters: FaultCounters,
+    /// `fault.delayed`: sends this rank stamped with an injected delay.
+    delayed: Counter,
     /// Registry values at thread start; `stats()` reports the delta since
     /// then.
     baseline: CommStats,
@@ -231,10 +225,9 @@ impl Cluster {
                     })
                     .collect(),
                 sends: 0,
-                tombstones: HashSet::new(),
                 immature: Vec::new(),
                 counters: CommCounters::new(),
-                fcounters: FaultCounters::new(),
+                delayed: counter("fault.delayed"),
                 baseline: CommStats::default(),
             })
             .collect();
@@ -373,7 +366,7 @@ impl Communicator {
             let us = (link.rng.unit() * plan.delay_max_us as f64) as u64;
             let mut at = t0;
             if delayed && us > 0 {
-                self.fcounters.delayed.incr();
+                self.delayed.incr();
                 at += Duration::from_micros(us);
             }
             let at = link.last_at.map_or(at, |last| last.max(at));
@@ -398,12 +391,8 @@ impl Communicator {
         self.counters.comm_seconds.add(t0.elapsed().as_secs_f64());
     }
 
-    /// Hand one arrival to tag matching, unless a deadline receive
-    /// abandoned its `(src, tag)` slot.
+    /// Hand one arrival to tag matching.
     fn accept(&mut self, msg: Message) {
-        if self.tombstones.contains(&(msg.src, msg.tag)) {
-            return;
-        }
         self.counters.msgs_recv.incr();
         self.counters.bytes_recv.add((msg.payload.len() * 8) as u64);
         // Causal tracing: close the sender's flow on delivery so the
@@ -439,20 +428,13 @@ impl Communicator {
             .min()
     }
 
-    /// The one receive path: take the first `(src, tag)` message out of
-    /// `pending`, feeding `pending` from matured delays and the channel
-    /// until one is there. Without a `timeout` the wait ends only when the
-    /// message arrives; with one it also ends at the deadline (the
-    /// degraded-halo path: a late slot keeps its stale values). A failed
-    /// rank ends either wait.
-    fn receive(
-        &mut self,
-        src: usize,
-        tag: u64,
-        timeout: Option<Duration>,
-    ) -> Result<Vec<f64>, CommError> {
+    /// Blocking receive that surfaces faults as typed errors — the one
+    /// receive path: take the first `(src, tag)` message out of `pending`,
+    /// feeding `pending` from matured delays and the channel until one is
+    /// there. The wait ends when the message arrives or a rank has failed,
+    /// which yields [`CommError::RankFailed`].
+    pub fn recv_result(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
         let t0 = Instant::now();
-        let deadline = timeout.map(|t| t0 + t);
         let result = loop {
             // `remove` (not `swap_remove`): the buffer may hold several
             // messages with the same (src, tag) when a peer runs a
@@ -469,17 +451,7 @@ impl Communicator {
             if self.deliver_matured() {
                 continue;
             }
-            let mut wait = TICK;
-            if let Some(d) = deadline {
-                let now = Instant::now();
-                if now >= d {
-                    break Err(self.timed_out(src, tag));
-                }
-                wait = wait.min(d - now);
-            }
-            if let Some(d) = self.next_maturity() {
-                wait = wait.min(d);
-            }
+            let wait = self.next_maturity().map_or(TICK, |d| d.min(TICK));
             match self.receiver.recv_timeout(wait) {
                 // A stamped message waits its turn behind the ones held
                 // before it, even if it is already mature: taken straight
@@ -501,14 +473,6 @@ impl Communicator {
         result
     }
 
-    /// Count and report a receive that gave up waiting for `(src, tag)`.
-    fn timed_out(&self, src: usize, tag: u64) -> CommError {
-        self.fcounters.timeouts.incr();
-        mf_observe::record("comm.timeout", src as u64, tag as f64);
-        mf_telemetry::log!(Error, "comm.timeout", src = src, tag = tag);
-        CommError::Timeout { src, tag }
-    }
-
     /// Blocking receive of the message with the given source and tag.
     /// Other messages arriving first are buffered (MPI matching
     /// semantics). Panics on a communication fault — use
@@ -520,36 +484,10 @@ impl Communicator {
         }
     }
 
-    /// Blocking receive that surfaces faults as typed errors: a crashed
-    /// peer yields [`CommError::RankFailed`].
-    pub fn recv_result(&mut self, src: usize, tag: u64) -> Result<Vec<f64>, CommError> {
-        self.receive(src, tag, None)
-    }
-
     /// Block until the receive behind `h` completes. Identical semantics
     /// to [`recv`](Self::recv): panics on a communication fault.
     pub fn wait(&mut self, h: &RecvHandle) -> Vec<f64> {
         self.recv(h.src, h.tag)
-    }
-
-    /// Complete the receive behind `h` under a deadline — the degraded
-    /// mode of the distributed MFP (§6.3). On timeout the `(src, tag)`
-    /// slot is tombstoned: a late arrival is discarded, never delivered to
-    /// a future iteration,
-    /// and the caller reuses stale halo values instead. The tag must be
-    /// unique per exchange round for tombstoning to be sound — the MFP
-    /// uses its iteration index.
-    pub fn wait_deadline(
-        &mut self,
-        h: &RecvHandle,
-        timeout: Duration,
-    ) -> Result<Vec<f64>, CommError> {
-        let result = self.receive(h.src, h.tag, Some(timeout));
-        if matches!(result, Err(CommError::Timeout { .. })) {
-            // `pending` holds no match, or the receive would have taken it.
-            self.tombstones.insert((h.src, h.tag));
-        }
-        result
     }
 
     /// Synchronize all ranks. Panics with the failed rank id if a rank
@@ -583,7 +521,7 @@ impl Communicator {
     /// Post every halo send without blocking and return one
     /// [`RecvHandle`] per peer, in `outgoing` order. The caller overlaps
     /// computation with the in-flight halos and completes each handle
-    /// with [`wait`](Self::wait) or [`wait_deadline`](Self::wait_deadline).
+    /// with [`wait`](Self::wait).
     pub fn exchange_start(&mut self, outgoing: &[(usize, Vec<f64>)], tag: u64) -> Vec<RecvHandle> {
         let bytes: usize = outgoing.iter().map(|(_, p)| p.len() * 8).sum();
         self.counters.exchange_bytes.record(bytes as f64);

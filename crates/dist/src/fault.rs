@@ -1,6 +1,6 @@
 //! Fault injection for the simulated cluster: seeded delivery delays and
 //! an injected rank crash, plus the failure detection that turns a dead
-//! or silent peer into a typed error.
+//! peer into a typed error.
 //!
 //! Links are reliable and FIFO, as MPI's are: nothing sent is lost,
 //! duplicated or reordered, so there is nothing to retransmit. A
@@ -12,18 +12,16 @@
 //!   construction;
 //! * a **crashed** rank panics after a set number of sends, and a
 //!   per-rank **failure flag** turns it — or any panicking rank — into a
-//!   typed [`CommError::RankFailed`] on every peer instead of a deadlock;
-//! * a receive under a **deadline**
-//!   ([`Communicator::wait_deadline`](crate::Communicator::wait_deadline))
-//!   ends in [`CommError::Timeout`], the degraded-halo path of the
-//!   distributed MFP.
+//!   typed [`CommError::RankFailed`] on every peer instead of a deadlock.
+//!
+//! Every receive blocks until its message arrives: a delay makes a peer
+//! late, never absent.
 //!
 //! Delay decisions are drawn from a per-link splitmix64 stream seeded from
 //! `FaultPlan::seed` and advanced by two draws per `send` in the sender's
 //! program order, so which messages are delayed, and by how much, is a
 //! pure function of the seed, independent of thread scheduling.
 
-use mf_telemetry::{counter, Counter};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
@@ -81,13 +79,6 @@ impl FaultPlan {
 /// A typed communication failure, carrying the rank it implicates.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CommError {
-    /// No matching message arrived before the receive's deadline.
-    Timeout {
-        /// Expected source rank.
-        src: usize,
-        /// Expected message tag.
-        tag: u64,
-    },
     /// A rank in the job crashed or panicked.
     RankFailed {
         /// The failed rank.
@@ -98,9 +89,6 @@ pub enum CommError {
 impl std::fmt::Display for CommError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            CommError::Timeout { src, tag } => {
-                write!(f, "timed out waiting for message (src {src}, tag {tag})")
-            }
             CommError::RankFailed { rank } => write!(f, "rank {rank} failed"),
         }
     }
@@ -141,23 +129,6 @@ impl std::fmt::Display for ClusterError {
 }
 
 impl std::error::Error for ClusterError {}
-
-/// Telemetry counters of the fault layer (`fault.*`), one handle set per
-/// thread.
-#[derive(Clone)]
-pub(crate) struct FaultCounters {
-    pub delayed: Counter,
-    pub timeouts: Counter,
-}
-
-impl FaultCounters {
-    pub(crate) fn new() -> Self {
-        Self {
-            delayed: counter("fault.delayed"),
-            timeouts: counter("fault.timeouts"),
-        }
-    }
-}
 
 /// splitmix64 — a tiny, dependency-free deterministic stream.
 #[derive(Clone, Debug)]
@@ -319,8 +290,6 @@ mod tests {
 
     #[test]
     fn comm_error_messages_name_the_rank() {
-        let t = CommError::Timeout { src: 3, tag: 9 };
-        assert!(t.to_string().contains("src 3"));
         let f = CommError::RankFailed { rank: 5 };
         assert!(f.to_string().contains("rank 5"));
     }

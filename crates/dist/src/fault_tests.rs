@@ -1,11 +1,10 @@
-//! Tests of the fault layer: fail-fast failure detection, deadline
-//! receives, per-link send order under injected delays, and the
-//! zero-fault equivalence guarantee (a `FaultPlan` with all rates at
-//! zero is observationally identical to the plain cluster).
+//! Tests of the fault layer: fail-fast failure detection, per-link send
+//! order under injected delays, and the zero-fault equivalence guarantee
+//! (a `FaultPlan` with all rates at zero is observationally identical to
+//! the plain cluster).
 
-use crate::fault::{CommError, CrashAt, FaultPlan};
+use crate::fault::{CrashAt, FaultPlan};
 use crate::{Cluster, Communicator};
-use mf_telemetry::counter;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -91,38 +90,6 @@ fn recv_result_reports_failed_peer() {
     assert_eq!(err.origin(), 0);
     // Only rank 0 actually failed: ranks 1 and 2 handled the error.
     assert_eq!(err.failed.len(), 1, "{err}");
-}
-
-#[test]
-fn wait_deadline_times_out_then_tombstones_the_slot() {
-    let outs = Cluster::try_run(2, FaultPlan::none(), |c| {
-        if c.rank() == 0 {
-            // Miss the peer's round-1 deadline by an order of magnitude.
-            std::thread::sleep(Duration::from_millis(120));
-            c.send(1, 7, &[1.0]);
-            let got1 = c.recv(1, 7);
-            // Round 2 on a fresh tag proceeds normally.
-            c.send(1, 8, &[2.0]);
-            let got2 = c.recv(1, 8);
-            (got1, got2)
-        } else {
-            let round1 = c.exchange_start(&[(0, vec![9.0])], 7);
-            let r1 = c.wait_deadline(&round1[0], Duration::from_millis(15));
-            assert!(
-                matches!(r1, Err(CommError::Timeout { src: 0, tag: 7, .. })),
-                "expected timeout, got {r1:?}"
-            );
-            assert!(counter("fault.timeouts").get() >= 1);
-            // The late round-1 message must be discarded, not delivered
-            // into round 2.
-            let mut round2 = c.exchange(&[(0, vec![10.0])], 8);
-            let (_, got2) = round2.pop().unwrap();
-            (vec![9.0], got2)
-        }
-    })
-    .unwrap();
-    assert_eq!(outs[0].0, vec![9.0]);
-    assert_eq!(outs[1].1, vec![2.0]);
 }
 
 proptest! {

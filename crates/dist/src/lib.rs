@@ -14,8 +14,8 @@
 //! * point-to-point [`Communicator::send`]/[`Communicator::recv`] with
 //!   tags and out-of-order buffering (MPI semantics),
 //! * the halo exchange of Algorithm 2: [`Communicator::exchange_start`]
-//!   posts the sends, and [`Communicator::wait`] (or, in degraded mode,
-//!   [`Communicator::wait_deadline`]) completes each receive,
+//!   posts the sends, and the blocking [`Communicator::wait`] completes
+//!   each receive,
 //! * collectives: [`Communicator::allreduce_sum`] (ring, recursive
 //!   doubling or tree by size), [`Communicator::allgather`],
 //!   [`Communicator::broadcast`], [`Communicator::barrier`],

@@ -27,13 +27,12 @@ use crate::seq::Mfp;
 use crate::solver::SubdomainSolver;
 use mf_dist::thread_cpu_time;
 use mf_dist::{
-    CartesianGrid, Cluster, ClusterError, CommError, CommStats, Communicator, Direction, FaultPlan,
+    CartesianGrid, Cluster, ClusterError, CommStats, Communicator, Direction, FaultPlan,
     OverlapSample, OverlapTracker, PerfModel, RankOrder, RecvHandle,
 };
 use mf_observe::StallDetector;
 use mf_telemetry::{counter, histogram, Buckets, Counter, Histogram};
 use mf_tensor::Tensor;
-use std::time::Duration;
 
 /// Controls for [`run_distributed`].
 #[derive(Clone, Debug)]
@@ -58,14 +57,6 @@ pub struct DistMfpConfig {
     /// Fault injection for the cluster's links ([`FaultPlan::none`] keeps
     /// the lossless PR-1 semantics).
     pub plan: FaultPlan,
-    /// Degraded mode: `Some(deadline)` bounds each halo exchange by
-    /// `deadline` and *reuses the stale halo* from the previous exchange
-    /// when a neighbor misses it, instead of blocking the iteration
-    /// (`None`, the default, blocks). The Schwarz fixed point is unchanged
-    /// — stale interface data only slows convergence (the same trade as
-    /// `comm_every > 1`); a sweep that read one is left out of the mixing
-    /// history on every rank.
-    pub halo_deadline: Option<Duration>,
     /// Alpha–beta model used by the per-rank overlap accounting
     /// (`dist.overlap_ratio` and friends).
     pub perf_model: PerfModel,
@@ -80,7 +71,6 @@ impl Default for DistMfpConfig {
             target: None,
             accelerate: true,
             plan: FaultPlan::none(),
-            halo_deadline: None,
             perf_model: PerfModel::a30_cluster(),
         }
     }
@@ -107,9 +97,6 @@ pub struct RankReport {
     /// Subdomains swept in the interior pass, while the halo exchange is
     /// in flight.
     pub interior_subdomains: usize,
-    /// Halo slots served from stale data because a neighbor missed the
-    /// degraded-mode deadline (always 0 outside degraded mode).
-    pub stale_halos: usize,
     /// Cumulative comm/compute overlap accounting of the iteration
     /// loop (compute, measured wait, modeled wire time, hideable
     /// fraction) under [`DistMfpConfig::perf_model`].
@@ -346,7 +333,9 @@ fn cpu_seconds(f: impl FnOnce()) -> f64 {
 /// sweep groups, and its accounting and watchdog. Every rank of
 /// [`run_distributed`] hands its own to the one iteration loop, which
 /// reduces over it, sweeps through it and posts its halo; a local solve
-/// has none, so it registers none of the counters below.
+/// has none, so it registers none of the counters below. Every halo
+/// receive blocks until the neighbor's values arrive: a sweep never reads
+/// an interface older than the exchange it completes.
 pub(crate) struct Peers<'a> {
     comm: &'a mut Communicator,
     cfg: &'a DistMfpConfig,
@@ -386,16 +375,9 @@ pub(crate) struct Peers<'a> {
     overlap: OverlapTracker,
     busy_mark: f64,
     /// Convergence watchdog: trips after 5 residual checks without a
-    /// ≥ 1% improvement; in degraded mode the stale-halo delta over the
-    /// same window attributes the stall to a late neighbor.
+    /// ≥ 1% improvement.
     stall: StallDetector,
-    stale_halos: usize,
-    /// `stale_halos` when the current iteration began.
-    stale_at_sweep: usize,
-    stale_at_window: usize,
-    stale_counter: Counter,
     stalls_counter: Counter,
-    stall_stale_counter: Counter,
     pool_miss: Counter,
     h_halo: Histogram,
 }
@@ -440,12 +422,7 @@ impl<'a> Peers<'a> {
             overlap: OverlapTracker::new(cfg.perf_model, comm),
             busy_mark: 0.0,
             stall: StallDetector::new(5),
-            stale_halos: 0,
-            stale_at_sweep: 0,
-            stale_at_window: 0,
-            stale_counter: counter("mfp.stale_halos"),
             stalls_counter: counter("mfp.stalls"),
-            stall_stale_counter: counter("mfp.stall_stale_halos"),
             pool_miss: counter("overlap.warm_allocs"),
             h_halo: histogram("mfp.halo_bytes", Buckets::bytes()),
             comm,
@@ -460,11 +437,9 @@ impl<'a> Peers<'a> {
         n.is_multiple_of(self.cfg.comm_every)
     }
 
-    /// Stamp iteration `it` on the rank's telemetry and note the stale
-    /// halos its sweep starts from.
+    /// Stamp iteration `it` on the rank's telemetry.
     pub(crate) fn begin_iteration(&mut self, it: usize) {
         mf_telemetry::set_step_context(0, it as u64);
-        self.stale_at_sweep = self.stale_halos;
     }
 
     /// Local sweeps with immediate updates, in group order. With an
@@ -498,11 +473,6 @@ impl<'a> Peers<'a> {
             mf_profile::zone!("sweep_boundary");
             self.compute_seconds += pass(&self.boundary_groups, u);
         }
-    }
-
-    /// Whether a halo slot of this iteration's sweep was served stale.
-    pub(crate) fn read_stale_halo(&self) -> bool {
-        self.stale_halos > self.stale_at_sweep
     }
 
     /// Sum `sums` over the ranks; every rank gets the same bits.
@@ -551,27 +521,13 @@ impl<'a> Peers<'a> {
 
     /// Complete the in-flight halo exchange: block on each receive handle
     /// and unpack into `u` (handle order matches `halo_cells`; both
-    /// follow the neighbor list). In degraded mode the wait is bounded by
-    /// the deadline and a slot whose neighbor missed it keeps its previous
-    /// (stale) values — the per-iteration tag keeps late round-N data out
-    /// of round N+1.
+    /// follow the neighbor list).
     fn complete_halo_exchange(&mut self, u: &mut Tensor) {
         let t0 = thread_cpu_time();
         mf_profile::zone!("halo_wait");
         for (h, cells) in self.inflight.drain(..).zip(&self.halo_cells) {
-            if let Some(deadline) = self.cfg.halo_deadline {
-                match self.comm.wait_deadline(&h, deadline) {
-                    Ok(data) => unpack_cells(u, cells, &data),
-                    Err(CommError::Timeout { .. }) => {
-                        self.stale_halos += 1;
-                        self.stale_counter.incr();
-                    }
-                    Err(e @ CommError::RankFailed { .. }) => panic!("halo exchange: {e}"),
-                }
-            } else {
-                let data = self.comm.wait(&h);
-                unpack_cells(u, cells, &data);
-            }
+            let data = self.comm.wait(&h);
+            unpack_cells(u, cells, &data);
         }
         self.pack_seconds += thread_cpu_time() - t0;
     }
@@ -588,12 +544,9 @@ impl<'a> Peers<'a> {
     ) {
         let delta = *deltas.last().expect("a delta was just recorded");
         let stalled = self.stall.observe(delta);
-        let stale_in_window = (self.stale_halos - self.stale_at_window) as u64;
         if stalled {
             self.stalls_counter.incr();
-            self.stall_stale_counter.add(stale_in_window);
-            mf_observe::record("mfp.stall", stale_in_window, delta);
-            self.stale_at_window = self.stale_halos;
+            mf_observe::record("mfp.stall", at_iter as u64, delta);
         }
         if !mf_observe::watch_enabled() {
             return;
@@ -629,15 +582,7 @@ impl<'a> Peers<'a> {
             }
             eprint!(
                 "{}",
-                mf_observe::mfp_watch_report(
-                    at_iter,
-                    deltas,
-                    &grid,
-                    domain.sy,
-                    domain.sx,
-                    stalled,
-                    stale_in_window,
-                )
+                mf_observe::mfp_watch_report(at_iter, deltas, &grid, domain.sy, domain.sx, stalled)
             );
             // Live throughput from the published time-series ring: every rank
             // publishes its `dist.iterations` windows after each MFP iteration,
@@ -705,7 +650,6 @@ impl<'a> Peers<'a> {
             halo: self.halo,
             owned_subdomains: interior_subdomains + count(&self.boundary_groups),
             interior_subdomains,
-            stale_halos: self.stale_halos,
             overlap: self.overlap.final_sample(),
         }
     }
@@ -1255,49 +1199,6 @@ mod tests {
         assert!(diff < 1e-5, "distributed vs sequential MAE {diff}");
         let total: usize = dist.reports.iter().map(|r| r.owned_subdomains).sum();
         assert_eq!(total, d.subdomains().len());
-    }
-
-    #[test]
-    fn degraded_mode_reuses_stale_halos_and_still_converges() {
-        // Sender-side delays larger than the halo deadline force timeouts;
-        // degraded mode substitutes the stale halo and keeps iterating.
-        // Stale interfaces only slow Schwarz convergence (same fixed
-        // point), so the solution still lands on the sequential one.
-        let d = DomainSpec::new(spec(), 2, 2);
-        let oracle = OracleSolver::new(spec(), 1e-10);
-        let bc = harmonic_bc(&d);
-        let clean = run_distributed(
-            &oracle,
-            &d,
-            &bc,
-            4,
-            &DistMfpConfig {
-                max_iters: 500,
-                tol: 1e-8,
-                ..Default::default()
-            },
-        );
-        let degraded_cfg = DistMfpConfig {
-            max_iters: 500,
-            tol: 1e-8,
-            plan: FaultPlan {
-                seed: 3,
-                delay_rate: 0.4,
-                delay_max_us: 30_000,
-                ..FaultPlan::none()
-            },
-            halo_deadline: Some(Duration::from_millis(8)),
-            ..Default::default()
-        };
-        let degraded = try_run_distributed(&oracle, &d, &bc, 4, &degraded_cfg).unwrap();
-        assert!(degraded.converged, "degraded run did not converge");
-        let stale: usize = degraded.reports.iter().map(|r| r.stale_halos).sum();
-        assert!(stale > 0, "delays never exceeded the halo deadline");
-        assert!(
-            clean.grid.mean_abs_diff(&degraded.grid) < 1e-5,
-            "degraded solution diverged: {}",
-            clean.grid.mean_abs_diff(&degraded.grid)
-        );
     }
 
     #[test]

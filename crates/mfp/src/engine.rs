@@ -457,9 +457,8 @@ impl Accelerator {
     ///
     /// Restarts instead — `g` stays the plain sweep — when the relative
     /// change grew against the previous sweep's (the columns are dropped)
-    /// or when `γ` is not finite (so is the previous sweep: a rank poisons
-    /// its sums with NaN to have every rank forget a sweep that read a
-    /// stale halo).
+    /// or when `γ` is not finite — a Gram sum overflowed or the Cholesky
+    /// broke down — and so is the previous sweep.
     pub(crate) fn mix(&mut self, request: usize, gram: &Gram, delta: f64, g: &mut Tensor) {
         let l = self.cells.len();
         let m = &mut self.mixing[request];
@@ -754,7 +753,8 @@ mod tests {
         let mut g = sweep(4);
         accel.observe(1, &g, &x);
         assert_eq!(accel.depth(&[1]), 1);
-        // NaN sums (a stale halo somewhere): this sweep is forgotten too.
+        // Non-finite sums (an overflowed product): this sweep is forgotten
+        // too.
         accel.mix(1, &[f64::NAN; GRAM_LEN], 0.2, &mut g);
         assert_eq!(g, sweep(4));
         accel.observe(1, &sweep(5), &x);

@@ -239,15 +239,9 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                     let residual = engine.residual_sums(grid, prev);
                     sums[..2].copy_from_slice(&residual);
                     // The mixer never files a non-finite sweep: the
-                    // residual sums end such a solve, on every rank. A
-                    // sweep that read a stale halo slot is reported as NaN
-                    // Gram sums, which makes every rank forget its history.
+                    // residual sums end such a solve, on every rank.
                     if mixes && residual.iter().all(|v| v.is_finite()) {
-                        let gram = if peers.as_ref().is_some_and(|p| p.read_stale_halo()) {
-                            [f64::NAN; GRAM_LEN]
-                        } else {
-                            accel.as_mut().expect("mixes").observe(r, grid, prev)
-                        };
+                        let gram = accel.as_mut().expect("mixes").observe(r, grid, prev);
                         sums[2..].copy_from_slice(&gram);
                     }
                     if let Some(p) = peers.as_deref_mut() {

@@ -57,11 +57,11 @@ impl GradHealth {
 /// least `rel_improve` over the best-seen value for `window` consecutive
 /// observations.
 ///
-/// The MFP loop feeds it one residual per convergence check; when it
-/// trips, degraded-mode runs attribute the stall by checking whether the
-/// stale-halo count grew over the same window (a late neighbor poisons
-/// the interface values, so the residual plateaus — exactly the failure
-/// mode relaxed-sync domain decomposition has to watch for).
+/// The distributed MFP loop feeds it one residual per convergence check
+/// and counts each trip (`mfp.stalls`, flight event `mfp.stall`): a run
+/// that keeps sweeping past its fixed point, or whose residual plateaus
+/// above the tolerance, shows up there instead of only as a high
+/// iteration count.
 #[derive(Clone, Debug)]
 pub struct StallDetector {
     best: f64,

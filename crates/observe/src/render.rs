@@ -108,8 +108,8 @@ pub fn train_watch_report(
 }
 
 /// The periodic MFP watch report: residual trajectory, the per-subdomain
-/// residual heatmap over the `rows × cols` subdomain lattice, and the
-/// stall/stale-halo status line.
+/// residual heatmap over the `rows × cols` subdomain lattice, and a stall
+/// line when the watchdog tripped.
 pub fn mfp_watch_report(
     iteration: usize,
     deltas: &[f64],
@@ -117,7 +117,6 @@ pub fn mfp_watch_report(
     rows: usize,
     cols: usize,
     stalled: bool,
-    stale_halos: u64,
 ) -> String {
     let mut out = String::new();
     let last = deltas.last().copied().unwrap_or(f64::NAN);
@@ -131,14 +130,7 @@ pub fn mfp_watch_report(
         out.push_str(&ascii_heatmap(subdomain_residuals, rows, cols));
     }
     if stalled {
-        let attribution = if stale_halos > 0 {
-            format!(
-                " — {stale_halos} stale halo(s) this window; a late neighbor is the likely cause"
-            )
-        } else {
-            String::new()
-        };
-        let _ = writeln!(out, "STALL: no >1% residual improvement{attribution}");
+        let _ = writeln!(out, "STALL: no >1% residual improvement");
     }
     out
 }
@@ -178,12 +170,11 @@ mod tests {
         assert!(r.contains("rank 0"));
         assert!(!r.contains("rank 1"), "empty rank slice is skipped");
 
-        let m = mfp_watch_report(30, &[1e-1, 1e-2], &[0.1, 0.2, 0.3, 0.4], 2, 2, true, 3);
+        let m = mfp_watch_report(30, &[1e-1, 1e-2], &[0.1, 0.2, 0.3, 0.4], 2, 2, true);
         assert!(m.contains("iteration 30"));
         assert!(m.contains("2x2 lattice"));
         assert!(m.contains("STALL"));
-        assert!(m.contains("3 stale halo(s)"));
-        let quiet = mfp_watch_report(5, &[1.0], &[], 0, 0, false, 0);
+        let quiet = mfp_watch_report(5, &[1.0], &[], 0, 0, false);
         assert!(!quiet.contains("STALL"));
         assert!(!quiet.contains("lattice"));
     }

@@ -39,7 +39,11 @@
 //! least 1 (`--devices`, `--epochs`, `--ranks`, `--workers`, `eval
 //! --samples`, either factor of `--domain`) prints a one-line reason plus
 //! the usage and exits non-zero; so does a `train --samples` too small to
-//! leave a validation sample, before the command starts.
+//! leave a validation sample, before the command starts. So does a flag
+//! the run would drop: one the `--model` network fixes (`solve --oracle`,
+//! `--m`; `serve --random-weights`, `--m`, `--seed`), or a crash request
+//! that could never fire (`--crash-after` without `--crash-rank`, a
+//! `--crash-rank` outside `--ranks`).
 //!
 //! Observability flags (any subcommand):
 //!
@@ -204,6 +208,39 @@ fn parse_flags(cmd: &str, table: FlagTable, args: &[String]) -> Result<Flags, St
         flags.insert(name.to_string(), value.to_string());
     }
     Ok(flags)
+}
+
+/// Refuse a flag the run would drop without a word: one that the
+/// `--model` network fixes, or a crash request that never fires.
+fn check_combinations(cmd: &str, flags: &Flags) -> Result<(), String> {
+    let has = |name: &str| flags.contains_key(name);
+    let fixed_by_model: &[&str] = match cmd {
+        "solve" => &["oracle", "m"],
+        "serve" => &["random-weights", "m", "seed"],
+        _ => &[],
+    };
+    let dropped = fixed_by_model.iter().find(|&&name| has(name));
+    if let Some(name) = dropped.filter(|_| has("model")) {
+        return Err(format!(
+            "{cmd}: --{name} does not apply with --model: the loaded network fixes the \
+             solver, its weights and m"
+        ));
+    }
+    if has("crash-after") && !has("crash-rank") {
+        return Err(format!("{cmd}: --crash-after needs --crash-rank"));
+    }
+    if let Some(rank) = flags.get("crash-rank") {
+        let ranks: usize = get(flags, "ranks", 1);
+        if ranks == 1 {
+            return Err(format!("{cmd}: --crash-rank needs --ranks > 1"));
+        }
+        if get(flags, "crash-rank", 0) >= ranks {
+            return Err(format!(
+                "{cmd}: --crash-rank expects a rank below --ranks ({ranks}), got {rank}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// `4x2` → `(4, 2)`; `None` unless both factors are integers of at least 1.
@@ -395,6 +432,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
     // Fault injection: a rank crash after a set number of sends. A
     // crashed run fails the command; with MF_OBSERVE=dump[:DIR] the
     // cluster writes a post-mortem bundle on the way down.
+    // `check_combinations` has put the rank inside a multi-rank run.
     let plan = FaultPlan {
         crash: flags.contains_key("crash-rank").then(|| CrashAt {
             rank: get(flags, "crash-rank", 0),
@@ -402,10 +440,6 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
         }),
         ..FaultPlan::none()
     };
-    if plan.is_active() && ranks == 1 {
-        eprintln!("solve: fault injection needs --ranks > 1");
-        return ExitCode::FAILURE;
-    }
 
     // Solver selection. Models run on the compiled inference plan
     // (graph-free, `f32` inside each launch, within its launch bound of
@@ -658,7 +692,9 @@ fn main() -> ExitCode {
     let Some((cmd, (run, table))) = args.first().and_then(|c| Some((c, subcommand(c)?))) else {
         return usage();
     };
-    let flags = match parse_flags(cmd, table, &args[1..]) {
+    let flags = match parse_flags(cmd, table, &args[1..])
+        .and_then(|flags| check_combinations(cmd, &flags).map(|()| flags))
+    {
         Ok(flags) => flags,
         Err(reason) => {
             eprintln!("mosaic-flow {reason}\n");

@@ -262,6 +262,51 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
             &["eval", "--model", model, "--samples", "0"],
             "--samples expects at least 1, got `0`",
         ),
+        // A crash request that could never fire used to solve cleanly
+        // and exit 0, passing for a crash test that never crashed.
+        (
+            &[
+                "solve",
+                "--domain",
+                "2x2",
+                "--oracle",
+                "--ranks",
+                "2",
+                "--crash-rank",
+                "5",
+            ],
+            "--crash-rank expects a rank below --ranks (2), got 5",
+        ),
+        (
+            &["solve", "--oracle", "--ranks", "2", "--crash-after", "3"],
+            "--crash-after needs --crash-rank",
+        ),
+        (
+            &["solve", "--oracle", "--crash-rank", "0"],
+            "--crash-rank needs --ranks > 1",
+        ),
+        // A flag the loaded network fixes used to be dropped: `--m 17`
+        // solved at the model's own m. Refused before the model loads.
+        (
+            &["solve", "--domain", "2x1", "--model", model, "--oracle"],
+            "solve: --oracle does not apply with --model",
+        ),
+        (
+            &["solve", "--domain", "2x1", "--model", model, "--m", "17"],
+            "solve: --m does not apply with --model",
+        ),
+        (
+            &["serve", "--model", model, "--random-weights"],
+            "serve: --random-weights does not apply with --model",
+        ),
+        (
+            &["serve", "--model", model, "--m", "9"],
+            "serve: --m does not apply with --model",
+        ),
+        (
+            &["serve", "--model", model, "--seed", "3"],
+            "serve: --seed does not apply with --model",
+        ),
     ] {
         let err = rejected(args);
         assert!(
