@@ -27,8 +27,11 @@
 //!   first one arrives, and runs nothing.
 //! * **One kernel call per layer.** `matmul → + bias → activation` is one
 //!   [`Backend::layer`](mf_tensor::Backend::layer) call that *overwrites*
-//!   its destination (no zero-fill) and finishes each 64-row band — bias,
-//!   activation — while it is in L1. Weights are transposed and packed into
+//!   its destination (no zero-fill) and adds the bias and applies the
+//!   activation before the values leave the kernel: per 8-row × 48-column
+//!   register tile where the build target has AVX-512 and the layer is a
+//!   multiple of 16 wide (the trunk), per 64-row band in L1 otherwise —
+//!   the same bits either way. Weights are transposed and packed into
 //!   the microkernel's panel order ([`PackedB`]) at compile time, so a
 //!   launch packs nothing. The input-split combine, its bias and its
 //!   activation are one step as well, and the embedding's linear tail —

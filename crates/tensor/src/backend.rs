@@ -15,7 +15,9 @@
 //!   on a build without it, within `2γ_k·(|A|·|B|)ᵢⱼ` of it
 //!   ([`check_gemm_contract`], [`check_layer_contract`] with `f32`'s `γ`)
 //!   on a build with it, and bitwise *itself* — across plans, partitions,
-//!   pool widths and ranks — on either. `tanh` and `gelu`, in `f64` and in
+//!   pool widths and ranks — on either. (Where the target has `avx512f`,
+//!   the `f32` layer for `n % 16 == 0` and the `f32` GELU run a 512-bit
+//!   body chosen at compile time, bitwise the portable one.) `tanh` and `gelu`, in `f64` and in
 //!   `f32`, use a different approximation and carry explicit ulp budgets
 //!   (`tests/backend.rs` documents and enforces all of these).
 //! * **scalar** ([`scalar`]) — the reference loops, the test oracle the

@@ -3,9 +3,17 @@
 //! Portable hand-vectorization: every kernel processes fixed-width register
 //! tiles or lane blocks written so LLVM lowers them to packed vector
 //! instructions on any target — no intrinsics, no `unsafe`, no nightly
-//! `std::simd`. It overrides only what it computes differently from the
-//! scalar reference; the elementwise kernels, their VJPs and unfold/fold
-//! have one body, outside the trait. Two families:
+//! `std::simd` — with one exception. LLVM's tuning for Intel server cores
+//! prefers 256-bit vectors, so these loops never reach the 512-bit units;
+//! where the build target has `avx512f` (decided at compile time like
+//! [`FUSED`]: no runtime dispatch), the plan's `f32` layer for `n % 16 ==
+//! 0` and its `f32` GELU run a `std::arch` body instead (the `avx512`
+//! child module: 8-row × 48-column tiles, bias and GELU applied before a
+//! value reaches `out`), bitwise this module's portable body, which stays
+//! for every other target and shape and is its oracle in the tests. It
+//! overrides only what it computes differently from the scalar reference;
+//! the elementwise kernels, their VJPs and unfold/fold have one body,
+//! outside the trait. Two families:
 //!
 //! * **GEMM** ([`Backend::gemm_band`] in `f64`, [`Backend::layer`] in
 //!   `f32`) — one packed, cache-blocked microkernel, generic over the
@@ -17,8 +25,9 @@
 //!   `layer` reads panels a [`PackedB`] packed once, starts its
 //!   accumulators at `+0.0` (it overwrites `C`: no zero-fill, no re-load)
 //!   and finishes each 64-row band — bias, activation — while the band is
-//!   in L1. An `f32` tile is half the registers of an `f64` one, so the
-//!   plan's layers issue twice the multiply-adds per vector instruction.
+//!   in L1 (the portable body; the AVX-512 one finishes each tile). An
+//!   `f32` tile is half the registers of an `f64` one, so the plan's
+//!   layers issue twice the multiply-adds per vector instruction.
 //!   The inner loop carries no bounds checks: the tile's four row slices
 //!   are cut once per tile and zipped with `chunks_exact` over the panel.
 //!   The last columns (`n % NR`) run as one 4×8 half tile if there are
@@ -65,6 +74,9 @@ use crate::backend::{
     add_row, Act, Backend, BackendKind, PackedB, BAND, GELU_C, GELU_SQRT_2_OVER_PI, KC,
 };
 use std::cell::RefCell;
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod avx512;
 
 /// Microkernel register tile: rows of C per tile.
 const MR: usize = 4;
@@ -462,42 +474,15 @@ impl Backend for SimdBackend {
     }
 
     fn layer(&self, a: &[f32], w: &PackedB, bias: Option<&[f32]>, act: Act, out: &mut [f32]) {
-        let (k, n) = (w.k(), w.n());
-        if n == 0 {
-            return;
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        if w.k() > 0 && w.n() > 0 && w.n().is_multiple_of(avx512::LANES) {
+            return avx512::layer(a, w, bias, act, out);
         }
-        let finish = |band: &mut [f32]| {
-            if let Some(bias) = bias {
-                add_row(band, bias);
-            }
-            self.activate_f32(act, band);
-        };
-        if k == 0 {
-            out.fill(0.0);
-            return finish(out);
-        }
-        // Band by band: the band's rows of `a`, every panel of `w` and the
-        // band of `out` fit in L1 together, and bias and activation run
-        // over the band before the next one evicts it.
-        for (a_band, c_band) in a.chunks(BAND * k).zip(out.chunks_mut(BAND * n)) {
-            if FUSED && n == 1 {
-                // One column's panels, in order, are the column.
-                dot_rows(a_band, w.panels(), c_band);
-            } else {
-                for (p0, kb, j0, nb) in panel_blocks(k, n) {
-                    let panel = &w.panels()[p0 * n + kb * j0..][..kb * nb];
-                    panel_product(a_band, k, p0, panel, c_band, n, j0, nb, p0 > 0);
-                }
-            }
-            finish(c_band);
-        }
+        portable_layer(a, w, bias, act, out);
     }
 
     fn activate_f32(&self, act: Act, buf: &mut [f32]) {
-        match act {
-            Act::Identity => {}
-            Act::Gelu => blocks_apply_in_place(buf, gelu_lanes_f32::<BLOCK_F32>),
-        }
+        activate_f32(act, buf);
     }
 
     fn tanh(&self, a: &[f64], out: &mut [f64]) {
@@ -507,6 +492,58 @@ impl Backend for SimdBackend {
     fn gelu(&self, a: &[f64], out: &mut [f64]) {
         blocks_apply(a, out, gelu_lanes::<BLOCK>);
     }
+}
+
+/// The portable [`Backend::layer`]: every layer where the target lacks
+/// `avx512f`; where it has it, the layers with `k = 0` or an `n` that is
+/// not a multiple of 16.
+fn portable_layer(a: &[f32], w: &PackedB, bias: Option<&[f32]>, act: Act, out: &mut [f32]) {
+    let (k, n) = (w.k(), w.n());
+    if n == 0 {
+        return;
+    }
+    let finish = |band: &mut [f32]| {
+        if let Some(bias) = bias {
+            add_row(band, bias);
+        }
+        activate_f32(act, band);
+    };
+    if k == 0 {
+        out.fill(0.0);
+        return finish(out);
+    }
+    // Band by band: the band's rows of `a`, every panel of `w` and the
+    // band of `out` fit in L1 together, and bias and activation run
+    // over the band before the next one evicts it.
+    for (a_band, c_band) in a.chunks(BAND * k).zip(out.chunks_mut(BAND * n)) {
+        if FUSED && n == 1 {
+            // One column's panels, in order, are the column.
+            dot_rows(a_band, w.panels(), c_band);
+        } else {
+            for (p0, kb, j0, nb) in panel_blocks(k, n) {
+                let panel = &w.panels()[p0 * n + kb * j0..][..kb * nb];
+                panel_product(a_band, k, p0, panel, c_band, n, j0, nb, p0 > 0);
+            }
+        }
+        finish(c_band);
+    }
+}
+
+/// [`Backend::activate_f32`]: GELU in 512-bit vectors where the target has
+/// `avx512f`, bitwise [`gelu_portable`] either way.
+fn activate_f32(act: Act, buf: &mut [f32]) {
+    match act {
+        Act::Identity => {}
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        Act::Gelu => avx512::gelu_in_place(buf),
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+        Act::Gelu => gelu_portable(buf),
+    }
+}
+
+/// The portable `f32` GELU over `buf`, in place.
+fn gelu_portable(buf: &mut [f32]) {
+    blocks_apply_in_place(buf, gelu_lanes_f32::<BLOCK_F32>);
 }
 
 /// Apply a `[f64; BLOCK] -> [f64; BLOCK]` function over a slice, padding

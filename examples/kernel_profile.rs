@@ -7,10 +7,12 @@
 //! at compile time) and the split-combine GELU — is timed alone at
 //! its launch shape, on one lane and with its rows shared over two, next
 //! to arithmetic chains measured in the same run: separate multiply + add
-//! and fused multiply-add, in `f32` and in `f64`. "Of chain" is against
-//! the one the simd kernel issues in this build, in its element type: the
-//! fused chain when the target has the instruction (`mf_tensor::FUSED`),
-//! the mul+add chain otherwise. The `f64` kernels training runs are listed
+//! and fused multiply-add, in `f32` and in `f64`, and on an `avx512f` build
+//! the 512-bit fused `f32` chain the plan's layers issue there. "Of chain"
+//! is against the widest one the simd kernel issues in this build, in its
+//! element type: the fused chain when the target has the instruction
+//! (`mf_tensor::FUSED`), the mul+add chain otherwise, 512 bits wide for
+//! `f32` on an `avx512f` build. The `f64` kernels training runs are listed
 //! for comparison. The sum of the launch's kernels is set against the
 //! launch itself. A second table does the same for the kernels of one
 //! training step (`local_gradients` at the `train_ddp` step's shapes):
@@ -141,6 +143,50 @@ fn ceiling<T: Chain, const V: usize>(samples: usize, name: &str) -> (f64, String
         fused,
         format!("{name} mul+add chain {unfused:.1}, fused chain {fused:.1}"),
     )
+}
+
+/// GFLOP/s of 512-bit fused `f32` chains of `x = x*a + b` at the register
+/// blocking fastest on this host — the chain the plan's layers issue on an
+/// `avx512f` build, which LLVM's 256-bit preference keeps the portable
+/// chains above from measuring — or `None` on a build without `avx512f`.
+fn chain512(samples: usize) -> Option<f64> {
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    {
+        #[target_feature(enable = "avx512f")]
+        fn gflops<const C: usize>(samples: usize) -> f64 {
+            use std::arch::x86_64::{_mm512_fmadd_ps, _mm512_set1_ps};
+            const ROUNDS: usize = 1 << 14;
+            let a = _mm512_set1_ps(black_box(f32::A));
+            let b = _mm512_set1_ps(black_box(f32::B));
+            (0..samples)
+                .map(|_| {
+                    let mut acc = [_mm512_set1_ps(1.0); C];
+                    let t = Instant::now();
+                    for _ in 0..ROUNDS {
+                        for s in acc.iter_mut() {
+                            *s = _mm512_fmadd_ps(*s, a, b);
+                        }
+                    }
+                    black_box(&mut acc);
+                    2.0 * (C * 16 * ROUNDS) as f64 / t.elapsed().as_secs_f64() / 1e9
+                })
+                .fold(0.0, f64::max)
+        }
+        // SAFETY: the build target has `avx512f`.
+        let shapes = unsafe {
+            [
+                gflops::<12>(samples),
+                gflops::<8>(samples),
+                gflops::<10>(samples),
+            ]
+        };
+        Some(shapes.into_iter().fold(0.0, f64::max))
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    {
+        let _ = samples;
+        None
+    }
 }
 
 fn filled(rows: usize, cols: usize) -> Tensor {
@@ -301,14 +347,27 @@ fn main() {
 
     // What "of chain" is stated against: the chain the simd kernels issue.
     let (chain32, note32) = ceiling::<f32, 8>(samples, "f32");
+    // The plan's `f32` layers run 512-bit vectors where the target has them.
+    let wide = chain512(samples);
+    let (chain32, note32) = match wide {
+        Some(wide) => (
+            wide,
+            format!("{note32} (256-bit), 512-bit fused chain {wide:.1}"),
+        ),
+        None => (chain32, note32),
+    };
     let (chain64, note64) = ceiling::<f64, 4>(samples, "f64");
-    let which = if FUSED { "fused" } else { "mul+add" };
+    let which = match (FUSED, wide.is_some()) {
+        (true, true) => "fused chain in the kernel's type, 512 bits wide for f32",
+        (true, false) => "fused chain in the kernel's type",
+        _ => "mul+add chain in the kernel's type",
+    };
 
     println!("### Kernel profile: one B = {B} launch of the benchmark network");
     println!();
     println!(
         "backend `{}`, build {} FMA: {note32}, {note64} GFLOP/s per lane; \"of chain\" is of \
-         the {which} chain in the kernel's type; best of {samples} samples{}",
+         the {which}; best of {samples} samples{}",
         mf_tensor::backend_kind().name(),
         if FUSED { "has" } else { "has no" },
         if quick { " (`--quick`)" } else { "" }

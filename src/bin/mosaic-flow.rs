@@ -259,28 +259,31 @@ fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
+/// The help text: a plain string with real newlines, so the indented
+/// continuation lines keep their leading spaces.
+const USAGE: &str = "\
+usage: mosaic-flow <train|info|eval|solve|serve> [flags]
+
+train --samples N --epochs E [--m 9] [--devices P] --out model.mfn
+info  --model model.mfn
+eval  --model model.mfn [--samples 20] [--seed 1]
+solve --domain SXxSY [--model model.mfn | --oracle] [--boundary sin|gp:SEED]
+      [--ranks P] [--one-level] [--out grid.csv]
+      [--crash-rank K [--crash-after S]]
+serve --addr H:P [--model model.mfn | --random-weights [--seed N]]
+      [--workers N] [--queue-depth N]
+      [--max-points N]
+
+observability (any subcommand):
+  --metrics            print telemetry reports to stderr: one per distributed run, one at exit
+  --metrics-addr H:P   serve GET /metrics (OpenMetrics) and /snapshot (JSON)
+  --trace PATH         write a Chrome trace_event JSON
+  --watch              periodic rendered progress reports on stderr
+  MF_OBSERVE=dump[:DIR] write a post-mortem bundle on failure
+  MF_METRICS_ADDR=H:P  same as --metrics-addr";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: mosaic-flow <train|info|eval|solve|serve> [flags]\n\
-         \n\
-         train --samples N --epochs E [--m 9] [--devices P] --out model.mfn\n\
-         info  --model model.mfn\n\
-         eval  --model model.mfn [--samples 20] [--seed 1]\n\
-         solve --domain SXxSY [--model model.mfn | --oracle] [--boundary sin|gp:SEED]\n\
-               [--ranks P] [--one-level] [--out grid.csv]\n\
-               [--crash-rank K [--crash-after S]]\n\
-         serve --addr H:P [--model model.mfn | --random-weights [--seed N]]\n\
-               [--workers N] [--queue-depth N]\n\
-               [--max-points N]\n\
-         \n\
-         observability (any subcommand):\n\
-           --metrics            print telemetry reports to stderr: one per distributed run, one at exit\n\
-           --metrics-addr H:P   serve GET /metrics (OpenMetrics) and /snapshot (JSON)\n\
-           --trace PATH         write a Chrome trace_event JSON\n\
-           --watch              periodic rendered progress reports on stderr\n\
-           MF_OBSERVE=dump[:DIR] write a post-mortem bundle on failure\n\
-           MF_METRICS_ADDR=H:P  same as --metrics-addr"
-    );
+    eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
 

@@ -315,6 +315,11 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
         );
         assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
+    // The usage after a refusal keeps its continuation lines indented
+    // under their subcommand.
+    let err = rejected(&["solve", "--oracle", "--ranks", "2", "--crash-rank", "5"]);
+    assert!(err.contains("\n      [--ranks P] [--one-level]"), "{err}");
+    assert!(err.contains("\n  --metrics "), "{err}");
 }
 
 /// Run `args`, expect success, and return stderr.
