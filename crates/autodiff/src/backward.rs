@@ -7,15 +7,16 @@
 //! yields second derivatives, which is exactly how the physics-informed loss
 //! obtains `∂²u/∂x²` and then backpropagates it to the weights.
 //!
-//! In lean mode the adjoint bookkeeping is allocation-frugal: multiple
-//! contributions to one adjoint accumulate in place into a single `AddAcc`
-//! buffer (instead of an allocate-add-replace chain of binary `Add` nodes),
-//! and the elementwise VJP chains of `Tanh`/`Gelu` are emitted as fused
-//! kernels. Both transformations are value-preserving bit for bit: each
-//! fused kernel performs the same floating-point operations in the same
-//! per-element order as the chain it replaces, and duplicated contributions
-//! are still delivered as separate accumulate calls so the accumulation
-//! order is unchanged.
+//! The adjoint bookkeeping is allocation-frugal: multiple contributions to
+//! one adjoint accumulate in place into a single `AddAcc` buffer (instead
+//! of an allocate-add-replace chain of binary `Add` nodes), and the
+//! elementwise VJP chains of `Tanh`/`Gelu` are emitted as fused kernels.
+//! Both are value-preserving bit for bit: each fused kernel performs the
+//! same floating-point operations in the same per-element order as the
+//! primitive chain it replaces, and duplicated contributions are still
+//! delivered as separate accumulate calls so the accumulation order is
+//! unchanged. The unfused chains survive as the oracle of these claims in
+//! the tests (`unfused_tests.rs`), built from public primitives.
 //!
 //! [`Graph::backward`] is the same walk over the same `propagate`, made
 //! the tape's last: it releases every value the rest of the walk cannot
@@ -27,8 +28,8 @@
 //! that chain in order. `grad` keeps the chain because its output may be
 //! differentiated again: the chain's second-order adjoints are what
 //! `fused_vjps_match_unfused_bitwise_to_second_order` holds bitwise to the
-//! legacy graph's 18-node chain, which `GeluDeriv`'s analytic VJP
-//! (`g·σ''`) would only approximate. `GeluDeriv(x, k)` itself — the forward
+//! unfused 18-node chain, which `GeluDeriv`'s analytic VJP (`g·σ''`) would
+//! only approximate. `GeluDeriv(x, k)` itself — the forward
 //! Laplacian's `σ'` and `σ''` — has the VJP `g·GeluDeriv(x, k + 1)` in
 //! every walk, and `k = 3` none: a gradient through it panics.
 
@@ -418,20 +419,10 @@ impl Graph {
             }
             Op::Tanh(a) => {
                 if self.wants(a, needed) {
-                    if self.is_lean() {
-                        // Fused g·(1 − tanh²): one node instead of four,
-                        // same per-element arithmetic.
-                        let ga = self.tanh_vjp(g, node);
-                        self.accumulate(a, ga, needed, adjoint);
-                    } else {
-                        // d tanh(x) = 1 - tanh(x)², expressed via the forward
-                        // output node so it stays differentiable.
-                        let y2 = self.mul(node, node);
-                        let neg_y2 = self.neg(y2);
-                        let one_minus = self.add_scalar(neg_y2, 1.0);
-                        let ga = self.mul(g, one_minus);
-                        self.accumulate(a, ga, needed, adjoint);
-                    }
+                    // Fused g·(1 − tanh²): one node instead of four, same
+                    // per-element arithmetic.
+                    let ga = self.tanh_vjp(g, node);
+                    self.accumulate(a, ga, needed, adjoint);
                 }
             }
             Op::TanhVjp(gin, y) => {
@@ -523,19 +514,17 @@ impl Graph {
             }
             Op::Gelu(a) => {
                 if self.wants(a, needed) {
-                    use crate::ops::{GELU_C, GELU_SQRT_2_OVER_PI};
-                    if self.is_lean() && adjoint.consume {
+                    let deriv = if adjoint.consume {
                         // The tape's last pass: nothing differentiates this
                         // VJP again, so gelu'(x) is one node with the bits
                         // of the chain below.
-                        let deriv = self.gelu_deriv(a, 1);
-                        let ga = self.mul(g, deriv);
-                        self.accumulate(a, ga, needed, adjoint);
-                    } else if self.is_lean() {
-                        // gelu'(x) = ½(1 + t) + ½x (1 − t²)·u'(x) with the
-                        // scalar-chain segments fused: 12 nodes instead of
-                        // 18, same per-element arithmetic and accumulation
-                        // order as the unfused chain below.
+                        self.gelu_deriv(a, 1)
+                    } else {
+                        // gelu'(x) = ½(1 + t) + ½x (1 − t²)·u'(x),
+                        // t = tanh(u), u = √(2/π)(x + c x³),
+                        // u' = √(2/π)(1 + 3c x²), with the scalar-chain
+                        // segments fused: 12 nodes instead of 18, same
+                        // per-element arithmetic and accumulation order.
                         let x2 = self.mul(a, a);
                         let x3 = self.mul(x2, a);
                         let u = self.gelu_inner(a, x3);
@@ -546,34 +535,10 @@ impl Graph {
                         let half_x = self.scale(a, 0.5);
                         let hs = self.mul(half_x, omv);
                         let term2 = self.mul(hs, du);
-                        let deriv = self.add(term1, term2);
-                        let ga = self.mul(g, deriv);
-                        self.accumulate(a, ga, needed, adjoint);
-                    } else {
-                        // gelu'(x) = ½(1 + t) + ½x (1 − t²)·u'(x),
-                        // t = tanh(u), u = √(2/π)(x + c x³), u' = √(2/π)(1 + 3c x²).
-                        // Rebuilt from primitives so it stays differentiable.
-                        let x2 = self.mul(a, a);
-                        let x3 = self.mul(x2, a);
-                        let cx3 = self.scale(x3, GELU_C);
-                        let inner = self.add(a, cx3);
-                        let u = self.scale(inner, GELU_SQRT_2_OVER_PI);
-                        let t = self.tanh(u);
-                        let one_plus = self.add_scalar(t, 1.0);
-                        let term1 = self.scale(one_plus, 0.5);
-                        let t2 = self.mul(t, t);
-                        let nt2 = self.neg(t2);
-                        let sech2 = self.add_scalar(nt2, 1.0);
-                        let du_a = self.scale(x2, 3.0 * GELU_C);
-                        let du_b = self.add_scalar(du_a, 1.0);
-                        let du = self.scale(du_b, GELU_SQRT_2_OVER_PI);
-                        let half_x = self.scale(a, 0.5);
-                        let hs = self.mul(half_x, sech2);
-                        let term2 = self.mul(hs, du);
-                        let deriv = self.add(term1, term2);
-                        let ga = self.mul(g, deriv);
-                        self.accumulate(a, ga, needed, adjoint);
-                    }
+                        self.add(term1, term2)
+                    };
+                    let ga = self.mul(g, deriv);
+                    self.accumulate(a, ga, needed, adjoint);
                 }
             }
         }
@@ -586,14 +551,13 @@ impl Graph {
 
     /// Fold `contribution` into `target`'s adjoint slot.
     ///
-    /// Legacy mode chains binary `Add` nodes (allocate-add-replace). Lean
-    /// mode grows a single `AddAcc` accumulator: the second contribution
+    /// One `AddAcc` accumulator grows per slot: the second contribution
     /// allocates the accumulator buffer, every further one adds in place
     /// and re-pushes the node with the extended input list (the superseded
     /// accumulator is hollowed out, never mutated — in-place op mutation
     /// would put higher-index inputs on a lower-index node and break the
     /// reverse sweep of later backward passes). The accumulated value is
-    /// `((c₁+c₂)+c₃)+…` in arrival order either way, hence bitwise equal.
+    /// `((c₁+c₂)+c₃)+…` in arrival order, bitwise a chain of binary `Add`s.
     fn accumulate(
         &mut self,
         target: Var,
@@ -602,14 +566,6 @@ impl Graph {
         adjoint: &mut Adjoints,
     ) {
         if !self.wants(target, needed) {
-            return;
-        }
-        if !self.is_lean() {
-            let sum = match adjoint.get(target) {
-                None => contribution,
-                Some((prev, _)) => self.add(prev, contribution),
-            };
-            adjoint.set(target, (sum, false));
             return;
         }
         let slot = match adjoint.get(target) {
@@ -641,6 +597,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unfused_tests as unfused;
     use crate::Graph;
     use mf_tensor::Tensor;
 
@@ -798,46 +755,67 @@ mod tests {
         assert_eq!(g.value(d).as_slice(), &[1.0, 1.0, 2.0, 2.0]);
     }
 
+    /// Every element's bits.
+    fn bits(t: &Tensor) -> Vec<u64> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn grad_through_add_bias_matches_broadcast_chain() {
         let x_t = Tensor::from_fn(4, 3, |r, c| ((r * 3 + c) as f64 * 0.21).sin());
         let b_t = Tensor::row_vector(&[0.3, -0.2, 0.15]);
-        let run = |g: &mut Graph| {
+        let run = |fused: bool| {
+            let mut g = Graph::new();
             let x = g.leaf(x_t.clone());
             let b = g.leaf(b_t.clone());
-            let y = g.add_bias(x, b);
+            let y = if fused {
+                g.add_bias(x, b)
+            } else {
+                unfused::add_bias(&mut g, x, b)
+            };
             let t = g.tanh(y);
             let f = g.mean(t);
             let d = g.grad(f, &[x, b]);
-            (g.value(d[0]).clone(), g.value(d[1]).clone())
+            (bits(g.value(d[0])), bits(g.value(d[1])))
         };
-        let (dx_lean, db_lean) = run(&mut Graph::new());
-        let (dx_leg, db_leg) = run(&mut Graph::new_legacy());
-        for (a, b) in dx_lean.as_slice().iter().zip(dx_leg.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in db_lean.as_slice().iter().zip(db_leg.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(run(true), run(false));
     }
 
     /// A tape with every sharing pattern the slot counts must get right:
-    /// `Add` of a node with itself, `AddBias` and `AddScalar` handing one
-    /// adjoint to several inputs, and an inner `grad` the final pass
-    /// differentiates through.
-    fn shared_tape(g: &mut Graph) -> (Var, Var, Var) {
+    /// `Add` of a node with itself, `AddBias` (or `BroadcastRows` + `Add`)
+    /// and `AddScalar` handing one adjoint to several inputs, and an inner
+    /// gradient the final pass differentiates through: `grad`'s fused
+    /// VJPs, or with `!fused` the unfused chains built by hand in the
+    /// order the walk emits its own.
+    fn shared_tape(g: &mut Graph, fused: bool) -> (Var, Var, Var) {
         let x = g.leaf(Tensor::from_fn(3, 2, |r, c| {
             ((r * 2 + c) as f64 * 0.7).sin()
         }));
         let b = g.leaf(Tensor::row_vector(&[0.3, -0.8]));
-        let h = g.add_bias(x, b);
+        let h = if fused {
+            g.add_bias(x, b)
+        } else {
+            unfused::add_bias(g, x, b)
+        };
         let t = g.tanh(h);
         let tt = g.add(t, t);
         let e = g.gelu(tt);
         let p = g.mul(e, x);
         let s = g.add_scalar(p, 1.5);
         let f = g.sum(s);
-        let dx = g.grad(f, &[x])[0];
+        let dx = if fused {
+            g.grad(f, &[x])[0]
+        } else {
+            let seed = g.constant_scalar(1.0);
+            let (r, c) = g.shape_of(s);
+            let gs = g.broadcast_scalar(seed, r, c);
+            let ge = g.mul(gs, x);
+            let gx = g.mul(gs, e);
+            let gtt = unfused::gelu_vjp(g, ge, tt);
+            let gt = g.add(gtt, gtt);
+            let gh = unfused::tanh_vjp(g, gt, t);
+            g.add(gx, gh)
+        };
         let q = g.mul(dx, dx);
         let sq = g.sum(q);
         let loss = g.add(sq, f);
@@ -845,35 +823,28 @@ mod tests {
     }
 
     #[test]
-    fn backward_equals_grad_bitwise_on_lean_and_legacy_tapes() {
-        for lean in [true, false] {
-            let fresh = || {
-                if lean {
-                    Graph::new()
-                } else {
-                    Graph::new_legacy()
-                }
+    fn backward_equals_grad_bitwise_on_fused_and_unfused_tapes() {
+        let run = |fused: bool, consume: bool| {
+            let mut g = Graph::new();
+            let (loss, x, b) = shared_tape(&mut g, fused);
+            let grads = if consume {
+                g.backward(loss, &[x, b])
+            } else {
+                g.grad(loss, &[x, b])
             };
-            let run = |consume: bool| {
-                let mut g = fresh();
-                let (loss, x, b) = shared_tape(&mut g);
-                let grads = if consume {
-                    g.backward(loss, &[x, b])
-                } else {
-                    g.grad(loss, &[x, b])
-                };
-                let vals: Vec<Vec<u64>> = grads
-                    .iter()
-                    .map(|&v| g.value(v).as_slice().iter().map(|x| x.to_bits()).collect())
-                    .collect();
-                (vals, g.peak_bytes(), g.bytes_allocated())
-            };
-            let (kept, kept_peak, kept_bytes) = run(false);
-            let (consumed, consumed_peak, consumed_bytes) = run(true);
-            assert_eq!(consumed, kept, "lean = {lean}");
-            assert!(consumed_peak < kept_peak, "lean = {lean}");
-            assert!(consumed_bytes < kept_bytes, "lean = {lean}");
+            let vals: Vec<Vec<u64>> = grads.iter().map(|&v| bits(g.value(v))).collect();
+            (vals, g.peak_bytes(), g.bytes_allocated())
+        };
+        for fused in [true, false] {
+            let (kept, kept_peak, kept_bytes) = run(fused, false);
+            let (consumed, consumed_peak, consumed_bytes) = run(fused, true);
+            assert_eq!(consumed, kept, "fused = {fused}");
+            assert!(consumed_peak < kept_peak, "fused = {fused}");
+            assert!(consumed_bytes < kept_bytes, "fused = {fused}");
         }
+        // Through the inner gradient is second order: the fused VJPs give
+        // the unfused chains' bits.
+        assert_eq!(run(true, false).0, run(false, false).0);
     }
 
     #[test]
@@ -946,23 +917,21 @@ mod tests {
         }
     }
 
-    /// The design claim of the lean backward: fused kernels and AddAcc
-    /// accumulation reproduce the legacy chain bitwise through two orders
-    /// of differentiation. At third order the values may differ by a few
-    /// ulps: the legacy Tanh/Gelu VJP chains *reuse* their first-backward
-    /// intermediate nodes (e.g. `1 − t²`), so third-order adjoints sum the
-    /// same terms in a different association order than the fused ops,
-    /// which emit fresh nodes. That is far inside the 1e-9 golden-fixture
-    /// tolerance.
+    /// The design claim of the fused backward: fused kernels and AddAcc
+    /// accumulation reproduce the unfused chains bitwise through two
+    /// orders of differentiation. At third order the values may differ by
+    /// a few ulps: the unfused Tanh/Gelu VJP chains *reuse* their
+    /// first-backward intermediate nodes (e.g. `1 − t²`), so third-order
+    /// adjoints sum the same terms in a different association order than
+    /// the fused ops, which emit fresh nodes. That is far inside the 1e-9
+    /// golden-fixture tolerance.
     #[test]
-    fn lean_and_legacy_derivatives_bitwise_equal_to_third_order() {
+    fn fused_derivatives_match_unfused_chains_to_third_order() {
         let x_t = Tensor::row_vector(&[-1.3, -0.4, 0.0, 0.31, 0.9, 1.7]);
-        let run = |g: &mut Graph| {
+        let run = |fused: bool| {
+            let mut g = Graph::new();
             let x = g.leaf(x_t.clone());
-            let t = g.tanh(x);
-            let e = g.gelu(t);
-            let f = g.sum(e);
-            let d1 = g.grad(f, &[x])[0];
+            let d1 = unfused::tanh_gelu_grad(&mut g, x, fused);
             let s1 = g.sum(d1);
             let d2 = g.grad(s1, &[x])[0];
             let s2 = g.sum(d2);
@@ -973,15 +942,15 @@ mod tests {
                 g.value(d3).clone(),
             )
         };
-        let lean = run(&mut Graph::new());
-        let legacy = run(&mut Graph::new_legacy());
-        for (x, y) in lean.0.as_slice().iter().zip(legacy.0.as_slice()) {
+        let fused = run(true);
+        let chains = run(false);
+        for (x, y) in fused.0.as_slice().iter().zip(chains.0.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "order-1 drifted: {x:e} vs {y:e}");
         }
-        for (x, y) in lean.1.as_slice().iter().zip(legacy.1.as_slice()) {
+        for (x, y) in fused.1.as_slice().iter().zip(chains.1.as_slice()) {
             assert_eq!(x.to_bits(), y.to_bits(), "order-2 drifted: {x:e} vs {y:e}");
         }
-        for (x, y) in lean.2.as_slice().iter().zip(legacy.2.as_slice()) {
+        for (x, y) in fused.2.as_slice().iter().zip(chains.2.as_slice()) {
             assert!(
                 (x - y).abs() <= 1e-12 * y.abs().max(1.0),
                 "order-3 drifted beyond 1e-12: {x:e} vs {y:e}"

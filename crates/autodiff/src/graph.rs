@@ -2,13 +2,10 @@
 //!
 //! # Memory model
 //!
-//! The graph owns a [`BufferPool`]: in the default *lean* mode every node
-//! value is acquired from the pool and every buffer is returned to it on
-//! [`Graph::clear`], so a steady-state training step (same shapes every
-//! step) performs near-zero heap allocation after the first warm-up step.
-//! [`Graph::new_legacy`] disables pooling and the fused backward kernels,
-//! reproducing the original allocate-per-node behaviour for before/after
-//! comparisons (`repro_table3`).
+//! The graph owns a [`BufferPool`]: every node value is acquired from the
+//! pool and every buffer is returned to it on [`Graph::clear`], so a
+//! steady-state training step (same shapes every step) performs no heap
+//! allocation after the first warm-up step.
 //!
 //! [`Graph::grad`] *retains* the tape: every value and every adjoint stays
 //! live until [`Graph::clear`], because a later `grad` may differentiate
@@ -105,7 +102,7 @@ pub enum Op {
     Gelu(Var),
     /// N-ary gradient accumulator: elementwise sum of all inputs.
     ///
-    /// Emitted by the lean backward pass instead of a chain of binary
+    /// Emitted by the backward pass instead of a chain of binary
     /// `Add` nodes: when a node's adjoint receives its `k`-th contribution
     /// the accumulator's buffer is extended in place (axpy-style) and
     /// re-pushed with the longer input list, so `k` contributions cost one
@@ -159,17 +156,13 @@ pub(crate) struct Node {
 pub struct Graph {
     pub(crate) nodes: Vec<Node>,
     pool: BufferPool,
-    /// Pool-recycled buffers + fused backward kernels (default). `false`
-    /// reproduces the original allocate-per-node tape for benchmarking.
-    lean: bool,
     /// Capacity bytes of all live node values.
     live_bytes: usize,
     /// High-water mark of `live_bytes` since the last [`Graph::clear`].
     peak_bytes: usize,
-    /// Buffers obtained from the heap instead of the pool: pool misses,
-    /// legacy-mode allocations, and adopted external buffers
-    /// ([`Graph::leaf`] / [`Graph::constant`]).
-    heap_allocs: u64,
+    /// External buffers adopted by [`Graph::leaf`] / [`Graph::constant`]:
+    /// heap allocations beside the pool's misses.
+    adopted: u64,
 }
 
 impl Default for Graph {
@@ -179,32 +172,15 @@ impl Default for Graph {
 }
 
 impl Graph {
-    /// Empty graph in lean (pooled, fused-backward) mode.
+    /// Empty graph with an empty buffer pool.
     pub fn new() -> Self {
         Self {
             nodes: Vec::new(),
             pool: BufferPool::new(),
-            lean: true,
             live_bytes: 0,
             peak_bytes: 0,
-            heap_allocs: 0,
+            adopted: 0,
         }
-    }
-
-    /// Empty graph with pooling and fused backward kernels disabled: every
-    /// node value is a fresh exact-size heap allocation and the backward
-    /// pass emits the original unfused VJP chains. Used by the memory
-    /// benchmarks as the "before" baseline and by the equivalence proptests.
-    pub fn new_legacy() -> Self {
-        Self {
-            lean: false,
-            ..Self::new()
-        }
-    }
-
-    /// Whether this graph runs in lean (pooled + fused) mode.
-    pub(crate) fn is_lean(&self) -> bool {
-        self.lean
     }
 
     /// Drop all nodes and recycle their buffers into the pool, starting a
@@ -213,9 +189,7 @@ impl Graph {
     pub fn clear(&mut self) {
         for node in self.nodes.drain(..) {
             if let Some(v) = node.value {
-                if self.lean {
-                    self.pool.release(v);
-                }
+                self.pool.release(v);
             }
         }
         self.live_bytes = 0;
@@ -251,9 +225,9 @@ impl Graph {
     }
 
     /// Buffers this graph obtained from the heap rather than the pool
-    /// (pool misses, legacy-mode allocations, adopted external buffers).
+    /// (pool misses and adopted external buffers).
     pub fn heap_allocs(&self) -> u64 {
-        self.heap_allocs
+        self.pool.stats().misses + self.adopted
     }
 
     /// The computed value of a variable.
@@ -289,14 +263,14 @@ impl Graph {
     /// Record a differentiable leaf (parameter or input), adopting an
     /// externally-allocated buffer.
     pub fn leaf(&mut self, value: Tensor) -> Var {
-        self.heap_allocs += 1;
+        self.adopted += 1;
         self.push(Op::Leaf, value, true)
     }
 
     /// Record a non-differentiable constant, adopting an
     /// externally-allocated buffer.
     pub fn constant(&mut self, value: Tensor) -> Var {
-        self.heap_allocs += 1;
+        self.adopted += 1;
         self.push(Op::Const, value, false)
     }
 
@@ -328,24 +302,13 @@ impl Graph {
         out
     }
 
-    /// A zero-filled `rows×cols` tensor: pool-recycled in lean mode, a
-    /// fresh exact-size heap allocation otherwise.
+    /// A zero-filled, pool-recycled `rows×cols` tensor.
     pub(crate) fn alloc(&mut self, rows: usize, cols: usize) -> Tensor {
-        if self.lean {
-            let before = self.pool.stats().misses;
-            let t = self.pool.acquire(rows, cols);
-            if self.pool.stats().misses > before {
-                self.heap_allocs += 1;
-            }
-            t
-        } else {
-            self.heap_allocs += 1;
-            Tensor::zeros(rows, cols)
-        }
+        self.pool.acquire(rows, cols)
     }
 
-    /// Like [`Graph::alloc`] but the contents are **unspecified** in lean
-    /// mode (recycled data from a previous node). Only for evaluation
+    /// Like [`Graph::alloc`] but the contents are **unspecified**
+    /// (recycled data from a previous node). Only for evaluation
     /// arms whose kernel overwrites every element — accumulating kernels
     /// (`gemm_into`, `fold1d`, axis sums, pads) must use [`Graph::alloc`].
     /// Skipping the zero-fill removes a full write pass over every buffer
@@ -354,19 +317,7 @@ impl Graph {
     /// the buffer is usually one the walk just released and is still in
     /// cache, so the saving is smaller but the pass is still wasted work.
     pub(crate) fn alloc_dirty(&mut self, rows: usize, cols: usize) -> Tensor {
-        if self.lean {
-            let before = self.pool.stats().misses;
-            let t = self.pool.acquire_dirty(rows, cols);
-            if self.pool.stats().misses > before {
-                self.heap_allocs += 1;
-            }
-            t
-        } else {
-            // Non-lean graphs are for tests/debugging; fresh zeroed pages
-            // are cheap there and keep buffer contents reproducible.
-            self.heap_allocs += 1;
-            Tensor::zeros(rows, cols)
-        }
+        self.pool.acquire_dirty(rows, cols)
     }
 
     pub(crate) fn push(&mut self, op: Op, value: Tensor, requires_grad: bool) -> Var {
@@ -404,14 +355,12 @@ impl Graph {
         t
     }
 
-    /// Drop `v`'s value (back into the pool in lean mode), for a consuming
-    /// [`Graph::backward`]; a no-op on a node whose value is already gone.
+    /// Return `v`'s value to the pool, for a consuming [`Graph::backward`];
+    /// a no-op on a node whose value is already gone.
     pub(crate) fn release(&mut self, v: Var) {
         if let Some(val) = self.nodes[v.0].value.take() {
             self.live_bytes -= val.capacity_bytes();
-            if self.lean {
-                self.pool.release(val);
-            }
+            self.pool.release(val);
         }
     }
 }
@@ -537,29 +486,6 @@ mod tests {
         assert!(peak >= 2 * 64 * 8);
         g.clear();
         assert_eq!(g.peak_bytes(), 0);
-    }
-
-    #[test]
-    fn legacy_and_lean_forward_values_agree_bitwise() {
-        let build = |g: &mut Graph| {
-            let x = g.leaf(Tensor::from_fn(3, 4, |r, c| ((r * 4 + c) as f64).sin()));
-            let w = g.leaf(Tensor::from_fn(2, 4, |r, c| ((r + c) as f64 * 0.3).cos()));
-            let y = g.matmul_layout(x, Layout::Normal, w, Layout::Transposed);
-            let t = g.tanh(y);
-            g.mean(t)
-        };
-        let mut lean = Graph::new();
-        let mut legacy = Graph::new_legacy();
-        let a = build(&mut lean);
-        let b = build(&mut legacy);
-        for (x, y) in lean
-            .value(a)
-            .as_slice()
-            .iter()
-            .zip(legacy.value(b).as_slice())
-        {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     #[test]

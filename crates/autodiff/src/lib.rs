@@ -70,3 +70,5 @@ pub use graph::{Graph, Op, Var};
 mod adjoint_tests;
 #[cfg(test)]
 mod finite_diff_tests;
+#[cfg(test)]
+mod unfused_tests;

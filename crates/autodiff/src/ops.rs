@@ -4,7 +4,7 @@
 //! records the [`Op`] so the backward pass can differentiate it later.
 //!
 //! All values flow through a single evaluator ([`Graph::eval_live`]) that
-//! writes into pool-recycled buffers in lean mode.
+//! writes into pool-recycled buffers.
 
 use crate::graph::{Graph, Op, Var};
 use mf_tensor::{fold1d_circular_into, gemm_overwrite, unfold1d_circular_into, Layout, Tensor};
@@ -434,10 +434,8 @@ impl Graph {
 
     /// Fused broadcast bias add: `x + broadcast_rows(b)` for `x: [q,d]`,
     /// `b: [1,d]`, in one node instead of a `BroadcastRows` + `Add` pair —
-    /// the broadcasted bias matrix is never materialized.
-    ///
-    /// In legacy (non-lean) mode this falls back to the original two-node
-    /// chain so allocation benchmarks compare against true `main` behaviour.
+    /// the broadcasted bias matrix is never materialized. Value and
+    /// gradients are bit for bit those of the pair.
     pub fn add_bias(&mut self, x: Var, b: Var) -> Var {
         assert_eq!(self.shape_of(b).0, 1, "add_bias: bias must be a row vector");
         assert_eq!(
@@ -445,11 +443,6 @@ impl Graph {
             self.shape_of(b).1,
             "add_bias: column mismatch"
         );
-        if !self.is_lean() {
-            let q = self.shape_of(x).0;
-            let bb = self.broadcast_rows(b, q);
-            return self.add(x, bb);
-        }
         self.record(Op::AddBias(x, b))
     }
 
@@ -552,25 +545,18 @@ mod tests {
     }
 
     #[test]
-    fn add_bias_matches_broadcast_add_in_both_modes() {
-        let x_t = Tensor::from_fn(3, 2, |r, c| (r * 2 + c) as f64);
-        let b_t = Tensor::row_vector(&[10.0, 20.0]);
-        let via_fused = {
-            let mut g = Graph::new();
-            let x = g.leaf(x_t.clone());
-            let b = g.leaf(b_t.clone());
-            let y = g.add_bias(x, b);
-            g.value(y).clone()
-        };
-        let via_legacy = {
-            let mut g = Graph::new_legacy();
-            let x = g.leaf(x_t.clone());
-            let b = g.leaf(b_t.clone());
-            let y = g.add_bias(x, b);
-            g.value(y).clone()
-        };
-        assert_eq!(via_fused.as_slice(), &[10.0, 21.0, 12.0, 23.0, 14.0, 25.0]);
-        assert_eq!(via_fused, via_legacy);
+    fn add_bias_matches_broadcast_add() {
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::from_fn(3, 2, |r, c| (r * 2 + c) as f64));
+        let b = g.leaf(Tensor::row_vector(&[10.0, 20.0]));
+        let fused = g.add_bias(x, b);
+        let bb = g.broadcast_rows(b, 3);
+        let unfused = g.add(x, bb);
+        assert_eq!(
+            g.value(fused).as_slice(),
+            &[10.0, 21.0, 12.0, 23.0, 14.0, 25.0]
+        );
+        assert_eq!(g.value(fused), g.value(unfused));
     }
 
     #[test]

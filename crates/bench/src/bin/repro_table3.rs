@@ -8,46 +8,34 @@
 //! per-domain-count, together with the extrapolated domain count that
 //! would exhaust a 16 GB device. The first table counts the bytes the tape
 //! *recorded* by the paper's triple-backward PDE loss (a tape that keeps
-//! every node, as PyTorch's does); the second compares the live peaks of a
-//! legacy step (the same triple backward) and of the training step, whose
-//! PDE loss is a forward Laplacian.
+//! every node, as PyTorch's does). The second sets that step, measured
+//! once, beside a warm training step, whose PDE loss is a forward
+//! Laplacian.
+//!
+//! Every run checks the table's claims and exits 1 naming any that fails:
+//! the PDE loss inflates the tape 10–15× at every row; from 5 domains up,
+//! each doubling of the domains doubles the with-PDE bytes within 5 %; and
+//! at every row the warm training step peaks below the paper's step and
+//! makes no heap allocation.
 //!
 //! ```text
 //! cargo run -p mf-bench --release --bin repro_table3 [--full]
 //! ```
 
-use mf_autodiff::Graph;
 use mf_bench::gate::Metric;
 use mf_bench::*;
-use mf_data::{Batch, BatchSampler, Dataset};
+use mf_data::{BatchSampler, Dataset};
 use mf_nn::SdNet;
-use mf_train::{data_loss, local_gradients, measure_step_memory, pde_loss_triple_backward};
+use mf_train::{local_gradients, measure_step_memory, MemoryReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// One training step the way `main` ran it before the allocation-lean
-/// hot path: a fresh legacy graph per pass, allocate-add-replace adjoint
-/// accumulation, unfused VJP chains, no buffer pool, and the paper's
-/// triple-backward PDE loss on a tape that keeps every value until it is
-/// dropped. Returns `(peak_bytes, heap_allocs)` with the same
-/// per-pass-max / summed semantics as `StepStats`.
-fn legacy_step(net: &SdNet, batch: &Batch) -> (usize, u64) {
-    let mut peak = 0usize;
-    let mut allocs = 0u64;
-    for pass in 0..2 {
-        let mut g = Graph::new_legacy();
-        let bound = net.params.bind(&mut g);
-        let loss = if pass == 0 {
-            data_loss(&mut g, net, &bound, batch)
-        } else {
-            pde_loss_triple_backward(&mut g, net, &bound, batch)
-        };
-        let _ = g.grad(loss, bound.all_vars());
-        peak = peak.max(g.peak_bytes());
-        allocs += g.heap_allocs();
-    }
-    (peak, allocs)
-}
+/// The paper's blowup band for the PDE loss: ~10× at 5 domains (§5.2).
+const BLOWUP_BAND: (f64, f64) = (10.0, 15.0);
+/// From this many domains up, the with-PDE bytes grow linearly …
+const LINEAR_FROM: usize = 5;
+/// … within this relative bound on the ratio 2 per doubling.
+const DOUBLING_TOL: f64 = 0.05;
 
 fn main() {
     let trace = init_telemetry();
@@ -70,7 +58,10 @@ fn main() {
     let mut sampler = BatchSampler::new(1, qd, qc, 0);
 
     let mut rows = Vec::new();
-    let mut last = None;
+    let mut lean_rows = Vec::new();
+    let mut gate_metrics = Vec::new();
+    let mut reports = Vec::new();
+    let mut warm_ok = true;
     for &domains in &domain_counts {
         let idx: Vec<usize> = (0..domains).collect();
         let batch = sampler.make_batch(&ds, &idx);
@@ -81,36 +72,22 @@ fn main() {
             format!("{:.3} MB", r.bytes_with_pde as f64 / 1e6),
             format!("{:.1}x", r.blowup()),
         ]);
-        last = Some(r);
-    }
-    print_table(
-        "Table 3: memory per training step",
-        &["# domains", "no PDE loss", "with PDE loss", "blowup"],
-        &rows,
-    );
+        reports.push(r);
 
-    // Before/after table for the allocation-lean hot path: the legacy
-    // engine (fresh unpooled graph per pass, chained adjoint adds, unfused
-    // VJPs, triple-backward PDE loss — what `main` ran) vs a warm training
-    // step on the lean engine's persistent graph (steps 2+ of a training
-    // run), whose PDE loss is the forward Laplacian.
-    let mut lean_rows = Vec::new();
-    let mut gate_metrics = Vec::new();
-    for &domains in &domain_counts {
-        let idx: Vec<usize> = (0..domains).collect();
-        let batch = sampler.make_batch(&ds, &idx);
-        let (legacy_peak, legacy_allocs) = legacy_step(&net, &batch);
-        // Warm the pool with one step, then measure steady state.
+        // The paper's step is the one just metered; beside it, a warm
+        // training step on the persistent graph (steps 2+ of a training
+        // run). Warm the pool with one step, then measure steady state.
         let _ = local_gradients(&net, &batch, 1.0);
         let (_, _, warm) = local_gradients(&net, &batch, 1.0);
-        let reduction = 1.0 - warm.peak_bytes as f64 / legacy_peak as f64;
-        let alloc_ratio = legacy_allocs as f64 / warm.heap_allocs.max(1) as f64;
+        warm_ok &= warm.peak_bytes < r.bytes_with_pde && warm.heap_allocs == 0;
+        let reduction = 1.0 - warm.peak_bytes as f64 / r.bytes_with_pde as f64;
+        let alloc_ratio = r.heap_allocs as f64 / warm.heap_allocs.max(1) as f64;
         lean_rows.push(vec![
             domains.to_string(),
-            format!("{:.3} MB", legacy_peak as f64 / 1e6),
+            format!("{:.3} MB", r.bytes_with_pde as f64 / 1e6),
             format!("{:.3} MB", warm.peak_bytes as f64 / 1e6),
             format!("{:.0}%", reduction * 100.0),
-            legacy_allocs.to_string(),
+            r.heap_allocs.to_string(),
             warm.heap_allocs.to_string(),
             if warm.heap_allocs == 0 {
                 "inf".to_string()
@@ -119,36 +96,31 @@ fn main() {
             },
         ]);
         if domains == max_domains {
-            gate_metrics.push((
-                "table3.warm_peak_bytes".to_string(),
-                Metric {
-                    value: warm.peak_bytes as f64,
+            // The warm step's allocations are exactly zero: any is a
+            // regression, and the relative-change math needs a nonzero-safe
+            // tol. "Legacy" is the paper's triple-backward step.
+            for (name, value, higher_better) in [
+                ("table3.warm_peak_bytes", warm.peak_bytes as f64, false),
+                ("table3.warm_heap_allocs", warm.heap_allocs as f64, false),
+                ("table3.peak_reduction_vs_legacy", reduction, true),
+            ] {
+                let metric = Metric {
+                    value,
                     tol: 0.15,
-                    higher_better: false,
-                },
-            ));
-            gate_metrics.push((
-                "table3.warm_heap_allocs".to_string(),
-                // Steady state is exactly zero; any alloc is a regression,
-                // and the relative-change math needs a nonzero-safe tol.
-                Metric {
-                    value: warm.heap_allocs as f64,
-                    tol: 0.15,
-                    higher_better: false,
-                },
-            ));
-            gate_metrics.push((
-                "table3.peak_reduction_vs_legacy".to_string(),
-                Metric {
-                    value: reduction,
-                    tol: 0.15,
-                    higher_better: true,
-                },
-            ));
+                    higher_better,
+                };
+                gate_metrics.push((name.to_string(), metric));
+            }
         }
     }
     print_table(
-        "Allocation-lean hot path: before (legacy engine) vs after (warm lean step)",
+        "Table 3: memory per training step",
+        &["# domains", "no PDE loss", "with PDE loss", "blowup"],
+        &rows,
+    );
+    print_table(
+        "Allocation-lean hot path: before (the paper's step: the with-PDE tape \
+         above) vs after (warm training step)",
         &[
             "# domains",
             "peak before",
@@ -162,9 +134,9 @@ fn main() {
     );
     emit_metrics(&gate_metrics);
 
-    if let Some(r) = last {
-        // Memory grows linearly in the domain count (verified by the
-        // table); extrapolate to the paper's 16 GB V100.
+    if let Some(r) = reports.last() {
+        // Memory grows linearly in the domain count (a claim checked
+        // below); extrapolate to the paper's 16 GB V100.
         let bytes_per_domain = r.bytes_with_pde as f64 / r.domains as f64;
         let v100 = 16.0 * 1e9;
         println!(
@@ -179,5 +151,58 @@ fn main() {
             r.blowup()
         );
     }
+    println!("\n== Table 3 claims ==");
+    let mut violated = false;
+    for (holds, claim) in check_claims(&reports, warm_ok) {
+        println!("{}: {claim}", if holds { "holds" } else { "VIOLATED" });
+        if !holds {
+            eprintln!("repro_table3: claim violated: {claim}");
+            violated = true;
+        }
+    }
     finish_trace(trace);
+    if violated {
+        std::process::exit(1);
+    }
+}
+
+/// Each claim of the table with whether this run upholds it.
+fn check_claims(reports: &[MemoryReport], warm_ok: bool) -> Vec<(bool, String)> {
+    let (lo, hi) = BLOWUP_BAND;
+    let blowups: Vec<f64> = reports.iter().map(MemoryReport::blowup).collect();
+    let (min, max) = blowups
+        .iter()
+        .fold((f64::INFINITY, 0.0f64), |(a, b), &x| (a.min(x), b.max(x)));
+    let ratios: Vec<f64> = reports
+        .windows(2)
+        .filter(|w| w[0].domains >= LINEAR_FROM && w[1].domains == 2 * w[0].domains)
+        .map(|w| w[1].bytes_with_pde as f64 / w[0].bytes_with_pde as f64)
+        .collect();
+    let listed = ratios
+        .iter()
+        .map(|r| format!("{r:.3}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+    vec![
+        (
+            blowups.iter().all(|b| (lo..=hi).contains(b)),
+            format!(
+                "the PDE loss inflates the tape {lo}-{hi}x at every row ({min:.1}x to {max:.1}x)"
+            ),
+        ),
+        (
+            !ratios.is_empty() && ratios.iter().all(|r| (r / 2.0 - 1.0).abs() <= DOUBLING_TOL),
+            format!(
+                "from {LINEAR_FROM} domains up, each doubling of the domains multiplies the \
+                 with-PDE bytes by 2 ± {:.0}% ({listed})",
+                DOUBLING_TOL * 100.0
+            ),
+        ),
+        (
+            warm_ok,
+            "at every row the warm training step peaks below the paper's step and makes 0 \
+             heap allocations"
+                .to_string(),
+        ),
+    ]
 }

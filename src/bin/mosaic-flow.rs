@@ -34,7 +34,8 @@
 //! network (`tests/precision.rs`), whichever embedding it uses.
 //!
 //! Every subcommand has a closed list of flags: an unknown flag, a
-//! missing value, a value that does not parse, a negative or non-finite
+//! missing value, a value that does not parse (a `--boundary` that is
+//! neither `sin` nor `gp:SEED`, too), a negative or non-finite
 //! rate (`--slo-*`), or a zero where a count must be at
 //! least 1 (`--devices`, `--epochs`, `--ranks`, `--workers`, `eval
 //! --samples`, either factor of `--domain`) prints a one-line reason plus
@@ -85,7 +86,9 @@ enum Kind {
     /// Grid points per subdomain side: odd (neighbours overlap by half a
     /// side, on a centre line) and at least 5, or `DomainSpec` panics.
     Side,
-    /// Free text (paths, addresses, `gp:SEED`).
+    /// `sin`, or `gp:SEED` with an integer seed.
+    Boundary,
+    /// Free text (paths, addresses).
     Text,
 }
 
@@ -130,7 +133,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("model", Text),
                 ("oracle", Switch),
                 ("m", Side),
-                ("boundary", Text),
+                ("boundary", Boundary),
                 ("ranks", Positive),
                 ("one-level", Switch),
                 ("out", Text),
@@ -198,6 +201,9 @@ fn parse_flags(cmd: &str, table: FlagTable, args: &[String]) -> Result<Flags, St
                 Kind::Side if !value.parse::<usize>().is_ok_and(|m| m % 2 == 1 && m >= 5) => {
                     Some("an odd number of at least 5")
                 }
+                Kind::Boundary if parse_boundary(value).is_none() => {
+                    Some("sin or gp:SEED with an integer seed")
+                }
                 _ => None,
             };
             if let Some(expected) = expected {
@@ -248,6 +254,15 @@ fn parse_domain(value: &str) -> Option<(usize, usize)> {
     let (sx, sy) = value.split_once('x')?;
     let (sx, sy) = (sx.parse().ok()?, sy.parse().ok()?);
     (sx >= 1 && sy >= 1).then_some((sx, sy))
+}
+
+/// `sin` → `Some(None)`, `gp:SEED` → `Some(Some(SEED))`; `None` for
+/// anything else.
+fn parse_boundary(value: &str) -> Option<Option<u64>> {
+    match value.strip_prefix("gp:") {
+        Some(seed) => seed.parse().ok().map(Some),
+        None => (value == "sin").then_some(None),
+    }
 }
 
 /// A flag's value, or `default` when the flag was not given
@@ -466,15 +481,11 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
     };
 
     let domain = DomainSpec::new(spec, sx, sy);
-    let boundary_str = flags
+    let gp_seed = flags
         .get("boundary")
-        .cloned()
-        .unwrap_or_else(|| "sin".to_string());
-    let bc = if let Some(seed) = boundary_str.strip_prefix("gp:") {
-        let Ok(seed) = seed.parse::<u64>() else {
-            eprintln!("solve: --boundary gp:SEED expects an integer seed");
-            return ExitCode::FAILURE;
-        };
+        .and_then(|b| parse_boundary(b))
+        .flatten();
+    let bc = if let Some(seed) = gp_seed {
         let mut sampler = BoundarySampler::new(domain.boundary_len(), (0.4, 0.8), (0.5, 1.0), true);
         sampler.sample(&mut ChaCha8Rng::seed_from_u64(seed))
     } else {

@@ -1,6 +1,6 @@
 //! Allocation-regression tests for the pooled autodiff hot path.
 //!
-//! The lean engine's contract is that a fixed training loop reaches a
+//! The graph's contract is that a fixed training loop reaches a
 //! zero-allocation steady state: step 1 populates the graph's buffer
 //! pool, and every later step of the same shape is served entirely from
 //! recycled buffers — zero pool misses, zero heap allocations. These

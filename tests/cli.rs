@@ -208,6 +208,21 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
             &["solve", "--oracle", "--domain", "0x1"],
             "--domain expects SXxSY",
         ),
+        // Any boundary but `gp:` used to solve the sine boundary and exit
+        // 0; a bad `gp:` seed was refused only after the solver was built,
+        // without the usage.
+        (
+            &["solve", "--oracle", "--boundary", "foo"],
+            "--boundary expects sin or gp:SEED with an integer seed, got `foo`",
+        ),
+        (
+            &["solve", "--oracle", "--boundary", "gp:abc"],
+            "--boundary expects sin or gp:SEED with an integer seed, got `gp:abc`",
+        ),
+        (
+            &["solve", "--oracle", "--boundary", "gp:"],
+            "--boundary expects sin or gp:SEED with an integer seed, got `gp:`",
+        ),
         (
             &["solve", "--oracle", "--domain", "2x0"],
             "--domain expects SXxSY",

@@ -153,8 +153,12 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Fused in-place VJP kernels vs the unfused out-of-place legacy chains.
+// Fused in-place VJP kernels vs the unfused primitive chains.
 // ---------------------------------------------------------------------------
+
+/// The unfused VJP chains the fused backward is held to.
+#[path = "../crates/autodiff/src/unfused_tests.rs"]
+mod unfused;
 
 /// Ulp distance between two finite f64s of the same sign class.
 fn ulps(a: f64, b: f64) -> u64 {
@@ -168,48 +172,48 @@ fn ulps(a: f64, b: f64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The lean engine's fused VJPs (`TanhVjp`, the fused Gelu chain,
-    /// `AddBias`, pooled `AddAcc` accumulation) must reproduce the legacy
-    /// unfused out-of-place chains to ulp level: bitwise at first and
-    /// second order through an elementwise tanh∘gelu stack.
+    /// The engine's fused VJPs (`TanhVjp`, the fused Gelu chain, pooled
+    /// `AddAcc` accumulation) must reproduce the unfused primitive chains
+    /// to ulp level: bitwise at first and second order through an
+    /// elementwise tanh∘gelu stack.
     #[test]
     fn fused_vjps_match_unfused_bitwise_to_second_order(
         vals in prop::collection::vec(-2.5f64..2.5, 12),
     ) {
-        let run = |lean: bool| {
-            let mut g = if lean { Graph::new() } else { Graph::new_legacy() };
+        let run = |fused: bool| {
+            let mut g = Graph::new();
             let x = g.leaf(Tensor::row_vector(&vals));
-            let t = g.tanh(x);
-            let e = g.gelu(t);
-            let s = g.sum(e);
-            let d1 = g.grad(s, &[x])[0];
+            let d1 = unfused::tanh_gelu_grad(&mut g, x, fused);
             let s1 = g.sum(d1);
             let d2 = g.grad(s1, &[x])[0];
             (g.value(d1).clone(), g.value(d2).clone())
         };
-        let ((lean1, lean2), (leg1, leg2)) = (run(true), run(false));
-        for (a, b) in lean1.as_slice().iter().zip(leg1.as_slice()) {
+        let ((fused1, fused2), (chain1, chain2)) = (run(true), run(false));
+        for (a, b) in fused1.as_slice().iter().zip(chain1.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "order-1 mismatch: {} vs {}", a, b);
         }
-        for (a, b) in lean2.as_slice().iter().zip(leg2.as_slice()) {
+        for (a, b) in fused2.as_slice().iter().zip(chain2.as_slice()) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "order-2 mismatch: {} vs {}", a, b);
         }
     }
 
     /// Weight gradients of a full biased two-layer MLP under MSE must be
-    /// bitwise identical between the lean and legacy engines — `AddBias`
-    /// and in-place gemm accumulation included.
+    /// bitwise those of its backpropagation written out by hand from the
+    /// unfused chains — `AddBias`, the fused tanh VJP and in-place
+    /// accumulation against `broadcast_rows` + `add`, the four-node tanh
+    /// chain and `add`.
     #[test]
-    fn lean_mlp_weight_grads_match_legacy_bitwise(seed in 0u64..200) {
+    fn mlp_weight_grads_match_unfused_backprop_bitwise(seed in 0u64..200) {
         use mosaic_flow::nn::{Linear, Params};
+        use mosaic_flow::tensor::Layout::{Normal as N, Transposed as T};
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut ps = Params::new();
         let l1 = Linear::new(&mut ps, &mut rng, "l1", 3, 7, true);
         let l2 = Linear::new(&mut ps, &mut rng, "l2", 7, 2, true);
         let x = Tensor::from_fn(5, 3, |r, c| ((seed + 1) as f64 * 0.3 + (r * 3 + c) as f64 * 0.21).sin());
         let y = Tensor::from_fn(5, 2, |r, c| ((r * 2 + c) as f64 * 0.17).cos());
-        let run = |lean: bool| {
-            let mut g = if lean { Graph::new() } else { Graph::new_legacy() };
+        let fused = {
+            let mut g = Graph::new();
             let bound = ps.bind(&mut g);
             let xv = g.constant_from(&x);
             let h = l1.forward(&mut g, &bound, xv);
@@ -220,9 +224,38 @@ proptest! {
             let grads = g.grad(loss, bound.all_vars());
             grads.iter().map(|&gv| g.value(gv).clone()).collect::<Vec<_>>()
         };
-        let (lean, legacy) = (run(true), run(false));
-        prop_assert_eq!(lean.len(), legacy.len());
-        for (pi, (a, b)) in lean.iter().zip(&legacy).enumerate() {
+        let chains = {
+            let mut g = Graph::new();
+            let bound = ps.bind(&mut g);
+            let [w1, b1, w2, b2] = bound.all_vars() else { unreachable!() };
+            let xv = g.constant_from(&x);
+            let z1 = g.matmul_layout(xv, N, *w1, T);
+            let h1 = unfused::add_bias(&mut g, z1, *b1);
+            let h = g.tanh(h1);
+            let z2 = g.matmul_layout(h, N, *w2, T);
+            let out = unfused::add_bias(&mut g, z2, *b2);
+            let tv = g.constant_from(&y);
+            let d = g.sub(out, tv);
+            let sq = g.mul(d, d);
+            let _loss = g.mean(sq);
+            // Backpropagation in the order the reverse walk emits it.
+            let seed = g.constant_scalar(1.0);
+            let (r, c) = g.shape_of(sq);
+            let bs = g.broadcast_scalar(seed, r, c);
+            let gsq = g.scale(bs, 1.0 / (r * c) as f64);
+            let gd1 = g.mul(gsq, d);
+            let gd2 = g.mul(gsq, d);
+            let gd = g.add(gd1, gd2);
+            let gb2 = g.sum_axis0(gd);
+            let gh = g.matmul_layout(gd, N, *w2, N);
+            let gw2 = g.matmul_layout(gd, T, h, N);
+            let gh1 = unfused::tanh_vjp(&mut g, gh, h);
+            let gb1 = g.sum_axis0(gh1);
+            let gw1 = g.matmul_layout(gh1, T, xv, N);
+            [gw1, gb1, gw2, gb2].map(|v| g.value(v).clone())
+        };
+        prop_assert_eq!(fused.len(), chains.len());
+        for (pi, (a, b)) in fused.iter().zip(&chains).enumerate() {
             for (va, vb) in a.as_slice().iter().zip(b.as_slice()) {
                 prop_assert_eq!(
                     va.to_bits(), vb.to_bits(),
@@ -233,28 +266,25 @@ proptest! {
     }
 
     /// At third order the fused chains re-associate adjoint sums (fresh
-    /// fused nodes vs legacy's shared intermediates), so exact bit
-    /// equality is no longer guaranteed — but the drift must stay at ulp
-    /// level, orders of magnitude inside the 1e-9 fixture tolerance.
+    /// fused nodes vs the unfused chains' shared intermediates), so exact
+    /// bit equality is no longer guaranteed — but the drift must stay at
+    /// ulp level, orders of magnitude inside the 1e-9 fixture tolerance.
     #[test]
     fn fused_vjps_match_unfused_to_ulp_at_third_order(
         vals in prop::collection::vec(-2.0f64..2.0, 9),
     ) {
-        let run = |lean: bool| {
-            let mut g = if lean { Graph::new() } else { Graph::new_legacy() };
+        let run = |fused: bool| {
+            let mut g = Graph::new();
             let x = g.leaf(Tensor::row_vector(&vals));
-            let t = g.tanh(x);
-            let e = g.gelu(t);
-            let s = g.sum(e);
-            let d1 = g.grad(s, &[x])[0];
+            let d1 = unfused::tanh_gelu_grad(&mut g, x, fused);
             let s1 = g.sum(d1);
             let d2 = g.grad(s1, &[x])[0];
             let s2 = g.sum(d2);
             let d3 = g.grad(s2, &[x])[0];
             g.value(d3).clone()
         };
-        let (lean, legacy) = (run(true), run(false));
-        for (a, b) in lean.as_slice().iter().zip(legacy.as_slice()) {
+        let (fused, chains) = (run(true), run(false));
+        for (a, b) in fused.as_slice().iter().zip(chains.as_slice()) {
             prop_assert!(
                 ulps(*a, *b) <= 64,
                 "order-3 drift beyond ulp level: {} vs {} ({} ulps)", a, b, ulps(*a, *b)
@@ -313,8 +343,8 @@ proptest! {
 
     /// `Graph::backward` is `grad`'s walk releasing the tape as it goes. On
     /// the data loss and the PDE loss of a random SDNet and batch it must
-    /// return `grad`'s weight gradients bit for bit, on lean and legacy
-    /// graphs, and the PDE pass must peak strictly lower. `local_gradients`, which ends both of its passes with `backward`,
+    /// return `grad`'s weight gradients bit for bit, and the PDE pass must
+    /// peak strictly lower. `local_gradients`, which ends both of its passes with `backward`,
     /// must return a `pde_loss` pass's bits and stay allocation-free once
     /// warm.
     #[test]
@@ -346,8 +376,8 @@ proptest! {
         // One pass as `local_gradients` builds it, on a fresh graph: the
         // weight gradients' bits and the pass's peak. `loss` is the data
         // loss or one of the two PDE losses.
-        let pass = |lean: bool, loss: Loss, consume: bool| {
-            let mut g = if lean { Graph::new() } else { Graph::new_legacy() };
+        let pass = |loss: Loss, consume: bool| {
+            let mut g = Graph::new();
             let bound = net.params.bind(&mut g);
             let loss = if loss == Loss::Data {
                 data_loss(&mut g, &net, &bound, &batch)
@@ -366,28 +396,23 @@ proptest! {
             };
             (bits(grads.iter().map(|&v| g.value(v))), g.peak_bytes())
         };
-        for lean in [true, false] {
-            for loss in [Loss::Data, Loss::Pde, Loss::Forward] {
-                let (kept, kept_peak) = pass(lean, loss, false);
-                let (consumed, consumed_peak) = pass(lean, loss, true);
+        for loss in [Loss::Data, Loss::Pde, Loss::Forward] {
+            let (kept, kept_peak) = pass(loss, false);
+            let (consumed, consumed_peak) = pass(loss, true);
+            prop_assert!(consumed == kept, "backward differs from grad ({:?})", loss);
+            if loss != Loss::Data {
                 prop_assert!(
-                    consumed == kept,
-                    "backward differs from grad (lean {}, {:?})", lean, loss
+                    consumed_peak < kept_peak,
+                    "PDE peak {} not below grad's {} ({:?})",
+                    consumed_peak, kept_peak, loss
                 );
-                if loss != Loss::Data {
-                    prop_assert!(
-                        consumed_peak < kept_peak,
-                        "PDE peak {} not below grad's {} (lean {}, {:?})",
-                        consumed_peak, kept_peak, lean, loss
-                    );
-                }
             }
         }
         let _ = local_gradients(&net, &batch, pde_weight);
         let (data, pde, warm) = local_gradients(&net, &batch, pde_weight);
         prop_assert_eq!((warm.pool_misses, warm.heap_allocs), (0, 0));
-        prop_assert!(bits(&data) == pass(true, Loss::Data, false).0, "data");
-        prop_assert!(bits(&pde) == pass(true, Loss::Forward, false).0, "pde");
+        prop_assert!(bits(&data) == pass(Loss::Data, false).0, "data");
+        prop_assert!(bits(&pde) == pass(Loss::Forward, false).0, "pde");
     }
 }
 
