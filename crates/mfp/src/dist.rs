@@ -12,9 +12,10 @@
 //! its owned lattice with the same coefficients — in **one** small
 //! allreduce, and posts the next exchange of owned lattice values in a
 //! band of half-a-subdomain width with up to eight neighbors — **once**
-//! per iteration (the relaxed synchronization of §4.2). A final dense pass
-//! fills the owned atomic subdomains and an allgather assembles the global
-//! solution.
+//! per iteration, on every iteration (the relaxed synchronization of
+//! §4.2). A final dense pass fills the owned atomic subdomains and an
+//! allgather assembles the global solution. The ranks solve the Laplace
+//! problem; the shifted operator runs locally ([`Mfp::run_shifted`]).
 //!
 //! The alternating schedule this one reorders (sweep everything →
 //! allreduce → blocking exchange) lives on as the test oracle: the same
@@ -42,10 +43,6 @@ pub struct DistMfpConfig {
     /// Relative-change threshold (0 disables the check — and, on the
     /// one-level iteration, its allreduce).
     pub tol: f64,
-    /// Exchange halos every this many iterations (1 = Algorithm 2;
-    /// larger values are the communication-avoiding variant discussed in
-    /// §5.3 "Open problems"; at least 1).
-    pub comm_every: usize,
     /// Optional reference-based stop (MAE on lattice points).
     pub target: Option<MaeTarget>,
     /// Run the two-level accelerated iteration (see
@@ -67,7 +64,6 @@ impl Default for DistMfpConfig {
         Self {
             max_iters: 1000,
             tol: 1e-4,
-            comm_every: 1,
             target: None,
             accelerate: true,
             plan: FaultPlan::none(),
@@ -338,7 +334,6 @@ fn cpu_seconds(f: impl FnOnce()) -> f64 {
 /// an interface older than the exchange it completes.
 pub(crate) struct Peers<'a> {
     comm: &'a mut Communicator,
-    cfg: &'a DistMfpConfig,
     part: &'a Partition<'a>,
     /// The rank's block of the global grid: the region its engine owns.
     pub(crate) owned: Region,
@@ -386,7 +381,7 @@ impl<'a> Peers<'a> {
     fn new(
         comm: &'a mut Communicator,
         part: &'a Partition<'a>,
-        cfg: &'a DistMfpConfig,
+        cfg: &DistMfpConfig,
         alternating: bool,
     ) -> Self {
         let domain = part.domain;
@@ -426,15 +421,8 @@ impl<'a> Peers<'a> {
             pool_miss: counter("overlap.warm_allocs"),
             h_halo: histogram("mfp.halo_bytes", Buckets::bytes()),
             comm,
-            cfg,
             part,
         }
-    }
-
-    /// Whether the iteration that brings the count to `n` exchanges a
-    /// halo.
-    pub(crate) fn exchanges(&self, n: usize) -> bool {
-        n.is_multiple_of(self.cfg.comm_every)
     }
 
     /// Stamp iteration `it` on the rank's telemetry.
@@ -447,8 +435,8 @@ impl<'a> Peers<'a> {
     /// completes and the boundary pass follows: a dependency-preserving
     /// reorder of the full-group pass, so the iterates are bitwise
     /// identical (see DESIGN.md "Overlapped halo exchange"). With nothing
-    /// in flight (the first iteration, a communication-avoiding gap), the
-    /// full-group pass.
+    /// in flight (the first iteration, or every iteration of the
+    /// alternating schedule), the full-group pass.
     pub(crate) fn sweep<S: SubdomainSolver>(
         &mut self,
         engine: &SweepEngine<'_, S>,
@@ -481,18 +469,16 @@ impl<'a> Peers<'a> {
     }
 
     /// Relaxed synchronization: post the halo exchange of the iterate the
-    /// next sweep starts from once per iteration (or every `comm_every`
-    /// iterations) — the next iteration's interior pass runs while it is
-    /// in flight. A run that just stopped posts it too: the final dense
-    /// pass reads halo cells, so they must hold this sweep's values. Then
-    /// close the iteration's busy/wait interval.
+    /// next sweep starts from, once per iteration — the next iteration's
+    /// interior pass runs while it is in flight. A run that just stopped
+    /// posts it too: the final dense pass reads halo cells, so they must
+    /// hold this sweep's values. Then close the iteration's busy/wait
+    /// interval.
     pub(crate) fn end_iteration(&mut self, u: &mut Tensor, it: usize) {
-        if (it + 1).is_multiple_of(self.cfg.comm_every) {
-            self.pack_halos(u);
-            self.inflight = self.comm.exchange_start(&self.outgoing, it as u64);
-            if self.alternating {
-                self.complete_halo_exchange(u);
-            }
+        self.pack_halos(u);
+        self.inflight = self.comm.exchange_start(&self.outgoing, it as u64);
+        if self.alternating {
+            self.complete_halo_exchange(u);
         }
         self.close_interval();
     }
@@ -667,7 +653,8 @@ pub fn run_distributed<S: SubdomainSolver>(
     ranks: usize,
     cfg: &DistMfpConfig,
 ) -> DistMfpResult {
-    run_distributed_shifted(solver, domain, bc, 0.0, None, ranks, cfg)
+    try_run_distributed(solver, domain, bc, ranks, cfg)
+        .unwrap_or_else(|e| panic!("cluster failed: {e}"))
 }
 
 /// [`run_distributed`] that surfaces rank failures (panics, injected
@@ -679,63 +666,24 @@ pub fn try_run_distributed<S: SubdomainSolver>(
     ranks: usize,
     cfg: &DistMfpConfig,
 ) -> Result<DistMfpResult, ClusterError> {
-    try_run_distributed_shifted(solver, domain, bc, 0.0, None, ranks, cfg)
-}
-
-/// [`run_distributed`] for the shifted operator `σu − Δu = f` (forcing on
-/// the full global grid) — the distributed form of the time-dependent
-/// extension. Every rank reads the shared forcing field; only the
-/// lattice values are communicated, exactly as in the Laplace case.
-pub fn run_distributed_shifted<S: SubdomainSolver>(
-    solver: &S,
-    domain: &DomainSpec,
-    bc: &Tensor,
-    sigma: f64,
-    forcing: Option<&Tensor>,
-    ranks: usize,
-    cfg: &DistMfpConfig,
-) -> DistMfpResult {
-    try_run_distributed_shifted(solver, domain, bc, sigma, forcing, ranks, cfg)
-        .unwrap_or_else(|e| panic!("cluster failed: {e}"))
-}
-
-/// [`run_distributed_shifted`] with typed failure reporting.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_distributed_shifted<S: SubdomainSolver>(
-    solver: &S,
-    domain: &DomainSpec,
-    bc: &Tensor,
-    sigma: f64,
-    forcing: Option<&Tensor>,
-    ranks: usize,
-    cfg: &DistMfpConfig,
-) -> Result<DistMfpResult, ClusterError> {
-    run_ranks(solver, domain, bc, sigma, forcing, ranks, cfg, false)
+    run_ranks(solver, domain, bc, ranks, cfg, false)
 }
 
 /// Validate the inputs, run the one iteration loop with one request and
 /// the rank's [`Peers`] on every rank of a fresh cluster, and assemble
 /// rank 0's result with every rank's report. `alternating` runs the test
 /// oracle's schedule (see [`Peers`]).
-#[allow(clippy::too_many_arguments)]
 fn run_ranks<S: SubdomainSolver>(
     solver: &S,
     domain: &DomainSpec,
     bc: &Tensor,
-    sigma: f64,
-    forcing: Option<&Tensor>,
     ranks: usize,
     cfg: &DistMfpConfig,
     alternating: bool,
 ) -> Result<DistMfpResult, ClusterError> {
     let mfp = Mfp::new(solver, *domain);
-    mfp.check_problem(std::slice::from_ref(bc), forcing);
-    let stop = StopRule::new(
-        cfg.tol,
-        cfg.max_iters,
-        cfg.target.as_ref(),
-        &[("DistMfpConfig::comm_every", cfg.comm_every)],
-    );
+    mfp.check_problem(std::slice::from_ref(bc), None);
+    let stop = StopRule::new(cfg.tol, cfg.max_iters, cfg.target.as_ref());
     let part = Partition::new(domain, ranks);
 
     let mut per_rank = Cluster::try_run(ranks, cfg.plan.clone(), |comm| {
@@ -743,7 +691,7 @@ fn run_ranks<S: SubdomainSolver>(
         let _lane = mf_tensor::par::compute_lanes(ranks);
         let mut peers = Peers::new(comm, &part, cfg, alternating);
         let bcs = std::slice::from_ref(bc);
-        let mut results = mfp.iterate(bcs, sigma, forcing, &stop, cfg.accelerate, Some(&mut peers));
+        let mut results = mfp.iterate(bcs, 0.0, None, &stop, cfg.accelerate, Some(&mut peers));
         let result = results.pop().expect("one request in, one result out");
         (result, peers.report())
     })?;
@@ -889,71 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn communication_avoiding_acceleration_lands_near_the_tight_tolerance_grid() {
-        // With `comm_every = k` only every k-th sweep is followed by an
-        // exchange, and only those sweeps are mixed. The stop test still
-        // runs after every sweep, so it can fire between exchanges, on a
-        // sweep that read a halo up to k − 1 iterations old: what is
-        // pinned here is how far from the converged grid that leaves the
-        // answer: some ten `tol` relative to the solution's size (1.1e-4
-        // and 8.9e-5 at `tol = 1e-5`), where the one-level iteration's
-        // own stop leaves it (6.8e-5, 1.1e-4) after 52 and 57 iterations
-        // instead of 12 and 21.
-        let d = DomainSpec::new(spec(), 4, 4);
-        let oracle = OracleSolver::new(spec(), 1e-11);
-        let bc = harmonic_bc(&d);
-        let run = |comm_every: usize, tol: f64| {
-            let res = run_distributed(
-                &oracle,
-                &d,
-                &bc,
-                2,
-                &DistMfpConfig {
-                    max_iters: 3000,
-                    tol,
-                    comm_every,
-                    ..Default::default()
-                },
-            );
-            assert!(res.converged, "comm_every = {comm_every}, tol = {tol}");
-            res
-        };
-        let tight = run(1, 1e-9);
-        let scale = tight
-            .grid
-            .as_slice()
-            .iter()
-            .fold(0.0_f64, |m, v| m.max(v.abs()));
-        for comm_every in [2, 3] {
-            let loose = run(comm_every, 1e-5);
-            let gap = loose.grid.max_abs_diff(&tight.grid) / scale;
-            assert!(
-                gap < 3e-4,
-                "comm_every = {comm_every}: {gap} from the converged grid"
-            );
-            let one_level = run_distributed(
-                &oracle,
-                &d,
-                &bc,
-                2,
-                &DistMfpConfig {
-                    max_iters: 3000,
-                    tol: 1e-5,
-                    comm_every,
-                    accelerate: false,
-                    ..Default::default()
-                },
-            );
-            assert!(
-                loose.iterations < one_level.iterations,
-                "comm_every = {comm_every}: {} accelerated vs {} one-level iterations",
-                loose.iterations,
-                one_level.iterations
-            );
-        }
-    }
-
-    #[test]
     fn compiled_plan_solver_matches_graph_solver_across_ranks() {
         // The distributed MFP must be oblivious to which SDNet execution
         // path backs the subdomain solver: on every rank count, each
@@ -1044,94 +927,6 @@ mod tests {
             r1.iterations
         );
         assert!(r1.grid.mean_abs_diff(&r4.grid) < 1e-5);
-    }
-
-    #[test]
-    fn communication_avoiding_variant_still_converges() {
-        let d = DomainSpec::new(spec(), 2, 2);
-        let oracle = OracleSolver::new(spec(), 1e-10);
-        let bc = harmonic_bc(&d);
-        let every1 = run_distributed(
-            &oracle,
-            &d,
-            &bc,
-            4,
-            &DistMfpConfig {
-                max_iters: 600,
-                tol: 1e-8,
-                comm_every: 1,
-                ..Default::default()
-            },
-        );
-        let every4 = run_distributed(
-            &oracle,
-            &d,
-            &bc,
-            4,
-            &DistMfpConfig {
-                max_iters: 600,
-                tol: 1e-8,
-                comm_every: 4,
-                ..Default::default()
-            },
-        );
-        assert!(every1.converged && every4.converged);
-        // Same solution; fewer halo messages, possibly more iterations.
-        assert!(every1.grid.mean_abs_diff(&every4.grid) < 1e-4);
-        let bytes = |r: &DistMfpResult| {
-            r.reports
-                .iter()
-                .map(|rep| rep.comm.bytes_sent)
-                .sum::<usize>()
-        };
-        // Halo payloads dominate byte volume; skipping 3 of 4 exchanges
-        // must cut it even if convergence takes more iterations.
-        assert!(
-            bytes(&every4) < bytes(&every1),
-            "comm-avoiding variant did not reduce byte volume: {} vs {}",
-            bytes(&every4),
-            bytes(&every1)
-        );
-    }
-
-    #[test]
-    fn distributed_shifted_matches_sequential_shifted() {
-        // The heat-step operator, distributed over 4 ranks, must agree
-        // with the sequential shifted MFP.
-        let d = DomainSpec::new(spec(), 2, 2);
-        let oracle = OracleSolver::new(spec(), 1e-10);
-        let sigma = 60.0;
-        let forcing = Tensor::from_fn(d.ny(), d.nx(), |j, i| {
-            ((j as f64) * 0.3).sin() * ((i as f64) * 0.2).cos()
-        });
-        let bc = Tensor::zeros(1, d.boundary_len());
-        let seq = Mfp::new(&oracle, d).run_shifted(
-            &bc,
-            sigma,
-            Some(&forcing),
-            &MfpConfig {
-                max_iters: 300,
-                tol: 1e-9,
-                ..Default::default()
-            },
-        );
-        assert!(seq.converged);
-        let dist = crate::dist::run_distributed_shifted(
-            &oracle,
-            &d,
-            &bc,
-            sigma,
-            Some(&forcing),
-            4,
-            &DistMfpConfig {
-                max_iters: 300,
-                tol: 1e-9,
-                ..Default::default()
-            },
-        );
-        assert!(dist.converged);
-        let mae = dist.grid.mean_abs_diff(&seq.grid);
-        assert!(mae < 1e-6, "distributed vs sequential shifted MAE {mae}");
     }
 
     #[test]
@@ -1261,7 +1056,7 @@ mod tests {
         cfg: &DistMfpConfig,
     ) -> DistMfpResult {
         let ship = run_distributed(solver, d, bc, ranks, cfg);
-        let alt = run_ranks(solver, d, bc, 0.0, None, ranks, cfg, true).unwrap();
+        let alt = run_ranks(solver, d, bc, ranks, cfg, true).unwrap();
         assert_eq!(ship.iterations, alt.iterations);
         assert_eq!(ship.converged, alt.converged);
         assert_eq!(ship.deltas, alt.deltas, "delta trajectories diverged");
@@ -1298,14 +1093,6 @@ mod tests {
                 > 0,
             "no interior subdomains found on a 4x4-atom domain"
         );
-
-        // Communication-avoiding gaps: two of three iterations have
-        // nothing in flight and take the full-group sweep.
-        let sparse = DistMfpConfig {
-            comm_every: 3,
-            ..base.clone()
-        };
-        assert_matches_alternating_oracle(&oracle, &d, &bc, 4, &sparse);
 
         // A MaeTarget rides the same one-deep pipeline as the delta.
         let targeted = DistMfpConfig {
@@ -1398,11 +1185,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "DistMfpConfig::comm_every must be at least 1")]
-    fn zero_comm_cadence_is_rejected_at_entry() {
+    #[should_panic(expected = "MaeTarget::every must be at least 1")]
+    fn zero_mae_target_cadence_is_rejected_at_distributed_entry() {
         let d = DomainSpec::new(spec(), 2, 2);
         let cfg = DistMfpConfig {
-            comm_every: 0,
+            target: Some(MaeTarget {
+                reference: Tensor::zeros(d.ny(), d.nx()),
+                mae: 0.05,
+                every: 0,
+            }),
             ..Default::default()
         };
         run_distributed(

@@ -556,19 +556,11 @@ pub(crate) struct StopRule<'c> {
 }
 
 impl<'c> StopRule<'c> {
-    /// Panics, naming the field, when the target's cadence or any of
-    /// `cadences` (`(field, every)` pairs of the calling driver) is zero —
-    /// here, at driver entry, instead of as a check that never fires or a
-    /// division by zero inside a rank thread.
-    pub(crate) fn new(
-        tol: f64,
-        max_iters: usize,
-        target: Option<&'c MaeTarget>,
-        cadences: &[(&str, usize)],
-    ) -> Self {
-        let target_cadence = target.map(|t| ("MaeTarget::every", t.every));
-        for (field, every) in cadences.iter().copied().chain(target_cadence) {
-            assert!(every > 0, "{field} must be at least 1 (got 0)");
+    /// Panics when the target's cadence is zero — here, at driver entry,
+    /// instead of as a division by zero inside a rank thread.
+    pub(crate) fn new(tol: f64, max_iters: usize, target: Option<&'c MaeTarget>) -> Self {
+        if let Some(t) = target {
+            assert!(t.every > 0, "MaeTarget::every must be at least 1 (got 0)");
         }
         Self {
             tol,

@@ -27,13 +27,16 @@
 //! * the loop (`seq.rs`), which [`Mfp`] runs with no peers: any number of
 //!   requests on the whole grid, no halo ([`Mfp::run`] is
 //!   [`Mfp::run_many`] of one request);
-//! * [`run_distributed`], which runs the same loop on every rank with its
-//!   peers (`dist.rs`): the domain is split over a 2-D processor grid;
-//!   each rank sweeps its own subdomains with immediate local updates and
-//!   exchanges halo lattice values with ≤8 neighbors **once per
-//!   iteration** (relaxed synchronization), overlapped with its interior
-//!   sweep; the mixing's Gram sums ride the one convergence allreduce, so
-//!   its coefficients are global.
+//! * [`run_distributed`] (and [`try_run_distributed`], which returns a
+//!   rank failure as a typed error), which runs the same loop on every
+//!   rank with its peers (`dist.rs`): the domain is split over a 2-D
+//!   processor grid; each rank sweeps its own subdomains with immediate
+//!   local updates and exchanges halo lattice values with ≤8 neighbors
+//!   **once per iteration**, every iteration (relaxed synchronization),
+//!   overlapped with its interior sweep; the mixing's Gram sums ride the
+//!   one convergence allreduce, so its coefficients are global. The
+//!   shifted operator `σu − Δu = f` is solved locally only
+//!   ([`Mfp::run_shifted`]).
 //!
 //! The original one-inference-per-subdomain baseline of Fig. 8 is the
 //! [`UnbatchedSolver`] adapter around any solver.
@@ -54,8 +57,8 @@ mod seq;
 mod solver;
 
 pub use dist::{
-    live_cross_points, run_distributed, run_distributed_shifted, try_run_distributed,
-    try_run_distributed_shifted, DistMfpConfig, DistMfpResult, LiveGroup, RankReport,
+    live_cross_points, run_distributed, try_run_distributed, DistMfpConfig, DistMfpResult,
+    LiveGroup, RankReport,
 };
 pub use domain::{DomainSpec, Subdomain};
 pub use engine::MaeTarget;

@@ -136,7 +136,7 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
         cfg: &MfpConfig,
     ) -> Vec<MfpResult> {
         self.check_problem(bcs, forcing);
-        let stop = StopRule::new(cfg.tol, cfg.max_iters, cfg.target.as_ref(), &[]);
+        let stop = StopRule::new(cfg.tol, cfg.max_iters, cfg.target.as_ref());
         self.iterate(bcs, sigma, forcing, &stop, cfg.accelerate, None)
     }
 
@@ -165,9 +165,9 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
     /// full-group pass and every iteration checks and mixes. A rank of
     /// [`run_distributed`](crate::run_distributed) passes its [`Peers`]
     /// and one request: the engine covers the rank's block, the sums are
-    /// allreduced, mixing follows the exchange cadence, the halo
-    /// exchange posted at the end of an iteration is in flight during the
-    /// next one's interior pass, and the dense grid is gathered at the end.
+    /// allreduced, the halo exchange posted at the end of every iteration
+    /// is in flight during the next one's interior pass, and the dense
+    /// grid is gathered at the end.
     pub(crate) fn iterate(
         &self,
         bcs: &[Tensor],
@@ -220,15 +220,14 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                 }
             }
 
-            // Algorithm 2, line 5, and the second level. A rank mixes on
-            // its exchanging iterations, and skips the residual's allreduce
-            // when nothing reads it; without peers there is no message to
-            // save, so every iteration records its delta. The last sweep
+            // Algorithm 2, line 5, and the second level. A rank skips the
+            // residual's allreduce when nothing reads it; without peers
+            // there is no message to save, so every iteration records its
+            // delta. The last sweep
             // allowed is left as it is: the grid returned is always a
             // plain sweep's output.
             let n = it + 1;
-            let exchanges = peers.as_ref().is_none_or(|p| p.exchanges(n));
-            let mixes = accel.is_some() && exchanges && n < stop.max_iters;
+            let mixes = accel.is_some() && n < stop.max_iters;
             let judges = peers.is_none() || stop.tol > 0.0 || mixes;
             active.retain(|&r| {
                 let res = &mut results[r];

@@ -38,8 +38,9 @@
 //! neither `sin` nor `gp:SEED`, too), a negative or non-finite
 //! rate (`--slo-*`), or a zero where a count must be at
 //! least 1 (`--devices`, `--epochs`, `--ranks`, `--workers`, `eval
-//! --samples`, either factor of `--domain`) prints a one-line reason plus
-//! the usage and exits non-zero; so does a `train --samples` too small to
+//! --samples`, either factor of `--domain`), or a thread count above
+//! 1024 (`--devices`, `--ranks`, `--workers`) prints a one-line reason
+//! plus the usage and exits non-zero; so does a `train --samples` too small to
 //! leave a validation sample, before the command starts. So does a flag
 //! the run would drop: one the `--model` network fixes (`solve --oracle`,
 //! `--m`; `serve --random-weights`, `--m`, `--seed`), or a crash request
@@ -76,9 +77,13 @@ enum Kind {
     Switch,
     /// A non-negative integer.
     Count,
-    /// A count of at least 1: devices, ranks, epochs, workers — a zero
-    /// would divide by it, build an empty cluster, or never answer.
+    /// A count of at least 1: epochs, samples — a zero would divide by
+    /// it or report over nothing.
     Positive,
+    /// A thread count of at least 1 and at most [`MAX_THREADS`]: devices,
+    /// ranks, workers — each is an OS thread, and a zero would build an
+    /// empty cluster or never answer.
+    Threads,
     /// A finite number of at least 0: a rate or a budget.
     Real,
     /// `SXxSY` atomic subdomains, both at least 1.
@@ -91,6 +96,10 @@ enum Kind {
     /// Free text (paths, addresses).
     Text,
 }
+
+/// The most threads one `--devices`, `--ranks` or `--workers` may start:
+/// the largest world any program here runs (`repro_overlap`).
+const MAX_THREADS: u64 = 1024;
 
 type FlagTable = &'static [(&'static str, Kind)];
 
@@ -116,7 +125,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("samples", Count),
                 ("epochs", Positive),
                 ("m", Side),
-                ("devices", Positive),
+                ("devices", Threads),
                 ("seed", Count),
                 ("out", Text),
             ],
@@ -134,7 +143,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("oracle", Switch),
                 ("m", Side),
                 ("boundary", Boundary),
-                ("ranks", Positive),
+                ("ranks", Threads),
                 ("one-level", Switch),
                 ("out", Text),
                 ("crash-rank", Count),
@@ -149,7 +158,7 @@ fn subcommand(cmd: &str) -> Option<(Command, FlagTable)> {
                 ("random-weights", Switch),
                 ("m", Side),
                 ("seed", Count),
-                ("workers", Positive),
+                ("workers", Threads),
                 ("queue-depth", Count),
                 ("max-points", Count),
                 ("slo-p99-ms", Real),
@@ -184,10 +193,15 @@ fn parse_flags(cmd: &str, table: FlagTable, args: &[String]) -> Result<Flags, St
                 return Err(format!("{cmd}: --{name} needs a value"));
             };
             let expected = match kind {
-                Kind::Count | Kind::Positive if value.parse::<u64>().is_err() => {
+                Kind::Count | Kind::Positive | Kind::Threads if value.parse::<u64>().is_err() => {
                     Some("a non-negative integer")
                 }
-                Kind::Positive if value.parse::<u64>() == Ok(0) => Some("at least 1"),
+                Kind::Positive | Kind::Threads if value.parse::<u64>() == Ok(0) => {
+                    Some("at least 1")
+                }
+                Kind::Threads if value.parse::<u64>().is_ok_and(|n| n > MAX_THREADS) => {
+                    Some("at most 1024")
+                }
                 Kind::Real
                     if !value
                         .parse::<f64>()

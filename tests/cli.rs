@@ -204,6 +204,21 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
             &["serve", "--workers", "0"],
             "--workers expects at least 1, got `0`",
         ),
+        // A thread count above the largest world any program here runs
+        // used to start that many OS threads (or a server with that many
+        // workers) before anything could refuse it.
+        (
+            &["solve", "--oracle", "--ranks", "1025"],
+            "--ranks expects at most 1024, got `1025`",
+        ),
+        (
+            &["train", "--devices", "1025"],
+            "--devices expects at most 1024, got `1025`",
+        ),
+        (
+            &["serve", "--random-weights", "--workers", "1025"],
+            "--workers expects at most 1024, got `1025`",
+        ),
         (
             &["solve", "--oracle", "--domain", "0x1"],
             "--domain expects SXxSY",
