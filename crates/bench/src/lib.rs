@@ -53,8 +53,6 @@ pub fn emit_metrics(metrics: &[(String, gate::Metric)]) {
 ///   exported trace come from the same spans.
 /// * `--metrics` — every `Cluster` run prints its merged per-rank
 ///   telemetry report to stderr as it ends.
-/// * `--watch` — periodic rendered reports (loss curve, step-time
-///   sparklines, residual heatmap) to stderr while running.
 /// * `--metrics-addr HOST:PORT` (or `MF_METRICS_ADDR`) — serve live
 ///   metrics over HTTP for the lifetime of the process: `GET /metrics`
 ///   (OpenMetrics text) and `GET /snapshot` (per-rank JSON).
@@ -63,9 +61,6 @@ pub fn emit_metrics(metrics: &[(String, gate::Metric)]) {
 pub fn init_telemetry() -> Option<String> {
     if std::env::args().any(|a| a == "--metrics") {
         mf_telemetry::set_metrics_report(true);
-    }
-    if std::env::args().any(|a| a == "--watch") {
-        mf_observe::set_watch(true);
     }
     let addr = std::env::args()
         .skip_while(|a| a != "--metrics-addr")

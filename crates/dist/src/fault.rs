@@ -69,11 +69,6 @@ impl FaultPlan {
             crash: None,
         }
     }
-
-    /// Whether any fault is injected (as opposed to pure detection).
-    pub fn is_active(&self) -> bool {
-        self.delay_rate > 0.0 || self.crash.is_some()
-    }
 }
 
 /// A typed communication failure, carrying the rank it implicates.
@@ -255,26 +250,6 @@ mod tests {
         assert_eq!(xs, ys);
         let mean: f64 = (0..1000).map(|_| a.unit()).sum::<f64>() / 1000.0;
         assert!((mean - 0.5).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn plan_activity_flag() {
-        assert!(!FaultPlan::none().is_active());
-        let delay = FaultPlan {
-            seed: 1,
-            delay_rate: 0.1,
-            delay_max_us: 1_000,
-            ..FaultPlan::none()
-        };
-        assert!(delay.is_active());
-        let crash = FaultPlan {
-            crash: Some(CrashAt {
-                rank: 0,
-                after_sends: 1,
-            }),
-            ..FaultPlan::none()
-        };
-        assert!(crash.is_active());
     }
 
     #[test]

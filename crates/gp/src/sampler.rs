@@ -91,12 +91,6 @@ impl BoundarySampler {
         }
     }
 
-    /// Defaults tuned like the paper's data generator: smooth-to-moderate
-    /// length scales, unit-order variance, periodic kernel.
-    pub fn with_defaults(n_points: usize) -> Self {
-        Self::new(n_points, (0.15, 0.6), (0.5, 1.5), true)
-    }
-
     /// Draw the next boundary condition (a `1×n_points` row vector).
     ///
     /// Hyperparameters advance along the Sobol sequence; the curve itself
@@ -210,7 +204,7 @@ mod tests {
     fn periodic_sampler_wraps_smoothly() {
         // The increment across the wrap point matches interior increments.
         let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let mut bs = BoundarySampler::with_defaults(64);
+        let mut bs = BoundarySampler::new(64, (0.15, 0.6), (0.5, 1.5), true);
         let mut wrap_incr = 0.0;
         let mut interior_incr = 0.0;
         let trials = 300;
@@ -236,7 +230,7 @@ mod tests {
     #[test]
     fn batch_shapes_and_diversity() {
         let mut rng = ChaCha8Rng::seed_from_u64(19);
-        let mut bs = BoundarySampler::with_defaults(32);
+        let mut bs = BoundarySampler::new(32, (0.15, 0.6), (0.5, 1.5), true);
         let rows: Vec<Tensor> = (0..5).map(|_| bs.sample(&mut rng)).collect();
         let batch = Tensor::vstack(&rows);
         assert_eq!(batch.shape(), (5, 32));

@@ -518,71 +518,13 @@ impl<'a> Peers<'a> {
         self.pack_seconds += thread_cpu_time() - t0;
     }
 
-    /// Feed the newest of `deltas` to the stall watchdog and, in watch
-    /// mode, render the residual report for the iteration it was taken at.
-    pub(crate) fn watch_convergence(
-        &mut self,
-        at_iter: usize,
-        deltas: &[f64],
-        atoms: &[Subdomain],
-        u: &Tensor,
-        prev: &Tensor,
-    ) {
+    /// Feed the newest of `deltas` to the stall watchdog; a stall counts
+    /// and records the iteration it was taken at.
+    pub(crate) fn watch_stall(&mut self, at_iter: usize, deltas: &[f64]) {
         let delta = *deltas.last().expect("a delta was just recorded");
-        let stalled = self.stall.observe(delta);
-        if stalled {
+        if self.stall.observe(delta) {
             self.stalls_counter.incr();
             mf_observe::record("mfp.stall", at_iter as u64, delta);
-        }
-        if !mf_observe::watch_enabled() {
-            return;
-        }
-        // Watch-mode side channel: gather every rank's per-atomic-subdomain
-        // residual (mean |u − prev| over the window) and render the lattice
-        // heatmap report on rank 0. Watch is opt-in, so its allgather never
-        // runs under the pinned-message-count fixtures.
-        let domain = self.part.domain;
-        // Encode owned atoms as (lattice index, residual) pairs: the gather
-        // is ragged, each rank contributes only what it owns.
-        let mut local = Vec::new();
-        let step = domain.sub.m - 1;
-        for &sd in atoms {
-            let a = domain.read_window_field(u, sd);
-            let b = domain.read_window_field(prev, sd);
-            let n = a.numel().max(1) as f64;
-            let resid = a
-                .as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .map(|(x, y)| (x - y).abs())
-                .sum::<f64>()
-                / n;
-            local.push((sd.oy / step * domain.sx + sd.ox / step) as f64);
-            local.push(resid);
-        }
-        let gathered = self.comm.allgather(&local);
-        if self.comm.rank() == 0 {
-            let mut grid = vec![0.0; domain.sx * domain.sy];
-            for pair in gathered.iter().flat_map(|v| v.chunks_exact(2)) {
-                grid[pair[0] as usize] = pair[1];
-            }
-            eprint!(
-                "{}",
-                mf_observe::mfp_watch_report(at_iter, deltas, &grid, domain.sy, domain.sx, stalled)
-            );
-            // Live throughput from the published time-series ring: every rank
-            // publishes its `dist.iterations` windows after each MFP iteration,
-            // so the merged ring shows cluster-wide iteration rate.
-            if let Some(s) = mf_telemetry::published_series("dist.iterations") {
-                eprint!(
-                    "{}",
-                    mf_observe::series_rate_line(
-                        "dist.iterations",
-                        s.rate_per_sec(10),
-                        &s.recent_counts(30)
-                    )
-                );
-            }
         }
     }
 

@@ -248,7 +248,7 @@ impl<'a, S: SubdomainSolver> Mfp<'a, S> {
                     }
                     verdict = stop.residual_verdict([sums[0], sums[1]], &mut res.deltas);
                     if let Some(p) = peers.as_deref_mut() {
-                        p.watch_convergence(n, &res.deltas, &engine.atoms, grid, prev);
+                        p.watch_stall(n, &res.deltas);
                     }
                 }
                 res.converged = verdict == Verdict::Converged;

@@ -16,10 +16,8 @@
 //!    `src → dst` and the per-link sequence number, recorded at both ends
 //!    of every simulated message so a merged Perfetto timeline draws arrows
 //!    across rank rows.
-//! 3. **Health** ([`GradHealth`], [`StallDetector`]) and rendering
-//!    ([`render`]) — watchdog arithmetic for the training step and the
-//!    MFP residual loop, plus the `--watch` report primitives
-//!    (sparklines, ASCII heatmaps).
+//! 3. **Health** ([`GradHealth`], [`StallDetector`]) — watchdog
+//!    arithmetic for the training step and the MFP residual loop.
 //!
 //! The flight recorder itself is the spine's per-thread ring; this crate
 //! keeps its switch ([`set_recording`]) and the point-event call
@@ -28,47 +26,13 @@
 mod context;
 mod health;
 pub mod postmortem;
-pub mod render;
 
 pub use context::{flow_dst, flow_id, flow_seq, flow_src};
 pub use health::{GradHealth, StallDetector};
 pub use mf_telemetry::{clear_rings as clear_recorder, event as record};
-pub use render::{
-    ascii_heatmap, mfp_watch_report, series_rate_line, sparkline, train_watch_report,
-};
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static WATCH: AtomicBool = AtomicBool::new(false);
 
 /// Enable or disable the flight recorder globally. On by default (it is
 /// a *flight* recorder).
 pub fn set_recording(on: bool) {
     mf_telemetry::set_sink(mf_telemetry::RECORDER, on);
-}
-
-/// Turn the periodic `--watch` reports (loss curve, step-time
-/// sparklines, residual heatmap) on or off. Off by default.
-pub fn set_watch(on: bool) {
-    WATCH.store(on, Ordering::SeqCst);
-}
-
-/// Whether watch-mode reports were requested. One relaxed load.
-#[inline]
-pub fn watch_enabled() -> bool {
-    WATCH.load(Ordering::Relaxed)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn watch_flag_toggles() {
-        assert!(!watch_enabled());
-        set_watch(true);
-        assert!(watch_enabled());
-        set_watch(false);
-        assert!(!watch_enabled());
-    }
 }

@@ -74,7 +74,6 @@ pub use metrics::{
 };
 pub use publish::{
     merged_series, merged_snapshot, per_rank_snapshots, publish_lane, publish_thread,
-    published_series,
 };
 pub use report::render_report;
 pub use ring::Ring;

@@ -189,11 +189,6 @@ pub fn merged_series() -> Vec<SeriesSnapshot> {
     out
 }
 
-/// The merged ring of one named series, if it has been registered.
-pub fn published_series(name: &str) -> Option<SeriesSnapshot> {
-    merged_series().into_iter().find(|s| s.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,7 +213,10 @@ mod tests {
         assert_eq!(merged.gauge("test.publish.gauge"), 2.5);
         let per_rank = per_rank_snapshots();
         assert!(per_rank.iter().any(|(r, _)| *r == Some(91)));
-        let ring = published_series("test.publish.series").expect("series registered");
+        let ring = merged_series()
+            .into_iter()
+            .find(|s| s.name == "test.publish.series")
+            .expect("series registered");
         assert_eq!(ring.windows.iter().map(|w| w.count).sum::<u64>(), 1);
     }
 

@@ -4,8 +4,8 @@
 //! total" but not "how fast right now" or "what did the last few seconds
 //! look like". A [`Series`] buckets observations into fixed 100 ms
 //! windows held in a ring of [`SERIES_WINDOWS`] slots (~25 s of history),
-//! so a scrape or a `--watch` repaint can compute recent rates and
-//! per-window aggregates without unbounded storage.
+//! so a scrape can compute recent rates and per-window aggregates without
+//! unbounded storage.
 //!
 //! Storage follows the metrics design: slots are handed out by the
 //! process-wide registry, values live in plain thread-local vectors, and
@@ -134,22 +134,6 @@ impl SeriesSnapshot {
         // so measure the actual id span.
         let span = recent.last().unwrap().id - recent[0].id + 1;
         events as f64 / (span as f64 * SERIES_WINDOW_US as f64 / 1e6)
-    }
-
-    /// Per-window counts of the most recent `n` windows, zero-filled for
-    /// id gaps — ready for a sparkline.
-    pub fn recent_counts(&self, n: usize) -> Vec<f64> {
-        let Some(last) = self.windows.last() else {
-            return Vec::new();
-        };
-        let first_id = (last.id + 1).saturating_sub(n as u64);
-        let mut out = vec![0.0; (last.id + 1 - first_id) as usize];
-        for w in &self.windows {
-            if w.id >= first_id {
-                out[(w.id - first_id) as usize] = w.count as f64;
-            }
-        }
-        out
     }
 }
 
@@ -290,7 +274,7 @@ mod tests {
     }
 
     #[test]
-    fn recent_counts_zero_fills_gaps() {
+    fn rate_per_sec_spans_the_window_ids() {
         let s = SeriesSnapshot {
             name: "t".into(),
             windows: vec![
@@ -308,8 +292,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(s.recent_counts(4), vec![2.0, 0.0, 0.0, 1.0]);
-        assert_eq!(s.recent_counts(2), vec![0.0, 1.0]);
         // Rate over ids 5..=8: 3 events over 4 windows of 0.1 s.
         assert!((s.rate_per_sec(2) - 3.0 / 0.4).abs() < 1e-9);
     }

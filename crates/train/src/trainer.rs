@@ -172,8 +172,8 @@ struct Peers<'a> {
 
 /// The epoch loop, once: snapshot the sampler, draw the epoch, one
 /// [`step_core`] per batch at the schedule's LR, checkpoint when due, then
-/// the epoch's log, validation and `--watch` report. `peers` is `None` on
-/// one device; `resume` is the state a checkpoint restored, to continue
+/// the epoch's log and validation. `peers` is `None` on one device;
+/// `resume` is the state a checkpoint restored, to continue
 /// bitwise-identically from. Returns the epoch logs (rank 0's; empty on
 /// the other ranks).
 fn run_epochs(
@@ -185,9 +185,7 @@ fn run_epochs(
     mut peers: Option<Peers<'_>>,
     resume: Option<TrainState>,
 ) -> Vec<EpochLog> {
-    let (rank, world) = peers
-        .as_ref()
-        .map_or((0, 1), |p| (p.comm.rank(), p.comm.size()));
+    let rank = peers.as_ref().map_or(0, |p| p.comm.rank());
     let seed = cfg.seed.wrapping_add(rank as u64);
     let mut sampler = BatchSampler::new(cfg.batch_size, cfg.qd, cfg.qc, seed);
     let mut opt = make_opt(cfg.opt);
@@ -198,7 +196,6 @@ fn run_epochs(
     let mut resume_skip = 0usize;
     let mut dl = 0.0;
     let mut pl = 0.0;
-    let mut step_secs_per_rank: Vec<Vec<f64>> = vec![Vec::new(); world];
     if let Some(state) = resume {
         *net = state.net;
         opt.import_state(&state.opt);
@@ -268,8 +265,7 @@ fn run_epochs(
                 }
             }
         }
-        let epoch_secs = t0.elapsed().as_secs_f64();
-        train_seconds += epoch_secs;
+        train_seconds += t0.elapsed().as_secs_f64();
         let nb = batches.len().max(1) as f64;
         if rank == 0 {
             logs.push(EpochLog {
@@ -279,42 +275,6 @@ fn run_epochs(
                 val_mse: evaluate_mse(net, val),
                 seconds: train_seconds,
             });
-        }
-        if mf_observe::watch_enabled() {
-            // Straggler view: gather every rank's mean step time for
-            // this epoch and render one sparkline row per rank. Watch
-            // mode is opt-in, so the extra allgather never runs under
-            // the pinned-message-count regression fixtures.
-            let mean_step = [epoch_secs / nb];
-            let gathered = match &mut peers {
-                Some(p) => p.comm.allgather(&mean_step),
-                None => vec![mean_step.to_vec()],
-            };
-            if rank == 0 {
-                for (row, v) in step_secs_per_rank.iter_mut().zip(&gathered) {
-                    row.push(v[0]);
-                }
-                let losses: Vec<f64> = logs.iter().map(|l| l.data_loss + l.pde_loss).collect();
-                eprint!(
-                    "{}",
-                    mf_observe::train_watch_report(epoch, &losses, &step_secs_per_rank)
-                );
-                // Per-kernel VJP throughput from the published
-                // time-series rings (all ranks merged; reading the
-                // publication slots sends no messages).
-                for name in ["prof.vjp_data_us", "prof.vjp_pde_us"] {
-                    if let Some(s) = mf_telemetry::published_series(name) {
-                        eprint!(
-                            "{}",
-                            mf_observe::series_rate_line(
-                                name,
-                                s.rate_per_sec(10),
-                                &s.recent_counts(30)
-                            )
-                        );
-                    }
-                }
-            }
         }
     }
     logs

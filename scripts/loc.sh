@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Production lines of Rust, per directory and in total: the one instrument
-# for "less code" (ISSUE 23).
+# for "less code".
 #
 #   scripts/loc.sh [ROOT]        # ROOT defaults to the repo this script is in
 #
-# Rule: every `*.rs` under `crates/*/src`, `crates/bench/benches` and
+# Rule: every `*.rs` under `crates/*/src`, `crates/bench/benches`, the root
+# package's `src` (the library facade and the `mosaic-flow` CLI) and
 # `vendor/*/src`, read from the top down to its first `#[cfg(test)]` — the
 # inline test module, which every file here keeps last; a `#[cfg(test)]
 # mod x;` declaration does not end the file, and it and the `*tests.rs` file
@@ -35,7 +36,7 @@ count() { # production lines of one file
 
 total=0
 printf '%-28s %8s\n' "directory" "lines"
-for dir in crates/*/src crates/bench/benches vendor/*/src; do
+for dir in crates/*/src crates/bench/benches src vendor/*/src; do
     [ -d "$dir" ] || continue
     sum=0
     while IFS= read -r f; do

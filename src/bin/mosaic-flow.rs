@@ -55,9 +55,6 @@
 //! * `--trace PATH` — record spans and write a Chrome `trace_event` JSON
 //!   file (open in `chrome://tracing` / Perfetto). Distributed runs include
 //!   cross-rank flow events connecting each send to its receive.
-//! * `--watch` — periodic rendered progress reports (loss curve,
-//!   step-time sparklines, residual heatmap, live series rates) on
-//!   stderr.
 //! * `--metrics-addr HOST:PORT` (or `MF_METRICS_ADDR`) — serve live
 //!   metrics over HTTP while the command runs: `GET /metrics` is
 //!   OpenMetrics text, `GET /snapshot` is per-rank JSON.
@@ -108,7 +105,6 @@ const OBSERVABILITY_FLAGS: FlagTable = &[
     ("metrics", Kind::Switch),
     ("metrics-addr", Kind::Text),
     ("trace", Kind::Text),
-    ("watch", Kind::Switch),
 ];
 
 type Flags = HashMap<String, String>;
@@ -293,21 +289,22 @@ fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> T {
 const USAGE: &str = "\
 usage: mosaic-flow <train|info|eval|solve|serve> [flags]
 
-train --samples N --epochs E [--m 9] [--devices P] --out model.mfn
+train --samples N --epochs E [--m 9] [--devices P] [--seed 0] --out model.mfn
 info  --model model.mfn
 eval  --model model.mfn [--samples 20] [--seed 1]
-solve --domain SXxSY [--model model.mfn | --oracle] [--boundary sin|gp:SEED]
+solve --domain SXxSY [--model model.mfn | --oracle [--m 9]]
+      [--boundary sin|gp:SEED]
       [--ranks P] [--one-level] [--out grid.csv]
       [--crash-rank K [--crash-after S]]
-serve --addr H:P [--model model.mfn | --random-weights [--seed N]]
+serve --addr H:P [--model model.mfn | --random-weights [--m 9] [--seed N]]
       [--workers N] [--queue-depth N]
       [--max-points N]
+      [--slo-p99-ms MS] [--slo-error-rate R] [--slo-conv-fail-rate R]
 
 observability (any subcommand):
   --metrics            print telemetry reports to stderr: one per distributed run, one at exit
   --metrics-addr H:P   serve GET /metrics (OpenMetrics) and /snapshot (JSON)
   --trace PATH         write a Chrome trace_event JSON
-  --watch              periodic rendered progress reports on stderr
   MF_OBSERVE=dump[:DIR] write a post-mortem bundle on failure
   MF_METRICS_ADDR=H:P  same as --metrics-addr";
 
@@ -744,10 +741,62 @@ fn main() -> ExitCode {
     if flags.contains_key("metrics") {
         mosaic_flow::telemetry::set_metrics_report(true);
     }
-    if flags.contains_key("watch") {
-        mosaic_flow::observe::set_watch(true);
-    }
     let code = run(&flags);
     finish_telemetry(trace_path.as_deref());
     code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The lines of `USAGE` from the one starting with `head` through its
+    /// indented continuation lines.
+    fn block(head: &str) -> String {
+        let mut lines = USAGE.lines().skip_while(|l| !l.starts_with(head));
+        let first = lines
+            .next()
+            .unwrap_or_else(|| panic!("no `{head}` in USAGE"));
+        lines
+            .take_while(|l| l.starts_with(' '))
+            .fold(first.to_string(), |acc, l| acc + "\n" + l)
+    }
+
+    /// Whether `text` names `--flag` as a whole word (`--m` is not in
+    /// `--model`).
+    fn names(text: &str, flag: &str) -> bool {
+        let needle = format!("--{flag}");
+        text.match_indices(&needle).any(|(i, _)| {
+            !text[i + needle.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    }
+
+    #[test]
+    fn usage_lists_every_flag_a_subcommand_accepts() {
+        let header = USAGE.lines().next().unwrap();
+        let list = header
+            .split_once('<')
+            .and_then(|(_, rest)| rest.split_once('>'))
+            .expect("the header lists the subcommands")
+            .0;
+        let mut missing = Vec::new();
+        for cmd in list.split('|') {
+            let (_, table) = subcommand(cmd).unwrap_or_else(|| panic!("no subcommand {cmd}"));
+            let text = block(&format!("{cmd} "));
+            missing.extend(
+                table
+                    .iter()
+                    .filter(|(flag, _)| !names(&text, flag))
+                    .map(|(flag, _)| format!("{cmd} --{flag}")),
+            );
+        }
+        let text = block("observability (any subcommand):");
+        missing.extend(
+            OBSERVABILITY_FLAGS
+                .iter()
+                .filter(|(flag, _)| !names(&text, flag))
+                .map(|(flag, _)| format!("--{flag}")),
+        );
+        assert!(missing.is_empty(), "USAGE omits {missing:?}");
+    }
 }

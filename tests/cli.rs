@@ -167,6 +167,12 @@ fn unknown_flags_and_unparseable_values_are_rejected_with_a_reason() {
     ]);
     assert!(err.contains(&format!("unknown flag {retired}")), "{err}");
     assert!(err.contains("usage"), "{err}");
+    // And the periodic progress reports: they sent collectives of their
+    // own, and observability adds no message.
+    let retired = concat!("--wa", "tch");
+    let err = rejected(&["solve", "--domain", "2x1", "--oracle", retired]);
+    assert!(err.contains(&format!("unknown flag {retired}")), "{err}");
+    assert!(err.contains("usage"), "{err}");
     // A misspelt flag.
     let err = rejected(&["solve", "--domain", "2x1", "--rank", "4"]);
     assert!(err.contains("unknown flag --rank"), "{err}");

@@ -1,14 +1,16 @@
-//! The `--metrics` report changes nothing it reports on: with the switch
-//! on, a distributed run sends the same messages and computes the same
-//! bits as with it off. Its own binary because the switch is process-wide;
-//! the lock keeps the two tests from flipping it under each other.
+//! Observability adds no message: with every switch on (the `--metrics`
+//! report, span tracing, the flight recorder, profiling zones and request
+//! tracing), a distributed run sends the same messages and computes the
+//! same bits as with all of them off. Its own binary because the switches
+//! are process-wide; the lock keeps the two tests from flipping them under
+//! each other.
 
 use mosaic_flow::data::{Dataset, SubdomainSpec};
 use mosaic_flow::dist::CommStats;
 use mosaic_flow::mfp::{run_distributed, DistMfpConfig, DistMfpResult, DomainSpec, OracleSolver};
 use mosaic_flow::nn::{SdNet, SdNetConfig};
 use mosaic_flow::opt::LrSchedule;
-use mosaic_flow::telemetry::set_metrics_report;
+use mosaic_flow::telemetry::{clear_spans, set_metrics_report, set_tracing};
 use mosaic_flow::tensor::Tensor;
 use mosaic_flow::train::trainer::OptKind;
 use mosaic_flow::train::{train_ddp, GradSync, TrainConfig};
@@ -18,14 +20,25 @@ use std::sync::Mutex;
 
 static SWITCH: Mutex<()> = Mutex::new(());
 
-/// Run `f` with the report off, then on.
+/// Flip every observability switch together.
+fn observe_all(on: bool) {
+    set_metrics_report(on);
+    set_tracing(on);
+    mosaic_flow::observe::set_recording(on);
+    mosaic_flow::profile::set_enabled(on);
+    mosaic_flow::reqtrace::set_enabled(on);
+}
+
+/// Run `f` with every switch off, then on; then turn them off and drop
+/// the spans the traced run left behind.
 fn off_then_on<T>(f: impl Fn() -> T) -> (T, T) {
     let _switch = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
-    set_metrics_report(false);
+    observe_all(false);
     let off = f();
-    set_metrics_report(true);
+    observe_all(true);
     let on = f();
-    set_metrics_report(false);
+    observe_all(false);
+    clear_spans();
     (off, on)
 }
 
