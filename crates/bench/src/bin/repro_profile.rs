@@ -11,8 +11,8 @@
 //!   time with zones enabled to the time with them disabled, gated at
 //!   ≤ 3% (`tol: 0.03`, baseline `value: 1.0`).
 //! * `profile.warm_allocs` — workspace allocations during the profiled
-//!   warm loop; must be exactly 0 (recording into the histogram and the
-//!   time-series ring reuses per-thread storage after the first touch).
+//!   warm loop; must be exactly 0 (recording into the histogram reuses
+//!   per-thread storage after the first touch).
 //! * `profile.scrape_us` — median `GET /metrics` round-trip against the
 //!   in-process exposition server, loosely gated (wall clock on shared
 //!   CI is noisy).
@@ -127,9 +127,9 @@ fn main() {
     println!("median GET /metrics round-trip: {scrape_us:.0}us");
     println!(
         "\ncontract: always-on zone timers must cost <= 3% of a warm plan\n\
-         execution (one atomic load when disabled; one clock pair, one\n\
-         histogram bump and one ring-slot update when enabled — no heap\n\
-         traffic after the first record)."
+         execution (one atomic load when disabled; one clock pair and one\n\
+         histogram bump when enabled — no heap traffic after the first\n\
+         record)."
     );
 
     let mut metrics = vec![

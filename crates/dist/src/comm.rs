@@ -807,14 +807,6 @@ impl Communicator {
         out
     }
 
-    /// Sum a single scalar across ranks (used for global convergence
-    /// tests in Algorithm 2).
-    pub fn allreduce_scalar(&mut self, v: f64) -> f64 {
-        let mut buf = [v];
-        self.allreduce_sum(&mut buf);
-        buf[0]
-    }
-
     /// Broadcast `buf` from `root` to all ranks (binomial tree: O(log P)
     /// rounds).
     pub fn broadcast(&mut self, root: usize, buf: &mut Vec<f64>) {
@@ -1035,7 +1027,11 @@ mod tests {
 
     #[test]
     fn allreduce_scalar_sums() {
-        let outs = Cluster::run(5, |c| c.allreduce_scalar(c.rank() as f64));
+        let outs = Cluster::run(5, |c| {
+            let mut buf = [c.rank() as f64];
+            c.allreduce_sum(&mut buf);
+            buf[0]
+        });
         for o in outs {
             assert_eq!(o, 10.0);
         }

@@ -48,7 +48,6 @@ struct Metrics {
     comm_modeled_us: mf_telemetry::Gauge,
     overlap_ratio: mf_telemetry::Gauge,
     iter_wait_us: mf_telemetry::Histogram,
-    iter_series: mf_telemetry::Series,
 }
 
 // Registry lookups lock a process-wide mutex; resolve the handles once
@@ -64,7 +63,6 @@ fn metrics() -> &'static Metrics {
             "dist.iter_wait_us",
             mf_telemetry::Buckets::latency_us(),
         ),
-        iter_series: mf_telemetry::series("dist.iterations"),
     })
 }
 
@@ -128,7 +126,6 @@ impl OverlapTracker {
         m.comm_modeled_us.set(self.total_modeled_s * 1e6);
         m.overlap_ratio.set(ratio);
         m.iter_wait_us.record(wait_s * 1e6);
-        m.iter_series.mark();
 
         OverlapSample {
             compute_s: compute_s.max(0.0),

@@ -121,8 +121,9 @@ fn interleaved_halo_and_collectives_many_rounds() {
                 assert_eq!(data[0], *peer as f64 + round as f64);
                 checksum += data[0];
             }
-            let s = c.allreduce_scalar(1.0);
-            assert_eq!(s, 9.0);
+            let mut s = [1.0];
+            c.allreduce_sum(&mut s);
+            assert_eq!(s[0], 9.0);
         }
         checksum
     });

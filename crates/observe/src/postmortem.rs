@@ -159,7 +159,7 @@ pub fn write_bundle(
     let mut metrics = String::new();
     for (rank, rec) in records {
         metrics.push_str(&format!("--- rank {rank} ---\n"));
-        metrics.push_str(&mf_telemetry::render_openmetrics(&rec.metrics, &[]));
+        metrics.push_str(&mf_telemetry::render_openmetrics(&rec.metrics));
     }
     std::fs::write(dir.join("metrics.txt"), metrics)?;
 

@@ -1,13 +1,12 @@
 //! Dependency-free metrics exposition over `std::net::TcpListener`.
 //!
 //! One acceptor thread, blocking per-connection handling (scrapes are
-//! rare and tiny), non-blocking accept so shutdown is prompt. Routes:
+//! rare and tiny), non-blocking accept so shutdown is prompt; a slow
+//! client holds it for no longer than [`CONN_DEADLINE`] allows. Routes:
 //!
 //! - `GET /metrics` — OpenMetrics text; every published rank registry
-//!   merged (counters/buckets sum, gauges max) plus `<name>_rate`
-//!   gauges derived from the time-series rings.
-//! - `GET /snapshot` — JSON: per-rank metrics, the merged view, and the
-//!   raw series windows.
+//!   merged (counters/buckets sum, gauges max).
+//! - `GET /snapshot` — JSON: per-rank metrics and the merged view.
 //!
 //! Other crates can add endpoints without a dependency edge back into
 //! this one via [`register_route`] — mf-reqtrace installs `/requests`,
@@ -18,7 +17,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, LazyLock, RwLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Handle to a running exposition server; dropping it stops the
 /// acceptor thread and releases the port.
@@ -102,13 +101,23 @@ fn serve_loop(listener: TcpListener, stop: Arc<AtomicBool>) {
     }
 }
 
+/// How long one connection may hold the acceptor: the whole request head
+/// must arrive within it of the accept, and each response write must
+/// complete within it.
+const CONN_DEADLINE: Duration = Duration::from_millis(500);
+
 fn handle_conn(mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let deadline = Instant::now() + CONN_DEADLINE;
+    let _ = stream.set_write_timeout(Some(CONN_DEADLINE));
     let _ = stream.set_nodelay(true);
     // Read until the end of the request head (we ignore any body).
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
         match stream.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
@@ -168,10 +177,7 @@ fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
         "/metrics" => (
             "200 OK",
             "application/openmetrics-text; version=1.0.0; charset=utf-8",
-            mf_telemetry::render_openmetrics(
-                &mf_telemetry::merged_snapshot(),
-                &mf_telemetry::merged_series(),
-            ),
+            mf_telemetry::render_openmetrics(&mf_telemetry::merged_snapshot()),
         ),
         "/snapshot" => (
             "200 OK",
@@ -179,7 +185,6 @@ fn route(method: &str, path: &str) -> (&'static str, &'static str, String) {
             mf_telemetry::render_snapshot_json(
                 &mf_telemetry::per_rank_snapshots(),
                 &mf_telemetry::merged_snapshot(),
-                &mf_telemetry::merged_series(),
             ),
         ),
         other => {
@@ -250,6 +255,32 @@ mod tests {
         // Port is released: a new server can bind the same address.
         let again = MetricsServer::start(&addr.to_string());
         assert!(again.is_ok(), "rebind after drop failed: {:?}", again.err());
+    }
+
+    #[test]
+    fn a_trickling_client_does_not_stall_a_scrape() {
+        let server = MetricsServer::start("127.0.0.1:0").expect("bind");
+        let addr = server.addr();
+        // One byte every 100 ms for 3 s, never finishing the request head.
+        let trickler = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            for _ in 0..30 {
+                if s.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        let (status, _) = http_get(addr, "/metrics").expect("scrape");
+        let waited = t0.elapsed();
+        assert!(status.contains("200"), "status: {status}");
+        assert!(
+            waited < Duration::from_millis(1500),
+            "scrape waited {waited:?} behind a trickling client"
+        );
+        trickler.join().unwrap();
     }
 
     #[test]

@@ -2,17 +2,17 @@
 
 //! **mf-serve** — a long-lived solve service with cross-request batching.
 //!
-//! The paper's pitch (and the repo's ROADMAP item 1) is that a trained
-//! SDNet plus the Mosaic Flow predictor is a *reusable* solver:
-//! transferability to unseen BVPs only pays off if many clients can
-//! submit boundary-value problems to one long-lived process instead of
-//! re-running a batch binary per query. With the compiled
-//! `InferencePlan` the per-point cost is low enough that the bottleneck
-//! moves to request handling: a single request's launches carry only a
-//! handful of query points each (a 1×1 domain issues `[1, L]` launches
-//! over 15-point crosses), which starves the GEMM microkernel and pays
-//! the full per-launch fixed cost — plan-cache probe, workspace
-//! checkout, interpreter dispatch — for barely any arithmetic.
+//! The paper's pitch is that a trained SDNet plus the Mosaic Flow
+//! predictor is a *reusable* solver: transferability to unseen BVPs only
+//! pays off if many clients can submit boundary-value problems to one
+//! long-lived process instead of re-running a batch binary per query.
+//! With the compiled `InferencePlan` the per-point cost is low enough
+//! that the bottleneck moves to request handling: a single request's
+//! launches carry only a handful of query points each (a 1×1 domain
+//! issues `[1, L]` launches over 15-point crosses), which starves the
+//! GEMM microkernel and pays the full per-launch fixed cost — plan-cache
+//! probe, workspace checkout, interpreter dispatch — for barely any
+//! arithmetic.
 //!
 //! The production trick is *batching whole requests together*:
 //!

@@ -1,14 +1,12 @@
 //! Exposition encodings for scrapers: Prometheus/OpenMetrics text and a
 //! JSON snapshot document.
 //!
-//! These are pure formatters over [`MetricsSnapshot`] /
-//! [`SeriesSnapshot`]; the TCP server that actually answers
-//! `GET /metrics` lives in `mf-profile` so this crate stays free of any
-//! I/O concerns.
+//! These are pure formatters over [`MetricsSnapshot`]; the TCP server
+//! that actually answers `GET /metrics` lives in `mf-profile` so this
+//! crate stays free of any I/O concerns.
 
 use crate::json::JsonWriter;
 use crate::metrics::{HistSnapshot, MetricValue, MetricsSnapshot};
-use crate::series::SeriesSnapshot;
 use std::fmt::Write;
 
 /// Rewrite a dotted metric name (`infer.pts_per_s`) into the Prometheus
@@ -58,12 +56,10 @@ fn write_histogram(out: &mut String, name: &str, h: &HistSnapshot) {
     let _ = writeln!(out, "{name}_count {}", h.count);
 }
 
-/// Render a snapshot (plus optional series rings) in the OpenMetrics
-/// text format: `# TYPE` metadata, counters with a `_total` sample,
-/// histograms as cumulative `_bucket{le=…}` samples ending in `+Inf`,
-/// and a terminating `# EOF`. Series appear as `<name>_rate` gauges
-/// (events/s over the most recent windows).
-pub fn render_openmetrics(snap: &MetricsSnapshot, series: &[SeriesSnapshot]) -> String {
+/// Render a snapshot in the OpenMetrics text format: `# TYPE` metadata,
+/// counters with a `_total` sample, histograms as cumulative
+/// `_bucket{le=…}` samples ending in `+Inf`, and a terminating `# EOF`.
+pub fn render_openmetrics(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     for (name, val) in &snap.metrics {
         let name = sanitize_metric_name(name);
@@ -78,14 +74,6 @@ pub fn render_openmetrics(snap: &MetricsSnapshot, series: &[SeriesSnapshot]) -> 
             }
             MetricValue::Histogram(h) => write_histogram(&mut out, &name, h),
         }
-    }
-    for s in series {
-        if s.windows.is_empty() {
-            continue;
-        }
-        let name = format!("{}_rate", sanitize_metric_name(&s.name));
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {}", fmt_value(s.rate_per_sec(10)));
     }
     out.push_str("# EOF\n");
     out
@@ -117,13 +105,11 @@ fn write_metrics_json(w: &mut JsonWriter, snap: &MetricsSnapshot) {
 
 /// Render the full scrape state as a JSON document:
 /// `{"ranks": [{"rank": 0|"main", "metrics": {…}}, …],
-///   "merged": {…}, "series": [{"name", "rate_per_s", "windows"}, …]}`.
-/// Histograms appear as `{count, sum, min, max, p50, p95, p99}` objects;
-/// series windows as `[id, count, sum, max]` rows.
+///   "merged": {…}}`.
+/// Histograms appear as `{count, sum, min, max, p50, p95, p99}` objects.
 pub fn render_snapshot_json(
     per_rank: &[(Option<usize>, MetricsSnapshot)],
     merged: &MetricsSnapshot,
-    series: &[SeriesSnapshot],
 ) -> String {
     JsonWriter::object(|w| {
         w.key("ranks").arr(|w| {
@@ -138,28 +124,12 @@ pub fn render_snapshot_json(
             }
         });
         write_metrics_json(w.key("merged"), merged);
-        w.key("series").arr(|w| {
-            for s in series.iter().filter(|s| !s.windows.is_empty()) {
-                w.obj(|w| {
-                    w.field("name", s.name.as_str())
-                        .field("rate_per_s", s.rate_per_sec(10));
-                    w.key("windows").arr(|w| {
-                        for win in &s.windows {
-                            w.arr(|w| {
-                                w.val(win.id).val(win.count).val(win.sum).val(win.max);
-                            });
-                        }
-                    });
-                });
-            }
-        });
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::SeriesWindow;
     use crate::JsonValue;
 
     fn demo_snapshot() -> MetricsSnapshot {
@@ -184,7 +154,7 @@ mod tests {
 
     #[test]
     fn openmetrics_output_is_well_formed() {
-        let text = render_openmetrics(&demo_snapshot(), &[]);
+        let text = render_openmetrics(&demo_snapshot());
         assert!(text.ends_with("# EOF\n"));
         assert!(text.contains("# TYPE comm_msgs_sent counter\ncomm_msgs_sent_total 12\n"));
         assert!(text.contains("# TYPE infer_pts_per_s gauge\ninfer_pts_per_s 4096.5\n"));
@@ -208,34 +178,10 @@ mod tests {
     }
 
     #[test]
-    fn series_render_as_rate_gauges() {
-        let series = vec![SeriesSnapshot {
-            name: "mfp.iterations".into(),
-            windows: vec![SeriesWindow {
-                id: 3,
-                count: 5,
-                sum: 5.0,
-                max: 1.0,
-            }],
-        }];
-        let text = render_openmetrics(&MetricsSnapshot::default(), &series);
-        assert!(text.contains("# TYPE mfp_iterations_rate gauge\nmfp_iterations_rate 50\n"));
-    }
-
-    #[test]
     fn json_snapshot_parses_and_holds_values() {
         let snap = demo_snapshot();
         let per_rank = vec![(None, snap.clone()), (Some(1), snap.clone())];
-        let series = vec![SeriesSnapshot {
-            name: "train.steps".into(),
-            windows: vec![SeriesWindow {
-                id: 7,
-                count: 2,
-                sum: 2.0,
-                max: 1.0,
-            }],
-        }];
-        let text = render_snapshot_json(&per_rank, &snap, &series);
+        let text = render_snapshot_json(&per_rank, &snap);
         let doc = JsonValue::parse(&text).expect("valid JSON");
         let ranks = doc.get("ranks").and_then(|v| v.as_arr()).unwrap();
         assert_eq!(ranks.len(), 2);
@@ -248,10 +194,5 @@ mod tests {
         );
         let hist = merged.get("prof.gemm_us").unwrap();
         assert_eq!(hist.get("count").and_then(|v| v.as_f64()), Some(4.0));
-        let series_out = doc.get("series").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(
-            series_out[0].get("name").and_then(|v| v.as_str()),
-            Some("train.steps")
-        );
     }
 }

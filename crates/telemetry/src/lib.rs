@@ -11,12 +11,11 @@
 //!    sinks are off costs one relaxed atomic load and evaluates no
 //!    argument. See the `span` module docs for which level feeds which
 //!    sink.
-//! 2. **Metrics** ([`counter`], [`gauge`], [`histogram`], [`series`]) — an
-//!    always-on registry of named counters, gauges, fixed-bucket histograms
-//!    and time-series rings. Values live in plain (non-atomic) thread-local
-//!    storage, so each simulated rank — one thread under `Cluster::run` —
-//!    accumulates its own independent set; recording is a vector index
-//!    plus an add.
+//! 2. **Metrics** ([`counter`], [`gauge`], [`histogram`]) — an always-on
+//!    registry of named counters, gauges and fixed-bucket histograms.
+//!    Values live in plain (non-atomic) thread-local storage, so each
+//!    simulated rank — one thread under `Cluster::run` — accumulates its
+//!    own independent set; recording is a vector index plus an add.
 //! 3. **Exporters** — a human-readable summary report
 //!    ([`render_report`]), a Chrome `trace_event` JSON file
 //!    ([`write_chrome_trace`], [`write_trace_file`]) loadable in
@@ -55,7 +54,6 @@ mod metrics;
 mod publish;
 mod report;
 mod ring;
-mod series;
 mod sink;
 mod span;
 
@@ -72,14 +70,9 @@ pub use metrics::{
     counter, gauge, histogram, snapshot, Buckets, Counter, Gauge, HistSnapshot, Histogram,
     MetricValue, MetricsSnapshot,
 };
-pub use publish::{
-    merged_series, merged_snapshot, per_rank_snapshots, publish_lane, publish_thread,
-};
+pub use publish::{merged_snapshot, per_rank_snapshots, publish_lane, publish_thread};
 pub use report::render_report;
 pub use ring::Ring;
-pub use series::{
-    series, series_snapshot, Series, SeriesSnapshot, SeriesWindow, SERIES_WINDOWS, SERIES_WINDOW_US,
-};
 pub use sink::{
     clear_rings, clear_spans, current_request, drain_flight, drain_flows, drain_rings, drain_spans,
     flush_thread, reset_thread_metrics, set_current_request, set_sink, set_step_context,
@@ -93,12 +86,6 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 static METRICS_REPORT: AtomicBool = AtomicBool::new(false);
-
-/// The sink word and the collector are process-wide: unit tests that flip
-/// a sink, flush or drain hold this lock, so a sibling test never sees the
-/// other's setting or steals its records.
-#[cfg(test)]
-pub(crate) static TRACING_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Turn the trace sink on or off globally. Off by default.
 pub fn set_tracing(on: bool) {
@@ -131,6 +118,12 @@ fn epoch() -> Instant {
 pub fn now_us() -> u64 {
     epoch().elapsed().as_micros() as u64
 }
+
+/// The sink word and the collector are process-wide: unit tests that flip
+/// a sink, flush or drain hold this lock, so a sibling test never sees the
+/// other's setting or steals its records.
+#[cfg(test)]
+pub(crate) static TRACING_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {

@@ -19,34 +19,13 @@ pub(crate) struct Registry {
     pub(crate) counters: Vec<&'static str>,
     pub(crate) gauges: Vec<&'static str>,
     pub(crate) hists: Vec<(&'static str, Arc<[f64]>)>,
-    pub(crate) series: Vec<&'static str>,
     counter_idx: HashMap<&'static str, usize>,
     gauge_idx: HashMap<&'static str, usize>,
     hist_idx: HashMap<&'static str, usize>,
-    series_idx: HashMap<&'static str, usize>,
 }
 
 pub(crate) static REGISTRY: LazyLock<Mutex<Registry>> =
     LazyLock::new(|| Mutex::new(Registry::default()));
-
-/// Register (or look up) the series named `name`, returning its slot.
-pub(crate) fn series_slot(name: &'static str) -> usize {
-    let mut r = REGISTRY.lock().unwrap();
-    match r.series_idx.get(name) {
-        Some(&i) => i,
-        None => {
-            let i = r.series.len();
-            r.series.push(name);
-            r.series_idx.insert(name, i);
-            i
-        }
-    }
-}
-
-/// Names of all registered series, in slot order.
-pub(crate) fn series_names() -> Vec<&'static str> {
-    REGISTRY.lock().unwrap().series.clone()
-}
 
 /// Handle to a named monotonically increasing counter.
 #[derive(Clone, Copy, Debug)]

@@ -18,7 +18,6 @@
 //! acquisitions and a few memcpys, no allocation once layouts stabilise.
 
 use crate::metrics::{snapshot_from, HistData, MetricsSnapshot};
-use crate::series::{SeriesData, SeriesSnapshot};
 use crate::sink::SINK;
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
@@ -36,7 +35,6 @@ pub(crate) struct PublishedSink {
     counters: Vec<u64>,
     gauges: Vec<f64>,
     hists: Vec<HistData>,
-    series: Vec<SeriesData>,
 }
 
 static PUBLISHED: LazyLock<Mutex<HashMap<usize, Arc<Mutex<PublishedSink>>>>> =
@@ -72,18 +70,6 @@ fn copy_hists(dst: &mut Vec<HistData>, src: &[HistData]) {
     }
 }
 
-fn copy_series(dst: &mut Vec<SeriesData>, src: &[SeriesData]) {
-    if dst.len() != src.len() {
-        dst.resize_with(src.len(), SeriesData::default);
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        if d.windows.len() != s.windows.len() {
-            d.windows.resize_with(s.windows.len(), Default::default);
-        }
-        d.windows.copy_from_slice(&s.windows);
-    }
-}
-
 /// Copy the current thread's metric values into its shared per-rank
 /// slot, making them visible to [`merged_snapshot`] and friends. No-op
 /// for a thread that has recorded nothing yet. Call this at a loop
@@ -108,8 +94,7 @@ pub fn publish_lane(lane: usize) {
 fn publish_under(key: Option<usize>) {
     SINK.with(|s| {
         let s = &mut *s.borrow_mut();
-        if s.counters.is_empty() && s.gauges.is_empty() && s.hists.is_empty() && s.series.is_empty()
-        {
+        if s.counters.is_empty() && s.gauges.is_empty() && s.hists.is_empty() {
             return;
         }
         let key = key.unwrap_or(s.rank.unwrap_or(MAIN_KEY));
@@ -124,7 +109,6 @@ fn publish_under(key: Option<usize>) {
         copy_u64(&mut p.counters, &s.counters);
         copy_f64(&mut p.gauges, &s.gauges);
         copy_hists(&mut p.hists, &s.hists);
-        copy_series(&mut p.series, &s.series);
     });
 }
 
@@ -167,43 +151,19 @@ pub fn merged_snapshot() -> MetricsSnapshot {
     merged
 }
 
-/// Every registered series, with all published ranks' rings folded
-/// together (window-id aligned).
-pub fn merged_series() -> Vec<SeriesSnapshot> {
-    let names = crate::metrics::series_names();
-    let mut out: Vec<SeriesSnapshot> = names
-        .iter()
-        .map(|n| SeriesSnapshot {
-            name: n.to_string(),
-            windows: Vec::new(),
-        })
-        .collect();
-    for (_, slot) in slots() {
-        let p = slot.lock().unwrap();
-        for (i, name) in names.iter().enumerate() {
-            if let Some(d) = p.series.get(i) {
-                out[i].merge(&crate::series::snapshot_data(name, d));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{counter, gauge, series};
+    use crate::{counter, gauge};
 
     #[test]
     fn published_values_are_visible_to_other_threads() {
         let c = counter("test.publish.counter");
         let g = gauge("test.publish.gauge");
-        let sr = series("test.publish.series");
         std::thread::spawn(move || {
             crate::set_thread_rank(91);
             c.add(4);
             g.set(2.5);
-            sr.record(1.0);
             publish_thread();
         })
         .join()
@@ -213,11 +173,6 @@ mod tests {
         assert_eq!(merged.gauge("test.publish.gauge"), 2.5);
         let per_rank = per_rank_snapshots();
         assert!(per_rank.iter().any(|(r, _)| *r == Some(91)));
-        let ring = merged_series()
-            .into_iter()
-            .find(|s| s.name == "test.publish.series")
-            .expect("series registered");
-        assert_eq!(ring.windows.iter().map(|w| w.count).sum::<u64>(), 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Sink bit: the unbounded trace buffer (`--trace`, [`crate::set_tracing`]).
 pub const TRACE: u8 = 1;
-/// Sink bit: timing histograms and series (`mf_profile::set_enabled`).
+/// Sink bit: timing histograms (`mf_profile::set_enabled`).
 pub const ZONES: u8 = 2;
 /// Sink bit: the flight-recorder ring (`mf_observe::set_recording`).
 pub const RECORDER: u8 = 4;
@@ -100,7 +100,6 @@ pub(crate) struct ThreadSink {
     pub counters: Vec<u64>,
     pub gauges: Vec<f64>,
     pub hists: Vec<crate::metrics::HistData>,
-    pub series: Vec<crate::series::SeriesData>,
     pub flight: Ring<Record>,
     pub trace: Vec<Record>,
     pub depth: u32,
@@ -136,7 +135,6 @@ thread_local! {
             counters: Vec::new(),
             gauges: Vec::new(),
             hists: Vec::new(),
-            series: Vec::new(),
             flight: Ring::new(RING_CAPACITY),
             trace: Vec::new(),
             depth: 0,
@@ -324,7 +322,6 @@ pub fn reset_thread_metrics() {
         s.counters.iter_mut().for_each(|v| *v = 0);
         s.gauges.iter_mut().for_each(|v| *v = 0.0);
         s.hists.iter_mut().for_each(|h| h.reset());
-        s.series.iter_mut().for_each(|d| d.windows.clear());
     });
 }
 

@@ -7,7 +7,7 @@
 //! flow(name, id, phase, bytes) / event(name, a, b)   point events
 //!        │
 //!        ▼  one relaxed load of the sink word ([`crate::sinks`])
-//!   ZONES     histogram `<name>_us` (span) / `prof.<name>_us` + series (zone)
+//!   ZONES     histogram `<name>_us` (span) / `prof.<name>_us` (zone)
 //!   RECORDER  the thread's flight ring (span, flow, event — never a zone)
 //!   TRACE     the thread's trace buffer (span, zone, flow), with nesting depth
 //! ```
@@ -18,7 +18,6 @@
 //! depth); nothing allocates once the thread's ring exists.
 
 use crate::metrics::{histogram, Buckets, Histogram};
-use crate::series::{series, Series, SERIES_WINDOW_US};
 use crate::sink::{Kind, Record, RECORDER, SINK, TRACE, ZONES};
 use crate::{sinks, FlowPhase};
 use std::time::Instant;
@@ -36,23 +35,15 @@ pub struct Site {
     name: &'static str,
     keys: &'static [&'static str],
     hist: Histogram,
-    series: Option<Series>,
 }
 
 impl Site {
-    /// A site timing into the histogram `hist` — and, for a `zone!`, the
-    /// series of the same name.
-    pub fn new(
-        name: &'static str,
-        hist: &'static str,
-        keys: &'static [&'static str],
-        zone: bool,
-    ) -> Self {
+    /// A site timing into the histogram `hist`.
+    pub fn new(name: &'static str, hist: &'static str, keys: &'static [&'static str]) -> Self {
         Self {
             name,
             keys,
             hist: histogram(hist, Buckets::latency_us()),
-            series: zone.then(|| series(hist)),
         }
     }
 
@@ -91,16 +82,11 @@ pub struct Scope<'a> {
 impl Drop for Scope<'_> {
     fn drop(&mut self) {
         let end = Instant::now();
-        let epoch = crate::epoch();
-        let end_us = end.saturating_duration_since(epoch).as_micros() as u64;
         SINK.with(|s| {
             let s = &mut *s.borrow_mut();
             if self.sinks & ZONES != 0 {
                 let us = (end - self.start).as_secs_f64() * 1e6;
                 self.site.hist.record_in(s, us);
-                if let Some(r) = self.site.series {
-                    r.record_in(s, end_us / SERIES_WINDOW_US, us);
-                }
             }
             if self.sinks & TRACE != 0 {
                 s.depth = s.depth.saturating_sub(1);
@@ -109,6 +95,8 @@ impl Drop for Scope<'_> {
                 // Both ends are truncated from the same clock, so a child
                 // scope's interval stays inside its parent's to the
                 // microsecond.
+                let epoch = crate::epoch();
+                let end_us = end.saturating_duration_since(epoch).as_micros() as u64;
                 let t_us = self.start.saturating_duration_since(epoch).as_micros() as u64;
                 let rec = Record {
                     t_us,
@@ -147,12 +135,12 @@ pub fn scope_args<const N: usize>(v: [f64; N]) -> [f64; 2] {
 #[macro_export]
 macro_rules! span {
     ($name:literal $(, $key:ident = $val:expr)* $(,)?) => {
-        $crate::scope!(SPAN_SINKS, $name, concat!($name, "_us"), false $(, $key = $val)*);
+        $crate::scope!(SPAN_SINKS, $name, concat!($name, "_us") $(, $key = $val)*);
     };
 }
 
-/// Time a kernel until the end of the enclosing scope: histogram and
-/// series `prof.<name>_us`, and the trace when tracing is on — never the
+/// Time a kernel until the end of the enclosing scope: histogram
+/// `prof.<name>_us`, and the trace when tracing is on — never the
 /// flight ring. Zones and spans nest in one depth count.
 ///
 /// ```
@@ -164,7 +152,7 @@ macro_rules! span {
 #[macro_export]
 macro_rules! zone {
     ($name:literal) => {
-        $crate::scope!(ZONE_SINKS, $name, concat!("prof.", $name, "_us"), true);
+        $crate::scope!(ZONE_SINKS, $name, concat!("prof.", $name, "_us"));
     };
 }
 
@@ -172,7 +160,7 @@ macro_rules! zone {
 #[doc(hidden)]
 #[macro_export]
 macro_rules! scope {
-    ($level:ident, $name:expr, $hist:expr, $zone:expr $(, $key:ident = $val:expr)*) => {
+    ($level:ident, $name:expr, $hist:expr $(, $key:ident = $val:expr)*) => {
         let _mf_telemetry_scope = {
             let sinks = $crate::sinks() & $crate::$level;
             if sinks == 0 {
@@ -180,7 +168,7 @@ macro_rules! scope {
             } else {
                 static SITE: ::std::sync::OnceLock<$crate::Site> = ::std::sync::OnceLock::new();
                 let site = SITE.get_or_init(|| {
-                    $crate::Site::new($name, $hist, &[$(stringify!($key)),*], $zone)
+                    $crate::Site::new($name, $hist, &[$(stringify!($key)),*])
                 });
                 let v = if sinks & $crate::ARG_SINKS == 0 {
                     [0.0; 2]
@@ -304,11 +292,6 @@ mod tests {
             flow("span.test.flow", 77, FlowPhase::Start, 64);
             assert_eq!(hist_count("span.test.levels_us"), 1);
             assert_eq!(hist_count("prof.span_test_levels_us"), 1);
-            let ring = crate::series_snapshot()
-                .into_iter()
-                .find(|s| s.name == "prof.span_test_levels_us")
-                .expect("zone series registered");
-            assert_eq!(ring.windows.iter().map(|w| w.count).sum::<u64>(), 1);
             flush_thread();
         })
         .join()

@@ -12,10 +12,6 @@
 # it names are skipped; blank lines and lines holding only a `//` comment
 # (doc comments included) are not counted. So moving code into a test
 # module, deleting comments or reflowing blank lines changes nothing.
-#
-# One file puts a `#[cfg(test)]` on a single item above its test module
-# (telemetry/src/lib.rs) and is read only down to it: 19 lines that every
-# commit undercounts alike.
 set -euo pipefail
 
 root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"

@@ -10,7 +10,7 @@ use mosaic_flow::reqtrace::{self, RequestTrace, SloConfig, TraceContext};
 use mosaic_flow::serve::{protocol, ServeError, SolveResponse};
 use mosaic_flow::telemetry::{
     self as tel, FlowEvent, FlowPhase, HistSnapshot, JsonValue, Level, MetricValue,
-    MetricsSnapshot, SeriesSnapshot, SeriesWindow, SpanEvent,
+    MetricsSnapshot, SpanEvent,
 };
 use mosaic_flow::tensor::Tensor;
 
@@ -143,17 +143,8 @@ fn metrics_snapshot() {
         }),
     ));
     let snap = MetricsSnapshot { metrics };
-    let series = [SeriesSnapshot {
-        name: "s".into(),
-        windows: vec![SeriesWindow {
-            id: 3,
-            count: 1,
-            sum: f64::MAX,
-            max: f64::INFINITY,
-        }],
-    }];
     let per_rank = [(None, snap.clone()), (Some(2), snap.clone())];
-    let doc = parse(&tel::render_snapshot_json(&per_rank, &snap, &series));
+    let doc = parse(&tel::render_snapshot_json(&per_rank, &snap));
     let ranks = doc.get("ranks").and_then(JsonValue::as_arr).unwrap();
     assert_eq!(
         ranks[0].get("rank").and_then(JsonValue::as_str),
@@ -170,15 +161,6 @@ fn metrics_snapshot() {
         assert_reads_back(-0.0, h.get("min"), "snapshot histogram min");
         assert_reads_back(5e-324, h.get("max"), "snapshot histogram max");
     }
-    let series = doc.get("series").and_then(JsonValue::as_arr).unwrap();
-    let window = series[0]
-        .get("windows")
-        .and_then(JsonValue::as_arr)
-        .unwrap()[0]
-        .as_arr()
-        .unwrap();
-    assert_reads_back(f64::MAX, Some(&window[2]), "series sum");
-    assert_reads_back(f64::INFINITY, Some(&window[3]), "series max");
 }
 
 #[test]

@@ -267,7 +267,7 @@ fn written_documents() -> Vec<String> {
         protocol::render_ok(3, &resp),
         protocol::render_err(4, &ServeError::BadRequest("bad \"line\"\n".into())),
         String::from_utf8(trace).unwrap(),
-        tel::render_snapshot_json(&[(Some(0), snap.clone())], &snap, &[]),
+        tel::render_snapshot_json(&[(Some(0), snap.clone())], &snap),
         tel::format_log_line(tel::Level::Warn, "fuzz.event", &fields),
         mosaic_flow::reqtrace::healthz().1,
     ]

@@ -2,15 +2,17 @@
 //! the compiled inference plan, scraped over HTTP while it runs.
 //!
 //! Exercises the whole chain end to end — zone timers in the kernel hot
-//! loops → per-thread histograms and time-series rings → per-rank
-//! publication → merged OpenMetrics / JSON exposition over a real TCP
-//! socket — and asserts the scrape is well-formed and carries the
-//! per-kernel and overlap metrics the ISSUE contract names.
+//! loops → per-thread histograms → per-rank publication → merged
+//! OpenMetrics / JSON exposition over a real TCP socket — and asserts the
+//! scrape is well-formed, carries the per-kernel and overlap metrics, and
+//! holds nothing else: no derived rate samples, and only the per-rank and
+//! merged sections in `/snapshot`.
 
 use mosaic_flow::mfp::{try_run_distributed, DistMfpConfig, DomainSpec, PlanSolver};
 use mosaic_flow::nn::{SdNet, SdNetConfig};
 use mosaic_flow::prelude::*;
 use mosaic_flow::profile::{http_get, MetricsServer};
+use mosaic_flow::telemetry::JsonValue;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -126,11 +128,24 @@ fn metrics_endpoint_serves_kernel_histograms_mid_solve() {
         "missing dist_comm_wait_us"
     );
     assert!(body.contains("dist_compute_us"), "missing dist_compute_us");
+    // A zone feeds its histogram alone: no sample is a derived rate.
+    for line in body.lines().filter(|l| !l.starts_with('#')) {
+        let name = line.split([' ', '{']).next().unwrap();
+        assert!(
+            !name.ends_with("_rate"),
+            "rate sample in /metrics: {line:?}"
+        );
+    }
 
     // The JSON snapshot parses and carries per-rank sections.
     let (status, body) = http_get(addr, "/snapshot").expect("snapshot");
     assert!(status.contains("200"));
     assert!(body.contains("\"ranks\""), "snapshot lacks ranks: {body}");
     assert!(body.contains("\"merged\""), "snapshot lacks merged section");
-    assert!(body.contains("\"series\""), "snapshot lacks series section");
+    let doc = JsonValue::parse(&body).expect("snapshot parses");
+    let JsonValue::Obj(fields) = &doc else {
+        panic!("snapshot is not an object: {body}");
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["ranks", "merged"], "snapshot top-level keys");
 }
