@@ -548,6 +548,25 @@ impl Communicator {
     /// reduce/broadcast among node leaders → node fan-out), whose ~O(1)
     /// average messages per rank beats rd's log₂P latency term at scale.
     pub fn allreduce_sum(&mut self, buf: &mut [f64]) {
+        let few_rounds = buf.len() <= ALLREDUCE_RD_MAX_ELEMS;
+        self.allreduce_sum_by(buf, few_rounds);
+    }
+
+    /// In-place allreduce (sum) in a number of rounds logarithmic in the
+    /// world size, whatever the buffer's length: recursive doubling below
+    /// [`TREE_MIN_RANKS`] ranks, the hierarchical tree at and above —
+    /// what [`allreduce_sum`](Self::allreduce_sum) picks for a buffer of at
+    /// most [`ALLREDUCE_RD_MAX_ELEMS`] elements. For a reduction on the
+    /// critical path of every iteration, such as the MFP stop test with
+    /// its coarse-grid residual, whose few thousand doubles the ring would
+    /// spread over 2(P − 1) latency steps.
+    pub fn allreduce_sum_log(&mut self, buf: &mut [f64]) {
+        self.allreduce_sum_by(buf, true);
+    }
+
+    /// The allreduce itself: a log-round algorithm when `few_rounds`, the
+    /// ring otherwise.
+    fn allreduce_sum_by(&mut self, buf: &mut [f64], few_rounds: bool) {
         let bytes = buf.len() * 8;
         span!(
             "comm.allreduce",
@@ -557,14 +576,12 @@ impl Communicator {
         if self.size > 1 {
             if buf.is_empty() {
                 self.barrier();
-            } else if buf.len() <= ALLREDUCE_RD_MAX_ELEMS {
-                if self.size >= TREE_MIN_RANKS {
-                    self.allreduce_tree(buf);
-                } else {
-                    self.allreduce_rd(buf);
-                }
-            } else {
+            } else if !few_rounds {
                 self.allreduce_ring(buf);
+            } else if self.size >= TREE_MIN_RANKS {
+                self.allreduce_tree(buf);
+            } else {
+                self.allreduce_rd(buf);
             }
         }
         self.counters.allreduce_bytes.record(bytes as f64);
@@ -843,11 +860,10 @@ impl Communicator {
 }
 
 /// Buffers of at most this many elements take the recursive-doubling
-/// allreduce path; larger buffers use the bandwidth-optimal ring. 256 B
-/// is latency-dominated on any fabric, and the bound covers the 22
-/// doubles an accelerated MFP iteration reduces (stop-test sums plus the
-/// mixing's Gram sums), which the ring would turn into 2(P−1) latency
-/// steps per rank.
+/// allreduce path of [`Communicator::allreduce_sum`]; larger buffers use
+/// the bandwidth-optimal ring. 256 B is latency-dominated on any fabric.
+/// (The MFP iteration's reduction, which grows with the coarse grid, asks
+/// for the log-round path by name: [`Communicator::allreduce_sum_log`].)
 pub const ALLREDUCE_RD_MAX_ELEMS: usize = 32;
 
 /// World size at which small-message allreduces switch from flat
@@ -1154,8 +1170,8 @@ mod tests {
             assert_eq!(s.bytes_recv, 6 * 16 * 8);
         }
 
-        // The 22 doubles of an accelerated MFP iteration stay on
-        // recursive doubling: log₂P messages of the whole buffer.
+        // 22 doubles stay on recursive doubling: log₂P messages of the
+        // whole buffer.
         let outs = Cluster::run(4, |c| {
             let mut buf = vec![1.0; 22];
             c.allreduce_sum(&mut buf);
@@ -1164,6 +1180,22 @@ mod tests {
         for s in outs {
             assert_eq!((s.msgs_sent, s.bytes_sent), (2, 2 * 22 * 8));
             assert_eq!((s.msgs_recv, s.bytes_recv), (2, 2 * 22 * 8));
+        }
+
+        // The log-round allreduce keeps the 247 doubles of an accelerated
+        // 8×8 MFP iteration on recursive doubling too, bit-identical on
+        // every rank.
+        let outs = Cluster::run(4, |c| {
+            let mut buf: Vec<f64> = (0..247)
+                .map(|i| (i * (c.rank() + 1)) as f64 * 0.1)
+                .collect();
+            c.allreduce_sum_log(&mut buf);
+            (buf, c.stats())
+        });
+        for (buf, s) in &outs {
+            assert_eq!((s.msgs_sent, s.bytes_sent), (2, 2 * 247 * 8));
+            assert_eq!((s.msgs_recv, s.bytes_recv), (2, 2 * 247 * 8));
+            assert_eq!(buf, &outs[0].0);
         }
 
         // Allgather: p=3 → each rank sends its 5-element buffer twice.
@@ -1367,25 +1399,31 @@ mod tests {
     fn tree_allreduce_selected_at_64_ranks_matches_ordered_reference() {
         // p=64, small message → allreduce_sum takes the hierarchical
         // tree. Node members exchange exactly one message each way.
+        // So does `allreduce_sum_log` at any length.
         let p = 64;
-        let n = 2;
-        let want = ordered_sum(p, n);
-        let outs = Cluster::run(p, |c| {
-            let mut buf: Vec<f64> = (0..n).map(|i| contribution(c.rank(), i)).collect();
-            c.allreduce_sum(&mut buf);
-            (buf, c.stats())
-        });
-        let mut total_msgs = 0usize;
-        for (r, (buf, s)) in outs.iter().enumerate() {
-            assert_bitwise(buf, &want, &format!("tree p=64 rank={r}"));
-            if !r.is_multiple_of(TREE_NODE_SIZE) {
-                assert_eq!((s.msgs_sent, s.msgs_recv), (1, 1), "member {r}");
+        for (n, log) in [(2, false), (300, true)] {
+            let want = ordered_sum(p, n);
+            let outs = Cluster::run(p, |c| {
+                let mut buf: Vec<f64> = (0..n).map(|i| contribution(c.rank(), i)).collect();
+                if log {
+                    c.allreduce_sum_log(&mut buf);
+                } else {
+                    c.allreduce_sum(&mut buf);
+                }
+                (buf, c.stats())
+            });
+            let mut total_msgs = 0usize;
+            for (r, (buf, s)) in outs.iter().enumerate() {
+                assert_bitwise(buf, &want, &format!("tree p=64 n={n} rank={r}"));
+                if !r.is_multiple_of(TREE_NODE_SIZE) {
+                    assert_eq!((s.msgs_sent, s.msgs_recv), (1, 1), "member {r}");
+                }
+                total_msgs += s.msgs_sent;
             }
-            total_msgs += s.msgs_sent;
+            // 56 member gathers + 56 leader fan-outs + 7 leader-reduce +
+            // 7 leader-broadcast = 126 — well under rd's 64·log₂64 = 384.
+            assert_eq!(total_msgs, 126, "n={n}");
         }
-        // 56 member gathers + 56 leader fan-outs + 7 leader-reduce +
-        // 7 leader-broadcast = 126 — well under rd's 64·log₂64 = 384.
-        assert_eq!(total_msgs, 126);
     }
 
     #[test]

@@ -214,6 +214,30 @@ impl DomainSpec {
         grid
     }
 
+    /// Rows and columns of the coarse grid: the lattice intersections, at
+    /// spacing `s` (the boundary ring included).
+    pub(crate) fn coarse_dims(&self) -> (usize, usize) {
+        let s = self.shift();
+        ((self.ny() - 1) / s + 1, (self.nx() - 1) / s + 1)
+    }
+
+    /// How the lattice point `(j, i)` interpolates a coarse-grid field
+    /// (row-major, [`Self::coarse_dims`]): the flat coarse indices `a`, `b`
+    /// of the intersections at the ends of its lattice segment and the
+    /// weight `t` of `b`, for `(1 − t)·c[a] + t·c[b]`. An intersection is
+    /// both ends of its own segment, at `t = 0`.
+    pub(crate) fn coarse_stencil(&self, j: usize, i: usize) -> (usize, usize, f64) {
+        let s = self.shift();
+        let cnx = self.coarse_dims().1;
+        let (cj, ci) = (j / s, i / s);
+        let a = cj * cnx + ci;
+        match (j % s, i % s) {
+            (0, 0) => (a, a, 0.0),
+            (0, di) => (a, a + 1, di as f64 / s as f64),
+            (dj, _) => (a, a + cnx, dj as f64 / s as f64),
+        }
+    }
+
     /// Initialize the lattice from a **coarse global solve** — the
     /// coarse-grid correction the paper cites as the cure for one-level
     /// Schwarz methods on many subdomains (§5.3, refs [10, 8]).
@@ -224,47 +248,23 @@ impl DomainSpec {
     /// across the whole domain in one step instead of one subdomain per
     /// iteration. Intersection values come from the coarse solve; the
     /// lattice lines between intersections are filled by linear
-    /// interpolation. The boundary ring of `grid` must already hold the
-    /// global BC.
+    /// interpolation (`coarse_stencil`). The boundary ring of
+    /// `grid` must already hold the global BC.
     pub fn coarse_initialize(&self, grid: &mut Tensor) {
         use mf_numerics::{solve_dirichlet, Poisson};
         let s = self.shift();
-        let (cny, cnx) = ((self.ny() - 1) / s + 1, (self.nx() - 1) / s + 1);
+        let (cny, cnx) = self.coarse_dims();
         // Sample the current grid (boundary ring set, interior zero) at
         // the lattice intersections.
         let coarse0 = Tensor::from_fn(cny, cnx, |j, i| grid.get(j * s, i * s));
         let problem = Poisson::laplace(cny, cnx, self.h() * s as f64);
         let (coarse, _stats) = solve_dirichlet(&problem, &coarse0, 1e-8);
-
-        // Write intersections.
-        for cj in 1..cny - 1 {
-            for ci in 1..cnx - 1 {
-                grid.set(cj * s, ci * s, coarse.get(cj, ci));
-            }
-        }
-        // Interpolate along horizontal lattice rows.
-        for cj in 1..cny - 1 {
-            let j = cj * s;
-            for i in 1..self.nx() - 1 {
-                if i % s != 0 {
-                    let i0 = i / s * s;
-                    let t = (i - i0) as f64 / s as f64;
-                    let v = (1.0 - t) * grid.get(j, i0) + t * grid.get(j, i0 + s);
-                    grid.set(j, i, v);
-                }
-            }
-        }
-        // Interpolate along vertical lattice columns.
-        for ci in 1..cnx - 1 {
-            let i = ci * s;
-            for j in 1..self.ny() - 1 {
-                if j % s != 0 {
-                    let j0 = j / s * s;
-                    let t = (j - j0) as f64 / s as f64;
-                    let v = (1.0 - t) * grid.get(j0, i) + t * grid.get(j0 + s, i);
-                    grid.set(j, i, v);
-                }
-            }
+        let c = coarse.as_slice();
+        let nx = self.nx();
+        let g = grid.as_mut_slice();
+        for p in self.lattice_indices(1..self.ny() - 1, 1..nx - 1) {
+            let (a, b, t) = self.coarse_stencil(p / nx, p % nx);
+            g[p] = (1.0 - t) * c[a] + t * c[b];
         }
     }
 }

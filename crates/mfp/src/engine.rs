@@ -10,8 +10,10 @@
 //! and the *residual sums* of a grid against its snapshot — the one
 //! [`StopRule`] that turns those sums into continue/converged/diverged, and
 //! the [`Accelerator`] that makes the iteration two-level: a coarse-grid
-//! seed before the first sweep and Anderson mixing of the lattice iterate
-//! after every sweep that did not stop the solve.
+//! seed before the first sweep, then after every sweep that did not stop
+//! the solve, Anderson mixing of the lattice iterate followed by a
+//! coarse-grid correction — the sweep's change at the coarse nodes, solved
+//! exactly on the coarse grid ([`FivePoint`]) and interpolated back.
 
 use crate::domain::{diff_sumsq_at, sumsq_at, DomainSpec, PointSet, Subdomain, SweepTables};
 use crate::solver::SubdomainSolver;
@@ -289,22 +291,21 @@ impl<'a, S: SubdomainSolver> SweepEngine<'a, S> {
 /// Iterations to `tol = 1e-4` on the benchmark's 8×8 domain and network
 /// (mean over the pool of seed 3; one-level: 97.4, coarse seed alone: 54.6):
 ///
-/// | depth            | 1    | 2    | 3    | 5    | 8    |
-/// |------------------|------|------|------|------|------|
-/// | mixing alone     | 36.0 | 27.8 | 20.6 | 16.4 | 15.6 |
-/// | seed + mixing    | 20.0 | 16.0 | 12.6 | 12.2 | 12.2 |
+/// | depth                      | 1    | 2    | 3    | 5    | 8    |
+/// |----------------------------|------|------|------|------|------|
+/// | mixing alone               | 36.0 | 27.8 | 20.6 | 16.4 | 15.6 |
+/// | seed + mixing              | 20.0 | 16.0 | 12.6 | 12.2 | 12.2 |
+/// | seed + mixing + correction | 6.2  | 6.0  | 6.0  | 6.0  | 6.0  |
 ///
-/// Nothing is gained beyond 5, and 5 keeps the Gram sums a rank reduces
-/// inside one small-message allreduce ([`SUMS_LEN`] doubles).
+/// Nothing is gained beyond 5 (with the coarse correction, nothing beyond
+/// 2 at this tolerance), and the Gram sums stay a small part of what a
+/// rank reduces ([`Accelerator::sums_len`] doubles).
 pub(crate) const ANDERSON_DEPTH: usize = 5;
 const D: usize = ANDERSON_DEPTH;
 /// Entries of the upper triangle of `ΔFᵀΔF`.
 const TRI: usize = D * (D + 1) / 2;
 /// `ΔFᵀΔF` (upper triangle, row-major) then `ΔFᵀf`.
 pub(crate) const GRAM_LEN: usize = TRI + D;
-/// What a rank reduces once per iteration:
-/// `[Σf², Σx², ΔFᵀΔF, ΔFᵀf]`.
-pub(crate) const SUMS_LEN: usize = 2 + GRAM_LEN;
 /// Tikhonov term of the normal equations, relative to their unit diagonal
 /// after column scaling.
 const REGULARISATION: f64 = 1e-10;
@@ -312,9 +313,6 @@ const REGULARISATION: f64 = 1e-10;
 /// Vectors of history a request holds: `f` and `g` of the previous sweep,
 /// the `ΔF` ring, the `ΔG` ring.
 const SLAB: usize = 2 + 2 * D;
-
-/// Local Gram sums of one request's history against its newest residual.
-pub(crate) type Gram = [f64; GRAM_LEN];
 
 /// Mixing state of one request.
 #[derive(Clone, Copy)]
@@ -325,35 +323,78 @@ struct Mixing {
     next: usize,
     /// Whether `f`/`g` of the previous sweep are held to difference against.
     primed: bool,
-    /// Relative change of the previous sweep.
+    /// Whether the last [`Accelerator::observe`] filed a new column, whose
+    /// coarse part the reduced sums complete.
+    filed: bool,
+    /// Relative change of the previous sweep, and of the one before.
     last_delta: f64,
+    earlier_delta: f64,
+    /// Whether the coarse-grid correction still applies: it stops for
+    /// good when two sweeps in a row, each started from a corrected
+    /// iterate, fail to halve the relative change between them.
+    corrects: bool,
 }
 
 const FRESH: Mixing = Mixing {
     cols: 0,
     next: 0,
     primed: false,
+    filed: false,
     last_delta: f64::INFINITY,
+    earlier_delta: f64::INFINITY,
+    corrects: true,
 };
 
-/// The second level of the iteration: the coarse-grid **seed** and
-/// **Anderson mixing** of the owned lattice iterate.
+/// The second level of the iteration: the coarse-grid **seed**,
+/// **Anderson mixing** of the owned lattice iterate and the coarse-grid
+/// **correction**.
 ///
 /// With `x` the lattice before a sweep, `g` after it and `f = g − x` (the
 /// vectors [`SweepEngine::residual_sums`] reads), the mixer keeps the last
 /// [`ANDERSON_DEPTH`] differences `ΔF`, `ΔG` of successive `f` and `g`,
 /// solves `min ‖f − ΔF γ‖` through the regularised normal equations and
-/// continues from `x⁺ = g − ΔG γ`. The loop calls it in two halves so a
-/// rank can allreduce in between: [`Self::observe`] files
-/// the sweep and returns the *local* sums `ΔFᵀΔF`, `ΔFᵀf`;
-/// [`Self::mix`] takes the *reduced* sums, so every rank computes the same
-/// `γ` and mixes its own cells. It only ever moves the iterate a sweep
-/// starts from: the stop test reads the un-mixed `g`, the grid a driver
-/// returns is a plain sweep's output, and at the fixed point `f = 0`
-/// makes the mix the identity.
+/// continues from `g − ΔG γ`, the sweep of the extrapolated iterate. The
+/// correction then adds `Z·L⁻¹·(f_H − ΔF_H γ)`: `f_H` is `f` at the
+/// interior lattice intersections (the seed's coarse grid,
+/// [`DomainSpec::coarse_dims`]), `ΔF_H` the same nodes of the `ΔF`
+/// columns — so the correction acts on the residual the mix extrapolated
+/// to, the preconditioned form of Anderson mixing — `L` the unit
+/// five-point operator there, solved exactly ([`FivePoint`]), and `Z` the
+/// seed's interpolation along the lattice lines. Correcting the plain
+/// `f_H` instead costs the small domains up to twice the sweeps: on a 2×1
+/// domain the mixing alone is nearly exact in five, and a correction it
+/// does not know about keeps undoing it. Both steps are linear in `f`, so
+/// at the fixed point (`f = 0`) both are the identity: they move the
+/// path, not the answer.
 ///
-/// All history lives in one buffer sized at construction — a warm
-/// iteration allocates nothing.
+/// The loop calls it in parts so a rank can allreduce in between:
+/// [`Self::observe`] files the sweep and writes the *local* sums
+/// `ΔFᵀΔF`, `ΔFᵀf` and the rank's own intersections of `f_H`;
+/// [`Self::mix`] and [`Self::correct`] take the *reduced* ones, so every
+/// rank computes the same `γ` and the same coarse correction and applies
+/// them to its own cells. The correction comes after the mix: correcting
+/// first would need the reduced `f_H` before the Gram sums of the
+/// corrected iterate, a second allreduce per iteration. Neither moves the
+/// iterate a sweep returns: the stop test reads the un-mixed `g`, and the
+/// grid a driver returns is a plain sweep's output.
+///
+/// The correction's scale: iterations with `k·Z·L⁻¹·(f_H − ΔF_H γ)`, to
+/// `tol 1e-4` on the benchmark's 8×8 domain and network (the five
+/// boundaries of the pool of seed 0), and on the exact subdomain solver
+/// at `tol 1e-9` on a 32×32 domain, `m = 5` (GP boundaries of seeds 0–4):
+///
+/// | `k`                | 0.5   | 1     | 2     |
+/// |--------------------|-------|-------|-------|
+/// | network, 8×8       | 6–7   | 6     | 6–7   |
+/// | exact, 32×32       | 12–13 | 10–11 | 13–14 |
+///
+/// So `L` is used unscaled. A subdomain solver far from the Laplace
+/// operator (an untrained network) can be slowed by any such correction:
+/// it stops for good, per request, when two sweeps in a row fail to halve
+/// the relative change, and the mixing goes on alone.
+///
+/// All history lives in buffers sized at construction — a warm iteration
+/// allocates nothing.
 pub(crate) struct Accelerator {
     /// Flat indices of the owned unknowns: the owned lattice cells off the
     /// global boundary ring (where `f` is identically zero).
@@ -361,8 +402,22 @@ pub(crate) struct Accelerator {
     /// Per request: `f`, `g` of the previous sweep, then the `ΔF` and the
     /// `ΔG` ring, each vector `cells.len()` long.
     history: Vec<f64>,
+    /// Per request: the reduced `f_H` of the previous sweep, then the ring
+    /// of its differences `ΔF_H` (the coarse part of the `ΔF` columns),
+    /// each vector one per coarse unknown.
+    coarse_history: Vec<f64>,
     mixing: Vec<Mixing>,
     restarts: Counter,
+    /// Per cell of `cells`: its [`DomainSpec::coarse_stencil`].
+    stencil: Vec<(usize, usize, f64)>,
+    /// The restriction: `(grid index, coarse unknown)` of every owned
+    /// interior intersection.
+    restrict: Vec<(usize, usize)>,
+    coarse: FivePoint,
+    /// The mixed coarse residual `f_H − ΔF_H γ`.
+    mixed: Vec<f64>,
+    /// The correction on the whole coarse grid, zero on its boundary ring.
+    correction: Vec<f64>,
 }
 
 impl Accelerator {
@@ -370,12 +425,13 @@ impl Accelerator {
     /// region of `domain`, when the run asks for it (`accelerate`) and has
     /// something to accelerate: a domain of one subdomain reads nothing
     /// but the global boundary, so its first sweep is already the fixed
-    /// point and a seed or a mix could only cost time — which on the
-    /// serve path's 1×1 requests is all they would do.
+    /// point and a seed, a mix or a correction could only cost time —
+    /// which on the serve path's 1×1 requests is all they would do.
     pub(crate) fn new(
         accelerate: bool,
         domain: &DomainSpec,
         owned: &Region,
+        sigma: f64,
         requests: usize,
     ) -> Option<Self> {
         if !accelerate || (domain.sx, domain.sy) == (1, 1) {
@@ -384,11 +440,30 @@ impl Accelerator {
         let inner = |r: &std::ops::Range<usize>, n: usize| r.start.max(1)..r.end.min(n - 1);
         let cells =
             domain.lattice_indices(inner(&owned.0, domain.ny()), inner(&owned.1, domain.nx()));
+        let nx = domain.nx();
+        let (cny, cnx) = domain.coarse_dims();
+        let stencil: Vec<_> = (cells.iter())
+            .map(|&p| domain.coarse_stencil(p / nx, p % nx))
+            .collect();
+        // An intersection is both ends of its stencil; its unknown is its
+        // coarse index without the boundary ring.
+        let restrict = (cells.iter().zip(&stencil))
+            .filter(|(_, &(a, b, _))| a == b)
+            .map(|(&p, &(a, _, _))| (p, (a / cnx - 1) * (cnx - 2) + a % cnx - 1))
+            .collect();
+        let coarse_h = domain.shift() as f64 * domain.h();
+        let coarse = FivePoint::new(cny - 2, cnx - 2, sigma * coarse_h * coarse_h);
         Some(Self {
             history: vec![0.0; requests * SLAB * cells.len()],
+            coarse_history: vec![0.0; requests * (1 + D) * coarse.len()],
+            mixed: vec![0.0; coarse.len()],
             cells,
             mixing: vec![FRESH; requests],
             restarts: counter("mfp.anderson_restarts"),
+            stencil,
+            restrict,
+            coarse,
+            correction: vec![0.0; cny * cnx],
         })
     }
 
@@ -401,6 +476,12 @@ impl Accelerator {
         }
     }
 
+    /// Doubles of the accelerator's part of a rank's reduction: the Gram
+    /// sums, then one per interior coarse node.
+    pub(crate) fn sums_len(&self) -> usize {
+        GRAM_LEN + self.coarse.len()
+    }
+
     /// Most difference columns held by any of `requests` (the trace's
     /// `depth` argument).
     pub(crate) fn depth(&self, requests: &[usize]) -> usize {
@@ -409,10 +490,12 @@ impl Accelerator {
     }
 
     /// File the sweep `x → g` of `request` — its difference against the
-    /// previous sweep becomes the newest column — and return the local
-    /// Gram sums of the columns held against `f = g − x`. Both grids must
-    /// be finite on the owned lattice.
-    pub(crate) fn observe(&mut self, request: usize, g: &Tensor, x: &Tensor) -> Gram {
+    /// previous sweep becomes the newest column — and write into `sums`
+    /// ([`Self::sums_len`] long) the local Gram sums of the columns held
+    /// against `f = g − x`, then `f` at the owned interior intersections
+    /// (zero at the others). Both grids must be finite on the owned
+    /// lattice.
+    pub(crate) fn observe(&mut self, request: usize, g: &Tensor, x: &Tensor, sums: &mut [f64]) {
         let l = self.cells.len();
         let m = &mut self.mixing[request];
         let slab = &mut self.history[request * SLAB * l..][..SLAB * l];
@@ -420,6 +503,7 @@ impl Accelerator {
         let (g_prev, rest) = rest.split_at_mut(l);
         let (df, dg) = rest.split_at_mut(D * l);
         let (g, x) = (g.as_slice(), x.as_slice());
+        m.filed = m.primed;
         if m.primed {
             let (df, dg) = (&mut df[m.next * l..][..l], &mut dg[m.next * l..][..l]);
             for (k, &p) in self.cells.iter().enumerate() {
@@ -440,39 +524,66 @@ impl Accelerator {
         }
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y);
         let col = |i: usize| &df[i * l..][..l];
-        let mut gram = [0.0; GRAM_LEN];
+        let (gram, coarse) = sums.split_at_mut(GRAM_LEN);
+        gram.fill(0.0);
         for i in 0..m.cols {
             for j in i..m.cols {
                 gram[tri(i, j)] = dot(col(i), col(j));
             }
             gram[TRI + i] = dot(col(i), f_prev);
         }
-        gram
+        coarse.fill(0.0);
+        for &(p, c) in &self.restrict {
+            coarse[c] = g[p] - x[p];
+        }
     }
 
-    /// Continue `request` from the mixed iterate: with the *reduced* Gram
-    /// sums of [`Self::observe`] and the reduced relative change `delta`
-    /// of the sweep, overwrite the owned unknowns of `g` (the sweep's
-    /// output) with `g − ΔG γ`.
+    /// Continue `request` from the mixed iterate: with the *reduced* sums
+    /// of [`Self::observe`] and the reduced relative change `delta` of the
+    /// sweep, overwrite the owned unknowns of `g` (the sweep's output)
+    /// with `g − ΔG γ`, and return `γ` for [`Self::correct`].
     ///
-    /// Restarts instead — `g` stays the plain sweep — when the relative
-    /// change grew against the previous sweep's (the columns are dropped)
-    /// or when `γ` is not finite — a Gram sum overflowed or the Cholesky
-    /// broke down — and so is the previous sweep.
-    pub(crate) fn mix(&mut self, request: usize, gram: &Gram, delta: f64, g: &mut Tensor) {
-        let l = self.cells.len();
+    /// Restarts instead — `g` stays the plain sweep, `γ` is zero — when the
+    /// relative change grew against the previous sweep's (the columns are
+    /// dropped) or when `γ` is not finite — a Gram sum overflowed or the
+    /// Cholesky broke down — and so is the previous sweep.
+    pub(crate) fn mix(
+        &mut self,
+        request: usize,
+        sums: &[f64],
+        delta: f64,
+        g: &mut Tensor,
+    ) -> [f64; D] {
+        let (l, n) = (self.cells.len(), self.coarse.len());
         let m = &mut self.mixing[request];
+        // The reduced `f_H` completes the column `observe` filed.
+        let coarse = &mut self.coarse_history[request * (1 + D) * n..][..(1 + D) * n];
+        let (f_prev, df) = coarse.split_at_mut(n);
+        let f_h = &sums[GRAM_LEN..];
+        if m.filed {
+            let slot = (m.next + D - 1) % D;
+            for ((d, &f), &p) in df[slot * n..][..n].iter_mut().zip(f_h).zip(&*f_prev) {
+                *d = f - p;
+            }
+        }
+        f_prev.copy_from_slice(f_h);
+
         let grew = delta > m.last_delta;
-        m.last_delta = delta;
+        m.corrects &= delta <= 0.5 * m.earlier_delta;
+        (m.earlier_delta, m.last_delta) = (m.last_delta, delta);
+        let gram = sums[..GRAM_LEN].try_into().expect("sums_len ≥ GRAM_LEN");
         let solved = solve_normal_equations(gram, m.cols);
         let Some(gamma) = solved.filter(|_| !(grew && m.cols > 0)) else {
+            // The columns go; what the sweeps did stays.
             *m = Mixing {
                 primed: solved.is_some(),
-                last_delta: delta,
+                last_delta: m.last_delta,
+                earlier_delta: m.earlier_delta,
+                corrects: m.corrects,
                 ..FRESH
             };
             self.restarts.incr();
-            return;
+            return [0.0; D];
         };
         let dg = &self.history[request * SLAB * l..][(2 + D) * l..SLAB * l];
         let g = g.as_mut_slice();
@@ -483,10 +594,141 @@ impl Accelerator {
                 }
             }
         }
+        gamma
+    }
+
+    /// Add the coarse-grid correction `Z·L⁻¹·(f_H − ΔF_H γ)` — the coarse
+    /// part of the residual the mix extrapolated to, from the *reduced*
+    /// sums of [`Self::observe`] and the `γ` of [`Self::mix`] — to the
+    /// owned unknowns of `g`.
+    pub(crate) fn correct(
+        &mut self,
+        request: usize,
+        sums: &[f64],
+        gamma: &[f64; D],
+        g: &mut Tensor,
+    ) {
+        let m = &self.mixing[request];
+        if !m.corrects {
+            return;
+        }
+        let n = self.coarse.len();
+        let df = &self.coarse_history[request * (1 + D) * n..][n..(1 + D) * n];
+        self.mixed.copy_from_slice(&sums[GRAM_LEN..]);
+        for (i, &c) in gamma[..m.cols].iter().enumerate() {
+            if c != 0.0 {
+                for (v, d) in self.mixed.iter_mut().zip(&df[i * n..][..n]) {
+                    *v -= c * d;
+                }
+            }
+        }
+        let c = &mut self.correction;
+        self.coarse.solve(&self.mixed, c);
+        let g = g.as_mut_slice();
+        for (&p, &(a, b, t)) in self.cells.iter().zip(&self.stencil) {
+            g[p] += (1.0 - t) * c[a] + t * c[b];
+        }
     }
 }
 
-/// Where `(ΔFᵀΔF)ᵢⱼ`, `i ≤ j`, sits in a [`Gram`].
+/// The exact solver of the unit five-point operator `L` (4 on the
+/// diagonal, −1 per neighbour) on an `ny × nx` grid of unknowns with zero
+/// values around it, by a sine transform along the rows: `L = Tₓ ⊕ T_y`
+/// with `T` the 1-D `[−1 2 −1]`, the orthonormal DST-I `S` diagonalises
+/// `Tₓ`, and what is left is one tridiagonal system in `y` per sine mode,
+/// factored here once. A solve is two dense transforms and the
+/// substitutions — `O(nx²·ny)`, no iteration, no tolerance.
+pub(crate) struct FivePoint {
+    nx: usize,
+    ny: usize,
+    /// `S`, `nx × nx`, symmetric.
+    sine: Vec<f64>,
+    /// `[j·nx + k]`: the reciprocal of pivot `j` of `T_y + λₖ`.
+    inv_pivot: Vec<f64>,
+    /// `S`-transformed rows, `ny × nx`.
+    work: Vec<f64>,
+}
+
+impl FivePoint {
+    pub(crate) fn new(ny: usize, nx: usize, shift: f64) -> Self {
+        use std::f64::consts::PI;
+        let n1 = nx + 1;
+        let norm = (2.0 / n1 as f64).sqrt();
+        // `sin(π·k·i / (nx+1))` with `k·i` reduced modulo the period first.
+        let sine = (0..nx * nx)
+            .map(|e| {
+                let ki = (e / nx + 1) * (e % nx + 1) % (2 * n1);
+                norm * (PI * ki as f64 / n1 as f64).sin()
+            })
+            .collect();
+        let mut inv_pivot = vec![0.0; ny * nx];
+        for k in 0..nx {
+            // λₖ = 2 − 2cos θ, written without the cancellation.
+            let half = (PI * (k + 1) as f64 / (2 * n1) as f64).sin();
+            let diag = 2.0 + 4.0 * half * half + shift;
+            let mut pivot = diag;
+            for j in 0..ny {
+                if j > 0 {
+                    pivot = diag - 1.0 / pivot;
+                }
+                inv_pivot[j * nx + k] = 1.0 / pivot;
+            }
+        }
+        Self {
+            nx,
+            ny,
+            sine,
+            inv_pivot,
+            work: vec![0.0; ny * nx],
+        }
+    }
+
+    /// Unknowns: `ny·nx`.
+    pub(crate) fn len(&self) -> usize {
+        self.nx * self.ny
+    }
+
+    /// Solve `L c = r` for `r` row-major `ny × nx`, writing `c` into the
+    /// interior of `out`, the `(ny + 2) × (nx + 2)` grid around it (its
+    /// boundary ring is left as it is).
+    pub(crate) fn solve(&mut self, r: &[f64], out: &mut [f64]) {
+        let (nx, ny) = (self.nx, self.ny);
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y);
+        let sine = |k: usize| &self.sine[k * nx..][..nx];
+        let (w, inv) = (&mut self.work, &self.inv_pivot);
+        for (row, r) in w.chunks_exact_mut(nx).zip(r.chunks_exact(nx)) {
+            for (k, v) in row.iter_mut().enumerate() {
+                *v = dot(sine(k), r);
+            }
+        }
+        // Forward and back substitution, all modes at once.
+        for j in 1..ny {
+            let (done, rest) = w.split_at_mut(j * nx);
+            let prev = &done[(j - 1) * nx..];
+            for ((v, &p), &q) in rest[..nx].iter_mut().zip(prev).zip(&inv[(j - 1) * nx..]) {
+                *v += p * q;
+            }
+        }
+        for (v, &q) in w[(ny - 1) * nx..].iter_mut().zip(&inv[(ny - 1) * nx..]) {
+            *v *= q;
+        }
+        for j in (0..ny - 1).rev() {
+            let (head, next) = w.split_at_mut((j + 1) * nx);
+            let row = &mut head[j * nx..];
+            for ((v, &n), &q) in row.iter_mut().zip(&next[..nx]).zip(&inv[j * nx..]) {
+                *v = (*v + n) * q;
+            }
+        }
+        for (j, row) in w.chunks_exact(nx).enumerate() {
+            let out = &mut out[(j + 1) * (nx + 2) + 1..][..nx];
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = dot(sine(i), row);
+            }
+        }
+    }
+}
+
+/// Where `(ΔFᵀΔF)ᵢⱼ`, `i ≤ j`, sits in the Gram sums.
 fn tri(i: usize, j: usize) -> usize {
     debug_assert!(i <= j && j < D);
     i * D - i * (i + 1) / 2 + j
@@ -496,7 +738,7 @@ fn tri(i: usize, j: usize) -> usize {
 /// scaling every column to unit length (the columns shrink geometrically
 /// with the residual, so unscaled entries span many decades); `None` when
 /// a sum or a coefficient is not finite. A zero column gets `γ = 0`.
-fn solve_normal_equations(gram: &Gram, cols: usize) -> Option<[f64; D]> {
+fn solve_normal_equations(gram: &[f64; GRAM_LEN], cols: usize) -> Option<[f64; D]> {
     if !gram.iter().all(|v| v.is_finite()) {
         return None;
     }
@@ -654,7 +896,8 @@ mod tests {
         // Five of the unknowns move; the rest stay put (`f = 0` there).
         let spec = SubdomainSpec { m: 5, spatial: 0.5 };
         let d = DomainSpec::new(spec, 2, 1);
-        let mut accel = Accelerator::new(true, &d, &whole_grid(&d), 1).expect("two subdomains");
+        let mut accel =
+            Accelerator::new(true, &d, &whole_grid(&d), 0.0, 1).expect("two subdomains");
         let cells = accel.cells[..5].to_vec();
         // A symmetric contraction with spectrum spread over (0, 0.95).
         let m = |i: usize, j: usize| {
@@ -678,8 +921,9 @@ mod tests {
                 .sum();
             deltas.push(change.sqrt());
             if accelerate {
-                let gram = accel.observe(0, &u, &prev);
-                accel.mix(0, &gram, *deltas.last().unwrap(), &mut u);
+                let mut sums = vec![0.0; accel.sums_len()];
+                accel.observe(0, &u, &prev, &mut sums);
+                accel.mix(0, &sums, *deltas.last().unwrap(), &mut u);
             }
         }
         deltas
@@ -719,16 +963,18 @@ mod tests {
         let d = DomainSpec::new(spec, 2, 1);
         // Nothing to accelerate on one subdomain, or when not asked to.
         let single = DomainSpec::new(spec, 1, 1);
-        assert!(Accelerator::new(true, &single, &whole_grid(&single), 1).is_none());
-        assert!(Accelerator::new(false, &d, &whole_grid(&d), 1).is_none());
-        let mut accel = Accelerator::new(true, &d, &whole_grid(&d), 2).expect("two subdomains");
+        assert!(Accelerator::new(true, &single, &whole_grid(&single), 0.0, 1).is_none());
+        assert!(Accelerator::new(false, &d, &whole_grid(&d), 0.0, 1).is_none());
+        let mut accel =
+            Accelerator::new(true, &d, &whole_grid(&d), 0.0, 2).expect("two subdomains");
         let x = Tensor::zeros(d.ny(), d.nx());
         let sweep =
             |k: usize| Tensor::from_fn(d.ny(), d.nx(), |j, i| ((j + 2 * i + k) as f64).sin());
+        let mut sums = vec![0.0; accel.sums_len()];
         for (k, delta) in [1.0, 0.5, 0.25].into_iter().enumerate() {
             let mut g = sweep(k);
-            let gram = accel.observe(1, &g, &x);
-            accel.mix(1, &gram, delta, &mut g);
+            accel.observe(1, &g, &x, &mut sums);
+            accel.mix(1, &sums, delta, &mut g);
         }
         assert_eq!(
             (accel.depth(&[0]), accel.depth(&[1])),
@@ -738,18 +984,90 @@ mod tests {
         // The relative change grew: the columns go, the sweep stays plain
         // and is kept to difference the next one against.
         let mut g = sweep(3);
-        let gram = accel.observe(1, &g, &x);
-        accel.mix(1, &gram, 0.3, &mut g);
+        accel.observe(1, &g, &x, &mut sums);
+        accel.mix(1, &sums, 0.3, &mut g);
         assert_eq!(accel.depth(&[1]), 0);
         assert_eq!(g, sweep(3));
         let mut g = sweep(4);
-        accel.observe(1, &g, &x);
+        accel.observe(1, &g, &x, &mut sums);
         assert_eq!(accel.depth(&[1]), 1);
         // Non-finite sums (an overflowed product): this sweep is forgotten
         // too.
-        accel.mix(1, &[f64::NAN; GRAM_LEN], 0.2, &mut g);
+        accel.mix(1, &vec![f64::NAN; accel.sums_len()], 0.2, &mut g);
         assert_eq!(g, sweep(4));
-        accel.observe(1, &sweep(5), &x);
+        accel.observe(1, &sweep(5), &x, &mut sums);
         assert_eq!(accel.depth(&[1]), 0, "nothing to difference against");
+    }
+
+    /// `L·c` at every unknown of the `ny × nx` grid whose `c` sits inside
+    /// `padded` (zero ring).
+    fn apply_five_point(ny: usize, nx: usize, padded: &[f64]) -> Vec<f64> {
+        let w = nx + 2;
+        let at = |j: usize, i: usize| padded[j * w + i];
+        (1..=ny)
+            .flat_map(|j| (1..=nx).map(move |i| (j, i)))
+            .map(|(j, i)| {
+                4.0 * at(j, i) - at(j - 1, i) - at(j + 1, i) - at(j, i - 1) - at(j, i + 1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_coarse_solve_is_exact() {
+        use rand::{Rng, SeedableRng};
+        // The coarse grids of 2×2, 8×8 and 32×32 atoms (3², 15², 63²
+        // unknowns) and a rectangular one; a smooth right-hand side (the
+        // one the transform amplifies most) and noise.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        for (ny, nx) in [(3, 3), (15, 15), (63, 63), (7, 15)] {
+            let mut solver = FivePoint::new(ny, nx, 0.0);
+            assert_eq!(solver.len(), ny * nx);
+            let smooth = vec![1.0; ny * nx];
+            let noise: Vec<f64> = (0..ny * nx).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            for r in [smooth, noise] {
+                let mut c = vec![0.0; (ny + 2) * (nx + 2)];
+                solver.solve(&r, &mut c);
+                let lc = apply_five_point(ny, nx, &c);
+                let err = lc
+                    .iter()
+                    .zip(&r)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                let scale = r.iter().map(|v| v.abs()).fold(0.0, f64::max);
+                assert!(err <= 1e-12 * scale, "{ny}x{nx}: |Lc - r| = {err:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_sweep_change_is_corrected_by_nothing() {
+        // The correction is linear in the sweep's change, so it is the
+        // identity at a fixed point, and it touches the owned unknowns
+        // only: never the global boundary ring.
+        let spec = SubdomainSpec { m: 5, spatial: 0.5 };
+        let d = DomainSpec::new(spec, 3, 2);
+        let mut accel =
+            Accelerator::new(true, &d, &whole_grid(&d), 0.0, 1).expect("six subdomains");
+        let g = Tensor::from_fn(d.ny(), d.nx(), |j, i| ((3 * j + i) as f64).cos());
+        let mut sums = vec![0.0; accel.sums_len()];
+        accel.observe(0, &g, &g, &mut sums);
+        let mut corrected = g.clone();
+        accel.correct(0, &sums, &[0.0; D], &mut corrected);
+        assert_eq!(corrected, g);
+        // A change at one coarse node spreads over the lattice only.
+        let mut x = g.clone();
+        x.set(2, 2, x.get(2, 2) - 1.0);
+        accel.observe(0, &g, &x, &mut sums);
+        assert_eq!(sums[GRAM_LEN..].iter().filter(|&&v| v != 0.0).count(), 1);
+        let mut corrected = g.clone();
+        accel.correct(0, &sums, &[0.0; D], &mut corrected);
+        for j in 0..d.ny() {
+            for i in 0..d.nx() {
+                let moved = corrected.get(j, i) != g.get(j, i);
+                let inside = j > 0 && i > 0 && j + 1 < d.ny() && i + 1 < d.nx();
+                assert!(!moved || (inside && d.on_lattice(j, i)), "({j}, {i}) moved");
+            }
+        }
+        assert!(corrected.get(2, 2) > g.get(2, 2));
     }
 }

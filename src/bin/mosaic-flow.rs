@@ -26,8 +26,9 @@
 //! `solve` prints convergence info and the MAE against a direct multigrid
 //! reference; `--out` writes the dense solution grid as CSV (row 0 =
 //! bottom edge). It runs the two-level accelerated iteration (coarse-grid
-//! seed + Anderson mixing); `--one-level` runs Algorithm 2 as the paper
-//! prints it — same fixed point, several times the iterations. Models run
+//! seed, Anderson mixing and a coarse-grid correction after every sweep);
+//! `--one-level` runs Algorithm 2 as the paper prints it — same fixed
+//! point, several times the iterations. Models run
 //! on the compiled inference plan (`mf-infer`), which evaluates the network
 //! in `f32` while the lattice and the stop test stay `f64` — within one
 //! iteration and 1e-5 of the `f64` graph's fixed point on the benchmark

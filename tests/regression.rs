@@ -118,7 +118,7 @@ fn accelerated_mfp_residual_trajectory_matches_fixture() {
         true,
         12,
         "mfp_residuals_accelerated.txt",
-        "Distributed MFP residual trajectory, accelerated (coarse seed + Anderson mixing)",
+        "Distributed MFP residual trajectory, accelerated (coarse seed, Anderson mixing, coarse correction)",
     )
 }
 
