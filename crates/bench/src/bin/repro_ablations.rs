@@ -5,21 +5,21 @@
 //!    work \[10\]/\[8\] of the paper), and the two-level iteration (the
 //!    default: seed, Anderson mixing and a coarse-grid correction after
 //!    every sweep) — iterations to converge, at two tolerances;
-//! 3. **Morton vs row-scan rank placement** (§4.2's suggested future
-//!    study) — neighbor rank distance;
 //! 4. **convolutional boundary embedding vs none** (§3.1's architecture
 //!    choice) — training convergence, with a verdict computed from the
 //!    two validation errors.
 //!
 //! (Ablation 2, a communication-avoiding halo cadence, went with the
-//! cadence: every iteration exchanges once, as Algorithm 2 does.)
+//! cadence: every iteration exchanges once, as Algorithm 2 does. Ablation
+//! 3, Morton against row-scan rank placement, went with the Morton
+//! placement: nothing prices a halo message by the distance between its
+//! ranks, so only a locality metric told the two apart.)
 //!
 //! Every run checks the ablations' claims and exits 1 naming any that
 //! fails: at every domain size the two-level iteration needs at most a
 //! third of the one-level iterations and lands within 1e-6 of its
-//! solution (both run to tol 1e-9), its count on the largest domain is at most 1.5 times its
-//! count on 4×4 at both tolerances, and Morton placement's mean rank
-//! distance is at most row-scan's at 16 and 64 ranks. Ablation 4's
+//! solution (both run to tol 1e-9), and its count on the largest domain is
+//! at most 1.5 times its count on 4×4 at both tolerances. Ablation 4's
 //! verdict is reported, not checked.
 //!
 //! ```text
@@ -28,7 +28,6 @@
 
 use mf_bench::*;
 use mf_data::Dataset;
-use mf_dist::{CartesianGrid, RankOrder};
 use mf_mfp::{DomainSpec, Mfp, MfpConfig, OracleSolver, SubdomainSolver};
 use mf_nn::SdNet;
 use mf_numerics::boundary::grid_with_boundary;
@@ -202,46 +201,6 @@ fn ablate_acceleration(spec: mf_data::SubdomainSpec) -> Vec<Claim> {
     ]
 }
 
-fn ablate_rank_order() -> Vec<Claim> {
-    let mut rows = Vec::new();
-    let mut claims = Vec::new();
-    for p in [16usize, 64] {
-        let metric = |order: RankOrder| {
-            let g = CartesianGrid::square_for(p, order);
-            let mut total = 0usize;
-            let mut count = 0usize;
-            for rank in 0..g.size() {
-                for (_, nb) in g.neighbors(rank) {
-                    total += rank.abs_diff(nb);
-                    count += 1;
-                }
-            }
-            total as f64 / count as f64
-        };
-        let (row_scan, morton) = (metric(RankOrder::RowMajor), metric(RankOrder::Morton));
-        rows.push(vec![
-            p.to_string(),
-            format!("{row_scan:.2}"),
-            format!("{morton:.2}"),
-        ]);
-        claims.push((
-            morton <= row_scan,
-            format!(
-                "at {p} ranks Morton's mean rank distance is at most row-scan's \
-                 ({morton:.2} vs {row_scan:.2})"
-            ),
-        ));
-    }
-    print_table(
-        "Ablation 3: rank placement locality (mean |rank - neighbor rank|)",
-        &["ranks", "row-scan", "Morton"],
-        &rows,
-    );
-    println!("(§4.2 suggests space-filling-curve placement; lower rank distance means");
-    println!(" neighbors are more likely to share a node in a real cluster)");
-    claims
-}
-
 /// Train the SDNet with and without the convolutional boundary embedding
 /// on the same budget and return the verdict on §3.1's claim, read off the
 /// two final validation errors.
@@ -307,8 +266,7 @@ fn main() {
     let trace = init_telemetry();
     let spec = bench_spec();
     println!("Design-choice ablations (see DESIGN.md)");
-    let mut claims = ablate_acceleration(spec);
-    claims.extend(ablate_rank_order());
+    let claims = ablate_acceleration(spec);
     let conv_verdict = ablate_conv_embedding(spec);
     println!("\n== Ablation claims ==");
     let mut violated = false;

@@ -13,7 +13,7 @@
 //! ```
 
 use mf_bench::*;
-use mf_dist::{CartesianGrid, PerfModel, RankOrder};
+use mf_dist::{CartesianGrid, PerfModel};
 use mf_mfp::{run_distributed, DistMfpConfig, DomainSpec, OracleSolver};
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     let mut rows = Vec::new();
     for &p in &ranks {
         // Grow the global domain with the processor grid.
-        let grid = CartesianGrid::square_for(p, RankOrder::RowMajor);
+        let grid = CartesianGrid::square_for(p);
         let domain = DomainSpec::new(spec, bx * grid.px(), by * grid.py());
         let bc = gp_boundary(&domain, 17);
         let res = run_distributed(

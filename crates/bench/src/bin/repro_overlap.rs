@@ -30,7 +30,7 @@
 
 use mf_bench::*;
 use mf_data::SubdomainSpec;
-use mf_dist::{CartesianGrid, FaultPlan, PerfModel, RankOrder};
+use mf_dist::{CartesianGrid, FaultPlan, PerfModel};
 use mf_mfp::{run_distributed, DistMfpConfig, DistMfpResult, DomainSpec, SubdomainSolver, Subset};
 use mf_numerics::boundary::grid_with_boundary;
 use mf_numerics::{solve_dirichlet, Poisson};
@@ -205,7 +205,7 @@ fn main() {
     // Every pack after the first reuses its pooled buffer, so the only
     // tolerated counter growth is the cold first-touch per neighbor
     // link per run.
-    let grid4 = CartesianGrid::square_for(part_a_ranks, RankOrder::RowMajor);
+    let grid4 = CartesianGrid::square_for(part_a_ranks);
     let cold_per_run: u64 = (0..part_a_ranks)
         .map(|r| grid4.neighbors(r).len() as u64)
         .sum();

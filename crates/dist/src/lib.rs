@@ -19,8 +19,8 @@
 //! * collectives: [`Communicator::allreduce_sum`] (ring, recursive
 //!   doubling or tree by size), [`Communicator::allgather`],
 //!   [`Communicator::broadcast`], [`Communicator::barrier`],
-//! * [`CartesianGrid`] — the 2-D processor grid of §4.2 with row-scan or
-//!   Morton rank placement and 8-neighbor stencils,
+//! * [`CartesianGrid`] — the 2-D processor grid of §4.2 with row-scan
+//!   rank placement and 8-neighbor stencils,
 //! * [`CommStats`] counters and the [`PerfModel`] alpha–beta model of
 //!   §4.3, which converts counted messages/bytes into modeled wall-clock
 //!   on paper-like hardware (Table 2 presets).
@@ -47,4 +47,4 @@ pub use comm::{
 pub use fault::{ClusterError, CommError, CrashAt, FaultPlan};
 pub use overlap::{OverlapSample, OverlapTracker};
 pub use perfmodel::{thread_cpu_time, GpuModel, PerfModel};
-pub use topology::{CartesianGrid, Direction, NodeMap, RankOrder};
+pub use topology::{CartesianGrid, Direction, NodeMap};

@@ -3,7 +3,7 @@
 //! distributed MFP depends on (FIFO per channel, tag matching, collective
 //! consistency under arbitrary rank counts).
 
-use crate::{CartesianGrid, Cluster, Direction, RankOrder};
+use crate::{CartesianGrid, Cluster, Direction};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -102,7 +102,7 @@ fn interleaved_halo_and_collectives_many_rounds() {
     // The distributed MFP's traffic pattern, stress-tested: every rank
     // exchanges with its grid neighbors and joins an allreduce, 100
     // rounds, with payload sizes varying per round.
-    let grid = CartesianGrid::new(3, 3, RankOrder::RowMajor);
+    let grid = CartesianGrid::new(3, 3);
     let grid_ref = &grid;
     let outs = Cluster::run(9, move |c| {
         let rank = c.rank();
@@ -136,12 +136,10 @@ fn interleaved_halo_and_collectives_many_rounds() {
 fn opposite_direction_band_identities() {
     // The halo protocol depends on: my neighbor in direction d sees me as
     // its neighbor in d.opposite(), for every rank and direction.
-    for order in [RankOrder::RowMajor, RankOrder::Morton] {
-        let grid = CartesianGrid::new(4, 4, order);
-        for rank in 0..grid.size() {
-            for (d, nb) in grid.neighbors(rank) {
-                assert_eq!(grid.neighbor(nb, d.opposite()), Some(rank));
-            }
+    let grid = CartesianGrid::new(4, 4);
+    for rank in 0..grid.size() {
+        for (d, nb) in grid.neighbors(rank) {
+            assert_eq!(grid.neighbor(nb, d.opposite()), Some(rank));
         }
     }
 }

@@ -1,20 +1,10 @@
 //! 2-D Cartesian processor grids with 8-neighbor stencils.
 //!
-//! §4.2 assigns processors to a 2-D grid "in a row-wise scan pattern" and
-//! notes that locality-preserving space-filling curves (Morton order) are a
-//! promising alternative. Both placements are implemented; the distributed
-//! MFP takes the grid as a parameter so the ablation bench can compare
-//! them.
-
-/// How ranks are laid out on the processor grid.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RankOrder {
-    /// Rank `r` at `(row, col) = (r / px, r % px)` — the paper's default.
-    RowMajor,
-    /// Ranks follow the Morton (Z-order) curve over the grid cells,
-    /// improving locality between numerically adjacent ranks.
-    Morton,
-}
+//! §4.2 assigns processors to a 2-D grid "in a row-wise scan pattern":
+//! rank `r` sits at `(row, col) = (r / px, r % px)`. (The section's
+//! suggested alternative, a Morton-curve placement, is not implemented:
+//! nothing here prices a halo message by the distance between its ranks,
+//! so no run could tell the two placements apart.)
 
 /// The eight stencil directions of the halo exchange (Fig. 4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -79,59 +69,29 @@ impl Direction {
     }
 }
 
-/// A `py × px` grid of ranks.
+/// A `py × px` grid of ranks, placed row by row.
 #[derive(Clone, Debug)]
 pub struct CartesianGrid {
     py: usize,
     px: usize,
-    /// cell (row-major index) → rank
-    rank_of_cell: Vec<usize>,
-    /// rank → (row, col)
-    coords_of_rank: Vec<(usize, usize)>,
 }
 
 impl CartesianGrid {
-    /// Build a grid with the given rank placement.
-    pub fn new(py: usize, px: usize, order: RankOrder) -> Self {
+    /// A `py × px` grid.
+    pub fn new(py: usize, px: usize) -> Self {
         assert!(py >= 1 && px >= 1, "CartesianGrid: empty grid");
-        let n = py * px;
-        let mut coords_of_rank = Vec::with_capacity(n);
-        match order {
-            RankOrder::RowMajor => {
-                for r in 0..n {
-                    coords_of_rank.push((r / px, r % px));
-                }
-            }
-            RankOrder::Morton => {
-                // Sort cells by Morton code; rank i gets the i-th cell.
-                let mut cells: Vec<(u64, (usize, usize))> = (0..py)
-                    .flat_map(|row| (0..px).map(move |col| (morton2(row, col), (row, col))))
-                    .collect();
-                cells.sort_by_key(|&(code, _)| code);
-                coords_of_rank = cells.into_iter().map(|(_, rc)| rc).collect();
-            }
-        }
-        let mut rank_of_cell = vec![0; n];
-        for (rank, &(row, col)) in coords_of_rank.iter().enumerate() {
-            rank_of_cell[row * px + col] = rank;
-        }
-        Self {
-            py,
-            px,
-            rank_of_cell,
-            coords_of_rank,
-        }
+        Self { py, px }
     }
 
     /// Nearly square factorization of `p` ranks (√P×√P when P is a
     /// perfect square, else the most balanced `py×px = p`).
-    pub fn square_for(p: usize, order: RankOrder) -> Self {
+    pub fn square_for(p: usize) -> Self {
         assert!(p >= 1);
         let mut py = (p as f64).sqrt() as usize;
         while !p.is_multiple_of(py) {
             py -= 1;
         }
-        Self::new(py, p / py, order)
+        Self::new(py, p / py)
     }
 
     /// Grid height (rows of processors).
@@ -151,7 +111,8 @@ impl CartesianGrid {
 
     /// `(row, col)` of a rank.
     pub fn coords_of(&self, rank: usize) -> (usize, usize) {
-        self.coords_of_rank[rank]
+        assert!(rank < self.size(), "coords_of: rank {rank} out of grid");
+        (rank / self.px, rank % self.px)
     }
 
     /// Rank at a grid cell.
@@ -160,7 +121,7 @@ impl CartesianGrid {
             row < self.py && col < self.px,
             "rank_at: ({row},{col}) out of grid"
         );
-        self.rank_of_cell[row * self.px + col]
+        row * self.px + col
     }
 
     /// Neighbor rank in a direction, if inside the grid.
@@ -234,27 +195,13 @@ impl NodeMap {
     }
 }
 
-/// Interleave the low 32 bits of `row` and `col` into a Morton code.
-fn morton2(row: usize, col: usize) -> u64 {
-    fn spread(mut x: u64) -> u64 {
-        x &= 0xFFFF_FFFF;
-        x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
-        x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
-        x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-        x = (x | (x << 2)) & 0x3333_3333_3333_3333;
-        x = (x | (x << 1)) & 0x5555_5555_5555_5555;
-        x
-    }
-    (spread(row as u64) << 1) | spread(col as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn row_major_layout() {
-        let g = CartesianGrid::new(3, 3, RankOrder::RowMajor);
+        let g = CartesianGrid::new(3, 3);
         assert_eq!(g.coords_of(0), (0, 0));
         assert_eq!(g.coords_of(4), (1, 1));
         assert_eq!(g.rank_at(2, 1), 7);
@@ -262,7 +209,7 @@ mod tests {
 
     #[test]
     fn interior_rank_has_eight_neighbors() {
-        let g = CartesianGrid::new(3, 3, RankOrder::RowMajor);
+        let g = CartesianGrid::new(3, 3);
         let n = g.neighbors(4); // center of 3x3
         assert_eq!(n.len(), 8);
         let ranks: Vec<usize> = n.iter().map(|&(_, r)| r).collect();
@@ -273,20 +220,20 @@ mod tests {
 
     #[test]
     fn corner_rank_has_three_neighbors() {
-        let g = CartesianGrid::new(3, 3, RankOrder::RowMajor);
+        let g = CartesianGrid::new(3, 3);
         assert_eq!(g.neighbors(0).len(), 3);
         assert_eq!(g.neighbors(8).len(), 3);
     }
 
     #[test]
     fn edge_rank_has_five_neighbors() {
-        let g = CartesianGrid::new(3, 3, RankOrder::RowMajor);
+        let g = CartesianGrid::new(3, 3);
         assert_eq!(g.neighbors(1).len(), 5);
     }
 
     #[test]
     fn neighbor_relation_is_symmetric() {
-        let g = CartesianGrid::new(4, 5, RankOrder::RowMajor);
+        let g = CartesianGrid::new(4, 5);
         for rank in 0..g.size() {
             for (dir, nb) in g.neighbors(rank) {
                 assert_eq!(
@@ -299,54 +246,12 @@ mod tests {
     }
 
     #[test]
-    fn morton_is_a_bijection() {
-        let g = CartesianGrid::new(4, 4, RankOrder::Morton);
-        let mut seen = std::collections::HashSet::new();
-        for rank in 0..16 {
-            let c = g.coords_of(rank);
-            assert!(seen.insert(c));
-            assert_eq!(g.rank_at(c.0, c.1), rank);
-        }
-    }
-
-    #[test]
-    fn morton_first_quad_stays_local() {
-        // On a 4x4 grid, Z-order visits the 2x2 sub-block first.
-        let g = CartesianGrid::new(4, 4, RankOrder::Morton);
-        let first4: std::collections::HashSet<_> = (0..4).map(|r| g.coords_of(r)).collect();
-        let expect: std::collections::HashSet<_> =
-            [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().collect();
-        assert_eq!(first4, expect);
-    }
-
-    #[test]
-    fn morton_improves_average_neighbor_rank_distance() {
-        // Locality metric: mean |rank - neighbor_rank| over all pairs.
-        let metric = |order: RankOrder| {
-            let g = CartesianGrid::new(8, 8, order);
-            let mut total = 0usize;
-            let mut count = 0usize;
-            for rank in 0..g.size() {
-                for (_, nb) in g.neighbors(rank) {
-                    total += rank.abs_diff(nb);
-                    count += 1;
-                }
-            }
-            total as f64 / count as f64
-        };
-        assert!(
-            metric(RankOrder::Morton) < metric(RankOrder::RowMajor),
-            "Morton should reduce average rank distance"
-        );
-    }
-
-    #[test]
     fn square_for_prefers_balanced_factorizations() {
-        let g = CartesianGrid::square_for(16, RankOrder::RowMajor);
+        let g = CartesianGrid::square_for(16);
         assert_eq!((g.py(), g.px()), (4, 4));
-        let g = CartesianGrid::square_for(8, RankOrder::RowMajor);
+        let g = CartesianGrid::square_for(8);
         assert_eq!((g.py(), g.px()), (2, 4));
-        let g = CartesianGrid::square_for(7, RankOrder::RowMajor);
+        let g = CartesianGrid::square_for(7);
         assert_eq!((g.py(), g.px()), (1, 7));
     }
 

@@ -31,7 +31,7 @@ use crate::solver::SubdomainSolver;
 use mf_dist::thread_cpu_time;
 use mf_dist::{
     CartesianGrid, Cluster, ClusterError, CommStats, Communicator, Direction, FaultPlan,
-    OverlapSample, OverlapTracker, PerfModel, RankOrder, RecvHandle,
+    OverlapSample, OverlapTracker, PerfModel, RecvHandle,
 };
 use mf_observe::StallDetector;
 use mf_telemetry::{counter, histogram, Buckets, Counter, Histogram};
@@ -49,11 +49,11 @@ pub struct DistMfpConfig {
     pub target: Option<MaeTarget>,
     /// Run the two-level accelerated iteration (see
     /// [`MfpConfig::accelerate`](crate::MfpConfig::accelerate)): each rank
-    /// computes the same cheap coarse seed locally; the mixing
-    /// coefficients and the coarse residual of the correction come from
-    /// sums reduced with the convergence check, so every rank mixes and
-    /// corrects with the same global values, and solves the same coarse
-    /// system redundantly. `false` is Algorithm 2 as printed.
+    /// seeds the whole lattice from the same exact coarse solve, locally;
+    /// the mixing coefficients and the coarse residual of the correction
+    /// come from sums reduced with the convergence check, so every rank
+    /// mixes and corrects with the same global values, and solves the same
+    /// coarse system redundantly. `false` is Algorithm 2 as printed.
     pub accelerate: bool,
     /// Fault injection for the cluster's links ([`FaultPlan::none`] keeps
     /// the lossless PR-1 semantics).
@@ -133,7 +133,7 @@ impl<'a> Partition<'a> {
     fn new(domain: &'a DomainSpec, ranks: usize) -> Self {
         Self {
             domain,
-            grid: CartesianGrid::square_for(ranks, RankOrder::RowMajor),
+            grid: CartesianGrid::square_for(ranks),
         }
     }
 

@@ -1,5 +1,6 @@
 //! Global-domain geometry: the overlapping-subdomain lattice.
 
+use crate::engine::FivePoint;
 use mf_data::SubdomainSpec;
 use mf_numerics::boundary::{apply_boundary, boundary_coords};
 use mf_tensor::Tensor;
@@ -243,25 +244,42 @@ impl DomainSpec {
     /// Schwarz methods on many subdomains (§5.3, refs [10, 8]).
     ///
     /// The subdomain-interface lattice intersections form a coarse grid
-    /// with spacing `s·h`; solving the global BVP there is cheap
+    /// with spacing `H = s·h`; solving the global BVP there is cheap
     /// (`O((2sx)·(2sy))` unknowns) and propagates boundary information
     /// across the whole domain in one step instead of one subdomain per
-    /// iteration. Intersection values come from the coarse solve; the
-    /// lattice lines between intersections are filled by linear
-    /// interpolation (`coarse_stencil`). The boundary ring of
-    /// `grid` must already hold the global BC.
+    /// iteration. Intersection values come from the five-point Laplace
+    /// equation there, solved exactly with the boundary samples as its
+    /// Dirichlet values; the lattice lines between intersections are
+    /// filled by linear interpolation (`coarse_stencil`). The boundary
+    /// ring of `grid` must already hold the global BC. This is the seed of
+    /// the accelerated iteration at `σ = 0` without a forcing.
     pub fn coarse_initialize(&self, grid: &mut Tensor) {
-        use mf_numerics::{solve_dirichlet, Poisson};
-        let s = self.shift();
         let (cny, cnx) = self.coarse_dims();
-        // Sample the current grid (boundary ring set, interior zero) at
-        // the lattice intersections.
-        let coarse0 = Tensor::from_fn(cny, cnx, |j, i| grid.get(j * s, i * s));
-        let problem = Poisson::laplace(cny, cnx, self.h() * s as f64);
-        let (coarse, _stats) = solve_dirichlet(&problem, &coarse0, 1e-8);
-        let c = coarse.as_slice();
-        let nx = self.nx();
-        let g = grid.as_mut_slice();
+        self.coarse_seed(&mut FivePoint::new(cny - 2, cnx - 2, 0.0), grid, None);
+    }
+
+    /// `H²`, the square of the coarse grid's spacing `H = s·h`.
+    pub(crate) fn coarse_h2(&self) -> f64 {
+        (self.shift() as f64 * self.h()).powi(2)
+    }
+
+    /// [`Self::coarse_initialize`] for `σu − Δu = f` on the grid `u`: the
+    /// intersections solve `(4 + σH²)·c − Σ neighbours = H²·f` through
+    /// `coarse`, the factor of `L + σH²` on the interior intersections,
+    /// whose grid is left holding the boundary samples on its ring.
+    pub(crate) fn coarse_seed(&self, coarse: &mut FivePoint, u: &mut Tensor, f: Option<&Tensor>) {
+        // `n` interior intersections a row.
+        let (s, n, h2) = (self.shift(), self.coarse_dims().1 - 2, self.coarse_h2());
+        // The boundary samples ring the coarse grid; the solve writes the
+        // rest.
+        for (k, v) in coarse.grid.iter_mut().enumerate() {
+            *v = u.get(k / (n + 2) * s, k % (n + 2) * s);
+        }
+        for (k, v) in coarse.rhs.iter_mut().enumerate() {
+            *v = f.map_or(0.0, |f| h2 * f.get((k / n + 1) * s, (k % n + 1) * s));
+        }
+        coarse.solve();
+        let (nx, c, g) = (self.nx(), &coarse.grid, u.as_mut_slice());
         for p in self.lattice_indices(1..self.ny() - 1, 1..nx - 1) {
             let (a, b, t) = self.coarse_stencil(p / nx, p % nx);
             g[p] = (1.0 - t) * c[a] + t * c[b];

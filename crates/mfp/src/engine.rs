@@ -12,8 +12,10 @@
 //! the [`Accelerator`] that makes the iteration two-level: a coarse-grid
 //! seed before the first sweep, then after every sweep that did not stop
 //! the solve, Anderson mixing of the lattice iterate followed by a
-//! coarse-grid correction — the sweep's change at the coarse nodes, solved
-//! exactly on the coarse grid ([`FivePoint`]) and interpolated back.
+//! coarse-grid correction — the sweep's change at the coarse nodes. Seed
+//! and correction are one exact coarse solve of the run's operator
+//! ([`FivePoint`]: the boundary samples around it for the seed, zero for
+//! the correction), interpolated back along the lattice lines.
 
 use crate::domain::{diff_sumsq_at, sumsq_at, DomainSpec, PointSet, Subdomain, SweepTables};
 use crate::solver::SubdomainSolver;
@@ -413,11 +415,9 @@ pub(crate) struct Accelerator {
     /// The restriction: `(grid index, coarse unknown)` of every owned
     /// interior intersection.
     restrict: Vec<(usize, usize)>,
+    /// The coarse solve; between solves its grid's ring is zero, the
+    /// Dirichlet values of the correction.
     coarse: FivePoint,
-    /// The mixed coarse residual `f_H − ΔF_H γ`.
-    mixed: Vec<f64>,
-    /// The correction on the whole coarse grid, zero on its boundary ring.
-    correction: Vec<f64>,
 }
 
 impl Accelerator {
@@ -451,35 +451,36 @@ impl Accelerator {
             .filter(|(_, &(a, b, _))| a == b)
             .map(|(&p, &(a, _, _))| (p, (a / cnx - 1) * (cnx - 2) + a % cnx - 1))
             .collect();
-        let coarse_h = domain.shift() as f64 * domain.h();
-        let coarse = FivePoint::new(cny - 2, cnx - 2, sigma * coarse_h * coarse_h);
+        let coarse = FivePoint::new(cny - 2, cnx - 2, sigma * domain.coarse_h2());
         Some(Self {
             history: vec![0.0; requests * SLAB * cells.len()],
-            coarse_history: vec![0.0; requests * (1 + D) * coarse.len()],
-            mixed: vec![0.0; coarse.len()],
+            coarse_history: vec![0.0; requests * (1 + D) * coarse.rhs.len()],
             cells,
             mixing: vec![FRESH; requests],
             restarts: counter("mfp.anderson_restarts"),
             stencil,
             restrict,
             coarse,
-            correction: vec![0.0; cny * cnx],
         })
     }
 
     /// Seed the lattice of every grid (boundary ring set) from the coarse
-    /// global solve — every rank computes the same one locally.
-    pub(crate) fn seed(&self, domain: &DomainSpec, grids: &mut [Tensor]) {
+    /// global solve of the run's operator and forcing `f`
+    /// ([`DomainSpec::coarse_seed`]) — every rank computes the same one
+    /// locally, over the whole grid.
+    pub(crate) fn seed(&mut self, d: &DomainSpec, grids: &mut [Tensor], f: Option<&Tensor>) {
         mf_profile::zone!("coarse_seed");
         for grid in grids {
-            domain.coarse_initialize(grid);
+            d.coarse_seed(&mut self.coarse, grid, f);
         }
+        // The correction solves against a zero ring.
+        self.coarse.grid.fill(0.0);
     }
 
     /// Doubles of the accelerator's part of a rank's reduction: the Gram
     /// sums, then one per interior coarse node.
     pub(crate) fn sums_len(&self) -> usize {
-        GRAM_LEN + self.coarse.len()
+        GRAM_LEN + self.coarse.rhs.len()
     }
 
     /// Most difference columns held by any of `requests` (the trace's
@@ -554,7 +555,7 @@ impl Accelerator {
         delta: f64,
         g: &mut Tensor,
     ) -> [f64; D] {
-        let (l, n) = (self.cells.len(), self.coarse.len());
+        let (l, n) = (self.cells.len(), self.coarse.rhs.len());
         let m = &mut self.mixing[request];
         // The reduced `f_H` completes the column `observe` filed.
         let coarse = &mut self.coarse_history[request * (1 + D) * n..][..(1 + D) * n];
@@ -612,35 +613,44 @@ impl Accelerator {
         if !m.corrects {
             return;
         }
-        let n = self.coarse.len();
+        let n = self.coarse.rhs.len();
         let df = &self.coarse_history[request * (1 + D) * n..][n..(1 + D) * n];
-        self.mixed.copy_from_slice(&sums[GRAM_LEN..]);
+        self.coarse.rhs.copy_from_slice(&sums[GRAM_LEN..]);
         for (i, &c) in gamma[..m.cols].iter().enumerate() {
             if c != 0.0 {
-                for (v, d) in self.mixed.iter_mut().zip(&df[i * n..][..n]) {
+                for (v, d) in self.coarse.rhs.iter_mut().zip(&df[i * n..][..n]) {
                     *v -= c * d;
                 }
             }
         }
-        let c = &mut self.correction;
-        self.coarse.solve(&self.mixed, c);
-        let g = g.as_mut_slice();
+        self.coarse.solve();
+        let (c, g) = (&self.coarse.grid, g.as_mut_slice());
         for (&p, &(a, b, t)) in self.cells.iter().zip(&self.stencil) {
             g[p] += (1.0 - t) * c[a] + t * c[b];
         }
     }
 }
 
-/// The exact solver of the unit five-point operator `L` (4 on the
-/// diagonal, −1 per neighbour) on an `ny × nx` grid of unknowns with zero
-/// values around it, by a sine transform along the rows: `L = Tₓ ⊕ T_y`
-/// with `T` the 1-D `[−1 2 −1]`, the orthonormal DST-I `S` diagonalises
-/// `Tₓ`, and what is left is one tridiagonal system in `y` per sine mode,
-/// factored here once. A solve is two dense transforms and the
+/// The exact solver of `L + shift`, `L` the unit five-point operator (4 on
+/// the diagonal, −1 per neighbour), on an `ny × nx` grid of unknowns with
+/// given values around it, by a sine transform along the rows: `L = Tₓ ⊕
+/// T_y` with `T` the 1-D `[−1 2 −1]`, the orthonormal DST-I `S`
+/// diagonalises `Tₓ`, and what is left is one tridiagonal system in `y` per
+/// sine mode, factored here once. A solve is two dense transforms and the
 /// substitutions — `O(nx²·ny)`, no iteration, no tolerance.
+///
+/// It holds the coarse problem it solves: the right-hand side `rhs` and the
+/// `(ny + 2) × (nx + 2)` `grid` around the unknowns, whose boundary ring
+/// holds the Dirichlet values (zero until a caller writes them). A solve
+/// folds the ring into `rhs` and writes the solution into `grid`'s
+/// interior.
 pub(crate) struct FivePoint {
     nx: usize,
     ny: usize,
+    /// Right-hand side, `ny × nx` row-major; a solve overwrites it.
+    pub(crate) rhs: Vec<f64>,
+    /// The unknowns inside their Dirichlet ring, row-major.
+    pub(crate) grid: Vec<f64>,
     /// `S`, `nx × nx`, symmetric.
     sine: Vec<f64>,
     /// `[j·nx + k]`: the reciprocal of pivot `j` of `T_y + λₖ`.
@@ -677,22 +687,24 @@ impl FivePoint {
         Self {
             nx,
             ny,
+            rhs: vec![0.0; ny * nx],
+            grid: vec![0.0; (ny + 2) * (nx + 2)],
             sine,
             inv_pivot,
             work: vec![0.0; ny * nx],
         }
     }
 
-    /// Unknowns: `ny·nx`.
-    pub(crate) fn len(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    /// Solve `L c = r` for `r` row-major `ny × nx`, writing `c` into the
-    /// interior of `out`, the `(ny + 2) × (nx + 2)` grid around it (its
-    /// boundary ring is left as it is).
-    pub(crate) fn solve(&mut self, r: &[f64], out: &mut [f64]) {
-        let (nx, ny) = (self.nx, self.ny);
+    /// Solve `(L + shift)·c = rhs` with the ring of `grid` as Dirichlet
+    /// values, writing `c` into the interior of `grid`.
+    pub(crate) fn solve(&mut self) {
+        let (nx, ny, pad) = (self.nx, self.ny, self.nx + 2);
+        let (r, out) = (&mut self.rhs, &mut self.grid);
+        // The ring's neighbours of the left, right, bottom and top unknowns.
+        (0..ny).for_each(|j| r[j * nx] += out[(j + 1) * pad]);
+        (0..ny).for_each(|j| r[j * nx + nx - 1] += out[(j + 1) * pad + nx + 1]);
+        (0..nx).for_each(|i| r[i] += out[1 + i]);
+        (0..nx).for_each(|i| r[(ny - 1) * nx + i] += out[(ny + 1) * pad + 1 + i]);
         let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y);
         let sine = |k: usize| &self.sine[k * nx..][..nx];
         let (w, inv) = (&mut self.work, &self.inv_pivot);
@@ -720,7 +732,7 @@ impl FivePoint {
             }
         }
         for (j, row) in w.chunks_exact(nx).enumerate() {
-            let out = &mut out[(j + 1) * (nx + 2) + 1..][..nx];
+            let out = &mut out[(j + 1) * pad + 1..][..nx];
             for (i, o) in out.iter_mut().enumerate() {
                 *o = dot(sine(i), row);
             }
@@ -1021,13 +1033,13 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
         for (ny, nx) in [(3, 3), (15, 15), (63, 63), (7, 15)] {
             let mut solver = FivePoint::new(ny, nx, 0.0);
-            assert_eq!(solver.len(), ny * nx);
+            assert_eq!(solver.rhs.len(), ny * nx);
             let smooth = vec![1.0; ny * nx];
             let noise: Vec<f64> = (0..ny * nx).map(|_| rng.gen_range(-1.0..1.0)).collect();
             for r in [smooth, noise] {
-                let mut c = vec![0.0; (ny + 2) * (nx + 2)];
-                solver.solve(&r, &mut c);
-                let lc = apply_five_point(ny, nx, &c);
+                solver.rhs.copy_from_slice(&r);
+                solver.solve();
+                let lc = apply_five_point(ny, nx, &solver.grid);
                 let err = lc
                     .iter()
                     .zip(&r)
@@ -1035,6 +1047,51 @@ mod tests {
                     .fold(0.0, f64::max);
                 let scale = r.iter().map(|v| v.abs()).fold(0.0, f64::max);
                 assert!(err <= 1e-12 * scale, "{ny}x{nx}: |Lc - r| = {err:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_seed_solves_the_runs_coarse_operator_exactly() {
+        // At every interior intersection the seeded values satisfy
+        // `(4 + σH²)·c − Σ neighbours = H²·f`, the boundary samples as
+        // Dirichlet values: Laplace without a forcing, and a shifted
+        // problem with one, on a coarse grid of 2ᵏ + 1 points a side (4×4)
+        // and on two that are not (3×2, 6×6).
+        use rand::{Rng, SeedableRng};
+        let spec = SubdomainSpec { m: 5, spatial: 0.5 };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for (sx, sy) in [(4, 4), (3, 2), (6, 6)] {
+            let d = DomainSpec::new(spec, sx, sy);
+            let (s, hh) = (d.shift(), (d.shift() as f64 * d.h()).powi(2));
+            for (sigma, forced) in [(0.0, false), (0.0, true), (50.0, true), (500.0, true)] {
+                let bc = Tensor::from_fn(1, d.boundary_len(), |_, _| rng.gen_range(-1.0..1.0));
+                let f = Tensor::from_fn(d.ny(), d.nx(), |_, _| rng.gen_range(-9.0..9.0));
+                let forcing = forced.then_some(&f);
+                let mut accel =
+                    Accelerator::new(true, &d, &whole_grid(&d), sigma, 1).expect("subdomains");
+                let mut grid = d.initial_grid(&bc);
+                accel.seed(&d, std::slice::from_mut(&mut grid), forcing);
+                let (cny, cnx) = d.coarse_dims();
+                let c = |j: usize, i: usize| grid.get(j * s, i * s);
+                for (j, i) in (1..cny - 1).flat_map(|j| (1..cnx - 1).map(move |i| (j, i))) {
+                    let nbrs = [c(j - 1, i), c(j + 1, i), c(j, i - 1), c(j, i + 1)];
+                    let diag = (4.0 + sigma * hh) * c(j, i);
+                    let rhs = forcing.map_or(0.0, |f| hh * f.get(j * s, i * s));
+                    let gap = diag - nbrs.iter().sum::<f64>() - rhs;
+                    let scale = diag.abs() + nbrs.iter().map(|v| v.abs()).sum::<f64>() + rhs.abs();
+                    assert!(
+                        gap.abs() <= 1e-12 * scale,
+                        "{sx}x{sy}, σ = {sigma}, forced = {forced}: node ({j}, {i}) off by {gap:e}"
+                    );
+                }
+                // The seed leaves the correction's ring at zero: a zero
+                // sweep change still corrects by nothing.
+                let mut sums = vec![0.0; accel.sums_len()];
+                accel.observe(0, &grid, &grid, &mut sums);
+                let mut corrected = grid.clone();
+                accel.correct(0, &sums, &[0.0; D], &mut corrected);
+                assert_eq!(corrected, grid);
             }
         }
     }

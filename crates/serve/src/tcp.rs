@@ -1,9 +1,10 @@
 //! TCP front end: line-delimited JSON over `std::net` threads.
 //!
-//! The accept loop mirrors `mf-profile`'s `MetricsServer` (non-blocking
-//! listener polled against a stop flag); each connection gets a reader
-//! thread that parses one request per line, drives the shared
-//! [`SolveService`], and writes one response line per request. A
+//! One acceptor thread blocks in `accept`; stopping the server sets a flag
+//! and wakes it with one connection to its own address (as `mf-profile`'s
+//! `MetricsServer` does). Each connection gets a reader thread that parses
+//! one request per line, drives the shared [`SolveService`], and writes
+//! one response line per request. A
 //! connection is a closed loop: the next request on the same connection
 //! is read only after the previous response was written, so concurrency
 //! comes from the number of connections (the `repro_serve` load generator
@@ -15,7 +16,7 @@
 use crate::protocol;
 use crate::service::{ServeError, SolveService};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -28,6 +29,9 @@ const MAX_VALUE_BYTES: usize = 26;
 /// Room on a request line for everything but the `bc` values: the other
 /// fields, their keys, and whitespace between tokens.
 const LINE_SLACK_BYTES: usize = 4096;
+
+/// How long [`TcpServer::stop`] waits for its wake-up connection.
+const WAKE_DEADLINE: Duration = Duration::from_millis(500);
 
 /// The longest request line `service` has to read: an explicit `bc` array
 /// for the largest domain it admits, plus slack.
@@ -48,7 +52,6 @@ impl TcpServer {
     /// accepting connections against `service`.
     pub fn bind(service: Arc<SolveService>, addr: &str) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
@@ -70,10 +73,24 @@ impl TcpServer {
         self.addr
     }
 
-    /// Stop accepting new connections and join the accept loop.
+    /// Stop accepting new connections and join the accept loop: set the
+    /// flag, then wake the loop out of `accept` with one connection to its
+    /// own address (the loopback one when bound to an unspecified
+    /// address). If that connection cannot be made, the loop is left
+    /// detached rather than joined forever.
     pub fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
+        let Some(h) = self.accept.take() else {
+            return;
+        };
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect_timeout(&wake, WAKE_DEADLINE).is_ok() {
             let _ = h.join();
         }
     }
@@ -86,8 +103,12 @@ impl Drop for TcpServer {
 }
 
 fn accept_loop(listener: TcpListener, service: Arc<SolveService>, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, peer)) => {
                 let service = Arc::clone(&service);
                 // The connection id minted at accept parents every
@@ -102,9 +123,6 @@ fn accept_loop(listener: TcpListener, service: Arc<SolveService>, stop: Arc<Atom
                 if let Err(e) = spawned {
                     mf_telemetry::log!(Error, "serve.conn_spawn_failed", conn = conn_id, err = e);
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(e) => {
                 mf_telemetry::log!(Error, "serve.accept_failed", err = e);
@@ -287,6 +305,49 @@ mod tests {
         let v = request(legal.as_bytes());
         assert_eq!(v.get("id").and_then(JsonValue::as_f64), Some(1.0));
         assert_eq!(v.get("status").and_then(JsonValue::as_str), Some("ok"));
+    }
+
+    #[test]
+    fn connections_are_accepted_at_once_and_stop_is_prompt() {
+        let (_svc, server) = test_server(ServeConfig {
+            workers: 1,
+            ..Default::default()
+        });
+        let addr = server.addr();
+        // An acceptor that sleeps 5 ms per empty `accept` makes a new
+        // connection wait 2.5 ms on average before it is accepted: 50
+        // sequential connections would take about 125 ms. A blocked
+        // `accept` answers each (a malformed line, refused without a
+        // solve) in well under a millisecond here; the best of three
+        // rounds keeps a descheduled moment from deciding.
+        let round = || {
+            let t0 = std::time::Instant::now();
+            for _ in 0..50 {
+                let stream = TcpStream::connect(addr).unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                writer.write_all(b"garbage\n").unwrap();
+                let mut line = String::new();
+                BufReader::new(stream).read_line(&mut line).unwrap();
+                assert!(line.contains("\"error\""), "{line}");
+            }
+            t0.elapsed()
+        };
+        let best = (0..3).map(|_| round()).min().unwrap();
+        assert!(
+            best < Duration::from_millis(50),
+            "50 sequential connections took {best:?}"
+        );
+        let t0 = std::time::Instant::now();
+        drop(server);
+        let dropped = t0.elapsed();
+        assert!(
+            dropped < Duration::from_millis(200),
+            "drop took {dropped:?}"
+        );
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "still accepting after drop"
+        );
     }
 
     #[test]

@@ -62,9 +62,9 @@ fn main() {
     let oracle = OracleSolver::new(spec, 1e-10);
     let mfp = Mfp::new(&oracle, domain);
     // The hypothesis is about the paper's one-level iteration, so that is
-    // what both counts below are of (the accelerated default needs 5 and
-    // 7: there is little left to accelerate in a step, and the steady
-    // solve loses its handicap).
+    // what both counts below are of (the accelerated default needs 5 per
+    // step and 8 for the steady solve: there is little left to accelerate
+    // in a step, and the steady solve loses its handicap).
     let cfg = MfpConfig {
         max_iters: 400,
         tol: 1e-8,

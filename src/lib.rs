@@ -49,7 +49,7 @@ pub mod prelude {
     pub use mf_data::{Batch, BatchSampler, Dataset, SubdomainSpec};
     pub use mf_dist::{
         CartesianGrid, Cluster, ClusterError, CommError, Communicator, CrashAt, FaultPlan,
-        PerfModel, RankOrder,
+        PerfModel,
     };
     pub use mf_gp::{BoundarySampler, Kernel1d, Sobol};
     pub use mf_infer::{InferencePlan, Workspace};

@@ -54,6 +54,34 @@ fn distributed_mfp_is_correct_for_1_2_4_8_ranks() {
 }
 
 #[test]
+fn accelerated_iteration_needs_at_most_half_the_sweeps() {
+    // `mosaic-flow solve --domain 8x8 --oracle --ranks 4` (sin boundary;
+    // the CLI's oracle tolerance, `max_iters` and `tol`) against the same
+    // run with `--one-level`, the paper's Algorithm 2 as printed.
+    let domain = DomainSpec::new(spec(), 8, 8);
+    let oracle = OracleSolver::new(spec(), 1e-9);
+    let bc = mosaic_flow::numerics::boundary::boundary_from_fn(domain.ny(), domain.nx(), |t| {
+        (2.0 * std::f64::consts::PI * t).sin()
+    });
+    let sweeps = |accelerate: bool| {
+        let cfg = DistMfpConfig {
+            max_iters: 2000,
+            tol: 1e-6,
+            accelerate,
+            ..Default::default()
+        };
+        let res = run_distributed(&oracle, &domain, &bc, 4, &cfg);
+        assert!(res.converged, "accelerate = {accelerate}: not converged");
+        res.iterations
+    };
+    let (accelerated, one_level) = (sweeps(true), sweeps(false));
+    assert!(
+        2 * accelerated <= one_level,
+        "{accelerated} accelerated sweeps against {one_level} one-level ones"
+    );
+}
+
+#[test]
 fn iteration_count_grows_mildly_with_rank_count() {
     // Table 4's qualitative claim: relaxed synchronization costs a few
     // percent more iterations, not multiples.
