@@ -44,7 +44,7 @@ fn main() {
     );
     let bc = gp_boundary(&domain, 1);
 
-    println!("\n[1/3] reference: global multigrid solve (the paper's pyAMG role)");
+    println!("\n[1/3] reference: exact five-point solve (the paper's pyAMG role)");
     let reference = reference_solution(&domain, &bc);
 
     println!("[2/3] distributed MFP on 4 ranks with the numerical oracle solver");

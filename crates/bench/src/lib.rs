@@ -141,7 +141,7 @@ pub fn gp_boundary(domain: &DomainSpec, seed: u64) -> Tensor {
     sampler.sample(&mut ChaCha8Rng::seed_from_u64(seed))
 }
 
-/// Ground-truth solution of the global BVP via multigrid/SOR.
+/// Ground-truth solution of the global BVP: the exact five-point solve.
 pub fn reference_solution(domain: &DomainSpec, bc: &Tensor) -> Tensor {
     let guess = grid_with_boundary(domain.ny(), domain.nx(), bc);
     let (sol, stats) = solve_dirichlet(

@@ -1,8 +1,8 @@
 //! Global-domain geometry: the overlapping-subdomain lattice.
 
-use crate::engine::FivePoint;
 use mf_data::SubdomainSpec;
 use mf_numerics::boundary::{apply_boundary, boundary_coords};
+use mf_numerics::FivePoint;
 use mf_tensor::Tensor;
 
 /// A large solve domain tiled by `sx × sy` atomic subdomains.
@@ -272,14 +272,14 @@ impl DomainSpec {
         let (s, n, h2) = (self.shift(), self.coarse_dims().1 - 2, self.coarse_h2());
         // The boundary samples ring the coarse grid; the solve writes the
         // rest.
-        for (k, v) in coarse.grid.iter_mut().enumerate() {
+        for (k, v) in coarse.grid_mut().iter_mut().enumerate() {
             *v = u.get(k / (n + 2) * s, k % (n + 2) * s);
         }
-        for (k, v) in coarse.rhs.iter_mut().enumerate() {
+        for (k, v) in coarse.rhs_mut().iter_mut().enumerate() {
             *v = f.map_or(0.0, |f| h2 * f.get((k / n + 1) * s, (k % n + 1) * s));
         }
         coarse.solve();
-        let (nx, c, g) = (self.nx(), &coarse.grid, u.as_mut_slice());
+        let (nx, c, g) = (self.nx(), coarse.grid(), u.as_mut_slice());
         for p in self.lattice_indices(1..self.ny() - 1, 1..nx - 1) {
             let (a, b, t) = self.coarse_stencil(p / nx, p % nx);
             g[p] = (1.0 - t) * c[a] + t * c[b];

@@ -21,6 +21,7 @@ use crate::domain::{diff_sumsq_at, sumsq_at, DomainSpec, PointSet, Subdomain, Sw
 use crate::solver::SubdomainSolver;
 use mf_infer::Subset;
 use mf_numerics::boundary::boundary_coords;
+use mf_numerics::FivePoint;
 use mf_telemetry::{counter, histogram, Buckets, Counter, Histogram};
 use mf_tensor::Tensor;
 use std::cell::RefCell;
@@ -328,13 +329,8 @@ struct Mixing {
     /// Whether the last [`Accelerator::observe`] filed a new column, whose
     /// coarse part the reduced sums complete.
     filed: bool,
-    /// Relative change of the previous sweep, and of the one before.
+    /// Relative change of the previous sweep.
     last_delta: f64,
-    earlier_delta: f64,
-    /// Whether the coarse-grid correction still applies: it stops for
-    /// good when two sweeps in a row, each started from a corrected
-    /// iterate, fail to halve the relative change between them.
-    corrects: bool,
 }
 
 const FRESH: Mixing = Mixing {
@@ -343,8 +339,6 @@ const FRESH: Mixing = Mixing {
     primed: false,
     filed: false,
     last_delta: f64::INFINITY,
-    earlier_delta: f64::INFINITY,
-    corrects: true,
 };
 
 /// The second level of the iteration: the coarse-grid **seed**,
@@ -390,10 +384,7 @@ const FRESH: Mixing = Mixing {
 /// | network, 8×8       | 6–7   | 6     | 6–7   |
 /// | exact, 32×32       | 12–13 | 10–11 | 13–14 |
 ///
-/// So `L` is used unscaled. A subdomain solver far from the Laplace
-/// operator (an untrained network) can be slowed by any such correction:
-/// it stops for good, per request, when two sweeps in a row fail to halve
-/// the relative change, and the mixing goes on alone.
+/// So `L` is used unscaled.
 ///
 /// All history lives in buffers sized at construction — a warm iteration
 /// allocates nothing.
@@ -454,7 +445,7 @@ impl Accelerator {
         let coarse = FivePoint::new(cny - 2, cnx - 2, sigma * domain.coarse_h2());
         Some(Self {
             history: vec![0.0; requests * SLAB * cells.len()],
-            coarse_history: vec![0.0; requests * (1 + D) * coarse.rhs.len()],
+            coarse_history: vec![0.0; requests * (1 + D) * coarse.unknowns()],
             cells,
             mixing: vec![FRESH; requests],
             restarts: counter("mfp.anderson_restarts"),
@@ -474,13 +465,13 @@ impl Accelerator {
             d.coarse_seed(&mut self.coarse, grid, f);
         }
         // The correction solves against a zero ring.
-        self.coarse.grid.fill(0.0);
+        self.coarse.grid_mut().fill(0.0);
     }
 
     /// Doubles of the accelerator's part of a rank's reduction: the Gram
     /// sums, then one per interior coarse node.
     pub(crate) fn sums_len(&self) -> usize {
-        GRAM_LEN + self.coarse.rhs.len()
+        GRAM_LEN + self.coarse.unknowns()
     }
 
     /// Most difference columns held by any of `requests` (the trace's
@@ -555,7 +546,7 @@ impl Accelerator {
         delta: f64,
         g: &mut Tensor,
     ) -> [f64; D] {
-        let (l, n) = (self.cells.len(), self.coarse.rhs.len());
+        let (l, n) = (self.cells.len(), self.coarse.unknowns());
         let m = &mut self.mixing[request];
         // The reduced `f_H` completes the column `observe` filed.
         let coarse = &mut self.coarse_history[request * (1 + D) * n..][..(1 + D) * n];
@@ -570,8 +561,7 @@ impl Accelerator {
         f_prev.copy_from_slice(f_h);
 
         let grew = delta > m.last_delta;
-        m.corrects &= delta <= 0.5 * m.earlier_delta;
-        (m.earlier_delta, m.last_delta) = (m.last_delta, delta);
+        m.last_delta = delta;
         let gram = sums[..GRAM_LEN].try_into().expect("sums_len ≥ GRAM_LEN");
         let solved = solve_normal_equations(gram, m.cols);
         let Some(gamma) = solved.filter(|_| !(grew && m.cols > 0)) else {
@@ -579,8 +569,6 @@ impl Accelerator {
             *m = Mixing {
                 primed: solved.is_some(),
                 last_delta: m.last_delta,
-                earlier_delta: m.earlier_delta,
-                corrects: m.corrects,
                 ..FRESH
             };
             self.restarts.incr();
@@ -610,132 +598,21 @@ impl Accelerator {
         g: &mut Tensor,
     ) {
         let m = &self.mixing[request];
-        if !m.corrects {
-            return;
-        }
-        let n = self.coarse.rhs.len();
+        let rhs = self.coarse.rhs_mut();
+        let n = rhs.len();
         let df = &self.coarse_history[request * (1 + D) * n..][n..(1 + D) * n];
-        self.coarse.rhs.copy_from_slice(&sums[GRAM_LEN..]);
+        rhs.copy_from_slice(&sums[GRAM_LEN..]);
         for (i, &c) in gamma[..m.cols].iter().enumerate() {
             if c != 0.0 {
-                for (v, d) in self.coarse.rhs.iter_mut().zip(&df[i * n..][..n]) {
+                for (v, d) in rhs.iter_mut().zip(&df[i * n..][..n]) {
                     *v -= c * d;
                 }
             }
         }
         self.coarse.solve();
-        let (c, g) = (&self.coarse.grid, g.as_mut_slice());
+        let (c, g) = (self.coarse.grid(), g.as_mut_slice());
         for (&p, &(a, b, t)) in self.cells.iter().zip(&self.stencil) {
             g[p] += (1.0 - t) * c[a] + t * c[b];
-        }
-    }
-}
-
-/// The exact solver of `L + shift`, `L` the unit five-point operator (4 on
-/// the diagonal, −1 per neighbour), on an `ny × nx` grid of unknowns with
-/// given values around it, by a sine transform along the rows: `L = Tₓ ⊕
-/// T_y` with `T` the 1-D `[−1 2 −1]`, the orthonormal DST-I `S`
-/// diagonalises `Tₓ`, and what is left is one tridiagonal system in `y` per
-/// sine mode, factored here once. A solve is two dense transforms and the
-/// substitutions — `O(nx²·ny)`, no iteration, no tolerance.
-///
-/// It holds the coarse problem it solves: the right-hand side `rhs` and the
-/// `(ny + 2) × (nx + 2)` `grid` around the unknowns, whose boundary ring
-/// holds the Dirichlet values (zero until a caller writes them). A solve
-/// folds the ring into `rhs` and writes the solution into `grid`'s
-/// interior.
-pub(crate) struct FivePoint {
-    nx: usize,
-    ny: usize,
-    /// Right-hand side, `ny × nx` row-major; a solve overwrites it.
-    pub(crate) rhs: Vec<f64>,
-    /// The unknowns inside their Dirichlet ring, row-major.
-    pub(crate) grid: Vec<f64>,
-    /// `S`, `nx × nx`, symmetric.
-    sine: Vec<f64>,
-    /// `[j·nx + k]`: the reciprocal of pivot `j` of `T_y + λₖ`.
-    inv_pivot: Vec<f64>,
-    /// `S`-transformed rows, `ny × nx`.
-    work: Vec<f64>,
-}
-
-impl FivePoint {
-    pub(crate) fn new(ny: usize, nx: usize, shift: f64) -> Self {
-        use std::f64::consts::PI;
-        let n1 = nx + 1;
-        let norm = (2.0 / n1 as f64).sqrt();
-        // `sin(π·k·i / (nx+1))` with `k·i` reduced modulo the period first.
-        let sine = (0..nx * nx)
-            .map(|e| {
-                let ki = (e / nx + 1) * (e % nx + 1) % (2 * n1);
-                norm * (PI * ki as f64 / n1 as f64).sin()
-            })
-            .collect();
-        let mut inv_pivot = vec![0.0; ny * nx];
-        for k in 0..nx {
-            // λₖ = 2 − 2cos θ, written without the cancellation.
-            let half = (PI * (k + 1) as f64 / (2 * n1) as f64).sin();
-            let diag = 2.0 + 4.0 * half * half + shift;
-            let mut pivot = diag;
-            for j in 0..ny {
-                if j > 0 {
-                    pivot = diag - 1.0 / pivot;
-                }
-                inv_pivot[j * nx + k] = 1.0 / pivot;
-            }
-        }
-        Self {
-            nx,
-            ny,
-            rhs: vec![0.0; ny * nx],
-            grid: vec![0.0; (ny + 2) * (nx + 2)],
-            sine,
-            inv_pivot,
-            work: vec![0.0; ny * nx],
-        }
-    }
-
-    /// Solve `(L + shift)·c = rhs` with the ring of `grid` as Dirichlet
-    /// values, writing `c` into the interior of `grid`.
-    pub(crate) fn solve(&mut self) {
-        let (nx, ny, pad) = (self.nx, self.ny, self.nx + 2);
-        let (r, out) = (&mut self.rhs, &mut self.grid);
-        // The ring's neighbours of the left, right, bottom and top unknowns.
-        (0..ny).for_each(|j| r[j * nx] += out[(j + 1) * pad]);
-        (0..ny).for_each(|j| r[j * nx + nx - 1] += out[(j + 1) * pad + nx + 1]);
-        (0..nx).for_each(|i| r[i] += out[1 + i]);
-        (0..nx).for_each(|i| r[(ny - 1) * nx + i] += out[(ny + 1) * pad + 1 + i]);
-        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).fold(0.0, |acc, (x, y)| acc + x * y);
-        let sine = |k: usize| &self.sine[k * nx..][..nx];
-        let (w, inv) = (&mut self.work, &self.inv_pivot);
-        for (row, r) in w.chunks_exact_mut(nx).zip(r.chunks_exact(nx)) {
-            for (k, v) in row.iter_mut().enumerate() {
-                *v = dot(sine(k), r);
-            }
-        }
-        // Forward and back substitution, all modes at once.
-        for j in 1..ny {
-            let (done, rest) = w.split_at_mut(j * nx);
-            let prev = &done[(j - 1) * nx..];
-            for ((v, &p), &q) in rest[..nx].iter_mut().zip(prev).zip(&inv[(j - 1) * nx..]) {
-                *v += p * q;
-            }
-        }
-        for (v, &q) in w[(ny - 1) * nx..].iter_mut().zip(&inv[(ny - 1) * nx..]) {
-            *v *= q;
-        }
-        for j in (0..ny - 1).rev() {
-            let (head, next) = w.split_at_mut((j + 1) * nx);
-            let row = &mut head[j * nx..];
-            for ((v, &n), &q) in row.iter_mut().zip(&next[..nx]).zip(&inv[j * nx..]) {
-                *v = (*v + n) * q;
-            }
-        }
-        for (j, row) in w.chunks_exact(nx).enumerate() {
-            let out = &mut out[(j + 1) * pad + 1..][..nx];
-            for (i, o) in out.iter_mut().enumerate() {
-                *o = dot(sine(i), row);
-            }
         }
     }
 }
@@ -1009,46 +886,6 @@ mod tests {
         assert_eq!(g, sweep(4));
         accel.observe(1, &sweep(5), &x, &mut sums);
         assert_eq!(accel.depth(&[1]), 0, "nothing to difference against");
-    }
-
-    /// `L·c` at every unknown of the `ny × nx` grid whose `c` sits inside
-    /// `padded` (zero ring).
-    fn apply_five_point(ny: usize, nx: usize, padded: &[f64]) -> Vec<f64> {
-        let w = nx + 2;
-        let at = |j: usize, i: usize| padded[j * w + i];
-        (1..=ny)
-            .flat_map(|j| (1..=nx).map(move |i| (j, i)))
-            .map(|(j, i)| {
-                4.0 * at(j, i) - at(j - 1, i) - at(j + 1, i) - at(j, i - 1) - at(j, i + 1)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn the_coarse_solve_is_exact() {
-        use rand::{Rng, SeedableRng};
-        // The coarse grids of 2×2, 8×8 and 32×32 atoms (3², 15², 63²
-        // unknowns) and a rectangular one; a smooth right-hand side (the
-        // one the transform amplifies most) and noise.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
-        for (ny, nx) in [(3, 3), (15, 15), (63, 63), (7, 15)] {
-            let mut solver = FivePoint::new(ny, nx, 0.0);
-            assert_eq!(solver.rhs.len(), ny * nx);
-            let smooth = vec![1.0; ny * nx];
-            let noise: Vec<f64> = (0..ny * nx).map(|_| rng.gen_range(-1.0..1.0)).collect();
-            for r in [smooth, noise] {
-                solver.rhs.copy_from_slice(&r);
-                solver.solve();
-                let lc = apply_five_point(ny, nx, &solver.grid);
-                let err = lc
-                    .iter()
-                    .zip(&r)
-                    .map(|(a, b)| (a - b).abs())
-                    .fold(0.0, f64::max);
-                let scale = r.iter().map(|v| v.abs()).fold(0.0, f64::max);
-                assert!(err <= 1e-12 * scale, "{ny}x{nx}: |Lc - r| = {err:e}");
-            }
-        }
     }
 
     #[test]

@@ -274,9 +274,9 @@ mod tests {
     /// point, a ring point included, in one launch, and a subset takes its
     /// values unchanged.
     #[test]
-    fn shifted_forced_batches_match_per_subdomain_sor() {
+    fn shifted_forced_batches_match_the_exact_per_subdomain_solve() {
         use mf_numerics::boundary::grid_with_boundary;
-        use mf_numerics::{solve_shifted_sor, Poisson};
+        use mf_numerics::{solve_shifted, Poisson};
         let spec = spec();
         let (m, h, sigma) = (spec.m, spec.h(), 50.0);
         let s = OracleSolver::new(spec, 1e-9);
@@ -294,11 +294,18 @@ mod tests {
                 f: Tensor::from_vec(m, m, f.row(b).to_vec()),
                 h,
             };
-            let guess = grid_with_boundary(m, m, &bc_b);
-            let (sor, st) = solve_shifted_sor(&problem, sigma, &guess, 1.5, 100_000, 1e-11);
-            assert!(st.converged, "{st:?}");
+            let exact = solve_shifted(&problem, sigma, &grid_with_boundary(m, m, &bc_b));
+            // The reference satisfies `(4 + σh²)·u − Σ neighbours = h²f`
+            // to rounding at every interior point.
+            let u = |j: usize, i: usize| exact.get(j, i);
+            for (j, i) in (1..m - 1).flat_map(|j| (1..m - 1).map(move |i| (j, i))) {
+                let nbrs = u(j, i - 1) + u(j, i + 1) + u(j - 1, i) + u(j + 1, i);
+                let rhs = h * h * problem.f.get(j, i);
+                let gap = (4.0 + sigma * h * h) * u(j, i) - nbrs - rhs;
+                assert!(gap.abs() <= 1e-13, "boundary {b}, ({j}, {i}): gap {gap:e}");
+            }
             for (k, &(j, i)) in idx.iter().enumerate() {
-                let err = (out.get(b * idx.len() + k, 0) - sor.get(j, i)).abs();
+                let err = (out.get(b * idx.len() + k, 0) - exact.get(j, i)).abs();
                 assert!(err <= 1e-10, "boundary {b}, point {k}: {err:e}");
             }
         }

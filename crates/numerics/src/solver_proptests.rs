@@ -1,9 +1,9 @@
-//! Property-based cross-validation of the solver family: for random
-//! Dirichlet data, every solver must agree with every other, satisfy the
-//! discrete maximum principle, and respect the operator's linearity.
+//! Property-based checks of the exact solve: for random Dirichlet data it
+//! must satisfy the five-point stencil, the discrete maximum principle,
+//! and the operator's linearity.
 
 use crate::boundary::{apply_boundary, boundary_from_fn};
-use crate::{solve_dirichlet, solve_multigrid, solve_shifted_sor, sor_optimal_omega, Poisson};
+use crate::{residual_norm, solve_dirichlet, solve_shifted, Poisson};
 use mf_tensor::Tensor;
 use proptest::prelude::*;
 
@@ -21,19 +21,16 @@ fn grid_with_random_bc(n: usize, a: f64, b: f64, phase: f64) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Multigrid, SOR and `solve_dirichlet` converge to the same solution.
+    /// `solve_dirichlet` satisfies the five-point stencil to rounding.
     #[test]
-    fn all_solvers_agree(a in -1.0f64..1.0, b in -0.5f64..0.5, phase in 0.0f64..3.0) {
+    fn the_solve_satisfies_the_stencil(a in -1.0f64..1.0, b in -0.5f64..0.5, phase in 0.0f64..3.0) {
         let n = 17;
         let h = 1.0 / (n - 1) as f64;
         let guess = grid_with_random_bc(n, a, b, phase);
         let p = Poisson::laplace(n, n, h);
-        let (mg, s1) = solve_multigrid(&p, &guess, 1e-9);
-        let (sor, s2) = solve_shifted_sor(&p, 0.0, &guess, sor_optimal_omega(n), 50_000, 1e-9);
-        let (auto, s3) = solve_dirichlet(&p, &guess, 1e-9);
-        prop_assert!(s1.converged && s2.converged && s3.converged);
-        prop_assert!(mg.max_abs_diff(&sor) < 1e-6);
-        prop_assert!(mg.max_abs_diff(&auto) < 1e-6);
+        let (u, st) = solve_dirichlet(&p, &guess, 1e-9);
+        prop_assert!(st.converged);
+        prop_assert!(residual_norm(&p, &u) * h * h < 1e-14);
     }
 
     /// Discrete maximum principle: the interior never exceeds the
@@ -78,8 +75,7 @@ proptest! {
         let guess = Tensor::zeros(n, n);
         // Large shift: u ≈ f/σ at the center.
         let sigma = 1e6;
-        let (u, st) = solve_shifted_sor(&Poisson { f: f.clone(), h }, sigma, &guess, 1.2, 50_000, 1e-12);
-        prop_assert!(st.converged);
+        let u = solve_shifted(&Poisson { f: f.clone(), h }, sigma, &guess);
         let center = u.get(n / 2, n / 2);
         prop_assert!(
             (center - fval / sigma).abs() < 1e-3 * fval / sigma + 1e-12,

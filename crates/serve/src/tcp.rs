@@ -2,7 +2,9 @@
 //!
 //! One acceptor thread blocks in `accept`; stopping the server sets a flag
 //! and wakes it with one connection to its own address (as `mf-profile`'s
-//! `MetricsServer` does). Each connection gets a reader thread that parses
+//! `MetricsServer` does). A failed `accept` (out of descriptors, a client
+//! that reset first) is logged and retried after 2 ms; only the flag ends
+//! the loop. Each connection gets a reader thread that parses
 //! one request per line, drives the shared [`SolveService`], and writes
 //! one response line per request. A
 //! connection is a closed loop: the next request on the same connection
@@ -32,6 +34,10 @@ const LINE_SLACK_BYTES: usize = 4096;
 
 /// How long [`TcpServer::stop`] waits for its wake-up connection.
 const WAKE_DEADLINE: Duration = Duration::from_millis(500);
+
+/// How long the accept loop waits after a failed `accept` before it tries
+/// again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
 
 /// The longest request line `service` has to read: an explicit `bc` array
 /// for the largest domain it admits, plus slack.
@@ -124,9 +130,11 @@ fn accept_loop(listener: TcpListener, service: Arc<SolveService>, stop: Arc<Atom
                     mf_telemetry::log!(Error, "serve.conn_spawn_failed", conn = conn_id, err = e);
                 }
             }
+            // Out of descriptors, a connection reset before it was
+            // accepted: the listener is fine, so back off and retry.
             Err(e) => {
                 mf_telemetry::log!(Error, "serve.accept_failed", err = e);
-                break;
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
         }
     }

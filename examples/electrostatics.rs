@@ -81,7 +81,7 @@ fn main() {
     );
 
     println!(
-        "\nMAE vs multigrid reference: {:.6}",
+        "\nMAE vs exact five-point solve: {:.6}",
         batched.grid.mean_abs_diff(&reference)
     );
 

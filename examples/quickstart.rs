@@ -22,7 +22,7 @@ fn main() {
         spec.boundary_len()
     );
 
-    // 2. Data: GP boundary conditions solved with multigrid (our pyAMG).
+    // 2. Data: GP boundary conditions solved exactly (our pyAMG).
     let dataset = Dataset::generate(spec, 160, 42);
     let (train, val) = dataset.split(0.9);
     println!(
@@ -74,7 +74,7 @@ fn main() {
     let mut bc_sampler = BoundarySampler::new(domain.boundary_len(), (0.4, 0.8), (0.5, 1.0), true);
     let bc = bc_sampler.sample(&mut ChaCha8Rng::seed_from_u64(7));
 
-    // Ground truth from a global multigrid solve.
+    // Ground truth from the exact global five-point solve.
     let guess = grid_with_boundary(domain.ny(), domain.nx(), &bc);
     let (reference, stats) = solve_dirichlet(
         &Poisson::laplace(domain.ny(), domain.nx(), domain.h()),
@@ -97,7 +97,7 @@ fn main() {
     );
     let mae_net = result.grid.mean_abs_diff(&reference);
     println!(
-        "\nMFP + trained SDNet : {} iterations, MAE vs multigrid = {:.4}",
+        "\nMFP + trained SDNet : {} iterations, MAE vs exact five-point solve = {:.4}",
         result.iterations, mae_net
     );
 
@@ -113,7 +113,7 @@ fn main() {
     );
     let mae_oracle = result_oracle.grid.mean_abs_diff(&reference);
     println!(
-        "MFP + oracle solver : {} iterations, MAE vs multigrid = {:.6}",
+        "MFP + oracle solver : {} iterations, MAE vs exact five-point solve = {:.6}",
         result_oracle.iterations, mae_oracle
     );
 

@@ -23,8 +23,8 @@
 //! `--max-points 0` caps every batch at one request (the per-request
 //! baseline).
 //!
-//! `solve` prints convergence info and the MAE against a direct multigrid
-//! reference; `--out` writes the dense solution grid as CSV (row 0 =
+//! `solve` prints convergence info and the MAE against the exact five-point
+//! solve; `--out` writes the dense solution grid as CSV (row 0 =
 //! bottom edge). It runs the two-level accelerated iteration (coarse-grid
 //! seed, Anderson mixing and a coarse-grid correction after every sweep);
 //! `--one-level` runs Algorithm 2 as the paper prints it — same fixed
@@ -517,7 +517,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
             1e-9,
         );
         if !st.converged {
-            eprintln!("warning: reference solve did not fully converge");
+            eprintln!("warning: the reference solve is not finite");
         }
         sol
     };
@@ -588,7 +588,7 @@ fn cmd_solve(flags: &Flags) -> ExitCode {
         converged
     );
     println!(
-        "MAE vs direct multigrid solve: {:.6}",
+        "MAE vs exact five-point solve: {:.6}",
         grid.mean_abs_diff(&reference)
     );
 

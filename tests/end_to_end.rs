@@ -77,7 +77,7 @@ fn trained_sdnet_beats_untrained_as_mfp_subdomain_solver() {
 }
 
 #[test]
-fn oracle_mfp_matches_global_multigrid_on_gp_boundaries() {
+fn oracle_mfp_matches_the_exact_global_solve_on_gp_boundaries() {
     // Fig.-1-style check: MFP (with the numerical subdomain solver) vs a
     // direct global solve, on several GP-sampled boundary conditions.
     let spec = SubdomainSpec { m: 9, spatial: 0.5 };

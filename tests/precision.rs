@@ -9,7 +9,8 @@
 //! * iterations to the benchmark's `tol 1e-4` (`mfp.iters_to_tol`) at most
 //!   one above the graph's;
 //! * at `tol 1e-7`, the fixed point within 1e-5 grid MAE of the graph's;
-//! * grid MAE against multigrid within 10 % of the graph's, at `tol 1e-4`
+//! * grid MAE against the exact five-point solve within 10 % of the
+//!   graph's, at `tol 1e-4`
 //!   (what `accuracy_err` measures).
 //!
 //! And what a tolerance below the plan's rounding floor does, on the
@@ -111,7 +112,7 @@ fn pool(len: usize) -> Vec<Tensor> {
 fn reference(d: &DomainSpec, bc: &Tensor) -> Tensor {
     let guess = grid_with_boundary(d.ny(), d.nx(), bc);
     let (sol, st) = solve_dirichlet(&Poisson::laplace(d.ny(), d.nx(), d.h()), &guess, 1e-9);
-    assert!(st.converged, "multigrid reference");
+    assert!(st.converged, "exact reference");
     sol
 }
 
@@ -136,7 +137,7 @@ fn the_f32_plan_keeps_iterations_fixed_point_and_accuracy_on_every_pool_boundary
     // A line of its own: the test harness prints the test's name before it.
     println!(
         "\n| boundary | iterations f64 / f32, tol 1e-4 | iterations f64 / f32, tol 1e-7 \
-         | f32 last relative change | fixed-point gap, grid MAE | MAE vs multigrid f64 / f32 |"
+         | f32 last relative change | fixed-point gap, grid MAE | MAE vs exact solve f64 / f32 |"
     );
     println!("|---:|---:|---:|---:|---:|---:|");
     for (k, bc) in pool(d.boundary_len()).iter().enumerate() {

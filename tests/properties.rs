@@ -92,7 +92,7 @@ proptest! {
         prop_assert!(r < 1e-6, "residual {r}");
     }
 
-    /// The global multigrid reference and the oracle MFP agree for random
+    /// The exact global solve and the oracle MFP agree for random
     /// GP boundary conditions on non-square domains.
     #[test]
     fn mfp_matches_direct_solve_on_rectangular_domains(
