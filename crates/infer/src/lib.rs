@@ -65,8 +65,9 @@
 //! [`InferencePlan::graph_error_bound`] on every output of a launch: a
 //! first-order running error bound of the `f32` chain, replayed element by
 //! element in `f64`. What that costs a whole MFP
-//! solve — iterations, fixed point, accuracy against multigrid — is pinned
-//! per boundary on the benchmark network by `tests/precision.rs`.
+//! solve — iterations, fixed point, accuracy against the exact five-point
+//! solve — is pinned per boundary on the benchmark network by
+//! `tests/precision.rs`.
 //!
 //! Plans are snapshots of the network weights: Mosaic Flow solves by
 //! inference with one pre-trained SDNet, and every caller (e.g. `mf-mfp`'s

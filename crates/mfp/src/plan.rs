@@ -35,10 +35,10 @@ use mf_tensor::{PoolStats, Tensor};
 /// of its launch; over a whole solve
 /// on the benchmark network the iteration count stays within one of the
 /// graph's, the fixed point within 1e-5 grid MAE and the error against
-/// multigrid within 10 % (`tests/precision.rs`). Besides twice the lanes,
-/// the plan saves the autodiff tape, pools its workspaces and computes the
-/// query-coordinate half of the input-split layer once per point set
-/// instead of once per launch.
+/// the exact five-point solve within 10 % (`tests/precision.rs`). Besides
+/// twice the lanes, the plan saves the autodiff tape, pools its workspaces
+/// and computes the query-coordinate half of the input-split layer once per
+/// point set instead of once per launch.
 pub struct PlanSolver {
     net: SdNet,
     spec: SubdomainSpec,

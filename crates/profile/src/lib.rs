@@ -1,7 +1,7 @@
 //! Live metrics exposition for the mosaic-flow hot paths.
 //!
 //! [`MetricsServer`] is a dependency-free HTTP server on
-//! `std::net::TcpListener` serving `GET /metrics` (Prometheus/OpenMetrics
+//! `mf_telemetry::Acceptor` serving `GET /metrics` (Prometheus/OpenMetrics
 //! text) and `GET /snapshot` (JSON), merging every published per-rank
 //! registry on scrape. Enabled with `--metrics-addr HOST:PORT` or
 //! `MF_METRICS_ADDR`; other crates add endpoints with [`register_route`].

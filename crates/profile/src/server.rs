@@ -1,9 +1,11 @@
-//! Dependency-free metrics exposition over `std::net::TcpListener`.
+//! Dependency-free metrics exposition over `std::net`.
 //!
-//! One acceptor thread blocked in `accept`, blocking per-connection
-//! handling (scrapes are rare and tiny); a slow client holds it for no
-//! longer than [`CONN_DEADLINE`] allows. Shutdown sets a flag and wakes
-//! the acceptor with one connection to its own address. Routes:
+//! The listener runs on `mf-telemetry`'s [`Acceptor`], the accept loop
+//! `mf-serve`'s `TcpServer` runs on too: it retries a failed `accept`,
+//! logs an outage once, and stops on drop. This module is only its
+//! connection handler, which runs on the accept thread itself (scrapes are
+//! rare and tiny); a slow client holds it for no longer than
+//! [`CONN_DEADLINE`] allows. Routes:
 //!
 //! - `GET /metrics` — OpenMetrics text; every published rank registry
 //!   merged (counters/buckets sum, gauges max).
@@ -13,37 +15,21 @@
 //! this one via [`register_route`] — mf-reqtrace installs `/requests`,
 //! `/healthz`, and `/readyz` this way.
 
+use mf_telemetry::Acceptor;
 use std::io::{Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, LazyLock, RwLock};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::{LazyLock, RwLock};
 use std::time::{Duration, Instant};
 
 /// Handle to a running exposition server; dropping it stops the
 /// acceptor thread and releases the port.
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
-}
+pub struct MetricsServer(Acceptor);
 
 impl MetricsServer {
     /// Bind `addr` (`HOST:PORT`; port 0 picks a free port) and start
     /// serving scrapes on a background thread.
     pub fn start(addr: &str) -> std::io::Result<MetricsServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("mf-metrics".into())
-            .spawn(move || serve_loop(listener, stop2))?;
-        Ok(MetricsServer {
-            addr: local,
-            stop,
-            handle: Some(handle),
-        })
+        Acceptor::bind(addr, "mf-metrics", |stream, _| handle_conn(stream)).map(MetricsServer)
     }
 
     /// Start from the `--metrics-addr` flag value or the
@@ -69,51 +55,13 @@ impl MetricsServer {
 
     /// The bound address (useful with port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr()
     }
 
     /// Keep the server running until process exit: detach the acceptor
     /// thread instead of stopping it on drop.
-    pub fn run_forever(mut self) {
-        self.handle.take();
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for MetricsServer {
-    /// Set the stop flag, then wake the acceptor out of `accept` with one
-    /// connection to its own address (the loopback one when bound to an
-    /// unspecified address). If that connection cannot be made, the
-    /// acceptor is left detached rather than joined forever.
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let Some(h) = self.handle.take() else {
-            return;
-        };
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        if TcpStream::connect_timeout(&wake, CONN_DEADLINE).is_ok() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn serve_loop(listener: TcpListener, stop: Arc<AtomicBool>) {
-    loop {
-        let accepted = listener.accept();
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match accepted {
-            Ok((stream, _)) => handle_conn(stream),
-            // Out of descriptors or the like: back off instead of spinning.
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
+    pub fn run_forever(self) {
+        self.0.detach();
     }
 }
 
@@ -240,6 +188,7 @@ pub fn http_get(addr: SocketAddr, path: &str) -> std::io::Result<(String, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn serves_metrics_snapshot_and_404() {

@@ -1,10 +1,9 @@
 //! TCP front end: line-delimited JSON over `std::net` threads.
 //!
-//! One acceptor thread blocks in `accept`; stopping the server sets a flag
-//! and wakes it with one connection to its own address (as `mf-profile`'s
-//! `MetricsServer` does). A failed `accept` (out of descriptors, a client
-//! that reset first) is logged and retried after 2 ms; only the flag ends
-//! the loop. Each connection gets a reader thread that parses
+//! The listener runs on `mf-telemetry`'s [`Acceptor`], the accept loop
+//! `mf-profile`'s `MetricsServer` runs on too: it retries a failed
+//! `accept`, logs an outage once, and stops on drop. This module is only
+//! its connection handler. Each connection gets a reader thread that parses
 //! one request per line, drives the shared [`SolveService`], and writes
 //! one response line per request. A
 //! connection is a closed loop: the next request on the same connection
@@ -17,12 +16,10 @@
 
 use crate::protocol;
 use crate::service::{ServeError, SolveService};
+use mf_telemetry::Acceptor;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// The most bytes `{:.17e}` writes for an `f64`
 /// (`-1.23456789012345678e-308`), plus the comma after it.
@@ -32,13 +29,6 @@ const MAX_VALUE_BYTES: usize = 26;
 /// fields, their keys, and whitespace between tokens.
 const LINE_SLACK_BYTES: usize = 4096;
 
-/// How long [`TcpServer::stop`] waits for its wake-up connection.
-const WAKE_DEADLINE: Duration = Duration::from_millis(500);
-
-/// How long the accept loop waits after a failed `accept` before it tries
-/// again.
-const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
-
 /// The longest request line `service` has to read: an explicit `bc` array
 /// for the largest domain it admits, plus slack.
 fn max_line_bytes(service: &SolveService) -> usize {
@@ -47,96 +37,33 @@ fn max_line_bytes(service: &SolveService) -> usize {
 
 /// A running TCP server bound to a local address. Dropping it stops the
 /// accept loop; established connections close when clients disconnect.
-pub struct TcpServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-}
+pub struct TcpServer(Acceptor);
 
 impl TcpServer {
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and start
     /// accepting connections against `service`.
     pub fn bind(service: Arc<SolveService>, addr: &str) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("mf-serve-accept".into())
-                .spawn(move || accept_loop(listener, service, stop))
-                .expect("spawn accept loop")
-        };
-        Ok(Self {
-            addr,
-            stop,
-            accept: Some(accept),
-        })
+        let acceptor = Acceptor::bind(addr, "mf-serve-accept", move |stream, peer| {
+            let service = Arc::clone(&service);
+            // The connection id minted at accept parents every request
+            // multiplexed over this connection.
+            let conn_id = mf_reqtrace::next_id();
+            mf_telemetry::log!(Debug, "serve.conn_accepted", conn = conn_id, peer = peer);
+            // Connection threads detach; they exit when the client closes
+            // its end (read_line returns 0).
+            let spawned = std::thread::Builder::new()
+                .name("mf-serve-conn".into())
+                .spawn(move || handle_connection(stream, service, conn_id));
+            if let Err(e) = spawned {
+                mf_telemetry::log!(Error, "serve.conn_spawn_failed", conn = conn_id, err = e);
+            }
+        })?;
+        Ok(Self(acceptor))
     }
 
     /// The bound address (with the ephemeral port resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting new connections and join the accept loop: set the
-    /// flag, then wake the loop out of `accept` with one connection to its
-    /// own address (the loopback one when bound to an unspecified
-    /// address). If that connection cannot be made, the loop is left
-    /// detached rather than joined forever.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        let Some(h) = self.accept.take() else {
-            return;
-        };
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        if TcpStream::connect_timeout(&wake, WAKE_DEADLINE).is_ok() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TcpServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: TcpListener, service: Arc<SolveService>, stop: Arc<AtomicBool>) {
-    loop {
-        let accepted = listener.accept();
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match accepted {
-            Ok((stream, peer)) => {
-                let service = Arc::clone(&service);
-                // The connection id minted at accept parents every
-                // request multiplexed over this connection.
-                let conn_id = mf_reqtrace::next_id();
-                mf_telemetry::log!(Debug, "serve.conn_accepted", conn = conn_id, peer = peer);
-                // Connection threads detach; they exit when the client
-                // closes its end (read_line returns 0).
-                let spawned = std::thread::Builder::new()
-                    .name("mf-serve-conn".into())
-                    .spawn(move || handle_connection(stream, service, conn_id));
-                if let Err(e) = spawned {
-                    mf_telemetry::log!(Error, "serve.conn_spawn_failed", conn = conn_id, err = e);
-                }
-            }
-            // Out of descriptors, a connection reset before it was
-            // accepted: the listener is fine, so back off and retry.
-            Err(e) => {
-                mf_telemetry::log!(Error, "serve.accept_failed", err = e);
-                std::thread::sleep(ACCEPT_BACKOFF);
-            }
-        }
+        self.0.addr()
     }
 }
 
@@ -227,6 +154,7 @@ mod tests {
     use crate::service::{ServeConfig, SolveService};
     use mf_mfp::PlanSolver;
     use mf_telemetry::JsonValue;
+    use std::time::Duration;
 
     fn test_server(cfg: ServeConfig) -> (Arc<SolveService>, TcpServer) {
         let solver = PlanSolver::new(

@@ -26,6 +26,10 @@
 //! 4. **Structured logging** ([`log!`], [`log_emit`]) — leveled JSONL
 //!    diagnostics on stderr (`MF_LOG=error|warn|info|debug`), tagged with
 //!    the thread's rank and, when set, the request id being handled.
+//! 5. **The accept loop** ([`Acceptor`]) — one TCP listener thread that
+//!    hands each connection to a handler, retries a failed `accept` and
+//!    logs an outage once, and stops on drop. `mf-serve`'s solve service
+//!    and `mf-profile`'s metrics server both run on it.
 //!
 //! Distributed runs report without a message: every rank is a thread, so
 //! `mf_dist::Cluster` takes each rank's [`snapshot`] as the rank returns and,
@@ -46,6 +50,7 @@
 //! mf_telemetry::set_tracing(false);
 //! ```
 
+mod acceptor;
 mod export;
 mod expose;
 mod json;
@@ -57,6 +62,7 @@ mod ring;
 mod sink;
 mod span;
 
+pub use acceptor::Acceptor;
 pub use export::{
     parse_chrome_trace, write_chrome_trace, write_chrome_trace_with_flows, write_trace_file,
     FlowEvent, FlowPhase, SpanEvent,

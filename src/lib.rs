@@ -8,8 +8,8 @@
 //! Solvers"* (SC '23): data-parallel training of the SDNet subdomain
 //! solver (Algorithm 1) and the distributed Mosaic Flow predictor
 //! (Algorithm 2), together with every substrate they need — tensors,
-//! higher-order autodiff, multigrid ground truth, Gaussian-process data
-//! generation, optimizers, and a simulated message-passing cluster.
+//! higher-order autodiff, exact five-point ground truth, Gaussian-process
+//! data generation, optimizers, and a simulated message-passing cluster.
 //!
 //! This facade re-exports the workspace crates under stable module names:
 //!
